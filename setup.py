@@ -10,7 +10,10 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    # The floor is exercised by CI's tier-1 "numpy floor" leg (ci.yml pins
+    # the same version): bitwise parity of the batched fingerprint ladder
+    # leans on NumPy's last-axis pairwise summation.
+    install_requires=["numpy>=1.23.2"],
     entry_points={
         "console_scripts": [
             "repro=repro.cli:main",

@@ -404,7 +404,8 @@ class ProphetEngine:
                 function, args, self.config.base_seed
             )
         if existing is not None:
-            missing = [w for w in worlds if w not in set(existing.worlds)]
+            held = set(existing.worlds)
+            missing = [w for w in worlds if w not in held]
             if missing:
                 missing_batch = InstanceBatch.at_point(
                     batch.point_dict, missing, self.config.base_seed
@@ -532,22 +533,36 @@ class ProphetEngine:
         names.discard(self.scenario.axis)
         return tuple(sorted(names))
 
-    def _week_key(
+    def _week_keys(
         self,
-        week: int,
         point: Mapping[str, Any],
         batch: InstanceBatch,
         matrices: Mapping[str, np.ndarray],
-    ) -> bytes:
-        """Content key of one week's joint samples + relevant parameters."""
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(repr((week, batch.worlds)).encode())
-        digest.update(
+    ) -> list[bytes]:
+        """Per week, the content key of its joint samples + relevant parameters.
+
+        The worlds and the derived-expression parameters are the same for
+        every week of a point, so they are hashed once and each week's
+        digest continues from a copy of that state.
+        """
+        prefix = hashlib.blake2b(digest_size=16)
+        prefix.update(repr(batch.worlds).encode())
+        prefix.update(
             repr(tuple((name, point.get(name)) for name in self._derived_params)).encode()
         )
-        for output in self.scenario.vg_outputs:
-            digest.update(matrices[output.alias.lower()][:, week].tobytes())
-        return digest.digest()
+        # One contiguous row per week; same bytes as the week's column.
+        by_week = [
+            np.ascontiguousarray(matrices[output.alias.lower()].T)
+            for output in self.scenario.vg_outputs
+        ]
+        keys = []
+        for week in range(by_week[0].shape[0]):
+            digest = prefix.copy()
+            digest.update(week.to_bytes(8, "little"))
+            for rows in by_week:
+                digest.update(rows[week])
+            keys.append(digest.digest())
+        return keys
 
     def _combine_and_aggregate(
         self,
@@ -560,10 +575,7 @@ class ProphetEngine:
         n_components = next(iter(matrices.values())).shape[1]
         tracer = self.tracer
         with tracer.stage("aggregate", timings) as memo_stage:
-            week_keys = [
-                self._week_key(week, point, batch, matrices)
-                for week in range(n_components)
-            ]
+            week_keys = self._week_keys(point, batch, matrices)
             if use_week_memo:
                 missing = [
                     week for week, key in enumerate(week_keys)

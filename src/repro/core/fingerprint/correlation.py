@@ -148,7 +148,15 @@ def match_component(
 def correlate(
     basis: Fingerprint, target: Fingerprint, policy: CorrelationPolicy
 ) -> CorrelationResult:
-    """Match every component of ``target`` against ``basis``.
+    """Match every component of ``target`` against ``basis`` in one pass.
+
+    The IDENTITY -> SHIFT -> AFFINE ladder of :func:`match_component`, run
+    over all components at once: each rung tests the components the cheaper
+    rungs left over and narrows that index set. Works on the fingerprints'
+    ``(n_components, n_seeds)`` transposes, reducing along the contiguous
+    last axis only — see :attr:`Fingerprint.columns` — and keeps
+    ``match_component``'s operation order per element, so every residual,
+    offset and scale is bit-identical to the one-column function.
 
     Raises :class:`FingerprintError` when the fingerprints are not
     comparable (different function, probe spec, or component count).
@@ -158,11 +166,61 @@ def correlate(
             f"fingerprints not comparable: {basis.vg_name}/{basis.spec} vs "
             f"{target.vg_name}/{target.spec}"
         )
-    maps = tuple(
-        match_component(basis.column(c), target.column(c), policy)
-        for c in range(basis.n_components)
-    )
-    return CorrelationResult(maps=maps)
+    x, y = basis.columns, target.columns
+    maps: list[Optional[ComponentMap]] = [None] * x.shape[0]
+
+    # max(std(x), std(y), abs_floor) with Python's max semantics: a later
+    # value replaces the running one only when strictly greater (NaN never).
+    reference = np.std(x, axis=1)
+    y_std = np.std(y, axis=1)
+    reference = np.where(y_std > reference, y_std, reference)
+    reference = np.where(policy.abs_floor > reference, policy.abs_floor, reference)
+    threshold = policy.tolerance * reference
+
+    difference = y - x
+    residual = _row_rms(difference)
+    accepted = residual <= threshold
+    for c, r in zip(np.flatnonzero(accepted).tolist(), residual[accepted].tolist()):
+        maps[c] = ComponentMap(MapKind.IDENTITY, residual=r)
+    left = np.flatnonzero(~accepted)
+
+    if policy.allow_shift and left.size:
+        offset = np.mean(difference[left], axis=1)
+        residual = _row_rms(difference[left] - offset[:, None])
+        accepted = residual <= threshold[left]
+        for c, b, r in zip(
+            left[accepted].tolist(), offset[accepted].tolist(), residual[accepted].tolist()
+        ):
+            maps[c] = ComponentMap(MapKind.SHIFT, offset=b, residual=r)
+        left = left[~accepted]
+
+    if policy.allow_affine and left.size:
+        # Least squares y ~ a*x + b; a degenerate (constant) x has no fit.
+        x_var = np.var(x[left], axis=1)
+        fit = x_var > 0.0
+        left, x_var = left[fit], x_var[fit]
+        x_left, y_left = x[left], y[left]
+        x_mean = np.mean(x_left, axis=1)
+        y_mean = np.mean(y_left, axis=1)
+        covariance = np.mean(
+            (x_left - x_mean[:, None]) * (y_left - y_mean[:, None]), axis=1
+        )
+        scale = covariance / x_var
+        offset = y_mean - scale * x_mean
+        residual = _row_rms(y_left - (scale[:, None] * x_left + offset[:, None]))
+        accepted = residual <= threshold[left]
+        for c, a, b, r in zip(
+            left[accepted].tolist(),
+            scale[accepted].tolist(),
+            offset[accepted].tolist(),
+            residual[accepted].tolist(),
+        ):
+            maps[c] = ComponentMap(MapKind.AFFINE, scale=a, offset=b, residual=r)
+    return CorrelationResult(maps=tuple(maps))
+
+
+def _row_rms(values: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean(np.square(values), axis=1))
 
 
 def _rms(values: np.ndarray) -> float:

@@ -14,7 +14,7 @@ Monte Carlo sample matrices because world seeds are fixed too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -58,6 +58,13 @@ class Fingerprint:
     args: tuple[Any, ...]
     matrix: np.ndarray  # shape (n_seeds, n_components)
     spec: FingerprintSpec
+    #: C-contiguous ``(n_components, n_seeds)`` transpose of ``matrix``:
+    #: one component per row, so correlation reduces along the contiguous
+    #: last axis. NumPy sums a contiguous row with the same pairwise tree
+    #: it uses for a single column, which keeps the batched ladder
+    #: bit-identical to :func:`match_component`; reducing ``matrix`` along
+    #: ``axis=0`` accumulates row by row and differs in the last bit.
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.matrix.ndim != 2:
@@ -66,6 +73,9 @@ class Fingerprint:
             raise FingerprintError(
                 f"fingerprint has {self.matrix.shape[0]} rows, spec wants {self.spec.n_seeds}"
             )
+        object.__setattr__(
+            self, "columns", np.ascontiguousarray(self.matrix.T, dtype=float)
+        )
 
     @property
     def n_components(self) -> int:

@@ -59,6 +59,7 @@ class FingerprintRegistry:
         self.policy = policy
         self._fingerprints: dict[tuple[str, ParamKey], Fingerprint] = {}
         self._mappings: list[MappingRecord] = []
+        self._mapping_names: list[str] = []  # lowered vg name per record
         self.probes_computed = 0
 
     # -- fingerprints --------------------------------------------------------
@@ -115,18 +116,25 @@ class FingerprintRegistry:
         """
         target_key = tuple(target_args)
         target_fp = self.fingerprint_of(function, target_key)
+        name = function.name.lower()
         best: Optional[MatchOutcome] = None
-        for basis_key in candidate_args:
-            if tuple(basis_key) == target_key:
+        best_fraction = -1.0
+        for candidate in candidate_args:
+            basis_key = tuple(candidate)
+            if basis_key == target_key:
                 continue
-            basis_fp = self._fingerprints.get((function.name.lower(), tuple(basis_key)))
+            basis_fp = self._fingerprints.get((name, basis_key))
             if basis_fp is None:
                 continue
             correlation = correlate(basis_fp, target_fp, self.policy)
-            outcome = MatchOutcome(basis_args=tuple(basis_key), correlation=correlation)
-            if best is None or outcome.mapped_fraction > best.mapped_fraction:
-                best = outcome
-        if best is None or best.mapped_fraction < max(min_fraction, 1e-12):
+            fraction = correlation.mapped_fraction
+            if fraction > best_fraction:
+                best = MatchOutcome(basis_args=basis_key, correlation=correlation)
+                best_fraction = fraction
+                if fraction == 1.0:
+                    # A later candidate only wins by strictly exceeding this.
+                    break
+        if best is None or best_fraction < max(min_fraction, 1e-12):
             return None
         return best
 
@@ -144,6 +152,7 @@ class FingerprintRegistry:
             kind_counts=correlation.kind_counts(),
         )
         self._mappings.append(record)
+        self._mapping_names.append(vg_name.lower())
         return record
 
     @property
@@ -152,11 +161,16 @@ class FingerprintRegistry:
 
     def mappings_for(self, vg_name: str) -> tuple[MappingRecord, ...]:
         lowered = vg_name.lower()
-        return tuple(m for m in self._mappings if m.vg_name.lower() == lowered)
+        return tuple(
+            record
+            for record, name in zip(self._mappings, self._mapping_names)
+            if name == lowered
+        )
 
     def clear(self) -> None:
         self._fingerprints.clear()
         self._mappings.clear()
+        self._mapping_names.clear()
         self.probes_computed = 0
 
     def __len__(self) -> int:

@@ -55,13 +55,28 @@ class InstanceBatch:
 
     point: tuple[tuple[str, Any], ...]
     instances: tuple[WorldInstance, ...] = field(default_factory=tuple)
+    #: World ids and seeds of ``instances``, in order — derived once per
+    #: batch; every stage downstream reads them many times.
+    worlds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    seeds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "worlds", tuple(instance.world for instance in self.instances)
+        )
+        object.__setattr__(
+            self, "seeds", tuple(instance.seed for instance in self.instances)
+        )
 
     @classmethod
     def at_point(
         cls, point: Mapping[str, Any], worlds: Sequence[int], base_seed: int
     ) -> "InstanceBatch":
         items = tuple(sorted((str(k).lower(), v) for k, v in point.items()))
-        instances = tuple(WorldInstance.make(point, world, base_seed) for world in worlds)
+        instances = tuple(
+            WorldInstance(point=items, world=world, seed=world_seed(base_seed, world))
+            for world in worlds
+        )
         return cls(point=items, instances=instances)
 
     @property
@@ -73,11 +88,3 @@ class InstanceBatch:
 
     def __iter__(self) -> Iterator[WorldInstance]:
         return iter(self.instances)
-
-    @property
-    def worlds(self) -> tuple[int, ...]:
-        return tuple(instance.world for instance in self.instances)
-
-    @property
-    def seeds(self) -> tuple[int, ...]:
-        return tuple(instance.seed for instance in self.instances)

@@ -291,12 +291,7 @@ class OnlineSession:
             if report.source == "fresh":
                 refreshed.update(range(n_components))
             else:
-                # components_recomputed are listed 0..n-1 in kind order; the
-                # reuse report carries counts, the mapping registry carries
-                # identities. Recompute identities from the report:
-                recomputed = set()
-                if report.source == "mapped":
-                    recomputed = set(self._recomputed_weeks(report))
+                recomputed = set(report.recomputed_components)
                 refreshed.update(recomputed)
                 reused.update(set(range(n_components)) - recomputed)
         reused -= refreshed
@@ -310,23 +305,6 @@ class OnlineSession:
             vg_invocations=invocations,
             component_samples=component_samples,
         )
-
-    def _recomputed_weeks(self, report) -> tuple[int, ...]:
-        """Identify which weeks a mapped acquisition re-simulated."""
-        for record in reversed(self.engine.registry.mappings):
-            if (
-                record.vg_name.lower() == report.vg_name.lower()
-                and record.target_args == report.args
-            ):
-                # Re-derive the unmapped set from the stored fingerprints.
-                function = self.engine.library.get(report.vg_name)
-                fp_target = self.engine.registry.fingerprint_of(function, report.args)
-                fp_basis = self.engine.registry.fingerprint_of(function, record.basis_args)
-                from repro.core.fingerprint.correlation import correlate
-
-                correlation = correlate(fp_basis, fp_target, self.engine.registry.policy)
-                return correlation.unmapped_components
-        return ()
 
     # -- convenience ---------------------------------------------------------------
 

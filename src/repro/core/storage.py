@@ -8,7 +8,9 @@ samples for a new parameterization the Storage Manager:
 1. returns the stored matrix on an exact hit;
 2. otherwise asks the :class:`FingerprintRegistry` for the best correlated
    basis, remaps its matrix through the detected per-component maps, and
-   fills only the unmapped components with real simulation;
+   fills only the unmapped components with real simulation — one batched
+   call covering every requested world (see :meth:`_simulate_components`
+   for what that asks of a VG-Function);
 3. otherwise reports a miss — the engine then runs the full generated-SQL
    sampling path and stores the result here.
 
@@ -88,6 +90,9 @@ class ReuseReport:
     components_total: int = 0
     components_recomputed: int = 0
     kind_counts: dict[str, int] = field(default_factory=dict)
+    #: Which components a mapped acquisition re-simulated (ascending); empty
+    #: for exact hits, and for fresh misses, which re-simulate all of them.
+    recomputed_components: tuple[int, ...] = ()
 
     @property
     def components_reused(self) -> int:
@@ -355,6 +360,7 @@ class StorageManager:
                     components_total=n_components,
                     components_recomputed=len(unmapped),
                     kind_counts=match.correlation.kind_counts(),
+                    recomputed_components=unmapped,
                 )
                 return samples, report
 
@@ -408,8 +414,10 @@ class StorageManager:
     ) -> bool:
         if stored_worlds is None:
             return False
-        stored = set(stored_worlds)
-        return all(world in stored for world in worlds)
+        # The sweep case: every basis holds exactly the requested batch.
+        if isinstance(worlds, tuple) and stored_worlds == worlds:
+            return True
+        return set(stored_worlds).issuperset(worlds)
 
     def _select_worlds(self, entry: BasisEntry, worlds: Sequence[int]) -> np.ndarray:
         positions = {world: index for index, world in enumerate(entry.worlds)}
@@ -423,8 +431,15 @@ class StorageManager:
         seeds: Sequence[int],
         components: tuple[int, ...],
     ) -> np.ndarray:
-        """Real simulation of only the unmapped components, world by world."""
-        columns = np.empty((len(seeds), len(components)), dtype=float)
-        for row, seed in enumerate(seeds):
-            columns[row, :] = function.invoke_components(seed, tuple(args), components)
-        return columns
+        """Real simulation of only the unmapped components, all worlds at once.
+
+        One :meth:`~repro.vg.base.VGFunction.invoke_components_batch` call
+        per mapped acquisition. A model earns the vectorized path by
+        implementing ``generate_partial_batch``, whose contract is: random
+        events are a function of the seed alone (so they are drawn once per
+        seed, whatever the parameterization), and every row is bit-identical
+        to the model's own per-seed ``generate_partial`` — the first row is
+        checked on every call, a mismatch falls back to the per-seed loop.
+        Models without the override run that loop.
+        """
+        return function.invoke_components_batch(seeds, tuple(args), components)

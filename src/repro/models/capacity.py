@@ -30,7 +30,7 @@ deterministic elsewhere and those regions can be skipped.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -135,6 +135,41 @@ class CapacityModel(VGFunction):
         the event bookkeeping, which indexes directly.
         """
         return self.generate(seed, args)[components]
+
+    def _cumulative_events(self, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """Deployment lags and the running sum of weekly failure losses."""
+        lags, losses = self._world_events(seed)
+        return lags, np.cumsum(losses)
+
+    def generate_partial_batch(
+        self, seeds: Sequence[int], args: tuple[Any, ...], components: np.ndarray
+    ) -> np.ndarray | None:
+        """:meth:`generate_partial` for all ``seeds`` at once.
+
+        Lags and failure histories depend on the seed only, so they (and
+        the loss running sum) are drawn once per seed and stacked; arrivals
+        and the clip then run over ``(n_worlds, k)``. An arrival past the
+        last week adds an all-zero term here where the scalar path skips
+        it, which leaves every bit unchanged.
+        """
+        if (
+            type(self).generate_partial is not CapacityModel.generate_partial
+            or type(self).generate is not CapacityModel.generate
+            or type(self)._world_events is not CapacityModel._world_events
+        ):
+            # A subclass changed the scalar path; only the loop is safe.
+            return None
+        purchase1, purchase2, initial = self._split_args(args)
+        events = [self.seed_events(seed, self._cumulative_events) for seed in seeds]
+        lags = np.stack([lag for lag, _ in events])
+        lost = np.stack([cumulative for _, cumulative in events])[:, components]
+        weeks = np.arange(self.n_components)[components]
+        arrivals = np.zeros(lost.shape, dtype=float)
+        for purchase, lag in zip((purchase1, purchase2), lags.T):
+            arrival_week = (purchase + lag)[:, None]
+            arrivals += np.where(weeks >= arrival_week, self.purchase_cores, 0.0)
+        capacity = initial + arrivals - lost
+        return np.clip(capacity, 0.0, None)
 
     # -- analytics (used by tests) -----------------------------------------------
 

@@ -25,7 +25,7 @@ genuinely **affine** (scale != 1) fingerprint maps across growth changes.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -96,10 +96,19 @@ class DemandModel(VGFunction):
 
     # -- generation ---------------------------------------------------------
 
-    def generate(self, seed: int, args: tuple[Any, ...]) -> np.ndarray:
-        feature, growth = self._split_args(args)
-        base_noise, surge_noise = self._noise(seed)
-        weeks = np.arange(self.n_components, dtype=float)
+    def _demand(
+        self,
+        weeks: np.ndarray,
+        base_noise: np.ndarray,
+        surge_noise: np.ndarray,
+        feature: int,
+        growth: float,
+    ) -> np.ndarray:
+        """The week arithmetic, elementwise over ``weeks`` and its noise.
+
+        Shared by the full, partial and batched paths so that they cannot
+        drift apart: noise may be ``(k,)`` for one world or ``(n_worlds, k)``.
+        """
         demand = self.base + self.trend * weeks + self.sigma_base * base_noise
         released = weeks >= feature
         surge = (
@@ -110,22 +119,50 @@ class DemandModel(VGFunction):
         demand = demand + np.where(released, surge, 0.0)
         return growth * demand
 
+    def generate(self, seed: int, args: tuple[Any, ...]) -> np.ndarray:
+        feature, growth = self._split_args(args)
+        base_noise, surge_noise = self._noise(seed)
+        weeks = np.arange(self.n_components, dtype=float)
+        return self._demand(weeks, base_noise, surge_noise, feature, growth)
+
     def generate_partial(
         self, seed: int, args: tuple[Any, ...], components: np.ndarray
     ) -> np.ndarray:
         """Weeks are independent, so partial generation is genuinely partial."""
         feature, growth = self._split_args(args)
         base_noise, surge_noise = self._noise(seed)
-        weeks = components.astype(float)
-        demand = self.base + self.trend * weeks + self.sigma_base * base_noise[components]
-        released = weeks >= feature
-        surge = (
-            self.surge_jump
-            + self.surge_slope * (weeks - feature)
-            + self.sigma_surge * surge_noise[components]
+        return self._demand(
+            components.astype(float),
+            base_noise[components],
+            surge_noise[components],
+            feature,
+            growth,
         )
-        demand = demand + np.where(released, surge, 0.0)
-        return growth * demand
+
+    def generate_partial_batch(
+        self, seeds: Sequence[int], args: tuple[Any, ...], components: np.ndarray
+    ) -> np.ndarray | None:
+        """:meth:`generate_partial` for all ``seeds`` at once.
+
+        The noise vectors depend on the seed only, so they are drawn once
+        per seed and stacked; the week arithmetic then runs over
+        ``(n_worlds, k)`` in the scalar path's elementwise order.
+        """
+        if (
+            type(self).generate_partial is not DemandModel.generate_partial
+            or type(self)._noise is not DemandModel._noise
+        ):
+            # A subclass changed the scalar path; only the loop is safe.
+            return None
+        feature, growth = self._split_args(args)
+        noise = [self.seed_events(seed, self._noise) for seed in seeds]
+        return self._demand(
+            components.astype(float),
+            np.stack([base for base, _ in noise])[:, components],
+            np.stack([surge for _, surge in noise])[:, components],
+            feature,
+            growth,
+        )
 
     # -- analytics (used by tests) ------------------------------------------------
 

@@ -17,7 +17,7 @@ Two flavours:
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class VGFunction:
         self.parity_fallbacks = 0  # vectorized batches rejected by the guard
         self._cache: dict[tuple[int, tuple[Any, ...]], np.ndarray] = {}
         self._cache_limit = 4096
+        # Seed-only event histories of batch-partial models, see seed_events.
+        self._event_memo: dict[int, Any] = {}
 
     # -- contract -------------------------------------------------------------
 
@@ -215,11 +217,82 @@ class VGFunction:
         """Optionally produce only ``components``; ``None`` means unsupported."""
         return None
 
+    def invoke_components_batch(
+        self, seeds: Sequence[int], args: tuple[Any, ...], components: Sequence[int]
+    ) -> np.ndarray:
+        """Generate only ``components`` for many worlds at once.
+
+        Returns ``(len(seeds), len(components))``; row ``i`` is bit-identical
+        to ``invoke_components(seeds[i], args, components)`` and the
+        counters move by exactly what that per-seed loop would have added
+        (a partial generation counts once per row, duplicates included).
+        Models that implement :meth:`generate_partial_batch` are served by
+        one vectorized call; its first row is checked bitwise against the
+        scalar :meth:`generate_partial`, and on any mismatch the batch is
+        recomputed by the per-seed loop and :attr:`parity_fallbacks` is
+        bumped — the same guard as :meth:`guarded_batch`. Everything else
+        runs the per-seed loop.
+        """
+        key_args = tuple(args)
+        indices = np.asarray(list(components), dtype=int)
+        n_seeds = len(seeds)
+        if indices.size == 0 or n_seeds == 0:
+            return np.empty((n_seeds, indices.size), dtype=float)
+        batch = self.generate_partial_batch(seeds, key_args, indices)
+        if batch is not None:
+            batch = np.asarray(batch, dtype=float)
+            probe = self.generate_partial(seeds[0], key_args, indices)
+            if (
+                probe is not None
+                and batch.shape == (n_seeds, indices.size)
+                and np.array_equal(
+                    np.asarray(probe, dtype=float), batch[0], equal_nan=True
+                )
+            ):
+                self.invocations += n_seeds
+                self.component_samples += n_seeds * int(indices.size)
+                return batch
+            self.parity_fallbacks += 1
+        columns = np.empty((n_seeds, indices.size), dtype=float)
+        for row, seed in enumerate(seeds):
+            columns[row] = self.invoke_components(seed, key_args, indices)
+        return columns
+
+    def generate_partial_batch(
+        self, seeds: Sequence[int], args: tuple[Any, ...], components: np.ndarray
+    ) -> np.ndarray | None:
+        """Optionally produce ``components`` for all ``seeds`` in one call.
+
+        ``None`` (the default) means unsupported. An override returns a
+        ``(len(seeds), len(components))`` matrix whose rows are bit-identical
+        to :meth:`generate_partial` per seed. That is only possible when the
+        model's random events depend on the seed alone — never on ``args`` —
+        so they can be drawn once per seed (:meth:`seed_events`), stacked,
+        and pushed through the same elementwise arithmetic as one world.
+        """
+        return None
+
+    def seed_events(self, seed: int, draw: Callable[[int], Any]) -> Any:
+        """``draw(seed)``, memoized per seed for :meth:`generate_partial_batch`.
+
+        Only for event histories that are a function of the seed alone; the
+        memoized arrays are shared, so callers must not write to them.
+        Bounded like the invocation memo (cleared when full) and emptied by
+        :meth:`reset_counters`.
+        """
+        events = self._event_memo.get(seed)
+        if events is None:
+            if len(self._event_memo) >= self._cache_limit:
+                self._event_memo.clear()
+            events = self._event_memo[seed] = draw(seed)
+        return events
+
     def reset_counters(self) -> None:
         self.invocations = 0
         self.component_samples = 0
         self.parity_fallbacks = 0
         self._cache.clear()
+        self._event_memo.clear()
 
     def component_labels(self) -> list[Any]:
         """Labels for components (default: 0..n-1); models may override."""

@@ -9,6 +9,8 @@ the unified stats report must be deterministic across identical runs.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from api_testutil import API_DSL, POINT, assert_stats_identical
@@ -29,6 +31,50 @@ CLIENT_CONFIG = ClientConfig(
 ENGINE_CONFIG = ProphetConfig(n_worlds=N_WORLDS, refinement_first=8)
 
 SLIDERS = {"purchase1": 26, "purchase2": 52, "feature": 12}
+
+#: The 36-point demo sweep (3 x 3 x 4): ``API_DSL`` with a denser @feature axis.
+DEMO_SWEEP_DSL = API_DSL.replace(
+    "@feature AS SET (12, 36)", "@feature AS SET (0, 12, 24, 36)"
+)
+
+DEMO_SWEEP_STATS = {
+    "in-process": (
+        '{"basis": {"exact_hits": 59, "mapped_hits": 11, "misses": 2, "resident": 13, '
+        '"resident_bytes": 220480, "spilled": 0, "tier_dropped": 0, "tier_evictions": 0, '
+        '"tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
+        '{"fallback_selects": 0, "plan_cache_hits": 190, "plan_cache_misses": 10, '
+        '"rows_fallback": 0, "rows_vectorized": 53600, "statements": 200, "vectorized_selects": '
+        '68}, "sampling": {"backend": "batched", "parity_fallbacks": 0, "sampled_batched": 80, '
+        '"sampled_fallback": 0}, "scheduler": {"dedup_hits": 0, "jobs_completed": 36, '
+        '"jobs_retired_early": 0, "jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, '
+        '"service": {"bytes_shipped": 0, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": '
+        '0, "cache_tmp_swept": 0, "executor_kind": "inline", "executor_workers": 1, '
+        '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, "sampled_batched": 80, '
+        '"sampled_fallback": 0, "sampled_worlds": 80, "segments_leased": 0, "segments_reclaimed":'
+        ' 0, "shard_exact_hits": 0, "shard_fresh": 2, "shard_generations": 2, '
+        '"shard_mapped_hits": 0, "shard_retries": 0, "shard_tasks": 2, "shard_timeouts": 0, '
+        '"shard_transport": "pickle", "snapshot_bases_shipped": 0, "snapshots_shipped": 0, '
+        '"transport_fallbacks": 0}, "week_memo": {"hits": 1344, "misses": 564}}'
+    ),
+    "process-pool": (
+        '{"basis": {"exact_hits": 59, "mapped_hits": 11, "misses": 2, "resident": 13, '
+        '"resident_bytes": 220480, "spilled": 0, "tier_dropped": 0, "tier_evictions": 0, '
+        '"tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
+        '{"fallback_selects": 0, "plan_cache_hits": 186, "plan_cache_misses": 6, "rows_fallback":'
+        ' 0, "rows_vectorized": 45120, "statements": 192, "vectorized_selects": 64}, "sampling": '
+        '{"backend": "batched", "parity_fallbacks": 0, "sampled_batched": 0, "sampled_fallback": '
+        '0}, "scheduler": {"dedup_hits": 0, "jobs_completed": 36, "jobs_retired_early": 0, '
+        '"jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, "service": '
+        '{"bytes_shipped": 34560, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0, '
+        '"cache_tmp_swept": 0, "executor_kind": "process", "executor_workers": 2, '
+        '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, "sampled_batched": 80, '
+        '"sampled_fallback": 0, "sampled_worlds": 80, "segments_leased": 0, "segments_reclaimed":'
+        ' 0, "shard_exact_hits": 0, "shard_fresh": 4, "shard_generations": 2, '
+        '"shard_mapped_hits": 0, "shard_retries": 0, "shard_tasks": 4, "shard_timeouts": 0, '
+        '"shard_transport": "pickle", "snapshot_bases_shipped": 0, "snapshots_shipped": 0, '
+        '"transport_fallbacks": 0}, "week_memo": {"hits": 1344, "misses": 564}}'
+    ),
+}
 
 
 def open_client(**with_kwargs) -> ProphetClient:
@@ -121,6 +167,32 @@ class TestSweepParity:
         for result, reference in zip(results, expected):
             assert result.ok
             assert_stats_identical(result.statistics, reference)
+
+    @pytest.mark.parametrize("backend", ["in-process", "process-pool"])
+    def test_demo_sweep_counters_repeat_the_recorded_bytes(self, backend):
+        """Batch-granular reuse must not move a single counter.
+
+        ``DEMO_SWEEP_STATS`` is ``client.stats().to_json()`` of the 36-point
+        demo sweep as recorded at commit 912df2e, before the reuse plane went
+        per-batch: same hits, misses, week-memo traffic, statements and
+        shard traffic, byte for byte.
+        """
+        client = ProphetClient.open(
+            DEMO_SWEEP_DSL,
+            "demo",
+            config=ClientConfig(sampling=SamplingConfig(n_worlds=40)),
+        )
+        if backend == "process-pool":
+            client = client.with_serving(executor="process", workers=2, shards=2)
+        with client:
+            points = [dict(point) for point in client.scenario.sweep_space.grid()]
+            assert len(points) == 36
+            assert all(result.ok for result in client.sweep(points))
+            recorded = DEMO_SWEEP_STATS[backend]
+            assert json.loads(client.stats().to_json()) == json.loads(recorded)
+            assert client.stats().to_json() == recorded
+            engine = client.engine
+            assert (engine.week_stats_hits, engine.week_stats_misses) == (1344, 564)
 
     def test_streaming_yields_one_job_per_step(self):
         with open_client() as client:

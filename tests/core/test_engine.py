@@ -6,6 +6,7 @@ import pytest
 from repro.core.engine import ProphetConfig, ProphetEngine
 from repro.errors import ParameterError, ScenarioError
 from repro.models import build_risk_vs_cost
+from repro.vg.seeds import world_seed
 
 POINT = {"purchase1": 16, "purchase2": 32, "feature": 12}
 OTHER = {"purchase1": 32, "purchase2": 32, "feature": 12}
@@ -128,6 +129,43 @@ class TestReuse:
         added = engine.component_sample_count() - first_samples
         # Only the 10 new worlds are simulated, not all 20.
         assert added <= 2 * 10 * 53 + 2 * 8 * 53  # fresh worlds + probe margin
+
+    def test_world_extension_stores_the_merged_basis(self, engine):
+        """Extend mode: the basis covers a prefix of the requested worlds."""
+        engine.evaluate_point(POINT, worlds=range(8))
+        extended = engine.evaluate_point(POINT, worlds=range(20))
+        scenario, library = build_risk_vs_cost(purchase_step=16)
+        one_shot = ProphetEngine(
+            scenario, library, ProphetConfig(n_worlds=20)
+        ).evaluate_point(POINT)
+        for output in engine.scenario.vg_outputs:
+            args = output.model_arg_values(extended.point)
+            entry = engine.storage.entry(output.vg_name, args)
+            assert entry.worlds == tuple(range(20))
+            assert entry.seeds == tuple(
+                world_seed(engine.config.base_seed, w) for w in range(20)
+            )
+            alias = output.alias.lower()
+            assert entry.samples.tobytes() == one_shot.samples[alias].tobytes()
+            assert extended.samples[alias].tobytes() == one_shot.samples[alias].tobytes()
+        for alias in one_shot.statistics.aliases():
+            assert (
+                extended.statistics.expectation(alias).tobytes()
+                == one_shot.statistics.expectation(alias).tobytes()
+            )
+
+    def test_extension_of_a_permuted_prefix_keeps_stored_order(self, engine):
+        engine.evaluate_point(POINT, worlds=(3, 1, 2))
+        engine.evaluate_point(POINT, worlds=range(5))
+        output = engine.scenario.vg_outputs[0]
+        entry = engine.storage.entry(
+            output.vg_name, output.model_arg_values(POINT)
+        )
+        # Held worlds first, in stored order; the missing ones appended.
+        assert entry.worlds == (3, 1, 2, 0, 4)
+        assert entry.seeds == tuple(
+            world_seed(engine.config.base_seed, w) for w in entry.worlds
+        )
 
     def test_timings_accumulate(self, engine):
         engine.evaluate_point(POINT)

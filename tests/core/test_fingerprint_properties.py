@@ -9,6 +9,9 @@ with known ground-truth structure.
 
 from __future__ import annotations
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core.fingerprint import (
     CorrelationPolicy,
+    Fingerprint,
+    FingerprintRegistry,
     FingerprintSpec,
     compute_fingerprint,
     correlate,
@@ -159,3 +164,140 @@ def test_fingerprint_rows_match_direct_invocation(n_seeds):
     fingerprint = compute_fingerprint(vg, (1.0, 0.0), spec)
     for row, seed in enumerate(spec.seeds):
         assert fingerprint.matrix[row] == pytest.approx(vg.invoke(seed, (1.0, 0.0)))
+
+
+# -- batched correlate vs the one-column oracle --------------------------------
+
+#: How a target column is derived from its basis column. The first four
+#: exercise the four outcomes of the ladder; the rest are its edge inputs.
+COLUMN_KINDS = (
+    "identity", "shift", "affine", "noise",
+    "constant_basis", "constant_both", "nan", "inf",
+)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _assert_same_map(batched, oracle, component):
+    """Field-by-field bit equality, so ``-0.0`` and NaN payloads count."""
+    if oracle is None or batched is None:
+        assert batched is oracle, f"component {component}: {batched} vs {oracle}"
+        return
+    assert batched.kind == oracle.kind, f"component {component}"
+    for name in ("scale", "offset", "residual"):
+        assert _bits(getattr(batched, name)) == _bits(getattr(oracle, name)), (
+            f"component {component}: {name} {getattr(batched, name)!r} "
+            f"vs {getattr(oracle, name)!r}"
+        )
+
+
+def _assert_matches_oracle(basis, target, policy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # NaN/inf columns
+        result = correlate(basis, target, policy)
+        oracle = tuple(
+            match_component(basis.column(c), target.column(c), policy)
+            for c in range(basis.n_components)
+        )
+    assert len(result.maps) == len(oracle)
+    for component, (batched, expected) in enumerate(zip(result.maps, oracle)):
+        _assert_same_map(batched, expected, component)
+    return result
+
+
+def _column_pair(kind: str, rng: np.random.Generator, n_seeds: int):
+    x = rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(0.1, 50.0), size=n_seeds)
+    if kind == "identity":
+        return x, x.copy()
+    if kind == "shift":
+        return x, x + rng.uniform(-500.0, 500.0)
+    if kind == "affine":
+        return x, rng.uniform(0.2, 3.0) * x + rng.uniform(-500.0, 500.0)
+    if kind == "noise":
+        return x, rng.normal(0.0, 10.0, size=n_seeds)
+    if kind == "constant_basis":  # x_var == 0: no affine fit exists
+        return np.full(n_seeds, x[0]), rng.normal(0.0, 10.0, size=n_seeds)
+    if kind == "constant_both":
+        return np.full(n_seeds, x[0]), np.full(n_seeds, x[0])
+    y = x.copy()
+    y[rng.integers(n_seeds)] = np.nan if kind == "nan" else np.inf
+    return (x, y) if rng.random() < 0.5 else (y, x)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    # Either side of NumPy's pairwise-sum block edges (8 and 128).
+    n_seeds=st.sampled_from([2, 7, 8, 9, 16, 129]),
+    kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=12),
+    allow_shift=st.booleans(),
+    allow_affine=st.booleans(),
+    tolerance=st.sampled_from([0.0, 1e-9, 1e-6, 1e-2]),
+    layout=st.sampled_from(["c", "fortran", "sliced"]),
+)
+def test_batched_correlate_is_bit_identical_to_match_component(
+    data_seed, n_seeds, kinds, allow_shift, allow_affine, tolerance, layout
+):
+    rng = np.random.default_rng(data_seed)
+    pairs = [_column_pair(kind, rng, n_seeds) for kind in kinds]
+    basis_matrix = np.column_stack([x for x, _ in pairs])
+    target_matrix = np.column_stack([y for _, y in pairs])
+    if layout == "fortran":
+        basis_matrix = np.asfortranarray(basis_matrix)
+        target_matrix = np.asfortranarray(target_matrix)
+    elif layout == "sliced":  # every other column of a wider matrix
+        wide = np.zeros((n_seeds, 2 * len(kinds)))
+        wide[:, ::2] = basis_matrix
+        basis_matrix = wide[:, ::2]
+        wide = np.zeros((n_seeds, 2 * len(kinds)))
+        wide[:, ::2] = target_matrix
+        target_matrix = wide[:, ::2]
+    spec = FingerprintSpec(n_seeds=n_seeds)
+    policy = CorrelationPolicy(
+        tolerance=tolerance, allow_shift=allow_shift, allow_affine=allow_affine
+    )
+    # Adopted through seed_fingerprint, as persistence and snapshots do.
+    registry = FingerprintRegistry(spec, policy)
+    registry.seed_fingerprint(Fingerprint("oracle", (0,), basis_matrix, spec))
+    registry.seed_fingerprint(Fingerprint("oracle", (1,), target_matrix, spec))
+    basis = registry.get_fingerprint("oracle", (0,))
+    target = registry.get_fingerprint("oracle", (1,))
+    assert basis.columns.flags.c_contiguous
+    assert basis.columns.shape == (len(kinds), n_seeds)
+    _assert_matches_oracle(basis, target, policy)
+
+
+def test_batched_correlate_covers_all_four_outcomes():
+    rng = np.random.default_rng(7)
+    kinds = ["identity", "shift", "affine", "noise"] * 3
+    pairs = [_column_pair(kind, rng, 8) for kind in kinds]
+    spec = FingerprintSpec(n_seeds=8)
+    basis = Fingerprint("o", (0,), np.column_stack([x for x, _ in pairs]), spec)
+    target = Fingerprint("o", (1,), np.column_stack([y for _, y in pairs]), spec)
+    result = _assert_matches_oracle(basis, target, POLICY)
+    assert result.kind_counts() == {
+        "identity": 3, "shift": 3, "affine": 3, "unmapped": 3
+    }
+
+
+def test_correlate_reduces_along_the_contiguous_axis_not_axis_zero():
+    """Fails if a reduction runs along ``axis=0`` of the stored matrix.
+
+    ``np.mean(M, axis=0)`` accumulates row by row; ``np.mean(M[:, c])`` uses
+    the pairwise tree. At 8 seeds they differ in the last bit on many
+    columns, and an affine map's scale and offset inherit the difference.
+    """
+    rng = np.random.default_rng(12)
+    x = rng.normal(5000.0, 100.0, size=(8, 53))
+    by_row = np.mean(x, axis=0)
+    by_column = np.array([np.mean(x[:, c]) for c in range(53)])
+    assert (by_row.view(np.int64) != by_column.view(np.int64)).any(), (
+        "this NumPy sums axis 0 like a column; the case no longer discriminates"
+    )
+    spec = FingerprintSpec(n_seeds=8)
+    basis = Fingerprint("o", (0,), x, spec)
+    target = Fingerprint("o", (1,), 1.5 * x + 3.0, spec)
+    result = _assert_matches_oracle(basis, target, POLICY)
+    assert result.kind_counts()["affine"] == 53

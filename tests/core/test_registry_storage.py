@@ -96,6 +96,52 @@ class TestFingerprintRegistry:
         record = registry.mappings_for("demandmodel")[0]
         assert record.basis_args == (12,) and record.target_args == (36,)
 
+    def test_best_match_stops_at_the_first_full_map(self, monkeypatch):
+        """The comparison is strict ``>``: nothing can replace a full map."""
+        from repro.core.fingerprint import registry as registry_module
+
+        registry = make_registry()
+        vg = DemandModel(with_growth_arg=True)
+        # Growth changes map every week (affine); a feature change does not.
+        candidates = [(20, 1.0), (12, 0.8), (12, 1.2), (36, 1.0)]
+        for args in candidates:
+            registry.fingerprint_of(vg, args)
+        correlated = []
+        real = registry_module.correlate
+        monkeypatch.setattr(
+            registry_module,
+            "correlate",
+            lambda basis, target, policy: (
+                correlated.append(basis.args) or real(basis, target, policy)
+            ),
+        )
+        outcome = registry.best_match(vg, (12, 1.0), candidates)
+        assert outcome.basis_args == (12, 0.8) and outcome.mapped_fraction == 1.0
+        assert correlated == [(20, 1.0), (12, 0.8)]
+        # Same answer as scoring every candidate: the first of the maxima.
+        fractions = [
+            real(registry.fingerprint_of(vg, args), registry.fingerprint_of(vg, (12, 1.0)), POLICY)
+            .mapped_fraction
+            for args in candidates
+        ]
+        assert candidates[fractions.index(max(fractions))] == outcome.basis_args
+
+    def test_mappings_for_is_case_insensitive_and_ordered(self):
+        registry = make_registry()
+        vg = DemandModel()
+        registry.fingerprint_of(vg, (12,))
+        correlation = registry.best_match(vg, (36,), [(12,)]).correlation
+        registry.record_mapping("DemandModel", (12,), (36,), correlation)
+        registry.record_mapping("other", (1,), (2,), correlation)
+        registry.record_mapping("DEMANDMODEL", (12,), (44,), correlation)
+        targets = [m.target_args for m in registry.mappings_for("demandModel")]
+        assert targets == [(36,), (44,)]
+        assert [m.vg_name for m in registry.mappings] == [
+            "DemandModel", "other", "DEMANDMODEL"
+        ]
+        registry.clear()
+        assert registry.mappings_for("demandmodel") == ()
+
     def test_clear(self):
         registry = make_registry()
         registry.fingerprint_of(DemandModel(), (12,))
@@ -202,6 +248,34 @@ class TestStorageManager:
         assert report.components_reused > 0
         exact = self.matrix_for(vg, (12, 24), seeds)
         assert samples == pytest.approx(exact, abs=1e-6)
+        # The report names the re-simulated weeks: the two arrival windows.
+        assert len(report.recomputed_components) == report.components_recomputed
+        assert set(report.recomputed_components) <= set(range(8, 17))
+        # ... and those weeks are real simulation, bit for bit.
+        recomputed = list(report.recomputed_components)
+        assert samples[:, recomputed].tobytes() == exact[:, recomputed].tobytes()
+
+    def test_covers_worlds_fast_path_agrees_with_the_set_path(self):
+        storage = self.make()
+        stored = (0, 1, 2, 3, 4, 5)
+
+        def by_sets(stored_worlds, worlds):
+            return set(worlds) <= set(stored_worlds)
+
+        for worlds in (
+            stored,  # the equality fast path
+            (5, 4, 3, 2, 1, 0),  # permuted
+            (3, 1),  # subset
+            (0, 1, 2, 3, 4, 5, 6),  # superset: not covered
+            (7,),
+            (),
+            range(6),
+            list(stored),
+            np.arange(6),
+            np.arange(7),
+        ):
+            assert storage._covers_worlds(stored, worlds) == by_sets(stored, worlds)
+        assert storage._covers_worlds(None, stored) is False
 
     def test_store_validates_shapes(self):
         storage = self.make()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.models import build_demo_library
 from repro.models.demand import DemandModel
-from repro.models.capacity import CapacityModel
+from repro.models.capacity import CapacityModel, MaintenanceWindowCapacityModel
 from repro.vg import (
     AR1Series,
     CallableVGFunction,
@@ -108,6 +108,14 @@ VG_CASES = {
         (12, 1.25),
     ),
     "capacity_int_args": (lambda n: CapacityModel("cm", n_weeks=n), (8, 24)),
+    "capacity_initial_arg": (
+        lambda n: CapacityModel("ci", n_weeks=n, with_initial_arg=True),
+        (1, 3, 6400.5),
+    ),
+    "maintenance_capacity": (
+        lambda n: MaintenanceWindowCapacityModel("mw", n_weeks=n, window_every=3, window_width=1),
+        (1,),
+    ),
 }
 
 
@@ -298,3 +306,152 @@ def test_mixture_groups_preserve_row_order():
     assert batch.tobytes() == reference.tobytes()
     # Sanity: both regimes actually occurred, so grouping was exercised.
     assert (batch.mean(axis=1) < 0).any() and (batch.mean(axis=1) > 0).any()
+
+
+# -- invoke_components_batch vs the per-seed invoke_components loop ------------
+
+
+def _memo_state(function):
+    """The invocation memo as comparable bytes (insertion order included)."""
+    return [(key, vector.tobytes()) for key, vector in function._cache.items()]
+
+
+components_strategy = st.lists(
+    st.integers(min_value=0, max_value=6), min_size=0, max_size=9
+)
+
+
+@pytest.mark.parametrize("case", sorted(VG_CASES))
+@given(
+    # A small seed pool makes duplicates within one batch the common case.
+    seeds=st.lists(
+        st.sampled_from([0, 1, 5, 987654321, 2**62 + 17]), min_size=0, max_size=7
+    ),
+    components=components_strategy,
+    primed=st.booleans(),
+)
+@settings(max_examples=15, deadline=None)
+def test_invoke_components_batch_matches_per_seed_loop(case, seeds, components, primed):
+    factory, args = VG_CASES[case]
+    batched, looped = factory(7), factory(7)
+    if primed and seeds:  # one row already in the invocation memo
+        batched.invoke(seeds[0], args)
+        looped.invoke(seeds[0], args)
+    batch = batched.invoke_components_batch(tuple(seeds), args, tuple(components))
+    reference = np.empty((len(seeds), len(components)), dtype=float)
+    for row, seed in enumerate(seeds):
+        reference[row] = looped.invoke_components(seed, args, tuple(components))
+    assert batch.shape == reference.shape
+    assert batch.dtype == np.float64
+    assert batch.tobytes() == reference.tobytes()
+    assert batched.invocations == looped.invocations
+    assert batched.component_samples == looped.component_samples
+    assert _memo_state(batched) == _memo_state(looped)
+    assert batched.parity_fallbacks == 0
+
+
+@pytest.mark.parametrize("model", ["demand_float_growth", "capacity_int_args"])
+def test_batch_partial_models_take_the_vectorized_path(model):
+    """The demo models answer a batch with one call, not a per-seed loop."""
+    factory, args = VG_CASES[model]
+    function = factory(53)
+    calls = []
+    scalar = function.generate_partial
+    function.generate_partial = lambda *a: calls.append(a) or scalar(*a)
+    seeds = tuple(range(100, 164))
+    batch = function.invoke_components_batch(seeds, args, (3, 17, 18, 52))
+    assert len(calls) == 1  # the first-row guard's probe, nothing else
+    assert function.invocations == 64
+    assert function.component_samples == 64 * 4
+    looped = factory(53)
+    reference = np.stack(
+        [looped.invoke_components(seed, args, (3, 17, 18, 52)) for seed in seeds]
+    )
+    assert batch.tobytes() == reference.tobytes()
+    # A second parameterization re-uses the seed-only events.
+    events = dict(function._event_memo)
+    other = (36, 0.8) if model == "demand_float_growth" else (24, 40)
+    function.invoke_components_batch(seeds, other, (3, 17))
+    assert all(function._event_memo[seed] is events[seed] for seed in seeds)
+
+
+def test_wrong_partial_batch_override_degrades_to_the_loop():
+    class BrokenPartialBatch(DemandModel):
+        def generate_partial_batch(self, seeds, args, components):
+            return super().generate_partial_batch(seeds, args, components) + 1.0
+
+    broken, looped = BrokenPartialBatch("dm", n_weeks=9), DemandModel("dm", n_weeks=9)
+    seeds, components = (11, 22, 22, 33), (0, 4, 8)
+    batch = broken.invoke_components_batch(seeds, (4,), components)
+    reference = np.stack(
+        [looped.invoke_components(seed, (4,), components) for seed in seeds]
+    )
+    assert batch.tobytes() == reference.tobytes()
+    assert broken.parity_fallbacks == 1
+    assert broken.invocations == looped.invocations
+    assert broken.component_samples == looped.component_samples
+
+
+def test_wrong_shape_partial_batch_override_degrades_to_the_loop():
+    class ShortBatch(CapacityModel):
+        def generate_partial_batch(self, seeds, args, components):
+            return super().generate_partial_batch(seeds, args, components)[:-1]
+
+    short, looped = ShortBatch("cm", n_weeks=9), CapacityModel("cm", n_weeks=9)
+    batch = short.invoke_components_batch((1, 2, 3), (2, 5), (1, 6))
+    reference = np.stack(
+        [looped.invoke_components(seed, (2, 5), (1, 6)) for seed in (1, 2, 3)]
+    )
+    assert batch.tobytes() == reference.tobytes()
+    assert short.parity_fallbacks == 1
+
+
+def test_scalar_override_disables_vectorized_partial_batch():
+    """A seed-conditional scalar tweak is invisible to the first-row guard;
+    the structural check must route the batch through the loop."""
+
+    class SpikedDemand(DemandModel):
+        def generate_partial(self, seed, args, components):
+            partial = super().generate_partial(seed, args, components)
+            return partial + 100.0 if seed % 2 == 0 else partial
+
+    class LateCapacity(CapacityModel):
+        def _world_events(self, seed):
+            lags, losses = super()._world_events(seed)
+            return (lags + 1 if seed % 2 == 0 else lags), losses
+
+    for function, args in (
+        (SpikedDemand("sd", n_weeks=9), (4,)),
+        (LateCapacity("lc", n_weeks=9), (1, 3)),
+    ):
+        seeds = (1, 2, 3, 4)  # the first seed does NOT trigger the override
+        batch = function.invoke_components_batch(seeds, args, (0, 4, 5, 8))
+        reference = np.stack(
+            [function.generate_partial(seed, args, np.array([0, 4, 5, 8])) for seed in seeds]
+        )
+        assert batch.tobytes() == reference.tobytes()
+        assert function.parity_fallbacks == 0  # structural check, not the guard
+        assert not function._event_memo
+
+
+def test_event_memo_is_cleared_by_reset_counters_and_bounded():
+    function = CapacityModel("cm", n_weeks=5)
+    function.invoke_components_batch((1, 2, 3), (0, 2), (1, 2))
+    assert sorted(function._event_memo) == [1, 2, 3]
+    function.reset_counters()
+    assert function._event_memo == {}
+    assert (function.invocations, function.component_samples) == (0, 0)
+
+    # Same clear-at-limit rule as the invocation memo.
+    function._cache_limit = 4
+    function.invoke_components_batch((1, 2, 3, 4), (0, 2), (1,))
+    assert len(function._event_memo) == 4
+    function.invoke_components_batch((5, 6), (0, 2), (1,))
+    assert sorted(function._event_memo) == [5, 6]
+    looped = CapacityModel("cm", n_weeks=5)
+    batch = function.invoke_components_batch((6, 1, 5, 7, 8, 9), (0, 2), (0, 4))
+    reference = np.stack(
+        [looped.invoke_components(seed, (0, 2), (0, 4)) for seed in (6, 1, 5, 7, 8, 9)]
+    )
+    assert batch.tobytes() == reference.tobytes()
+    assert len(function._event_memo) <= 4
