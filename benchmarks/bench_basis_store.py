@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from conftest import report
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig, StoreConfig
+from repro.core.engine import ProphetEngine
 from repro.core.fingerprint import CorrelationPolicy, FingerprintSpec
 from repro.core.fingerprint.registry import FingerprintRegistry
 from repro.core.storage import StorageManager
@@ -45,7 +46,10 @@ def test_v2_bounded_sweep_guard(benchmark, tmp_path):
     engine = ProphetEngine(
         scenario,
         library,
-        ProphetConfig(n_worlds=12, basis_cap=BASIS_CAP, basis_dir=str(tmp_path)),
+        EngineConfig(
+            sampling=SamplingConfig(n_worlds=12),
+            store=StoreConfig(basis_cap=BASIS_CAP, basis_dir=str(tmp_path)),
+        ),
     )
 
     def sweep():
@@ -85,13 +89,16 @@ def test_v2_cap_above_working_set_parity_guard(benchmark):
     """With the cap above the working set, results match the unbounded store."""
     points = _sweep_points(27, purchase_step=26)
     scenario, library = build_risk_vs_cost(purchase_step=26)
-    unbounded = ProphetEngine(scenario, library, ProphetConfig(n_worlds=24))
+    unbounded = ProphetEngine(scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=24)))
     reference = [unbounded.evaluate_point(p).statistics for p in points]
 
     def capped_sweep():
         capped_scenario, capped_library = build_risk_vs_cost(purchase_step=26)
         capped = ProphetEngine(
-            capped_scenario, capped_library, ProphetConfig(n_worlds=24, basis_cap=512)
+            capped_scenario, capped_library, EngineConfig(
+                sampling=SamplingConfig(n_worlds=24),
+                store=StoreConfig(basis_cap=512),
+            )
         )
         return capped, [capped.evaluate_point(p).statistics for p in points]
 

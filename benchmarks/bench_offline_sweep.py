@@ -49,7 +49,7 @@ def test_c3_summary(benchmark, sweep_config, baseline_sweep_config):
         "C3: full-grid sweep, fingerprints ON vs OFF",
         [
             f"grid points: {with_fp.points_evaluated} "
-            f"(x{sweep_config.n_worlds} worlds)",
+            f"(x{sweep_config.sampling.n_worlds} worlds)",
             f"ON : {with_fp.elapsed_seconds:6.1f}s, "
             f"{with_fp.component_samples:8d} component-samples, "
             f"sources {with_fp.source_counts()}",

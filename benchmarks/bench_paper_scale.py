@@ -10,14 +10,14 @@ whole space live.
 import pytest
 
 from conftest import report
-from repro.core.engine import ProphetConfig
+from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.offline import OfflineOptimizer
 from repro.models import build_risk_vs_cost
 
 
 @pytest.mark.benchmark(group="paper-scale")
 def test_full_figure2_grid(benchmark):
-    config = ProphetConfig(n_worlds=20)
+    config = EngineConfig(sampling=SamplingConfig(n_worlds=20))
 
     def sweep():
         scenario, library = build_risk_vs_cost(
@@ -28,7 +28,7 @@ def test_full_figure2_grid(benchmark):
 
     result, optimizer = benchmark.pedantic(sweep, rounds=1, iterations=1)
     sources = result.source_counts()
-    fresh_equivalent = result.points_evaluated * 2 * config.n_worlds * 53
+    fresh_equivalent = result.points_evaluated * 2 * config.sampling.n_worlds * 53
     report(
         "Paper-scale sweep: full Figure 2 grid (588 points)",
         [

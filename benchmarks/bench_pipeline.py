@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import report
-from repro.core.engine import ProphetConfig, ProphetEngine, StageTimings
+from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.engine import ProphetEngine, StageTimings
 from repro.core.instance import InstanceBatch
 from repro.models import build_risk_vs_cost
 
@@ -85,7 +86,10 @@ def test_f1_combine_aggregate_stage_speedup(benchmark):
     basis reuse), so the comparison isolates raw execution mechanics:
     columnar landing, vectorized combine join, vectorized aggregation.
     """
-    config = ProphetConfig(n_worlds=200, enable_stats_cache=False)
+    config = EngineConfig(
+        sampling=SamplingConfig(n_worlds=200),
+        reuse=ReuseConfig(enable_stats_cache=False),
+    )
 
     def build(fast: bool) -> ProphetEngine:
         scenario, library = build_risk_vs_cost(purchase_step=8)
@@ -99,7 +103,7 @@ def test_f1_combine_aggregate_stage_speedup(benchmark):
     def stage_seconds(engine: ProphetEngine, rounds: int = 3):
         evaluation = engine.evaluate_point(POINT, reuse=False)
         batch = InstanceBatch.at_point(
-            evaluation.point, tuple(range(config.n_worlds)), config.base_seed
+            evaluation.point, tuple(range(config.sampling.n_worlds)), config.sampling.base_seed
         )
         best = float("inf")
         statistics = None

@@ -19,7 +19,8 @@ import time
 import pytest
 
 from conftest import report
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.models import build_risk_vs_cost
 from repro.serve import (
     EngineSpec,
@@ -37,14 +38,16 @@ POINT = {"purchase1": 8, "purchase2": 24, "feature": 12}
 def _spec(n_worlds: int) -> EngineSpec:
     return EngineSpec.from_builder(
         "risk_vs_cost",
-        config=ProphetConfig(n_worlds=n_worlds),
+        config=EngineConfig(sampling=SamplingConfig(n_worlds=n_worlds)),
         purchase_step=8,
     )
 
 
 def _sequential_engine(n_worlds: int) -> ProphetEngine:
     scenario, library = build_risk_vs_cost(purchase_step=8)
-    return ProphetEngine(scenario, library, ProphetConfig(n_worlds=n_worlds))
+    return ProphetEngine(scenario, library, EngineConfig(
+        sampling=SamplingConfig(n_worlds=n_worlds),
+    ))
 
 
 def _assert_identical(actual, expected) -> None:

@@ -18,7 +18,8 @@ import time
 import pytest
 
 from conftest import report
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.models import build_risk_vs_cost
 
 POINT = {"purchase1": 8, "purchase2": 24, "feature": 12}
@@ -26,7 +27,7 @@ POINT = {"purchase1": 8, "purchase2": 24, "feature": 12}
 
 def _engine(backend: str, n_worlds: int) -> ProphetEngine:
     scenario, library = build_risk_vs_cost()
-    config = ProphetConfig(n_worlds=n_worlds, sampling_backend=backend)
+    config = EngineConfig(sampling=SamplingConfig(n_worlds=n_worlds, backend=backend))
     return ProphetEngine(scenario, library, config)
 
 

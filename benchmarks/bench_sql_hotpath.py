@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 from conftest import report
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.models import build_risk_vs_cost
 from repro.sqldb import Catalog, Executor
 
 POINT = {"purchase1": 8, "purchase2": 24, "feature": 12}
 
 
-def _build_engine(config: ProphetConfig, fast: bool = True) -> ProphetEngine:
+def _build_engine(config: EngineConfig, fast: bool = True) -> ProphetEngine:
     scenario, library = build_risk_vs_cost(purchase_step=8)
     engine = ProphetEngine(scenario, library, config)
     if not fast:
@@ -70,7 +71,10 @@ def test_s1_parameterized_statement_throughput(benchmark):
 @pytest.mark.benchmark(group="S1-sql-hotpath")
 def test_s1_stage_timings_before_after(benchmark):
     """Figure-1 stage attribution with and without the compiled pipeline."""
-    config = ProphetConfig(n_worlds=200, enable_stats_cache=False)
+    config = EngineConfig(
+        sampling=SamplingConfig(n_worlds=200),
+        reuse=ReuseConfig(enable_stats_cache=False),
+    )
 
     def evaluate_fast():
         return _build_engine(config, fast=True).evaluate_point(POINT, reuse=False)
@@ -121,7 +125,10 @@ def test_s1_plan_cache_hit_rate_guard(benchmark):
     misses would scale with the point count and the rate would collapse no
     matter the sweep size.
     """
-    config = ProphetConfig(n_worlds=30, enable_stats_cache=False)
+    config = EngineConfig(
+        sampling=SamplingConfig(n_worlds=30),
+        reuse=ReuseConfig(enable_stats_cache=False),
+    )
 
     def sweep():
         engine = _build_engine(config, fast=True)

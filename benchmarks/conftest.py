@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import ProphetConfig
+from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
 
 
 def report(title: str, lines: list[str]) -> None:
@@ -26,17 +26,20 @@ def report(title: str, lines: list[str]) -> None:
 
 
 @pytest.fixture
-def fast_config() -> ProphetConfig:
+def fast_config() -> EngineConfig:
     """Small-but-meaningful engine configuration for benchmarks."""
-    return ProphetConfig(n_worlds=60, refinement_first=15)
+    return EngineConfig(sampling=SamplingConfig(n_worlds=60, refinement_first=15))
 
 
 @pytest.fixture
-def sweep_config() -> ProphetConfig:
-    return ProphetConfig(n_worlds=30)
+def sweep_config() -> EngineConfig:
+    return EngineConfig(sampling=SamplingConfig(n_worlds=30))
 
 
 @pytest.fixture
-def baseline_sweep_config() -> ProphetConfig:
+def baseline_sweep_config() -> EngineConfig:
     """Reuse-free baseline: all caching layers off."""
-    return ProphetConfig(n_worlds=30, enable_stats_cache=False)
+    return EngineConfig(
+        sampling=SamplingConfig(n_worlds=30),
+        reuse=ReuseConfig(enable_stats_cache=False),
+    )

@@ -44,7 +44,7 @@ from repro.api import (  # noqa: E402  (sys.path bootstrap above)
     ProphetClient,
     SamplingConfig,
 )
-from repro.core.engine import ProphetConfig  # noqa: E402
+from repro.core.config import EngineConfig  # noqa: E402
 from repro.core.rounds import max_ci_halfwidth  # noqa: E402
 from repro.serve import (  # noqa: E402
     EngineSpec,
@@ -336,7 +336,9 @@ class _RecordingExecutor(InlineExecutor):
 
 def _transport_spec(n_worlds: int) -> EngineSpec:
     return EngineSpec.from_builder(
-        "risk_vs_cost", config=ProphetConfig(n_worlds=n_worlds), purchase_step=8
+        "risk_vs_cost", config=EngineConfig(
+            sampling=SamplingConfig(n_worlds=n_worlds),
+        ), purchase_step=8
     )
 
 

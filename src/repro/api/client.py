@@ -137,39 +137,31 @@ class ProphetClient:
             scenario_name=self._scenario_name,
         )
 
-    def with_serving(
-        self,
-        *,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        executor: Optional[str] = None,
-        min_shard_worlds: Optional[int] = None,
-        share_bases: Optional[bool] = None,
-    ) -> "ProphetClient":
+    def _with_section(self, section: str, changes: Mapping[str, Any]) -> "ProphetClient":
+        """The one routine behind every ``with_*`` helper.
+
+        Replaces exactly the fields that were passed (``None`` = not
+        passed, so chained calls accumulate instead of resetting each
+        other); an unknown name raises :class:`ScenarioError` listing the
+        section's fields.
+        """
+        passed = {key: value for key, value in changes.items() if value is not None}
+        return self.with_config(self.config.replace_section(section, **passed))
+
+    def with_serving(self, **changes: Any) -> "ProphetClient":
         """Route evaluations through the sharded serve backend.
 
-        Only the knobs actually passed are changed — chained calls
-        accumulate instead of resetting each other. Calling with no
-        geometry knob at all still opts into the serve backend (inline,
-        default sizing).
+        Takes any :class:`~repro.api.ServeConfig` field (``workers``,
+        ``shards``, ``executor``, ``min_shard_worlds``, ``share_bases``).
+        Calling with no geometry knob at all still opts into the serve
+        backend (inline, default sizing).
         """
-        changes: dict[str, Any] = {}
-        if workers is not None:
-            changes["workers"] = workers
-        if shards is not None:
-            changes["shards"] = shards
-        if executor is not None:
-            changes["executor"] = executor
-        if min_shard_worlds is not None:
-            changes["min_shard_worlds"] = min_shard_worlds
-        if share_bases is not None:
-            changes["share_bases"] = share_bases
-        config = self.config.replace_section("serve", **changes)
-        if not config.serve.enabled:
+        client = self._with_section("serve", changes)
+        if not client.config.serve.enabled:
             # The caller asked for serving but named no geometry knob:
             # pin the executor so the request is not a silent no-op.
-            config = config.replace_section("serve", executor="inline")
-        return self.with_config(config)
+            client = client._with_section("serve", {"executor": "inline"})
+        return client
 
     def with_cache(self, dir: Optional[str]) -> "ProphetClient":
         """Persist finished point statistics in a cross-run result cache."""
@@ -182,159 +174,71 @@ class ProphetClient:
         byte_cap: Optional[int] = None,
         dir: Optional[str] = None,
     ) -> "ProphetClient":
-        """Bound the in-memory basis tier and/or spill evictions to disk.
+        """Bound the in-memory basis tier and/or spill evictions to disk."""
+        return self._with_section(
+            "store", {"basis_cap": cap, "basis_byte_cap": byte_cap, "basis_dir": dir}
+        )
 
-        Only the knobs actually passed are changed — chained calls
-        accumulate instead of resetting each other.
-        """
-        changes: dict[str, Any] = {}
-        if cap is not None:
-            changes["basis_cap"] = cap
-        if byte_cap is not None:
-            changes["basis_byte_cap"] = byte_cap
-        if dir is not None:
-            changes["basis_dir"] = dir
-        return self.with_config(self.config.replace_section("store", **changes))
+    def with_sampling(self, **changes: Any) -> "ProphetClient":
+        """Set any :class:`~repro.api.SamplingConfig` field (``n_worlds``,
+        ``base_seed``, ``backend``, ``refinement_first``,
+        ``refinement_growth``)."""
+        return self._with_section("sampling", changes)
 
-    def with_sampling(
-        self,
-        *,
-        backend: Optional[str] = None,
-        n_worlds: Optional[int] = None,
-        base_seed: Optional[int] = None,
-    ) -> "ProphetClient":
-        """Choose the sampling backend, world count, or base seed."""
-        changes: dict[str, Any] = {}
-        if backend is not None:
-            changes["backend"] = backend
-        if n_worlds is not None:
-            changes["n_worlds"] = n_worlds
-        if base_seed is not None:
-            changes["base_seed"] = base_seed
-        return self.with_config(self.config.replace_section("sampling", **changes))
-
-    def with_adaptive(
-        self,
-        *,
-        target_ci: Optional[float] = None,
-        min_worlds: Optional[int] = None,
-        max_worlds: Optional[int] = None,
-        round_growth: Optional[float] = None,
-    ) -> "ProphetClient":
+    def with_adaptive(self, **changes: Any) -> "ProphetClient":
         """Turn on adaptive anytime sampling (the round protocol).
 
-        ``target_ci`` is the switch: sweeps then run in growing world-prefix
-        rounds, retire points whose worst CI half-width is at most the
-        target, and reassign the unspent budget to unresolved points.
-        ``min_worlds`` / ``max_worlds`` / ``round_growth`` bound the round
-        ladder; left unset they fall back to the sampling section
-        (``max_worlds`` to ``n_worlds``, the others to the legacy
-        ``refinement_first`` / ``refinement_growth`` spellings they
-        deprecate). Only the knobs actually passed are changed — chained
-        calls accumulate instead of resetting each other.
+        Takes any :class:`~repro.api.AdaptiveConfig` field. ``target_ci``
+        is the switch: sweeps then run in growing world-prefix rounds,
+        retire points whose worst CI half-width is at most the target, and
+        reassign the unspent budget to unresolved points. ``min_worlds`` /
+        ``max_worlds`` / ``round_growth`` bound the round ladder; left
+        unset they fall back to the sampling section (``max_worlds`` to
+        ``n_worlds``, the others to ``refinement_first`` /
+        ``refinement_growth``).
 
         Stopping decisions are pure functions of accumulated statistics,
         so adaptive runs are deterministic; with ``max_worlds`` equal to
         ``n_worlds`` and an unreachable target the run is bitwise identical
         to the fixed-budget sweep.
         """
-        changes: dict[str, Any] = {}
-        if target_ci is not None:
-            changes["target_ci"] = target_ci
-        if min_worlds is not None:
-            changes["min_worlds"] = min_worlds
-        if max_worlds is not None:
-            changes["max_worlds"] = max_worlds
-        if round_growth is not None:
-            changes["round_growth"] = round_growth
-        return self.with_config(self.config.replace_section("adaptive", **changes))
+        return self._with_section("adaptive", changes)
 
-    def with_resilience(
-        self,
-        *,
-        shard_timeout: Optional[float] = None,
-        shard_retries: Optional[int] = None,
-        retry_backoff: Optional[float] = None,
-        inline_rescue: Optional[bool] = None,
-        job_retries: Optional[int] = None,
-    ) -> "ProphetClient":
+    def with_resilience(self, **changes: Any) -> "ProphetClient":
         """Tune the fault-tolerance ladder (deadlines, retries, rescue).
 
-        Only the knobs actually passed are changed — chained calls
-        accumulate instead of resetting each other. Any non-default
-        resilience section routes evaluations through the serve backend,
-        where the shard dispatcher lives.
+        Takes any :class:`~repro.api.ResilienceConfig` field. Any
+        non-default resilience section routes evaluations through the
+        serve backend, where the shard dispatcher lives.
         """
-        changes: dict[str, Any] = {}
-        if shard_timeout is not None:
-            changes["shard_timeout"] = shard_timeout
-        if shard_retries is not None:
-            changes["shard_retries"] = shard_retries
-        if retry_backoff is not None:
-            changes["retry_backoff"] = retry_backoff
-        if inline_rescue is not None:
-            changes["inline_rescue"] = inline_rescue
-        if job_retries is not None:
-            changes["job_retries"] = job_retries
-        return self.with_config(self.config.replace_section("resilience", **changes))
+        return self._with_section("resilience", changes)
 
-    def with_transport(
-        self,
-        *,
-        shard_transport: Optional[str] = None,
-        segment_cap_bytes: Optional[int] = None,
-        lease_ttl: Optional[float] = None,
-    ) -> "ProphetClient":
+    def with_transport(self, **changes: Any) -> "ProphetClient":
         """Choose how shard payloads travel to process-pool workers.
 
+        Takes any :class:`~repro.api.TransportConfig` field.
         ``shard_transport="shm"`` ships worlds, result buffers, and basis
         snapshots through named shared-memory segments leased from the
         coordinator's arena — task pickles stay O(1) in the world count and
         merge reads are zero-copy. The default ``"pickle"`` keeps the plain
         pickled payloads; shm falls back to it per generation (counted,
         never an error) when segments are unavailable or a payload exceeds
-        the cap. Only the knobs actually passed are changed — chained calls
-        accumulate instead of resetting each other. A non-default transport
-        section routes evaluations through the serve backend, where the
-        shard transport lives.
+        the cap. A non-default transport section routes evaluations through
+        the serve backend, where the shard transport lives.
         """
-        changes: dict[str, Any] = {}
-        if shard_transport is not None:
-            changes["shard_transport"] = shard_transport
-        if segment_cap_bytes is not None:
-            changes["segment_cap_bytes"] = segment_cap_bytes
-        if lease_ttl is not None:
-            changes["lease_ttl"] = lease_ttl
-        return self.with_config(self.config.replace_section("transport", **changes))
+        return self._with_section("transport", changes)
 
-    def with_observability(
-        self,
-        *,
-        trace: Optional[bool] = None,
-        trace_file: Optional[str] = None,
-        profile: Optional[bool] = None,
-        profile_top: Optional[int] = None,
-    ) -> "ProphetClient":
+    def with_observability(self, **changes: Any) -> "ProphetClient":
         """Turn on span tracing and/or cProfile around evaluations.
 
-        Only the knobs actually passed are changed — chained calls
-        accumulate instead of resetting each other. ``trace_file`` implies
-        tracing and is exported (Chrome trace format) on :meth:`close`.
-        Observability never changes which backend is built, and the stable
-        counter JSON (:meth:`StatsReport.to_json`) stays byte-identical
-        with it on or off — wall-clock only ever travels in the separate
-        :class:`~repro.obs.TimingReport`.
+        Takes any :class:`~repro.api.ObsConfig` field. ``trace_file``
+        implies tracing and is exported (Chrome trace format) on
+        :meth:`close`. Observability never changes which backend is built,
+        and the stable counter JSON (:meth:`StatsReport.to_json`) stays
+        byte-identical with it on or off — wall-clock only ever travels in
+        the separate :class:`~repro.obs.TimingReport`.
         """
-        changes: dict[str, Any] = {}
-        if trace is not None:
-            changes["trace"] = trace
-        if trace_file is not None:
-            changes["trace_file"] = trace_file
-        if profile is not None:
-            changes["profile"] = profile
-        if profile_top is not None:
-            changes["profile_top"] = profile_top
-        return self.with_config(self.config.replace_section("obs", **changes))
+        return self._with_section("obs", changes)
 
     def _require_unbuilt(self, method: str) -> None:
         if self._engine is not None or self._service is not None:
@@ -359,7 +263,7 @@ class ProphetClient:
             self._engine = self._service.engine
         else:
             self._engine = ProphetEngine(
-                self.scenario, self.library, self.config.engine_config()
+                self.scenario, self.library, self.config.engine_sections()
             )
         self._attach_observability()
 
@@ -386,7 +290,7 @@ class ProphetClient:
 
     def _build_service(self) -> None:
         serve = self.config.serve
-        engine_config = self.config.engine_config()
+        engine_config = self.config.engine_sections()
         kind = serve.executor
         if kind == "auto" and serve.workers is None:
             # Without an explicit worker count "auto" means sequential —
@@ -408,29 +312,23 @@ class ProphetClient:
                 "(ProphetClient.open(dsl, 'demo')), or serve with an "
                 "inline executor"
             )
-        if spec is not None:
-            self._service = EvaluationService(
-                spec,
-                executor=executor,
-                shards=serve.shards,
-                cache_dir=self.config.cache.dir,
-                min_shard_worlds=serve.min_shard_worlds,
-                share_bases=serve.share_bases,
-                resilience=self.config.resilience,
-                transport=self.config.transport,
-            )
-        else:
-            engine = ProphetEngine(self.scenario, self.library, engine_config)
-            self._service = EvaluationService(
-                engine=engine,
-                executor=executor,
-                shards=serve.shards,
-                cache_dir=self.config.cache.dir,
-                min_shard_worlds=serve.min_shard_worlds,
-                share_bases=serve.share_bases,
-                resilience=self.config.resilience,
-                transport=self.config.transport,
-            )
+        # Without a shippable spec the (inline) service wraps a local engine.
+        engine = (
+            None
+            if spec is not None
+            else ProphetEngine(self.scenario, self.library, engine_config)
+        )
+        self._service = EvaluationService(
+            spec,
+            engine=engine,
+            executor=executor,
+            shards=serve.shards,
+            cache_dir=self.config.cache.dir,
+            min_shard_worlds=serve.min_shard_worlds,
+            share_bases=serve.share_bases,
+            resilience=self.config.resilience,
+            transport=self.config.transport,
+        )
         self._scheduler = Scheduler(self._service)
 
     def _sweep_scheduler(self) -> Scheduler:
@@ -455,27 +353,25 @@ class ProphetClient:
 
     # -- handles -------------------------------------------------------------
 
+    def _driver_backend(self) -> dict[str, Any]:
+        """What a mode driver runs on: the serve scheduler when one was
+        configured, else the client's own in-process engine."""
+        self._ensure_backend()
+        if self._scheduler is not None:
+            return {"scheduler": self._scheduler}
+        return {"engine": self._engine}
+
     def interactive(
         self, *, neighbor_depth: int = 1, session_name: str = "interactive"
     ) -> InteractiveHandle:
         """Sliders + progressive refresh (wraps :class:`OnlineSession`)."""
-        self._ensure_backend()
-        if self._scheduler is not None:
-            session = OnlineSession(
-                self.scenario,
-                self.library,
-                neighbor_depth=neighbor_depth,
-                scheduler=self._scheduler,
-                session_name=session_name,
-            )
-        else:
-            session = OnlineSession(
-                self.scenario,
-                self.library,
-                neighbor_depth=neighbor_depth,
-                session_name=session_name,
-                engine=self._engine,
-            )
+        session = OnlineSession(
+            self.scenario,
+            self.library,
+            neighbor_depth=neighbor_depth,
+            session_name=session_name,
+            **self._driver_backend(),
+        )
         return InteractiveHandle(session)
 
     def sweep(
@@ -521,18 +417,12 @@ class ProphetClient:
 
     def optimize(self, *, session_name: str = "optimizer") -> OptimizeHandle:
         """The scenario's OPTIMIZE block (wraps :class:`OfflineOptimizer`)."""
-        self._ensure_backend()
-        if self._scheduler is not None:
-            optimizer = OfflineOptimizer(
-                self.scenario,
-                self.library,
-                scheduler=self._scheduler,
-                session_name=session_name,
-            )
-        else:
-            optimizer = OfflineOptimizer(
-                self.scenario, self.library, engine=self._engine
-            )
+        optimizer = OfflineOptimizer(
+            self.scenario,
+            self.library,
+            session_name=session_name,
+            **self._driver_backend(),
+        )
         return OptimizeHandle(optimizer)
 
     # -- evaluation + stats --------------------------------------------------

@@ -1,13 +1,14 @@
 """Typed, layered client configuration.
 
-One :class:`ClientConfig` replaces the constructor sprawl of the four
-legacy entrypoints: nine frozen section dataclasses — sampling, reuse,
-basis store, serving, resilience, shard transport, result cache, adaptive
-sampling, observability — compose into one validated object.
-Every knob that used to live in the flat :class:`~repro.core.engine.
-ProphetConfig` (or in ``EvaluationService``/CLI keyword arguments) has
-exactly one home here, and :meth:`ClientConfig.engine_config` derives the
-flat config back, so every existing constructor keeps working unchanged.
+One :class:`ClientConfig` composes nine frozen section dataclasses —
+sampling, reuse, basis store, serving, resilience, shard transport, result
+cache, adaptive sampling, observability — into one validated object. Each
+knob is declared exactly once, on its section, next to the machinery it
+configures: the three engine-facing sections live in
+:mod:`repro.core.config` (re-exported here unchanged), resilience,
+transport and observability beside their subsystems. Nothing copies a knob:
+the engine, the serve workers and the CLI all read the same section
+objects (:meth:`ClientConfig.engine_sections` regroups, it does not copy).
 
 Round-trips: :meth:`ClientConfig.to_mapping` / :meth:`ClientConfig.
 from_mapping` convert to and from plain nested mappings (config files,
@@ -27,90 +28,21 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional
 
 from repro.core.argcodec import decode_value, encode_value
-from repro.core.engine import ProphetConfig
-from repro.core.sampling import SAMPLING_BACKENDS
-from repro.errors import ScenarioError
+from repro.core.config import (
+    EngineConfig,
+    ReuseConfig,
+    SamplingConfig,
+    StoreConfig,
+    replace_fields,
+    require,
+)
+from repro.core.rounds import RoundPlan
 from repro.obs.config import ObsConfig
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.transport import TransportConfig
 
 #: Executor kinds the serving section accepts (see repro.serve.executors).
 EXECUTOR_KINDS: tuple[str, ...] = ("auto", "process", "inline")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ScenarioError(message)
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    """The Monte Carlo sampling plane: worlds, seeds, backend, refinement."""
-
-    n_worlds: int = 200
-    base_seed: int = 42
-    backend: str = "batched"
-    refinement_first: int = 25
-    refinement_growth: float = 2.0
-
-    def __post_init__(self) -> None:
-        _require(
-            self.backend in SAMPLING_BACKENDS,
-            f"unknown sampling backend {self.backend!r} "
-            f"(known: {', '.join(SAMPLING_BACKENDS)})",
-        )
-        _require(self.n_worlds >= 1, f"n_worlds must be >= 1, got {self.n_worlds}")
-        _require(
-            self.refinement_first >= 1,
-            f"refinement_first must be >= 1, got {self.refinement_first}",
-        )
-        _require(
-            self.refinement_growth > 1.0,
-            f"refinement_growth must be > 1, got {self.refinement_growth}",
-        )
-
-
-@dataclass(frozen=True)
-class ReuseConfig:
-    """Fingerprint-driven computation reuse (the paper's core mechanism)."""
-
-    fingerprint_seeds: int = 8
-    correlation_tolerance: float = 1e-6
-    min_mapped_fraction: float = 0.05
-    enable_stats_cache: bool = True
-
-    def __post_init__(self) -> None:
-        _require(
-            self.fingerprint_seeds >= 1,
-            f"fingerprint_seeds must be >= 1, got {self.fingerprint_seeds}",
-        )
-        _require(
-            self.correlation_tolerance >= 0.0,
-            f"correlation_tolerance must be >= 0, got {self.correlation_tolerance}",
-        )
-        _require(
-            0.0 <= self.min_mapped_fraction <= 1.0,
-            f"min_mapped_fraction must be in [0, 1], got {self.min_mapped_fraction}",
-        )
-
-
-@dataclass(frozen=True)
-class StoreConfig:
-    """The tiered basis store: memory-tier bounds and the disk spill tier."""
-
-    basis_cap: Optional[int] = None
-    basis_byte_cap: Optional[int] = None
-    basis_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        _require(
-            self.basis_cap is None or self.basis_cap >= 0,
-            f"basis_cap must be >= 0 or None, got {self.basis_cap}",
-        )
-        _require(
-            self.basis_byte_cap is None or self.basis_byte_cap >= 0,
-            f"basis_byte_cap must be >= 0 or None, got {self.basis_byte_cap}",
-        )
 
 
 @dataclass(frozen=True)
@@ -125,25 +57,25 @@ class ServeConfig:
 
     workers: Optional[int] = None
     shards: Optional[int] = None
-    executor: str = "auto"
+    executor: str = field(default="auto", metadata={"choices": EXECUTOR_KINDS})
     min_shard_worlds: int = 8
     share_bases: bool = True
 
     def __post_init__(self) -> None:
-        _require(
+        require(
             self.executor in EXECUTOR_KINDS,
             f"unknown executor kind {self.executor!r} "
             f"(known: {', '.join(EXECUTOR_KINDS)})",
         )
-        _require(
+        require(
             self.workers is None or self.workers >= 1,
             f"workers must be >= 1 or None, got {self.workers}",
         )
-        _require(
+        require(
             self.shards is None or self.shards >= 1,
             f"shards must be >= 1 or None, got {self.shards}",
         )
-        _require(
+        require(
             self.min_shard_worlds >= 1,
             f"min_shard_worlds must be >= 1, got {self.min_shard_worlds}",
         )
@@ -165,7 +97,7 @@ class CacheConfig:
     dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        _require(
+        require(
             self.dir is None or (isinstance(self.dir, str) and bool(self.dir)),
             f"cache dir must be a non-empty path string or None, "
             f"got {self.dir!r}",
@@ -189,7 +121,7 @@ class AdaptiveConfig:
 
     ``min_worlds`` / ``max_worlds`` / ``round_growth`` bound the round
     ladder (first round, fixed per-point budget, geometric growth). They
-    absorb — and are the preferred spellings over — the flat
+    absorb — and are the preferred spellings over — the
     ``refinement_first`` / ``refinement_growth`` knobs on
     :class:`SamplingConfig`, which they default to when left ``None``
     (``max_worlds`` defaults to ``n_worlds``).
@@ -201,19 +133,19 @@ class AdaptiveConfig:
     round_growth: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require(
+        require(
             self.target_ci is None or self.target_ci > 0.0,
             f"target_ci must be > 0 or None, got {self.target_ci}",
         )
-        _require(
+        require(
             self.min_worlds is None or self.min_worlds >= 1,
             f"min_worlds must be >= 1 or None, got {self.min_worlds}",
         )
-        _require(
+        require(
             self.max_worlds is None or self.max_worlds >= 1,
             f"max_worlds must be >= 1 or None, got {self.max_worlds}",
         )
-        _require(
+        require(
             self.round_growth is None or self.round_growth > 1.0,
             f"round_growth must be > 1 or None, got {self.round_growth}",
         )
@@ -263,71 +195,30 @@ class ClientConfig:
     def __post_init__(self) -> None:
         for name, section_type in _SECTIONS.items():
             value = getattr(self, name)
-            _require(
+            require(
                 isinstance(value, section_type),
                 f"config section {name!r} must be a {section_type.__name__}, "
                 f"got {type(value).__name__}",
             )
-
-    # -- the back-compat shim ----------------------------------------------
-
-    def engine_config(self) -> ProphetConfig:
-        """Derive the legacy flat :class:`ProphetConfig`.
-
-        This is the compatibility contract: a client configured with the
-        defaults drives engines that are bit-identical to ones built from a
-        default ``ProphetConfig`` — every legacy constructor keeps working
-        against the same semantics.
-        """
-        return ProphetConfig(
-            n_worlds=self.sampling.n_worlds,
-            base_seed=self.sampling.base_seed,
-            fingerprint_seeds=self.reuse.fingerprint_seeds,
-            correlation_tolerance=self.reuse.correlation_tolerance,
-            min_mapped_fraction=self.reuse.min_mapped_fraction,
-            refinement_first=self.sampling.refinement_first,
-            refinement_growth=self.sampling.refinement_growth,
-            enable_stats_cache=self.reuse.enable_stats_cache,
-            basis_cap=self.store.basis_cap,
-            basis_byte_cap=self.store.basis_byte_cap,
-            basis_dir=self.store.basis_dir,
-            sampling_backend=self.sampling.backend,
+        adaptive = self.adaptive
+        require(
+            adaptive.min_worlds is None or adaptive.min_worlds <= self.world_budget,
+            f"adaptive min_worlds ({adaptive.min_worlds}) must not exceed the "
+            f"per-point budget ({self.world_budget}: max_worlds, else n_worlds)",
         )
 
-    @classmethod
-    def from_engine_config(
-        cls,
-        config: ProphetConfig,
-        *,
-        serve: Optional[ServeConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
-        transport: Optional[TransportConfig] = None,
-        cache: Optional[CacheConfig] = None,
-    ) -> "ClientConfig":
-        """Lift a legacy flat config into the layered form (lossless)."""
-        return cls(
-            sampling=SamplingConfig(
-                n_worlds=config.n_worlds,
-                base_seed=config.base_seed,
-                backend=config.sampling_backend,
-                refinement_first=config.refinement_first,
-                refinement_growth=config.refinement_growth,
-            ),
-            reuse=ReuseConfig(
-                fingerprint_seeds=config.fingerprint_seeds,
-                correlation_tolerance=config.correlation_tolerance,
-                min_mapped_fraction=config.min_mapped_fraction,
-                enable_stats_cache=config.enable_stats_cache,
-            ),
-            store=StoreConfig(
-                basis_cap=config.basis_cap,
-                basis_byte_cap=config.basis_byte_cap,
-                basis_dir=config.basis_dir,
-            ),
-            serve=serve or ServeConfig(),
-            resilience=resilience or ResilienceConfig(),
-            transport=transport or TransportConfig(),
-            cache=cache or CacheConfig(),
+    @property
+    def world_budget(self) -> int:
+        """Worlds one point may spend: ``adaptive.max_worlds``, else the
+        fixed budget ``sampling.n_worlds``."""
+        if self.adaptive.max_worlds is not None:
+            return self.adaptive.max_worlds
+        return self.sampling.n_worlds
+
+    def engine_sections(self) -> EngineConfig:
+        """The engine-facing sections, regrouped — the same objects, no copy."""
+        return EngineConfig(
+            sampling=self.sampling, reuse=self.reuse, store=self.store
         )
 
     # -- mapping round-trips ------------------------------------------------
@@ -361,7 +252,7 @@ class ClientConfig:
         (the portable form) are detected per-value and decoded exactly.
         """
         unknown_sections = set(mapping) - set(_SECTIONS)
-        _require(
+        require(
             not unknown_sections,
             f"unknown config section(s): {sorted(unknown_sections)} "
             f"(known: {sorted(_SECTIONS)})",
@@ -371,20 +262,14 @@ class ClientConfig:
             if name not in mapping:
                 continue
             payload = mapping[name]
-            _require(
+            require(
                 isinstance(payload, Mapping),
                 f"config section {name!r} must be a mapping, "
                 f"got {type(payload).__name__}",
             )
-            known = {f.name for f in fields(section_type)}
-            unknown = set(payload) - known
-            _require(
-                not unknown,
-                f"unknown key(s) in config section {name!r}: "
-                f"{sorted(unknown)} (known: {sorted(known)})",
-            )
-            kwargs[name] = section_type(
-                **{key: _plain_value(value) for key, value in payload.items()}
+            kwargs[name] = replace_fields(
+                section_type(),
+                **{key: _plain_value(value) for key, value in payload.items()},
             )
         return cls(**kwargs)
 
@@ -392,41 +277,32 @@ class ClientConfig:
 
     def replace_section(self, name: str, **changes: Any) -> "ClientConfig":
         """A copy with one section's fields replaced (validated)."""
-        _require(
+        require(
             name in _SECTIONS,
             f"unknown config section {name!r} (known: {sorted(_SECTIONS)})",
         )
-        return replace(self, **{name: replace(getattr(self, name), **changes)})
+        return replace(
+            self, **{name: replace_fields(getattr(self, name), **changes)}
+        )
 
-    def round_plan(self) -> "RoundPlan":
-        """The adaptive section's round ladder, with sampling fallbacks.
-
-        ``max_worlds`` defaults to the fixed budget ``sampling.n_worlds``;
-        ``min_worlds`` / ``round_growth`` default to the legacy flat
-        ``refinement_first`` / ``refinement_growth`` spellings they absorb.
-        """
-        from repro.core.rounds import RoundPlan
-
-        n_worlds = (
-            self.adaptive.max_worlds
-            if self.adaptive.max_worlds is not None
-            else self.sampling.n_worlds
+    def round_plan(self) -> RoundPlan:
+        """The adaptive section's round ladder over :attr:`world_budget`;
+        ``min_worlds`` / ``round_growth`` default to the sampling section's
+        ``refinement_first`` / ``refinement_growth``, which they absorb."""
+        adaptive, sampling, budget = self.adaptive, self.sampling, self.world_budget
+        return RoundPlan(
+            n_worlds=budget,
+            first=(
+                adaptive.min_worlds
+                if adaptive.min_worlds is not None
+                else min(sampling.refinement_first, budget)
+            ),
+            growth=(
+                adaptive.round_growth
+                if adaptive.round_growth is not None
+                else sampling.refinement_growth
+            ),
         )
-        first = (
-            self.adaptive.min_worlds
-            if self.adaptive.min_worlds is not None
-            else min(self.sampling.refinement_first, n_worlds)
-        )
-        growth = (
-            self.adaptive.round_growth
-            if self.adaptive.round_growth is not None
-            else self.sampling.refinement_growth
-        )
-        _require(
-            first <= n_worlds,
-            f"min_worlds ({first}) must not exceed max_worlds ({n_worlds})",
-        )
-        return RoundPlan(n_worlds=n_worlds, first=first, growth=growth)
 
     def wants_service(self) -> bool:
         """Does this config require the serve backend (vs a bare engine)?

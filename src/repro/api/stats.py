@@ -69,7 +69,7 @@ class StatsReport:
             "rows_fallback": stats.rows_fallback,
         }
         sampling = {
-            "backend": engine.config.sampling_backend,
+            "backend": engine.config.sampling.backend,
             "sampled_batched": stats.sampled_batched,
             "sampled_fallback": stats.sampled_fallback,
             "parity_fallbacks": engine.library.total_parity_fallbacks(),

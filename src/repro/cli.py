@@ -25,20 +25,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Sequence
+from dataclasses import fields
+from typing import Any, NamedTuple, Sequence, get_args, get_type_hints
 
-from repro.api import (
-    AdaptiveConfig,
-    CacheConfig,
-    ClientConfig,
-    ObsConfig,
-    ProphetClient,
-    ResilienceConfig,
-    SamplingConfig,
-    ServeConfig,
-    StoreConfig,
-    TransportConfig,
-)
+from repro.api import ClientConfig, ProphetClient
 from repro.errors import ReproError
 from repro.models import FIGURE2_DSL
 from repro.serve.worker import LIBRARY_BUILDERS
@@ -46,6 +36,134 @@ from repro.viz import mapping_grid, render_chart, render_grid
 
 #: Named model libraries available to the CLI (shared with serve workers).
 LIBRARIES = LIBRARY_BUILDERS
+
+
+class ConfigFlag(NamedTuple):
+    """One CLI flag naming one :class:`ClientConfig` section field.
+
+    The flag contributes its spelling and help text only: type, default and
+    ``choices`` are read off the section field, so the CLI cannot drift
+    from the dataclass. ``extra`` passes ``metavar``/``dest`` through.
+    """
+
+    flag: str
+    section: str
+    field: str
+    help: str
+    extra: dict[str, str] = {}
+
+    @property
+    def dest(self) -> str:
+        return self.extra.get("dest", self.flag.lstrip("-").replace("-", "_"))
+
+    def spec(self) -> tuple[Any, Any, Any]:
+        """``(type, default, choices)`` of the section field behind the flag."""
+        section_type = get_type_hints(ClientConfig)[self.section]
+        declared = {f.name: f for f in fields(section_type)}[self.field]
+        annotation = get_type_hints(section_type)[self.field]
+        # Optional[T] -> T: the flag parses the non-None alternative.
+        kind = next(
+            (arg for arg in get_args(annotation) if arg is not type(None)),
+            annotation,
+        )
+        return kind, declared.default, declared.metadata.get("choices")
+
+    def add_to(self, sub: argparse.ArgumentParser) -> None:
+        kind, default, choices = self.spec()
+        parse = (
+            {"action": "store_true"}
+            if kind is bool
+            else {"type": kind, "choices": choices}
+        )
+        sub.add_argument(
+            self.flag, default=default, help=self.help, **parse, **self.extra
+        )
+
+
+#: Config-bearing flags every scenario subcommand takes.
+COMMON_FLAGS: tuple[ConfigFlag, ...] = (
+    ConfigFlag("--worlds", "sampling", "n_worlds", "Monte Carlo worlds per point"),
+    ConfigFlag("--seed", "sampling", "base_seed", "base seed for world derivation"),
+    ConfigFlag(
+        "--basis-cap", "store", "basis_cap",
+        "bound the in-memory basis store to this many bases; "
+        "least-recently-used bases are evicted (to --basis-dir when set)",
+    ),
+    ConfigFlag(
+        "--basis-dir", "store", "basis_dir",
+        "spill evicted bases to npz files here and fault them back "
+        "on demand; omit to drop evicted bases (they re-sample fresh)",
+    ),
+    ConfigFlag(
+        "--sampling-backend", "sampling", "backend",
+        "fresh-sampling backend: 'batched' lands a whole world "
+        "slice per generated statement (default); 'loop' executes one "
+        "INSERT per world (the bit-identical reference path)",
+    ),
+    ConfigFlag(
+        "--target-ci", "adaptive", "target_ci",
+        "adaptive sampling: evaluate points in growing world-prefix "
+        "rounds and stop once every series' 95%% CI half-width is at or "
+        "below this target (default: fixed budget, no adaptivity)",
+        {"metavar": "HALFWIDTH"},
+    ),
+    ConfigFlag(
+        "--max-worlds", "adaptive", "max_worlds",
+        "adaptive sampling: cap the per-point world budget "
+        "(default: --worlds)",
+    ),
+    ConfigFlag(
+        "--trace", "obs", "trace_file",
+        "record spans across every stage and write a Chrome-trace "
+        "JSON file here (load it in chrome://tracing or Perfetto)",
+        {"dest": "trace_file", "metavar": "FILE"},
+    ),
+    ConfigFlag(
+        "--profile", "obs", "profile",
+        "run cProfile around point evaluation and print the top "
+        "functions by cumulative time",
+    ),
+)
+
+#: Config-bearing flags of the subcommands that can run on the serve backend.
+SERVE_FLAGS: tuple[ConfigFlag, ...] = (
+    ConfigFlag(
+        "--workers", "serve", "workers",
+        "evaluate world shards in a pool of this many worker "
+        "processes (default: sequential)",
+    ),
+    ConfigFlag(
+        "--shards", "serve", "shards",
+        "world shards per sampling request (default: one per worker)",
+    ),
+    ConfigFlag(
+        "--cache-dir", "cache", "dir",
+        "persist finished point statistics here; later runs with "
+        "the same scenario/point/worlds/seed answer from disk",
+    ),
+    ConfigFlag(
+        "--executor", "serve", "executor",
+        "shard executor backend (auto: process pool when workers > 1)",
+    ),
+    ConfigFlag(
+        "--shard-timeout", "resilience", "shard_timeout",
+        "per-shard result deadline; a shard that misses it is "
+        "retried and the worker pool is healed (default: wait forever)",
+        {"metavar": "SECONDS"},
+    ),
+    ConfigFlag(
+        "--shard-retries", "resilience", "shard_retries",
+        "extra submission rounds a transiently-failed shard gets "
+        "before inline rescue (default: 2)",
+    ),
+    ConfigFlag(
+        "--shard-transport", "transport", "shard_transport",
+        "how shard payloads reach process-pool workers: 'pickle' "
+        "ships them inside the task pickle (default); 'shm' leases "
+        "shared-memory segments so task pickles stay O(1) in the world "
+        "count (falls back to pickle when segments are unavailable)",
+    ),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,62 +185,19 @@ def build_parser() -> argparse.ArgumentParser:
             choices=sorted(LIBRARIES),
             help="named VG-Function library backing the scenario",
         )
+        for flag in COMMON_FLAGS:
+            flag.add_to(sub)
+
+    def add_stats(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
-            "--worlds", type=int, default=100, help="Monte Carlo worlds per point"
-        )
-        sub.add_argument(
-            "--seed", type=int, default=42, help="base seed for world derivation"
-        )
-        sub.add_argument(
-            "--basis-cap",
-            type=int,
-            default=None,
-            help="bound the in-memory basis store to this many bases; "
-            "least-recently-used bases are evicted (to --basis-dir when set)",
-        )
-        sub.add_argument(
-            "--basis-dir",
-            default=None,
-            help="spill evicted bases to npz files here and fault them back "
-            "on demand; omit to drop evicted bases (they re-sample fresh)",
-        )
-        sub.add_argument(
-            "--sampling-backend",
-            default="batched",
-            choices=("batched", "loop"),
-            help="fresh-sampling backend: 'batched' lands a whole world "
-            "slice per generated statement (default); 'loop' executes one "
-            "INSERT per world (the bit-identical reference path)",
-        )
-        sub.add_argument(
-            "--target-ci",
-            type=float,
-            default=None,
-            metavar="HALFWIDTH",
-            help="adaptive sampling: evaluate points in growing world-prefix "
-            "rounds and stop once every series' 95%% CI half-width is at or "
-            "below this target (default: fixed budget, no adaptivity)",
-        )
-        sub.add_argument(
-            "--max-worlds",
-            type=int,
-            default=None,
-            help="adaptive sampling: cap the per-point world budget "
-            "(default: --worlds)",
-        )
-        sub.add_argument(
-            "--trace",
-            dest="trace_file",
-            default=None,
-            metavar="FILE",
-            help="record spans across every stage and write a Chrome-trace "
-            "JSON file here (load it in chrome://tracing or Perfetto)",
-        )
-        sub.add_argument(
-            "--profile",
+            "--stats",
             action="store_true",
-            help="run cProfile around point evaluation and print the top "
-            "functions by cumulative time",
+            help="print execution statistics (plan cache, vectorization, reuse)",
+        )
+        sub.add_argument(
+            "--stats-json",
+            action="store_true",
+            help="print the byte-stable counter JSON (StatsReport.to_json())",
         )
 
     info = subparsers.add_parser("info", help="parse and describe a scenario")
@@ -140,67 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
         "first domain value",
     )
     run.add_argument("--no-chart", action="store_true", help="skip the ASCII chart")
-    run.add_argument(
-        "--stats",
-        action="store_true",
-        help="print execution statistics (plan cache, vectorization, reuse)",
-    )
-    run.add_argument(
-        "--stats-json",
-        action="store_true",
-        help="print the byte-stable counter JSON (StatsReport.to_json())",
-    )
+    add_stats(run)
 
     def add_serve(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="evaluate world shards in a pool of this many worker "
-            "processes (default: sequential)",
-        )
-        sub.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            help="world shards per sampling request (default: one per worker)",
-        )
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            help="persist finished point statistics here; later runs with "
-            "the same scenario/point/worlds/seed answer from disk",
-        )
-        sub.add_argument(
-            "--executor",
-            default="auto",
-            choices=("auto", "process", "inline"),
-            help="shard executor backend (auto: process pool when workers > 1)",
-        )
-        sub.add_argument(
-            "--shard-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="per-shard result deadline; a shard that misses it is "
-            "retried and the worker pool is healed (default: wait forever)",
-        )
-        sub.add_argument(
-            "--shard-retries",
-            type=int,
-            default=None,
-            help="extra submission rounds a transiently-failed shard gets "
-            "before inline rescue (default: 2)",
-        )
-        sub.add_argument(
-            "--shard-transport",
-            default=None,
-            choices=("pickle", "shm"),
-            help="how shard payloads reach process-pool workers: 'pickle' "
-            "ships them inside the task pickle (default); 'shm' leases "
-            "shared-memory segments so task pickles stay O(1) in the world "
-            "count (falls back to pickle when segments are unavailable)",
-        )
+        for flag in SERVE_FLAGS:
+            flag.add_to(sub)
 
     optimize = subparsers.add_parser(
         "optimize", help="run the scenario's OPTIMIZE block over the full grid"
@@ -215,16 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("XPARAM", "YPARAM"),
         help="render the Figure-4 exploration grid over two parameters",
     )
-    optimize.add_argument(
-        "--stats",
-        action="store_true",
-        help="print execution statistics (plan cache, vectorization, reuse)",
-    )
-    optimize.add_argument(
-        "--stats-json",
-        action="store_true",
-        help="print the byte-stable counter JSON (StatsReport.to_json())",
-    )
+    add_stats(optimize)
     add_serve(optimize)
 
     batch = subparsers.add_parser(
@@ -240,16 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE,NAME=VALUE,...",
         help="evaluate this point (repeatable); omit to sweep the full grid",
     )
-    batch.add_argument(
-        "--stats",
-        action="store_true",
-        help="print execution statistics (plan cache, vectorization, reuse)",
-    )
-    batch.add_argument(
-        "--stats-json",
-        action="store_true",
-        help="print the byte-stable counter JSON (StatsReport.to_json())",
-    )
+    add_stats(batch)
     add_serve(batch)
 
     # lint takes source trees, not scenarios: no add_common/add_serve.
@@ -314,51 +315,20 @@ def _parse_assignment(text: str) -> tuple[str, Any]:
 
 
 def _client_config(args: argparse.Namespace) -> ClientConfig:
-    """One typed layered config from the flat CLI flags."""
-    # Only flags the user actually passed touch the resilience section, so
-    # an untouched section stays equal to the default and does not force
-    # the serve backend by itself (wants_service()).
-    resilience_changes: dict[str, Any] = {}
-    if getattr(args, "shard_timeout", None) is not None:
-        resilience_changes["shard_timeout"] = args.shard_timeout
-    if getattr(args, "shard_retries", None) is not None:
-        resilience_changes["shard_retries"] = args.shard_retries
-    # Likewise transport: only an explicit --shard-transport touches the
-    # section, so the default never forces the serve backend.
-    transport_changes: dict[str, Any] = {}
-    if getattr(args, "shard_transport", None) is not None:
-        transport_changes["shard_transport"] = args.shard_transport
-    # Likewise adaptive: without --target-ci the section stays at its
-    # default (disabled) and the run is byte-identical to fixed budget.
-    adaptive_changes: dict[str, Any] = {}
-    if getattr(args, "target_ci", None) is not None:
-        adaptive_changes["target_ci"] = args.target_ci
-    if getattr(args, "max_worlds", None) is not None:
-        adaptive_changes["max_worlds"] = args.max_worlds
-    return ClientConfig(
-        sampling=SamplingConfig(
-            n_worlds=args.worlds,
-            base_seed=args.seed,
-            backend=getattr(args, "sampling_backend", "batched"),
-        ),
-        store=StoreConfig(
-            basis_cap=getattr(args, "basis_cap", None),
-            basis_dir=getattr(args, "basis_dir", None),
-        ),
-        serve=ServeConfig(
-            workers=getattr(args, "workers", None),
-            shards=getattr(args, "shards", None),
-            executor=getattr(args, "executor", "auto"),
-        ),
-        resilience=ResilienceConfig(**resilience_changes),
-        transport=TransportConfig(**transport_changes),
-        cache=CacheConfig(dir=getattr(args, "cache_dir", None)),
-        adaptive=AdaptiveConfig(**adaptive_changes),
-        obs=ObsConfig(
-            trace_file=getattr(args, "trace_file", None),
-            profile=bool(getattr(args, "profile", False)),
-        ),
-    )
+    """One typed layered config from the flags actually passed.
+
+    A flag left at its default stays out of the mapping, so an untouched
+    section equals the default section and does not by itself force the
+    serve backend (``wants_service()``) or turn adaptive sampling on.
+    """
+    defaults = ClientConfig()
+    mapping: dict[str, dict[str, Any]] = {}
+    for flag in COMMON_FLAGS + SERVE_FLAGS:
+        default = getattr(getattr(defaults, flag.section), flag.field)
+        value = getattr(args, flag.dest, default)  # info/run take no serve flags
+        if value != default:
+            mapping.setdefault(flag.section, {})[flag.field] = value
+    return ClientConfig.from_mapping(mapping)
 
 
 def _open_client(args: argparse.Namespace) -> ProphetClient:
@@ -435,7 +405,7 @@ def _run_adaptive(client: ProphetClient, args: argparse.Namespace) -> int:
     for assignment in args.assignments:
         name, value = _parse_assignment(assignment)
         point[name] = value
-    budget = client.config.round_plan().n_worlds
+    budget = client.config.world_budget
     print(
         f"point: {point}  (adaptive: target_ci="
         f"{client.config.adaptive.target_ci}, up to {budget} worlds)"

@@ -11,10 +11,10 @@ from repro.core.aggregator import (
     WelfordAccumulator,
     error_against_reference,
 )
+from repro.core.config import EngineConfig
 from repro.core.engine import (
     PointEvaluation,
     PointEvaluator,
-    ProphetConfig,
     ProphetEngine,
     RoundResult,
     StageTimings,
@@ -58,21 +58,6 @@ from repro.core.risk import (
 from repro.core.storage import BasisEntry, ReuseReport, StorageManager
 
 
-def __getattr__(name: str):
-    """Legacy spelling ``repro.core.RefinementPlan`` -> :class:`RoundPlan`."""
-    if name == "RefinementPlan":
-        import warnings
-
-        warnings.warn(
-            "repro.core.RefinementPlan is deprecated; use "
-            "repro.core.RoundPlan (same fields and pass semantics)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RoundPlan
-    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
-
-
 __all__ = [
     "Parameter",
     "ParameterSpace",
@@ -88,7 +73,6 @@ __all__ = [
     "GridGuide",
     "PriorityGuide",
     "RoundPlan",
-    "RefinementPlan",
     "ci_converged",
     "max_ci_halfwidth",
     "QueryGenerator",
@@ -106,7 +90,7 @@ __all__ = [
     "WelfordAccumulator",
     "error_against_reference",
     "ProphetEngine",
-    "ProphetConfig",
+    "EngineConfig",
     "PointEvaluation",
     "PointEvaluator",
     "RoundResult",

@@ -120,31 +120,6 @@ class ResultAggregator:
         )
 
 
-def __getattr__(name: str):
-    """Resolve the legacy ``ConvergenceTracker`` spelling, with a warning.
-
-    The tracker was folded into the round/CI machinery in
-    :mod:`repro.core.rounds`. The warning is attributed to the caller
-    (``stacklevel=2``), so the CI ``deprecations`` job flags internal
-    callers while external code merely sees the notice (PR 5's policy).
-    """
-    if name == "ConvergenceTracker":
-        import warnings
-
-        warnings.warn(
-            "repro.core.aggregator.ConvergenceTracker is deprecated; "
-            "import it from repro.core.rounds (the round/CI machinery)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.rounds import ConvergenceTracker
-
-        return ConvergenceTracker
-    raise AttributeError(
-        f"module 'repro.core.aggregator' has no attribute {name!r}"
-    )
-
-
 def error_against_reference(
     estimate: AxisStatistics, reference: AxisStatistics, alias: str
 ) -> float:

@@ -35,13 +35,12 @@ from repro.core.aggregator import (
     MergeableAxisStats,
     ResultAggregator,
 )
-from repro.core.fingerprint.correlation import CorrelationPolicy
-from repro.core.fingerprint.fingerprint import FingerprintSpec
+from repro.core.config import EngineConfig
 from repro.core.fingerprint.registry import FingerprintRegistry
 from repro.core.instance import InstanceBatch
 from repro.core.querygen import QueryGenerator
 from repro.core.rounds import RoundPlan, max_ci_halfwidth
-from repro.core.sampling import SAMPLING_BACKENDS, SamplingPlane
+from repro.core.sampling import SamplingPlane
 from repro.core.scenario import Scenario, VGOutput
 from repro.core.storage import ReuseReport, StorageManager
 from repro.sqldb.catalog import Catalog
@@ -52,68 +51,6 @@ from repro.sqldb.schema import Column, TableSchema
 from repro.sqldb.table import ResultSet
 from repro.sqldb.types import SqlType
 from repro.vg.library import VGLibrary
-
-
-@dataclass(frozen=True)
-class ProphetConfig:
-    """Engine-wide knobs."""
-
-    n_worlds: int = 200
-    base_seed: int = 42
-    fingerprint_seeds: int = 8
-    correlation_tolerance: float = 1e-6
-    min_mapped_fraction: float = 0.05
-    refinement_first: int = 25
-    refinement_growth: float = 2.0
-    #: Cache finished point statistics: a re-visited point (same worlds)
-    #: skips the combine/aggregate queries entirely. Disabled automatically
-    #: when a caller passes ``reuse=False`` (baseline measurements).
-    enable_stats_cache: bool = True
-    #: Memory-tier bounds of the basis store: maximum resident basis count
-    #: and resident sample bytes. ``None`` (default) means unbounded — the
-    #: pre-tiering in-RAM behavior.
-    basis_cap: Optional[int] = None
-    basis_byte_cap: Optional[int] = None
-    #: Disk tier: evicted bases spill to npz files here and fault back on
-    #: demand. ``None`` drops evicted bases (they degrade to fresh misses).
-    basis_dir: Optional[str] = None
-    #: Fresh-sampling backend: ``"batched"`` (one generated statement per
-    #: world slice, the default) or ``"loop"`` (one INSERT per world, the
-    #: bit-identity reference). Backends are bit-identical by contract.
-    sampling_backend: str = "batched"
-
-    def __post_init__(self) -> None:
-        # Reject bad knobs at construction, not deep in the engine: a config
-        # travels (EngineSpec pickles it to workers, the API layer derives it
-        # from ClientConfig), so the failure must name the knob, here.
-        if self.sampling_backend not in SAMPLING_BACKENDS:
-            raise ScenarioError(
-                f"unknown sampling backend {self.sampling_backend!r} "
-                f"(known: {', '.join(SAMPLING_BACKENDS)})"
-            )
-        if self.n_worlds < 1:
-            raise ScenarioError(f"n_worlds must be >= 1, got {self.n_worlds}")
-        if self.basis_cap is not None and self.basis_cap < 0:
-            raise ScenarioError(
-                f"basis_cap must be >= 0 or None, got {self.basis_cap}"
-            )
-        if self.basis_byte_cap is not None and self.basis_byte_cap < 0:
-            raise ScenarioError(
-                f"basis_byte_cap must be >= 0 or None, got {self.basis_byte_cap}"
-            )
-
-    def plan(self) -> RoundPlan:
-        return RoundPlan(
-            n_worlds=self.n_worlds,
-            first=min(self.refinement_first, self.n_worlds),
-            growth=self.refinement_growth,
-        )
-
-    def fingerprint_spec(self) -> FingerprintSpec:
-        return FingerprintSpec(n_seeds=self.fingerprint_seeds)
-
-    def correlation_policy(self) -> CorrelationPolicy:
-        return CorrelationPolicy(tolerance=self.correlation_tolerance)
 
 
 def _require_worlds(worlds: Optional[Sequence[int]], entry_point: str) -> None:
@@ -130,7 +67,7 @@ def _require_worlds(worlds: Optional[Sequence[int]], entry_point: str) -> None:
 #: Replacement for the fresh-sampling stage: called with the VG output and
 #: the instance batch (one parameter point, a world slice) that no reuse
 #: layer could serve; must return the ``(len(batch), n_components)`` sample
-#: matrix that :meth:`ProphetEngine._sql_sample` would have produced.
+#: matrix that the engine's own sampling plane would have produced.
 FreshSampler = Callable[[VGOutput, InstanceBatch], np.ndarray]
 
 
@@ -180,11 +117,11 @@ class ProphetEngine:
         self,
         scenario: Scenario,
         library: VGLibrary,
-        config: ProphetConfig | None = None,
+        config: EngineConfig | None = None,
     ) -> None:
         self.scenario = scenario
         self.library = library
-        self.config = config or ProphetConfig()
+        self.config = config or EngineConfig()
         scenario.check_against_library(library)
 
         self.catalog = Catalog(name=f"prophet_{scenario.name}")
@@ -196,16 +133,17 @@ class ProphetEngine:
             self.querygen,
             self.executor,
             library,
-            backend=self.config.sampling_backend,
+            backend=self.config.sampling.backend,
         )
+        reuse, store = self.config.reuse, self.config.store
         self.registry = FingerprintRegistry(
-            self.config.fingerprint_spec(), self.config.correlation_policy()
+            reuse.fingerprint_spec(), reuse.correlation_policy()
         )
         self.storage = StorageManager(
             self.registry,
-            basis_cap=self.config.basis_cap,
-            basis_byte_cap=self.config.basis_byte_cap,
-            spill_dir=self.config.basis_dir,
+            basis_cap=store.basis_cap,
+            basis_byte_cap=store.basis_byte_cap,
+            spill_dir=store.basis_dir,
         )
         self.aggregator = ResultAggregator(scenario.output_aliases)
         #: Observability is strictly opt-in: the shared no-op tracer and no
@@ -253,7 +191,7 @@ class ProphetEngine:
         mode passes growing prefixes for progressive refinement.
 
         ``sampler`` replaces the generated-SQL fresh-sampling stage (and
-        nothing else): it is called exactly where :meth:`_sql_sample` would
+        nothing else): it is called exactly where the sampling plane would
         be, for precisely the (output, world-slice) pairs that no reuse
         layer could serve. ``repro.serve`` passes a sampler that shards the
         world slice across a process pool; because each world's seed is a
@@ -282,10 +220,10 @@ class ProphetEngine:
     ) -> PointEvaluation:
         sweep_space = self.scenario.sweep_space
         validated = self.scenario.validate_sweep_point(point)
-        chosen_worlds = tuple(worlds) if worlds is not None else tuple(range(self.config.n_worlds))
+        chosen_worlds = tuple(worlds) if worlds is not None else tuple(range(self.config.sampling.n_worlds))
         _require_worlds(chosen_worlds, "evaluate_point")
         cache_key = (sweep_space.point_key(validated), chosen_worlds)
-        if reuse and self.config.enable_stats_cache:
+        if reuse and self.config.reuse.enable_stats_cache:
             cached = self._stats_cache.get(cache_key)
             if cached is not None:
                 self.points_evaluated += 1
@@ -313,7 +251,7 @@ class ProphetEngine:
                     timings=StageTimings(),
                     n_worlds=cached.n_worlds,
                 )
-        batch = InstanceBatch.at_point(validated, chosen_worlds, self.config.base_seed)
+        batch = InstanceBatch.at_point(validated, chosen_worlds, self.config.sampling.base_seed)
 
         timings = StageTimings()
         reports: list[ReuseReport] = []
@@ -339,7 +277,7 @@ class ProphetEngine:
             timings=timings,
             n_worlds=len(chosen_worlds),
         )
-        if reuse and self.config.enable_stats_cache:
+        if reuse and self.config.reuse.enable_stats_cache:
             self._stats_cache[cache_key] = evaluation
         return evaluation
 
@@ -365,8 +303,8 @@ class ProphetEngine:
         output = self.scenario.vg_output(alias)
         validated = self.scenario.validate_sweep_point(point)
         _require_worlds(worlds, "sample_fresh")
-        batch = InstanceBatch.at_point(validated, tuple(worlds), self.config.base_seed)
-        return self._sql_sample(
+        batch = InstanceBatch.at_point(validated, tuple(worlds), self.config.sampling.base_seed)
+        return self.sampling.sample(
             output, batch, timings if timings is not None else StageTimings()
         )
 
@@ -394,22 +332,20 @@ class ProphetEngine:
         args = output.model_arg_values(batch.point_dict)
         worlds = batch.worlds
         seeds = batch.seeds
+        base_seed = self.config.sampling.base_seed
+        min_mapped_fraction = self.config.reuse.min_mapped_fraction
 
         # Extend a same-args basis that covers only some requested worlds.
         # validated_entry expels adopted bases simulated under a different
         # base seed — they must never be merged with this engine's samples.
         tracer = self.tracer
         with tracer.stage("reuse", timings, attr="storage", alias=output.alias):
-            existing = self.storage.validated_entry(
-                function, args, self.config.base_seed
-            )
+            existing = self.storage.validated_entry(function, args, base_seed)
         if existing is not None:
             held = set(existing.worlds)
             missing = [w for w in worlds if w not in held]
             if missing:
-                missing_batch = InstanceBatch.at_point(
-                    batch.point_dict, missing, self.config.base_seed
-                )
+                missing_batch = InstanceBatch.at_point(batch.point_dict, missing, base_seed)
                 # Extending the world set: try to map the missing worlds from
                 # another basis before falling back to fresh simulation.
                 fresh = None
@@ -421,7 +357,7 @@ class ProphetEngine:
                             missing_batch.worlds,
                             missing_batch.seeds,
                             reuse=True,
-                            min_mapped_fraction=self.config.min_mapped_fraction,
+                            min_mapped_fraction=min_mapped_fraction,
                         )
                 if fresh is None:
                     fresh = self._fresh_samples(output, missing_batch, timings, sampler)
@@ -442,7 +378,7 @@ class ProphetEngine:
                 worlds,
                 seeds,
                 reuse=reuse,
-                min_mapped_fraction=self.config.min_mapped_fraction,
+                min_mapped_fraction=min_mapped_fraction,
             )
             stage.set(source=report.source)
         if samples is not None:
@@ -462,7 +398,7 @@ class ProphetEngine:
     ) -> np.ndarray:
         """Fresh samples via the generated-SQL path or a caller's sampler."""
         if sampler is None:
-            return self._sql_sample(output, batch, timings)
+            return self.sampling.sample(output, batch, timings)
         with self.tracer.stage(
             "sample", timings, attr="sql", alias=output.alias,
             worlds=len(batch), backend="sampler",
@@ -475,20 +411,6 @@ class ProphetEngine:
                 f"expected {expected}"
             )
         return samples
-
-    def _sql_sample(
-        self, output: VGOutput, batch: InstanceBatch, timings: StageTimings
-    ) -> np.ndarray:
-        """Fresh Monte Carlo through the generated-SQL sampling plane.
-
-        The plane's default ``batched`` backend lands the whole world slice
-        with one parameterized statement (``@_worlds``/``@_seeds`` plus the
-        model's ``@parameters``); the ``loop`` backend executes the per-world
-        INSERT template once per world. Both are plan-cache friendly
-        (constant text per scenario) and bit-identical by contract — see
-        :mod:`repro.core.sampling`.
-        """
-        return self.sampling.sample(output, batch, timings)
 
     def _land_samples(
         self,
@@ -629,6 +551,51 @@ class ProphetEngine:
         return statistics
 
 
+def resolve_engine(
+    scenario: Scenario,
+    library: VGLibrary,
+    config: Optional[EngineConfig],
+    engine: Optional["ProphetEngine"],
+    scheduler: Optional[Any],
+    error: type[Exception],
+) -> "ProphetEngine":
+    """The engine a mode driver (online session, offline optimizer) runs on.
+
+    One source wins: a scheduler's coordinator engine (the driver then sees
+    and feeds the same bases, caches and counters as every other session on
+    the service — VG work done by shard workers is not reflected in its
+    invocation counters), a caller-owned ``engine=`` (the ``repro.api``
+    client's), or a private engine built from ``config``. Both modes read
+    one config: a ``config=`` passed beside a shared engine must equal the
+    sections that engine already holds.
+    """
+    if engine is not None and scheduler is not None:
+        raise error("pass either engine= or scheduler=, not both")
+    if scheduler is not None:
+        from repro.serve.cache import scenario_fingerprint
+
+        service = scheduler.service
+        if scenario_fingerprint(scenario, library) != scenario_fingerprint(
+            service.scenario, service.engine.library
+        ):
+            raise error(
+                "scheduler serves a different scenario/library than this driver's"
+            )
+        engine = service.engine
+    elif engine is None:
+        return ProphetEngine(scenario, library, config)
+    elif engine.scenario is not scenario:
+        raise error(
+            "engine= was built for a different scenario object than this driver's"
+        )
+    if config is not None and config != engine.config:
+        raise error(
+            "config= conflicts with the shared engine's config; "
+            "omit it or build the engine with this config"
+        )
+    return engine
+
+
 # -- the round protocol -------------------------------------------------------
 
 
@@ -695,7 +662,7 @@ class PointEvaluator:
     ) -> None:
         self.engine = engine
         self.point = dict(point)
-        self.plan = plan if plan is not None else engine.config.plan()
+        self.plan = plan if plan is not None else engine.config.sampling.plan()
         self.target_ci = target_ci
         self.z = z
         self.reuse = reuse

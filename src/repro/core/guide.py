@@ -12,8 +12,7 @@ worlds. Strategies:
   shows).
 
 The per-point world ladder lives in :class:`repro.core.rounds.RoundPlan`
-(the round protocol); the pre-round spelling ``RefinementPlan`` still
-resolves here, with a :class:`DeprecationWarning`.
+(the round protocol).
 """
 
 from __future__ import annotations
@@ -24,27 +23,6 @@ from repro.core.instance import InstanceBatch
 from repro.core.parameters import ParameterSpace
 from repro.core.rounds import RoundPlan
 from repro.errors import ScenarioError
-
-
-def __getattr__(name: str):
-    """Resolve the legacy ``RefinementPlan`` spelling, with a warning.
-
-    The plan was folded into the round protocol as
-    :class:`repro.core.rounds.RoundPlan` (same fields, same pass
-    semantics, plus the round-boundary helpers). The warning is attributed
-    to the caller (``stacklevel=2``) per PR 5's deprecation policy.
-    """
-    if name == "RefinementPlan":
-        import warnings
-
-        warnings.warn(
-            "repro.core.guide.RefinementPlan is deprecated; use "
-            "repro.core.rounds.RoundPlan (same fields and pass semantics)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return RoundPlan
-    raise AttributeError(f"module 'repro.core.guide' has no attribute {name!r}")
 
 
 class GridGuide:

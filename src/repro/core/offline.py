@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.errors import OptimizationError
 from repro.core.aggregator import AxisStatistics
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig
+from repro.core.engine import ProphetEngine, resolve_engine
 from repro.core.guide import GridGuide
 from repro.core.scenario import OptimizeSpec, Scenario
 from repro.sqldb.ast_nodes import (
@@ -207,7 +208,7 @@ class OfflineOptimizer:
         self,
         scenario: Scenario,
         library: VGLibrary,
-        config: ProphetConfig | None = None,
+        config: EngineConfig | None = None,
         engine: ProphetEngine | None = None,
         scheduler: Optional[Any] = None,
         session_name: str = "optimizer",
@@ -220,44 +221,11 @@ class OfflineOptimizer:
         self.scenario = scenario
         self.spec: OptimizeSpec = scenario.optimize
         self.scheduler = scheduler
-        if scheduler is not None:
-            # Sweep through the shared sharded service: every grid point's
-            # fresh sampling fans out across the worker pool and lands in
-            # the cross-run result cache.
-            from repro.serve.cache import scenario_fingerprint
-
-            service = scheduler.service
-            if scenario_fingerprint(scenario, library) != scenario_fingerprint(
-                service.scenario, service.engine.library
-            ):
-                raise OptimizationError(
-                    "scheduler serves a different scenario/library than "
-                    "this optimizer's"
-                )
-            if engine is not None:
-                raise OptimizationError(
-                    "pass either engine= or scheduler=, not both"
-                )
-            if config is not None and config != service.engine.config:
-                raise OptimizationError(
-                    "config= conflicts with the scheduler's engine config; "
-                    "omit it or build the service with this config"
-                )
-            self.engine = service.engine
-        elif engine is not None:
-            if engine.scenario is not scenario:
-                raise OptimizationError(
-                    "engine= was built for a different scenario object than "
-                    "this optimizer's"
-                )
-            if config is not None and config != engine.config:
-                raise OptimizationError(
-                    "config= conflicts with the shared engine's config; "
-                    "omit it or build the engine with this config"
-                )
-            self.engine = engine
-        else:
-            self.engine = ProphetEngine(scenario, library, config)
+        # With a scheduler, every grid point's fresh sampling fans out
+        # across the worker pool and lands in the cross-run result cache.
+        self.engine = resolve_engine(
+            scenario, library, config, engine, scheduler, OptimizationError
+        )
 
     def run(
         self,
@@ -273,8 +241,8 @@ class OfflineOptimizer:
         guide = GridGuide(
             self.scenario.space,
             self.scenario.axis,
-            self.engine.config.plan(),
-            self.engine.config.base_seed,
+            self.engine.config.sampling.plan(),
+            self.engine.config.sampling.base_seed,
         )
         result = OptimizationResult(
             scenario_name=self.scenario.name, reuse_enabled=reuse

@@ -29,7 +29,8 @@ import numpy as np
 from repro.errors import OnlineSessionError
 from repro.core.aggregator import AxisStatistics
 from repro.core.rounds import ConvergenceTracker
-from repro.core.engine import PointEvaluation, ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig
+from repro.core.engine import PointEvaluation, ProphetEngine, resolve_engine
 from repro.core.guide import PriorityGuide
 from repro.core.scenario import Scenario
 from repro.vg.library import VGLibrary
@@ -87,7 +88,7 @@ class OnlineSession:
         self,
         scenario: Scenario,
         library: VGLibrary,
-        config: ProphetConfig | None = None,
+        config: EngineConfig | None = None,
         neighbor_depth: int = 1,
         scheduler: Optional[Any] = None,
         session_name: str = "online",
@@ -95,54 +96,15 @@ class OnlineSession:
     ) -> None:
         self.scheduler = scheduler
         self.session_name = session_name
-        if engine is not None and scheduler is not None:
-            raise OnlineSessionError(
-                "pass either engine= or scheduler=, not both"
-            )
-        if engine is not None and config is not None and config != engine.config:
-            raise OnlineSessionError(
-                "config= conflicts with the shared engine's config; "
-                "omit it or build the engine with this config"
-            )
-        if scheduler is not None:
-            # Share the scheduler's coordinator engine so this session sees
-            # (and contributes to) the same bases, caches, and counters as
-            # every other session on the service. VG work done by shard
-            # workers happens in their processes and is not reflected in
-            # this engine's invocation counters.
-            from repro.serve.cache import scenario_fingerprint
-
-            service = scheduler.service
-            if scenario_fingerprint(scenario, library) != scenario_fingerprint(
-                service.scenario, service.engine.library
-            ):
-                raise OnlineSessionError(
-                    "scheduler serves a different scenario/library than "
-                    "this session's"
-                )
-            if config is not None and config != service.engine.config:
-                raise OnlineSessionError(
-                    "config= conflicts with the scheduler's engine config; "
-                    "omit it or build the service with this config"
-                )
-            self.engine = service.engine
-        elif engine is not None:
-            # Share a caller-owned engine (the repro.api client's), so the
-            # session sees and contributes to the same bases and counters.
-            if engine.scenario is not scenario:
-                raise OnlineSessionError(
-                    "engine= was built for a different scenario object than "
-                    "this session's"
-                )
-            self.engine = engine
-        else:
-            self.engine = ProphetEngine(scenario, library, config)
+        self.engine = resolve_engine(
+            scenario, library, config, engine, scheduler, OnlineSessionError
+        )
         self.scenario = scenario
         self.guide = PriorityGuide(
             scenario.space,
             scenario.axis,
-            self.engine.config.plan(),
-            self.engine.config.base_seed,
+            self.engine.config.sampling.plan(),
+            self.engine.config.sampling.base_seed,
             neighbor_depth=neighbor_depth,
         )
         self._sliders: dict[str, Any] = scenario.sweep_space.default_point()
@@ -213,7 +175,7 @@ class OnlineSession:
         """
         views: list[GraphView] = []
         self.tracker.reset()
-        for world_range in self.engine.config.plan().passes():
+        for world_range in self.engine.config.sampling.plan().passes():
             # repro-lint: disable=DET001 -- per-pass latency readout for
             # GraphView; convergence tracks statistics, not wall time.
             started = time.perf_counter()

@@ -51,7 +51,7 @@ def save_bases(engine: ProphetEngine, path: str | Path) -> int:
     """Persist the engine's basis distributions; returns the entry count."""
     arrays: dict[str, np.ndarray] = {}
     manifest: list[dict[str, Any]] = []
-    persistable = engine.storage.persistable_entries(engine.config.base_seed)
+    persistable = engine.storage.persistable_entries(engine.config.sampling.base_seed)
     for index, ((vg_name, args), entry) in enumerate(persistable):
         arrays[f"samples_{index}"] = entry.samples
         arrays[f"worlds_{index}"] = np.asarray(entry.worlds, dtype=np.int64)

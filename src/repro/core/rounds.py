@@ -15,15 +15,11 @@ submissions therefore make identical stopping decisions on every re-run,
 under any shard geometry and either executor — which is what makes
 adaptive runs reproducible and testable.
 
-This module folds the legacy progressive-refinement machinery into the
-round protocol:
+This module holds the whole round protocol:
 
-* :class:`RoundPlan` — the round ladder (previously spelled
-  ``repro.core.guide.RefinementPlan``; that spelling still resolves, with
-  a :class:`DeprecationWarning`).
+* :class:`RoundPlan` — the round ladder.
 * :class:`ConvergenceTracker` — the delta-based convergence heuristic the
-  online mode uses between refinement passes (previously spelled
-  ``repro.core.aggregator.ConvergenceTracker``; deprecated alias kept).
+  online mode uses between refinement passes.
 * :func:`max_ci_halfwidth` / :func:`ci_converged` — the CI stopping rule
   shared by :class:`~repro.core.engine.PointEvaluator` and the serve
   scheduler's budget allocator.

@@ -1,9 +1,8 @@
 """The sampling plane: the fresh Monte Carlo stage with pluggable backends.
 
 Fresh sampling — the only stage of the Figure-1 cycle that no reuse layer
-can serve — used to be duplicated as per-world INSERT loops in
-``ProphetEngine._sql_sample`` and (transitively) in every shard worker.
-:class:`SamplingPlane` extracts that stage behind one abstraction with two
+can serve — runs here for the engine and (transitively) for every shard
+worker. :class:`SamplingPlane` is that stage behind one abstraction with two
 backends:
 
 * ``batched`` (default) — one generated statement per world *slice*: the
@@ -74,11 +73,6 @@ class SamplingPlane:
         library: "VGLibrary",
         backend: str = "batched",
     ) -> None:
-        if backend not in SAMPLING_BACKENDS:
-            raise ScenarioError(
-                f"unknown sampling backend {backend!r} "
-                f"(known: {', '.join(SAMPLING_BACKENDS)})"
-            )
         self.querygen = querygen
         self.executor = executor
         self.library = library

@@ -20,7 +20,7 @@ an optional npz disk tier. Evicted entries spill to disk and fault back
 transparently on exact or mapped hits; with no spill directory an evicted
 entry simply degrades to a future fresh-sampling miss. Long sweeps thus
 run in fixed memory — the ``--basis-cap`` / ``--basis-dir`` CLI knobs and
-the matching :class:`~repro.core.engine.ProphetConfig` fields size the tiers.
+the :class:`~repro.core.config.StoreConfig` section they set size the tiers.
 
 The acquisition outcome is summarized in a :class:`ReuseReport`, the raw
 material for every fingerprint-savings benchmark.

@@ -6,7 +6,7 @@ family   module                          contract
 DET      :mod:`.determinism`             no wall clock / unseeded RNG outside repro.obs
 PUR      :mod:`.purity`                  worker-shipped modules stay pickle-pure
 STAT     :mod:`.stats_surface`           counter JSON never derives from timing
-CFG      :mod:`.config_sections`         config sections frozen + validated + registered
+CFG      :mod:`.config_sections`         config sections frozen + validated + one home
 ERR      :mod:`.taxonomy`                serve raises speak the errors.py taxonomy
 SRF      :mod:`.surface`                 __all__ matches the committed surface snapshot
 =======  ==============================  =============================================
@@ -48,7 +48,9 @@ def rule_catalog() -> list[tuple[str, str, str]]:
     catalog: list[tuple[str, str, str]] = []
     for rule in default_rules():
         catalog.append((rule.rule_id, rule.name, rule.rationale))
-        for extra_attr in ("VALIDATION_ID", "REGISTRY_ID", "BUILTIN_ID", "ORDER_ID"):
+        for extra_attr in (
+            "VALIDATION_ID", "REGISTRY_ID", "DECLARATION_ID", "BUILTIN_ID", "ORDER_ID",
+        ):
             extra = getattr(rule, extra_attr, None)
             if extra:
                 catalog.append((extra, rule.name, rule.rationale))

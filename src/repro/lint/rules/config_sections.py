@@ -1,4 +1,5 @@
-"""CFG rules: every ClientConfig section is frozen, validated, round-tripped.
+"""CFG rules: every ClientConfig section is frozen, validated, round-tripped
+— and every knob is declared on exactly one section.
 
 The layered client configuration only works because each section dataclass
 is immutable (safe to share, hash, and replace), validates at construction
@@ -8,7 +9,10 @@ payloads reconstruct the exact object). These rules read the
 ``_SECTIONS`` registry out of ``repro.api.config`` statically and check
 every registered section class — wherever in the tree it is defined —
 against that contract, plus the registry's own consistency with
-``ClientConfig``'s fields.
+``ClientConfig``'s fields. CFG004 guards the single declaration: a
+``*Config`` dataclass that is not a registered section may group sections
+(``ClientConfig``, ``EngineConfig``) but may not re-declare a section's
+field — the flat engine config the sections replaced would fail here.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ def _field_names(node: ast.ClassDef) -> list[str]:
 
 
 class ConfigSectionContractRule(Rule):
-    """CFG001/CFG002/CFG003 — frozen, validated, registered sections."""
+    """CFG001-CFG004 — frozen, validated, registered, singly-declared."""
 
     rule_id = "CFG001"
     name = "frozen-config-sections"
@@ -93,6 +97,7 @@ class ConfigSectionContractRule(Rule):
     #: Companion ids this rule emits (one module, three invariants).
     VALIDATION_ID = "CFG002"
     REGISTRY_ID = "CFG003"
+    DECLARATION_ID = "CFG004"
 
     def check_project(self, project: ProjectContext) -> list[Violation]:
         config_ctx = project.find(CONFIG_MODULE)
@@ -111,6 +116,7 @@ class ConfigSectionContractRule(Rule):
             )
             return violations
         registry_node, registry = found
+        section_fields: set[str] = set()
 
         for section_name, class_name in registry.items():
             located = project.class_def(class_name)
@@ -128,6 +134,7 @@ class ConfigSectionContractRule(Rule):
                 )
                 continue
             ctx, node = located
+            section_fields.update(_field_names(node))
             decorator = _dataclass_decorator(node)
             if decorator is None or not _is_frozen(decorator):
                 violations.append(
@@ -153,6 +160,39 @@ class ConfigSectionContractRule(Rule):
                         ),
                     )
                 )
+
+        # CFG004: any other *Config dataclass may group registered sections
+        # but must not carry a section's knob under its own declaration.
+        section_classes = set(registry.values())
+        for ctx in project.files:
+            for node in ctx.tree.body:
+                if not (
+                    isinstance(node, ast.ClassDef)
+                    and node.name.endswith("Config")
+                    and node.name not in section_classes
+                    and _dataclass_decorator(node) is not None
+                ):
+                    continue
+                grouping = all(
+                    isinstance(item.annotation, ast.Name)
+                    and item.annotation.id in section_classes
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                )
+                redeclared = sorted(set(_field_names(node)) & section_fields)
+                if redeclared and not grouping:
+                    violations.append(
+                        Violation(
+                            file=ctx.rel,
+                            line=node.lineno,
+                            rule_id=self.DECLARATION_ID,
+                            message=(
+                                f"{node.name} re-declares section field(s) "
+                                f"{redeclared}; hold the registered section "
+                                f"objects instead of copying their knobs"
+                            ),
+                        )
+                    )
 
         client = project.class_def("ClientConfig")
         if client is None:

@@ -7,9 +7,9 @@ drift fails ``repro lint`` even before the test suite runs. It parses the
 snapshot tuples out of the fixture and the literal ``__all__`` lists out of
 the package ``__init__`` files, and additionally requires the two snapshot
 -pinned ``__all__`` lists to be sorted and duplicate-free (order is part of
-the published surface). The top-level ``repro/__init__.py`` builds its
-``__all__`` dynamically (legacy spellings are appended), so it is checked
-as a superset: every ``repro.api`` export must be re-exported at top level.
+the published surface). The top-level ``repro/__init__.py`` adds the DSL
+front door and ``__version__``, so it is checked as a superset: every
+``repro.api`` export must be re-exported at top level.
 """
 
 from __future__ import annotations

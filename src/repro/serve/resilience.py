@@ -43,19 +43,14 @@ import numpy as np
 
 from repro.errors import (
     RetryExhaustedError,
-    ScenarioError,
     ShardPayloadError,
     ShardTimeoutError,
     TransientServeError,
 )
+from repro.core.config import require
 from repro.obs.trace import NULL_TRACER
 from repro.serve.faults import FaultInjector
 from repro.serve.worker import ShardSample
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ScenarioError(message)
 
 
 @dataclass(frozen=True)
@@ -93,19 +88,19 @@ class ResilienceConfig:
     job_retries: int = 1
 
     def __post_init__(self) -> None:
-        _require(
+        require(
             self.shard_timeout is None or self.shard_timeout > 0,
             f"shard_timeout must be > 0 or None, got {self.shard_timeout}",
         )
-        _require(
+        require(
             self.shard_retries >= 0,
             f"shard_retries must be >= 0, got {self.shard_retries}",
         )
-        _require(
+        require(
             self.retry_backoff >= 0,
             f"retry_backoff must be >= 0, got {self.retry_backoff}",
         )
-        _require(
+        require(
             self.job_retries >= 0,
             f"job_retries must be >= 0, got {self.job_retries}",
         )

@@ -273,7 +273,7 @@ class Scheduler:
         chosen = (
             tuple(worlds)
             if worlds is not None
-            else tuple(range(self.service.engine.config.n_worlds))
+            else tuple(range(self.service.engine.config.sampling.n_worlds))
         )
         key = (scenario.sweep_space.point_key(validated), chosen, reuse)
         job = Job(
@@ -343,7 +343,7 @@ class Scheduler:
             points = scenario.space.grid(exclude=[scenario.axis])
         if target_ci <= 0.0:
             raise ServeError(f"target_ci must be > 0, got {target_ci}")
-        chosen_plan = plan if plan is not None else self.service.engine.config.plan()
+        chosen_plan = plan if plan is not None else self.service.engine.config.sampling.plan()
         sweep = AdaptiveSweepJob(
             id=next(self._ids),
             session=session,

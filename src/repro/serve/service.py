@@ -230,7 +230,7 @@ class EvaluationService:
             # merged matrices silently mix seed streams.
             if spec.config != engine.config:
                 raise ServeError(
-                    "spec= and engine= carry different ProphetConfigs"
+                    "spec= and engine= carry different engine configs"
                 )
             spec_scenario, spec_library = spec.build_scenario()
             if scenario_fingerprint(
@@ -315,7 +315,7 @@ class EvaluationService:
         chosen = (
             tuple(worlds)
             if worlds is not None
-            else tuple(range(self.engine.config.n_worlds))
+            else tuple(range(self.engine.config.sampling.n_worlds))
         )
         self.stats.points_evaluated += 1
 
@@ -362,7 +362,7 @@ class EvaluationService:
                     "scenario_name": self.scenario.name,
                     "point": {k: repr(v) for k, v in sorted(validated.items())},
                     "n_worlds": len(chosen),
-                    "base_seed": self.engine.config.base_seed,
+                    "base_seed": self.engine.config.sampling.base_seed,
                 },
             )
         return evaluation
@@ -428,10 +428,10 @@ class EvaluationService:
             validated,
             worlds,
             n_worlds=len(worlds),
-            base_seed=config.base_seed,
-            fingerprint_seeds=config.fingerprint_seeds,
-            correlation_tolerance=config.correlation_tolerance,
-            min_mapped_fraction=config.min_mapped_fraction,
+            base_seed=config.sampling.base_seed,
+            fingerprint_seeds=config.reuse.fingerprint_seeds,
+            correlation_tolerance=config.reuse.correlation_tolerance,
+            min_mapped_fraction=config.reuse.min_mapped_fraction,
         )
 
     def _evaluation_from_cache(

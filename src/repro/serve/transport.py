@@ -50,22 +50,18 @@ owner and the only unlinker.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
-from repro.errors import ScenarioError, ServeError, TransientServeError
+from repro.core.config import require
+from repro.errors import ServeError, TransientServeError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.engine import ProphetEngine
     from repro.core.storage import StorageManager
     from repro.serve.worker import BasisSnapshot, EngineSpec, ShardSample
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ScenarioError(message)
 
 
 #: Known shard transports, in documentation order.
@@ -95,21 +91,23 @@ class TransportConfig:
         coordinator path.
     """
 
-    shard_transport: str = "pickle"
+    shard_transport: str = field(
+        default="pickle", metadata={"choices": SHARD_TRANSPORTS}
+    )
     segment_cap_bytes: int = 256 * 1024 * 1024
     lease_ttl: float = 300.0
 
     def __post_init__(self) -> None:
-        _require(
+        require(
             self.shard_transport in SHARD_TRANSPORTS,
             f"unknown shard_transport {self.shard_transport!r} "
             f"(known: {', '.join(SHARD_TRANSPORTS)})",
         )
-        _require(
+        require(
             self.segment_cap_bytes >= 1024,
             f"segment_cap_bytes must be >= 1024, got {self.segment_cap_bytes}",
         )
-        _require(
+        require(
             self.lease_ttl > 0,
             f"lease_ttl must be > 0, got {self.lease_ttl}",
         )

@@ -41,13 +41,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
-from repro.core.engine import ProphetConfig, ProphetEngine, StageTimings
+from repro.core.config import EngineConfig
+from repro.core.engine import ProphetEngine, StageTimings
 from repro.core.fingerprint.fingerprint import Fingerprint
 from repro.core.fingerprint.registry import FingerprintRegistry
 from repro.core.storage import BasisEntry, StorageManager
@@ -81,12 +82,26 @@ SCENARIO_BUILDERS: Mapping[str, Callable[..., tuple[Any, Any]]] = MappingProxyTy
 )
 
 
+#: Knobs left out of :meth:`EngineSpec.content_hash` because they cannot
+#: change a sample: the refinement pair only picks which world prefixes a
+#: caller asks for (the worlds themselves travel with each task), and the
+#: stats cache only short-circuits re-aggregation of identical samples.
+#: Every other section field participates — a new knob is hashed by default.
+_HASH_EXCLUDED = frozenset(
+    {
+        ("sampling", "refinement_first"),
+        ("sampling", "refinement_growth"),
+        ("reuse", "enable_stats_cache"),
+    }
+)
+
+
 @dataclass(frozen=True)
 class EngineSpec:
     """A picklable recipe for constructing a :class:`ProphetEngine`.
 
-    Exactly one of ``dsl`` or ``builder`` must be set. ``config`` carries
-    every determinism-relevant knob (worlds, seeds, tolerances); two specs
+    Exactly one of ``dsl`` or ``builder`` must be set. ``config`` is the
+    coordinator's own frozen sections (worlds, seeds, tolerances); two specs
     with equal :meth:`content_hash` build engines that produce bit-identical
     samples for the same (point, worlds) requests.
     """
@@ -96,7 +111,7 @@ class EngineSpec:
     builder: Optional[str] = None
     builder_args: tuple[tuple[str, Any], ...] = ()
     scenario_name: str = "serve_scenario"
-    config: ProphetConfig = field(default_factory=ProphetConfig)
+    config: EngineConfig = field(default_factory=EngineConfig)
 
     @classmethod
     def from_dsl(
@@ -104,7 +119,7 @@ class EngineSpec:
         text: str,
         *,
         library: str = "demo",
-        config: Optional[ProphetConfig] = None,
+        config: Optional[EngineConfig] = None,
         scenario_name: str = "serve_scenario",
     ) -> "EngineSpec":
         if library not in LIBRARY_BUILDERS:
@@ -116,7 +131,7 @@ class EngineSpec:
             dsl=text,
             library=library,
             scenario_name=scenario_name,
-            config=config or ProphetConfig(),
+            config=config or EngineConfig(),
         )
 
     @classmethod
@@ -124,7 +139,7 @@ class EngineSpec:
         cls,
         name: str,
         *,
-        config: Optional[ProphetConfig] = None,
+        config: Optional[EngineConfig] = None,
         **builder_kwargs: Any,
     ) -> "EngineSpec":
         if name not in SCENARIO_BUILDERS:
@@ -136,7 +151,7 @@ class EngineSpec:
             builder=name,
             builder_args=tuple(sorted(builder_kwargs.items())),
             scenario_name=name,
-            config=config or ProphetConfig(),
+            config=config or EngineConfig(),
         )
 
     def __post_init__(self) -> None:
@@ -145,23 +160,16 @@ class EngineSpec:
 
     def content_hash(self) -> str:
         """Digest of everything that determines the engine's behavior."""
+        config = asdict(self.config)  # section -> {field: value}
+        for section, name in _HASH_EXCLUDED:
+            del config[section][name]
         payload = json.dumps(
             {
                 "dsl": self.dsl,
                 "library": self.library,
                 "builder": self.builder,
                 "builder_args": [[k, repr(v)] for k, v in self.builder_args],
-                "config": {
-                    "n_worlds": self.config.n_worlds,
-                    "base_seed": self.config.base_seed,
-                    "fingerprint_seeds": self.config.fingerprint_seeds,
-                    "correlation_tolerance": self.config.correlation_tolerance,
-                    "min_mapped_fraction": self.config.min_mapped_fraction,
-                    "basis_cap": self.config.basis_cap,
-                    "basis_byte_cap": self.config.basis_byte_cap,
-                    "basis_dir": self.config.basis_dir,
-                    "sampling_backend": self.config.sampling_backend,
-                },
+                "config": config,
             },
             sort_keys=True,
         )
@@ -244,9 +252,9 @@ def build_snapshot_store(engine: ProphetEngine, snapshot: BasisSnapshot) -> Stor
     order, which is what makes candidate ranking (and therefore the reuse
     decision) identical on every executor.
     """
-    config = engine.config
+    reuse = engine.config.reuse
     registry = FingerprintRegistry(
-        config.fingerprint_spec(), config.correlation_policy()
+        reuse.fingerprint_spec(), reuse.correlation_policy()
     )
     # Non-mutating: snapshot stores are cached per content version and
     # shared across requests, so acquire must not retain mapped results —
@@ -319,14 +327,14 @@ def acquire_shard(
     validated = engine.scenario.validate_sweep_point(point)
     function = engine.library.get(output.vg_name)
     args = output.model_arg_values(validated)
-    seeds = tuple(world_seed(engine.config.base_seed, w) for w in worlds)
+    seeds = tuple(world_seed(engine.config.sampling.base_seed, w) for w in worlds)
     samples, report = store.acquire(
         function,
         args,
         worlds,
         seeds,
         reuse=True,
-        min_mapped_fraction=engine.config.min_mapped_fraction,
+        min_mapped_fraction=engine.config.reuse.min_mapped_fraction,
     )
     # repro-lint: disable=DET001 -- observability only (see above).
     acquire_elapsed = time.perf_counter() - started
@@ -381,7 +389,9 @@ def _engine_for(spec: EngineSpec) -> ProphetEngine:
         # disk tier: indexing the coordinator's spill dir in every worker
         # process would be pure startup I/O.
         scenario, library = spec.build_scenario()
-        config = replace(spec.config, basis_dir=None)
+        config = replace(
+            spec.config, store=replace(spec.config.store, basis_dir=None)
+        )
         engine = ProphetEngine(scenario, library, config)
         _WORKER_ENGINES[key] = engine
     return engine

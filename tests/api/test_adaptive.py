@@ -79,12 +79,11 @@ class TestAdaptiveConfig:
         plan = config.round_plan()
         assert (plan.n_worlds, plan.first, plan.growth) == (32, 4, 4.0)
 
-    def test_round_plan_rejects_min_above_max(self):
-        config = BASE_CONFIG.replace_section(
-            "adaptive", target_ci=1.0, min_worlds=20, max_worlds=10
-        )
-        with pytest.raises(ScenarioError):
-            config.round_plan()
+    def test_min_above_max_rejected_at_construction(self):
+        with pytest.raises(ScenarioError, match="min_worlds"):
+            BASE_CONFIG.replace_section(
+                "adaptive", target_ci=1.0, min_worlds=20, max_worlds=10
+            )
 
     def test_with_adaptive_changes_only_passed_knobs(self):
         with open_client() as client:

@@ -15,7 +15,8 @@ import pytest
 
 from api_testutil import API_DSL, POINT, assert_stats_identical
 from repro.api import ClientConfig, ProphetClient, SamplingConfig
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
 from repro.dsl import parse_scenario
@@ -28,7 +29,7 @@ CLIENT_CONFIG = ClientConfig(
     sampling=SamplingConfig(n_worlds=N_WORLDS, refinement_first=8)
 )
 
-ENGINE_CONFIG = ProphetConfig(n_worlds=N_WORLDS, refinement_first=8)
+ENGINE_CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=N_WORLDS, refinement_first=8))
 
 SLIDERS = {"purchase1": 26, "purchase2": 52, "feature": 12}
 

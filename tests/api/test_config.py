@@ -1,40 +1,84 @@
-"""The typed layered configuration: validation, round-trips, the flat shim."""
+"""The typed layered configuration: validation, round-trips, one declaration."""
 
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
 from repro.api import (
+    AdaptiveConfig,
     CacheConfig,
     ClientConfig,
+    ObsConfig,
+    ProphetClient,
     ResilienceConfig,
     ReuseConfig,
     SamplingConfig,
     ServeConfig,
     StoreConfig,
+    TransportConfig,
 )
-from repro.core.engine import ProphetConfig
 from repro.errors import ScenarioError
+from repro.models import FIGURE2_DSL
+
+#: Every out-of-range value of every bounded field of every section.
+OUT_OF_RANGE = [
+    (SamplingConfig, "n_worlds", 0),
+    (SamplingConfig, "backend", "turbo"),
+    (SamplingConfig, "refinement_first", 0),
+    (SamplingConfig, "refinement_growth", 1.0),
+    (ReuseConfig, "fingerprint_seeds", 1),
+    (ReuseConfig, "correlation_tolerance", -1e-9),
+    (ReuseConfig, "min_mapped_fraction", 1.5),
+    (ReuseConfig, "min_mapped_fraction", -0.1),
+    (StoreConfig, "basis_cap", -1),
+    (StoreConfig, "basis_byte_cap", -1),
+    (ServeConfig, "workers", 0),
+    (ServeConfig, "shards", 0),
+    (ServeConfig, "executor", "gpu"),
+    (ServeConfig, "min_shard_worlds", 0),
+    (ResilienceConfig, "shard_timeout", 0.0),
+    (ResilienceConfig, "shard_retries", -1),
+    (ResilienceConfig, "retry_backoff", -0.1),
+    (ResilienceConfig, "job_retries", -1),
+    (TransportConfig, "shard_transport", "carrier-pigeon"),
+    (TransportConfig, "segment_cap_bytes", 1023),
+    (TransportConfig, "lease_ttl", 0.0),
+    (CacheConfig, "dir", ""),
+    (AdaptiveConfig, "target_ci", 0.0),
+    (AdaptiveConfig, "min_worlds", 0),
+    (AdaptiveConfig, "max_worlds", 0),
+    (AdaptiveConfig, "round_growth", 1.0),
+    (ObsConfig, "profile_top", 0),
+]
+
+#: How each section's error spells the field, where it is not the bare name.
+ERROR_SPELLING = {"backend": "sampling backend", "executor": "executor kind"}
 
 
 class TestSectionValidation:
-    def test_unknown_sampling_backend(self):
-        with pytest.raises(ScenarioError, match="unknown sampling backend"):
-            SamplingConfig(backend="turbo")
+    @pytest.mark.parametrize(
+        "section_type,name,value",
+        OUT_OF_RANGE,
+        ids=[f"{t.__name__}.{n}={v!r}" for t, n, v in OUT_OF_RANGE],
+    )
+    def test_out_of_range_value_names_the_field(self, section_type, name, value):
+        spelled = ERROR_SPELLING.get(name, name)
+        with pytest.raises(ScenarioError, match=spelled):
+            section_type(**{name: value})
 
-    def test_nonpositive_worlds(self):
-        with pytest.raises(ScenarioError, match="n_worlds"):
-            SamplingConfig(n_worlds=0)
-
-    def test_negative_basis_cap(self):
-        with pytest.raises(ScenarioError, match="basis_cap"):
-            StoreConfig(basis_cap=-1)
-
-    def test_negative_basis_byte_cap(self):
-        with pytest.raises(ScenarioError, match="basis_byte_cap"):
-            StoreConfig(basis_byte_cap=-1)
+    def test_cross_section_min_worlds_checked_at_construction(self):
+        # Was accepted until sweep() asked for the round plan.
+        with pytest.raises(ScenarioError, match="min_worlds"):
+            ClientConfig(
+                sampling=SamplingConfig(n_worlds=10),
+                adaptive=AdaptiveConfig(min_worlds=50),
+            )
+        with pytest.raises(ScenarioError, match="min_worlds"):
+            ClientConfig(adaptive=AdaptiveConfig(min_worlds=20, max_worlds=10))
+        ClientConfig(adaptive=AdaptiveConfig(min_worlds=200))  # == n_worlds: fine
 
     def test_zero_caps_allowed(self):
         store = StoreConfig(basis_cap=0, basis_byte_cap=0)
@@ -65,66 +109,63 @@ class TestSectionValidation:
         assert CacheConfig(dir="/tmp/x").enabled
 
 
-class TestProphetConfigValidation:
-    """The legacy flat config rejects bad knobs at construction now too."""
+class TestOneDeclaration:
+    """The engine reads the client's own section objects — nothing is copied."""
 
-    def test_unknown_sampling_backend(self):
-        with pytest.raises(ScenarioError, match="unknown sampling backend"):
-            ProphetConfig(sampling_backend="turbo")
+    SECTIONS = ("sampling", "reuse", "store")
+    CONFIG = ClientConfig(
+        sampling=SamplingConfig(n_worlds=12, base_seed=7),
+        reuse=ReuseConfig(fingerprint_seeds=4),
+        store=StoreConfig(basis_cap=16),
+    )
 
-    def test_negative_basis_cap(self):
-        with pytest.raises(ScenarioError, match="basis_cap"):
-            ProphetConfig(basis_cap=-3)
+    def test_in_process_engine_holds_the_same_section_objects(self):
+        with ProphetClient.open(FIGURE2_DSL, "demo", config=self.CONFIG) as client:
+            for name in self.SECTIONS:
+                assert getattr(client.engine.config, name) is getattr(
+                    client.config, name
+                )
 
-    def test_negative_basis_byte_cap(self):
-        with pytest.raises(ScenarioError, match="basis_byte_cap"):
-            ProphetConfig(basis_byte_cap=-1)
+    def test_service_engine_and_spec_hold_the_same_section_objects(self):
+        client = ProphetClient.open(
+            FIGURE2_DSL, "demo", config=self.CONFIG
+        ).with_serving(executor="inline")
+        with client:
+            engine = client.engine  # builds the (lazy) serve backend
+            spec = client._service.spec
+            for name in self.SECTIONS:
+                section = getattr(client.config, name)
+                assert getattr(engine.config, name) is section
+                assert getattr(spec.config, name) is section
+            # What a process worker unpickles: equal sections, equal hash.
+            shipped = pickle.loads(pickle.dumps(spec))
+            assert shipped.config == spec.config
+            assert shipped.content_hash() == spec.content_hash()
 
-    def test_nonpositive_worlds(self):
-        with pytest.raises(ScenarioError, match="n_worlds"):
-            ProphetConfig(n_worlds=0)
+    @pytest.mark.parametrize(
+        "helper",
+        [
+            "with_serving",
+            "with_sampling",
+            "with_adaptive",
+            "with_resilience",
+            "with_transport",
+            "with_observability",
+        ],
+    )
+    def test_unknown_keyword_lists_the_section_fields(self, helper):
+        client = ProphetClient.open(FIGURE2_DSL, "demo")
+        with pytest.raises(ScenarioError, match="unknown key.*known:") as caught:
+            getattr(client, helper)(wrlds=3)
+        assert "wrlds" in str(caught.value)
 
-
-class TestFlatShim:
-    def test_default_client_config_derives_default_engine_config(self):
-        assert ClientConfig().engine_config() == ProphetConfig()
-
-    def test_every_knob_travels(self):
-        config = ClientConfig(
-            sampling=SamplingConfig(
-                n_worlds=60,
-                base_seed=7,
-                backend="loop",
-                refinement_first=10,
-                refinement_growth=3.0,
-            ),
-            reuse=ReuseConfig(
-                fingerprint_seeds=4,
-                correlation_tolerance=1e-5,
-                min_mapped_fraction=0.2,
-                enable_stats_cache=False,
-            ),
-            store=StoreConfig(basis_cap=16, basis_byte_cap=1 << 20, basis_dir="/x"),
+    def test_with_basis_store_keeps_its_short_spellings(self):
+        client = ProphetClient.open(FIGURE2_DSL, "demo").with_basis_store(
+            cap=4, byte_cap=1 << 20, dir="/spill"
         )
-        flat = config.engine_config()
-        assert flat == ProphetConfig(
-            n_worlds=60,
-            base_seed=7,
-            fingerprint_seeds=4,
-            correlation_tolerance=1e-5,
-            min_mapped_fraction=0.2,
-            refinement_first=10,
-            refinement_growth=3.0,
-            enable_stats_cache=False,
-            basis_cap=16,
-            basis_byte_cap=1 << 20,
-            basis_dir="/x",
-            sampling_backend="loop",
+        assert client.config.store == StoreConfig(
+            basis_cap=4, basis_byte_cap=1 << 20, basis_dir="/spill"
         )
-
-    def test_lift_is_lossless(self):
-        flat = ProphetConfig(n_worlds=33, base_seed=5, basis_cap=8)
-        assert ClientConfig.from_engine_config(flat).engine_config() == flat
 
 
 class TestMappingRoundTrips:
@@ -202,11 +243,3 @@ class TestResilienceSection:
     def test_validation_happens_at_construction(self):
         with pytest.raises(ScenarioError, match="shard_retries"):
             ClientConfig.from_mapping({"resilience": {"shard_retries": -1}})
-
-    def test_from_engine_config_accepts_resilience(self):
-        flat = ProphetConfig(n_worlds=33)
-        lifted = ClientConfig.from_engine_config(
-            flat, resilience=ResilienceConfig(job_retries=2)
-        )
-        assert lifted.resilience.job_retries == 2
-        assert lifted.engine_config() == flat

@@ -2,8 +2,7 @@
 
 Locks ``repro.api.__all__`` to an explicit snapshot — an accidental export
 addition or removal fails here, in CI, instead of silently changing the
-public surface — and pins the deprecation behavior of the legacy
-top-level spellings.
+public surface — and checks the top-level package re-exports it.
 """
 
 from __future__ import annotations
@@ -113,22 +112,6 @@ class TestTopLevelSurface:
             warnings.simplefilter("error")
             assert repro.parse_scenario is not None
 
-    def test_legacy_spelling_warns_and_resolves(self):
-        from repro.core import OnlineSession
-
-        with pytest.warns(DeprecationWarning, match="repro.OnlineSession"):
-            assert repro.OnlineSession is OnlineSession
-
-    def test_every_legacy_spelling_resolves_with_warning(self):
-        for name in repro._LEGACY_EXPORTS:
-            with pytest.warns(DeprecationWarning, match=f"repro.{name}"):
-                assert getattr(repro, name) is not None
-
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):
             repro.NoSuchThing
-
-    def test_dir_covers_legacy_names(self):
-        listing = dir(repro)
-        assert "OnlineSession" in listing
-        assert "ProphetClient" in listing

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.models import build_risk_vs_cost
 from repro.sqldb import Catalog, Executor
 
@@ -32,12 +33,12 @@ def people(executor: Executor) -> Executor:
 
 
 @pytest.fixture(scope="session")
-def small_config() -> ProphetConfig:
+def small_config() -> EngineConfig:
     """A fast engine configuration for integration tests."""
-    return ProphetConfig(n_worlds=24, refinement_first=8)
+    return EngineConfig(sampling=SamplingConfig(n_worlds=24, refinement_first=8))
 
 
 @pytest.fixture
-def demo_engine(small_config: ProphetConfig) -> ProphetEngine:
+def demo_engine(small_config: EngineConfig) -> ProphetEngine:
     scenario, library = build_risk_vs_cost(purchase_step=16)
     return ProphetEngine(scenario, library, small_config)

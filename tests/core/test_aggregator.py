@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ScenarioError
-from repro.core.aggregator import (
-    ConvergenceTracker,
-    ResultAggregator,
-    error_against_reference,
-)
+from repro.core.aggregator import ResultAggregator, error_against_reference
+from repro.core.rounds import ConvergenceTracker
 from repro.sqldb.schema import Column, TableSchema
 from repro.sqldb.table import ResultSet
 from repro.sqldb.types import SqlType

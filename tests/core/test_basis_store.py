@@ -4,7 +4,13 @@ import os
 
 import numpy as np
 
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import (
+    EngineConfig,
+    ReuseConfig,
+    SamplingConfig,
+    StoreConfig,
+)
+from repro.core.engine import ProphetEngine
 from repro.core.fingerprint import CorrelationPolicy, FingerprintSpec
 from repro.core.fingerprint.registry import FingerprintRegistry
 from repro.core.storage import StorageManager
@@ -159,11 +165,14 @@ class TestEngineWithTiers:
         {"purchase1": 0, "purchase2": 0, "feature": 12},  # revisit
     ]
 
-    def _engine(self, **config_kwargs) -> ProphetEngine:
+    def _engine(self, reuse=ReuseConfig(), **store_kwargs) -> ProphetEngine:
         scenario, library = build_risk_vs_cost(purchase_step=26)
-        return ProphetEngine(
-            scenario, library, ProphetConfig(n_worlds=8, **config_kwargs)
+        config = EngineConfig(
+            sampling=SamplingConfig(n_worlds=8),
+            reuse=reuse,
+            store=StoreConfig(**store_kwargs),
         )
+        return ProphetEngine(scenario, library, config)
 
     def _sweep(self, engine, reuse):
         return [
@@ -180,7 +189,7 @@ class TestEngineWithTiers:
 
     def test_tiny_cap_never_changes_results_with_reuse_disabled(self):
         reference = self._sweep(self._engine(), reuse=False)
-        capped = self._engine(basis_cap=1, enable_stats_cache=False)
+        capped = self._engine(ReuseConfig(enable_stats_cache=False), basis_cap=1)
         results = self._sweep(capped, reuse=False)
         self._assert_identical(results, reference)
         assert capped.storage.tier.stats.evictions > 0
@@ -205,8 +214,9 @@ class TestPersistenceAcrossTiers:
         from repro.core.persistence import load_bases, save_bases
 
         scenario, library = build_risk_vs_cost(purchase_step=26)
-        config = ProphetConfig(
-            n_worlds=8, basis_cap=1, basis_dir=str(tmp_path / "spill")
+        config = EngineConfig(
+            sampling=SamplingConfig(n_worlds=8),
+            store=StoreConfig(basis_cap=1, basis_dir=str(tmp_path / "spill")),
         )
         engine = ProphetEngine(scenario, library, config)
         engine.evaluate_point({"purchase1": 0, "purchase2": 26, "feature": 12})
@@ -215,7 +225,9 @@ class TestPersistenceAcrossTiers:
         assert save_bases(engine, archive) == 2
 
         fresh_scenario, fresh_library = build_risk_vs_cost(purchase_step=26)
-        fresh = ProphetEngine(fresh_scenario, fresh_library, ProphetConfig(n_worlds=8))
+        fresh = ProphetEngine(fresh_scenario, fresh_library, EngineConfig(
+            sampling=SamplingConfig(n_worlds=8),
+        ))
         assert load_bases(fresh, archive) == 2
 
 
@@ -337,7 +349,7 @@ class TestGeometryTaint:
         from repro.core.persistence import save_bases
 
         scenario, library = build_risk_vs_cost(purchase_step=26)
-        engine = ProphetEngine(scenario, library, ProphetConfig(n_worlds=8))
+        engine = ProphetEngine(scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=8)))
         engine.evaluate_point({"purchase1": 0, "purchase2": 26, "feature": 12})
         assert save_bases(engine, tmp_path / "all.npz") == 2
         demand_key = next(
@@ -374,7 +386,10 @@ class TestGeometryTaint:
         engine = ProphetEngine(
             scenario,
             library,
-            ProphetConfig(n_worlds=4, basis_dir=str(tmp_path / "spill")),
+            EngineConfig(
+                sampling=SamplingConfig(n_worlds=4),
+                store=StoreConfig(basis_dir=str(tmp_path / "spill")),
+            ),
         )
         # The engine (base_seed=42) adopted the seed-7 basis at startup but
         # never touched it; the archive must exclude it.

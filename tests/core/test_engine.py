@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.errors import ParameterError, ScenarioError
 from repro.models import build_risk_vs_cost
 from repro.vg.seeds import world_seed
@@ -15,7 +16,7 @@ OTHER = {"purchase1": 32, "purchase2": 32, "feature": 12}
 @pytest.fixture
 def engine():
     scenario, library = build_risk_vs_cost(purchase_step=16)
-    return ProphetEngine(scenario, library, ProphetConfig(n_worlds=20))
+    return ProphetEngine(scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=20)))
 
 
 class TestEvaluatePoint:
@@ -56,10 +57,12 @@ class TestEvaluatePoint:
 
     def test_deterministic_across_engines(self):
         scenario, library = build_risk_vs_cost(purchase_step=16)
-        first = ProphetEngine(scenario, library, ProphetConfig(n_worlds=10))
+        first = ProphetEngine(scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=10)))
         a = first.evaluate_point(POINT)
         scenario2, library2 = build_risk_vs_cost(purchase_step=16)
-        second = ProphetEngine(scenario2, library2, ProphetConfig(n_worlds=10))
+        second = ProphetEngine(scenario2, library2, EngineConfig(
+            sampling=SamplingConfig(n_worlds=10),
+        ))
         b = second.evaluate_point(POINT)
         assert a.statistics.expectation("overload") == pytest.approx(
             b.statistics.expectation("overload")
@@ -92,12 +95,16 @@ class TestReuse:
 
     def test_reuse_matches_fresh_statistics(self):
         scenario, library = build_risk_vs_cost(purchase_step=16)
-        engine = ProphetEngine(scenario, library, ProphetConfig(n_worlds=16))
+        engine = ProphetEngine(scenario, library, EngineConfig(
+            sampling=SamplingConfig(n_worlds=16),
+        ))
         engine.evaluate_point(POINT)
         reused = engine.evaluate_point(OTHER)
 
         scenario2, library2 = build_risk_vs_cost(purchase_step=16)
-        cold = ProphetEngine(scenario2, library2, ProphetConfig(n_worlds=16))
+        cold = ProphetEngine(scenario2, library2, EngineConfig(
+            sampling=SamplingConfig(n_worlds=16),
+        ))
         fresh = cold.evaluate_point(OTHER, reuse=False)
 
         for alias in ("demand", "capacity", "overload"):
@@ -136,14 +143,14 @@ class TestReuse:
         extended = engine.evaluate_point(POINT, worlds=range(20))
         scenario, library = build_risk_vs_cost(purchase_step=16)
         one_shot = ProphetEngine(
-            scenario, library, ProphetConfig(n_worlds=20)
+            scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=20))
         ).evaluate_point(POINT)
         for output in engine.scenario.vg_outputs:
             args = output.model_arg_values(extended.point)
             entry = engine.storage.entry(output.vg_name, args)
             assert entry.worlds == tuple(range(20))
             assert entry.seeds == tuple(
-                world_seed(engine.config.base_seed, w) for w in range(20)
+                world_seed(engine.config.sampling.base_seed, w) for w in range(20)
             )
             alias = output.alias.lower()
             assert entry.samples.tobytes() == one_shot.samples[alias].tobytes()
@@ -164,7 +171,7 @@ class TestReuse:
         # Held worlds first, in stored order; the missing ones appended.
         assert entry.worlds == (3, 1, 2, 0, 4)
         assert entry.seeds == tuple(
-            world_seed(engine.config.base_seed, w) for w in entry.worlds
+            world_seed(engine.config.sampling.base_seed, w) for w in entry.worlds
         )
 
     def test_timings_accumulate(self, engine):
@@ -182,7 +189,9 @@ class TestWeekMemo:
 
     def test_memo_preserves_correctness_across_features(self):
         scenario, library = build_risk_vs_cost(purchase_step=16)
-        engine = ProphetEngine(scenario, library, ProphetConfig(n_worlds=12))
+        engine = ProphetEngine(scenario, library, EngineConfig(
+            sampling=SamplingConfig(n_worlds=12),
+        ))
         a = engine.evaluate_point({"purchase1": 16, "purchase2": 32, "feature": 12})
         b = engine.evaluate_point({"purchase1": 16, "purchase2": 32, "feature": 44})
         # Capacity is identical across feature dates; demand differs.

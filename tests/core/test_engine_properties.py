@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.models import build_risk_vs_cost
 
-CONFIG = ProphetConfig(n_worlds=10)
+CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=10))
 
 purchase_values = st.sampled_from([0, 16, 32, 48])
 feature_values = st.sampled_from([12, 36, 44])
@@ -43,7 +44,10 @@ def reference_statistics(point):
     if _reference_engine is None:
         scenario, library = build_risk_vs_cost(purchase_step=16)
         _reference_engine = ProphetEngine(
-            scenario, library, ProphetConfig(n_worlds=10, enable_stats_cache=False)
+            scenario, library, EngineConfig(
+                sampling=SamplingConfig(n_worlds=10),
+                reuse=ReuseConfig(enable_stats_cache=False),
+            )
         )
     return _reference_engine.evaluate_point(point, reuse=False).statistics
 

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import ProphetConfig
+from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
 from repro.core.offline import ConstraintEvaluator, OfflineOptimizer
 from repro.core.aggregator import ResultAggregator
 from repro.errors import OptimizationError
 from repro.models import build_risk_vs_cost
 from repro.sqldb.parser import parse_expression
 
-CONFIG = ProphetConfig(n_worlds=16)
+CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=16))
 
 
 def make_optimizer(threshold=0.05, reuse_config=CONFIG):
@@ -94,7 +94,7 @@ class TestOfflineOptimizer:
         engine = ProphetEngine(scenario, library, CONFIG)
         with pytest.raises(OptimizationError, match="config= conflicts"):
             OfflineOptimizer(
-                scenario, library, ProphetConfig(n_worlds=5), engine=engine
+                scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=5)), engine=engine
             )
 
     def test_sweep_covers_grid(self):
@@ -134,7 +134,10 @@ class TestOfflineOptimizer:
     def test_reuse_does_not_change_answer(self):
         with_reuse = make_optimizer().run(reuse=True)
         without = make_optimizer(
-            reuse_config=ProphetConfig(n_worlds=16, enable_stats_cache=False)
+            reuse_config=EngineConfig(
+                sampling=SamplingConfig(n_worlds=16),
+                reuse=ReuseConfig(enable_stats_cache=False),
+            )
         ).run(reuse=False)
         assert with_reuse.best.point == without.best.point
         # Feasibility decisions identical everywhere.
@@ -145,7 +148,10 @@ class TestOfflineOptimizer:
     def test_reuse_saves_component_samples(self):
         with_reuse = make_optimizer().run(reuse=True)
         without = make_optimizer(
-            reuse_config=ProphetConfig(n_worlds=16, enable_stats_cache=False)
+            reuse_config=EngineConfig(
+                sampling=SamplingConfig(n_worlds=16),
+                reuse=ReuseConfig(enable_stats_cache=False),
+            )
         ).run(reuse=False)
         assert with_reuse.component_samples < without.component_samples / 2
 

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.engine import ProphetConfig
+from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.online import OnlineSession
 from repro.errors import OnlineSessionError
 from repro.models import build_risk_vs_cost
 
-CONFIG = ProphetConfig(n_worlds=20, refinement_first=5)
+CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=20, refinement_first=5))
 
 
 @pytest.fixture
@@ -102,11 +102,11 @@ class TestProgressiveRefinement:
         assert len(views) >= 1
         worlds = [view.n_worlds for view in views]
         assert worlds == sorted(worlds)
-        assert worlds[-1] <= CONFIG.n_worlds
+        assert worlds[-1] <= CONFIG.sampling.n_worlds
 
     def test_first_guess_uses_few_worlds(self, session):
         views = session.refresh_progressive()
-        assert views[0].n_worlds == CONFIG.refinement_first
+        assert views[0].n_worlds == CONFIG.sampling.refinement_first
 
     def test_tracker_records_history(self, session):
         session.refresh_progressive()

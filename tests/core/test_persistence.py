@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.argcodec import decode_args, encode_args
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.core.persistence import load_bases, save_bases
 from repro.errors import FingerprintError
 from repro.models import build_risk_vs_cost
@@ -16,7 +17,7 @@ from repro.vg.base import CallableVGFunction
 from repro.vg.seeds import world_seed
 
 POINT = {"purchase1": 16, "purchase2": 32, "feature": 12}
-CONFIG = ProphetConfig(n_worlds=12)
+CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=12))
 
 
 def make_engine(config=CONFIG):
@@ -88,7 +89,10 @@ class TestSpecCompatibility:
         engine.evaluate_point(POINT)
         save_bases(engine, archive)
 
-        other = make_engine(ProphetConfig(n_worlds=12, fingerprint_seeds=4))
+        other = make_engine(EngineConfig(
+            sampling=SamplingConfig(n_worlds=12),
+            reuse=ReuseConfig(fingerprint_seeds=4),
+        ))
         with pytest.raises(FingerprintError, match="probe spec"):
             load_bases(other, archive)
 
@@ -97,7 +101,10 @@ class TestSpecCompatibility:
         engine.evaluate_point(POINT)
         save_bases(engine, archive)
 
-        other = make_engine(ProphetConfig(n_worlds=12, fingerprint_seeds=4))
+        other = make_engine(EngineConfig(
+            sampling=SamplingConfig(n_worlds=12),
+            reuse=ReuseConfig(fingerprint_seeds=4),
+        ))
         assert load_bases(other, archive, strict=False) == 2
         assert len(other.storage) == 2
 

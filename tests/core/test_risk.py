@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.core.risk import (
     RiskAnalyzer,
     exceedance_probability,
@@ -20,7 +21,7 @@ POINT = {"purchase1": 16, "purchase2": 32, "feature": 12}
 @pytest.fixture(scope="module")
 def evaluated():
     scenario, library = build_risk_vs_cost(purchase_step=16)
-    engine = ProphetEngine(scenario, library, ProphetConfig(n_worlds=30))
+    engine = ProphetEngine(scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=30)))
     evaluation = engine.evaluate_point(POINT)
     return scenario, evaluation
 

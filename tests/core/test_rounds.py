@@ -2,8 +2,7 @@
 
 Pins the PR 8 contracts: world-prefix rounds are exact (the final round is
 bitwise identical to one-shot evaluation), the stopping rule is a pure
-function of statistics, the legacy RefinementPlan / ConvergenceTracker
-spellings still resolve (with a DeprecationWarning), and the ci_halfwidth
+function of statistics, and the ci_halfwidth
 guard agrees with the exact mergeable moments under any merge order.
 """
 
@@ -22,7 +21,8 @@ from repro.core.aggregator import (
     MergeableMoments,
     SeriesStats,
 )
-from repro.core.engine import PointEvaluator, ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import PointEvaluator, ProphetEngine
 from repro.core.rounds import (
     ConvergenceTracker,
     RoundPlan,
@@ -179,25 +179,7 @@ class TestCiHalfwidthGuard:
         )
 
 
-class TestDeprecatedSpellings:
-    def test_guide_refinement_plan_warns_and_is_round_plan(self):
-        import repro.core.guide as guide
-
-        with pytest.warns(DeprecationWarning, match="RefinementPlan"):
-            assert guide.RefinementPlan is RoundPlan
-
-    def test_aggregator_convergence_tracker_warns(self):
-        import repro.core.aggregator as aggregator
-
-        with pytest.warns(DeprecationWarning, match="ConvergenceTracker"):
-            assert aggregator.ConvergenceTracker is ConvergenceTracker
-
-    def test_core_refinement_plan_warns(self):
-        import repro.core
-
-        with pytest.warns(DeprecationWarning, match="RefinementPlan"):
-            assert repro.core.RefinementPlan is RoundPlan
-
+class TestCanonicalSpellings:
     def test_canonical_spellings_do_not_warn(self):
         import warnings
 
@@ -225,7 +207,7 @@ class TestConvergenceTracker:
 def rounds_engine() -> ProphetEngine:
     scenario, library = build_risk_vs_cost(purchase_step=16)
     return ProphetEngine(
-        scenario, library, ProphetConfig(n_worlds=20, refinement_first=5)
+        scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=20, refinement_first=5))
     )
 
 
@@ -238,7 +220,9 @@ class TestPointEvaluator:
 
         scenario, library = build_risk_vs_cost(purchase_step=16)
         fresh = ProphetEngine(
-            scenario, library, ProphetConfig(n_worlds=20, refinement_first=5)
+            scenario, library, EngineConfig(
+                sampling=SamplingConfig(n_worlds=20, refinement_first=5),
+            )
         )
         oneshot = fresh.evaluate_point(self.POINT, worlds=range(20))
         for alias in oneshot.statistics.aliases():

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.core.sampling import SAMPLING_BACKENDS
 from repro.errors import ScenarioError
 from repro.models import (
@@ -31,7 +32,7 @@ SCENARIOS = {
 
 def _engine(builder, backend: str, n_worlds: int = 24) -> ProphetEngine:
     scenario, library = builder()
-    config = ProphetConfig(n_worlds=n_worlds, sampling_backend=backend)
+    config = EngineConfig(sampling=SamplingConfig(n_worlds=n_worlds, backend=backend))
     return ProphetEngine(scenario, library, config)
 
 
@@ -87,7 +88,7 @@ class TestBackendParity:
         scenario, library = build_risk_vs_cost()
         with pytest.raises(ScenarioError, match="unknown sampling backend"):
             ProphetEngine(
-                scenario, library, ProphetConfig(sampling_backend="turbo")
+                scenario, library, EngineConfig(sampling=SamplingConfig(backend="turbo"))
             )
 
 
@@ -153,7 +154,7 @@ class TestEmptyWorldSlices:
         engine = _engine(builder, "batched")
         output = engine.scenario.vg_outputs[0]
         batch = InstanceBatch.at_point(
-            engine.scenario.validate_sweep_point(point), (), engine.config.base_seed
+            engine.scenario.validate_sweep_point(point), (), engine.config.sampling.base_seed
         )
         with pytest.raises(ScenarioError, match="at least one world"):
             engine.sampling.sample(output, batch)
@@ -162,7 +163,7 @@ class TestEmptyWorldSlices:
 class TestQuerygenBatchTemplate:
     def test_template_text_is_constant_and_parameterized(self):
         scenario, library = build_risk_vs_cost()
-        engine = ProphetEngine(scenario, library, ProphetConfig(n_worlds=4))
+        engine = ProphetEngine(scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=4)))
         output = engine.scenario.vg_outputs[0]
         template = engine.querygen.insert_batch_template(output)
         assert "@_worlds" in template and "@_seeds" in template

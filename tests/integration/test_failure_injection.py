@@ -9,7 +9,8 @@ corrupting engine state for subsequent work.
 import numpy as np
 import pytest
 
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.core.online import OnlineSession
 from repro.errors import (
     ExecutionError,
@@ -21,7 +22,7 @@ from repro.vg.base import VGFunction
 from repro.vg.library import VGLibrary
 
 POINT = {"purchase1": 16, "purchase2": 32, "feature": 12}
-CONFIG = ProphetConfig(n_worlds=8)
+CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=8))
 
 
 class ExplodingVG(VGFunction):
@@ -85,7 +86,7 @@ class TestVGFailures:
         library.register(fixed, replace=True)
         register_vg_function(engine.catalog, fixed, replace=True)
         evaluation = engine.evaluate_point(POINT)
-        assert evaluation.n_worlds == CONFIG.n_worlds
+        assert evaluation.n_worlds == CONFIG.sampling.n_worlds
 
     def test_nan_outputs_flow_through_not_crash(self):
         # NaNs are data, not errors: statistics must carry them visibly.
@@ -133,7 +134,7 @@ class TestScenarioFailures:
         # State unchanged; the session still works.
         assert session.sliders["purchase1"] == 0
         view = session.refresh()
-        assert view.n_worlds == CONFIG.n_worlds
+        assert view.n_worlds == CONFIG.sampling.n_worlds
 
 
 class TestDeterminismUnderFaults:

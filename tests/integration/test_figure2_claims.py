@@ -8,14 +8,14 @@ shape so regressions fail fast.
 import numpy as np
 import pytest
 
-from repro.core.engine import ProphetConfig
+from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
 from repro.dsl import parse_scenario
 from repro.models import FIGURE2_DSL, build_demo_library, build_risk_vs_cost
 from repro.viz import mapping_grid
 
-CONFIG = ProphetConfig(n_worlds=24, refinement_first=6)
+CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=24, refinement_first=6))
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,10 @@ class TestC3C4Optimizer:
     def results(self):
         def run(reuse):
             scenario, library = build_risk_vs_cost(purchase_step=16)
-            config = ProphetConfig(n_worlds=16, enable_stats_cache=reuse)
+            config = EngineConfig(
+                sampling=SamplingConfig(n_worlds=16),
+                reuse=ReuseConfig(enable_stats_cache=reuse),
+            )
             return OfflineOptimizer(scenario, library, config).run(reuse=reuse)
 
         return run(True), run(False)
@@ -127,7 +130,9 @@ class TestF4MappingGrid:
 
     def test_mapped_cells_dominate(self):
         scenario, library = build_risk_vs_cost(purchase_step=16)
-        optimizer = OfflineOptimizer(scenario, library, ProphetConfig(n_worlds=12))
+        optimizer = OfflineOptimizer(scenario, library, EngineConfig(
+            sampling=SamplingConfig(n_worlds=12),
+        ))
         result = optimizer.run(reuse=True)
         grid = mapping_grid(
             result.records, scenario.space, "purchase1", "purchase2",

@@ -227,6 +227,29 @@ class TestConfigSections:
         result = _write_config_tree(tmp_path, bad)
         assert "CFG003" in rule_ids(result.violations)
 
+    def test_grouping_and_unrelated_configs_clean(self, tmp_path):
+        extra = (
+            "\n\n@dataclass(frozen=True)\n"
+            "class EngineConfig:\n"
+            "    sampling: SamplingConfig = None\n\n\n"
+            "@dataclass(frozen=True)\n"
+            "class ChartConfig:\n"
+            "    width: int = 72\n"
+        )
+        result = _write_config_tree(tmp_path, GOOD_SECTION + extra)
+        assert result.violations == []
+
+    def test_flat_config_redeclaring_a_knob_flagged(self, tmp_path):
+        flat = (
+            "\n\n@dataclass(frozen=True)\n"
+            "class ProphetConfig:\n"
+            "    n_worlds: int = 200\n"
+            "    base_seed: int = 42\n"
+        )
+        result = _write_config_tree(tmp_path, GOOD_SECTION + flat)
+        assert rule_ids(result.violations) == ["CFG004"]
+        assert "n_worlds" in result.violations[0].message
+
 
 def _write_surface_tree(tmp_path, all_literal: str, snapshot: str):
     """A minimal repo with a surface snapshot fixture and repro.api."""

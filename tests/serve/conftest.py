@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.dsl import parse_scenario
 from repro.models import build_demo_library
 from repro.serve import EngineSpec, ProcessExecutor
@@ -12,17 +13,17 @@ from serve_testutil import SERVE_DSL
 
 
 @pytest.fixture(scope="session")
-def serve_config() -> ProphetConfig:
-    return ProphetConfig(n_worlds=16, refinement_first=8)
+def serve_config() -> EngineConfig:
+    return EngineConfig(sampling=SamplingConfig(n_worlds=16, refinement_first=8))
 
 
 @pytest.fixture(scope="session")
-def serve_spec(serve_config: ProphetConfig) -> EngineSpec:
+def serve_spec(serve_config: EngineConfig) -> EngineSpec:
     return EngineSpec.from_dsl(SERVE_DSL, config=serve_config)
 
 
 @pytest.fixture
-def sequential_engine(serve_config: ProphetConfig) -> ProphetEngine:
+def sequential_engine(serve_config: EngineConfig) -> ProphetEngine:
     """A fresh engine on the same scenario, for sequential references."""
     scenario = parse_scenario(SERVE_DSL, name="serve_scenario")
     return ProphetEngine(scenario, build_demo_library(), serve_config)

@@ -18,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api.stats import StatsReport
-from repro.core.engine import ProphetConfig, ProphetEngine
+from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.dsl import parse_scenario
 from repro.errors import (
     RetryExhaustedError,
@@ -53,7 +54,7 @@ def _reference_statistics():
         engine = ProphetEngine(
             parse_scenario(SERVE_DSL, name="serve_scenario"),
             build_demo_library(),
-            ProphetConfig(n_worlds=16, refinement_first=8),
+            EngineConfig(sampling=SamplingConfig(n_worlds=16, refinement_first=8)),
         )
         _REFERENCE_CACHE["stats"] = engine.evaluate_point(POINT).statistics
     return _REFERENCE_CACHE["stats"]
@@ -393,7 +394,7 @@ class TestAcceptanceChaosSweep:
         engine = ProphetEngine(
             parse_scenario(SERVE_DSL, name="serve_scenario"),
             build_demo_library(),
-            ProphetConfig(n_worlds=16, refinement_first=8),
+            EngineConfig(sampling=SamplingConfig(n_worlds=16, refinement_first=8)),
         )
         references = [engine.evaluate_point(p).statistics for p in self.POINTS]
 

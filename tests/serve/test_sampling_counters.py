@@ -25,25 +25,29 @@ class TestServiceSamplingCounters:
         service = _service(serve_spec, shards=4)
         service.evaluate(POINT)
         n_outputs = len(service.scenario.vg_outputs)
-        n_worlds = service.engine.config.n_worlds
+        n_worlds = service.engine.config.sampling.n_worlds
         assert service.stats.sampled_batched == n_worlds * n_outputs
         assert service.stats.sampled_fallback == 0
 
     def test_loop_backend_counts_as_fallback(self, serve_config):
-        config = replace(serve_config, sampling_backend="loop")
+        config = replace(
+            serve_config, sampling=replace(serve_config.sampling, backend="loop")
+        )
         spec = EngineSpec.from_dsl(SERVE_DSL, config=config)
         service = _service(spec, shards=2)
         service.evaluate(POINT)
         n_outputs = len(service.scenario.vg_outputs)
         assert service.stats.sampled_batched == 0
-        assert service.stats.sampled_fallback == config.n_worlds * n_outputs
+        assert service.stats.sampled_fallback == config.sampling.n_worlds * n_outputs
 
     def test_backend_choice_is_bit_identical_through_serve(
         self, serve_spec, serve_config, sequential_engine
     ):
         batched = _service(serve_spec, shards=3).evaluate(POINT)
         loop_spec = EngineSpec.from_dsl(
-            SERVE_DSL, config=replace(serve_config, sampling_backend="loop")
+            SERVE_DSL, config=replace(
+            serve_config, sampling=replace(serve_config.sampling, backend="loop")
+        )
         )
         loop = _service(loop_spec, shards=3).evaluate(POINT)
         assert_stats_identical(batched.statistics, loop.statistics)
@@ -56,5 +60,5 @@ class TestServiceSamplingCounters:
         )
         service.evaluate(POINT)
         n_outputs = len(service.scenario.vg_outputs)
-        n_worlds = service.engine.config.n_worlds
+        n_worlds = service.engine.config.sampling.n_worlds
         assert service.stats.sampled_batched == n_worlds * n_outputs

@@ -8,10 +8,12 @@ byte-identical payloads.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
-from repro.serve import EvaluationService, InlineExecutor
-from serve_testutil import POINT, assert_stats_identical
+from repro.serve import EngineSpec, EvaluationService, InlineExecutor
+from serve_testutil import POINT, SERVE_DSL, assert_stats_identical
 
 
 def _inline_service(spec, shards, **kwargs):
@@ -124,3 +126,40 @@ class TestEngineOnlyService:
         assert isinstance(service.executor, InlineExecutor)
         evaluation = service.evaluate(POINT)
         assert evaluation.statistics is not None
+
+
+class TestSpecContentHash:
+    """The hash is derived from the section fields, minus a named exclusion set."""
+
+    @staticmethod
+    def _variants(config):
+        """One spec per section field, differing from ``config`` in that field."""
+        changed = {
+            int: lambda v: v + 1,
+            float: lambda v: v * 1.5,
+            bool: lambda v: not v,
+            str: lambda v: "loop",
+            type(None): lambda v: 3,
+        }
+        for section in fields(config):
+            values = getattr(config, section.name)
+            for f in fields(values):
+                value = getattr(values, f.name)
+                if f.name == "basis_dir":
+                    value, bump = None, (lambda v: "/spill")
+                else:
+                    bump = changed[type(value)]
+                yield (section.name, f.name), replace(
+                    config, **{section.name: replace(values, **{f.name: bump(value)})}
+                )
+
+    def test_only_the_excluded_knobs_share_a_hash(self, serve_config):
+        from repro.serve.worker import _HASH_EXCLUDED
+
+        base = EngineSpec.from_dsl(SERVE_DSL, config=serve_config).content_hash()
+        seen = set()
+        for knob, variant in self._variants(serve_config):
+            hashed = EngineSpec.from_dsl(SERVE_DSL, config=variant).content_hash()
+            assert (hashed == base) == (knob in _HASH_EXCLUDED), knob
+            seen.add(knob)
+        assert _HASH_EXCLUDED <= seen  # every exclusion names a real field

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import ClientConfig, ProphetClient, TransportConfig
-from repro.core.engine import ProphetConfig
+from repro.core.config import EngineConfig, SamplingConfig
 from repro.errors import ScenarioError, ServeError
 from repro.serve import (
     EngineSpec,
@@ -225,8 +225,8 @@ class TestShmParity:
     def test_loop_backend_shm_is_bit_identical(self):
         spec = EngineSpec.from_dsl(
             SERVE_DSL,
-            config=ProphetConfig(
-                n_worlds=16, refinement_first=8, sampling_backend="loop"
+            config=EngineConfig(
+                sampling=SamplingConfig(n_worlds=16, refinement_first=8, backend="loop"),
             ),
         )
         shm = _service(spec, InlineExecutor(), transport=SHM)

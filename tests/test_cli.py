@@ -231,6 +231,47 @@ class TestBatch:
         assert "shard sampling: 16 worlds batched / 0 worlds per-world loop" in output
 
 
+class TestConfigFlagTable:
+    """Every config-bearing flag is generated from one section field."""
+
+    def test_every_flag_maps_to_a_section_field_with_its_default(self):
+        from dataclasses import fields
+
+        from repro.api import ClientConfig
+        from repro.cli import COMMON_FLAGS, SERVE_FLAGS
+
+        defaults = ClientConfig()
+        batch = build_parser().parse_args(["batch", "-"])  # takes every flag
+        for flag in COMMON_FLAGS + SERVE_FLAGS:
+            section = getattr(defaults, flag.section)
+            assert flag.field in {f.name for f in fields(section)}, flag
+            assert getattr(batch, flag.dest) == getattr(section, flag.field), flag
+
+    def test_choices_come_from_the_section_field(self):
+        from repro.api.config import EXECUTOR_KINDS
+        from repro.cli import COMMON_FLAGS, SERVE_FLAGS
+        from repro.core.sampling import SAMPLING_BACKENDS
+        from repro.serve.transport import SHARD_TRANSPORTS
+
+        choices = {
+            flag.flag: flag.spec()[2] for flag in COMMON_FLAGS + SERVE_FLAGS
+        }
+        assert choices["--sampling-backend"] == SAMPLING_BACKENDS
+        assert choices["--executor"] == EXECUTOR_KINDS
+        assert choices["--shard-transport"] == SHARD_TRANSPORTS
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", "-", "--executor", "gpu"])
+
+    def test_default_worlds_is_the_section_default(self):
+        # Was 100 on the CLI beside SamplingConfig's 200.
+        from repro.api import ClientConfig
+        from repro.cli import _client_config
+
+        args = build_parser().parse_args(["run", "-"])
+        assert args.worlds == 200
+        assert _client_config(args) == ClientConfig()
+
+
 class TestResilienceFlags:
     def test_flags_parse(self):
         args = build_parser().parse_args(
