@@ -23,6 +23,7 @@ The cycle (stage names match Figure 1):
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -53,15 +54,24 @@ from repro.sqldb.types import SqlType
 from repro.vg.library import VGLibrary
 
 
-def _require_worlds(worlds: Optional[Sequence[int]], entry_point: str) -> None:
-    """Shared empty-world-slice guard of every evaluation entry point.
+def _world_ids(worlds: Sequence[int], entry_point: str) -> tuple[int, ...]:
+    """Shared world-slice guard of every evaluation entry point.
 
     ``evaluate_point`` and ``sample_fresh`` (and, through them, the serve
     workers) must agree on this behavior: an empty world slice is a caller
-    error, never a silently-empty result.
+    error, never a silently-empty result, and world ids are Python ints —
+    ``3`` and ``np.int64(3)`` are one world, one seed, one cache key.
     """
-    if not worlds:
+    try:
+        ids = tuple(map(operator.index, worlds))
+    except TypeError:
+        bad = next((w for w in worlds if not hasattr(w, "__index__")), None)
+        raise ScenarioError(
+            f"{entry_point} world ids must be integers, got {bad!r}"
+        ) from None
+    if not ids:
         raise ScenarioError(f"{entry_point} needs at least one world")
+    return ids
 
 
 #: Replacement for the fresh-sampling stage: called with the VG output and
@@ -220,8 +230,10 @@ class ProphetEngine:
     ) -> PointEvaluation:
         sweep_space = self.scenario.sweep_space
         validated = self.scenario.validate_sweep_point(point)
-        chosen_worlds = tuple(worlds) if worlds is not None else tuple(range(self.config.sampling.n_worlds))
-        _require_worlds(chosen_worlds, "evaluate_point")
+        chosen_worlds = _world_ids(
+            worlds if worlds is not None else range(self.config.sampling.n_worlds),
+            "evaluate_point",
+        )
         cache_key = (sweep_space.point_key(validated), chosen_worlds)
         if reuse and self.config.reuse.enable_stats_cache:
             cached = self._stats_cache.get(cache_key)
@@ -302,8 +314,9 @@ class ProphetEngine:
         """
         output = self.scenario.vg_output(alias)
         validated = self.scenario.validate_sweep_point(point)
-        _require_worlds(worlds, "sample_fresh")
-        batch = InstanceBatch.at_point(validated, tuple(worlds), self.config.sampling.base_seed)
+        batch = InstanceBatch.at_point(
+            validated, _world_ids(worlds, "sample_fresh"), self.config.sampling.base_seed
+        )
         return self.sampling.sample(
             output, batch, timings if timings is not None else StageTimings()
         )
@@ -639,13 +652,14 @@ class PointEvaluator:
     that routes each round through its job queue, so the dispatcher and
     resilience ladder apply unchanged per round.
 
-    Alongside each round's (exact, SQL-produced) statistics the evaluator
-    Chan-merges each round's fresh sample *increment* into
-    :class:`~repro.core.aggregator.MergeableAxisStats` — the bit-exact
+    Stopping decisions and results read each round's (exact, SQL-produced)
+    statistics only. :attr:`moments` is an on-demand roll-up beside them:
+    reading it merges each retained round's sample *increment* — an exact
+    Shewchuk-partial merge, not a rounding Chan merge — into
+    :class:`~repro.core.aggregator.MergeableAxisStats`, the bit-exact
     mergeable moments that let tests pin the round decomposition against
-    one-shot evaluation (``moments_complete`` goes ``False`` when a round's
-    samples were served from a result cache that strips matrices, in which
-    case ``moments`` is partial and only ``statistics`` is authoritative).
+    one-shot evaluation. :meth:`step` never computes them, so a round a
+    result waits for does not pay for the oracle.
     """
 
     def __init__(
@@ -671,8 +685,10 @@ class PointEvaluator:
         self.rounds: list[RoundResult] = []
         self.worlds_spent = 0
         self.converged = False
-        self.moments: Optional[MergeableAxisStats] = None
-        self.moments_complete = True
+        # Lazily folded exact moments of rounds[:_rounds_folded].
+        self._moments: Optional[MergeableAxisStats] = None
+        self._moments_complete = True
+        self._rounds_folded = 0
 
     # -- protocol -----------------------------------------------------------
 
@@ -730,7 +746,6 @@ class PointEvaluator:
             evaluation = self._evaluate(
                 self.point, worlds=range(prefix), reuse=self.reuse
             )
-            self._accumulate_moments(evaluation, previous, prefix)
             ci = max_ci_halfwidth(evaluation.statistics, self.z)
             converged = self.target_ci is not None and ci <= self.target_ci
             span.set(max_ci=ci, converged=converged)
@@ -755,27 +770,41 @@ class PointEvaluator:
 
     # -- mergeable moments --------------------------------------------------
 
-    def _accumulate_moments(
-        self, evaluation: PointEvaluation, previous: int, prefix: int
-    ) -> None:
-        """Chan-merge this round's sample increment ``[previous, prefix)``.
+    @property
+    def moments(self) -> Optional[MergeableAxisStats]:
+        """Exact moments of every round's sample increment, folded on read."""
+        self._fold_moments()
+        return self._moments
+
+    @property
+    def moments_complete(self) -> bool:
+        """``False`` once a round could not contribute: ``moments`` is partial."""
+        self._fold_moments()
+        return self._moments_complete
+
+    def _fold_moments(self) -> None:
+        """Merge the increments of the rounds :meth:`step` added since a read.
 
         Result-cache hits ship statistics without sample matrices; such a
-        round cannot contribute its increment, so the accumulated moments
-        are marked incomplete rather than silently wrong.
+        round cannot contribute its increment ``[previous, prefix)``, so the
+        moments are marked incomplete (only the rounds' statistics are
+        authoritative then) rather than silently wrong.
         """
-        if not evaluation.samples:
-            self.moments_complete = False
-            return
-        increment = {
-            alias: np.asarray(matrix)[previous:prefix]
-            for alias, matrix in evaluation.samples.items()
-        }
-        if any(matrix.shape[0] != prefix - previous for matrix in increment.values()):
-            self.moments_complete = False
-            return
-        stats = MergeableAxisStats.from_matrices(increment)
-        if self.moments is None:
-            self.moments = stats
-        else:
-            self.moments.merge(stats)
+        for completed in self.rounds[self._rounds_folded:]:
+            prefix = completed.worlds_total
+            previous = prefix - completed.worlds_added
+            increment = {
+                alias: np.asarray(matrix)[previous:prefix]
+                for alias, matrix in completed.evaluation.samples.items()
+            }
+            if not increment or any(
+                matrix.shape[0] != prefix - previous for matrix in increment.values()
+            ):
+                self._moments_complete = False
+                continue
+            stats = MergeableAxisStats.from_matrices(increment)
+            if self._moments is None:
+                self._moments = stats
+            else:
+                self._moments.merge(stats)
+        self._rounds_folded = len(self.rounds)

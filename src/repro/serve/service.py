@@ -43,7 +43,6 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.aggregator import MergeableAxisStats
 from repro.core.engine import PointEvaluation, ProphetEngine, StageTimings
 from repro.core.instance import InstanceBatch
 from repro.core.scenario import VGOutput
@@ -366,20 +365,6 @@ class EvaluationService:
                 },
             )
         return evaluation
-
-    def mergeable_stats(self, evaluation: PointEvaluation) -> MergeableAxisStats:
-        """Mergeable week-axis moments of an evaluation's VG sample matrices.
-
-        The compact (``O(aliases x weeks)``) form of a point's results that
-        the scheduler merges across points and shards — see
-        :class:`repro.core.aggregator.MergeableAxisStats`.
-        """
-        if not evaluation.samples:
-            raise ServeError(
-                "evaluation carries no sample matrices (served from the "
-                "result cache); mergeable stats need a computed evaluation"
-            )
-        return MergeableAxisStats.from_matrices(evaluation.samples)
 
     def close(self) -> None:
         self.executor.shutdown()

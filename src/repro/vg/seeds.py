@@ -9,6 +9,7 @@ independent of Python's per-process hash randomization.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from typing import Any, Iterable
@@ -16,6 +17,11 @@ from typing import Any, Iterable
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+#: Bound of the :func:`world_seed` memo, in ``(base_seed, world)`` entries:
+#: well above the largest world count a run uses per base seed, so a
+#: prefix is hashed once per process rather than once per round per point.
+WORLD_SEED_MEMO_SIZE = 1 << 15
 
 
 def _encode_part(part: Any) -> bytes:
@@ -53,6 +59,7 @@ def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed & _MASK64))
 
 
+@functools.lru_cache(maxsize=WORLD_SEED_MEMO_SIZE, typed=True)
 def world_seed(base_seed: int, world: int) -> int:
     """Seed for Monte Carlo world ``world`` of a run rooted at ``base_seed``.
 
@@ -60,6 +67,11 @@ def world_seed(base_seed: int, world: int) -> int:
     at two different parameter values with the same world index uses the
     same underlying randomness, which is what makes fingerprint-detected
     correlations transfer to the stored sample matrices.
+
+    A pure function of its arguments, memoised (bounded, least recently
+    used evicted) because every round of every point asks for the same
+    world prefix again. ``typed`` keeps ``True`` and ``1``, which hash
+    alike but derive different seeds, in separate entries.
     """
     return derive_seed("world", base_seed, world)
 

@@ -22,6 +22,7 @@ import pytest
 
 from api_testutil import API_DSL, POINT, assert_stats_identical
 from repro.api import AdaptiveConfig, ClientConfig, ProphetClient, SamplingConfig
+from repro.core.aggregator import MergeableAxisStats
 from repro.errors import ScenarioError
 from repro.serve.scheduler import AdaptiveSweepJob
 
@@ -217,6 +218,36 @@ class TestAdaptiveDeterminism:
         assert self._decisions(plain) == self._decisions(sharded)
         for a, b in zip(plain, sharded):
             assert_stats_identical(a.statistics, b.statistics)
+
+
+class TestMomentsOffTheBlockingPath:
+    """Exact mergeable moments are an on-demand roll-up, never a round cost."""
+
+    TARGET = 500.0  # two points retire in round 0; their budget extends one
+
+    def _run(self):
+        with open_client() as client:
+            adaptive = client.with_adaptive(target_ci=self.TARGET)
+            results = adaptive.sweep().run()
+            return results, adaptive.stats().adaptive
+
+    def test_adaptive_sweep_never_calls_from_matrices(self, monkeypatch):
+        expected, expected_report = self._run()
+        # The sweep exercises both allocator phases: early retirement, and
+        # a reallocation round stepping an explicit prefix past the plan.
+        assert any(r.retired_early for r in expected)
+        assert any(r.worlds_spent > N_WORLDS for r in expected)
+
+        def refuse(cls, matrices):
+            raise AssertionError("exact moments computed on the blocking path")
+
+        monkeypatch.setattr(MergeableAxisStats, "from_matrices", classmethod(refuse))
+        actual, actual_report = self._run()
+        assert [r.point for r in actual] == [r.point for r in expected]
+        for a, e in zip(actual, expected):
+            assert a.ok
+            assert_stats_identical(a.statistics, e.statistics)
+        assert actual_report == expected_report
 
 
 class TestAdaptiveSweepHandle:

@@ -7,7 +7,7 @@ from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.errors import ParameterError, ScenarioError
 from repro.models import build_risk_vs_cost
-from repro.vg.seeds import world_seed
+from repro.vg.seeds import derive_seed, world_seed
 
 POINT = {"purchase1": 16, "purchase2": 32, "feature": 12}
 OTHER = {"purchase1": 32, "purchase2": 32, "feature": 12}
@@ -17,6 +17,56 @@ OTHER = {"purchase1": 32, "purchase2": 32, "feature": 12}
 def engine():
     scenario, library = build_risk_vs_cost(purchase_step=16)
     return ProphetEngine(scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=20)))
+
+
+class TestWorldIds:
+    """World ids are Python ints at the engine boundary."""
+
+    @staticmethod
+    def _bytes(evaluation):
+        stats = evaluation.statistics
+        return [
+            (stats.expectation(alias).tobytes(), stats.stddev(alias).tobytes())
+            for alias in sorted(stats.aliases())
+        ]
+
+    def test_numpy_ids_equal_python_ids_and_share_the_stats_cache(self, engine):
+        from_range = engine.evaluate_point(POINT, worlds=range(5))
+        assert len(engine._stats_cache) == 1
+        from_numpy = engine.evaluate_point(POINT, worlds=np.arange(5))
+        assert len(engine._stats_cache) == 1  # one key, served as a hit
+        assert all(report.source == "exact" for report in from_numpy.reuse_reports)
+        assert self._bytes(from_numpy) == self._bytes(from_range)
+
+    def test_numpy_ids_cold_are_byte_identical(self, engine):
+        scenario, library = build_risk_vs_cost(purchase_step=16)
+        other = ProphetEngine(
+            scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=20))
+        )
+        cold_numpy = other.evaluate_point(POINT, worlds=np.arange(5))
+        assert self._bytes(cold_numpy) == self._bytes(
+            engine.evaluate_point(POINT, worlds=range(5))
+        )
+        assert (
+            other.sample_fresh("demand", POINT, np.arange(3, 9)).tobytes()
+            == engine.sample_fresh("demand", POINT, range(3, 9)).tobytes()
+        )
+
+    def test_negative_ids_keep_their_seeds(self, engine):
+        engine.evaluate_point(POINT, worlds=[-2, 3])
+        _, entry = next(iter(engine.storage.entries()))
+        base_seed = engine.config.sampling.base_seed
+        assert entry.seeds == (
+            derive_seed("world", base_seed, -2),
+            derive_seed("world", base_seed, 3),
+        )
+
+    @pytest.mark.parametrize("bad", [1.5, "3", None])
+    def test_non_integral_id_is_a_scenario_error(self, engine, bad):
+        with pytest.raises(ScenarioError, match=f"world ids.*{bad!r}"):
+            engine.evaluate_point(POINT, worlds=[0, bad])
+        with pytest.raises(ScenarioError, match=f"world ids.*{bad!r}"):
+            engine.sample_fresh("demand", POINT, [0, bad])
 
 
 class TestEvaluatePoint:

@@ -14,7 +14,7 @@ from repro.core.scenario import (
 )
 from repro.models import build_demo_library
 from repro.sqldb.parser import parse_expression
-from repro.vg.seeds import world_seed
+from repro.vg.seeds import derive_seed, world_seed
 
 
 class TestWorldInstance:
@@ -46,6 +46,19 @@ class TestInstanceBatch:
     def test_iteration(self):
         batch = InstanceBatch.at_point({"p": 1}, worlds=[4, 9], base_seed=7)
         assert [i.world for i in batch] == [4, 9]
+
+    @pytest.mark.parametrize(
+        "worlds",
+        [range(40), range(13, 27), [31, 2, 2, 17, -5]],
+        ids=["prefix", "shard-slice", "non-contiguous"],
+    )
+    def test_seeds_are_the_unmemoised_derivation(self, worlds):
+        for base_seed in (7, 42, 7):  # interleaved: memo entries never cross
+            batch = InstanceBatch.at_point({"p": 1}, worlds, base_seed)
+            assert batch.worlds == tuple(worlds)
+            assert batch.seeds == tuple(
+                derive_seed("world", base_seed, world) for world in worlds
+            )
 
 
 def simple_scenario(**overrides):

@@ -285,7 +285,7 @@ class TestPointEvaluator:
         )
         assert merged.n_worlds == 20
         # Sample matrices exist for the VG-sampled outputs (derived
-        # expressions have none); the Chan-merged increments must agree with
+        # expressions have none); the exactly merged increments must agree with
         # the SQL-produced statistics for every sampled alias.
         assert set(evaluator.moments.aliases) == set(final.samples)
         for alias in evaluator.moments.aliases:
@@ -318,7 +318,7 @@ class TestPointEvaluator:
         assert evaluator.result is not None
 
     def test_merge_order_independence_of_increments(self, rounds_engine):
-        """Chan-merging per-round increments equals one whole-prefix batch."""
+        """Exactly merging per-round increments equals one whole-prefix batch."""
         evaluator = PointEvaluator(rounds_engine, self.POINT)
         final = evaluator.run()
         whole = MergeableAxisStats.from_matrices(
@@ -335,3 +335,76 @@ class TestPointEvaluator:
                 assert a.count == b.count
                 assert a.mean == b.mean  # exact sums: bitwise equality
                 assert a.variance() == b.variance()
+
+    @staticmethod
+    def _eager_fold(rounds) -> MergeableAxisStats:
+        """The reference: merge each round's increment as soon as it exists."""
+        folded = None
+        for completed in rounds:
+            previous = completed.worlds_total - completed.worlds_added
+            stats = MergeableAxisStats.from_matrices(
+                {
+                    alias: np.asarray(matrix)[previous : completed.worlds_total]
+                    for alias, matrix in completed.evaluation.samples.items()
+                }
+            )
+            if folded is None:
+                folded = stats
+            else:
+                folded.merge(stats)
+        return folded
+
+    @staticmethod
+    def _assert_moments_bitwise(actual: MergeableAxisStats, expected: MergeableAxisStats):
+        assert actual.aliases == expected.aliases
+        assert actual.n_weeks == expected.n_weeks
+        for alias in expected.aliases:
+            for week in range(expected.n_weeks):
+                a, b = actual.moments(alias, week), expected.moments(alias, week)
+                assert a.count == b.count
+                assert a.mean == b.mean
+                assert a.variance() == b.variance()
+                assert (a.minimum, a.maximum) == (b.minimum, b.maximum)
+
+    def test_lazy_moments_equal_eager_fold_and_follow_new_rounds(self, rounds_engine):
+        evaluator = PointEvaluator(rounds_engine, self.POINT)
+        assert evaluator.moments is None  # nothing to fold before round 0
+        assert evaluator.moments_complete
+        evaluator.step()
+        evaluator.step(prefix=12)  # explicit prefix, off-ladder
+        first_read = evaluator.moments
+        assert first_read.moments("demand", 0).count == 12
+        self._assert_moments_bitwise(first_read, self._eager_fold(evaluator.rounds))
+        assert evaluator.moments is first_read  # memoised between steps
+        evaluator.step()
+        evaluator.step()
+        assert evaluator.moments.moments("demand", 0).count == 20
+        self._assert_moments_bitwise(
+            evaluator.moments, self._eager_fold(evaluator.rounds)
+        )
+        assert evaluator.moments_complete
+
+    def test_middle_round_without_samples_leaves_partial_moments(self, rounds_engine):
+        from dataclasses import replace
+
+        calls = []
+
+        def strip_second_round(point, *, worlds, reuse=True, sampler=None):
+            evaluation = rounds_engine.evaluate_point(point, worlds=worlds, reuse=reuse)
+            calls.append(len(worlds))
+            return replace(evaluation, samples={}) if len(calls) == 2 else evaluation
+
+        evaluator = PointEvaluator(
+            rounds_engine, self.POINT, evaluate=strip_second_round
+        )
+        evaluator.run()
+        assert calls == [5, 15, 20]
+        assert evaluator.moments_complete is False
+        # Rounds 0 and 2 contributed their increments; round 1's ten worlds
+        # are missing from the (partial) moments.
+        contributing = [r for r in evaluator.rounds if r.evaluation.samples]
+        assert [r.index for r in contributing] == [0, 2]
+        assert evaluator.moments.moments("demand", 0).count == 10
+        self._assert_moments_bitwise(
+            evaluator.moments, self._eager_fold(contributing)
+        )

@@ -1,8 +1,11 @@
 """Unit tests for deterministic seed derivation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.vg.seeds import (
+    WORLD_SEED_MEMO_SIZE,
     derive_seed,
     fingerprint_seeds,
     rng_for,
@@ -83,3 +86,39 @@ class TestStreams:
         assert not (a == b).all()
         again = spawn_streams(5, ["a"])["a"].normal(size=4)
         assert (a == again).all()
+
+
+class TestWorldSeedMemo:
+    """The bounded memo behind ``world_seed`` never changes a value."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([42, 7]),  # two base seeds, interleaved
+                st.integers(min_value=-(2**63), max_value=2**63),
+            ),
+            min_size=1,
+            max_size=50,
+        )
+    )
+    def test_equals_unmemoised_derivation(self, pairs):
+        for base_seed, world in pairs + pairs:  # second pass reads the memo
+            assert world_seed(base_seed, world) == derive_seed(
+                "world", base_seed, world
+            )
+
+    def test_eviction_changes_nothing(self):
+        world_seed.cache_clear()
+        head = [world_seed(42, w) for w in range(64)]
+        for world in range(64, WORLD_SEED_MEMO_SIZE + 64):
+            world_seed(42, world)
+        info = world_seed.cache_info()
+        assert info.currsize == info.maxsize == WORLD_SEED_MEMO_SIZE
+        # Worlds 0..63 were evicted; they re-derive to the same seeds.
+        assert [world_seed(42, w) for w in range(64)] == head
+        assert head == [derive_seed("world", 42, w) for w in range(64)]
+
+    def test_bool_and_int_stay_separate_entries(self):
+        assert world_seed(42, True) == derive_seed("world", 42, True)
+        assert world_seed(42, 1) == derive_seed("world", 42, 1)
+        assert world_seed(42, True) != world_seed(42, 1)
