@@ -1,8 +1,6 @@
 """Shared transport microbench ops: ship one shard fan-out generation.
 
-Both the pytest guard (``bench_transport.py``) and the perf-trajectory
-runner (``run_all.py``) measure the same two legs, so the leg bodies live
-here once:
+The two legs the pytest guard (``bench_transport.py``) compares:
 
 * **pickle** — what the default transport does per task: the world slice
   and the hot basis snapshot pickle *per shard* on dispatch, the shard's

@@ -3,13 +3,17 @@
 Shard tasks are pure functions of ``(spec, point, worlds)`` — that purity
 is what makes retries, pool healing, inline rescue, and round merging
 bit-identical. It survives only if the modules a task pickle drags into a
-worker (``repro.serve.worker``, ``repro.serve.faults``, and the reader
-side of ``repro.serve.transport``) carry no hidden coordinator state:
+worker (``repro.serve.worker``, which holds the one task function
+``run_shard``; ``repro.serve.faults``, which wraps it under a plan; and
+``repro.serve.transport``, whose reader side it imports) carry no hidden
+coordinator state:
 
 * no mutable module-level globals (a dict that differs between the
   coordinator and a freshly spawned worker silently changes decisions) —
   deliberate per-process caches are allowed behind a pragma whose
-  justification states why cross-process divergence is safe;
+  justification states why cross-process divergence is safe (six today:
+  the worker's engine cache and its one snapshot-store cache, and the
+  transport's shm probe and tracker-ownership memo with their rebinds);
 * task payload dataclasses must be ``frozen=True`` (a payload mutated en
   route breaks replay identity and hashability);
 * no imports of coordinator-only machinery (service, scheduler,

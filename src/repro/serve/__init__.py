@@ -28,10 +28,14 @@ retries, pool self-healing, and inline rescue as the last rung — so a
 faulty substrate costs time, never answers; :mod:`repro.serve.faults`
 provides the deterministic chaos harness that proves it.
 
-Bulk shard payloads (world slices, sample matrices, basis snapshots) can
-optionally ride named shared-memory segments instead of task pickles —
-:mod:`repro.serve.transport`, ``TransportConfig(shard_transport="shm")`` —
-with byte-identical results and O(1) task pickles in the world count.
+Every shard is one call, :func:`repro.serve.worker.run_shard`, on one frozen
+:class:`~repro.serve.worker.ShardTask`; which executor runs it, and whether
+it is a first attempt or an inline rescue, changes only where its engine
+and snapshot store come from. The task's bulk fields (world slice, basis
+snapshot, result matrix) can optionally ride named shared-memory segments
+instead of the task pickle — :mod:`repro.serve.transport`,
+``TransportConfig(shard_transport="shm")`` — with byte-identical results
+and O(1) task pickles in the world count.
 """
 
 from repro.serve.cache import CachedResult, ResultCache, result_key, scenario_fingerprint

@@ -111,9 +111,11 @@ class ShardCall:
     """One shard's unit of work, as the dispatcher sees it.
 
     ``fn(*args)`` is what goes to the executor (module-level and picklable
-    for process pools); ``rescue()`` re-runs the same pure computation
-    synchronously on the coordinator — the caller guarantees both produce
-    the bit-identical :class:`~repro.serve.worker.ShardSample`.
+    for process pools — the service always sends
+    :func:`~repro.serve.worker.run_shard` on a ``ShardTask``); ``rescue()``
+    re-runs the same pure computation synchronously on the coordinator —
+    the caller guarantees both produce the bit-identical
+    :class:`~repro.serve.worker.ShardSample`.
     ``expected_rows`` lets the dispatcher validate payload shape without
     knowing anything else about the computation.
     """
@@ -160,10 +162,6 @@ class ShardDispatcher:
         #: Worker-side shard wall-clock (shipped back in each ShardSample)
         #: becomes worker-track "shard" events with attempt attribution.
         self.tracer = NULL_TRACER
-        #: Transport cleanup hook, run after every pool heal: the service
-        #: points this at its segment arena's TTL sweeper so a healed pool
-        #: can never strand expired shared-memory leases.
-        self.transport_sweep: Optional[Callable[[], Any]] = None
 
     # -- public entrypoint --------------------------------------------------
 
@@ -287,10 +285,10 @@ class ShardDispatcher:
     def _heal_pool(self) -> None:
         if self.executor.kind != "process":
             return
+        # recycle() runs the executor's recycle hooks — the service's
+        # expired-lease sweep among them — so a healed pool strands nothing.
         self.executor.recycle()
         self.stats.pool_rebuilds += 1
-        if self.transport_sweep is not None:
-            self.transport_sweep()
 
     def _backoff(self, attempt: int) -> None:
         if self.config.retry_backoff > 0:

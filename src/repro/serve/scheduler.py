@@ -602,50 +602,6 @@ class Scheduler:
             finished.append(job)
         return finished
 
-    def reuse_summary(self) -> dict[str, Any]:
-        """One dict of every reuse-layer counter behind this scheduler.
-
-        Rolls up the coordinator engine's basis counters and tier
-        (eviction/spill/fault) stats with the service's result-cache and
-        cross-shard reuse counters — the CLI ``--stats`` block and
-        benchmark reports read this instead of poking four objects.
-        """
-        engine = self.service.engine
-        stats = self.service.stats
-        tier = engine.storage.tier
-        return {
-            "jobs_completed": self.jobs_completed,
-            "jobs_retried": self.jobs_retried,
-            "dedup_hits": self.dedup_hits,
-            "jobs_retired_early": self.jobs_retired_early,
-            "worlds_spent": self.worlds_spent,
-            "worlds_budgeted": self.worlds_budgeted,
-            "result_cache_hits": stats.cache_hits,
-            "result_cache_misses": stats.cache_misses,
-            "basis_exact_hits": engine.storage.exact_hits,
-            "basis_mapped_hits": engine.storage.mapped_hits,
-            "basis_misses": engine.storage.misses,
-            "basis_resident": tier.resident_count,
-            "basis_resident_bytes": tier.resident_bytes,
-            "basis_spilled": tier.spilled_count,
-            **{f"tier_{k}": v for k, v in tier.stats.as_dict().items()},
-            "shard_exact_hits": stats.shard_exact_hits,
-            "shard_mapped_hits": stats.shard_mapped_hits,
-            "shard_fresh": stats.shard_fresh,
-            "snapshot_bases_shipped": stats.snapshot_bases_shipped,
-            "sampled_batched": stats.sampled_batched,
-            "sampled_fallback": stats.sampled_fallback,
-            "shard_retries": stats.shard_retries,
-            "shard_timeouts": stats.shard_timeouts,
-            "pool_rebuilds": stats.pool_rebuilds,
-            "inline_rescues": stats.inline_rescues,
-            "bytes_shipped": stats.bytes_shipped,
-            "bytes_zero_copy": stats.bytes_zero_copy,
-            "segments_leased": stats.segments_leased,
-            "segments_reclaimed": stats.segments_reclaimed,
-            "transport_fallbacks": stats.transport_fallbacks,
-        }
-
     def evaluate(
         self,
         point: Mapping[str, Any],

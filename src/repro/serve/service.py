@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ import numpy as np
 from repro.core.engine import PointEvaluation, ProphetEngine, StageTimings
 from repro.core.instance import InstanceBatch
 from repro.core.scenario import VGOutput
-from repro.core.storage import BasisEntry, ReuseReport
+from repro.core.storage import BasisEntry, ReuseReport, StorageManager
 from repro.errors import ServeError
 from repro.obs.trace import NULL_TRACER
 from repro.serve.cache import ResultCache, result_key, scenario_fingerprint
@@ -58,16 +58,11 @@ from repro.serve.transport import (
     SegmentArena,
     SegmentLease,
     SegmentRef,
-    ShmShard,
     SnapshotRef,
     TransportConfig,
-    acquire_shard_shm,
-    acquire_shard_task_shm,
-    fresh_shard_shm,
     generation_nbytes,
     logical_nbytes,
     pack_snapshot,
-    sample_shard_task_shm,
     shm_available,
     snapshot_nbytes,
 )
@@ -75,11 +70,9 @@ from repro.serve.worker import (
     BasisSnapshot,
     EngineSpec,
     ShardSample,
-    acquire_shard,
-    acquire_shard_task,
+    ShardTask,
     build_snapshot_store,
-    fresh_shard,
-    sample_shard_task,
+    run_shard,
 )
 
 
@@ -158,43 +151,15 @@ class ServiceStats:
         return reused / total if total else 0.0
 
     def as_dict(self) -> dict[str, Any]:
-        """Deterministic counters only — ``parallel_seconds`` (wall-clock)
-        is excluded so the dict is stable across identical runs; the unified
+        """Deterministic counters only: every ``int`` field, in declaration
+        order. The ``float`` wall-clock fields are excluded so the dict is
+        stable across identical runs; the unified
         :class:`repro.api.StatsReport` relies on that."""
         return {
-            "points_evaluated": self.points_evaluated,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "shard_tasks": self.shard_tasks,
-            "shard_generations": self.shard_generations,
-            "sampled_worlds": self.sampled_worlds,
-            "shard_exact_hits": self.shard_exact_hits,
-            "shard_mapped_hits": self.shard_mapped_hits,
-            "shard_fresh": self.shard_fresh,
-            "snapshots_shipped": self.snapshots_shipped,
-            "snapshot_bases_shipped": self.snapshot_bases_shipped,
-            "sampled_batched": self.sampled_batched,
-            "sampled_fallback": self.sampled_fallback,
-            "shard_retries": self.shard_retries,
-            "shard_timeouts": self.shard_timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "inline_rescues": self.inline_rescues,
-            "bytes_shipped": self.bytes_shipped,
-            "bytes_zero_copy": self.bytes_zero_copy,
-            "segments_leased": self.segments_leased,
-            "segments_reclaimed": self.segments_reclaimed,
-            "transport_fallbacks": self.transport_fallbacks,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.type in (int, "int")
         }
-
-
-@dataclass
-class _Generation:
-    """One fan-out's transport state: its segment lease and descriptors."""
-
-    lease: SegmentLease
-    worlds_refs: list[SegmentRef]
-    result_refs: list[SegmentRef]
-    snapshot_ref: Optional[SnapshotRef]
 
 
 class EvaluationService:
@@ -281,14 +246,16 @@ class EvaluationService:
         #: live snapshot version (content-addressed), so sweeps that reship
         #: the same snapshot lease and pack it once, not once per fan-out.
         self._snapshot_leases: dict[str, tuple[SegmentLease, SnapshotRef]] = {}
+        #: The coordinator's own seeded store for the latest snapshot
+        #: version — what in-process shards and inline rescues acquire from.
+        self._coordinator_store_cache: Optional[tuple[str, StorageManager]] = None
         # Tie lease cleanup into the executor's own lifecycle: a recycled
-        # pool sweeps expired leases, a shutdown pool releases everything.
-        # (The dispatcher additionally sweeps after every pool heal.)
+        # pool (every dispatcher heal included) sweeps expired leases, a
+        # shutdown pool releases everything.
         if hasattr(self.executor, "add_recycle_hook"):
             self.executor.add_recycle_hook(self._arena.sweep_expired)
         if hasattr(self.executor, "add_teardown_hook"):
             self.executor.add_teardown_hook(self._release_transport)
-        self._dispatcher.transport_sweep = self._arena.sweep_expired
         self._reuse_active = True
         self._cache_writes_enabled = True
         #: Observability: :meth:`set_tracer` replaces this shared no-op.
@@ -530,12 +497,15 @@ class EvaluationService:
         shards = plan_shards(worlds, n_shards)
         self.stats.shard_generations += 1
         self.stats.sampled_worlds += len(worlds)
+        point_items = tuple(sorted(batch.point_dict.items()))
         if len(shards) == 1:
             # Nothing to fan out — and nothing to reuse either: the
             # coordinator's own acquire already rejected every basis that
             # covers the full (= this single shard's) world slice.
             self.stats.shard_tasks += 1
-            sample = fresh_shard(self.engine, output.alias, batch.point_dict, worlds)
+            sample = run_shard(
+                ShardTask(self.spec, output.alias, point_items, worlds), self.engine
+            )
             self._count_shard_sample(sample)
             return sample.samples
 
@@ -544,67 +514,84 @@ class EvaluationService:
             snapshot = self._snapshot_for(output, batch)
             if not snapshot.entries:
                 snapshot = None  # nothing reusable; skip the shipping cost
-
-        point_items = tuple(sorted(batch.point_dict.items()))
-        point_dict = batch.point_dict
         use_process = self.spec is not None and self.executor.kind == "process"
-        inline_store = None
-        if snapshot is not None and not use_process:
-            # One seeded store per sampling request, shared by its shards —
-            # mirroring the worker-side per-version snapshot cache.
-            inline_store = build_snapshot_store(self.engine, snapshot)
         n_components = self.engine.library.get(output.vg_name).n_components
-        # Shard transport: lease + pack this generation's segments (or None
+        # Shard transport: the bytes this generation's segment needs (None
         # for the pickle path — default, unavailable shm, payload over cap).
-        generation = self._lease_generation(
-            output, shards, n_components, snapshot, use_process
-        )
-        # repro-lint: disable=DET001 -- feeds stats.parallel_seconds, a
-        # timing counter excluded from the byte-stable as_dict surface.
-        started = time.perf_counter()
-        calls = [
-            self._shard_call(
-                output, index, shard, snapshot, inline_store, use_process,
-                point_items, point_dict, n_components, generation,
-            )
-            for index, shard in enumerate(shards)
+        # Only process workers need the snapshot shipped (by descriptor
+        # under shm); in-process shards are handed the coordinator's own
+        # seeded store, and their task merely names the snapshot.
+        need = self._generation_bytes(shards, n_components)
+        shipped: BasisSnapshot | SnapshotRef | None = snapshot
+        if need is not None and use_process and snapshot is not None:
+            shipped = self._snapshot_ref_for(snapshot)
+            if shipped is None:  # the snapshot alone exceeds the cap
+                self.stats.transport_fallbacks += 1
+                need, shipped = None, snapshot
+        plain_tasks = [
+            ShardTask(self.spec, output.alias, point_items, shard.worlds, shipped)
+            for shard in shards
         ]
-        # Counters are committed at dispatch time, before any result (or
-        # failure) comes back, so an error mid-fan-out cannot leave them
-        # understating the work that was actually submitted.
-        self.stats.shard_tasks += len(shards)
-        if snapshot is not None:
-            self.stats.snapshots_shipped += 1
-            self.stats.snapshot_bases_shipped += len(snapshot.entries)
-        if generation is None and use_process:
-            # Pickle transport over a process boundary: world ids out per
-            # shard, plus the full snapshot payload once per task (process
-            # pools have no broadcast). Result bytes are counted at merge.
-            self.stats.bytes_shipped += sum(len(s.worlds) * 8 for s in shards)
-            self.stats.bytes_shipped += logical_nbytes(snapshot) * len(shards)
+        tasks = plain_tasks
+        lease: Optional[SegmentLease] = None
         try:
-            # The dispatcher walks the fault-tolerance ladder: deadlines,
-            # bounded retries, pool self-healing, inline rescue. On a
-            # permanent error it collects every outstanding future before
-            # re-raising — no in-flight work is leaked.
-            with self.tracer.span(
-                "dispatch",
-                alias=output.alias,
-                shards=len(shards),
-                worlds=len(worlds),
-                executor=self.executor.kind,
-                snapshot_bases=len(snapshot.entries) if snapshot else 0,
-                transport="shm" if generation is not None else "pickle",
-            ):
-                shard_samples = self._dispatcher.dispatch(calls)
-        except BaseException:
-            if generation is not None:
-                self._arena.release(generation.lease)
-            raise
-        finally:
-            # repro-lint: disable=DET001 -- observability only (see above).
-            self.stats.parallel_seconds += time.perf_counter() - started
-        try:
+            if need is not None:
+                with self.tracer.span(
+                    "transport", alias=output.alias, shards=len(shards), bytes=need
+                ):
+                    lease = self._arena.lease(need, label="generation")
+                    tasks = [
+                        replace(
+                            task,
+                            worlds=lease.pack(np.asarray(task.worlds, dtype=np.int64)),
+                            result=lease.reserve(
+                                (len(task.worlds), n_components), np.float64
+                            ),
+                        )
+                        for task in plain_tasks
+                    ]
+                self.stats.bytes_zero_copy += sum(
+                    task.worlds.nbytes + task.result.nbytes for task in tasks
+                )
+            # repro-lint: disable=DET001 -- feeds stats.parallel_seconds, a
+            # timing counter excluded from the byte-stable as_dict surface.
+            started = time.perf_counter()
+            calls = [
+                self._shard_call(task, plain, n_components, snapshot, use_process, lease)
+                for task, plain in zip(tasks, plain_tasks)
+            ]
+            # Counters are committed at dispatch time, before any result (or
+            # failure) comes back, so an error mid-fan-out cannot leave them
+            # understating the work that was actually submitted.
+            self.stats.shard_tasks += len(shards)
+            if snapshot is not None:
+                self.stats.snapshots_shipped += 1
+                self.stats.snapshot_bases_shipped += len(snapshot.entries)
+            pickled = lease is None and use_process
+            if pickled:
+                # Pickle transport over a process boundary: world ids out per
+                # shard, plus the full snapshot payload once per task (process
+                # pools have no broadcast). Result bytes are counted at merge.
+                self.stats.bytes_shipped += sum(len(s.worlds) * 8 for s in shards)
+                self.stats.bytes_shipped += logical_nbytes(snapshot) * len(shards)
+            try:
+                # The dispatcher walks the fault-tolerance ladder: deadlines,
+                # bounded retries, pool self-healing, inline rescue. On a
+                # permanent error it collects every outstanding future before
+                # re-raising — no in-flight work is leaked.
+                with self.tracer.span(
+                    "dispatch",
+                    alias=output.alias,
+                    shards=len(shards),
+                    worlds=len(worlds),
+                    executor=self.executor.kind,
+                    snapshot_bases=len(snapshot.entries) if snapshot else 0,
+                    transport="shm" if lease is not None else "pickle",
+                ):
+                    shard_samples = self._dispatcher.dispatch(calls)
+            finally:
+                # repro-lint: disable=DET001 -- observability only (see above).
+                self.stats.parallel_seconds += time.perf_counter() - started
             with self.tracer.span(
                 "merge", alias=output.alias, shards=len(shard_samples)
             ):
@@ -614,7 +601,7 @@ class EvaluationService:
                     self._count_shard_sample(result)
                     any_shard_reuse = any_shard_reuse or result.source != "fresh"
                     part = np.asarray(result.samples, dtype=float)
-                    if generation is None and use_process:
+                    if pickled:
                         self.stats.bytes_shipped += part.nbytes
                     parts.append(part)
                 if any_shard_reuse:
@@ -631,63 +618,31 @@ class EvaluationService:
                 # The shard bases shipped back in ``parts`` merge here, in shard
                 # order; the engine stores the merged entry in its tiered store,
                 # where the next snapshot (and every other session) can reuse it.
-                # ``vstack`` copies, so the generation's segments are released
+                # ``vstack`` copies, so the generation's segment is released
                 # right after (the arena defers unmapping past any live view).
                 return np.vstack(parts)
         finally:
-            if generation is not None:
-                self._arena.release(generation.lease)
+            # The lease has this one owner from ``arena.lease()`` to merge:
+            # a raise while packing, building calls, dispatching or merging
+            # releases it here, never at close() or the TTL.
+            if lease is not None:
+                self._arena.release(lease)
 
-    def _lease_generation(
-        self,
-        output: VGOutput,
-        shards,
-        n_components: int,
-        snapshot: Optional[BasisSnapshot],
-        use_process: bool,
-    ) -> Optional[_Generation]:
-        """Lease and pack one fan-out's transport segments (shm only).
+    def _generation_bytes(self, shards, n_components: int) -> Optional[int]:
+        """Segment bytes one fan-out leases under shm; ``None`` = pickle path.
 
-        Returns ``None`` on the pickle path: transport disabled, shared
-        memory unavailable on this platform, or a payload that would
-        exceed the segment cap — the latter two are counted as
-        ``transport_fallbacks`` (silent degradation, never an error).
+        ``None`` when the transport is disabled, shared memory is
+        unavailable on this platform, or the payload would exceed the
+        segment cap — the latter two are counted as ``transport_fallbacks``
+        (silent degradation, never an error).
         """
         if not self.transport.enabled:
             return None
-        if not self._shm_ok:
+        need = generation_nbytes([len(shard) for shard in shards], n_components)
+        if not self._shm_ok or need > self.transport.segment_cap_bytes:
             self.stats.transport_fallbacks += 1
             return None
-        rows = [len(shard.worlds) for shard in shards]
-        need = generation_nbytes(rows, n_components)
-        if need > self.transport.segment_cap_bytes:
-            self.stats.transport_fallbacks += 1
-            return None
-        snapshot_ref = None
-        if snapshot is not None and use_process:
-            snapshot_ref = self._snapshot_ref_for(snapshot)
-            if snapshot_ref is None:  # snapshot alone exceeds the cap
-                self.stats.transport_fallbacks += 1
-                return None
-        with self.tracer.span(
-            "transport", alias=output.alias, shards=len(shards), bytes=need
-        ):
-            lease = self._arena.lease(need, label="generation")
-            worlds_refs = [
-                lease.pack(np.asarray(shard.worlds, dtype=np.int64))
-                for shard in shards
-            ]
-            result_refs = [
-                lease.reserve((n_rows, n_components), np.float64) for n_rows in rows
-            ]
-        self.stats.bytes_zero_copy += sum(ref.nbytes for ref in worlds_refs)
-        self.stats.bytes_zero_copy += sum(ref.nbytes for ref in result_refs)
-        return _Generation(
-            lease=lease,
-            worlds_refs=worlds_refs,
-            result_refs=result_refs,
-            snapshot_ref=snapshot_ref,
-        )
+        return need
 
     def _snapshot_ref_for(self, snapshot: BasisSnapshot) -> Optional[SnapshotRef]:
         """The packed-segment descriptor of a snapshot, cached per version.
@@ -705,7 +660,12 @@ class EvaluationService:
         if need > self.transport.segment_cap_bytes:
             return None
         lease = self._arena.lease(need, label=f"snapshot:{snapshot.version[:24]}")
-        ref = pack_snapshot(lease, snapshot)
+        try:
+            ref = pack_snapshot(lease, snapshot)
+        except BaseException:
+            # Not cached yet, so nobody else would ever release it.
+            self._arena.release(lease)
+            raise
         vg_prefix = snapshot.version.split(":", 1)[0] + ":"
         for stale in [
             version
@@ -720,83 +680,33 @@ class EvaluationService:
 
     def _shard_call(
         self,
-        output: VGOutput,
-        index: int,
-        shard,
-        snapshot: Optional[BasisSnapshot],
-        inline_store,
-        use_process: bool,
-        point_items: tuple,
-        point_dict: dict[str, Any],
+        task: ShardTask,
+        plain: ShardTask,
         n_components: int,
-        generation: Optional[_Generation] = None,
+        snapshot: Optional[BasisSnapshot],
+        use_process: bool,
+        lease: Optional[SegmentLease],
     ) -> ShardCall:
-        """One shard's dispatcher call: executor task + inline rescue twin.
+        """One shard's dispatcher call: the task, and the same task as rescue.
 
-        The rescue closure re-runs the *same pure function* on the
-        coordinator — same snapshot store contents, same worlds, same seeds
-        — so a rescued shard is bit-identical to what a healthy worker
-        would have returned (and, running in-process on plain arrays, it
-        touches no transport segment: rescues can never leak leases).
+        A process worker gets the task alone and finds its engine and
+        snapshot store by ``task.spec``; an in-process executor is handed
+        the coordinator's. The rescue is :func:`run_shard` again on
+        ``plain`` — the same task with its worlds in hand and no result
+        region — with the coordinator's engine/store: same snapshot
+        contents, same worlds, same seeds, so a rescued shard is
+        bit-identical to what a healthy worker would have returned (and,
+        running on plain arrays, it touches no transport segment: rescues
+        can never leak leases).
         """
-        if generation is not None:
-            ticket = ShmShard(
-                worlds=generation.worlds_refs[index],
-                result=generation.result_refs[index],
-            )
-            if use_process and snapshot is not None:
-                fn, args = acquire_shard_task_shm, (
-                    self.spec, output.alias, point_items, ticket,
-                    generation.snapshot_ref,
-                )
-            elif use_process:
-                fn, args = sample_shard_task_shm, (
-                    self.spec, output.alias, point_items, ticket,
-                )
-            elif snapshot is not None:
-                fn, args = acquire_shard_shm, (
-                    self.engine, inline_store, output.alias, point_dict, ticket,
-                )
-            else:
-                fn, args = fresh_shard_shm, (
-                    self.engine, output.alias, point_dict, ticket,
-                )
-        elif use_process and snapshot is not None:
-            fn, args = acquire_shard_task, (
-                self.spec, output.alias, point_items, shard.worlds, snapshot,
-            )
-        elif use_process:
-            fn, args = sample_shard_task, (
-                self.spec, output.alias, point_items, shard.worlds,
-            )
-        elif snapshot is not None:
-            fn, args = acquire_shard, (
-                self.engine, inline_store, output.alias, point_dict, shard.worlds,
-            )
-        else:
-            fn, args = fresh_shard, (
-                self.engine, output.alias, point_dict, shard.worlds,
-            )
 
-        if snapshot is not None:
-            def rescue(worlds=shard.worlds) -> ShardSample:
-                store = (
-                    inline_store
-                    if inline_store is not None
-                    else self._rescue_store_for(snapshot)
-                )
-                return acquire_shard(
-                    self.engine, store, output.alias, point_dict, worlds
-                )
-        else:
-            def rescue(worlds=shard.worlds) -> ShardSample:
-                return fresh_shard(self.engine, output.alias, point_dict, worlds)
+        def rescue() -> ShardSample:
+            return run_shard(plain, self.engine, self._coordinator_store(snapshot))
 
         resolve = None
-        if generation is not None:
-            lease = generation.lease
+        if lease is not None:
 
-            def resolve(payload: Any, lease=lease) -> Any:
+            def resolve(payload: Any) -> Any:
                 # Swap the returned descriptor for a view into the leased
                 # result region (zero-copy; ``vstack`` copies at merge).
                 # Anything else — a rescued plain sample, injected garbage
@@ -808,24 +718,34 @@ class EvaluationService:
                 return payload
 
         return ShardCall(
-            fn=fn,
-            args=args,
+            fn=run_shard,
+            args=(
+                (task,)
+                if use_process
+                else (task, self.engine, self._coordinator_store(snapshot))
+            ),
             rescue=rescue,
-            expected_rows=len(shard.worlds),
+            expected_rows=len(plain.worlds),
             expected_components=n_components,
             resolve=resolve,
         )
 
-    def _rescue_store_for(self, snapshot: BasisSnapshot):
-        """A coordinator-side snapshot store for inline rescue of process
-        shards — seeded lazily, cached per snapshot version (rescue is the
-        rare path; most evaluations never build one)."""
-        cached = getattr(self, "_rescue_store_cache", None)
-        if cached is not None and cached[0] == snapshot.version:
-            return cached[1]
-        store = build_snapshot_store(self.engine, snapshot)
-        self._rescue_store_cache = (snapshot.version, store)
-        return store
+    def _coordinator_store(
+        self, snapshot: Optional[BasisSnapshot]
+    ) -> Optional[StorageManager]:
+        """The coordinator's seeded store for ``snapshot`` (``None`` for none).
+
+        Cached for the latest version only: an in-process fan-out asks once
+        per shard, an inline rescue of a process shard asks lazily (rescue
+        is the rare path; most evaluations never build one).
+        """
+        if snapshot is None:
+            return None
+        cached = self._coordinator_store_cache
+        if cached is None or cached[0] != snapshot.version:
+            cached = (snapshot.version, build_snapshot_store(self.engine, snapshot))
+            self._coordinator_store_cache = cached
+        return cached[1]
 
     def _count_shard_sample(self, sample: ShardSample) -> None:
         if sample.source == "exact":

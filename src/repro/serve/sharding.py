@@ -10,8 +10,10 @@ be merged back (in shard order) into a bit-identical sample matrix.
 
 The round protocol leans on the same invariant along the other axis: a
 round's fresh increment is itself a contiguous world slice (one shard
-generation — :func:`round_slices`), so the dispatcher and its resilience
-ladder apply to every round exactly as they do to a one-shot evaluation.
+generation; :class:`~repro.core.engine.PointEvaluator` asks the sampler for
+exactly ``[worlds_total - worlds_added, worlds_total)``), so the dispatcher
+and its resilience ladder apply to every round exactly as they do to a
+one-shot evaluation.
 """
 
 from __future__ import annotations
@@ -57,29 +59,3 @@ def plan_shards(worlds: Sequence[int], n_shards: int) -> tuple[WorldShard, ...]:
         start += size
     return tuple(shards)
 
-
-def round_slices(boundaries: Sequence[int]) -> tuple[WorldShard, ...]:
-    """The per-round fresh increments of a round ladder, as world shards.
-
-    ``boundaries`` are the strictly increasing world-prefix sizes of a
-    :class:`~repro.core.rounds.RoundPlan` (round ``r`` evaluates worlds
-    ``[0, boundaries[r])``); the returned shard ``r`` is the contiguous
-    increment ``[boundaries[r-1], boundaries[r])`` that round ``r`` must
-    fresh-sample — one shard generation per round. Concatenating the
-    shards' worlds in order reproduces ``range(boundaries[-1])``, the same
-    merge invariant as :func:`plan_shards`.
-    """
-    if not boundaries:
-        raise ServeError("round_slices needs at least one boundary")
-    shards: list[WorldShard] = []
-    previous = 0
-    for index, boundary in enumerate(boundaries):
-        stop = int(boundary)
-        if stop <= previous:
-            raise ServeError(
-                f"round boundaries must be strictly increasing and positive, "
-                f"got {tuple(boundaries)!r}"
-            )
-        shards.append(WorldShard(index=index, worlds=tuple(range(previous, stop))))
-        previous = stop
-    return tuple(shards)

@@ -18,6 +18,13 @@ into many small fan-outs. This module moves the bulk bytes through named
   into their pre-leased result region; the coordinator resolves the
   returned descriptor back into a view and merges as usual.
 
+This module is only about segments — the arena, leases, the reader, the
+snapshot pack/materialize pair and sizing. It defines no task: the one
+shard function, :func:`repro.serve.worker.run_shard`, resolves whichever
+fields of its :class:`~repro.serve.worker.ShardTask` are descriptors
+through a :class:`SegmentReader`, so the worker module imports this one
+and never the reverse.
+
 The transport changes *where bytes live*, never *what they are*: the shm
 path is bitwise identical to the pickle path across every executor,
 backend, and chaos combination (pinned by the parity suites). Pickle
@@ -32,9 +39,10 @@ how its shards fared; retries re-use the same pre-leased result regions
 safely because the dispatcher heals the pool — terminating any stale
 writer — before re-submitting; inline rescues return plain in-memory
 samples and touch no segment at all. As a last-resort safety net every
-lease carries a TTL, and expired leases are swept by the cleanup hooks in
-:class:`~repro.serve.resilience.ShardDispatcher` (after a pool heal) and
-:class:`~repro.serve.executors.ProcessExecutor` (on recycle/shutdown).
+lease carries a TTL, and expired leases are swept by the cleanup hooks of
+:class:`~repro.serve.executors.ProcessExecutor`: once per recycle (every
+:class:`~repro.serve.resilience.ShardDispatcher` pool heal is one) and on
+shutdown.
 
 CPython quirk this module absorbs: since 3.8 every ``SharedMemory``
 *attach* registers the segment with the resource tracker. Forked workers
@@ -50,18 +58,17 @@ owner and the only unlinker.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 import numpy as np
 
 from repro.core.config import require
+from repro.core.storage import BasisEntry
 from repro.errors import ServeError, TransientServeError
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.core.engine import ProphetEngine
-    from repro.core.storage import StorageManager
-    from repro.serve.worker import BasisSnapshot, EngineSpec, ShardSample
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.serve.worker import BasisSnapshot
 
 
 #: Known shard transports, in documentation order.
@@ -151,27 +158,14 @@ class SnapshotRef:
 
     ``version`` is the snapshot's content-addressed version — the worker's
     per-``(spec, version)`` store cache is keyed on it, so a worker that
-    already seeded this snapshot never touches the segment again.
+    already seeded this snapshot never touches the segment again (and
+    keeps it attached for as long as that store is cached).
     """
 
     version: str
     vg_name: str
     entries: tuple[SnapshotEntryRef, ...]
     fingerprints: tuple[tuple[tuple[Any, ...], SegmentRef], ...] = ()
-
-
-@dataclass(frozen=True)
-class ShmShard:
-    """One shard task's transport ticket: worlds in, samples out.
-
-    ``worlds`` points at the shard's world ids (int64) packed by the
-    coordinator; ``result`` is the shard's pre-leased write region —
-    ``(len(worlds), n_components)`` float64 — that the worker fills and
-    the coordinator resolves back into a view.
-    """
-
-    worlds: SegmentRef
-    result: SegmentRef
 
 
 def _aligned(offset: int) -> int:
@@ -487,74 +481,40 @@ class SegmentReader:
         return self._segments.pop(name)
 
     def close(self) -> None:
-        for shm in self._segments.values():
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - view outlived the task
-                pass
+        close_segments(self._segments.values())
         self._segments.clear()
 
 
-def _worlds_from(reader: SegmentReader, ref: SegmentRef) -> tuple[int, ...]:
-    return tuple(int(w) for w in reader.view(ref))
+def close_segments(segments: Iterable[Any]) -> None:
+    """Close attached segments whose views are gone (never unlinks)."""
+    for shm in segments:
+        try:
+            shm.close()
+        except BufferError:  # pragma: no cover - a view outlived its owner
+            pass
 
 
-def _ship(sample: "ShardSample", ticket: ShmShard, reader: SegmentReader) -> "ShardSample":
-    """Write a shard's samples into its pre-leased result region.
-
-    Returns the sample with ``samples`` swapped for the descriptor the
-    coordinator resolves. A shape mismatch is a deterministic bug (the
-    coordinator sized the region from the same plan), so it raises a
-    permanent :class:`~repro.errors.ServeError`, not a transient.
-    """
-    matrix = np.ascontiguousarray(np.asarray(sample.samples, dtype=float))
-    if tuple(matrix.shape) != ticket.result.shape:
-        raise ServeError(
-            f"shard produced shape {matrix.shape}, result region is "
-            f"{ticket.result.shape}"
-        )
-    out = reader.view(ticket.result)
-    out[...] = matrix
-    del out
-    return replace(sample, samples=ticket.result)
-
-
-# -- worker-side snapshot materialization ------------------------------------
-
-#: Per-process cache of seeded snapshot stores built from segment refs:
-#: ``(spec_hash, snapshot_version)`` -> (store, attached segments). The
-#: attached segments stay open exactly as long as the store that views
-#: into them is cached — the "snapshot cache keyed to attached segments"
-#: contract — and are closed when a newer same-VG version evicts them.
-# repro-lint: disable=PUR001 -- documented per-process memo keyed by
-# (spec hash, snapshot version); cold re-materialization is bit-identical.
-_SNAPSHOT_REF_STORES: dict[tuple[str, str], tuple[Any, tuple[Any, ...]]] = {}
-
-
-def _snapshot_from_refs(
+def materialize_snapshot(
     ref: SnapshotRef, reader: SegmentReader
-) -> tuple["BasisSnapshot", tuple[Any, ...]]:
-    """Materialize a :class:`BasisSnapshot` whose matrices view segments.
+) -> tuple[tuple[BasisEntry, ...], tuple[tuple[Any, np.ndarray], ...], tuple[Any, ...]]:
+    """The entries and fingerprints of a snapshot packed by :func:`pack_snapshot`.
 
     World/seed ids are converted back to the tuples the storage layer
-    expects (O(entries x worlds) ints, paid once per cached version);
-    the big sample and fingerprint matrices stay zero-copy views. The
-    returned segments must outlive the store built from the snapshot.
+    expects (O(entries x worlds) ints, paid once per cached version); the
+    big sample and fingerprint matrices stay zero-copy views. The third
+    item is the attached segments, handed over from ``reader``: they must
+    outlive every view, and the caller closes them (:func:`close_segments`).
     """
-    from repro.core.storage import BasisEntry
-    from repro.serve.worker import BasisSnapshot
-
-    entries = []
-    for entry_ref in ref.entries:
-        entries.append(
-            BasisEntry(
-                vg_name=entry_ref.vg_name,
-                args=entry_ref.args,
-                samples=reader.view(entry_ref.samples),
-                worlds=_worlds_from(reader, entry_ref.worlds),
-                seeds=tuple(int(s) for s in reader.view(entry_ref.seeds)),
-            )
+    entries = tuple(
+        BasisEntry(
+            vg_name=entry_ref.vg_name,
+            args=entry_ref.args,
+            samples=reader.view(entry_ref.samples),
+            worlds=tuple(reader.view(entry_ref.worlds).tolist()),
+            seeds=tuple(reader.view(entry_ref.seeds).tolist()),
         )
+        for entry_ref in ref.entries
+    )
     fingerprints = tuple(
         (args, reader.view(matrix_ref)) for args, matrix_ref in ref.fingerprints
     )
@@ -565,143 +525,16 @@ def _snapshot_from_refs(
     }
     names |= {matrix_ref.segment for _, matrix_ref in ref.fingerprints}
     segments = tuple(reader.detach(name) for name in sorted(names))
-    snapshot = BasisSnapshot(
-        version=ref.version,
-        vg_name=ref.vg_name,
-        entries=tuple(entries),
-        fingerprints=fingerprints,
-    )
-    return snapshot, segments
-
-
-def _snapshot_store_from_refs(
-    spec: "EngineSpec", engine: "ProphetEngine", ref: SnapshotRef, reader: SegmentReader
-) -> Any:
-    """Worker-side store cache for descriptor-shipped snapshots.
-
-    Mirrors :func:`repro.serve.worker._snapshot_store_for` (same eviction:
-    one live version per (spec, VG)), additionally closing the evicted
-    version's attached segments once its store — and therefore every view
-    into them — is dropped.
-    """
-    from repro.serve.worker import build_snapshot_store
-
-    spec_key = spec.content_hash()
-    cache_key = (spec_key, ref.version)
-    cached = _SNAPSHOT_REF_STORES.get(cache_key)
-    if cached is not None:
-        return cached[0]
-    snapshot, segments = _snapshot_from_refs(ref, reader)
-    store = build_snapshot_store(engine, snapshot)
-    vg_prefix = f"{ref.vg_name.lower()}:"
-    for stale in [
-        k
-        for k in _SNAPSHOT_REF_STORES
-        if k[0] == spec_key and k[1].startswith(vg_prefix) and k != cache_key
-    ]:
-        _, stale_segments = _SNAPSHOT_REF_STORES.pop(stale)
-        for shm in stale_segments:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover - store view leaked
-                pass
-    _SNAPSHOT_REF_STORES[cache_key] = (store, segments)
-    return store
-
-
-# -- shard task variants (shm transport) -------------------------------------
-
-
-def sample_shard_task_shm(
-    spec: "EngineSpec",
-    alias: str,
-    point_items: tuple[tuple[str, Any], ...],
-    ticket: ShmShard,
-) -> "ShardSample":
-    """Process-pool task: fresh-sample one shard, worlds and samples via shm."""
-    from repro.serve.worker import _engine_for, fresh_shard
-
-    engine = _engine_for(spec)
-    reader = SegmentReader()
-    try:
-        worlds = _worlds_from(reader, ticket.worlds)
-        sample = fresh_shard(engine, alias, dict(point_items), worlds)
-        return _ship(sample, ticket, reader)
-    finally:
-        reader.close()
-
-
-def acquire_shard_task_shm(
-    spec: "EngineSpec",
-    alias: str,
-    point_items: tuple[tuple[str, Any], ...],
-    ticket: ShmShard,
-    snapshot_ref: SnapshotRef,
-) -> "ShardSample":
-    """Process-pool task: snapshot-reuse acquire with every matrix via shm."""
-    from repro.serve.worker import _engine_for, acquire_shard
-
-    engine = _engine_for(spec)
-    reader = SegmentReader()
-    try:
-        store = _snapshot_store_from_refs(spec, engine, snapshot_ref, reader)
-        worlds = _worlds_from(reader, ticket.worlds)
-        sample = acquire_shard(engine, store, alias, dict(point_items), worlds)
-        return _ship(sample, ticket, reader)
-    finally:
-        reader.close()
-
-
-def fresh_shard_shm(
-    engine: "ProphetEngine",
-    alias: str,
-    point: dict[str, Any],
-    ticket: ShmShard,
-) -> "ShardSample":
-    """Inline-executor twin of :func:`sample_shard_task_shm`."""
-    from repro.serve.worker import fresh_shard
-
-    reader = SegmentReader()
-    try:
-        worlds = _worlds_from(reader, ticket.worlds)
-        sample = fresh_shard(engine, alias, point, worlds)
-        return _ship(sample, ticket, reader)
-    finally:
-        reader.close()
-
-
-def acquire_shard_shm(
-    engine: "ProphetEngine",
-    store: "StorageManager",
-    alias: str,
-    point: dict[str, Any],
-    ticket: ShmShard,
-) -> "ShardSample":
-    """Inline-executor twin of :func:`acquire_shard_task_shm`.
-
-    The inline path keeps the coordinator-built snapshot store (shipping
-    a snapshot to your own process is pointless); only the world slice
-    and the result matrix ride the segment, exercising the same
-    pack/attach/write/resolve byte path as the process pool.
-    """
-    from repro.serve.worker import acquire_shard
-
-    reader = SegmentReader()
-    try:
-        worlds = _worlds_from(reader, ticket.worlds)
-        sample = acquire_shard(engine, store, alias, point, worlds)
-        return _ship(sample, ticket, reader)
-    finally:
-        reader.close()
+    return entries, fingerprints, segments
 
 
 # -- coordinator-side packing helpers ----------------------------------------
 
 
-def generation_nbytes(shard_rows: list[int], n_components: int) -> int:
+def generation_nbytes(row_counts: list[int], n_components: int) -> int:
     """Aligned bytes one fan-out generation needs: worlds in, results out."""
     total = 0
-    for rows in shard_rows:
+    for rows in row_counts:
         total += _aligned(rows * 8) + _ALIGN  # world ids, int64
         total += _aligned(rows * n_components * 8) + _ALIGN  # result, float64
     return total + _ALIGN
@@ -768,17 +601,14 @@ __all__ = [
     "SegmentLease",
     "SegmentReader",
     "SegmentRef",
-    "ShmShard",
     "SnapshotEntryRef",
     "SnapshotRef",
     "TransportConfig",
-    "acquire_shard_shm",
-    "acquire_shard_task_shm",
-    "fresh_shard_shm",
+    "close_segments",
     "generation_nbytes",
     "logical_nbytes",
+    "materialize_snapshot",
     "pack_snapshot",
-    "sample_shard_task_shm",
     "shm_available",
     "snapshot_nbytes",
 ]

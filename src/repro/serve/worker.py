@@ -7,25 +7,35 @@ itself, once, caching it for every later shard task. Specs describe the
 scenario either as DSL text plus a named VG library, or as a named builder
 from :data:`SCENARIO_BUILDERS`.
 
-:func:`sample_shard_task` is the unit of work: fresh-sample one VG output
-over one contiguous world shard. It runs only the generated-SQL sampling
-stage (`ProphetEngine.sample_fresh`), which is a pure function of
-``(scenario, config, point, worlds)`` — all reuse and aggregation stay on
-the coordinator, so results never depend on which worker ran which shard.
+:func:`run_shard` is the one unit of work, and :class:`ShardTask` its one
+frozen payload: sample one VG output over one contiguous world shard. The
+task says *what* to compute — ``(spec, alias, point, worlds[, snapshot])``
+— and each bulk field says *where its bytes are*: in the pickle itself, or
+behind a :mod:`repro.serve.transport` descriptor that :func:`run_shard`
+attaches and views. Who runs the task changes only where the engine and
+the snapshot store come from: a pool worker looks both up in this module's
+per-process caches keyed by ``task.spec``; the inline executor and the
+coordinator's rescue hand in their own. Neither choice can change a bit of
+the answer, so one function serves every transport, executor and rescue.
 
-:func:`acquire_shard_task` is the reuse-aware variant: the coordinator
-ships a read-only :class:`BasisSnapshot` of its hot in-memory bases (plus
-their fingerprints), the worker seeds a throwaway snapshot store from it,
-and serves its shard through the ordinary Storage Manager acquire path —
-exact hit, fingerprint map with fresh fill of unmapped components, or a
-full fresh miss. Every worker (and the inline executor) sees the same
-snapshot, and the snapshot contains only bases the coordinator itself
-could not use for the request (overlapping some requested worlds, covering
-less than the full slice), so the reuse decision for a shard is a pure
-function of (coordinator history, shard worlds) — never of worker
-scheduling — and can never contradict a coordinator decision. The produced
-shard bases ship back in the :class:`ShardSample` and are merged, in shard
-order, into the entry the coordinator stores.
+Without a snapshot the shard runs only the generated-SQL sampling stage
+(`ProphetEngine.sample_fresh`), a pure function of ``(scenario, config,
+point, worlds)`` — all reuse and aggregation stay on the coordinator, so
+results never depend on which worker ran which shard.
+
+With one, the coordinator ships a read-only :class:`BasisSnapshot` of its
+hot in-memory bases (plus their fingerprints), a throwaway snapshot store
+is seeded from it (once per ``(spec, version)`` per process), and the
+shard is served through the ordinary Storage Manager acquire path — exact
+hit, fingerprint map with fresh fill of unmapped components, or a full
+fresh miss. Every worker (and the inline executor) sees the same snapshot,
+and the snapshot contains only bases the coordinator itself could not use
+for the request (overlapping some requested worlds, covering less than the
+full slice), so the reuse decision for a shard is a pure function of
+(coordinator history, shard worlds) — never of worker scheduling — and can
+never contradict a coordinator decision. The produced shard bases ship back
+in the :class:`ShardSample` and are merged, in shard order, into the entry
+the coordinator stores.
 
 The round protocol (:mod:`repro.core.rounds`) rides on this purity with no
 worker-side machinery: a round's fresh increment reaches the workers as one
@@ -59,6 +69,13 @@ from repro.models import (
     build_growth_scenario,
     build_maintenance_scenario,
     build_risk_vs_cost,
+)
+from repro.serve.transport import (
+    SegmentReader,
+    SegmentRef,
+    SnapshotRef,
+    close_segments,
+    materialize_snapshot,
 )
 from repro.vg.seeds import world_seed
 
@@ -275,85 +292,65 @@ def build_snapshot_store(engine: ProphetEngine, snapshot: BasisSnapshot) -> Stor
     return store
 
 
-def fresh_shard(
+def _sample_shard(
     engine: ProphetEngine,
+    store: Optional[StorageManager],
     alias: str,
     point: dict[str, Any],
     worlds: tuple[int, ...],
 ) -> ShardSample:
-    """Fresh-sample one shard through the engine's sampling plane.
+    """Serve one shard: reuse from ``store`` first, fresh sampling last.
 
-    Shared by the process workers and the inline executor; the returned
-    :class:`ShardSample` carries which backend the plane used (batched vs
-    per-world loop) so coordinators can observe worker-side fallback.
+    ``store=None`` *is* the fresh path. With a store, point normalization
+    and output lookup are the scenario's own
+    (:meth:`~repro.core.scenario.Scenario.validate_sweep_point`), so shard
+    reuse keys cannot drift from the coordinator's. The returned
+    :class:`ShardSample` carries which backend the sampling plane used
+    (batched vs per-world loop) so coordinators can observe worker-side
+    fallback.
     """
-    timings = StageTimings()
     # repro-lint: disable=DET001 -- worker-side observability shipped in
-    # ShardSample.elapsed_seconds; never read by sampling decisions.
+    # ShardSample.elapsed_seconds/timing; never read by reuse decisions.
     started = time.perf_counter()
-    samples = engine.sample_fresh(alias, point, worlds, timings=timings)
-    # repro-lint: disable=DET001 -- observability only (see above).
-    elapsed = time.perf_counter() - started
+    timing: tuple[tuple[str, float], ...] = ()
+    if store is not None:
+        output = engine.scenario.vg_output(alias)
+        point = engine.scenario.validate_sweep_point(point)
+        function = engine.library.get(output.vg_name)
+        args = output.model_arg_values(point)
+        seeds = tuple(world_seed(engine.config.sampling.base_seed, w) for w in worlds)
+        samples, report = store.acquire(
+            function,
+            args,
+            worlds,
+            seeds,
+            reuse=True,
+            min_mapped_fraction=engine.config.reuse.min_mapped_fraction,
+        )
+        # repro-lint: disable=DET001 -- observability only (see above).
+        acquire_elapsed = time.perf_counter() - started
+        timing = (("reuse", acquire_elapsed),)
+        if samples is not None:
+            return ShardSample(
+                samples=np.asarray(samples, dtype=float),
+                source=report.source,
+                basis_args=report.basis_args,
+                mapped_fraction=report.mapped_fraction,
+                components_recomputed=report.components_recomputed,
+                elapsed_seconds=acquire_elapsed,
+                timing=timing,
+            )
+    stages = StageTimings()
+    samples = engine.sample_fresh(alias, point, worlds, timings=stages)
     batched = engine.sampling.last_backend == "batched"
     return ShardSample(
         samples=np.asarray(samples, dtype=float),
         source="fresh",
         sampled_batched=len(worlds) if batched else 0,
         sampled_fallback=0 if batched else len(worlds),
-        elapsed_seconds=elapsed,
-        timing=(("querygen", timings.querygen), ("sql", timings.sql)),
-    )
-
-
-def acquire_shard(
-    engine: ProphetEngine,
-    store: StorageManager,
-    alias: str,
-    point: dict[str, Any],
-    worlds: tuple[int, ...],
-) -> ShardSample:
-    """Serve one shard through a snapshot store: reuse first, fresh last.
-
-    Shared by the process workers and the inline executor so both make
-    byte-identical decisions from the same snapshot. Point normalization
-    and output lookup are the scenario's own
-    (:meth:`~repro.core.scenario.Scenario.validate_sweep_point`), so shard
-    reuse keys cannot drift from the coordinator's.
-    """
-    # repro-lint: disable=DET001 -- worker-side observability shipped in
-    # ShardSample.elapsed_seconds/timing; never read by reuse decisions.
-    started = time.perf_counter()
-    output = engine.scenario.vg_output(alias)
-    validated = engine.scenario.validate_sweep_point(point)
-    function = engine.library.get(output.vg_name)
-    args = output.model_arg_values(validated)
-    seeds = tuple(world_seed(engine.config.sampling.base_seed, w) for w in worlds)
-    samples, report = store.acquire(
-        function,
-        args,
-        worlds,
-        seeds,
-        reuse=True,
-        min_mapped_fraction=engine.config.reuse.min_mapped_fraction,
-    )
-    # repro-lint: disable=DET001 -- observability only (see above).
-    acquire_elapsed = time.perf_counter() - started
-    if samples is None:
-        sample = fresh_shard(engine, alias, validated, worlds)
-        return replace(
-            sample,
-            # repro-lint: disable=DET001 -- observability only (see above).
-            elapsed_seconds=time.perf_counter() - started,
-            timing=(("reuse", acquire_elapsed),) + sample.timing,
-        )
-    return ShardSample(
-        samples=np.asarray(samples, dtype=float),
-        source=report.source,
-        basis_args=report.basis_args,
-        mapped_fraction=report.mapped_fraction,
-        components_recomputed=report.components_recomputed,
-        elapsed_seconds=acquire_elapsed,
-        timing=(("reuse", acquire_elapsed),),
+        # repro-lint: disable=DET001 -- observability only (see above).
+        elapsed_seconds=time.perf_counter() - started,
+        timing=timing + (("querygen", stages.querygen), ("sql", stages.sql)),
     )
 
 
@@ -365,19 +362,15 @@ def acquire_shard(
 _WORKER_ENGINES: dict[str, ProphetEngine] = {}
 
 #: Per-process snapshot-store cache: ``(spec_hash, snapshot_version)`` ->
-#: seeded store. Only the latest version per spec is retained, so stale
-#: snapshots (and their sample matrices) never accumulate in workers.
-#: Known tradeoff of the pickle transport: the snapshot payload pickles
-#: once per shard task (ProcessPoolExecutor has no per-worker broadcast);
-#: this cache only avoids re-seeding. The shm transport
-#: (:mod:`repro.serve.transport`) removes that tax — snapshots ship as
-#: O(entries) segment descriptors and its twin cache
-#: (``_SNAPSHOT_REF_STORES``) keys the seeded store to the attached
-#: segments. The coordinator bounds the payload either way by shipping
-#: only partial-coverage bases; uniform-world workloads ship nothing.
+#: ``(seeded store, attached segments)``. A snapshot shipped by descriptor
+#: keeps the segments its matrices view open exactly as long as its store
+#: is cached; a plain (pickled) snapshot holds none. Only the latest
+#: version per (spec, VG) is retained, so stale snapshots never accumulate
+#: in workers. The coordinator bounds the payload by shipping only
+#: partial-coverage bases; uniform-world workloads ship nothing.
 # repro-lint: disable=PUR001 -- documented per-process memo keyed by
 # (spec hash, snapshot version); cold re-seeding is bit-identical.
-_SNAPSHOT_STORES: dict[tuple[str, str], StorageManager] = {}
+_SNAPSHOT_STORES: dict[tuple[str, str], tuple[StorageManager, tuple[Any, ...]]] = {}
 
 
 def _engine_for(spec: EngineSpec) -> ProphetEngine:
@@ -397,53 +390,97 @@ def _engine_for(spec: EngineSpec) -> ProphetEngine:
     return engine
 
 
-def sample_shard_task(
-    spec: EngineSpec,
-    alias: str,
-    point_items: tuple[tuple[str, Any], ...],
-    worlds: tuple[int, ...],
-) -> ShardSample:
-    """Process-pool task: fresh samples of one output over one world shard."""
-    engine = _engine_for(spec)
-    return fresh_shard(engine, alias, dict(point_items), worlds)
-
-
 def _snapshot_store_for(
-    spec: EngineSpec, engine: ProphetEngine, snapshot: BasisSnapshot
+    spec: EngineSpec,
+    engine: ProphetEngine,
+    snapshot: BasisSnapshot | SnapshotRef,
+    reader: SegmentReader,
 ) -> StorageManager:
     spec_key = spec.content_hash()
     cache_key = (spec_key, snapshot.version)
-    store = _SNAPSHOT_STORES.get(cache_key)
-    if store is None:
-        store = build_snapshot_store(engine, snapshot)
-        # Retain one store per (spec, VG): versions are prefixed with the
-        # VG name, so evicting only same-prefix entries keeps the other
-        # outputs' current stores warm (a scenario typically ships one
-        # snapshot per VG output per evaluation).
-        vg_prefix = f"{snapshot.vg_name.lower()}:"
-        for stale in [
-            k
-            for k in _SNAPSHOT_STORES
-            if k[0] == spec_key and k[1].startswith(vg_prefix) and k != cache_key
-        ]:
-            del _SNAPSHOT_STORES[stale]
-        _SNAPSHOT_STORES[cache_key] = store
+    cached = _SNAPSHOT_STORES.get(cache_key)
+    if cached is not None:
+        return cached[0]
+    segments: tuple[Any, ...] = ()
+    if isinstance(snapshot, SnapshotRef):
+        entries, fingerprints, segments = materialize_snapshot(snapshot, reader)
+        snapshot = BasisSnapshot(
+            snapshot.version, snapshot.vg_name, entries, fingerprints
+        )
+    store = build_snapshot_store(engine, snapshot)
+    # Retain one store per (spec, VG): versions are prefixed with the VG
+    # name, so evicting only same-prefix entries keeps the other outputs'
+    # current stores warm (a scenario typically ships one snapshot per VG
+    # output per evaluation). An evicted version's segments close once its
+    # store — and therefore every view into them — is dropped.
+    vg_prefix = f"{snapshot.vg_name.lower()}:"
+    for stale in [
+        k
+        for k in _SNAPSHOT_STORES
+        if k[0] == spec_key and k[1].startswith(vg_prefix) and k != cache_key
+    ]:
+        close_segments(_SNAPSHOT_STORES.pop(stale)[1])
+    _SNAPSHOT_STORES[cache_key] = (store, segments)
     return store
 
 
-def acquire_shard_task(
-    spec: EngineSpec,
-    alias: str,
-    point_items: tuple[tuple[str, Any], ...],
-    worlds: tuple[int, ...],
-    snapshot: BasisSnapshot,
+@dataclass(frozen=True)
+class ShardTask:
+    """One shard of one fan-out: everything :func:`run_shard` needs.
+
+    Each bulk field travels either as itself or as a descriptor of where
+    its bytes live (:mod:`repro.serve.transport`): ``worlds`` is the world
+    tuple or a :class:`SegmentRef` of packed int64 ids; ``snapshot`` is
+    ``None`` (fresh sampling only), a :class:`BasisSnapshot`, or a
+    :class:`SnapshotRef`; ``result`` is ``None`` (the sample matrix rides
+    back in the :class:`ShardSample`) or the pre-leased
+    ``(len(worlds), n_components)`` float64 region the shard writes.
+    ``spec`` is what a worker process builds its engine from; it may be
+    ``None`` only when the caller passes the engine itself.
+    """
+
+    spec: Optional[EngineSpec]
+    alias: str
+    point_items: tuple[tuple[str, Any], ...]
+    worlds: tuple[int, ...] | SegmentRef
+    snapshot: BasisSnapshot | SnapshotRef | None = None
+    result: Optional[SegmentRef] = None
+
+
+def run_shard(
+    task: ShardTask,
+    engine: Optional[ProphetEngine] = None,
+    store: Optional[StorageManager] = None,
 ) -> ShardSample:
-    """Process-pool task: serve one shard with snapshot reuse, fresh fallback."""
-    engine = _engine_for(spec)
-    store = _snapshot_store_for(spec, engine, snapshot)
-    return acquire_shard(engine, store, alias, dict(point_items), worlds)
+    """The one shard entry point: sample ``task`` and ship its result.
 
-
-def worker_engine_count() -> int:
-    """How many engines this process has built (observability/testing)."""
-    return len(_WORKER_ENGINES)
+    A process worker receives only the task and looks ``engine``/``store``
+    up in the per-process caches keyed by ``task.spec``; the inline
+    executor and the coordinator's rescue pass their own. Either way the
+    answer is the same pure function of (spec, point, worlds, snapshot).
+    """
+    reader = SegmentReader()
+    try:
+        if engine is None:
+            engine = _engine_for(task.spec)
+        if store is None and task.snapshot is not None:
+            store = _snapshot_store_for(task.spec, engine, task.snapshot, reader)
+        worlds = task.worlds
+        if isinstance(worlds, SegmentRef):
+            worlds = tuple(reader.view(worlds).tolist())
+        sample = _sample_shard(
+            engine, store, task.alias, dict(task.point_items), worlds
+        )
+        if task.result is None:
+            return sample
+        # A shape mismatch is a deterministic bug (the coordinator sized the
+        # region from the same plan), so it is a permanent ServeError.
+        if sample.samples.shape != task.result.shape:
+            raise ServeError(
+                f"shard produced shape {sample.samples.shape}, result region "
+                f"is {task.result.shape}"
+            )
+        reader.view(task.result)[...] = sample.samples
+        return replace(sample, samples=task.result)
+    finally:
+        reader.close()

@@ -5,15 +5,13 @@ job whose world prefix runs through the same dispatcher and resilience
 ladder as any fixed-budget evaluation. These tests pin the serve-side
 contracts: budget conservation, early retirement accounting, chaos runs
 (deterministic fault plans) leaving adaptive answers bitwise identical to
-fault-free runs, and the new ``round_slices`` / ``shard_generations``
-surfaces.
+fault-free runs, and the ``shard_generations`` surface.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.rounds import RoundPlan
 from repro.errors import ServeError
 from repro.serve import (
     EvaluationService,
@@ -23,7 +21,6 @@ from repro.serve import (
     ResilienceConfig,
     Scheduler,
 )
-from repro.serve.sharding import round_slices
 from serve_testutil import POINT, assert_stats_identical
 
 OTHER_POINT = {"purchase1": 26, "purchase2": 52, "feature": 36}
@@ -38,27 +35,6 @@ def _service(serve_spec, *, plan=None, **kwargs) -> EvaluationService:
 @pytest.fixture
 def scheduler(serve_spec) -> Scheduler:
     return Scheduler(_service(serve_spec))
-
-
-class TestRoundSlices:
-    def test_increments_partition_the_prefix(self):
-        plan = RoundPlan(n_worlds=16, first=4, growth=2.0)
-        shards = round_slices(plan.boundaries())
-        assert [s.worlds for s in shards] == [
-            tuple(range(0, 4)),
-            tuple(range(4, 12)),
-            tuple(range(12, 16)),
-        ]
-        flat = [w for shard in shards for w in shard.worlds]
-        assert flat == list(range(16))
-
-    def test_rejects_bad_boundaries(self):
-        with pytest.raises(ServeError, match="at least one"):
-            round_slices(())
-        with pytest.raises(ServeError, match="strictly increasing"):
-            round_slices((4, 4))
-        with pytest.raises(ServeError, match="strictly increasing"):
-            round_slices((0,))
 
 
 class TestSubmitAdaptive:
@@ -101,13 +77,12 @@ class TestSubmitAdaptive:
         with pytest.raises(ServeError, match="no points"):
             scheduler.submit_adaptive([], target_ci=1.0)
 
-    def test_reuse_summary_carries_adaptive_counters(self, scheduler):
+    def test_scheduler_carries_adaptive_counters(self, scheduler):
         sweep = scheduler.submit_adaptive([POINT], target_ci=1e6)
         scheduler.run_adaptive(sweep)
-        summary = scheduler.reuse_summary()
-        assert summary["jobs_retired_early"] == 1
-        assert summary["worlds_spent"] == sweep.worlds_spent
-        assert summary["worlds_budgeted"] == sweep.worlds_budgeted
+        assert scheduler.jobs_retired_early == 1
+        assert scheduler.worlds_spent == sweep.worlds_spent
+        assert scheduler.worlds_budgeted == sweep.worlds_budgeted
 
     def test_adaptive_report_lists_every_point(self, scheduler):
         sweep = scheduler.submit_adaptive(
