@@ -5,9 +5,9 @@ Guards the two contracts of the batched fresh-sampling backend:
 * **parity** (always): the ``batched`` backend's sample matrices are
   bit-identical to the per-world ``loop`` backend over the same world
   slice;
-* **speedup** (>= 2 cores, mirroring ``bench_serve``'s constrained-runner
-  self-skip): the fresh-sampling stage at ``n_worlds=400`` through the
-  batched backend beats the per-world loop by >= 3x wall-clock.
+* **speedup** (>= 2 cores; self-skips on constrained runners): the
+  fresh-sampling stage at ``n_worlds=400`` through the batched backend
+  beats the per-world loop by >= 3x wall-clock.
 """
 
 from __future__ import annotations

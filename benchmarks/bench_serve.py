@@ -1,20 +1,23 @@
 """V1 — the serve layer: sharded parallel evaluation and the result cache.
 
-Guards the three contracts of ``repro.serve``:
+Guards two contracts of ``repro.serve``:
 
-* **parity** (always): sharded evaluation — 4 shards, inline and process
-  executors — returns bit-identical ``AxisStatistics`` to the sequential
-  engine;
-* **speedup** (>= 4 cores only): a fresh point evaluation at
-  ``n_worlds=400`` through a 4-worker process pool beats sequential by
-  >= 1.8x wall-clock;
-* **cache** (always): a repeated sweep against the same cache directory is
-  served >= 95% from the cross-run result cache.
+* **parity**: sharded evaluation — 4 shards, inline and process executors —
+  returns bit-identical ``AxisStatistics`` to the sequential engine;
+* **cache**: a repeated sweep against the same cache directory is served
+  >= 95% from the cross-run result cache.
+
+There is no wall-clock speedup guard here. A single cold point is per-seed
+event draws plus a serial combine/aggregate share of about a quarter at any
+size (an Amdahl ceiling near 2.3x at 4 workers before dispatch), it needs
+>= 4 cores to mean anything, and it is one unpaced sample; what the fan-out
+buys is measured by the perf ledger's ``fresh_fanout`` workload
+(``benchmarks/ledger/``), with repeats and a bound per metric. CHANGES.md
+(PR 16) records the retired ">= 1.8x at n_worlds=400" guard and why.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
@@ -32,7 +35,6 @@ from repro.serve import (
 )
 
 POINT = {"purchase1": 8, "purchase2": 24, "feature": 12}
-WARMUP_POINT = {"purchase1": 0, "purchase2": 0, "feature": 44}
 
 
 def _spec(n_worlds: int, purchase_step: int = 8) -> EngineSpec:
@@ -91,51 +93,6 @@ def test_v1_sharded_parity_guard(benchmark):
             f"n_worlds {n_worlds}; aliases {', '.join(reference.statistics.aliases())}",
             "sharded statistics bit-identical to sequential: yes (guard)",
         ],
-    )
-
-
-@pytest.mark.benchmark(group="V1-serve")
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4,
-    reason="speedup guard needs >= 4 cores",
-)
-def test_v1_parallel_speedup_guard(benchmark):
-    """4 workers at n_worlds=400 must beat sequential by >= 1.8x."""
-    n_worlds = 400
-
-    engine = _sequential_engine(n_worlds)
-    started = time.perf_counter()
-    reference = engine.evaluate_point(POINT, reuse=False)
-    sequential_seconds = time.perf_counter() - started
-
-    def evaluate_parallel():
-        with ProcessExecutor(4) as pool:
-            service = EvaluationService(
-                _spec(n_worlds), executor=pool, shards=4
-            )
-            # Warm the worker engines on a different point so the timed
-            # evaluation measures sampling, not engine construction.
-            service.evaluate(WARMUP_POINT, worlds=range(8), reuse=False)
-            inner_started = time.perf_counter()
-            evaluation = service.evaluate(POINT, reuse=False)
-            return evaluation, time.perf_counter() - inner_started
-
-    evaluation, parallel_seconds = benchmark.pedantic(
-        evaluate_parallel, rounds=1, iterations=1
-    )
-    _assert_identical(evaluation.statistics, reference.statistics)
-    speedup = sequential_seconds / parallel_seconds
-    report(
-        "V1: parallel speedup (4 workers, n_worlds=400)",
-        [
-            f"sequential {sequential_seconds * 1000:.0f} ms",
-            f"sharded    {parallel_seconds * 1000:.0f} ms",
-            f"speedup    {speedup:.2f}x (guard: >= 1.8x)",
-        ],
-    )
-    assert speedup >= 1.8, (
-        f"sharded evaluation speedup {speedup:.2f}x fell below the 1.8x "
-        f"guard — shard fan-out or worker reuse regressed"
     )
 
 

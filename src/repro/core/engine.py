@@ -481,7 +481,10 @@ class ProphetEngine:
         digest continues from a copy of that state.
         """
         prefix = hashlib.blake2b(digest_size=16)
-        prefix.update(repr(batch.worlds).encode())
+        # World ids are Python ints by now (``_world_ids``): fixed-width
+        # bytes behind their count cannot collide across slices.
+        prefix.update(len(batch).to_bytes(8, "little"))
+        prefix.update(np.asarray(batch.worlds, dtype=np.int64).tobytes())
         prefix.update(
             repr(tuple((name, point.get(name)) for name in self._derived_params)).encode()
         )

@@ -50,7 +50,9 @@ class InstanceBatch:
     """A batch of instances at one parameter point (one per world).
 
     The Query Generator consumes batches: all worlds of one point can be
-    expressed as one generated SQL script.
+    expressed as one generated SQL script. Every stage but the per-world
+    loop backend reads only ``worlds`` and ``seeds``, so :meth:`at_point`
+    derives those directly and ``instances`` is built on first read.
     """
 
     point: tuple[tuple[str, Any], ...]
@@ -72,19 +74,34 @@ class InstanceBatch:
     def at_point(
         cls, point: Mapping[str, Any], worlds: Sequence[int], base_seed: int
     ) -> "InstanceBatch":
-        items = tuple(sorted((str(k).lower(), v) for k, v in point.items()))
-        instances = tuple(
-            WorldInstance(point=items, world=world, seed=world_seed(base_seed, world))
-            for world in worlds
+        batch = cls.__new__(cls)
+        worlds = tuple(worlds)
+        object.__setattr__(
+            batch, "point", tuple(sorted((str(k).lower(), v) for k, v in point.items()))
         )
-        return cls(point=items, instances=instances)
+        object.__setattr__(batch, "worlds", worlds)
+        object.__setattr__(
+            batch, "seeds", tuple(world_seed(base_seed, world) for world in worlds)
+        )
+        return batch
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while ``instances`` is unset: a batch from at_point.
+        if name != "instances":
+            raise AttributeError(name)
+        instances = tuple(
+            WorldInstance(point=self.point, world=world, seed=seed)
+            for world, seed in zip(self.worlds, self.seeds)
+        )
+        object.__setattr__(self, "instances", instances)
+        return instances
 
     @property
     def point_dict(self) -> dict[str, Any]:
         return dict(self.point)
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.worlds)
 
     def __iter__(self) -> Iterator[WorldInstance]:
         return iter(self.instances)

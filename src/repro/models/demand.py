@@ -150,6 +150,7 @@ class DemandModel(VGFunction):
         """
         if (
             type(self).generate_partial is not DemandModel.generate_partial
+            or type(self).generate is not DemandModel.generate
             or type(self)._noise is not DemandModel._noise
         ):
             # A subclass changed the scalar path; only the loop is safe.

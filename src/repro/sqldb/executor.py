@@ -59,8 +59,10 @@ from repro.sqldb.ast_nodes import (
 )
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.compiled import (
+    MOMENT_AGGREGATES,
     VectorFallback,
     VectorSelectPlan,
+    aggregate_moments,
     aggregate_segments,
     bind_table,
     broadcast,
@@ -318,10 +320,18 @@ class Executor:
         layout = group_layout(key_arrays, n_rows)
         n_groups = len(layout.starts)
         group_results: list[dict[str, Any]] = [{} for _ in range(n_groups)]
-        for spec in plan.aggregates:
-            values = broadcast(spec.arg(context), n_rows) if spec.arg is not None else None
-            for index, value in enumerate(aggregate_segments(spec, values, layout)):
-                group_results[index][spec.rendered] = value
+
+        def column(spec):
+            return broadcast(spec.arg(context), n_rows) if spec.arg is not None else None
+
+        # The variance family is answered for the whole statement at once.
+        moments = [spec for spec in plan.aggregates if spec.name in MOMENT_AGGREGATES]
+        others = [spec for spec in plan.aggregates if spec.name not in MOMENT_AGGREGATES]
+        answers = [aggregate_segments(spec, column(spec), layout) for spec in others]
+        answers += aggregate_moments(moments, [column(spec) for spec in moments], layout)
+        for spec, values in zip(others + moments, answers):
+            for group, value in enumerate(values):
+                group_results[group][spec.rendered] = value
         representatives = [relation.bound_row(int(row)) for row in layout.rep_rows]
         return self._finalize_groups(select, group_results, representatives, variables)
 

@@ -63,13 +63,33 @@ class VGFunction:
     def generate_batch(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
         """Produce the output vectors of many worlds: ``(len(seeds), n_components)``.
 
-        The default implementation loops :meth:`generate` per seed, which
-        makes it bit-identical to per-world generation by construction.
-        Subclasses with vectorizable structure override this with genuine
-        NumPy batch implementations; every override must keep bit-identity
-        with the per-seed loop (each world's randomness still flows through
-        that world's own seed-derived stream) and should route its result
-        through :meth:`guarded_batch`.
+        A model with a batch kernel (:meth:`generate_partial_batch`) is
+        served by it, asked for every component: one vectorised pass over
+        seed-memoised events (:meth:`seed_events`), checked by
+        :meth:`guarded_batch`'s first-row probe against :meth:`generate`.
+        Full and partial generation therefore share one kernel per model.
+        Every other model takes :meth:`generate_loop`, which is
+        bit-identical to per-world generation by construction.
+
+        Subclasses with other vectorizable structure override this with
+        genuine NumPy batch implementations; every override must keep
+        bit-identity with the per-seed loop (each world's randomness still
+        flows through that world's own seed-derived stream) and should
+        route its result through :meth:`guarded_batch`.
+        """
+        if len(seeds):
+            batch = self.generate_partial_batch(
+                seeds, args, np.arange(self.n_components)
+            )
+            if batch is not None:
+                return self.guarded_batch(seeds, args, np.asarray(batch, dtype=float))
+        return self.generate_loop(seeds, args)
+
+    def generate_loop(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
+        """:meth:`generate` once per seed: the reference every batch must equal.
+
+        Named apart from :meth:`generate_batch` so that the parity guard's
+        fallback can never re-enter a vectorised path.
         """
         matrix = np.empty((len(seeds), self.n_components), dtype=float)
         for index, seed in enumerate(seeds):
@@ -82,21 +102,24 @@ class VGFunction:
         """Parity guard for vectorized ``generate_batch`` implementations.
 
         Re-generates the first world through the scalar path and compares it
-        bitwise against the batch's first row. On any mismatch the whole
-        batch is recomputed with the per-seed loop (bit-correct by
-        construction) and :attr:`parity_fallbacks` is bumped, so a
-        vectorization bug degrades to the slow path instead of corrupting
-        samples.
+        bitwise against the batch's first row (a batch of the wrong shape
+        fails the same way). On any mismatch the whole batch is recomputed
+        with :meth:`generate_loop` (bit-correct by construction) and
+        :attr:`parity_fallbacks` is bumped, so a vectorization bug degrades
+        to the slow path instead of corrupting samples. The probe sees one
+        world only: a model whose scalar path a subclass may override must
+        also check structurally (``type(self).generate is not ...``) before
+        it vectorises, as the library's models do.
         """
         if not len(seeds):
             return matrix
         probe = np.asarray(self.generate(seeds[0], args), dtype=float)
-        if probe.shape == matrix[0].shape and np.array_equal(
+        if matrix.shape == (len(seeds),) + probe.shape and np.array_equal(
             probe, matrix[0], equal_nan=True
         ):
             return matrix
         self.parity_fallbacks += 1
-        return VGFunction.generate_batch(self, seeds, args)
+        return self.generate_loop(seeds, args)
 
     # -- helpers for implementations -------------------------------------------
 
@@ -269,22 +292,32 @@ class VGFunction:
         model's random events depend on the seed alone — never on ``args`` —
         so they can be drawn once per seed (:meth:`seed_events`), stacked,
         and pushed through the same elementwise arithmetic as one world.
+        Asked for every component, the same override is the model's full
+        batch kernel (:meth:`generate_batch`), so it must also agree with
+        :meth:`generate` and decline when a subclass overrides that.
         """
         return None
 
     def seed_events(self, seed: int, draw: Callable[[int], Any]) -> Any:
         """``draw(seed)``, memoized per seed for :meth:`generate_partial_batch`.
 
-        Only for event histories that are a function of the seed alone; the
-        memoized arrays are shared, so callers must not write to them.
-        Bounded like the invocation memo (cleared when full) and emptied by
-        :meth:`reset_counters`.
+        Only for event histories that are a function of the seed alone —
+        never of ``args`` — which is why the memo is not part of the reuse
+        plane and stays on under ``reuse=False``: it repeats no simulation
+        outcome, only the draws every parameterization of one world shares.
+        Every batch of every point reads the same arrays, so they are made
+        read-only on insertion (through nested tuples): a model that writes
+        into one gets a ``ValueError`` instead of corrupting later points.
+        Bounded at ``_cache_limit`` = 4096 worlds (seeds) per model per
+        process and cleared when full, like the invocation memo; a batch
+        beyond the bound still runs the vectorised arithmetic, it only
+        redraws. Emptied by :meth:`reset_counters`.
         """
         events = self._event_memo.get(seed)
         if events is None:
             if len(self._event_memo) >= self._cache_limit:
                 self._event_memo.clear()
-            events = self._event_memo[seed] = draw(seed)
+            events = self._event_memo[seed] = _frozen(draw(seed))
         return events
 
     def reset_counters(self) -> None:
@@ -365,6 +398,16 @@ class CallableVGFunction(VGFunction):
 
     def generate(self, seed: int, args: tuple[Any, ...]) -> np.ndarray:
         return np.asarray(self._fn(self.rng(seed, args), args), dtype=float)
+
+
+def _frozen(events: Any) -> Any:
+    """``events`` with every array in it (through nested tuples) read-only."""
+    if isinstance(events, np.ndarray):
+        events.setflags(write=False)
+    elif isinstance(events, tuple):
+        for item in events:
+            _frozen(item)
+    return events
 
 
 def as_vg_function(obj: Any) -> VGFunction:

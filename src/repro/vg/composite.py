@@ -105,7 +105,7 @@ class SumOf(_CompositeBase):
 
     def generate_batch(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
         if not self._scalar_path_intact(SumOf):
-            return VGFunction.generate_batch(self, seeds, args)
+            return self.generate_loop(seeds, args)
         matrices = self._child_matrices(seeds, args)
         # Reducing over the child axis keeps the scalar path's per-element
         # accumulation order (same child count, same np.sum reduction).
@@ -125,7 +125,7 @@ class DifferenceOf(_CompositeBase):
 
     def generate_batch(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
         if not self._scalar_path_intact(DifferenceOf):
-            return VGFunction.generate_batch(self, seeds, args)
+            return self.generate_loop(seeds, args)
         matrices = self._child_matrices(seeds, args)
         matrix = matrices[0].copy()
         for child_matrix in matrices[1:]:
@@ -151,7 +151,7 @@ class ScaledBy(VGFunction):
 
     def generate_batch(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
         if type(self).generate is not ScaledBy.generate:
-            return super().generate_batch(seeds, args)
+            return self.generate_loop(seeds, args)
         child_seeds = tuple(derive_seed("composite", self.name, 0, seed) for seed in seeds)
         matrix = self.scale * self.child.invoke_batch(child_seeds, args) + self.offset
         return self.guarded_batch(seeds, args, matrix)
@@ -193,7 +193,7 @@ class TransformedBy(VGFunction):
 
     def generate_batch(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
         if type(self).generate is not TransformedBy.generate:
-            return super().generate_batch(seeds, args)
+            return self.generate_loop(seeds, args)
         # The transform's contract is one world's vector; only the child's
         # sampling batches. Transforms stay a per-world loop by design.
         child_seeds = tuple(derive_seed("composite", self.name, 0, seed) for seed in seeds)
@@ -244,7 +244,7 @@ class MixtureOf(_CompositeBase):
 
     def generate_batch(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
         if type(self).generate is not MixtureOf.generate:
-            return VGFunction.generate_batch(self, seeds, args)
+            return self.generate_loop(seeds, args)
         # Regime choice is one draw per world (its own stream, unavoidable);
         # the worlds that landed on the same child then batch through it.
         by_choice: dict[int, list[int]] = {}

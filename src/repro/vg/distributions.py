@@ -229,7 +229,7 @@ class DistributionSeries(VGFunction):
     randomness flowing through the canonical per-seed stream. Each world's
     whole vector is one generator call already, and per-world streams
     cannot merge without breaking the determinism contract, so the
-    inherited per-seed ``generate_batch`` loop is the densest bit-identical
+    inherited per-seed loop (``generate_loop``) is the densest bit-identical
     batching possible — no override needed.
     """
 

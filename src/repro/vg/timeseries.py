@@ -76,7 +76,7 @@ class GaussianSeries(VGFunction):
             or type(self)._noise is not GaussianSeries._noise
         ):
             # A subclass changed the scalar path; only the loop is safe.
-            return super().generate_batch(seeds, args)
+            return self.generate_loop(seeds, args)
         # The deterministic drift is computed once for the whole batch; the
         # per-element op order matches the scalar path bit-for-bit.
         t = np.arange(self.n_components, dtype=float)
@@ -122,7 +122,7 @@ class RandomWalk(SteppedVGFunction):
             or type(self).generate is not SteppedVGFunction.generate
         ):
             # A subclass changed the chain; only the per-seed loop is safe.
-            return super().generate_batch(seeds, args)
+            return self.generate_loop(seeds, args)
         n = self.n_components
         # Drawing the whole increment vector consumes each seed's bit stream
         # exactly as n successive scalar draws do; prepending the start value
@@ -177,7 +177,7 @@ class AR1Series(SteppedVGFunction):
             or type(self).initial_state is not AR1Series.initial_state
             or type(self).generate is not SteppedVGFunction.generate
         ):
-            return super().generate_batch(seeds, args)
+            return self.generate_loop(seeds, args)
         n = self.n_components
         noise = np.empty((len(seeds), n), dtype=float)
         for row, seed in enumerate(seeds):
@@ -232,7 +232,7 @@ class SeasonalSeries(VGFunction):
 
     def generate_batch(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
         if type(self).generate is not SeasonalSeries.generate:
-            return super().generate_batch(seeds, args)
+            return self.generate_loop(seeds, args)
         t = np.arange(self.n_components, dtype=float)
         seasonal = self.amplitude * np.sin(2.0 * np.pi * (t + self.phase) / self.period)
         noise = _stacked_noise(

@@ -251,3 +251,27 @@ class TestWeekMemo:
         assert not np.allclose(
             a.statistics.expectation("demand"), b.statistics.expectation("demand")
         )
+
+    def test_different_world_slices_never_share_a_key(self, engine):
+        """Same samples, same point — only the world identities differ."""
+        from repro.core.instance import InstanceBatch
+
+        base_seed = engine.config.sampling.base_seed
+        matrices = {
+            output.alias.lower(): np.zeros((4, 53))
+            for output in engine.scenario.vg_outputs
+        }
+        slices = [(0, 1, 2, 3), (1, 2, 3, 4), (3, 2, 1, 0), (0, 1, 2, 259), (-1, 1, 2, 3)]
+        keys = [
+            engine._week_keys(POINT, InstanceBatch.at_point(POINT, worlds, base_seed), matrices)
+            for worlds in slices
+        ]
+        flat = [key for week_keys in keys for key in week_keys]
+        assert len(set(flat)) == len(flat) == len(slices) * 53
+        # A shorter slice whose bytes are a prefix of a longer one's.
+        short = engine._week_keys(
+            POINT,
+            InstanceBatch.at_point(POINT, (0, 1), base_seed),
+            {alias: matrix[:2] for alias, matrix in matrices.items()},
+        )
+        assert not set(short) & set(flat)

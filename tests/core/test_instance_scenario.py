@@ -1,5 +1,7 @@
 """Unit tests for world instances and scenario validation."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ScenarioError
@@ -46,6 +48,30 @@ class TestInstanceBatch:
     def test_iteration(self):
         batch = InstanceBatch.at_point({"p": 1}, worlds=[4, 9], base_seed=7)
         assert [i.world for i in batch] == [4, 9]
+
+    def test_instances_are_built_on_first_read_only(self):
+        batch = InstanceBatch.at_point({"P": 1}, worlds=[4, 9], base_seed=7)
+        assert "instances" not in vars(batch)
+        # What every stage but the per-world loop reads leaves them unbuilt.
+        assert (len(batch), batch.worlds, batch.point_dict) == (2, (4, 9), {"p": 1})
+        assert len(batch.seeds) == 2 and "instances" not in vars(batch)
+        assert pickle.loads(pickle.dumps(batch)) == batch
+        built = batch.instances
+        assert built is batch.instances and list(batch) == list(built)
+        assert built == tuple(WorldInstance.make({"p": 1}, w, 7) for w in (4, 9))
+        with pytest.raises(AttributeError):
+            batch.no_such_attribute
+
+    def test_lazy_and_eager_batches_are_the_same_value(self):
+        lazy = InstanceBatch.at_point({"p": 1}, worlds=[4, 9], base_seed=7)
+        eager = InstanceBatch(
+            point=(("p", 1),),
+            instances=tuple(WorldInstance.make({"p": 1}, w, 7) for w in (4, 9)),
+        )
+        assert (eager.worlds, eager.seeds) == (lazy.worlds, lazy.seeds)
+        assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+        assert lazy != InstanceBatch.at_point({"p": 1}, worlds=[4, 8], base_seed=7)
+        assert lazy != InstanceBatch.at_point({"p": 2}, worlds=[4, 9], base_seed=7)
 
     @pytest.mark.parametrize(
         "worlds",

@@ -455,3 +455,130 @@ def test_event_memo_is_cleared_by_reset_counters_and_bounded():
     )
     assert batch.tobytes() == reference.tobytes()
     assert len(function._event_memo) <= 4
+
+
+# -- full generation through the seed-event batch kernel -----------------------
+
+PAPER_MODEL_CASES = {
+    "demand": (lambda: DemandModel("dm"), [(12,), (36,), (0,), (52,), (60,)]),
+    "demand_growth": (
+        lambda: DemandModel("dg", with_growth_arg=True),
+        [(12, 1.25), (12, 0.8), (44, 1.0)],
+    ),
+    "capacity": (
+        lambda: CapacityModel("cm"),
+        # (48, 52): one arrival may, the other must, land past the last week.
+        [(8, 24), (24, 8), (48, 52), (52, 52), (0, 0)],
+    ),
+    "capacity_initial": (
+        lambda: CapacityModel("ci", with_initial_arg=True),
+        [(1, 3, 6400.5), (1, 3, 120.0), (50, 51, 7000.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAPER_MODEL_CASES))
+def test_paper_models_generate_full_batches_through_the_kernel(case):
+    factory, arg_sets = PAPER_MODEL_CASES[case]
+    batched, looped = factory(), factory()
+    scalar_calls = []
+    scalar = batched.generate
+    batched.generate = lambda seed, args: scalar_calls.append(seed) or scalar(seed, args)
+    seeds = tuple(range(500, 540)) + (2**62 + 17,)
+    for round_, args in enumerate(arg_sets + arg_sets[:1]):  # last round: warm memo
+        scalar_calls.clear()
+        events = dict(batched._event_memo)
+        batch = batched.generate_batch(seeds, args)
+        assert batch.tobytes() == _loop_reference(looped, seeds, args).tobytes(), args
+        assert scalar_calls == [seeds[0]]  # the parity probe, nothing else
+        if round_:  # one draw per seed, shared by every parameterization
+            assert all(batched._event_memo[seed] is events[seed] for seed in seeds)
+    assert batched.parity_fallbacks == 0
+
+    # Counters move exactly as the per-seed invoke loop moves them.
+    batched, looped = factory(), factory()
+    duplicated = seeds[:5] + seeds[:2]
+    matrix = batched.invoke_batch(duplicated, arg_sets[0])
+    reference = np.stack([looped.invoke(seed, arg_sets[0]) for seed in duplicated])
+    assert matrix.tobytes() == reference.tobytes()
+    assert (batched.invocations, batched.component_samples) == (5, 5 * 53)
+    assert (looped.invocations, looped.component_samples) == (5, 5 * 53)
+    assert _memo_state(batched) == _memo_state(looped)
+    assert batched.parity_fallbacks == 0
+
+
+def test_generate_override_keeps_paper_models_on_the_loop():
+    """A seed-conditional ``generate`` is invisible to the first-row probe."""
+
+    class SpikedDemand(DemandModel):
+        def generate(self, seed, args):
+            vector = super().generate(seed, args)
+            return vector + 100.0 if seed % 2 == 0 else vector
+
+    class SpikedCapacity(CapacityModel):
+        def generate(self, seed, args):
+            vector = super().generate(seed, args)
+            return vector + 100.0 if seed % 2 == 0 else vector
+
+    for function, args in ((SpikedDemand("sd"), (12,)), (SpikedCapacity("sc"), (8, 24))):
+        seeds = (1, 2, 3, 4)  # the first seed does NOT trigger the override
+        batch = function.generate_batch(seeds, args)
+        assert batch.tobytes() == _loop_reference(function, seeds, args).tobytes()
+        assert function.parity_fallbacks == 0  # structural check, not the guard
+        assert not function._event_memo
+
+
+def test_wrong_kernel_degrades_full_generation_to_the_loop_once():
+    class BrokenKernel(DemandModel):
+        def generate_partial_batch(self, seeds, args, components):
+            return super().generate_partial_batch(seeds, args, components) + 1.0
+
+    class ShortKernel(CapacityModel):
+        def generate_partial_batch(self, seeds, args, components):
+            return super().generate_partial_batch(seeds, args, components)[:-1]
+
+    for function, args in ((BrokenKernel("bk"), (12,)), (ShortKernel("sk"), (8, 24))):
+        batch = function.generate_batch((11, 22, 33), args)
+        assert batch.tobytes() == _loop_reference(function, (11, 22, 33), args).tobytes()
+        assert function.parity_fallbacks == 1  # and the fallback did not recurse
+
+
+def test_library_batch_overrides_win_over_the_default_kernel():
+    class WithKernel(GaussianSeries):
+        kernel_calls = 0
+
+        def generate_partial_batch(self, seeds, args, components):
+            type(self).kernel_calls += 1
+            return None
+
+    function = WithKernel("wk", 5, base=1.0, sigma=2.0)
+    seeds = (3, 4, 5)
+    batch = function.generate_batch(seeds, ())
+    assert batch.tobytes() == _loop_reference(function, seeds, ()).tobytes()
+    assert WithKernel.kernel_calls == 0  # GaussianSeries.generate_batch answered
+
+
+def test_memoised_seed_events_are_read_only():
+    for function, args in ((CapacityModel("cm"), (8, 24)), (DemandModel("dm"), (12,))):
+        seeds = (7, 8, 9)
+        first = function.generate_batch(seeds, args)
+        for events in function._event_memo.values():
+            assert isinstance(events, tuple) and len(events) == 2
+            for array in events:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+        again = function.generate_batch(seeds, args)
+        assert again.tobytes() == first.tobytes()
+        assert first.tobytes() == _loop_reference(function, seeds, args).tobytes()
+        assert first.flags.writeable  # results are the caller's own
+
+
+def test_batch_past_the_event_memo_bound_is_still_bit_identical():
+    function = CapacityModel("cm", n_weeks=6)
+    assert function._cache_limit == 4096  # the bound the docstring states
+    seeds = tuple(range(5000))
+    batch = function.generate_batch(seeds, (1, 3))
+    assert batch.tobytes() == _loop_reference(function, seeds, (1, 3)).tobytes()
+    assert function.parity_fallbacks == 0
+    assert len(function._event_memo) == 5000 - 4096  # cleared once, when full
