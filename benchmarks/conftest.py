@@ -1,8 +1,7 @@
 """Shared helpers for the benchmark suite.
 
-Each benchmark regenerates one table/figure/claim from the paper (see the
-experiment index in DESIGN.md) and prints the measured shape next to the
-paper's expectation. Run with::
+Each benchmark regenerates one table/figure/claim from the paper and prints
+the measured shape next to the paper's expectation. Run with::
 
     pytest benchmarks/ --benchmark-only
 """

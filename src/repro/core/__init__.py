@@ -8,7 +8,6 @@ from repro.core.aggregator import (
     MergeableMoments,
     ResultAggregator,
     SeriesStats,
-    WelfordAccumulator,
     error_against_reference,
 )
 from repro.core.config import EngineConfig
@@ -87,7 +86,6 @@ __all__ = [
     "ExactSum",
     "MergeableMoments",
     "MergeableAxisStats",
-    "WelfordAccumulator",
     "error_against_reference",
     "ProphetEngine",
     "EngineConfig",

@@ -314,50 +314,6 @@ class MergeableMoments:
         return math.sqrt(variance) if not math.isnan(variance) else math.nan
 
 
-@dataclass
-class WelfordAccumulator:
-    """Streaming mean/M2 with the classic parallel (Chan) merge.
-
-    The textbook mergeable moment estimator: numerically stable and much
-    cheaper than exact summation, but the merge is *not* bit-identical
-    across different shard splits (each merge rounds). Offered for callers
-    that stream large volumes and don't need last-ulp determinism; the
-    serve layer itself merges through :class:`MergeableMoments`, whose
-    results are bit-stable under any partition.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    def merge(self, other: "WelfordAccumulator") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self.m2 += other.m2 + delta * delta * self.count * other.count / total
-        self.count = total
-
-    def variance(self, ddof: int = 1) -> float:
-        if self.count <= ddof:
-            return math.nan
-        return max(self.m2, 0.0) / (self.count - ddof)
-
-    def stddev(self, ddof: int = 1) -> float:
-        variance = self.variance(ddof)
-        return math.sqrt(variance) if not math.isnan(variance) else math.nan
-
-
 class MergeableAxisStats:
     """Mergeable per-week statistics of every output alias.
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import ScenarioError
 from repro.core.engine import PointEvaluation
 from repro.core.scenario import DerivedOutput, Scenario
-from repro.sqldb.expressions import EvalContext, evaluate
+from repro.sqldb.expressions import EvalContext, compile_expression
 from repro.sqldb.functions import builtin_scalar_functions
 
 
@@ -150,6 +150,7 @@ class RiskAnalyzer:
         context = EvalContext(
             columns=env, variables=dict(evaluation.point), functions=self._functions
         )
+        expression = compile_expression(derived.expression)
         for world in range(n_worlds):
             for component in range(n_components):
                 env.clear()
@@ -157,6 +158,6 @@ class RiskAnalyzer:
                 env["t"] = component
                 for name, matrix in matrices.items():
                     env[name] = float(matrix[world, component])
-                value = evaluate(derived.expression, context)
+                value = expression(context)
                 result[world, component] = float(value) if value is not None else np.nan
         return result

@@ -25,12 +25,18 @@ what ``@current = w`` would observe) but lets one world feed every week.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.errors import ScenarioError
 from repro.core.parameters import ParameterSpace
 from repro.sqldb.ast_nodes import Expression, Variable
-from repro.sqldb.expressions import EvalContext, collect_variables, evaluate
+from repro.sqldb.expressions import (
+    CompiledExpression,
+    EvalContext,
+    collect_variables,
+    compile_expression,
+)
 from repro.vg.library import VGLibrary
 
 
@@ -43,10 +49,14 @@ class VGOutput:
     index_expr: Expression  # component index (normally Variable(axis))
     model_args: tuple[Expression, ...] = ()
 
+    @cached_property
+    def _model_arg_fns(self) -> tuple[CompiledExpression, ...]:
+        return tuple(compile_expression(arg) for arg in self.model_args)
+
     def model_arg_values(self, point: Mapping[str, Any]) -> tuple[Any, ...]:
         """Evaluate the model arguments at a parameter point."""
         context = EvalContext(variables=point)
-        return tuple(evaluate(arg, context) for arg in self.model_args)
+        return tuple(fn(context) for fn in self._model_arg_fns)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from repro.sqldb.ast_nodes import (
     InList,
     IsNull,
     Like,
-    Literal,
     UnaryOp,
 )
 from repro.sqldb.types import is_numeric
@@ -272,11 +271,11 @@ def collect_aggregates(expression: Expression, found: dict[str, FunctionCall]) -
             collect_aggregates(expression.pattern, found)
 
 
-def rewrite_aggregates(expression: Expression, results: Mapping[str, Any]) -> Expression:
-    """Replace aggregate calls with their computed per-group results."""
+def rewrite_aggregates(expression: Expression, results: Mapping[str, Expression]) -> Expression:
+    """Replace aggregate calls (keyed by rendered text) with ``results`` nodes."""
     rendered = expression.render() if isinstance(expression, FunctionCall) else None
     if rendered is not None and rendered in results:
-        return Literal(results[rendered])
+        return results[rendered]
     if isinstance(expression, FunctionCall):
         return FunctionCall(
             name=expression.name,

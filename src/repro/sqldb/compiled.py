@@ -423,7 +423,13 @@ def _vec_arithmetic(operator: str, left: Any, right: Any) -> Any:
         return left / right
     if operator == "%":
         _check_nonzero(right, "modulo by zero")
-        return left % right
+        # Remainder of the truncating division: sign follows the dividend.
+        if _is_array(left, right):
+            return np.fmod(left, right)
+        if left_kind == "i" and right_kind == "i":
+            remainder = abs(left) % abs(right)
+            return remainder if left >= 0 else -remainder
+        return math.fmod(left, right)
     raise VectorFallback
 
 
@@ -683,7 +689,7 @@ def _plan_join(join: Join) -> Optional[JoinSpec]:
     if join.condition is None:
         return None
     conjuncts: list[Expression] = []
-    _flatten_and(join.condition, conjuncts)
+    flatten_and(join.condition, conjuncts)
     pairs: list[tuple[str, str]] = []
     for conjunct in conjuncts:
         if not (isinstance(conjunct, BinaryOp) and conjunct.operator == "="):
@@ -703,10 +709,11 @@ def _plan_join(join: Join) -> Optional[JoinSpec]:
     return JoinSpec(table=join.source.name, label=label, conjuncts=tuple(pairs))
 
 
-def _flatten_and(expression: Expression, out: list[Expression]) -> None:
+def flatten_and(expression: Expression, out: list[Expression]) -> None:
+    """Append the conjuncts of an AND-chain to ``out``, left to right."""
     if isinstance(expression, BinaryOp) and expression.operator.upper() == "AND":
-        _flatten_and(expression.left, out)
-        _flatten_and(expression.right, out)
+        flatten_and(expression.left, out)
+        flatten_and(expression.right, out)
     else:
         out.append(expression)
 

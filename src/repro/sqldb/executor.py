@@ -1,22 +1,22 @@
 """Statement execution against a :class:`~repro.sqldb.catalog.Catalog`.
 
-The executor layers three fast paths over a straightforward interpreter:
+The executor layers two fast paths over a row-at-a-time path:
 
 1. **Plan cache** — ``execute`` keys parsed statement ASTs by SQL text
    (LRU), so parameterized statements re-executed with fresh ``@variable``
    bindings parse exactly once.
-2. **Compiled expressions** — filter/projection/aggregation loops run
-   closures produced by :func:`repro.sqldb.expressions.compile_expression`
-   instead of re-walking the AST per row.
-3. **Vectorized columnar execution** — SELECTs whose plans are
+2. **Vectorized columnar execution** — SELECTs whose plans are
    filter/project/group-by (plus hash equi-joins) over table sources run
    over NumPy column arrays (:mod:`repro.sqldb.compiled`); anything the
-   columnar path cannot reproduce bit-identically falls back to the
-   row-at-a-time interpreter below.
+   columnar path cannot reproduce bit-identically falls back to the row
+   path below (``enable_vectorized=False`` forces it, which is how the
+   parity tests build their reference).
 
-The interpreter itself resolves FROM sources to bound row dictionaries,
-applies joins, filters, groups/aggregates, projects, sorts, and
-materializes a :class:`ResultSet`. ``SELECT ... INTO`` creates (or replaces
+The row path resolves FROM sources to bound row dictionaries, applies
+joins, filters, groups/aggregates, projects, sorts, and materializes a
+:class:`ResultSet`; every expression in its loops is a closure from
+:func:`repro.sqldb.expressions.compile_expression`, the one definition of
+scalar semantics. ``SELECT ... INTO`` creates (or replaces
 the contents of) a destination table, which is how the Fuzzy Prophet Query
 Generator lands Monte Carlo samples in the database.
 """
@@ -67,6 +67,7 @@ from repro.sqldb.compiled import (
     bind_table,
     broadcast,
     equi_join,
+    flatten_and,
     group_layout,
     plan_select,
     sql_type_for,
@@ -118,13 +119,11 @@ class Executor:
         *,
         plan_cache_size: int = 256,
         enable_vectorized: bool = True,
-        enable_compiled: bool = True,
     ) -> None:
         self.catalog = catalog
         self.stats = ExecutionStats()
         self.plan_cache = PlanCache(plan_cache_size)
         self.enable_vectorized = enable_vectorized
-        self.enable_compiled = enable_compiled
 
     # -- public API ---------------------------------------------------------
 
@@ -179,11 +178,6 @@ class Executor:
         plan = parse(sql)
         self.plan_cache.put((kind, sql), plan)
         return plan
-
-    def _evaluator(self, expression: Expression) -> CompiledExpression:
-        if self.enable_compiled:
-            return compile_expression(expression)
-        return lambda context: evaluate(expression, context)
 
     # -- SELECT ---------------------------------------------------------------
 
@@ -346,7 +340,7 @@ class Executor:
 
         if select.where is not None:
             context = self._context(variables)
-            where = self._evaluator(select.where)
+            where = compile_expression(select.where)
             env: dict[str, Any] = {}
             row_context = EvalContext(
                 columns=env, variables=context.variables, functions=context.functions
@@ -469,8 +463,8 @@ class Executor:
         equi = _equi_join_plan(join.condition, left_rows, right_rows)
         if equi is not None:
             left_exprs, right_exprs = equi
-            left_fns = [self._evaluator(expr) for expr in left_exprs]
-            right_fns = [self._evaluator(expr) for expr in right_exprs]
+            left_fns = [compile_expression(expr) for expr in left_exprs]
+            right_fns = [compile_expression(expr) for expr in right_exprs]
             index: dict[tuple[Any, ...], list[dict[str, Any]]] = {}
             for right in right_rows:
                 right_context = self._row_context(context, right)
@@ -488,7 +482,7 @@ class Executor:
                 elif join.kind == "LEFT":
                     output.append(_merge_rows(left, null_right))
             return output, merged_schema
-        condition = self._evaluator(join.condition)
+        condition = compile_expression(join.condition)
         for left in left_rows:
             matched = False
             for right in right_rows:
@@ -511,10 +505,10 @@ class Executor:
         output: list[tuple[Any, ...]] = []
         order_keys: list[tuple] = []
         item_fns = [
-            None if item.star else self._evaluator(item.expression)
+            None if item.star else compile_expression(item.expression)
             for item in select.items
         ]
-        order_fns = [self._evaluator(order.expression) for order in select.order_by]
+        order_fns = [compile_expression(order.expression) for order in select.order_by]
         # One mutable binding environment reused across rows (hot path).
         env: dict[str, Any] = {}
         row_context = EvalContext(
@@ -566,13 +560,13 @@ class Executor:
         for order in select.order_by:
             collect_aggregates(order.expression, aggregate_nodes)
 
-        group_fns = [self._evaluator(expr) for expr in select.group_by]
+        group_fns = [compile_expression(expr) for expr in select.group_by]
         aggregate_fns: dict[str, Optional[CompiledExpression]] = {}
         for rendered, node in aggregate_nodes.items():
             if node.star or len(node.args) != 1:
                 aggregate_fns[rendered] = None
             else:
-                aggregate_fns[rendered] = self._evaluator(node.args[0])
+                aggregate_fns[rendered] = compile_expression(node.args[0])
 
         def fresh_accumulators() -> dict[str, Aggregate]:
             return {
@@ -632,39 +626,42 @@ class Executor:
         representatives: list[dict[str, Any]],
         variables: Mapping[str, Any],
     ) -> tuple[list[tuple[Any, ...]], TableSchema, Optional[list[tuple]]]:
-        """Per-group HAVING / projection / order keys (shared by both paths)."""
+        """Per-group HAVING / projection / order keys (shared by both paths).
+
+        The group-level expressions are compiled once per call: each
+        aggregate call becomes a reference to a reserved binding (no
+        identifier can spell it) that every group fills with its own result.
+        """
         context = self._context(variables)
         names = self._output_names(select, TableSchema(()))
+        slots = {
+            rendered: ColumnRef(f"<aggregate {index}>")
+            for index, rendered in enumerate(group_results[0] if group_results else ())
+        }
+
+        def group_fn(expression: Optional[Expression]) -> CompiledExpression:
+            assert expression is not None  # ``*`` never reaches a grouped SELECT
+            return compile_expression(rewrite_aggregates(expression, slots))
+
+        having = None if select.having is None else group_fn(select.having)
+        item_fns = [group_fn(item.expression) for item in select.items]
+        order_fns = [group_fn(order.expression) for order in select.order_by]
         output: list[tuple[Any, ...]] = []
         order_keys: list[tuple] = []
         for results, representative in zip(group_results, representatives):
-            group_context = self._row_context(context, representative)
-            if select.having is not None:
-                having_value = evaluate(
-                    rewrite_aggregates(select.having, results), group_context
-                )
-                if not is_true(having_value):
-                    continue
-            values = []
-            for item in select.items:
-                assert item.expression is not None
-                rewritten = rewrite_aggregates(item.expression, results)
-                values.append(evaluate(rewritten, group_context))
-            output.append(tuple(values))
-            if select.order_by:
+            env = dict(representative)
+            for rendered, slot in slots.items():
+                env[slot.name] = results[rendered]
+            group_context = self._row_context(context, env)
+            if having is not None and not is_true(having(group_context)):
+                continue
+            values = tuple(fn(group_context) for fn in item_fns)
+            output.append(values)
+            if order_fns:
                 # ORDER BY may reference output aliases, aggregates, or
                 # grouping columns; expose all three.
-                order_env = dict(representative)
-                order_env.update(
-                    (name.lower(), value) for name, value in zip(names, values)
-                )
-                order_context = self._row_context(context, order_env)
-                order_keys.append(
-                    tuple(
-                        evaluate(rewrite_aggregates(order.expression, results), order_context)
-                        for order in select.order_by
-                    )
-                )
+                env.update((name.lower(), value) for name, value in zip(names, values))
+                order_keys.append(tuple(fn(group_context) for fn in order_fns))
         schema = _infer_schema(names, output)
         return output, schema, (order_keys if select.order_by else None)
 
@@ -869,7 +866,7 @@ class Executor:
             table.truncate()
             return _rowcount_result(removed)
         context = self._context(variables)
-        where = self._evaluator(statement.where)
+        where = compile_expression(statement.where)
         names = table.schema.names
         kept: list[tuple[Any, ...]] = []
         removed = 0
@@ -885,7 +882,11 @@ class Executor:
     def _execute_update(self, statement: Update, variables: Mapping[str, Any]) -> ResultSet:
         table = self.catalog.table(statement.table)
         context = self._context(variables)
-        where = None if statement.where is None else self._evaluator(statement.where)
+        where = None if statement.where is None else compile_expression(statement.where)
+        assignments = [
+            (table.schema.position_of(column_name), compile_expression(expression))
+            for column_name, expression in statement.assignments
+        ]
         names = [n.lower() for n in table.schema.names]
         updated_rows: list[tuple[Any, ...]] = []
         changed = 0
@@ -897,9 +898,8 @@ class Executor:
                 updated_rows.append(row)
                 continue
             new_row = list(row)
-            for column_name, expression in statement.assignments:
-                position = table.schema.position_of(column_name)
-                new_row[position] = evaluate(expression, row_context)
+            for position, assignment in assignments:
+                new_row[position] = assignment(row_context)
             updated_rows.append(tuple(new_row))
             changed += 1
         table.replace_rows(updated_rows)
@@ -950,7 +950,7 @@ def _equi_join_plan(
     right rows; otherwise ``None`` (the executor falls back to nested loop).
     """
     conjuncts: list[Expression] = []
-    _flatten_and(condition, conjuncts)
+    flatten_and(condition, conjuncts)
     if not left_rows or not right_rows:
         return None
     left_keys = set(left_rows[0])
@@ -980,14 +980,6 @@ def _equi_join_plan(
         else:
             return None
     return left_exprs, right_exprs
-
-
-def _flatten_and(expression: Expression, out: list[Expression]) -> None:
-    if isinstance(expression, BinaryOp) and expression.operator.upper() == "AND":
-        _flatten_and(expression.left, out)
-        _flatten_and(expression.right, out)
-    else:
-        out.append(expression)
 
 
 def _normalize_variables(variables: Optional[Mapping[str, Any]]) -> dict[str, Any]:

@@ -8,6 +8,7 @@ comparisons; AND/OR/NOT follow Kleene logic (``NULL AND FALSE = FALSE``,
 
 from __future__ import annotations
 
+import math
 import re
 import weakref
 from dataclasses import dataclass, field
@@ -81,103 +82,16 @@ class EvalContext:
 
 
 def evaluate(expression: Expression, context: EvalContext) -> Any:
-    """Evaluate ``expression`` in ``context`` and return a SQL value."""
-    if isinstance(expression, Literal):
-        return expression.value
-    if isinstance(expression, ColumnRef):
-        return context.lookup_column(expression.name, expression.qualifier)
-    if isinstance(expression, Variable):
-        return context.lookup_variable(expression.name)
-    if isinstance(expression, UnaryOp):
-        return _evaluate_unary(expression, context)
-    if isinstance(expression, BinaryOp):
-        return _evaluate_binary(expression, context)
-    if isinstance(expression, FunctionCall):
-        return _evaluate_call(expression, context)
-    if isinstance(expression, CaseWhen):
-        return _evaluate_case(expression, context)
-    if isinstance(expression, Cast):
-        value = evaluate(expression.operand, context)
-        return coerce(value, SqlType.from_declaration(expression.type_name))
-    if isinstance(expression, InList):
-        return _evaluate_in(expression, context)
-    if isinstance(expression, Between):
-        return _evaluate_between(expression, context)
-    if isinstance(expression, IsNull):
-        value = evaluate(expression.operand, context)
-        result = value is None
-        return (not result) if expression.negated else result
-    if isinstance(expression, Like):
-        return _evaluate_like(expression, context)
-    raise ExecutionError(f"cannot evaluate expression node {type(expression).__name__}")
+    """Evaluate ``expression`` in ``context`` once and return a SQL value.
+
+    The one-shot spelling of ``compile_expression(expression)(context)``.
+    """
+    return compile_expression(expression)(context)
 
 
 def is_true(value: Any) -> bool:
     """SQL condition check: NULL and FALSE both reject a row."""
     return value is True
-
-
-def _evaluate_unary(node: UnaryOp, context: EvalContext) -> Any:
-    operator = node.operator.upper()
-    value = evaluate(node.operand, context)
-    if operator == "NOT":
-        if value is None:
-            return None
-        if isinstance(value, bool):
-            return not value
-        raise TypeMismatchError(f"NOT requires a boolean, got {value!r}")
-    if value is None:
-        return None
-    if not is_numeric(value):
-        raise TypeMismatchError(f"unary {node.operator} requires a number, got {value!r}")
-    return -value if node.operator == "-" else +value
-
-
-def _evaluate_binary(node: BinaryOp, context: EvalContext) -> Any:
-    operator = node.operator.upper()
-    if operator == "AND":
-        return _kleene_and(node, context)
-    if operator == "OR":
-        return _kleene_or(node, context)
-    left = evaluate(node.left, context)
-    right = evaluate(node.right, context)
-    if operator in ("=", "<>", "<", "<=", ">", ">="):
-        return _compare(operator, left, right)
-    if operator == "||":
-        if left is None or right is None:
-            return None
-        if not isinstance(left, str) or not isinstance(right, str):
-            raise TypeMismatchError("|| requires text operands")
-        return left + right
-    return _arithmetic(operator, left, right)
-
-
-def _kleene_and(node: BinaryOp, context: EvalContext) -> Any:
-    left = evaluate(node.left, context)
-    if left is False:
-        return False
-    right = evaluate(node.right, context)
-    if right is False:
-        return False
-    if left is None or right is None:
-        return None
-    _require_bool("AND", left)
-    _require_bool("AND", right)
-    return True
-
-
-def _kleene_or(node: BinaryOp, context: EvalContext) -> Any:
-    left = evaluate(node.left, context)
-    if left is True:
-        return True
-    right = evaluate(node.right, context)
-    if right is True:
-        return True
-    if left is None or right is None:
-        return None
-    _require_bool("OR", left)
-    _require_bool("OR", right)
-    return False
 
 
 def _require_bool(operator: str, value: Any) -> None:
@@ -235,67 +149,12 @@ def _arithmetic(operator: str, left: Any, right: Any) -> Any:
     if operator == "%":
         if right == 0:
             raise ExecutionError("modulo by zero")
-        return left % right
+        if isinstance(left, int) and isinstance(right, int):
+            # Remainder of the truncating division: sign follows the dividend.
+            remainder = abs(left) % abs(right)
+            return remainder if left >= 0 else -remainder
+        return math.fmod(left, right)
     raise ExecutionError(f"unknown arithmetic operator {operator!r}")
-
-
-def _evaluate_call(node: FunctionCall, context: EvalContext) -> Any:
-    if node.star:
-        raise ExecutionError(f"{node.name}(*) is only valid as an aggregate")
-    function = context.lookup_function(node.name)
-    args = [evaluate(arg, context) for arg in node.args]
-    return function(*args)
-
-
-def _evaluate_case(node: CaseWhen, context: EvalContext) -> Any:
-    for condition, value in node.branches:
-        if is_true(evaluate(condition, context)):
-            return evaluate(value, context)
-    if node.otherwise is not None:
-        return evaluate(node.otherwise, context)
-    return None
-
-
-def _evaluate_in(node: InList, context: EvalContext) -> Any:
-    value = evaluate(node.operand, context)
-    if value is None:
-        return None
-    saw_null = False
-    for item in node.items:
-        candidate = evaluate(item, context)
-        if candidate is None:
-            saw_null = True
-            continue
-        comparison = _compare("=", value, candidate)
-        if comparison is True:
-            return False if node.negated else True
-    if saw_null:
-        return None
-    return True if node.negated else False
-
-
-def _evaluate_between(node: Between, context: EvalContext) -> Any:
-    value = evaluate(node.operand, context)
-    low = evaluate(node.low, context)
-    high = evaluate(node.high, context)
-    if value is None or low is None or high is None:
-        return None
-    above = _compare(">=", value, low)
-    below = _compare("<=", value, high)
-    result = above is True and below is True
-    return (not result) if node.negated else result
-
-
-def _evaluate_like(node: Like, context: EvalContext) -> Any:
-    value = evaluate(node.operand, context)
-    pattern = evaluate(node.pattern, context)
-    if value is None or pattern is None:
-        return None
-    if not isinstance(value, str) or not isinstance(pattern, str):
-        raise TypeMismatchError("LIKE requires text operands")
-    regex = _like_to_regex(pattern)
-    matched = regex.fullmatch(value) is not None
-    return (not matched) if node.negated else matched
 
 
 def _like_to_regex(pattern: str) -> re.Pattern[str]:
@@ -313,13 +172,14 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
 # -- compiled expressions ---------------------------------------------------
 #
 # ``compile_expression`` lowers an Expression tree into a chain of Python
-# closures, removing the per-row isinstance dispatch and attribute traffic of
-# ``evaluate``. Semantics are identical by construction: every operator
-# closure delegates to the same helpers (``_compare``, ``_arithmetic``, the
-# Kleene connectives) that the tree-walking interpreter uses, so NULL
-# propagation, type errors, and error messages cannot drift. The executor
-# calls this once per (cached) statement and then runs the closure in its
-# filter/projection/aggregation loops.
+# closures, so the per-node isinstance dispatch and attribute traffic are
+# paid once per expression instead of once per row. The closures are the
+# only scalar-expression semantics: NULL propagation, Kleene connectives,
+# type errors and error messages are defined here and in the ``_compare`` /
+# ``_arithmetic`` helpers, and checked against stdlib ``sqlite3`` by
+# ``tests/sqldb/test_sqlite_oracle.py``. The executor calls this once per
+# (cached) statement and then runs the closure in its filter/projection/
+# aggregation loops.
 
 #: Compiled closures, keyed weakly by the (frozen, hashable) AST node. Plan
 #: caching keeps hot statements alive, so their closures persist across
@@ -331,11 +191,7 @@ CompiledExpression = Callable[[EvalContext], Any]
 
 
 def compile_expression(expression: Expression) -> CompiledExpression:
-    """Compile ``expression`` to a closure ``fn(context) -> value``.
-
-    Drop-in replacement for ``evaluate(expression, context)`` with identical
-    semantics (including raised error types and messages).
-    """
+    """Compile ``expression`` to a closure ``fn(context) -> value``."""
     try:
         cached = _COMPILED_CACHE.get(expression)
     except TypeError:  # unhashable literal payload: compile uncached
@@ -391,11 +247,11 @@ def _compile(node: Expression) -> CompiledExpression:
         try:
             resolved: Optional[SqlType] = SqlType.from_declaration(type_name)
         except TypeMismatchError:
-            resolved = None  # defer the error to evaluation, like evaluate()
+            resolved = None  # defer the error to evaluation
 
         def cast(context: EvalContext) -> Any:
-            # Operand first, then the type lookup — the interpreter's order,
-            # so a bad column and a bad type name raise the same error.
+            # Operand first, then the type lookup, so a bad column is
+            # reported before a bad type name.
             value = operand(context)
             target = resolved if resolved is not None else SqlType.from_declaration(type_name)
             return coerce(value, target)
@@ -430,15 +286,18 @@ def _compile(node: Expression) -> CompiledExpression:
         negated = node.negated
 
         def between(context: EvalContext) -> Any:
+            # ``value >= low AND value <= high`` under Kleene logic: a FALSE
+            # side decides, whatever the other side's NULL bound.
             value = operand(context)
             low_value = low(context)
             high_value = high(context)
-            if value is None or low_value is None or high_value is None:
+            result = _compare(">=", value, low_value)
+            if result is not False:
+                below = _compare("<=", value, high_value)
+                if below is not True:
+                    result = below
+            if result is None:
                 return None
-            result = (
-                _compare(">=", value, low_value) is True
-                and _compare("<=", value, high_value) is True
-            )
             return (not result) if negated else result
 
         return between
@@ -473,8 +332,7 @@ def _compile(node: Expression) -> CompiledExpression:
             return (not matched) if negated else matched
 
         return like
-    frozen = node
-    return lambda context: evaluate(frozen, context)  # unknown node: same error path
+    raise ExecutionError(f"cannot evaluate expression node {type(node).__name__}")
 
 
 def _compile_unary(node: UnaryOp) -> CompiledExpression:

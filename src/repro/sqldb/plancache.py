@@ -8,7 +8,7 @@ dataclasses, so one parsed plan can safely serve every execution.
 
 The cache is a plain LRU over the exact SQL text. A capacity of zero
 disables caching entirely (every lookup misses and nothing is stored),
-which the benchmarks use to measure the uncached baseline.
+which the parity tests use for their reference executor.
 """
 
 from __future__ import annotations

@@ -118,6 +118,25 @@ class TestEvaluatePoint:
             b.statistics.expectation("overload")
         )
 
+    def test_vectorized_tier_off_is_bit_identical(self):
+        # The row path is the vectorized tier's fallback and its reference:
+        # forcing it must not move a bit, and by default nothing falls back.
+        def evaluate(vectorized):
+            scenario, library = build_risk_vs_cost(purchase_step=16)
+            engine = ProphetEngine(
+                scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=20))
+            )
+            engine.executor.enable_vectorized = vectorized
+            return engine, engine.evaluate_point(POINT, reuse=False).statistics
+
+        default_engine, default = evaluate(True)
+        _, rows = evaluate(False)
+        assert default_engine.executor.stats.fallback_selects == 0
+        assert sorted(default.aliases()) == sorted(rows.aliases())
+        for alias in default.aliases():
+            assert np.array_equal(default.expectation(alias), rows.expectation(alias))
+            assert np.array_equal(default.stddev(alias), rows.stddev(alias))
+
     def test_point_validation(self, engine):
         with pytest.raises(ParameterError):
             engine.evaluate_point({"purchase1": 3, "purchase2": 32, "feature": 12})

@@ -1,8 +1,7 @@
 """End-to-end tests of the paper's demonstration claims (§3).
 
-Each test corresponds to an experiment id in DESIGN.md; the benchmark suite
-measures the same claims quantitatively, these tests pin the qualitative
-shape so regressions fail fast.
+The benchmark suite measures the same claims quantitatively; these tests pin
+the qualitative shape so regressions fail fast.
 """
 
 import numpy as np

@@ -12,7 +12,6 @@ from repro.core.aggregator import (
     ExactSum,
     MergeableAxisStats,
     MergeableMoments,
-    WelfordAccumulator,
 )
 from repro.errors import ScenarioError
 
@@ -115,39 +114,6 @@ class TestMergeableMoments:
         assert math.isnan(moments.mean)
         assert math.isnan(moments.variance())
         assert math.isnan(moments.stddev())
-
-
-class TestWelfordAccumulator:
-    @given(st.lists(finite_floats, min_size=2, max_size=60))
-    def test_streaming_matches_numpy(self, values):
-        acc = WelfordAccumulator()
-        for value in values:
-            acc.add(value)
-        data = np.asarray(values)
-        assert acc.mean == pytest.approx(float(data.mean()), rel=1e-9, abs=1e-6)
-        assert acc.variance() == pytest.approx(
-            float(data.var(ddof=1)), rel=1e-6, abs=1e-6
-        )
-
-    def test_chan_merge(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        left, right = WelfordAccumulator(), WelfordAccumulator()
-        for value in values[:2]:
-            left.add(value)
-        for value in values[2:]:
-            right.add(value)
-        left.merge(right)
-        data = np.asarray(values)
-        assert left.count == 6
-        assert left.mean == pytest.approx(float(data.mean()))
-        assert left.variance() == pytest.approx(float(data.var(ddof=1)))
-
-    def test_merge_into_empty(self):
-        target, source = WelfordAccumulator(), WelfordAccumulator()
-        source.add(2.0)
-        source.add(4.0)
-        target.merge(source)
-        assert (target.count, target.mean) == (2, 3.0)
 
 
 class TestMergeableAxisStats:

@@ -1,20 +1,23 @@
-"""Property tests: compiled & vectorized execution == interpreted execution.
+"""Property tests: vectorized execution == row-at-a-time execution.
 
-The compiled-expression closures and the vectorized columnar path are pure
-optimizations — every observable (row values, Python value *types*, schema,
-raised error type and message) must match the tree-walking row interpreter
-bit for bit. These tests generate random expressions and random tables and
-cross-check a fast executor (plan cache + compiled + vectorized) against a
-reference executor with every fast path disabled.
+The vectorized columnar path is a pure optimization — every observable (row
+values, Python value *types*, schema, raised error type and message) must
+match the row path bit for bit. These tests generate random expressions and
+random tables and cross-check a fast executor (plan cache + vectorized)
+against a reference executor with both turned off, which runs every
+statement through the ``compile_expression`` closures row by row. What the
+two agree *on* is checked against sqlite in ``test_sqlite_oracle.py``.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sqldb import Catalog, Executor, compile_expression, parse_expression
+from repro.sqldb import Catalog, Executor, compile_expression, expressions, parse_expression
 from repro.sqldb.ast_nodes import (
     Between,
     BinaryOp,
@@ -111,8 +114,6 @@ case_exprs = st.tuples(bool_exprs, _safe_numeric, _safe_numeric).map(
     lambda t: CaseWhen(branches=((t[0], t[1]),), otherwise=t[2])
 )
 
-any_exprs = st.one_of(numeric_exprs, bool_exprs, case_exprs)
-
 # -- random tables -----------------------------------------------------------
 
 dense_rows = st.lists(
@@ -141,9 +142,7 @@ sparse_rows = st.lists(
 def _pair(rows):
     """A (fast, reference) executor pair over identical tables."""
     fast = Executor(Catalog())
-    reference = Executor(
-        Catalog(), plan_cache_size=0, enable_vectorized=False, enable_compiled=False
-    )
+    reference = Executor(Catalog(), plan_cache_size=0, enable_vectorized=False)
     for executor in (fast, reference):
         executor.execute("CREATE TABLE t (g INT, v INT, x FLOAT)")
         executor.catalog.table("t").insert_many(rows)
@@ -170,30 +169,6 @@ def _assert_parity(rows, sql):
 
 
 # -- compiled expression closures -------------------------------------------
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    expression=any_exprs,
-    g=st.integers(min_value=-5, max_value=5),
-    v=st.one_of(st.none(), st.integers(min_value=-100, max_value=100)),
-    x=st.one_of(
-        st.none(), st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
-    ),
-)
-def test_compile_expression_matches_evaluate(expression, g, v, x):
-    context = EvalContext(columns={"g": g, "v": v, "x": x})
-    try:
-        expected = ("ok", evaluate(expression, context))
-    except Exception as error:  # noqa: BLE001
-        expected = ("error", type(error).__name__, str(error))
-    try:
-        actual = ("ok", compile_expression(expression)(context))
-    except Exception as error:  # noqa: BLE001
-        actual = ("error", type(error).__name__, str(error))
-    assert actual == expected
-    if actual[0] == "ok":
-        assert type(actual[1]) is type(expected[1])
 
 
 def test_compile_expression_round_trips_parsed_sql():
@@ -273,9 +248,7 @@ def test_nullable_tables_fall_back_but_agree(rows, where):
 )
 def test_vectorized_equi_join_matches_interpreted(left, right):
     fast = Executor(Catalog())
-    reference = Executor(
-        Catalog(), plan_cache_size=0, enable_vectorized=False, enable_compiled=False
-    )
+    reference = Executor(Catalog(), plan_cache_size=0, enable_vectorized=False)
     for executor in (fast, reference):
         executor.execute("CREATE TABLE l (k INT, a INT)")
         executor.execute("CREATE TABLE r (k INT, b INT)")
@@ -288,6 +261,19 @@ def test_vectorized_equi_join_matches_interpreted(left, right):
     sql = "SELECT l.k, l.a, r.b FROM l l JOIN r r ON l.k = r.k"
     assert _outcome(fast, sql) == _outcome(reference, sql)
     # Join output *order* must match the interpreter exactly (no ORDER BY).
+
+
+# -- two tiers, one scalar semantics: the deleted dimension stays deleted ------
+
+
+def test_executor_options_and_expression_semantics_snapshot():
+    parameters = inspect.signature(Executor.__init__).parameters.values()
+    keyword_only = {p.name for p in parameters if p.kind is p.KEYWORD_ONLY}
+    assert keyword_only == {"plan_cache_size", "enable_vectorized"}
+    # No second, tree-walking definition of the operators beside the closures.
+    assert not [
+        name for name in vars(expressions) if name.startswith(("_evaluate_", "_kleene_"))
+    ]
 
 
 # -- the fast path actually fires -------------------------------------------
@@ -329,10 +315,7 @@ class TestLargeIntegerPrecisionParity:
 
     def _int_table(self, value):
         fast = Executor(Catalog())
-        reference = Executor(
-            Catalog(), plan_cache_size=0, enable_vectorized=False,
-            enable_compiled=False,
-        )
+        reference = Executor(Catalog(), plan_cache_size=0, enable_vectorized=False)
         for executor in (fast, reference):
             executor.execute("CREATE TABLE big (a INT)")
             executor.catalog.table("big").insert((value,))
@@ -356,10 +339,7 @@ class TestLargeIntegerPrecisionParity:
 
     def test_join_keys_beyond_float_precision(self):
         fast = Executor(Catalog())
-        reference = Executor(
-            Catalog(), plan_cache_size=0, enable_vectorized=False,
-            enable_compiled=False,
-        )
+        reference = Executor(Catalog(), plan_cache_size=0, enable_vectorized=False)
         for executor in (fast, reference):
             executor.execute("CREATE TABLE l (k INT)")
             executor.execute("CREATE TABLE r (k FLOAT)")

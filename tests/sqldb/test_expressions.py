@@ -42,6 +42,12 @@ class TestArithmetic:
 
     def test_modulo(self):
         assert run("7 % 3") == 1
+        # The remainder of the truncating division: sign follows the dividend.
+        assert run("-7 % 3") == -1
+        assert run("7 % -3") == 1
+        assert run("-7 % -3") == -1
+        assert run("(-7 / 3) * 3 + -7 % 3") == -7
+        assert run("-7.5 % 2") == -1.5
         with pytest.raises(ExecutionError, match="modulo by zero"):
             run("1 % 0")
 
@@ -141,6 +147,13 @@ class TestPredicates:
         assert run("0 BETWEEN 1 AND 3") is False
         assert run("0 NOT BETWEEN 1 AND 3") is True
         assert run("NULL BETWEEN 1 AND 3") is None
+
+    def test_between_null_bound_is_kleene_and(self):
+        # ``x >= low AND x <= high``: a FALSE side decides despite a NULL bound.
+        assert run("5 NOT BETWEEN NULL AND 3") is True
+        assert run("5 BETWEEN NULL AND 3") is False
+        assert run("1 BETWEEN NULL AND 3") is None
+        assert run("1 NOT BETWEEN 2 AND NULL") is True
 
     def test_is_null(self):
         assert run("NULL IS NULL") is True
