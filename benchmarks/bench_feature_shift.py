@@ -8,6 +8,7 @@ import pytest
 
 from conftest import report
 from repro.core.fingerprint import FingerprintSpec, compute_fingerprint, correlate
+from repro.core.engine import ProphetEngine
 from repro.core.online import OnlineSession
 from repro.models import DemandModel, build_risk_vs_cost
 
@@ -15,7 +16,7 @@ from repro.models import DemandModel, build_risk_vs_cost
 @pytest.mark.benchmark(group="C2-feature-shift")
 def test_c2_feature_move_reuse(benchmark, fast_config):
     scenario, library = build_risk_vs_cost()
-    session = OnlineSession(scenario, library, fast_config)
+    session = OnlineSession(ProphetEngine(scenario, library, fast_config))
     session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
     session.refresh()
 

@@ -9,6 +9,7 @@ previous slider position.
 import pytest
 
 from conftest import report
+from repro.core.engine import ProphetEngine
 from repro.core.online import OnlineSession
 from repro.models import build_risk_vs_cost
 
@@ -26,7 +27,7 @@ def converge_cost(session):
 def test_c5_cold_convergence(benchmark, fast_config):
     def cold():
         scenario, library = build_risk_vs_cost()
-        session = OnlineSession(scenario, library, fast_config)
+        session = OnlineSession(ProphetEngine(scenario, library, fast_config))
         session.set_sliders(TARGET)
         return converge_cost(session)
 
@@ -39,7 +40,7 @@ def test_c5_cold_convergence(benchmark, fast_config):
 def test_c5_warm_convergence(benchmark, fast_config):
     def warm():
         scenario, library = build_risk_vs_cost()
-        session = OnlineSession(scenario, library, fast_config)
+        session = OnlineSession(ProphetEngine(scenario, library, fast_config))
         session.set_sliders(PRIOR)
         session.refresh()  # establish basis distributions
         session.set_sliders(TARGET)
@@ -53,12 +54,12 @@ def test_c5_warm_convergence(benchmark, fast_config):
 def test_c5_summary(benchmark, fast_config):
     def both():
         scenario, library = build_risk_vs_cost()
-        cold_session = OnlineSession(scenario, library, fast_config)
+        cold_session = OnlineSession(ProphetEngine(scenario, library, fast_config))
         cold_session.set_sliders(TARGET)
         cold_cost, cold_passes = converge_cost(cold_session)
 
         scenario2, library2 = build_risk_vs_cost()
-        warm_session = OnlineSession(scenario2, library2, fast_config)
+        warm_session = OnlineSession(ProphetEngine(scenario2, library2, fast_config))
         warm_session.set_sliders(PRIOR)
         warm_session.refresh()
         warm_session.set_sliders(TARGET)

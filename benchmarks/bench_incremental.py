@@ -8,13 +8,14 @@ for a cold render vs. a warm render after moving ``@purchase1``.
 import pytest
 
 from conftest import report
+from repro.core.engine import ProphetEngine
 from repro.core.online import OnlineSession
 from repro.models import build_risk_vs_cost
 
 
 def make_warm_session(config):
     scenario, library = build_risk_vs_cost()
-    session = OnlineSession(scenario, library, config)
+    session = OnlineSession(ProphetEngine(scenario, library, config))
     session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
     session.refresh()
     return session
@@ -25,7 +26,7 @@ def test_c1_cold_first_render(benchmark, fast_config):
     scenario, library = build_risk_vs_cost()
 
     def cold():
-        session = OnlineSession(scenario, library, fast_config)
+        session = OnlineSession(ProphetEngine(scenario, library, fast_config))
         session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
         return session.refresh()
 
@@ -52,7 +53,7 @@ def test_c1_warm_second_adjustment(benchmark, fast_config):
 def test_c1_summary(benchmark, fast_config):
     """Side-by-side cold/warm comparison (the claim's shape)."""
     scenario, library = build_risk_vs_cost()
-    session = OnlineSession(scenario, library, fast_config)
+    session = OnlineSession(ProphetEngine(scenario, library, fast_config))
     session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
     cold = session.refresh()
 

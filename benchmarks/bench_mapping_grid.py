@@ -8,6 +8,7 @@ The paper's visual: after the first explored points, mappings dominate.
 import pytest
 
 from conftest import report
+from repro.core.engine import ProphetEngine
 from repro.core.offline import OfflineOptimizer
 from repro.models import build_risk_vs_cost
 from repro.viz import mapping_grid, render_grid
@@ -17,7 +18,7 @@ from repro.viz import mapping_grid, render_grid
 def test_f4_mapping_grid_slice(benchmark, sweep_config):
     def sweep():
         scenario, library = build_risk_vs_cost(purchase_step=8)
-        optimizer = OfflineOptimizer(scenario, library, sweep_config)
+        optimizer = OfflineOptimizer(ProphetEngine(scenario, library, sweep_config))
         result = optimizer.run(reuse=True)
         return scenario, optimizer, result
 

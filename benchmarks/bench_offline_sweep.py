@@ -9,13 +9,14 @@ answer, which must be identical.
 import pytest
 
 from conftest import report
+from repro.core.engine import ProphetEngine
 from repro.core.offline import OfflineOptimizer
 from repro.models import build_risk_vs_cost
 
 
 def run_sweep(reuse: bool, config):
     scenario, library = build_risk_vs_cost(purchase_step=8)
-    optimizer = OfflineOptimizer(scenario, library, config)
+    optimizer = OfflineOptimizer(ProphetEngine(scenario, library, config))
     return optimizer.run(reuse=reuse)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import report
+from repro.core.engine import ProphetEngine
 from repro.core.online import OnlineSession
 from repro.models import build_risk_vs_cost
 from repro.viz import render_sparkline
@@ -21,7 +22,7 @@ def test_f3_regenerate_graph_series(benchmark, fast_config):
     scenario, library = build_risk_vs_cost()
 
     def render():
-        session = OnlineSession(scenario, library, fast_config)
+        session = OnlineSession(ProphetEngine(scenario, library, fast_config))
         session.set_sliders({"purchase1": 20, "purchase2": 40, "feature": 12})
         view = session.refresh()
         return session, view
@@ -58,7 +59,7 @@ def test_f3_risk_monotone_in_purchase_delay(benchmark, fast_config):
     """Later purchases -> strictly more year-max overload risk (the demo's
     slider intuition)."""
     scenario, library = build_risk_vs_cost()
-    session = OnlineSession(scenario, library, fast_config)
+    session = OnlineSession(ProphetEngine(scenario, library, fast_config))
 
     def sweep():
         risks = []

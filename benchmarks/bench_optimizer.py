@@ -41,7 +41,7 @@ def test_c4_optimizer_matches_brute_force(benchmark, sweep_config):
         scenario, library = build_risk_vs_cost(
             purchase_step=8, overload_threshold=THRESHOLD
         )
-        optimizer = OfflineOptimizer(scenario, library, sweep_config)
+        optimizer = OfflineOptimizer(ProphetEngine(scenario, library, sweep_config))
         return optimizer.run(reuse=True)
 
     result = benchmark.pedantic(optimize, rounds=1, iterations=1)
@@ -74,7 +74,7 @@ def test_c4_feasibility_frontier_shape(benchmark, sweep_config):
         scenario, library = build_risk_vs_cost(
             purchase_step=8, overload_threshold=THRESHOLD
         )
-        return OfflineOptimizer(scenario, library, sweep_config).run(reuse=True)
+        return OfflineOptimizer(ProphetEngine(scenario, library, sweep_config)).run(reuse=True)
 
     result = benchmark.pedantic(optimize, rounds=1, iterations=1)
     records_f12 = [r for r in result.records if r.point["feature"] == 12]

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import report
 from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.core.offline import OfflineOptimizer
 from repro.models import build_risk_vs_cost
 
@@ -23,7 +24,7 @@ def test_full_figure2_grid(benchmark):
         scenario, library = build_risk_vs_cost(
             purchase_step=4, overload_threshold=0.05
         )
-        optimizer = OfflineOptimizer(scenario, library, config)
+        optimizer = OfflineOptimizer(ProphetEngine(scenario, library, config))
         return optimizer.run(reuse=True), optimizer
 
     result, optimizer = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -10,7 +10,7 @@ parameterizations so that already-computed sample distributions are remapped
 instead of re-simulated.
 
 The public surface is :mod:`repro.api` — one client, typed layered
-configuration, three uniform handles, one stats report. Quickstart::
+configuration, streaming sweep handles, one stats report. Quickstart::
 
     from repro.api import ProphetClient
     from repro.models import FIGURE2_DSL
@@ -42,9 +42,7 @@ from repro.api import (
     AdaptiveSweepHandle,
     CacheConfig,
     ClientConfig,
-    InteractiveHandle,
     ObsConfig,
-    OptimizeHandle,
     ProphetClient,
     ResilienceConfig,
     ReuseConfig,
@@ -75,10 +73,8 @@ __all__ = [
     "TransportConfig",
     "CacheConfig",
     "ObsConfig",
-    "InteractiveHandle",
     "SweepHandle",
     "SweepResult",
-    "OptimizeHandle",
     "StatsReport",
     "TimingReport",
     # the DSL front door

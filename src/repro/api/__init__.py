@@ -10,10 +10,10 @@ Everything a caller needs lives here and only here:
   :class:`SamplingConfig`, :class:`ReuseConfig`, :class:`StoreConfig`,
   :class:`ServeConfig`, :class:`ResilienceConfig`, :class:`TransportConfig`,
   :class:`CacheConfig`, :class:`AdaptiveConfig`, :class:`ObsConfig`;
-* the uniform handles — :class:`InteractiveHandle`, :class:`SweepHandle`
-  and :class:`AdaptiveSweepHandle` (streaming :class:`SweepResult`
-  iterators; the adaptive one retires points as their CI target resolves),
-  :class:`OptimizeHandle`;
+* the sweep handles — :class:`SweepHandle` and :class:`AdaptiveSweepHandle`
+  (streaming :class:`SweepResult` iterators; the adaptive one retires
+  points as their CI target resolves); ``client.interactive()`` and
+  ``client.optimize()`` return the ``repro.core`` mode drivers themselves;
 * the one stats surface — :class:`StatsReport`, carrying the wall-clock
   :class:`TimingReport` separately from its byte-stable counter JSON.
 
@@ -35,8 +35,6 @@ from repro.api.config import (
 )
 from repro.api.handles import (
     AdaptiveSweepHandle,
-    InteractiveHandle,
-    OptimizeHandle,
     SweepHandle,
     SweepResult,
 )
@@ -48,9 +46,7 @@ __all__ = [
     "AdaptiveSweepHandle",
     "CacheConfig",
     "ClientConfig",
-    "InteractiveHandle",
     "ObsConfig",
-    "OptimizeHandle",
     "ProphetClient",
     "ResilienceConfig",
     "ReuseConfig",

@@ -3,10 +3,10 @@
 One entrypoint — ``ProphetClient.open(scenario, library, config=...)`` —
 replaces the four divergent legacy surfaces (``ProphetEngine``,
 ``OnlineSession``, ``OfflineOptimizer``, ``serve``'s service/scheduler).
-Backends are pure configuration: the same three handles resolve against an
-in-process engine or the sharded serve backend, bit-identically by the
-serve parity contract, and one :meth:`ProphetClient.stats` report unifies
-every counter dialect.
+Backends are pure configuration, chosen once when the backend is built:
+the mode drivers and sweep handles resolve against an in-process engine or
+the sharded serve backend, bit-identically by the serve parity contract,
+and one :meth:`ProphetClient.stats` report unifies every counter dialect.
 
 Fluent configuration (before the backend is built)::
 
@@ -24,15 +24,11 @@ Fluent configuration (before the backend is built)::
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+import functools
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.api.config import ClientConfig
-from repro.api.handles import (
-    AdaptiveSweepHandle,
-    InteractiveHandle,
-    OptimizeHandle,
-    SweepHandle,
-)
+from repro.api.handles import AdaptiveSweepHandle, SweepHandle
 from repro.api.stats import StatsReport
 from repro.core.engine import PointEvaluation, ProphetEngine
 from repro.core.offline import OfflineOptimizer
@@ -77,6 +73,7 @@ class ProphetClient:
         self._engine: Optional[ProphetEngine] = None
         self._service: Optional[EvaluationService] = None
         self._scheduler: Optional[Scheduler] = None
+        self._served = False  # fixed by _ensure_backend
         self._tracer: Any = NULL_TRACER
         self._profiler: Optional[EngineProfiler] = None
         self._trace_exported = False
@@ -256,9 +253,17 @@ class ProphetClient:
         return self._engine
 
     def _ensure_backend(self) -> None:
+        """Build the backend and fix, once, what evaluates a point.
+
+        Serve-configured clients evaluate through the service (drivers
+        through its scheduler's job queue); every other client calls its
+        engine directly — and keeps doing so after a :meth:`sweep` builds
+        the private inline scheduler that sweeps alone run on.
+        """
         if self._engine is not None:
             return
-        if self.config.wants_service():
+        self._served = self.config.wants_service()
+        if self._served:
             self._build_service()
             self._engine = self._service.engine
         else:
@@ -351,28 +356,28 @@ class ProphetClient:
                 self._attach_observability()
         return self._scheduler
 
-    # -- handles -------------------------------------------------------------
+    # -- drivers + sweeps ----------------------------------------------------
 
-    def _driver_backend(self) -> dict[str, Any]:
-        """What a mode driver runs on: the serve scheduler when one was
-        configured, else the client's own in-process engine."""
+    def _driver_evaluate(
+        self, session_name: str
+    ) -> Optional[Callable[..., PointEvaluation]]:
+        """The ``evaluate=`` seam of a mode driver: the scheduler's job queue
+        on a serve-configured client, else the driver's default (its engine)."""
         self._ensure_backend()
-        if self._scheduler is not None:
-            return {"scheduler": self._scheduler}
-        return {"engine": self._engine}
+        if self._served:
+            return functools.partial(self._scheduler.evaluate, session=session_name)
+        return None
 
     def interactive(
         self, *, neighbor_depth: int = 1, session_name: str = "interactive"
-    ) -> InteractiveHandle:
-        """Sliders + progressive refresh (wraps :class:`OnlineSession`)."""
-        session = OnlineSession(
-            self.scenario,
-            self.library,
+    ) -> OnlineSession:
+        """Sliders + progressive refresh: an :class:`OnlineSession` on this
+        client's backend (``session_name`` labels its serve jobs)."""
+        return OnlineSession(
+            self.engine,
+            evaluate=self._driver_evaluate(session_name),
             neighbor_depth=neighbor_depth,
-            session_name=session_name,
-            **self._driver_backend(),
         )
-        return InteractiveHandle(session)
 
     def sweep(
         self,
@@ -410,20 +415,17 @@ class ProphetClient:
                 reuse=reuse,
             )
             return AdaptiveSweepHandle(scheduler, adaptive)
-        sweep = scheduler.submit_sweep(
+        jobs = scheduler.submit_sweep(
             points, worlds=worlds, session=session_name, reuse=reuse
         )
-        return SweepHandle(scheduler, sweep.jobs)
+        return SweepHandle(scheduler, jobs)
 
-    def optimize(self, *, session_name: str = "optimizer") -> OptimizeHandle:
-        """The scenario's OPTIMIZE block (wraps :class:`OfflineOptimizer`)."""
-        optimizer = OfflineOptimizer(
-            self.scenario,
-            self.library,
-            session_name=session_name,
-            **self._driver_backend(),
+    def optimize(self, *, session_name: str = "optimizer") -> OfflineOptimizer:
+        """The scenario's OPTIMIZE block: an :class:`OfflineOptimizer` on
+        this client's backend (``session_name`` labels its serve jobs)."""
+        return OfflineOptimizer(
+            self.engine, evaluate=self._driver_evaluate(session_name)
         )
-        return OptimizeHandle(optimizer)
 
     # -- evaluation + stats --------------------------------------------------
 
@@ -462,7 +464,7 @@ class ProphetClient:
                 raise ServeError(f"adaptive evaluation failed: {state.error}")
             return state.evaluator.result
         self._ensure_backend()
-        if self._service is not None:
+        if self._served:
             return self._service.evaluate(point, worlds=worlds, reuse=reuse)
         return self._engine.evaluate_point(point, worlds=worlds, reuse=reuse)
 
@@ -470,7 +472,7 @@ class ProphetClient:
         """Human description of the built backend: ``"sequential"`` for a
         bare engine, ``"<executor> x<workers>"`` for the serve backend."""
         self._ensure_backend()
-        if self._service is None:
+        if not self._served:
             return "sequential"
         return f"{self._service.executor.kind} x{self._service.executor.workers}"
 

@@ -1,33 +1,30 @@
-"""The three uniform result handles a :class:`~repro.api.ProphetClient` hands out.
+"""The streaming sweep handles a :class:`~repro.api.ProphetClient` hands out.
 
-* :class:`InteractiveHandle` — sliders and progressive refresh over one
-  :class:`~repro.core.online.OnlineSession` (the demo GUI, programmatic);
+``client.interactive()`` and ``client.optimize()`` return the mode drivers
+themselves (:class:`~repro.core.online.OnlineSession`,
+:class:`~repro.core.offline.OfflineOptimizer`); only sweeps need a handle:
+
 * :class:`SweepHandle` — a **streaming** iterator over a scheduled sweep:
   each iteration runs exactly one queued job (in-flight duplicates
   coalesce, the result cache answers repeats) and yields its
   :class:`SweepResult` the moment it lands, so callers render progress
   without waiting for the whole grid;
-* :class:`OptimizeHandle` — the scenario's OPTIMIZE block over one
-  :class:`~repro.core.offline.OfflineOptimizer`.
+* :class:`AdaptiveSweepHandle` — the same surface over the scheduler's CI
+  budget allocator: points retire as their confidence target resolves.
 
-Every handle resolves identically against the in-process engine and the
-sharded serve backend — bit-identical by the serve parity contract — and
-none of them owns private counters: :meth:`repro.api.ProphetClient.stats`
-is the one stats surface for all three.
+Both resolve identically against the in-process engine and the sharded
+serve backend — bit-identical by the serve parity contract — and neither
+owns private counters: :meth:`repro.api.ProphetClient.stats` is the one
+stats surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Optional
-
-import numpy as np
+from typing import Any, Iterator, Optional
 
 from repro.core.aggregator import AxisStatistics
-from repro.core.rounds import ConvergenceTracker
-from repro.core.engine import PointEvaluation, ProphetEngine
-from repro.core.offline import OfflineOptimizer, OptimizationResult
-from repro.core.online import GraphView, InteractionLog, OnlineSession
+from repro.core.engine import PointEvaluation
 from repro.errors import ServeError
 from repro.serve.scheduler import (
     DONE,
@@ -37,54 +34,6 @@ from repro.serve.scheduler import (
     Job,
     Scheduler,
 )
-
-
-class InteractiveHandle:
-    """Sliders + progressive refresh, backed by the client's engine or service."""
-
-    def __init__(self, session: OnlineSession) -> None:
-        self._session = session
-
-    # -- sliders ------------------------------------------------------------
-
-    @property
-    def sliders(self) -> dict[str, Any]:
-        return self._session.sliders
-
-    def set_slider(self, name: str, value: Any) -> None:
-        self._session.set_slider(name, value)
-
-    def set_sliders(self, values: Mapping[str, Any]) -> None:
-        self._session.set_sliders(values)
-
-    # -- evaluation ---------------------------------------------------------
-
-    def refresh(self, *, reuse: bool = True) -> GraphView:
-        return self._session.refresh(reuse=reuse)
-
-    def refresh_progressive(self, *, reuse: bool = True) -> list[GraphView]:
-        return self._session.refresh_progressive(reuse=reuse)
-
-    def explore_proactively(self, max_points: int | None = None) -> int:
-        return self._session.explore_proactively(max_points)
-
-    # -- observability ------------------------------------------------------
-
-    @property
-    def log(self) -> InteractionLog:
-        return self._session.log
-
-    @property
-    def tracker(self) -> ConvergenceTracker:
-        return self._session.tracker
-
-    def graph_series(self, view: GraphView) -> dict[str, np.ndarray]:
-        return self._session.graph_series(view)
-
-    @property
-    def session(self) -> OnlineSession:
-        """The underlying session (escape hatch for advanced callers)."""
-        return self._session
 
 
 @dataclass(frozen=True)
@@ -112,58 +61,42 @@ class SweepResult:
         return self.error is None
 
 
-class SweepHandle:
-    """A streaming sweep: iterate to run, results arrive job by job.
+class _StreamingSweep:
+    """What both sweep handles share: iterate to run, one result per entry.
 
-    Jobs are queued at construction (so ``len(handle)`` is known up front
-    and identical points have already coalesced); each ``next()`` steps the
-    scheduler until the next submitted point — in submission order — has a
-    result, then yields it. Coalesced followers resolve together with
-    their primary, so a handle over N points always yields N results.
-
-    Failed points yield a :class:`SweepResult` with ``error`` set instead
-    of raising, so one bad point does not abort a long sweep; call
-    :meth:`raise_failures` (or check ``result.ok``) for strictness.
+    ``entries`` are the scheduler-side records (jobs or adaptive point
+    states), one per submitted point, each with an ``exception`` field. A
+    subclass says how to advance the scheduler until entry *i* is final
+    (:meth:`_settle`) and how to read its :class:`SweepResult`
+    (:meth:`_result`).
     """
 
-    def __init__(self, scheduler: Scheduler, jobs: list[Job]) -> None:
+    def __init__(self, scheduler: Scheduler, entries: list) -> None:
         self._scheduler = scheduler
-        self._jobs = jobs
-        self._cursor = 0
+        self._entries = entries
         self.results: list[SweepResult] = []
 
     def __len__(self) -> int:
-        return len(self._jobs)
+        return len(self._entries)
 
     def __iter__(self) -> Iterator[SweepResult]:
         return self
 
     def __next__(self) -> SweepResult:
-        if self._cursor >= len(self._jobs):
+        index = len(self.results)
+        if index >= len(self._entries):
             raise StopIteration
-        job = self._jobs[self._cursor]
-        while job.status not in (DONE, FAILED):
-            if self._scheduler.run_next() is None:
-                # Queue drained yet this job never resolved — a coalesced
-                # follower whose primary was submitted outside this sweep
-                # and never ran. Surface it rather than spinning.
-                raise ServeError(
-                    f"sweep job {job.id} never completed (status: {job.status})"
-                )
-        result = SweepResult(
-            index=self._cursor,
-            point=dict(job.point),
-            statistics=job.result.statistics if job.result is not None else None,
-            evaluation=job.result,
-            deduplicated=job.coalesced_with is not None,
-            error=job.error,
-            elapsed_seconds=job.elapsed_seconds,
-        )
-        self._cursor += 1
+        entry = self._entries[index]
+        self._settle(entry)
+        result = self._result(index, entry)
         self.results.append(result)
         return result
 
-    # -- conveniences --------------------------------------------------------
+    def _settle(self, entry: Any) -> None:
+        raise NotImplementedError
+
+    def _result(self, index: int, entry: Any) -> SweepResult:
+        raise NotImplementedError
 
     def run(self) -> list[SweepResult]:
         """Drain the whole sweep (the non-streaming spelling)."""
@@ -177,16 +110,50 @@ class SweepHandle:
 
     def raise_failures(self) -> None:
         """Re-raise the first failed point's original exception, if any."""
-        for index, result in enumerate(self.results):
-            if result.ok:
-                continue
-            exception = self._jobs[result.index].exception
+        for result in self.failures:
+            exception = self._entries[result.index].exception
             if exception is not None:
                 raise exception
-            raise ServeError(f"sweep point {index} failed: {result.error}")
+            raise ServeError(f"sweep point {result.index} failed: {result.error}")
 
 
-class AdaptiveSweepHandle:
+class SweepHandle(_StreamingSweep):
+    """A streaming sweep: iterate to run, results arrive job by job.
+
+    Jobs are queued at construction (so ``len(handle)`` is known up front
+    and identical points have already coalesced); each ``next()`` steps the
+    scheduler until the next submitted point — in submission order — has a
+    result, then yields it. Coalesced followers resolve together with
+    their primary, so a handle over N points always yields N results.
+
+    Failed points yield a :class:`SweepResult` with ``error`` set instead
+    of raising, so one bad point does not abort a long sweep; call
+    :meth:`raise_failures` (or check ``result.ok``) for strictness.
+    """
+
+    def _settle(self, job: Job) -> None:
+        while job.status not in (DONE, FAILED):
+            if self._scheduler.run_next() is None:
+                # Queue drained yet this job never resolved — a coalesced
+                # follower whose primary was submitted outside this sweep
+                # and never ran. Surface it rather than spinning.
+                raise ServeError(
+                    f"sweep job {job.id} never completed (status: {job.status})"
+                )
+
+    def _result(self, index: int, job: Job) -> SweepResult:
+        return SweepResult(
+            index=index,
+            point=dict(job.point),
+            statistics=job.result.statistics if job.result is not None else None,
+            evaluation=job.result,
+            deduplicated=job.coalesced_with is not None,
+            error=job.error,
+            elapsed_seconds=job.elapsed_seconds,
+        )
+
+
+class AdaptiveSweepHandle(_StreamingSweep):
     """A streaming *adaptive* sweep: points retire as their CI resolves.
 
     Mirrors :class:`SweepHandle` — iterate to run, one :class:`SweepResult`
@@ -203,28 +170,20 @@ class AdaptiveSweepHandle:
     """
 
     def __init__(self, scheduler: Scheduler, sweep: AdaptiveSweepJob) -> None:
-        self._scheduler = scheduler
-        self._sweep = sweep
-        self._cursor = 0
-        self.results: list[SweepResult] = []
+        super().__init__(scheduler, sweep.states)
+        self.sweep = sweep  #: escape hatch: budget, per-point state
 
-    def __len__(self) -> int:
-        return len(self._sweep.states)
-
-    def __iter__(self) -> Iterator[SweepResult]:
-        return self
-
-    def __next__(self) -> SweepResult:
-        states = self._sweep.states
-        if self._cursor >= len(states):
-            raise StopIteration
-        state = states[self._cursor]
-        while not self._resolved(state):
-            if not self._scheduler.advance_adaptive(self._sweep):
+    def _settle(self, state: AdaptivePointState) -> None:
+        # Final = no later round can change it: converged, failed, or the
+        # allocator is done (advance_adaptive returns False).
+        while not (state.finalized and (state.evaluator.converged or state.failed)):
+            if not self._scheduler.advance_adaptive(self.sweep):
                 break
+
+    def _result(self, index: int, state: AdaptivePointState) -> SweepResult:
         evaluation = state.evaluator.result
-        result = SweepResult(
-            index=self._cursor,
+        return SweepResult(
+            index=index,
             point=dict(state.point),
             statistics=evaluation.statistics if evaluation is not None else None,
             evaluation=evaluation,
@@ -236,71 +195,3 @@ class AdaptiveSweepHandle:
             max_ci=state.evaluator.max_ci,
             retired_early=state.retired_early,
         )
-        self._cursor += 1
-        self.results.append(result)
-        return result
-
-    @staticmethod
-    def _resolved(state: AdaptivePointState) -> bool:
-        """Is this point's outcome final (no later round can change it)?"""
-        return state.finalized and (state.evaluator.converged or state.failed)
-
-    # -- conveniences --------------------------------------------------------
-
-    def run(self) -> list[SweepResult]:
-        """Drain the whole adaptive sweep (the non-streaming spelling)."""
-        for _ in self:
-            pass
-        return self.results
-
-    @property
-    def sweep(self) -> AdaptiveSweepJob:
-        """The scheduler-level sweep (escape hatch: budget, per-point state)."""
-        return self._sweep
-
-    @property
-    def failures(self) -> list[SweepResult]:
-        return [result for result in self.results if not result.ok]
-
-    def raise_failures(self) -> None:
-        """Re-raise the first failed point's original exception, if any."""
-        for index, result in enumerate(self.results):
-            if result.ok:
-                continue
-            exception = self._sweep.states[result.index].exception
-            if exception is not None:
-                raise exception
-            raise ServeError(f"sweep point {index} failed: {result.error}")
-
-
-class OptimizeHandle:
-    """The scenario's OPTIMIZE block, runnable against either backend."""
-
-    def __init__(self, optimizer: OfflineOptimizer) -> None:
-        self._optimizer = optimizer
-        self.result: Optional[OptimizationResult] = None
-
-    def run(
-        self,
-        *,
-        reuse: bool = True,
-        progress: Optional[Callable[..., None]] = None,
-    ) -> OptimizationResult:
-        """Sweep the grid and select the best feasible point."""
-        self.result = self._optimizer.run(reuse=reuse, progress=progress)
-        return self.result
-
-    def best_point(self) -> dict[str, Any]:
-        """The winning point of the last :meth:`run` (raises if infeasible)."""
-        if self.result is None:
-            raise ServeError("optimize handle has not run yet; call run()")
-        return self.result.best_point()
-
-    @property
-    def engine(self) -> ProphetEngine:
-        """The engine behind the sweep (escape hatch for drill-downs)."""
-        return self._optimizer.engine
-
-    @property
-    def optimizer(self) -> OfflineOptimizer:
-        return self._optimizer

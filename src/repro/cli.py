@@ -29,6 +29,7 @@ from dataclasses import fields
 from typing import Any, NamedTuple, Sequence, get_args, get_type_hints
 
 from repro.api import ClientConfig, ProphetClient
+from repro.core.online import graph_series
 from repro.errors import ReproError
 from repro.models import FIGURE2_DSL
 from repro.serve.worker import LIBRARY_BUILDERS
@@ -387,18 +388,6 @@ def command_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _graph_series(scenario: Any, statistics: Any) -> dict[str, Any]:
-    """The GRAPH directive's series from bare statistics (adaptive path —
-    no :class:`GraphView` exists because no interactive session ran)."""
-    series: dict[str, Any] = {}
-    for spec in scenario.graph.series:
-        if spec.kind == "EXPECT":
-            series[f"E[{spec.alias}]"] = statistics.expectation(spec.alias)
-        else:
-            series[f"SD[{spec.alias}]"] = statistics.stddev(spec.alias)
-    return series
-
-
 def _run_adaptive(client: ProphetClient, args: argparse.Namespace) -> int:
     """The adaptive spelling of ``repro run``: round ladder to --target-ci."""
     point = client.scenario.sweep_space.default_point()
@@ -424,7 +413,7 @@ def _run_adaptive(client: ProphetClient, args: argparse.Namespace) -> int:
         print()
         print(
             render_chart(
-                _graph_series(client.scenario, evaluation.statistics),
+                graph_series(client.scenario, evaluation.statistics),
                 title=f"{client.scenario.name}",
             )
         )
@@ -482,14 +471,14 @@ def command_optimize(args: argparse.Namespace) -> int:
     client = _open_client(args)
     with client:
         scenario = client.scenario
-        handle = client.optimize(session_name="cli")
+        optimizer = client.optimize(session_name="cli")
         total = scenario.space.grid_size(exclude=[scenario.axis])
         print(
             f"sweeping {total} points x {client.config.sampling.n_worlds} worlds "
             f"(reuse {'off' if args.no_reuse else 'on'}; "
             f"{client.backend_description()})"
         )
-        result = handle.run(reuse=not args.no_reuse)
+        result = optimizer.run(reuse=not args.no_reuse)
         print(
             f"done in {result.elapsed_seconds:.1f}s; sources {result.source_counts()}; "
             f"{result.component_samples} component-samples"

@@ -31,7 +31,6 @@ from repro.core.offline import (
     OfflineOptimizer,
     OptimizationResult,
     PointRecord,
-    ReuseSummary,
 )
 from repro.core.online import GraphView, InteractionLog, OnlineSession
 from repro.core.parameters import Parameter, ParameterSpace
@@ -99,7 +98,6 @@ __all__ = [
     "OfflineOptimizer",
     "OptimizationResult",
     "PointRecord",
-    "ReuseSummary",
     "ConstraintEvaluator",
     "RiskAnalyzer",
     "RiskSummary",

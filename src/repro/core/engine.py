@@ -567,51 +567,6 @@ class ProphetEngine:
         return statistics
 
 
-def resolve_engine(
-    scenario: Scenario,
-    library: VGLibrary,
-    config: Optional[EngineConfig],
-    engine: Optional["ProphetEngine"],
-    scheduler: Optional[Any],
-    error: type[Exception],
-) -> "ProphetEngine":
-    """The engine a mode driver (online session, offline optimizer) runs on.
-
-    One source wins: a scheduler's coordinator engine (the driver then sees
-    and feeds the same bases, caches and counters as every other session on
-    the service — VG work done by shard workers is not reflected in its
-    invocation counters), a caller-owned ``engine=`` (the ``repro.api``
-    client's), or a private engine built from ``config``. Both modes read
-    one config: a ``config=`` passed beside a shared engine must equal the
-    sections that engine already holds.
-    """
-    if engine is not None and scheduler is not None:
-        raise error("pass either engine= or scheduler=, not both")
-    if scheduler is not None:
-        from repro.serve.cache import scenario_fingerprint
-
-        service = scheduler.service
-        if scenario_fingerprint(scenario, library) != scenario_fingerprint(
-            service.scenario, service.engine.library
-        ):
-            raise error(
-                "scheduler serves a different scenario/library than this driver's"
-            )
-        engine = service.engine
-    elif engine is None:
-        return ProphetEngine(scenario, library, config)
-    elif engine.scenario is not scenario:
-        raise error(
-            "engine= was built for a different scenario object than this driver's"
-        )
-    if config is not None and config != engine.config:
-        raise error(
-            "config= conflicts with the shared engine's config; "
-            "omit it or build the engine with this config"
-        )
-    return engine
-
-
 # -- the round protocol -------------------------------------------------------
 
 

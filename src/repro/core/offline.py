@@ -9,6 +9,11 @@ maximizes/minimizes the ``FOR MAX/MIN @param`` objectives.
 
 For Figure 2's scenario this answers: *the latest purchase dates that keep
 the expected chance of overload below the threshold for the whole year.*
+
+Like the online session, the optimizer drives one :class:`ProphetEngine`
+through one ``evaluate`` callable (default: the engine's own
+``evaluate_point``; a serve scheduler's ``evaluate`` fans every grid point
+out across the worker pool and into the cross-run result cache).
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ import numpy as np
 
 from repro.errors import OptimizationError
 from repro.core.aggregator import AxisStatistics
-from repro.core.config import EngineConfig
-from repro.core.engine import ProphetEngine, resolve_engine
+from repro.core.engine import PointEvaluation, ProphetEngine
 from repro.core.guide import GridGuide
-from repro.core.scenario import OptimizeSpec, Scenario
+from repro.core.scenario import OptimizeSpec
+from repro.core.storage import ReuseReport
 from repro.sqldb.ast_nodes import (
     BinaryOp,
     Expression,
@@ -32,7 +37,6 @@ from repro.sqldb.ast_nodes import (
     Literal,
     UnaryOp,
 )
-from repro.vg.library import VGLibrary
 
 #: Axis-level reducers allowed in OPTIMIZE constraints.
 _AXIS_REDUCERS: dict[str, Callable[[np.ndarray], float]] = {
@@ -44,16 +48,6 @@ _AXIS_REDUCERS: dict[str, Callable[[np.ndarray], float]] = {
 
 
 @dataclass(frozen=True)
-class ReuseSummary:
-    """Compressed reuse information for one VG model at one point."""
-
-    vg_name: str
-    source: str
-    mapped_fraction: float
-    basis_args: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
 class PointRecord:
     """One explored grid point."""
 
@@ -61,13 +55,13 @@ class PointRecord:
     feasible: bool
     constraint_value: Optional[float]
     statistics: AxisStatistics
-    reuse: tuple[ReuseSummary, ...]
+    reuse: tuple[ReuseReport, ...]  #: one report per VG model
     elapsed_seconds: float
 
     @property
     def dominant_source(self) -> str:
         """'fresh' if any model was fresh, else 'mapped'/'exact'."""
-        sources = {summary.source for summary in self.reuse}
+        sources = {report.source for report in self.reuse}
         if "fresh" in sources:
             return "fresh"
         if "mapped" in sources:
@@ -206,26 +200,18 @@ class OfflineOptimizer:
 
     def __init__(
         self,
-        scenario: Scenario,
-        library: VGLibrary,
-        config: EngineConfig | None = None,
-        engine: ProphetEngine | None = None,
-        scheduler: Optional[Any] = None,
-        session_name: str = "optimizer",
+        engine: ProphetEngine,
+        *,
+        evaluate: Optional[Callable[..., PointEvaluation]] = None,
     ) -> None:
-        self.session_name = session_name
-        if scenario.optimize is None:
+        self.engine = engine
+        self.scenario = engine.scenario
+        if self.scenario.optimize is None:
             raise OptimizationError(
-                f"scenario {scenario.name!r} has no OPTIMIZE specification"
+                f"scenario {self.scenario.name!r} has no OPTIMIZE specification"
             )
-        self.scenario = scenario
-        self.spec: OptimizeSpec = scenario.optimize
-        self.scheduler = scheduler
-        # With a scheduler, every grid point's fresh sampling fans out
-        # across the worker pool and lands in the cross-run result cache.
-        self.engine = resolve_engine(
-            scenario, library, config, engine, scheduler, OptimizationError
-        )
+        self.spec: OptimizeSpec = self.scenario.optimize
+        self._evaluate = evaluate if evaluate is not None else engine.evaluate_point
 
     def run(
         self,
@@ -255,17 +241,7 @@ class OfflineOptimizer:
         for batch in guide.batches():
             # repro-lint: disable=DET001 -- observability only (see above).
             started = time.perf_counter()
-            if self.scheduler is not None:
-                evaluation = self.scheduler.evaluate(
-                    batch.point_dict,
-                    worlds=batch.worlds,
-                    session=self.session_name,
-                    reuse=reuse,
-                )
-            else:
-                evaluation = self.engine.evaluate_point(
-                    batch.point_dict, worlds=batch.worlds, reuse=reuse
-                )
+            evaluation = self._evaluate(batch.point_dict, worlds=batch.worlds, reuse=reuse)
             # repro-lint: disable=DET001 -- observability only (see above).
             record = self._record_for(evaluation, time.perf_counter() - started)
             result.records.append(record)
@@ -293,21 +269,12 @@ class OfflineOptimizer:
                     f"constraint must evaluate to a boolean, got {outcome!r}"
                 )
             constraint_value = self._constraint_scalar(evaluation.statistics)
-        reuse = tuple(
-            ReuseSummary(
-                vg_name=report.vg_name,
-                source=report.source,
-                mapped_fraction=report.mapped_fraction,
-                basis_args=report.basis_args,
-            )
-            for report in evaluation.reuse_reports
-        )
         return PointRecord(
             point=evaluation.point,
             feasible=feasible,
             constraint_value=constraint_value,
             statistics=evaluation.statistics,
-            reuse=reuse,
+            reuse=evaluation.reuse_reports,
             elapsed_seconds=elapsed,
         )
 

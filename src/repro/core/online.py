@@ -11,29 +11,28 @@ neighboring slider positions speculatively (the demo GUI's parameter-space
 grid showing "values proactively being explored anticipating their future
 usage"); a subsequent move to one of those values is then an instant hit.
 
-Scheduler backend: passing a :class:`repro.serve.Scheduler` routes every
-evaluation through the shared sharded evaluation service — slider refreshes
-run their fresh sampling across the worker pool, proactive exploration is
-submitted as deduplicated jobs, and results land in the cross-run cache for
-other sessions.
+The seam: a session drives one :class:`ProphetEngine` through one
+``evaluate`` callable with :meth:`ProphetEngine.evaluate_point`'s signature
+(the default). Handing it a serve scheduler's ``evaluate`` instead routes
+every refresh and proactive point through the shared job queue — dedup,
+job-level retries, the shard pool and the cross-run cache — with
+bit-identical statistics; the session itself never knows which it got.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from repro.errors import OnlineSessionError
 from repro.core.aggregator import AxisStatistics
 from repro.core.rounds import ConvergenceTracker
-from repro.core.config import EngineConfig
-from repro.core.engine import PointEvaluation, ProphetEngine, resolve_engine
+from repro.core.engine import PointEvaluation, ProphetEngine
 from repro.core.guide import PriorityGuide
 from repro.core.scenario import Scenario
-from repro.vg.library import VGLibrary
 
 
 @dataclass(frozen=True)
@@ -81,33 +80,48 @@ class InteractionLog:
         return len(self.views)
 
 
+def graph_series(
+    scenario: Scenario, statistics: AxisStatistics
+) -> dict[str, np.ndarray]:
+    """The series the scenario's GRAPH directive asks for, keyed by label."""
+    if scenario.graph is None:
+        raise OnlineSessionError("scenario has no GRAPH directive")
+    series: dict[str, np.ndarray] = {}
+    for spec in scenario.graph.series:
+        if spec.kind == "EXPECT":
+            series[f"E[{spec.alias}]"] = statistics.expectation(spec.alias)
+        else:
+            series[f"SD[{spec.alias}]"] = statistics.stddev(spec.alias)
+    return series
+
+
 class OnlineSession:
-    """Interactive exploration session over one scenario."""
+    """Interactive exploration session driving one engine.
+
+    Scenario, library and config are the engine's; ``evaluate`` is any
+    callable with :meth:`ProphetEngine.evaluate_point`'s signature (the
+    default) — e.g. a serve scheduler's ``evaluate``, whose coordinator
+    engine is then the ``engine`` to pass.
+    """
 
     def __init__(
         self,
-        scenario: Scenario,
-        library: VGLibrary,
-        config: EngineConfig | None = None,
+        engine: ProphetEngine,
+        *,
+        evaluate: Optional[Callable[..., PointEvaluation]] = None,
         neighbor_depth: int = 1,
-        scheduler: Optional[Any] = None,
-        session_name: str = "online",
-        engine: Optional[ProphetEngine] = None,
     ) -> None:
-        self.scheduler = scheduler
-        self.session_name = session_name
-        self.engine = resolve_engine(
-            scenario, library, config, engine, scheduler, OnlineSessionError
-        )
-        self.scenario = scenario
+        self.engine = engine
+        self.scenario = engine.scenario
+        self._evaluate = evaluate if evaluate is not None else engine.evaluate_point
         self.guide = PriorityGuide(
-            scenario.space,
-            scenario.axis,
-            self.engine.config.sampling.plan(),
-            self.engine.config.sampling.base_seed,
+            self.scenario.space,
+            self.scenario.axis,
+            engine.config.sampling.plan(),
+            engine.config.sampling.base_seed,
             neighbor_depth=neighbor_depth,
         )
-        self._sliders: dict[str, Any] = scenario.sweep_space.default_point()
+        self._sliders: dict[str, Any] = self.scenario.sweep_space.default_point()
         self.log = InteractionLog()
         self.tracker = ConvergenceTracker()
 
@@ -122,9 +136,7 @@ class OnlineSession:
         """Move one slider (does not evaluate; call :meth:`refresh`)."""
         key = name.lstrip("@").lower()
         if key == self.scenario.axis:
-            raise OnlineSessionError(
-                f"@{key} is the graph axis, not a slider"
-            )
+            raise OnlineSessionError(f"@{key} is the graph axis, not a slider")
         parameter = self.scenario.space.parameter(key)
         if value not in parameter:
             raise OnlineSessionError(
@@ -139,22 +151,14 @@ class OnlineSession:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _evaluate(self, *, worlds=None, reuse: bool = True) -> PointEvaluation:
-        """One point evaluation, via the scheduler backend when present."""
-        if self.scheduler is not None:
-            return self.scheduler.evaluate(
-                self._sliders, worlds=worlds, session=self.session_name, reuse=reuse
-            )
-        return self.engine.evaluate_point(self._sliders, worlds=worlds, reuse=reuse)
-
-    def refresh(self, *, reuse: bool = True) -> GraphView:
-        """Evaluate the scenario at the current slider point; full worlds."""
+    def _render(self, *, worlds=None, reuse: bool = True) -> GraphView:
+        """Evaluate the current slider point, clock it, record the view."""
         # repro-lint: disable=DET001 -- feeds GraphView.elapsed_seconds, a
-        # user-facing latency readout; never read by the engine.
+        # user-facing latency readout; never read by the engine or tracker.
         started = time.perf_counter()
         invocations_before = self.engine.invocation_count()
         samples_before = self.engine.component_sample_count()
-        evaluation = self._evaluate(reuse=reuse)
+        evaluation = self._evaluate(self._sliders, worlds=worlds, reuse=reuse)
         view = self._view_from(
             evaluation,
             # repro-lint: disable=DET001 -- observability only (see above).
@@ -166,6 +170,10 @@ class OnlineSession:
         self.tracker.update(view.statistics)
         return view
 
+    def refresh(self, *, reuse: bool = True) -> GraphView:
+        """Evaluate the scenario at the current slider point; full worlds."""
+        return self._render(reuse=reuse)
+
     def refresh_progressive(self, *, reuse: bool = True) -> list[GraphView]:
         """Refine in passes (coarse first); returns one view per pass.
 
@@ -176,22 +184,7 @@ class OnlineSession:
         views: list[GraphView] = []
         self.tracker.reset()
         for world_range in self.engine.config.sampling.plan().passes():
-            # repro-lint: disable=DET001 -- per-pass latency readout for
-            # GraphView; convergence tracks statistics, not wall time.
-            started = time.perf_counter()
-            invocations_before = self.engine.invocation_count()
-            samples_before = self.engine.component_sample_count()
-            evaluation = self._evaluate(worlds=range(world_range.stop), reuse=reuse)
-            view = self._view_from(
-                evaluation,
-                # repro-lint: disable=DET001 -- observability only (see above).
-                time.perf_counter() - started,
-                self.engine.invocation_count() - invocations_before,
-                self.engine.component_sample_count() - samples_before,
-            )
-            views.append(view)
-            self.log.record(view)
-            self.tracker.update(view.statistics)
+            views.append(self._render(worlds=range(world_range.stop), reuse=reuse))
             if self.tracker.converged:
                 break
         return views
@@ -200,40 +193,14 @@ class OnlineSession:
         """Speculatively evaluate neighbor points (coarse pass only).
 
         Returns the number of points explored. Call while the user is idle;
-        their next slider move then lands on a stored basis.
-
-        With a scheduler backend the neighbor points are submitted as jobs
-        first (coalescing with any identical in-flight requests from other
-        sessions) and then drained through the shared shard pool.
+        their next slider move then lands on a stored basis. A failing
+        neighbor raises its original exception.
         """
         explored = 0
-        if self.scheduler is not None:
-            jobs = []
-            for batch in self.guide.proactive_batches(self._sliders):
-                if max_points is not None and explored >= max_points:
-                    break
-                jobs.append(
-                    self.scheduler.submit(
-                        batch.point_dict,
-                        worlds=batch.worlds,
-                        session=self.session_name,
-                    )
-                )
-                explored += 1
-            self.scheduler.run_pending()
-            failed = [job for job in jobs if job.error is not None]
-            if failed:
-                # The sequential path propagates evaluation errors; the
-                # scheduler path must not hide them in job records.
-                raise OnlineSessionError(
-                    f"{len(failed)} proactive evaluation(s) failed; "
-                    f"first: {failed[0].error}"
-                )
-            return explored
         for batch in self.guide.proactive_batches(self._sliders):
             if max_points is not None and explored >= max_points:
                 break
-            self.engine.evaluate_point(batch.point_dict, worlds=batch.worlds, reuse=True)
+            self._evaluate(batch.point_dict, worlds=batch.worlds, reuse=True)
             explored += 1
         return explored
 
@@ -272,12 +239,4 @@ class OnlineSession:
 
     def graph_series(self, view: GraphView) -> dict[str, np.ndarray]:
         """The series the GRAPH directive asks for, keyed by label."""
-        if self.scenario.graph is None:
-            raise OnlineSessionError("scenario has no GRAPH directive")
-        series: dict[str, np.ndarray] = {}
-        for spec in self.scenario.graph.series:
-            if spec.kind == "EXPECT":
-                series[f"E[{spec.alias}]"] = view.statistics.expectation(spec.alias)
-            else:
-                series[f"SD[{spec.alias}]"] = view.statistics.stddev(spec.alias)
-        return series
+        return graph_series(self.scenario, view.statistics)

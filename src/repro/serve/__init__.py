@@ -51,7 +51,7 @@ from repro.serve.faults import (
     FaultSpec,
 )
 from repro.serve.resilience import ResilienceConfig, ShardCall, ShardDispatcher
-from repro.serve.scheduler import Job, JobQueue, Scheduler, SweepJob
+from repro.serve.scheduler import Job, JobQueue, Scheduler
 from repro.serve.service import EvaluationService, ServiceStats
 from repro.serve.sharding import WorldShard, plan_shards
 from repro.serve.transport import (
@@ -92,7 +92,6 @@ __all__ = [
     "ShardCall",
     "ShardDispatcher",
     "ShardSample",
-    "SweepJob",
     "TransportConfig",
     "WorldShard",
     "create_executor",

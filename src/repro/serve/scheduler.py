@@ -11,9 +11,12 @@ scheduler:
 * drives every evaluation through the shared
   :class:`~repro.serve.service.EvaluationService`, so all sessions benefit
   from the same coordinator reuse layers, shard pool, and result cache;
-* rolls sweep results up into mergeable week-axis aggregates
-  (:class:`~repro.core.aggregator.MergeableAxisStats`), merged point by
-  point exactly as shard statistics merge.
+* runs adaptive sweeps through a CI budget allocator, every round a
+  regular job.
+
+A mode driver joins by taking :meth:`Scheduler.evaluate` as its
+``evaluate=`` callable (``functools.partial(scheduler.evaluate,
+session=...)``) over the coordinator engine ``scheduler.service.engine``.
 
 Execution is synchronous and deterministic: ``run_pending`` drains the
 queue in FIFO order (the parallelism lives below, in the service's shard
@@ -29,7 +32,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.core.aggregator import MergeableAxisStats
 from repro.core.engine import PointEvaluation, PointEvaluator
 from repro.core.rounds import RoundPlan
 from repro.errors import ServeError, TransientServeError
@@ -76,55 +78,6 @@ class Job:
                 f"job {self.id} has no result (status: {self.status})"
             )
         return self.result
-
-
-@dataclass
-class SweepJob:
-    """A grid sweep: one member job per point, plus merged aggregates."""
-
-    id: int
-    session: str
-    jobs: list[Job] = field(default_factory=list)
-    _aggregate: Optional[MergeableAxisStats] = field(default=None, repr=False)
-    _aggregated_points: int = field(default=0, repr=False)
-
-    @property
-    def done(self) -> bool:
-        return all(job.status in (DONE, FAILED) for job in self.jobs)
-
-    def evaluations(self) -> list[PointEvaluation]:
-        return [job.result for job in self.jobs if job.result is not None]
-
-    @property
-    def aggregate(self) -> Optional[MergeableAxisStats]:
-        """Week-axis moments merged over the finished member evaluations.
-
-        Computed lazily on first access (exact summation is pure Python —
-        sweeps that never read the aggregate pay nothing) over every
-        evaluation that carried sample matrices; result-cache hits ship no
-        samples and are skipped, :attr:`aggregated_points` says how many
-        contributed.
-        """
-        if self._aggregate is None and self.done:
-            merged: Optional[MergeableAxisStats] = None
-            contributed = 0
-            for job in self.jobs:
-                if job.result is None or not job.result.samples:
-                    continue
-                stats = MergeableAxisStats.from_matrices(job.result.samples)
-                if merged is None:
-                    merged = stats
-                else:
-                    merged.merge(stats)
-                contributed += 1
-            self._aggregate = merged
-            self._aggregated_points = contributed
-        return self._aggregate
-
-    @property
-    def aggregated_points(self) -> int:
-        self.aggregate  # noqa: B018 — force the lazy computation
-        return self._aggregated_points
 
 
 @dataclass
@@ -212,10 +165,11 @@ class JobQueue:
 class Scheduler:
     """Accepts jobs from many sessions; drives them through one service.
 
-    ``history_limit`` bounds :attr:`completed`: finished jobs (whose
-    results hold full sample matrices) are archived in a ring so a
-    long-lived scheduler serving interactive sessions does not grow
-    without bound. ``jobs_completed`` counts them all.
+    ``history_limit`` bounds :attr:`completed` and the adaptive sweeps
+    :meth:`adaptive_report` lists: finished jobs and sweeps (whose results
+    hold full sample matrices) are archived in rings so a long-lived
+    scheduler serving interactive sessions does not grow without bound.
+    ``jobs_completed`` and the adaptive world counters count them all.
 
     ``job_retries`` is the job-level rung of the fault-tolerance ladder:
     an evaluation that failed with a *transient* error (the
@@ -252,7 +206,7 @@ class Scheduler:
         self.jobs_retired_early = 0
         self.worlds_spent = 0
         self.worlds_budgeted = 0
-        self._adaptive_sweeps: list[AdaptiveSweepJob] = []
+        self._adaptive_sweeps: deque[AdaptiveSweepJob] = deque(maxlen=history_limit)
         #: Observability: job lifecycle spans; the API client replaces this
         #: shared no-op when tracing is configured.
         self.tracer = NULL_TRACER
@@ -300,19 +254,18 @@ class Scheduler:
         worlds: Optional[Sequence[int]] = None,
         session: str = "default",
         reuse: bool = True,
-    ) -> SweepJob:
-        """Queue a sweep (defaults to the full axis-excluded grid)."""
+    ) -> list[Job]:
+        """Queue one job per point (default: the full axis-excluded grid)."""
         scenario = self.service.scenario
         if points is None:
             points = scenario.space.grid(exclude=[scenario.axis])
-        sweep = SweepJob(id=next(self._ids), session=session)
-        for point in points:
-            sweep.jobs.append(
-                self.submit(point, worlds=worlds, session=session, reuse=reuse)
-            )
-        if not sweep.jobs:
+        jobs = [
+            self.submit(point, worlds=worlds, session=session, reuse=reuse)
+            for point in points
+        ]
+        if not jobs:
             raise ServeError("sweep has no points")
-        return sweep
+        return jobs
 
     def submit_adaptive(
         self,

@@ -92,8 +92,6 @@ class ExecutionStats:
 
     statements: int = 0
     rows_scanned: int = 0
-    rows_output: int = 0
-    table_function_calls: int = 0
     #: Plan-cache behavior of ``execute``/``execute_script`` (text -> AST).
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
@@ -222,7 +220,6 @@ class Executor:
         self.stats.rows_scanned += scanned
         self.stats.vectorized_selects += 1
         self.stats.rows_vectorized += input_rows
-        self.stats.rows_output += len(result)
         if select.into is not None:
             self._materialize_into(select.into, result)
         return result
@@ -394,7 +391,6 @@ class Executor:
         if select.limit is not None:
             result_rows = result_rows[: select.limit]
 
-        self.stats.rows_output += len(result_rows)
         result = ResultSet(schema=schema, rows=result_rows)
 
         if select.into is not None:
@@ -429,7 +425,6 @@ class Executor:
             context = self._context(variables)
             args = tuple(evaluate(arg, context) for arg in source.args)
             result = fn(args, variables)
-            self.stats.table_function_calls += 1
             label = (source.alias or source.name).lower()
             bound = [_bind_row(result.schema.names, row, label) for row in result.rows]
             self.stats.rows_scanned += len(bound)
@@ -805,7 +800,6 @@ class Executor:
         context = self._context(variables)
         args = tuple(evaluate(arg, context) for arg in query.source.args)
         result = fn(args, variables)
-        self.stats.table_function_calls += 1
         if result.column_data is None:
             # No columnar payload: bind and insert through row semantics.
             return self._insert_rows_from(table, positions, result, names)
@@ -824,7 +818,6 @@ class Executor:
         self.stats.rows_scanned += n_rows
         self.stats.vectorized_selects += 1
         self.stats.rows_vectorized += n_rows
-        self.stats.rows_output += n_rows
         table.append_columnar(arrays)
         return _rowcount_result(n_rows)
 
@@ -847,7 +840,6 @@ class Executor:
                 full_row[target] = row[source]
             table.insert(full_row)
             inserted += 1
-        self.stats.rows_output += inserted
         return _rowcount_result(inserted)
 
     def _insert_positions(self, schema: TableSchema, columns: tuple[str, ...]) -> list[int]:

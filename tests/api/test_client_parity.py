@@ -94,7 +94,7 @@ def legacy_parts():
 class TestInteractiveParity:
     def _legacy_views(self, legacy_parts):
         scenario, library = legacy_parts
-        session = OnlineSession(scenario, library, ENGINE_CONFIG)
+        session = OnlineSession(ProphetEngine(scenario, library, ENGINE_CONFIG))
         session.set_sliders(SLIDERS)
         first = session.refresh()
         session.set_slider("purchase1", 0)
@@ -102,11 +102,12 @@ class TestInteractiveParity:
         return first, second
 
     def _client_views(self, client):
-        handle = client.interactive()
-        handle.set_sliders(SLIDERS)
-        first = handle.refresh()
-        handle.set_slider("purchase1", 0)
-        second = handle.refresh()
+        session = client.interactive()
+        assert isinstance(session, OnlineSession)  # the driver itself
+        session.set_sliders(SLIDERS)
+        first = session.refresh()
+        session.set_slider("purchase1", 0)
+        second = session.refresh()
         return first, second
 
     def test_in_process_backend(self, legacy_parts):
@@ -126,13 +127,13 @@ class TestInteractiveParity:
 
     def test_progressive_refresh_parity(self, legacy_parts):
         scenario, library = legacy_parts
-        session = OnlineSession(scenario, library, ENGINE_CONFIG)
+        session = OnlineSession(ProphetEngine(scenario, library, ENGINE_CONFIG))
         session.set_sliders(SLIDERS)
         expected = session.refresh_progressive()
         with open_client() as client:
-            handle = client.interactive()
-            handle.set_sliders(SLIDERS)
-            actual = handle.refresh_progressive()
+            session = client.interactive()
+            session.set_sliders(SLIDERS)
+            actual = session.refresh_progressive()
         assert len(actual) == len(expected)
         for view, reference in zip(actual, expected):
             assert_stats_identical(view.statistics, reference.statistics)
@@ -215,7 +216,7 @@ class TestSweepParity:
             next(handle)
             assert client.stats().scheduler["jobs_completed"] == 1
             evaluation = client.evaluate({**POINT, "feature": 36})
-            # The direct evaluation ran on the service, not the job queue:
+            # The direct evaluation ran on the engine, not the job queue:
             # the second sweep job is still pending.
             assert client.stats().scheduler["jobs_completed"] == 1
             assert evaluation.n_worlds == N_WORLDS
@@ -243,10 +244,13 @@ class TestOptimizeParity:
     )
     def test_run_matches_legacy(self, legacy_parts, serving):
         scenario, library = legacy_parts
-        expected = OfflineOptimizer(scenario, library, ENGINE_CONFIG).run()
+        expected = OfflineOptimizer(ProphetEngine(scenario, library, ENGINE_CONFIG)).run()
         with open_client(**serving) as client:
-            result = client.optimize().run()
+            optimizer = client.optimize()
+            assert isinstance(optimizer, OfflineOptimizer)  # the driver itself
+            result = optimizer.run()
         assert result.best is not None and expected.best is not None
+        assert result.best_point() == expected.best_point()
         assert result.best.point == expected.best.point
         assert len(result.records) == len(expected.records)
         for record, reference in zip(result.records, expected.records):
@@ -259,11 +263,60 @@ class TestOptimizeParity:
             client.optimize(session_name="opt-x").run()
             assert {job.session for job in client._scheduler.completed} == {"opt-x"}
 
-    def test_best_point_requires_run(self):
+
+class TestOneSeam:
+    """The backend is chosen once, at build; ``sweep()`` never flips it."""
+
+    SWEPT = [POINT, {**POINT, "purchase1": 26}]
+    LATER = {**POINT, "feature": 36}
+
+    def _refresh(self, session):
+        session.set_sliders(SLIDERS)
+        return session.refresh().statistics
+
+    def test_default_client_stays_on_its_engine_after_a_sweep(self):
         with open_client() as client:
-            handle = client.optimize()
-            with pytest.raises(Exception, match="has not run"):
-                handle.best_point()
+            assert client.backend_description() == "sequential"
+            early = client.interactive()  # opened before the sweep
+            assert all(result.ok for result in client.sweep(self.SWEPT).run())
+            swept = client.stats().service["points_evaluated"]
+            late = self._refresh(client.interactive())
+            client.evaluate(self.LATER)
+            report = client.stats()
+            assert report.scheduler["jobs_completed"] == len(self.SWEPT)
+            assert report.service["points_evaluated"] == swept
+            assert client.backend_description() == "sequential"
+            assert_stats_identical(late, self._refresh(early))
+
+    def test_served_client_runs_every_refresh_as_a_job(self):
+        with open_client() as bare:  # same steps: reuse state shapes a refresh
+            bare.sweep(self.SWEPT).run()
+            expected = self._refresh(bare.interactive())
+        with open_client(executor="inline", shards=2) as client:
+            described = client.backend_description()
+            client.sweep(self.SWEPT).run()
+            session = client.interactive()
+            for refreshes in (1, 2):
+                statistics = self._refresh(session)
+                completed = client.stats().scheduler["jobs_completed"]
+                assert completed == len(self.SWEPT) + refreshes
+                assert_stats_identical(statistics, expected)
+            assert client.backend_description() == described != "sequential"
+
+    @pytest.mark.parametrize(
+        "serving", [{}, {"executor": "inline"}], ids=["in-process", "inline-serve"]
+    )
+    def test_failing_neighbor_raises_the_original_exception(
+        self, serving, monkeypatch
+    ):
+        def explode(self, point, **kwargs):
+            raise RuntimeError("neighbor lost")
+
+        monkeypatch.setattr(ProphetEngine, "evaluate_point", explode)
+        with open_client(**serving) as client:
+            session = client.interactive()
+            with pytest.raises(RuntimeError, match="neighbor lost"):
+                session.explore_proactively(max_points=2)
 
 
 class TestResultCache:
@@ -283,9 +336,9 @@ class TestResultCache:
 class TestStatsReport:
     def _run_and_report(self):
         with open_client() as client:
-            handle = client.interactive()
-            handle.set_sliders(SLIDERS)
-            handle.refresh()
+            session = client.interactive()
+            session.set_sliders(SLIDERS)
+            session.refresh()
             list(client.sweep([POINT]))
             return client.stats()
 
@@ -324,9 +377,9 @@ class TestStatsReport:
 
     def test_engine_only_report_omits_service(self):
         with open_client() as client:
-            handle = client.interactive()
-            handle.set_sliders(SLIDERS)
-            handle.refresh()
+            session = client.interactive()
+            session.set_sliders(SLIDERS)
+            session.refresh()
             report = client.stats()
         assert report.service is None
         assert "service stats:" not in report.render()

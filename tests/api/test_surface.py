@@ -24,9 +24,7 @@ SURFACE_SNAPSHOT = (
     "AdaptiveSweepHandle",
     "CacheConfig",
     "ClientConfig",
-    "InteractiveHandle",
     "ObsConfig",
-    "OptimizeHandle",
     "ProphetClient",
     "ResilienceConfig",
     "ReuseConfig",
@@ -65,7 +63,6 @@ SERVE_SURFACE_SNAPSHOT = (
     "ShardCall",
     "ShardDispatcher",
     "ShardSample",
-    "SweepJob",
     "TransportConfig",
     "WorldShard",
     "create_executor",

@@ -1,9 +1,12 @@
 """Integration tests for the offline optimizer (§3.3)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.core.offline import ConstraintEvaluator, OfflineOptimizer
 from repro.core.aggregator import ResultAggregator
 from repro.errors import OptimizationError
@@ -15,7 +18,7 @@ CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=16))
 
 def make_optimizer(threshold=0.05, reuse_config=CONFIG):
     scenario, library = build_risk_vs_cost(purchase_step=16, overload_threshold=threshold)
-    return OfflineOptimizer(scenario, library, reuse_config)
+    return OfflineOptimizer(ProphetEngine(scenario, library, reuse_config))
 
 
 def stats_for(overload_values):
@@ -76,26 +79,35 @@ class TestOfflineOptimizer:
         object.__setattr__(scenario, "optimize", None) if False else None
         scenario.optimize = None
         with pytest.raises(OptimizationError, match="OPTIMIZE"):
-            OfflineOptimizer(scenario, library, CONFIG)
+            OfflineOptimizer(ProphetEngine(scenario, library, CONFIG))
+
+    def test_signature_is_the_one_seam(self):
+        parameters = inspect.signature(OfflineOptimizer.__init__).parameters.values()
+        assert [(p.name, p.kind.name, p.default) for p in parameters] == [
+            ("self", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+            ("engine", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+            ("evaluate", "KEYWORD_ONLY", None),
+        ]
 
     def test_engine_for_other_scenario_rejected(self):
-        from repro.core.engine import ProphetEngine
-
+        # A driver reads its scenario from its engine, so a scenario that
+        # disagrees with the engine cannot even be passed.
         scenario, library = build_risk_vs_cost(purchase_step=16)
         other_scenario, other_library = build_risk_vs_cost(purchase_step=16)
         engine = ProphetEngine(other_scenario, other_library, CONFIG)
-        with pytest.raises(OptimizationError, match="different scenario"):
+        with pytest.raises(TypeError):
             OfflineOptimizer(scenario, library, engine=engine)
+        assert OfflineOptimizer(engine).scenario is other_scenario
 
     def test_engine_config_conflict_rejected(self):
-        from repro.core.engine import ProphetEngine
-
+        # Likewise the config: there is no config= beside the engine's own.
         scenario, library = build_risk_vs_cost(purchase_step=16)
         engine = ProphetEngine(scenario, library, CONFIG)
-        with pytest.raises(OptimizationError, match="config= conflicts"):
+        with pytest.raises(TypeError):
             OfflineOptimizer(
-                scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=5)), engine=engine
+                engine, config=EngineConfig(sampling=SamplingConfig(n_worlds=5))
             )
+        assert OfflineOptimizer(engine).engine.config is CONFIG
 
     def test_sweep_covers_grid(self):
         optimizer = make_optimizer()
@@ -178,5 +190,6 @@ class TestOfflineOptimizer:
         result = make_optimizer().run(reuse=True)
         mapped = [r for r in result.records if r.dominant_source == "mapped"]
         assert mapped
-        summary = mapped[0].reuse[0]
-        assert summary.source in ("mapped", "exact", "fresh")
+        report = mapped[0].reuse[0]
+        assert report.source in ("mapped", "exact", "fresh")
+        assert report.vg_name and 0.0 <= report.mapped_fraction <= 1.0

@@ -1,8 +1,11 @@
 """Integration tests for the online exploration session (§3.2)."""
 
+import inspect
+
 import pytest
 
 from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.core.online import OnlineSession
 from repro.errors import OnlineSessionError
 from repro.models import build_risk_vs_cost
@@ -13,7 +16,17 @@ CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=20, refinement_first=5))
 @pytest.fixture
 def session():
     scenario, library = build_risk_vs_cost(purchase_step=16)
-    return OnlineSession(scenario, library, CONFIG)
+    return OnlineSession(ProphetEngine(scenario, library, CONFIG))
+
+
+def test_signature_is_the_one_seam():
+    parameters = inspect.signature(OnlineSession.__init__).parameters.values()
+    assert [(p.name, p.kind.name, p.default) for p in parameters] == [
+        ("self", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("engine", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("evaluate", "KEYWORD_ONLY", None),
+        ("neighbor_depth", "KEYWORD_ONLY", 1),
+    ]
 
 
 class TestSliders:

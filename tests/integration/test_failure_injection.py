@@ -126,7 +126,7 @@ class TestScenarioFailures:
 
     def test_session_survives_rejected_slider(self):
         scenario, library = build_risk_vs_cost(purchase_step=16)
-        session = OnlineSession(scenario, library, CONFIG)
+        session = OnlineSession(ProphetEngine(scenario, library, CONFIG))
         from repro.errors import OnlineSessionError
 
         with pytest.raises(OnlineSessionError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.engine import ProphetEngine
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
 from repro.dsl import parse_scenario
@@ -20,7 +21,7 @@ CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=24, refinement_first=6))
 @pytest.fixture(scope="module")
 def dsl_session():
     scenario = parse_scenario(FIGURE2_DSL, name="risk_vs_cost")
-    session = OnlineSession(scenario, build_demo_library(), CONFIG)
+    session = OnlineSession(ProphetEngine(scenario, build_demo_library(), CONFIG))
     session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
     return session
 
@@ -49,7 +50,7 @@ class TestC1IncrementalRerender:
 
     def test_purchase_slider_move(self):
         scenario, library = build_risk_vs_cost()
-        session = OnlineSession(scenario, library, CONFIG)
+        session = OnlineSession(ProphetEngine(scenario, library, CONFIG))
         session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
         first = session.refresh()
         session.set_slider("purchase1", 12)
@@ -60,14 +61,14 @@ class TestC1IncrementalRerender:
 
     def test_statistics_remain_correct_under_reuse(self):
         scenario, library = build_risk_vs_cost()
-        session = OnlineSession(scenario, library, CONFIG)
+        session = OnlineSession(ProphetEngine(scenario, library, CONFIG))
         session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
         session.refresh()
         session.set_slider("purchase1", 12)
         reused = session.refresh()
 
         scenario2, library2 = build_risk_vs_cost()
-        cold = OnlineSession(scenario2, library2, CONFIG)
+        cold = OnlineSession(ProphetEngine(scenario2, library2, CONFIG))
         cold.set_sliders({"purchase1": 12, "purchase2": 24, "feature": 12})
         fresh = cold.refresh()
         for alias in ("demand", "capacity", "overload"):
@@ -81,7 +82,7 @@ class TestC2FeatureShift:
 
     def test_tail_weeks_reused(self):
         scenario, library = build_risk_vs_cost()
-        session = OnlineSession(scenario, library, CONFIG)
+        session = OnlineSession(ProphetEngine(scenario, library, CONFIG))
         session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
         session.refresh()
         session.set_slider("feature", 36)
@@ -102,7 +103,7 @@ class TestC3C4Optimizer:
                 sampling=SamplingConfig(n_worlds=16),
                 reuse=ReuseConfig(enable_stats_cache=reuse),
             )
-            return OfflineOptimizer(scenario, library, config).run(reuse=reuse)
+            return OfflineOptimizer(ProphetEngine(scenario, library, config)).run(reuse=reuse)
 
         return run(True), run(False)
 
@@ -129,9 +130,8 @@ class TestF4MappingGrid:
 
     def test_mapped_cells_dominate(self):
         scenario, library = build_risk_vs_cost(purchase_step=16)
-        optimizer = OfflineOptimizer(scenario, library, EngineConfig(
-            sampling=SamplingConfig(n_worlds=12),
-        ))
+        config = EngineConfig(sampling=SamplingConfig(n_worlds=12))
+        optimizer = OfflineOptimizer(ProphetEngine(scenario, library, config))
         result = optimizer.run(reuse=True)
         grid = mapping_grid(
             result.records, scenario.space, "purchase1", "purchase2",
@@ -149,7 +149,7 @@ class TestC5FirstGuess:
 
     def test_fewer_samples_to_convergence_with_basis(self):
         scenario, library = build_risk_vs_cost()
-        session = OnlineSession(scenario, library, CONFIG)
+        session = OnlineSession(ProphetEngine(scenario, library, CONFIG))
         session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
         session.refresh_progressive()
 
@@ -160,7 +160,7 @@ class TestC5FirstGuess:
         warm_cost = session.engine.component_sample_count() - samples_before
 
         scenario2, library2 = build_risk_vs_cost()
-        cold_session = OnlineSession(scenario2, library2, CONFIG)
+        cold_session = OnlineSession(ProphetEngine(scenario2, library2, CONFIG))
         cold_session.set_sliders({"purchase1": 12, "purchase2": 24, "feature": 12})
         cold_before = cold_session.engine.component_sample_count()
         cold_session.refresh_progressive()
@@ -174,7 +174,6 @@ class TestModelUpdatePropagation:
 
     def test_replace_model_changes_results(self):
         from repro.models import DemandModel
-        from repro.core.engine import ProphetEngine
 
         scenario, library = build_risk_vs_cost(purchase_step=16)
         engine = ProphetEngine(scenario, library, CONFIG)

@@ -96,6 +96,22 @@ class TestSubmitAdaptive:
             assert outcome["converged"]
             assert outcome["worlds_spent"] >= 1
 
+    def test_adaptive_history_is_bounded_but_totals_are_not(self, serve_spec):
+        scheduler = Scheduler(_service(serve_spec), history_limit=2)
+        sweeps = []
+        for purchase2 in (0, 26, 52):
+            sweep = scheduler.submit_adaptive(
+                [{**POINT, "purchase2": purchase2}], target_ci=1e6
+            )
+            sweeps.append(scheduler.run_adaptive(sweep))
+        report = scheduler.adaptive_report()
+        # The ring keeps only the newest sweeps (and their sample matrices)...
+        assert [o["point"]["purchase2"] for o in report["points"]] == [26, 52]
+        # ...while the counters stay running totals over all three.
+        assert report["worlds_budgeted"] == sum(s.worlds_budgeted for s in sweeps)
+        assert report["worlds_spent"] == sum(s.worlds_spent for s in sweeps)
+        assert report["jobs_retired_early"] == 3
+
 
 class TestShardGenerations:
     def test_one_generation_per_fresh_fanout(self, serve_spec):

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from repro.core.aggregator import MergeableAxisStats
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
-from repro.dsl import parse_scenario
-from repro.errors import OnlineSessionError, ServeError
-from repro.models import build_demo_library
+from repro.errors import ServeError
 from repro.serve import EvaluationService, InlineExecutor, Scheduler
-from serve_testutil import POINT, SERVE_DSL, assert_stats_identical
+from serve_testutil import POINT, assert_stats_identical
 
 OTHER_POINT = {"purchase1": 26, "purchase2": 52, "feature": 36}
 
@@ -58,32 +57,12 @@ class TestDedup:
 
 class TestSweeps:
     def test_full_grid_sweep(self, scheduler):
-        sweep = scheduler.submit_sweep(worlds=range(8), session="batch")
-        assert len(sweep.jobs) == 18  # 3 x 3 x 2 axis-excluded grid
-        assert not sweep.done
+        jobs = scheduler.submit_sweep(worlds=range(8), session="batch")
+        assert len(jobs) == 18  # 3 x 3 x 2 axis-excluded grid
+        assert not any(job.done for job in jobs)
         scheduler.run_pending()
-        assert sweep.done
-        assert len(sweep.evaluations()) == 18
-
-    def test_sweep_aggregate_merges_point_moments(self, scheduler):
-        points = [POINT, OTHER_POINT]
-        sweep = scheduler.submit_sweep(points, worlds=range(8))
-        scheduler.run_pending()
-        assert sweep.aggregated_points == 2
-        expected = None
-        for evaluation in sweep.evaluations():
-            stats = MergeableAxisStats.from_matrices(evaluation.samples)
-            if expected is None:
-                expected = stats
-            else:
-                expected.merge(stats)
-        merged = sweep.aggregate.to_axis_statistics()
-        reference = expected.to_axis_statistics()
-        for alias in reference.aliases():
-            assert (
-                merged.expectation(alias).tobytes()
-                == reference.expectation(alias).tobytes()
-            )
+        assert all(job.done for job in jobs)
+        assert all(job.evaluation() is not None for job in jobs)
 
     def test_empty_sweep_rejected(self, scheduler):
         with pytest.raises(ServeError, match="no points"):
@@ -117,58 +96,42 @@ class TestFailures:
 
 
 class TestOnlineSessionBackend:
-    def _scenario(self):
-        return parse_scenario(SERVE_DSL, name="serve_scenario"), build_demo_library()
-
-    def test_refresh_matches_sequential_session(self, scheduler, serve_config):
-        scenario, library = self._scenario()
-        backed = OnlineSession(scenario, library, serve_config, scheduler=scheduler)
-        plain = OnlineSession(
-            parse_scenario(SERVE_DSL, name="serve_scenario"),
-            build_demo_library(),
-            serve_config,
+    def test_refresh_matches_sequential_session(self, scheduler, sequential_engine):
+        backed = OnlineSession(
+            scheduler.service.engine,
+            evaluate=functools.partial(scheduler.evaluate, session="online"),
         )
+        plain = OnlineSession(sequential_engine)
         for session in (backed, plain):
             session.set_sliders(POINT)
         assert_stats_identical(
             backed.refresh().statistics, plain.refresh().statistics
         )
+        assert scheduler.jobs_completed == 1
+        assert scheduler.completed[-1].session == "online"
 
-    def test_proactive_exploration_goes_through_the_queue(
-        self, scheduler, serve_config
-    ):
-        scenario, library = self._scenario()
-        session = OnlineSession(scenario, library, serve_config, scheduler=scheduler)
+    def test_proactive_exploration_goes_through_the_queue(self, scheduler):
+        session = OnlineSession(
+            scheduler.service.engine,
+            evaluate=functools.partial(scheduler.evaluate, session="online"),
+        )
         session.set_sliders(POINT)
         explored = session.explore_proactively(max_points=3)
         assert explored == 3
-        assert len(scheduler.completed) >= 1  # dedup may coalesce some
+        assert scheduler.jobs_completed == 3
         # The next move onto an explored neighbor is served from caches.
         session.set_slider("purchase2", 0)
         view = session.refresh()
         assert view.statistics is not None
 
-    def test_scenario_mismatch_rejected(self, scheduler, serve_config):
-        from repro.models import build_risk_vs_cost
-
-        scenario, library = build_risk_vs_cost(purchase_step=26)
-        with pytest.raises(OnlineSessionError, match="different scenario"):
-            OnlineSession(scenario, library, serve_config, scheduler=scheduler)
-
 
 class TestOfflineOptimizerBackend:
-    def test_sweep_matches_sequential_optimizer(self, scheduler, serve_config):
-        scenario, library = parse_scenario(
-            SERVE_DSL, name="serve_scenario"
-        ), build_demo_library()
+    def test_sweep_matches_sequential_optimizer(self, scheduler, sequential_engine):
         backed = OfflineOptimizer(
-            scenario, library, serve_config, scheduler=scheduler
+            scheduler.service.engine,
+            evaluate=functools.partial(scheduler.evaluate, session="optimizer"),
         ).run()
-        plain = OfflineOptimizer(
-            parse_scenario(SERVE_DSL, name="serve_scenario"),
-            build_demo_library(),
-            serve_config,
-        ).run()
+        plain = OfflineOptimizer(sequential_engine).run()
         assert backed.best.point == plain.best.point
         assert len(backed.records) == len(plain.records)
         for mine, theirs in zip(backed.records, plain.records):

@@ -66,13 +66,13 @@ class TestSparkline:
 class TestMappingGrid:
     def make_records(self):
         from repro.core.config import EngineConfig, SamplingConfig
+        from repro.core.engine import ProphetEngine
         from repro.core.offline import OfflineOptimizer
         from repro.models import build_risk_vs_cost
 
         scenario, library = build_risk_vs_cost(purchase_step=26)  # 3x3x3 grid
-        optimizer = OfflineOptimizer(scenario, library, EngineConfig(
-            sampling=SamplingConfig(n_worlds=8),
-        ))
+        config = EngineConfig(sampling=SamplingConfig(n_worlds=8))
+        optimizer = OfflineOptimizer(ProphetEngine(scenario, library, config))
         result = optimizer.run(reuse=True)
         return result.records, scenario.space
 
