@@ -149,7 +149,7 @@ class ProphetClient:
         """Route evaluations through the sharded serve backend.
 
         Takes any :class:`~repro.api.ServeConfig` field (``workers``,
-        ``shards``, ``executor``, ``min_shard_worlds``, ``share_bases``).
+        ``shards``, ``executor``, ``min_shard_worlds``).
         Calling with no geometry knob at all still opts into the serve
         backend (inline, default sizing).
         """
@@ -214,10 +214,10 @@ class ProphetClient:
         """Choose how shard payloads travel to process-pool workers.
 
         Takes any :class:`~repro.api.TransportConfig` field.
-        ``shard_transport="shm"`` ships worlds, result buffers, and basis
-        snapshots through named shared-memory segments leased from the
-        coordinator's arena — task pickles stay O(1) in the world count and
-        merge reads are zero-copy. The default ``"pickle"`` keeps the plain
+        ``shard_transport="shm"`` ships worlds and result buffers through
+        named shared-memory segments leased from the coordinator's arena —
+        task pickles stay O(1) in the world count and merge reads are
+        zero-copy. The default ``"pickle"`` keeps the plain
         pickled payloads; shm falls back to it per generation (counted,
         never an error) when segments are unavailable or a payload exceeds
         the cap. A non-default transport section routes evaluations through
@@ -330,7 +330,6 @@ class ProphetClient:
             shards=serve.shards,
             cache_dir=self.config.cache.dir,
             min_shard_worlds=serve.min_shard_worlds,
-            share_bases=serve.share_bases,
             resilience=self.config.resilience,
             transport=self.config.transport,
         )

@@ -59,7 +59,6 @@ class ServeConfig:
     shards: Optional[int] = None
     executor: str = field(default="auto", metadata={"choices": EXECUTOR_KINDS})
     min_shard_worlds: int = 8
-    share_bases: bool = True
 
     def __post_init__(self) -> None:
         require(

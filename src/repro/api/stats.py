@@ -197,9 +197,6 @@ class StatsReport:
             f"  shards: {sv['shard_tasks']} tasks over "
             f"{sv['sampled_worlds']} sampled worlds "
             f"({sv['executor_kind']} x{sv['executor_workers']})",
-            f"  shard reuse: {sv['shard_exact_hits']} exact / "
-            f"{sv['shard_mapped_hits']} mapped / {sv['shard_fresh']} fresh "
-            f"({sv['snapshot_bases_shipped']} snapshot bases shipped)",
             f"  shard sampling: {sv['sampled_batched']} worlds batched / "
             f"{sv['sampled_fallback']} worlds per-world loop",
             f"  resilience: {sv['shard_retries']} shard retries / "

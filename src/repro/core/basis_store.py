@@ -20,8 +20,8 @@ bounds the resident state:
 Spill metadata (which worlds an entry covers) stays in memory, so coverage
 filtering during candidate selection never faults entries back just to
 reject them. A store pointed at a previously used ``spill_dir`` indexes the
-existing files on startup, which is what lets shard workers and warm
-restarts share one disk tier.
+existing files on startup, which is what lets warm restarts reuse a
+previous run's disk tier.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import hashlib
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
@@ -60,13 +60,7 @@ class BasisTierStats:
     failed_faults: int = 0  #: unreadable spill files, degraded to misses
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "evictions": self.evictions,
-            "spills": self.spills,
-            "faults": self.faults,
-            "dropped": self.dropped,
-            "failed_faults": self.failed_faults,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ class TieredBasisStore:
         self.byte_cap = byte_cap
         self.spill_dir = str(spill_dir) if spill_dir is not None else None
         #: Entries in insertion order. Enumeration (candidate ranking,
-        #: snapshots, persistence) reads this, matching the plain-dict
+        #: persistence) reads this, matching the plain-dict
         #: store this tier replaced — recency must not perturb tie-breaks.
         self._memory: dict[StoreKey, BasisEntry] = {}
         #: The same keys in recency order (LRU first); eviction reads this.
@@ -109,13 +103,6 @@ class TieredBasisStore:
         #: StorageManager._adoption_valid / adopted_seeds_valid); entries
         #: this process stored are trusted and skip those checks.
         self._adopted: set[StoreKey] = set()
-        #: Keys whose samples depend on shard geometry (cross-shard snapshot
-        #: reuse). They serve normally in this process but never reach disk
-        #: — not the spill tier, not persistence — because a later run
-        #: cannot tell them from exact samples (their world seeds are the
-        #: authentic ones). Taint is sticky per key: a put() does not clear
-        #: it, so merges and overwrites stay conservatively quarantined.
-        self._tainted: set[StoreKey] = set()
         self._resident_bytes = 0
         self.stats = BasisTierStats()
         #: Observability: replaced by the engine's ``set_tracer``; spill
@@ -188,33 +175,15 @@ class TieredBasisStore:
         spilled = tuple(k for k in self._spilled if k not in self._memory)
         return memory + spilled
 
-    def memory_items(self) -> tuple[tuple[StoreKey, "BasisEntry"], ...]:
-        """The memory tier's entries in insertion order (recency untouched)."""
-        return tuple(self._memory.items())
-
     def is_adopted(self, key: StoreKey) -> bool:
         """Was this key's content adopted from a pre-existing spill dir?"""
         return key in self._adopted
 
-    def taint(self, key: StoreKey) -> None:
-        """Mark a key's samples as shard-geometry-dependent (sticky)."""
-        self._tainted.add(key)
-
-    def is_tainted(self, key: StoreKey) -> bool:
-        return key in self._tainted
-
     def items(self) -> Iterator[tuple[StoreKey, "BasisEntry"]]:
-        """Iterate every readable, persistable entry.
-
-        Spilled entries are read without promotion; tainted
-        (geometry-dependent) entries are skipped — persistence must never
-        carry them into another run as exact samples.
-        """
-        for key, entry in self._memory.items():
-            if key not in self._tainted:
-                yield key, entry
+        """Iterate every readable entry; spilled ones are read without promotion."""
+        yield from self._memory.items()
         for key, record in self._spilled.items():
-            if key in self._memory or key in self._tainted:
+            if key in self._memory:
                 continue
             entry = self._read_spill(record)
             if entry is not None:
@@ -244,7 +213,6 @@ class TieredBasisStore:
         self._spilled.pop(key, None)
         self._clean.discard(key)
         self._adopted.discard(key)
-        self._tainted.discard(key)
 
     def clear(self) -> None:
         """Forget both tiers (spill files are left on disk) and counters."""
@@ -253,7 +221,6 @@ class TieredBasisStore:
         self._spilled.clear()
         self._clean.clear()
         self._adopted.clear()
-        self._tainted.clear()
         self._resident_bytes = 0
         self.stats = BasisTierStats()
 
@@ -288,12 +255,7 @@ class TieredBasisStore:
             entry = self._memory.pop(key)
             self._resident_bytes -= entry.samples.nbytes
             self.stats.evictions += 1
-            if key in self._tainted:
-                # Geometry-dependent samples must never reach disk, where a
-                # later run would adopt them as exact.
-                self._spilled.pop(key, None)
-                self.stats.dropped += 1
-            elif key in self._clean and key in self._spilled:
+            if key in self._clean and key in self._spilled:
                 pass  # disk copy is current; nothing to write
             elif self.spill_dir is not None:
                 try:

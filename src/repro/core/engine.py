@@ -54,7 +54,7 @@ from repro.sqldb.types import SqlType
 from repro.vg.library import VGLibrary
 
 
-def _world_ids(worlds: Sequence[int], entry_point: str) -> tuple[int, ...]:
+def world_ids(worlds: Sequence[int], entry_point: str) -> tuple[int, ...]:
     """Shared world-slice guard of every evaluation entry point.
 
     ``evaluate_point`` and ``sample_fresh`` (and, through them, the serve
@@ -230,7 +230,7 @@ class ProphetEngine:
     ) -> PointEvaluation:
         sweep_space = self.scenario.sweep_space
         validated = self.scenario.validate_sweep_point(point)
-        chosen_worlds = _world_ids(
+        chosen_worlds = world_ids(
             worlds if worlds is not None else range(self.config.sampling.n_worlds),
             "evaluate_point",
         )
@@ -315,7 +315,7 @@ class ProphetEngine:
         output = self.scenario.vg_output(alias)
         validated = self.scenario.validate_sweep_point(point)
         batch = InstanceBatch.at_point(
-            validated, _world_ids(worlds, "sample_fresh"), self.config.sampling.base_seed
+            validated, world_ids(worlds, "sample_fresh"), self.config.sampling.base_seed
         )
         return self.sampling.sample(
             output, batch, timings if timings is not None else StageTimings()
@@ -481,7 +481,7 @@ class ProphetEngine:
         digest continues from a copy of that state.
         """
         prefix = hashlib.blake2b(digest_size=16)
-        # World ids are Python ints by now (``_world_ids``): fixed-width
+        # World ids are Python ints by now (``world_ids``): fixed-width
         # bytes behind their count cannot collide across slices.
         prefix.update(len(batch).to_bytes(8, "little"))
         prefix.update(np.asarray(batch.worlds, dtype=np.int64).tobytes())

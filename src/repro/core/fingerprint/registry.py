@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from repro.errors import FingerprintError
 from repro.core.fingerprint.correlation import (
     CorrelationPolicy,
     CorrelationResult,
@@ -89,10 +88,9 @@ class FingerprintRegistry:
         return self._fingerprints.get((vg_name.lower(), tuple(args)))
 
     def seed_fingerprint(self, fingerprint: Fingerprint) -> None:
-        """Adopt an externally computed fingerprint (persistence, snapshots).
+        """Adopt an externally computed fingerprint (persistence).
 
-        The caller vouches that it was probed under this registry's spec;
-        :func:`require_same_spec`-style validation is the caller's job.
+        The caller vouches that it was probed under this registry's spec.
         """
         self._fingerprints[
             (fingerprint.vg_name.lower(), tuple(fingerprint.args))
@@ -175,11 +173,3 @@ class FingerprintRegistry:
 
     def __len__(self) -> int:
         return len(self._fingerprints)
-
-
-def require_same_spec(registry: FingerprintRegistry, spec: FingerprintSpec) -> None:
-    """Guard helper for engines sharing a registry."""
-    if registry.spec != spec:
-        raise FingerprintError(
-            f"registry spec {registry.spec} differs from engine spec {spec}"
-        )

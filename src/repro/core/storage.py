@@ -129,12 +129,6 @@ class StorageManager:
     and resident sample bytes); ``spill_dir`` enables the disk tier evicted
     entries spill to. All default off — an unbounded in-RAM store, the
     pre-tiering behavior.
-
-    ``store_mapped_results=False`` makes :meth:`acquire` side-effect free
-    on the basis set (mapped results are returned but not retained): the
-    serve layer's shared snapshot stores need their content to stay a pure
-    function of the snapshot, so cached seeded stores can be reused across
-    identical requests without decisions drifting with request history.
     """
 
     def __init__(
@@ -144,13 +138,11 @@ class StorageManager:
         basis_cap: Optional[int] = None,
         basis_byte_cap: Optional[int] = None,
         spill_dir: Optional[str] = None,
-        store_mapped_results: bool = True,
     ) -> None:
         self.registry = registry
         self.tier = TieredBasisStore(
             basis_cap=basis_cap, byte_cap=basis_byte_cap, spill_dir=spill_dir
         )
-        self.store_mapped_results = store_mapped_results
         self.exact_hits = 0
         self.mapped_hits = 0
         self.misses = 0
@@ -336,21 +328,16 @@ class StorageManager:
                     function.name, match.basis_args, key[1], match.correlation
                 )
                 self.mapped_hits += 1
-                if self.store_mapped_results:
-                    self.tier.put(
-                        key,
-                        BasisEntry(
-                            vg_name=function.name,
-                            args=key[1],
-                            samples=samples,
-                            worlds=tuple(worlds),
-                            seeds=tuple(seeds),
-                        ),
-                    )
-                    if self.tier.is_tainted((key[0], match.basis_args)):
-                        # Mapping from geometry-dependent samples produces
-                        # geometry-dependent samples.
-                        self.tier.taint(key)
+                self.tier.put(
+                    key,
+                    BasisEntry(
+                        vg_name=function.name,
+                        args=key[1],
+                        samples=samples,
+                        worlds=tuple(worlds),
+                        seeds=tuple(seeds),
+                    ),
+                )
                 report = ReuseReport(
                     vg_name=function.name,
                     args=key[1],

@@ -11,9 +11,9 @@ coordinator state:
 * no mutable module-level globals (a dict that differs between the
   coordinator and a freshly spawned worker silently changes decisions) —
   deliberate per-process caches are allowed behind a pragma whose
-  justification states why cross-process divergence is safe (six today:
-  the worker's engine cache and its one snapshot-store cache, and the
-  transport's shm probe and tracker-ownership memo with their rebinds);
+  justification states why cross-process divergence is safe (five today:
+  the worker's engine cache, and the transport's shm probe and
+  tracker-ownership memo with their rebinds);
 * task payload dataclasses must be ``frozen=True`` (a payload mutated en
   route breaks replay identity and hashability);
 * no imports of coordinator-only machinery (service, scheduler,

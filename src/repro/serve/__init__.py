@@ -15,11 +15,7 @@ Reuse layers, in the order they fire for one evaluation request:
    these samples or statistics in memory;
 3. **fingerprint map** — a correlated parameterization's samples are
    remapped, only unmapped components are simulated;
-4. **cross-shard snapshot reuse** — shard tasks consult a read-only
-   snapshot of the coordinator's hot bases and serve their world slice by
-   exact or mapped reuse where a basis covers the shard but not the full
-   requested slice;
-5. **sharded fresh sampling** — whatever survives all reuse is sharded
+4. **sharded fresh sampling** — whatever survives all reuse is sharded
    across workers, deterministically, and merged bit-identically.
 
 Every shard fan-out goes through the fault-tolerance ladder in
@@ -31,11 +27,10 @@ provides the deterministic chaos harness that proves it.
 Every shard is one call, :func:`repro.serve.worker.run_shard`, on one frozen
 :class:`~repro.serve.worker.ShardTask`; which executor runs it, and whether
 it is a first attempt or an inline rescue, changes only where its engine
-and snapshot store come from. The task's bulk fields (world slice, basis
-snapshot, result matrix) can optionally ride named shared-memory segments
-instead of the task pickle — :mod:`repro.serve.transport`,
-``TransportConfig(shard_transport="shm")`` — with byte-identical results
-and O(1) task pickles in the world count.
+comes from. The task's bulk fields (world slice, result matrix) can
+optionally ride named shared-memory segments instead of the task pickle —
+:mod:`repro.serve.transport`, ``TransportConfig(shard_transport="shm")`` —
+with byte-identical results and O(1) task pickles in the world count.
 """
 
 from repro.serve.cache import CachedResult, ResultCache, result_key, scenario_fingerprint
@@ -61,7 +56,6 @@ from repro.serve.transport import (
     shm_available,
 )
 from repro.serve.worker import (
-    BasisSnapshot,
     EngineSpec,
     LIBRARY_BUILDERS,
     SCENARIO_BUILDERS,
@@ -69,7 +63,6 @@ from repro.serve.worker import (
 )
 
 __all__ = [
-    "BasisSnapshot",
     "CachedResult",
     "EngineSpec",
     "EvaluationService",

@@ -2,7 +2,7 @@
 
 The serving plane's availability contract is that a faulty substrate may
 cost *time*, never *answers*: shards are pure functions of
-``(spec, point, world slice, snapshot)``, so any shard that failed — a
+``(spec, point, world slice)``, so any shard that failed — a
 crashed worker, a missed deadline, a mangled payload — can be re-run
 anywhere, including inline on the coordinator, and produce the bit-identical
 rows. :class:`ShardDispatcher` turns that purity into a recovery ladder,
@@ -329,7 +329,6 @@ class ShardDispatcher:
         attrs: dict[str, Any] = {
             "shard": index,
             "attempt": attempt,
-            "source": payload.source,
             "rescued": rescued,
         }
         for stage, seconds in payload.timing:

@@ -12,41 +12,34 @@ turns `evaluate` into a concurrent, cached operation:
    reuse, the week memo — exactly as the sequential path would. Reuse
    decisions stay on the coordinator so they never depend on worker
    scheduling.
-3. **Cross-shard basis reuse + sharded sampling**: only the samples no
-   coordinator reuse layer could serve are sharded across the executor.
-   Each shard task receives a read-only :class:`BasisSnapshot` of the
-   coordinator's hot in-memory bases and serves its shard through the
-   ordinary Storage Manager acquire path — an exact or fingerprint-mapped
-   hit skips fresh simulation for the shard's mapped components — before
-   falling back to fresh sampling from the fixed seed sequence. The shard
-   bases ship back and merge, in shard order, into the entry the
-   coordinator stores.
+3. **Sharded sampling**: only the samples no coordinator reuse layer could
+   serve are sharded across the executor. Every shard task is
+   ``sample_fresh`` over its world slice — a pure function of ``(spec,
+   point, worlds)`` — and the shard matrices merge, in shard order, into
+   the entry the coordinator stores.
 
-The snapshot contains only bases the coordinator *could not* use — ones
-overlapping the requested worlds without covering the full slice — so a
-shard hit can never contradict a coordinator decision. For uniform-world
-workloads (full sweeps, fixed-prefix refreshes) every basis covers the
-full slice, the snapshot is empty, and sharded evaluation stays
-bit-identical to sequential for any shard count and either executor with
-zero shipping overhead; mixed-world workloads (progressive refinement +
-full refresh) gain mapped-reuse hits the fresh-only fan-out never had.
-``reuse=False`` disables shard reuse entirely and restores the pure
-fresh-sampling fan-out.
+Because every reuse decision is the coordinator's and every shard is fresh
+sampling from the fixed seed sequence, sharded evaluation is bit-identical
+to sequential for any world pattern, shard count, executor and transport.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import PointEvaluation, ProphetEngine, StageTimings
+from repro.core.engine import (
+    PointEvaluation,
+    ProphetEngine,
+    StageTimings,
+    world_ids,
+)
 from repro.core.instance import InstanceBatch
 from repro.core.scenario import VGOutput
-from repro.core.storage import BasisEntry, ReuseReport, StorageManager
+from repro.core.storage import ReuseReport
 from repro.errors import ServeError
 from repro.obs.trace import NULL_TRACER
 from repro.serve.cache import ResultCache, result_key, scenario_fingerprint
@@ -58,22 +51,11 @@ from repro.serve.transport import (
     SegmentArena,
     SegmentLease,
     SegmentRef,
-    SnapshotRef,
     TransportConfig,
     generation_nbytes,
-    logical_nbytes,
-    pack_snapshot,
     shm_available,
-    snapshot_nbytes,
 )
-from repro.serve.worker import (
-    BasisSnapshot,
-    EngineSpec,
-    ShardSample,
-    ShardTask,
-    build_snapshot_store,
-    run_shard,
-)
+from repro.serve.worker import EngineSpec, ShardSample, ShardTask, run_shard
 
 
 @dataclass
@@ -92,17 +74,6 @@ class ServiceStats:
     shard_generations: int = 0
     sampled_worlds: int = 0
     parallel_seconds: float = 0.0
-    #: Cross-shard basis reuse: how each shard task was served (exact hit
-    #: against the shipped snapshot, fingerprint-mapped from it, or fresh),
-    #: and how much snapshot state was shipped to make that possible.
-    #: ``shard_exact_hits`` is expected to stay 0 under the current design
-    #: (the engine's extend path consumes same-args coverage before the
-    #: sampler runs); it exists as an invariant check, not a hot counter.
-    shard_exact_hits: int = 0
-    shard_mapped_hits: int = 0
-    shard_fresh: int = 0
-    snapshots_shipped: int = 0
-    snapshot_bases_shipped: int = 0
     #: Sampling-plane dispatch across the whole fleet (coordinator and
     #: workers): fresh world-rows produced by the batched backend vs by the
     #: per-world loop, so silent fallback to the slow path is observable
@@ -120,8 +91,8 @@ class ServiceStats:
     pool_rebuilds: int = 0
     inline_rescues: int = 0
     #: Shard transport (see :mod:`repro.serve.transport`). ``bytes_shipped``
-    #: counts logical payload bytes (world ids, snapshot matrices, sample
-    #: matrices) that crossed a process boundary through pickle;
+    #: counts logical payload bytes (world ids, sample matrices) that
+    #: crossed a process boundary through pickle;
     #: ``bytes_zero_copy`` counts the same logical bytes when they moved
     #: through shared-memory segments instead. Segment lease/reclaim
     #: counters must end a session equal — the leak assertion the chaos
@@ -143,12 +114,6 @@ class ServiceStats:
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
-
-    def shard_reuse_rate(self) -> float:
-        """Fraction of shard tasks served by snapshot reuse (exact or mapped)."""
-        reused = self.shard_exact_hits + self.shard_mapped_hits
-        total = reused + self.shard_fresh
-        return reused / total if total else 0.0
 
     def as_dict(self) -> dict[str, Any]:
         """Deterministic counters only: every ``int`` field, in declaration
@@ -175,7 +140,6 @@ class EvaluationService:
         shards: Optional[int] = None,
         cache_dir: Optional[str] = None,
         min_shard_worlds: int = 8,
-        share_bases: bool = True,
         resilience: Optional[ResilienceConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         transport: Optional[TransportConfig] = None,
@@ -217,10 +181,6 @@ class EvaluationService:
         #: Below this many worlds a slice is not worth splitting: shard
         #: payload overhead would exceed the sampling work.
         self.min_shard_worlds = max(1, min_shard_worlds)
-        #: Ship coordinator basis snapshots to shard tasks so shards reuse
-        #: (exact/mapped) where the coordinator could not. Off = the pure
-        #: fresh-sampling fan-out of the original serve layer.
-        self.share_bases = share_bases
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.scenario = self.engine.scenario
         self._scenario_hash = scenario_fingerprint(self.scenario, self.engine.library)
@@ -242,22 +202,13 @@ class EvaluationService:
         self.transport = transport if transport is not None else TransportConfig()
         self._arena = SegmentArena(ttl=self.transport.lease_ttl, stats=self.stats)
         self._shm_ok = self.transport.enabled and shm_available()
-        #: Coordinator-side snapshot segment cache: one packed segment per
-        #: live snapshot version (content-addressed), so sweeps that reship
-        #: the same snapshot lease and pack it once, not once per fan-out.
-        self._snapshot_leases: dict[str, tuple[SegmentLease, SnapshotRef]] = {}
-        #: The coordinator's own seeded store for the latest snapshot
-        #: version — what in-process shards and inline rescues acquire from.
-        self._coordinator_store_cache: Optional[tuple[str, StorageManager]] = None
         # Tie lease cleanup into the executor's own lifecycle: a recycled
         # pool (every dispatcher heal included) sweeps expired leases, a
         # shutdown pool releases everything.
         if hasattr(self.executor, "add_recycle_hook"):
             self.executor.add_recycle_hook(self._arena.sweep_expired)
         if hasattr(self.executor, "add_teardown_hook"):
-            self.executor.add_teardown_hook(self._release_transport)
-        self._reuse_active = True
-        self._cache_writes_enabled = True
+            self.executor.add_teardown_hook(self._arena.release_all)
         #: Observability: :meth:`set_tracer` replaces this shared no-op.
         self.tracer = NULL_TRACER
 
@@ -278,10 +229,13 @@ class EvaluationService:
     ) -> PointEvaluation:
         """Evaluate one point: result cache, then the sharded engine cycle."""
         validated = self.scenario.validate_sweep_point(point)
-        chosen = (
-            tuple(worlds)
+        # The engine's own world-id rule, applied before the cache key is
+        # built: a request the engine would reject is never a cache hit.
+        chosen = world_ids(
+            worlds
             if worlds is not None
-            else tuple(range(self.engine.config.sampling.n_worlds))
+            else range(self.engine.config.sampling.n_worlds),
+            "evaluate_point",
         )
         self.stats.points_evaluated += 1
 
@@ -294,32 +248,10 @@ class EvaluationService:
                 return self._evaluation_from_cache(validated, chosen, cached.statistics)
             self.stats.cache_misses += 1
 
-        self._reuse_active = reuse
         evaluation = self.engine.evaluate_point(
             validated, worlds=chosen, reuse=reuse, sampler=self._sharded_sampler
         )
-        if self.stats.shard_exact_hits + self.stats.shard_mapped_hits > 0:
-            # Shard-snapshot reuse approximates within the mapping tolerance
-            # in a way that depends on the shard geometry (worker count,
-            # shard plan), which the result key deliberately does not
-            # include. The approximate samples also land in the engine's
-            # basis store, where later evaluations (stats-cache hits, exact
-            # basis hits, onward mappings) can transitively depend on them
-            # — so once any shard was served by reuse, nothing more from
-            # this service may enter the cross-run cache, or a run with
-            # different geometry would read geometry-dependent numbers back
-            # as exact. Uniform-world workloads never take shard reuse and
-            # cache as before; reads stay enabled either way. The disk
-            # escape hatch is closed separately: shard-reused entries are
-            # tainted in the tier and never spill or persist, so a future
-            # run cannot adopt them and re-launder their statistics into
-            # the cache.
-            self._cache_writes_enabled = False
-        if (
-            key is not None
-            and self._cache_writes_enabled
-            and not self._uses_tainted_bases(validated)
-        ):
+        if key is not None:
             self.cache.put(
                 key,
                 evaluation.statistics,
@@ -338,11 +270,6 @@ class EvaluationService:
         # The teardown hook already released the arena when the executor
         # supports hooks; calling again is idempotent and covers foreign
         # executors passed in without the hook interface.
-        self._release_transport()
-
-    def _release_transport(self) -> None:
-        """Release every transport lease this service holds (idempotent)."""
-        self._snapshot_leases.clear()
         self._arena.release_all()
 
     def __enter__(self) -> "EvaluationService":
@@ -352,26 +279,6 @@ class EvaluationService:
         self.close()
 
     # -- internals ---------------------------------------------------------
-
-    def _uses_tainted_bases(self, validated: Mapping[str, Any]) -> bool:
-        """Does any of this point's VG bases carry geometry taint?
-
-        The per-service cache-write latch cannot see contamination that
-        entered the shared engine through *another* service (or before this
-        service existed); the tier's taint marks can. A point whose basis
-        key is tainted is served from geometry-dependent samples no matter
-        which layer (stats cache, exact hit, mapping) answered, so its
-        statistics must not enter the cross-run cache.
-        """
-        tier = self.engine.storage.tier
-        for output in self.scenario.vg_outputs:
-            key = (
-                self.engine.library.get(output.vg_name).name.lower(),
-                tuple(output.model_arg_values(validated)),
-            )
-            if tier.is_tainted(key):
-                return True
-        return False
 
     def _key_for(self, validated: Mapping[str, Any], worlds: Sequence[int]) -> str:
         config = self.engine.config
@@ -424,74 +331,8 @@ class EvaluationService:
             n_worlds=len(worlds),
         )
 
-    def _snapshot_for(self, output: VGOutput, batch: InstanceBatch) -> BasisSnapshot:
-        """A read-only snapshot of the coordinator's hot bases for one VG.
-
-        Ships only the in-memory bases the coordinator *could not* use for
-        this request: entries overlapping the requested worlds without
-        covering the full slice. An entry covering the full slice was
-        already ruled on by the coordinator's own acquire (hit or rejection
-        applies to every shard equally), so shipping it could only let a
-        shard contradict that decision — and in uniform-world workloads
-        (every basis full-covering) the snapshot is therefore empty and the
-        fan-out stays the zero-overhead pure-fresh path. The shipped bases'
-        fingerprints and the current target's (always present after the
-        coordinator's acquire attempt) ride along so shard tasks never
-        re-probe.
-        """
-        engine = self.engine
-        vg_lower = engine.library.get(output.vg_name).name.lower()
-        requested = set(batch.worlds)
-        entries: list[BasisEntry] = []
-        fingerprints: list[tuple[tuple[Any, ...], np.ndarray]] = []
-        seen_args: set[tuple[Any, ...]] = set()
-        for (name, args), entry in engine.storage.tier.memory_items():
-            if name != vg_lower:
-                continue
-            if engine.storage.tier.is_adopted((name, args)):
-                # Warm-start adoptions carry foreign seeds the coordinator
-                # validates per-acquire; a snapshot store would trust them
-                # blindly, so they never travel.
-                continue
-            entry_worlds = set(entry.worlds)
-            if requested <= entry_worlds:
-                continue  # full-covering: the coordinator already ruled on it
-            if not (requested & entry_worlds):
-                continue  # overlaps no requested world: cannot serve a shard
-            entries.append(entry)
-            seen_args.add(args)
-        target_args = output.model_arg_values(batch.point_dict)
-        seen_args.add(tuple(target_args))
-        for args in seen_args:
-            fingerprint = engine.registry.get_fingerprint(vg_lower, args)
-            if fingerprint is not None:
-                fingerprints.append((args, fingerprint.matrix))
-        fingerprints.sort(key=lambda item: repr(item[0]))
-        # Content-addressed version: identical snapshot content across
-        # requests (common in sweeps, whose full-slice results are filtered
-        # out above) hashes identically, so the worker-side seeded-store
-        # cache hits instead of rebuilding once per evaluation.
-        digest = hashlib.blake2b(digest_size=16)
-        for entry in entries:
-            digest.update(repr((entry.args, entry.worlds, entry.seeds)).encode())
-            digest.update(entry.samples.tobytes())
-        for args, matrix in fingerprints:
-            digest.update(repr(args).encode())
-            digest.update(matrix.tobytes())
-        return BasisSnapshot(
-            version=f"{vg_lower}:{digest.hexdigest()}",
-            vg_name=output.vg_name,
-            entries=tuple(entries),
-            fingerprints=tuple(fingerprints),
-        )
-
     def _sharded_sampler(self, output: VGOutput, batch: InstanceBatch) -> np.ndarray:
-        """The engine's fresh-sampling stage, fanned out across shards.
-
-        With ``share_bases`` (and ``reuse=True``) each shard task first
-        consults a shipped snapshot of the coordinator's hot bases; only
-        what the snapshot cannot serve is freshly sampled.
-        """
+        """The engine's fresh-sampling stage, fanned out across shards."""
         worlds = batch.worlds
         n_shards = min(self.n_shards, max(1, len(worlds) // self.min_shard_worlds))
         shards = plan_shards(worlds, n_shards)
@@ -499,9 +340,7 @@ class EvaluationService:
         self.stats.sampled_worlds += len(worlds)
         point_items = tuple(sorted(batch.point_dict.items()))
         if len(shards) == 1:
-            # Nothing to fan out — and nothing to reuse either: the
-            # coordinator's own acquire already rejected every basis that
-            # covers the full (= this single shard's) world slice.
+            # Nothing to fan out: sample the slice right here.
             self.stats.shard_tasks += 1
             sample = run_shard(
                 ShardTask(self.spec, output.alias, point_items, worlds), self.engine
@@ -509,27 +348,13 @@ class EvaluationService:
             self._count_shard_sample(sample)
             return sample.samples
 
-        snapshot: Optional[BasisSnapshot] = None
-        if self.share_bases and self._reuse_active:
-            snapshot = self._snapshot_for(output, batch)
-            if not snapshot.entries:
-                snapshot = None  # nothing reusable; skip the shipping cost
         use_process = self.spec is not None and self.executor.kind == "process"
         n_components = self.engine.library.get(output.vg_name).n_components
         # Shard transport: the bytes this generation's segment needs (None
         # for the pickle path — default, unavailable shm, payload over cap).
-        # Only process workers need the snapshot shipped (by descriptor
-        # under shm); in-process shards are handed the coordinator's own
-        # seeded store, and their task merely names the snapshot.
         need = self._generation_bytes(shards, n_components)
-        shipped: BasisSnapshot | SnapshotRef | None = snapshot
-        if need is not None and use_process and snapshot is not None:
-            shipped = self._snapshot_ref_for(snapshot)
-            if shipped is None:  # the snapshot alone exceeds the cap
-                self.stats.transport_fallbacks += 1
-                need, shipped = None, snapshot
         plain_tasks = [
-            ShardTask(self.spec, output.alias, point_items, shard.worlds, shipped)
+            ShardTask(self.spec, output.alias, point_items, shard.worlds)
             for shard in shards
         ]
         tasks = plain_tasks
@@ -539,7 +364,7 @@ class EvaluationService:
                 with self.tracer.span(
                     "transport", alias=output.alias, shards=len(shards), bytes=need
                 ):
-                    lease = self._arena.lease(need, label="generation")
+                    lease = self._arena.lease(need)
                     tasks = [
                         replace(
                             task,
@@ -557,23 +382,18 @@ class EvaluationService:
             # timing counter excluded from the byte-stable as_dict surface.
             started = time.perf_counter()
             calls = [
-                self._shard_call(task, plain, n_components, snapshot, use_process, lease)
+                self._shard_call(task, plain, n_components, use_process, lease)
                 for task, plain in zip(tasks, plain_tasks)
             ]
             # Counters are committed at dispatch time, before any result (or
             # failure) comes back, so an error mid-fan-out cannot leave them
             # understating the work that was actually submitted.
             self.stats.shard_tasks += len(shards)
-            if snapshot is not None:
-                self.stats.snapshots_shipped += 1
-                self.stats.snapshot_bases_shipped += len(snapshot.entries)
             pickled = lease is None and use_process
             if pickled:
                 # Pickle transport over a process boundary: world ids out per
-                # shard, plus the full snapshot payload once per task (process
-                # pools have no broadcast). Result bytes are counted at merge.
+                # shard. Result bytes are counted at merge.
                 self.stats.bytes_shipped += sum(len(s.worlds) * 8 for s in shards)
-                self.stats.bytes_shipped += logical_nbytes(snapshot) * len(shards)
             try:
                 # The dispatcher walks the fault-tolerance ladder: deadlines,
                 # bounded retries, pool self-healing, inline rescue. On a
@@ -585,7 +405,6 @@ class EvaluationService:
                     shards=len(shards),
                     worlds=len(worlds),
                     executor=self.executor.kind,
-                    snapshot_bases=len(snapshot.entries) if snapshot else 0,
                     transport="shm" if lease is not None else "pickle",
                 ):
                     shard_samples = self._dispatcher.dispatch(calls)
@@ -596,30 +415,16 @@ class EvaluationService:
                 "merge", alias=output.alias, shards=len(shard_samples)
             ):
                 parts: list[np.ndarray] = []
-                any_shard_reuse = False
                 for result in shard_samples:
                     self._count_shard_sample(result)
-                    any_shard_reuse = any_shard_reuse or result.source != "fresh"
                     part = np.asarray(result.samples, dtype=float)
                     if pickled:
                         self.stats.bytes_shipped += part.nbytes
                     parts.append(part)
-                if any_shard_reuse:
-                    # The merged matrix the engine is about to store mixes shard-
-                    # reused (geometry-dependent) rows in; taint the key before
-                    # the store happens so the entry can never spill or persist.
-                    # Taint is sticky across put(), so the ordering is race-free.
-                    self.engine.storage.tier.taint(
-                        (
-                            self.engine.library.get(output.vg_name).name.lower(),
-                            tuple(output.model_arg_values(batch.point_dict)),
-                        )
-                    )
-                # The shard bases shipped back in ``parts`` merge here, in shard
-                # order; the engine stores the merged entry in its tiered store,
-                # where the next snapshot (and every other session) can reuse it.
-                # ``vstack`` copies, so the generation's segment is released
-                # right after (the arena defers unmapping past any live view).
+                # The shard matrices merge here, in shard order; the engine
+                # stores the merged entry in its tiered store. ``vstack``
+                # copies, so the generation's segment is released right after
+                # (the arena defers unmapping past any live view).
                 return np.vstack(parts)
         finally:
             # The lease has this one owner from ``arena.lease()`` to merge:
@@ -644,64 +449,28 @@ class EvaluationService:
             return None
         return need
 
-    def _snapshot_ref_for(self, snapshot: BasisSnapshot) -> Optional[SnapshotRef]:
-        """The packed-segment descriptor of a snapshot, cached per version.
-
-        Snapshot versions are content-addressed, so sweeps that reship an
-        identical snapshot hit the cache and pack nothing; a new version
-        for the same VG evicts (releases) its predecessor's lease. Returns
-        ``None`` when the snapshot alone would exceed the segment cap.
-        """
-        cached = self._snapshot_leases.get(snapshot.version)
-        if cached is not None and self._arena.get(cached[0].name) is not None:
-            self._arena.touch(cached[0])
-            return cached[1]
-        need = snapshot_nbytes(snapshot)
-        if need > self.transport.segment_cap_bytes:
-            return None
-        lease = self._arena.lease(need, label=f"snapshot:{snapshot.version[:24]}")
-        try:
-            ref = pack_snapshot(lease, snapshot)
-        except BaseException:
-            # Not cached yet, so nobody else would ever release it.
-            self._arena.release(lease)
-            raise
-        vg_prefix = snapshot.version.split(":", 1)[0] + ":"
-        for stale in [
-            version
-            for version in self._snapshot_leases
-            if version.startswith(vg_prefix) and version != snapshot.version
-        ]:
-            old_lease, _ = self._snapshot_leases.pop(stale)
-            self._arena.release(old_lease)
-        self._snapshot_leases[snapshot.version] = (lease, ref)
-        self.stats.bytes_zero_copy += logical_nbytes(snapshot)
-        return ref
-
     def _shard_call(
         self,
         task: ShardTask,
         plain: ShardTask,
         n_components: int,
-        snapshot: Optional[BasisSnapshot],
         use_process: bool,
         lease: Optional[SegmentLease],
     ) -> ShardCall:
         """One shard's dispatcher call: the task, and the same task as rescue.
 
-        A process worker gets the task alone and finds its engine and
-        snapshot store by ``task.spec``; an in-process executor is handed
-        the coordinator's. The rescue is :func:`run_shard` again on
-        ``plain`` — the same task with its worlds in hand and no result
-        region — with the coordinator's engine/store: same snapshot
-        contents, same worlds, same seeds, so a rescued shard is
-        bit-identical to what a healthy worker would have returned (and,
-        running on plain arrays, it touches no transport segment: rescues
-        can never leak leases).
+        A process worker gets the task alone and finds its engine by
+        ``task.spec``; an in-process executor is handed the coordinator's.
+        The rescue is :func:`run_shard` again on ``plain`` — the same task
+        with its worlds in hand and no result region — with the
+        coordinator's engine: same worlds, same seeds, so a rescued shard
+        is bit-identical to what a healthy worker would have returned
+        (and, running on plain arrays, it touches no transport segment:
+        rescues can never leak leases).
         """
 
         def rescue() -> ShardSample:
-            return run_shard(plain, self.engine, self._coordinator_store(snapshot))
+            return run_shard(plain, self.engine)
 
         resolve = None
         if lease is not None:
@@ -719,41 +488,14 @@ class EvaluationService:
 
         return ShardCall(
             fn=run_shard,
-            args=(
-                (task,)
-                if use_process
-                else (task, self.engine, self._coordinator_store(snapshot))
-            ),
+            args=(task,) if use_process else (task, self.engine),
             rescue=rescue,
             expected_rows=len(plain.worlds),
             expected_components=n_components,
             resolve=resolve,
         )
 
-    def _coordinator_store(
-        self, snapshot: Optional[BasisSnapshot]
-    ) -> Optional[StorageManager]:
-        """The coordinator's seeded store for ``snapshot`` (``None`` for none).
-
-        Cached for the latest version only: an in-process fan-out asks once
-        per shard, an inline rescue of a process shard asks lazily (rescue
-        is the rare path; most evaluations never build one).
-        """
-        if snapshot is None:
-            return None
-        cached = self._coordinator_store_cache
-        if cached is None or cached[0] != snapshot.version:
-            cached = (snapshot.version, build_snapshot_store(self.engine, snapshot))
-            self._coordinator_store_cache = cached
-        return cached[1]
-
     def _count_shard_sample(self, sample: ShardSample) -> None:
-        if sample.source == "exact":
-            self.stats.shard_exact_hits += 1
-        elif sample.source == "mapped":
-            self.stats.shard_mapped_hits += 1
-        else:
-            self.stats.shard_fresh += 1
         self.stats.sampled_batched += sample.sampled_batched
         self.stats.sampled_fallback += sample.sampled_fallback
         self.stats.worker_seconds += sample.elapsed_seconds

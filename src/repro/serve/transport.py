@@ -1,16 +1,13 @@
 """Zero-copy shared-memory shard transport for the serve plane.
 
-Every multi-shard fan-out used to move its payloads — world slices out,
-sample matrices back, and (for mixed-world workloads) whole
-:class:`~repro.serve.worker.BasisSnapshot` payloads — through pickle over
-the ProcessPoolExecutor's pipes, so transport cost scaled with world
-count, and the round protocol (PR 8) multiplied it by turning each point
-into many small fan-outs. This module moves the bulk bytes through named
-``multiprocessing.shared_memory`` segments instead:
+Over pickle, every multi-shard fan-out moves its payloads — world slices
+out, sample matrices back — through the ProcessPoolExecutor's pipes, so
+transport cost scales with world count, and the round protocol turns each
+point into many small fan-outs. This module moves the bulk bytes through
+named ``multiprocessing.shared_memory`` segments instead:
 
-* the coordinator's :class:`SegmentArena` leases refcounted named
-  segments, packs the outbound columns (per-shard world ids, snapshot
-  sample/seed/fingerprint matrices) into them, and pre-leases a result
+* the coordinator's :class:`SegmentArena` leases a named segment per
+  fan-out, packs the per-shard world ids into it, and pre-leases a result
   region per shard;
 * task pickles carry only :class:`SegmentRef` descriptors
   ``(segment, dtype, shape, offset)`` — O(1) in ``n_worlds``;
@@ -18,12 +15,12 @@ into many small fan-outs. This module moves the bulk bytes through named
   into their pre-leased result region; the coordinator resolves the
   returned descriptor back into a view and merges as usual.
 
-This module is only about segments — the arena, leases, the reader, the
-snapshot pack/materialize pair and sizing. It defines no task: the one
-shard function, :func:`repro.serve.worker.run_shard`, resolves whichever
-fields of its :class:`~repro.serve.worker.ShardTask` are descriptors
-through a :class:`SegmentReader`, so the worker module imports this one
-and never the reverse.
+This module is only about segments — the arena, leases, the reader and
+sizing. It defines no task: the one shard function,
+:func:`repro.serve.worker.run_shard`, resolves whichever fields of its
+:class:`~repro.serve.worker.ShardTask` are descriptors through a
+:class:`SegmentReader`, so the worker module imports this one and never
+the reverse.
 
 The transport changes *where bytes live*, never *what they are*: the shm
 path is bitwise identical to the pickle path across every executor,
@@ -33,12 +30,12 @@ usable shared memory, or generations whose payload would exceed
 ``segment_cap_bytes``, silently fall back and are counted
 (``ServiceStats.transport_fallbacks``), never errored.
 
-Leases are tied into the resilience ladder. A generation's segments are
-released by the service after merge (or on the error path) regardless of
-how its shards fared; retries re-use the same pre-leased result regions
-safely because the dispatcher heals the pool — terminating any stale
-writer — before re-submitting; inline rescues return plain in-memory
-samples and touch no segment at all. As a last-resort safety net every
+Leases are tied into the resilience ladder. A lease has exactly one owner
+— the fan-out that leased it — which releases it after merge (or on the
+error path) regardless of how its shards fared; retries re-use the same
+pre-leased result regions safely because the dispatcher heals the pool —
+terminating any stale writer — before re-submitting; inline rescues return
+plain in-memory samples and touch no segment at all. As a last-resort safety net every
 lease carries a TTL, and expired leases are swept by the cleanup hooks of
 :class:`~repro.serve.executors.ProcessExecutor`: once per recycle (every
 :class:`~repro.serve.resilience.ShardDispatcher` pool heal is one) and on
@@ -59,16 +56,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.config import require
-from repro.core.storage import BasisEntry
 from repro.errors import ServeError, TransientServeError
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import
-    from repro.serve.worker import BasisSnapshot
 
 
 #: Known shard transports, in documentation order.
@@ -141,33 +134,6 @@ class SegmentRef:
         return count * np.dtype(self.dtype).itemsize
 
 
-@dataclass(frozen=True)
-class SnapshotEntryRef:
-    """One snapshot basis entry with its matrices living in a segment."""
-
-    vg_name: str
-    args: tuple[Any, ...]
-    samples: SegmentRef
-    worlds: SegmentRef
-    seeds: SegmentRef
-
-
-@dataclass(frozen=True)
-class SnapshotRef:
-    """A :class:`~repro.serve.worker.BasisSnapshot` shipped by descriptor.
-
-    ``version`` is the snapshot's content-addressed version — the worker's
-    per-``(spec, version)`` store cache is keyed on it, so a worker that
-    already seeded this snapshot never touches the segment again (and
-    keeps it attached for as long as that store is cached).
-    """
-
-    version: str
-    vg_name: str
-    entries: tuple[SnapshotEntryRef, ...]
-    fingerprints: tuple[tuple[tuple[Any, ...], SegmentRef], ...] = ()
-
-
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
@@ -207,22 +173,20 @@ def shm_available() -> bool:
 class SegmentLease:
     """One leased segment: a bump-pointer arena the coordinator packs.
 
-    Created only by :meth:`SegmentArena.lease`. ``refs`` is the lease's
-    refcount — the arena releases the segment when it reaches zero (or
-    when the TTL sweeper reclaims a leaked lease).
+    Created only by :meth:`SegmentArena.lease` and released by its one
+    owner through :meth:`SegmentArena.release` (or reclaimed by the TTL
+    sweeper if that owner leaked it).
     """
 
-    __slots__ = ("name", "shm", "nbytes", "refs", "deadline", "label", "_cursor")
+    __slots__ = ("name", "shm", "nbytes", "deadline", "_cursor")
 
-    def __init__(self, shm: Any, nbytes: int, ttl: float, label: str) -> None:
+    def __init__(self, shm: Any, nbytes: int, ttl: float) -> None:
         self.shm = shm
         self.name = shm.name
         self.nbytes = nbytes
-        self.refs = 1
         # repro-lint: disable=DET001 -- leak-reclaim TTL safety net; a
         # lease's deadline never influences evaluation results.
         self.deadline = time.monotonic() + ttl
-        self.label = label
         self._cursor = 0
 
     # -- packing -------------------------------------------------------------
@@ -313,40 +277,23 @@ class SegmentArena:
 
     # -- lease lifecycle -----------------------------------------------------
 
-    def lease(self, nbytes: int, label: str = "") -> SegmentLease:
+    def lease(self, nbytes: int) -> SegmentLease:
         """Lease a fresh named segment of at least ``nbytes`` bytes."""
         from multiprocessing import shared_memory
 
         self._drain_deferred()
         size = max(_ALIGN, nbytes)
         shm = shared_memory.SharedMemory(create=True, size=size)
-        lease = SegmentLease(shm, size, self.ttl, label)
+        lease = SegmentLease(shm, size, self.ttl)
         self._leases[lease.name] = lease
         self.segments_leased += 1
         if self.stats is not None:
             self.stats.segments_leased += 1
         return lease
 
-    def retain(self, lease: SegmentLease) -> None:
-        """Add a reference: the lease survives until every holder releases."""
-        if lease.name not in self._leases:
-            raise ServeError(f"segment {lease.name} is not leased from this arena")
-        lease.refs += 1
-        # repro-lint: disable=DET001 -- TTL safety net only; see SegmentLease.
-        lease.deadline = time.monotonic() + self.ttl
-
-    def touch(self, lease: SegmentLease) -> None:
-        """Refresh a live lease's TTL (cached snapshot segments on reuse)."""
-        if lease.name in self._leases:
-            # repro-lint: disable=DET001 -- TTL safety net only; see SegmentLease.
-            lease.deadline = time.monotonic() + self.ttl
-
     def release(self, lease: SegmentLease) -> None:
-        """Drop one reference; unlink the segment when none remain."""
-        if lease.name not in self._leases:
-            return  # already reclaimed (idempotent: sweeper may race a release)
-        lease.refs -= 1
-        if lease.refs <= 0:
+        """Unlink the lease's segment (idempotent: the sweeper may race it)."""
+        if lease.name in self._leases:
             self._reclaim(lease)
         self._drain_deferred()
 
@@ -370,10 +317,6 @@ class SegmentArena:
     def live_segments(self) -> int:
         """Leased minus reclaimed — the leak assertion tests pin to zero."""
         return len(self._leases)
-
-    def get(self, name: str) -> Optional[SegmentLease]:
-        """The live lease backing ``name``, if this arena owns it."""
-        return self._leases.get(name)
 
     # -- internals -----------------------------------------------------------
 
@@ -476,56 +419,14 @@ class SegmentReader:
             ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf, offset=ref.offset
         )
 
-    def detach(self, name: str) -> Any:
-        """Hand a segment's ownership to the caller (skips this cleanup)."""
-        return self._segments.pop(name)
-
     def close(self) -> None:
-        close_segments(self._segments.values())
+        """Close the attached segments (never unlinks)."""
+        for shm in self._segments.values():
+            try:
+                shm.close()
+            except BufferError:  # pragma: no cover - a view outlived its owner
+                pass
         self._segments.clear()
-
-
-def close_segments(segments: Iterable[Any]) -> None:
-    """Close attached segments whose views are gone (never unlinks)."""
-    for shm in segments:
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - a view outlived its owner
-            pass
-
-
-def materialize_snapshot(
-    ref: SnapshotRef, reader: SegmentReader
-) -> tuple[tuple[BasisEntry, ...], tuple[tuple[Any, np.ndarray], ...], tuple[Any, ...]]:
-    """The entries and fingerprints of a snapshot packed by :func:`pack_snapshot`.
-
-    World/seed ids are converted back to the tuples the storage layer
-    expects (O(entries x worlds) ints, paid once per cached version); the
-    big sample and fingerprint matrices stay zero-copy views. The third
-    item is the attached segments, handed over from ``reader``: they must
-    outlive every view, and the caller closes them (:func:`close_segments`).
-    """
-    entries = tuple(
-        BasisEntry(
-            vg_name=entry_ref.vg_name,
-            args=entry_ref.args,
-            samples=reader.view(entry_ref.samples),
-            worlds=tuple(reader.view(entry_ref.worlds).tolist()),
-            seeds=tuple(reader.view(entry_ref.seeds).tolist()),
-        )
-        for entry_ref in ref.entries
-    )
-    fingerprints = tuple(
-        (args, reader.view(matrix_ref)) for args, matrix_ref in ref.fingerprints
-    )
-    names = {
-        used.segment
-        for entry_ref in ref.entries
-        for used in (entry_ref.samples, entry_ref.worlds, entry_ref.seeds)
-    }
-    names |= {matrix_ref.segment for _, matrix_ref in ref.fingerprints}
-    segments = tuple(reader.detach(name) for name in sorted(names))
-    return entries, fingerprints, segments
 
 
 # -- coordinator-side packing helpers ----------------------------------------
@@ -540,75 +441,13 @@ def generation_nbytes(row_counts: list[int], n_components: int) -> int:
     return total + _ALIGN
 
 
-def snapshot_nbytes(snapshot: "BasisSnapshot") -> int:
-    """Aligned bytes needed to pack a snapshot's matrices into a segment."""
-    total = 0
-    for entry in snapshot.entries:
-        total += _aligned(np.asarray(entry.samples).nbytes) + _ALIGN
-        total += _aligned(len(entry.worlds) * 8) + _ALIGN
-        total += _aligned(len(entry.seeds) * 8) + _ALIGN
-    for _, matrix in snapshot.fingerprints:
-        total += _aligned(np.asarray(matrix).nbytes) + _ALIGN
-    return total + _ALIGN
-
-
-def pack_snapshot(lease: SegmentLease, snapshot: "BasisSnapshot") -> SnapshotRef:
-    """Pack a snapshot's matrices into ``lease``; return the descriptor.
-
-    World ids pack as int64; seeds as uint64 (world seeds are full
-    64-bit hash outputs). Entry args and the version string stay in the
-    descriptor — tiny, and the worker cache keys on the version.
-    """
-    entries = []
-    for entry in snapshot.entries:
-        entries.append(
-            SnapshotEntryRef(
-                vg_name=entry.vg_name,
-                args=entry.args,
-                samples=lease.pack(np.asarray(entry.samples, dtype=float)),
-                worlds=lease.pack(np.asarray(entry.worlds, dtype=np.int64)),
-                seeds=lease.pack(np.asarray(entry.seeds, dtype=np.uint64)),
-            )
-        )
-    fingerprints = tuple(
-        (args, lease.pack(np.asarray(matrix, dtype=float)))
-        for args, matrix in snapshot.fingerprints
-    )
-    return SnapshotRef(
-        version=snapshot.version,
-        vg_name=snapshot.vg_name,
-        entries=tuple(entries),
-        fingerprints=fingerprints,
-    )
-
-
-def logical_nbytes(snapshot: Optional["BasisSnapshot"]) -> int:
-    """Payload bytes a snapshot ships (for the bytes_shipped counters)."""
-    if snapshot is None:
-        return 0
-    total = 0
-    for entry in snapshot.entries:
-        total += np.asarray(entry.samples).nbytes
-        total += len(entry.worlds) * 8 + len(entry.seeds) * 8
-    for _, matrix in snapshot.fingerprints:
-        total += np.asarray(matrix).nbytes
-    return total
-
-
 __all__ = [
     "SHARD_TRANSPORTS",
     "SegmentArena",
     "SegmentLease",
     "SegmentReader",
     "SegmentRef",
-    "SnapshotEntryRef",
-    "SnapshotRef",
     "TransportConfig",
-    "close_segments",
     "generation_nbytes",
-    "logical_nbytes",
-    "materialize_snapshot",
-    "pack_snapshot",
     "shm_available",
-    "snapshot_nbytes",
 ]

@@ -52,10 +52,8 @@ DEMO_SWEEP_STATS = {
         '0, "cache_tmp_swept": 0, "executor_kind": "inline", "executor_workers": 1, '
         '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, "sampled_batched": 80, '
         '"sampled_fallback": 0, "sampled_worlds": 80, "segments_leased": 0, "segments_reclaimed":'
-        ' 0, "shard_exact_hits": 0, "shard_fresh": 2, "shard_generations": 2, '
-        '"shard_mapped_hits": 0, "shard_retries": 0, "shard_tasks": 2, "shard_timeouts": 0, '
-        '"shard_transport": "pickle", "snapshot_bases_shipped": 0, "snapshots_shipped": 0, '
-        '"transport_fallbacks": 0}, "week_memo": {"hits": 1344, "misses": 564}}'
+        ' 0, "shard_generations": 2, "shard_retries": 0, "shard_tasks": 2, '
+        '"shard_timeouts": 0, "shard_transport": "pickle", "transport_fallbacks": 0}, "week_memo": {"hits": 1344, "misses": 564}}'
     ),
     "process-pool": (
         '{"basis": {"exact_hits": 59, "mapped_hits": 11, "misses": 2, "resident": 13, '
@@ -70,10 +68,8 @@ DEMO_SWEEP_STATS = {
         '"cache_tmp_swept": 0, "executor_kind": "process", "executor_workers": 2, '
         '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, "sampled_batched": 80, '
         '"sampled_fallback": 0, "sampled_worlds": 80, "segments_leased": 0, "segments_reclaimed":'
-        ' 0, "shard_exact_hits": 0, "shard_fresh": 4, "shard_generations": 2, '
-        '"shard_mapped_hits": 0, "shard_retries": 0, "shard_tasks": 4, "shard_timeouts": 0, '
-        '"shard_transport": "pickle", "snapshot_bases_shipped": 0, "snapshots_shipped": 0, '
-        '"transport_fallbacks": 0}, "week_memo": {"hits": 1344, "misses": 564}}'
+        ' 0, "shard_generations": 2, "shard_retries": 0, "shard_tasks": 4, '
+        '"shard_timeouts": 0, "shard_transport": "pickle", "transport_fallbacks": 0}, "week_memo": {"hits": 1344, "misses": 564}}'
     ),
 }
 

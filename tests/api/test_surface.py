@@ -40,7 +40,6 @@ SURFACE_SNAPSHOT = (
 
 #: The serve plane's public surface (``repro.serve.__all__``), same rules.
 SERVE_SURFACE_SNAPSHOT = (
-    "BasisSnapshot",
     "CachedResult",
     "EngineSpec",
     "EvaluationService",

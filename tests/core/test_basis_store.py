@@ -59,8 +59,8 @@ class TestMemoryTierBounds:
         # Touch basis 0 so basis 1 becomes the LRU victim.
         storage.acquire(vg, (0,), range(4), seeds)
         storage.store(vg, (2,), matrix_for(vg, (2,), seeds), range(4), seeds)
-        resident = {args for (_, args), _ in storage.tier.memory_items()}
-        assert resident == {(0,), (2,)}
+        assert storage.tier.spilled_count == 0  # no disk tier: keys() is memory
+        assert {args for _, args in storage.tier.keys()} == {(0,), (2,)}
 
     def test_byte_cap_bounds_resident_bytes(self):
         seeds = world_seeds(4)
@@ -333,45 +333,6 @@ class TestFailOpenSpillWrites:
 
 
 class TestGeometryTaint:
-    def test_tainted_entries_never_spill(self, tmp_path):
-        storage = make_storage(basis_cap=1, spill_dir=str(tmp_path))
-        seeds = world_seeds(4)
-        vg = DemandModel()
-        storage.store(vg, (0,), matrix_for(vg, (0,), seeds), range(4), seeds)
-        storage.tier.taint(("demandmodel", (0,)))
-        storage.store(vg, (1,), matrix_for(vg, (1,), seeds), range(4), seeds)
-        # The tainted entry was evicted but dropped, not written to disk.
-        assert storage.tier.stats.spills == 0
-        assert storage.tier.stats.dropped == 1
-        assert not any(name.startswith("basis_") for name in os.listdir(tmp_path))
-
-    def test_tainted_entries_are_skipped_by_persistence(self, tmp_path):
-        from repro.core.persistence import save_bases
-
-        scenario, library = build_risk_vs_cost(purchase_step=26)
-        engine = ProphetEngine(scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=8)))
-        engine.evaluate_point({"purchase1": 0, "purchase2": 26, "feature": 12})
-        assert save_bases(engine, tmp_path / "all.npz") == 2
-        demand_key = next(
-            k for k in engine.storage.tier.keys() if k[0] == "demandmodel"
-        )
-        engine.storage.tier.taint(demand_key)
-        assert save_bases(engine, tmp_path / "some.npz") == 1
-
-    def test_taint_survives_put_and_propagates_through_mapping(self):
-        storage = make_storage()
-        seeds = world_seeds(8)
-        vg = DemandModel()
-        storage.store(vg, (12,), matrix_for(vg, (12,), seeds), range(8), seeds)
-        storage.tier.taint(("demandmodel", (12,)))
-        # Overwriting the key keeps the quarantine (sticky taint).
-        storage.store(vg, (12,), matrix_for(vg, (12,), seeds), range(8), seeds)
-        assert storage.tier.is_tainted(("demandmodel", (12,)))
-        # A mapped acquisition from the tainted basis taints its target.
-        _, report = storage.acquire(vg, (36,), range(8), seeds)
-        assert report.source == "mapped"
-        assert storage.tier.is_tainted(("demandmodel", (36,)))
-
     def test_save_bases_never_launders_stale_seed_adoptions(self, tmp_path):
         """Regression: an adopted entry from a foreign-seed spill dir that
         was never acquired (so no acquire-path validation fired) must not

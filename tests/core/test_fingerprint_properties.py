@@ -258,7 +258,7 @@ def test_batched_correlate_is_bit_identical_to_match_component(
     policy = CorrelationPolicy(
         tolerance=tolerance, allow_shift=allow_shift, allow_affine=allow_affine
     )
-    # Adopted through seed_fingerprint, as persistence and snapshots do.
+    # Adopted through seed_fingerprint, as persistence does.
     registry = FingerprintRegistry(spec, policy)
     registry.seed_fingerprint(Fingerprint("oracle", (0,), basis_matrix, spec))
     registry.seed_fingerprint(Fingerprint("oracle", (1,), target_matrix, spec))

@@ -64,7 +64,6 @@ class TestShardSampleShipping:
     def test_timing_fields_survive_pickling(self):
         sample = ShardSample(
             samples=np.arange(6, dtype=float).reshape(3, 2),
-            source="fresh",
             elapsed_seconds=0.125,
             timing=(("querygen", 0.01), ("sql", 0.1)),
         )
@@ -74,7 +73,7 @@ class TestShardSampleShipping:
         assert clone.samples.tobytes() == sample.samples.tobytes()
 
     def test_defaults_are_empty(self):
-        sample = ShardSample(samples=np.zeros((1, 1)), source="fresh")
+        sample = ShardSample(samples=np.zeros((1, 1)))
         assert sample.elapsed_seconds == 0.0
         assert sample.timing == ()
 
@@ -98,7 +97,6 @@ class TestInlineAttribution:
         assert len(events) == 8
         for event in events:
             assert event.track == WORKER_TRACK
-            assert event.attrs["source"] == "fresh"
             assert event.attrs["rescued"] is False
             assert event.attrs["attempt"] == 0
             assert event.attrs["querygen_seconds"] >= 0.0

@@ -260,7 +260,7 @@ class TestSchedulerJobRetry:
 
 
 def _ok_sample(rows: int = 4, components: int = 3) -> ShardSample:
-    return ShardSample(samples=np.zeros((rows, components)), source="fresh")
+    return ShardSample(samples=np.zeros((rows, components)))
 
 
 def _call(fn, *, rescue=None, rows: int = 4, components: int = 3) -> ShardCall:
@@ -299,14 +299,14 @@ class TestShardDispatcherUnit:
 
     def test_wrong_shape_payload_is_transient(self):
         dispatcher, stats = self._dispatcher(shard_retries=0)
-        bad = ShardSample(samples=np.zeros((2, 3)), source="fresh")
+        bad = ShardSample(samples=np.zeros((2, 3)))
         dispatched = dispatcher.dispatch([_call(lambda: bad)])
         assert dispatched[0].samples.shape == (4, 3)
         assert stats.inline_rescues == 1
 
     def test_wrong_components_rejected(self):
         dispatcher, stats = self._dispatcher(shard_retries=0, inline_rescue=False)
-        bad = ShardSample(samples=np.zeros((4, 7)), source="fresh")
+        bad = ShardSample(samples=np.zeros((4, 7)))
         with pytest.raises(RetryExhaustedError, match="components"):
             dispatcher.dispatch([_call(lambda: bad)])
 
@@ -330,7 +330,7 @@ class TestShardDispatcherUnit:
         assert "ShardSample" in ShardDispatcher._payload_problem(call, "junk")
         assert ShardDispatcher._payload_problem(call, _ok_sample()) is None
         bad_dtype = ShardSample(
-            samples=np.array([["a", "b", "c"]] * 4, dtype=object), source="fresh"
+            samples=np.array([["a", "b", "c"]] * 4, dtype=object)
         )
         assert "dtype" in ShardDispatcher._payload_problem(call, bad_dtype)
 

@@ -1,19 +1,43 @@
 """Sharded-vs-sequential parity: the serve layer's core contract.
 
-Sharded evaluation — any shard count, either executor — must return
-bit-identical :class:`AxisStatistics` to the plain sequential
-``ProphetEngine.evaluate_point``, and result-cache hits must serve
-byte-identical payloads.
+Sharded evaluation — any world pattern, shard count, executor and
+transport — must return bit-identical :class:`AxisStatistics` to the plain
+sequential ``ProphetEngine.evaluate_point``, and result-cache hits must
+serve byte-identical payloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from repro.serve import EngineSpec, EvaluationService, InlineExecutor
+from repro.core.persistence import save_bases
+from repro.errors import ScenarioError
+from repro.serve import (
+    EngineSpec,
+    EvaluationService,
+    InlineExecutor,
+    TransportConfig,
+    shm_available,
+)
 from serve_testutil import POINT, SERVE_DSL, assert_stats_identical
+
+#: Two points that differ only in the demand model's argument: B's demand
+#: basis is fingerprint-mappable from A's.
+POINT_A = {"purchase1": 0, "purchase2": 26, "feature": 12}
+POINT_B = {"purchase1": 0, "purchase2": 26, "feature": 36}
+
+TRANSPORTS = [
+    "pickle",
+    pytest.param(
+        "shm",
+        marks=pytest.mark.skipif(
+            not shm_available(), reason="platform has no usable shared memory"
+        ),
+    ),
+]
 
 
 def _inline_service(spec, shards, **kwargs):
@@ -81,6 +105,61 @@ class TestShardedParity:
             assert_stats_identical(evaluation.statistics, reference.statistics)
 
 
+class TestMixedWorldParity:
+    """A over a world prefix, then B over the full slice.
+
+    The coordinator holds A's basis for half of B's worlds only, so it
+    cannot map B from it; every shard of B is fresh sampling and the pair
+    answers with the sequential engine's bits whatever the shard geometry.
+    """
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("executor_kind", ["inline", "process"])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_partial_then_full_matches_the_sequential_engine(
+        self,
+        serve_spec,
+        sequential_engine,
+        process_executor,
+        shards,
+        executor_kind,
+        transport,
+    ):
+        executor = process_executor if executor_kind == "process" else InlineExecutor()
+        service = EvaluationService(
+            serve_spec,
+            executor=executor,
+            shards=shards,
+            min_shard_worlds=1,
+            transport=TransportConfig(shard_transport=transport),
+        )
+        for point, stop in ((POINT_A, 8), (POINT_B, 16)):
+            reference = sequential_engine.evaluate_point(point, worlds=range(stop))
+            evaluation = service.evaluate(point, worlds=range(stop))
+            assert_stats_identical(evaluation.statistics, reference.statistics)
+        if executor_kind == "inline":  # the process pool is session-shared
+            service.close()
+        assert service._arena.live_segments() == 0
+        assert service.stats.segments_leased == service.stats.segments_reclaimed
+
+    def test_partial_then_full_is_cached_and_persisted(self, serve_spec, tmp_path):
+        service = _inline_service(serve_spec, 2, cache_dir=str(tmp_path / "results"))
+        service.evaluate(POINT_A, worlds=range(8))
+        service.evaluate(POINT_B, worlds=range(16))
+        assert len(service.cache) == 2
+
+        # Nothing latches: a second service over the same engine caches too.
+        second = EvaluationService(
+            engine=service.engine, cache_dir=str(tmp_path / "second")
+        )
+        second.evaluate(POINT_B, worlds=range(16))
+        assert len(second.cache) == 1
+
+        n_bases = len(service.engine.storage)
+        assert n_bases > 0
+        assert save_bases(service.engine, tmp_path / "bases.npz") == n_bases
+
+
 class TestResultCacheParity:
     def test_cache_hits_are_byte_identical(
         self, serve_spec, sequential_engine, tmp_path
@@ -117,6 +196,28 @@ class TestResultCacheParity:
         key = service._key_for(evaluation.point, tuple(range(16)))
         payload = service.cache.get(key).payload
         assert service.cache.put(key, evaluation.statistics) == payload
+
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize(
+        "worlds", [[1.5, 2.2, 3.9, 4.0], ["1", "2", "3", "4"]], ids=["floats", "strings"]
+    )
+    def test_non_integer_world_ids_are_rejected_before_the_cache(
+        self, serve_spec, tmp_path, cached, worlds
+    ):
+        service = _inline_service(
+            serve_spec, 1, cache_dir=str(tmp_path) if cached else None
+        )
+        service.evaluate(POINT, worlds=[1, 2, 3, 4])
+        with pytest.raises(ScenarioError, match="world ids must be integers"):
+            service.evaluate(POINT, worlds=worlds)
+
+    def test_numpy_world_ids_hit_the_python_int_entry(self, serve_spec, tmp_path):
+        service = _inline_service(serve_spec, 1, cache_dir=str(tmp_path))
+        service.evaluate(POINT, worlds=[0, 1, 2, 3])
+        served = service.evaluate(POINT, worlds=np.arange(4))
+        assert service.stats.cache_hits == 1
+        assert served.n_worlds == 4
 
 
 class TestEngineOnlyService:

@@ -46,11 +46,6 @@ pytestmark = pytest.mark.skipif(
 
 SHM = TransportConfig(shard_transport="shm")
 
-#: Two points that differ only in the demand model's argument — the
-#: snapshot-shipping pattern (see test_shard_reuse.py).
-POINT_A = {"purchase1": 0, "purchase2": 26, "feature": 12}
-POINT_B = {"purchase1": 0, "purchase2": 26, "feature": 36}
-
 
 def _service(spec, executor, *, transport=None, **kwargs):
     return EvaluationService(
@@ -129,15 +124,12 @@ class TestSegmentArena:
             b.view(ref)
         arena.release_all()
 
-    def test_refcount_retain_release(self):
+    def test_release_is_idempotent(self):
         arena = SegmentArena()
         lease = arena.lease(1024)
-        arena.retain(lease)
-        arena.release(lease)
-        assert arena.live_segments() == 1  # one holder left
         arena.release(lease)
         assert arena.live_segments() == 0
-        arena.release(lease)  # idempotent: already reclaimed
+        arena.release(lease)  # already reclaimed (the sweeper may race it)
         assert arena.segments_reclaimed == 1
 
     def test_release_all_reclaims_everything(self):
@@ -158,14 +150,6 @@ class TestSegmentArena:
         swept = arena.sweep_expired()
         assert swept + arena.segments_expired >= 1
         assert arena.live_segments() == 0
-
-    def test_touch_refreshes_the_deadline(self):
-        arena = SegmentArena(ttl=10.0)
-        lease = arena.lease(1024)
-        lease.deadline = time.monotonic() - 1.0  # pretend it expired
-        arena.touch(lease)
-        assert arena.sweep_expired() == 0
-        arena.release(lease)
 
 
 class TestPackRoundTripProperty:
@@ -248,38 +232,6 @@ class TestShmParity:
         assert shm.stats.bytes_zero_copy == plain.stats.bytes_shipped
         assert shm.stats.bytes_shipped == 0
         assert plain.stats.bytes_zero_copy == 0
-
-
-class TestSnapshotTransport:
-    def _partial_then_full(self, service):
-        service.evaluate(POINT_A, worlds=range(8))
-        return service.evaluate(POINT_B, worlds=range(16))
-
-    def test_inline_snapshot_over_shm_is_bit_identical(self, serve_spec):
-        shm = _service(serve_spec, InlineExecutor(), transport=SHM)
-        plain = _service(serve_spec, InlineExecutor())
-        a = self._partial_then_full(shm)
-        b = self._partial_then_full(plain)
-        assert_stats_identical(a.statistics, b.statistics)
-        assert shm.stats.snapshots_shipped > 0
-        assert shm.stats.shard_mapped_hits == plain.stats.shard_mapped_hits > 0
-        shm.close()
-        _assert_no_leaks(shm)
-
-    def test_process_snapshot_over_shm_is_bit_identical(
-        self, serve_spec, process_executor
-    ):
-        shm = _service(serve_spec, process_executor, transport=SHM)
-        plain = _service(serve_spec, process_executor)
-        a = self._partial_then_full(shm)
-        b = self._partial_then_full(plain)
-        assert_stats_identical(a.statistics, b.statistics)
-        assert shm.stats.snapshots_shipped > 0
-        assert shm.stats.shard_mapped_hits == plain.stats.shard_mapped_hits > 0
-        # The shared session executor must survive: release the transport
-        # directly instead of closing the service.
-        shm._release_transport()
-        _assert_no_leaks(shm)
 
 
 class _RecordingExecutor(InlineExecutor):
