@@ -76,9 +76,15 @@ def world_ids(worlds: Sequence[int], entry_point: str) -> tuple[int, ...]:
 
 #: Replacement for the fresh-sampling stage: called with the VG output and
 #: the instance batch (one parameter point, a world slice) that no reuse
-#: layer could serve; must return the ``(len(batch), n_components)`` sample
-#: matrix that the engine's own sampling plane would have produced.
-FreshSampler = Callable[[VGOutput, InstanceBatch], np.ndarray]
+#: layer could serve; must produce the ``(len(batch), n_components)`` sample
+#: matrix that the engine's own sampling plane would have. It either
+#: returns the matrix, or — having *started* the work somewhere else —
+#: returns a zero-argument callable that waits for it and returns the
+#: matrix; the engine calls that exactly once, when the point can go no
+#: further without the samples (see :class:`PendingPoint`).
+FreshSampler = Callable[
+    [VGOutput, InstanceBatch], "np.ndarray | Callable[[], np.ndarray]"
+]
 
 
 @dataclass
@@ -118,6 +124,74 @@ class PointEvaluation:
     @property
     def any_reuse(self) -> bool:
         return any(report.source != "fresh" for report in self.reuse_reports)
+
+
+@dataclass
+class _LandedPoint:
+    """A point whose samples are all in hand and in the store."""
+
+    point: dict[str, Any]
+    batch: InstanceBatch
+    matrices: dict[str, np.ndarray]
+    reports: list[ReuseReport]
+    timings: StageTimings
+
+
+class PendingPoint:
+    """One point evaluation that stops wherever it would wait for samples.
+
+    The evaluation cycle is one body of code (``ProphetEngine._sample_steps``,
+    a generator) driven in three phases:
+
+    * **begin** (construction; validation is done and the stats cache had
+      no answer) — each VG output in scenario order makes its reuse
+      decisions against the Storage Manager, until an output asks the
+      ``sampler`` for fresh samples and gets back a *started* request
+      instead of a matrix. The point stops right there;
+    * :meth:`land` — waits for the started request, shape-checks and
+      stores it, and carries on through the remaining outputs (waiting for
+      whatever they start) until every sample matrix is in hand;
+    * :meth:`combine` — lands the samples in SQL, combines, aggregates.
+
+    Stopping is the only thing that differs from running straight through:
+    every Storage Manager call happens in the order, and sees the state,
+    it would have. ``combine`` never touches the Storage Manager, which is
+    what lets a caller begin the *next* point between this one's ``land``
+    and ``combine``. With no sampler, or one that returns matrices, begin
+    runs through to the last output and ``land`` has nothing to do.
+    """
+
+    def __init__(
+        self,
+        engine: "ProphetEngine",
+        key: tuple,
+        point: dict[str, Any],
+        sampler: Optional["FreshSampler"],
+    ) -> None:
+        #: ``(point key, worlds, reuse)``: what makes two requests the same.
+        self.key = key
+        self._engine = engine
+        self._steps = engine._sample_steps(key, point, sampler)
+        self._landed: Optional[_LandedPoint] = None
+        self._advance()
+
+    def _advance(self) -> None:
+        try:
+            next(self._steps)
+        except StopIteration as stop:
+            if stop.value is None:  # the body raised earlier; nothing to resume
+                raise ScenarioError("this point evaluation already failed") from None
+            self._landed = stop.value
+
+    def land(self) -> None:
+        """Wait for every started request; all stores are done on return."""
+        while self._landed is None:
+            self._advance()
+
+    def combine(self, span: Any) -> PointEvaluation:
+        """The point's statistics (``span``: the caller's "evaluate" span)."""
+        self.land()
+        return self._engine._combine_point(self.key, self._landed, span)
 
 
 class ProphetEngine:
@@ -163,6 +237,8 @@ class ProphetEngine:
         self.total_timings = StageTimings()
         self.points_evaluated = 0
         self._stats_cache: dict[tuple, PointEvaluation] = {}
+        #: The one point :meth:`begin_point` took ahead of its evaluation.
+        self._begun: Optional[PendingPoint] = None
         # Per-week statistics memo: joint-sample content -> aggregate row.
         # Implements the §3.2 claim that "only a small portion of the output
         # statistics is recomputed" — a week whose joint samples (and the
@@ -194,6 +270,7 @@ class ProphetEngine:
         worlds: Optional[Sequence[int]] = None,
         reuse: bool = True,
         sampler: Optional["FreshSampler"] = None,
+        overlap: Optional[Callable[[], None]] = None,
     ) -> PointEvaluation:
         """Evaluate the scenario at one sweep point (axis excluded).
 
@@ -211,14 +288,75 @@ class ProphetEngine:
         stage — storage, fingerprint mapping, combine/aggregate, the week
         memo — runs unchanged on the merged samples. Sharded evaluation is
         therefore bit-identical to sequential by construction.
+
+        The call is :class:`PendingPoint`'s three phases back to back —
+        resuming the point :meth:`begin_point` already began, if it is this
+        one. ``overlap`` is called between ``land`` and ``combine``: the
+        Storage Manager is not touched again by this call, so the callee
+        may :meth:`begin_point` the request that comes next.
         """
         profiler = self.profiler
         if profiler is None:
             with self.tracer.span("evaluate") as span:
-                return self._evaluate_point(point, worlds, reuse, sampler, span)
+                return self._evaluate_point(point, worlds, reuse, sampler, overlap, span)
         with profiler:
             with self.tracer.span("evaluate") as span:
-                return self._evaluate_point(point, worlds, reuse, sampler, span)
+                return self._evaluate_point(point, worlds, reuse, sampler, overlap, span)
+
+    def begin_point(
+        self,
+        point: Mapping[str, Any],
+        *,
+        worlds: Optional[Sequence[int]] = None,
+        reuse: bool = True,
+        sampler: Optional["FreshSampler"] = None,
+    ) -> None:
+        """Take a point as far as it goes without waiting for samples.
+
+        The next :meth:`evaluate_point` for the same ``(point, worlds,
+        reuse)`` resumes it. At most one point is begun at a time (while
+        one is, this is a no-op), and its place in the order of evaluations
+        is where it was begun: any other evaluation that arrives first
+        waits for the begun point's samples to land before making its own
+        reuse decisions.
+        """
+        if self._begun is None:
+            key, validated = self._request(point, worlds, reuse)
+            if self._stats_cache_hit(key) is None:
+                self._begun = PendingPoint(self, key, validated, sampler)
+
+    def _request(
+        self, point: Mapping[str, Any], worlds: Optional[Sequence[int]], reuse: bool
+    ) -> tuple[tuple, dict[str, Any]]:
+        """A request's identity ``(point key, worlds, reuse)`` and its
+        validated point."""
+        validated = self.scenario.validate_sweep_point(point)
+        chosen_worlds = world_ids(
+            worlds if worlds is not None else range(self.config.sampling.n_worlds),
+            "evaluate_point",
+        )
+        return (
+            self.scenario.sweep_space.point_key(validated),
+            chosen_worlds,
+            reuse,
+        ), validated
+
+    def _resume(self, key: tuple) -> Optional[PendingPoint]:
+        """Take the begun point if it is this request. A begun point that is
+        some other request is landed first and stays begun — its own
+        evaluation resumes it or, had landing failed, starts over."""
+        begun = self._begun
+        if begun is None:
+            return None
+        self._begun = None
+        if begun.key == key:
+            return begun
+        try:
+            begun.land()
+            self._begun = begun
+        except Exception:  # noqa: BLE001 — the point's own evaluation reports it
+            pass
+        return None
 
     def _evaluate_point(
         self,
@@ -226,71 +364,102 @@ class ProphetEngine:
         worlds: Optional[Sequence[int]],
         reuse: bool,
         sampler: Optional["FreshSampler"],
+        overlap: Optional[Callable[[], None]],
         span: Any,
     ) -> PointEvaluation:
-        sweep_space = self.scenario.sweep_space
-        validated = self.scenario.validate_sweep_point(point)
-        chosen_worlds = world_ids(
-            worlds if worlds is not None else range(self.config.sampling.n_worlds),
-            "evaluate_point",
+        key, validated = self._request(point, worlds, reuse)
+        pending = self._resume(key)
+        cached = self._stats_cache_hit(key) if pending is None else None
+        if cached is None:
+            if pending is None:
+                pending = PendingPoint(self, key, validated, sampler)
+            pending.land()
+        if overlap is not None:
+            overlap()
+        self.points_evaluated += 1
+        if cached is not None:
+            span.set(stats_cache_hit=True, n_worlds=cached.n_worlds)
+            return cached
+        return pending.combine(span)
+
+    def _stats_cache_hit(self, key: tuple) -> Optional[PointEvaluation]:
+        """The stats cache's answer to a request, served as a pure hit."""
+        point_key, chosen_worlds, reuse = key
+        if not (reuse and self.config.reuse.enable_stats_cache):
+            return None
+        cached = self._stats_cache.get((point_key, chosen_worlds))
+        if cached is None:
+            return None
+        # Re-label the reuse reports: this serving is a pure cache hit,
+        # regardless of how the cached evaluation was produced.
+        hit_reports = tuple(
+            ReuseReport(
+                vg_name=r.vg_name,
+                args=r.args,
+                source="exact",
+                basis_args=r.args,
+                mapped_fraction=1.0,
+                components_total=r.components_total,
+                components_recomputed=0,
+                kind_counts={"identity": r.components_total},
+            )
+            for r in cached.reuse_reports
         )
-        cache_key = (sweep_space.point_key(validated), chosen_worlds)
-        if reuse and self.config.reuse.enable_stats_cache:
-            cached = self._stats_cache.get(cache_key)
-            if cached is not None:
-                self.points_evaluated += 1
-                span.set(stats_cache_hit=True, n_worlds=cached.n_worlds)
-                # Re-label the reuse reports: this serving is a pure cache
-                # hit, regardless of how the cached evaluation was produced.
-                hit_reports = tuple(
-                    ReuseReport(
-                        vg_name=r.vg_name,
-                        args=r.args,
-                        source="exact",
-                        basis_args=r.args,
-                        mapped_fraction=1.0,
-                        components_total=r.components_total,
-                        components_recomputed=0,
-                        kind_counts={"identity": r.components_total},
-                    )
-                    for r in cached.reuse_reports
-                )
-                return PointEvaluation(
-                    point=cached.point,
-                    statistics=cached.statistics,
-                    samples=cached.samples,
-                    reuse_reports=hit_reports,
-                    timings=StageTimings(),
-                    n_worlds=cached.n_worlds,
-                )
+        return PointEvaluation(
+            point=cached.point,
+            statistics=cached.statistics,
+            samples=cached.samples,
+            reuse_reports=hit_reports,
+            timings=StageTimings(),
+            n_worlds=cached.n_worlds,
+        )
+
+    def _sample_steps(
+        self,
+        key: tuple,
+        validated: dict[str, Any],
+        sampler: Optional["FreshSampler"],
+    ):
+        """The cycle from the first reuse decision up to combine, as
+        :class:`PendingPoint`'s generator: yields wherever it would wait for
+        a started fresh request, returns the landed point."""
+        _, chosen_worlds, reuse = key
         batch = InstanceBatch.at_point(validated, chosen_worlds, self.config.sampling.base_seed)
 
         timings = StageTimings()
         reports: list[ReuseReport] = []
         matrices: dict[str, np.ndarray] = {}
         for output in self.scenario.vg_outputs:
-            matrix, report = self._samples_for_output(
+            matrix, report = yield from self._samples_for_output(
                 output, batch, reuse, timings, sampler
             )
             matrices[output.alias.lower()] = matrix
             reports.append(report)
+        return _LandedPoint(validated, batch, matrices, reports, timings)
 
+    def _combine_point(
+        self, key: tuple, landed: _LandedPoint, span: Any
+    ) -> PointEvaluation:
+        point_key, chosen_worlds, reuse = key
         statistics = self._combine_and_aggregate(
-            validated, batch, matrices, timings, use_week_memo=reuse
+            landed.point,
+            landed.batch,
+            landed.matrices,
+            landed.timings,
+            use_week_memo=reuse,
         )
-        self.total_timings.add(timings)
-        self.points_evaluated += 1
-        span.set(stats_cache_hit=False, n_worlds=len(chosen_worlds))
+        self.total_timings.add(landed.timings)
+        span.set(stats_cache_hit=False, n_worlds=len(landed.batch))
         evaluation = PointEvaluation(
-            point=validated,
+            point=landed.point,
             statistics=statistics,
-            samples=matrices,
-            reuse_reports=tuple(reports),
-            timings=timings,
-            n_worlds=len(chosen_worlds),
+            samples=landed.matrices,
+            reuse_reports=tuple(landed.reports),
+            timings=landed.timings,
+            n_worlds=len(landed.batch),
         )
         if reuse and self.config.reuse.enable_stats_cache:
-            self._stats_cache[cache_key] = evaluation
+            self._stats_cache[(point_key, chosen_worlds)] = evaluation
         return evaluation
 
     def sample_fresh(
@@ -340,7 +509,9 @@ class ProphetEngine:
         reuse: bool,
         timings: StageTimings,
         sampler: Optional["FreshSampler"] = None,
-    ) -> tuple[np.ndarray, ReuseReport]:
+    ):
+        """One output's ``(samples, report)``, as a sub-generator of
+        :meth:`_sample_steps` (it yields where :meth:`_fresh_samples` does)."""
         function = self.library.get(output.vg_name)
         args = output.model_arg_values(batch.point_dict)
         worlds = batch.worlds
@@ -373,7 +544,9 @@ class ProphetEngine:
                             min_mapped_fraction=min_mapped_fraction,
                         )
                 if fresh is None:
-                    fresh = self._fresh_samples(output, missing_batch, timings, sampler)
+                    fresh = yield from self._fresh_samples(
+                        output, missing_batch, timings, sampler
+                    )
                 merged_worlds = existing.worlds + tuple(missing)
                 merged_seeds = existing.seeds + missing_batch.seeds
                 merged = np.vstack([existing.samples, fresh])
@@ -397,7 +570,7 @@ class ProphetEngine:
         if samples is not None:
             return samples, report
 
-        samples = self._fresh_samples(output, batch, timings, sampler)
+        samples = yield from self._fresh_samples(output, batch, timings, sampler)
         with tracer.stage("reuse", timings, attr="storage"):
             self.storage.store(function, args, samples, worlds, seeds)
         return samples, report
@@ -408,15 +581,28 @@ class ProphetEngine:
         batch: InstanceBatch,
         timings: StageTimings,
         sampler: Optional["FreshSampler"],
-    ) -> np.ndarray:
-        """Fresh samples via the generated-SQL path or a caller's sampler."""
+    ):
+        """Fresh samples via the generated-SQL path or a caller's sampler.
+
+        A generator: it yields once, between starting and collecting, when
+        the sampler hands back a started request rather than a matrix.
+        """
         if sampler is None:
             return self.sampling.sample(output, batch, timings)
-        with self.tracer.stage(
-            "sample", timings, attr="sql", alias=output.alias,
-            worlds=len(batch), backend="sampler",
-        ):
-            samples = np.asarray(sampler(output, batch), dtype=float)
+
+        def stage() -> Any:
+            return self.tracer.stage(
+                "sample", timings, attr="sql", alias=output.alias,
+                worlds=len(batch), backend="sampler",
+            )
+
+        with stage():
+            samples = sampler(output, batch)
+        if callable(samples):
+            yield
+            with stage():
+                samples = samples()
+        samples = np.asarray(samples, dtype=float)
         expected = (len(batch), self.library.get(output.vg_name).n_components)
         if samples.shape != expected:
             raise ScenarioError(

@@ -13,8 +13,8 @@ stays a leaf package):
 * the engine's accumulated :class:`~repro.core.engine.StageTimings`
   buckets (querygen / sql / storage / aggregate) and point count;
 * the service's wall-clock counters (``parallel_seconds`` — coordinator
-  time spent inside shard fan-outs; ``worker_seconds`` — per-shard time
-  measured inside workers and shipped back in ShardSamples);
+  time spent blocked waiting for shard results; ``worker_seconds`` —
+  per-shard time measured inside workers and shipped back in ShardSamples);
 * the tracer's per-span-name aggregate, when tracing was on.
 """
 
@@ -106,8 +106,8 @@ class TimingReport:
         ]
         if self.parallel_seconds or self.worker_seconds:
             lines.append(
-                f"  parallel: {self.parallel_seconds * 1000:.1f}ms in shard "
-                f"fan-outs / {self.worker_seconds * 1000:.1f}ms attributed "
+                f"  parallel: {self.parallel_seconds * 1000:.1f}ms waiting on "
+                f"shards / {self.worker_seconds * 1000:.1f}ms attributed "
                 f"to workers"
             )
         if self.spans:

@@ -2,14 +2,16 @@
 
 Two interchangeable backends behind one ``submit`` interface:
 
-* :class:`ProcessExecutor` — a ``concurrent.futures.ProcessPoolExecutor``.
-  Workers are long-lived, so each worker process builds its engine once
-  (from an :class:`~repro.serve.worker.EngineSpec`) and amortizes it over
-  every shard task it receives. The pool is *recyclable*: a crashed or
-  hung worker is healed by :meth:`ProcessExecutor.recycle`, which tears
-  down the pool (terminating stuck processes) and builds a fresh one in
-  place — the executor object's identity, and everyone holding it, stays
-  stable.
+* :class:`ProcessExecutor` — one single-worker
+  ``concurrent.futures.ProcessPoolExecutor`` per worker, a *lane*. A task
+  submitted with ``lane=i`` always runs in worker ``i mod workers``, so
+  shard *i* of every fan-out meets the same process: its engine is built
+  once (from an :class:`~repro.serve.worker.EngineSpec`) and the per-seed
+  memos it fills for its world slice are never redrawn by a neighbour.
+  The lanes are *recyclable*: a crashed or hung worker is healed by
+  :meth:`ProcessExecutor.recycle`, which tears every lane down
+  (terminating stuck processes) and builds fresh ones in place — the
+  executor object's identity, and everyone holding it, stays stable.
 * :class:`InlineExecutor` — runs tasks synchronously in the calling
   process. The fallback for tests, debugging, single-core machines, and
   engines that cannot be described by a spec (closures are fine here
@@ -70,7 +72,10 @@ class InlineExecutor:
         self.tasks_run = 0
         self._teardown_hooks: list[Callable[[], None]] = []
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> InlineFuture:
+    def submit(
+        self, fn: Callable[..., Any], *args: Any, lane: Optional[int] = None
+    ) -> InlineFuture:
+        # ``lane`` names a worker; there is only this process.
         self.tasks_run += 1
         try:
             return InlineFuture(fn(*args))
@@ -86,7 +91,7 @@ class InlineExecutor:
 
 
 class ProcessExecutor:
-    """Process-pool executor with long-lived workers and a recyclable pool.
+    """Process executor: one long-lived single-worker lane per worker.
 
     ``start_method`` defaults to ``fork`` where available (workers inherit
     the imported package instantly) and ``spawn`` elsewhere; either way the
@@ -103,9 +108,9 @@ class ProcessExecutor:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self._mp_context = multiprocessing.get_context(start_method)
-        self._pool: Optional[ProcessPoolExecutor] = self._new_pool()
+        self._lanes: Optional[list[ProcessPoolExecutor]] = self._new_lanes()
         self.tasks_run = 0
-        #: How many times the pool was rebuilt (self-healing observability).
+        #: How many times the lanes were rebuilt (self-healing observability).
         self.rebuilds = 0
         #: Cleanup hooks (see :meth:`add_recycle_hook` / :meth:`add_teardown_hook`):
         #: the shm transport registers its lease sweeper / arena release so
@@ -118,31 +123,44 @@ class ProcessExecutor:
         self._recycle_hooks.append(hook)
 
     def add_teardown_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` after :meth:`shutdown` tears the pool down."""
+        """Run ``hook`` after :meth:`shutdown` tears the lanes down."""
         self._teardown_hooks.append(hook)
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=self._mp_context
-        )
+    def _new_lanes(self) -> list[ProcessPoolExecutor]:
+        return [
+            ProcessPoolExecutor(max_workers=1, mp_context=self._mp_context)
+            for _ in range(self.workers)
+        ]
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
-        if self._pool is None:
+    def submit(
+        self, fn: Callable[..., Any], *args: Any, lane: Optional[int] = None
+    ) -> Future:
+        """Queue ``fn(*args)`` on worker ``lane mod workers``.
+
+        Tasks of one lane run in submission order in one process. Without
+        a ``lane`` the lanes take turns. The lane is routing only — it is
+        not part of what the worker receives.
+        """
+        if self._lanes is None:
             raise ServeError("executor is shut down; cannot submit new tasks")
+        if lane is None:
+            lane = self.tasks_run
         self.tasks_run += 1
-        return self._pool.submit(fn, *args)
+        return self._lanes[lane % self.workers].submit(fn, *args)
 
     def recycle(self, timeout: float = 1.0) -> None:
-        """Heal the pool: tear it down (killing stuck workers), rebuild.
+        """Heal the pool: tear every lane down (killing stuck workers), rebuild.
 
-        The replacement pool lives behind the same executor object, so a
+        The replacement lanes live behind the same executor object, so a
         service (and its dispatcher) holding this executor keeps working
-        without re-plumbing. In-flight tasks of the old pool are lost —
-        callers recycle only after collecting (or writing off) the round's
-        futures, and shard purity makes re-submission bit-identical.
+        without re-plumbing. Tasks still queued on a lane are cancelled and
+        tasks running are lost with their worker; whoever holds such a
+        future sees :class:`~concurrent.futures.CancelledError` or
+        ``BrokenProcessPool`` — both transient to the dispatcher, and
+        shard purity makes re-submission bit-identical.
         """
-        self._teardown(self._pool, timeout)
-        self._pool = self._new_pool()
+        self._teardown(self._lanes, timeout)
+        self._lanes = self._new_lanes()
         self.rebuilds += 1
         _run_hooks(self._recycle_hooks)
 
@@ -153,19 +171,25 @@ class ProcessExecutor:
         to drain, then terminates (and, as a last resort, kills) whatever
         is still running. Idempotent; ``submit`` after shutdown raises.
         """
-        pool, self._pool = self._pool, None
-        self._teardown(pool, timeout)
+        lanes, self._lanes = self._lanes, None
+        self._teardown(lanes, timeout)
         _run_hooks(self._teardown_hooks)
 
     @staticmethod
-    def _teardown(pool: Optional[ProcessPoolExecutor], timeout: float) -> None:
-        if pool is None:
+    def _teardown(lanes: Optional[list[ProcessPoolExecutor]], timeout: float) -> None:
+        """Stop every lane's worker; ``timeout`` bounds them all together."""
+        if not lanes:
             return
         # Snapshot the worker processes before shutdown clears its books.
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        # Never wait=True here: a worker hung inside a task would block the
-        # join forever. cancel_futures drops everything still queued.
-        pool.shutdown(wait=False, cancel_futures=True)
+        processes = [
+            process
+            for pool in lanes
+            for process in (getattr(pool, "_processes", None) or {}).values()
+        ]
+        for pool in lanes:
+            # Never wait=True here: a worker hung inside a task would block
+            # the join forever. cancel_futures drops everything still queued.
+            pool.shutdown(wait=False, cancel_futures=True)
         # repro-lint: disable=DET001 -- teardown deadline for killing hung
         # workers; runs after all results are in, never affects them.
         deadline = time.monotonic() + max(0.0, timeout)

@@ -34,6 +34,7 @@ re-raises immediately.
 from __future__ import annotations
 
 import time
+from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -135,6 +136,14 @@ class ShardCall:
     seq: int = field(default=-1, repr=False)
 
 
+@dataclass
+class StartedCalls:
+    """A fan-out whose first attempts are submitted and not yet collected."""
+
+    calls: Sequence[ShardCall]
+    futures: list[tuple[int, Any, int]]
+
+
 class ShardDispatcher:
     """Dispatch shard fan-outs with deadlines, retries, healing, rescue.
 
@@ -163,24 +172,38 @@ class ShardDispatcher:
         #: becomes worker-track "shard" events with attempt attribution.
         self.tracer = NULL_TRACER
 
-    # -- public entrypoint --------------------------------------------------
+    # -- public entrypoints -------------------------------------------------
 
     def dispatch(self, calls: Sequence[ShardCall]) -> list[ShardSample]:
-        """Run every call to completion; results in call order.
+        """Run every call to completion; results in call order."""
+        return self.finish(self.start(calls))
+
+    def start(self, calls: Sequence[ShardCall]) -> StartedCalls:
+        """Submit every call's first attempt and return without waiting.
+
+        Fault-plan sequence numbers are assigned here, in call order, so
+        they follow the order generations are *started* in. Call ``i`` goes
+        to executor lane ``i``: one shard index, one worker.
+        """
+        for call in calls:
+            call.seq = self.injector.assign_seq() if self.injector else -1
+        pending = list(range(len(calls)))
+        return StartedCalls(calls, self._submit_round(calls, pending, 0))
+
+    def finish(self, started: StartedCalls) -> list[ShardSample]:
+        """Collect a started fan-out; results in call order.
 
         Raises the first *permanent* error encountered (after collecting
         every outstanding future of the round, so no in-flight work is
         leaked); transient failures walk the retry → heal → rescue ladder.
         """
-        for call in calls:
-            call.seq = self.injector.assign_seq() if self.injector else -1
+        calls, futures = started.calls, started.futures
         results: list[Optional[ShardSample]] = [None] * len(calls)
         reasons: dict[int, BaseException] = {}
-        pending = list(range(len(calls)))
         attempt = 0
         while True:
-            failed, permanent = self._run_round(
-                calls, pending, attempt, results, reasons
+            failed, permanent = self._collect_round(
+                calls, futures, attempt, results, reasons
             )
             if permanent is not None:
                 raise permanent
@@ -189,33 +212,55 @@ class ShardDispatcher:
             if attempt < self.config.shard_retries:
                 self.stats.shard_retries += len(failed)
                 self._backoff(attempt)
-                pending = failed
                 attempt += 1
+                futures = self._submit_round(calls, failed, attempt)
                 continue
             return self._rescue(calls, failed, results, reasons)
 
     # -- one submission round ----------------------------------------------
 
-    def _run_round(
+    def _submit_round(
+        self, calls: Sequence[ShardCall], pending: Sequence[int], attempt: int
+    ) -> list[tuple[int, Any, int]]:
+        """Submit ``pending`` calls: ``(index, future, pool generation)`` each.
+
+        The pool generation (the executor's rebuild count once the future
+        is queued) tells the collector whether a future that died did so in
+        the pool that is live now or in one a heal already replaced.
+        """
+        submitted = []
+        for index in pending:
+            future = self._submit(calls[index], index, attempt)
+            submitted.append((index, future, self._pool_generation()))
+        return submitted
+
+    def _pool_generation(self) -> int:
+        return getattr(self.executor, "rebuilds", 0)
+
+    def _collect_round(
         self,
         calls: Sequence[ShardCall],
-        pending: Sequence[int],
+        futures: Sequence[tuple[int, Any, int]],
         attempt: int,
         results: list[Optional[ShardSample]],
         reasons: dict[int, BaseException],
     ) -> tuple[list[int], Optional[BaseException]]:
-        """Submit ``pending`` calls, collect *every* future, classify.
+        """Collect *every* future of one round and classify what came back.
 
         Returns (transiently-failed indices, first permanent error). All
         futures are always collected before returning — the error path may
         not leave work in flight (a leaked future would keep a pool slot
-        busy and its result would arrive into nothing).
+        busy and its result would arrive into nothing). The time spent
+        blocked on the futures is the coordinator's *wait*
+        (``stats.parallel_seconds``).
         """
-        futures = [(index, self._submit(calls[index], attempt)) for index in pending]
         failed: list[int] = []
         permanent: Optional[BaseException] = None
         needs_heal = False
-        for index, future in futures:
+        for index, future, generation in futures:
+            # repro-lint: disable=DET001 -- feeds stats.parallel_seconds, a
+            # timing counter excluded from the byte-stable as_dict surface.
+            blocked = time.perf_counter()
             try:
                 payload = future.result(timeout=self.config.shard_timeout)
             except FuturesTimeoutError:
@@ -224,12 +269,18 @@ class ShardDispatcher:
                     f"shard missed its {self.config.shard_timeout}s deadline"
                 )
                 failed.append(index)
-                needs_heal = True  # the worker may be hung in its slot
+                # The worker may be hung in its slot.
+                needs_heal |= generation == self._pool_generation()
                 continue
-            except BrokenProcessPool as error:
+            except (BrokenProcessPool, CancelledError) as error:
+                # The future's pool died under it — or a heal that ran while
+                # it was queued (another generation's, or this round's own
+                # submit finding a broken lane) cancelled it with the old
+                # pool. The shard is as retryable as ever; the pool needs
+                # healing only if it is still the one the future died in.
                 reasons[index] = error
                 failed.append(index)
-                needs_heal = True
+                needs_heal |= generation == self._pool_generation()
                 continue
             except TransientServeError as error:
                 reasons[index] = error
@@ -239,6 +290,9 @@ class ShardDispatcher:
                 if permanent is None:
                     permanent = error
                 continue
+            finally:
+                # repro-lint: disable=DET001 -- observability only (see above).
+                self.stats.parallel_seconds += time.perf_counter() - blocked
             if calls[index].resolve is not None:
                 try:
                     payload = calls[index].resolve(payload)
@@ -265,20 +319,20 @@ class ShardDispatcher:
             self._heal_pool()
         return failed, permanent
 
-    def _submit(self, call: ShardCall, attempt: int) -> Any:
+    def _submit(self, call: ShardCall, index: int, attempt: int) -> Any:
         fn, args = call.fn, call.args
         if self.injector is not None:
             fn, args = self.injector.wrap(
                 call.seq, attempt, self.executor.kind == "process", fn, args
             )
         try:
-            return self.executor.submit(fn, *args)
+            return self.executor.submit(fn, *args, lane=index)
         except BrokenProcessPool:
-            # A pool broken by an earlier dispatch (e.g. rescue ran without
-            # a final heal) refuses new work at submit time; heal once and
-            # resubmit.
+            # A lane broken since its last collection (a worker that died
+            # idle, a rescue that ran without a final heal) refuses new
+            # work at submit time; heal once and resubmit.
             self._heal_pool()
-            return self.executor.submit(fn, *args)
+            return self.executor.submit(fn, *args, lane=index)
 
     # -- the recovery ladder -------------------------------------------------
 

@@ -21,7 +21,10 @@ session=...)``) over the coordinator engine ``scheduler.service.engine``.
 Execution is synchronous and deterministic: ``run_pending`` drains the
 queue in FIFO order (the parallelism lives below, in the service's shard
 pool). That keeps scheduling decisions reproducible — the same submissions
-always produce the same evaluations in the same order.
+always produce the same evaluations in the same order. On a process pool
+one thing overlaps: while a job combines, the next queued job is *begun*
+(its reuse decisions made, its first shard generation submitted) — after
+every store of the running job, so in the order it would have happened.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ class JobQueue:
     """FIFO queue with an index of in-flight jobs by canonical key."""
 
     def __init__(self) -> None:
-        self._pending: list[Job] = []
+        self._pending: deque[Job] = deque()
         self._inflight: dict[tuple, Job] = {}
 
     def __len__(self) -> int:
@@ -150,10 +153,14 @@ class JobQueue:
         self._pending.append(job)
         self._inflight[job.key] = job
 
+    def peek(self) -> Optional[Job]:
+        """The job :meth:`pop` would return next, left in the queue."""
+        return self._pending[0] if self._pending else None
+
     def pop(self) -> Optional[Job]:
         if not self._pending:
             return None
-        job = self._pending.pop(0)
+        job = self._pending.popleft()
         job.status = RUNNING
         return job
 
@@ -207,6 +214,9 @@ class Scheduler:
         self.worlds_spent = 0
         self.worlds_budgeted = 0
         self._adaptive_sweeps: deque[AdaptiveSweepJob] = deque(maxlen=history_limit)
+        #: What beginning the queue's head ahead of its turn raised, if it
+        #: did (see :meth:`_begin_next`).
+        self._begin_error: Optional[BaseException] = None
         #: Observability: job lifecycle spans; the API client replaces this
         #: shared no-op when tracing is configured.
         self.tracer = NULL_TRACER
@@ -507,11 +517,21 @@ class Scheduler:
         # repro-lint: disable=DET001 -- feeds Job.elapsed_seconds, an
         # observability field; scheduling decisions never read it.
         started = time.perf_counter()
+        # What begin-ahead of this job left for it (set by the previous
+        # job's ``_begin_next``): nothing, or the error it raised.
+        begin_error, self._begin_error = self._begin_error, None
+        # Only a process pool samples while this process combines; and only
+        # a queued job can be begun ahead (interactive refreshes and
+        # adaptive rounds find the queue empty after their pop).
+        overlap = self._begin_next if self.service.executor.kind == "process" else None
         with self.tracer.span("job", job=job.id, session=job.session) as span:
             while True:
                 try:
+                    if begin_error is not None:
+                        error, begin_error = begin_error, None
+                        raise error
                     job.result = self.service.evaluate(
-                        job.point, worlds=job.worlds, reuse=job.reuse
+                        job.point, worlds=job.worlds, reuse=job.reuse, overlap=overlap
                     )
                     job.status = DONE
                 except TransientServeError as error:
@@ -544,6 +564,27 @@ class Scheduler:
         self.completed.append(job)
         self.jobs_completed += 1
         return job
+
+    def _begin_next(self) -> None:
+        """Begin the next queued job while the running one combines.
+
+        Called by the engine between the running job's ``land`` and
+        ``combine``: the next job's reuse decisions are made (after every
+        store of the running job, as they would have been) and its first
+        shard generation is submitted, so the workers sample it while this
+        process combines. An error here is the *next* job's: it is kept and
+        raised into that job's own retry ladder when it is popped.
+        """
+        ahead = self.queue.peek()
+        if ahead is None or self._begin_error is not None:
+            return
+        # The spans opened in here belong to the job being begun, not to
+        # the one whose "job" span is open around them.
+        with self.tracer.span("begin", job=ahead.id, session=ahead.session):
+            try:
+                self.service.begin(ahead.point, worlds=ahead.worlds, reuse=ahead.reuse)
+            except Exception as error:  # noqa: BLE001 — raised into job ``ahead``
+                self._begin_error = error
 
     def run_pending(self) -> list[Job]:
         """Drain the queue; returns the jobs completed by this call."""

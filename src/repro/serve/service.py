@@ -18,6 +18,17 @@ turns `evaluate` into a concurrent, cached operation:
    point, worlds)`` — and the shard matrices merge, in shard order, into
    the entry the coordinator stores.
 
+A shard generation has two halves. **Start** cuts the slice, leases its
+segment and submits every shard's first attempt; **collect** waits for
+them (retry → heal → rescue), merges and releases the lease. In-process
+executors run the halves back to back. On a process pool the engine is
+handed the ``collect`` and calls it only when the point cannot go on
+without the samples — which lets :meth:`EvaluationService.begin` start the
+*next* request's generation while the coordinator is still combining the
+current one (the scheduler does that for queued jobs). Starting early
+moves no decision: a request is begun after every store of the one before
+it, and stops exactly where it would have waited.
+
 Because every reuse decision is the coordinator's and every shard is fresh
 sampling from the fixed seed sequence, sharded evaluation is bit-identical
 to sequential for any world pattern, shard count, executor and transport.
@@ -25,9 +36,8 @@ to sequential for any world pattern, shard count, executor and transport.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -67,12 +77,18 @@ class ServiceStats:
     cache_misses: int = 0
     shard_tasks: int = 0
     #: Shard *generations*: one per fresh-sampling fan-out (one contiguous
-    #: world slice sharded, dispatched, merged). Under the round protocol a
-    #: round's fresh increment is exactly one generation per VG output —
+    #: world slice sharded, started, collected, merged), counted when it is
+    #: started — which, for a queued job begun ahead, is before the job
+    #: runs. A request starts one generation per VG output no reuse layer
+    #: served (under the round protocol: per output's fresh increment) —
     #: the invariant that lets the dispatcher's resilience ladder apply to
     #: every round unchanged, and that tests pin.
     shard_generations: int = 0
     sampled_worlds: int = 0
+    #: Wall-clock the coordinator spent *blocked* collecting shard futures.
+    #: Submission is not in it, nor is anything the coordinator did while a
+    #: started generation ran — so it still means "waited" when start and
+    #: collect are apart.
     parallel_seconds: float = 0.0
     #: Sampling-plane dispatch across the whole fleet (coordinator and
     #: workers): fresh world-rows produced by the batched backend vs by the
@@ -226,17 +242,15 @@ class EvaluationService:
         *,
         worlds: Optional[Sequence[int]] = None,
         reuse: bool = True,
+        overlap: Optional[Callable[[], None]] = None,
     ) -> PointEvaluation:
-        """Evaluate one point: result cache, then the sharded engine cycle."""
-        validated = self.scenario.validate_sweep_point(point)
-        # The engine's own world-id rule, applied before the cache key is
-        # built: a request the engine would reject is never a cache hit.
-        chosen = world_ids(
-            worlds
-            if worlds is not None
-            else range(self.engine.config.sampling.n_worlds),
-            "evaluate_point",
-        )
+        """Evaluate one point: result cache, then the sharded engine cycle.
+
+        ``overlap`` is the engine's: called once this point's samples have
+        landed and before they are combined — where a scheduler that knows
+        the next request calls :meth:`begin` for it.
+        """
+        validated, chosen = self._request(point, worlds)
         self.stats.points_evaluated += 1
 
         key = None
@@ -249,7 +263,11 @@ class EvaluationService:
             self.stats.cache_misses += 1
 
         evaluation = self.engine.evaluate_point(
-            validated, worlds=chosen, reuse=reuse, sampler=self._sharded_sampler
+            validated,
+            worlds=chosen,
+            reuse=reuse,
+            sampler=self._sharded_sampler,
+            overlap=overlap,
         )
         if key is not None:
             self.cache.put(
@@ -265,6 +283,35 @@ class EvaluationService:
             )
         return evaluation
 
+    def begin(
+        self,
+        point: Mapping[str, Any],
+        *,
+        worlds: Optional[Sequence[int]] = None,
+        reuse: bool = True,
+    ) -> None:
+        """Start the request that :meth:`evaluate` will be asked next.
+
+        The coordinator engine makes the point's reuse decisions and, for
+        the first output no reuse layer serves, the shard generation is
+        submitted — then this returns, and the workers sample while the
+        caller does something else (combining the previous point). The
+        ``evaluate`` call for the same request picks the point up where it
+        stopped. Counters move exactly as they would have: nothing is
+        counted twice, and a request the result cache will answer is left
+        to it.
+        """
+        validated, chosen = self._request(point, worlds)
+        if (
+            self.cache is not None
+            and reuse
+            and self._key_for(validated, chosen) in self.cache
+        ):
+            return
+        self.engine.begin_point(
+            validated, worlds=chosen, reuse=reuse, sampler=self._sharded_sampler
+        )
+
     def close(self) -> None:
         self.executor.shutdown()
         # The teardown hook already released the arena when the executor
@@ -279,6 +326,20 @@ class EvaluationService:
         self.close()
 
     # -- internals ---------------------------------------------------------
+
+    def _request(
+        self, point: Mapping[str, Any], worlds: Optional[Sequence[int]]
+    ) -> tuple[dict[str, Any], tuple[int, ...]]:
+        validated = self.scenario.validate_sweep_point(point)
+        # The engine's own world-id rule, applied before the cache key is
+        # built: a request the engine would reject is never a cache hit.
+        chosen = world_ids(
+            worlds
+            if worlds is not None
+            else range(self.engine.config.sampling.n_worlds),
+            "evaluate_point",
+        )
+        return validated, chosen
 
     def _key_for(self, validated: Mapping[str, Any], worlds: Sequence[int]) -> str:
         config = self.engine.config
@@ -331,8 +392,19 @@ class EvaluationService:
             n_worlds=len(worlds),
         )
 
-    def _sharded_sampler(self, output: VGOutput, batch: InstanceBatch) -> np.ndarray:
-        """The engine's fresh-sampling stage, fanned out across shards."""
+    def _sharded_sampler(
+        self, output: VGOutput, batch: InstanceBatch
+    ) -> "np.ndarray | Callable[[], np.ndarray]":
+        """The engine's fresh-sampling stage, fanned out across shards.
+
+        One call is one shard generation: the world slice is cut, leased a
+        segment (shm), and every shard's first attempt is submitted. On a
+        process pool that is where this returns — with the ``collect``
+        that waits for the shards (walking the resilience ladder), merges
+        them and releases the lease; the engine calls it when the point can
+        go no further without the samples. In-process executors have
+        nothing to overlap with and collect right here.
+        """
         worlds = batch.worlds
         n_shards = min(self.n_shards, max(1, len(worlds) // self.min_shard_worlds))
         shards = plan_shards(worlds, n_shards)
@@ -378,9 +450,6 @@ class EvaluationService:
                 self.stats.bytes_zero_copy += sum(
                     task.worlds.nbytes + task.result.nbytes for task in tasks
                 )
-            # repro-lint: disable=DET001 -- feeds stats.parallel_seconds, a
-            # timing counter excluded from the byte-stable as_dict surface.
-            started = time.perf_counter()
             calls = [
                 self._shard_call(task, plain, n_components, use_process, lease)
                 for task, plain in zip(tasks, plain_tasks)
@@ -394,44 +463,56 @@ class EvaluationService:
                 # Pickle transport over a process boundary: world ids out per
                 # shard. Result bytes are counted at merge.
                 self.stats.bytes_shipped += sum(len(s.worlds) * 8 for s in shards)
+            with self.tracer.span(
+                "dispatch",
+                alias=output.alias,
+                shards=len(shards),
+                worlds=len(worlds),
+                executor=self.executor.kind,
+                transport="shm" if lease is not None else "pickle",
+            ):
+                started = self._dispatcher.start(calls)
+        except BaseException:
+            # Until the generation is started the lease is this frame's;
+            # from here on it is ``collect``'s (or, never collected — an
+            # abandoned sweep — the arena's, until close()).
+            if lease is not None:
+                self._arena.release(lease)
+            raise
+
+        def collect() -> np.ndarray:
             try:
                 # The dispatcher walks the fault-tolerance ladder: deadlines,
                 # bounded retries, pool self-healing, inline rescue. On a
                 # permanent error it collects every outstanding future before
                 # re-raising — no in-flight work is leaked.
                 with self.tracer.span(
-                    "dispatch",
-                    alias=output.alias,
-                    shards=len(shards),
-                    worlds=len(worlds),
-                    executor=self.executor.kind,
-                    transport="shm" if lease is not None else "pickle",
+                    "collect", alias=output.alias, shards=len(shards)
                 ):
-                    shard_samples = self._dispatcher.dispatch(calls)
+                    shard_samples = self._dispatcher.finish(started)
+                with self.tracer.span(
+                    "merge", alias=output.alias, shards=len(shard_samples)
+                ):
+                    parts: list[np.ndarray] = []
+                    for result in shard_samples:
+                        self._count_shard_sample(result)
+                        part = np.asarray(result.samples, dtype=float)
+                        if pickled:
+                            self.stats.bytes_shipped += part.nbytes
+                        parts.append(part)
+                    # The shard matrices merge here, in shard order; the
+                    # engine stores the merged entry in its tiered store.
+                    # ``vstack`` copies, so the generation's segment is
+                    # released right after (the arena defers unmapping past
+                    # any live view).
+                    return np.vstack(parts)
             finally:
-                # repro-lint: disable=DET001 -- observability only (see above).
-                self.stats.parallel_seconds += time.perf_counter() - started
-            with self.tracer.span(
-                "merge", alias=output.alias, shards=len(shard_samples)
-            ):
-                parts: list[np.ndarray] = []
-                for result in shard_samples:
-                    self._count_shard_sample(result)
-                    part = np.asarray(result.samples, dtype=float)
-                    if pickled:
-                        self.stats.bytes_shipped += part.nbytes
-                    parts.append(part)
-                # The shard matrices merge here, in shard order; the engine
-                # stores the merged entry in its tiered store. ``vstack``
-                # copies, so the generation's segment is released right after
-                # (the arena defers unmapping past any live view).
-                return np.vstack(parts)
-        finally:
-            # The lease has this one owner from ``arena.lease()`` to merge:
-            # a raise while packing, building calls, dispatching or merging
-            # releases it here, never at close() or the TTL.
-            if lease is not None:
-                self._arena.release(lease)
+                # A started generation's lease has this one owner: collected
+                # or failed, it is released here, never at the TTL.
+                if lease is not None:
+                    self._arena.release(lease)
+
+        return collect if use_process else collect()
 
     def _generation_bytes(self, shards, n_components: int) -> Optional[int]:
         """Segment bytes one fan-out leases under shm; ``None`` = pickle path.

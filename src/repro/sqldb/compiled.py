@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -103,7 +103,15 @@ _LOCKSTEP_MIN_LANES = 32
 #: real rows the padding costs more than the loop it replaces.
 _LOCKSTEP_MAX_PADDING = 2
 
+#: ``group_layout`` counts instead of sorting when the composite key codes
+#: fit in this many values: the per-code tables stay a few hundred KB and a
+#: group's rank fits the 16 bits NumPy's stable sort handles by radix.
+#: Measured on the aggregate of a 2000-world point (106 k rows, 53 weeks,
+#: 2-core host): 5.4 ms sorted, 0.9 ms counted.
+_COUNTING_MAX_CODES = 2**16
+
 MOMENT_AGGREGATES = ("var", "varp", "stdev", "stdevp")
+SUM_AGGREGATES = ("sum", "avg")
 
 
 def _int_bounded(value: Any, limit: int) -> bool:
@@ -831,7 +839,18 @@ def equi_join(
         right_cols.append(right_array)
 
     left_codes, right_codes = _dense_codes(left_cols, right_cols, left.n_rows)
-    left_take, right_take = _match_codes(left_codes, right_codes)
+    gaps = np.diff(right_codes)  # codes stay below _MAX_CODE: no wrap-around
+    right_sorted = bool(np.all(gaps >= 0))
+    if (
+        right_sorted
+        and len(left_codes) == len(right_codes)
+        and bool(np.all(gaps > 0))
+        and np.array_equal(left_codes, right_codes)
+    ):
+        # Aligned: both sides hold the same unique keys in the same
+        # (increasing) order, so row i matches row i and nothing else.
+        return merge_relations(left, right)
+    left_take, right_take = _match_codes(left_codes, right_codes, right_sorted)
     return merge_relations(left.take(left_take), right.take(right_take))
 
 
@@ -914,19 +933,26 @@ def _offset_codes(
 
 
 def _match_codes(
-    left_codes: np.ndarray, right_codes: np.ndarray
+    left_codes: np.ndarray, right_codes: np.ndarray, right_sorted: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(right_codes, kind="stable")
-    right_sorted = right_codes[order]
-    lo = np.searchsorted(right_sorted, left_codes, side="left")
-    hi = np.searchsorted(right_sorted, left_codes, side="right")
+    """Row indices of every matching pair, left-major, right in table order.
+
+    ``right_sorted`` says the right codes are already non-decreasing — the
+    stable sort would return the identity, so it is skipped.
+    """
+    order = None if right_sorted else np.argsort(right_codes, kind="stable")
+    ranked = right_codes if order is None else right_codes[order]
+    lo = np.searchsorted(ranked, left_codes, side="left")
+    hi = np.searchsorted(ranked, left_codes, side="right")
     counts = hi - lo
     total = int(counts.sum())
     left_take = np.repeat(np.arange(len(left_codes)), counts)
     if total:
         run_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         offsets = np.arange(total) - np.repeat(run_starts, counts)
-        right_take = order[np.repeat(lo, counts) + offsets]
+        right_take = np.repeat(lo, counts) + offsets
+        if order is not None:
+            right_take = order[right_take]
     else:
         right_take = np.empty(0, dtype=np.int64)
     return left_take, right_take
@@ -943,6 +969,28 @@ class GroupLayout:
     starts: np.ndarray
     ends: np.ndarray
     rep_rows: np.ndarray  # first row index of each group
+    _lanes: Optional["_Lanes"] = field(default=None, repr=False, compare=False)
+
+    def lanes(
+        self, columns: Sequence[np.ndarray], build: bool = True
+    ) -> Optional["_Lanes"]:
+        """The step-major layout of ``columns`` under this partition.
+
+        Kept for the next caller with the same column arrays — a statement's
+        STDEVs and AVGs usually read the same columns. With ``build`` off,
+        only a layout that is already there is returned.
+        """
+        held = self._lanes
+        if (
+            held is not None
+            and len(held.columns) == len(columns)
+            and all(a is b for a, b in zip(held.columns, columns))
+        ):
+            return held
+        if build:
+            self._lanes = _Lanes(columns, self)
+            return self._lanes
+        return None
 
 
 def group_layout(key_arrays: Sequence[np.ndarray], n_rows: int) -> GroupLayout:
@@ -970,6 +1018,13 @@ def group_layout(key_arrays: Sequence[np.ndarray], n_rows: int) -> GroupLayout:
         if max_code >= _MAX_CODE:
             raise VectorFallback
         combined = combined * size + inverse
+    if max_code < _COUNTING_MAX_CODES:
+        return _counted_layout(combined, max_code + 1)
+    return _sorted_layout(combined)
+
+
+def _sorted_layout(combined: np.ndarray) -> GroupLayout:
+    """:func:`group_layout` of composite codes by sorting them (any span)."""
     uniques, first_index, inverse, counts = np.unique(
         combined, return_index=True, return_inverse=True, return_counts=True
     )
@@ -985,6 +1040,32 @@ def group_layout(key_arrays: Sequence[np.ndarray], n_rows: int) -> GroupLayout:
         starts=starts,
         ends=ends,
         rep_rows=first_index[appearance],
+    )
+
+
+def _counted_layout(combined: np.ndarray, n_codes: int) -> GroupLayout:
+    """:func:`group_layout` of composite codes below ``n_codes`` by counting.
+
+    No comparison sort of the rows: group sizes are a ``bincount``, a code's
+    first row is what a back-to-front scatter leaves behind (the earliest
+    row is written last), and the rows are ordered by their group's
+    first-appearance rank — at most 16 bits wide, so the stable sort is a
+    radix pass. Same arrays as :func:`_sorted_layout`.
+    """
+    n_rows = len(combined)
+    sizes = np.bincount(combined, minlength=n_codes)
+    first_row = np.empty(n_codes, dtype=np.int64)
+    first_row[combined[::-1]] = np.arange(n_rows - 1, -1, -1)
+    present = np.flatnonzero(sizes)
+    codes = present[np.argsort(first_row[present], kind="stable")]
+    rank_of_code = np.empty(n_codes, dtype=np.uint16)
+    rank_of_code[codes] = np.arange(len(codes), dtype=np.uint16)
+    ends = np.cumsum(sizes[codes])
+    return GroupLayout(
+        sorted_rows=np.argsort(rank_of_code[combined], kind="stable"),
+        starts=ends - sizes[codes],
+        ends=ends,
+        rep_rows=first_row[codes],
     )
 
 
@@ -1048,7 +1129,8 @@ def aggregate_segments(
                 results.append(None)
                 continue
             segment = as_float[layout.sorted_rows[start:end]]
-            results.append(float(np.cumsum(segment)[-1]) / int(count))
+            # The accumulator starts from 0.0: a total of -0.0 becomes 0.0.
+            results.append((float(np.cumsum(segment)[-1]) + 0.0) / int(count))
         return results
     if name in MOMENT_AGGREGATES:
         for start, end in zip(layout.starts, layout.ends):
@@ -1117,6 +1199,49 @@ def aggregate_moments(
     ]
 
 
+class _Lanes:
+    """A statement's (column, group) lanes laid out one row position per step.
+
+    ``steps`` is the zero-padded ``(longest group, n_groups * n_columns)``
+    array of the columns' values in grouped order: row ``k`` holds every
+    lane's ``k``-th value, group-major, the groups by descending length so
+    the lanes still running at a step are a contiguous prefix of its row.
+    ``counts`` are the group sizes in that slot order.
+    """
+
+    __slots__ = ("columns", "steps", "counts", "slot_of_group")
+
+    def __init__(self, columns: Sequence[np.ndarray], layout: GroupLayout) -> None:
+        counts = layout.ends - layout.starts
+        n_groups, n_rows = len(counts), len(layout.sorted_rows)
+        longest = int(counts.max()) if n_groups else 0
+        by_length = np.argsort(-counts, kind="stable")
+        slot_of_group = np.empty(n_groups, dtype=np.int64)
+        slot_of_group[by_length] = np.arange(n_groups)
+        # Row i of the grouped order sits at step (i - start of its group);
+        # ``source`` is, per (step, slot), the table row to read — or one
+        # past the end, where a zero is appended, for padding.
+        group_of_row = np.repeat(np.arange(n_groups), counts)
+        step_of_row = np.arange(n_rows) - layout.starts[group_of_row]
+        source = np.full(longest * n_groups, n_rows, dtype=np.int64)
+        source[step_of_row * n_groups + slot_of_group[group_of_row]] = layout.sorted_rows
+        steps = np.empty((longest * n_groups, len(columns)), dtype=np.float64)
+        for index, values in enumerate(columns):
+            steps[:, index] = np.append(values, 0)[source]
+        self.columns = tuple(columns)
+        self.steps = steps.reshape(longest, n_groups * len(columns))
+        self.counts = counts[by_length]
+        self.slot_of_group = slot_of_group
+
+    def at_last_step(self, running: np.ndarray) -> np.ndarray:
+        """Each lane's value of a per-step running array at the lane's own
+        last step, as ``(n_columns, n_groups)`` in the layout's group order."""
+        n_columns = len(self.columns)
+        last = np.repeat(self.counts - 1, n_columns)
+        final = running[last, np.arange(len(last))]
+        return final.reshape(-1, n_columns)[self.slot_of_group].T
+
+
 def _lockstep_moments(columns: Sequence[np.ndarray], layout: GroupLayout) -> np.ndarray:
     """``m2`` of every (column, group) lane, all lanes advanced per row position.
 
@@ -1124,48 +1249,73 @@ def _lockstep_moments(columns: Sequence[np.ndarray], layout: GroupLayout) -> np.
     mean += delta / k; m2 += delta * (x - mean)``, the same six IEEE
     operations in the same order — over its group's values in row order;
     only the loop nest is turned inside out, so one step is six array
-    operations over all lanes instead of one interpreter iteration per
-    value. Values sit in a zero-padded ``(step, group, column)`` array with
-    the groups by descending length, so the lanes still running at a step
-    are a contiguous prefix of its row. Returns ``(len(columns),
-    n_groups)`` in the layout's group order.
+    operations over all lanes (:class:`_Lanes`) instead of one interpreter
+    iteration per value. Returns ``(len(columns), n_groups)`` in the
+    layout's group order.
     """
-    counts = layout.ends - layout.starts
-    n_groups, n_columns = len(counts), len(columns)
-    longest = int(counts.max()) if n_groups else 0
+    n_groups, n_columns = len(layout.starts), len(columns)
+    lanes = layout.lanes(columns)
+    longest = len(lanes.steps)
     if not longest:
         return np.zeros((n_columns, n_groups), dtype=np.float64)
-    by_length = np.argsort(-counts, kind="stable")
-    slot_of_group = np.empty(n_groups, dtype=np.int64)
-    slot_of_group[by_length] = np.arange(n_groups)
-    # Row i of the grouped order sits at step (i - start of its group).
-    group_of_row = np.repeat(np.arange(n_groups), counts)
-    step_of_row = np.arange(len(group_of_row)) - layout.starts[group_of_row]
-    slot_of_row = slot_of_group[group_of_row]
-    padded = np.zeros((longest, n_groups, n_columns), dtype=np.float64)
-    for index, values in enumerate(columns):
-        padded[step_of_row, slot_of_row, index] = values[layout.sorted_rows]
-    padded = padded.reshape(longest, n_groups * n_columns)
     mean = np.zeros(n_groups * n_columns, dtype=np.float64)
     m2 = np.zeros_like(mean)
     delta = np.empty_like(mean)
     scratch = np.empty_like(mean)
     # Groups still running at each step, and the steps where that changes.
-    running = np.searchsorted(-counts[by_length], -np.arange(longest), side="left")
+    running = np.searchsorted(-lanes.counts, -np.arange(longest), side="left")
     edges = [0, *(np.flatnonzero(np.diff(running)) + 1).tolist(), longest]
     for first, last in zip(edges, edges[1:]):
         width = int(running[first]) * n_columns
         lane_mean, lane_m2 = mean[:width], m2[:width]
         lane_delta, lane_scratch = delta[:width], scratch[:width]
         for step in range(first, last):
-            x = padded[step, :width]
+            x = lanes.steps[step, :width]
             np.subtract(x, lane_mean, out=lane_delta)
             np.divide(lane_delta, step + 1, out=lane_scratch)
             np.add(lane_mean, lane_scratch, out=lane_mean)
             np.subtract(x, lane_mean, out=lane_scratch)
             np.multiply(lane_delta, lane_scratch, out=lane_scratch)
             np.add(lane_m2, lane_scratch, out=lane_m2)
-    return m2.reshape(n_groups, n_columns)[slot_of_group].T
+    return m2.reshape(n_groups, n_columns)[lanes.slot_of_group].T
+
+
+def aggregate_sums(
+    specs: Sequence[AggregateSpec], columns: Sequence[np.ndarray], layout: GroupLayout
+) -> list[list[Any]]:
+    """Per-group results of all SUM and AVG aggregates of one statement.
+
+    ``[aggregate_segments(spec, column, layout) ...]`` bit for bit. When
+    the statement's variance aggregates have already laid the same columns
+    out step-major (:meth:`GroupLayout.lanes` — ``AVG(x), STDEV(x)`` pairs
+    over non-empty groups), every running float sum is read off one
+    ``cumsum`` down the steps, each lane added left to right like the
+    accumulator and read at its own last step. Building that layout for
+    the sums alone costs more than the per-segment ``cumsum`` it saves
+    (3.4 against 2.0-2.8 ms on three columns of 106 k rows in 53 groups),
+    so anything else — other columns, an integer SUM (exact Python
+    arithmetic), an empty group — takes :func:`aggregate_segments`.
+    """
+    counts = layout.ends - layout.starts
+    lanes = None
+    if all(
+        spec.name == "avg" or values.dtype.kind == "f"
+        for spec, values in zip(specs, columns)
+    ) and (len(counts) and int(counts.min()) > 0):
+        lanes = layout.lanes(columns, build=False)
+    if lanes is None:
+        return [
+            aggregate_segments(spec, values, layout)
+            for spec, values in zip(specs, columns)
+        ]
+    totals = lanes.at_last_step(np.cumsum(lanes.steps, axis=0)).tolist()
+    sizes = counts.tolist()
+    return [
+        [(total + 0.0) / size for total, size in zip(lane, sizes)]
+        if spec.name == "avg"
+        else lane
+        for spec, lane in zip(specs, totals)
+    ]
 
 
 # -- output schema -----------------------------------------------------------

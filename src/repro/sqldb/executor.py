@@ -60,10 +60,12 @@ from repro.sqldb.ast_nodes import (
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.compiled import (
     MOMENT_AGGREGATES,
+    SUM_AGGREGATES,
     VectorFallback,
     VectorSelectPlan,
     aggregate_moments,
     aggregate_segments,
+    aggregate_sums,
     bind_table,
     broadcast,
     equi_join,
@@ -315,12 +317,20 @@ class Executor:
         def column(spec):
             return broadcast(spec.arg(context), n_rows) if spec.arg is not None else None
 
-        # The variance family is answered for the whole statement at once.
+        # The variance family and the running sums are each answered for
+        # the whole statement at once — the sums second: they read the
+        # step-major layout the variances leave behind.
         moments = [spec for spec in plan.aggregates if spec.name in MOMENT_AGGREGATES]
-        others = [spec for spec in plan.aggregates if spec.name not in MOMENT_AGGREGATES]
+        sums = [spec for spec in plan.aggregates if spec.name in SUM_AGGREGATES]
+        others = [
+            spec
+            for spec in plan.aggregates
+            if spec.name not in MOMENT_AGGREGATES + SUM_AGGREGATES
+        ]
         answers = [aggregate_segments(spec, column(spec), layout) for spec in others]
         answers += aggregate_moments(moments, [column(spec) for spec in moments], layout)
-        for spec, values in zip(others + moments, answers):
+        answers += aggregate_sums(sums, [column(spec) for spec in sums], layout)
+        for spec, values in zip(others + moments + sums, answers):
             for group, value in enumerate(values):
                 group_results[group][spec.rendered] = value
         representatives = [relation.bound_row(int(row)) for row in layout.rep_rows]

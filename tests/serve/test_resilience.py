@@ -10,6 +10,7 @@ with every recovery visible in the stats counters.
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -343,6 +344,173 @@ class TestShardDispatcherUnit:
             ResilienceConfig(retry_backoff=-0.1)
         with pytest.raises(ScenarioError, match="job_retries"):
             ResilienceConfig(job_retries=-2)
+
+
+class TestHealWithWorkInFlight:
+    """A heal replaces every lane — also under futures somebody still holds
+    (a fan-out begun ahead; this round's own shards queued behind a broken
+    lane). Those come back cancelled or broken *by the heal*: transient,
+    retried, and no reason to heal the new pool again."""
+
+    def _dispatcher(self, executor, **resilience):
+        stats = ServiceStats()
+        config = ResilienceConfig(retry_backoff=0.0, **resilience)
+        return ShardDispatcher(executor, stats, config), stats
+
+    def test_a_cancelled_future_is_transient(self):
+        from concurrent.futures import Future
+
+        class CancelsFirst(InlineExecutor):
+            """Hands out one already-cancelled future, then behaves."""
+
+            def submit(self, fn, *args, lane=None):
+                if self.tasks_run == 0:
+                    self.tasks_run += 1
+                    future = Future()
+                    assert future.cancel()
+                    return future
+                return super().submit(fn, *args, lane=lane)
+
+        dispatcher, stats = self._dispatcher(CancelsFirst(), shard_retries=1)
+        dispatched = dispatcher.dispatch([_call(_ok_sample), _call(_ok_sample)])
+        assert [d.samples.shape for d in dispatched] == [(4, 3), (4, 3)]
+        assert stats.shard_retries == 1
+        assert stats.pool_rebuilds == 0 and stats.inline_rescues == 0
+
+    def test_a_started_fan_out_survives_another_one_healing_the_pool(self, tmp_path):
+        """Start A, start B, crash A's worker: collecting A heals the pool
+        under B, whose futures die with the old lanes. Both finish."""
+        executor = ProcessExecutor(2)
+        try:
+            dispatcher, stats = self._dispatcher(executor, shard_retries=2)
+
+            def calls(fn, count=4):
+                return [
+                    ShardCall(fn=fn, args=(4, 3), rescue=lambda: _zeros(4, 3),
+                              expected_rows=4, expected_components=3)
+                    for _ in range(count)
+                ]
+
+            crashing = calls(_zeros)
+            crashing[0] = ShardCall(
+                fn=_crash_once, args=(str(tmp_path / "crashed"),), rescue=lambda: _zeros(4, 3),
+                expected_rows=4, expected_components=3,
+            )
+            first = dispatcher.start(crashing)
+            # Five per lane: the heal finds some running (they break with
+            # their worker) and some still queued (they are cancelled).
+            second = dispatcher.start(calls(_slow_zeros, 10))
+            assert [d.samples.shape for d in dispatcher.finish(first)] == [(4, 3)] * 4
+            rebuilds = stats.pool_rebuilds
+            assert rebuilds >= 1
+            assert [d.samples.shape for d in dispatcher.finish(second)] == [(4, 3)] * 10
+            # B's futures died in a pool that was already replaced: retried,
+            # not healed again, never rescued.
+            assert stats.pool_rebuilds == rebuilds
+            assert stats.inline_rescues == 0
+        finally:
+            executor.shutdown()
+
+    def test_submit_finding_a_broken_lane_heals_under_its_own_queued_shards(self):
+        """Lane 1's worker died idle; lane 0 is busy, so this round's first
+        shard queues there — and is cancelled when the second shard's
+        submit finds lane 1 broken and heals. At the parent commit the
+        cancelled shard failed the whole fan-out for good."""
+        executor = ProcessExecutor(2)
+        try:
+            victim = executor.submit(os.getpid, lane=1).result(timeout=30)
+            blockers = [executor.submit(_slow_zeros, 4, 3, 1.0, lane=0) for _ in range(3)]
+            os.kill(victim, 9)
+            time.sleep(0.3)  # let lane 1's pool notice
+            dispatcher, stats = self._dispatcher(executor, shard_retries=2)
+            dispatched = dispatcher.dispatch(
+                [
+                    ShardCall(fn=_zeros, args=(4, 3), rescue=lambda: _zeros(4, 3),
+                              expected_rows=4, expected_components=3)
+                    for _ in range(2)
+                ]
+            )
+            assert [d.samples.shape for d in dispatched] == [(4, 3), (4, 3)]
+            assert stats.pool_rebuilds == 1  # the one heal, at submit
+            assert stats.shard_retries == 1 and stats.inline_rescues == 0
+            assert all(blocker.done() for blocker in blockers)
+        finally:
+            executor.shutdown()
+
+    @pytest.mark.parametrize("crash_at", [0, 2, 3, 5, 8])
+    def test_crash_in_a_generation_begun_ahead_keeps_the_sweep_bit_identical(
+        self, serve_spec, crash_at
+    ):
+        """A seeded crash on one shard of a queued sweep over shm — for most
+        sequence numbers a shard of a generation that was begun behind the
+        previous point's combine. The sweep completes bit-identical without
+        the job ladder, leaks no segment and leaves no child."""
+        import multiprocessing
+
+        from repro.serve import TransportConfig, shm_available
+
+        engine = ProphetEngine(
+            parse_scenario(SERVE_DSL, name="serve_scenario"),
+            build_demo_library(),
+            EngineConfig(sampling=SamplingConfig(n_worlds=16, refinement_first=8)),
+        )
+        points = [dict(p) for p in engine.scenario.sweep_space.grid()][::4][:5]
+        references = [engine.evaluate_point(p, reuse=False).statistics for p in points]
+        executor = ProcessExecutor(2)
+        try:
+            service = EvaluationService(
+                serve_spec,
+                executor=executor,
+                shards=4,  # two shards per lane: a heal finds work queued
+                min_shard_worlds=1,
+                fault_plan=FaultPlan(faults=(FaultSpec(shard=crash_at, kind="crash"),)),
+                resilience=ResilienceConfig(retry_backoff=0.0),
+                transport=TransportConfig(
+                    shard_transport="shm" if shm_available() else "pickle"
+                ),
+            )
+            scheduler = Scheduler(service)
+            jobs = scheduler.submit_sweep(points, reuse=False)
+            scheduler.run_pending()
+            for job, reference in zip(jobs, references):
+                assert job.status == "done"
+                assert_stats_identical(job.result.statistics, reference)
+            assert scheduler.jobs_retried == 0
+            assert service.stats.pool_rebuilds >= 1
+            assert service.stats.shard_retries >= 1
+            assert service.stats.segments_leased == service.stats.segments_reclaimed
+            assert service._arena.live_segments() == 0
+            workers = {pid for pool in executor._lanes for pid in (pool._processes or {})}
+            assert len(workers) == 2
+        finally:
+            service.close()
+
+        def alive():  # this service's workers, not another test's pool
+            return workers & {child.pid for child in multiprocessing.active_children()}
+
+        deadline = time.monotonic() + 5.0
+        while alive() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not alive()
+
+
+def _zeros(rows: int, components: int) -> ShardSample:  # module-level: picklable
+    return ShardSample(samples=np.zeros((rows, components)))
+
+
+def _slow_zeros(rows: int, components: int, seconds: float = 0.2) -> ShardSample:
+    time.sleep(seconds)
+    return _zeros(rows, components)
+
+
+def _crash_once(marker: str) -> ShardSample:
+    """Kills the first worker to run it (leaving ``marker``); the retry,
+    in a later worker, answers."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _zeros(4, 3)
+    os._exit(13)
 
 
 def _sleep_forever() -> None:  # module-level: picklable for process pools

@@ -160,6 +160,154 @@ class TestMixedWorldParity:
         assert save_bases(service.engine, tmp_path / "bases.npz") == n_bases
 
 
+#: A sweep whose points meet every reuse decision (with ``reuse=True``): both
+#: outputs miss; demand exact-hits while capacity misses or maps; a world
+#: prefix is extended; demand maps from another feature; one output
+#: exact-hits while the other extends. ``(point, worlds)`` pairs.
+PIPELINE_SWEEP = [
+    ({"purchase1": 0, "purchase2": 0, "feature": 12}, 8),
+    ({"purchase1": 0, "purchase2": 26, "feature": 12}, 8),
+    ({"purchase1": 0, "purchase2": 0, "feature": 12}, 16),
+    ({"purchase1": 26, "purchase2": 26, "feature": 36}, 16),
+    ({"purchase1": 0, "purchase2": 26, "feature": 36}, 16),
+    ({"purchase1": 52, "purchase2": 52, "feature": 12}, 16),
+    ({"purchase1": 26, "purchase2": 26, "feature": 12}, 16),
+]
+
+
+def _counters(service, scheduler=None) -> str:
+    """``StatsReport.to_json()`` without its ``scheduler`` section."""
+    import json
+
+    from repro.api.stats import StatsReport
+
+    report = json.loads(
+        StatsReport.gather(service.engine, service=service, scheduler=scheduler).to_json()
+    )
+    report.pop("scheduler", None)
+    return json.dumps(report, sort_keys=True)
+
+
+class TestPipelinedSweepParity:
+    """A queued sweep begins point *k+1* behind point *k*'s combine (on a
+    process pool) — and nothing anybody can count or hash may show it."""
+
+    @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("executor_kind", ["inline", "process"])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_queued_sweep_equals_one_evaluate_at_a_time(
+        self,
+        serve_spec,
+        sequential_engine,
+        process_executor,
+        shards,
+        executor_kind,
+        transport,
+        reuse,
+    ):
+        from repro.serve import Scheduler
+
+        def service():
+            return EvaluationService(
+                serve_spec,
+                executor=process_executor if executor_kind == "process" else InlineExecutor(),
+                shards=shards,
+                min_shard_worlds=1,
+                transport=TransportConfig(shard_transport=transport),
+            )
+
+        # The reference with no queue, hence nothing to begin ahead.
+        one_at_a_time = service()
+        for point, stop in PIPELINE_SWEEP:
+            one_at_a_time.evaluate(point, worlds=range(stop), reuse=reuse)
+
+        queued = service()
+        scheduler = Scheduler(queued)
+        jobs = [
+            scheduler.submit(point, worlds=range(stop), reuse=reuse)
+            for point, stop in PIPELINE_SWEEP
+        ]
+        begun = []
+        begin = queued.begin
+        queued.begin = lambda point, **kw: begun.append(dict(point)) or begin(point, **kw)
+        finished = scheduler.run_pending()
+
+        assert [job.id for job in finished] == [job.id for job in jobs]  # in order
+        # Every job but the first was begun behind its predecessor — exactly
+        # when the shards run in other processes.
+        expected_begun = [point for point, _ in PIPELINE_SWEEP[1:]]
+        assert begun == (expected_begun if executor_kind == "process" else [])
+        sources = []
+        for job, (point, stop) in zip(jobs, PIPELINE_SWEEP):
+            reference = sequential_engine.evaluate_point(
+                point, worlds=range(stop), reuse=reuse
+            )
+            assert job.status == "done"
+            assert_stats_identical(job.result.statistics, reference.statistics)
+            assert [r.source for r in job.result.reuse_reports] == [
+                r.source for r in reference.reuse_reports
+            ]
+            sources += [r.source for r in reference.reuse_reports]
+        if reuse:
+            assert {"fresh", "exact", "mapped"} <= set(sources)
+        assert _counters(queued, scheduler) == _counters(one_at_a_time)
+        assert queued.engine.registry.mappings == one_at_a_time.engine.registry.mappings
+        assert queued.engine.registry.mappings == sequential_engine.registry.mappings
+        assert queued.engine._begun is None
+        assert queued._arena.live_segments() == 0
+        assert queued.stats.segments_leased == queued.stats.segments_reclaimed
+
+    def test_a_prefix_is_extended_and_a_basis_mapped_in_this_sweep(self, sequential_engine):
+        """The sweep above is only worth its name if it meets the decisions
+        it claims to: an extend (acquire after store) and a mapped hit."""
+        store_calls = []
+        original = sequential_engine.storage.store
+        sequential_engine.storage.store = lambda f, a, s, w, seeds: (
+            store_calls.append(len(w)) or original(f, a, s, w, seeds)
+        )
+        for point, stop in PIPELINE_SWEEP:
+            sequential_engine.evaluate_point(point, worlds=range(stop))
+        assert 16 in store_calls and 8 in store_calls
+        assert sequential_engine.storage.mapped_hits > 0
+        assert sequential_engine.storage.exact_hits > 0
+        assert sequential_engine.storage.misses > 0
+
+    def test_a_direct_evaluate_between_two_results_keeps_the_begun_point(
+        self, serve_spec, sequential_engine, process_executor
+    ):
+        """``service.evaluate`` mid-sweep (no queue) arrives while the next
+        job is begun: the begun point lands first — it keeps its place in
+        the order — and is resumed, not redone, when its job runs."""
+        from repro.serve import Scheduler
+
+        service = EvaluationService(
+            serve_spec, executor=process_executor, shards=2, min_shard_worlds=1
+        )
+        scheduler = Scheduler(service)
+        (first, _), (second, _), (third, _) = PIPELINE_SWEEP[0], PIPELINE_SWEEP[1], PIPELINE_SWEEP[3]
+        jobs = [scheduler.submit(point) for point in (first, second)]
+        assert scheduler.run_next() is jobs[0]
+        assert service.engine._begun is not None  # job 2, begun behind job 1
+        interloper = service.evaluate(third)
+        assert service.engine._begun is not None  # landed, still waiting for its job
+        assert scheduler.run_next() is jobs[1]
+        assert service.engine._begun is None
+        # The order that happened: first, second's samples, third, second's combine.
+        for point, evaluation in ((first, jobs[0].result), (second, jobs[1].result), (third, interloper)):
+            reference = sequential_engine.evaluate_point(point)
+            assert_stats_identical(evaluation.statistics, reference.statistics)
+        # Nothing was sampled or decided twice: the counters are those of the
+        # three requests evaluated one at a time in that order.
+        in_order = EvaluationService(
+            serve_spec, executor=process_executor, shards=2, min_shard_worlds=1
+        )
+        for point in (first, second, third):
+            in_order.evaluate(point)
+        assert _counters(service) == _counters(in_order)
+        assert service._arena.live_segments() == 0
+
+
 class TestResultCacheParity:
     def test_cache_hits_are_byte_identical(
         self, serve_spec, sequential_engine, tmp_path

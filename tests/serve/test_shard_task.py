@@ -50,9 +50,9 @@ class _Recording(InlineExecutor):
         super().__init__()
         self.submitted: list[tuple] = []
 
-    def submit(self, fn, *args):
+    def submit(self, fn, *args, lane=None):
         self.submitted.append((fn, args))
-        return super().submit(fn, *args)
+        return super().submit(fn, *args, lane=lane)
 
 
 def _service(spec, executor, **kwargs):

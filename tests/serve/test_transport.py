@@ -245,11 +245,12 @@ class _RecordingExecutor(InlineExecutor):
         super().__init__()
         self.task_bytes: list[int] = []
 
-    def submit(self, fn, *args):
+    def submit(self, fn, *args, lane=None):
+        # The lane routes the task; it is not part of what gets pickled.
         self.task_bytes.append(
             len(pickle.dumps((fn, args), protocol=pickle.HIGHEST_PROTOCOL))
         )
-        return super().submit(fn, *args)
+        return super().submit(fn, *args, lane=lane)
 
 
 class TestTaskPayloadSize:

@@ -1,4 +1,4 @@
-"""Bitwise parity of the two sort/loop-free kernels of the vectorized tier.
+"""Bitwise parity of the sort/loop-free kernels of the vectorized tier.
 
 * Lockstep moments (``compiled.aggregate_moments``): every variance-family
   aggregate of a statement advanced together, one array step per row
@@ -7,6 +7,12 @@
 * Offset-coded integer keys (``compiled._offset_codes``): ``value - min``
   instead of an ``np.unique`` sort. The oracle is the sorted coding (the
   threshold patched so that no column qualifies) and the row interpreter.
+* Running sums off the lockstep layout (``compiled.aggregate_sums``): AVG
+  and float SUM read one ``cumsum`` down the steps when the statement's
+  variances already laid the columns out. The oracle is the accumulator.
+* Counted grouping (``compiled._counted_layout``) against the sorting one,
+  and the order-aware join (aligned shortcut, sort-free match) against the
+  general match.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.sqldb.compiled import (
     GroupLayout,
     VectorFallback,
     aggregate_moments,
+    aggregate_sums,
     equi_join,
     group_layout,
 )
@@ -127,6 +134,78 @@ def test_moments_match_the_accumulators_bit_for_bit(sizes, columns, seed):
         for spec, lane in zip(specs, m2.tolist())
     ]
     assert kernel == expected
+
+
+SUM_SHAPES = {
+    "ragged": [7, 1, 12, 3, 9, 12, 2, 5, 11, 8, 4, 10],
+    "single-row-groups": [1] * 48,
+    "even": [25] * 16,
+    "with-an-empty-group": [6, 0, 6, 6, 6, 6, 6, 6],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SUM_SHAPES))
+@pytest.mark.parametrize("values", ["float", "int", "nan", "negative-zero"])
+def test_sums_and_moments_off_one_layout_match_the_accumulators(shape, values):
+    """AVG/SUM/VAR/STDEV of the same columns, bit for bit, on both sides of
+    the selection: with the step-major layout the variances left behind, and
+    on a fresh layout where the sums go segment by segment."""
+    rng = np.random.default_rng(len(shape))
+    sizes = SUM_SHAPES[shape]
+    n_rows = sum(sizes)
+    if values == "negative-zero":
+        arrays = [np.full(n_rows, -0.0), np.full(n_rows, -0.0)]
+    else:
+        arrays = [_column(values, n_rows, rng), _column("float", n_rows, rng)]
+    # Integer SUM is exact Python arithmetic and never reads the layout.
+    sum_names = ("avg", "avg") if values == "int" else ("avg", "sum")
+    sums = [AggregateSpec(f"s{i}", name, False, False, None) for i, name in enumerate(sum_names)]
+    moments = [AggregateSpec(f"m{i}", name, False, False, None) for i, name in enumerate(("var", "stdev"))]
+
+    def expected(specs, layout):
+        return [
+            [_bits(v) for v in _accumulated(spec.name, column, layout)]
+            for spec, column in zip(specs, arrays)
+        ]
+
+    shared = _layout(sizes, rng)
+    with mock.patch.object(
+        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
+    ) as segments:
+        answered_moments = aggregate_moments(moments, arrays, shared)
+        laid_out = shared.lanes(arrays, build=False) is not None
+        segments.reset_mock()
+        answered_sums = aggregate_sums(sums, arrays, shared)
+    assert laid_out == _lockstep_expected(2, sizes)
+    # The layout is read exactly when it is there and no group is empty.
+    assert (segments.call_count == 0) == (laid_out and min(sizes) > 0)
+    assert [[_bits(v) for v in lane] for lane in answered_moments] == expected(moments, shared)
+    assert [[_bits(v) for v in lane] for lane in answered_sums] == expected(sums, shared)
+
+    fresh = _layout(sizes, rng)
+    with mock.patch.object(
+        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
+    ) as segments:
+        alone = aggregate_sums(sums, arrays, fresh)
+    assert segments.call_count == len(sums)  # nothing laid out: not worth building
+    assert [[_bits(v) for v in lane] for lane in alone] == expected(sums, fresh)
+
+
+def test_sums_over_other_columns_than_the_variances_go_by_segment():
+    rng = np.random.default_rng(11)
+    sizes = [20] * 30
+    layout = _layout(sizes, rng)
+    a, b = _column("float", 600, rng), _column("float", 600, rng)
+    aggregate_moments([AggregateSpec("m", "stdev", False, False, None)] * 2, [a, a], layout)
+    assert layout.lanes([a, a], build=False) is not None
+    assert layout.lanes([a, b], build=False) is None
+    spec = AggregateSpec("s", "avg", False, False, None)
+    with mock.patch.object(
+        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
+    ) as segments:
+        answered = aggregate_sums([spec, spec], [a, b], layout)
+    assert segments.call_count == 2
+    assert [_bits(v) for v in answered[1]] == [_bits(v) for v in _accumulated("avg", b, layout)]
 
 
 @pytest.mark.parametrize("sizes", [[3, 2], [30] * 40], ids=["scalar-loop", "lockstep"])
@@ -305,3 +384,135 @@ def test_sql_join_on_offset_keys_matches_the_row_interpreter():
     fast, reference = pair
     assert fast.execute(sql).rows == reference.execute(sql).rows
     assert fast.stats.vectorized_selects == 1 and reference.stats.vectorized_selects == 0
+
+
+# -- counted grouping, order-aware join -----------------------------------------
+
+
+@given(
+    keys=st.lists(
+        st.lists(st.integers(-6, 6), min_size=0, max_size=80), min_size=1, max_size=3
+    ),
+    spread=st.sampled_from([1, 2, 5]),
+)
+@settings(max_examples=120, deadline=None)
+def test_counted_and_sorted_layouts_are_identical(keys, spread):
+    """On composite codes both accept, counting and ``np.unique`` return the
+    same arrays — values and dtypes."""
+    n_rows = min(len(column) for column in keys)
+    arrays = [np.asarray(column[:n_rows], dtype=np.int64) * spread for column in keys]
+    with mock.patch.object(
+        compiled, "_counted_layout", wraps=compiled._counted_layout
+    ) as counted:
+        layout = group_layout(arrays, n_rows)
+    assert counted.call_count == 1  # at most 13 values per key: 2 197 composite codes
+    with mock.patch.object(compiled, "_COUNTING_MAX_CODES", 0), mock.patch.object(
+        compiled, "_counted_layout", wraps=compiled._counted_layout
+    ) as counted:
+        expected = group_layout(arrays, n_rows)
+    assert counted.call_count == 0
+    for name in ("sorted_rows", "starts", "ends", "rep_rows"):
+        ours, theirs = getattr(layout, name), getattr(expected, name)
+        assert ours.tolist() == theirs.tolist() and ours.dtype == theirs.dtype, name
+
+
+def test_a_wide_code_space_keeps_the_sorting_layout():
+    sparse = np.array([0, 70_000, 5, 70_000, 0], dtype=np.int64) * 10**6  # ranked: 3 codes
+    wide = np.arange(30_000, dtype=np.int64)[::-1] * 3  # offset-coded: 89 998 codes
+    pair = [np.arange(300).repeat(2), np.tile(np.arange(299, -1, -1), 2)]  # 300 x 300 codes
+    for arrays, counts in (([sparse], 1), ([wide], 0), (pair, 0)):
+        with mock.patch.object(
+            compiled, "_counted_layout", wraps=compiled._counted_layout
+        ) as counted:
+            layout = group_layout(arrays, len(arrays[0]))
+        assert counted.call_count == counts
+        with mock.patch.object(compiled, "_COUNTING_MAX_CODES", 2**40):
+            forced = group_layout(arrays, len(arrays[0]))
+        for name in ("sorted_rows", "starts", "ends", "rep_rows"):
+            assert getattr(layout, name).tolist() == getattr(forced, name).tolist()
+
+
+JOIN_ORDERS = {
+    # (left keys, right keys): which kernel answers
+    "aligned": ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),
+    "duplicate-left": ([0, 1, 1, 3, 4], [0, 1, 2, 3, 4]),
+    "duplicate-right": ([0, 1, 2, 3, 4], [0, 1, 1, 3, 4]),
+    "swapped-pair": ([0, 1, 2, 3, 4], [0, 2, 1, 3, 4]),
+    "missing-row": ([0, 1, 2, 3, 4], [0, 1, 3, 4]),
+    "equal-unsorted": ([4, 3, 2, 1, 0], [4, 3, 2, 1, 0]),
+    "equal-duplicates": ([0, 1, 1, 2, 2], [0, 1, 1, 2, 2]),
+    "sorted-right-only": ([3, 0, 4, 4, 9], [0, 0, 3, 4, 7]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JOIN_ORDERS))
+def test_join_kernel_selection_and_its_answer(case):
+    """The aligned shortcut takes exactly the aligned input; a sorted right
+    side skips the sort; every selection returns what the general
+    sort-and-match does."""
+    left_key, right_key = (np.asarray(k, dtype=np.int64) for k in JOIN_ORDERS[case])
+    left = _relation("l", k=left_key, a=np.arange(len(left_key)) * 1.5)
+    right = _relation("r", k=right_key, b=np.arange(len(right_key)) * -2.5)
+    conjuncts = [("l.k", "r.k")]
+    with mock.patch.object(compiled, "_match_codes", wraps=compiled._match_codes) as matched:
+        answered = _joined(left, right, conjuncts)
+    assert matched.call_count == (0 if case == "aligned" else 1)
+    if matched.call_count:
+        right_sorted = bool(np.all(np.diff(right_key) >= 0))
+        assert matched.call_args.args[2] is right_sorted
+
+    # The reference: dense codes, the stable sort, the match, two takes.
+    codes = compiled._dense_codes([left_key], [right_key], len(left_key))
+    left_take, right_take = compiled._match_codes(*codes)
+    general = compiled.merge_relations(left.take(left_take), right.take(right_take))
+    assert answered == {k: a.tobytes() for k, a in sorted(general.columns.items())}
+
+
+def test_the_aligned_join_shares_nothing_mutable_with_its_inputs():
+    key = np.arange(6, dtype=np.int64)
+    left = _relation("l", k=key, a=key * 1.0)
+    right = _relation("r", k=key, b=key * 2.0)
+    joined = equi_join(left, right, [("l.k", "r.k")])
+    joined.columns["extra"] = key
+    joined.all_keys.add("extra")
+    assert "extra" not in left.columns and "extra" not in right.columns
+    assert "extra" not in left.all_keys and "extra" not in right.all_keys
+    assert joined.n_rows == 6 and joined.columns["r.b"] is right.columns["r.b"]
+
+
+# -- the selections on the workload they were made for --------------------------
+
+
+def test_the_figure2_combine_takes_every_order_aware_path():
+    """One fresh 2000-world point of the Figure-2 scenario — the shape of a
+    ``fresh_fanout`` point — joins its two samples tables without matching a
+    code, groups 53 weeks by counting, runs its three STDEVs in one lockstep
+    pass and reads its three AVGs off that pass's layout."""
+    from repro.core.config import EngineConfig, SamplingConfig
+    from repro.core.engine import ProphetEngine
+    from repro.dsl import parse_scenario
+    from repro.models import build_demo_library
+    from repro.models.scenario_library import FIGURE2_DSL
+
+    engine = ProphetEngine(
+        parse_scenario(FIGURE2_DSL, name="figure2"),
+        build_demo_library(),
+        EngineConfig(sampling=SamplingConfig(n_worlds=2000)),
+    )
+    point = dict(next(iter(engine.scenario.sweep_space.grid())))
+    spied = ("_match_codes", "_counted_layout", "_sorted_layout", "_lockstep_moments", "aggregate_segments")
+    with mock.patch.multiple(
+        compiled, **{name: mock.Mock(wraps=getattr(compiled, name)) for name in spied}
+    ):
+        engine.evaluate_point(point, reuse=False)
+        calls = {name: getattr(compiled, name).call_count for name in spied}
+        lockstep_columns = len(compiled._lockstep_moments.call_args.args[0])
+    assert engine.executor.stats.fallback_selects == 0
+    assert calls == {
+        "_match_codes": 0,  # the combine's join is aligned
+        "_counted_layout": 1,
+        "_sorted_layout": 0,
+        "_lockstep_moments": 1,
+        "aggregate_segments": 0,  # AVG x 3 read the lockstep layout
+    }
+    assert lockstep_columns == 3

@@ -147,6 +147,62 @@ def _databases(draw) -> tuple[Table, Table]:
 
 DATABASES = _databases()
 
+#: What is done to an *aligned* pair of tables — same unique ``id`` keys in
+#: the same load order, the shape of a point's two samples tables, which
+#: the vectorized join answers without matching anything — to make each
+#: input its shortcut must refuse: a key duplicated on either side (the
+#: primary-key violations of Koutris & Wijsen), one swapped pair, one
+#: missing row, and equal keys in an order that is not increasing.
+ALIGNMENTS = (
+    "aligned",
+    "duplicate-left",
+    "duplicate-right",
+    "swapped-pair",
+    "missing-row",
+    "equal-unsorted",
+)
+
+
+def _rekeyed(table: Table, ids: list[int]) -> Table:
+    return Table(
+        table.name,
+        table.columns,
+        tuple((key, *row[1:]) for key, row in zip(ids, table.rows)),
+    )
+
+
+def misalign(left: Table, right: Table, how: str, at: int) -> tuple[Table, Table]:
+    """``how`` applied at row ``at`` of two tables that hold ids ``0..n-1``."""
+    n = len(left.rows)
+    ids = list(range(n))
+    if how == "aligned" or n < 2:
+        return left, right
+    at = at % (n - 1) + 1  # a row with a predecessor
+    if how.startswith("duplicate"):
+        ids[at] = ids[at - 1]
+        if how == "duplicate-left":
+            return _rekeyed(left, ids), right
+        return left, _rekeyed(right, ids)
+    if how == "swapped-pair":
+        ids[at], ids[at - 1] = ids[at - 1], ids[at]
+        return left, _rekeyed(right, ids)
+    if how == "missing-row":
+        return left, Table(right.name, right.columns, right.rows[:at] + right.rows[at + 1 :])
+    assert how == "equal-unsorted"
+    return _rekeyed(left, ids[::-1]), _rekeyed(right, ids[::-1])
+
+
+@st.composite
+def _aligned_databases(draw) -> tuple[Table, Table]:
+    left, right = draw(DATABASES)
+    n = min(len(left.rows), len(right.rows))
+    left = Table(left.name, left.columns, left.rows[:n])
+    right = Table(right.name, right.columns, right.rows[:n])
+    return misalign(left, right, draw(st.sampled_from(ALIGNMENTS)), draw(_SLOTS))
+
+
+ALIGNED_DATABASES = _aligned_databases()
+
 # -- build inputs: expressions ----------------------------------------------------
 #
 # Expressions are SQL text, fully parenthesised, over the placeholders ``@i``
@@ -406,6 +462,21 @@ def joins(draw, database) -> Statement:
     return Statement(_bind(draw, template, ints, floats), ordered)
 
 
+def aligned_joins(draw, database) -> Statement:
+    """Equi-joins on the load-ordered ``id`` (and sometimes ``k`` as well):
+    plain, or join-then-aggregate. ``id`` may repeat here, so every result
+    is compared as a multiset."""
+    left, right = database
+    ints = left.refs("INT", True) + right.refs("INT", True)
+    floats = left.refs("FLOAT", True) + right.refs("FLOAT", True)
+    condition = "l.id = r.id" + draw(st.sampled_from(["", " AND l.k = r.k"]))
+    source = f"l l {draw(_JOIN_KINDS)} r r ON {condition}"
+    if draw(st.booleans()):
+        return _grouped(draw, source, ints + floats, ints, floats)
+    template = f"SELECT {_aliased(draw(_JOIN_ITEMS))} FROM {source}{draw(WHERE_CLAUSES)}"
+    return Statement(_bind(draw, template, ints, floats))
+
+
 # -- run all methods -------------------------------------------------------------
 
 
@@ -527,12 +598,12 @@ def check(database, statement: Statement) -> None:
     ), f"sqldb differs from sqlite\n{context}\nsqldb  {actual}\nsqlite {expected}"
 
 
-def _oracle(build):
+def _oracle(build, databases=DATABASES):
     """Property over the ``(database, statement)`` cases of one statement family."""
 
     @st.composite
     def cases(draw):
-        database = draw(DATABASES)
+        database = draw(databases)
         return database, build(draw, database)
 
     # No shrink phase: inputs are small by construction and the failure
@@ -567,6 +638,38 @@ def test_joins_match_sqlite(case):
 @_oracle(orderings)
 def test_order_limit_offset_matches_sqlite(case):
     check(*case)
+
+
+@_oracle(aligned_joins, ALIGNED_DATABASES)
+def test_aligned_joins_and_their_near_misses_match_sqlite(case):
+    check(*case)
+
+
+@pytest.mark.parametrize("how", ALIGNMENTS)
+def test_the_aligned_shortcut_is_taken_and_refused(how):
+    """Both sides of the selection are really drawn: the aligned pair joins
+    without matching codes, every near miss goes through the general join —
+    and either way the answer is sqlite's."""
+    from unittest import mock
+
+    from repro.sqldb import compiled
+
+    dense = tuple(
+        Table(t.name, t.columns, tuple(row for row in t.rows if None not in row)) for t in _PINNED
+    )
+    n = min(len(table.rows) for table in dense)
+    left, right = (
+        Table(t.name, t.columns, tuple((i, *row[1:]) for i, row in enumerate(t.rows[:n])))
+        for t in dense
+    )
+    database = misalign(left, right, how, at=0)
+    statement = Statement("SELECT l.id AS e0, l.c0 + r.c0 AS e1 FROM l l JOIN r r ON l.id = r.id")
+    check(database, statement)
+    fast = _sqldb(database)
+    with mock.patch.object(compiled, "_match_codes", wraps=compiled._match_codes) as matched:
+        fast.execute(statement.sql)
+    assert fast.stats.vectorized_selects == 1
+    assert matched.call_count == (0 if how == "aligned" else 1)
 
 
 # -- pinned cases ---------------------------------------------------------------------
