@@ -10,7 +10,8 @@ themselves (:class:`~repro.core.online.OnlineSession`,
   :class:`SweepResult` the moment it lands, so callers render progress
   without waiting for the whole grid;
 * :class:`AdaptiveSweepHandle` — the same surface over the scheduler's CI
-  budget allocator: points retire as their confidence target resolves.
+  budget allocator: each point runs its round ladder to its decision before
+  the next point starts, and leaves the moment its confidence target resolves.
 
 Both resolve identically against the in-process engine and the sharded
 serve backend — bit-identical by the serve parity contract — and neither
@@ -158,15 +159,19 @@ class AdaptiveSweepHandle(_StreamingSweep):
 
     Mirrors :class:`SweepHandle` — iterate to run, one :class:`SweepResult`
     per submitted point, in submission order — but the work underneath is
-    the scheduler's CI budget allocator: each pump runs one round, points
-    whose target half-width is met retire early (freeing budget for
-    unresolved points), and the yielded results carry the adaptive fields
-    (``worlds_spent``, ``rounds``, ``max_ci``, ``retired_early``).
+    the scheduler's CI budget allocator: each pump runs one round of the
+    earliest undecided point (points run their ladders one after another,
+    in submission order), points whose target half-width is met retire
+    early (freeing budget for unresolved points), and the yielded results
+    carry the adaptive fields (``worlds_spent``, ``rounds``, ``max_ci``,
+    ``retired_early``) and the summed time of the point's round jobs.
 
     A point is yielded once its outcome is final: converged, failed, or
-    the allocator has spent everything it will ever spend on it. Points
-    that never converge therefore yield only when the whole sweep is done
-    — their budget could have grown until the very last reallocation.
+    the allocator has spent everything it will ever spend on it. A point
+    that converges or fails on the ladder therefore yields after its own
+    rounds and its predecessors'; one that exhausts the plan unconverged
+    yields only when the whole sweep is done — its budget could have grown
+    until the very last reallocation — and holds back the results behind it.
     """
 
     def __init__(self, scheduler: Scheduler, sweep: AdaptiveSweepJob) -> None:
@@ -189,7 +194,7 @@ class AdaptiveSweepHandle(_StreamingSweep):
             evaluation=evaluation,
             deduplicated=False,
             error=state.error,
-            elapsed_seconds=0.0,
+            elapsed_seconds=state.elapsed_seconds,
             worlds_spent=state.evaluator.worlds_spent,
             rounds=len(state.evaluator.rounds),
             max_ci=state.evaluator.max_ci,

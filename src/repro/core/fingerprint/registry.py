@@ -59,6 +59,12 @@ class FingerprintRegistry:
         self._fingerprints: dict[tuple[str, ParamKey], Fingerprint] = {}
         self._mappings: list[MappingRecord] = []
         self._mapping_names: list[str] = []  # lowered vg name per record
+        # One slot per vg name: the target ``best_match`` was last asked
+        # about and its correlations by basis key. Rounds of one point ask
+        # about the same target back to back; ``correlate`` is a pure
+        # function of the two stored fingerprints and the (frozen) policy,
+        # so a slot is stale only once one of those fingerprints is replaced.
+        self._recent: dict[str, tuple[ParamKey, dict[ParamKey, CorrelationResult]]] = {}
         self.probes_computed = 0
 
     # -- fingerprints --------------------------------------------------------
@@ -92,9 +98,10 @@ class FingerprintRegistry:
 
         The caller vouches that it was probed under this registry's spec.
         """
-        self._fingerprints[
-            (fingerprint.vg_name.lower(), tuple(fingerprint.args))
-        ] = fingerprint
+        name = fingerprint.vg_name.lower()
+        self._fingerprints[(name, tuple(fingerprint.args))] = fingerprint
+        # A remembered correlation may have read the fingerprint replaced here.
+        self._recent.pop(name, None)
 
     # -- matching ---------------------------------------------------------------
 
@@ -115,6 +122,10 @@ class FingerprintRegistry:
         target_key = tuple(target_args)
         target_fp = self.fingerprint_of(function, target_key)
         name = function.name.lower()
+        recent = self._recent.get(name)
+        if recent is None or recent[0] != target_key:
+            recent = self._recent[name] = (target_key, {})
+        correlations = recent[1]
         best: Optional[MatchOutcome] = None
         best_fraction = -1.0
         for candidate in candidate_args:
@@ -124,7 +135,10 @@ class FingerprintRegistry:
             basis_fp = self._fingerprints.get((name, basis_key))
             if basis_fp is None:
                 continue
-            correlation = correlate(basis_fp, target_fp, self.policy)
+            correlation = correlations.get(basis_key)
+            if correlation is None:
+                correlation = correlate(basis_fp, target_fp, self.policy)
+                correlations[basis_key] = correlation
             fraction = correlation.mapped_fraction
             if fraction > best_fraction:
                 best = MatchOutcome(basis_args=basis_key, correlation=correlation)
@@ -169,6 +183,7 @@ class FingerprintRegistry:
         self._fingerprints.clear()
         self._mappings.clear()
         self._mapping_names.clear()
+        self._recent.clear()
         self.probes_computed = 0
 
     def __len__(self) -> int:

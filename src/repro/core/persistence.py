@@ -23,18 +23,26 @@ v1 encoding is not recoverable).
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
 from repro.errors import FingerprintError
 from repro.core.argcodec import decode_args, decode_legacy_args, encode_args
 from repro.core.engine import ProphetEngine
-from repro.core.fingerprint.fingerprint import Fingerprint
+from repro.core.fingerprint.fingerprint import Fingerprint, FingerprintSpec
 
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
+#: What ``np.load``, ``zipfile`` and the header decode raise on bytes that are
+#: not the archive :func:`save_bases` wrote.
+_GARBLED = (
+    EOFError, KeyError, NotImplementedError, OSError, RuntimeError, ValueError,
+    zipfile.BadZipFile, zlib.error,
+)
 
 
 def _encode_args(args: tuple[Any, ...]) -> str:
@@ -82,21 +90,22 @@ def save_bases(engine: ProphetEngine, path: str | Path) -> int:
     return len(manifest)
 
 
-def load_bases(engine: ProphetEngine, path: str | Path, *, strict: bool = True) -> int:
-    """Load persisted bases into the engine; returns the entries loaded.
+def _read_archive(
+    stream: BinaryIO, spec: FingerprintSpec, strict: bool
+) -> list[tuple[str, tuple[Any, ...], dict[str, np.ndarray]]]:
+    """Decode every entry of an open archive: ``(vg_name, args, arrays)``.
 
-    ``strict=True`` (default) raises when the archive's probe spec differs
-    from the engine's; ``strict=False`` skips the stored fingerprints instead
-    (bases still load — they will be re-probed on demand).
+    Raises :class:`FingerprintError` on a version or probe-spec mismatch,
+    and one of ``_GARBLED`` on bytes :func:`save_bases` did not write.
     """
-    with np.load(Path(path)) as archive:
+    entries = []
+    with np.load(stream) as archive:
         header = json.loads(bytes(archive["header"]).decode("utf-8"))
         format_version = header.get("format_version")
         if format_version not in _SUPPORTED_VERSIONS:
             raise FingerprintError(
                 f"unsupported basis archive version: {format_version}"
             )
-        spec = engine.registry.spec
         spec_matches = (
             header["n_probe_seeds"] == spec.n_seeds
             and header["probe_base_seed"] == spec.base_seed
@@ -107,31 +116,66 @@ def load_bases(engine: ProphetEngine, path: str | Path, *, strict: bool = True) 
                 f"(k={header['n_probe_seeds']}, base={header['probe_base_seed']}) "
                 f"differs from engine spec (k={spec.n_seeds}, base={spec.base_seed})"
             )
-
-        loaded = 0
         for index, record in enumerate(header["entries"]):
-            vg_name = record["vg_name"]
-            if vg_name not in engine.library:
-                continue  # the model was removed; its bases are useless
-            function = engine.library.get(vg_name)
-            args = _decode_args(record["args"], format_version)
-            samples = archive[f"samples_{index}"]
-            if samples.shape[1] != function.n_components:
-                continue  # the model changed shape; stale basis
-            worlds = archive[f"worlds_{index}"].tolist()
-            seeds = [int(s) for s in archive[f"seeds_{index}"]]
-            # Seed the registry before store(): store() indexes the
-            # fingerprint and must find the persisted one instead of paying
-            # k probe invocations per basis.
+            members = ["samples", "worlds", "seeds"]
             if spec_matches and record.get("has_fingerprint"):
-                engine.registry.seed_fingerprint(
-                    Fingerprint(
-                        vg_name=function.name,
-                        args=args,
-                        matrix=archive[f"fingerprint_{index}"],
-                        spec=spec,
-                    )
+                members.append("fingerprint")
+            entries.append((
+                record["vg_name"],
+                _decode_args(record["args"], format_version),
+                {name: archive[f"{name}_{index}"] for name in members},
+            ))
+    return entries
+
+
+def load_bases(engine: ProphetEngine, path: str | Path, *, strict: bool = True) -> int:
+    """Load persisted bases into the engine; returns the entries loaded.
+
+    ``strict=True`` (default) raises when the archive's probe spec differs
+    from the engine's; ``strict=False`` skips the stored fingerprints instead
+    (bases still load — they will be re-probed on demand). An archive that
+    cannot be read — truncated, corrupted, not an archive, a member or header
+    field missing — raises :class:`FingerprintError` naming the path; a path
+    that cannot be opened raises ``OSError`` as is. The whole archive is
+    decoded before the engine is touched, so a failed load leaves nothing
+    behind.
+    """
+    path = Path(path)
+    spec = engine.registry.spec
+    with path.open("rb") as stream:
+        try:
+            entries = _read_archive(stream, spec, strict)
+        except _GARBLED as error:
+            raise FingerprintError(
+                f"cannot read basis archive {path}: {type(error).__name__}: {error}"
+            ) from error
+
+    loaded = 0
+    for vg_name, args, arrays in entries:
+        if vg_name not in engine.library:
+            continue  # the model was removed; its bases are useless
+        function = engine.library.get(vg_name)
+        samples = arrays["samples"]
+        if samples.shape[1] != function.n_components:
+            continue  # the model changed shape; stale basis
+        # Seed the registry before store(): store() indexes the
+        # fingerprint and must find the persisted one instead of paying
+        # k probe invocations per basis.
+        if "fingerprint" in arrays:
+            engine.registry.seed_fingerprint(
+                Fingerprint(
+                    vg_name=function.name,
+                    args=args,
+                    matrix=arrays["fingerprint"],
+                    spec=spec,
                 )
-            engine.storage.store(function, args, samples, worlds, seeds)
-            loaded += 1
+            )
+        engine.storage.store(
+            function,
+            args,
+            samples,
+            arrays["worlds"].tolist(),
+            [int(s) for s in arrays["seeds"]],
+        )
+        loaded += 1
     return loaded

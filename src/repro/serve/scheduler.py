@@ -94,6 +94,8 @@ class AdaptivePointState:
     exception: Optional[BaseException] = field(default=None, repr=False)
     retired_early: bool = False
     finalized: bool = False
+    #: Sum of this point's round jobs' ``Job.elapsed_seconds`` (observability).
+    elapsed_seconds: float = 0.0
 
     @property
     def failed(self) -> bool:
@@ -324,7 +326,7 @@ class Scheduler:
                 target_ci=target_ci,
                 z=z,
                 reuse=reuse,
-                evaluate=self._round_evaluate(session),
+                evaluate=self._round_evaluate(sweep, index),
                 tracer=self.tracer,
             )
             sweep.states.append(
@@ -338,7 +340,8 @@ class Scheduler:
         return sweep
 
     def advance_adaptive(self, sweep: AdaptiveSweepJob) -> bool:
-        """Run the allocator's next round; False once the sweep is done.
+        """Run the allocator's next round — the next round of the earliest
+        undecided point, then reallocation rounds; False once the sweep is done.
 
         The streaming primitive behind ``repro.api``'s adaptive sweep
         handle, mirroring what :meth:`run_next` is for fixed sweeps.
@@ -357,18 +360,20 @@ class Scheduler:
             pass
         return sweep
 
-    def _round_evaluate(self, session: str):
+    def _round_evaluate(self, sweep: AdaptiveSweepJob, index: int):
         """An ``evaluate_point``-compatible callable that routes one round
-        through the job queue — so dedup, job retries, and the sharded
-        service's resilience ladder apply to every round unchanged."""
+        of ``sweep.states[index]`` through the job queue — so dedup, job
+        retries, and the sharded service's resilience ladder apply to every
+        round unchanged — and books the job's time on the point."""
 
         def evaluate(point, *, worlds, reuse=True, sampler=None):
-            job = self.submit(point, worlds=worlds, session=session, reuse=reuse)
+            job = self.submit(point, worlds=worlds, session=sweep.session, reuse=reuse)
             while job.status in (PENDING, RUNNING):
                 if self.run_next() is None:
                     raise ServeError(
                         f"queue drained with round job {job.id} unresolved"
                     )
+            sweep.states[index].elapsed_seconds += job.elapsed_seconds
             if job.status == FAILED:
                 if job.exception is not None:
                     raise job.exception
@@ -378,30 +383,28 @@ class Scheduler:
         return evaluate
 
     def _drive_adaptive(self, sweep: AdaptiveSweepJob):
-        """The budget allocator (a generator: one yield per completed round).
+        """The budget allocator (a generator: one yield per completed round,
+        and one when a ladder round fails, so the failure is reported at once).
 
-        Phase 1 — the ladder: every active point steps through its round
-        plan; a point whose target half-width is met retires and frees its
-        unspent budget. Phase 2 — reallocation: the freed pool extends
-        unresolved points past the plan, in submission order, one
+        Phase 1 — the ladder, one point at a time in submission order: a
+        point steps through its round plan until its target half-width is
+        met (it retires and frees its unspent budget), the plan is spent or
+        a round fails, and only then does the next point start — a point is
+        decided after its own rounds, not everyone's. Phase 2 —
+        reallocation, once every point has left the ladder: the freed pool
+        extends unresolved points past the plan, in submission order, one
         geometric-growth round at a time, until the pool is dry or every
         point resolves. A point whose round evaluation fails (permanently)
         is marked failed and frees nothing; the sweep continues.
+
+        The order of rounds decides no outcome: stopping reads a point's own
+        statistics, and a basis is reused only if it covers the world prefix.
         """
-        active = [s for s in sweep.states]
-        while active:
-            still_active: list[AdaptivePointState] = []
-            for state in active:
-                stepped = self._step_state(sweep, state)
-                if stepped:
-                    yield state
-                if state.finalized:
-                    continue
-                if state.evaluator.finished:
+        for state in sweep.states:
+            while not state.finalized:
+                if self._step_state(sweep, state) and state.evaluator.finished:
                     self._finalize_state(sweep, state)
-                else:
-                    still_active.append(state)
-            active = still_active
+                yield state
         pool = sweep.worlds_freed
         while pool > 0:
             unresolved = [
@@ -430,9 +433,6 @@ class Scheduler:
                 self._finalize_state(sweep, state, count_spend=False)
             if not progressed:
                 break
-        for state in sweep.states:
-            if not state.finalized:
-                self._finalize_state(sweep, state)
 
     def _step_state(
         self,

@@ -332,7 +332,7 @@ class TestFailOpenSpillWrites:
         assert samples is None and report.source == "fresh"
 
 
-class TestGeometryTaint:
+class TestStaleAdoptedBases:
     def test_save_bases_never_launders_stale_seed_adoptions(self, tmp_path):
         """Regression: an adopted entry from a foreign-seed spill dir that
         was never acquired (so no acquire-path validation fired) must not

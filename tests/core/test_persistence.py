@@ -309,3 +309,63 @@ class TestLegacyArchives:
         assert entry is not None
         assert isinstance(entry.args[0], tuple)
         assert entry.samples.tobytes() == matrix.tobytes()
+
+
+class TestGarbledArchives:
+    """A file that is not the archive ``save_bases`` wrote ends in a
+    ``FingerprintError`` naming it — never in whatever NumPy or ``zipfile``
+    raise — and leaves the engine as it was."""
+
+    @pytest.fixture
+    def saved(self, archive):
+        engine = make_engine()
+        engine.evaluate_point(POINT)
+        assert save_bases(engine, archive) == 2
+        return archive.read_bytes()
+
+    def _assert_refused(self, archive, blob):
+        archive.write_bytes(blob)
+        fresh = make_engine()
+        with pytest.raises(FingerprintError, match=archive.name):
+            load_bases(fresh, archive)
+        assert len(fresh.storage) == 0 and len(fresh.registry) == 0
+
+    @pytest.mark.parametrize("keep", [0, 3, 100, 0.5, 0.99])
+    def test_truncated(self, archive, saved, keep):
+        cut = keep if isinstance(keep, int) else int(len(saved) * keep)
+        self._assert_refused(archive, saved[:cut])
+
+    def test_not_an_archive(self, archive):
+        self._assert_refused(archive, b"these bytes were never an npz archive")
+
+    def test_member_missing(self, archive, saved):
+        with np.load(archive) as good:
+            kept = {name: good[name] for name in good.files if name != "seeds_1"}
+        np.savez_compressed(archive, **kept)
+        self._assert_refused(archive, archive.read_bytes())
+        kept.pop("header")
+        np.savez_compressed(archive, **kept)
+        self._assert_refused(archive, archive.read_bytes())
+
+    def test_bit_flipped_anywhere_is_refused_or_harmless(self, archive, saved):
+        """One flipped bit, at 150 positions across the file (member data,
+        local headers, the central directory): the load is refused with the
+        engine untouched, or — the bit was one nothing reads, a timestamp
+        say — it succeeds whole."""
+        refused = 0
+        for position in range(0, len(saved), len(saved) // 150):
+            blob = bytearray(saved)
+            blob[position] ^= 1 << (position % 8)
+            archive.write_bytes(bytes(blob))
+            fresh = make_engine()
+            try:
+                assert load_bases(fresh, archive) == 2
+            except FingerprintError as error:
+                assert archive.name in str(error)
+                assert len(fresh.storage) == 0 and len(fresh.registry) == 0
+                refused += 1
+        assert refused > 100
+
+    def test_a_path_that_cannot_be_opened_is_still_an_oserror(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_bases(make_engine(), tmp_path / "never-written.npz")
