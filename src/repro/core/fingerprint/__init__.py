@@ -1,7 +1,8 @@
 """Fingerprinting: the paper's core contribution.
 
 * :class:`FingerprintSpec`, :class:`Fingerprint`, :func:`compute_fingerprint`
-* :class:`CorrelationPolicy`, :func:`correlate`, :class:`ComponentMap`
+* :class:`CorrelationPolicy`, :func:`correlate`, :func:`correlate_many`,
+  :class:`ComponentMap`
 * :func:`remap_samples`, :func:`fill_components`
 * Markov analysis: :func:`analyze_markov`, :func:`simulate_with_shortcuts`
 * :class:`FingerprintRegistry` — the engine's index of explored points
@@ -13,6 +14,7 @@ from repro.core.fingerprint.correlation import (
     CorrelationResult,
     MapKind,
     correlate,
+    correlate_many,
     match_component,
 )
 from repro.core.fingerprint.fingerprint import (
@@ -48,6 +50,7 @@ __all__ = [
     "CorrelationPolicy",
     "CorrelationResult",
     "correlate",
+    "correlate_many",
     "match_component",
     "RemapResult",
     "remap_samples",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,12 @@ class MapKind(enum.Enum):
     IDENTITY = "identity"
     SHIFT = "shift"
     AFFINE = "affine"
+
+
+#: The ladder's rungs, cheapest first; a component's kind code is its
+#: rung's index here, or ``_UNMAPPED``.
+_RUNGS = (MapKind.IDENTITY, MapKind.SHIFT, MapKind.AFFINE)
+_UNMAPPED = -1
 
 
 @dataclass(frozen=True)
@@ -53,42 +59,89 @@ class ComponentMap:
         return self.scale * values + self.offset
 
 
-@dataclass(frozen=True)
 class CorrelationResult:
     """Per-component maps from a basis parameterization to a target one.
 
-    ``maps[c]`` is ``None`` when component ``c`` could not be mapped.
+    Holds the ladder's per-component arrays as it left them — ``kinds``
+    (the rung's index in IDENTITY, SHIFT, AFFINE; ``-1`` where unmapped),
+    ``scales``, ``offsets``, ``residuals`` (read-only; unmapped entries
+    mean nothing) — and ``n_mapped``. ``maps``, one :class:`ComponentMap`
+    per component and ``None`` where it could not be mapped, is built on
+    first read and kept: a candidate that loses the match never builds
+    one. Two results are equal when their ``maps`` are.
     """
 
-    maps: tuple[Optional[ComponentMap], ...]
+    __slots__ = ("kinds", "scales", "offsets", "residuals", "n_mapped", "_maps")
+
+    def __init__(
+        self,
+        kinds: np.ndarray,
+        scales: np.ndarray,
+        offsets: np.ndarray,
+        residuals: np.ndarray,
+        n_mapped: int,
+    ) -> None:
+        self.kinds = kinds
+        self.scales = scales
+        self.offsets = offsets
+        self.residuals = residuals
+        self.n_mapped = n_mapped
+        self._maps: Optional[tuple[Optional[ComponentMap], ...]] = None
+
+    @property
+    def maps(self) -> tuple[Optional[ComponentMap], ...]:
+        if self._maps is None:
+            self._maps = tuple(
+                None if kind == _UNMAPPED else ComponentMap(_RUNGS[kind], a, b, r)
+                for kind, a, b, r in zip(
+                    self.kinds.tolist(),
+                    self.scales.tolist(),
+                    self.offsets.tolist(),
+                    self.residuals.tolist(),
+                )
+            )
+        return self._maps
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CorrelationResult):
+            return NotImplemented
+        return self.maps == other.maps
+
+    def __hash__(self) -> int:
+        return hash(self.maps)
+
+    def __repr__(self) -> str:
+        return f"CorrelationResult(maps={self.maps!r})"
 
     @property
     def n_components(self) -> int:
-        return len(self.maps)
+        return len(self.kinds)
+
+    def components(self, kind: MapKind) -> np.ndarray:
+        """Indices of the components mapped under ``kind``, ascending."""
+        return np.flatnonzero(self.kinds == _RUNGS.index(kind))
 
     @property
     def mapped_components(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.maps) if m is not None)
+        return tuple(np.flatnonzero(self.kinds != _UNMAPPED).tolist())
 
     @property
     def unmapped_components(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.maps) if m is None)
+        return tuple(np.flatnonzero(self.kinds == _UNMAPPED).tolist())
 
     @property
     def mapped_fraction(self) -> float:
-        if not self.maps:
+        if not self.n_components:
             return 0.0
-        return len(self.mapped_components) / len(self.maps)
+        return self.n_mapped / self.n_components
 
     def kind_counts(self) -> dict[str, int]:
         """How many components matched under each relationship kind."""
-        counts = {kind.value: 0 for kind in MapKind}
-        counts["unmapped"] = 0
-        for component_map in self.maps:
-            if component_map is None:
-                counts["unmapped"] += 1
-            else:
-                counts[component_map.kind.value] += 1
+        unmapped, *by_rung = np.bincount(
+            self.kinds + 1, minlength=len(_RUNGS) + 1
+        ).tolist()
+        counts = {kind.value: count for kind, count in zip(_RUNGS, by_rung)}
+        counts["unmapped"] = unmapped
         return counts
 
 
@@ -148,26 +201,48 @@ def match_component(
 def correlate(
     basis: Fingerprint, target: Fingerprint, policy: CorrelationPolicy
 ) -> CorrelationResult:
-    """Match every component of ``target`` against ``basis`` in one pass.
+    """Match every component of ``target`` against one ``basis``.
+
+    The one-basis call of :func:`correlate_many`.
+    """
+    (result,) = correlate_many((basis,), target, policy)
+    return result
+
+
+def correlate_many(
+    bases: Sequence[Fingerprint], target: Fingerprint, policy: CorrelationPolicy
+) -> tuple[CorrelationResult, ...]:
+    """Match every component of ``target`` against each of ``bases``, at once.
 
     The IDENTITY -> SHIFT -> AFFINE ladder of :func:`match_component`, run
-    over all components at once: each rung tests the components the cheaper
-    rungs left over and narrows that index set. Works on the fingerprints'
-    ``(n_components, n_seeds)`` transposes, reducing along the contiguous
-    last axis only — see :attr:`Fingerprint.columns` — and keeps
-    ``match_component``'s operation order per element, so every residual,
-    offset and scale is bit-identical to the one-column function.
+    once over the bases' stacked ``(k * n_components, n_seeds)`` columns
+    against the target's columns tiled ``k`` times: each rung tests the
+    rows the cheaper rungs left over and narrows that index set. Every
+    reduction runs along the contiguous last axis — see
+    :attr:`Fingerprint.columns` — so a row is reduced exactly as it would
+    be alone, and the ladder keeps ``match_component``'s operation order
+    per element: every residual, offset and scale is bit-identical to the
+    one-column function, whatever else is stacked beside it.
 
-    Raises :class:`FingerprintError` when the fingerprints are not
-    comparable (different function, probe spec, or component count).
+    Raises :class:`FingerprintError` when a basis is not comparable with
+    the target (different function, probe spec, or component count).
     """
-    if not basis.comparable_with(target):
-        raise FingerprintError(
-            f"fingerprints not comparable: {basis.vg_name}/{basis.spec} vs "
-            f"{target.vg_name}/{target.spec}"
-        )
-    x, y = basis.columns, target.columns
-    maps: list[Optional[ComponentMap]] = [None] * x.shape[0]
+    for basis in bases:
+        if not basis.comparable_with(target):
+            raise FingerprintError(
+                f"fingerprints not comparable: {basis.vg_name}/{basis.spec} vs "
+                f"{target.vg_name}/{target.spec}"
+            )
+    k = len(bases)
+    if not k:
+        return ()
+    x = np.concatenate([basis.columns for basis in bases])
+    y = np.tile(target.columns, (k, 1))
+    rows = x.shape[0]
+    kinds = np.full(rows, _UNMAPPED, dtype=np.int8)
+    scales = np.ones(rows)
+    offsets = np.zeros(rows)
+    residuals = np.full(rows, np.nan)
 
     # max(std(x), std(y), abs_floor) with Python's max semantics: a later
     # value replaces the running one only when strictly greater (NaN never).
@@ -180,18 +255,18 @@ def correlate(
     difference = y - x
     residual = _row_rms(difference)
     accepted = residual <= threshold
-    for c, r in zip(np.flatnonzero(accepted).tolist(), residual[accepted].tolist()):
-        maps[c] = ComponentMap(MapKind.IDENTITY, residual=r)
+    kinds[accepted] = 0
+    residuals[accepted] = residual[accepted]
     left = np.flatnonzero(~accepted)
 
     if policy.allow_shift and left.size:
         offset = np.mean(difference[left], axis=1)
         residual = _row_rms(difference[left] - offset[:, None])
         accepted = residual <= threshold[left]
-        for c, b, r in zip(
-            left[accepted].tolist(), offset[accepted].tolist(), residual[accepted].tolist()
-        ):
-            maps[c] = ComponentMap(MapKind.SHIFT, offset=b, residual=r)
+        done = left[accepted]
+        kinds[done] = 1
+        offsets[done] = offset[accepted]
+        residuals[done] = residual[accepted]
         left = left[~accepted]
 
     if policy.allow_affine and left.size:
@@ -209,14 +284,26 @@ def correlate(
         offset = y_mean - scale * x_mean
         residual = _row_rms(y_left - (scale[:, None] * x_left + offset[:, None]))
         accepted = residual <= threshold[left]
-        for c, a, b, r in zip(
-            left[accepted].tolist(),
-            scale[accepted].tolist(),
-            offset[accepted].tolist(),
-            residual[accepted].tolist(),
-        ):
-            maps[c] = ComponentMap(MapKind.AFFINE, scale=a, offset=b, residual=r)
-    return CorrelationResult(maps=tuple(maps))
+        done = left[accepted]
+        kinds[done] = 2
+        scales[done] = scale[accepted]
+        offsets[done] = offset[accepted]
+        residuals[done] = residual[accepted]
+
+    for array in (kinds, scales, offsets, residuals):
+        array.setflags(write=False)  # shared by the results and the memo
+    n = target.n_components
+    n_mapped = np.count_nonzero((kinds != _UNMAPPED).reshape(k, n), axis=1).tolist()
+    return tuple(
+        CorrelationResult(
+            kinds[i * n : (i + 1) * n],
+            scales[i * n : (i + 1) * n],
+            offsets[i * n : (i + 1) * n],
+            residuals[i * n : (i + 1) * n],
+            n_mapped[i],
+        )
+        for i in range(k)
+    )
 
 
 def _row_rms(values: np.ndarray) -> np.ndarray:

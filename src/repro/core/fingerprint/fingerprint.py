@@ -99,8 +99,10 @@ def compute_fingerprint(
     """Probe ``function`` at ``args`` under the spec's fixed seeds.
 
     Costs ``spec.n_seeds`` VG invocations (cached within the function, so
-    re-probing the same parameterization is free).
+    re-probing the same parameterization is free), asked as one
+    :meth:`~repro.vg.base.VGFunction.invoke_batch`: the probe seeds are
+    the same at every parameterization, so a model with a batch kernel
+    reads their memoised seed events instead of redrawing them.
     """
-    rows = [function.invoke(seed, tuple(args)) for seed in spec.seeds]
-    matrix = np.vstack(rows)
+    matrix = function.invoke_batch(spec.seeds, tuple(args))
     return Fingerprint(vg_name=function.name, args=tuple(args), matrix=matrix, spec=spec)

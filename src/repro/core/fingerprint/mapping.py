@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import FingerprintError
-from repro.core.fingerprint.correlation import CorrelationResult
+from repro.core.fingerprint.correlation import CorrelationResult, MapKind
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,17 @@ def remap_samples(basis_samples: np.ndarray, correlation: CorrelationResult) -> 
             f"sample matrix has {basis_samples.shape[1]} components, "
             f"correlation has {correlation.n_components}"
         )
+    # One column-vectorised step per map kind, elementwise exactly as
+    # ComponentMap.apply does it per column.
     target = np.full_like(basis_samples, np.nan, dtype=float)
-    for component, component_map in enumerate(correlation.maps):
-        if component_map is not None:
-            target[:, component] = component_map.apply(basis_samples[:, component])
+    identity = correlation.components(MapKind.IDENTITY)
+    target[:, identity] = basis_samples[:, identity]
+    shift = correlation.components(MapKind.SHIFT)
+    target[:, shift] = basis_samples[:, shift] + correlation.offsets[shift]
+    affine = correlation.components(MapKind.AFFINE)
+    target[:, affine] = (
+        correlation.scales[affine] * basis_samples[:, affine] + correlation.offsets[affine]
+    )
     return RemapResult(
         samples=target,
         mapped_components=correlation.mapped_components,

@@ -15,7 +15,7 @@ from typing import Any, Iterable, Optional
 from repro.core.fingerprint.correlation import (
     CorrelationPolicy,
     CorrelationResult,
-    correlate,
+    correlate_many,
 )
 from repro.core.fingerprint.fingerprint import (
     Fingerprint,
@@ -61,7 +61,7 @@ class FingerprintRegistry:
         self._mapping_names: list[str] = []  # lowered vg name per record
         # One slot per vg name: the target ``best_match`` was last asked
         # about and its correlations by basis key. Rounds of one point ask
-        # about the same target back to back; ``correlate`` is a pure
+        # about the same target back to back; a correlation is a pure
         # function of the two stored fingerprints and the (frozen) policy,
         # so a slot is stale only once one of those fingerprints is replaced.
         self._recent: dict[str, tuple[ParamKey, dict[ParamKey, CorrelationResult]]] = {}
@@ -116,8 +116,12 @@ class FingerprintRegistry:
 
         ``candidate_args`` restricts the comparison to parameterizations the
         caller actually holds samples for (fingerprints alone cannot seed a
-        remap). Returns ``None`` when no candidate maps at least
-        ``min_fraction`` of components.
+        remap). Every offered candidate with a fingerprint that the slot
+        does not hold yet is correlated in one stacked pass
+        (:func:`correlate_many`); the winner is the first candidate, in
+        the order offered, with the highest mapped fraction. Returns
+        ``None`` when no candidate maps at least ``min_fraction`` of
+        components.
         """
         target_key = tuple(target_args)
         target_fp = self.fingerprint_of(function, target_key)
@@ -126,19 +130,21 @@ class FingerprintRegistry:
         if recent is None or recent[0] != target_key:
             recent = self._recent[name] = (target_key, {})
         correlations = recent[1]
+        offered = [
+            basis_key
+            for basis_key in map(tuple, candidate_args)
+            if basis_key != target_key and (name, basis_key) in self._fingerprints
+        ]
+        unseen = [key for key in dict.fromkeys(offered) if key not in correlations]
+        if unseen:
+            bases = [self._fingerprints[name, key] for key in unseen]
+            correlations.update(
+                zip(unseen, correlate_many(bases, target_fp, self.policy))
+            )
         best: Optional[MatchOutcome] = None
         best_fraction = -1.0
-        for candidate in candidate_args:
-            basis_key = tuple(candidate)
-            if basis_key == target_key:
-                continue
-            basis_fp = self._fingerprints.get((name, basis_key))
-            if basis_fp is None:
-                continue
-            correlation = correlations.get(basis_key)
-            if correlation is None:
-                correlation = correlate(basis_fp, target_fp, self.policy)
-                correlations[basis_key] = correlation
+        for basis_key in offered:
+            correlation = correlations[basis_key]
             fraction = correlation.mapped_fraction
             if fraction > best_fraction:
                 best = MatchOutcome(basis_args=basis_key, correlation=correlation)

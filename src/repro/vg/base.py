@@ -89,12 +89,23 @@ class VGFunction:
         """:meth:`generate` once per seed: the reference every batch must equal.
 
         Named apart from :meth:`generate_batch` so that the parity guard's
-        fallback can never re-enter a vectorised path.
+        fallback can never re-enter a vectorised path. A world of the wrong
+        shape raises :meth:`invoke`'s :class:`VGFunctionError`.
         """
         matrix = np.empty((len(seeds), self.n_components), dtype=float)
         for index, seed in enumerate(seeds):
-            matrix[index] = np.asarray(self.generate(seed, args), dtype=float)
+            matrix[index] = self._checked(self.generate(seed, args))
         return matrix
+
+    def _checked(self, vector: Any) -> np.ndarray:
+        """One world's output as floats, or a :class:`VGFunctionError`."""
+        vector = np.asarray(vector, dtype=float)
+        if vector.shape != (self.n_components,):
+            raise VGFunctionError(
+                f"{self.name}.generate returned shape {vector.shape}, "
+                f"expected ({self.n_components},)"
+            )
+        return vector
 
     def guarded_batch(
         self, seeds: Sequence[int], args: tuple[Any, ...], matrix: np.ndarray
@@ -154,12 +165,7 @@ class VGFunction:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        vector = np.asarray(self.generate(seed, key[1]), dtype=float)
-        if vector.shape != (self.n_components,):
-            raise VGFunctionError(
-                f"{self.name}.generate returned shape {vector.shape}, "
-                f"expected ({self.n_components},)"
-            )
+        vector = self._checked(self.generate(seed, key[1]))
         self.invocations += 1
         self.component_samples += self.n_components
         if len(self._cache) >= self._cache_limit:

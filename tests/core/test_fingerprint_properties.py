@@ -24,6 +24,7 @@ from repro.core.fingerprint import (
     FingerprintSpec,
     compute_fingerprint,
     correlate,
+    correlate_many,
     match_component,
     remap_samples,
 )
@@ -301,3 +302,126 @@ def test_correlate_reduces_along_the_contiguous_axis_not_axis_zero():
     target = Fingerprint("o", (1,), 1.5 * x + 3.0, spec)
     result = _assert_matches_oracle(basis, target, POLICY)
     assert result.kind_counts()["affine"] == 53
+
+
+# -- the stacked ladder vs the one-column oracle --------------------------------
+
+#: Target columns: the bases are derived from them, so every basis in a
+#: stack faces the same target, as in ``best_match``.
+TARGET_KINDS = ("normal", "constant", "signed_zeros", "negative_zeros", "nan")
+#: How a basis column is derived from its target column.
+BASIS_KINDS = (
+    "identity", "shift", "affine", "noise", "constant", "signed_zeros", "nan", "inf",
+)
+
+
+def _target_column(kind: str, rng: np.random.Generator, n_seeds: int) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(rng.uniform(-1e3, 1e3), rng.uniform(0.1, 50.0), size=n_seeds)
+    if kind == "constant":
+        return np.full(n_seeds, rng.uniform(-1e3, 1e3))
+    if kind == "signed_zeros":
+        return np.where(rng.random(n_seeds) < 0.5, -0.0, 0.0)
+    if kind == "negative_zeros":  # constant, and every value -0.0
+        return np.full(n_seeds, -0.0)
+    column = rng.normal(0.0, 10.0, size=n_seeds)
+    column[rng.integers(n_seeds)] = np.nan
+    return column
+
+
+def _basis_column(kind: str, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    if kind == "identity":
+        return y.copy()
+    if kind == "shift":
+        return y - rng.uniform(-500.0, 500.0)
+    if kind == "affine":
+        return (y - rng.uniform(-500.0, 500.0)) / rng.uniform(0.2, 3.0)
+    if kind == "noise":
+        return rng.normal(0.0, 10.0, size=y.size)
+    if kind == "constant":  # x_var == 0: no affine fit exists
+        return np.full(y.size, rng.uniform(-1e3, 1e3))
+    if kind == "signed_zeros":
+        return np.where(rng.random(y.size) < 0.5, -0.0, 0.0)
+    x = y.copy()
+    x[rng.integers(y.size)] = np.nan if kind == "nan" else np.inf
+    return x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_seeds=st.sampled_from([2, 7, 8, 9, 16, 129]),
+    target_kinds=st.lists(st.sampled_from(TARGET_KINDS), min_size=1, max_size=6),
+    k=st.integers(min_value=1, max_value=9),
+    allow_shift=st.booleans(),
+    allow_affine=st.booleans(),
+    tolerance=st.sampled_from([0.0, 1e-9, 1e-6, 1e-2]),
+)
+def test_stacked_ladder_is_bit_identical_to_match_component(
+    data, data_seed, n_seeds, target_kinds, k, allow_shift, allow_affine, tolerance
+):
+    """Every basis of one stacked ``correlate_many`` pass gets exactly the
+    maps ``match_component`` finds for it alone, and the array-backed result
+    reads, counts and remaps exactly as its materialised ``maps`` do."""
+    rng = np.random.default_rng(data_seed)
+    spec = FingerprintSpec(n_seeds=n_seeds)
+    policy = CorrelationPolicy(
+        tolerance=tolerance, allow_shift=allow_shift, allow_affine=allow_affine
+    )
+    target_columns = [_target_column(kind, rng, n_seeds) for kind in target_kinds]
+    target = Fingerprint("oracle", ("target",), np.column_stack(target_columns), spec)
+    bases: list[Fingerprint] = []
+    for index in range(k):
+        if bases and data.draw(st.booleans(), label="duplicate"):
+            bases.append(bases[data.draw(st.integers(0, len(bases) - 1), label="of")])
+            continue
+        kinds = data.draw(
+            st.lists(
+                st.sampled_from(BASIS_KINDS),
+                min_size=len(target_kinds),
+                max_size=len(target_kinds),
+            ),
+            label="basis kinds",
+        )
+        columns = [_basis_column(kind, y, rng) for kind, y in zip(kinds, target_columns)]
+        bases.append(Fingerprint("oracle", (index,), np.column_stack(columns), spec))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # NaN/inf columns
+        results = correlate_many(bases, target, policy)
+        oracles = [
+            tuple(
+                match_component(basis.column(c), target.column(c), policy)
+                for c in range(target.n_components)
+            )
+            for basis in bases
+        ]
+        alone = correlate(bases[0], target, policy)
+    assert len(results) == k
+    assert alone == results[0]  # correlate is the one-basis stack
+    samples = rng.normal(0.0, 100.0, size=(5, target.n_components))
+    samples[0] = -0.0
+    samples[1, 0] = np.nan
+    for result, oracle in zip(results, oracles):
+        assert len(result.maps) == len(oracle)
+        for component, (stacked, expected) in enumerate(zip(result.maps, oracle)):
+            _assert_same_map(stacked, expected, component)
+        maps = result.maps
+        assert result.mapped_fraction == sum(m is not None for m in maps) / len(maps)
+        counts = {"identity": 0, "shift": 0, "affine": 0, "unmapped": 0}
+        for component_map in maps:
+            counts["unmapped" if component_map is None else component_map.kind.value] += 1
+        assert result.kind_counts() == counts
+        assert list(result.kind_counts()) == list(counts)
+        assert result.mapped_components == tuple(
+            c for c, m in enumerate(maps) if m is not None
+        )
+        assert result.unmapped_components == tuple(
+            c for c, m in enumerate(maps) if m is None
+        )
+        looped = np.full_like(samples, np.nan)
+        for component, component_map in enumerate(maps):
+            if component_map is not None:
+                looped[:, component] = component_map.apply(samples[:, component])
+        assert remap_samples(samples, result).samples.tobytes() == looped.tobytes()

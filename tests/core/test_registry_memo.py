@@ -7,10 +7,12 @@ about the same target back to back). The memo may only ever save work:
 * every answer equals the answer of a registry whose memo is emptied before
   each call — over generated fingerprint sets and request sequences with
   re-seeded fingerprints and ``clear`` mixed in;
-* it saves exactly the ``correlate`` calls for (target, basis) pairs already
-  seen since the slot was last dropped, and a slot is dropped by a new
-  target for that VG name, by ``seed_fingerprint`` for that name and by
-  ``clear`` — never by a request about another VG name.
+* each call makes at most one stacked ``correlate_many`` pass, and that pass
+  ladders exactly the offered (target, basis) pairs not seen since the slot
+  was last dropped — every offered basis, a full map early in the order
+  included; a slot is dropped by a new target for that VG name, by
+  ``seed_fingerprint`` for that name and by ``clear`` — never by a request
+  about another VG name.
 """
 
 from __future__ import annotations
@@ -71,20 +73,23 @@ def _registry() -> FingerprintRegistry:
     return registry
 
 
-class _CountedCorrelate:
-    """``correlate`` with a log of the (vg name, basis args) it was run on."""
+class _CountedLadder:
+    """``correlate_many`` with a log of the (vg name, target, basis) pairs
+    each stacked pass laddered."""
 
     def __init__(self) -> None:
-        self.calls: list[tuple[str, tuple]] = []
-        self._real = registry_module.correlate
+        self.passes: list[list[tuple[str, tuple, tuple]]] = []
+        self._real = registry_module.correlate_many
 
-    def __call__(self, basis, target, policy):
-        self.calls.append((basis.vg_name, basis.args))
-        return self._real(basis, target, policy)
+    def __call__(self, bases, target, policy):
+        self.passes.append([(basis.vg_name, target.args, basis.args) for basis in bases])
+        return self._real(bases, target, policy)
 
-    def drain(self) -> list[tuple[str, tuple]]:
-        calls, self.calls = self.calls, []
-        return calls
+    def drain(self) -> list[tuple[str, tuple, tuple]]:
+        """The pairs laddered since the last drain; at most one pass."""
+        passes, self.passes = self.passes, []
+        assert len(passes) <= 1, f"{len(passes)} passes for one best_match"
+        return [pair for laddered in passes for pair in laddered]
 
 
 pool_index = st.integers(min_value=0, max_value=len(POOL) - 1)
@@ -109,8 +114,8 @@ requests = st.one_of(
 def test_memo_changes_no_answer_and_saves_exactly_the_pairs_seen(sequence):
     memoized, forgetful = _registry(), _registry()
     seen: dict[str, tuple[tuple, set]] = {}  # the model: vg name -> (target, bases)
-    counted = _CountedCorrelate()
-    with mock.patch.object(registry_module, "correlate", counted):
+    counted = _CountedLadder()
+    with mock.patch.object(registry_module, "correlate_many", counted):
         for request in sequence:
             if request[0] == "clear":
                 for registry in (memoized, forgetful):
@@ -134,31 +139,36 @@ def test_memo_changes_no_answer_and_saves_exactly_the_pairs_seen(sequence):
             _, _, target_index, candidate_indices, min_fraction = request
             target = POOL[target_index]
             candidates = [POOL[i] for i in candidate_indices]
+            # Every pool entry has a fingerprint, so every offered basis but
+            # the target itself is laddered; one named twice, once.
+            offered = [
+                (function.name, target, args)
+                for args in dict.fromkeys(candidates)
+                if args != target
+            ]
             forgetful._recent.clear()
             expected = forgetful.best_match(function, target, candidates, min_fraction)
-            visited = counted.drain()
+            assert counted.drain() == offered
             actual = memoized.best_match(function, target, candidates, min_fraction)
             paid = counted.drain()
             assert actual == expected
             if seen.get(function.name, (None,))[0] != target:
                 seen[function.name] = (target, set())
             known = seen[function.name][1]
-            # A basis named twice in one request is correlated once, then seen.
-            owed = [pair for pair in dict.fromkeys(visited) if pair[1] not in known]
-            assert paid == owed
-            known.update(args for _, args in visited)
+            assert paid == [pair for pair in offered if pair[2] not in known]
+            known.update(args for _, _, args in offered)
 
 
 def test_each_way_a_slot_is_kept_and_dropped():
     registry = _registry()
     windowed, other = FUNCTIONS
-    counted = _CountedCorrelate()
+    counted = _CountedLadder()
 
     def cost(function, target, candidates):
         registry.best_match(function, target, candidates)
         return len(counted.drain())
 
-    with mock.patch.object(registry_module, "correlate", counted):
+    with mock.patch.object(registry_module, "correlate_many", counted):
         bases = [(0, 3), (2, 3), (6, 3)]
         assert cost(windowed, (4, 3), bases) == 3
         assert cost(windowed, (4, 3), bases) == 0  # the question just answered
@@ -176,3 +186,7 @@ def test_each_way_a_slot_is_kept_and_dropped():
         for fingerprint in FINGERPRINTS.values():
             registry.seed_fingerprint(fingerprint)
         assert cost(other, (4, 3), bases) == 3
+        # A full map first in the order spares nothing else in the pass.
+        outcome = registry.best_match(other, (0, 0), [(2, 0), (4, 3)])
+        assert outcome.basis_args == (2, 0) and outcome.mapped_fraction == 1.0
+        assert len(counted.drain()) == 2

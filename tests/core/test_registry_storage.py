@@ -96,8 +96,10 @@ class TestFingerprintRegistry:
         record = registry.mappings_for("demandmodel")[0]
         assert record.basis_args == (12,) and record.target_args == (36,)
 
-    def test_best_match_stops_at_the_first_full_map(self, monkeypatch):
-        """The comparison is strict ``>``: nothing can replace a full map."""
+    def test_best_match_ladders_the_unmemoised_candidates_in_one_pass(self, monkeypatch):
+        """Every offered candidate the slot does not hold is correlated in one
+        stacked pass; the strict ``>`` still keeps the first full map."""
+        from repro.core.fingerprint import correlate
         from repro.core.fingerprint import registry as registry_module
 
         registry = make_registry()
@@ -106,21 +108,24 @@ class TestFingerprintRegistry:
         candidates = [(20, 1.0), (12, 0.8), (12, 1.2), (36, 1.0)]
         for args in candidates:
             registry.fingerprint_of(vg, args)
-        correlated = []
-        real = registry_module.correlate
+        passes = []
+        real = registry_module.correlate_many
         monkeypatch.setattr(
             registry_module,
-            "correlate",
-            lambda basis, target, policy: (
-                correlated.append(basis.args) or real(basis, target, policy)
+            "correlate_many",
+            lambda bases, target, policy: (
+                passes.append([basis.args for basis in bases])
+                or real(bases, target, policy)
             ),
         )
-        outcome = registry.best_match(vg, (12, 1.0), candidates)
+        outcome = registry.best_match(vg, (12, 1.0), candidates + [(36, 1.0), (12, 1.0)])
         assert outcome.basis_args == (12, 0.8) and outcome.mapped_fraction == 1.0
-        assert correlated == [(20, 1.0), (12, 0.8)]
+        assert passes == [candidates]  # once each, the target never
+        registry.best_match(vg, (12, 1.0), [(8, 1.0)] + candidates)
+        assert passes == [candidates]  # (8, 1.0) has no fingerprint; the rest are held
         # Same answer as scoring every candidate: the first of the maxima.
         fractions = [
-            real(registry.fingerprint_of(vg, args), registry.fingerprint_of(vg, (12, 1.0)), POLICY)
+            correlate(registry.fingerprint_of(vg, args), registry.fingerprint_of(vg, (12, 1.0)), POLICY)
             .mapped_fraction
             for args in candidates
         ]

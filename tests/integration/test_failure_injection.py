@@ -42,6 +42,19 @@ class ExplodingVG(VGFunction):
         return np.zeros(self.n_components)
 
 
+class ShortVG(VGFunction):
+    name = "DemandModel"
+    n_components = 53
+    arg_names = ("feature",)
+
+    def generate(self, seed, args):
+        return np.zeros(10)  # wrong length
+
+
+#: ``VGFunction.invoke``'s message, which every generation path raises.
+SHORT_MESSAGE = r"DemandModel\.generate returned shape \(10,\), expected \(53,\)"
+
+
 class NaNVG(VGFunction):
     name = "DemandModel"
     n_components = 53
@@ -97,17 +110,26 @@ class TestVGFailures:
         assert np.isfinite(demand[0])
 
     def test_wrong_shape_model_rejected(self):
-        class ShortVG(VGFunction):
-            name = "DemandModel"
-            n_components = 53
-            arg_names = ("feature",)
-
-            def generate(self, seed, args):
-                return np.zeros(10)  # wrong length
-
         engine = engine_with_demand_replaced(ShortVG())
         with pytest.raises(VGFunctionError, match="shape"):
             engine.evaluate_point(POINT)
+
+    @pytest.mark.parametrize("reuse", [True, False])
+    def test_wrong_shape_model_gets_the_same_error_on_every_path(self, reuse):
+        """The batched sampling path (``generate_loop``) and the probes
+        (``invoke_batch``) raise ``invoke``'s error, not a broadcast
+        ``ValueError``."""
+        engine = engine_with_demand_replaced(ShortVG())
+        with pytest.raises(VGFunctionError, match=SHORT_MESSAGE):
+            engine.evaluate_point(POINT, reuse=reuse)
+
+    def test_wrong_shape_model_rejected_by_invoke_batch(self):
+        vg = ShortVG()
+        with pytest.raises(VGFunctionError, match=SHORT_MESSAGE):
+            vg.invoke_batch([11, 12, 13], (12,))
+        with pytest.raises(VGFunctionError, match=SHORT_MESSAGE):
+            vg.generate_loop([11], (12,))
+        assert vg.invocations == 0 and vg.component_samples == 0
 
 
 class TestScenarioFailures:
