@@ -49,7 +49,7 @@ from repro.sqldb.executor import Executor
 from repro.sqldb.expressions import collect_variables
 from repro.sqldb.pdbext import register_library
 from repro.sqldb.schema import Column, TableSchema
-from repro.sqldb.table import ResultSet
+from repro.sqldb.table import ResultSet, tiled_column
 from repro.sqldb.types import SqlType
 from repro.vg.library import VGLibrary
 
@@ -613,38 +613,44 @@ class ProphetEngine:
 
     def _land_samples(
         self,
-        output: VGOutput,
         batch: InstanceBatch,
-        matrix: np.ndarray,
-        weeks: Sequence[int],
+        matrices: Mapping[str, np.ndarray],
+        weeks: list[int],
         timings: StageTimings,
     ) -> None:
-        """Load the given weeks of this batch's matrix into the samples table.
+        """Load the given weeks (ascending, no repeats) of every output's
+        matrix into its samples table.
 
         Fresh evaluations originally landed through SQL; here the Storage
         Manager bulk-loads exactly the weeks whose statistics must be
         recomputed (the analogue of SQL Server's bulk copy path — generated
         SQL still does all combining and aggregation).
         """
-        table_name = self.querygen.samples_table(output.alias)
+        outputs = self.scenario.vg_outputs
+        every_week = len(weeks) == next(iter(matrices.values())).shape[1]
         with self.tracer.stage("sql", timings, stats=self.executor.stats):
-            self.executor.execute(self.querygen.drop_samples_table_sql(output.alias))
-            self.executor.execute(self.querygen.create_samples_table_sql(output.alias))
+            for output in outputs:
+                self.executor.execute(self.querygen.drop_samples_table_sql(output.alias))
+                self.executor.execute(self.querygen.create_samples_table_sql(output.alias))
 
-        with self.tracer.stage(
-            "reuse", timings, attr="storage", alias=output.alias, weeks=len(weeks)
-        ):
-            table = self.catalog.table(table_name)
-            # Column-major bulk load: (world-major, week-minor) row order, same
-            # as the row loop this replaces, but without any Python tuples.
-            worlds = np.asarray(batch.worlds, dtype=np.int64)
-            week_arr = np.asarray(list(weeks), dtype=np.int64)
-            world_col = np.repeat(worlds, len(week_arr))
-            t_col = np.tile(week_arr, len(worlds))
-            value_col = np.ascontiguousarray(
-                matrix[:, week_arr], dtype=np.float64
-            ).reshape(-1)
-            table.load_columnar([world_col, t_col, value_col])
+        with self.tracer.stage("reuse", timings, attr="storage", weeks=len(weeks)):
+            # Column-major bulk load in (world-major, week-minor) row order,
+            # without any Python tuples. Every table shares the two key
+            # columns, and they say how they are laid out (``tiled_column``):
+            # that is what lets the combine join the tables and group by week
+            # without reading a key. The value columns are read-only views of
+            # the matrices when every week lands.
+            world_col = tiled_column(batch.worlds, len(weeks), 1)
+            t_col = tiled_column(weeks, 1, len(batch))
+            for output in outputs:
+                matrix = matrices[output.alias.lower()]
+                values = np.ascontiguousarray(
+                    matrix if every_week else matrix[:, weeks], dtype=np.float64
+                ).reshape(-1)
+                values.flags.writeable = False
+                self.catalog.table(self.querygen.samples_table(output.alias)).load_columnar(
+                    [world_col, t_col, values]
+                )
 
     def _collect_derived_params(self) -> tuple[str, ...]:
         """Parameters read by derived expressions (part of the week memo key)."""
@@ -696,11 +702,18 @@ class ProphetEngine:
         timings: StageTimings,
         use_week_memo: bool = True,
     ) -> AxisStatistics:
+        """Every week's statistics: from the week memo where ``use_week_memo``
+        finds them, through combine + aggregate SQL for the rest.
+
+        Without the memo nothing is hashed or remembered: every week is a
+        miss, and the aggregate query's rows — one per week, ordered by
+        ``t`` — are the answer as they stand.
+        """
         n_components = next(iter(matrices.values())).shape[1]
         tracer = self.tracer
         with tracer.stage("aggregate", timings) as memo_stage:
-            week_keys = self._week_keys(point, batch, matrices)
             if use_week_memo:
+                week_keys = self._week_keys(point, batch, matrices)
                 missing = [
                     week for week, key in enumerate(week_keys)
                     if key not in self._week_stats_cache
@@ -715,10 +728,7 @@ class ProphetEngine:
             )
 
         if missing:
-            for output in self.scenario.vg_outputs:
-                self._land_samples(
-                    output, batch, matrices[output.alias.lower()], missing, timings
-                )
+            self._land_samples(batch, matrices, missing, timings)
             with tracer.stage("querygen", timings):
                 # Parameterized combine: the statement text is constant per
                 # scenario (plan-cache friendly); the point binds at execution.
@@ -728,6 +738,12 @@ class ProphetEngine:
             with tracer.stage("sql", timings, stats=self.executor.stats):
                 self.executor.execute(combine, point)
                 result = self.executor.execute(aggregate)
+
+            if not use_week_memo:
+                with tracer.stage("aggregate", timings):
+                    return self.aggregator.from_aggregate_result(
+                        result, n_worlds=len(batch)
+                    )
 
             with tracer.stage("aggregate", timings):
                 position = {name: i for i, name in enumerate(result.column_names)}

@@ -8,10 +8,23 @@ parameter point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
 from repro.vg.seeds import world_seed
+
+#: Bound of the :func:`_world_seeds` memo, in world slices. A slice of
+#: 2000 worlds holds ~16 KB of references to seeds the per-world memo
+#: already keeps; a sweep asks for one slice per point, a round ladder for
+#: one per round.
+WORLD_SLICE_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=WORLD_SLICE_MEMO_SIZE, typed=True)
+def _world_seeds(base_seed: int, worlds: tuple[int, ...]) -> tuple[int, ...]:
+    """The seeds of a whole world slice, memoised per ``(base_seed, worlds)``."""
+    return tuple(world_seed(base_seed, world) for world in worlds)
 
 
 @dataclass(frozen=True)
@@ -80,9 +93,13 @@ class InstanceBatch:
             batch, "point", tuple(sorted((str(k).lower(), v) for k, v in point.items()))
         )
         object.__setattr__(batch, "worlds", worlds)
-        object.__setattr__(
-            batch, "seeds", tuple(world_seed(base_seed, world) for world in worlds)
-        )
+        # ``(True,)`` equals ``(1,)`` but its world derives another seed:
+        # only slices of plain ints share memo entries.
+        if set(map(type, worlds)) <= {int}:
+            seeds = _world_seeds(base_seed, worlds)
+        else:
+            seeds = tuple(world_seed(base_seed, world) for world in worlds)
+        object.__setattr__(batch, "seeds", seeds)
         return batch
 
     def __getattr__(self, name: str) -> Any:

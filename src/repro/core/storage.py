@@ -407,6 +407,8 @@ class StorageManager:
         return set(stored_worlds).issuperset(worlds)
 
     def _select_worlds(self, entry: BasisEntry, worlds: Sequence[int]) -> np.ndarray:
+        if entry.worlds == worlds:  # the sweep case: the very rows, in order
+            return entry.samples.copy()
         positions = {world: index for index, world in enumerate(entry.worlds)}
         rows = [positions[world] for world in worlds]
         return entry.samples[rows, :]

@@ -58,7 +58,7 @@ from repro.sqldb.ast_nodes import (
     UnaryOp,
     Variable,
 )
-from repro.sqldb.table import ColumnarView, Table
+from repro.sqldb.table import ColumnarView, Table, tiling_of
 from repro.sqldb.types import SqlType
 
 #: Cap on combined group/join key codes; beyond this the dense-integer key
@@ -765,14 +765,15 @@ class ColumnarRelation:
             int(np.count_nonzero(mask)),
         )
 
-    def bound_row(self, index: int) -> dict[str, Any]:
-        """One row as the interpreter's bound-row dict (bare + qualified)."""
-        row: dict[str, Any] = {}
-        for key, array in self.columns.items():
-            row[key] = array[index].item()
-        for key, array in self.objects.items():
-            row[key] = array[index]
-        return row
+    def bound_rows(self, indices: np.ndarray) -> list[dict[str, Any]]:
+        """The given rows as the interpreter's bound-row dicts (bare +
+        qualified keys), gathered one column at a time."""
+        keys = [*self.columns, *self.objects]
+        values = [array[indices].tolist() for array in self.columns.values()]
+        values += [array[indices].tolist() for array in self.objects.values()]
+        if not keys:
+            return [{} for _ in range(len(indices))]
+        return [dict(zip(keys, row)) for row in zip(*values)]
 
 
 def bind_table(table: Table, label: str) -> ColumnarRelation:
@@ -838,20 +839,54 @@ def equi_join(
         left_cols.append(left_array)
         right_cols.append(right_array)
 
-    left_codes, right_codes = _dense_codes(left_cols, right_cols, left.n_rows)
-    gaps = np.diff(right_codes)  # codes stay below _MAX_CODE: no wrap-around
-    right_sorted = bool(np.all(gaps >= 0))
-    if (
-        right_sorted
-        and len(left_codes) == len(right_codes)
-        and bool(np.all(gaps > 0))
-        and np.array_equal(left_codes, right_codes)
-    ):
-        # Aligned: both sides hold the same unique keys in the same
-        # (increasing) order, so row i matches row i and nothing else.
+    if _tiled_alike(left_cols, right_cols):
+        # Row i of either side holds the same key, and no key repeats:
+        # row i matches row i and nothing else.
         return merge_relations(left, right)
+    left_codes, right_codes = _dense_codes(left_cols, right_cols, left.n_rows)
+    # Codes stay below _MAX_CODE: the differences cannot wrap around.
+    right_sorted = bool(np.all(np.diff(right_codes) >= 0))
     left_take, right_take = _match_codes(left_codes, right_codes, right_sorted)
     return merge_relations(left.take(left_take), right.take(right_take))
+
+
+def _tiled_alike(
+    left_cols: Sequence[np.ndarray], right_cols: Sequence[np.ndarray]
+) -> bool:
+    """Do both sides lay their join keys out as one cross product of unique
+    bases, each key column tiled exactly like its partner?
+
+    Each column's :func:`~repro.sqldb.table.tiling_of` is read; no key value
+    is. The columns, innermost (fewest repeats, most tiles) first, must
+    nest: a column repeats each value once per row of the columns inside it
+    and is tiled once per value of the columns outside it. Then every row
+    holds a distinct key tuple exactly when every base is unique — the
+    check the key-violating inputs (a world id listed twice) fail.
+    """
+    tilings = []
+    for left_array, right_array in zip(left_cols, right_cols):
+        left_tiling, right_tiling = tiling_of(left_array), tiling_of(right_array)
+        if (
+            left_tiling is None
+            or right_tiling is None
+            or left_tiling.repeat != right_tiling.repeat
+            or left_tiling.tile != right_tiling.tile
+            or not np.array_equal(left_tiling.base, right_tiling.base)
+        ):
+            return False
+        tilings.append(left_tiling)
+    nest = sorted(tilings, key=lambda tiling: (tiling.repeat, -tiling.tile))
+    inner = 1
+    for tiling in nest:
+        if tiling.repeat != inner:
+            return False
+        inner *= len(tiling.base)
+    outer = 1
+    for tiling in reversed(nest):
+        if tiling.tile != outer:
+            return False
+        outer *= len(tiling.base)
+    return bool(nest) and all(tiling.unique_base() for tiling in nest)
 
 
 def _dense_codes(
@@ -963,12 +998,18 @@ def _match_codes(
 
 @dataclass
 class GroupLayout:
-    """Partition of filtered rows into groups, in first-appearance order."""
+    """Partition of filtered rows into groups, in first-appearance order.
+
+    ``stride`` is set when group ``g`` is rows ``g, g + stride, g + 2 *
+    stride, ...`` and every group has the same size (:func:`group_layout`
+    on a tiled key); the arrays say the same thing either way.
+    """
 
     sorted_rows: np.ndarray  # row indices, grouped contiguously
     starts: np.ndarray
     ends: np.ndarray
     rep_rows: np.ndarray  # first row index of each group
+    stride: Optional[int] = None
     _lanes: Optional["_Lanes"] = field(default=None, repr=False, compare=False)
 
     def lanes(
@@ -1003,6 +1044,15 @@ def group_layout(key_arrays: Sequence[np.ndarray], n_rows: int) -> GroupLayout:
             ends=np.array([n_rows]),
             rep_rows=np.array([0] if n_rows else [], dtype=np.int64),
         )
+    if len(key_arrays) == 1:
+        tiling = tiling_of(key_arrays[0])
+        if (
+            tiling is not None
+            and tiling.repeat == 1
+            and tiling.tile > 0
+            and tiling.unique_base()
+        ):
+            return _strided_layout(len(tiling.base), tiling.tile)
     combined = np.zeros(n_rows, dtype=np.int64)
     max_code = 0
     for array in key_arrays:
@@ -1021,6 +1071,21 @@ def group_layout(key_arrays: Sequence[np.ndarray], n_rows: int) -> GroupLayout:
     if max_code < _COUNTING_MAX_CODES:
         return _counted_layout(combined, max_code + 1)
     return _sorted_layout(combined)
+
+
+def _strided_layout(n_groups: int, size: int) -> GroupLayout:
+    """:func:`group_layout` of a key that runs through ``n_groups`` distinct
+    values ``size`` times over: group ``g`` is rows ``g + k * n_groups``."""
+    starts = np.arange(n_groups, dtype=np.int64) * size
+    return GroupLayout(
+        sorted_rows=np.arange(n_groups * size, dtype=np.int64)
+        .reshape(size, n_groups)
+        .T.ravel(),
+        starts=starts,
+        ends=starts + size,
+        rep_rows=np.arange(n_groups, dtype=np.int64),
+        stride=n_groups,
+    )
 
 
 def _sorted_layout(combined: np.ndarray) -> GroupLayout:
@@ -1207,6 +1272,10 @@ class _Lanes:
     lane's ``k``-th value, group-major, the groups by descending length so
     the lanes still running at a step are a contiguous prefix of its row.
     ``counts`` are the group sizes in that slot order.
+
+    On a strided layout (groups of one size, group ``g`` at rows ``g +
+    k * stride``) the table's own row order already is that order, so each
+    column is copied into its place as it stands: no gather, no padding.
     """
 
     __slots__ = ("columns", "steps", "counts", "slot_of_group")
@@ -1218,16 +1287,18 @@ class _Lanes:
         by_length = np.argsort(-counts, kind="stable")
         slot_of_group = np.empty(n_groups, dtype=np.int64)
         slot_of_group[by_length] = np.arange(n_groups)
-        # Row i of the grouped order sits at step (i - start of its group);
-        # ``source`` is, per (step, slot), the table row to read — or one
-        # past the end, where a zero is appended, for padding.
-        group_of_row = np.repeat(np.arange(n_groups), counts)
-        step_of_row = np.arange(n_rows) - layout.starts[group_of_row]
-        source = np.full(longest * n_groups, n_rows, dtype=np.int64)
-        source[step_of_row * n_groups + slot_of_group[group_of_row]] = layout.sorted_rows
+        source = None
+        if layout.stride is None:
+            # Row i of the grouped order sits at step (i - start of its group);
+            # ``source`` is, per (step, slot), the table row to read — or one
+            # past the end, where a zero is appended, for padding.
+            group_of_row = np.repeat(np.arange(n_groups), counts)
+            step_of_row = np.arange(n_rows) - layout.starts[group_of_row]
+            source = np.full(longest * n_groups, n_rows, dtype=np.int64)
+            source[step_of_row * n_groups + slot_of_group[group_of_row]] = layout.sorted_rows
         steps = np.empty((longest * n_groups, len(columns)), dtype=np.float64)
         for index, values in enumerate(columns):
-            steps[:, index] = np.append(values, 0)[source]
+            steps[:, index] = values if source is None else np.append(values, 0)[source]
         self.columns = tuple(columns)
         self.steps = steps.reshape(longest, n_groups * len(columns))
         self.counts = counts[by_length]

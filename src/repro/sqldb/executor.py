@@ -333,7 +333,7 @@ class Executor:
         for spec, values in zip(others + moments + sums, answers):
             for group, value in enumerate(values):
                 group_results[group][spec.rendered] = value
-        representatives = [relation.bound_row(int(row)) for row in layout.rep_rows]
+        representatives = relation.bound_rows(layout.rep_rows)
         return self._finalize_groups(select, group_results, representatives, variables)
 
     # -- SELECT: interpreted row path ------------------------------------------

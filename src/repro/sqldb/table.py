@@ -11,17 +11,75 @@ Either layout is materialized from the other on demand and cached until the
 next mutation. A small ``ResultSet`` wrapper carries query output with its
 schema and supports the same dual representation, so ``SELECT ... INTO``
 can move columnar data between tables without ever building row tuples.
+
+A loader that knows how it laid out an integer key column can say so:
+:func:`tiled_column` returns a read-only array together with its
+:class:`Tiling` (``np.tile(np.repeat(base, repeat), tile)``), and
+:func:`tiling_of` reads the description back. The description belongs to
+that one array object: anything derived from it (a slice, a gather, a
+ufunc result, a copy, the rows an INSERT/UPDATE/DELETE re-packs) is a new
+array and has none, while passing the array itself along — a bare column
+projection, ``SELECT ... INTO`` — keeps it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Sequence
+import weakref
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CatalogError
 from repro.sqldb.schema import TableSchema, columnar_dtype
 from repro.sqldb.types import format_value
+
+
+class Tiling(NamedTuple):
+    """``np.tile(np.repeat(base, repeat), tile)``: how a key column was laid out."""
+
+    base: np.ndarray  # int64, read-only
+    repeat: int
+    tile: int
+
+    def unique_base(self) -> bool:
+        """No value of ``base`` repeats (so no key in a block does).
+
+        An increasing base — a world prefix, the weeks — answers in one
+        comparison pass; ``np.unique`` (~50x slower at 2000 values) is left
+        for the rest.
+        """
+        base = self.base
+        if len(base) < 2 or bool(np.all(base[1:] > base[:-1])):
+            return True
+        return len(np.unique(base)) == len(base)
+
+
+#: ``id(array) -> (weak reference to the array, its tiling)``; an entry
+#: leaves when its array is collected, before the id can be reused.
+_TILINGS: dict[int, tuple[weakref.ref, Tiling]] = {}
+
+
+def tiled_column(base: Sequence[int], repeat: int, tile: int) -> np.ndarray:
+    """``np.tile(np.repeat(base, repeat), tile)`` as a read-only int64 array
+    that :func:`tiling_of` describes."""
+    base = np.array(base, dtype=np.int64)
+    base.flags.writeable = False
+    array = np.tile(np.repeat(base, repeat), tile)
+    array.flags.writeable = False
+    key = id(array)
+    _TILINGS[key] = (
+        weakref.ref(array, lambda _, key=key: _TILINGS.pop(key, None)),
+        Tiling(base, int(repeat), int(tile)),
+    )
+    return array
+
+
+def tiling_of(array: Any) -> Optional[Tiling]:
+    """The tiling :func:`tiled_column` built ``array`` with, else None."""
+    entry = _TILINGS.get(id(array))
+    if entry is None or entry[0]() is not array:
+        return None
+    return entry[1]
 
 
 class ColumnarView:

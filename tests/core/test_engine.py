@@ -1,5 +1,7 @@
 """Integration tests for the Prophet engine (the Figure-1 cycle)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -192,11 +194,17 @@ class TestReuse:
         engine.evaluate_point(POINT)
         misses_before = engine.week_stats_misses
         points_before = engine.points_evaluated
-        engine.evaluate_point(POINT, reuse=False)
+        memo_before = dict(engine._week_stats_cache)
+        with mock.patch.object(engine, "_week_keys", wraps=engine._week_keys) as hashed:
+            engine.evaluate_point(POINT, reuse=False)
         # The week memo and point cache are both bypassed: every week's
-        # statistics recomputed through SQL.
+        # statistics recomputed through SQL, and the memo neither read
+        # (nothing hashed) nor written.
         assert engine.week_stats_misses == misses_before + 53
         assert engine.points_evaluated == points_before + 1
+        assert hashed.call_count == 0
+        assert len(engine._week_stats_cache) == len(memo_before)
+        assert engine._week_stats_cache == memo_before
 
     def test_world_extension_reuses_prefix(self, engine):
         engine.evaluate_point(POINT, worlds=range(10))

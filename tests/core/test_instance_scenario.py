@@ -75,11 +75,14 @@ class TestInstanceBatch:
 
     @pytest.mark.parametrize(
         "worlds",
-        [range(40), range(13, 27), [31, 2, 2, 17, -5]],
-        ids=["prefix", "shard-slice", "non-contiguous"],
+        [range(40), range(13, 27), [31, 2, 2, 17, -5], [1, True, 0, False]],
+        ids=["prefix", "shard-slice", "non-contiguous", "bool-ids"],
     )
     def test_seeds_are_the_unmemoised_derivation(self, worlds):
         for base_seed in (7, 42, 7):  # interleaved: memo entries never cross
+            # An equal slice of plain ints first: ``(1, True)`` == ``(1, 1)``,
+            # yet True is its own world with its own seed.
+            InstanceBatch.at_point({"p": 1}, [int(w) for w in worlds], base_seed)
             batch = InstanceBatch.at_point({"p": 1}, worlds, base_seed)
             assert batch.worlds == tuple(worlds)
             assert batch.seeds == tuple(

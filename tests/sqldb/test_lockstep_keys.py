@@ -11,8 +11,10 @@
   and float SUM read one ``cumsum`` down the steps when the statement's
   variances already laid the columns out. The oracle is the accumulator.
 * Counted grouping (``compiled._counted_layout``) against the sorting one,
-  and the order-aware join (aligned shortcut, sort-free match) against the
-  general match.
+  and the order-aware join (sort-free match) against the general match.
+* Tiled key columns (``table.tiled_column``): the tiled join, the strided
+  group layout and its lanes against what the same keys give as plain
+  arrays — the counted layout and the scatter/gather lanes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.sqldb.compiled import (
     equi_join,
     group_layout,
 )
+from repro.sqldb.table import tiled_column, tiling_of
 
 MOMENTS = ("var", "varp", "stdev", "stdevp")
 
@@ -401,11 +404,13 @@ def test_counted_and_sorted_layouts_are_identical(keys, spread):
     same arrays — values and dtypes."""
     n_rows = min(len(column) for column in keys)
     arrays = [np.asarray(column[:n_rows], dtype=np.int64) * spread for column in keys]
-    with mock.patch.object(
+    # Offset codes span up to 61 values per key at spread 5 (61**3 > 2**16),
+    # so the bound is lifted to make sure counting answers.
+    with mock.patch.object(compiled, "_COUNTING_MAX_CODES", 2**20), mock.patch.object(
         compiled, "_counted_layout", wraps=compiled._counted_layout
     ) as counted:
         layout = group_layout(arrays, n_rows)
-    assert counted.call_count == 1  # at most 13 values per key: 2 197 composite codes
+    assert counted.call_count == 1
     with mock.patch.object(compiled, "_COUNTING_MAX_CODES", 0), mock.patch.object(
         compiled, "_counted_layout", wraps=compiled._counted_layout
     ) as counted:
@@ -433,7 +438,7 @@ def test_a_wide_code_space_keeps_the_sorting_layout():
 
 
 JOIN_ORDERS = {
-    # (left keys, right keys): which kernel answers
+    # (left keys, right keys) as plain arrays
     "aligned": ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),
     "duplicate-left": ([0, 1, 1, 3, 4], [0, 1, 2, 3, 4]),
     "duplicate-right": ([0, 1, 2, 3, 4], [0, 1, 1, 3, 4]),
@@ -445,39 +450,159 @@ JOIN_ORDERS = {
 }
 
 
+def _general_join(left, right, left_keys, right_keys):
+    """The reference: dense codes, the stable sort, the match, two takes."""
+    codes = compiled._dense_codes(left_keys, right_keys, left.n_rows)
+    left_take, right_take = compiled._match_codes(*codes)
+    general = compiled.merge_relations(left.take(left_take), right.take(right_take))
+    return {key: array.tobytes() for key, array in sorted(general.columns.items())}
+
+
 @pytest.mark.parametrize("case", sorted(JOIN_ORDERS))
 def test_join_kernel_selection_and_its_answer(case):
-    """The aligned shortcut takes exactly the aligned input; a sorted right
-    side skips the sort; every selection returns what the general
-    sort-and-match does."""
+    """Plain key columns say nothing about their layout, so every pair —
+    the aligned one included — is matched; a sorted right side skips the
+    sort; the answer is what the general sort-and-match gives."""
     left_key, right_key = (np.asarray(k, dtype=np.int64) for k in JOIN_ORDERS[case])
     left = _relation("l", k=left_key, a=np.arange(len(left_key)) * 1.5)
     right = _relation("r", k=right_key, b=np.arange(len(right_key)) * -2.5)
     conjuncts = [("l.k", "r.k")]
     with mock.patch.object(compiled, "_match_codes", wraps=compiled._match_codes) as matched:
         answered = _joined(left, right, conjuncts)
-    assert matched.call_count == (0 if case == "aligned" else 1)
-    if matched.call_count:
-        right_sorted = bool(np.all(np.diff(right_key) >= 0))
-        assert matched.call_args.args[2] is right_sorted
+    assert matched.call_count == 1
+    right_sorted = bool(np.all(np.diff(right_key) >= 0))
+    assert matched.call_args.args[2] is right_sorted
+    assert answered == _general_join(left, right, [left_key], [right_key])
 
-    # The reference: dense codes, the stable sort, the match, two takes.
-    codes = compiled._dense_codes([left_key], [right_key], len(left_key))
-    left_take, right_take = compiled._match_codes(*codes)
-    general = compiled.merge_relations(left.take(left_take), right.take(right_take))
-    assert answered == {k: a.tobytes() for k, a in sorted(general.columns.items())}
+
+WORLDS, WEEKS = [7, 3, 11, 0], [0, 2, 5]
+
+
+def _keys(worlds, weeks, world_outer=True):
+    """``(w, t)`` keys laid out like a samples table: world-major when
+    ``world_outer``, week-major otherwise."""
+    if world_outer:
+        return tiled_column(worlds, len(weeks), 1), tiled_column(weeks, 1, len(worlds))
+    return tiled_column(worlds, 1, len(weeks)), tiled_column(weeks, len(worlds), 1)
+
+
+#: What each side's ``(w, t)`` keys are, and whether the tiled join answers.
+TILED_JOINS = {
+    "alike": (_keys(WORLDS, WEEKS), _keys(WORLDS, WEEKS), True),
+    "one-week": (_keys(WORLDS, [4]), _keys(WORLDS, [4]), True),
+    "one-world": (_keys([9], WEEKS), _keys([9], WEEKS), True),
+    # A world id listed twice (Koutris & Wijsen): keys repeat on a side.
+    "duplicate-both": (_keys([7, 3, 7], WEEKS), _keys([7, 3, 7], WEEKS), False),
+    "duplicate-left": (_keys([7, 3, 7], WEEKS), _keys([7, 3, 5], WEEKS), False),
+    "duplicate-week": (_keys(WORLDS, [2, 2]), _keys(WORLDS, [2, 2]), False),
+    "tiled-differently": (_keys(WORLDS, WEEKS), _keys(WORLDS, WEEKS, False), False),
+    "both-week-major": (_keys(WORLDS, WEEKS, False), _keys(WORLDS, WEEKS, False), True),
+    "other-order": (_keys(WORLDS, WEEKS), _keys(WORLDS[::-1], WEEKS), False),
+    "plain-right": (_keys(WORLDS, WEEKS), tuple(np.array(k) for k in _keys(WORLDS, WEEKS)), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TILED_JOINS))
+@pytest.mark.parametrize("on", ["w-then-t", "t-then-w", "w-only"])
+def test_the_tiled_join_is_taken_and_refused(case, on):
+    """Two sides whose ``(w, t)`` keys are one cross product of unique
+    bases, tiled alike, join row by row without reading a key; every other
+    pair — and a join on ``w`` alone, which repeats — is matched. Either way
+    the answer is the general match's."""
+    (left_w, left_t), (right_w, right_t), taken = TILED_JOINS[case]
+    left = _relation("l", w=left_w, t=left_t, a=np.arange(len(left_w)) * 1.5)
+    right = _relation("r", w=right_w, t=right_t, b=np.arange(len(right_w)) * -2.5)
+    conjuncts = {
+        "w-then-t": [("l.w", "r.w"), ("r.t", "l.t")],
+        "t-then-w": [("l.t", "r.t"), ("l.w", "r.w")],
+        "w-only": [("l.w", "r.w")],
+    }[on]
+    if on == "w-only":
+        taken = case == "one-week"  # with one week, ``w`` alone is unique
+    with mock.patch.object(compiled, "_match_codes", wraps=compiled._match_codes) as matched:
+        answered = _joined(left, right, conjuncts)
+    assert matched.call_count == (0 if taken else 1)
+    keys = ("w", "t") if on != "w-only" else ("w",)
+    expected = _general_join(
+        left, right, [left.columns[f"l.{k}"] for k in keys], [right.columns[f"r.{k}"] for k in keys]
+    )
+    assert answered == expected
 
 
 def test_the_aligned_join_shares_nothing_mutable_with_its_inputs():
-    key = np.arange(6, dtype=np.int64)
-    left = _relation("l", k=key, a=key * 1.0)
-    right = _relation("r", k=key, b=key * 2.0)
-    joined = equi_join(left, right, [("l.k", "r.k")])
-    joined.columns["extra"] = key
+    """The aligned join is the tiled one: it merges, and copies nothing."""
+    w, t = _keys(WORLDS, WEEKS)
+    left = _relation("l", w=w, t=t, a=np.arange(12) * 1.0)
+    right = _relation("r", w=w, t=t, b=np.arange(12) * 2.0)
+    joined = equi_join(left, right, [("l.w", "r.w"), ("l.t", "r.t")])
+    joined.columns["extra"] = w
     joined.all_keys.add("extra")
     assert "extra" not in left.columns and "extra" not in right.columns
     assert "extra" not in left.all_keys and "extra" not in right.all_keys
-    assert joined.n_rows == 6 and joined.columns["r.b"] is right.columns["r.b"]
+    assert joined.n_rows == 12 and joined.columns["r.b"] is right.columns["r.b"]
+
+
+def test_a_tiling_belongs_to_its_array_object():
+    """Read-only, described, and described only as itself: every array
+    derived from a tiled column is a plain one."""
+    key = tiled_column([4, 1, 9], 2, 3)
+    assert key.tolist() == np.tile(np.repeat([4, 1, 9], 2), 3).tolist()
+    assert not key.flags.writeable
+    tiling = tiling_of(key)
+    assert tiling is not None and (tiling.repeat, tiling.tile) == (2, 3)
+    assert tiling.base.tolist() == [4, 1, 9] and tiling.unique_base()
+    assert not tiling_of(tiled_column([4, 1, 4], 1, 1)).unique_base()
+    for derived in (key[:], key[1:], key[[0, 1]], key[key > 0], key + 0, key.copy(), np.array(key)):
+        assert tiling_of(derived) is None
+    relation = _relation("l", k=key)
+    assert tiling_of(relation.take(np.arange(3)).columns["k"]) is None
+    assert tiling_of(relation.mask(key > 1).columns["k"]) is None
+
+
+@given(
+    base=st.one_of(
+        st.lists(st.integers(-60, 60), min_size=1, max_size=60, unique=True),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=12),  # repeats, mostly
+    ),
+    repeat=st.sampled_from([1, 1, 1, 2, 3]),
+    tile=st.integers(1, 40),
+    kinds=st.lists(st.sampled_from(["float", "int"]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_the_strided_layout_and_its_lanes_match_the_counted_build(base, repeat, tile, kinds, seed):
+    """GROUP BY a tiled key that runs through unique values (``repeat ==
+    1``) is arithmetic: the same arrays, values and dtypes, as the counted
+    layout of the same keys as a plain array, and the same ``_Lanes`` —
+    steps, counts, slots — as the scatter/gather build over that layout.
+    A repeated base, or a key that repeats each value, is counted."""
+    key = tiled_column(base, repeat, tile)
+    n_rows = len(key)
+    strides = repeat == 1 and len(set(base)) == len(base)
+    with mock.patch.object(compiled, "_counted_layout", wraps=compiled._counted_layout) as counted:
+        strided = group_layout([key], n_rows)
+    assert counted.call_count == (0 if strides else 1)
+    assert strided.stride == (len(base) if strides else None)
+    plain = group_layout([np.array(key)], n_rows)
+    assert plain.stride is None
+    for name in ("sorted_rows", "starts", "ends", "rep_rows"):
+        ours, theirs = getattr(strided, name), getattr(plain, name)
+        assert ours.tolist() == theirs.tolist() and ours.dtype == theirs.dtype, name
+
+    rng = np.random.default_rng(seed)
+    columns = [
+        rng.normal(size=n_rows) if kind == "float" else rng.integers(-99, 99, size=n_rows)
+        for kind in kinds
+    ]
+    ours, theirs = compiled._Lanes(columns, strided), compiled._Lanes(columns, plain)
+    assert ours.steps.shape == theirs.steps.shape
+    assert ours.steps.tobytes() == theirs.steps.tobytes()
+    assert ours.counts.tolist() == theirs.counts.tolist()
+    assert ours.slot_of_group.tolist() == theirs.slot_of_group.tolist()
+    specs = [AggregateSpec(f"m{i}", "stdev", False, False, None) for i in range(len(columns))]
+    assert [[_bits(v) for v in lane] for lane in aggregate_moments(specs, columns, strided)] == [
+        [_bits(v) for v in lane] for lane in aggregate_moments(specs, columns, plain)
+    ]
 
 
 # -- the selections on the workload they were made for --------------------------
@@ -485,9 +610,10 @@ def test_the_aligned_join_shares_nothing_mutable_with_its_inputs():
 
 def test_the_figure2_combine_takes_every_order_aware_path():
     """One fresh 2000-world point of the Figure-2 scenario — the shape of a
-    ``fresh_fanout`` point — joins its two samples tables without matching a
-    code, groups 53 weeks by counting, runs its three STDEVs in one lockstep
-    pass and reads its three AVGs off that pass's layout."""
+    ``fresh_fanout`` point — joins its two samples tables by their tiling,
+    groups 53 weeks by stride, lays its three STDEV columns out as they
+    stand, runs them in one lockstep pass and reads its three AVGs off that
+    pass's layout. No key is coded, counted or matched."""
     from repro.core.config import EngineConfig, SamplingConfig
     from repro.core.engine import ProphetEngine
     from repro.dsl import parse_scenario
@@ -500,19 +626,41 @@ def test_the_figure2_combine_takes_every_order_aware_path():
         EngineConfig(sampling=SamplingConfig(n_worlds=2000)),
     )
     point = dict(next(iter(engine.scenario.sweep_space.grid())))
-    spied = ("_match_codes", "_counted_layout", "_sorted_layout", "_lockstep_moments", "aggregate_segments")
-    with mock.patch.multiple(
-        compiled, **{name: mock.Mock(wraps=getattr(compiled, name)) for name in spied}
-    ):
+    spied = (
+        "_tiled_alike", "_strided_layout", "_lockstep_moments", "_dense_codes",
+        "_counted_layout", "_sorted_layout", "_match_codes", "aggregate_segments",
+    )
+    returned: dict[str, list] = {name: [] for name in spied}
+
+    def spy(name):
+        original = getattr(compiled, name)
+
+        def recorded(*args, **kwargs):
+            returned[name].append((args, original(*args, **kwargs)))
+            return returned[name][-1][1]
+
+        return recorded
+
+    with mock.patch.multiple(compiled, **{name: spy(name) for name in spied}):
         engine.evaluate_point(point, reuse=False)
-        calls = {name: getattr(compiled, name).call_count for name in spied}
-        lockstep_columns = len(compiled._lockstep_moments.call_args.args[0])
     assert engine.executor.stats.fallback_selects == 0
-    assert calls == {
-        "_match_codes": 0,  # the combine's join is aligned
-        "_counted_layout": 1,
-        "_sorted_layout": 0,
+    assert {name: len(calls) for name, calls in returned.items()} == {
+        "_tiled_alike": 1,
+        "_strided_layout": 1,
         "_lockstep_moments": 1,
+        "_dense_codes": 0,
+        "_counted_layout": 0,
+        "_sorted_layout": 0,
+        "_match_codes": 0,
         "aggregate_segments": 0,  # AVG x 3 read the lockstep layout
     }
-    assert lockstep_columns == 3
+    assert returned["_tiled_alike"][0][1] is True
+    (_, layout), = returned["_strided_layout"]
+    assert layout.stride == 53
+    (lockstep_args, _), = returned["_lockstep_moments"]
+    columns, lanes = lockstep_args[0], layout.lanes(lockstep_args[0], build=False)
+    assert len(columns) == 3 and lanes is not None
+    # The reshape: lane (group g, column c) at step k is row k * 53 + g.
+    steps = lanes.steps.reshape(2000, 53, 3)
+    for index, values in enumerate(columns):
+        assert steps[:, :, index].tobytes() == values.astype(np.float64).reshape(2000, 53).tobytes()

@@ -15,7 +15,10 @@ uniqueness and go NULL (the primary-key-violating tables of Koutris &
 Wijsen, arXiv 1810.03386); the other columns are INT or FLOAT, nullable or
 not, over domains small enough that whole rows repeat apart from ``id``.
 Half the databases are NULL-free, which is what lets the vectorized tier
-take the statement. Statement shapes follow the LDBC contest analysis
+take the statement. The tiled-tables family differs: its ``id`` and ``k``
+are the tiled loader's key columns, every ``(id, k)`` of two small bases
+(``TILED_DATABASES``), so there ``id`` repeats and no top-k is drawn.
+Statement shapes follow the LDBC contest analysis
 (arXiv 2010.12243): filter, projection, join-then-aggregate with a HAVING
 threshold, and top-k with a tie-breaking key.
 
@@ -69,12 +72,15 @@ import re
 import sqlite3
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.sqldb import Catalog, Executor
+from repro.sqldb.table import tiled_column, tiling_of
 
 # -- build inputs: databases ---------------------------------------------------
 #
@@ -94,10 +100,33 @@ class Column:
 
 
 @dataclass(frozen=True)
+class Tiling:
+    """How the tiled loader lays out a table's ``id`` / ``k`` keys: every
+    pair of ``ids`` x ``ks``, id-major when ``id_outer``, else k-major."""
+
+    ids: tuple[int, ...]
+    ks: tuple[int, ...]
+    id_outer: bool
+
+    def keys(self) -> list[tuple[int, int]]:
+        if self.id_outer:
+            return [(i, k) for i in self.ids for k in self.ks]
+        return [(i, k) for k in self.ks for i in self.ids]
+
+    def columns(self) -> list:
+        ids, ks = len(self.ids), len(self.ks)
+        if self.id_outer:
+            return [tiled_column(self.ids, ks, 1), tiled_column(self.ks, 1, ids)]
+        return [tiled_column(self.ids, 1, ks), tiled_column(self.ks, ids, 1)]
+
+
+@dataclass(frozen=True)
 class Table:
     name: str
     columns: tuple[Column, ...]
     rows: tuple[tuple, ...]
+    #: Set for a NULL-free table whose ``id`` / ``k`` load as tiled columns.
+    tiling: Optional[Tiling] = None
 
     def refs(self, kind: str, qualified: bool = False) -> list[str]:
         prefix = f"{self.name}." if qualified else ""
@@ -108,7 +137,8 @@ class Table:
 #: whichever column it lands in: NULL one time in four where the column is
 #: nullable, else a quarter in [-5, 5], an integer in [-9, 9], or a key in 0..3.
 _CELLS = st.integers(min_value=0, max_value=4 * 41 - 1)
-_BODIES = st.lists(st.tuples(_CELLS, _CELLS, _CELLS, _CELLS), max_size=10)
+_ROW_CELLS = st.tuples(_CELLS, _CELLS, _CELLS, _CELLS)
+_BODIES = st.lists(_ROW_CELLS, max_size=10)
 _SHAPES = st.tuples(
     st.booleans(),  # k nullable
     st.lists(st.tuples(st.sampled_from(["INT", "FLOAT"]), st.booleans()), min_size=1, max_size=3),
@@ -117,22 +147,23 @@ _SHAPES = st.tuples(
 _REPEATS = st.lists(st.integers(min_value=0, max_value=9), max_size=3)
 
 
+def _value(column: Column, cell: int):
+    null, quarters = cell % 4 == 0, cell // 4 - 20
+    if column.nullable and null:
+        return None
+    if column.kind == "FLOAT":
+        return quarters / 4
+    return quarters % 4 if column.name == "k" else quarters % 19 - 9
+
+
 def _table(draw, name: str, dense: bool) -> Table:
     key_nullable, extra = draw(_SHAPES)
     columns = [Column("id", "INT", False), Column("k", "INT", key_nullable and not dense)]
     for index, (kind, nullable) in enumerate(extra):
         columns.append(Column(f"c{index}", kind, nullable and not dense))
 
-    def value(column: Column, cell: int):
-        null, quarters = cell % 4 == 0, cell // 4 - 20
-        if column.nullable and null:
-            return None
-        if column.kind == "FLOAT":
-            return quarters / 4
-        return quarters % 4 if column.name == "k" else quarters % 19 - 9
-
     body = [
-        tuple(value(column, cell) for column, cell in zip(columns[1:], cells))
+        tuple(_value(column, cell) for column, cell in zip(columns[1:], cells))
         for cells in draw(_BODIES)
     ]
     body += [body[index % len(body)] for index in draw(_REPEATS) if body]
@@ -148,11 +179,12 @@ def _databases(draw) -> tuple[Table, Table]:
 DATABASES = _databases()
 
 #: What is done to an *aligned* pair of tables — same unique ``id`` keys in
-#: the same load order, the shape of a point's two samples tables, which
-#: the vectorized join answers without matching anything — to make each
-#: input its shortcut must refuse: a key duplicated on either side (the
-#: primary-key violations of Koutris & Wijsen), one swapped pair, one
-#: missing row, and equal keys in an order that is not increasing.
+#: the same load order — to make its near misses: a key duplicated on
+#: either side (the primary-key violations of Koutris & Wijsen), one
+#: swapped pair, one missing row, and equal keys in an order that is not
+#: increasing. Loaded row by row, none of them says how its keys are laid
+#: out, so all go through the general join; the tiled tables below are
+#: where the join that reads no key is drawn.
 ALIGNMENTS = (
     "aligned",
     "duplicate-left",
@@ -202,6 +234,58 @@ def _aligned_databases(draw) -> tuple[Table, Table]:
 
 
 ALIGNED_DATABASES = _aligned_databases()
+
+#: Tiled tables, the shape of a point's samples tables: ``id`` and ``k`` are
+#: the tiled loader's key columns (``sqldb.table.tiled_column``, every
+#: ``(id, k)`` of two small bases, either one outermost), and a base may
+#: list a value twice — the key-violating input the tiled join must refuse.
+#: The right table's keys are the left's laid out alike, the same bases
+#: laid out the other way round, or bases of its own. NULL-free throughout.
+_TILED_IDS = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=4),
+)
+_TILED_KS = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+)
+_TILED_RIGHT = st.sampled_from(["alike", "alike", "alike", "transposed", "own"])
+
+
+def _tiling(draw) -> Tiling:
+    return Tiling(tuple(draw(_TILED_IDS)), tuple(draw(_TILED_KS)), draw(st.booleans()))
+
+
+def _tiled_table(draw, name: str, tiling: Tiling) -> Table:
+    _, extra = draw(_SHAPES)
+    columns = (
+        Column("id", "INT", False),
+        Column("k", "INT", False),
+        *(Column(f"c{index}", kind, False) for index, (kind, _) in enumerate(extra)),
+    )
+    keys = tiling.keys()
+    cells = draw(st.lists(_ROW_CELLS, min_size=len(keys), max_size=len(keys)))
+    rows = tuple(
+        (*key, *(_value(column, cell) for column, cell in zip(columns[2:], row)))
+        for key, row in zip(keys, cells)
+    )
+    return Table(name, columns, rows, tiling)
+
+
+@st.composite
+def _tiled_databases(draw) -> tuple[Table, Table]:
+    left = _tiling(draw)
+    how = draw(_TILED_RIGHT)
+    if how == "alike":
+        right = left
+    elif how == "transposed":
+        right = Tiling(left.ids, left.ks, not left.id_outer)
+    else:
+        right = _tiling(draw)
+    return _tiled_table(draw, "l", left), _tiled_table(draw, "r", right)
+
+
+TILED_DATABASES = _tiled_databases()
 
 # -- build inputs: expressions ----------------------------------------------------
 #
@@ -317,6 +401,7 @@ class Statement:
     sql: str
     ordered: bool = False  # ORDER BY ends in a unique key: compare as sequences
     approximate: frozenset = frozenset()  # output positions compared at rel 1e-9
+    setup: tuple[str, ...] = ()  # INSERT/UPDATE/DELETE run first, on every engine
 
 
 _DIRECTIONS = st.sampled_from(["", " ASC", " DESC"])
@@ -439,9 +524,10 @@ _SECOND_KEYS = st.one_of(st.none(), st.tuples(_SLOTS, _SLOTS))
 _JOIN_ITEMS = st.lists(st.one_of(st.sampled_from(["@i", "@f"]), ANY_EXPRS), min_size=1, max_size=3)
 
 
-def joins(draw, database) -> Statement:
+def joins(draw, database, top_k: bool = True) -> Statement:
     """Inner and LEFT equi-joins on the repeating, NULL-bearing ``k``; plain,
-    top-k by ``(l.id, r.id)``, or grouped (join-then-aggregate)."""
+    top-k by ``(l.id, r.id)`` (where ``id`` is unique: ``top_k``), or
+    grouped (join-then-aggregate)."""
     left, right = database
     ints = left.refs("INT", True) + right.refs("INT", True)
     floats = left.refs("FLOAT", True) + right.refs("FLOAT", True)
@@ -455,7 +541,7 @@ def joins(draw, database) -> Statement:
     if draw(st.booleans()):
         return _grouped(draw, source, ints + floats, ints, floats)
     template = f"SELECT {_aliased(draw(_JOIN_ITEMS))} FROM {source}{draw(WHERE_CLAUSES)}"
-    ordered = draw(st.booleans())
+    ordered = top_k and draw(st.booleans())
     if ordered:
         # (l.id, r.id) is unique: an unmatched left row appears once, with NULL.
         template += _order_by(draw, ["l.id", "r.id"])
@@ -466,15 +552,86 @@ def aligned_joins(draw, database) -> Statement:
     """Equi-joins on the load-ordered ``id`` (and sometimes ``k`` as well):
     plain, or join-then-aggregate. ``id`` may repeat here, so every result
     is compared as a multiset."""
+    condition = "l.id = r.id" + draw(st.sampled_from(["", " AND l.k = r.k"]))
+    return _join_on(draw, database, f"l l {draw(_JOIN_KINDS)} r r ON {condition}")
+
+
+def _join_on(draw, database, source: str, items=_JOIN_ITEMS) -> Statement:
+    """Plain or join-then-aggregate over ``source``, compared as a multiset."""
     left, right = database
     ints = left.refs("INT", True) + right.refs("INT", True)
     floats = left.refs("FLOAT", True) + right.refs("FLOAT", True)
-    condition = "l.id = r.id" + draw(st.sampled_from(["", " AND l.k = r.k"]))
-    source = f"l l {draw(_JOIN_KINDS)} r r ON {condition}"
     if draw(st.booleans()):
         return _grouped(draw, source, ints + floats, ints, floats)
-    template = f"SELECT {_aliased(draw(_JOIN_ITEMS))} FROM {source}{draw(WHERE_CLAUSES)}"
+    template = f"SELECT {_aliased(draw(items))} FROM {source}{draw(WHERE_CLAUSES)}"
     return Statement(_bind(draw, template, ints, floats))
+
+
+_KEY_PAIRS = st.sampled_from(
+    ["l.id = r.id AND l.k = r.k", "r.k = l.k AND l.id = r.id", "l.k = r.k AND r.id = l.id"]
+)
+
+
+#: Select items the vectorized tier takes: columns and arithmetic.
+_NUMERIC_ITEMS = st.lists(
+    st.one_of(st.sampled_from(["@i", "@f"]), NUMERIC_EXPRS), min_size=1, max_size=3
+)
+
+
+def keyed_joins(draw, database) -> Statement:
+    """The combine's join: INNER, on both ``id`` and ``k``, in any order."""
+    return _join_on(draw, database, f"l l JOIN r r ON {draw(_KEY_PAIRS)}", _NUMERIC_ITEMS)
+
+
+def keyed_aggregates(draw, database) -> Statement:
+    """The aggregate query's shape: aggregates per ``k`` (or ``id``) over a
+    whole table, ordered by the key."""
+    table = database[0]
+    key = draw(st.sampled_from(["k", "k", "id"]))
+    calls = draw(_AGGREGATES)
+    items = ", ".join([f"{key} AS g0", *(f"{call} AS a{index}" for index, call in enumerate(calls))])
+    approximate = frozenset(1 + index for index, call in enumerate(calls) if call.startswith(_MOMENTS))
+    template = f"SELECT {items} FROM l GROUP BY {key} ORDER BY g0"
+    return Statement(_bind(draw, template, table.refs("INT"), table.refs("FLOAT")), True, approximate)
+
+
+def modification(draw, database) -> str:
+    """One INSERT, UPDATE or DELETE on either table, keys included."""
+    table = database[draw(st.integers(min_value=0, max_value=1))]
+    key = draw(st.sampled_from(["id", "k"]))
+    kind = draw(st.sampled_from(["INSERT", "UPDATE", "DELETE"]))
+    if kind == "UPDATE":
+        shift, week = draw(st.integers(min_value=1, max_value=2)), draw(_TILED_KS)[0]
+        return f"UPDATE {table.name} SET {key} = {key} + {shift} WHERE k = {week}"
+    if kind == "DELETE":
+        return f"DELETE FROM {table.name} WHERE {key} = {draw(_TILED_IDS)[0]}"
+    values = [draw(_TILED_IDS)[0], draw(_TILED_KS)[0]]
+    values += [_value(column, draw(_CELLS)) for column in table.columns[2:]]
+    return f"INSERT INTO {table.name} VALUES ({', '.join(map(_literal, values))})"
+
+
+#: Weighted toward the statements a tiled table changes: joins on both
+#: keys and GROUP BY a key; ``id`` repeats in a tiled table, so no top-k.
+_TILED_FAMILIES = st.sampled_from(
+    [
+        filters,
+        groupings,
+        keyed_aggregates,
+        aligned_joins,
+        keyed_joins,
+        keyed_joins,
+        lambda draw, database: joins(draw, database, top_k=False),
+    ]
+)
+_MODIFICATIONS = st.sampled_from([0, 0, 0, 1, 2])
+
+
+def tiled(draw, database) -> Statement:
+    """The filter, group and join families over tiled tables, after zero to
+    two modifications."""
+    statement = draw(_TILED_FAMILIES)(draw, database)
+    setup = tuple(modification(draw, database) for _ in range(draw(_MODIFICATIONS)))
+    return Statement(statement.sql, statement.ordered, statement.approximate, setup)
 
 
 # -- run all methods -------------------------------------------------------------
@@ -530,13 +687,22 @@ def _sqldb(database, **options) -> Executor:
             f"{c.name} {c.kind}{'' if c.nullable else ' NOT NULL'}" for c in table.columns
         )
         executor.execute(f"CREATE TABLE {table.name} ({declared})")
-        executor.catalog.table(table.name).insert_many(table.rows)
+        if table.tiling is None:
+            executor.catalog.table(table.name).insert_many(table.rows)
+            continue
+        extras = [
+            np.array([row[index] for row in table.rows], dtype=np.int64 if c.kind == "INT" else np.float64)
+            for index, c in enumerate(table.columns[2:], start=2)
+        ]
+        executor.catalog.table(table.name).load_columnar(table.tiling.columns() + extras)
     return executor
 
 
-def _outcome(executor: Executor, sql: str):
+def _outcome(executor: Executor, sql: str, setup: tuple[str, ...] = ()):
     """Everything observable about one execution, for bit-for-bit comparison."""
     try:
+        for statement in setup:
+            executor.execute(statement)
         result = executor.execute(sql)
     except Exception as error:  # noqa: BLE001 - reported through the comparison
         return ("error", type(error).__name__, str(error))
@@ -549,12 +715,15 @@ def _outcome(executor: Executor, sql: str):
     )
 
 
-def run_all(database, sql: str):
-    """``(default tier, row tier, sqlite rows)`` for one statement."""
-    fast = _outcome(_sqldb(database), sql)
-    rows = _outcome(_sqldb(database, plan_cache_size=0, enable_vectorized=False), sql)
+def run_all(database, sql: str, setup: tuple[str, ...] = ()):
+    """``(default tier, row tier, sqlite rows)`` for one statement, each
+    engine running ``setup`` first."""
+    fast = _outcome(_sqldb(database), sql, setup)
+    rows = _outcome(_sqldb(database, plan_cache_size=0, enable_vectorized=False), sql, setup)
     connection = _sqlite(database)
     try:
+        for statement in setup:
+            connection.execute(statement)
         expected = connection.execute(sql).fetchall()
     finally:
         connection.close()
@@ -583,8 +752,10 @@ def _multiset_order(rows, approximate):
 
 
 def check(database, statement: Statement) -> None:
-    fast, rows, expected = run_all(database, statement.sql)
-    context = f"{statement.sql}\n" + "\n".join(f"{t.name}{t.columns}: {t.rows}" for t in database)
+    fast, rows, expected = run_all(database, statement.sql, statement.setup)
+    context = "\n".join((*statement.setup, statement.sql)) + "\n" + "\n".join(
+        f"{t.name}{t.columns}: {t.rows}" for t in database
+    )
     assert fast == rows, f"tiers disagree\n{context}\nfast {fast}\nrows {rows}"
     assert fast[0] == "ok", f"sqldb raised, sqlite answered {expected}\n{context}\n{fast}"
     actual = fast[1]
@@ -598,7 +769,7 @@ def check(database, statement: Statement) -> None:
     ), f"sqldb differs from sqlite\n{context}\nsqldb  {actual}\nsqlite {expected}"
 
 
-def _oracle(build, databases=DATABASES):
+def _oracle(build, databases=DATABASES, examples=100):
     """Property over the ``(database, statement)`` cases of one statement family."""
 
     @st.composite
@@ -611,7 +782,7 @@ def _oracle(build, databases=DATABASES):
     # shrinking these recursive strategies runs to hypothesis's five-minute
     # cap per test.
     return lambda test: settings(
-        max_examples=100, deadline=None, derandomize=True, phases=(Phase.generate,)
+        max_examples=examples, deadline=None, derandomize=True, phases=(Phase.generate,)
     )(given(case=cases())(test))
 
 
@@ -645,31 +816,69 @@ def test_aligned_joins_and_their_near_misses_match_sqlite(case):
     check(*case)
 
 
-@pytest.mark.parametrize("how", ALIGNMENTS)
+@_oracle(tiled, TILED_DATABASES, examples=200)
+def test_tiled_tables_match_sqlite(case):
+    check(*case)
+
+
+_IDS, _REPEATED_IDS, _KS = (3, 0, 5), (3, 0, 3), (0, 1)
+_ID_MAJOR, _K_MAJOR = Tiling(_IDS, _KS, True), Tiling(_IDS, _KS, False)
+
+#: ``(left keys, right keys, modifications, whether the tiled join answers)``.
+TILED_CASES = {
+    "alike": (_ID_MAJOR, _ID_MAJOR, (), True),
+    "alike-k-major": (_K_MAJOR, _K_MAJOR, (), True),
+    "duplicate-left": (Tiling(_REPEATED_IDS, _KS, True), _ID_MAJOR, (), False),
+    "duplicate-right": (_ID_MAJOR, Tiling(_REPEATED_IDS, _KS, True), (), False),
+    "duplicate-both": (Tiling(_REPEATED_IDS, _KS, True), Tiling(_REPEATED_IDS, _KS, True), (), False),
+    "tiled-differently": (_ID_MAJOR, _K_MAJOR, (), False),
+    "inserted": (_ID_MAJOR, _ID_MAJOR, ("INSERT INTO l VALUES (9, 1, 2, 0.5)",), False),
+    "updated": (_ID_MAJOR, _ID_MAJOR, ("UPDATE l SET c0 = c0 + 1 WHERE k = 1",), False),
+    "deleted": (_ID_MAJOR, _ID_MAJOR, ("DELETE FROM r WHERE id = 5",), False),
+}
+
+
+def _pinned_tiled(name: str, tiling: Tiling) -> Table:
+    columns = (
+        Column("id", "INT", False),
+        Column("k", "INT", False),
+        Column("c0", "INT", False),
+        Column("c1", "FLOAT", False),
+    )
+    rows = tuple((i, k, i * k - 3, (i - k) / 4) for i, k in tiling.keys())
+    return Table(name, columns, rows, tiling)
+
+
+@pytest.mark.parametrize("how", sorted(TILED_CASES))
 def test_the_aligned_shortcut_is_taken_and_refused(how):
-    """Both sides of the selection are really drawn: the aligned pair joins
-    without matching codes, every near miss goes through the general join —
-    and either way the answer is sqlite's."""
+    """Tables loaded like a point's samples tables join row by row without
+    matching a code. A world id listed twice on either side or both, the
+    same bases tiled the other way round, and any INSERT/UPDATE/DELETE
+    (which makes the table's keys plain columns again) go through the
+    general join — and either way the answer is sqlite's."""
     from unittest import mock
 
     from repro.sqldb import compiled
 
-    dense = tuple(
-        Table(t.name, t.columns, tuple(row for row in t.rows if None not in row)) for t in _PINNED
+    left, right, setup, taken = TILED_CASES[how]
+    database = (_pinned_tiled("l", left), _pinned_tiled("r", right))
+    statement = Statement(
+        "SELECT l.id AS e0, l.k AS e1, l.c0 + r.c1 AS e2 FROM l l JOIN r r ON l.id = r.id AND l.k = r.k",
+        setup=setup,
     )
-    n = min(len(table.rows) for table in dense)
-    left, right = (
-        Table(t.name, t.columns, tuple((i, *row[1:]) for i, row in enumerate(t.rows[:n])))
-        for t in dense
-    )
-    database = misalign(left, right, how, at=0)
-    statement = Statement("SELECT l.id AS e0, l.c0 + r.c0 AS e1 FROM l l JOIN r r ON l.id = r.id")
     check(database, statement)
     fast = _sqldb(database)
+    for modification_sql in setup:
+        fast.execute(modification_sql)
     with mock.patch.object(compiled, "_match_codes", wraps=compiled._match_codes) as matched:
         fast.execute(statement.sql)
     assert fast.stats.vectorized_selects == 1
-    assert matched.call_count == (0 if how == "aligned" else 1)
+    assert matched.call_count == (0 if taken else 1)
+    modified = {re.match(r"(INSERT INTO|UPDATE|DELETE FROM) (\w+)", sql)[2] for sql in setup}
+    for table in database:
+        keys = fast.catalog.table(table.name).columnar_view().arrays
+        described = [tiling_of(keys[name]) is not None for name in ("id", "k")]
+        assert described == [table.name not in modified] * 2
 
 
 # -- pinned cases ---------------------------------------------------------------------
