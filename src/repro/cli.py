@@ -253,43 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_stats(batch)
     add_serve(batch)
-
-    # lint takes source trees, not scenarios: no add_common/add_serve.
-    lint = subparsers.add_parser(
-        "lint",
-        help="check the repo's executable contracts (determinism, worker "
-        "purity, stable surfaces) over a source tree",
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint "
-        "(default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of grandfathered violations "
-        "(default: .repro-lint-baseline.json at the repo root, if present)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current violations to the baseline file and exit 0 "
-        "(adopting the linter on a tree with existing debt)",
-    )
-    lint.add_argument(
-        "--json",
-        dest="as_json",
-        action="store_true",
-        help="emit the result as JSON instead of human-readable lines",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog (id, name, rationale) and exit",
-    )
     return parser
 
 
@@ -525,11 +488,10 @@ def command_batch(args: argparse.Namespace) -> int:
             f"{client.backend_description()}"
             + (f"; cache {args.cache_dir}" if args.cache_dir else "")
         )
-        # repro-lint: disable=DET001 -- wall-clock summary line printed to
-        # the terminal; results are computed before it is read.
+        # Wall clock for the summary line only; results are computed
+        # before it is read.
         started = time.perf_counter()
         results = sweep.run()  # streams job by job; collected for the summary
-        # repro-lint: disable=DET001 -- observability only (see above).
         elapsed = time.perf_counter() - started
         report = client.stats()
         # Summarize the evaluations that actually ran: coalesced followers
@@ -580,62 +542,11 @@ def command_batch(args: argparse.Namespace) -> int:
         return 1 if failed else 0
 
 
-def command_lint(args: argparse.Namespace) -> int:
-    """Run the repo-contract analyzer (:mod:`repro.lint`) and apply policy.
-
-    Exit codes: 0 clean (pragma-suppressed and baselined findings are
-    clean), 1 active violations, 2 usage/config errors (argparse default).
-    """
-    import json as json_module
-    from pathlib import Path
-
-    from repro.lint import LintEngine, load_default_baseline, rule_catalog
-    from repro.lint.engine import BASELINE_FILENAME, Baseline, _find_repo_root
-
-    if args.list_rules:
-        for rule_id, name, rationale in rule_catalog():
-            print(f"{rule_id}  {name}")
-            print(f"    {rationale}")
-        return 0
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-    else:
-        import repro
-
-        paths = [Path(repro.__file__).parent]
-    for path in paths:
-        if not path.exists():
-            raise ReproError(f"lint target does not exist: {path}")
-    baseline = None
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is not None and baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
-    elif baseline_path is None and not args.write_baseline:
-        baseline = load_default_baseline(paths[0])
-    engine = LintEngine(baseline=baseline)
-    result = engine.run(paths)
-    if args.write_baseline:
-        root = _find_repo_root(paths[0].resolve()) or Path.cwd()
-        target = baseline_path or (root / BASELINE_FILENAME)
-        Baseline.from_violations(result.violations).save(target)
-        print(
-            f"wrote {len(result.violations)} grandfathered violation(s) "
-            f"to {target}"
-        )
-        return 0
-    if args.as_json:
-        print(json_module.dumps(result.to_dict(), indent=2))
-    else:
-        print(result.render())
-    return 0 if result.ok else 1
-
-
 COMMANDS = {
     "info": command_info,
     "run": command_run,
     "optimize": command_optimize,
     "batch": command_batch,
-    "lint": command_lint,
 }
 
 

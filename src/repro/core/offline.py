@@ -235,19 +235,16 @@ class OfflineOptimizer:
         )
         invocations_before = self.engine.invocation_count()
         samples_before = self.engine.component_sample_count()
-        # repro-lint: disable=DET001 -- feeds OptimizationResult timing, a
-        # user-facing readout; point selection reads statistics only.
+        # The clock feeds OptimizationResult timing, a user-facing readout;
+        # point selection reads statistics only.
         sweep_started = time.perf_counter()
         for batch in guide.batches():
-            # repro-lint: disable=DET001 -- observability only (see above).
             started = time.perf_counter()
             evaluation = self._evaluate(batch.point_dict, worlds=batch.worlds, reuse=reuse)
-            # repro-lint: disable=DET001 -- observability only (see above).
             record = self._record_for(evaluation, time.perf_counter() - started)
             result.records.append(record)
             if progress is not None:
                 progress(record)
-        # repro-lint: disable=DET001 -- observability only (see above).
         result.elapsed_seconds = time.perf_counter() - sweep_started
         result.vg_invocations = self.engine.invocation_count() - invocations_before
         result.component_samples = self.engine.component_sample_count() - samples_before

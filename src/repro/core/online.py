@@ -153,15 +153,14 @@ class OnlineSession:
 
     def _render(self, *, worlds=None, reuse: bool = True) -> GraphView:
         """Evaluate the current slider point, clock it, record the view."""
-        # repro-lint: disable=DET001 -- feeds GraphView.elapsed_seconds, a
-        # user-facing latency readout; never read by the engine or tracker.
+        # The clock feeds GraphView.elapsed_seconds, a user-facing latency
+        # readout; never read by the engine or tracker.
         started = time.perf_counter()
         invocations_before = self.engine.invocation_count()
         samples_before = self.engine.component_sample_count()
         evaluation = self._evaluate(self._sliders, worlds=worlds, reuse=reuse)
         view = self._view_from(
             evaluation,
-            # repro-lint: disable=DET001 -- observability only (see above).
             time.perf_counter() - started,
             self.engine.invocation_count() - invocations_before,
             self.engine.component_sample_count() - samples_before,

@@ -190,11 +190,10 @@ class ProcessExecutor:
             # Never wait=True here: a worker hung inside a task would block
             # the join forever. cancel_futures drops everything still queued.
             pool.shutdown(wait=False, cancel_futures=True)
-        # repro-lint: disable=DET001 -- teardown deadline for killing hung
-        # workers; runs after all results are in, never affects them.
+        # Teardown deadline for killing hung workers; runs after all
+        # results are in, never affects them.
         deadline = time.monotonic() + max(0.0, timeout)
         for process in processes:
-            # repro-lint: disable=DET001 -- teardown deadline (see above).
             process.join(max(0.0, deadline - time.monotonic()))
             if process.is_alive():
                 process.terminate()

@@ -258,8 +258,8 @@ class ShardDispatcher:
         permanent: Optional[BaseException] = None
         needs_heal = False
         for index, future, generation in futures:
-            # repro-lint: disable=DET001 -- feeds stats.parallel_seconds, a
-            # timing counter excluded from the byte-stable as_dict surface.
+            # The clock feeds stats.parallel_seconds, a timing counter
+            # excluded from the byte-stable as_dict surface.
             blocked = time.perf_counter()
             try:
                 payload = future.result(timeout=self.config.shard_timeout)
@@ -291,7 +291,6 @@ class ShardDispatcher:
                     permanent = error
                 continue
             finally:
-                # repro-lint: disable=DET001 -- observability only (see above).
                 self.stats.parallel_seconds += time.perf_counter() - blocked
             if calls[index].resolve is not None:
                 try:

@@ -514,8 +514,8 @@ class Scheduler:
         job = self.queue.pop()
         if job is None:
             return None
-        # repro-lint: disable=DET001 -- feeds Job.elapsed_seconds, an
-        # observability field; scheduling decisions never read it.
+        # The clock feeds Job.elapsed_seconds, an observability field;
+        # scheduling decisions never read it.
         started = time.perf_counter()
         # What begin-ahead of this job left for it (set by the previous
         # job's ``_begin_next``): nothing, or the error it raised.
@@ -553,7 +553,6 @@ class Scheduler:
                     job.exception = error
                 break
             span.set(status=job.status, attempts=job.attempts)
-        # repro-lint: disable=DET001 -- observability only (see above).
         job.elapsed_seconds = time.perf_counter() - started
         self.queue.finish(job)
         for follower in self._followers.pop(job.id, ()):

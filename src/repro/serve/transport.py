@@ -138,9 +138,9 @@ def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-# repro-lint: disable=PUR001 -- per-process platform probe: every process
-# answers the same question about the same kernel, so divergence is only
-# "this worker saw shm vanish" — the exact downgrade the probe exists for.
+# Per-process platform probe: every process answers the same question
+# about the same kernel, so divergence is only "this worker saw shm
+# vanish" — the exact downgrade the probe exists for.
 _SHM_PROBE: Optional[bool] = None
 
 
@@ -151,8 +151,6 @@ def shm_available() -> bool:
     ``/dev/shm``, sandboxed ``shm_open``, missing module) downgrades shm
     transport to pickle — counted, never an error.
     """
-    # repro-lint: disable=PUR001 -- rebinding the per-process probe memo
-    # declared above; see its justification.
     global _SHM_PROBE
     if _SHM_PROBE is None:
         try:
@@ -184,8 +182,8 @@ class SegmentLease:
         self.shm = shm
         self.name = shm.name
         self.nbytes = nbytes
-        # repro-lint: disable=DET001 -- leak-reclaim TTL safety net; a
-        # lease's deadline never influences evaluation results.
+        # Leak-reclaim TTL safety net; a lease's deadline never
+        # influences evaluation results.
         self.deadline = time.monotonic() + ttl
         self._cursor = 0
 
@@ -305,7 +303,6 @@ class SegmentArena:
 
     def sweep_expired(self) -> int:
         """Reclaim leases past their TTL (the leak safety net); count them."""
-        # repro-lint: disable=DET001 -- TTL safety net only; see SegmentLease.
         now = time.monotonic()
         expired = [lease for lease in self._leases.values() if lease.deadline < now]
         for lease in expired:
@@ -355,15 +352,12 @@ class SegmentArena:
 #: would unlink segments this process merely attached? If so, every
 #: attach unregisters right away. Forked workers and the coordinator
 #: share one pre-started tracker and must NOT unregister — the shared
-#: cache holds one entry per segment, owned by the arena's unlink.
-# repro-lint: disable=PUR001 -- per-process tracker-ownership memo; the
-# answer is a property of this process's start method, never shared.
+#: cache holds one entry per segment, owned by the arena's unlink. The
+#: answer is a property of this process's start method, never shared.
 _PRIVATE_TRACKER: Optional[bool] = None
 
 
 def _tracker_is_private() -> bool:
-    # repro-lint: disable=PUR001 -- rebinding the per-process memo declared
-    # above; see its justification.
     global _PRIVATE_TRACKER
     if _PRIVATE_TRACKER is None:
         try:

@@ -214,8 +214,6 @@ class ShardSample:
 #: Per-process engine cache: one engine per spec, reused across shard tasks.
 #: Per-process-safe: keyed by spec content hash, so a cold worker rebuilds
 #: an identical engine — divergence from the coordinator is impossible.
-# repro-lint: disable=PUR001 -- documented per-process memo keyed by
-# content hash; cold rebuild is bit-identical.
 _WORKER_ENGINES: dict[str, ProphetEngine] = {}
 
 
@@ -271,8 +269,8 @@ def run_shard(task: ShardTask, engine: Optional[ProphetEngine] = None) -> ShardS
         worlds = task.worlds
         if isinstance(worlds, SegmentRef):
             worlds = tuple(reader.view(worlds).tolist())
-        # repro-lint: disable=DET001 -- worker-side observability shipped in
-        # ShardSample.elapsed_seconds/timing; never read by reuse decisions.
+        # Worker-side observability shipped in ShardSample.elapsed_seconds
+        # and timing; never read by reuse decisions.
         started = time.perf_counter()
         stages = StageTimings()
         samples = engine.sample_fresh(
@@ -285,7 +283,6 @@ def run_shard(task: ShardTask, engine: Optional[ProphetEngine] = None) -> ShardS
             samples=np.asarray(samples, dtype=float),
             sampled_batched=len(worlds) if batched else 0,
             sampled_fallback=0 if batched else len(worlds),
-            # repro-lint: disable=DET001 -- observability only (see above).
             elapsed_seconds=time.perf_counter() - started,
             timing=(("querygen", stages.querygen), ("sql", stages.sql)),
         )

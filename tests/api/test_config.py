@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import json
 import pickle
+import pkgutil
 
 import pytest
 
+import repro
+from contracts import unfrozen_sections
 from repro.api import (
     AdaptiveConfig,
     CacheConfig,
@@ -20,6 +25,7 @@ from repro.api import (
     StoreConfig,
     TransportConfig,
 )
+from repro.api.config import _SECTIONS
 from repro.errors import ScenarioError
 from repro.models import FIGURE2_DSL
 
@@ -107,6 +113,29 @@ class TestSectionValidation:
         assert ServeConfig(executor="inline").enabled
         assert not CacheConfig().enabled
         assert CacheConfig(dir="/tmp/x").enabled
+
+
+class TestSectionRegistry:
+    def test_every_section_is_frozen(self):
+        assert unfrozen_sections(_SECTIONS) == []
+
+    def test_registry_names_the_client_fields_in_order(self):
+        assert list(_SECTIONS) == [f.name for f in dataclasses.fields(ClientConfig)]
+
+    def test_no_other_config_redeclares_a_section_field(self):
+        knobs = {f.name for s in _SECTIONS.values() for f in dataclasses.fields(s)}
+        others = {
+            value
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if not info.name.endswith("__main__")
+            for name, value in vars(importlib.import_module(info.name)).items()
+            if name.endswith("Config") and isinstance(value, type)
+            and dataclasses.is_dataclass(value) and value not in _SECTIONS.values()
+        }
+        assert ClientConfig in others  # groups sections; holds no knob of its own
+        assert [
+            o.__name__ for o in others if knobs & {f.name for f in dataclasses.fields(o)}
+        ] == []
 
 
 class TestOneDeclaration:

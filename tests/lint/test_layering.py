@@ -1,46 +1,34 @@
-"""Layering: the machinery below the serve plane never imports it.
+"""Import direction: what a module must never import, at any depth.
 
-``repro.core`` / ``sqldb`` / ``vg`` / ``dsl`` / ``obs`` are what
+Layering: ``repro.core`` / ``sqldb`` / ``vg`` / ``dsl`` / ``obs`` are what
 ``repro.serve`` and ``repro.api`` are built on; an ``import`` the other
 way round (at module level or inside a function) makes the lower layer
-unusable without the upper one. Docstring cross-references are fine —
-only the AST's import nodes are read.
+unusable without the upper one. Worker purity (PUR003): the modules a
+shard task drags into a worker process must not pull in the
+coordinator's pools, engines and tracers. Docstring cross-references are
+fine — only the AST's import nodes are read.
 """
 
 from __future__ import annotations
 
-import ast
-from pathlib import Path
+import pytest
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+from contracts import COORDINATOR, SRC, WORKER, forbidden_imports, modules
 
-LOWER_LAYERS = ("core", "sqldb", "vg", "dsl", "obs")
-UPPER_LAYERS = ("repro.serve", "repro.api")
-
-
-def _names(node: ast.AST) -> list[str]:
-    """Every dotted module name an import statement could bind."""
-    if isinstance(node, ast.Import):
-        return [alias.name for alias in node.names]
-    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-        # ``from repro import serve`` names the package through the alias.
-        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
-    return []
+DIRECTIONS = {
+    "layering": (("core", "sqldb", "vg", "dsl", "obs"), ("repro.serve", "repro.api")),
+    "worker purity": (WORKER, COORDINATOR),
+}
 
 
-def _is_upper(name: str) -> bool:
-    return any(name == upper or name.startswith(upper + ".") for upper in UPPER_LAYERS)
-
-
-def test_lower_layers_do_not_import_serve_or_api():
-    modules = [
-        path for layer in LOWER_LAYERS for path in sorted((SRC / layer).rglob("*.py"))
-    ]
-    assert modules
+@pytest.mark.parametrize("direction", sorted(DIRECTIONS))
+def test_modules_do_not_import_what_sits_above_them(direction):
+    names, forbidden = DIRECTIONS[direction]
+    paths = modules(*names)
+    assert paths
     offenders = [
-        f"{path.relative_to(SRC.parent)}:{node.lineno}"
-        for path in modules
-        for node in ast.walk(ast.parse(path.read_text()))
-        if any(_is_upper(name) for name in _names(node))
+        f"{path.relative_to(SRC.parent)}:{line}"
+        for path in paths
+        for line, _ in forbidden_imports(path.read_text(), forbidden)
     ]
     assert offenders == []

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from contracts import timing_keys
 from obs_testutil import OBS_DSL, POINT, assert_stats_identical
 from repro.api import ClientConfig, ObsConfig, ProphetClient, SamplingConfig
 from repro.cli import main
@@ -94,6 +95,15 @@ class TestClientTracing:
 
         assert_stats_identical(traced_stats.statistics, plain_stats.statistics)
         assert traced.stats().to_json() == plain.stats().to_json()
+
+        # Process workers report timings too; none may reach the counters.
+        pooled = open_client().with_observability(trace=True)
+        pooled = pooled.with_serving(workers=2, executor="process")
+        with pooled:
+            pooled.evaluate(POINT)
+            counters = pooled.stats().to_dict()
+        assert counters["service"]["executor_kind"] == "process"
+        assert timing_keys(counters) == []
 
     def test_export_trace_is_chrome_loadable(self, tmp_path):
         client = open_client().with_observability(trace=True)
