@@ -24,10 +24,10 @@ def converge_cost(session):
 
 
 @pytest.mark.benchmark(group="C5-first-guess")
-def test_c5_cold_convergence(benchmark, fast_config):
+def test_c5_cold_convergence(benchmark, fast_config, fast_plan):
     def cold():
         scenario, library = build_risk_vs_cost()
-        session = OnlineSession(ProphetEngine(scenario, library, fast_config))
+        session = OnlineSession(ProphetEngine(scenario, library, fast_config), plan=fast_plan)
         session.set_sliders(TARGET)
         return converge_cost(session)
 
@@ -37,10 +37,10 @@ def test_c5_cold_convergence(benchmark, fast_config):
 
 
 @pytest.mark.benchmark(group="C5-first-guess")
-def test_c5_warm_convergence(benchmark, fast_config):
+def test_c5_warm_convergence(benchmark, fast_config, fast_plan):
     def warm():
         scenario, library = build_risk_vs_cost()
-        session = OnlineSession(ProphetEngine(scenario, library, fast_config))
+        session = OnlineSession(ProphetEngine(scenario, library, fast_config), plan=fast_plan)
         session.set_sliders(PRIOR)
         session.refresh()  # establish basis distributions
         session.set_sliders(TARGET)
@@ -51,15 +51,17 @@ def test_c5_warm_convergence(benchmark, fast_config):
     assert cost > 0
 
 
-def test_c5_summary(benchmark, fast_config):
+def test_c5_summary(benchmark, fast_config, fast_plan):
     def both():
         scenario, library = build_risk_vs_cost()
-        cold_session = OnlineSession(ProphetEngine(scenario, library, fast_config))
+        cold_session = OnlineSession(ProphetEngine(scenario, library, fast_config), plan=fast_plan)
         cold_session.set_sliders(TARGET)
         cold_cost, cold_passes = converge_cost(cold_session)
 
         scenario2, library2 = build_risk_vs_cost()
-        warm_session = OnlineSession(ProphetEngine(scenario2, library2, fast_config))
+        warm_session = OnlineSession(
+            ProphetEngine(scenario2, library2, fast_config), plan=fast_plan
+        )
         warm_session.set_sliders(PRIOR)
         warm_session.refresh()
         warm_session.set_sliders(TARGET)

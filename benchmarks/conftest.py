@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.rounds import RoundPlan
 
 
 def report(title: str, lines: list[str]) -> None:
@@ -27,7 +28,13 @@ def report(title: str, lines: list[str]) -> None:
 @pytest.fixture
 def fast_config() -> EngineConfig:
     """Small-but-meaningful engine configuration for benchmarks."""
-    return EngineConfig(sampling=SamplingConfig(n_worlds=60, refinement_first=15))
+    return EngineConfig(sampling=SamplingConfig(n_worlds=60))
+
+
+@pytest.fixture
+def fast_plan(fast_config: EngineConfig) -> RoundPlan:
+    """The progressive ladder over ``fast_config``'s worlds: a 15-world first guess."""
+    return RoundPlan(n_worlds=fast_config.sampling.n_worlds, first=15)
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ from repro.api.stats import StatsReport
 from repro.core.engine import PointEvaluation, ProphetEngine
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
+from repro.core.rounds import RoundPlan
 from repro.core.scenario import Scenario
 from repro.dsl import parse_scenario
 from repro.errors import ScenarioError, ServeError
@@ -178,8 +179,7 @@ class ProphetClient:
 
     def with_sampling(self, **changes: Any) -> "ProphetClient":
         """Set any :class:`~repro.api.SamplingConfig` field (``n_worlds``,
-        ``base_seed``, ``backend``, ``refinement_first``,
-        ``refinement_growth``)."""
+        ``base_seed``, ``backend``)."""
         return self._with_section("sampling", changes)
 
     def with_adaptive(self, **changes: Any) -> "ProphetClient":
@@ -189,10 +189,10 @@ class ProphetClient:
         is the switch: sweeps then run in growing world-prefix rounds,
         retire points whose worst CI half-width is at most the target, and
         reassign the unspent budget to unresolved points. ``min_worlds`` /
-        ``max_worlds`` / ``round_growth`` bound the round ladder; left
-        unset they fall back to the sampling section (``max_worlds`` to
-        ``n_worlds``, the others to ``refinement_first`` /
-        ``refinement_growth``).
+        ``max_worlds`` / ``round_growth`` declare the client's round
+        ladder, which :meth:`interactive`'s progressive refresh steps too;
+        left unset the first round is ``min(25, budget)``, growth 2.0 and
+        ``max_worlds`` the sampling section's ``n_worlds``.
 
         Stopping decisions are pure functions of accumulated statistics,
         so adaptive runs are deterministic; with ``max_worlds`` equal to
@@ -371,11 +371,18 @@ class ProphetClient:
         self, *, neighbor_depth: int = 1, session_name: str = "interactive"
     ) -> OnlineSession:
         """Sliders + progressive refresh: an :class:`OnlineSession` on this
-        client's backend (``session_name`` labels its serve jobs)."""
+        client's backend (``session_name`` labels its serve jobs), stepping
+        the client's round ladder over ``sampling.n_worlds``."""
+        ladder = self.config.round_plan()
         return OnlineSession(
             self.engine,
             evaluate=self._driver_evaluate(session_name),
             neighbor_depth=neighbor_depth,
+            plan=RoundPlan.over(
+                self.config.sampling.n_worlds,
+                first=ladder.first,
+                growth=ladder.growth,
+            ),
         )
 
     def sweep(
@@ -518,16 +525,14 @@ class ProphetClient:
         self._trace_exported = True
         return target
 
-    def profile_summary(self, top: Optional[int] = None) -> str:
-        """The accumulated cProfile's top-N cumulative-time table."""
+    def profile_summary(self, top: int = 20) -> str:
+        """The accumulated cProfile's top-``top`` cumulative-time table."""
         if self._profiler is None:
             raise ScenarioError(
                 "profiling is off: enable it with "
                 "with_observability(profile=True) before evaluating"
             )
-        return self._profiler.summary(
-            top if top is not None else self.config.obs.profile_top
-        )
+        return self._profiler.summary(top)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -9,6 +9,8 @@ configures: the three engine-facing sections live in
 transport and observability beside their subsystems. Nothing copies a knob:
 the engine, the serve workers and the CLI all read the same section
 objects (:meth:`ClientConfig.engine_sections` regroups, it does not copy).
+The round ladder is a client-side decision with one factory,
+:meth:`ClientConfig.round_plan`; no engine-facing section carries it.
 
 Round-trips: :meth:`ClientConfig.to_mapping` / :meth:`ClientConfig.
 from_mapping` convert to and from plain nested mappings (config files,
@@ -118,12 +120,13 @@ class AdaptiveConfig:
     function of accumulated statistics — never wall-clock — so adaptive
     runs are deterministic and shard-geometry independent.
 
-    ``min_worlds`` / ``max_worlds`` / ``round_growth`` bound the round
-    ladder (first round, fixed per-point budget, geometric growth). They
-    absorb — and are the preferred spellings over — the
-    ``refinement_first`` / ``refinement_growth`` knobs on
-    :class:`SamplingConfig`, which they default to when left ``None``
-    (``max_worlds`` defaults to ``n_worlds``).
+    ``min_worlds`` / ``max_worlds`` / ``round_growth`` are the client's one
+    declaration of the round ladder (first round, fixed per-point budget,
+    geometric growth) — adaptive sweeps and the online mode's progressive
+    refresh alike step it (:meth:`ClientConfig.round_plan`). Left ``None``
+    they take :class:`~repro.core.rounds.RoundPlan`'s defaults: the first
+    round ``min(25, budget)``, growth 2.0, and ``max_worlds`` the sampling
+    section's ``n_worlds``.
     """
 
     target_ci: Optional[float] = None
@@ -285,22 +288,13 @@ class ClientConfig:
         )
 
     def round_plan(self) -> RoundPlan:
-        """The adaptive section's round ladder over :attr:`world_budget`;
-        ``min_worlds`` / ``round_growth`` default to the sampling section's
-        ``refinement_first`` / ``refinement_growth``, which they absorb."""
-        adaptive, sampling, budget = self.adaptive, self.sampling, self.world_budget
-        return RoundPlan(
-            n_worlds=budget,
-            first=(
-                adaptive.min_worlds
-                if adaptive.min_worlds is not None
-                else min(sampling.refinement_first, budget)
-            ),
-            growth=(
-                adaptive.round_growth
-                if adaptive.round_growth is not None
-                else sampling.refinement_growth
-            ),
+        """The client's round ladder over :attr:`world_budget` — the one
+        place ``min_worlds`` / ``round_growth`` are read; unset, they take
+        :meth:`RoundPlan.over`'s defaults."""
+        return RoundPlan.over(
+            self.world_budget,
+            first=self.adaptive.min_worlds,
+            growth=self.adaptive.round_growth,
         )
 
     def wants_service(self) -> bool:

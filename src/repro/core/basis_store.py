@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 import numpy as np
 
 from repro.core.argcodec import decode_args, encode_args
+from repro.core.atomic import atomic_write
 from repro.errors import FingerprintError
 from repro.obs.trace import NULL_TRACER
 
@@ -292,27 +293,16 @@ class TieredBasisStore:
             "n_bytes": int(entry.samples.nbytes),
         }
         path = self._spill_path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    samples=entry.samples,
-                    worlds=np.asarray(entry.worlds, dtype=np.int64),
-                    seeds=np.asarray(entry.seeds, dtype=np.uint64),
-                    header=np.frombuffer(
-                        json.dumps(header).encode("utf-8"), dtype=np.uint8
-                    ),
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            # A failed write (disk full) must not leave a partial tmp file
-            # consuming exactly the space that is already scarce.
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_write(path) as handle:
+            np.savez_compressed(
+                handle,
+                samples=entry.samples,
+                worlds=np.asarray(entry.worlds, dtype=np.int64),
+                seeds=np.asarray(entry.seeds, dtype=np.uint64),
+                header=np.frombuffer(
+                    json.dumps(header).encode("utf-8"), dtype=np.uint8
+                ),
+            )
         return SpillRecord(
             path=path, worlds=entry.worlds, n_bytes=entry.samples.nbytes
         )

@@ -11,9 +11,8 @@ the three; it declares no knob of its own.
 Validation happens at construction (the dataclasses are frozen): a bad
 value raises :class:`~repro.errors.ScenarioError` naming the knob here, not
 deep in the engine. Factories for the objects a section parameterizes
-(:meth:`SamplingConfig.plan`, :meth:`ReuseConfig.fingerprint_spec`,
-:meth:`ReuseConfig.correlation_policy`) live on the section that owns
-their inputs.
+(:meth:`ReuseConfig.fingerprint_spec`, :meth:`ReuseConfig.
+correlation_policy`) live on the section that owns their inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Any, Optional
 
 from repro.core.fingerprint.correlation import CorrelationPolicy
 from repro.core.fingerprint.fingerprint import FingerprintSpec
-from repro.core.rounds import RoundPlan
 from repro.core.sampling import SAMPLING_BACKENDS
 from repro.errors import ScenarioError
 
@@ -50,7 +48,12 @@ def replace_fields(section: Any, **changes: Any) -> Any:
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """The Monte Carlo sampling plane: worlds, seeds, backend, refinement."""
+    """The Monte Carlo sampling plane: worlds, seeds, backend.
+
+    Which world prefixes a caller asks for — the round ladder — is not a
+    sampling knob: it is the client's (:meth:`repro.api.ClientConfig.
+    round_plan`), and cannot change a sample.
+    """
 
     n_worlds: int = 200
     base_seed: int = 42
@@ -58,8 +61,6 @@ class SamplingConfig:
     #: ``"loop"`` executes one INSERT per world (the bit-identity
     #: reference). Backends are bit-identical by contract.
     backend: str = field(default="batched", metadata={"choices": SAMPLING_BACKENDS})
-    refinement_first: int = 25
-    refinement_growth: float = 2.0
 
     def __post_init__(self) -> None:
         require(
@@ -68,22 +69,6 @@ class SamplingConfig:
             f"(known: {', '.join(SAMPLING_BACKENDS)})",
         )
         require(self.n_worlds >= 1, f"n_worlds must be >= 1, got {self.n_worlds}")
-        require(
-            self.refinement_first >= 1,
-            f"refinement_first must be >= 1, got {self.refinement_first}",
-        )
-        require(
-            self.refinement_growth > 1.0,
-            f"refinement_growth must be > 1, got {self.refinement_growth}",
-        )
-
-    def plan(self) -> RoundPlan:
-        """The fixed-budget round ladder over this section's worlds."""
-        return RoundPlan(
-            n_worlds=self.n_worlds,
-            first=min(self.refinement_first, self.n_worlds),
-            growth=self.refinement_growth,
-        )
 
 
 @dataclass(frozen=True)

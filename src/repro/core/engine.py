@@ -836,7 +836,9 @@ class PointEvaluator:
     ) -> None:
         self.engine = engine
         self.point = dict(point)
-        self.plan = plan if plan is not None else engine.config.sampling.plan()
+        self.plan = plan if plan is not None else RoundPlan.over(
+            engine.config.sampling.n_worlds
+        )
         self.target_ci = target_ci
         self.z = z
         self.reuse = reuse

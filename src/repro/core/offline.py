@@ -28,6 +28,7 @@ from repro.errors import OptimizationError
 from repro.core.aggregator import AxisStatistics
 from repro.core.engine import PointEvaluation, ProphetEngine
 from repro.core.guide import GridGuide
+from repro.core.rounds import RoundPlan
 from repro.core.scenario import OptimizeSpec
 from repro.core.storage import ReuseReport
 from repro.sqldb.ast_nodes import (
@@ -227,7 +228,7 @@ class OfflineOptimizer:
         guide = GridGuide(
             self.scenario.space,
             self.scenario.axis,
-            self.engine.config.sampling.plan(),
+            RoundPlan.over(self.engine.config.sampling.n_worlds),
             self.engine.config.sampling.base_seed,
         )
         result = OptimizationResult(

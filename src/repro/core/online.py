@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.errors import OnlineSessionError
 from repro.core.aggregator import AxisStatistics
-from repro.core.rounds import ConvergenceTracker
+from repro.core.rounds import ConvergenceTracker, RoundPlan
 from repro.core.engine import PointEvaluation, ProphetEngine
 from repro.core.guide import PriorityGuide
 from repro.core.scenario import Scenario
@@ -101,7 +101,10 @@ class OnlineSession:
     Scenario, library and config are the engine's; ``evaluate`` is any
     callable with :meth:`ProphetEngine.evaluate_point`'s signature (the
     default) — e.g. a serve scheduler's ``evaluate``, whose coordinator
-    engine is then the ``engine`` to pass.
+    engine is then the ``engine`` to pass. ``plan`` is the ladder
+    :meth:`refresh_progressive` steps and whose first round proactive
+    exploration samples (default: :meth:`RoundPlan.over` the engine's
+    worlds).
     """
 
     def __init__(
@@ -110,6 +113,7 @@ class OnlineSession:
         *,
         evaluate: Optional[Callable[..., PointEvaluation]] = None,
         neighbor_depth: int = 1,
+        plan: Optional[RoundPlan] = None,
     ) -> None:
         self.engine = engine
         self.scenario = engine.scenario
@@ -117,7 +121,7 @@ class OnlineSession:
         self.guide = PriorityGuide(
             self.scenario.space,
             self.scenario.axis,
-            engine.config.sampling.plan(),
+            plan if plan is not None else RoundPlan.over(engine.config.sampling.n_worlds),
             engine.config.sampling.base_seed,
             neighbor_depth=neighbor_depth,
         )
@@ -182,7 +186,7 @@ class OnlineSession:
         """
         views: list[GraphView] = []
         self.tracker.reset()
-        for world_range in self.engine.config.sampling.plan().passes():
+        for world_range in self.guide.plan.passes():
             views.append(self._render(worlds=range(world_range.stop), reuse=reuse))
             if self.tracker.converged:
                 break

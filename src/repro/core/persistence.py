@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.errors import FingerprintError
 from repro.core.argcodec import decode_args, decode_legacy_args, encode_args
+from repro.core.atomic import atomic_write
 from repro.core.engine import ProphetEngine
 from repro.core.fingerprint.fingerprint import Fingerprint, FingerprintSpec
 
@@ -56,7 +57,11 @@ def _decode_args(text: str, format_version: int = _FORMAT_VERSION) -> tuple[Any,
 
 
 def save_bases(engine: ProphetEngine, path: str | Path) -> int:
-    """Persist the engine's basis distributions; returns the entry count."""
+    """Persist the engine's basis distributions; returns the entry count.
+
+    Writes exactly ``path`` (no suffix is appended), atomically: a save that
+    fails part-way leaves the previous archive at ``path`` loadable.
+    """
     arrays: dict[str, np.ndarray] = {}
     manifest: list[dict[str, Any]] = []
     persistable = engine.storage.persistable_entries(engine.config.sampling.base_seed)
@@ -86,7 +91,8 @@ def save_bases(engine: ProphetEngine, path: str | Path) -> int:
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8
     )
-    np.savez_compressed(Path(path), **arrays)
+    with atomic_write(path) as handle:
+        np.savez_compressed(handle, **arrays)
     return len(manifest)
 
 

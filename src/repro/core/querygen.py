@@ -273,9 +273,6 @@ class QueryGenerator:
         )
         return "".join(pieces)
 
-    def count_sql(self) -> str:
-        return f"SELECT COUNT(*) AS n FROM {self.scenario.results_table}"
-
     def _point_bindings(self, point: Mapping[str, Any]) -> dict[str, Expression]:
         bindings: dict[str, Expression] = {
             str(name).lower(): Literal(value) for name, value in point.items()

@@ -42,10 +42,12 @@ class RoundPlan:
     """Split ``n_worlds`` into a ladder of growing world-prefix rounds.
 
     ``first`` worlds give the first (coarse) estimate; each later round
-    adds ``growth`` times more until ``n_worlds`` is reached. The adaptive
-    surface maps :class:`~repro.api.AdaptiveConfig`'s ``min_worlds`` /
+    adds ``growth`` times more until ``n_worlds`` is reached. The ladder is
+    declared once, on the client: :meth:`repro.api.ClientConfig.round_plan`
+    maps :class:`~repro.api.AdaptiveConfig`'s ``min_worlds`` /
     ``max_worlds`` / ``round_growth`` onto ``first`` / ``n_worlds`` /
-    ``growth``.
+    ``growth`` through :meth:`over`; a session, evaluator or scheduler
+    handed no ladder takes :meth:`over` its engine's worlds.
     """
 
     n_worlds: int = 200
@@ -61,6 +63,22 @@ class RoundPlan:
             )
         if self.growth <= 1.0:
             raise ScenarioError(f"growth must be > 1, got {self.growth}")
+
+    @classmethod
+    def over(
+        cls,
+        n_worlds: int,
+        *,
+        first: Optional[int] = None,
+        growth: Optional[float] = None,
+    ) -> "RoundPlan":
+        """The ladder over ``n_worlds``; an unset ``first`` / ``growth``
+        takes the class default, and ``first`` is capped at ``n_worlds``."""
+        return cls(
+            n_worlds=n_worlds,
+            first=min(cls.first if first is None else first, n_worlds),
+            growth=cls.growth if growth is None else growth,
+        )
 
     def passes(self) -> list[range]:
         """World-index ranges of each round's *increment* (contiguous)."""

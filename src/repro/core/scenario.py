@@ -30,7 +30,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 from repro.errors import ScenarioError
 from repro.core.parameters import ParameterSpace
-from repro.sqldb.ast_nodes import Expression, Variable
+from repro.sqldb.ast_nodes import Expression
 from repro.sqldb.expressions import (
     CompiledExpression,
     EvalContext,
@@ -273,8 +273,3 @@ class Scenario:
             f"outputs={list(self.output_aliases)}, "
             f"parameters={list(self.space.names)})"
         )
-
-
-def axis_variable(scenario: Scenario) -> Variable:
-    """The AST node referring to the scenario's axis parameter."""
-    return Variable(scenario.axis)

@@ -94,14 +94,6 @@ class TransientServeError(ServeError):
     """
 
 
-class PermanentServeError(ServeError):
-    """A serving failure that retrying cannot fix (bad request, bad state).
-
-    Exists so serve-layer code can *mark* an error as known-permanent;
-    unknown exception types are treated as permanent by default.
-    """
-
-
 class WorkerCrashError(TransientServeError):
     """A worker process died (or an injected crash simulated one)."""
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.errors import ScenarioError
-
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -30,21 +28,12 @@ class ObsConfig:
     ``profile``
         Run ``cProfile`` around every ``evaluate_point`` on the
         coordinator engine; read the top-N cumulative summary via
-        ``client.profile_summary()``.
-    ``profile_top``
-        How many rows the profile summary prints.
+        ``client.profile_summary(top=N)``.
     """
 
     trace: bool = False
     trace_file: Optional[str] = None
     profile: bool = False
-    profile_top: int = 20
-
-    def __post_init__(self) -> None:
-        if self.profile_top < 1:
-            raise ScenarioError(
-                f"profile_top must be >= 1, got {self.profile_top}"
-            )
 
     @property
     def tracing(self) -> bool:

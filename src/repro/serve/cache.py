@@ -27,6 +27,7 @@ from typing import Any, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.aggregator import AxisStatistics, SeriesStats
+from repro.core.atomic import atomic_write
 from repro.core.scenario import Scenario, VGOutput
 from repro.vg.library import VGLibrary
 
@@ -259,22 +260,22 @@ class ResultCache:
                 statistics.stddev(alias), dtype=np.float64
             )
         payload = _deterministic_npz(arrays)
-        self._atomic_write(path, payload)
+        with atomic_write(path) as handle:
+            handle.write(payload)
         if meta is not None:
-            self._atomic_write(
-                self._meta_path(key),
-                json.dumps(dict(meta), sort_keys=True, indent=2).encode(),
-            )
+            with atomic_write(self._meta_path(key)) as handle:
+                handle.write(json.dumps(dict(meta), sort_keys=True, indent=2).encode())
         self.stores += 1
         return payload
 
     def _sweep_stale_tmp(self) -> int:
         """Remove tmp files orphaned by a writer that crashed mid-write.
 
-        ``_atomic_write`` stages every payload as ``<path>.tmp.<pid>``; a
-        process killed between staging and ``os.replace`` leaves the tmp
-        file behind forever (its key is content-addressed, so no later
-        write reuses the exact name for long). Swept at init: a tmp file
+        :func:`~repro.core.atomic.atomic_write` stages every payload as
+        ``<path>.tmp.<pid>``; a process killed between staging and
+        ``os.replace`` leaves the tmp file behind forever (its key is
+        content-addressed, so no later write reuses the exact name for
+        long). Swept at init: a tmp file
         whose writer pid is no longer alive — or is *this* process, which
         cannot have a write in flight during construction — is garbage.
         Tmp files of live foreign writers are left alone.
@@ -296,27 +297,6 @@ class ResultCache:
             except OSError:
                 pass  # raced with the owner finishing; either way it's gone
         return swept
-
-    def _atomic_write(self, path: str, payload: bytes) -> None:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
-            # fsync before the rename: os.replace is atomic in the
-            # namespace but says nothing about the *data* — a crash after
-            # the rename could otherwise leave the final name pointing at
-            # a truncated payload.
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        try:
-            # Persist the rename itself (the directory entry).
-            dir_fd = os.open(self.directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:
-            pass  # not supported on this platform/filesystem; best effort
 
     # -- observability -----------------------------------------------------
 

@@ -292,9 +292,9 @@ class Scheduler:
         """Queue an adaptive sweep driven by the CI budget allocator.
 
         Each point runs in growing world-prefix rounds (``plan`` defaults to
-        the engine config's ladder) and retires once its worst CI half-width
-        is at most ``target_ci``; budget retired points did not spend is
-        reassigned to unresolved points. Every round is a regular scheduler
+        :meth:`RoundPlan.over` the engine's worlds) and retires once its
+        worst CI half-width is at most ``target_ci``; budget retired points
+        did not spend is reassigned to unresolved points. Every round is a regular scheduler
         job — it flows through the same queue, dedup, retry ladder, and
         sharded service as a fixed-budget evaluation.
 
@@ -308,7 +308,9 @@ class Scheduler:
             points = scenario.space.grid(exclude=[scenario.axis])
         if target_ci <= 0.0:
             raise ServeError(f"target_ci must be > 0, got {target_ci}")
-        chosen_plan = plan if plan is not None else self.service.engine.config.sampling.plan()
+        chosen_plan = plan if plan is not None else RoundPlan.over(
+            self.service.engine.config.sampling.n_worlds
+        )
         sweep = AdaptiveSweepJob(
             id=next(self._ids),
             session=session,

@@ -216,7 +216,7 @@ class EvaluationService:
         #: task pickles). Falls back to pickle — counted, never an error —
         #: where shared memory is unavailable.
         self.transport = transport if transport is not None else TransportConfig()
-        self._arena = SegmentArena(ttl=self.transport.lease_ttl, stats=self.stats)
+        self._arena = SegmentArena(stats=self.stats)
         self._shm_ok = self.transport.enabled and shm_available()
         # Tie lease cleanup into the executor's own lifecycle: a recycled
         # pool (every dispatcher heal included) sweeps expired leases, a

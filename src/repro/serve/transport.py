@@ -84,18 +84,12 @@ class TransportConfig:
         Upper bound on any single leased segment. A generation whose
         payload would exceed it falls back to pickle (counted, not an
         error) — the cap is a guard against exhausting ``/dev/shm``.
-    ``lease_ttl``
-        Seconds a lease may live before the sweeper may reclaim it. A
-        generous safety net (normal generations release within one
-        fan-out); it only matters for leases leaked by a crashed
-        coordinator path.
     """
 
     shard_transport: str = field(
         default="pickle", metadata={"choices": SHARD_TRANSPORTS}
     )
     segment_cap_bytes: int = 256 * 1024 * 1024
-    lease_ttl: float = 300.0
 
     def __post_init__(self) -> None:
         require(
@@ -106,10 +100,6 @@ class TransportConfig:
         require(
             self.segment_cap_bytes >= 1024,
             f"segment_cap_bytes must be >= 1024, got {self.segment_cap_bytes}",
-        )
-        require(
-            self.lease_ttl > 0,
-            f"lease_ttl must be > 0, got {self.lease_ttl}",
         )
 
     @property

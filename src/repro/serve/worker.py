@@ -77,17 +77,10 @@ SCENARIO_BUILDERS: Mapping[str, Callable[..., tuple[Any, Any]]] = MappingProxyTy
 
 
 #: Knobs left out of :meth:`EngineSpec.content_hash` because they cannot
-#: change a sample: the refinement pair only picks which world prefixes a
-#: caller asks for (the worlds themselves travel with each task), and the
-#: stats cache only short-circuits re-aggregation of identical samples.
-#: Every other section field participates — a new knob is hashed by default.
-_HASH_EXCLUDED = frozenset(
-    {
-        ("sampling", "refinement_first"),
-        ("sampling", "refinement_growth"),
-        ("reuse", "enable_stats_cache"),
-    }
-)
+#: change a sample: the stats cache only short-circuits re-aggregation of
+#: identical samples. Every other section field participates — a new knob
+#: is hashed by default.
+_HASH_EXCLUDED = frozenset({("reuse", "enable_stats_cache")})
 
 
 @dataclass(frozen=True)

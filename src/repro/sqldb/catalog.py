@@ -73,10 +73,6 @@ class Catalog:
     def tables(self) -> Iterator[Table]:
         return iter(self._tables.values())
 
-    @property
-    def table_names(self) -> tuple[str, ...]:
-        return tuple(table.name for table in self._tables.values())
-
     # -- scalar functions ------------------------------------------------------
 
     def register_scalar_function(
@@ -120,7 +116,3 @@ class Catalog:
             return self._table_functions[name.lower()]
         except KeyError:
             raise CatalogError(f"no such table function: {name!r}") from None
-
-    @property
-    def table_function_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._table_functions))

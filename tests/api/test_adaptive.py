@@ -3,8 +3,8 @@
 Pins the PR 8 contracts end to end:
 
 * ``AdaptiveConfig`` — validation, mapping round-trip, ``with_adaptive``
-  only changing the knobs actually passed, ``round_plan()`` falling back
-  to the sampling section's legacy refinement spellings;
+  only changing the knobs actually passed, ``round_plan()`` taking
+  ``RoundPlan``'s defaults for the ladder knobs left unset;
 * adaptive **off** (the default) is byte-identical to the fixed-budget
   path — same results, same counter JSON;
 * adaptive **on** with an unreachable target and ``max_worlds ==
@@ -23,13 +23,15 @@ import pytest
 from api_testutil import API_DSL, POINT, assert_stats_identical
 from repro.api import AdaptiveConfig, ClientConfig, ProphetClient, SamplingConfig
 from repro.core.aggregator import MergeableAxisStats
+from repro.core.rounds import RoundPlan
 from repro.errors import ScenarioError
 from repro.serve.scheduler import AdaptiveSweepJob
 
 N_WORLDS = 16
 
+#: Every sweep here steps the ladder 8, then 16 worlds.
 BASE_CONFIG = ClientConfig(
-    sampling=SamplingConfig(n_worlds=N_WORLDS, refinement_first=8)
+    sampling=SamplingConfig(n_worlds=N_WORLDS), adaptive=AdaptiveConfig(min_worlds=8)
 )
 
 
@@ -67,11 +69,11 @@ class TestAdaptiveConfig:
         portable = ClientConfig.from_mapping(config.to_mapping(portable=True))
         assert portable.adaptive == config.adaptive
 
-    def test_round_plan_falls_back_to_sampling_section(self):
+    def test_round_plan_defaults_to_the_round_plan_class(self):
+        unset = ClientConfig(sampling=SamplingConfig(n_worlds=N_WORLDS))
+        assert unset.round_plan() == RoundPlan(n_worlds=N_WORLDS, first=N_WORLDS)
         plan = BASE_CONFIG.round_plan()
-        assert plan.n_worlds == N_WORLDS
-        assert plan.first == 8  # sampling.refinement_first
-        assert plan.growth == BASE_CONFIG.sampling.refinement_growth
+        assert (plan.n_worlds, plan.first, plan.growth) == (N_WORLDS, 8, 2.0)
 
     def test_round_plan_adaptive_knobs_win(self):
         config = BASE_CONFIG.replace_section(
@@ -94,14 +96,14 @@ class TestAdaptiveConfig:
             adaptive = tuned.config.adaptive
             assert adaptive.target_ci == 0.5  # survived the second call
             assert adaptive.max_worlds == 64
-            assert adaptive.min_worlds is None
+            assert adaptive.min_worlds == 8  # the base ladder, untouched
             # The original client is untouched (immutably layered).
             assert not client.config.adaptive.enabled
 
 
 class TestAdaptiveOffUnchanged:
     def test_default_config_mapping_has_disabled_adaptive(self):
-        mapping = BASE_CONFIG.to_mapping()
+        mapping = ClientConfig().to_mapping()
         assert mapping["adaptive"] == {
             "target_ci": None,
             "min_worlds": None,

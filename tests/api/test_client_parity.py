@@ -14,11 +14,12 @@ import json
 import pytest
 
 from api_testutil import API_DSL, POINT, assert_stats_identical
-from repro.api import ClientConfig, ProphetClient, SamplingConfig
+from repro.api import AdaptiveConfig, ClientConfig, ProphetClient, SamplingConfig
 from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
+from repro.core.rounds import RoundPlan
 from repro.dsl import parse_scenario
 from repro.errors import ScenarioError
 from repro.models import build_demo_library
@@ -26,10 +27,12 @@ from repro.models import build_demo_library
 N_WORLDS = 16
 
 CLIENT_CONFIG = ClientConfig(
-    sampling=SamplingConfig(n_worlds=N_WORLDS, refinement_first=8)
+    sampling=SamplingConfig(n_worlds=N_WORLDS), adaptive=AdaptiveConfig(min_worlds=8)
 )
 
-ENGINE_CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=N_WORLDS, refinement_first=8))
+ENGINE_CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=N_WORLDS))
+#: The ladder ``CLIENT_CONFIG`` declares, handed to the legacy sessions.
+PLAN = RoundPlan(n_worlds=N_WORLDS, first=8)
 
 SLIDERS = {"purchase1": 26, "purchase2": 52, "feature": 12}
 
@@ -90,7 +93,7 @@ def legacy_parts():
 class TestInteractiveParity:
     def _legacy_views(self, legacy_parts):
         scenario, library = legacy_parts
-        session = OnlineSession(ProphetEngine(scenario, library, ENGINE_CONFIG))
+        session = OnlineSession(ProphetEngine(scenario, library, ENGINE_CONFIG), plan=PLAN)
         session.set_sliders(SLIDERS)
         first = session.refresh()
         session.set_slider("purchase1", 0)
@@ -123,7 +126,7 @@ class TestInteractiveParity:
 
     def test_progressive_refresh_parity(self, legacy_parts):
         scenario, library = legacy_parts
-        session = OnlineSession(ProphetEngine(scenario, library, ENGINE_CONFIG))
+        session = OnlineSession(ProphetEngine(scenario, library, ENGINE_CONFIG), plan=PLAN)
         session.set_sliders(SLIDERS)
         expected = session.refresh_progressive()
         with open_client() as client:

@@ -16,7 +16,6 @@ from repro.api import (
     AdaptiveConfig,
     CacheConfig,
     ClientConfig,
-    ObsConfig,
     ProphetClient,
     ResilienceConfig,
     ReuseConfig,
@@ -33,8 +32,6 @@ from repro.models import FIGURE2_DSL
 OUT_OF_RANGE = [
     (SamplingConfig, "n_worlds", 0),
     (SamplingConfig, "backend", "turbo"),
-    (SamplingConfig, "refinement_first", 0),
-    (SamplingConfig, "refinement_growth", 1.0),
     (ReuseConfig, "fingerprint_seeds", 1),
     (ReuseConfig, "correlation_tolerance", -1e-9),
     (ReuseConfig, "min_mapped_fraction", 1.5),
@@ -51,13 +48,11 @@ OUT_OF_RANGE = [
     (ResilienceConfig, "job_retries", -1),
     (TransportConfig, "shard_transport", "carrier-pigeon"),
     (TransportConfig, "segment_cap_bytes", 1023),
-    (TransportConfig, "lease_ttl", 0.0),
     (CacheConfig, "dir", ""),
     (AdaptiveConfig, "target_ci", 0.0),
     (AdaptiveConfig, "min_worlds", 0),
     (AdaptiveConfig, "max_worlds", 0),
     (AdaptiveConfig, "round_growth", 1.0),
-    (ObsConfig, "profile_top", 0),
 ]
 
 #: How each section's error spells the field, where it is not the bare name.
@@ -232,9 +227,9 @@ class TestMappingRoundTrips:
         with pytest.raises(ScenarioError, match="unknown sampling backend"):
             ClientConfig.from_mapping({"sampling": {"backend": "turbo"}})
 
-    def test_the_mapping_has_33_independently_settable_values(self):
+    def test_the_mapping_has_29_independently_settable_values(self):
         mapping = ClientConfig().to_mapping()
-        assert sum(len(section) for section in mapping.values()) == 33
+        assert sum(len(section) for section in mapping.values()) == 29
 
     def test_a_retired_serve_knob_is_an_unknown_key(self):
         # Spelled in halves so a tree-wide grep for the deleted knob's name

@@ -35,7 +35,7 @@ def people(executor: Executor) -> Executor:
 @pytest.fixture(scope="session")
 def small_config() -> EngineConfig:
     """A fast engine configuration for integration tests."""
-    return EngineConfig(sampling=SamplingConfig(n_worlds=24, refinement_first=8))
+    return EngineConfig(sampling=SamplingConfig(n_worlds=24))
 
 
 @pytest.fixture

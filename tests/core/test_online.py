@@ -7,16 +7,18 @@ import pytest
 from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.core.online import OnlineSession
+from repro.core.rounds import RoundPlan
 from repro.errors import OnlineSessionError
 from repro.models import build_risk_vs_cost
 
-CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=20, refinement_first=5))
+CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=20))
+PLAN = RoundPlan(n_worlds=20, first=5)
 
 
 @pytest.fixture
 def session():
     scenario, library = build_risk_vs_cost(purchase_step=16)
-    return OnlineSession(ProphetEngine(scenario, library, CONFIG))
+    return OnlineSession(ProphetEngine(scenario, library, CONFIG), plan=PLAN)
 
 
 def test_signature_is_the_one_seam():
@@ -26,6 +28,7 @@ def test_signature_is_the_one_seam():
         ("engine", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
         ("evaluate", "KEYWORD_ONLY", None),
         ("neighbor_depth", "KEYWORD_ONLY", 1),
+        ("plan", "KEYWORD_ONLY", None),
     ]
 
 
@@ -119,7 +122,7 @@ class TestProgressiveRefinement:
 
     def test_first_guess_uses_few_worlds(self, session):
         views = session.refresh_progressive()
-        assert views[0].n_worlds == CONFIG.sampling.refinement_first
+        assert views[0].n_worlds == PLAN.first
 
     def test_tracker_records_history(self, session):
         session.refresh_progressive()

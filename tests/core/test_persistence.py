@@ -82,6 +82,32 @@ class TestSaveLoadRoundTrip:
         # parameterizations needed probing.
         assert fresh.registry.probes_computed == probes_before + 1
 
+    def test_writes_exactly_a_suffixless_path(self, tmp_path):
+        engine = make_engine()
+        engine.evaluate_point(POINT)
+        path = tmp_path / "bases.archive"
+        assert save_bases(engine, str(path)) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bases.archive"]
+        assert load_bases(make_engine(), str(path)) == 2
+
+    def test_failed_save_keeps_the_previous_archive(self, archive, monkeypatch):
+        engine = make_engine()
+        engine.evaluate_point(POINT)
+        save_bases(engine, archive)
+        previous = archive.read_bytes()
+
+        def crash(handle, **arrays):
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        engine.evaluate_point({**POINT, "purchase1": 32})
+        monkeypatch.setattr(np, "savez_compressed", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_bases(engine, archive)
+        assert archive.read_bytes() == previous
+        assert [p.name for p in archive.parent.iterdir()] == [archive.name]
+        assert load_bases(make_engine(), archive) == 2
+
 
 class TestSpecCompatibility:
     def test_mismatched_spec_strict_raises(self, archive):

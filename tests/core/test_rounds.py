@@ -21,6 +21,7 @@ from repro.core.aggregator import (
     MergeableMoments,
     SeriesStats,
 )
+from repro.api import ClientConfig
 from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.engine import PointEvaluator, ProphetEngine
 from repro.core.rounds import (
@@ -92,6 +93,44 @@ class TestRoundPlan:
             RoundPlan(n_worlds=10, first=11)
         with pytest.raises(ScenarioError, match="growth"):
             RoundPlan(n_worlds=10, first=5, growth=1.0)
+
+    def test_over_takes_class_defaults_and_caps_first(self):
+        assert RoundPlan.over(200) == RoundPlan(n_worlds=200, first=25, growth=2.0)
+        assert RoundPlan.over(16) == RoundPlan(n_worlds=16, first=16)
+        assert RoundPlan.over(40, first=50, growth=3.0) == RoundPlan(40, 40, 3.0)
+
+
+#: ``ClientConfig.round_plan().boundaries()`` as literals, for the four
+#: ledger workloads' clients and the default client at three world counts:
+#: a drifting default fails here by name.
+LADDERS = {
+    "grid_reuse": ({"sampling": {"n_worlds": 64}}, (25, 64)),
+    "interactive_walk": (
+        {"sampling": {"n_worlds": 400}},
+        (25, 75, 175, 375, 400),
+    ),
+    "adaptive_rounds": (
+        {"sampling": {"n_worlds": 400}, "adaptive": {"target_ci": 150.0, "min_worlds": 50}},
+        (50, 150, 350, 400),
+    ),
+    "fresh_fanout": (
+        {
+            "sampling": {"n_worlds": 2000},
+            "serve": {"executor": "process", "workers": 2, "shards": 2},
+            "transport": {"shard_transport": "shm"},
+        },
+        (25, 75, 175, 375, 775, 1575, 2000),
+    ),
+    "default_16": ({"sampling": {"n_worlds": 16}}, (16,)),
+    "default_24": ({"sampling": {"n_worlds": 24}}, (24,)),
+    "default_200": ({"sampling": {"n_worlds": 200}}, (25, 75, 175, 200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDERS))
+def test_client_ladder_boundaries_are_pinned(name):
+    mapping, boundaries = LADDERS[name]
+    assert ClientConfig.from_mapping(mapping).round_plan().boundaries() == boundaries
 
 
 class TestStoppingRule:
@@ -203,11 +242,15 @@ class TestConvergenceTracker:
         assert tracker.history == []
 
 
+#: The ladder the evaluator tests step: 5, 15, 20 worlds.
+PLAN = RoundPlan(n_worlds=20, first=5)
+
+
 @pytest.fixture
 def rounds_engine() -> ProphetEngine:
     scenario, library = build_risk_vs_cost(purchase_step=16)
     return ProphetEngine(
-        scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=20, refinement_first=5))
+        scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=20))
     )
 
 
@@ -215,13 +258,13 @@ class TestPointEvaluator:
     POINT = {"purchase1": 0, "purchase2": 16, "feature": 12}
 
     def test_round_ladder_is_bitwise_exact(self, rounds_engine):
-        evaluator = PointEvaluator(rounds_engine, self.POINT)
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
         final = evaluator.run()
 
         scenario, library = build_risk_vs_cost(purchase_step=16)
         fresh = ProphetEngine(
             scenario, library, EngineConfig(
-                sampling=SamplingConfig(n_worlds=20, refinement_first=5),
+                sampling=SamplingConfig(n_worlds=20),
             )
         )
         oneshot = fresh.evaluate_point(self.POINT, worlds=range(20))
@@ -236,7 +279,7 @@ class TestPointEvaluator:
             )
 
     def test_rounds_follow_plan_boundaries(self, rounds_engine):
-        evaluator = PointEvaluator(rounds_engine, self.POINT)
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
         evaluator.run()
         boundaries = tuple(r.worlds_total for r in evaluator.rounds)
         assert boundaries == evaluator.plan.boundaries()
@@ -245,7 +288,7 @@ class TestPointEvaluator:
         assert sum(r.worlds_added for r in evaluator.rounds) == 20
 
     def test_resumable_step_by_step(self, rounds_engine):
-        evaluator = PointEvaluator(rounds_engine, self.POINT)
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
         first = evaluator.step()
         assert first.worlds_total == 5
         assert not evaluator.finished
@@ -261,7 +304,7 @@ class TestPointEvaluator:
             evaluator.step()
 
     def test_converged_stops_early_and_refuses_more(self, rounds_engine):
-        evaluator = PointEvaluator(rounds_engine, self.POINT, target_ci=1e12)
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN, target_ci=1e12)
         evaluator.run()
         assert evaluator.converged
         assert evaluator.worlds_spent == 5  # first round already under target
@@ -269,14 +312,14 @@ class TestPointEvaluator:
             evaluator.step()
 
     def test_unreachable_target_runs_full_budget(self, rounds_engine):
-        evaluator = PointEvaluator(rounds_engine, self.POINT, target_ci=1e-12)
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN, target_ci=1e-12)
         evaluator.run()
         assert not evaluator.converged
         assert evaluator.worlds_spent == 20
         assert evaluator.max_ci > 1e-12
 
     def test_moments_accumulate_increments_exactly(self, rounds_engine):
-        evaluator = PointEvaluator(rounds_engine, self.POINT)
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
         final = evaluator.run()
         assert evaluator.moments_complete
         assert evaluator.moments is not None
@@ -311,7 +354,7 @@ class TestPointEvaluator:
             return replace(evaluation, samples={})
 
         evaluator = PointEvaluator(
-            rounds_engine, self.POINT, evaluate=stripping_evaluate
+            rounds_engine, self.POINT, plan=PLAN, evaluate=stripping_evaluate
         )
         evaluator.run()
         assert not evaluator.moments_complete
@@ -319,7 +362,7 @@ class TestPointEvaluator:
 
     def test_merge_order_independence_of_increments(self, rounds_engine):
         """Exactly merging per-round increments equals one whole-prefix batch."""
-        evaluator = PointEvaluator(rounds_engine, self.POINT)
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
         final = evaluator.run()
         whole = MergeableAxisStats.from_matrices(
             {
@@ -367,7 +410,7 @@ class TestPointEvaluator:
                 assert (a.minimum, a.maximum) == (b.minimum, b.maximum)
 
     def test_lazy_moments_equal_eager_fold_and_follow_new_rounds(self, rounds_engine):
-        evaluator = PointEvaluator(rounds_engine, self.POINT)
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
         assert evaluator.moments is None  # nothing to fold before round 0
         assert evaluator.moments_complete
         evaluator.step()
@@ -395,7 +438,7 @@ class TestPointEvaluator:
             return replace(evaluation, samples={}) if len(calls) == 2 else evaluation
 
         evaluator = PointEvaluator(
-            rounds_engine, self.POINT, evaluate=strip_second_round
+            rounds_engine, self.POINT, plan=PLAN, evaluate=strip_second_round
         )
         evaluator.run()
         assert calls == [5, 15, 20]

@@ -11,11 +11,14 @@ from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
+from repro.core.rounds import RoundPlan
 from repro.dsl import parse_scenario
 from repro.models import FIGURE2_DSL, build_demo_library, build_risk_vs_cost
 from repro.viz import mapping_grid
 
-CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=24, refinement_first=6))
+CONFIG = EngineConfig(sampling=SamplingConfig(n_worlds=24))
+#: C5's progressive ladder: a 6-world first guess, then 18 and 24.
+PLAN = RoundPlan(n_worlds=24, first=6)
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +152,7 @@ class TestC5FirstGuess:
 
     def test_fewer_samples_to_convergence_with_basis(self):
         scenario, library = build_risk_vs_cost()
-        session = OnlineSession(ProphetEngine(scenario, library, CONFIG))
+        session = OnlineSession(ProphetEngine(scenario, library, CONFIG), plan=PLAN)
         session.set_sliders({"purchase1": 8, "purchase2": 24, "feature": 12})
         session.refresh_progressive()
 
@@ -160,7 +163,9 @@ class TestC5FirstGuess:
         warm_cost = session.engine.component_sample_count() - samples_before
 
         scenario2, library2 = build_risk_vs_cost()
-        cold_session = OnlineSession(ProphetEngine(scenario2, library2, CONFIG))
+        cold_session = OnlineSession(
+            ProphetEngine(scenario2, library2, CONFIG), plan=PLAN
+        )
         cold_session.set_sliders({"purchase1": 12, "purchase2": 24, "feature": 12})
         cold_before = cold_session.engine.component_sample_count()
         cold_session.refresh_progressive()

@@ -11,7 +11,7 @@ from obs_testutil import OBS_DSL
 
 @pytest.fixture(scope="session")
 def obs_config() -> EngineConfig:
-    return EngineConfig(sampling=SamplingConfig(n_worlds=16, refinement_first=8))
+    return EngineConfig(sampling=SamplingConfig(n_worlds=16))
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ from repro.errors import ScenarioError
 from repro.obs import NULL_TRACER
 
 CLIENT_CONFIG = ClientConfig(
-    sampling=SamplingConfig(n_worlds=16, refinement_first=8)
+    sampling=SamplingConfig(n_worlds=16)
 )
 
 
@@ -39,7 +39,7 @@ def scenario_file(tmp_path):
 class TestObsConfigSection:
     def test_portable_round_trip(self):
         config = ClientConfig(
-            obs=ObsConfig(trace=True, trace_file="out.json", profile_top=5)
+            obs=ObsConfig(trace=True, trace_file="out.json", profile=True)
         )
         payload = json.dumps(config.to_mapping(portable=True))
         assert ClientConfig.from_mapping(json.loads(payload)) == config

@@ -11,7 +11,6 @@ import json
 
 import pytest
 
-from repro.errors import ScenarioError
 from repro.obs import (
     NULL_TRACER,
     EngineProfiler,
@@ -226,10 +225,6 @@ class TestObsConfig:
         config = ObsConfig(profile=True)
         assert config.enabled
         assert not config.tracing
-
-    def test_profile_top_validated(self):
-        with pytest.raises(ScenarioError, match="profile_top"):
-            ObsConfig(profile_top=0)
 
 
 class TestEngineProfiler:

@@ -14,7 +14,7 @@ from serve_testutil import SERVE_DSL
 
 @pytest.fixture(scope="session")
 def serve_config() -> EngineConfig:
-    return EngineConfig(sampling=SamplingConfig(n_worlds=16, refinement_first=8))
+    return EngineConfig(sampling=SamplingConfig(n_worlds=16))
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.rounds import RoundPlan
 from repro.errors import ServeError
 from repro.serve import (
     EvaluationService,
@@ -24,6 +25,8 @@ from repro.serve import (
 from serve_testutil import POINT, assert_stats_identical
 
 OTHER_POINT = {"purchase1": 26, "purchase2": 52, "feature": 36}
+#: The round ladder every adaptive sweep here steps: 8, then 16 worlds.
+LADDER = RoundPlan(n_worlds=16, first=8)
 
 
 def _service(serve_spec, *, plan=None, **kwargs) -> EvaluationService:
@@ -40,7 +43,7 @@ def scheduler(serve_spec) -> Scheduler:
 class TestSubmitAdaptive:
     def test_budget_conservation_unreachable_target(self, scheduler):
         sweep = scheduler.submit_adaptive(
-            [POINT, OTHER_POINT], target_ci=1e-12
+            [POINT, OTHER_POINT], target_ci=1e-12, plan=LADDER
         )
         scheduler.run_adaptive(sweep)
         assert sweep.done
@@ -54,7 +57,7 @@ class TestSubmitAdaptive:
 
     def test_early_retirement_frees_budget(self, scheduler):
         sweep = scheduler.submit_adaptive(
-            [POINT, OTHER_POINT], target_ci=1e6  # trivially reachable
+            [POINT, OTHER_POINT], target_ci=1e6, plan=LADDER  # trivially reachable
         )
         scheduler.run_adaptive(sweep)
         assert sweep.done
@@ -65,7 +68,7 @@ class TestSubmitAdaptive:
             assert state.retired_early
 
     def test_rounds_flow_through_job_queue(self, scheduler):
-        sweep = scheduler.submit_adaptive([POINT], target_ci=1e-12)
+        sweep = scheduler.submit_adaptive([POINT], target_ci=1e-12, plan=LADDER)
         scheduler.run_adaptive(sweep)
         rounds = len(sweep.states[0].evaluator.rounds)
         assert rounds >= 2  # the ladder actually ran in rounds
@@ -78,7 +81,7 @@ class TestSubmitAdaptive:
             scheduler.submit_adaptive([], target_ci=1.0)
 
     def test_scheduler_carries_adaptive_counters(self, scheduler):
-        sweep = scheduler.submit_adaptive([POINT], target_ci=1e6)
+        sweep = scheduler.submit_adaptive([POINT], target_ci=1e6, plan=LADDER)
         scheduler.run_adaptive(sweep)
         assert scheduler.jobs_retired_early == 1
         assert scheduler.worlds_spent == sweep.worlds_spent
@@ -86,7 +89,7 @@ class TestSubmitAdaptive:
 
     def test_adaptive_report_lists_every_point(self, scheduler):
         sweep = scheduler.submit_adaptive(
-            [POINT, OTHER_POINT], target_ci=1e6
+            [POINT, OTHER_POINT], target_ci=1e6, plan=LADDER
         )
         scheduler.run_adaptive(sweep)
         report = scheduler.adaptive_report()
@@ -101,7 +104,7 @@ class TestSubmitAdaptive:
         sweeps = []
         for purchase2 in (0, 26, 52):
             sweep = scheduler.submit_adaptive(
-                [{**POINT, "purchase2": purchase2}], target_ci=1e6
+                [{**POINT, "purchase2": purchase2}], target_ci=1e6, plan=LADDER
             )
             sweeps.append(scheduler.run_adaptive(sweep))
         report = scheduler.adaptive_report()
@@ -117,7 +120,7 @@ class TestShardGenerations:
     def test_one_generation_per_fresh_fanout(self, serve_spec):
         service = _service(serve_spec)
         scheduler = Scheduler(service)
-        sweep = scheduler.submit_adaptive([POINT], target_ci=1e-12)
+        sweep = scheduler.submit_adaptive([POINT], target_ci=1e-12, plan=LADDER)
         scheduler.run_adaptive(sweep)
         generations = service.stats.shard_generations
         assert generations >= 1
@@ -143,7 +146,7 @@ class TestAdaptiveUnderChaos:
         )
         scheduler = Scheduler(service)
         sweep = scheduler.submit_adaptive(
-            [POINT, OTHER_POINT], target_ci=1e-12
+            [POINT, OTHER_POINT], target_ci=1e-12, plan=LADDER
         )
         scheduler.run_adaptive(sweep)
         return service, sweep
@@ -167,7 +170,7 @@ class TestAdaptiveUnderChaos:
     def test_chaos_does_not_change_stopping_decisions(self, serve_spec):
         service = _service(serve_spec)
         scheduler = Scheduler(service)
-        clean = scheduler.submit_adaptive([POINT], target_ci=1e6)
+        clean = scheduler.submit_adaptive([POINT], target_ci=1e6, plan=LADDER)
         scheduler.run_adaptive(clean)
 
         plan = FaultPlan(
@@ -185,7 +188,7 @@ class TestAdaptiveUnderChaos:
             resilience=ResilienceConfig(retry_backoff=0.0),
         )
         faulty_scheduler = Scheduler(faulty_service)
-        faulty = faulty_scheduler.submit_adaptive([POINT], target_ci=1e6)
+        faulty = faulty_scheduler.submit_adaptive([POINT], target_ci=1e6, plan=LADDER)
         faulty_scheduler.run_adaptive(faulty)
 
         assert faulty.states[0].retired_early == clean.states[0].retired_early

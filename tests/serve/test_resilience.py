@@ -55,7 +55,7 @@ def _reference_statistics():
         engine = ProphetEngine(
             parse_scenario(SERVE_DSL, name="serve_scenario"),
             build_demo_library(),
-            EngineConfig(sampling=SamplingConfig(n_worlds=16, refinement_first=8)),
+            EngineConfig(sampling=SamplingConfig(n_worlds=16)),
         )
         _REFERENCE_CACHE["stats"] = engine.evaluate_point(POINT).statistics
     return _REFERENCE_CACHE["stats"]
@@ -452,7 +452,7 @@ class TestHealWithWorkInFlight:
         engine = ProphetEngine(
             parse_scenario(SERVE_DSL, name="serve_scenario"),
             build_demo_library(),
-            EngineConfig(sampling=SamplingConfig(n_worlds=16, refinement_first=8)),
+            EngineConfig(sampling=SamplingConfig(n_worlds=16)),
         )
         points = [dict(p) for p in engine.scenario.sweep_space.grid()][::4][:5]
         references = [engine.evaluate_point(p, reuse=False).statistics for p in points]
@@ -562,7 +562,7 @@ class TestAcceptanceChaosSweep:
         engine = ProphetEngine(
             parse_scenario(SERVE_DSL, name="serve_scenario"),
             build_demo_library(),
-            EngineConfig(sampling=SamplingConfig(n_worlds=16, refinement_first=8)),
+            EngineConfig(sampling=SamplingConfig(n_worlds=16)),
         )
         references = [engine.evaluate_point(p).statistics for p in self.POINTS]
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
+from repro.core.rounds import RoundPlan
 from repro.errors import ServeError
 from repro.serve import EvaluationService, InlineExecutor, Scheduler
 from serve_testutil import POINT, assert_stats_identical
@@ -114,6 +115,7 @@ class TestOnlineSessionBackend:
         session = OnlineSession(
             scheduler.service.engine,
             evaluate=functools.partial(scheduler.evaluate, session="online"),
+            plan=RoundPlan(n_worlds=16, first=8),  # neighbors at 8 worlds
         )
         session.set_sliders(POINT)
         explored = session.explore_proactively(max_points=3)

@@ -72,10 +72,6 @@ class TestTransportConfig:
         with pytest.raises(ScenarioError, match="segment_cap_bytes"):
             TransportConfig(segment_cap_bytes=512)
 
-    def test_nonpositive_ttl_rejected(self):
-        with pytest.raises(ScenarioError, match="lease_ttl"):
-            TransportConfig(lease_ttl=0.0)
-
     def test_enabled_only_for_shm(self):
         assert not TransportConfig().enabled
         assert TransportConfig(shard_transport="shm").enabled
@@ -210,7 +206,7 @@ class TestShmParity:
         spec = EngineSpec.from_dsl(
             SERVE_DSL,
             config=EngineConfig(
-                sampling=SamplingConfig(n_worlds=16, refinement_first=8, backend="loop"),
+                sampling=SamplingConfig(n_worlds=16, backend="loop"),
             ),
         )
         shm = _service(spec, InlineExecutor(), transport=SHM)
