@@ -31,17 +31,17 @@ def test_c3_sweep_with_fingerprints(benchmark, sweep_config):
 
 
 @pytest.mark.benchmark(group="C3-offline-sweep")
-def test_c3_sweep_without_fingerprints(benchmark, baseline_sweep_config):
+def test_c3_sweep_without_fingerprints(benchmark, sweep_config):
     result = benchmark.pedantic(
-        lambda: run_sweep(False, baseline_sweep_config), rounds=1, iterations=1
+        lambda: run_sweep(False, sweep_config), rounds=1, iterations=1
     )
     benchmark.extra_info["component_samples"] = result.component_samples
     assert result.best is not None
 
 
-def test_c3_summary(benchmark, sweep_config, baseline_sweep_config):
+def test_c3_summary(benchmark, sweep_config):
     def both():
-        return run_sweep(True, sweep_config), run_sweep(False, baseline_sweep_config)
+        return run_sweep(True, sweep_config), run_sweep(False, sweep_config)
 
     with_fp, without_fp = benchmark.pedantic(both, rounds=1, iterations=1)
     sample_ratio = without_fp.component_samples / max(with_fp.component_samples, 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.rounds import RoundPlan
 
 
@@ -40,12 +40,3 @@ def fast_plan(fast_config: EngineConfig) -> RoundPlan:
 @pytest.fixture
 def sweep_config() -> EngineConfig:
     return EngineConfig(sampling=SamplingConfig(n_worlds=30))
-
-
-@pytest.fixture
-def baseline_sweep_config() -> EngineConfig:
-    """Reuse-free baseline: all caching layers off."""
-    return EngineConfig(
-        sampling=SamplingConfig(n_worlds=30),
-        reuse=ReuseConfig(enable_stats_cache=False),
-    )

@@ -3,10 +3,14 @@
 One entrypoint — ``ProphetClient.open(scenario, library, config=...)`` —
 replaces the four divergent legacy surfaces (``ProphetEngine``,
 ``OnlineSession``, ``OfflineOptimizer``, ``serve``'s service/scheduler).
-Backends are pure configuration, chosen once when the backend is built:
-the mode drivers and sweep handles resolve against an in-process engine or
-the sharded serve backend, bit-identically by the serve parity contract,
-and one :meth:`ProphetClient.stats` report unifies every counter dialect.
+Every client has one backend: an :class:`EvaluationService` over its
+coordinator engine and one :class:`Scheduler` over that service, both built
+the first time they are needed. Synchronous calls — ``evaluate()``, the
+interactive session's refreshes, ``optimize().run()`` — go straight to the
+service; queued work — ``sweep()`` and adaptive evaluation — goes to the
+scheduler. The configuration only sizes that backend (executor, shards,
+result cache, resilience, transport), and one :meth:`ProphetClient.stats`
+report unifies every counter dialect.
 
 Fluent configuration (before the backend is built)::
 
@@ -24,8 +28,7 @@ Fluent configuration (before the backend is built)::
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.api.config import ClientConfig
 from repro.api.handles import AdaptiveSweepHandle, SweepHandle
@@ -71,10 +74,8 @@ class ProphetClient:
         self._dsl_text = dsl_text
         self._library_name = library_name
         self._scenario_name = scenario_name
-        self._engine: Optional[ProphetEngine] = None
         self._service: Optional[EvaluationService] = None
         self._scheduler: Optional[Scheduler] = None
-        self._served = False  # fixed by _ensure_backend
         self._tracer: Any = NULL_TRACER
         self._profiler: Optional[EngineProfiler] = None
         self._trace_exported = False
@@ -147,19 +148,14 @@ class ProphetClient:
         return self.with_config(self.config.replace_section(section, **passed))
 
     def with_serving(self, **changes: Any) -> "ProphetClient":
-        """Route evaluations through the sharded serve backend.
+        """Size the evaluation service: its executor and shard geometry.
 
         Takes any :class:`~repro.api.ServeConfig` field (``workers``,
-        ``shards``, ``executor``, ``min_shard_worlds``).
-        Calling with no geometry knob at all still opts into the serve
-        backend (inline, default sizing).
+        ``shards``, ``executor``, ``min_shard_worlds``). Every client
+        evaluates through the service; unsized, it runs one in-process
+        shard.
         """
-        client = self._with_section("serve", changes)
-        if not client.config.serve.enabled:
-            # The caller asked for serving but named no geometry knob:
-            # pin the executor so the request is not a silent no-op.
-            client = client._with_section("serve", {"executor": "inline"})
-        return client
+        return self._with_section("serve", changes)
 
     def with_cache(self, dir: Optional[str]) -> "ProphetClient":
         """Persist finished point statistics in a cross-run result cache."""
@@ -204,9 +200,8 @@ class ProphetClient:
     def with_resilience(self, **changes: Any) -> "ProphetClient":
         """Tune the fault-tolerance ladder (deadlines, retries, rescue).
 
-        Takes any :class:`~repro.api.ResilienceConfig` field. Any
-        non-default resilience section routes evaluations through the
-        serve backend, where the shard dispatcher lives.
+        Takes any :class:`~repro.api.ResilienceConfig` field; the service's
+        shard dispatcher applies it to every fan-out.
         """
         return self._with_section("resilience", changes)
 
@@ -220,8 +215,7 @@ class ProphetClient:
         zero-copy. The default ``"pickle"`` keeps the plain
         pickled payloads; shm falls back to it per generation (counted,
         never an error) when segments are unavailable or a payload exceeds
-        the cap. A non-default transport section routes evaluations through
-        the serve backend, where the shard transport lives.
+        the cap.
         """
         return self._with_section("transport", changes)
 
@@ -230,15 +224,15 @@ class ProphetClient:
 
         Takes any :class:`~repro.api.ObsConfig` field. ``trace_file``
         implies tracing and is exported (Chrome trace format) on
-        :meth:`close`. Observability never changes which backend is built,
-        and the stable counter JSON (:meth:`StatsReport.to_json`) stays
+        :meth:`close`. Observability never changes the backend, and the
+        stable counter JSON (:meth:`StatsReport.to_json`) stays
         byte-identical with it on or off — wall-clock only ever travels in
         the separate :class:`~repro.obs.TimingReport`.
         """
         return self._with_section("obs", changes)
 
     def _require_unbuilt(self, method: str) -> None:
-        if self._engine is not None or self._service is not None:
+        if self._service is not None:
             raise ScenarioError(
                 f"{method}() must be called before the backend is built; "
                 "configure the client before requesting handles or stats"
@@ -249,81 +243,62 @@ class ProphetClient:
     @property
     def engine(self) -> ProphetEngine:
         """The coordinator engine (built on first use)."""
-        self._ensure_backend()
-        return self._engine
+        return self._ensure_backend().engine
 
-    def _ensure_backend(self) -> None:
-        """Build the backend and fix, once, what evaluates a point.
+    def _ensure_backend(self) -> EvaluationService:
+        """Build the client's one backend on first use; return its service.
 
-        Serve-configured clients evaluate through the service (drivers
-        through its scheduler's job queue); every other client calls its
-        engine directly — and keeps doing so after a :meth:`sweep` builds
-        the private inline scheduler that sweeps alone run on.
+        An inline service wraps an engine built from the client's own
+        scenario and library objects. A process pool gets an
+        :class:`EngineSpec` instead: its workers build their engines from
+        it, and so does the service for the coordinator. The scheduler is
+        built over the service in the same step.
         """
-        if self._engine is not None:
-            return
-        self._served = self.config.wants_service()
-        if self._served:
-            self._build_service()
-            self._engine = self._service.engine
-        else:
-            self._engine = ProphetEngine(
-                self.scenario, self.library, self.config.engine_sections()
-            )
-        self._attach_observability()
+        if self._service is None:
+            self._service = self._build_service()
+            self._scheduler = Scheduler(self._service)
+            self._attach_observability()
+        return self._service
 
     def _attach_observability(self) -> None:
-        """Wire the configured tracer/profiler into the built backend.
-
-        Idempotent: the sweep scheduler's lazily-built inline service calls
-        it again to pick up the same tracer instance.
-        """
+        """Wire the configured tracer/profiler into the just-built backend."""
         obs = self.config.obs
         if obs.tracing:
-            if self._tracer is NULL_TRACER:
-                self._tracer = Tracer()
-            if self._service is not None:
-                self._service.set_tracer(self._tracer)
-            elif self._engine is not None:
-                self._engine.set_tracer(self._tracer)
-            if self._scheduler is not None:
-                self._scheduler.tracer = self._tracer
-        if obs.profile and self._engine is not None:
-            if self._profiler is None:
-                self._profiler = EngineProfiler()
-            self._engine.profiler = self._profiler
+            self._tracer = Tracer()
+            self._service.set_tracer(self._tracer)
+            self._scheduler.tracer = self._tracer
+        if obs.profile:
+            self._profiler = EngineProfiler()
+            self._service.engine.profiler = self._profiler
 
-    def _build_service(self) -> None:
+    def _build_service(self) -> EvaluationService:
         serve = self.config.serve
         engine_config = self.config.engine_sections()
         kind = serve.executor
         if kind == "auto" and serve.workers is None:
-            # Without an explicit worker count "auto" means sequential —
-            # the in-process executor (mirrors the CLI contract).
+            # Without an explicit worker count "auto" means one in-process
+            # shard — the inline executor (mirrors the CLI contract).
             kind = "inline"
         executor = create_executor(kind, serve.workers)
         spec: Optional[EngineSpec] = None
-        if self._dsl_text is not None and self._library_name is not None:
+        engine: Optional[ProphetEngine] = None
+        if executor.kind == "process":
+            if self._dsl_text is None or self._library_name is None:
+                raise ServeError(
+                    "process-pool serving needs a shippable scenario: open the "
+                    "client with DSL text and a named library "
+                    "(ProphetClient.open(dsl, 'demo')), or serve with an "
+                    "inline executor"
+                )
             spec = EngineSpec.from_dsl(
                 self._dsl_text,
                 library=self._library_name,
                 config=engine_config,
                 scenario_name=self._scenario_name,
             )
-        if executor.kind == "process" and spec is None:
-            raise ServeError(
-                "process-pool serving needs a shippable scenario: open the "
-                "client with DSL text and a named library "
-                "(ProphetClient.open(dsl, 'demo')), or serve with an "
-                "inline executor"
-            )
-        # Without a shippable spec the (inline) service wraps a local engine.
-        engine = (
-            None
-            if spec is not None
-            else ProphetEngine(self.scenario, self.library, engine_config)
-        )
-        self._service = EvaluationService(
+        else:
+            engine = ProphetEngine(self.scenario, self.library, engine_config)
+        return EvaluationService(
             spec,
             engine=engine,
             executor=executor,
@@ -333,50 +308,19 @@ class ProphetClient:
             resilience=self.config.resilience,
             transport=self.config.transport,
         )
-        self._scheduler = Scheduler(self._service)
-
-    def _sweep_scheduler(self) -> Scheduler:
-        """The scheduler behind sweeps — built on demand for every backend.
-
-        A pure in-process client still schedules sweeps (dedup and the
-        streaming iterator need the job queue); it gets an inline
-        single-shard service over the client's own engine, which the serve
-        parity suite pins bit-identical to direct engine evaluation.
-        """
-        if self._scheduler is None:
-            self._ensure_backend()
-            if self._scheduler is None:
-                self._service = EvaluationService(
-                    engine=self._engine,
-                    resilience=self.config.resilience,
-                    transport=self.config.transport,
-                )
-                self._scheduler = Scheduler(self._service)
-                self._attach_observability()
-        return self._scheduler
 
     # -- drivers + sweeps ----------------------------------------------------
 
-    def _driver_evaluate(
-        self, session_name: str
-    ) -> Optional[Callable[..., PointEvaluation]]:
-        """The ``evaluate=`` seam of a mode driver: the scheduler's job queue
-        on a serve-configured client, else the driver's default (its engine)."""
-        self._ensure_backend()
-        if self._served:
-            return functools.partial(self._scheduler.evaluate, session=session_name)
-        return None
-
-    def interactive(
-        self, *, neighbor_depth: int = 1, session_name: str = "interactive"
-    ) -> OnlineSession:
-        """Sliders + progressive refresh: an :class:`OnlineSession` on this
-        client's backend (``session_name`` labels its serve jobs), stepping
-        the client's round ladder over ``sampling.n_worlds``."""
+    def interactive(self, *, neighbor_depth: int = 1) -> OnlineSession:
+        """Sliders + progressive refresh: an :class:`OnlineSession` whose
+        refreshes and proactive points go straight to this client's service
+        (never through the job queue), stepping the client's round ladder
+        over ``sampling.n_worlds``."""
+        service = self._ensure_backend()
         ladder = self.config.round_plan()
         return OnlineSession(
-            self.engine,
-            evaluate=self._driver_evaluate(session_name),
+            service.engine,
+            evaluate=service.evaluate,
             neighbor_depth=neighbor_depth,
             plan=RoundPlan.over(
                 self.config.sampling.n_worlds,
@@ -395,9 +339,10 @@ class ProphetClient:
     ) -> Union[SweepHandle, AdaptiveSweepHandle]:
         """A streaming sweep over ``points`` (default: the full grid).
 
-        Returns immediately with every job queued (identical points
-        coalesced); iterate the handle to run them one at a time and
-        consume each :class:`~repro.api.SweepResult` as it completes.
+        Returns immediately with every job queued on the client's scheduler
+        (identical points coalesced); iterate the handle to run them one at
+        a time and consume each :class:`~repro.api.SweepResult` as it
+        completes.
 
         With adaptive sampling on (:meth:`with_adaptive`) the sweep runs
         through the scheduler's CI budget allocator instead and returns an
@@ -405,7 +350,8 @@ class ProphetClient:
         retire as their confidence target resolves. An explicit ``worlds``
         slice contradicts adaptive stopping and raises.
         """
-        scheduler = self._sweep_scheduler()
+        self._ensure_backend()
+        scheduler = self._scheduler
         if self.config.adaptive.enabled:
             if worlds is not None:
                 raise ScenarioError(
@@ -426,12 +372,11 @@ class ProphetClient:
         )
         return SweepHandle(scheduler, jobs)
 
-    def optimize(self, *, session_name: str = "optimizer") -> OfflineOptimizer:
-        """The scenario's OPTIMIZE block: an :class:`OfflineOptimizer` on
-        this client's backend (``session_name`` labels its serve jobs)."""
-        return OfflineOptimizer(
-            self.engine, evaluate=self._driver_evaluate(session_name)
-        )
+    def optimize(self) -> OfflineOptimizer:
+        """The scenario's OPTIMIZE block: an :class:`OfflineOptimizer` whose
+        grid points go straight to this client's service."""
+        service = self._ensure_backend()
+        return OfflineOptimizer(service.engine, evaluate=service.evaluate)
 
     # -- evaluation + stats --------------------------------------------------
 
@@ -442,7 +387,7 @@ class ProphetClient:
         worlds: Optional[Sequence[int]] = None,
         reuse: bool = True,
     ) -> PointEvaluation:
-        """Evaluate one parameter point through the configured backend.
+        """Evaluate one parameter point.
 
         Goes straight to the service (result cache + sharded engine cycle),
         not through the scheduler's job queue — an evaluate() call mid-sweep
@@ -453,8 +398,9 @@ class ProphetClient:
         through the scheduler — each round is a queued job, so this path
         *does* drain the queue; avoid it mid-sweep.
         """
+        service = self._ensure_backend()
         if self.config.adaptive.enabled and worlds is None:
-            scheduler = self._sweep_scheduler()
+            scheduler = self._scheduler
             sweep = scheduler.submit_adaptive(
                 [point],
                 target_ci=self.config.adaptive.target_ci,
@@ -469,18 +415,13 @@ class ProphetClient:
                     raise state.exception
                 raise ServeError(f"adaptive evaluation failed: {state.error}")
             return state.evaluator.result
-        self._ensure_backend()
-        if self._served:
-            return self._service.evaluate(point, worlds=worlds, reuse=reuse)
-        return self._engine.evaluate_point(point, worlds=worlds, reuse=reuse)
+        return service.evaluate(point, worlds=worlds, reuse=reuse)
 
     def backend_description(self) -> str:
-        """Human description of the built backend: ``"sequential"`` for a
-        bare engine, ``"<executor> x<workers>"`` for the serve backend."""
-        self._ensure_backend()
-        if not self._served:
-            return "sequential"
-        return f"{self._service.executor.kind} x{self._service.executor.workers}"
+        """``"<executor> x<workers>"`` of the built service (a default
+        client is ``"inline x1"``)."""
+        executor = self._ensure_backend().executor
+        return f"{executor.kind} x{executor.workers}"
 
     def stats(self) -> StatsReport:
         """One merged report over every backend layer's counters.
@@ -489,12 +430,9 @@ class ProphetClient:
         :class:`~repro.obs.TimingReport`); the byte-stable counter JSON
         (``report.to_json()``) never includes it.
         """
-        self._ensure_backend()
+        service = self._ensure_backend()
         return StatsReport.gather(
-            self._engine,
-            service=self._service,
-            scheduler=self._scheduler,
-            tracer=self._tracer,
+            service.engine, service, self._scheduler, tracer=self._tracer
         )
 
     # -- observability -------------------------------------------------------
@@ -537,7 +475,7 @@ class ProphetClient:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the serve backend's executor, if one was built; export
+        """Shut down the service's executor, if the backend was built; export
         the trace to the configured ``trace_file`` if not already written."""
         if (
             self.config.obs.trace_file is not None

@@ -49,12 +49,11 @@ EXECUTOR_KINDS: tuple[str, ...] = ("auto", "process", "inline")
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """The sharded evaluation service: worker pool and shard geometry.
+    """The evaluation service's worker pool and shard geometry.
 
-    All defaults mean "in-process, sequential" — a default-constructed
-    section leaves :attr:`enabled` false and the client runs on a plain
-    engine. Setting any knob (or an explicit executor kind) opts into the
-    serve backend.
+    Every client evaluates through the service; these knobs only size it.
+    The defaults mean one in-process shard (``executor="auto"`` without
+    ``workers`` is the inline executor).
     """
 
     workers: Optional[int] = None
@@ -81,15 +80,6 @@ class ServeConfig:
             f"min_shard_worlds must be >= 1, got {self.min_shard_worlds}",
         )
 
-    @property
-    def enabled(self) -> bool:
-        """Did the caller ask for the serve backend at all?"""
-        return (
-            self.workers is not None
-            or self.shards is not None
-            or self.executor != "auto"
-        )
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -103,10 +93,6 @@ class CacheConfig:
             f"cache dir must be a non-empty path string or None, "
             f"got {self.dir!r}",
         )
-
-    @property
-    def enabled(self) -> bool:
-        return self.dir is not None
 
 
 @dataclass(frozen=True)
@@ -176,10 +162,11 @@ _SECTIONS: dict[str, type] = {
 class ClientConfig:
     """The one configuration object behind a :class:`~repro.api.ProphetClient`.
 
-    Composes the nine sections; backends — in-process engine vs sharded
-    service, loop vs batched sampling, tiered store, fault-tolerance
-    ladder, result cache — are pure configuration here, never separate
-    constructor dialects. The resilience section is defined next to the
+    Composes the nine sections. Every client runs one backend — an
+    evaluation service over its engine — and these sections configure it:
+    loop vs batched sampling, tiered store, executor and shard geometry,
+    fault-tolerance ladder, shard transport, result cache; none selects a
+    different backend. The resilience section is defined next to the
     machinery it configures (:mod:`repro.serve.resilience`) and composed
     here like any other.
     """
@@ -295,24 +282,6 @@ class ClientConfig:
             self.world_budget,
             first=self.adaptive.min_worlds,
             growth=self.adaptive.round_growth,
-        )
-
-    def wants_service(self) -> bool:
-        """Does this config require the serve backend (vs a bare engine)?
-
-        A non-default resilience section counts: deadlines, retry budgets,
-        and rescue semantics only exist in the service's shard dispatcher,
-        so asking for them is asking for the service. The same holds for a
-        non-default transport section — the shared-memory shard transport
-        only exists between the service coordinator and its workers. The
-        obs section never counts — observability attaches to whichever
-        backend the rest of the config selects.
-        """
-        return (
-            self.serve.enabled
-            or self.cache.enabled
-            or self.resilience != ResilienceConfig()
-            or self.transport != TransportConfig()
         )
 
 

@@ -13,10 +13,10 @@ themselves (:class:`~repro.core.online.OnlineSession`,
   budget allocator: each point runs its round ladder to its decision before
   the next point starts, and leaves the moment its confidence target resolves.
 
-Both resolve identically against the in-process engine and the sharded
-serve backend — bit-identical by the serve parity contract — and neither
-owns private counters: :meth:`repro.api.ProphetClient.stats` is the one
-stats surface.
+Both run on the client's scheduler and resolve identically under every
+executor and shard geometry — bit-identical by the serve parity contract —
+and neither owns private counters: :meth:`repro.api.ProphetClient.stats` is
+the one stats surface.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 PRs 1–4 grew four stats dialects: the SQL executor's ``ExecutionStats``
 (plan cache, vectorization, sampling-plane dispatch), the Storage Manager's
 basis counters plus the tier's eviction/spill/fault stats, the engine's
-week-memo counters, and — behind the serve backend — ``ServiceStats`` and
-the scheduler's job counters. :class:`StatsReport` rolls all of them into
+week-memo counters, the evaluation service's ``ServiceStats`` and the
+scheduler's job counters. :class:`StatsReport` rolls all of them into
 one frozen snapshot with a stable :meth:`to_json` and the human rendering
 the CLI ``--stats`` flag prints.
 
@@ -27,9 +27,6 @@ from repro.obs.report import TimingReport
 class StatsReport:
     """A point-in-time snapshot of every counter behind one client.
 
-    ``service`` and ``scheduler`` are ``None`` for clients running on a
-    bare in-process engine that never built a serve backend.
-
     ``timing`` is the wall-clock side (:class:`~repro.obs.TimingReport`):
     it rides on the report for rendering but is deliberately **excluded**
     from :meth:`to_dict` / :meth:`to_json`, which stay counters-only and
@@ -40,8 +37,8 @@ class StatsReport:
     sampling: dict[str, Any]
     basis: dict[str, Any]
     week_memo: dict[str, Any]
-    service: Optional[dict[str, Any]] = None
-    scheduler: Optional[dict[str, Any]] = None
+    service: dict[str, Any]
+    scheduler: dict[str, Any]
     #: Per-point adaptive outcomes (worlds spent, rounds, CI half-widths).
     #: Present only after an adaptive sweep ran — fixed-budget runs keep
     #: their pre-adaptive JSON byte-identical.
@@ -52,11 +49,11 @@ class StatsReport:
     def gather(
         cls,
         engine: ProphetEngine,
-        service: Any = None,
-        scheduler: Any = None,
+        service: Any,
+        scheduler: Any,
         tracer: Any = None,
     ) -> "StatsReport":
-        """Snapshot the counters of one engine (plus serve layers, if any)."""
+        """Snapshot the counters of one engine, its service and scheduler."""
         stats = engine.executor.stats
         tier = engine.storage.tier
         execution = {
@@ -87,10 +84,12 @@ class StatsReport:
             "hits": engine.week_stats_hits,
             "misses": engine.week_stats_misses,
         }
-        service_dict = None
-        scheduler_dict = None
-        if service is not None:
-            service_dict = {
+        return cls(
+            execution=execution,
+            sampling=sampling,
+            basis=basis,
+            week_memo=week_memo,
+            service={
                 "executor_kind": service.executor.kind,
                 "executor_workers": service.executor.workers,
                 "shard_transport": service.transport.shard_transport,
@@ -101,33 +100,23 @@ class StatsReport:
                     service.cache.tmp_swept if service.cache is not None else 0
                 ),
                 **service.stats.as_dict(),
-            }
-        adaptive_dict = None
-        if scheduler is not None:
-            scheduler_dict = {
+            },
+            scheduler={
                 "jobs_completed": scheduler.jobs_completed,
                 "jobs_retried": scheduler.jobs_retried,
                 "dedup_hits": scheduler.dedup_hits,
                 "jobs_retired_early": scheduler.jobs_retired_early,
                 "worlds_spent": scheduler.worlds_spent,
                 "worlds_budgeted": scheduler.worlds_budgeted,
-            }
-            adaptive_dict = scheduler.adaptive_report()
-        return cls(
-            execution=execution,
-            sampling=sampling,
-            basis=basis,
-            week_memo=week_memo,
-            service=service_dict,
-            scheduler=scheduler_dict,
-            adaptive=adaptive_dict,
+            },
+            adaptive=scheduler.adaptive_report(),
             timing=TimingReport.gather(engine, service=service, tracer=tracer),
         )
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """Nested plain dict; absent serve layers are omitted, not null.
+        """Nested plain dict; an absent adaptive section is omitted, not null.
 
         ``timing`` is never included — wall-clock would break the
         byte-stability contract. Serialize it separately via
@@ -138,11 +127,9 @@ class StatsReport:
             "sampling": dict(self.sampling),
             "basis": dict(self.basis),
             "week_memo": dict(self.week_memo),
+            "service": dict(self.service),
+            "scheduler": dict(self.scheduler),
         }
-        if self.service is not None:
-            payload["service"] = dict(self.service)
-        if self.scheduler is not None:
-            payload["scheduler"] = dict(self.scheduler)
         if self.adaptive is not None:
             payload["adaptive"] = dict(self.adaptive)
         return payload
@@ -177,16 +164,14 @@ class StatsReport:
             f"{b['tier_evictions']} evicted, {b['tier_spills']} spills, "
             f"{b['tier_faults']} faults, {b['tier_dropped']} dropped",
             f"  week memo: {w['hits']} hits / {w['misses']} misses",
+            *self._render_service(),
         ]
-        if self.service is not None:
-            lines.extend(self._render_service())
         if self.timing is not None:
             lines.append(self.timing.render())
         return "\n".join(lines)
 
     def _render_service(self) -> list[str]:
-        sv = self.service or {}
-        sc = self.scheduler or {}
+        sv, sc = self.service, self.scheduler
         cache_total = sv["cache_hits"] + sv["cache_misses"]
         cache_rate = sv["cache_hits"] / cache_total if cache_total else 0.0
         lines = [
@@ -209,19 +194,16 @@ class StatsReport:
             f"{sv.get('segments_leased', 0)} segments leased / "
             f"{sv.get('segments_reclaimed', 0)} reclaimed, "
             f"{sv.get('transport_fallbacks', 0)} fallbacks",
+            f"  scheduler: {sc['jobs_completed']} jobs, "
+            f"{sc['jobs_retried']} retried, "
+            f"{sc['dedup_hits']} deduplicated",
         ]
-        if self.scheduler is not None:
+        if sc.get("worlds_budgeted", 0):
             lines.append(
-                f"  scheduler: {sc['jobs_completed']} jobs, "
-                f"{sc['jobs_retried']} retried, "
-                f"{sc['dedup_hits']} deduplicated"
+                f"  adaptive: {sc['jobs_retired_early']} points retired "
+                f"early, {sc['worlds_spent']} worlds spent of "
+                f"{sc['worlds_budgeted']} budgeted"
             )
-            if sc.get("worlds_budgeted", 0):
-                lines.append(
-                    f"  adaptive: {sc['jobs_retired_early']} points retired "
-                    f"early, {sc['worlds_spent']} worlds spent of "
-                    f"{sc['worlds_budgeted']} budgeted"
-                )
         if self.adaptive is not None:
             points = self.adaptive.get("points", [])
             converged = sum(1 for p in points if p.get("converged"))

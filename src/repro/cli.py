@@ -14,9 +14,9 @@ are resolved from a named library (``--library demo`` is the paper's demo
 model set). Passing ``-`` as the file reads the built-in Figure 2 program.
 
 Every command runs through the :mod:`repro.api` client: the flags build one
-typed :class:`~repro.api.ClientConfig` and the backend — in-process engine
-vs the sharded serve pool, result cache, tiered basis store, sampling
-backend — is pure configuration. ``--stats`` prints the client's unified
+typed :class:`~repro.api.ClientConfig`, which sizes the client's one
+backend — executor and shards, result cache, tiered basis store, sampling
+backend. ``--stats`` prints the client's unified
 :class:`~repro.api.StatsReport`.
 """
 
@@ -126,7 +126,7 @@ COMMON_FLAGS: tuple[ConfigFlag, ...] = (
     ),
 )
 
-#: Config-bearing flags of the subcommands that can run on the serve backend.
+#: Config-bearing flags of the subcommands that size the evaluation service.
 SERVE_FLAGS: tuple[ConfigFlag, ...] = (
     ConfigFlag(
         "--workers", "serve", "workers",
@@ -282,8 +282,8 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
     """One typed layered config from the flags actually passed.
 
     A flag left at its default stays out of the mapping, so an untouched
-    section equals the default section and does not by itself force the
-    serve backend (``wants_service()``) or turn adaptive sampling on.
+    section equals the default section — a bare ``repro run -`` sizes the
+    service to one in-process shard and leaves adaptive sampling off.
     """
     defaults = ClientConfig()
     mapping: dict[str, dict[str, Any]] = {}
@@ -399,7 +399,7 @@ def command_run(args: argparse.Namespace) -> int:
     with client:
         if client.config.adaptive.enabled:
             return _run_adaptive(client, args)
-        session = client.interactive(session_name="cli")
+        session = client.interactive()
         for assignment in args.assignments:
             name, value = _parse_assignment(assignment)
             session.set_slider(name, value)
@@ -434,7 +434,7 @@ def command_optimize(args: argparse.Namespace) -> int:
     client = _open_client(args)
     with client:
         scenario = client.scenario
-        optimizer = client.optimize(session_name="cli")
+        optimizer = client.optimize()
         total = scenario.space.grid_size(exclude=[scenario.axis])
         print(
             f"sweeping {total} points x {client.config.sampling.n_worlds} worlds "

@@ -78,10 +78,6 @@ class ReuseConfig:
     fingerprint_seeds: int = 8
     correlation_tolerance: float = 1e-6
     min_mapped_fraction: float = 0.05
-    #: Cache finished point statistics: a re-visited point (same worlds)
-    #: skips the combine/aggregate queries entirely. Bypassed when a
-    #: caller passes ``reuse=False`` (baseline measurements).
-    enable_stats_cache: bool = True
 
     def __post_init__(self) -> None:
         require(

@@ -383,9 +383,14 @@ class ProphetEngine:
         return pending.combine(span)
 
     def _stats_cache_hit(self, key: tuple) -> Optional[PointEvaluation]:
-        """The stats cache's answer to a request, served as a pure hit."""
+        """The stats cache's answer to a request, served as a pure hit.
+
+        The stats cache holds finished point statistics: a re-visited point
+        (same worlds) skips the combine/aggregate queries entirely. A
+        ``reuse=False`` request (a baseline measurement) bypasses it.
+        """
         point_key, chosen_worlds, reuse = key
-        if not (reuse and self.config.reuse.enable_stats_cache):
+        if not reuse:
             return None
         cached = self._stats_cache.get((point_key, chosen_worlds))
         if cached is None:
@@ -458,7 +463,7 @@ class ProphetEngine:
             timings=landed.timings,
             n_worlds=len(landed.batch),
         )
-        if reuse and self.config.reuse.enable_stats_cache:
+        if reuse:
             self._stats_cache[(point_key, chosen_worlds)] = evaluation
         return evaluation
 

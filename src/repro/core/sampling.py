@@ -80,13 +80,6 @@ class SamplingPlane:
         #: Backend that served the most recent :meth:`sample` call
         #: ("batched" or "loop"); shard workers report it upstream.
         self.last_backend: str = backend
-        #: Slice accounting for the round protocol: every request this plane
-        #: serves is one contiguous world slice (a round's fresh increment,
-        #: under rounds). ``worlds_served`` summing to ``n_worlds`` — not to
-        #: the sum of round prefixes — is what proves a round ladder
-        #: fresh-samples each world exactly once.
-        self.slices_served: int = 0
-        self.worlds_served: int = 0
         #: Observability: the engine's :meth:`~repro.core.engine.
         #: ProphetEngine.set_tracer` replaces this shared no-op tracer.
         self.tracer = NULL_TRACER
@@ -108,8 +101,6 @@ class SamplingPlane:
         if not len(batch):
             raise ScenarioError("sampling needs at least one world")
         sink = timings if timings is not None else _NullTimings()
-        self.slices_served += 1
-        self.worlds_served += len(batch)
         stats = self.executor.stats
         if self.backend == "batched" and self._batch_form_available(output):
             self.last_backend = "batched"

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.core.engine import PointEvaluation, PointEvaluator
+from repro.core.engine import PointEvaluation, PointEvaluator, world_ids
 from repro.core.rounds import RoundPlan
 from repro.errors import ServeError, TransientServeError
 from repro.obs.trace import NULL_TRACER
@@ -233,13 +233,19 @@ class Scheduler:
         session: str = "default",
         reuse: bool = True,
     ) -> Job:
-        """Queue one point evaluation; identical in-flight points coalesce."""
+        """Queue one point evaluation; identical in-flight points coalesce.
+
+        The point and worlds are normalised by the engine's own rules first,
+        so a request the engine would reject raises here and never
+        coalesces onto a job it only resembles.
+        """
         scenario = self.service.scenario
         validated = scenario.validate_sweep_point(point)
-        chosen = (
-            tuple(worlds)
+        chosen = world_ids(
+            worlds
             if worlds is not None
-            else tuple(range(self.service.engine.config.sampling.n_worlds))
+            else range(self.service.engine.config.sampling.n_worlds),
+            "evaluate_point",
         )
         key = (scenario.sweep_space.point_key(validated), chosen, reuse)
         job = Job(

@@ -249,22 +249,25 @@ class EvaluationService:
         ``overlap`` is the engine's: called once this point's samples have
         landed and before they are combined — where a scheduler that knows
         the next request calls :meth:`begin` for it.
-        """
-        validated, chosen = self._request(point, worlds)
-        self.stats.points_evaluated += 1
 
+        ``points_evaluated`` counts every request, one the engine then
+        rejects included. The request is validated here only to build a
+        result-cache key; otherwise the engine's own validation is the one.
+        """
+        self.stats.points_evaluated += 1
         key = None
         if self.cache is not None and reuse:
-            key = self._key_for(validated, chosen)
+            point, worlds = self._request(point, worlds)
+            key = self._key_for(point, worlds)
             cached = self.cache.get(key)
             if cached is not None:
                 self.stats.cache_hits += 1
-                return self._evaluation_from_cache(validated, chosen, cached.statistics)
+                return self._evaluation_from_cache(point, worlds, cached.statistics)
             self.stats.cache_misses += 1
 
         evaluation = self.engine.evaluate_point(
-            validated,
-            worlds=chosen,
+            point,
+            worlds=worlds,
             reuse=reuse,
             sampler=self._sharded_sampler,
             overlap=overlap,
@@ -276,8 +279,8 @@ class EvaluationService:
                 meta={
                     "scenario": self._scenario_hash,
                     "scenario_name": self.scenario.name,
-                    "point": {k: repr(v) for k, v in sorted(validated.items())},
-                    "n_worlds": len(chosen),
+                    "point": {k: repr(v) for k, v in sorted(point.items())},
+                    "n_worlds": len(worlds),
                     "base_seed": self.engine.config.sampling.base_seed,
                 },
             )
@@ -301,15 +304,12 @@ class EvaluationService:
         counted twice, and a request the result cache will answer is left
         to it.
         """
-        validated, chosen = self._request(point, worlds)
-        if (
-            self.cache is not None
-            and reuse
-            and self._key_for(validated, chosen) in self.cache
-        ):
-            return
+        if self.cache is not None and reuse:
+            validated, chosen = self._request(point, worlds)
+            if self._key_for(validated, chosen) in self.cache:
+                return
         self.engine.begin_point(
-            validated, worlds=chosen, reuse=reuse, sampler=self._sharded_sampler
+            point, worlds=worlds, reuse=reuse, sampler=self._sharded_sampler
         )
 
     def close(self) -> None:
@@ -330,9 +330,12 @@ class EvaluationService:
     def _request(
         self, point: Mapping[str, Any], worlds: Optional[Sequence[int]]
     ) -> tuple[dict[str, Any], tuple[int, ...]]:
+        """The request as the engine normalises it — for a result-cache key.
+
+        The engine's own point and world-id rules, applied before the key
+        is built: a request the engine would reject is never a cache hit.
+        """
         validated = self.scenario.validate_sweep_point(point)
-        # The engine's own world-id rule, applied before the cache key is
-        # built: a request the engine would reject is never a cache hit.
         chosen = world_ids(
             worlds
             if worlds is not None
@@ -404,22 +407,28 @@ class EvaluationService:
         them and releases the lease; the engine calls it when the point can
         go no further without the samples. In-process executors have
         nothing to overlap with and collect right here.
+
+        A slice too small to split is one shard sampled right here, from
+        the batch the engine already built (no re-validation, no re-derived
+        seeds), and its counters move as that one :func:`run_shard` call's
+        would. Its time is the coordinator's own (the engine's ``sql``
+        stage), so it adds nothing to ``worker_seconds``.
         """
         worlds = batch.worlds
         n_shards = min(self.n_shards, max(1, len(worlds) // self.min_shard_worlds))
-        shards = plan_shards(worlds, n_shards)
         self.stats.shard_generations += 1
         self.stats.sampled_worlds += len(worlds)
-        point_items = tuple(sorted(batch.point_dict.items()))
-        if len(shards) == 1:
-            # Nothing to fan out: sample the slice right here.
+        if n_shards == 1:
             self.stats.shard_tasks += 1
-            sample = run_shard(
-                ShardTask(self.spec, output.alias, point_items, worlds), self.engine
-            )
-            self._count_shard_sample(sample)
-            return sample.samples
+            samples = self.engine.sampling.sample(output, batch, StageTimings())
+            if self.engine.sampling.last_backend == "batched":
+                self.stats.sampled_batched += len(worlds)
+            else:
+                self.stats.sampled_fallback += len(worlds)
+            return samples
 
+        shards = plan_shards(worlds, n_shards)
+        point_items = tuple(sorted(batch.point_dict.items()))
         use_process = self.spec is not None and self.executor.kind == "process"
         n_components = self.engine.library.get(output.vg_name).n_components
         # Shard transport: the bytes this generation's segment needs (None

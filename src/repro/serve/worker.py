@@ -76,13 +76,6 @@ SCENARIO_BUILDERS: Mapping[str, Callable[..., tuple[Any, Any]]] = MappingProxyTy
 )
 
 
-#: Knobs left out of :meth:`EngineSpec.content_hash` because they cannot
-#: change a sample: the stats cache only short-circuits re-aggregation of
-#: identical samples. Every other section field participates — a new knob
-#: is hashed by default.
-_HASH_EXCLUDED = frozenset({("reuse", "enable_stats_cache")})
-
-
 @dataclass(frozen=True)
 class EngineSpec:
     """A picklable recipe for constructing a :class:`ProphetEngine`.
@@ -146,17 +139,15 @@ class EngineSpec:
             raise ServeError("EngineSpec needs exactly one of dsl= or builder=")
 
     def content_hash(self) -> str:
-        """Digest of everything that determines the engine's behavior."""
-        config = asdict(self.config)  # section -> {field: value}
-        for section, name in _HASH_EXCLUDED:
-            del config[section][name]
+        """Digest of everything that determines the engine's behavior: every
+        section field participates, so a new knob is hashed by default."""
         payload = json.dumps(
             {
                 "dsl": self.dsl,
                 "library": self.library,
                 "builder": self.builder,
                 "builder_args": [[k, repr(v)] for k, v in self.builder_args],
-                "config": config,
+                "config": asdict(self.config),  # section -> {field: value}
             },
             sort_keys=True,
         )

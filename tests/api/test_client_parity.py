@@ -257,14 +257,21 @@ class TestOptimizeParity:
             assert record.feasible == reference.feasible
             assert_stats_identical(record.statistics, reference.statistics)
 
-    def test_session_name_propagates_to_jobs(self):
-        with open_client(executor="inline") as client:
-            client.optimize(session_name="opt-x").run()
-            assert {job.session for job in client._scheduler.completed} == {"opt-x"}
+
+def _recording(evaluate, seen):
+    """``evaluate`` that also appends each evaluation's statistics to ``seen``."""
+
+    def wrapper(point, **kwargs):
+        evaluation = evaluate(point, **kwargs)
+        seen.append(evaluation.statistics)
+        return evaluation
+
+    return wrapper
 
 
 class TestOneSeam:
-    """The backend is chosen once, at build; ``sweep()`` never flips it."""
+    """One backend per client: synchronous calls go to the service, queued
+    work to the scheduler, and nothing builds a second of either."""
 
     SWEPT = [POINT, {**POINT, "purchase1": 26}]
     LATER = {**POINT, "feature": 36}
@@ -275,32 +282,78 @@ class TestOneSeam:
 
     def test_default_client_stays_on_its_engine_after_a_sweep(self):
         with open_client() as client:
-            assert client.backend_description() == "sequential"
+            engine = client.engine
+            service, scheduler = client._service, client._scheduler
+            assert client.backend_description() == "inline x1"
             early = client.interactive()  # opened before the sweep
             assert all(result.ok for result in client.sweep(self.SWEPT).run())
-            swept = client.stats().service["points_evaluated"]
             late = self._refresh(client.interactive())
             client.evaluate(self.LATER)
             report = client.stats()
+            # The sweep after interactive() built no second service or scheduler.
+            assert client.engine is engine
+            assert client._service is service and client._scheduler is scheduler
             assert report.scheduler["jobs_completed"] == len(self.SWEPT)
-            assert report.service["points_evaluated"] == swept
-            assert client.backend_description() == "sequential"
+            assert report.service["points_evaluated"] == len(self.SWEPT) + 2
             assert_stats_identical(late, self._refresh(early))
 
-    def test_served_client_runs_every_refresh_as_a_job(self):
-        with open_client() as bare:  # same steps: reuse state shapes a refresh
-            bare.sweep(self.SWEPT).run()
-            expected = self._refresh(bare.interactive())
-        with open_client(executor="inline", shards=2) as client:
-            described = client.backend_description()
-            client.sweep(self.SWEPT).run()
+    @pytest.mark.parametrize(
+        "serving",
+        [
+            {"executor": "inline", "shards": 2},
+            {"executor": "process", "workers": 2, "shards": 2},
+        ],
+        ids=["inline", "process-pool"],
+    )
+    def test_synchronous_calls_never_drain_the_queue(self, legacy_parts, serving):
+        """A refresh, proactive points, an optimizer run and ``evaluate()``
+        between two results of a streaming sweep run on the service alone:
+        the queued jobs stay queued, and each answer is the sequential
+        engine's after the same steps."""
+        scenario, library = legacy_parts
+        reference = ProphetEngine(scenario, library, ENGINE_CONFIG)
+        swept = [*self.SWEPT, {**POINT, "purchase2": 52}, self.LATER]
+        with open_client(**serving) as client:
+            handle = client.sweep(swept)
+            assert next(handle).ok
+            reference.evaluate_point(swept[0])
+            if serving["executor"] == "process":
+                # A process pool begins the next queued job while the first
+                # combines; its samples land before any later reuse decision.
+                reference.evaluate_point(swept[1])
+            scheduler = client._scheduler
+            queued = (len(scheduler.queue), scheduler.jobs_completed)
+            assert queued == (len(swept) - 1, 1)
+
             session = client.interactive()
-            for refreshes in (1, 2):
-                statistics = self._refresh(session)
-                completed = client.stats().scheduler["jobs_completed"]
-                assert completed == len(self.SWEPT) + refreshes
-                assert_stats_identical(statistics, expected)
-            assert client.backend_description() == described != "sequential"
+            legacy = OnlineSession(reference, plan=PLAN)
+            assert_stats_identical(self._refresh(session), self._refresh(legacy))
+            assert (len(scheduler.queue), scheduler.jobs_completed) == queued
+
+            served, expected = [], []
+            session._evaluate = _recording(session._evaluate, served)
+            legacy._evaluate = _recording(legacy._evaluate, expected)
+            assert session.explore_proactively(max_points=2) == 2
+            assert legacy.explore_proactively(max_points=2) == 2
+            for actual, wanted in zip(served, expected, strict=True):
+                assert_stats_identical(actual, wanted)
+            assert (len(scheduler.queue), scheduler.jobs_completed) == queued
+
+            result = client.optimize().run()
+            wanted = OfflineOptimizer(reference).run()
+            assert result.best_point() == wanted.best_point()
+            for record, reference_record in zip(result.records, wanted.records, strict=True):
+                assert_stats_identical(record.statistics, reference_record.statistics)
+            assert (len(scheduler.queue), scheduler.jobs_completed) == queued
+
+            evaluation = client.evaluate(self.LATER)
+            assert_stats_identical(
+                evaluation.statistics, reference.evaluate_point(self.LATER).statistics
+            )
+            assert (len(scheduler.queue), scheduler.jobs_completed) == queued
+
+            assert all(result.ok for result in handle)  # the sweep resumes
+            assert scheduler.jobs_completed == len(swept)
 
     @pytest.mark.parametrize(
         "serving", [{}, {"executor": "inline"}], ids=["in-process", "inline-serve"]
@@ -374,15 +427,16 @@ class TestStatsReport:
         ):
             assert marker in text
 
-    def test_engine_only_report_omits_service(self):
+    def test_refresh_only_report_has_service_and_scheduler(self):
         with open_client() as client:
             session = client.interactive()
             session.set_sliders(SLIDERS)
             session.refresh()
             report = client.stats()
-        assert report.service is None
-        assert "service stats:" not in report.render()
-        assert "service" not in report.to_dict()
+        assert report.service["points_evaluated"] == 1
+        assert report.scheduler["jobs_completed"] == 0
+        assert "service stats:" in report.render()
+        assert {"service", "scheduler"} <= set(report.to_dict())
 
 
 class TestFluentConfiguration:
@@ -407,10 +461,10 @@ class TestFluentConfiguration:
         assert client.config.store.basis_cap == 4  # not reset by dir=
         assert client.config.store.basis_dir == "/spill"
 
-    def test_bare_with_serving_opts_in(self):
+    def test_bare_with_serving_is_the_default_backend(self):
         with open_client().with_serving() as client:
-            assert client.config.serve.enabled
-            assert client.backend_description() != "sequential"
+            assert client.config == open_client().config
+            assert client.backend_description() == "inline x1"
 
     def test_fluent_after_backend_build_rejected(self):
         with open_client() as client:

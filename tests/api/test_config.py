@@ -101,14 +101,6 @@ class TestSectionValidation:
         with pytest.raises(ScenarioError, match="section 'sampling'"):
             ClientConfig(sampling=ServeConfig())  # type: ignore[arg-type]
 
-    def test_serve_enabled_semantics(self):
-        assert not ServeConfig().enabled
-        assert ServeConfig(workers=2).enabled
-        assert ServeConfig(shards=4).enabled
-        assert ServeConfig(executor="inline").enabled
-        assert not CacheConfig().enabled
-        assert CacheConfig(dir="/tmp/x").enabled
-
 
 class TestSectionRegistry:
     def test_every_section_is_frozen(self):
@@ -151,11 +143,12 @@ class TestOneDeclaration:
                 )
 
     def test_service_engine_and_spec_hold_the_same_section_objects(self):
+        # Only a process pool ships a spec (its workers build engines from it).
         client = ProphetClient.open(
             FIGURE2_DSL, "demo", config=self.CONFIG
-        ).with_serving(executor="inline")
+        ).with_serving(executor="process", workers=2)
         with client:
-            engine = client.engine  # builds the (lazy) serve backend
+            engine = client.engine  # builds the (lazy) backend
             spec = client._service.spec
             for name in self.SECTIONS:
                 section = getattr(client.config, name)
@@ -227,9 +220,9 @@ class TestMappingRoundTrips:
         with pytest.raises(ScenarioError, match="unknown sampling backend"):
             ClientConfig.from_mapping({"sampling": {"backend": "turbo"}})
 
-    def test_the_mapping_has_29_independently_settable_values(self):
+    def test_the_mapping_has_28_independently_settable_values(self):
         mapping = ClientConfig().to_mapping()
-        assert sum(len(section) for section in mapping.values()) == 29
+        assert sum(len(section) for section in mapping.values()) == 28
 
     def test_a_retired_serve_knob_is_an_unknown_key(self):
         # Spelled in halves so a tree-wide grep for the deleted knob's name
@@ -258,13 +251,6 @@ class TestReplaceSection:
 
 
 class TestResilienceSection:
-    def test_default_section_does_not_force_the_service(self):
-        assert not ClientConfig().wants_service()
-
-    def test_nondefault_section_forces_the_service(self):
-        config = ClientConfig().replace_section("resilience", shard_timeout=5.0)
-        assert config.wants_service()
-
     def test_round_trips_with_the_other_sections(self):
         config = ClientConfig(
             resilience=ResilienceConfig(

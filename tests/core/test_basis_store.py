@@ -189,7 +189,7 @@ class TestEngineWithTiers:
 
     def test_tiny_cap_never_changes_results_with_reuse_disabled(self):
         reference = self._sweep(self._engine(), reuse=False)
-        capped = self._engine(ReuseConfig(enable_stats_cache=False), basis_cap=1)
+        capped = self._engine(basis_cap=1)
         results = self._sweep(capped, reuse=False)
         self._assert_identical(results, reference)
         assert capped.storage.tier.stats.evictions > 0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.models import build_risk_vs_cost
 
@@ -44,10 +44,7 @@ def reference_statistics(point):
     if _reference_engine is None:
         scenario, library = build_risk_vs_cost(purchase_step=16)
         _reference_engine = ProphetEngine(
-            scenario, library, EngineConfig(
-                sampling=SamplingConfig(n_worlds=10),
-                reuse=ReuseConfig(enable_stats_cache=False),
-            )
+            scenario, library, EngineConfig(sampling=SamplingConfig(n_worlds=10))
         )
     return _reference_engine.evaluate_point(point, reuse=False).statistics
 

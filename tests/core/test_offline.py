@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.core.offline import ConstraintEvaluator, OfflineOptimizer
 from repro.core.aggregator import ResultAggregator
@@ -146,10 +146,7 @@ class TestOfflineOptimizer:
     def test_reuse_does_not_change_answer(self):
         with_reuse = make_optimizer().run(reuse=True)
         without = make_optimizer(
-            reuse_config=EngineConfig(
-                sampling=SamplingConfig(n_worlds=16),
-                reuse=ReuseConfig(enable_stats_cache=False),
-            )
+            reuse_config=EngineConfig(sampling=SamplingConfig(n_worlds=16))
         ).run(reuse=False)
         assert with_reuse.best.point == without.best.point
         # Feasibility decisions identical everywhere.
@@ -160,10 +157,7 @@ class TestOfflineOptimizer:
     def test_reuse_saves_component_samples(self):
         with_reuse = make_optimizer().run(reuse=True)
         without = make_optimizer(
-            reuse_config=EngineConfig(
-                sampling=SamplingConfig(n_worlds=16),
-                reuse=ReuseConfig(enable_stats_cache=False),
-            )
+            reuse_config=EngineConfig(sampling=SamplingConfig(n_worlds=16))
         ).run(reuse=False)
         assert with_reuse.component_samples < without.component_samples / 2
 

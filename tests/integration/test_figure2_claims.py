@@ -7,7 +7,7 @@ the qualitative shape so regressions fail fast.
 import numpy as np
 import pytest
 
-from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
+from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
@@ -102,10 +102,7 @@ class TestC3C4Optimizer:
     def results(self):
         def run(reuse):
             scenario, library = build_risk_vs_cost(purchase_step=16)
-            config = EngineConfig(
-                sampling=SamplingConfig(n_worlds=16),
-                reuse=ReuseConfig(enable_stats_cache=reuse),
-            )
+            config = EngineConfig(sampling=SamplingConfig(n_worlds=16))
             return OfflineOptimizer(ProphetEngine(scenario, library, config)).run(reuse=reuse)
 
         return run(True), run(False)

@@ -60,8 +60,16 @@ WALK = {
         '{"fallback_selects": 0, "plan_cache_hits": 136, "plan_cache_misses": 10, '
         '"rows_fallback": 0, "rows_vectorized": 31500, "statements": 146, '
         '"vectorized_selects": 50}, "sampling": {"backend": "batched", "parity_fallbacks": 0, '
-        '"sampled_batched": 100, "sampled_fallback": 0}, "week_memo": {"hits": 1169, '
-        '"misses": 209}}'
+        '"sampled_batched": 100, "sampled_fallback": 0}, "scheduler": {"dedup_hits": 0, '
+        '"jobs_completed": 0, "jobs_retired_early": 0, "jobs_retried": 0, '
+        '"worlds_budgeted": 0, "worlds_spent": 0}, "service": {"bytes_shipped": 0, '
+        '"bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0, "cache_tmp_swept": 0, '
+        '"executor_kind": "inline", "executor_workers": 1, "inline_rescues": 0, '
+        '"points_evaluated": 40, "pool_rebuilds": 0, "sampled_batched": 100, '
+        '"sampled_fallback": 0, "sampled_worlds": 100, "segments_leased": 0, '
+        '"segments_reclaimed": 0, "shard_generations": 2, "shard_retries": 0, '
+        '"shard_tasks": 2, "shard_timeouts": 0, "shard_transport": "pickle", '
+        '"transport_fallbacks": 0}, "week_memo": {"hits": 1169, "misses": 209}}'
     ),
 }
 

@@ -49,10 +49,6 @@ class TestObsConfigSection:
         assert config.obs.profile is True
         assert config.obs.enabled
 
-    def test_obs_alone_never_wants_a_service(self):
-        config = ClientConfig(obs=ObsConfig(trace=True, profile=True))
-        assert not config.wants_service()
-
     def test_with_observability_chains_accumulate(self):
         client = (
             open_client()

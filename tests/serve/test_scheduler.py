@@ -9,7 +9,7 @@ import pytest
 from repro.core.offline import OfflineOptimizer
 from repro.core.online import OnlineSession
 from repro.core.rounds import RoundPlan
-from repro.errors import ServeError
+from repro.errors import ScenarioError, ServeError
 from repro.serve import EvaluationService, InlineExecutor, Scheduler
 from serve_testutil import POINT, assert_stats_identical
 
@@ -44,6 +44,20 @@ class TestDedup:
         second = scheduler.submit(POINT, worlds=range(16))
         assert second.coalesced_with is None
         assert first.key != second.key
+
+    @pytest.mark.parametrize("queued_first", [False, True], ids=["alone", "behind"])
+    def test_request_the_engine_rejects_never_coalesces(self, scheduler, queued_first):
+        """Float world ids fail the engine's rule whether or not an integer
+        twin is in flight: ``submit`` raises, it never joins the twin."""
+        if queued_first:
+            twin = scheduler.submit(POINT, worlds=range(4))
+        with pytest.raises(ScenarioError, match="world ids must be integers"):
+            scheduler.submit(POINT, worlds=[0.0, 1.0, 2.0, 3.0])
+        assert scheduler.dedup_hits == 0
+        assert len(scheduler.queue) == int(queued_first)
+        if queued_first:
+            scheduler.run_pending()
+            assert twin.done
 
     def test_completed_jobs_leave_the_inflight_index(self, scheduler):
         first = scheduler.submit(POINT)

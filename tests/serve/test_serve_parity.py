@@ -180,7 +180,10 @@ def _counters(service, scheduler=None) -> str:
     import json
 
     from repro.api.stats import StatsReport
+    from repro.serve import Scheduler
 
+    if scheduler is None:
+        scheduler = Scheduler(service)
     report = json.loads(
         StatsReport.gather(service.engine, service=service, scheduler=scheduler).to_json()
     )
@@ -360,6 +363,26 @@ class TestResultCacheParity:
         with pytest.raises(ScenarioError, match="world ids must be integers"):
             service.evaluate(POINT, worlds=worlds)
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    def test_a_rejected_request_counts_as_evaluated_and_nothing_else(
+        self, serve_spec, tmp_path, cached
+    ):
+        """``points_evaluated`` counts every request the service is asked,
+        one the engine rejects included, with or without a result cache."""
+        service = _inline_service(
+            serve_spec, 1, cache_dir=str(tmp_path) if cached else None
+        )
+        before = service.stats.as_dict()
+        with pytest.raises(ScenarioError, match="world ids must be integers"):
+            service.evaluate(POINT, worlds=[0.5, 1.5])
+        with pytest.raises(ScenarioError):
+            service.evaluate({**POINT, "purchase1": 13})  # off the grid
+        after = service.stats.as_dict()
+        moved = {name: after[name] - before[name] for name in after}
+        assert {name: delta for name, delta in moved.items() if delta} == {
+            "points_evaluated": 2
+        }
+
     def test_numpy_world_ids_hit_the_python_int_entry(self, serve_spec, tmp_path):
         service = _inline_service(serve_spec, 1, cache_dir=str(tmp_path))
         service.evaluate(POINT, worlds=[0, 1, 2, 3])
@@ -378,7 +401,7 @@ class TestEngineOnlyService:
 
 
 class TestSpecContentHash:
-    """The hash is derived from the section fields, minus a named exclusion set."""
+    """The hash is derived from every section field."""
 
     @staticmethod
     def _variants(config):
@@ -402,13 +425,21 @@ class TestSpecContentHash:
                     config, **{section.name: replace(values, **{f.name: bump(value)})}
                 )
 
-    def test_only_the_excluded_knobs_share_a_hash(self, serve_config):
-        from repro.serve.worker import _HASH_EXCLUDED
-
+    def test_every_knob_changes_the_hash(self, serve_config):
         base = EngineSpec.from_dsl(SERVE_DSL, config=serve_config).content_hash()
-        seen = set()
         for knob, variant in self._variants(serve_config):
             hashed = EngineSpec.from_dsl(SERVE_DSL, config=variant).content_hash()
-            assert (hashed == base) == (knob in _HASH_EXCLUDED), knob
-            seen.add(knob)
-        assert _HASH_EXCLUDED <= seen  # every exclusion names a real field
+            assert hashed != base, knob
+
+    def test_default_spec_hashes_are_pinned(self):
+        """Recorded before the stats-cache knob left ``ReuseConfig``: it was
+        excluded from the hash, so deleting it moved no spec's digest (and no
+        worker's cached engine)."""
+        from repro.models import FIGURE2_DSL
+
+        assert EngineSpec.from_dsl(FIGURE2_DSL).content_hash() == (
+            "2524ff25ba3c72343bb7ec21984a7cf512dc871423f1bab11a6d414e4ca1088f"
+        )
+        assert EngineSpec.from_builder("risk_vs_cost", purchase_step=16).content_hash() == (
+            "659aadddf71e8bbd0170c0cec68e37e7414dcd18f391564dc66875a81e0bc802"
+        )

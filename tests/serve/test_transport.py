@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import ClientConfig, ProphetClient, TransportConfig
+from repro.api import ProphetClient, TransportConfig
 from repro.core.config import EngineConfig, SamplingConfig
 from repro.errors import ScenarioError, ServeError
 from repro.serve import (
@@ -75,10 +75,6 @@ class TestTransportConfig:
     def test_enabled_only_for_shm(self):
         assert not TransportConfig().enabled
         assert TransportConfig(shard_transport="shm").enabled
-
-    def test_non_default_transport_forces_service(self):
-        assert not ClientConfig().wants_service()
-        assert ClientConfig(transport=SHM).wants_service()
 
 
 class TestSegmentArena:

@@ -297,7 +297,6 @@ class TestResilienceFlags:
         args = build_parser().parse_args(["batch", "-"])
         config = _client_config(args)
         assert config.resilience == ResilienceConfig()
-        assert not config.wants_service()  # resilience alone stays default
 
     def test_batch_stats_show_resilience_counters(self, scenario_file, capsys):
         code = main(
