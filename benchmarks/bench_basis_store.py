@@ -26,6 +26,7 @@ from repro.core.fingerprint import CorrelationPolicy, FingerprintSpec
 from repro.core.fingerprint.registry import FingerprintRegistry
 from repro.core.storage import StorageManager
 from repro.models import DemandModel, build_risk_vs_cost
+from repro.vg.library import VGLibrary
 from repro.vg.seeds import world_seed
 
 BASIS_CAP = 24
@@ -129,8 +130,12 @@ def test_v2_spill_fault_roundtrip_timing(benchmark, tmp_path):
         feature: np.vstack([vg.invoke(s, (feature,)) for s in seeds])
         for feature in range(n_entries)
     }
+    library = VGLibrary()
+    library.register(vg)
     storage = StorageManager(
         FingerprintRegistry(FingerprintSpec(n_seeds=8), CorrelationPolicy(1e-6)),
+        library,
+        42,
         basis_cap=1,
         spill_dir=str(tmp_path),
     )

@@ -1,9 +1,8 @@
 """Type-preserving serialization of VG parameterization keys.
 
 Basis distributions are keyed by ``(vg_name, tuple(model_args))``, and those
-keys travel to disk twice — in the basis archives written by
-:mod:`repro.core.persistence` and in the spill files written by the tiered
-basis store (:mod:`repro.core.basis_store`). Plain JSON round-trips are not
+keys travel to disk in the header of every basis file
+(:mod:`repro.core.basis_store`). Plain JSON round-trips are not
 sound for these keys: tuples come back as lists, so a nested tuple arg
 decodes unhashable — a reloaded basis can never exact-hit its original key,
 and inserting it into a dict-keyed store crashes. JSON also cannot carry
@@ -102,20 +101,3 @@ def decode_args(text: str) -> tuple[Any, ...]:
     """Reconstruct a model-args tuple encoded by :func:`encode_args`."""
     return tuple(_decode_value(item) for item in json.loads(text))
 
-
-def _tuplify(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_tuplify(item) for item in value)
-    return value
-
-
-def decode_legacy_args(text: str) -> tuple[Any, ...]:
-    """Decode version-1 archives (plain JSON args).
-
-    V1 encoding collapsed tuples and lists into JSON arrays; decoding them
-    as nested tuples restores hashability (store keys crash on lists) and
-    the original exact-hit keys, since basis args were tuples to begin
-    with. A genuine list arg from a v1 archive comes back as a tuple —
-    that distinction was lost at encode time and is why v2 tags types.
-    """
-    return tuple(_tuplify(item) for item in json.loads(text))

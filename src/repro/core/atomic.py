@@ -3,9 +3,8 @@
 :func:`atomic_write` stages the bytes as ``<path>.tmp.<pid>``, fsyncs them,
 renames over ``path`` and fsyncs the directory: a reader sees the previous
 file or the new one, never a torn write. A write that fails removes its tmp
-file and leaves ``path`` as it was. The result cache, the basis archive
-(:func:`repro.core.persistence.save_bases`) and the spill tier all write
-through it.
+file and leaves ``path`` as it was. The result cache and every basis file
+(:func:`repro.core.basis_store.write_basis_file`) write through it.
 """
 
 from __future__ import annotations

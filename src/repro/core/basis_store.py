@@ -8,20 +8,29 @@ bounds the resident state:
 
 * **memory tier** — an LRU-ordered map capped by basis count
   (``basis_cap``) and by total resident sample bytes (``byte_cap``);
-* **disk tier** — entries evicted from memory spill to one ``.npz`` file
-  each under ``spill_dir`` (the :mod:`repro.core.persistence` array format,
-  args encoded type-preservingly via :mod:`repro.core.argcodec`) and fault
-  back transparently on exact or fingerprint-mapped hits;
+* **disk tier** — entries evicted from memory spill to one basis file
+  each under ``spill_dir`` and fault back transparently on exact or
+  fingerprint-mapped hits;
 * **degraded miss** — with no spill directory, eviction drops the samples;
   a later request for them is an ordinary fresh-sampling miss, never an
   error. Unreadable spill files degrade the same way (the tier is an
   optimization layer and fails open, like the serve result cache).
 
-Spill metadata (which worlds an entry covers) stays in memory, so coverage
-filtering during candidate selection never faults entries back just to
-reject them. A store pointed at a previously used ``spill_dir`` indexes the
-existing files on startup, which is what lets warm restarts reuse a
-previous run's disk tier.
+A basis file is the one on-disk form of a basis: a compressed ``.npz``
+holding ``samples``, ``worlds``, ``seeds`` and a JSON ``header`` (format
+version, model name, args encoded type-preservingly via
+:mod:`repro.core.argcodec`, sample bytes). A file written by
+:func:`repro.core.persistence.save_bases` also carries the basis's
+``fingerprint`` and the header's ``probe_spec``; readers treat both as
+optional. Spill metadata (which worlds an entry covers) stays in memory, so
+coverage filtering during candidate selection never faults entries back
+just to reject them. :meth:`TieredBasisStore.adopt` indexes a directory of
+basis files — a previous run's ``spill_dir`` at startup, or a saved
+directory — without reading any sample matrix.
+
+Every basis read from a file passes the store's ``admit`` rule before it
+first serves; one that fails is dropped and counted as a failed fault.
+Bases put by this process are never re-checked.
 """
 
 from __future__ import annotations
@@ -31,20 +40,22 @@ import json
 import os
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 import numpy as np
 
 from repro.core.argcodec import decode_args, encode_args
 from repro.core.atomic import atomic_write
+from repro.core.fingerprint.fingerprint import Fingerprint, FingerprintSpec
 from repro.errors import FingerprintError
 from repro.obs.trace import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
     from repro.core.storage import BasisEntry
 
-#: Spill-file layout version (independent of the persistence archive version).
-_SPILL_FORMAT_VERSION = 1
+#: Basis-file layout version. The fingerprint members are optional, so
+#: files with and without them share it.
+_BASIS_FILE_VERSION = 1
 
 #: A store key: ``(vg_name_lowercase, model_args_tuple)``.
 StoreKey = tuple
@@ -74,10 +85,15 @@ class SpillRecord:
 
 
 class TieredBasisStore:
-    """Bounded LRU memory tier over an optional npz disk tier."""
+    """Bounded LRU memory tier over an optional npz disk tier.
+
+    ``admit`` is the trust rule: it sees every entry read from a file and
+    returns whether that entry may serve.
+    """
 
     def __init__(
         self,
+        admit: Callable[["BasisEntry"], bool],
         basis_cap: Optional[int] = None,
         byte_cap: Optional[int] = None,
         spill_dir: Optional[str] = None,
@@ -86,6 +102,7 @@ class TieredBasisStore:
             raise FingerprintError(f"basis_cap must be >= 1, got {basis_cap}")
         if byte_cap is not None and byte_cap < 1:
             raise FingerprintError(f"byte_cap must be >= 1, got {byte_cap}")
+        self.admit = admit
         self.basis_cap = basis_cap
         self.byte_cap = byte_cap
         self.spill_dir = str(spill_dir) if spill_dir is not None else None
@@ -99,11 +116,6 @@ class TieredBasisStore:
         #: Keys whose memory copy is byte-identical to their spill file
         #: (faulted back, not modified since) — eviction skips the rewrite.
         self._clean: set[StoreKey] = set()
-        #: Keys adopted from a pre-existing spill dir: foreign content whose
-        #: world seeds and shape must be validated before serving (see
-        #: StorageManager._adoption_valid / adopted_seeds_valid); entries
-        #: this process stored are trusted and skip those checks.
-        self._adopted: set[StoreKey] = set()
         self._resident_bytes = 0
         self.stats = BasisTierStats()
         #: Observability: replaced by the engine's ``set_tracer``; spill
@@ -111,7 +123,6 @@ class TieredBasisStore:
         self.tracer = NULL_TRACER
         if self.spill_dir is not None:
             os.makedirs(self.spill_dir, exist_ok=True)
-            self._index_spill_dir()
 
     # -- observability -----------------------------------------------------
 
@@ -140,7 +151,8 @@ class TieredBasisStore:
         """Fetch an entry, faulting it back from disk if it was spilled.
 
         Returns ``None`` for unknown keys and for spilled entries whose file
-        is gone or unreadable (those degrade to misses, never errors).
+        is gone, unreadable or refused by ``admit`` (those are dropped and
+        degrade to misses, never errors).
         """
         entry = self._memory.get(key)
         if entry is not None:
@@ -152,10 +164,8 @@ class TieredBasisStore:
         with self.tracer.span(
             "fault", vg=str(key[0]), bytes=record.n_bytes
         ) as span:
-            entry = self._read_spill(record)
+            entry = self._load(key, record)
             if entry is None:
-                del self._spilled[key]
-                self.stats.failed_faults += 1
                 span.set(failed=True)
                 return None
         self.stats.faults += 1
@@ -176,17 +186,13 @@ class TieredBasisStore:
         spilled = tuple(k for k in self._spilled if k not in self._memory)
         return memory + spilled
 
-    def is_adopted(self, key: StoreKey) -> bool:
-        """Was this key's content adopted from a pre-existing spill dir?"""
-        return key in self._adopted
-
     def items(self) -> Iterator[tuple[StoreKey, "BasisEntry"]]:
-        """Iterate every readable entry; spilled ones are read without promotion."""
+        """Iterate every servable entry; spilled ones are read without promotion."""
         yield from self._memory.items()
-        for key, record in self._spilled.items():
+        for key, record in list(self._spilled.items()):
             if key in self._memory:
                 continue
-            entry = self._read_spill(record)
+            entry = self._load(key, record)
             if entry is not None:
                 yield key, entry
 
@@ -194,26 +200,44 @@ class TieredBasisStore:
 
     def put(self, key: StoreKey, entry: "BasisEntry") -> None:
         """Insert or replace an entry; evicts LRU overflow past the caps."""
-        # The new content supersedes any spill file for this key, and
-        # content this process produced is trusted (no seed validation).
+        # The new content supersedes any spill file for this key.
         self._spilled.pop(key, None)
-        self._adopted.discard(key)
         self._insert(key, entry, clean=False)
 
-    def discard(self, key: StoreKey) -> None:
-        """Forget one key entirely (both tiers; any spill file stays on disk).
+    def adopt(self, directory: str) -> list[tuple[StoreKey, Optional[Fingerprint]]]:
+        """Index the basis files in ``directory``; returns what it adopted.
 
-        Used to expel adopted entries that failed seed validation — they
-        can never serve this store's engine, and leaving them would fault
-        the same unusable matrix from disk on every acquire.
+        Each adopted key comes with the fingerprint its file carries, or
+        ``None``. Only the header, ``worlds`` and ``fingerprint`` members are
+        read — never a sample matrix, so the trust rule runs when a basis is
+        first read. A file that cannot be indexed is skipped, and a key this
+        store already holds is never replaced. A directory that cannot be
+        listed raises ``OSError``.
         """
-        entry = self._memory.pop(key, None)
-        if entry is not None:
-            self._resident_bytes -= entry.samples.nbytes
-        self._recency.pop(key, None)
-        self._spilled.pop(key, None)
-        self._clean.discard(key)
-        self._adopted.discard(key)
+        adopted = []
+        for name in sorted(os.listdir(directory)):
+            if not (name.startswith("basis_") and name.endswith(".npz")):
+                continue
+            path = os.path.join(directory, name)
+            try:
+                with np.load(path) as archive:
+                    header = _header(archive)
+                    key = (str(header["vg_name"]).lower(), decode_args(header["args"]))
+                    if key in self._memory or key in self._spilled:
+                        continue
+                    record = SpillRecord(
+                        path=path,
+                        worlds=tuple(int(w) for w in archive["worlds"]),
+                        # The header carries the sample size, so indexing
+                        # never decompresses the matrix.
+                        n_bytes=int(header["n_bytes"]),
+                    )
+                    fingerprint = _fingerprint(archive, header, key)
+            except Exception:
+                continue  # unreadable file: ignore, it would fail open anyway
+            self._spilled[key] = record
+            adopted.append((key, fingerprint))
+        return adopted
 
     def clear(self) -> None:
         """Forget both tiers (spill files are left on disk) and counters."""
@@ -221,7 +245,6 @@ class TieredBasisStore:
         self._recency.clear()
         self._spilled.clear()
         self._clean.clear()
-        self._adopted.clear()
         self._resident_bytes = 0
         self.stats = BasisTierStats()
 
@@ -277,83 +300,112 @@ class TieredBasisStore:
 
     # -- disk tier ---------------------------------------------------------
 
-    def _spill_path(self, key: StoreKey) -> str:
-        vg_name, args = key
-        digest = hashlib.sha256(
-            json.dumps([vg_name, encode_args(args)]).encode("utf-8")
-        ).hexdigest()
-        return os.path.join(self.spill_dir, f"basis_{digest[:40]}.npz")
-
     def _write_spill(self, key: StoreKey, entry: "BasisEntry") -> SpillRecord:
-        header = {
-            "format_version": _SPILL_FORMAT_VERSION,
-            "vg_name": entry.vg_name,
-            "args": encode_args(entry.args),
-            # Recorded so startup indexing never decompresses the samples.
-            "n_bytes": int(entry.samples.nbytes),
-        }
-        path = self._spill_path(key)
-        with atomic_write(path) as handle:
-            np.savez_compressed(
-                handle,
-                samples=entry.samples,
-                worlds=np.asarray(entry.worlds, dtype=np.int64),
-                seeds=np.asarray(entry.seeds, dtype=np.uint64),
-                header=np.frombuffer(
-                    json.dumps(header).encode("utf-8"), dtype=np.uint8
-                ),
-            )
-        return SpillRecord(
-            path=path, worlds=entry.worlds, n_bytes=entry.samples.nbytes
-        )
+        return write_basis_file(self.spill_dir, key, entry)
 
-    def _read_spill(self, record: SpillRecord) -> Optional["BasisEntry"]:
-        from repro.core.storage import BasisEntry
-
-        try:
-            with np.load(record.path) as archive:
-                header = json.loads(bytes(archive["header"]).decode("utf-8"))
-                if header.get("format_version") != _SPILL_FORMAT_VERSION:
-                    return None
-                return BasisEntry(
-                    vg_name=str(header["vg_name"]),
-                    args=decode_args(header["args"]),
-                    samples=np.asarray(archive["samples"], dtype=float),
-                    worlds=tuple(int(w) for w in archive["worlds"]),
-                    seeds=tuple(int(s) for s in archive["seeds"]),
-                )
-        except Exception:
+    def _load(self, key: StoreKey, record: SpillRecord) -> Optional["BasisEntry"]:
+        """Read a spilled entry through ``admit``; a failure drops the key."""
+        entry = _read_basis_file(record.path)
+        if (
+            entry is None
+            # The file must hold the key it is indexed under (compared
+            # encoded, so a NaN arg still matches itself).
+            or entry.vg_name.lower() != key[0]
+            or encode_args(entry.args) != encode_args(key[1])
+            or not self.admit(entry)
+        ):
+            del self._spilled[key]
+            self.stats.failed_faults += 1
             return None
+        return entry
 
-    def _index_spill_dir(self) -> None:
-        """Adopt spill files a previous run (or another process) left behind."""
-        for name in sorted(os.listdir(self.spill_dir)):
-            if not (name.startswith("basis_") and name.endswith(".npz")):
-                continue
-            path = os.path.join(self.spill_dir, name)
-            try:
-                with np.load(path) as archive:
-                    header = json.loads(bytes(archive["header"]).decode("utf-8"))
-                    if header.get("format_version") != _SPILL_FORMAT_VERSION:
-                        continue
-                    key = (
-                        str(header["vg_name"]).lower(),
-                        decode_args(header["args"]),
-                    )
-                    worlds = tuple(int(w) for w in archive["worlds"])
-                    # The header carries the sample size, so indexing only
-                    # touches the two tiny members, never the matrix.
-                    n_bytes = int(header["n_bytes"])
-            except Exception:
-                continue  # unreadable file: ignore, it would fail open anyway
-            self._spilled[key] = SpillRecord(
-                path=path, worlds=worlds, n_bytes=n_bytes
+
+def basis_file_path(directory: str, key: StoreKey) -> str:
+    """Where the basis file for ``key`` lives in ``directory``."""
+    vg_name, args = key
+    digest = hashlib.sha256(
+        json.dumps([vg_name, encode_args(args)]).encode("utf-8")
+    ).hexdigest()
+    return os.path.join(directory, f"basis_{digest[:40]}.npz")
+
+
+def write_basis_file(
+    directory: str,
+    key: StoreKey,
+    entry: "BasisEntry",
+    fingerprint: Optional[Fingerprint] = None,
+) -> SpillRecord:
+    """Write one basis file atomically; returns its index record."""
+    header: dict[str, Any] = {
+        "format_version": _BASIS_FILE_VERSION,
+        "vg_name": entry.vg_name,
+        "args": encode_args(entry.args),
+        # Recorded so indexing never decompresses the samples.
+        "n_bytes": int(entry.samples.nbytes),
+    }
+    members = {
+        "samples": entry.samples,
+        "worlds": np.asarray(entry.worlds, dtype=np.int64),
+        "seeds": np.asarray(entry.seeds, dtype=np.uint64),
+    }
+    if fingerprint is not None:
+        header["probe_spec"] = [fingerprint.spec.n_seeds, fingerprint.spec.base_seed]
+        members["fingerprint"] = fingerprint.matrix
+    path = basis_file_path(directory, key)
+    with atomic_write(path) as handle:
+        np.savez_compressed(
+            handle,
+            **members,
+            header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+        )
+    return SpillRecord(path=path, worlds=entry.worlds, n_bytes=entry.samples.nbytes)
+
+
+def _read_basis_file(path: str) -> Optional["BasisEntry"]:
+    """The basis a file holds, or ``None`` when the file is not a whole one."""
+    from repro.core.storage import BasisEntry
+
+    try:
+        with np.load(path) as archive:
+            header = _header(archive)
+            entry = BasisEntry(
+                vg_name=str(header["vg_name"]),
+                args=decode_args(header["args"]),
+                samples=np.asarray(archive["samples"], dtype=float),
+                worlds=tuple(int(w) for w in archive["worlds"]),
+                seeds=tuple(int(s) for s in archive["seeds"]),
             )
-            self._adopted.add(key)
+    except Exception:
+        return None
+    rows = len(entry.worlds)
+    if entry.samples.ndim != 2 or entry.samples.shape[0] != rows or len(entry.seeds) != rows:
+        return None
+    return entry
+
+
+def _header(archive: Any) -> dict[str, Any]:
+    header = json.loads(bytes(archive["header"]).decode("utf-8"))
+    if header.get("format_version") != _BASIS_FILE_VERSION:
+        raise ValueError(f"unsupported basis file version {header.get('format_version')!r}")
+    return header
+
+
+def _fingerprint(archive: Any, header: dict[str, Any], key: StoreKey) -> Optional[Fingerprint]:
+    if "probe_spec" not in header:
+        return None
+    n_seeds, base_seed = header["probe_spec"]
+    return Fingerprint(
+        vg_name=str(header["vg_name"]),
+        args=key[1],
+        matrix=np.asarray(archive["fingerprint"], dtype=float),
+        spec=FingerprintSpec(n_seeds=int(n_seeds), base_seed=int(base_seed)),
+    )
 
 
 __all__ = [
     "BasisTierStats",
     "SpillRecord",
     "TieredBasisStore",
+    "basis_file_path",
+    "write_basis_file",
 ]

@@ -225,6 +225,8 @@ class ProphetEngine:
         )
         self.storage = StorageManager(
             self.registry,
+            library,
+            self.config.sampling.base_seed,
             basis_cap=store.basis_cap,
             basis_byte_cap=store.basis_byte_cap,
             spill_dir=store.basis_dir,
@@ -525,11 +527,12 @@ class ProphetEngine:
         min_mapped_fraction = self.config.reuse.min_mapped_fraction
 
         # Extend a same-args basis that covers only some requested worlds.
-        # validated_entry expels adopted bases simulated under a different
-        # base seed — they must never be merged with this engine's samples.
+        # A basis read from a file has passed the Storage Manager's trust
+        # rule (this engine's world seeds, the model's shape) before it can
+        # be merged with this engine's samples.
         tracer = self.tracer
         with tracer.stage("reuse", timings, attr="storage", alias=output.alias):
-            existing = self.storage.validated_entry(function, args, base_seed)
+            existing = self.storage.validated_entry(function, args)
         if existing is not None:
             held = set(existing.worlds)
             missing = [w for w in worlds if w not in held]

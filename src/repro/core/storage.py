@@ -22,6 +22,13 @@ entry simply degrades to a future fresh-sampling miss. Long sweeps thus
 run in fixed memory — the ``--basis-cap`` / ``--basis-dir`` CLI knobs and
 the :class:`~repro.core.config.StoreConfig` section they set size the tiers.
 
+A basis read from a file — a spill fault, a previous run's spill dir, a
+directory :func:`~repro.core.persistence.load_bases` adopted — is checked
+once, by :meth:`StorageManager._serves`, before it first serves: every
+world's seed must be this engine's seed for that world, and the matrix must
+have the model's column count. A basis that fails is dropped and the
+request becomes a counted miss.
+
 The acquisition outcome is summarized in a :class:`ReuseReport`, the raw
 material for every fingerprint-savings benchmark.
 """
@@ -39,6 +46,7 @@ from repro.core.basis_store import TieredBasisStore
 from repro.core.fingerprint.mapping import fill_components, remap_samples
 from repro.core.fingerprint.registry import FingerprintRegistry, ParamKey
 from repro.vg.base import VGFunction
+from repro.vg.library import VGLibrary
 from repro.vg.seeds import world_seed
 
 
@@ -110,42 +118,38 @@ class BasisEntry:
     seeds: tuple[int, ...]
 
 
-def adopted_seeds_valid(entry: BasisEntry, base_seed: int) -> bool:
-    """Were all of this entry's rows simulated from ``base_seed``'s seeds?
-
-    The one definition of warm-start seed validation — adopted spill-dir
-    entries must pass it before they are served, merged, or persisted.
-    """
-    return all(
-        world_seed(base_seed, world) == seed
-        for world, seed in zip(entry.worlds, entry.seeds)
-    )
-
-
 class StorageManager:
     """Basis-distribution store with fingerprint-driven reuse.
 
-    ``basis_cap`` / ``basis_byte_cap`` bound the memory tier (entry count
-    and resident sample bytes); ``spill_dir`` enables the disk tier evicted
-    entries spill to. All default off — an unbounded in-RAM store, the
-    pre-tiering behavior.
+    ``library`` and ``base_seed`` are the engine's: a basis read from a file
+    is checked against them. ``basis_cap`` / ``basis_byte_cap`` bound the
+    memory tier (entry count and resident sample bytes); ``spill_dir``
+    enables the disk tier evicted entries spill to, and its existing basis
+    files are adopted at startup. All default off — an unbounded in-RAM
+    store, the pre-tiering behavior.
     """
 
     def __init__(
         self,
         registry: FingerprintRegistry,
+        library: VGLibrary,
+        base_seed: int,
         *,
         basis_cap: Optional[int] = None,
         basis_byte_cap: Optional[int] = None,
         spill_dir: Optional[str] = None,
     ) -> None:
         self.registry = registry
+        self.library = library
+        self.base_seed = base_seed
         self.tier = TieredBasisStore(
-            basis_cap=basis_cap, byte_cap=basis_byte_cap, spill_dir=spill_dir
+            self._serves, basis_cap=basis_cap, byte_cap=basis_byte_cap, spill_dir=spill_dir
         )
         self.exact_hits = 0
         self.mapped_hits = 0
         self.misses = 0
+        if spill_dir is not None:
+            self.adopt(spill_dir)
 
     # -- store -------------------------------------------------------------
 
@@ -183,50 +187,39 @@ class StorageManager:
         lowered = vg_name.lower()
         return tuple(args for (name, args) in self.tier.keys() if name == lowered)
 
-    def entry(self, vg_name: str, args: Sequence[Any]) -> Optional[BasisEntry]:
-        """Fetch one basis, faulting it back from the disk tier if spilled."""
-        return self.tier.get((vg_name.lower(), tuple(args)))
-
     def validated_entry(
-        self, function: VGFunction, args: Sequence[Any], base_seed: int
+        self, function: VGFunction, args: Sequence[Any]
     ) -> Optional[BasisEntry]:
-        """:meth:`entry` plus warm-start validation.
+        """Fetch one basis, faulting it back from the disk tier if spilled.
 
-        An adopted basis (pre-existing spill dir) whose rows were simulated
-        under a different base seed, or whose component count no longer
-        matches the model, can never serve this engine; it is discarded —
-        so it stops faulting from disk on every request — and ``None`` is
-        returned. Bases this process stored are trusted.
+        A faulted basis has passed :meth:`_serves`; one that failed was
+        dropped, and ``None`` is returned as for an unknown key.
         """
-        key = (function.name.lower(), tuple(args))
-        entry = self.tier.get(key)
-        if entry is None or not self.tier.is_adopted(key):
-            return entry
-        if entry.samples.shape[1] == function.n_components and adopted_seeds_valid(
-            entry, base_seed
-        ):
-            return entry
-        self.tier.discard(key)
-        return None
+        return self.tier.get((function.name.lower(), tuple(args)))
 
     def entries(self) -> Iterator[tuple[tuple[str, ParamKey], BasisEntry]]:
-        """Every readable ``(key, entry)`` across both tiers (persistence)."""
+        """Every servable ``(key, entry)`` across both tiers (persistence)."""
         return self.tier.items()
 
-    def persistable_entries(
-        self, base_seed: int
-    ) -> Iterator[tuple[tuple[str, ParamKey], BasisEntry]]:
-        """:meth:`entries`, minus adopted bases that fail seed validation.
+    def adopt(self, directory: str) -> list[tuple[str, ParamKey]]:
+        """Index a directory of basis files; returns the keys it adopted.
 
-        An archive is trusted by whoever loads it, so a stale-seed adoption
-        (spill dir from a run with another base seed) must never be
-        laundered into one — the acquire paths reject such entries, and
-        persistence must too.
+        A basis this store holds is never replaced. A stored fingerprint
+        probed under this registry's spec, for the model's current shape,
+        seeds the registry; any other is ignored and the basis is re-probed
+        on demand.
         """
-        for key, entry in self.tier.items():
-            if self.tier.is_adopted(key) and not adopted_seeds_valid(entry, base_seed):
-                continue
-            yield key, entry
+        keys = []
+        for key, fingerprint in self.tier.adopt(directory):
+            keys.append(key)
+            if (
+                fingerprint is not None
+                and fingerprint.spec == self.registry.spec
+                and fingerprint.matrix.shape[1] == self._columns(key[0])
+                and not self.registry.has_fingerprint(*key)
+            ):
+                self.registry.seed_fingerprint(fingerprint)
+        return keys
 
     def __len__(self) -> int:
         return len(self.tier)
@@ -262,13 +255,6 @@ class StorageManager:
         exact = None
         if self._covers_worlds(self.tier.peek_worlds(key), worlds):
             exact = self.tier.get(key)  # may fault back; None degrades to miss
-            if exact is not None and not self._adoption_valid(
-                key, exact, function, worlds, seeds
-            ):
-                # Stale adopted basis: discard it so it stops faulting from
-                # disk on every request — it can never serve these seeds.
-                self.tier.discard(key)
-                exact = None
         if exact is not None and self._covers(exact, worlds):
             self.exact_hits += 1
             report = ReuseReport(
@@ -292,11 +278,10 @@ class StorageManager:
                 )
             ]
             candidates = _nearest_candidates(key[1], candidates, limit=8)
-            # Bases adopted from a warm-started spill dir (or loaded with a
-            # mismatched probe spec) have no fingerprint yet; probe the few
-            # surviving candidates so best_match can actually consider them
-            # — fingerprint_of is a cached no-op for everything stored by
-            # this process.
+            # Bases adopted without a usable stored fingerprint have none
+            # yet; probe the few surviving candidates so best_match can
+            # actually consider them — fingerprint_of is a cached no-op for
+            # everything stored by this process.
             for candidate in candidates:
                 self.registry.fingerprint_of(function, candidate)
             match = self.registry.best_match(
@@ -307,14 +292,8 @@ class StorageManager:
                 if match is not None
                 else None
             )
-            if basis is not None and not self._adoption_valid(
-                (key[0], match.basis_args), basis, function, worlds, seeds
-            ):
-                # A warm start with another base seed must never feed stale
-                # samples into a remap; expel the unserveable basis.
-                self.tier.discard((key[0], match.basis_args))
-                basis = None
-            # A vanished or unreadable spill file degrades to a miss below.
+            # A vanished, unreadable or refused spill file degrades to a
+            # miss below.
             if basis is not None and self._covers(basis, worlds):
                 basis_samples = self._select_worlds(basis, worlds)
                 remapped = remap_samples(basis_samples, match.correlation)
@@ -366,35 +345,27 @@ class StorageManager:
     def _covers(self, entry: BasisEntry, worlds: Sequence[int]) -> bool:
         return self._covers_worlds(entry.worlds, worlds)
 
-    def _adoption_valid(
-        self,
-        key: tuple[str, ParamKey],
-        entry: BasisEntry,
-        function: VGFunction,
-        worlds: Sequence[int],
-        seeds: Sequence[int],
-    ) -> bool:
-        """Can this entry safely serve the request?
+    def _serves(self, entry: BasisEntry) -> bool:
+        """The trust rule for a basis read from a file.
 
-        Bases this process stored are trusted and skip every check; only
-        entries adopted from a pre-existing spill dir are validated. Two
-        ways an adoption can be stale: the dir was written under a
-        different base seed (rows simulated from other seeds), or the
-        model changed shape since the dir was written (wrong component
-        count) — both must degrade to fresh misses, never serve.
+        It may serve only if its model is still in the library with the
+        same column count, and every row was simulated from this engine's
+        seed for its world — a file from a run with another base seed, or
+        written before the model changed shape, never serves.
         """
-        if not self.tier.is_adopted(key):
-            return True
-        if entry.samples.shape[1] != function.n_components:
+        if entry.samples.shape[1] != self._columns(entry.vg_name):
             return False
-        position = {world: index for index, world in enumerate(entry.worlds)}
-        for world, seed in zip(worlds, seeds):
-            index = position.get(world)
-            # A missing world means the faulted content no longer matches
-            # its index record — treat like any other stale adoption.
-            if index is None or entry.seeds[index] != seed:
-                return False
-        return True
+        base_seed = self.base_seed
+        return all(
+            world_seed(base_seed, world) == seed
+            for world, seed in zip(entry.worlds, entry.seeds)
+        )
+
+    def _columns(self, vg_name: str) -> Optional[int]:
+        """The model's component count, ``None`` once it left the library."""
+        if vg_name not in self.library:
+            return None
+        return self.library.get(vg_name).n_components
 
     def _covers_worlds(
         self, stored_worlds: Optional[tuple[int, ...]], worlds: Sequence[int]

@@ -1,6 +1,7 @@
 """Tiered basis store: bounded memory tier, disk spill, fault-back."""
 
 import os
+import shutil
 
 import numpy as np
 
@@ -15,14 +16,27 @@ from repro.core.fingerprint import CorrelationPolicy, FingerprintSpec
 from repro.core.fingerprint.registry import FingerprintRegistry
 from repro.core.storage import StorageManager
 from repro.models import CapacityModel, DemandModel, build_risk_vs_cost
+from repro.vg.library import VGLibrary
 from repro.vg.seeds import world_seed
 
 SPEC = FingerprintSpec(n_seeds=8)
 POLICY = CorrelationPolicy(tolerance=1e-6)
 
 
-def make_storage(**tier_kwargs) -> StorageManager:
-    return StorageManager(FingerprintRegistry(SPEC, POLICY), **tier_kwargs)
+def make_library(*functions) -> VGLibrary:
+    library = VGLibrary()
+    for function in functions or (DemandModel(), CapacityModel()):
+        library.register(function)
+    return library
+
+
+def make_storage(library=None, base_seed=42, **tier_kwargs) -> StorageManager:
+    return StorageManager(
+        FingerprintRegistry(SPEC, POLICY),
+        library or make_library(),
+        base_seed,
+        **tier_kwargs,
+    )
 
 
 def world_seeds(n, base=42):
@@ -221,14 +235,14 @@ class TestPersistenceAcrossTiers:
         engine = ProphetEngine(scenario, library, config)
         engine.evaluate_point({"purchase1": 0, "purchase2": 26, "feature": 12})
         assert len(engine.storage) == 2  # demand + capacity, one spilled
-        archive = tmp_path / "bases.npz"
-        assert save_bases(engine, archive) == 2
+        saved = tmp_path / "saved"
+        assert save_bases(engine, saved) == 2
 
         fresh_scenario, fresh_library = build_risk_vs_cost(purchase_step=26)
         fresh = ProphetEngine(fresh_scenario, fresh_library, EngineConfig(
             sampling=SamplingConfig(n_worlds=8),
         ))
-        assert load_bases(fresh, archive) == 2
+        assert load_bases(fresh, saved) == 2
 
 
 class TestWarmStartSafety:
@@ -239,7 +253,7 @@ class TestWarmStartSafety:
         first = make_storage(basis_cap=1, spill_dir=str(tmp_path))
         vg, _ = fill_bases(first, 2, seeds_a)  # basis (0,) spilled under seed 42
 
-        second = make_storage(basis_cap=4, spill_dir=str(tmp_path))
+        second = make_storage(base_seed=7, basis_cap=4, spill_dir=str(tmp_path))
         seeds_b = [world_seed(7, w) for w in range(4)]
         samples, report = second.acquire(vg, (0,), range(4), seeds_b, reuse=False)
         assert samples is None and report.source == "fresh"
@@ -263,7 +277,7 @@ class TestWarmStartSafety:
         other = CapacityModel()
         first.store(other, (8, 24), matrix_for(other, (8, 24), seeds_a), range(8), seeds_a)
 
-        second = make_storage(basis_cap=4, spill_dir=str(tmp_path))
+        second = make_storage(base_seed=7, basis_cap=4, spill_dir=str(tmp_path))
         seeds_b = [world_seed(7, w) for w in range(8)]
         samples, report = second.acquire(vg, (36,), range(8), seeds_b)
         assert samples is None and report.source == "fresh"
@@ -334,33 +348,46 @@ class TestFailOpenSpillWrites:
 
 class TestStaleAdoptedBases:
     def test_save_bases_never_launders_stale_seed_adoptions(self, tmp_path):
-        """Regression: an adopted entry from a foreign-seed spill dir that
-        was never acquired (so no acquire-path validation fired) must not
-        be written into a trusted archive by save_bases."""
-        from repro.core.persistence import save_bases
+        """Regression: a foreign-seed spill dir adopted, never acquired, and
+        saved must not serve the engine that loads the saved directory."""
+        from repro.core.persistence import load_bases, save_bases
 
-        foreign_seeds = [world_seed(7, w) for w in range(4)]
-        writer = make_storage(basis_cap=1, spill_dir=str(tmp_path / "spill"))
-        fill_bases(writer, 2, foreign_seeds)  # spills basis (0,) under seed 7
+        def engine(base_seed=42, **store):
+            scenario, library = build_risk_vs_cost(purchase_step=26)
+            config = EngineConfig(
+                sampling=SamplingConfig(n_worlds=4, base_seed=base_seed),
+                store=StoreConfig(**store),
+            )
+            return ProphetEngine(scenario, library, config)
 
-        scenario, library = build_risk_vs_cost(purchase_step=26)
-        engine = ProphetEngine(
-            scenario,
-            library,
-            EngineConfig(
-                sampling=SamplingConfig(n_worlds=4),
-                store=StoreConfig(basis_dir=str(tmp_path / "spill")),
-            ),
-        )
+        point = {"purchase1": 0, "purchase2": 0, "feature": 12}
+        writer = engine(base_seed=7, basis_cap=1, basis_dir=str(tmp_path / "spill"))
+        writer.evaluate_point(point)  # spills the demand basis under seed 7
+
         # The engine (base_seed=42) adopted the seed-7 basis at startup but
-        # never touched it; the archive must exclude it.
-        assert engine.storage.tier.spilled_count == 1
-        assert save_bases(engine, tmp_path / "bases.npz") == 0
+        # never touched it.
+        adopter = engine(basis_dir=str(tmp_path / "spill"))
+        assert adopter.storage.tier.spilled_count == 1
+        save_bases(adopter, tmp_path / "saved")
+        # Plant the stale file too, as a save that kept it would have.
+        stale = os.listdir(tmp_path / "spill")[0]
+        shutil.copyfile(tmp_path / "spill" / stale, tmp_path / "saved" / stale)
+
+        loader = engine()
+        assert load_bases(loader, tmp_path / "saved") == 0
+        assert len(loader.storage) == 0
+        evaluation = loader.evaluate_point(point)
+        assert {r.source for r in evaluation.reuse_reports} == {"fresh"}
+        reference = engine().evaluate_point(point)
+        for alias in reference.statistics.aliases():
+            assert (
+                evaluation.statistics.expectation(alias).tobytes()
+                == reference.statistics.expectation(alias).tobytes()
+            )
 
     def test_adopted_bases_with_stale_shape_degrade_to_miss(self, tmp_path):
         """Regression: a reused --basis-dir must not serve wrong-shaped
-        samples after a model changes its component count (load_bases
-        guards this for archives; the spill adoption path must too)."""
+        samples after a model changes its component count."""
         from repro.vg.base import CallableVGFunction
 
         seeds = world_seeds(4)
@@ -370,6 +397,8 @@ class TestStaleAdoptedBases:
         reshaped = CallableVGFunction(
             "DemandModel", 30, ("feature",), lambda rng, args: rng.normal(size=30)
         )
-        second = make_storage(basis_cap=4, spill_dir=str(tmp_path))
+        second = make_storage(
+            make_library(reshaped, CapacityModel()), basis_cap=4, spill_dir=str(tmp_path)
+        )
         samples, report = second.acquire(reshaped, (0,), range(4), seeds, reuse=False)
         assert samples is None and report.source == "fresh"

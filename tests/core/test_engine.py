@@ -224,7 +224,9 @@ class TestReuse:
         ).evaluate_point(POINT)
         for output in engine.scenario.vg_outputs:
             args = output.model_arg_values(extended.point)
-            entry = engine.storage.entry(output.vg_name, args)
+            entry = engine.storage.validated_entry(
+                engine.library.get(output.vg_name), args
+            )
             assert entry.worlds == tuple(range(20))
             assert entry.seeds == tuple(
                 world_seed(engine.config.sampling.base_seed, w) for w in range(20)
@@ -242,8 +244,8 @@ class TestReuse:
         engine.evaluate_point(POINT, worlds=(3, 1, 2))
         engine.evaluate_point(POINT, worlds=range(5))
         output = engine.scenario.vg_outputs[0]
-        entry = engine.storage.entry(
-            output.vg_name, output.model_arg_values(POINT)
+        entry = engine.storage.validated_entry(
+            engine.library.get(output.vg_name), output.model_arg_values(POINT)
         )
         # Held worlds first, in stored order; the missing ones appended.
         assert entry.worlds == (3, 1, 2, 0, 4)

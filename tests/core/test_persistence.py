@@ -1,6 +1,7 @@
 """Tests for basis-distribution persistence (warm session restarts)."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from repro.core.argcodec import decode_args, encode_args
 from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.core.persistence import load_bases, save_bases
-from repro.errors import FingerprintError
 from repro.models import build_risk_vs_cost
 from repro.vg.base import CallableVGFunction
 from repro.vg.seeds import world_seed
@@ -26,53 +26,53 @@ def make_engine(config=CONFIG):
 
 
 @pytest.fixture
-def archive(tmp_path):
-    return tmp_path / "bases.npz"
+def bases_dir(tmp_path):
+    return tmp_path / "bases"
 
 
 class TestSaveLoadRoundTrip:
-    def test_counts_match(self, archive):
+    def test_counts_match(self, bases_dir):
         engine = make_engine()
         engine.evaluate_point(POINT)
-        saved = save_bases(engine, archive)
+        saved = save_bases(engine, bases_dir)
         assert saved == 2  # demand + capacity bases
 
         fresh = make_engine()
-        assert load_bases(fresh, archive) == 2
+        assert load_bases(fresh, bases_dir) == 2
         assert len(fresh.storage) == 2
 
-    def test_loaded_bases_serve_exact_hits_without_simulation(self, archive):
+    def test_loaded_bases_serve_exact_hits_without_simulation(self, bases_dir):
         engine = make_engine()
         engine.evaluate_point(POINT)
-        save_bases(engine, archive)
+        save_bases(engine, bases_dir)
 
         fresh = make_engine()
-        load_bases(fresh, archive)
+        load_bases(fresh, bases_dir)
         invocations_before = fresh.invocation_count()
         evaluation = fresh.evaluate_point(POINT)
         assert fresh.invocation_count() == invocations_before  # zero simulation
         assert all(report.source == "exact" for report in evaluation.reuse_reports)
 
-    def test_loaded_statistics_match_original(self, archive):
+    def test_loaded_statistics_match_original(self, bases_dir):
         engine = make_engine()
         original = engine.evaluate_point(POINT)
-        save_bases(engine, archive)
+        save_bases(engine, bases_dir)
 
         fresh = make_engine()
-        load_bases(fresh, archive)
+        load_bases(fresh, bases_dir)
         restored = fresh.evaluate_point(POINT)
         for alias in ("demand", "capacity", "overload"):
             assert restored.statistics.expectation(alias) == pytest.approx(
                 original.statistics.expectation(alias)
             )
 
-    def test_loaded_fingerprints_enable_mapping(self, archive):
+    def test_loaded_fingerprints_enable_mapping(self, bases_dir):
         engine = make_engine()
         engine.evaluate_point(POINT)
-        save_bases(engine, archive)
+        save_bases(engine, bases_dir)
 
         fresh = make_engine()
-        load_bases(fresh, archive)
+        load_bases(fresh, bases_dir)
         probes_before = fresh.registry.probes_computed
         neighbor = fresh.evaluate_point(
             {"purchase1": 32, "purchase2": 32, "feature": 12}
@@ -82,62 +82,57 @@ class TestSaveLoadRoundTrip:
         # parameterizations needed probing.
         assert fresh.registry.probes_computed == probes_before + 1
 
-    def test_writes_exactly_a_suffixless_path(self, tmp_path):
+    def test_writes_one_basis_file_per_basis(self, bases_dir):
         engine = make_engine()
         engine.evaluate_point(POINT)
-        path = tmp_path / "bases.archive"
-        assert save_bases(engine, str(path)) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bases.archive"]
-        assert load_bases(make_engine(), str(path)) == 2
+        assert save_bases(engine, str(bases_dir)) == 2
+        names = sorted(os.listdir(bases_dir))
+        assert len(names) == 2
+        assert all(n.startswith("basis_") and n.endswith(".npz") for n in names)
+        assert load_bases(make_engine(), str(bases_dir)) == 2
 
-    def test_failed_save_keeps_the_previous_archive(self, archive, monkeypatch):
+    def test_failed_save_keeps_every_previous_file(self, bases_dir, monkeypatch):
         engine = make_engine()
         engine.evaluate_point(POINT)
-        save_bases(engine, archive)
-        previous = archive.read_bytes()
+        save_bases(engine, bases_dir)
+        previous = {p.name: p.read_bytes() for p in bases_dir.iterdir()}
 
         def crash(handle, **arrays):
-            handle.write(b"PK\x03\x04 half an archive")
+            handle.write(b"PK\x03\x04 half an bases_dir")
             raise OSError("disk full")
 
         engine.evaluate_point({**POINT, "purchase1": 32})
         monkeypatch.setattr(np, "savez_compressed", crash)
         with pytest.raises(OSError, match="disk full"):
-            save_bases(engine, archive)
-        assert archive.read_bytes() == previous
-        assert [p.name for p in archive.parent.iterdir()] == [archive.name]
-        assert load_bases(make_engine(), archive) == 2
+            save_bases(engine, bases_dir)
+        assert {p.name: p.read_bytes() for p in bases_dir.iterdir()} == previous
+        assert load_bases(make_engine(), bases_dir) == 2
 
 
 class TestSpecCompatibility:
-    def test_mismatched_spec_strict_raises(self, archive):
+    def test_mismatched_spec_loads_bases_and_ignores_fingerprints(self, bases_dir):
         engine = make_engine()
         engine.evaluate_point(POINT)
-        save_bases(engine, archive)
+        save_bases(engine, bases_dir)
 
         other = make_engine(EngineConfig(
             sampling=SamplingConfig(n_worlds=12),
             reuse=ReuseConfig(fingerprint_seeds=4),
         ))
-        with pytest.raises(FingerprintError, match="probe spec"):
-            load_bases(other, archive)
-
-    def test_mismatched_spec_lenient_loads_bases_only(self, archive):
-        engine = make_engine()
-        engine.evaluate_point(POINT)
-        save_bases(engine, archive)
-
-        other = make_engine(EngineConfig(
-            sampling=SamplingConfig(n_worlds=12),
-            reuse=ReuseConfig(fingerprint_seeds=4),
-        ))
-        assert load_bases(other, archive, strict=False) == 2
+        assert load_bases(other, bases_dir) == 2
         assert len(other.storage) == 2
+        # The stored fingerprints were probed under another spec: none is
+        # adopted, and each basis is re-probed on demand.
+        assert len(other.registry) == 0
+        neighbor = other.evaluate_point({**POINT, "purchase1": 32})
+        assert neighbor.any_reuse
+        # Demand exact-hits; capacity probes its basis and the target.
+        assert other.registry.probes_computed == 2
 
-    def test_removed_model_skipped(self, archive):
+    def test_removed_model_skipped(self, bases_dir):
         engine = make_engine()
         engine.evaluate_point(POINT)
-        save_bases(engine, archive)
+        save_bases(engine, bases_dir)
 
         scenario, library = build_risk_vs_cost(purchase_step=16)
         library.unregister("CapacityModel")
@@ -162,12 +157,12 @@ class TestSpecCompatibility:
             ],
         )
         slim_engine = ProphetEngine(demand_only, slim, CONFIG)
-        assert load_bases(slim_engine, archive) == 1  # only the demand basis
+        assert load_bases(slim_engine, bases_dir) == 1  # only the demand basis
 
-    def test_reshaped_model_skipped(self, archive):
+    def test_reshaped_model_skipped(self, bases_dir):
         engine = make_engine()
         engine.evaluate_point(POINT)
-        save_bases(engine, archive)
+        save_bases(engine, bases_dir)
 
         scenario, library = build_risk_vs_cost(purchase_step=16)
         from repro.models import DemandModel
@@ -189,7 +184,7 @@ class TestSpecCompatibility:
         )
         reshaped_engine = ProphetEngine(reshaped, library, CONFIG)
         # Demand basis is stale (53 != 30 components); capacity still loads.
-        assert load_bases(reshaped_engine, archive) == 1
+        assert load_bases(reshaped_engine, bases_dir) == 1
 
 
 def _assert_same_typed(actual, expected):
@@ -258,10 +253,10 @@ class TestArgsCodec:
 
 
 class TestNestedTupleArgsRoundTrip:
-    def test_saved_nested_tuple_key_exact_hits_after_reload(self, archive):
+    def test_saved_nested_tuple_key_exact_hits_after_reload(self, bases_dir):
         """End-to-end regression: a basis keyed by nested-tuple args must
-        reload under its exact original key (v1 archives decoded the args
-        as nested lists — unhashable, and never an exact hit)."""
+        reload under its exact original key (plain-JSON args decoded as
+        nested lists — unhashable, and never an exact hit)."""
         nested_fn = CallableVGFunction(
             "NestedModel", 4, ("cfg",), lambda rng, args: rng.normal(size=4)
         )
@@ -272,7 +267,7 @@ class TestNestedTupleArgsRoundTrip:
         seeds = [world_seed(42, w) for w in range(3)]
         matrix = np.vstack([nested_fn.invoke(s, nested_args) for s in seeds])
         engine.storage.store(nested_fn, nested_args, matrix, range(3), seeds)
-        assert save_bases(engine, archive) == 1
+        assert save_bases(engine, bases_dir) == 1
 
         scenario2, library2 = build_risk_vs_cost(purchase_step=16)
         library2.register(
@@ -281,117 +276,9 @@ class TestNestedTupleArgsRoundTrip:
             )
         )
         fresh = ProphetEngine(scenario2, library2, CONFIG)
-        assert load_bases(fresh, archive) == 1
-        entry = fresh.storage.entry("NestedModel", nested_args)
+        assert load_bases(fresh, bases_dir) == 1
+        entry = fresh.storage.validated_entry(library2.get("NestedModel"), nested_args)
         assert entry is not None  # exact (vg_name, tuple(args)) key hit
         assert isinstance(entry.args[0], tuple)
         assert isinstance(entry.args[0][1], tuple)
         assert entry.samples.tobytes() == matrix.tobytes()
-
-
-class TestLegacyArchives:
-    def test_v1_archive_with_nested_args_loads_as_tuples(self, archive):
-        """Regression: v1 archives carry plain-JSON args; nested arrays must
-        decode as tuples (lists are unhashable store keys and crashed
-        load_bases)."""
-        import json
-
-        nested_fn = CallableVGFunction(
-            "NestedModel", 4, ("cfg",), lambda rng, args: rng.normal(size=4)
-        )
-        scenario, library = build_risk_vs_cost(purchase_step=16)
-        library.register(nested_fn)
-        engine = ProphetEngine(scenario, library, CONFIG)
-
-        seeds = [world_seed(42, w) for w in range(3)]
-        matrix = np.vstack(
-            [nested_fn.invoke(s, ((1, (2, 3)),)) for s in seeds]
-        )
-        spec = engine.registry.spec
-        header = {
-            "format_version": 1,
-            "scenario": scenario.name,
-            "n_probe_seeds": spec.n_seeds,
-            "probe_base_seed": spec.base_seed,
-            "entries": [
-                {
-                    "vg_name": "NestedModel",
-                    # v1 wrote json.dumps(list(args)): tuples became arrays.
-                    "args": json.dumps([[1, [2, 3]]]),
-                    "has_fingerprint": False,
-                }
-            ],
-        }
-        np.savez_compressed(
-            archive,
-            samples_0=matrix,
-            worlds_0=np.asarray(range(3), dtype=np.int64),
-            seeds_0=np.asarray(seeds, dtype=np.uint64),
-            header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        )
-
-        assert load_bases(engine, archive) == 1
-        entry = engine.storage.entry("NestedModel", ((1, (2, 3)),))
-        assert entry is not None
-        assert isinstance(entry.args[0], tuple)
-        assert entry.samples.tobytes() == matrix.tobytes()
-
-
-class TestGarbledArchives:
-    """A file that is not the archive ``save_bases`` wrote ends in a
-    ``FingerprintError`` naming it — never in whatever NumPy or ``zipfile``
-    raise — and leaves the engine as it was."""
-
-    @pytest.fixture
-    def saved(self, archive):
-        engine = make_engine()
-        engine.evaluate_point(POINT)
-        assert save_bases(engine, archive) == 2
-        return archive.read_bytes()
-
-    def _assert_refused(self, archive, blob):
-        archive.write_bytes(blob)
-        fresh = make_engine()
-        with pytest.raises(FingerprintError, match=archive.name):
-            load_bases(fresh, archive)
-        assert len(fresh.storage) == 0 and len(fresh.registry) == 0
-
-    @pytest.mark.parametrize("keep", [0, 3, 100, 0.5, 0.99])
-    def test_truncated(self, archive, saved, keep):
-        cut = keep if isinstance(keep, int) else int(len(saved) * keep)
-        self._assert_refused(archive, saved[:cut])
-
-    def test_not_an_archive(self, archive):
-        self._assert_refused(archive, b"these bytes were never an npz archive")
-
-    def test_member_missing(self, archive, saved):
-        with np.load(archive) as good:
-            kept = {name: good[name] for name in good.files if name != "seeds_1"}
-        np.savez_compressed(archive, **kept)
-        self._assert_refused(archive, archive.read_bytes())
-        kept.pop("header")
-        np.savez_compressed(archive, **kept)
-        self._assert_refused(archive, archive.read_bytes())
-
-    def test_bit_flipped_anywhere_is_refused_or_harmless(self, archive, saved):
-        """One flipped bit, at 150 positions across the file (member data,
-        local headers, the central directory): the load is refused with the
-        engine untouched, or — the bit was one nothing reads, a timestamp
-        say — it succeeds whole."""
-        refused = 0
-        for position in range(0, len(saved), len(saved) // 150):
-            blob = bytearray(saved)
-            blob[position] ^= 1 << (position % 8)
-            archive.write_bytes(bytes(blob))
-            fresh = make_engine()
-            try:
-                assert load_bases(fresh, archive) == 2
-            except FingerprintError as error:
-                assert archive.name in str(error)
-                assert len(fresh.storage) == 0 and len(fresh.registry) == 0
-                refused += 1
-        assert refused > 100
-
-    def test_a_path_that_cannot_be_opened_is_still_an_oserror(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_bases(make_engine(), tmp_path / "never-written.npz")

@@ -7,6 +7,7 @@ from repro.core.fingerprint import CorrelationPolicy, FingerprintSpec
 from repro.core.fingerprint.registry import FingerprintRegistry
 from repro.core.storage import StorageManager, _nearest_candidates
 from repro.models import CapacityModel, DemandModel
+from repro.vg.library import VGLibrary
 from repro.vg.seeds import world_seed
 
 
@@ -156,7 +157,7 @@ class TestFingerprintRegistry:
 
 class TestStorageManager:
     def make(self):
-        return StorageManager(make_registry())
+        return StorageManager(make_registry(), VGLibrary(), 42)
 
     def matrix_for(self, vg, args, seeds):
         return np.vstack([vg.invoke(s, args) for s in seeds])

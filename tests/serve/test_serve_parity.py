@@ -157,7 +157,7 @@ class TestMixedWorldParity:
 
         n_bases = len(service.engine.storage)
         assert n_bases > 0
-        assert save_bases(service.engine, tmp_path / "bases.npz") == n_bases
+        assert save_bases(service.engine, tmp_path / "bases") == n_bases
 
 
 #: A sweep whose points meet every reuse decision (with ``reuse=True``): both
