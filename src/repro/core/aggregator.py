@@ -83,17 +83,42 @@ class ResultAggregator:
         Expects columns ``t, e_<alias>, sd_<alias>, ...`` ordered by ``t``.
         """
         axis_values = tuple(int(v) for v in result.column("t"))
-        series: dict[str, SeriesStats] = {}
-        for alias in self.output_aliases:
-            expectation = np.asarray(
-                [_nan_if_none(v) for v in result.column(f"e_{alias}")], dtype=float
+        return self.from_columns(self.statistic_columns(result), n_worlds, axis_values)
+
+    def statistic_columns(self, result: ResultSet) -> np.ndarray:
+        """The aggregate rows' statistics as one float64 array.
+
+        Row ``2i`` is ``e_<alias>`` and row ``2i + 1`` is ``sd_<alias>`` of
+        the ``i``-th output alias; column ``j`` is result row ``j``. SQL NULL
+        (the STDEV of one sample) becomes NaN.
+        """
+        columns = np.empty((2 * len(self.output_aliases), len(result)))
+        for row, alias in enumerate(self.output_aliases):
+            columns[2 * row] = [_nan_if_none(v) for v in result.column(f"e_{alias}")]
+            columns[2 * row + 1] = [_nan_if_none(v) for v in result.column(f"sd_{alias}")]
+        return columns
+
+    def from_columns(
+        self,
+        columns: np.ndarray,
+        n_worlds: int,
+        axis_values: Optional[tuple[int, ...]] = None,
+    ) -> AxisStatistics:
+        """Statistics over :meth:`statistic_columns`' layout, one column per
+        axis value (``0, 1, ...`` unless given). The arrays are views of
+        ``columns``, which is made read-only."""
+        columns.flags.writeable = False
+        series = {
+            alias: SeriesStats(
+                alias=alias,
+                expectation=columns[2 * row],
+                stddev=columns[2 * row + 1],
+                n_worlds=n_worlds,
             )
-            stddev = np.asarray(
-                [_nan_if_none(v) for v in result.column(f"sd_{alias}")], dtype=float
-            )
-            series[alias] = SeriesStats(
-                alias=alias, expectation=expectation, stddev=stddev, n_worlds=n_worlds
-            )
+            for row, alias in enumerate(self.output_aliases)
+        }
+        if axis_values is None:
+            axis_values = tuple(range(columns.shape[1]))
         return AxisStatistics(axis_values=axis_values, series=series, n_worlds=n_worlds)
 
     def from_sample_matrices(

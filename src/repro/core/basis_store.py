@@ -31,6 +31,10 @@ directory — without reading any sample matrix.
 Every basis read from a file passes the store's ``admit`` rule before it
 first serves; one that fails is dropped and counted as a failed fault.
 Bases put by this process are never re-checked.
+
+Both tiers are kept per model name, so candidate selection reads one
+model's keys (:meth:`TieredBasisStore.model_keys`) without enumerating the
+others.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from repro.errors import FingerprintError
 from repro.obs.trace import NULL_TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (storage imports us)
+    from repro.core.fingerprint.registry import ParamKey
     from repro.core.storage import BasisEntry
 
 #: Basis-file layout version. The fingerprint members are optional, so
@@ -106,13 +111,15 @@ class TieredBasisStore:
         self.basis_cap = basis_cap
         self.byte_cap = byte_cap
         self.spill_dir = str(spill_dir) if spill_dir is not None else None
-        #: Entries in insertion order. Enumeration (candidate ranking,
-        #: persistence) reads this, matching the plain-dict
-        #: store this tier replaced — recency must not perturb tie-breaks.
-        self._memory: dict[StoreKey, BasisEntry] = {}
-        #: The same keys in recency order (LRU first); eviction reads this.
+        #: Per model name, its entries in insertion order. Enumeration
+        #: (candidate ranking, persistence) reads this, matching the
+        #: plain-dict store this tier replaced — recency must not perturb
+        #: tie-breaks.
+        self._memory: dict[str, dict[ParamKey, BasisEntry]] = {}
+        #: Every resident key in recency order (LRU first); eviction reads this.
         self._recency: "OrderedDict[StoreKey, None]" = OrderedDict()
-        self._spilled: dict[StoreKey, SpillRecord] = {}
+        #: Per model name, its spill records.
+        self._spilled: dict[str, dict[ParamKey, SpillRecord]] = {}
         #: Keys whose memory copy is byte-identical to their spill file
         #: (faulted back, not modified since) — eviction skips the rewrite.
         self._clean: set[StoreKey] = set()
@@ -129,7 +136,7 @@ class TieredBasisStore:
     @property
     def resident_count(self) -> int:
         """Entries currently held in the memory tier."""
-        return len(self._memory)
+        return len(self._recency)
 
     @property
     def resident_bytes(self) -> int:
@@ -139,11 +146,16 @@ class TieredBasisStore:
     @property
     def spilled_count(self) -> int:
         """Entries currently reachable only through the disk tier."""
-        return sum(1 for key in self._spilled if key not in self._memory)
+        return sum(
+            1
+            for vg_name, records in self._spilled.items()
+            for args in records
+            if args not in self._memory.get(vg_name, {})
+        )
 
     def __len__(self) -> int:
         """Distinct known bases across both tiers."""
-        return len(self._memory) + self.spilled_count
+        return self.resident_count + self.spilled_count
 
     # -- read --------------------------------------------------------------
 
@@ -154,11 +166,11 @@ class TieredBasisStore:
         is gone, unreadable or refused by ``admit`` (those are dropped and
         degrade to misses, never errors).
         """
-        entry = self._memory.get(key)
+        entry = self.resident(key)
         if entry is not None:
             self._recency.move_to_end(key)
             return entry
-        record = self._spilled.get(key)
+        record = self._spilled.get(key[0], {}).get(key[1])
         if record is None:
             return None
         with self.tracer.span(
@@ -172,36 +184,55 @@ class TieredBasisStore:
         self._insert(key, entry, clean=True)
         return entry
 
+    def resident(self, key: StoreKey) -> Optional["BasisEntry"]:
+        """The memory tier's entry for ``key``, without faulting or recency."""
+        return self._memory.get(key[0], {}).get(key[1])
+
     def peek_worlds(self, key: StoreKey) -> Optional[tuple[int, ...]]:
         """Which worlds ``key`` covers, from either tier, without faulting."""
-        entry = self._memory.get(key)
+        entry = self.resident(key)
         if entry is not None:
             return entry.worlds
-        record = self._spilled.get(key)
+        record = self._spilled.get(key[0], {}).get(key[1])
         return record.worlds if record is not None else None
 
+    def model_keys(self, vg_name: str) -> Iterator[tuple[ParamKey, tuple[int, ...]]]:
+        """``vg_name``'s (lowercase) args, each with the worlds it covers:
+        memory tier (insertion order), then spilled-only."""
+        memory = self._memory.get(vg_name, {})
+        for args, entry in memory.items():
+            yield args, entry.worlds
+        for args, record in self._spilled.get(vg_name, {}).items():
+            if args not in memory:
+                yield args, record.worlds
+
     def keys(self) -> tuple[StoreKey, ...]:
-        """All known keys: memory tier (insertion order), then spilled-only."""
-        memory = tuple(self._memory)
-        spilled = tuple(k for k in self._spilled if k not in self._memory)
-        return memory + spilled
+        """All known keys, model by model in :meth:`model_keys` order."""
+        return tuple(
+            (vg_name, args)
+            for vg_name in {**self._memory, **self._spilled}
+            for args, _ in self.model_keys(vg_name)
+        )
 
     def items(self) -> Iterator[tuple[StoreKey, "BasisEntry"]]:
         """Iterate every servable entry; spilled ones are read without promotion."""
-        yield from self._memory.items()
-        for key, record in list(self._spilled.items()):
-            if key in self._memory:
-                continue
-            entry = self._load(key, record)
-            if entry is not None:
-                yield key, entry
+        for vg_name, memory in self._memory.items():
+            for args, entry in memory.items():
+                yield (vg_name, args), entry
+        for vg_name, records in self._spilled.items():
+            for args, record in list(records.items()):
+                if args in self._memory.get(vg_name, {}):
+                    continue
+                entry = self._load((vg_name, args), record)
+                if entry is not None:
+                    yield (vg_name, args), entry
 
     # -- write -------------------------------------------------------------
 
     def put(self, key: StoreKey, entry: "BasisEntry") -> None:
         """Insert or replace an entry; evicts LRU overflow past the caps."""
         # The new content supersedes any spill file for this key.
-        self._spilled.pop(key, None)
+        self._drop_spilled(key)
         self._insert(key, entry, clean=False)
 
     def adopt(self, directory: str) -> list[tuple[StoreKey, Optional[Fingerprint]]]:
@@ -223,7 +254,7 @@ class TieredBasisStore:
                 with np.load(path) as archive:
                     header = _header(archive)
                     key = (str(header["vg_name"]).lower(), decode_args(header["args"]))
-                    if key in self._memory or key in self._spilled:
+                    if self.peek_worlds(key) is not None:
                         continue
                     record = SpillRecord(
                         path=path,
@@ -235,7 +266,7 @@ class TieredBasisStore:
                     fingerprint = _fingerprint(archive, header, key)
             except Exception:
                 continue  # unreadable file: ignore, it would fail open anyway
-            self._spilled[key] = record
+            self._set_spilled(key, record)
             adopted.append((key, fingerprint))
         return adopted
 
@@ -251,12 +282,13 @@ class TieredBasisStore:
     # -- internals ---------------------------------------------------------
 
     def _insert(self, key: StoreKey, entry: "BasisEntry", *, clean: bool) -> None:
-        old = self._memory.get(key)
+        memory = self._memory.setdefault(key[0], {})
+        old = memory.get(key[1])
         if old is not None:
             # In-place replacement keeps the key's enumeration position,
             # exactly like assignment into the plain dict this replaces.
             self._resident_bytes -= old.samples.nbytes
-        self._memory[key] = entry
+        memory[key[1]] = entry
         self._recency[key] = None
         self._recency.move_to_end(key)
         self._resident_bytes += entry.samples.nbytes
@@ -267,36 +299,42 @@ class TieredBasisStore:
         self._shrink()
 
     def _over_caps(self) -> bool:
-        if self.basis_cap is not None and len(self._memory) > self.basis_cap:
+        if self.basis_cap is not None and self.resident_count > self.basis_cap:
             return True
         if self.byte_cap is not None and self._resident_bytes > self.byte_cap:
             return True
         return False
 
     def _shrink(self) -> None:
-        while self._memory and self._over_caps():
+        while self._recency and self._over_caps():
             key, _ = self._recency.popitem(last=False)
-            entry = self._memory.pop(key)
+            entry = self._memory[key[0]].pop(key[1])
             self._resident_bytes -= entry.samples.nbytes
             self.stats.evictions += 1
-            if key in self._clean and key in self._spilled:
+            if key in self._clean and key[1] in self._spilled.get(key[0], {}):
                 pass  # disk copy is current; nothing to write
             elif self.spill_dir is not None:
                 try:
                     with self.tracer.span(
                         "spill", vg=str(key[0]), bytes=entry.samples.nbytes
                     ):
-                        self._spilled[key] = self._write_spill(key, entry)
+                        self._set_spilled(key, self._write_spill(key, entry))
                     self.stats.spills += 1
                 except Exception:
                     # Disk full, dir gone, unencodable args: the write path
                     # fails open exactly like the read path — the entry is
                     # dropped and degrades to a future fresh miss.
-                    self._spilled.pop(key, None)
+                    self._drop_spilled(key)
                     self.stats.dropped += 1
             else:
                 self.stats.dropped += 1
             self._clean.discard(key)
+
+    def _set_spilled(self, key: StoreKey, record: SpillRecord) -> None:
+        self._spilled.setdefault(key[0], {})[key[1]] = record
+
+    def _drop_spilled(self, key: StoreKey) -> None:
+        self._spilled.get(key[0], {}).pop(key[1], None)
 
     # -- disk tier ---------------------------------------------------------
 
@@ -314,7 +352,7 @@ class TieredBasisStore:
             or encode_args(entry.args) != encode_args(key[1])
             or not self.admit(entry)
         ):
-            del self._spilled[key]
+            self._drop_spilled(key)
             self.stats.failed_faults += 1
             return None
         return entry
@@ -363,6 +401,7 @@ def write_basis_file(
 
 def _read_basis_file(path: str) -> Optional["BasisEntry"]:
     """The basis a file holds, or ``None`` when the file is not a whole one."""
+    from repro.core.fingerprint.registry import ParamKey
     from repro.core.storage import BasisEntry
 
     try:

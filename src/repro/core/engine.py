@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -43,15 +45,19 @@ from repro.core.querygen import QueryGenerator
 from repro.core.rounds import RoundPlan, max_ci_halfwidth
 from repro.core.sampling import SamplingPlane
 from repro.core.scenario import Scenario, VGOutput
-from repro.core.storage import ReuseReport, StorageManager
+from repro.core.storage import BasisEntry, ReuseReport, StorageManager, column_digests
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.executor import Executor
 from repro.sqldb.expressions import collect_variables
 from repro.sqldb.pdbext import register_library
-from repro.sqldb.schema import Column, TableSchema
-from repro.sqldb.table import ResultSet, tiled_column
-from repro.sqldb.types import SqlType
+from repro.sqldb.table import tiled_column
 from repro.vg.library import VGLibrary
+
+
+@lru_cache(maxsize=None)
+def _week_bytes(n_weeks: int) -> tuple[bytes, ...]:
+    """Week indices as the fixed-width bytes of a week-memo key."""
+    return tuple(week.to_bytes(8, "little") for week in range(n_weeks))
 
 
 def world_ids(worlds: Sequence[int], entry_point: str) -> tuple[int, ...]:
@@ -108,7 +114,11 @@ class StageTimings:
 
 @dataclass(frozen=True)
 class PointEvaluation:
-    """Everything the engine learned about one parameter point."""
+    """Everything the engine learned about one parameter point.
+
+    Its arrays are read-only: the sample matrices are the stored bases, the
+    statistics the stats cache's and the week memo's.
+    """
 
     point: dict[str, Any]
     statistics: AxisStatistics
@@ -133,6 +143,9 @@ class _LandedPoint:
     point: dict[str, Any]
     batch: InstanceBatch
     matrices: dict[str, np.ndarray]
+    #: The stored basis each matrix *is*, where it is one: its cached column
+    #: digests key the week memo.
+    bases: dict[str, BasisEntry]
     reports: list[ReuseReport]
     timings: StageTimings
 
@@ -246,7 +259,7 @@ class ProphetEngine:
         # statistics is recomputed" — a week whose joint samples (and the
         # parameter values its derived expressions read) are unchanged
         # reuses its statistics without touching SQL.
-        self._week_stats_cache: dict[bytes, tuple] = {}
+        self._week_stats_cache: dict[bytes, np.ndarray] = {}
         self._derived_params = self._collect_derived_params()
         self.week_stats_hits = 0
         self.week_stats_misses = 0
@@ -436,13 +449,19 @@ class ProphetEngine:
         timings = StageTimings()
         reports: list[ReuseReport] = []
         matrices: dict[str, np.ndarray] = {}
+        bases: dict[str, BasisEntry] = {}
         for output in self.scenario.vg_outputs:
-            matrix, report = yield from self._samples_for_output(
+            matrix, report, basis = yield from self._samples_for_output(
                 output, batch, reuse, timings, sampler
             )
-            matrices[output.alias.lower()] = matrix
+            alias = output.alias.lower()
+            # Result matrices are read-only, like the stored bases they mostly are.
+            matrix.flags.writeable = False
+            matrices[alias] = matrix
+            if basis is not None:
+                bases[alias] = basis
             reports.append(report)
-        return _LandedPoint(validated, batch, matrices, reports, timings)
+        return _LandedPoint(validated, batch, matrices, bases, reports, timings)
 
     def _combine_point(
         self, key: tuple, landed: _LandedPoint, span: Any
@@ -454,6 +473,7 @@ class ProphetEngine:
             landed.matrices,
             landed.timings,
             use_week_memo=reuse,
+            bases=landed.bases,
         )
         self.total_timings.add(landed.timings)
         span.set(stats_cache_hit=False, n_worlds=len(landed.batch))
@@ -517,8 +537,13 @@ class ProphetEngine:
         timings: StageTimings,
         sampler: Optional["FreshSampler"] = None,
     ):
-        """One output's ``(samples, report)``, as a sub-generator of
-        :meth:`_sample_steps` (it yields where :meth:`_fresh_samples` does)."""
+        """One output's ``(samples, report, basis)``, as a sub-generator of
+        :meth:`_sample_steps` (it yields where :meth:`_fresh_samples` does).
+
+        ``basis`` is the stored entry whose matrix ``samples`` is — an exact
+        hit over the basis's own worlds, a mapped hit, a fresh store — and
+        ``None`` for any other world selection.
+        """
         function = self.library.get(output.vg_name)
         args = output.model_arg_values(batch.point_dict)
         worlds = batch.worlds
@@ -576,12 +601,12 @@ class ProphetEngine:
             )
             stage.set(source=report.source)
         if samples is not None:
-            return samples, report
+            return samples, report, self.storage.basis_of(function, args, samples)
 
         samples = yield from self._fresh_samples(output, batch, timings, sampler)
         with tracer.stage("reuse", timings, attr="storage"):
-            self.storage.store(function, args, samples, worlds, seeds)
-        return samples, report
+            basis = self.storage.store(function, args, samples, worlds, seeds)
+        return basis.samples, report, basis
 
     def _fresh_samples(
         self,
@@ -673,12 +698,16 @@ class ProphetEngine:
         point: Mapping[str, Any],
         batch: InstanceBatch,
         matrices: Mapping[str, np.ndarray],
+        bases: Optional[Mapping[str, BasisEntry]] = None,
     ) -> list[bytes]:
         """Per week, the content key of its joint samples + relevant parameters.
 
-        The worlds and the derived-expression parameters are the same for
-        every week of a point, so they are hashed once and each week's
-        digest continues from a copy of that state.
+        A key is fixed-width fields side by side: one digest of the worlds
+        and the derived-expression parameters (the same for every week of a
+        point), the week index, and each output's digest of its week column
+        (:func:`~repro.core.storage.column_digests`). A matrix that is a
+        stored basis (``bases``) brings the digests the basis computed once;
+        any other matrix is digested here.
         """
         prefix = hashlib.blake2b(digest_size=16)
         # World ids are Python ints by now (``world_ids``): fixed-width
@@ -688,19 +717,16 @@ class ProphetEngine:
         prefix.update(
             repr(tuple((name, point.get(name)) for name in self._derived_params)).encode()
         )
-        # One contiguous row per week; same bytes as the week's column.
-        by_week = [
-            np.ascontiguousarray(matrices[output.alias.lower()].T)
-            for output in self.scenario.vg_outputs
-        ]
-        keys = []
-        for week in range(by_week[0].shape[0]):
-            digest = prefix.copy()
-            digest.update(week.to_bytes(8, "little"))
-            for rows in by_week:
-                digest.update(rows[week])
-            keys.append(digest.digest())
-        return keys
+        bases = bases or {}
+        columns = []
+        for output in self.scenario.vg_outputs:
+            alias = output.alias.lower()
+            basis = bases.get(alias)
+            columns.append(
+                basis.digests if basis is not None else column_digests(matrices[alias])
+            )
+        weeks = _week_bytes(len(columns[0]))
+        return [b"".join(parts) for parts in zip(repeat(prefix.digest()), weeks, *columns)]
 
     def _combine_and_aggregate(
         self,
@@ -709,19 +735,23 @@ class ProphetEngine:
         matrices: Mapping[str, np.ndarray],
         timings: StageTimings,
         use_week_memo: bool = True,
+        bases: Optional[Mapping[str, BasisEntry]] = None,
     ) -> AxisStatistics:
         """Every week's statistics: from the week memo where ``use_week_memo``
         finds them, through combine + aggregate SQL for the rest.
 
-        Without the memo nothing is hashed or remembered: every week is a
-        miss, and the aggregate query's rows — one per week, ordered by
-        ``t`` — are the answer as they stand.
+        A memo value is one week's statistics row, a read-only float64 array
+        in :meth:`ResultAggregator.statistic_columns` order; a point's
+        statistics are its weeks' rows side by side. Without the memo
+        nothing is hashed or remembered: every week is a miss, and the
+        aggregate query's rows — one per week, ordered by ``t`` — are the
+        answer as they stand.
         """
         n_components = next(iter(matrices.values())).shape[1]
         tracer = self.tracer
         with tracer.stage("aggregate", timings) as memo_stage:
             if use_week_memo:
-                week_keys = self._week_keys(point, batch, matrices)
+                week_keys = self._week_keys(point, batch, matrices, bases)
                 missing = [
                     week for week, key in enumerate(week_keys)
                     if key not in self._week_stats_cache
@@ -754,27 +784,15 @@ class ProphetEngine:
                     )
 
             with tracer.stage("aggregate", timings):
-                position = {name: i for i, name in enumerate(result.column_names)}
-                for row in result.rows:
-                    week = int(row[position["t"]])
-                    self._week_stats_cache[week_keys[week]] = tuple(row)
+                rows = np.ascontiguousarray(self.aggregator.statistic_columns(result).T)
+                rows.flags.writeable = False
+                for week, row in zip(result.column("t"), rows):
+                    self._week_stats_cache[week_keys[int(week)]] = row
 
         with tracer.stage("aggregate", timings):
-            rows = [self._week_stats_cache[key] for key in week_keys]
-            columns = [Column("t", SqlType.INTEGER)]
-            for alias in self.scenario.output_aliases:
-                columns.append(Column(f"e_{alias}", SqlType.FLOAT))
-                columns.append(Column(f"sd_{alias}", SqlType.FLOAT))
-            result_set = ResultSet(schema=TableSchema(tuple(columns)), rows=list(rows))
-            # Rows carry the original week in column 0; rebuild it in axis order.
-            ordered = [
-                (week,) + tuple(row[1:]) for week, row in enumerate(rows)
-            ]
-            result_set.rows = ordered
-            statistics = self.aggregator.from_aggregate_result(
-                result_set, n_worlds=len(batch)
-            )
-        return statistics
+            rows = np.concatenate([self._week_stats_cache[key] for key in week_keys])
+            columns = np.ascontiguousarray(rows.reshape(len(week_keys), -1).T)
+            return self.aggregator.from_columns(columns, n_worlds=len(batch))
 
 
 # -- the round protocol -------------------------------------------------------

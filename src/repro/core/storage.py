@@ -35,8 +35,11 @@ material for every fingerprint-savings benchmark.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
@@ -79,11 +82,39 @@ def _nearest_candidates(
                 total += 1.0
         return total
 
+    values = _plain_floats(target, candidates)
+    if values is not None:
+        # Every distance accumulates column by column in argument order, so
+        # it is bit-equal to ``distance``; the stable sort keeps the tie
+        # order of the heapq.nsmallest below.
+        total = np.zeros(len(candidates))
+        with np.errstate(over="ignore"):
+            for column, value in zip(values[1:].T, values[0]):
+                total += np.abs(column - value)
+        return [candidates[i] for i in np.argsort(total, kind="stable")[: max(limit, 1)]]
     # O(n log k) partial ranking: the basis store grows with every sweep,
     # but only the nearest ``limit`` candidates are ever probed.
     # heapq.nsmallest is documented to be equivalent to sorted(...)[:k]
     # (same stable tie order), so results match the full sort exactly.
     return heapq.nsmallest(max(limit, 1), candidates, key=distance)
+
+
+def _plain_floats(
+    target: ParamKey, candidates: Sequence[ParamKey]
+) -> Optional[np.ndarray]:
+    """``target`` then every candidate as a row of floats — when every arg
+    is a finite plain ``int`` or ``float`` and every candidate has the
+    target's arity (the grid case); ``None`` otherwise."""
+    if set(map(len, candidates)) - {len(target)}:
+        return None
+    flat = [*target, *chain.from_iterable(candidates)]
+    if set(map(type, flat)) - {int, float}:
+        return None
+    try:
+        values = np.array(flat, dtype=float).reshape(len(candidates) + 1, len(target))
+    except OverflowError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 @dataclass(frozen=True)
@@ -107,15 +138,33 @@ class ReuseReport:
         return self.components_total - self.components_recomputed
 
 
-@dataclass
+def column_digests(samples: np.ndarray) -> tuple[bytes, ...]:
+    """One 16-byte blake2b digest per column of a sample matrix.
+
+    The week memo's content key: column ``t`` of an output's matrix is that
+    week's joint samples over the request's worlds, in order.
+    """
+    columns = np.ascontiguousarray(samples.T)
+    return tuple(hashlib.blake2b(column, digest_size=16).digest() for column in columns)
+
+
+@dataclass(frozen=True)
 class BasisEntry:
-    """One stored basis distribution."""
+    """One stored basis distribution; immutable, its samples read-only."""
 
     vg_name: str
     args: ParamKey
     samples: np.ndarray  # (n_worlds, n_components)
     worlds: tuple[int, ...]
     seeds: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        self.samples.flags.writeable = False
+
+    @cached_property
+    def digests(self) -> tuple[bytes, ...]:
+        """:func:`column_digests` of :attr:`samples`, computed on first use."""
+        return column_digests(self.samples)
 
 
 class StorageManager:
@@ -161,7 +210,11 @@ class StorageManager:
         worlds: Sequence[int],
         seeds: Sequence[int],
     ) -> BasisEntry:
-        """Remember a sample matrix (and ensure its fingerprint is indexed)."""
+        """Remember a sample matrix (and ensure its fingerprint is indexed).
+
+        The matrix is kept, not copied, and made read-only: exact and mapped
+        hits hand out the stored array itself.
+        """
         key = (function.name.lower(), tuple(args))
         matrix = np.asarray(samples, dtype=float)
         if matrix.ndim != 2:
@@ -184,8 +237,31 @@ class StorageManager:
 
     def stored_args(self, vg_name: str) -> tuple[ParamKey, ...]:
         """Known parameterizations for ``vg_name``, both tiers included."""
-        lowered = vg_name.lower()
-        return tuple(args for (name, args) in self.tier.keys() if name == lowered)
+        return tuple(args for args, _ in self.tier.model_keys(vg_name.lower()))
+
+    def nearest_candidates(
+        self,
+        vg_name: str,
+        target: ParamKey,
+        worlds: Sequence[int],
+        limit: int = 8,
+    ) -> list[ParamKey]:
+        """The stored parameterizations of ``vg_name`` a mapped hit may use.
+
+        :func:`_nearest_candidates` over the keys covering ``worlds``, in
+        :meth:`stored_args` order. Only this model's keys are read, and
+        coverage is decided once per distinct stored world tuple.
+        """
+        verdicts: dict[tuple[int, ...], bool] = {}
+        candidates = []
+        for args, stored in self.tier.model_keys(vg_name.lower()):
+            # The sweep case first: comparing is cheaper than hashing.
+            covers = stored == worlds or verdicts.get(stored)
+            if covers is None:
+                covers = verdicts[stored] = self._covers_worlds(stored, worlds)
+            if covers:
+                candidates.append(args)
+        return _nearest_candidates(target, candidates, limit)
 
     def validated_entry(
         self, function: VGFunction, args: Sequence[Any]
@@ -196,6 +272,19 @@ class StorageManager:
         dropped, and ``None`` is returned as for an unknown key.
         """
         return self.tier.get((function.name.lower(), tuple(args)))
+
+    def basis_of(
+        self, function: VGFunction, args: Sequence[Any], samples: np.ndarray
+    ) -> Optional[BasisEntry]:
+        """The resident basis whose matrix *is* ``samples``, if any.
+
+        That is what :meth:`acquire` returns for an exact hit over the
+        basis's own worlds and for a mapped hit, and what :meth:`store`
+        keeps: the entry's cached :attr:`BasisEntry.digests` then describe
+        ``samples``. Recency is not touched.
+        """
+        entry = self.tier.resident((function.name.lower(), tuple(args)))
+        return entry if entry is not None and entry.samples is samples else None
 
     def entries(self) -> Iterator[tuple[tuple[str, ParamKey], BasisEntry]]:
         """Every servable ``(key, entry)`` across both tiers (persistence)."""
@@ -270,14 +359,7 @@ class StorageManager:
             return self._select_worlds(exact, worlds), report
 
         if reuse:
-            candidates = [
-                stored_args
-                for stored_args in self.stored_args(function.name)
-                if self._covers_worlds(
-                    self.tier.peek_worlds((key[0], stored_args)), worlds
-                )
-            ]
-            candidates = _nearest_candidates(key[1], candidates, limit=8)
+            candidates = self.nearest_candidates(function.name, key[1], worlds)
             # Bases adopted without a usable stored fingerprint have none
             # yet; probe the few surviving candidates so best_match can
             # actually consider them — fingerprint_of is a cached no-op for
@@ -378,8 +460,8 @@ class StorageManager:
         return set(stored_worlds).issuperset(worlds)
 
     def _select_worlds(self, entry: BasisEntry, worlds: Sequence[int]) -> np.ndarray:
-        if entry.worlds == worlds:  # the sweep case: the very rows, in order
-            return entry.samples.copy()
+        if entry.worlds == worlds:  # the sweep case: the (read-only) matrix itself
+            return entry.samples
         positions = {world: index for index, world in enumerate(entry.worlds)}
         rows = [positions[world] for world in worlds]
         return entry.samples[rows, :]

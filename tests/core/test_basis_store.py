@@ -5,6 +5,7 @@ import shutil
 
 import numpy as np
 
+from repro.core.basis_store import basis_file_path
 from repro.core.config import (
     EngineConfig,
     ReuseConfig,
@@ -132,8 +133,8 @@ class TestDiskTier:
         storage = make_storage(basis_cap=1, spill_dir=str(tmp_path))
         seeds = world_seeds(4)
         vg, _ = fill_bases(storage, 2, seeds)
-        record = storage.tier._spilled[("demandmodel", (0,))]
-        with open(record.path, "wb") as handle:
+        path = basis_file_path(str(tmp_path), ("demandmodel", (0,)))
+        with open(path, "wb") as handle:
             handle.write(b"corrupt")
         samples, report = storage.acquire(vg, (0,), range(4), seeds, reuse=False)
         assert samples is None and report.source == "fresh"

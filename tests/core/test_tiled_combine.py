@@ -9,14 +9,14 @@ engine module, nothing else changes — so every kernel has to work the
 layout out from the values. Drawn: 1 to 300 worlds (a prefix, a permutation,
 or ids listed twice), every week or a scattered subset of them (what a
 week-memo miss lands), and scenarios with 1 to 3 VG outputs. Compared: the
-``results`` table the combine writes, the rows the aggregate query leaves
-in the week memo, and the statistics, as bytes.
+``results`` table the combine writes, the float64 rows the aggregate query
+leaves in the week memo (keyed by week content), and the statistics, as
+bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import struct
 from unittest import mock
 
 import numpy as np
@@ -61,10 +61,6 @@ def _plain_column(base, repeat, tile):
     return np.tile(np.repeat(np.asarray(base, dtype=np.int64), repeat), tile)
 
 
-def _bits(value) -> bytes:
-    return b"N" if value is None else struct.pack("<d", float(value))
-
-
 def _combined(n_outputs: int, worlds, matrices, held_weeks, tiled: bool):
     """Combine one point; everything it produced, as bytes."""
     engine = ProphetEngine(
@@ -75,9 +71,9 @@ def _combined(n_outputs: int, worlds, matrices, held_weeks, tiled: bool):
     if use_memo:
         # The memo already answers these weeks: only the others land.
         keys = engine._week_keys(POINT, batch, matrices)
-        width = 1 + 2 * len(engine.scenario.output_aliases)
+        width = 2 * len(engine.scenario.output_aliases)
         for week in held_weeks:
-            engine._week_stats_cache[keys[week]] = (week,) + (0.25,) * (width - 1)
+            engine._week_stats_cache[keys[week]] = np.full(width, 0.25)
     plain = mock.patch.object(engine_module, "tiled_column", _plain_column)
     with contextlib.nullcontext() if tiled else plain:
         statistics = engine._combine_and_aggregate(
@@ -89,7 +85,7 @@ def _combined(n_outputs: int, worlds, matrices, held_weeks, tiled: bool):
     assert (tiling_of(results.arrays["t"]) is not None) == (tiled and joined_by_tiling)
     table = {name: (array.dtype.str, array.tobytes()) for name, array in results.arrays.items()}
     memo = sorted(
-        (row[0], tuple(_bits(value) for value in row[1:])) for row in engine._week_stats_cache.values()
+        (key, row.dtype.str, row.tobytes()) for key, row in engine._week_stats_cache.items()
     )
     stats = {
         alias: (
