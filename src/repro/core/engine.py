@@ -63,10 +63,12 @@ def _week_bytes(n_weeks: int) -> tuple[bytes, ...]:
 def world_ids(worlds: Sequence[int], entry_point: str) -> tuple[int, ...]:
     """Shared world-slice guard of every evaluation entry point.
 
-    ``evaluate_point`` and ``sample_fresh`` (and, through them, the serve
-    workers) must agree on this behavior: an empty world slice is a caller
-    error, never a silently-empty result, and world ids are Python ints —
-    ``3`` and ``np.int64(3)`` are one world, one seed, one cache key.
+    ``evaluate_point``, ``sample_fresh``, ``EvaluationService.evaluate`` and
+    ``Scheduler.submit`` must agree on this behavior: an empty world slice
+    is a caller error, never a silently-empty result; world ids are Python
+    ints — ``3`` and ``np.int64(3)`` are one world, one seed, one cache key;
+    and a world appears once, since a repeated id would interleave its
+    copies' rows in the samples tables.
     """
     try:
         ids = tuple(map(operator.index, worlds))
@@ -77,6 +79,9 @@ def world_ids(worlds: Sequence[int], entry_point: str) -> tuple[int, ...]:
         ) from None
     if not ids:
         raise ScenarioError(f"{entry_point} needs at least one world")
+    if len(set(ids)) != len(ids):
+        repeated = next(w for i, w in enumerate(ids) if w in ids[:i])
+        raise ScenarioError(f"{entry_point} world id {repeated} repeats")
     return ids
 
 

@@ -98,8 +98,8 @@ def compute_fingerprint(
 ) -> Fingerprint:
     """Probe ``function`` at ``args`` under the spec's fixed seeds.
 
-    Costs ``spec.n_seeds`` VG invocations (cached within the function, so
-    re-probing the same parameterization is free), asked as one
+    Costs ``spec.n_seeds`` VG invocations on every call (a re-probe is free
+    only through :meth:`FingerprintRegistry.fingerprint_of`), asked as one
     :meth:`~repro.vg.base.VGFunction.invoke_batch`: the probe seeds are
     the same at every parameterization, so a model with a batch kernel
     reads their memoised seed events instead of redrawing them.

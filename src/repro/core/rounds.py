@@ -81,7 +81,11 @@ class RoundPlan:
         )
 
     def passes(self) -> list[range]:
-        """World-index ranges of each round's *increment* (contiguous)."""
+        """World-index ranges of each round's *increment* (contiguous).
+
+        Each increment is ``growth`` times the last, and at least one world
+        more, so a ladder whose ``int(size * growth)`` truncates never stalls.
+        """
         result: list[range] = []
         start = 0
         size = self.first
@@ -89,7 +93,7 @@ class RoundPlan:
             stop = min(start + size, self.n_worlds)
             result.append(range(start, stop))
             start = stop
-            size = int(size * self.growth)
+            size = max(size + 1, int(size * self.growth))
         return result
 
     def boundaries(self) -> tuple[int, ...]:

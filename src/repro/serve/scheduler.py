@@ -245,7 +245,7 @@ class Scheduler:
             worlds
             if worlds is not None
             else range(self.service.engine.config.sampling.n_worlds),
-            "evaluate_point",
+            "Scheduler.submit",
         )
         key = (scenario.sweep_space.point_key(validated), chosen, reuse)
         job = Job(

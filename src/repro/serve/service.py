@@ -340,7 +340,7 @@ class EvaluationService:
             worlds
             if worlds is not None
             else range(self.engine.config.sampling.n_worlds),
-            "evaluate_point",
+            "EvaluationService.evaluate",
         )
         return validated, chosen
 

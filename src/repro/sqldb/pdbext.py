@@ -73,7 +73,14 @@ def _coerce_component(value: Any, name: str, n_components: int) -> int:
 
 
 def make_scalar_form(function: VGFunction):
-    """Build the scalar SQL adapter ``name(seed, t, *model_args) -> float``."""
+    """Build the scalar SQL adapter ``name(seed, t, *model_args) -> float``.
+
+    A statement reads each world's vector once per component, in whatever
+    order its joins produce, so the form memoizes vectors by ``(seed, args)``
+    (``function._scalar_memo``, cleared at ``_memo_limit`` entries and by
+    ``reset_counters``): ``SELECT f(7, 0), f(7, 5)`` generates once, and a
+    worlds x weeks scan generates once per world in either join order.
+    """
 
     def scalar_form(*sql_args: Any) -> float:
         expected = 2 + len(function.arg_names)
@@ -84,8 +91,13 @@ def make_scalar_form(function: VGFunction):
             )
         seed = _coerce_seed(sql_args[0], function.name)
         component = _coerce_component(sql_args[1], function.name, function.n_components)
-        model_args = tuple(sql_args[2:])
-        vector = function.invoke(seed, model_args)
+        key = (seed, tuple(sql_args[2:]))
+        memo = function._scalar_memo
+        vector = memo.get(key)
+        if vector is None:
+            if len(memo) >= function._memo_limit:
+                memo.clear()
+            vector = memo[key] = function.invoke(*key)
         return float(vector[component])
 
     scalar_form.__name__ = function.name

@@ -44,10 +44,11 @@ class VGFunction:
         self.invocations = 0  # real stochastic generations (benchmark metric)
         self.component_samples = 0  # components actually simulated
         self.parity_fallbacks = 0  # vectorized batches rejected by the guard
-        self._cache: dict[tuple[int, tuple[Any, ...]], np.ndarray] = {}
-        self._cache_limit = 4096
         # Seed-only event histories of batch-partial models, see seed_events.
         self._event_memo: dict[int, Any] = {}
+        # (seed, args) -> vector, read only by the scalar SQL form (pdbext).
+        self._scalar_memo: dict[tuple[int, tuple[Any, ...]], np.ndarray] = {}
+        self._memo_limit = 4096  # each memo is cleared when it reaches this
 
     # -- contract -------------------------------------------------------------
 
@@ -120,14 +121,13 @@ class VGFunction:
         to the slow path instead of corrupting samples. The probe sees one
         world only: a model whose scalar path a subclass may override must
         also check structurally (``type(self).generate is not ...``) before
-        it vectorises, as the library's models do.
+        it vectorises, as the library's models do. A composite's probe runs
+        its children's :meth:`invoke`, so each child counts that world twice.
         """
         if not len(seeds):
             return matrix
-        probe = np.asarray(self.generate(seeds[0], args), dtype=float)
-        if matrix.shape == (len(seeds),) + probe.shape and np.array_equal(
-            probe, matrix[0], equal_nan=True
-        ):
+        probe = self.generate(seeds[0], args)
+        if _first_row_agrees(matrix, probe, (len(seeds), self.n_components)):
             return matrix
         self.parity_fallbacks += 1
         return self.generate_loop(seeds, args)
@@ -154,68 +154,30 @@ class VGFunction:
     # -- instrumented entry points ----------------------------------------------
 
     def invoke(self, seed: int, args: tuple[Any, ...]) -> np.ndarray:
-        """Generate (with memoization) and count the invocation.
-
-        The memo cache models the fact that within one Monte Carlo world the
-        engine may touch several components of the same generated vector;
-        only genuinely new ``(seed, args)`` pairs count as invocations.
-        """
+        """Generate one world's vector and count one invocation; no memo, since
+        the basis store, stats cache and fingerprint registry answer repeats."""
         self.check_args(args)
-        key = (seed, tuple(args))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        vector = self._checked(self.generate(seed, key[1]))
+        vector = self._checked(self.generate(seed, tuple(args)))
         self.invocations += 1
         self.component_samples += self.n_components
-        if len(self._cache) >= self._cache_limit:
-            self._cache.clear()
-        self._cache[key] = vector
         return vector
 
     def invoke_batch(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
-        """Generate many worlds at once (with memoization) and count them.
+        """Generate many worlds in one :meth:`generate_batch` call and count them.
 
-        The batch analogue of :meth:`invoke`: rows already in the memo cache
-        are served from it, only genuinely new ``(seed, args)`` pairs are
-        generated (through :meth:`generate_batch`, in one call) and counted.
-        Bit-identical to invoking each seed separately, for any backend.
+        The batch analogue of :meth:`invoke`: every row (repeated seeds too)
+        counts as one generation and equals that seed's own :meth:`invoke`.
         """
         self.check_args(args)
-        key_args = tuple(args)
         n_seeds = len(seeds)
-        matrix = np.empty((n_seeds, self.n_components), dtype=float)
-        missing_order: list[int] = []  # distinct uncached seeds, first-seen order
-        rows_by_seed: dict[int, list[int]] = {}
-        for row, seed in enumerate(seeds):
-            cached = self._cache.get((seed, key_args))
-            if cached is not None:
-                matrix[row] = cached
-            else:
-                rows = rows_by_seed.setdefault(seed, [])
-                if not rows:
-                    missing_order.append(seed)
-                rows.append(row)
-        if missing_order:
-            generated = np.asarray(
-                self.generate_batch(tuple(missing_order), key_args), dtype=float
+        matrix = np.asarray(self.generate_batch(tuple(seeds), tuple(args)), dtype=float)
+        if matrix.shape != (n_seeds, self.n_components):
+            raise VGFunctionError(
+                f"{self.name}.generate_batch returned shape {matrix.shape}, "
+                f"expected ({n_seeds}, {self.n_components})"
             )
-            if generated.shape != (len(missing_order), self.n_components):
-                raise VGFunctionError(
-                    f"{self.name}.generate_batch returned shape {generated.shape}, "
-                    f"expected ({len(missing_order)}, {self.n_components})"
-                )
-            # Duplicated seeds within one batch generate once, exactly like
-            # repeated scalar invokes served from the memo cache.
-            self.invocations += len(missing_order)
-            self.component_samples += len(missing_order) * self.n_components
-            for position, seed in enumerate(missing_order):
-                vector = generated[position].copy()
-                for row in rows_by_seed[seed]:
-                    matrix[row] = vector
-                if len(self._cache) >= self._cache_limit:
-                    self._cache.clear()
-                self._cache[(seed, key_args)] = vector
+        self.invocations += n_seeds
+        self.component_samples += n_seeds * self.n_components
         return matrix
 
     def invoke_components(
@@ -237,8 +199,7 @@ class VGFunction:
             self.invocations += 1
             self.component_samples += int(indices.size)
             return np.asarray(partial, dtype=float)
-        vector = self.invoke(seed, tuple(args))
-        return vector[indices]
+        return self.invoke(seed, tuple(args))[indices]
 
     def generate_partial(
         self, seed: int, args: tuple[Any, ...], components: np.ndarray
@@ -253,14 +214,12 @@ class VGFunction:
 
         Returns ``(len(seeds), len(components))``; row ``i`` is bit-identical
         to ``invoke_components(seeds[i], args, components)`` and the
-        counters move by exactly what that per-seed loop would have added
-        (a partial generation counts once per row, duplicates included).
-        Models that implement :meth:`generate_partial_batch` are served by
-        one vectorized call; its first row is checked bitwise against the
-        scalar :meth:`generate_partial`, and on any mismatch the batch is
-        recomputed by the per-seed loop and :attr:`parity_fallbacks` is
-        bumped — the same guard as :meth:`guarded_batch`. Everything else
-        runs the per-seed loop.
+        function's own counters move by exactly what that loop would add
+        (one generation per row, duplicates included). Models that implement
+        :meth:`generate_partial_batch` are served by one vectorized call
+        under :meth:`guarded_batch`'s first-row check against the scalar
+        :meth:`generate_partial`; a mismatch bumps :attr:`parity_fallbacks`
+        and, like everything else, runs the per-seed loop.
         """
         key_args = tuple(args)
         indices = np.asarray(list(components), dtype=int)
@@ -271,13 +230,7 @@ class VGFunction:
         if batch is not None:
             batch = np.asarray(batch, dtype=float)
             probe = self.generate_partial(seeds[0], key_args, indices)
-            if (
-                probe is not None
-                and batch.shape == (n_seeds, indices.size)
-                and np.array_equal(
-                    np.asarray(probe, dtype=float), batch[0], equal_nan=True
-                )
-            ):
+            if _first_row_agrees(batch, probe, (n_seeds, indices.size)):
                 self.invocations += n_seeds
                 self.component_samples += n_seeds * int(indices.size)
                 return batch
@@ -314,24 +267,25 @@ class VGFunction:
         Every batch of every point reads the same arrays, so they are made
         read-only on insertion (through nested tuples): a model that writes
         into one gets a ``ValueError`` instead of corrupting later points.
-        Bounded at ``_cache_limit`` = 4096 worlds (seeds) per model per
-        process and cleared when full, like the invocation memo; a batch
-        beyond the bound still runs the vectorised arithmetic, it only
-        redraws. Emptied by :meth:`reset_counters`.
+        Bounded at ``_memo_limit`` = 4096 worlds (seeds) per model per
+        process and cleared when full; a batch beyond the bound still runs
+        the vectorised arithmetic, it only redraws. Emptied by
+        :meth:`reset_counters`.
         """
         events = self._event_memo.get(seed)
         if events is None:
-            if len(self._event_memo) >= self._cache_limit:
+            if len(self._event_memo) >= self._memo_limit:
                 self._event_memo.clear()
             events = self._event_memo[seed] = _frozen(draw(seed))
         return events
 
     def reset_counters(self) -> None:
+        """Zero the counters; empty the seed-event and scalar-form memos."""
         self.invocations = 0
         self.component_samples = 0
         self.parity_fallbacks = 0
-        self._cache.clear()
         self._event_memo.clear()
+        self._scalar_memo.clear()
 
     def component_labels(self) -> list[Any]:
         """Labels for components (default: 0..n-1); models may override."""
@@ -404,6 +358,16 @@ class CallableVGFunction(VGFunction):
 
     def generate(self, seed: int, args: tuple[Any, ...]) -> np.ndarray:
         return np.asarray(self._fn(self.rng(seed, args), args), dtype=float)
+
+
+def _first_row_agrees(matrix: np.ndarray, probe: Any, shape: tuple[int, int]) -> bool:
+    """The parity guard's check: ``matrix`` has ``shape`` and its first row
+    is bitwise the scalar path's ``probe`` (``None``: no scalar path)."""
+    return (
+        probe is not None
+        and matrix.shape == shape
+        and np.array_equal(np.asarray(probe, dtype=float), matrix[0], equal_nan=True)
+    )
 
 
 def _frozen(events: Any) -> Any:

@@ -17,6 +17,7 @@ from repro.core.fingerprint import (
     remap_error,
     remap_samples,
 )
+from repro.core.fingerprint.registry import FingerprintRegistry
 from repro.models import CapacityModel, DemandModel
 from repro.vg.timeseries import GaussianSeries
 
@@ -45,14 +46,15 @@ class TestFingerprintSpec:
         assert vg.invocations == SPEC.n_seeds
 
     def test_reprobe_is_free(self):
+        # The registry's fingerprint memo answers a re-probe; the VG-Function
+        # itself generates on every call.
+        registry = FingerprintRegistry(SPEC, POLICY)
         vg = GaussianSeries("g", 10, base=0.0, sigma=1.0)
-        compute_fingerprint(vg, (), SPEC)
-        vg.reset_counters()
-        # reset clears memo; probe again to refill, then once more cached
-        compute_fingerprint(vg, (), SPEC)
-        count = vg.invocations
-        compute_fingerprint(vg, (), SPEC)
-        assert vg.invocations == count
+        first = registry.fingerprint_of(vg, ())
+        assert vg.invocations == SPEC.n_seeds
+        assert registry.fingerprint_of(vg, ()) is first
+        assert vg.invocations == SPEC.n_seeds
+        assert registry.probes_computed == 1
 
     def test_comparability(self):
         vg = GaussianSeries("g", 10, base=0.0, sigma=1.0)

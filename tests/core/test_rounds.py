@@ -72,6 +72,34 @@ class TestRoundPlan:
             assert boundaries[-1] == n_worlds
             assert list(boundaries) == sorted(set(boundaries))
 
+    def test_stalling_ladder_grows_by_at_least_one_world(self):
+        """``int(size * growth)`` truncates back to ``size`` for a small
+        increment; the increment still grows by one world per round."""
+        assert RoundPlan(n_worlds=20, first=1, growth=1.5).boundaries() == (
+            1, 3, 6, 10, 16, 20,
+        )
+        for first, growth in [(1, 1.5), (2, 1.4), (3, 1.1)]:
+            sizes = [len(r) for r in RoundPlan(400, first, growth).passes()]
+            assert all(later > earlier for earlier, later in zip(sizes, sizes[1:-1]))
+            assert len(sizes) < 30
+
+    @given(
+        n_worlds=st.integers(min_value=1, max_value=5000),
+        first=st.integers(min_value=1, max_value=200),
+        growth=st.floats(min_value=1.01, max_value=4.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ladders_that_grow_keep_their_boundaries(self, n_worlds, first, growth):
+        first = min(first, n_worlds)
+        stops, start, size = [], 0, first
+        while start < n_worlds:  # the truncating rule, where it does not stall
+            start = min(start + size, n_worlds)
+            stops.append(start)
+            if start < n_worlds and int(size * growth) <= size:
+                return
+            size = int(size * growth)
+        assert RoundPlan(n_worlds, first, growth).boundaries() == tuple(stops)
+
     def test_next_boundary_follows_ladder(self):
         plan = RoundPlan(n_worlds=100, first=10, growth=2.0)
         assert plan.next_boundary(0) == 10

@@ -59,6 +59,11 @@ class TestDedup:
             scheduler.run_pending()
             assert twin.done
 
+    def test_repeated_world_ids_are_rejected(self, scheduler):
+        with pytest.raises(ScenarioError, match="Scheduler.submit world id 2 repeats"):
+            scheduler.submit(POINT, worlds=[1, 2, 2, 2])
+        assert len(scheduler.queue) == 0
+
     def test_completed_jobs_leave_the_inflight_index(self, scheduler):
         first = scheduler.submit(POINT)
         scheduler.run_pending()

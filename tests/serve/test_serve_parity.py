@@ -363,6 +363,19 @@ class TestResultCacheParity:
         with pytest.raises(ScenarioError, match="world ids must be integers"):
             service.evaluate(POINT, worlds=worlds)
 
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_repeated_world_ids_are_rejected_before_the_cache(
+        self, serve_spec, tmp_path, cached
+    ):
+        service = _inline_service(
+            serve_spec, 1, cache_dir=str(tmp_path) if cached else None
+        )
+        service.evaluate(POINT, worlds=[1, 2, 3, 4])
+        # A cached service checks first; an uncached one leaves it to the engine.
+        entry = "EvaluationService.evaluate" if cached else "evaluate_point"
+        with pytest.raises(ScenarioError, match=f"{entry} world id 2 repeats"):
+            service.evaluate(POINT, worlds=[1, 2, 2, 2])
+
     @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
     def test_a_rejected_request_counts_as_evaluated_and_nothing_else(
         self, serve_spec, tmp_path, cached

@@ -50,12 +50,13 @@ class TestVGFunction:
         assert vg.invocations == 1
         assert vg.component_samples == 4
 
-    def test_invoke_memoizes_same_seed_args(self):
-        vg = ConstantVG()
-        a = vg.invoke(1, (3,))
-        b = vg.invoke(1, (3,))
-        assert a is b
-        assert vg.invocations == 1
+    def test_invoke_counts_every_call(self):
+        vg = NoisyVG()
+        a = vg.invoke(1, ())
+        b = vg.invoke(1, ())
+        assert a is not b and a.tobytes() == b.tobytes()
+        assert vg.invocations == 2
+        assert vg.component_samples == 2 * vg.n_components
 
     def test_different_args_are_new_invocations(self):
         vg = ConstantVG()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.models import build_demo_library
@@ -42,7 +42,7 @@ seeds_strategy = st.lists(
 )
 
 #: (factory, args) pairs covering every VG shape; factories build fresh
-#: instances so memo caches and counters never leak across examples.
+#: instances so memos and counters never leak across examples.
 VG_CASES = {
     "gaussian": (lambda n: GaussianSeries("g", n, base=3.0, trend=0.5, sigma=2.0), ()),
     "random_walk": (lambda n: RandomWalk("rw", n, start=1.0, drift=0.25, sigma=0.7), ()),
@@ -138,37 +138,6 @@ def test_generate_batch_matches_per_seed_loop(case, seeds, n_components):
     assert batch.dtype == np.float64
     assert batch.tobytes() == reference.tobytes()
     assert function.parity_fallbacks == 0
-
-
-@pytest.mark.parametrize("case", sorted(VG_CASES))
-@given(seeds=seeds_strategy)
-@settings(max_examples=12, deadline=None)
-def test_invoke_batch_matches_per_seed_invoke(case, seeds):
-    factory, args = VG_CASES[case]
-    batched = factory(7)
-    looped = factory(7)
-    batch = batched.invoke_batch(tuple(seeds), args)
-    if seeds:
-        reference = np.stack([looped.invoke(seed, args) for seed in seeds])
-        assert batch.tobytes() == reference.tobytes()
-    else:
-        assert batch.shape == (0, 7)
-    # Instrumentation parity: same real generations, same component counts.
-    assert batched.invocations == looped.invocations
-    assert batched.component_samples == looped.component_samples
-
-
-@given(seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=6))
-@settings(max_examples=12, deadline=None)
-def test_invoke_batch_serves_cached_rows_without_recounting(seeds):
-    function = GaussianSeries("g", 5, base=0.0, sigma=1.0)
-    primed = function.invoke(seeds[0], ())
-    assert function.invocations == 1
-    batch = function.invoke_batch(tuple(seeds), ())
-    assert batch[0].tobytes() == primed.tobytes()
-    # Only genuinely new (seed, args) pairs count as invocations — cached
-    # rows and within-batch duplicates are served from the memo.
-    assert function.invocations == 1 + len(set(seeds) - {seeds[0]})
 
 
 @pytest.mark.parametrize("singleton", [[], [123456789]])
@@ -311,11 +280,6 @@ def test_mixture_groups_preserve_row_order():
 # -- invoke_components_batch vs the per-seed invoke_components loop ------------
 
 
-def _memo_state(function):
-    """The invocation memo as comparable bytes (insertion order included)."""
-    return [(key, vector.tobytes()) for key, vector in function._cache.items()]
-
-
 components_strategy = st.lists(
     st.integers(min_value=0, max_value=6), min_size=0, max_size=9
 )
@@ -328,15 +292,11 @@ components_strategy = st.lists(
         st.sampled_from([0, 1, 5, 987654321, 2**62 + 17]), min_size=0, max_size=7
     ),
     components=components_strategy,
-    primed=st.booleans(),
 )
 @settings(max_examples=15, deadline=None)
-def test_invoke_components_batch_matches_per_seed_loop(case, seeds, components, primed):
+def test_invoke_components_batch_matches_per_seed_loop(case, seeds, components):
     factory, args = VG_CASES[case]
     batched, looped = factory(7), factory(7)
-    if primed and seeds:  # one row already in the invocation memo
-        batched.invoke(seeds[0], args)
-        looped.invoke(seeds[0], args)
     batch = batched.invoke_components_batch(tuple(seeds), args, tuple(components))
     reference = np.empty((len(seeds), len(components)), dtype=float)
     for row, seed in enumerate(seeds):
@@ -346,7 +306,6 @@ def test_invoke_components_batch_matches_per_seed_loop(case, seeds, components, 
     assert batch.tobytes() == reference.tobytes()
     assert batched.invocations == looped.invocations
     assert batched.component_samples == looped.component_samples
-    assert _memo_state(batched) == _memo_state(looped)
     assert batched.parity_fallbacks == 0
 
 
@@ -442,8 +401,8 @@ def test_event_memo_is_cleared_by_reset_counters_and_bounded():
     assert function._event_memo == {}
     assert (function.invocations, function.component_samples) == (0, 0)
 
-    # Same clear-at-limit rule as the invocation memo.
-    function._cache_limit = 4
+    # Cleared when full.
+    function._memo_limit = 4
     function.invoke_components_batch((1, 2, 3, 4), (0, 2), (1,))
     assert len(function._event_memo) == 4
     function.invoke_components_batch((5, 6), (0, 2), (1,))
@@ -495,16 +454,72 @@ def test_paper_models_generate_full_batches_through_the_kernel(case):
             assert all(batched._event_memo[seed] is events[seed] for seed in seeds)
     assert batched.parity_fallbacks == 0
 
-    # Counters move exactly as the per-seed invoke loop moves them.
+    # Counters move exactly as the per-seed invoke loop moves them: one
+    # generation per row, a repeated seed included.
     batched, looped = factory(), factory()
     duplicated = seeds[:5] + seeds[:2]
     matrix = batched.invoke_batch(duplicated, arg_sets[0])
     reference = np.stack([looped.invoke(seed, arg_sets[0]) for seed in duplicated])
     assert matrix.tobytes() == reference.tobytes()
-    assert (batched.invocations, batched.component_samples) == (5, 5 * 53)
-    assert (looped.invocations, looped.component_samples) == (5, 5 * 53)
-    assert _memo_state(batched) == _memo_state(looped)
+    assert (batched.invocations, batched.component_samples) == (7, 7 * 53)
+    assert (looped.invocations, looped.component_samples) == (7, 7 * 53)
     assert batched.parity_fallbacks == 0
+
+
+#: Every model of both case tables, as (factory, argument sets).
+INVOKE_CASES = {
+    **{name: (lambda f=factory: f(7), [args]) for name, (factory, args) in VG_CASES.items()},
+    **{f"paper_{name}": case for name, case in PAPER_MODEL_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVOKE_CASES))
+@given(
+    # A small seed pool makes repeats within one batch common.
+    seeds=st.lists(
+        st.one_of(
+            st.sampled_from([0, 1, 987654321, 2**62 + 17]),
+            st.integers(min_value=0, max_value=2**63 - 1),
+        ),
+        min_size=0,
+        max_size=7,
+    ),
+    pick=st.integers(min_value=0),
+)
+@example(seeds=[2**62 + 17], pick=0)
+@example(seeds=[1, 2**62 + 17, 1, 1], pick=0)
+@settings(max_examples=12, deadline=None)
+def test_invoke_batch_matches_per_seed_invoke(case, seeds, pick):
+    factory, arg_sets = INVOKE_CASES[case]
+    args = arg_sets[pick % len(arg_sets)]
+    batched, looped = factory(), factory()
+    batch = batched.invoke_batch(tuple(seeds), args)
+    n_components = batched.n_components
+    if seeds:
+        reference = np.stack([looped.invoke(seed, args) for seed in seeds])
+        assert batch.tobytes() == reference.tobytes()
+    else:
+        assert batch.shape == (0, n_components)
+    # Both sides count one generation per row, repeated seeds included.
+    for function in (batched, looped):
+        assert function.invocations == len(seeds)
+        assert function.component_samples == len(seeds) * n_components
+    assert batched.parity_fallbacks == 0
+
+
+def test_composite_children_also_count_the_parity_probe():
+    """The composite's own counters match the loop; each child also counts
+    the guard's scalar probe of the first world."""
+    factory, args = VG_CASES["sum"]
+    batched, looped = factory(7), factory(7)
+    seeds = (3, 5, 8, 3)
+    batch = batched.invoke_batch(seeds, args)
+    reference = np.stack([looped.invoke(seed, args) for seed in seeds])
+    assert batch.tobytes() == reference.tobytes()
+    assert batched.invocations == looped.invocations == len(seeds)
+    for batched_child, looped_child in zip(batched.children, looped.children):
+        assert looped_child.invocations == len(seeds)
+        assert batched_child.invocations == len(seeds) + 1
 
 
 def test_generate_override_keeps_paper_models_on_the_loop():
@@ -576,7 +591,7 @@ def test_memoised_seed_events_are_read_only():
 
 def test_batch_past_the_event_memo_bound_is_still_bit_identical():
     function = CapacityModel("cm", n_weeks=6)
-    assert function._cache_limit == 4096  # the bound the docstring states
+    assert function._memo_limit == 4096  # the bound the docstring states
     seeds = tuple(range(5000))
     batch = function.generate_batch(seeds, (1, 3))
     assert batch.tobytes() == _loop_reference(function, seeds, (1, 3)).tobytes()

@@ -100,6 +100,21 @@ class TestPdbExtension:
         self.executor.execute("SELECT Series(7, 0) AS a, Series(7, 5) AS b")
         assert self.vg.invocations == 1  # one world generation, two reads
 
+    @pytest.mark.parametrize(
+        "joined", ["worlds w CROSS JOIN weeks t", "weeks t CROSS JOIN worlds w"]
+    )
+    def test_scalar_scan_generates_once_per_world_in_either_join_order(self, joined):
+        self.executor.execute("CREATE TABLE worlds (seed INTEGER)")
+        self.executor.execute("CREATE TABLE weeks (t INTEGER)")
+        for seed in range(5):
+            self.executor.execute(f"INSERT INTO worlds VALUES ({seed})")
+        for week in range(6):
+            self.executor.execute(f"INSERT INTO weeks VALUES ({week})")
+        self.vg.reset_counters()
+        result = self.executor.execute(f"SELECT Series(w.seed, t.t) AS v FROM {joined}")
+        assert len(result) == 30
+        assert self.vg.invocations == 5  # one generation per world, not per row
+
     def test_register_library_registers_all(self):
         catalog = Catalog()
         library = VGLibrary()
