@@ -238,6 +238,9 @@ class ProphetEngine:
             backend=self.config.sampling.backend,
         )
         reuse, store = self.config.reuse, self.config.store
+        # Each model's seed-event store holds this engine's world universe.
+        for function in library:
+            function.events.reserve(self.config.sampling.n_worlds + reuse.fingerprint_seeds)
         self.registry = FingerprintRegistry(
             reuse.fingerprint_spec(), reuse.correlation_policy()
         )
@@ -518,9 +521,7 @@ class ProphetEngine:
         batch = InstanceBatch.at_point(
             validated, world_ids(worlds, "sample_fresh"), self.config.sampling.base_seed
         )
-        return self.sampling.sample(
-            output, batch, timings if timings is not None else StageTimings()
-        )
+        return self.sampling.sample(output, batch, timings)
 
     def invocation_count(self) -> int:
         """Total real VG invocations so far (probes included)."""
@@ -551,8 +552,7 @@ class ProphetEngine:
         """
         function = self.library.get(output.vg_name)
         args = output.model_arg_values(batch.point_dict)
-        worlds = batch.worlds
-        seeds = batch.seeds
+        worlds, seeds = batch.id_tuples()
         base_seed = self.config.sampling.base_seed
         min_mapped_fraction = self.config.reuse.min_mapped_fraction
 
@@ -568,6 +568,7 @@ class ProphetEngine:
             missing = [w for w in worlds if w not in held]
             if missing:
                 missing_batch = InstanceBatch.at_point(batch.point_dict, missing, base_seed)
+                missing, missing_seeds = missing_batch.id_tuples()
                 # Extending the world set: try to map the missing worlds from
                 # another basis before falling back to fresh simulation.
                 fresh = None
@@ -576,8 +577,8 @@ class ProphetEngine:
                         fresh, _ = self.storage.acquire(
                             function,
                             args,
-                            missing_batch.worlds,
-                            missing_batch.seeds,
+                            missing,
+                            missing_seeds,
                             reuse=True,
                             min_mapped_fraction=min_mapped_fraction,
                         )
@@ -585,8 +586,8 @@ class ProphetEngine:
                     fresh = yield from self._fresh_samples(
                         output, missing_batch, timings, sampler
                     )
-                merged_worlds = existing.worlds + tuple(missing)
-                merged_seeds = existing.seeds + missing_batch.seeds
+                merged_worlds = existing.worlds + missing
+                merged_seeds = existing.seeds + missing_seeds
                 merged = np.vstack([existing.samples, fresh])
                 with tracer.stage("reuse", timings, attr="storage"):
                     self.storage.store(
@@ -715,10 +716,10 @@ class ProphetEngine:
         any other matrix is digested here.
         """
         prefix = hashlib.blake2b(digest_size=16)
-        # World ids are Python ints by now (``world_ids``): fixed-width
-        # bytes behind their count cannot collide across slices.
+        # World ids are an int64 array: fixed-width bytes behind their count
+        # cannot collide across slices.
         prefix.update(len(batch).to_bytes(8, "little"))
-        prefix.update(np.asarray(batch.worlds, dtype=np.int64).tobytes())
+        prefix.update(batch.worlds.tobytes())
         prefix.update(
             repr(tuple((name, point.get(name)) for name in self._derived_params)).encode()
         )

@@ -102,7 +102,8 @@ def compute_fingerprint(
     only through :meth:`FingerprintRegistry.fingerprint_of`), asked as one
     :meth:`~repro.vg.base.VGFunction.invoke_batch`: the probe seeds are
     the same at every parameterization, so a model with a batch kernel
-    reads their memoised seed events instead of redrawing them.
+    reads their stored seed events (the engine's event-store bound counts
+    them) instead of redrawing them.
     """
     matrix = function.invoke_batch(spec.seeds, tuple(args))
     return Fingerprint(vg_name=function.name, args=tuple(args), matrix=matrix, spec=spec)

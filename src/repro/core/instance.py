@@ -12,19 +12,30 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
+import numpy as np
+
+from repro.errors import ScenarioError
 from repro.vg.seeds import world_seed
 
 #: Bound of the :func:`_world_seeds` memo, in world slices. A slice of
-#: 2000 worlds holds ~16 KB of references to seeds the per-world memo
-#: already keeps; a sweep asks for one slice per point, a round ladder for
-#: one per round.
+#: 2000 worlds holds 16 KB of seeds; a sweep asks for one slice per point,
+#: a round ladder for one per round.
 WORLD_SLICE_MEMO_SIZE = 32
 
 
-@functools.lru_cache(maxsize=WORLD_SLICE_MEMO_SIZE, typed=True)
-def _world_seeds(base_seed: int, worlds: tuple[int, ...]) -> tuple[int, ...]:
-    """The seeds of a whole world slice, memoised per ``(base_seed, worlds)``."""
-    return tuple(world_seed(base_seed, world) for world in worlds)
+@functools.lru_cache(maxsize=WORLD_SLICE_MEMO_SIZE)
+def _world_seeds(base_seed: int, worlds: bytes) -> np.ndarray:
+    """A world slice's seeds (from its int64 ids' bytes), read-only."""
+    ids = np.frombuffer(worlds, dtype=np.int64).tolist()
+    seeds = np.fromiter((world_seed(base_seed, world) for world in ids), np.uint64, len(ids))
+    seeds.flags.writeable = False
+    return seeds
+
+
+@functools.lru_cache(maxsize=WORLD_SLICE_MEMO_SIZE)
+def _id_tuple(ids: bytes, dtype: str) -> tuple[int, ...]:
+    """An id array's bytes as Python ints, one shared tuple per slice."""
+    return tuple(np.frombuffer(ids, dtype=dtype).tolist())
 
 
 @dataclass(frozen=True)
@@ -58,64 +69,47 @@ class WorldInstance:
         raise KeyError(f"instance has no parameter {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstanceBatch:
     """A batch of instances at one parameter point (one per world).
 
     The Query Generator consumes batches: all worlds of one point can be
-    expressed as one generated SQL script. Every stage but the per-world
-    loop backend reads only ``worlds`` and ``seeds``, so :meth:`at_point`
-    derives those directly and ``instances`` is built on first read.
+    expressed as one generated SQL script. A batch is the point plus its
+    worlds' ids (int64) and seeds (uint64), in order, as read-only arrays —
+    what every stage reads; per-world :class:`WorldInstance` objects are
+    built only when the batch is iterated.
     """
 
     point: tuple[tuple[str, Any], ...]
-    instances: tuple[WorldInstance, ...] = field(default_factory=tuple)
-    #: World ids and seeds of ``instances``, in order — derived once per
-    #: batch; every stage downstream reads them many times.
-    worlds: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    seeds: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "worlds", tuple(instance.world for instance in self.instances)
-        )
-        object.__setattr__(
-            self, "seeds", tuple(instance.seed for instance in self.instances)
-        )
+    worlds: np.ndarray = field(repr=False)
+    seeds: np.ndarray = field(repr=False)
 
     @classmethod
     def at_point(
         cls, point: Mapping[str, Any], worlds: Sequence[int], base_seed: int
     ) -> "InstanceBatch":
-        batch = cls.__new__(cls)
-        worlds = tuple(worlds)
-        object.__setattr__(
-            batch, "point", tuple(sorted((str(k).lower(), v) for k, v in point.items()))
-        )
-        object.__setattr__(batch, "worlds", worlds)
-        # ``(True,)`` equals ``(1,)`` but its world derives another seed:
-        # only slices of plain ints share memo entries.
-        if set(map(type, worlds)) <= {int}:
-            seeds = _world_seeds(base_seed, worlds)
-        else:
-            seeds = tuple(world_seed(base_seed, world) for world in worlds)
-        object.__setattr__(batch, "seeds", seeds)
-        return batch
+        try:
+            ids = np.array(worlds, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            raise ScenarioError(f"world ids must be int64 integers, got {worlds!r}") from None
+        ids.flags.writeable = False
+        items = tuple(sorted((str(k).lower(), v) for k, v in point.items()))
+        return cls(items, ids, _world_seeds(base_seed, ids.tobytes()))
 
-    def __getattr__(self, name: str) -> Any:
-        # Reached only while ``instances`` is unset: a batch from at_point.
-        if name != "instances":
-            raise AttributeError(name)
-        instances = tuple(
+    @property
+    def instances(self) -> tuple[WorldInstance, ...]:
+        return tuple(
             WorldInstance(point=self.point, world=world, seed=seed)
-            for world, seed in zip(self.worlds, self.seeds)
+            for world, seed in zip(self.worlds.tolist(), self.seeds.tolist())
         )
-        object.__setattr__(self, "instances", instances)
-        return instances
 
     @property
     def point_dict(self) -> dict[str, Any]:
         return dict(self.point)
+
+    def id_tuples(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``worlds``, ``seeds`` as the Python-int tuples stored bases record."""
+        return _id_tuple(self.worlds.tobytes(), "int64"), _id_tuple(self.seeds.tobytes(), "uint64")
 
     def __len__(self) -> int:
         return len(self.worlds)

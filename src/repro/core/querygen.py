@@ -15,7 +15,9 @@ standard relational server would. Three query families:
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
+
+import numpy as np
 
 from repro.errors import ScenarioError
 from repro.core.instance import InstanceBatch
@@ -180,14 +182,15 @@ class QueryGenerator:
 
     def batch_variables(
         self,
-        worlds: Sequence[int],
-        seeds: Sequence[int],
+        worlds: np.ndarray,
+        seeds: np.ndarray,
         point: Mapping[str, Any],
     ) -> dict[str, Any]:
-        """Variable bindings for one execution of the batch insert template."""
+        """Bindings for one execution of the batch insert template; a
+        batch's world-id and seed arrays are bound as they are."""
         variables = {str(name).lower(): value for name, value in point.items()}
-        variables["_worlds"] = tuple(worlds)
-        variables["_seeds"] = tuple(seeds)
+        variables["_worlds"] = worlds
+        variables["_seeds"] = seeds
         return variables
 
     def sampling_script(self, output: VGOutput, batch: InstanceBatch) -> list[str]:

@@ -16,14 +16,11 @@ backends:
 
 Every backend is required to be bit-identical to the per-world loop: the
 batch table form routes each world's randomness through that world's own
-seed-derived stream (see :meth:`repro.vg.base.VGFunction.generate_batch`
-and its parity guard), both backends land the identical world-major row
-order, and both read the matrix back through the same ORDER BY query. When
-the batched backend cannot run — a catalog without the batch table form —
-the plane silently degrades to the loop, and the
-``ExecutionStats.sampled_batched`` / ``sampled_fallback`` world-row
-counters (surfaced by ``repro ... --stats``) make that degradation
-observable.
+seed-derived stream (see :meth:`repro.vg.base.VGFunction.invoke_batch` and
+its parity guard), and both backends land the same rows in batch order,
+which is how the matrix is read back. Without the batch table form the
+plane degrades to the loop; the ``sampled_batched`` / ``sampled_fallback``
+world-row counters (``repro ... --stats``) make that observable.
 """
 
 from __future__ import annotations
@@ -46,13 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 #: Known sampling backends, in documentation order.
 SAMPLING_BACKENDS: tuple[str, ...] = ("batched", "loop")
-
-
-class _NullTimings:
-    """Timing sink used when the caller does not attribute stage time."""
-
-    querygen = 0.0
-    sql = 0.0
 
 
 class SamplingPlane:
@@ -100,85 +90,73 @@ class SamplingPlane:
         """
         if not len(batch):
             raise ScenarioError("sampling needs at least one world")
-        sink = timings if timings is not None else _NullTimings()
+        batched = self.backend == "batched" and self.executor.catalog.has_table_function(
+            output.vg_name + BATCH_FORM_SUFFIX
+        )
+        self.last_backend = "batched" if batched else "loop"
         stats = self.executor.stats
-        if self.backend == "batched" and self._batch_form_available(output):
-            self.last_backend = "batched"
+        if batched:
             stats.sampled_batched += len(batch)
-            with self.tracer.span(
-                "sample", alias=output.alias, backend="batched", worlds=len(batch)
-            ):
-                return self._sample_batched(output, batch, sink)
-        self.last_backend = "loop"
-        stats.sampled_fallback += len(batch)
+        else:
+            stats.sampled_fallback += len(batch)
         with self.tracer.span(
-            "sample", alias=output.alias, backend="loop", worlds=len(batch)
+            "sample", alias=output.alias, backend=self.last_backend, worlds=len(batch)
         ):
-            return self._sample_loop(output, batch, sink)
+            self._land(output, batch, batched, timings)
+            return self._read_back(output, batch)
 
     # -- backends -----------------------------------------------------------
 
-    def _batch_form_available(self, output: "VGOutput") -> bool:
-        return self.executor.catalog.has_table_function(
-            output.vg_name + BATCH_FORM_SUFFIX
-        )
-
-    def _sample_batched(self, output, batch, timings) -> np.ndarray:
-        """One statement lands the entire world slice."""
+    def _land(self, output, batch, batched: bool, timings) -> None:
+        """Fill a fresh samples table: one statement for the whole slice, or
+        the per-world INSERT loop (the bit-identity reference)."""
+        querygen = self.querygen
         with self.tracer.stage("querygen", timings):
-            drop = self.querygen.drop_samples_table_sql(output.alias)
-            create = self.querygen.create_samples_table_sql(output.alias)
-            insert = self.querygen.insert_batch_template(output)
-
-        with self.tracer.stage("sql", timings, stats=self.executor.stats):
-            self.executor.execute(drop)
-            self.executor.execute(create)
-            self.executor.execute(
-                insert,
-                self.querygen.batch_variables(
-                    batch.worlds, batch.seeds, batch.point_dict
-                ),
-            )
-        return self._read_back(output, batch, timings)
-
-    def _sample_loop(self, output, batch, timings) -> np.ndarray:
-        """The per-world parameterized INSERT loop (bit-identity reference)."""
-        with self.tracer.stage("querygen", timings):
-            drop = self.querygen.drop_samples_table_sql(output.alias)
-            create = self.querygen.create_samples_table_sql(output.alias)
-            insert = self.querygen.insert_world_template(output)
-
-        with self.tracer.stage("sql", timings, stats=self.executor.stats):
-            self.executor.execute(drop)
-            self.executor.execute(create)
-            point = batch.point_dict
-            for instance in batch:
-                self.executor.execute(
-                    insert,
-                    self.querygen.world_variables(
-                        instance.world, instance.seed, point
-                    ),
+            drop = querygen.drop_samples_table_sql(output.alias)
+            create = querygen.create_samples_table_sql(output.alias)
+            if batched:
+                insert = querygen.insert_batch_template(output)
+                bindings = [querygen.batch_variables(batch.worlds, batch.seeds, batch.point_dict)]
+            else:
+                insert = querygen.insert_world_template(output)
+                point = batch.point_dict
+                bindings = (
+                    querygen.world_variables(world, seed, point)
+                    for world, seed in zip(batch.worlds.tolist(), batch.seeds.tolist())
                 )
-        return self._read_back(output, batch, timings)
-
-    def _read_back(self, output, batch, timings) -> np.ndarray:
-        """Read the landed samples back into matrix form (shared tail)."""
-        with self.tracer.stage("querygen", timings):
-            readback = (
-                f"SELECT world, t, value "
-                f"FROM {self.querygen.samples_table(output.alias)} "
-                f"ORDER BY world, t"
-            )
 
         with self.tracer.stage("sql", timings, stats=self.executor.stats):
-            result = self.executor.execute(readback)
+            self.executor.execute(drop)
+            self.executor.execute(create)
+            for variables in bindings:
+                self.executor.execute(insert, variables)
 
+    def _read_back(self, output, batch) -> np.ndarray:
+        """The landed table's ``value`` column as the matrix, in batch order.
+
+        No statement re-sorts the rows: ``world``/``t`` are checked against
+        ``repeat(worlds)``/``tile(arange(n_components))`` instead, and a
+        lost, extra or reordered row raises :class:`ScenarioError`.
+        """
         n_components = self.library.get(output.vg_name).n_components
         n_worlds = len(batch)
-        if len(result) != n_worlds * n_components:
+        view = self.executor.catalog.table(
+            self.querygen.samples_table(output.alias)
+        ).columnar_view()
+        if view.n_rows != n_worlds * n_components:
             raise ScenarioError(
-                f"sampling produced {len(result)} rows, expected "
+                f"sampling produced {view.n_rows} rows, expected "
                 f"{n_worlds * n_components}"
             )
-        values = np.asarray(result.column_array("value"), dtype=float)
-        return values.reshape(n_worlds, n_components)
+        shape = (n_worlds, n_components)
+        worlds, weeks = view.arrays.get("world"), view.arrays.get("t")
+        if (
+            worlds is None
+            or weeks is None
+            or not (worlds.reshape(shape) == np.asarray(batch.worlds)[:, None]).all()
+            or not (weeks.reshape(shape) == np.arange(n_components)).all()
+        ):
+            raise ScenarioError(
+                f"sampled rows of {output.alias!r} are not in batch order"
+            )
+        return np.asarray(view.arrays["value"], dtype=float).reshape(shape)

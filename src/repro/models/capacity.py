@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.errors import VGFunctionError
 from repro.models.failures import FailureClass, default_failure_classes, total_weekly_losses
-from repro.vg.base import SteppedVGFunction, VGFunction
+from repro.vg.base import SteppedVGFunction, VGFunction, component_columns
 
 WEEKS_PER_YEAR = 53
 
@@ -147,10 +147,10 @@ class CapacityModel(VGFunction):
         """:meth:`generate_partial` for all ``seeds`` at once.
 
         Lags and failure histories depend on the seed only, so they (and
-        the loss running sum) are drawn once per seed and stacked; arrivals
-        and the clip then run over ``(n_worlds, k)``. An arrival past the
-        last week adds an all-zero term here where the scalar path skips
-        it, which leaves every bit unchanged.
+        the loss running sum) are drawn once per world into the event store
+        and gathered per batch; arrivals and the clip then run over
+        ``(n_worlds, k)``. An arrival past the last week adds nothing here
+        where the scalar path skips it, which leaves every bit unchanged.
         """
         if (
             type(self).generate_partial is not CapacityModel.generate_partial
@@ -160,16 +160,17 @@ class CapacityModel(VGFunction):
             # A subclass changed the scalar path; only the loop is safe.
             return None
         purchase1, purchase2, initial = self._split_args(args)
-        events = [self.seed_events(seed, self._cumulative_events) for seed in seeds]
-        lags = np.stack([lag for lag, _ in events])
-        lost = np.stack([cumulative for _, cumulative in events])[:, components]
+        lags, lost = self.events.gather(seeds, self._cumulative_events)
+        lost = component_columns(lost, components)
         weeks = np.arange(self.n_components)[components]
-        arrivals = np.zeros(lost.shape, dtype=float)
+        # In place, in the scalar path's order: (initial + arrivals) - lost.
+        capacity = np.zeros(lost.shape, dtype=float)
         for purchase, lag in zip((purchase1, purchase2), lags.T):
-            arrival_week = (purchase + lag)[:, None]
-            arrivals += np.where(weeks >= arrival_week, self.purchase_cores, 0.0)
-        capacity = initial + arrivals - lost
-        return np.clip(capacity, 0.0, None)
+            arrived = weeks >= (purchase + lag)[:, None]
+            np.add(capacity, self.purchase_cores, out=capacity, where=arrived)
+        capacity += initial
+        capacity -= lost
+        return np.clip(capacity, 0.0, None, out=capacity)
 
     # -- analytics (used by tests) -----------------------------------------------
 

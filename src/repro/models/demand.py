@@ -30,7 +30,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.errors import VGFunctionError
-from repro.vg.base import VGFunction
+from repro.vg.base import VGFunction, component_columns
 
 WEEKS_PER_YEAR = 53
 
@@ -109,15 +109,15 @@ class DemandModel(VGFunction):
         Shared by the full, partial and batched paths so that they cannot
         drift apart: noise may be ``(k,)`` for one world or ``(n_worlds, k)``.
         """
-        demand = self.base + self.trend * weeks + self.sigma_base * base_noise
-        released = weeks >= feature
-        surge = (
-            self.surge_jump
-            + self.surge_slope * (weeks - feature)
-            + self.sigma_surge * surge_noise
-        )
-        demand = demand + np.where(released, surge, 0.0)
-        return growth * demand
+        # In place where the operands are world-sized; a sum or product of
+        # two terms is the same float in either order.
+        demand = self.sigma_base * base_noise
+        demand += self.base + self.trend * weeks
+        surge = self.sigma_surge * surge_noise
+        surge += self.surge_jump + self.surge_slope * (weeks - feature)
+        demand += np.where(weeks >= feature, surge, 0.0)
+        demand *= growth
+        return demand
 
     def generate(self, seed: int, args: tuple[Any, ...]) -> np.ndarray:
         feature, growth = self._split_args(args)
@@ -145,8 +145,9 @@ class DemandModel(VGFunction):
         """:meth:`generate_partial` for all ``seeds`` at once.
 
         The noise vectors depend on the seed only, so they are drawn once
-        per seed and stacked; the week arithmetic then runs over
-        ``(n_worlds, k)`` in the scalar path's elementwise order.
+        per world into the event store and gathered per batch; the week
+        arithmetic then runs over ``(n_worlds, k)`` in the scalar path's
+        elementwise order.
         """
         if (
             type(self).generate_partial is not DemandModel.generate_partial
@@ -156,11 +157,11 @@ class DemandModel(VGFunction):
             # A subclass changed the scalar path; only the loop is safe.
             return None
         feature, growth = self._split_args(args)
-        noise = [self.seed_events(seed, self._noise) for seed in seeds]
+        base_noise, surge_noise = self.events.gather(seeds, self._noise)
         return self._demand(
             components.astype(float),
-            np.stack([base for base, _ in noise])[:, components],
-            np.stack([surge for _, surge in noise])[:, components],
+            component_columns(base_noise, components),
+            component_columns(surge_noise, components),
             feature,
             growth,
         )

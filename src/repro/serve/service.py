@@ -414,7 +414,7 @@ class EvaluationService:
         would. Its time is the coordinator's own (the engine's ``sql``
         stage), so it adds nothing to ``worker_seconds``.
         """
-        worlds = batch.worlds
+        worlds = batch.worlds.tolist()
         n_shards = min(self.n_shards, max(1, len(worlds) // self.min_shard_worlds))
         self.stats.shard_generations += 1
         self.stats.sampled_worlds += len(worlds)

@@ -35,6 +35,9 @@ from repro.sqldb.types import SqlType
 from repro.vg.base import VGFunction
 from repro.vg.library import VGLibrary
 
+#: Bound of the scalar form's ``(seed, args)`` memo; cleared when reached.
+SCALAR_FORM_MEMO_SIZE = 4096
+
 #: Suffix distinguishing the table form from the scalar form in the catalog.
 TABLE_FORM_SUFFIX = "T"
 
@@ -77,9 +80,10 @@ def make_scalar_form(function: VGFunction):
 
     A statement reads each world's vector once per component, in whatever
     order its joins produce, so the form memoizes vectors by ``(seed, args)``
-    (``function._scalar_memo``, cleared at ``_memo_limit`` entries and by
-    ``reset_counters``): ``SELECT f(7, 0), f(7, 5)`` generates once, and a
-    worlds x weeks scan generates once per world in either join order.
+    (``function._scalar_memo``, cleared at :data:`SCALAR_FORM_MEMO_SIZE`
+    entries and by ``reset_counters``): ``SELECT f(7, 0), f(7, 5)``
+    generates once, and a worlds x weeks scan generates once per world in
+    either join order.
     """
 
     def scalar_form(*sql_args: Any) -> float:
@@ -95,7 +99,7 @@ def make_scalar_form(function: VGFunction):
         memo = function._scalar_memo
         vector = memo.get(key)
         if vector is None:
-            if len(memo) >= function._memo_limit:
+            if len(memo) >= SCALAR_FORM_MEMO_SIZE:
                 memo.clear()
             vector = memo[key] = function.invoke(*key)
         return float(vector[component])
@@ -124,29 +128,25 @@ def make_table_form(function: VGFunction):
     return table_form
 
 
-def _coerce_world_slice(value: Any, name: str, label: str) -> tuple[int, ...]:
-    if not isinstance(value, (tuple, list)):
+def _coerce_world_slice(value: Any, name: str, label: str) -> np.ndarray:
+    """A world slice as a 1-d integer array, checked by dtype, not per item."""
+    array = np.asarray(value) if isinstance(value, (tuple, list, np.ndarray)) else None
+    if array is None or array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
         raise VGFunctionError(
             f"{name}: {label} must be a sequence of integers, got {value!r}"
         )
-    coerced = []
-    for item in value:
-        if not isinstance(item, int) or isinstance(item, bool):
-            raise VGFunctionError(
-                f"{name}: {label} must contain only integers, got {item!r}"
-            )
-        coerced.append(item)
-    return tuple(coerced)
+    return array
 
 
 def make_batch_table_form(function: VGFunction):
     """Build the batch SQL adapter ``nameTB(worlds, seeds, *model_args)``.
 
-    ``worlds`` and ``seeds`` are equal-length integer sequences (bound from
+    ``worlds`` and ``seeds`` are equal-length integer arrays (bound from
     the ``@_worlds``/``@_seeds`` statement variables); the produced rows are
-    ``(world, t, value)`` in world-major, component-minor order — exactly
-    the row order the per-world table form would land over a loop. The
-    result ships columnar arrays, never Python row tuples.
+    ``(world, t, value)`` in the slice's own world order, world-major and
+    component-minor — exactly the row order the per-world table form would
+    land over a loop. The result ships columnar arrays, never Python row
+    tuples.
     """
 
     def batch_table_form(args: tuple[Any, ...], variables: Mapping[str, Any]) -> ResultSet:
@@ -164,9 +164,9 @@ def make_batch_table_form(function: VGFunction):
                 f"({len(seeds)}) must have equal length"
             )
         model_args = tuple(args[2:])
-        matrix = function.invoke_batch(seeds, model_args)
+        matrix = function.invoke_batch(seeds.tolist(), model_args)
         n_components = function.n_components
-        world_column = np.repeat(np.asarray(worlds, dtype=np.int64), n_components)
+        world_column = np.repeat(worlds.astype(np.int64, copy=False), n_components)
         t_column = np.tile(np.arange(n_components, dtype=np.int64), len(worlds))
         value_column = np.ascontiguousarray(matrix, dtype=np.float64).reshape(-1)
         return ResultSet(

@@ -360,13 +360,6 @@ class ResultSet:
             return self.column_data[position].tolist()
         return [row[position] for row in self.rows]
 
-    def column_array(self, name: str) -> np.ndarray:
-        """One output column as a NumPy array (zero-copy when columnar)."""
-        position = self.schema.position_of(name)
-        if self.column_data is not None:
-            return self.column_data[position]
-        return np.asarray([row[position] for row in self.rows])
-
     def scalar(self) -> Any:
         """Return the single value of a 1x1 result (e.g. ``SELECT COUNT(*)``)."""
         if len(self) != 1 or len(self.schema) != 1:

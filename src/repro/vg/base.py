@@ -25,6 +25,71 @@ from repro.errors import VGFunctionError
 from repro.vg.seeds import derive_seed, rng_for
 
 
+class SeedEventStore:
+    """One model's seed-only event histories, one row per world.
+
+    A batch-partial model draws events that depend on the seed alone, so
+    every parameterization of a world re-reads one draw. The store keeps a
+    seed -> row index and one array per event field (the tuple ``draw(seed)``
+    returns), each row drawn once; :meth:`gather` serves a batch with one
+    fancy index per field, i.e. with copies that cannot corrupt the store.
+    It stays on under ``reuse=False`` (it repeats draws, not outcomes) and
+    holds up to :attr:`bound` seeds: the world universe (``n_worlds`` plus
+    fingerprint probe seeds) of the engines that :meth:`reserve` it. A batch
+    that would pass the bound (world ids outside the universe) empties the
+    store first. Emptied by :meth:`VGFunction.reset_counters`.
+    """
+
+    def __init__(self) -> None:
+        self.bound = 0
+        self._rows: dict[int, int] = {}
+        self._fields: tuple[np.ndarray, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):  # the seeds held, in row order
+        return iter(self._rows)
+
+    def reserve(self, worlds: int) -> None:
+        self.bound = max(self.bound, int(worlds))
+
+    def clear(self) -> None:
+        self._rows.clear()
+        self._fields = ()
+
+    def gather(
+        self, seeds: Sequence[int], draw: Callable[[int], tuple[np.ndarray, ...]]
+    ) -> tuple[np.ndarray, ...]:
+        """Each field's rows for ``seeds``, in order, drawing missing seeds."""
+        rows = self._rows
+        try:
+            index = np.fromiter(map(rows.__getitem__, seeds), np.intp, len(seeds))
+        except KeyError:
+            self._draw(seeds, draw)
+            index = np.fromiter(map(rows.__getitem__, seeds), np.intp, len(seeds))
+        return tuple(field[index] for field in self._fields)
+
+    def _draw(self, seeds: Sequence[int], draw: Callable[[int], Any]) -> None:
+        rows = self._rows
+        new = [seed for seed in dict.fromkeys(seeds) if seed not in rows]
+        if len(rows) + len(new) > self.bound:
+            rows.clear()
+            new = list(dict.fromkeys(seeds))
+        start, needed = len(rows), len(rows) + len(new)
+        for row, seed in enumerate(new, start):
+            events = [np.asarray(value) for value in draw(seed)]
+            if row == start and (not self._fields or len(self._fields[0]) < needed):
+                size = max(needed, min(2 * needed, self.bound))
+                grown = tuple(np.empty((size,) + v.shape, v.dtype) for v in events)
+                for old, field in zip(self._fields, grown):
+                    field[:start] = old[:start]
+                self._fields = grown
+            for field, value in zip(self._fields, events):
+                field[row] = value
+            rows[seed] = row
+
+
 class VGFunction:
     """Base class for VG-Functions.
 
@@ -44,11 +109,10 @@ class VGFunction:
         self.invocations = 0  # real stochastic generations (benchmark metric)
         self.component_samples = 0  # components actually simulated
         self.parity_fallbacks = 0  # vectorized batches rejected by the guard
-        # Seed-only event histories of batch-partial models, see seed_events.
-        self._event_memo: dict[int, Any] = {}
+        #: Seed-only event arrays of batch-partial models (empty for others).
+        self.events = SeedEventStore()
         # (seed, args) -> vector, read only by the scalar SQL form (pdbext).
         self._scalar_memo: dict[tuple[int, tuple[Any, ...]], np.ndarray] = {}
-        self._memo_limit = 4096  # each memo is cleared when it reaches this
 
     # -- contract -------------------------------------------------------------
 
@@ -66,24 +130,24 @@ class VGFunction:
 
         A model with a batch kernel (:meth:`generate_partial_batch`) is
         served by it, asked for every component: one vectorised pass over
-        seed-memoised events (:meth:`seed_events`), checked by
-        :meth:`guarded_batch`'s first-row probe against :meth:`generate`.
-        Full and partial generation therefore share one kernel per model.
-        Every other model takes :meth:`generate_loop`, which is
-        bit-identical to per-world generation by construction.
+        its stored seed events (:attr:`events`). Full and partial generation
+        therefore share one kernel per model. Every other model takes
+        :meth:`generate_loop`, bit-identical to per-world generation by
+        construction.
 
         Subclasses with other vectorizable structure override this with
         genuine NumPy batch implementations; every override must keep
         bit-identity with the per-seed loop (each world's randomness still
-        flows through that world's own seed-derived stream) and should
-        route its result through :meth:`guarded_batch`.
+        flows through that world's own seed-derived stream). The parity
+        guard is not here: :meth:`invoke_batch`, the one entry point of the
+        batched plane, checks whatever this returns.
         """
         if len(seeds):
             batch = self.generate_partial_batch(
                 seeds, args, np.arange(self.n_components)
             )
             if batch is not None:
-                return self.guarded_batch(seeds, args, np.asarray(batch, dtype=float))
+                return np.asarray(batch, dtype=float)
         return self.generate_loop(seeds, args)
 
     def generate_loop(self, seeds: Sequence[int], args: tuple[Any, ...]) -> np.ndarray:
@@ -107,30 +171,6 @@ class VGFunction:
                 f"expected ({self.n_components},)"
             )
         return vector
-
-    def guarded_batch(
-        self, seeds: Sequence[int], args: tuple[Any, ...], matrix: np.ndarray
-    ) -> np.ndarray:
-        """Parity guard for vectorized ``generate_batch`` implementations.
-
-        Re-generates the first world through the scalar path and compares it
-        bitwise against the batch's first row (a batch of the wrong shape
-        fails the same way). On any mismatch the whole batch is recomputed
-        with :meth:`generate_loop` (bit-correct by construction) and
-        :attr:`parity_fallbacks` is bumped, so a vectorization bug degrades
-        to the slow path instead of corrupting samples. The probe sees one
-        world only: a model whose scalar path a subclass may override must
-        also check structurally (``type(self).generate is not ...``) before
-        it vectorises, as the library's models do. A composite's probe runs
-        its children's :meth:`invoke`, so each child counts that world twice.
-        """
-        if not len(seeds):
-            return matrix
-        probe = self.generate(seeds[0], args)
-        if _first_row_agrees(matrix, probe, (len(seeds), self.n_components)):
-            return matrix
-        self.parity_fallbacks += 1
-        return self.generate_loop(seeds, args)
 
     # -- helpers for implementations -------------------------------------------
 
@@ -167,10 +207,26 @@ class VGFunction:
 
         The batch analogue of :meth:`invoke`: every row (repeated seeds too)
         counts as one generation and equals that seed's own :meth:`invoke`.
+
+        The batched plane's one parity guard: the first world is re-drawn
+        through the scalar :meth:`generate` (never from stored events) and
+        compared bitwise with the batch's first row. A mismatch or a wrong
+        shape reruns the batch with :meth:`generate_loop` and bumps
+        :attr:`parity_fallbacks`. The probe sees one world only, so a model
+        whose scalar path a subclass may override must also check that
+        structurally before it vectorises, as the library's models do. A
+        composite's probe runs its children's :meth:`invoke`, so each child
+        counts that world twice.
         """
         self.check_args(args)
+        seeds, args = tuple(seeds), tuple(args)
         n_seeds = len(seeds)
-        matrix = np.asarray(self.generate_batch(tuple(seeds), tuple(args)), dtype=float)
+        matrix = np.asarray(self.generate_batch(seeds, args), dtype=float)
+        if n_seeds and not _first_row_agrees(
+            matrix, self.generate(seeds[0], args), (n_seeds, self.n_components)
+        ):
+            self.parity_fallbacks += 1
+            matrix = self.generate_loop(seeds, args)
         if matrix.shape != (n_seeds, self.n_components):
             raise VGFunctionError(
                 f"{self.name}.generate_batch returned shape {matrix.shape}, "
@@ -217,8 +273,8 @@ class VGFunction:
         function's own counters move by exactly what that loop would add
         (one generation per row, duplicates included). Models that implement
         :meth:`generate_partial_batch` are served by one vectorized call
-        under :meth:`guarded_batch`'s first-row check against the scalar
-        :meth:`generate_partial`; a mismatch bumps :attr:`parity_fallbacks`
+        under :meth:`invoke_batch`'s first-row check (against the scalar
+        :meth:`generate_partial`); a mismatch bumps :attr:`parity_fallbacks`
         and, like everything else, runs the per-seed loop.
         """
         key_args = tuple(args)
@@ -249,42 +305,20 @@ class VGFunction:
         ``(len(seeds), len(components))`` matrix whose rows are bit-identical
         to :meth:`generate_partial` per seed. That is only possible when the
         model's random events depend on the seed alone — never on ``args`` —
-        so they can be drawn once per seed (:meth:`seed_events`), stacked,
-        and pushed through the same elementwise arithmetic as one world.
+        so they can be drawn once per seed into :attr:`events`, gathered
+        per batch, and pushed through the same arithmetic as one world.
         Asked for every component, the same override is the model's full
         batch kernel (:meth:`generate_batch`), so it must also agree with
         :meth:`generate` and decline when a subclass overrides that.
         """
         return None
 
-    def seed_events(self, seed: int, draw: Callable[[int], Any]) -> Any:
-        """``draw(seed)``, memoized per seed for :meth:`generate_partial_batch`.
-
-        Only for event histories that are a function of the seed alone —
-        never of ``args`` — which is why the memo is not part of the reuse
-        plane and stays on under ``reuse=False``: it repeats no simulation
-        outcome, only the draws every parameterization of one world shares.
-        Every batch of every point reads the same arrays, so they are made
-        read-only on insertion (through nested tuples): a model that writes
-        into one gets a ``ValueError`` instead of corrupting later points.
-        Bounded at ``_memo_limit`` = 4096 worlds (seeds) per model per
-        process and cleared when full; a batch beyond the bound still runs
-        the vectorised arithmetic, it only redraws. Emptied by
-        :meth:`reset_counters`.
-        """
-        events = self._event_memo.get(seed)
-        if events is None:
-            if len(self._event_memo) >= self._memo_limit:
-                self._event_memo.clear()
-            events = self._event_memo[seed] = _frozen(draw(seed))
-        return events
-
     def reset_counters(self) -> None:
-        """Zero the counters; empty the seed-event and scalar-form memos."""
+        """Zero the counters; empty the seed-event store and scalar-form memo."""
         self.invocations = 0
         self.component_samples = 0
         self.parity_fallbacks = 0
-        self._event_memo.clear()
+        self.events.clear()
         self._scalar_memo.clear()
 
     def component_labels(self) -> list[Any]:
@@ -370,14 +404,11 @@ def _first_row_agrees(matrix: np.ndarray, probe: Any, shape: tuple[int, int]) ->
     )
 
 
-def _frozen(events: Any) -> Any:
-    """``events`` with every array in it (through nested tuples) read-only."""
-    if isinstance(events, np.ndarray):
-        events.setflags(write=False)
-    elif isinstance(events, tuple):
-        for item in events:
-            _frozen(item)
-    return events
+def component_columns(matrix: np.ndarray, components: np.ndarray) -> np.ndarray:
+    """``matrix[:, components]`` in C order (``matrix`` itself for all)."""
+    if np.array_equal(components, np.arange(matrix.shape[1])):
+        return matrix
+    return matrix.take(components, axis=1)
 
 
 def as_vg_function(obj: Any) -> VGFunction:

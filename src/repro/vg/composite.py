@@ -109,8 +109,7 @@ class SumOf(_CompositeBase):
         matrices = self._child_matrices(seeds, args)
         # Reducing over the child axis keeps the scalar path's per-element
         # accumulation order (same child count, same np.sum reduction).
-        matrix = np.sum(matrices, axis=0)
-        return self.guarded_batch(seeds, args, matrix)
+        return np.sum(matrices, axis=0)
 
 
 class DifferenceOf(_CompositeBase):
@@ -130,7 +129,7 @@ class DifferenceOf(_CompositeBase):
         matrix = matrices[0].copy()
         for child_matrix in matrices[1:]:
             matrix -= child_matrix
-        return self.guarded_batch(seeds, args, matrix)
+        return matrix
 
 
 class ScaledBy(VGFunction):
@@ -153,8 +152,7 @@ class ScaledBy(VGFunction):
         if type(self).generate is not ScaledBy.generate:
             return self.generate_loop(seeds, args)
         child_seeds = tuple(derive_seed("composite", self.name, 0, seed) for seed in seeds)
-        matrix = self.scale * self.child.invoke_batch(child_seeds, args) + self.offset
-        return self.guarded_batch(seeds, args, matrix)
+        return self.scale * self.child.invoke_batch(child_seeds, args) + self.offset
 
 
 class TransformedBy(VGFunction):
@@ -208,7 +206,7 @@ class TransformedBy(VGFunction):
                     f"expected ({self.n_components},)"
                 )
             matrix[row] = result
-        return self.guarded_batch(seeds, args, matrix)
+        return matrix
 
 
 class MixtureOf(_CompositeBase):
@@ -260,4 +258,4 @@ class MixtureOf(_CompositeBase):
             )
             child_args = _route_args(self.arg_names, child, args)
             matrix[rows] = child.invoke_batch(child_seeds, child_args)
-        return self.guarded_batch(seeds, args, matrix)
+        return matrix

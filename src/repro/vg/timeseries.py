@@ -81,8 +81,7 @@ class GaussianSeries(VGFunction):
         # per-element op order matches the scalar path bit-for-bit.
         t = np.arange(self.n_components, dtype=float)
         noise = _stacked_noise(self, seeds, self._noise)
-        matrix = (self.base + self.trend * t)[None, :] + self.sigma * noise
-        return self.guarded_batch(seeds, args, matrix)
+        return (self.base + self.trend * t)[None, :] + self.sigma * noise
 
 
 class RandomWalk(SteppedVGFunction):
@@ -133,8 +132,7 @@ class RandomWalk(SteppedVGFunction):
             increments[row, 1:] = self.rng(seed, args).normal(
                 self.drift, self.sigma, size=n
             )
-        matrix = np.cumsum(increments, axis=1)[:, 1:]
-        return self.guarded_batch(seeds, args, matrix)
+        return np.cumsum(increments, axis=1)[:, 1:]
 
 
 class AR1Series(SteppedVGFunction):
@@ -189,7 +187,7 @@ class AR1Series(SteppedVGFunction):
         for t in range(n):
             state = self.mu + self.phi * (state - self.mu) + noise[:, t]
             matrix[:, t] = state
-        return self.guarded_batch(seeds, args, matrix)
+        return matrix
 
 
 class SeasonalSeries(VGFunction):
@@ -242,8 +240,7 @@ class SeasonalSeries(VGFunction):
                 0.0, self.sigma, size=self.n_components
             ),
         )
-        matrix = (self.base + self.trend * t + seasonal)[None, :] + noise
-        return self.guarded_batch(seeds, args, matrix)
+        return (self.base + self.trend * t + seasonal)[None, :] + noise
 
 
 class PoissonEventSeries(VGFunction):

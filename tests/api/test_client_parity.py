@@ -46,9 +46,9 @@ DEMO_SWEEP_STATS = {
         '{"basis": {"exact_hits": 59, "mapped_hits": 11, "misses": 2, "resident": 13, '
         '"resident_bytes": 220480, "spilled": 0, "tier_dropped": 0, "tier_evictions": 0, '
         '"tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
-        '{"fallback_selects": 0, "plan_cache_hits": 190, "plan_cache_misses": 10, '
-        '"rows_fallback": 0, "rows_vectorized": 53600, "statements": 200, "vectorized_selects": '
-        '68}, "sampling": {"backend": "batched", "parity_fallbacks": 0, "sampled_batched": 80, '
+        '{"fallback_selects": 0, "plan_cache_hits": 190, "plan_cache_misses": 8, '
+        '"rows_fallback": 0, "rows_vectorized": 49360, "statements": 198, "vectorized_selects": '
+        '66}, "sampling": {"backend": "batched", "parity_fallbacks": 0, "sampled_batched": 80, '
         '"sampled_fallback": 0}, "scheduler": {"dedup_hits": 0, "jobs_completed": 36, '
         '"jobs_retired_early": 0, "jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, '
         '"service": {"bytes_shipped": 0, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": '
@@ -176,7 +176,10 @@ class TestSweepParity:
         ``DEMO_SWEEP_STATS`` is ``client.stats().to_json()`` of the 36-point
         demo sweep as recorded at commit 912df2e, before the reuse plane went
         per-batch: same hits, misses, week-memo traffic, statements and
-        shard traffic, byte for byte.
+        shard traffic, byte for byte. One change since: fresh samples are
+        read from the landed table in place, not by a ``SELECT ... ORDER
+        BY``, so the in-process ``execution`` section runs one statement
+        (and one vectorized select) fewer per fresh sample.
         """
         client = ProphetClient.open(
             DEMO_SWEEP_DSL,

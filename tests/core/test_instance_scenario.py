@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.errors import ScenarioError
@@ -41,7 +42,9 @@ class TestInstanceBatch:
     def test_at_point(self):
         batch = InstanceBatch.at_point({"p": 1}, worlds=range(3), base_seed=7)
         assert len(batch) == 3
-        assert batch.worlds == (0, 1, 2)
+        assert batch.worlds.tolist() == [0, 1, 2]
+        assert (batch.worlds.dtype, batch.seeds.dtype) == (np.int64, np.uint64)
+        assert not (batch.worlds.flags.writeable or batch.seeds.flags.writeable)
         assert batch.point_dict == {"p": 1}
         assert len(set(batch.seeds)) == 3
 
@@ -49,29 +52,29 @@ class TestInstanceBatch:
         batch = InstanceBatch.at_point({"p": 1}, worlds=[4, 9], base_seed=7)
         assert [i.world for i in batch] == [4, 9]
 
-    def test_instances_are_built_on_first_read_only(self):
+    def test_instances_are_a_view_of_the_world_arrays(self):
+        """A batch is its point and two arrays; the per-world instances (the
+        eager form the batch was once built from) are derived from them."""
         batch = InstanceBatch.at_point({"P": 1}, worlds=[4, 9], base_seed=7)
-        assert "instances" not in vars(batch)
-        # What every stage but the per-world loop reads leaves them unbuilt.
-        assert (len(batch), batch.worlds, batch.point_dict) == (2, (4, 9), {"p": 1})
-        assert len(batch.seeds) == 2 and "instances" not in vars(batch)
-        assert pickle.loads(pickle.dumps(batch)) == batch
-        built = batch.instances
-        assert built is batch.instances and list(batch) == list(built)
-        assert built == tuple(WorldInstance.make({"p": 1}, w, 7) for w in (4, 9))
+        assert (len(batch), batch.worlds.tolist(), batch.point_dict) == (2, [4, 9], {"p": 1})
+        assert batch.instances == tuple(WorldInstance.make({"p": 1}, w, 7) for w in (4, 9))
+        assert list(batch) == list(batch.instances)
+        copy = pickle.loads(pickle.dumps(batch))
+        assert copy.point == batch.point and copy.instances == batch.instances
         with pytest.raises(AttributeError):
             batch.no_such_attribute
 
-    def test_lazy_and_eager_batches_are_the_same_value(self):
-        lazy = InstanceBatch.at_point({"p": 1}, worlds=[4, 9], base_seed=7)
-        eager = InstanceBatch(
-            point=(("p", 1),),
-            instances=tuple(WorldInstance.make({"p": 1}, w, 7) for w in (4, 9)),
-        )
-        assert (eager.worlds, eager.seeds) == (lazy.worlds, lazy.seeds)
-        assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
-        assert lazy != InstanceBatch.at_point({"p": 1}, worlds=[4, 8], base_seed=7)
-        assert lazy != InstanceBatch.at_point({"p": 2}, worlds=[4, 9], base_seed=7)
+    def test_a_batch_built_from_arrays_is_the_batch_at_point(self):
+        """Pins what the lazy-vs-eager equality test pinned, for the one
+        form left: building a batch from its arrays gives the same worlds,
+        seeds and repr as ``at_point``; other worlds or points differ."""
+        at_point = InstanceBatch.at_point({"p": 1}, worlds=[4, 9], base_seed=7)
+        seeds = np.array([WorldInstance.make({}, w, 7).seed for w in (4, 9)], np.uint64)
+        built = InstanceBatch((("p", 1),), np.array([4, 9]), seeds)
+        assert built.instances == at_point.instances and repr(built) == repr(at_point)
+        other = InstanceBatch.at_point({"p": 1}, worlds=[4, 8], base_seed=7)
+        assert other.instances != at_point.instances
+        assert InstanceBatch.at_point({"p": 2}, [4, 9], 7).instances != at_point.instances
 
     @pytest.mark.parametrize(
         "worlds",
@@ -79,15 +82,20 @@ class TestInstanceBatch:
         ids=["prefix", "shard-slice", "non-contiguous", "bool-ids"],
     )
     def test_seeds_are_the_unmemoised_derivation(self, worlds):
+        """World ids are int64 from here on: a bool id is the world it
+        indexes (``True`` is world 1), as ``world_ids`` makes it at every
+        entry point. The slice memo never crosses base seeds."""
+        ids = [int(w) for w in worlds]
         for base_seed in (7, 42, 7):  # interleaved: memo entries never cross
-            # An equal slice of plain ints first: ``(1, True)`` == ``(1, 1)``,
-            # yet True is its own world with its own seed.
-            InstanceBatch.at_point({"p": 1}, [int(w) for w in worlds], base_seed)
             batch = InstanceBatch.at_point({"p": 1}, worlds, base_seed)
-            assert batch.worlds == tuple(worlds)
-            assert batch.seeds == tuple(
-                derive_seed("world", base_seed, world) for world in worlds
-            )
+            assert batch.worlds.tolist() == ids
+            assert batch.seeds.tolist() == [
+                derive_seed("world", base_seed, world) for world in ids
+            ]
+
+    def test_world_ids_outside_int64_are_a_scenario_error(self):
+        with pytest.raises(ScenarioError, match="int64"):
+            InstanceBatch.at_point({"p": 1}, [0, 2**63], base_seed=7)
 
 
 def simple_scenario(**overrides):

@@ -10,10 +10,13 @@ points.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.core.config import EngineConfig, SamplingConfig
+from repro.core.config import EngineConfig, ReuseConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
+from repro.core.instance import InstanceBatch
 from repro.core.sampling import SAMPLING_BACKENDS
 from repro.errors import ScenarioError
 from repro.models import (
@@ -21,7 +24,10 @@ from repro.models import (
     build_maintenance_scenario,
     build_risk_vs_cost,
 )
+from repro.models.capacity import CapacityModel
+from repro.models.demand import DemandModel
 from repro.sqldb.pdbext import BATCH_FORM_SUFFIX
+from repro.vg.seeds import world_seed
 
 SCENARIOS = {
     "risk_vs_cost": (build_risk_vs_cost, {"purchase1": 8, "purchase2": 24, "feature": 12}),
@@ -131,6 +137,85 @@ class TestCounters:
         assert engine.sampling.last_backend == "loop"
 
 
+class TestReadBack:
+    def test_rows_out_of_batch_order_are_rejected(self):
+        """The read-back checks the landed ``world``/``t`` columns against
+        the batch instead of sorting them: rows landed in another order than
+        the batch's raise, they are never silently re-labelled."""
+        builder, point = SCENARIOS["risk_vs_cost"]
+        engine = _engine(builder, "batched", n_worlds=4)
+        alias = engine.scenario.vg_outputs[0].alias
+        assert engine.sample_fresh(alias, point, [3, 0, 2]).shape[0] == 3
+        landed = engine.querygen.batch_variables
+        engine.querygen.batch_variables = lambda worlds, seeds, values: landed(
+            worlds[::-1], seeds[::-1], values
+        )
+        with pytest.raises(ScenarioError, match="not in batch order"):
+            engine.sample_fresh(alias, point, [3, 0, 2])
+
+
+class TestSeedEventStore:
+    def test_no_world_is_drawn_twice_past_4096_worlds(self, monkeypatch):
+        """Two fresh points over 5000 worlds draw each world's seed events
+        once per model. (The per-seed memo this store replaced was cleared
+        at 4096 seeds, so it redrew every history on every point.)"""
+        drawn = {"capacity": Counter(), "demand": Counter()}
+        for model, model_class, method in (
+            ("capacity", CapacityModel, "_cumulative_events"),
+            ("demand", DemandModel, "_noise"),
+        ):
+            draw = getattr(model_class, method)
+
+            def counted(self, seed, draw=draw, counts=drawn[model]):
+                counts[seed] += 1
+                return draw(self, seed)
+
+            monkeypatch.setattr(model_class, method, counted)
+        builder, point = SCENARIOS["risk_vs_cost"]
+        engine = _engine(builder, "batched", n_worlds=5000)
+        # Two points that share no model arguments: both sample afresh.
+        for values in (point, {"purchase1": 12, "purchase2": 28, "feature": 36}):
+            engine.evaluate_point(values, reuse=False)
+        assert engine.storage.exact_hits == engine.storage.mapped_hits == 0
+        base_seed = engine.config.sampling.base_seed
+        seeds = [world_seed(base_seed, world) for world in range(5000)]
+        # Storing a basis fingerprints its arguments on the probe seeds.
+        probes = engine.config.reuse.fingerprint_spec().seeds
+        for counts in drawn.values():
+            assert set(counts) == set(seeds) | set(probes)
+            # World 0 is also the parity guard's scalar probe, re-drawn on
+            # purpose; every other world was drawn exactly once.
+            assert all(counts[seed] == 1 for seed in seeds[1:])
+
+    def test_the_bound_is_the_world_universe(self):
+        builder, point = SCENARIOS["risk_vs_cost"]
+        scenario, library = builder()
+        config = EngineConfig(
+            sampling=SamplingConfig(n_worlds=30), reuse=ReuseConfig(fingerprint_seeds=5)
+        )
+        engine = ProphetEngine(scenario, library, config)
+        assert {function.events.bound for function in library} == {35}
+        engine.evaluate_point(point)
+        seeds = {world_seed(config.sampling.base_seed, world) for world in range(30)}
+        sampled = [library.get(output.vg_name) for output in scenario.vg_outputs]
+        for function in sampled:
+            assert seeds <= set(function.events) and len(function.events) <= 35
+        # Worlds outside the universe are served exactly; their batch
+        # empties the store first, and the universe refills it.
+        reference = _engine(builder, "batched", n_worlds=90)
+        outside = engine.evaluate_point(point, worlds=range(40, 90), reuse=False)
+        expected = reference.evaluate_point(point, worlds=range(40, 90), reuse=False)
+        for alias, matrix in expected.samples.items():
+            assert outside.samples[alias].tobytes() == matrix.tobytes()
+        outside_seeds = {world_seed(config.sampling.base_seed, world) for world in range(40, 90)}
+        assert all(set(function.events) == outside_seeds for function in sampled)
+        engine.evaluate_point({"purchase1": 12, "purchase2": 28, "feature": 36})
+        for function in sampled:
+            assert seeds <= set(function.events) and len(function.events) <= 35
+        engine.reset_counters()
+        assert all(len(function.events) == 0 for function in library)
+
+
 class TestEmptyWorldSlices:
     """Both evaluation entry points reject an empty world slice identically."""
 
@@ -148,8 +233,6 @@ class TestEmptyWorldSlices:
             engine.sample_fresh(alias, point, [])
 
     def test_plane_raises(self):
-        from repro.core.instance import InstanceBatch
-
         builder, point = SCENARIOS["risk_vs_cost"]
         engine = _engine(builder, "batched")
         output = engine.scenario.vg_outputs[0]
@@ -168,11 +251,13 @@ class TestQuerygenBatchTemplate:
         template = engine.querygen.insert_batch_template(output)
         assert "@_worlds" in template and "@_seeds" in template
         assert template == engine.querygen.insert_batch_template(output)
+        batch = InstanceBatch.at_point({"feature": 12}, (1, 2), 42)
         variables = engine.querygen.batch_variables(
-            (1, 2), (10, 20), {"feature": 12}
+            batch.worlds, batch.seeds, batch.point_dict
         )
-        assert variables["_worlds"] == (1, 2)
-        assert variables["_seeds"] == (10, 20)
+        # The batch's arrays are bound as they are, not copied into tuples.
+        assert variables["_worlds"] is batch.worlds
+        assert variables["_seeds"] is batch.seeds
         assert variables["feature"] == 12
 
     def test_plane_uses_one_statement_per_slice(self):
@@ -184,4 +269,4 @@ class TestQuerygenBatchTemplate:
         small = engine.executor.stats.statements
         engine.sample_fresh(alias, point, list(range(4, 20)))
         large = engine.executor.stats.statements - small
-        assert large == small  # drop + create + batch insert + readback
+        assert large == small  # drop + create + batch insert

@@ -2,9 +2,9 @@
 
 ``ProcessExecutor`` is N single-worker lanes; ``submit(..., lane=i)``
 always runs in worker ``i mod workers``. What that buys is that a worker
-only ever meets its own world slice — its per-seed memos are drawn once and
-never hold a neighbour's worlds — and what it must not cost is the bounded
-``recycle``/``shutdown`` contract.
+only ever meets its own world slice — its seed-event stores are drawn once
+and never hold a neighbour's worlds — and what it must not cost is the
+bounded ``recycle``/``shutdown`` contract.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from repro.vg.seeds import world_seed
 from serve_testutil import assert_stats_identical
 
 
-def _seed_memos() -> dict[str, list[int]]:
-    """Probe (runs in a worker): the seeds each model's event memo holds,
+def _seed_stores() -> dict[str, list[int]]:
+    """Probe (runs in a worker): the seeds each model's event store holds,
     over every engine this process has built for shard tasks."""
     held: dict[str, set[int]] = {}
     for engine in worker_module._WORKER_ENGINES.values():
         for function in engine.library:
-            held.setdefault(function.name, set()).update(function._event_memo)
+            held.setdefault(function.name, set()).update(function.events)
     return {name: sorted(seeds) for name, seeds in held.items()}
 
 
@@ -159,11 +159,13 @@ class TestLaneLifecycle:
 
 
 class TestWorkersKeepToTheirSlice:
-    def test_seed_memos_hold_exactly_the_workers_own_slice(self, serve_spec, sequential_engine):
+    def test_seed_stores_hold_exactly_the_workers_own_slice(self, serve_spec, sequential_engine):
         """After a fresh (``reuse=False``) 6-point sweep over 2 shards, worker
         *i* has drawn seed events for the worlds of slice *i* and for no
         others — under one shared call queue either worker ended up holding
-        both halves."""
+        both halves. (Pinned on the per-seed memo before; the columnar event
+        store must keep the same property, though its bound is the whole
+        world universe.)"""
         points = [dict(p) for p in sequential_engine.scenario.sweep_space.grid()][::3][:6]
         executor = ProcessExecutor(2)
         try:
@@ -179,13 +181,15 @@ class TestWorkersKeepToTheirSlice:
                     job.result.statistics,
                     sequential_engine.evaluate_point(point, reuse=False).statistics,
                 )
-            memos = [executor.submit(_seed_memos, lane=lane).result(timeout=30) for lane in (0, 1)]
+            stores = [
+                executor.submit(_seed_stores, lane=lane).result(timeout=30) for lane in (0, 1)
+            ]
         finally:
             executor.shutdown()
         config = serve_spec.config.sampling
         slices = plan_shards(range(config.n_worlds), 2)
         sampled = {output.vg_name for output in sequential_engine.scenario.vg_outputs}
-        for held, shard in zip(memos, slices):
+        for held, shard in zip(stores, slices):
             own = sorted(world_seed(config.base_seed, world) for world in shard.worlds)
             assert {name: held[name] for name in sampled} == dict.fromkeys(sampled, own)
             # Models the scenario never samples drew nothing at all.

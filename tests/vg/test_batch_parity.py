@@ -119,6 +119,16 @@ VG_CASES = {
 }
 
 
+def _count_draws(function) -> list:
+    """The seeds ``function``'s event store draws from now on, in order."""
+    drawn = []
+    gather = function.events.gather
+    function.events.gather = lambda seeds, draw: gather(
+        seeds, lambda seed: drawn.append(seed) or draw(seed)
+    )
+    return drawn
+
+
 def _loop_reference(function, seeds, args) -> np.ndarray:
     matrix = np.empty((len(seeds), function.n_components), dtype=float)
     for row, seed in enumerate(seeds):
@@ -168,20 +178,27 @@ def test_demo_library_batch_parity():
         assert function.parity_fallbacks == 0
 
 
+class BrokenBatch(GaussianSeries):
+    """A vectorized batch that is off by one everywhere."""
+
+    def generate_batch(self, seeds, args):
+        return super().generate_batch(seeds, args) + 1.0
+
+
 def test_parity_guard_catches_broken_vectorization():
-    """A vectorized batch that disagrees with the scalar path is rejected."""
-
-    class BrokenBatch(GaussianSeries):
-        def generate_batch(self, seeds, args):
-            matrix = super(GaussianSeries, self).generate_batch(seeds, args) + 1.0
-            return self.guarded_batch(seeds, args, matrix)
-
+    """A vectorized batch that disagrees with the scalar path is rejected by
+    ``invoke_batch``, the batched plane's one guard site."""
     function = BrokenBatch("broken", 5, base=0.0, sigma=1.0)
     seeds = (11, 22, 33)
-    batch = function.generate_batch(seeds, ())
+    assert function.generate_batch(seeds, ()).tobytes() != (
+        _loop_reference(function, seeds, ()).tobytes()
+    )
+    assert function.parity_fallbacks == 0  # generate_batch itself is unguarded
+    batch = function.invoke_batch(seeds, ())
     # The guard fell back to the per-seed loop: output is still bit-correct.
     assert batch.tobytes() == _loop_reference(function, seeds, ()).tobytes()
     assert function.parity_fallbacks == 1
+    assert function.invocations == len(seeds)
 
 
 def test_stepped_subclass_overrides_disable_vectorized_walk():
@@ -235,17 +252,12 @@ def test_generate_override_disables_vectorized_composites():
 def test_library_counts_parity_fallbacks():
     from repro.vg import VGLibrary
 
-    class BrokenBatch(GaussianSeries):
-        def generate_batch(self, seeds, args):
-            matrix = super(GaussianSeries, self).generate_batch(seeds, args) + 1.0
-            return self.guarded_batch(seeds, args, matrix)
-
     library = VGLibrary()
     library.register(BrokenBatch("broken", 4, base=0.0, sigma=1.0))
     library.register(GaussianSeries("fine", 4, base=0.0, sigma=1.0))
     assert library.total_parity_fallbacks() == 0
     for function in library:
-        function.generate_batch((1, 2), ())
+        function.invoke_batch((1, 2), ())
     assert library.total_parity_fallbacks() == 1
     library.reset_counters()
     assert library.total_parity_fallbacks() == 0
@@ -314,6 +326,7 @@ def test_batch_partial_models_take_the_vectorized_path(model):
     """The demo models answer a batch with one call, not a per-seed loop."""
     factory, args = VG_CASES[model]
     function = factory(53)
+    function.events.reserve(64)
     calls = []
     scalar = function.generate_partial
     function.generate_partial = lambda *a: calls.append(a) or scalar(*a)
@@ -327,11 +340,12 @@ def test_batch_partial_models_take_the_vectorized_path(model):
         [looped.invoke_components(seed, args, (3, 17, 18, 52)) for seed in seeds]
     )
     assert batch.tobytes() == reference.tobytes()
-    # A second parameterization re-uses the seed-only events.
-    events = dict(function._event_memo)
+    # A second parameterization re-uses the seed-only events: no draw.
+    assert sorted(function.events) == list(seeds)
+    draws = _count_draws(function)
     other = (36, 0.8) if model == "demand_float_growth" else (24, 40)
     function.invoke_components_batch(seeds, other, (3, 17))
-    assert all(function._event_memo[seed] is events[seed] for seed in seeds)
+    assert draws == []
 
 
 def test_wrong_partial_batch_override_degrades_to_the_loop():
@@ -383,6 +397,7 @@ def test_scalar_override_disables_vectorized_partial_batch():
         (SpikedDemand("sd", n_weeks=9), (4,)),
         (LateCapacity("lc", n_weeks=9), (1, 3)),
     ):
+        function.events.reserve(8)
         seeds = (1, 2, 3, 4)  # the first seed does NOT trigger the override
         batch = function.invoke_components_batch(seeds, args, (0, 4, 5, 8))
         reference = np.stack(
@@ -390,30 +405,43 @@ def test_scalar_override_disables_vectorized_partial_batch():
         )
         assert batch.tobytes() == reference.tobytes()
         assert function.parity_fallbacks == 0  # structural check, not the guard
-        assert not function._event_memo
+        assert len(function.events) == 0
 
 
-def test_event_memo_is_cleared_by_reset_counters_and_bounded():
+def test_event_store_is_emptied_by_reset_counters_and_follows_its_bound():
+    """Pins what the old memo's clear/limit test pinned — ``reset_counters``
+    empties the events, and a bound caps what is held — against the store,
+    whose bound is what engines reserve rather than a fixed 4096."""
     function = CapacityModel("cm", n_weeks=5)
+    assert function.events.bound == 0  # no engine opened it: each batch redraws
     function.invoke_components_batch((1, 2, 3), (0, 2), (1, 2))
-    assert sorted(function._event_memo) == [1, 2, 3]
+    draws = _count_draws(function)
+    function.invoke_components_batch((3, 4), (0, 2), (1, 2))
+    assert list(function.events) == [3, 4] and draws == [3, 4]
     function.reset_counters()
-    assert function._event_memo == {}
+    function.events.reserve(4)
+    function.events.reserve(2)  # a smaller universe never shrinks the bound
+    assert function.events.bound == 4
+    function.invoke_components_batch((1, 2, 3), (0, 2), (1, 2))
+    assert list(function.events) == [1, 2, 3]
+    function.reset_counters()
+    assert len(function.events) == 0 and function.events.bound == 4
     assert (function.invocations, function.component_samples) == (0, 0)
 
-    # Cleared when full.
-    function._memo_limit = 4
+    # A batch that would pass the bound empties the store first.
     function.invoke_components_batch((1, 2, 3, 4), (0, 2), (1,))
-    assert len(function._event_memo) == 4
-    function.invoke_components_batch((5, 6), (0, 2), (1,))
-    assert sorted(function._event_memo) == [5, 6]
+    draws = _count_draws(function)
+    function.invoke_components_batch((4, 2, 1), (0, 2), (1,))
+    assert draws == []
+    function.invoke_components_batch((5, 6, 1), (0, 2), (1,))
+    assert list(function.events) == [5, 6, 1] and draws == [5, 6, 1]
     looped = CapacityModel("cm", n_weeks=5)
-    batch = function.invoke_components_batch((6, 1, 5, 7, 8, 9), (0, 2), (0, 4))
-    reference = np.stack(
-        [looped.invoke_components(seed, (0, 2), (0, 4)) for seed in (6, 1, 5, 7, 8, 9)]
-    )
+    seeds = (6, 1, 5, 7, 8, 9)
+    batch = function.invoke_components_batch(seeds, (0, 2), (0, 4))
+    reference = np.stack([looped.invoke_components(seed, (0, 2), (0, 4)) for seed in seeds])
     assert batch.tobytes() == reference.tobytes()
-    assert len(function._event_memo) <= 4
+    assert list(function.events) == list(seeds)
+    assert draws == [5, 6, 1] + list(seeds)
 
 
 # -- full generation through the seed-event batch kernel -----------------------
@@ -440,18 +468,20 @@ PAPER_MODEL_CASES = {
 def test_paper_models_generate_full_batches_through_the_kernel(case):
     factory, arg_sets = PAPER_MODEL_CASES[case]
     batched, looped = factory(), factory()
+    seeds = tuple(range(500, 540)) + (2**62 + 17,)
+    batched.events.reserve(len(seeds))
     scalar_calls = []
     scalar = batched.generate
     batched.generate = lambda seed, args: scalar_calls.append(seed) or scalar(seed, args)
-    seeds = tuple(range(500, 540)) + (2**62 + 17,)
-    for round_, args in enumerate(arg_sets + arg_sets[:1]):  # last round: warm memo
+    draws = _count_draws(batched)
+    for args in arg_sets + arg_sets[:1]:  # the last round repeats the first
         scalar_calls.clear()
-        events = dict(batched._event_memo)
-        batch = batched.generate_batch(seeds, args)
+        batch = batched.invoke_batch(seeds, args)
         assert batch.tobytes() == _loop_reference(looped, seeds, args).tobytes(), args
         assert scalar_calls == [seeds[0]]  # the parity probe, nothing else
-        if round_:  # one draw per seed, shared by every parameterization
-            assert all(batched._event_memo[seed] is events[seed] for seed in seeds)
+        assert batched.generate_batch(seeds, args).tobytes() == batch.tobytes()
+    # One draw per seed, shared by every parameterization.
+    assert draws == list(seeds)
     assert batched.parity_fallbacks == 0
 
     # Counters move exactly as the per-seed invoke loop moves them: one
@@ -536,11 +566,12 @@ def test_generate_override_keeps_paper_models_on_the_loop():
             return vector + 100.0 if seed % 2 == 0 else vector
 
     for function, args in ((SpikedDemand("sd"), (12,)), (SpikedCapacity("sc"), (8, 24))):
+        function.events.reserve(8)
         seeds = (1, 2, 3, 4)  # the first seed does NOT trigger the override
-        batch = function.generate_batch(seeds, args)
+        batch = function.invoke_batch(seeds, args)
         assert batch.tobytes() == _loop_reference(function, seeds, args).tobytes()
         assert function.parity_fallbacks == 0  # structural check, not the guard
-        assert not function._event_memo
+        assert len(function.events) == 0
 
 
 def test_wrong_kernel_degrades_full_generation_to_the_loop_once():
@@ -553,7 +584,7 @@ def test_wrong_kernel_degrades_full_generation_to_the_loop_once():
             return super().generate_partial_batch(seeds, args, components)[:-1]
 
     for function, args in ((BrokenKernel("bk"), (12,)), (ShortKernel("sk"), (8, 24))):
-        batch = function.generate_batch((11, 22, 33), args)
+        batch = function.invoke_batch((11, 22, 33), args)
         assert batch.tobytes() == _loop_reference(function, (11, 22, 33), args).tobytes()
         assert function.parity_fallbacks == 1  # and the fallback did not recurse
 
@@ -573,27 +604,41 @@ def test_library_batch_overrides_win_over_the_default_kernel():
     assert WithKernel.kernel_calls == 0  # GaussianSeries.generate_batch answered
 
 
-def test_memoised_seed_events_are_read_only():
+def test_gathered_seed_events_cannot_corrupt_the_store():
+    """Pins what the read-only memo test pinned — a model that writes into
+    its events cannot change a later point — against the store: a gather is
+    a fresh copy, so writing into it leaves the stored rows alone."""
     for function, args in ((CapacityModel("cm"), (8, 24)), (DemandModel("dm"), (12,))):
         seeds = (7, 8, 9)
-        first = function.generate_batch(seeds, args)
-        for events in function._event_memo.values():
-            assert isinstance(events, tuple) and len(events) == 2
-            for array in events:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0.0
-        again = function.generate_batch(seeds, args)
+        function.events.reserve(len(seeds))
+        first = function.invoke_batch(seeds, args)
+        capacity = isinstance(function, CapacityModel)
+        draw = function._cumulative_events if capacity else function._noise
+        gathered = function.events.gather(seeds, draw)
+        assert len(gathered) == 2
+        for array in gathered:
+            assert array.flags.writeable and array.shape[0] == len(seeds)
+            array[...] = 0
+        again = function.invoke_batch(seeds, args)
         assert again.tobytes() == first.tobytes()
         assert first.tobytes() == _loop_reference(function, seeds, args).tobytes()
         assert first.flags.writeable  # results are the caller's own
 
 
-def test_batch_past_the_event_memo_bound_is_still_bit_identical():
+def test_a_batch_past_the_store_bound_is_still_bit_identical():
+    """Pins what the past-the-4096-bound test pinned — a batch larger than
+    the bound stays exact — with the bound an engine would reserve: the
+    store empties, holds that batch, and serves its seeds again."""
     function = CapacityModel("cm", n_weeks=6)
-    assert function._memo_limit == 4096  # the bound the docstring states
-    seeds = tuple(range(5000))
-    batch = function.generate_batch(seeds, (1, 3))
+    function.events.reserve(300)
+    function.invoke_batch(tuple(range(1000, 1200)), (1, 3))
+    seeds = tuple(range(500))
+    batch = function.invoke_batch(seeds, (1, 3))
     assert batch.tobytes() == _loop_reference(function, seeds, (1, 3)).tobytes()
     assert function.parity_fallbacks == 0
-    assert len(function._event_memo) == 5000 - 4096  # cleared once, when full
+    assert list(function.events) == list(seeds)
+    draws = _count_draws(function)
+    shuffled = seeds[::-7] + seeds[:3]
+    batch = function.invoke_batch(shuffled, (2, 0))
+    assert batch.tobytes() == _loop_reference(function, shuffled, (2, 0)).tobytes()
+    assert draws == []
