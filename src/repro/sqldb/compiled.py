@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -87,21 +88,35 @@ _MAX_INT_MUL = 2**31
 #: bits more than its sorted coding.
 _KEY_RANGE_PER_ROW = 4
 
-#: Variance-family aggregates share one lockstep pass (see
-#: :func:`aggregate_moments`) when ``columns * rows >= this * longest
-#: group``, i.e. when a step has about this many lanes to advance. A step
-#: is six ufunc calls whatever the lane count (3-4 us measured at 5 and at
-#: 159 lanes); one value through the scalar ``_welford`` loop is 0.15 us
-#: plus its share of ``tolist``. Swept from 6 to 159 lanes at 64, 400 and
-#: 2000 rows per group, the two cross between 21 and 33 lanes (lockstep
-#: 0.8x at 21, 1.1-1.3x at 33, 4x at 159). Below it — the week memo leaving
-#: a handful of groups — the loop wins: without this rule the 400-world
-#: walk's refresh p50 rose from 3.8 to 6.3 ms.
-_LOCKSTEP_MIN_LANES = 32
+#: Variance-family aggregates share one blocked pass (:func:`_fold_lanes`)
+#: when ``columns * rows >= this * longest group``, i.e. when a step has
+#: about this many lanes to advance. A step is three ufunc calls whatever
+#: the lane count, plus its share of the block's two ``cumsum`` (~4 ns a
+#: lane); one value through the scalar ``_welford`` loop is ~0.1 us plus its
+#: share of ``tolist``. Swept on ``AVG(x), STDEV(x)`` pairs (the aggregate
+#: query's shape) from 6 to 159 lanes, 2-core host, the kernel's speed-up
+#: over the loop:
+#:
+#:     rows per group   18 lanes  21     24     30     39     159
+#:     64               0.84x     1.01x  1.03x  1.16x  1.39x  3.2x
+#:     400              0.82x     0.91x  1.07x  1.27x  1.53x  3.1x
+#:     2000             0.79x     0.92x  1.14x  1.20x  1.55x  3.4x
+#:
+#: (variance aggregates alone, with no AVG to share the pass, cross at 21-24
+#: lanes at 400 and 2000 rows, ~36 at 64). Below it — the week memo leaving
+#: a handful of groups — the loop wins: when this rule came in, the
+#: 400-world walk's refresh p50 had risen from 3.8 to 6.3 ms without it.
+_LOCKSTEP_MIN_LANES = 24
 
-#: Lockstep pads every group to the longest; past this multiple of the
-#: real rows the padding costs more than the loop it replaces.
+#: The blocked pass pads every group to the longest; past this multiple
+#: of the real rows the padding costs more than the loop it replaces.
 _LOCKSTEP_MAX_PADDING = 2
+
+#: Steps :func:`_fold_lanes` advances the means over before it folds ``m2``
+#: and the sums of all of them at once; its buffers are O(this x lanes).
+#: On the 53-week, 3-column aggregate at 400, 2000 and 8000 rows per group
+#: (2-core host), 64 to 256 tie within noise; 32 and 512 cost 5-15% more.
+_LANE_BLOCK = 128
 
 #: ``group_layout`` counts instead of sorting when the composite key codes
 #: fit in this many values: the per-code tables stay a few hundred KB and a
@@ -111,7 +126,7 @@ _LOCKSTEP_MAX_PADDING = 2
 _COUNTING_MAX_CODES = 2**16
 
 MOMENT_AGGREGATES = ("var", "varp", "stdev", "stdevp")
-SUM_AGGREGATES = ("sum", "avg")
+LANE_AGGREGATES = MOMENT_AGGREGATES + ("sum", "avg")
 
 
 def _int_bounded(value: Any, limit: int) -> bool:
@@ -1010,28 +1025,6 @@ class GroupLayout:
     ends: np.ndarray
     rep_rows: np.ndarray  # first row index of each group
     stride: Optional[int] = None
-    _lanes: Optional["_Lanes"] = field(default=None, repr=False, compare=False)
-
-    def lanes(
-        self, columns: Sequence[np.ndarray], build: bool = True
-    ) -> Optional["_Lanes"]:
-        """The step-major layout of ``columns`` under this partition.
-
-        Kept for the next caller with the same column arrays — a statement's
-        STDEVs and AVGs usually read the same columns. With ``build`` off,
-        only a layout that is already there is returned.
-        """
-        held = self._lanes
-        if (
-            held is not None
-            and len(held.columns) == len(columns)
-            and all(a is b for a, b in zip(held.columns, columns))
-        ):
-            return held
-        if build:
-            self._lanes = _Lanes(columns, self)
-            return self._lanes
-        return None
 
 
 def group_layout(key_arrays: Sequence[np.ndarray], n_rows: int) -> GroupLayout:
@@ -1143,9 +1136,9 @@ def aggregate_segments(
     Running float sums use ``np.cumsum`` (the same left-to-right addition
     order as the accumulator), variance family uses the accumulator's own
     Welford recurrence in a tight loop — here one group at a time; the
-    executor asks :func:`aggregate_moments` instead, which answers all of a
-    statement's variance aggregates together and comes back here when the
-    input is too small for that to pay.
+    executor asks :func:`aggregate_lanes` instead, which answers all of a
+    statement's variance, SUM and AVG aggregates together and comes back
+    here when the input is too small for that to pay.
     """
     name = spec.name
     results: list[Any] = []
@@ -1210,11 +1203,11 @@ def _welford(values: list[Any], name: str) -> Any:
     count = 0
     mean = 0.0
     m2 = 0.0
-    for value in values:
+    for value in values:  # Python floats or ints: ``int - float`` rounds like float()
         count += 1
-        delta = float(value) - mean
+        delta = value - mean
         mean += delta / count
-        m2 += delta * (float(value) - mean)
+        m2 += delta * (value - mean)
     return _moments_result(name, count, m2)
 
 
@@ -1231,162 +1224,169 @@ def _moments_result(name: str, count: int, m2: float) -> Any:
     return math.sqrt(variance) if name in ("stdev", "stdevp") else variance
 
 
-def aggregate_moments(
+def aggregate_lanes(
     specs: Sequence[AggregateSpec], columns: Sequence[np.ndarray], layout: GroupLayout
 ) -> list[list[Any]]:
-    """Per-group results of all variance-family aggregates of one statement.
-
-    ``columns[i]`` is the full (filtered) argument column of ``specs[i]``;
-    the answer is ``[aggregate_segments(spec, column, layout) ...]`` bit for
-    bit. When the statement offers enough lanes (``_LOCKSTEP_MIN_LANES``)
-    and its groups are even enough (``_LOCKSTEP_MAX_PADDING``) the columns
-    are advanced together by :func:`_lockstep_moments`; otherwise each
-    takes the scalar loop.
+    """Per-group results of all variance-family, SUM and AVG aggregates of
+    one statement: ``[aggregate_segments(spec, column, layout) ...]`` bit
+    for bit, ``columns[i]`` being the full (filtered) argument of
+    ``specs[i]``. When the variances offer enough lanes
+    (``_LOCKSTEP_MIN_LANES``) over even enough groups
+    (``_LOCKSTEP_MAX_PADDING``), their columns are folded in one
+    :func:`_fold_lanes` pass, and each AVG and float SUM of one of those
+    same arrays (``AVG(x), STDEV(x)`` pairs) is read off it. The rest takes
+    :func:`aggregate_segments`.
     """
-    if any(values.dtype.kind == "b" for values in columns):
+    moments = [values for spec, values in zip(specs, columns) if spec.name in MOMENT_AGGREGATES]
+    if any(values.dtype.kind == "b" for values in moments):
         raise VectorFallback  # the accumulators reject booleans per row
     counts = layout.ends - layout.starts
-    longest = int(counts.max()) if len(counts) else 0
-    n_rows = int(counts.sum())
-    if (
-        len(columns) * n_rows < _LOCKSTEP_MIN_LANES * longest
-        or longest * len(counts) > _LOCKSTEP_MAX_PADDING * n_rows
+    longest, n_rows = (int(counts.max()), int(counts.sum())) if len(counts) else (0, 0)
+    folded: list[np.ndarray] = []
+    if n_rows and (
+        len(moments) * n_rows >= _LOCKSTEP_MIN_LANES * longest
+        and longest * len(counts) <= _LOCKSTEP_MAX_PADDING * n_rows
     ):
-        return [
-            aggregate_segments(spec, values, layout)
-            for spec, values in zip(specs, columns)
-        ]
-    m2 = _lockstep_moments(columns, layout).tolist()
-    sizes = counts.tolist()
-    return [
-        [_moments_result(spec.name, count, value) for count, value in zip(sizes, lane)]
-        for spec, lane in zip(specs, m2)
+        folded = [a for i, a in enumerate(moments) if all(a is not b for b in moments[:i])]
+    # Each aggregate's lane: its column's place in the pass, if folded; an
+    # integer SUM never takes one (it is exact Python arithmetic).
+    lanes = [
+        next((i for i, seen in enumerate(folded) if seen is values), None)
+        if spec.name != "sum" or values.dtype.kind == "f"
+        else None
+        for spec, values in zip(specs, columns)
     ]
+    with_sums = any(
+        lane is not None and spec.name not in MOMENT_AGGREGATES
+        for spec, lane in zip(specs, lanes)
+    )
+    m2, totals = _fold_lanes(folded, layout, with_sums) if folded else ([], [])
+    sizes = counts.tolist()
+    answers = []
+    for spec, values, lane in zip(specs, columns, lanes):
+        if lane is None:
+            answers.append(aggregate_segments(spec, values, layout))
+        elif spec.name in MOMENT_AGGREGATES:
+            answers.append([_moments_result(spec.name, n, v) for n, v in zip(sizes, m2[lane])])
+        elif spec.name == "avg":  # starts from 0.0: a total of -0.0 becomes 0.0
+            answers.append([(t + 0.0) / n if n else None for n, t in zip(sizes, totals[lane])])
+        else:
+            answers.append([t if n else None for n, t in zip(sizes, totals[lane])])
+    return answers
 
 
-class _Lanes:
-    """A statement's (column, group) lanes laid out one row position per step.
+def _fold_lanes(
+    columns: Sequence[np.ndarray], layout: GroupLayout, with_sums: bool
+) -> tuple[list[list[float]], list[list[float]]]:
+    """``m2`` and (``with_sums``) the running total of every (column, group)
+    lane, each as ``[column][group]`` in the layout's group order.
 
-    ``steps`` is the zero-padded ``(longest group, n_groups * n_columns)``
-    array of the columns' values in grouped order: row ``k`` holds every
-    lane's ``k``-th value, group-major, the groups by descending length so
-    the lanes still running at a step are a contiguous prefix of its row.
-    ``counts`` are the group sizes in that slot order.
-
-    On a strided layout (groups of one size, group ``g`` at rows ``g +
-    k * stride``) the table's own row order already is that order, so each
-    column is copied into its place as it stands: no gather, no padding.
-    """
-
-    __slots__ = ("columns", "steps", "counts", "slot_of_group")
-
-    def __init__(self, columns: Sequence[np.ndarray], layout: GroupLayout) -> None:
-        counts = layout.ends - layout.starts
-        n_groups, n_rows = len(counts), len(layout.sorted_rows)
-        longest = int(counts.max()) if n_groups else 0
-        by_length = np.argsort(-counts, kind="stable")
-        slot_of_group = np.empty(n_groups, dtype=np.int64)
-        slot_of_group[by_length] = np.arange(n_groups)
-        source = None
-        if layout.stride is None:
-            # Row i of the grouped order sits at step (i - start of its group);
-            # ``source`` is, per (step, slot), the table row to read — or one
-            # past the end, where a zero is appended, for padding.
-            group_of_row = np.repeat(np.arange(n_groups), counts)
-            step_of_row = np.arange(n_rows) - layout.starts[group_of_row]
-            source = np.full(longest * n_groups, n_rows, dtype=np.int64)
-            source[step_of_row * n_groups + slot_of_group[group_of_row]] = layout.sorted_rows
-        steps = np.empty((longest * n_groups, len(columns)), dtype=np.float64)
-        for index, values in enumerate(columns):
-            steps[:, index] = values if source is None else np.append(values, 0)[source]
-        self.columns = tuple(columns)
-        self.steps = steps.reshape(longest, n_groups * len(columns))
-        self.counts = counts[by_length]
-        self.slot_of_group = slot_of_group
-
-    def at_last_step(self, running: np.ndarray) -> np.ndarray:
-        """Each lane's value of a per-step running array at the lane's own
-        last step, as ``(n_columns, n_groups)`` in the layout's group order."""
-        n_columns = len(self.columns)
-        last = np.repeat(self.counts - 1, n_columns)
-        final = running[last, np.arange(len(last))]
-        return final.reshape(-1, n_columns)[self.slot_of_group].T
-
-
-def _lockstep_moments(columns: Sequence[np.ndarray], layout: GroupLayout) -> np.ndarray:
-    """``m2`` of every (column, group) lane, all lanes advanced per row position.
-
-    Each lane runs the _MomentsAggregate recurrence — ``delta = x - mean;
-    mean += delta / k; m2 += delta * (x - mean)``, the same six IEEE
-    operations in the same order — over its group's values in row order;
-    only the loop nest is turned inside out, so one step is six array
-    operations over all lanes (:class:`_Lanes`) instead of one interpreter
-    iteration per value. Returns ``(len(columns), n_groups)`` in the
-    layout's group order.
-    """
-    n_groups, n_columns = len(layout.starts), len(columns)
-    lanes = layout.lanes(columns)
-    longest = len(lanes.steps)
-    if not longest:
-        return np.zeros((n_columns, n_groups), dtype=np.float64)
-    mean = np.zeros(n_groups * n_columns, dtype=np.float64)
-    m2 = np.zeros_like(mean)
-    delta = np.empty_like(mean)
-    scratch = np.empty_like(mean)
-    # Groups still running at each step, and the steps where that changes.
-    running = np.searchsorted(-lanes.counts, -np.arange(longest), side="left")
-    edges = [0, *(np.flatnonzero(np.diff(running)) + 1).tolist(), longest]
-    for first, last in zip(edges, edges[1:]):
-        width = int(running[first]) * n_columns
-        lane_mean, lane_m2 = mean[:width], m2[:width]
-        lane_delta, lane_scratch = delta[:width], scratch[:width]
-        for step in range(first, last):
-            x = lanes.steps[step, :width]
-            np.subtract(x, lane_mean, out=lane_delta)
-            np.divide(lane_delta, step + 1, out=lane_scratch)
-            np.add(lane_mean, lane_scratch, out=lane_mean)
-            np.subtract(x, lane_mean, out=lane_scratch)
-            np.multiply(lane_delta, lane_scratch, out=lane_scratch)
-            np.add(lane_m2, lane_scratch, out=lane_m2)
-    return m2.reshape(n_groups, n_columns)[lanes.slot_of_group].T
-
-
-def aggregate_sums(
-    specs: Sequence[AggregateSpec], columns: Sequence[np.ndarray], layout: GroupLayout
-) -> list[list[Any]]:
-    """Per-group results of all SUM and AVG aggregates of one statement.
-
-    ``[aggregate_segments(spec, column, layout) ...]`` bit for bit. When
-    the statement's variance aggregates have already laid the same columns
-    out step-major (:meth:`GroupLayout.lanes` — ``AVG(x), STDEV(x)`` pairs
-    over non-empty groups), every running float sum is read off one
-    ``cumsum`` down the steps, each lane added left to right like the
-    accumulator and read at its own last step. Building that layout for
-    the sums alone costs more than the per-segment ``cumsum`` it saves
-    (3.4 against 2.0-2.8 ms on three columns of 106 k rows in 53 groups),
-    so anything else — other columns, an integer SUM (exact Python
-    arithmetic), an empty group — takes :func:`aggregate_segments`.
+    Each lane runs the _MomentsAggregate recurrence over its group's values
+    in row order — ``delta = x - mean; mean += delta / k; m2 += delta * (x -
+    mean)`` — and the SUM accumulator's ``total += x``; only the loop nest
+    is turned inside out. Lane ``slot * n_columns + column`` holds the
+    ``slot``-th longest group, so the lanes still running at a step are a
+    prefix. Steps go in blocks of ``_LANE_BLOCK``. Per step only the mean
+    advances: three array operations over the running prefix. Per block,
+    ``delta * (x - mean)`` is formed for every step at once and ``m2`` is
+    one ``cumsum`` down the block from a carry row: ``add.accumulate`` adds
+    in order, so that is the accumulator's ``m2 +=``, sum for sum. The
+    totals are a second ``cumsum``, of the values, from a carry of ``-0.0``
+    (``-0.0 + x`` is ``x``: the first sum is the first value). A lane is
+    read at its own last step, never past it.
     """
     counts = layout.ends - layout.starts
-    lanes = None
-    if all(
-        spec.name == "avg" or values.dtype.kind == "f"
-        for spec, values in zip(specs, columns)
-    ) and (len(counts) and int(counts.min()) > 0):
-        lanes = layout.lanes(columns, build=False)
-    if lanes is None:
-        return [
-            aggregate_segments(spec, values, layout)
-            for spec, values in zip(specs, columns)
-        ]
-    totals = lanes.at_last_step(np.cumsum(lanes.steps, axis=0)).tolist()
-    sizes = counts.tolist()
-    return [
-        [(total + 0.0) / size for total, size in zip(lane, sizes)]
-        if spec.name == "avg"
-        else lane
-        for spec, lane in zip(specs, totals)
-    ]
+    n_groups, n_columns = len(counts), len(columns)
+    width = n_groups * n_columns
+    longest = int(counts.max())
+    by_length = np.argsort(-counts, kind="stable")
+    slot_of_group = np.empty(n_groups, dtype=np.int64)
+    slot_of_group[by_length] = np.arange(n_groups)
+    lane_counts = np.repeat(counts[by_length], n_columns)
+    # Lanes running at step k (those longer than k), and where that changes.
+    running = np.searchsorted(-lane_counts, -np.arange(longest + 1), side="left").tolist()
+    changes = (np.flatnonzero(np.diff(running[:longest])) + 1).tolist()
+    source = None
+    if layout.stride is None:
+        # Per (step, slot), the table row to read. Past its group's end a slot
+        # reads row 0: that lane has finished, and its later steps go unread.
+        group_of_row = np.repeat(np.arange(n_groups), counts)
+        step_of_row = np.arange(len(layout.sorted_rows)) - layout.starts[group_of_row]
+        source = np.zeros(longest * n_groups, dtype=np.int64)
+        source[step_of_row * n_groups + slot_of_group[group_of_row]] = layout.sorted_rows
+        source = source.reshape(longest, n_groups)
+    block = min(_LANE_BLOCK, longest)
+    steps = np.empty((block, width))
+    by_slot = steps.reshape(block, n_groups, n_columns)
+    scratch = np.empty((block, width))
+    means, m2 = np.zeros((block + 1, width)), np.zeros((block + 1, width))
+    totals = np.full((block + 1, width), -0.0) if with_sums else None
+    carried = (means, m2, totals) if with_sums else (means, m2)
+    m2_out, totals_out = np.zeros(width), np.zeros(width)
+    divisors = np.arange(1, longest + 1, dtype=np.float64).tolist()
+    # Lanes finishing inside a block fold stale values past their end, unread.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, longest, block):
+            last = min(first + block, longest)
+            size, live = last - first, running[first]
+            _fill_block(by_slot, columns, source, first, last, live // n_columns)
+            inside = changes[bisect_right(changes, first) : bisect_left(changes, last)]
+            cuts = [first, *inside, last]
+            for start, end in zip(cuts, cuts[1:]):
+                x_rows, mean_rows = steps[:, : running[start]], means[:, : running[start]]
+                a, b = start - first, end - first
+                for x, mean, following, k in zip(
+                    x_rows[a:b], mean_rows[a:b], mean_rows[a + 1 : b + 1], divisors[start:end]
+                ):
+                    np.subtract(x, mean, following)
+                    np.divide(following, k, following)
+                    np.add(mean, following, following)
+            x = steps[:size, :live]
+            terms, folded = m2[1 : size + 1, :live], m2[: size + 1, :live]
+            np.subtract(x, means[:size, :live], out=terms)
+            np.subtract(x, means[1 : size + 1, :live], out=scratch[:size, :live])
+            np.multiply(terms, scratch[:size, :live], out=terms)
+            np.cumsum(folded, axis=0, out=folded)
+            if with_sums:
+                totals[1 : size + 1, :live] = x
+                np.cumsum(totals[: size + 1, :live], axis=0, out=totals[: size + 1, :live])
+            # Lanes whose last step falls in this block, read at that step.
+            remaining = running[last]
+            if live > remaining:
+                ending = np.arange(remaining, live)
+                at = lane_counts[remaining:live] - first
+                m2_out[remaining:live] = m2[at, ending]
+                if with_sums:
+                    totals_out[remaining:live] = totals[at, ending]
+            for buffer in carried:
+                buffer[0, :remaining] = buffer[size, :remaining]
+
+    def by_group(lanes: np.ndarray) -> list[list[float]]:
+        return lanes.reshape(n_groups, n_columns)[slot_of_group].T.tolist()
+
+    return by_group(m2_out), by_group(totals_out)
+
+
+def _fill_block(
+    out: np.ndarray,
+    columns: Sequence[np.ndarray],
+    source: Optional[np.ndarray],
+    first: int,
+    last: int,
+    slots: int,
+) -> None:
+    """Steps ``first:last`` of the first ``slots`` slots into ``out``, a
+    ``(block, slot, column)`` buffer. On a strided layout (no ``source``)
+    the table's row order is already step-major, so a column's row range
+    reshapes into place; otherwise ``source`` says which row each (step,
+    slot) reads."""
+    size = last - first
+    for index, values in enumerate(columns):
+        if source is None:
+            rows = values[first * slots : last * slots]
+            out[:size, :, index] = rows.reshape(size, slots)
+        else:
+            out[:size, :slots, index] = values[source[first:last, :slots]]
 
 
 # -- output schema -----------------------------------------------------------

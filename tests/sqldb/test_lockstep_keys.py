@@ -1,20 +1,19 @@
 """Bitwise parity of the sort/loop-free kernels of the vectorized tier.
 
-* Lockstep moments (``compiled.aggregate_moments``): every variance-family
-  aggregate of a statement advanced together, one array step per row
-  position. The oracle is the row interpreter's own accumulator
-  (``make_aggregate``) fed row by row.
+* The blocked lane kernel (``compiled.aggregate_lanes``): every
+  variance-family aggregate of a statement folded together, the means one
+  array step per row position and ``m2`` one ``cumsum`` per block of steps,
+  with the AVG and float SUM of the same columns read off the same pass.
+  The oracle is the row interpreter's own accumulator (``make_aggregate``)
+  fed row by row, at block sizes that do and do not divide the steps.
 * Offset-coded integer keys (``compiled._offset_codes``): ``value - min``
   instead of an ``np.unique`` sort. The oracle is the sorted coding (the
   threshold patched so that no column qualifies) and the row interpreter.
-* Running sums off the lockstep layout (``compiled.aggregate_sums``): AVG
-  and float SUM read one ``cumsum`` down the steps when the statement's
-  variances already laid the columns out. The oracle is the accumulator.
 * Counted grouping (``compiled._counted_layout``) against the sorting one,
   and the order-aware join (sort-free match) against the general match.
 * Tiled key columns (``table.tiled_column``): the tiled join, the strided
-  group layout and its lanes against what the same keys give as plain
-  arrays — the counted layout and the scatter/gather lanes.
+  group layout and the kernel over it against what the same keys give as
+  plain arrays — the counted layout and the gathered blocks.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from repro.sqldb.compiled import (
     ColumnarRelation,
     GroupLayout,
     VectorFallback,
-    aggregate_moments,
-    aggregate_sums,
+    aggregate_lanes,
     equi_join,
     group_layout,
 )
@@ -84,9 +82,10 @@ def _accumulated(name, values, layout) -> list:
 
 
 def _lockstep_expected(n_columns, sizes) -> bool:
-    """The lane rule and the padding guard, restated from the issue."""
+    """The lane rule and the padding guard, restated: the kernel runs on a
+    non-empty input with about 24 lanes a step and at most 2x padding."""
     rows, longest = sum(sizes), max(sizes, default=0)
-    return n_columns * rows >= 32 * longest and longest * len(sizes) <= 2 * rows
+    return rows > 0 and n_columns * rows >= 24 * longest and longest * len(sizes) <= 2 * rows
 
 
 group_sizes = st.one_of(
@@ -122,21 +121,20 @@ def test_moments_match_the_accumulators_bit_for_bit(sizes, columns, seed):
         for spec, values in zip(specs, arrays)
     ]
 
-    with mock.patch.object(
-        compiled, "_lockstep_moments", wraps=compiled._lockstep_moments
-    ) as lockstep:
-        answered = aggregate_moments(specs, arrays, layout)
+    with mock.patch.object(compiled, "_fold_lanes", wraps=compiled._fold_lanes) as kernel:
+        answered = aggregate_lanes(specs, arrays, layout)
     assert [[_bits(v) for v in lane] for lane in answered] == expected
-    assert lockstep.call_count == int(_lockstep_expected(len(columns), sizes))
+    assert kernel.call_count == int(_lockstep_expected(len(columns), sizes))
 
     # The kernel itself, whatever the rule would have decided for this shape.
-    m2 = compiled._lockstep_moments(arrays, layout)
-    assert m2.shape == (len(arrays), len(sizes))
-    kernel = [
-        [_bits(compiled._moments_result(spec.name, count, value)) for count, value in zip(sizes, lane)]
-        for spec, lane in zip(specs, m2.tolist())
-    ]
-    assert kernel == expected
+    if n_rows:
+        m2, _ = compiled._fold_lanes(arrays, layout, with_sums=False)
+        assert len(m2) == len(arrays) and all(len(lane) == len(sizes) for lane in m2)
+        folded = [
+            [_bits(compiled._moments_result(spec.name, count, value)) for count, value in zip(sizes, lane)]
+            for spec, lane in zip(specs, m2)
+        ]
+        assert folded == expected
 
 
 SUM_SHAPES = {
@@ -151,8 +149,9 @@ SUM_SHAPES = {
 @pytest.mark.parametrize("values", ["float", "int", "nan", "negative-zero"])
 def test_sums_and_moments_off_one_layout_match_the_accumulators(shape, values):
     """AVG/SUM/VAR/STDEV of the same columns, bit for bit, on both sides of
-    the selection: with the step-major layout the variances left behind, and
-    on a fresh layout where the sums go segment by segment."""
+    the selection: read off the variances' pass when the lane rule takes
+    it, and segment by segment when it does not or when no variance
+    aggregate is there to share it with."""
     rng = np.random.default_rng(len(shape))
     sizes = SUM_SHAPES[shape]
     n_rows = sum(sizes)
@@ -174,23 +173,23 @@ def test_sums_and_moments_off_one_layout_match_the_accumulators(shape, values):
     shared = _layout(sizes, rng)
     with mock.patch.object(
         compiled, "aggregate_segments", wraps=compiled.aggregate_segments
-    ) as segments:
-        answered_moments = aggregate_moments(moments, arrays, shared)
-        laid_out = shared.lanes(arrays, build=False) is not None
-        segments.reset_mock()
-        answered_sums = aggregate_sums(sums, arrays, shared)
-    assert laid_out == _lockstep_expected(2, sizes)
-    # The layout is read exactly when it is there and no group is empty.
-    assert (segments.call_count == 0) == (laid_out and min(sizes) > 0)
-    assert [[_bits(v) for v in lane] for lane in answered_moments] == expected(moments, shared)
-    assert [[_bits(v) for v in lane] for lane in answered_sums] == expected(sums, shared)
+    ) as segments, mock.patch.object(
+        compiled, "_fold_lanes", wraps=compiled._fold_lanes
+    ) as kernel:
+        answered = aggregate_lanes(moments + sums, arrays + arrays, shared)
+    folded = _lockstep_expected(2, sizes)
+    assert kernel.call_count == int(folded)
+    # All four ride one pass, empty groups included, or none of them does.
+    assert segments.call_count == (0 if folded else len(moments) + len(sums))
+    assert [[_bits(v) for v in lane] for lane in answered[:2]] == expected(moments, shared)
+    assert [[_bits(v) for v in lane] for lane in answered[2:]] == expected(sums, shared)
 
     fresh = _layout(sizes, rng)
     with mock.patch.object(
         compiled, "aggregate_segments", wraps=compiled.aggregate_segments
     ) as segments:
-        alone = aggregate_sums(sums, arrays, fresh)
-    assert segments.call_count == len(sums)  # nothing laid out: not worth building
+        alone = aggregate_lanes(sums, arrays, fresh)
+    assert segments.call_count == len(sums)  # no variance pass to share
     assert [[_bits(v) for v in lane] for lane in alone] == expected(sums, fresh)
 
 
@@ -199,16 +198,78 @@ def test_sums_over_other_columns_than_the_variances_go_by_segment():
     sizes = [20] * 30
     layout = _layout(sizes, rng)
     a, b = _column("float", 600, rng), _column("float", 600, rng)
-    aggregate_moments([AggregateSpec("m", "stdev", False, False, None)] * 2, [a, a], layout)
-    assert layout.lanes([a, a], build=False) is not None
-    assert layout.lanes([a, b], build=False) is None
-    spec = AggregateSpec("s", "avg", False, False, None)
+    stdev = AggregateSpec("m", "stdev", False, False, None)
+    avg = AggregateSpec("s", "avg", False, False, None)
     with mock.patch.object(
         compiled, "aggregate_segments", wraps=compiled.aggregate_segments
+    ) as segments, mock.patch.object(
+        compiled, "_fold_lanes", wraps=compiled._fold_lanes
+    ) as kernel:
+        answered = aggregate_lanes([stdev, stdev, avg, avg], [a, a, a, b], layout)
+    # One pass over ``a`` (folded once), AVG(a) read off it, AVG(b) alone.
+    assert [len(call.args[0]) for call in kernel.call_args_list] == [1]
+    assert [call.args[1] is b for call in segments.call_args_list] == [True]
+    for spec, values, lane in zip([stdev, stdev, avg, avg], [a, a, a, b], answered):
+        expected = _accumulated(spec.name, values, layout)
+        assert [_bits(v) for v in lane] == [_bits(v) for v in expected]
+
+
+def _edge_columns(n_rows, rng) -> dict:
+    """One column of each kind the block folds must carry through exactly."""
+    with_nan, with_inf = rng.normal(1e3, 250.0, n_rows), rng.normal(0.0, 1e150, n_rows)
+    with_nan[:: 5] = np.nan
+    with_inf[1 :: 7], with_inf[3 :: 11] = np.inf, -np.inf
+    return {
+        "float": rng.normal(1e3, 250.0, n_rows),
+        "negative-zero": np.full(n_rows, -0.0),
+        "nan": with_nan,
+        "inf": with_inf,
+        "int": rng.integers(-(2**62), 2**62, size=n_rows, dtype=np.int64),  # past 2**53
+    }
+
+
+BLOCK_LAYOUTS = {
+    "strided": lambda rng: compiled._strided_layout(40, 9),
+    "ragged-with-empties": lambda rng: _layout([7, 0, 12, 3, 0, 9, 12, 2, 5, 11, 8, 4, 10, 1], rng),
+    "one-long-among-singletons": lambda rng: _layout([1] * 20 + [17] + [1] * 20, rng),
+    "8000-rows-per-group": lambda rng: compiled._strided_layout(3, 8000),
+}
+
+
+@pytest.mark.parametrize("block", [1, 3, 5])
+@pytest.mark.parametrize("shape", sorted(BLOCK_LAYOUTS))
+def test_block_boundaries_keep_the_accumulators_bits(shape, block):
+    """MOMENTS, AVG and float SUM through the kernel at block sizes of one
+    step, of three, and of five (which divides none of these layouts' step
+    counts, so the last block is short), against the accumulators. The lane
+    rule is opened so that every layout takes the kernel; a SUM of -0.0
+    keeps its sign on the ragged layout."""
+    rng = np.random.default_rng(block)
+    layout = BLOCK_LAYOUTS[shape](rng)
+    columns = _edge_columns(len(layout.sorted_rows), rng)
+    if shape == "8000-rows-per-group":
+        columns = {kind: columns[kind] for kind in ("float", "negative-zero")}
+    specs, arrays = [], []
+    for kind, values in columns.items():
+        names = MOMENTS + (("avg",) if kind == "int" else ("avg", "sum"))
+        specs += [AggregateSpec(f"{name}_{kind}", name, False, False, None) for name in names]
+        arrays += [values] * len(names)
+    with mock.patch.multiple(
+        compiled, _LANE_BLOCK=block, _LOCKSTEP_MIN_LANES=0, _LOCKSTEP_MAX_PADDING=10**9
+    ), mock.patch.object(
+        compiled, "_fold_lanes", wraps=compiled._fold_lanes
+    ) as kernel, mock.patch.object(
+        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
     ) as segments:
-        answered = aggregate_sums([spec, spec], [a, b], layout)
-    assert segments.call_count == 2
-    assert [_bits(v) for v in answered[1]] == [_bits(v) for v in _accumulated("avg", b, layout)]
+        answered = aggregate_lanes(specs, arrays, layout)
+    assert [len(call.args[0]) for call in kernel.call_args_list] == [len(columns)]
+    assert segments.call_count == 0
+    for spec, values, lane in zip(specs, arrays, answered):
+        expected = [_bits(v) for v in _accumulated(spec.name, values, layout)]
+        assert [_bits(v) for v in lane] == expected, spec.rendered
+    totals = answered[specs.index(next(s for s in specs if s.rendered == "sum_negative-zero"))]
+    sizes = (layout.ends - layout.starts).tolist()
+    assert [_bits(v) for v in totals] == [_bits(-0.0) if n else None for n in sizes]
 
 
 @pytest.mark.parametrize("sizes", [[3, 2], [30] * 40], ids=["scalar-loop", "lockstep"])
@@ -219,7 +280,7 @@ def test_boolean_columns_are_rejected_on_both_sides_of_the_lane_rule(sizes):
     spec = AggregateSpec("a", "stdev", False, False, None)
     assert _lockstep_expected(1, sizes) == (len(sizes) == 40)
     with pytest.raises(VectorFallback):
-        aggregate_moments([spec], [flags], layout)
+        aggregate_lanes([spec], [flags], layout)
     with pytest.raises(TypeMismatchError):  # what the fallback then reports
         _accumulated("stdev", flags, layout)
 
@@ -236,6 +297,8 @@ def _executors(rows):
 
 
 def test_three_moment_aggregates_take_one_lockstep_pass():
+    """Three variance columns and an AVG over one of them: one kernel pass
+    folds the three, and the AVG rides it."""
     rng = np.random.default_rng(5)
     rows = [
         (int(t), float(rng.normal()), float(rng.normal(50.0, 9.0)), int(rng.integers(-99, 99)))
@@ -247,11 +310,13 @@ def test_three_moment_aggregates_take_one_lockstep_pass():
         "FROM x GROUP BY t ORDER BY t"
     )
     with mock.patch.object(
-        compiled, "_lockstep_moments", wraps=compiled._lockstep_moments
-    ) as lockstep:
+        compiled, "_fold_lanes", wraps=compiled._fold_lanes
+    ) as kernel, mock.patch.object(
+        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
+    ) as segments:
         result = fast.execute(sql)
-    assert lockstep.call_count == 1
-    assert [len(call.args[0]) for call in lockstep.call_args_list] == [3]
+    assert [len(call.args[0]) for call in kernel.call_args_list] == [3]
+    assert segments.call_count == 0  # AVG(a) rides the pass (COUNT(*) is the executor's)
     assert fast.stats.vectorized_selects == 1 and fast.stats.fallback_selects == 0
     expected = reference.execute(sql)
     assert [[_bits(float(v)) for v in row] for row in result.rows] == [
@@ -263,11 +328,9 @@ def test_a_handful_of_groups_keeps_the_scalar_loop():
     rows = [(t, float(t * w), 1.0, w) for t in range(3) for w in range(200)]
     fast, reference = _executors(rows)
     sql = "SELECT t, STDEV(a) AS s, VAR(c) AS v FROM x GROUP BY t ORDER BY t"
-    with mock.patch.object(
-        compiled, "_lockstep_moments", wraps=compiled._lockstep_moments
-    ) as lockstep:
+    with mock.patch.object(compiled, "_fold_lanes", wraps=compiled._fold_lanes) as kernel:
         result = fast.execute(sql)
-    assert lockstep.call_count == 0  # 2 columns x 600 rows < 32 x 200
+    assert kernel.call_count == 0  # 2 columns x 600 rows < 24 x 200
     assert result.rows == reference.execute(sql).rows
 
 
@@ -573,9 +636,10 @@ def test_a_tiling_belongs_to_its_array_object():
 def test_the_strided_layout_and_its_lanes_match_the_counted_build(base, repeat, tile, kinds, seed):
     """GROUP BY a tiled key that runs through unique values (``repeat ==
     1``) is arithmetic: the same arrays, values and dtypes, as the counted
-    layout of the same keys as a plain array, and the same ``_Lanes`` —
-    steps, counts, slots — as the scatter/gather build over that layout.
-    A repeated base, or a key that repeats each value, is counted."""
+    layout of the same keys as a plain array, and the kernel's ``m2`` and
+    totals over it — blocks reshaped from row ranges — are byte-equal to
+    those over the plain layout, whose blocks are gathered. A repeated
+    base, or a key that repeats each value, is counted."""
     key = tiled_column(base, repeat, tile)
     n_rows = len(key)
     strides = repeat == 1 and len(set(base)) == len(base)
@@ -594,14 +658,13 @@ def test_the_strided_layout_and_its_lanes_match_the_counted_build(base, repeat, 
         rng.normal(size=n_rows) if kind == "float" else rng.integers(-99, 99, size=n_rows)
         for kind in kinds
     ]
-    ours, theirs = compiled._Lanes(columns, strided), compiled._Lanes(columns, plain)
-    assert ours.steps.shape == theirs.steps.shape
-    assert ours.steps.tobytes() == theirs.steps.tobytes()
-    assert ours.counts.tolist() == theirs.counts.tolist()
-    assert ours.slot_of_group.tolist() == theirs.slot_of_group.tolist()
+    with mock.patch.object(compiled, "_LANE_BLOCK", 7):  # blocks that do not divide
+        ours, theirs = (compiled._fold_lanes(columns, layout, True) for layout in (strided, plain))
+        for mine, other in zip(ours, theirs):
+            assert np.array(mine).tobytes() == np.array(other).tobytes()
     specs = [AggregateSpec(f"m{i}", "stdev", False, False, None) for i in range(len(columns))]
-    assert [[_bits(v) for v in lane] for lane in aggregate_moments(specs, columns, strided)] == [
-        [_bits(v) for v in lane] for lane in aggregate_moments(specs, columns, plain)
+    assert [[_bits(v) for v in lane] for lane in aggregate_lanes(specs, columns, strided)] == [
+        [_bits(v) for v in lane] for lane in aggregate_lanes(specs, columns, plain)
     ]
 
 
@@ -611,9 +674,9 @@ def test_the_strided_layout_and_its_lanes_match_the_counted_build(base, repeat, 
 def test_the_figure2_combine_takes_every_order_aware_path():
     """One fresh 2000-world point of the Figure-2 scenario — the shape of a
     ``fresh_fanout`` point — joins its two samples tables by their tiling,
-    groups 53 weeks by stride, lays its three STDEV columns out as they
-    stand, runs them in one lockstep pass and reads its three AVGs off that
-    pass's layout. No key is coded, counted or matched."""
+    groups 53 weeks by stride, folds its three STDEV columns in one kernel
+    pass whose blocks are row ranges reshaped in place, and reads its three
+    AVGs off that pass. No key is coded, counted or matched."""
     from repro.core.config import EngineConfig, SamplingConfig
     from repro.core.engine import ProphetEngine
     from repro.dsl import parse_scenario
@@ -627,7 +690,7 @@ def test_the_figure2_combine_takes_every_order_aware_path():
     )
     point = dict(next(iter(engine.scenario.sweep_space.grid())))
     spied = (
-        "_tiled_alike", "_strided_layout", "_lockstep_moments", "_dense_codes",
+        "_tiled_alike", "_strided_layout", "_fold_lanes", "_fill_block", "_dense_codes",
         "_counted_layout", "_sorted_layout", "_match_codes", "aggregate_segments",
     )
     returned: dict[str, list] = {name: [] for name in spied}
@@ -637,6 +700,8 @@ def test_the_figure2_combine_takes_every_order_aware_path():
 
         def recorded(*args, **kwargs):
             returned[name].append((args, original(*args, **kwargs)))
+            if name == "_fill_block":  # the buffer is refilled: keep what it held
+                returned[name][-1] = (args, np.array(args[0][: args[4] - args[3]]))
             return returned[name][-1][1]
 
         return recorded
@@ -647,20 +712,24 @@ def test_the_figure2_combine_takes_every_order_aware_path():
     assert {name: len(calls) for name, calls in returned.items()} == {
         "_tiled_alike": 1,
         "_strided_layout": 1,
-        "_lockstep_moments": 1,
+        "_fold_lanes": 1,
+        "_fill_block": -(-2000 // compiled._LANE_BLOCK),
         "_dense_codes": 0,
         "_counted_layout": 0,
         "_sorted_layout": 0,
         "_match_codes": 0,
-        "aggregate_segments": 0,  # AVG x 3 read the lockstep layout
+        "aggregate_segments": 0,  # AVG x 3 ride the kernel's pass
     }
     assert returned["_tiled_alike"][0][1] is True
     (_, layout), = returned["_strided_layout"]
     assert layout.stride == 53
-    (lockstep_args, _), = returned["_lockstep_moments"]
-    columns, lanes = lockstep_args[0], layout.lanes(lockstep_args[0], build=False)
-    assert len(columns) == 3 and lanes is not None
-    # The reshape: lane (group g, column c) at step k is row k * 53 + g.
-    steps = lanes.steps.reshape(2000, 53, 3)
+    (kernel_args, _), = returned["_fold_lanes"]
+    columns = kernel_args[0]
+    assert len(columns) == 3 and kernel_args[2] is True  # the AVGs' totals too
+    # The reshape, on the last block (it starts past 0 and is not full):
+    # lane (group g, column c) at step k is row k * 53 + g.
+    (out, _, source, first, last, slots), block = returned["_fill_block"][-1]
+    assert source is None and slots == 53 and last == 2000 and 0 < first < last
     for index, values in enumerate(columns):
-        assert steps[:, :, index].tobytes() == values.astype(np.float64).reshape(2000, 53).tobytes()
+        rows = values.astype(np.float64)[first * 53 : last * 53].reshape(last - first, 53)
+        assert block[:, :, index].tobytes() == rows.tobytes()
