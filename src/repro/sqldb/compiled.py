@@ -9,10 +9,16 @@ shape or data the plan cannot reproduce **bit-identically** raises
 row-at-a-time interpreter. Supported shapes:
 
 * filter / project / order / limit over a single table source;
-* hash equi-joins (AND-chains of ``col = col``) over table sources;
-* GROUP BY + aggregates (COUNT/SUM/AVG/MIN/MAX/VAR*/STDEV*), with HAVING
+* row-aligned equi-joins of tiled keys (AND-chains of ``col = col`` whose
+  key columns both sides laid out as the same cross product of unique
+  bases, :func:`equi_join`);
+* aggregates over one group or GROUP BY one strided tiled key
+  (COUNT/SUM/AVG/MIN/MAX/VAR*/STDEV*, :func:`group_layout`), with HAVING
   and per-group projection delegated to the interpreter's finalization so
   group-level semantics cannot drift.
+
+Every other join and grouping raises :class:`VectorFallback`: the row tier
+answers it.
 
 Identity discipline: the interpreter is the reference. Where NumPy's
 defaults would diverge (pairwise float summation, NaN ordering, eager
@@ -29,7 +35,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -62,9 +67,9 @@ from repro.sqldb.ast_nodes import (
 from repro.sqldb.table import ColumnarView, Table, tiling_of
 from repro.sqldb.types import SqlType
 
-#: Cap on combined group/join key codes; beyond this the dense-integer key
-#: encoding could overflow int64, so the executor falls back.
-_MAX_CODE = 2**62
+#: ``CAST(x AS INTEGER)`` of a float column stays vectorized below this
+#: magnitude, where ``astype(np.int64)`` of an integral float is exact.
+_MAX_CAST_INT = 2**62
 
 #: Largest integer magnitude float64 represents exactly. Mixed int/float
 #: comparisons and join keys beyond this would round where the row
@@ -77,23 +82,12 @@ _MAX_EXACT_FLOAT_INT = 2**53
 _MAX_INT_ADD = 2**62
 _MAX_INT_MUL = 2**31
 
-#: An integer key column spanning fewer than this many values per row is
-#: coded as ``value - min`` instead of ranked through ``np.unique``.
-#: Measured on the combine join of a 2000-world point (keys ``world`` and
-#: ``t`` over 2 x 106 k rows, 2-core host): 8.1 ms per key sorted, 0.14 ms
-#: offset; ``_dense_codes`` 15.4 -> 2.3 ms. The bound is about density, not
-#: speed: offset codes span the value range rather than the distinct count,
-#: so a sparse column would push composite keys past ``_MAX_CODE`` (a
-#: fallback the sorted coding does not take). At 4, a key costs at most two
-#: bits more than its sorted coding.
-_KEY_RANGE_PER_ROW = 4
-
 #: Variance-family aggregates share one blocked pass (:func:`_fold_lanes`)
-#: when ``columns * rows >= this * longest group``, i.e. when a step has
-#: about this many lanes to advance. A step is three ufunc calls whatever
-#: the lane count, plus its share of the block's two ``cumsum`` (~4 ns a
-#: lane); one value through the scalar ``_welford`` loop is ~0.1 us plus its
-#: share of ``tolist``. Swept on ``AVG(x), STDEV(x)`` pairs (the aggregate
+#: when ``columns * groups >= this``, i.e. when a step has about this many
+#: lanes to advance. A step is three ufunc calls whatever the lane count,
+#: plus its share of the block's two ``cumsum`` (~4 ns a lane); one value
+#: through the scalar ``_welford`` loop is ~0.1 us plus its share of
+#: ``tolist``. Swept on ``AVG(x), STDEV(x)`` pairs (the aggregate
 #: query's shape) from 6 to 159 lanes, 2-core host, the kernel's speed-up
 #: over the loop:
 #:
@@ -108,22 +102,11 @@ _KEY_RANGE_PER_ROW = 4
 #: 400-world walk's refresh p50 had risen from 3.8 to 6.3 ms without it.
 _LOCKSTEP_MIN_LANES = 24
 
-#: The blocked pass pads every group to the longest; past this multiple
-#: of the real rows the padding costs more than the loop it replaces.
-_LOCKSTEP_MAX_PADDING = 2
-
 #: Steps :func:`_fold_lanes` advances the means over before it folds ``m2``
 #: and the sums of all of them at once; its buffers are O(this x lanes).
 #: On the 53-week, 3-column aggregate at 400, 2000 and 8000 rows per group
 #: (2-core host), 64 to 256 tie within noise; 32 and 512 cost 5-15% more.
 _LANE_BLOCK = 128
-
-#: ``group_layout`` counts instead of sorting when the composite key codes
-#: fit in this many values: the per-code tables stay a few hundred KB and a
-#: group's rank fits the 16 bits NumPy's stable sort handles by radix.
-#: Measured on the aggregate of a 2000-world point (106 k rows, 53 weeks,
-#: 2-core host): 5.4 ms sorted, 0.9 ms counted.
-_COUNTING_MAX_CODES = 2**16
 
 MOMENT_AGGREGATES = ("var", "varp", "stdev", "stdevp")
 LANE_AGGREGATES = MOMENT_AGGREGATES + ("sum", "avg")
@@ -550,7 +533,7 @@ def _compile_vec_cast(node: Cast, guarded: bool) -> Optional[VectorFn]:
                 if value.size and not (
                     bool(np.all(np.isfinite(value)))
                     and bool(np.all(value == np.trunc(value)))
-                    and bool(np.all(np.abs(value) < _MAX_CODE))
+                    and bool(np.all(np.abs(value) < _MAX_CAST_INT))
                 ):
                     raise VectorFallback  # the row path raises per offending row
                 return value.astype(np.int64)
@@ -832,10 +815,14 @@ def equi_join(
     right: ColumnarRelation,
     conjuncts: Sequence[tuple[str, str]],
 ) -> ColumnarRelation:
-    """INNER hash equi-join, reproducing the interpreter's output order
-    (left rows in order; for each, matching right rows in table order)."""
-    left_cols: list[np.ndarray] = []
-    right_cols: list[np.ndarray] = []
+    """INNER equi-join of row-aligned tiled keys: when both sides lay their
+    key columns out alike (:func:`_tiled_alike`), row i of either side holds
+    the same key and no key repeats, so row i matches row i and nothing
+    else — the interpreter's output order (left rows in order; for each,
+    matching right rows in table order) with no key read. Any other join
+    raises :class:`VectorFallback`; the row tier answers it."""
+    left_cols: list[Optional[np.ndarray]] = []
+    right_cols: list[Optional[np.ndarray]] = []
     for key_a, key_b in conjuncts:
         if key_a in left.all_keys and key_b in right.all_keys:
             left_key, right_key = key_a, key_b
@@ -843,26 +830,11 @@ def equi_join(
             left_key, right_key = key_b, key_a
         else:
             raise VectorFallback  # the interpreter would nested-loop this
-        left_array = left.columns.get(left_key)
-        right_array = right.columns.get(right_key)
-        if left_array is None or right_array is None:
-            raise VectorFallback
-        if left_array.dtype.kind == "f" and left_array.size and np.any(np.isnan(left_array)):
-            raise VectorFallback  # NaN keys: interpreter semantics are identity-based
-        if right_array.dtype.kind == "f" and right_array.size and np.any(np.isnan(right_array)):
-            raise VectorFallback
-        left_cols.append(left_array)
-        right_cols.append(right_array)
-
-    if _tiled_alike(left_cols, right_cols):
-        # Row i of either side holds the same key, and no key repeats:
-        # row i matches row i and nothing else.
-        return merge_relations(left, right)
-    left_codes, right_codes = _dense_codes(left_cols, right_cols, left.n_rows)
-    # Codes stay below _MAX_CODE: the differences cannot wrap around.
-    right_sorted = bool(np.all(np.diff(right_codes) >= 0))
-    left_take, right_take = _match_codes(left_codes, right_codes, right_sorted)
-    return merge_relations(left.take(left_take), right.take(right_take))
+        left_cols.append(left.columns.get(left_key))
+        right_cols.append(right.columns.get(right_key))
+    if not _tiled_alike(left_cols, right_cols):
+        raise VectorFallback
+    return merge_relations(left, right)
 
 
 def _tiled_alike(
@@ -904,227 +876,37 @@ def _tiled_alike(
     return bool(nest) and all(tiling.unique_base() for tiling in nest)
 
 
-def _dense_codes(
-    left_cols: Sequence[np.ndarray],
-    right_cols: Sequence[np.ndarray],
-    left_n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Encode composite keys as dense int64 codes comparable across sides.
-
-    Per key column the code is order-preserving and equal exactly where
-    the values are: the offset from the column minimum for dense integer
-    keys (:func:`_offset_codes`), the rank among sorted distinct values
-    otherwise. The join output depends on nothing else.
-    """
-    right_n = len(right_cols[0]) if right_cols else 0
-    left_codes = np.zeros(left_n, dtype=np.int64)
-    right_codes = np.zeros(right_n, dtype=np.int64)
-    max_code = 0
-    for left_array, right_array in zip(left_cols, right_cols):
-        offset = (
-            _offset_codes((left_array, right_array))
-            if left_array.dtype == right_array.dtype
-            else None
-        )
-        if offset is not None:
-            (left_key, right_key), size = offset
-        else:
-            left_key, right_key, size = _sorted_codes(left_array, right_array)
-        max_code = max_code * size + (size - 1)
-        if max_code >= _MAX_CODE:
-            raise VectorFallback
-        left_codes = left_codes * size + left_key
-        right_codes = right_codes * size + right_key
-    return left_codes, right_codes
-
-
-def _sorted_codes(
-    left_array: np.ndarray, right_array: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Ranks of one key column among its sorted distinct values, per side."""
-    if left_array.dtype == right_array.dtype:
-        both = np.concatenate([left_array, right_array])
-    else:
-        # Mixed-dtype keys unify through float64, which is exact only
-        # below 2**53 for integers; the row join compares exactly.
-        for array in (left_array, right_array):
-            if array.dtype.kind == "i" and not _int_bounded(
-                array, _MAX_EXACT_FLOAT_INT
-            ):
-                raise VectorFallback
-        both = np.concatenate(
-            [left_array.astype(np.float64), right_array.astype(np.float64)]
-        )
-    _, inverse = np.unique(both, return_inverse=True)
-    size = int(inverse.max()) + 1 if len(both) else 1
-    return inverse[: len(left_array)], inverse[len(left_array) :], size
-
-
-def _offset_codes(
-    arrays: Sequence[np.ndarray],
-) -> Optional[tuple[list[np.ndarray], int]]:
-    """``value - min`` codes of one integer key column, and their span.
-
-    ``arrays`` are the column's parts (both sides of a join, or the one
-    array of a GROUP BY key), coded against their common minimum. None
-    when the column is not integer or spans ``_KEY_RANGE_PER_ROW`` values
-    per row or more; the caller then sorts.
-    """
-    if any(array.dtype.kind != "i" for array in arrays):
-        return None
-    filled = [array for array in arrays if len(array)]
-    if not filled:
-        return None
-    low = min(int(array.min()) for array in filled)
-    high = max(int(array.max()) for array in filled)
-    if high - low >= _KEY_RANGE_PER_ROW * sum(len(array) for array in filled):
-        return None
-    return [(array - low).astype(np.int64, copy=False) for array in arrays], high - low + 1
-
-
-def _match_codes(
-    left_codes: np.ndarray, right_codes: np.ndarray, right_sorted: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of every matching pair, left-major, right in table order.
-
-    ``right_sorted`` says the right codes are already non-decreasing — the
-    stable sort would return the identity, so it is skipped.
-    """
-    order = None if right_sorted else np.argsort(right_codes, kind="stable")
-    ranked = right_codes if order is None else right_codes[order]
-    lo = np.searchsorted(ranked, left_codes, side="left")
-    hi = np.searchsorted(ranked, left_codes, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    left_take = np.repeat(np.arange(len(left_codes)), counts)
-    if total:
-        run_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        offsets = np.arange(total) - np.repeat(run_starts, counts)
-        right_take = np.repeat(lo, counts) + offsets
-        if order is not None:
-            right_take = order[right_take]
-    else:
-        right_take = np.empty(0, dtype=np.int64)
-    return left_take, right_take
-
-
 # -- grouping & aggregation --------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupLayout:
-    """Partition of filtered rows into groups, in first-appearance order.
+    """Rows partitioned into ``n_groups`` groups of ``size`` rows each, in
+    first-appearance order: group ``g`` is rows ``g, g + n_groups, g + 2 *
+    n_groups, ...`` — column ``g`` of the rows reshaped ``(size, n_groups)``,
+    and row ``g`` is its first. With no GROUP BY key the one group is every
+    row."""
 
-    ``stride`` is set when group ``g`` is rows ``g, g + stride, g + 2 *
-    stride, ...`` and every group has the same size (:func:`group_layout`
-    on a tiled key); the arrays say the same thing either way.
-    """
+    n_groups: int
+    size: int
 
-    sorted_rows: np.ndarray  # row indices, grouped contiguously
-    starts: np.ndarray
-    ends: np.ndarray
-    rep_rows: np.ndarray  # first row index of each group
-    stride: Optional[int] = None
+    def segments(self, values: np.ndarray) -> np.ndarray:
+        """``values`` as one contiguous row per group: ``(n_groups, size)``."""
+        return np.ascontiguousarray(values.reshape(self.size, self.n_groups).T)
 
 
 def group_layout(key_arrays: Sequence[np.ndarray], n_rows: int) -> GroupLayout:
-    """Group rows by composite key, preserving first-appearance order."""
-    if not key_arrays:  # one group holding every row
-        rows = np.arange(n_rows)
-        return GroupLayout(
-            sorted_rows=rows,
-            starts=np.array([0]),
-            ends=np.array([n_rows]),
-            rep_rows=np.array([0] if n_rows else [], dtype=np.int64),
-        )
-    if len(key_arrays) == 1:
-        tiling = tiling_of(key_arrays[0])
-        if (
-            tiling is not None
-            and tiling.repeat == 1
-            and tiling.tile > 0
-            and tiling.unique_base()
-        ):
-            return _strided_layout(len(tiling.base), tiling.tile)
-    combined = np.zeros(n_rows, dtype=np.int64)
-    max_code = 0
-    for array in key_arrays:
-        if array.dtype.kind == "f" and array.size and np.any(np.isnan(array)):
-            raise VectorFallback  # NaN keys group by object identity in rows
-        offset = _offset_codes((array,))
-        if offset is not None:
-            (inverse,), size = offset
-        else:
-            _, inverse = np.unique(array, return_inverse=True)
-            size = int(inverse.max()) + 1 if len(array) else 1
-        max_code = max_code * size + (size - 1)
-        if max_code >= _MAX_CODE:
-            raise VectorFallback
-        combined = combined * size + inverse
-    if max_code < _COUNTING_MAX_CODES:
-        return _counted_layout(combined, max_code + 1)
-    return _sorted_layout(combined)
-
-
-def _strided_layout(n_groups: int, size: int) -> GroupLayout:
-    """:func:`group_layout` of a key that runs through ``n_groups`` distinct
-    values ``size`` times over: group ``g`` is rows ``g + k * n_groups``."""
-    starts = np.arange(n_groups, dtype=np.int64) * size
-    return GroupLayout(
-        sorted_rows=np.arange(n_groups * size, dtype=np.int64)
-        .reshape(size, n_groups)
-        .T.ravel(),
-        starts=starts,
-        ends=starts + size,
-        rep_rows=np.arange(n_groups, dtype=np.int64),
-        stride=n_groups,
-    )
-
-
-def _sorted_layout(combined: np.ndarray) -> GroupLayout:
-    """:func:`group_layout` of composite codes by sorting them (any span)."""
-    uniques, first_index, inverse, counts = np.unique(
-        combined, return_index=True, return_inverse=True, return_counts=True
-    )
-    appearance = np.argsort(first_index, kind="stable")
-    rank_of_unique = np.empty(len(uniques), dtype=np.int64)
-    rank_of_unique[appearance] = np.arange(len(uniques))
-    sorted_rows = np.argsort(rank_of_unique[inverse], kind="stable")
-    ordered_counts = counts[appearance]
-    ends = np.cumsum(ordered_counts)
-    starts = ends - ordered_counts
-    return GroupLayout(
-        sorted_rows=sorted_rows,
-        starts=starts,
-        ends=ends,
-        rep_rows=first_index[appearance],
-    )
-
-
-def _counted_layout(combined: np.ndarray, n_codes: int) -> GroupLayout:
-    """:func:`group_layout` of composite codes below ``n_codes`` by counting.
-
-    No comparison sort of the rows: group sizes are a ``bincount``, a code's
-    first row is what a back-to-front scatter leaves behind (the earliest
-    row is written last), and the rows are ordered by their group's
-    first-appearance rank — at most 16 bits wide, so the stable sort is a
-    radix pass. Same arrays as :func:`_sorted_layout`.
-    """
-    n_rows = len(combined)
-    sizes = np.bincount(combined, minlength=n_codes)
-    first_row = np.empty(n_codes, dtype=np.int64)
-    first_row[combined[::-1]] = np.arange(n_rows - 1, -1, -1)
-    present = np.flatnonzero(sizes)
-    codes = present[np.argsort(first_row[present], kind="stable")]
-    rank_of_code = np.empty(n_codes, dtype=np.uint16)
-    rank_of_code[codes] = np.arange(len(codes), dtype=np.uint16)
-    ends = np.cumsum(sizes[codes])
-    return GroupLayout(
-        sorted_rows=np.argsort(rank_of_code[combined], kind="stable"),
-        starts=ends - sizes[codes],
-        ends=ends,
-        rep_rows=first_row[codes],
-    )
+    """Group ``n_rows`` (at least one) rows by their key, in first-appearance
+    order, without reading a key value: every row in one group when there is
+    no key, else by one tiled key that runs through unique values
+    (``repeat == 1``), ``tile`` rows to a value. Any other key raises
+    :class:`VectorFallback`; the row tier groups it."""
+    if not key_arrays:
+        return GroupLayout(1, n_rows)
+    tiling = tiling_of(key_arrays[0]) if len(key_arrays) == 1 else None
+    if tiling is None or tiling.repeat != 1 or not tiling.unique_base():
+        raise VectorFallback
+    return GroupLayout(len(tiling.base), tiling.tile)
 
 
 def aggregate_segments(
@@ -1141,60 +923,34 @@ def aggregate_segments(
     here when the input is too small for that to pay.
     """
     name = spec.name
-    results: list[Any] = []
-    counts = layout.ends - layout.starts
     if name == "count":
         if spec.star or not spec.distinct:
             # NULL-free columns: COUNT(expr) counts every row, like COUNT(*).
-            return [int(count) for count in counts]
+            return [layout.size] * layout.n_groups
         assert values is not None
-        if values.dtype.kind == "f" and values.size and np.any(np.isnan(values)):
+        if values.dtype.kind == "f" and np.any(np.isnan(values)):
             raise VectorFallback  # NaN set-identity differs from fresh floats
-        for start, end in zip(layout.starts, layout.ends):
-            segment = values[layout.sorted_rows[start:end]]
-            results.append(len(set(segment.tolist())))
-        return results
+        return [len(set(segment.tolist())) for segment in layout.segments(values)]
     assert values is not None
     is_float = values.dtype.kind == "f"
     if name in ("min", "max"):
-        if is_float and values.size and np.any(np.isnan(values)):
+        if is_float and np.any(np.isnan(values)):
             raise VectorFallback  # NumPy NaN-poisons; the accumulator does not
-        for start, end in zip(layout.starts, layout.ends):
-            if end == start:
-                results.append(None)
-                continue
-            segment = values[layout.sorted_rows[start:end]]
-            extremum = segment.min() if name == "min" else segment.max()
-            results.append(extremum.item())
-        return results
+        extremum = np.min if name == "min" else np.max
+        return [extremum(segment).item() for segment in layout.segments(values)]
     if values.dtype.kind == "b":
         raise VectorFallback  # the accumulators reject booleans per row
-    if name == "sum":
-        for start, end in zip(layout.starts, layout.ends):
-            if end == start:
-                results.append(None)
-                continue
-            segment = values[layout.sorted_rows[start:end]]
-            if is_float:
-                results.append(float(np.cumsum(segment)[-1]))
-            else:
-                results.append(sum(segment.tolist()))  # exact Python int math
-        return results
-    if name == "avg":
-        as_float = values if is_float else values.astype(np.float64)
-        for start, end, count in zip(layout.starts, layout.ends, counts):
-            if end == start:
-                results.append(None)
-                continue
-            segment = as_float[layout.sorted_rows[start:end]]
-            # The accumulator starts from 0.0: a total of -0.0 becomes 0.0.
-            results.append((float(np.cumsum(segment)[-1]) + 0.0) / int(count))
-        return results
+    segments = layout.segments(values)
+    if name == "sum" and not is_float:
+        return [sum(segment.tolist()) for segment in segments]  # exact Python int math
+    if name in ("sum", "avg"):
+        totals = np.cumsum(segments.astype(np.float64, copy=False), axis=1)[:, -1].tolist()
+        if name == "sum":
+            return totals
+        # The accumulator starts from 0.0: a total of -0.0 becomes 0.0.
+        return [(total + 0.0) / layout.size for total in totals]
     if name in MOMENT_AGGREGATES:
-        for start, end in zip(layout.starts, layout.ends):
-            segment = values[layout.sorted_rows[start:end]].tolist()
-            results.append(_welford(segment, name))
-        return results
+        return [_welford(segment.tolist(), name) for segment in segments]
     raise VectorFallback
 
 
@@ -1231,8 +987,7 @@ def aggregate_lanes(
     one statement: ``[aggregate_segments(spec, column, layout) ...]`` bit
     for bit, ``columns[i]`` being the full (filtered) argument of
     ``specs[i]``. When the variances offer enough lanes
-    (``_LOCKSTEP_MIN_LANES``) over even enough groups
-    (``_LOCKSTEP_MAX_PADDING``), their columns are folded in one
+    (``_LOCKSTEP_MIN_LANES``), their columns are folded in one
     :func:`_fold_lanes` pass, and each AVG and float SUM of one of those
     same arrays (``AVG(x), STDEV(x)`` pairs) is read off it. The rest takes
     :func:`aggregate_segments`.
@@ -1240,13 +995,8 @@ def aggregate_lanes(
     moments = [values for spec, values in zip(specs, columns) if spec.name in MOMENT_AGGREGATES]
     if any(values.dtype.kind == "b" for values in moments):
         raise VectorFallback  # the accumulators reject booleans per row
-    counts = layout.ends - layout.starts
-    longest, n_rows = (int(counts.max()), int(counts.sum())) if len(counts) else (0, 0)
     folded: list[np.ndarray] = []
-    if n_rows and (
-        len(moments) * n_rows >= _LOCKSTEP_MIN_LANES * longest
-        and longest * len(counts) <= _LOCKSTEP_MAX_PADDING * n_rows
-    ):
+    if len(moments) * layout.n_groups >= _LOCKSTEP_MIN_LANES:
         folded = [a for i, a in enumerate(moments) if all(a is not b for b in moments[:i])]
     # Each aggregate's lane: its column's place in the pass, if folded; an
     # integer SUM never takes one (it is exact Python arithmetic).
@@ -1261,17 +1011,17 @@ def aggregate_lanes(
         for spec, lane in zip(specs, lanes)
     )
     m2, totals = _fold_lanes(folded, layout, with_sums) if folded else ([], [])
-    sizes = counts.tolist()
+    size = layout.size
     answers = []
     for spec, values, lane in zip(specs, columns, lanes):
         if lane is None:
             answers.append(aggregate_segments(spec, values, layout))
         elif spec.name in MOMENT_AGGREGATES:
-            answers.append([_moments_result(spec.name, n, v) for n, v in zip(sizes, m2[lane])])
+            answers.append([_moments_result(spec.name, size, v) for v in m2[lane]])
         elif spec.name == "avg":  # starts from 0.0: a total of -0.0 becomes 0.0
-            answers.append([(t + 0.0) / n if n else None for n, t in zip(sizes, totals[lane])])
+            answers.append([(t + 0.0) / size for t in totals[lane]])
         else:
-            answers.append([t if n else None for n, t in zip(sizes, totals[lane])])
+            answers.append(totals[lane])
     return answers
 
 
@@ -1284,109 +1034,58 @@ def _fold_lanes(
     Each lane runs the _MomentsAggregate recurrence over its group's values
     in row order — ``delta = x - mean; mean += delta / k; m2 += delta * (x -
     mean)`` — and the SUM accumulator's ``total += x``; only the loop nest
-    is turned inside out. Lane ``slot * n_columns + column`` holds the
-    ``slot``-th longest group, so the lanes still running at a step are a
-    prefix. Steps go in blocks of ``_LANE_BLOCK``. Per step only the mean
-    advances: three array operations over the running prefix. Per block,
-    ``delta * (x - mean)`` is formed for every step at once and ``m2`` is
-    one ``cumsum`` down the block from a carry row: ``add.accumulate`` adds
-    in order, so that is the accumulator's ``m2 +=``, sum for sum. The
-    totals are a second ``cumsum``, of the values, from a carry of ``-0.0``
-    (``-0.0 + x`` is ``x``: the first sum is the first value). A lane is
-    read at its own last step, never past it.
+    is turned inside out. Every group has ``layout.size`` rows, so every
+    lane runs every step. Steps go in blocks of ``_LANE_BLOCK``. Per step
+    only the mean advances: three array operations over all lanes. Per
+    block, ``delta * (x - mean)`` is formed for every step at once and
+    ``m2`` is one ``cumsum`` down the block from a carry row:
+    ``add.accumulate`` adds in order, so that is the accumulator's ``m2
+    +=``, sum for sum. The totals are a second ``cumsum``, of the values,
+    from a carry of ``-0.0`` (``-0.0 + x`` is ``x``: the first sum is the
+    first value). After the last block the carry row holds every lane's
+    result.
     """
-    counts = layout.ends - layout.starts
-    n_groups, n_columns = len(counts), len(columns)
-    width = n_groups * n_columns
-    longest = int(counts.max())
-    by_length = np.argsort(-counts, kind="stable")
-    slot_of_group = np.empty(n_groups, dtype=np.int64)
-    slot_of_group[by_length] = np.arange(n_groups)
-    lane_counts = np.repeat(counts[by_length], n_columns)
-    # Lanes running at step k (those longer than k), and where that changes.
-    running = np.searchsorted(-lane_counts, -np.arange(longest + 1), side="left").tolist()
-    changes = (np.flatnonzero(np.diff(running[:longest])) + 1).tolist()
-    source = None
-    if layout.stride is None:
-        # Per (step, slot), the table row to read. Past its group's end a slot
-        # reads row 0: that lane has finished, and its later steps go unread.
-        group_of_row = np.repeat(np.arange(n_groups), counts)
-        step_of_row = np.arange(len(layout.sorted_rows)) - layout.starts[group_of_row]
-        source = np.zeros(longest * n_groups, dtype=np.int64)
-        source[step_of_row * n_groups + slot_of_group[group_of_row]] = layout.sorted_rows
-        source = source.reshape(longest, n_groups)
-    block = min(_LANE_BLOCK, longest)
-    steps = np.empty((block, width))
-    by_slot = steps.reshape(block, n_groups, n_columns)
-    scratch = np.empty((block, width))
+    n_groups, size = layout.n_groups, layout.size
+    width = len(columns) * n_groups
+    block = min(_LANE_BLOCK, size)
+    steps, scratch = np.empty((block, width)), np.empty((block, width))
     means, m2 = np.zeros((block + 1, width)), np.zeros((block + 1, width))
     totals = np.full((block + 1, width), -0.0) if with_sums else None
     carried = (means, m2, totals) if with_sums else (means, m2)
-    m2_out, totals_out = np.zeros(width), np.zeros(width)
-    divisors = np.arange(1, longest + 1, dtype=np.float64).tolist()
-    # Lanes finishing inside a block fold stale values past their end, unread.
+    divisors = np.arange(1, size + 1, dtype=np.float64).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, longest, block):
-            last = min(first + block, longest)
-            size, live = last - first, running[first]
-            _fill_block(by_slot, columns, source, first, last, live // n_columns)
-            inside = changes[bisect_right(changes, first) : bisect_left(changes, last)]
-            cuts = [first, *inside, last]
-            for start, end in zip(cuts, cuts[1:]):
-                x_rows, mean_rows = steps[:, : running[start]], means[:, : running[start]]
-                a, b = start - first, end - first
-                for x, mean, following, k in zip(
-                    x_rows[a:b], mean_rows[a:b], mean_rows[a + 1 : b + 1], divisors[start:end]
-                ):
-                    np.subtract(x, mean, following)
-                    np.divide(following, k, following)
-                    np.add(mean, following, following)
-            x = steps[:size, :live]
-            terms, folded = m2[1 : size + 1, :live], m2[: size + 1, :live]
-            np.subtract(x, means[:size, :live], out=terms)
-            np.subtract(x, means[1 : size + 1, :live], out=scratch[:size, :live])
-            np.multiply(terms, scratch[:size, :live], out=terms)
+        for first in range(0, size, block):
+            rows = min(block, size - first)
+            _fill_block(steps.reshape(block, len(columns), n_groups), columns, first, first + rows)
+            for x, mean, following, k in zip(
+                steps[:rows], means[:rows], means[1 : rows + 1], divisors[first : first + rows]
+            ):
+                np.subtract(x, mean, following)
+                np.divide(following, k, following)
+                np.add(mean, following, following)
+            x, terms, folded = steps[:rows], m2[1 : rows + 1], m2[: rows + 1]
+            np.subtract(x, means[:rows], out=terms)
+            np.subtract(x, means[1 : rows + 1], out=scratch[:rows])
+            np.multiply(terms, scratch[:rows], out=terms)
             np.cumsum(folded, axis=0, out=folded)
             if with_sums:
-                totals[1 : size + 1, :live] = x
-                np.cumsum(totals[: size + 1, :live], axis=0, out=totals[: size + 1, :live])
-            # Lanes whose last step falls in this block, read at that step.
-            remaining = running[last]
-            if live > remaining:
-                ending = np.arange(remaining, live)
-                at = lane_counts[remaining:live] - first
-                m2_out[remaining:live] = m2[at, ending]
-                if with_sums:
-                    totals_out[remaining:live] = totals[at, ending]
+                totals[1 : rows + 1] = x
+                np.cumsum(totals[: rows + 1], axis=0, out=totals[: rows + 1])
             for buffer in carried:
-                buffer[0, :remaining] = buffer[size, :remaining]
-
-    def by_group(lanes: np.ndarray) -> list[list[float]]:
-        return lanes.reshape(n_groups, n_columns)[slot_of_group].T.tolist()
-
-    return by_group(m2_out), by_group(totals_out)
+                buffer[0] = buffer[rows]
+    shape = (len(columns), n_groups)
+    return m2[0].reshape(shape).tolist(), totals[0].reshape(shape).tolist() if with_sums else []
 
 
-def _fill_block(
-    out: np.ndarray,
-    columns: Sequence[np.ndarray],
-    source: Optional[np.ndarray],
-    first: int,
-    last: int,
-    slots: int,
-) -> None:
-    """Steps ``first:last`` of the first ``slots`` slots into ``out``, a
-    ``(block, slot, column)`` buffer. On a strided layout (no ``source``)
-    the table's row order is already step-major, so a column's row range
-    reshapes into place; otherwise ``source`` says which row each (step,
-    slot) reads."""
-    size = last - first
+def _fill_block(out: np.ndarray, columns: Sequence[np.ndarray], first: int, last: int) -> None:
+    """Steps ``first:last`` of every lane into ``out``, a ``(block, column,
+    group)`` buffer. The table's row order is step-major — row ``k *
+    n_groups + g`` is step ``k`` of group ``g`` — so a column's row range
+    reshapes into place."""
+    n_groups = out.shape[2]
     for index, values in enumerate(columns):
-        if source is None:
-            rows = values[first * slots : last * slots]
-            out[:size, :, index] = rows.reshape(size, slots)
-        else:
-            out[:size, :slots, index] = values[source[first:last, :slots]]
+        rows = values[first * n_groups : last * n_groups]
+        out[: last - first, index] = rows.reshape(last - first, n_groups)
 
 
 # -- output schema -----------------------------------------------------------

@@ -309,8 +309,7 @@ class Executor:
         context = relation.context(variables)
         key_arrays = [broadcast(fn(context), n_rows) for fn in plan.group_by]
         layout = group_layout(key_arrays, n_rows)
-        n_groups = len(layout.starts)
-        group_results: list[dict[str, Any]] = [{} for _ in range(n_groups)]
+        group_results: list[dict[str, Any]] = [{} for _ in range(layout.n_groups)]
 
         def column(spec):
             return broadcast(spec.arg(context), n_rows) if spec.arg is not None else None
@@ -324,7 +323,8 @@ class Executor:
         for spec, values in zip(others + lanes, answers):
             for group, value in enumerate(values):
                 group_results[group][spec.rendered] = value
-        representatives = relation.bound_rows(layout.rep_rows)
+        # Group g's first row is row g.
+        representatives = relation.bound_rows(np.arange(layout.n_groups))
         return self._finalize_groups(select, group_results, representatives, variables)
 
     # -- SELECT: interpreted row path ------------------------------------------

@@ -1,5 +1,6 @@
 """Integration tests for the offline optimizer (§3.3)."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.core.offline import ConstraintEvaluator, OfflineOptimizer
+from repro.core.scenario import OptimizeObjective
 from repro.core.aggregator import ResultAggregator
 from repro.errors import OptimizationError
 from repro.models import build_risk_vs_cost
@@ -187,3 +189,23 @@ class TestOfflineOptimizer:
         report = mapped[0].reuse[0]
         assert report.source in ("mapped", "exact", "fresh")
         assert report.vg_name and 0.0 <= report.mapped_fraction <= 1.0
+
+    def test_for_min_picks_the_smallest_feasible_value(self):
+        scenario, library = build_risk_vs_cost(purchase_step=16, overload_threshold=0.05)
+        scenario.optimize = dataclasses.replace(
+            scenario.optimize,
+            objectives=(OptimizeObjective("MIN", "purchase2"), OptimizeObjective("MAX", "purchase1")),
+        )
+        optimizer = OfflineOptimizer(ProphetEngine(scenario, library, CONFIG))
+        result = optimizer.run()
+        assert result.best is not None and result.best.feasible
+
+        def key(record):
+            return (-record.point["purchase2"], record.point["purchase1"])
+
+        assert key(result.best) == max(key(record) for record in result.feasible_records)
+        assert len({record.point["purchase2"] for record in result.feasible_records}) > 1
+
+        named = dataclasses.replace(result.best, point={**result.best.point, "purchase2": "late"})
+        with pytest.raises(OptimizationError, match="FOR MIN objective requires a numeric"):
+            optimizer._select_best([named])

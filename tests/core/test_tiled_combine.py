@@ -5,8 +5,8 @@
 combine's join, the aggregate's GROUP BY t and its lockstep lanes then read
 the tiling instead of the keys. The reference is the same engine landing
 plain ``np.array`` copies of those columns — patch ``tiled_column`` in the
-engine module, nothing else changes — so every kernel has to work the
-layout out from the values. Drawn: 1 to 300 worlds (a prefix, a permutation,
+engine module, nothing else changes — which the vectorized tier refuses,
+so the row tier answers the combine and the aggregate from the values. Drawn: 1 to 300 worlds (a prefix, a permutation,
 or ids listed twice), every week or a scattered subset of them (what a
 week-memo miss lands), and scenarios with 1 to 3 VG outputs. Compared: the
 ``results`` table the combine writes, the float64 rows the aggregate query

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from repro.sqldb.ast_nodes import (
     UnaryOp,
 )
 from repro.sqldb.expressions import EvalContext, evaluate
+from repro.sqldb.table import tiled_column
 
 # -- random expression grammars ---------------------------------------------
 
@@ -280,12 +282,20 @@ def test_executor_options_and_expression_semantics_snapshot():
 
 
 def test_canonical_shapes_run_vectorized():
-    fast, _ = _pair([(i % 3, i, float(i)) for i in range(30)])
-    fast.execute("SELECT v, x FROM t WHERE x > 4.0 ORDER BY v DESC")
-    fast.execute("SELECT g, AVG(x) AS a, STDEV(x) AS s FROM t GROUP BY g ORDER BY g")
-    fast.execute(
-        "SELECT a.v AS v, b.x AS x FROM t a JOIN t b ON a.g = b.g AND a.v = b.v"
-    )
+    """A filter, a GROUP BY and a join each take the columnar path on the
+    keys the engine lands: ``g`` and ``v`` are tiled key columns, laid out
+    like a samples table's ``t`` and ``world``."""
+    fast, reference = _pair([])
+    for executor in (fast, reference):
+        executor.catalog.table("t").load_columnar(
+            [tiled_column(range(3), 1, 10), tiled_column(range(10), 3, 1), np.arange(30.0)]
+        )
+    for sql in (
+        "SELECT v, x FROM t WHERE x > 4.0 ORDER BY v DESC",
+        "SELECT g, AVG(x) AS a, STDEV(x) AS s FROM t GROUP BY g ORDER BY g",
+        "SELECT a.v AS v, b.x AS x FROM t a JOIN t b ON a.g = b.g AND a.v = b.v",
+    ):
+        assert _outcome(fast, sql) == _outcome(reference, sql), sql
     assert fast.stats.vectorized_selects == 3
     assert fast.stats.fallback_selects == 0
     assert fast.stats.rows_vectorized > 0
@@ -307,6 +317,28 @@ def test_unpackable_shapes_fall_back():
 ])
 def test_division_by_zero_error_parity(sql):
     _assert_parity([(1, 2, 3.0), (0, 5, 1.0)], sql)
+
+
+#: ``CAST(... AS INTEGER)`` over ints, bools and integral floats stays
+#: columnar; a non-integral float falls back, and the row path raises.
+INTEGER_CASTS = {
+    "ints": ("SELECT CAST(v AS INTEGER) AS i FROM t", [(1, -2, 3.0), (0, 5, 1.0)], True),
+    "bools": ("SELECT CAST(v > 0 AS INTEGER) AS i FROM t", [(1, -2, 3.0), (0, 5, 1.0)], True),
+    "integral-floats": ("SELECT CAST(x AS INTEGER) AS i FROM t", [(1, 2, -3.0), (0, 5, 2.0**40)], True),
+    "non-integral-float": ("SELECT CAST(x AS INTEGER) AS i FROM t", [(1, 2, 3.0), (0, 5, 2.5)], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_CASTS))
+def test_integer_cast_parity(case):
+    sql, rows, vectorized = INTEGER_CASTS[case]
+    fast, reference = _pair(rows)
+    outcome = _outcome(fast, sql)
+    assert outcome == _outcome(reference, sql)
+    assert (outcome[0] == "ok") == vectorized
+    assert (fast.stats.vectorized_selects, fast.stats.fallback_selects) == (
+        (1, 0) if vectorized else (0, 1)
+    )
 
 
 class TestLargeIntegerPrecisionParity:

@@ -1,8 +1,10 @@
 """Integration tests for the SQL executor (SELECT, DML, DDL, joins)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import CatalogError, ExecutionError
+from repro.sqldb import Catalog, Column, Executor, ResultSet, SqlType, TableSchema
 
 
 class TestSelectBasics:
@@ -246,6 +248,46 @@ class TestDml:
         executor.execute("CREATE TABLE t (a INT NOT NULL)")
         with pytest.raises(ExecutionError):
             executor.execute("INSERT INTO t VALUES (NULL)")
+
+
+class TestInsertFromTableFunction:
+    """``INSERT ... SELECT cols FROM fn(...)`` lands a columnar payload in
+    bulk. A payload of rows, or a float64 array bound for an INTEGER column,
+    takes the row-path tail instead: the rows are the row tier's, it counts
+    as one fallback select, and the function still runs once."""
+
+    PAYLOADS = {
+        "rows": lambda: ResultSet(
+            TableSchema((Column("w", SqlType.INTEGER), Column("v", SqlType.FLOAT))),
+            rows=[(1, 0.5), (2, -1.25), (3, 4.0)],
+        ),
+        "float-into-integer": lambda: ResultSet(
+            TableSchema((Column("w", SqlType.FLOAT), Column("v", SqlType.FLOAT))),
+            column_data=[np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.25, 4.0])],
+        ),
+    }
+
+    @pytest.mark.parametrize("payload", sorted(PAYLOADS))
+    def test_the_row_tail_matches_the_row_tier(self, payload):
+        landed = []
+        for vectorized in (True, False):
+            calls = []
+
+            def generate(args, variables):
+                calls.append(args)
+                return self.PAYLOADS[payload]()
+
+            executor = Executor(Catalog(), enable_vectorized=vectorized)
+            executor.catalog.register_table_function("gen", generate)
+            executor.execute("CREATE TABLE t (w INT, v FLOAT)")
+            before = executor.stats.fallback_selects
+            assert executor.execute("INSERT INTO t SELECT w, v FROM gen(7)").scalar() == 3
+            assert calls == [(7,)]
+            assert executor.stats.fallback_selects == before + 1
+            rows = executor.catalog.table("t").rows
+            landed.append((rows, [tuple(type(v) for v in row) for row in rows]))
+        assert landed[0] == landed[1]
+        assert landed[0][0] == [(1, 0.5), (2, -1.25), (3, 4.0)]
 
 
 class TestScriptsAndStats:

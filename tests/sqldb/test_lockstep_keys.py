@@ -1,19 +1,16 @@
-"""Bitwise parity of the sort/loop-free kernels of the vectorized tier.
+"""Bitwise parity of the vectorized tier's join, grouping and blocked pass.
 
 * The blocked lane kernel (``compiled.aggregate_lanes``): every
   variance-family aggregate of a statement folded together, the means one
   array step per row position and ``m2`` one ``cumsum`` per block of steps,
   with the AVG and float SUM of the same columns read off the same pass.
-  The oracle is the row interpreter's own accumulator (``make_aggregate``)
-  fed row by row, at block sizes that do and do not divide the steps.
-* Offset-coded integer keys (``compiled._offset_codes``): ``value - min``
-  instead of an ``np.unique`` sort. The oracle is the sorted coding (the
-  threshold patched so that no column qualifies) and the row interpreter.
-* Counted grouping (``compiled._counted_layout``) against the sorting one,
-  and the order-aware join (sort-free match) against the general match.
-* Tiled key columns (``table.tiled_column``): the tiled join, the strided
-  group layout and the kernel over it against what the same keys give as
-  plain arrays — the counted layout and the gathered blocks.
+  Every layout is rectangular — ``n_groups`` groups of ``size`` rows, group
+  ``g`` being every ``n_groups``-th row from row ``g`` — and the oracle is
+  the row interpreter's own accumulator (``make_aggregate``) fed row by
+  row, at block sizes that do and do not divide the steps.
+* Tiled key columns (``table.tiled_column``): the tiled join and the
+  strided group layout answer from the tiling alone; every other key is
+  refused (``VectorFallback``) and the row tier answers the statement.
 """
 
 from __future__ import annotations
@@ -49,16 +46,6 @@ def _bits(value):
     return None if value is None else struct.pack("<d", value)
 
 
-def _layout(sizes, rng) -> GroupLayout:
-    """Groups of the given sizes (empties allowed) over shuffled rows."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    sorted_rows = rng.permutation(int(sizes.sum()))
-    rep_rows = sorted_rows[starts[sizes > 0]]
-    return GroupLayout(sorted_rows=sorted_rows, starts=starts, ends=ends, rep_rows=rep_rows)
-
-
 def _column(kind, n_rows, rng) -> np.ndarray:
     if kind == "int":
         return rng.integers(-(2**62), 2**62, size=n_rows, dtype=np.int64)  # past 2**53
@@ -71,37 +58,32 @@ def _column(kind, n_rows, rng) -> np.ndarray:
 
 
 def _accumulated(name, values, layout) -> list:
-    """The oracle: one fresh accumulator per group, fed row by row."""
+    """The oracle: one fresh accumulator per group, fed its rows in order."""
     results = []
-    for start, end in zip(layout.starts, layout.ends):
+    for group in range(layout.n_groups):
         accumulator = make_aggregate(name)
-        for row in layout.sorted_rows[start:end]:
-            accumulator.add(values[row].item())
+        for value in values[group :: layout.n_groups].tolist():
+            accumulator.add(value)
         results.append(accumulator.result())
     return results
 
 
-def _lockstep_expected(n_columns, sizes) -> bool:
-    """The lane rule and the padding guard, restated: the kernel runs on a
-    non-empty input with about 24 lanes a step and at most 2x padding."""
-    rows, longest = sum(sizes), max(sizes, default=0)
-    return rows > 0 and n_columns * rows >= 24 * longest and longest * len(sizes) <= 2 * rows
+def _lockstep_expected(n_columns, layout) -> bool:
+    """The lane rule, restated: the kernel runs with about 24 lanes a step."""
+    return n_columns * layout.n_groups >= 24
 
 
-group_sizes = st.one_of(
-    st.lists(st.integers(0, 12), min_size=1, max_size=60),  # ragged, with empties
-    st.tuples(st.integers(1, 60), st.integers(1, 30)).map(lambda t: [t[1]] * t[0]),
-    # One long group among singletons: enough lanes, too much padding.
-    st.tuples(st.integers(1, 300), st.integers(5, 40)).map(
-        lambda t: [1] * (t[0] // 2) + [t[1]] + [1] * (t[0] - t[0] // 2)
-    ),
-    st.just([1]),
-    st.just([0, 0]),
+#: ``(n_groups, size)``: groups of equal size, single-row groups, and the
+#: one group of a statement without a GROUP BY key.
+group_shapes = st.one_of(
+    st.tuples(st.integers(1, 60), st.integers(1, 30)),
+    st.tuples(st.integers(1, 60), st.just(1)),
+    st.tuples(st.just(1), st.integers(1, 200)),
 )
 
 
 @given(
-    sizes=group_sizes,
+    shape=group_shapes,
     columns=st.lists(
         st.tuples(st.sampled_from(MOMENTS), st.sampled_from(["float", "int", "nan"])),
         min_size=1,
@@ -110,10 +92,10 @@ group_sizes = st.one_of(
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=150, deadline=None)
-def test_moments_match_the_accumulators_bit_for_bit(sizes, columns, seed):
+def test_moments_match_the_accumulators_bit_for_bit(shape, columns, seed):
     rng = np.random.default_rng(seed)
-    layout = _layout(sizes, rng)
-    n_rows = int(sum(sizes))
+    layout = GroupLayout(*shape)
+    n_rows = layout.n_groups * layout.size
     specs = [AggregateSpec(f"a{i}", name, False, False, None) for i, (name, _) in enumerate(columns)]
     arrays = [_column(kind, n_rows, rng) for _, kind in columns]
     expected = [
@@ -124,24 +106,22 @@ def test_moments_match_the_accumulators_bit_for_bit(sizes, columns, seed):
     with mock.patch.object(compiled, "_fold_lanes", wraps=compiled._fold_lanes) as kernel:
         answered = aggregate_lanes(specs, arrays, layout)
     assert [[_bits(v) for v in lane] for lane in answered] == expected
-    assert kernel.call_count == int(_lockstep_expected(len(columns), sizes))
+    assert kernel.call_count == int(_lockstep_expected(len(columns), layout))
 
     # The kernel itself, whatever the rule would have decided for this shape.
-    if n_rows:
-        m2, _ = compiled._fold_lanes(arrays, layout, with_sums=False)
-        assert len(m2) == len(arrays) and all(len(lane) == len(sizes) for lane in m2)
-        folded = [
-            [_bits(compiled._moments_result(spec.name, count, value)) for count, value in zip(sizes, lane)]
-            for spec, lane in zip(specs, m2)
-        ]
-        assert folded == expected
+    m2, _ = compiled._fold_lanes(arrays, layout, with_sums=False)
+    assert len(m2) == len(arrays) and all(len(lane) == layout.n_groups for lane in m2)
+    folded = [
+        [_bits(compiled._moments_result(spec.name, layout.size, value)) for value in lane]
+        for spec, lane in zip(specs, m2)
+    ]
+    assert folded == expected
 
 
 SUM_SHAPES = {
-    "ragged": [7, 1, 12, 3, 9, 12, 2, 5, 11, 8, 4, 10],
-    "single-row-groups": [1] * 48,
-    "even": [25] * 16,
-    "with-an-empty-group": [6, 0, 6, 6, 6, 6, 6, 6],
+    "single-row-groups": GroupLayout(48, 1),
+    "even": GroupLayout(16, 25),
+    "one-group": GroupLayout(1, 40),
 }
 
 
@@ -153,8 +133,8 @@ def test_sums_and_moments_off_one_layout_match_the_accumulators(shape, values):
     it, and segment by segment when it does not or when no variance
     aggregate is there to share it with."""
     rng = np.random.default_rng(len(shape))
-    sizes = SUM_SHAPES[shape]
-    n_rows = sum(sizes)
+    layout = SUM_SHAPES[shape]
+    n_rows = layout.n_groups * layout.size
     if values == "negative-zero":
         arrays = [np.full(n_rows, -0.0), np.full(n_rows, -0.0)]
     else:
@@ -164,39 +144,36 @@ def test_sums_and_moments_off_one_layout_match_the_accumulators(shape, values):
     sums = [AggregateSpec(f"s{i}", name, False, False, None) for i, name in enumerate(sum_names)]
     moments = [AggregateSpec(f"m{i}", name, False, False, None) for i, name in enumerate(("var", "stdev"))]
 
-    def expected(specs, layout):
+    def expected(specs):
         return [
             [_bits(v) for v in _accumulated(spec.name, column, layout)]
             for spec, column in zip(specs, arrays)
         ]
 
-    shared = _layout(sizes, rng)
     with mock.patch.object(
         compiled, "aggregate_segments", wraps=compiled.aggregate_segments
     ) as segments, mock.patch.object(
         compiled, "_fold_lanes", wraps=compiled._fold_lanes
     ) as kernel:
-        answered = aggregate_lanes(moments + sums, arrays + arrays, shared)
-    folded = _lockstep_expected(2, sizes)
+        answered = aggregate_lanes(moments + sums, arrays + arrays, layout)
+    folded = _lockstep_expected(2, layout)
     assert kernel.call_count == int(folded)
-    # All four ride one pass, empty groups included, or none of them does.
+    # All four ride one pass, or none of them does.
     assert segments.call_count == (0 if folded else len(moments) + len(sums))
-    assert [[_bits(v) for v in lane] for lane in answered[:2]] == expected(moments, shared)
-    assert [[_bits(v) for v in lane] for lane in answered[2:]] == expected(sums, shared)
+    assert [[_bits(v) for v in lane] for lane in answered[:2]] == expected(moments)
+    assert [[_bits(v) for v in lane] for lane in answered[2:]] == expected(sums)
 
-    fresh = _layout(sizes, rng)
     with mock.patch.object(
         compiled, "aggregate_segments", wraps=compiled.aggregate_segments
     ) as segments:
-        alone = aggregate_lanes(sums, arrays, fresh)
+        alone = aggregate_lanes(sums, arrays, layout)
     assert segments.call_count == len(sums)  # no variance pass to share
-    assert [[_bits(v) for v in lane] for lane in alone] == expected(sums, fresh)
+    assert [[_bits(v) for v in lane] for lane in alone] == expected(sums)
 
 
 def test_sums_over_other_columns_than_the_variances_go_by_segment():
     rng = np.random.default_rng(11)
-    sizes = [20] * 30
-    layout = _layout(sizes, rng)
+    layout = GroupLayout(30, 20)
     a, b = _column("float", 600, rng), _column("float", 600, rng)
     stdev = AggregateSpec("m", "stdev", False, False, None)
     avg = AggregateSpec("s", "avg", False, False, None)
@@ -229,10 +206,10 @@ def _edge_columns(n_rows, rng) -> dict:
 
 
 BLOCK_LAYOUTS = {
-    "strided": lambda rng: compiled._strided_layout(40, 9),
-    "ragged-with-empties": lambda rng: _layout([7, 0, 12, 3, 0, 9, 12, 2, 5, 11, 8, 4, 10, 1], rng),
-    "one-long-among-singletons": lambda rng: _layout([1] * 20 + [17] + [1] * 20, rng),
-    "8000-rows-per-group": lambda rng: compiled._strided_layout(3, 8000),
+    "strided": GroupLayout(40, 9),
+    "single-row-groups": GroupLayout(41, 1),
+    "one-group": GroupLayout(1, 17),
+    "8000-rows-per-group": GroupLayout(3, 8000),
 }
 
 
@@ -241,12 +218,12 @@ BLOCK_LAYOUTS = {
 def test_block_boundaries_keep_the_accumulators_bits(shape, block):
     """MOMENTS, AVG and float SUM through the kernel at block sizes of one
     step, of three, and of five (which divides none of these layouts' step
-    counts, so the last block is short), against the accumulators. The lane
-    rule is opened so that every layout takes the kernel; a SUM of -0.0
-    keeps its sign on the ragged layout."""
+    counts but one, so the last block is short), against the accumulators.
+    The lane rule is opened so that every layout takes the kernel; a SUM of
+    -0.0 keeps its sign."""
     rng = np.random.default_rng(block)
-    layout = BLOCK_LAYOUTS[shape](rng)
-    columns = _edge_columns(len(layout.sorted_rows), rng)
+    layout = BLOCK_LAYOUTS[shape]
+    columns = _edge_columns(layout.n_groups * layout.size, rng)
     if shape == "8000-rows-per-group":
         columns = {kind: columns[kind] for kind in ("float", "negative-zero")}
     specs, arrays = [], []
@@ -255,7 +232,7 @@ def test_block_boundaries_keep_the_accumulators_bits(shape, block):
         specs += [AggregateSpec(f"{name}_{kind}", name, False, False, None) for name in names]
         arrays += [values] * len(names)
     with mock.patch.multiple(
-        compiled, _LANE_BLOCK=block, _LOCKSTEP_MIN_LANES=0, _LOCKSTEP_MAX_PADDING=10**9
+        compiled, _LANE_BLOCK=block, _LOCKSTEP_MIN_LANES=0
     ), mock.patch.object(
         compiled, "_fold_lanes", wraps=compiled._fold_lanes
     ) as kernel, mock.patch.object(
@@ -268,47 +245,58 @@ def test_block_boundaries_keep_the_accumulators_bits(shape, block):
         expected = [_bits(v) for v in _accumulated(spec.name, values, layout)]
         assert [_bits(v) for v in lane] == expected, spec.rendered
     totals = answered[specs.index(next(s for s in specs if s.rendered == "sum_negative-zero"))]
-    sizes = (layout.ends - layout.starts).tolist()
-    assert [_bits(v) for v in totals] == [_bits(-0.0) if n else None for n in sizes]
+    assert [_bits(v) for v in totals] == [_bits(-0.0)] * layout.n_groups
 
 
-@pytest.mark.parametrize("sizes", [[3, 2], [30] * 40], ids=["scalar-loop", "lockstep"])
-def test_boolean_columns_are_rejected_on_both_sides_of_the_lane_rule(sizes):
+@pytest.mark.parametrize("shape", [(2, 3), (40, 30)], ids=["scalar-loop", "lockstep"])
+def test_boolean_columns_are_rejected_on_both_sides_of_the_lane_rule(shape):
     rng = np.random.default_rng(0)
-    layout = _layout(sizes, rng)
-    flags = _column("bool", sum(sizes), rng)
+    layout = GroupLayout(*shape)
+    flags = _column("bool", shape[0] * shape[1], rng)
     spec = AggregateSpec("a", "stdev", False, False, None)
-    assert _lockstep_expected(1, sizes) == (len(sizes) == 40)
+    assert _lockstep_expected(1, layout) == (layout.n_groups == 40)
     with pytest.raises(VectorFallback):
         aggregate_lanes([spec], [flags], layout)
     with pytest.raises(TypeMismatchError):  # what the fallback then reports
         _accumulated("stdev", flags, layout)
 
 
-def _executors(rows):
+def _executors(n_weeks, n_worlds, tiled=True):
+    """A (vectorized, row-tier) executor pair over one table ``x`` laid out
+    like the aggregate query's input: ``t`` runs through ``n_weeks`` weeks
+    once per world — a tiled key column, or (``tiled=False``) the same
+    values as a plain one."""
+    rng = np.random.default_rng(n_weeks * n_worlds)
+    n_rows = n_weeks * n_worlds
+    values = [
+        rng.normal(size=n_rows),
+        rng.normal(50.0, 9.0, size=n_rows),
+        rng.integers(-99, 99, size=n_rows),
+    ]
     pair = []
     for fast in (True, False):
-        executor = Executor(Catalog())
-        executor.enable_vectorized = fast
+        t = tiled_column(range(n_weeks), 1, n_worlds)
+        executor = Executor(Catalog(), enable_vectorized=fast)
         executor.execute("CREATE TABLE x (t INT, a FLOAT, b FLOAT, c INT)")
-        executor.catalog.table("x").insert_many(rows)
+        executor.catalog.table("x").load_columnar([t if tiled else np.array(t), *values])
         pair.append(executor)
     return pair
 
 
+def _float_bits(rows):
+    return [[_bits(float(v)) for v in row] for row in rows]
+
+
 def test_three_moment_aggregates_take_one_lockstep_pass():
-    """Three variance columns and an AVG over one of them: one kernel pass
-    folds the three, and the AVG rides it."""
-    rng = np.random.default_rng(5)
-    rows = [
-        (int(t), float(rng.normal()), float(rng.normal(50.0, 9.0)), int(rng.integers(-99, 99)))
-        for t in np.tile(np.arange(40), 30)
-    ]
-    fast, reference = _executors(rows)
+    """Three variance columns and an AVG over one of them, grouped by a
+    tiled week key: one kernel pass folds the three, and the AVG rides it.
+    The same keys as a plain column go to the row tier, with the same
+    answer."""
     sql = (
         "SELECT t, AVG(a) AS e, STDEV(a) AS s, VAR(b) AS v, STDEVP(c) AS p, COUNT(*) AS n "
         "FROM x GROUP BY t ORDER BY t"
     )
+    fast, reference = _executors(40, 30)
     with mock.patch.object(
         compiled, "_fold_lanes", wraps=compiled._fold_lanes
     ) as kernel, mock.patch.object(
@@ -318,23 +306,80 @@ def test_three_moment_aggregates_take_one_lockstep_pass():
     assert [len(call.args[0]) for call in kernel.call_args_list] == [3]
     assert segments.call_count == 0  # AVG(a) rides the pass (COUNT(*) is the executor's)
     assert fast.stats.vectorized_selects == 1 and fast.stats.fallback_selects == 0
-    expected = reference.execute(sql)
-    assert [[_bits(float(v)) for v in row] for row in result.rows] == [
-        [_bits(float(v)) for v in row] for row in expected.rows
-    ]
+    expected = _float_bits(reference.execute(sql).rows)
+    assert _float_bits(result.rows) == expected
+
+    plain, _ = _executors(40, 30, tiled=False)
+    assert _float_bits(plain.execute(sql).rows) == expected
+    assert plain.stats.vectorized_selects == 0 and plain.stats.fallback_selects == 1
 
 
 def test_a_handful_of_groups_keeps_the_scalar_loop():
-    rows = [(t, float(t * w), 1.0, w) for t in range(3) for w in range(200)]
-    fast, reference = _executors(rows)
+    fast, reference = _executors(3, 200)
     sql = "SELECT t, STDEV(a) AS s, VAR(c) AS v FROM x GROUP BY t ORDER BY t"
     with mock.patch.object(compiled, "_fold_lanes", wraps=compiled._fold_lanes) as kernel:
         result = fast.execute(sql)
-    assert kernel.call_count == 0  # 2 columns x 600 rows < 24 x 200
+    assert kernel.call_count == 0  # 2 columns x 3 groups < 24 lanes
+    assert fast.stats.vectorized_selects == 1
     assert result.rows == reference.execute(sql).rows
 
 
-# -- offset-coded integer keys --------------------------------------------------
+#: Group sizes no rectangular layout holds, keys in first-appearance order.
+RAGGED_SIZES = [7, 1, 12, 3, 9, 12, 2, 5, 11, 8, 4, 10]
+
+
+def _value_bits(value):
+    return _bits(value) if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("values", ["float", "int", "nan", "negative-zero"])
+def test_ragged_groups_go_to_the_row_tier(values):
+    """GROUP BY a plain key whose groups differ in size — interleaved, one
+    of a single row — is refused by the vectorized grouping; the row tier's
+    answer is each group's accumulators fed its rows in order, bit for bit."""
+    rng = np.random.default_rng(len(values))
+    keys = rng.permutation(np.repeat(np.arange(len(RAGGED_SIZES)), RAGGED_SIZES))
+    if values == "negative-zero":
+        column = np.full(len(keys), -0.0)
+    else:
+        column = _column(values, len(keys), rng)
+    kind = "INT" if values == "int" else "FLOAT"
+    executor = Executor(Catalog(), enable_vectorized=True)
+    executor.execute(f"CREATE TABLE x (g INT, v {kind})")
+    executor.catalog.table("x").load_columnar([keys.astype(np.int64), column])
+    names = ("avg", "sum", "var", "varp", "stdev", "stdevp")
+    sql = "SELECT g, " + ", ".join(f"{name.upper()}(v) AS {name}" for name in names) + " FROM x GROUP BY g"
+    answered = executor.execute(sql).rows
+    assert executor.stats.fallback_selects == 1 and executor.stats.vectorized_selects == 0
+
+    first_rows = {}
+    for row, key in enumerate(keys.tolist()):
+        first_rows.setdefault(key, row)
+    expected = []
+    for key in sorted(first_rows, key=first_rows.get):
+        results = []
+        for name in names:
+            accumulator = make_aggregate(name)
+            for value in column[keys == key].tolist():
+                accumulator.add(value)
+            results.append(accumulator.result())
+        expected.append((key, *results))
+    assert sorted(first_rows.values()) == [first_rows[row[0]] for row in answered]
+    assert [[_value_bits(v) for v in row] for row in answered] == [
+        [_value_bits(v) for v in row] for row in expected
+    ]
+
+
+def test_composite_group_keys_go_to_the_row_tier():
+    """GROUP BY two tiled keys is more than one strided key: refused by the
+    vectorized grouping, answered by the row tier as the row interpreter's."""
+    fast, reference = _executors(6, 5)
+    sql = "SELECT t, c, STDEV(a) AS s, AVG(b) AS e FROM x GROUP BY t, c ORDER BY t, c"
+    assert fast.execute(sql).rows == reference.execute(sql).rows
+    assert fast.stats.fallback_selects == 1 and fast.stats.vectorized_selects == 0
+
+
+# -- the tiled join -------------------------------------------------------------
 
 
 def _relation(label, **columns) -> ColumnarRelation:
@@ -345,159 +390,22 @@ def _relation(label, **columns) -> ColumnarRelation:
     return ColumnarRelation(bound, {}, set(bound), n_rows)
 
 
-def _joined(left, right, conjuncts):
-    joined = equi_join(left, right, conjuncts)
-    return {key: array.tobytes() for key, array in sorted(joined.columns.items())}
+def _as_bytes(relation) -> dict:
+    return {key: array.tobytes() for key, array in sorted(relation.columns.items())}
 
 
-def _sorted_coding():
-    """The pre-offset behaviour: no column ever qualifies."""
-    return mock.patch.object(compiled, "_KEY_RANGE_PER_ROW", 0)
-
-
-KEY_CASES = {
-    "negative": (np.array([-7, -3, -3, 0, 4, -7]), np.array([4, -3, -7, -7, 9])),
-    "duplicate-heavy": (np.repeat([5, 6], 40), np.tile([6, 5, 5, 7], 15)),
-    "disjoint": (np.arange(10), np.arange(20, 30)),
-    "empty-right": (np.arange(4), np.array([], dtype=np.int64)),
-    "wide-range": (np.array([0, 10**12, 5, 10**12]), np.array([10**12, 5, 1, 0, 0])),
-    "int64-extremes": (
-        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0]),
-        np.array([0, np.iinfo(np.int64).max]),
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(KEY_CASES))
-def test_offset_and_sorted_codes_join_identically(case):
-    left_key, right_key = (array.astype(np.int64) for array in KEY_CASES[case])
-    left = _relation("l", k=left_key, a=np.arange(len(left_key)) * 1.5)
-    right = _relation("r", k=right_key, b=np.arange(len(right_key)) * -2.5)
-    conjuncts = [("l.k", "r.k")]
-    offset = compiled._offset_codes((left_key, right_key))
-    assert (offset is None) == (case in ("wide-range", "int64-extremes"))
-    with _sorted_coding():
-        assert compiled._offset_codes((left_key, right_key)) is None
-        expected = _joined(left, right, conjuncts)
-    assert _joined(left, right, conjuncts) == expected
-
-
-def test_wide_range_declines_exactly_at_the_bound():
-    rows = 8
-    keys = np.zeros(rows, dtype=np.int64)
-    keys[-1] = compiled._KEY_RANGE_PER_ROW * rows - 1  # max - min < 4 x rows
-    assert compiled._offset_codes((keys,)) is not None
-    keys[-1] += 1
-    assert compiled._offset_codes((keys,)) is None
-
-
-def test_mixed_int_float_keys_keep_the_sorted_coding():
-    left = _relation("l", k=np.array([1, 2, 3, 2], dtype=np.int64))
-    right = _relation("r", k=np.array([2.0, 3.0, 2.5, 1.0]))
-    with mock.patch.object(compiled, "_offset_codes", wraps=compiled._offset_codes) as offset:
-        joined = equi_join(left, right, [("l.k", "r.k")])
-    assert offset.call_count == 0
-    assert joined.columns["l.k"].tolist() == [1, 2, 3, 2]
-    assert joined.columns["r.k"].tolist() == [1.0, 2.0, 3.0, 2.0]
-
-
-def test_composite_keys_past_max_code_fall_back():
-    rows = 1000
-    rng = np.random.default_rng(3)
-    # Six dense-enough keys of ~4000 values each: 4000**6 > 2**62.
-    keys = {f"k{i}": rng.permutation(4 * rows - 1)[:rows].astype(np.int64) for i in range(6)}
-    left, right = _relation("l", **keys), _relation("r", **keys)
-    assert all(compiled._offset_codes((k, k)) is not None for k in keys.values())
-    conjuncts = [(f"l.k{i}", f"r.k{i}") for i in range(6)]
-    with pytest.raises(VectorFallback):
-        equi_join(left, right, conjuncts)
-    with pytest.raises(VectorFallback):
-        group_layout(list(keys.values()), rows)
-
-
-@given(
-    keys=st.lists(
-        st.lists(st.integers(-40, 40), min_size=1, max_size=60), min_size=1, max_size=3
-    ),
-    spread=st.sampled_from([1, 3, 10**9]),
-)
-@settings(max_examples=80, deadline=None)
-def test_group_layout_is_the_same_under_either_coding(keys, spread):
-    n_rows = min(len(column) for column in keys)
-    arrays = [np.asarray(column[:n_rows], dtype=np.int64) * spread for column in keys]
-    layout = group_layout(arrays, n_rows)
-    with _sorted_coding():
-        expected = group_layout(arrays, n_rows)
-    for field in ("sorted_rows", "starts", "ends", "rep_rows"):
-        assert getattr(layout, field).tolist() == getattr(expected, field).tolist()
-
-
-def test_sql_join_on_offset_keys_matches_the_row_interpreter():
-    rows = [(w, t, float(w * 53 + t)) for w in range(-6, 6) for t in range(5)]
-    pair = []
-    for fast in (True, False):
-        executor = Executor(Catalog())
-        executor.enable_vectorized = fast
-        for name in ("s0", "s1"):
-            executor.execute(f"CREATE TABLE {name} (world INT, t INT, value FLOAT)")
-        executor.catalog.table("s0").insert_many(rows)
-        executor.catalog.table("s1").insert_many(rows[::-2] + rows[:7])
-        pair.append(executor)
-    sql = (
-        "SELECT s0.world AS world, s0.t AS t, s0.value + s1.value AS total "
-        "FROM s0 JOIN s1 ON s0.world = s1.world AND s0.t = s1.t"
-    )
-    fast, reference = pair
-    assert fast.execute(sql).rows == reference.execute(sql).rows
-    assert fast.stats.vectorized_selects == 1 and reference.stats.vectorized_selects == 0
-
-
-# -- counted grouping, order-aware join -----------------------------------------
-
-
-@given(
-    keys=st.lists(
-        st.lists(st.integers(-6, 6), min_size=0, max_size=80), min_size=1, max_size=3
-    ),
-    spread=st.sampled_from([1, 2, 5]),
-)
-@settings(max_examples=120, deadline=None)
-def test_counted_and_sorted_layouts_are_identical(keys, spread):
-    """On composite codes both accept, counting and ``np.unique`` return the
-    same arrays — values and dtypes."""
-    n_rows = min(len(column) for column in keys)
-    arrays = [np.asarray(column[:n_rows], dtype=np.int64) * spread for column in keys]
-    # Offset codes span up to 61 values per key at spread 5 (61**3 > 2**16),
-    # so the bound is lifted to make sure counting answers.
-    with mock.patch.object(compiled, "_COUNTING_MAX_CODES", 2**20), mock.patch.object(
-        compiled, "_counted_layout", wraps=compiled._counted_layout
-    ) as counted:
-        layout = group_layout(arrays, n_rows)
-    assert counted.call_count == 1
-    with mock.patch.object(compiled, "_COUNTING_MAX_CODES", 0), mock.patch.object(
-        compiled, "_counted_layout", wraps=compiled._counted_layout
-    ) as counted:
-        expected = group_layout(arrays, n_rows)
-    assert counted.call_count == 0
-    for name in ("sorted_rows", "starts", "ends", "rep_rows"):
-        ours, theirs = getattr(layout, name), getattr(expected, name)
-        assert ours.tolist() == theirs.tolist() and ours.dtype == theirs.dtype, name
-
-
-def test_a_wide_code_space_keeps_the_sorting_layout():
-    sparse = np.array([0, 70_000, 5, 70_000, 0], dtype=np.int64) * 10**6  # ranked: 3 codes
-    wide = np.arange(30_000, dtype=np.int64)[::-1] * 3  # offset-coded: 89 998 codes
-    pair = [np.arange(300).repeat(2), np.tile(np.arange(299, -1, -1), 2)]  # 300 x 300 codes
-    for arrays, counts in (([sparse], 1), ([wide], 0), (pair, 0)):
-        with mock.patch.object(
-            compiled, "_counted_layout", wraps=compiled._counted_layout
-        ) as counted:
-            layout = group_layout(arrays, len(arrays[0]))
-        assert counted.call_count == counts
-        with mock.patch.object(compiled, "_COUNTING_MAX_CODES", 2**40):
-            forced = group_layout(arrays, len(arrays[0]))
-        for name in ("sorted_rows", "starts", "ends", "rep_rows"):
-            assert getattr(layout, name).tolist() == getattr(forced, name).tolist()
+def _nested_loop(left, right, keys) -> dict:
+    """The reference join: every pair of rows whose keys are equal, left
+    rows in order and, for each, right rows in table order."""
+    pairs = [
+        (i, j)
+        for i in range(left.n_rows)
+        for j in range(right.n_rows)
+        if all(left.columns[f"l.{k}"][i] == right.columns[f"r.{k}"][j] for k in keys)
+    ]
+    left_take = np.array([i for i, _ in pairs], dtype=np.int64)
+    right_take = np.array([j for _, j in pairs], dtype=np.int64)
+    return _as_bytes(compiled.merge_relations(left.take(left_take), right.take(right_take)))
 
 
 JOIN_ORDERS = {
@@ -513,29 +421,95 @@ JOIN_ORDERS = {
 }
 
 
-def _general_join(left, right, left_keys, right_keys):
-    """The reference: dense codes, the stable sort, the match, two takes."""
-    codes = compiled._dense_codes(left_keys, right_keys, left.n_rows)
-    left_take, right_take = compiled._match_codes(*codes)
-    general = compiled.merge_relations(left.take(left_take), right.take(right_take))
-    return {key: array.tobytes() for key, array in sorted(general.columns.items())}
-
-
 @pytest.mark.parametrize("case", sorted(JOIN_ORDERS))
-def test_join_kernel_selection_and_its_answer(case):
-    """Plain key columns say nothing about their layout, so every pair —
-    the aligned one included — is matched; a sorted right side skips the
-    sort; the answer is what the general sort-and-match gives."""
+def test_plain_key_joins_go_to_the_row_tier(case):
+    """Plain key columns say nothing about their layout, so every pair — the
+    aligned one included — is refused by the vectorized join, and the
+    statement's answer is the row tier's: one more ``fallback_selects``."""
     left_key, right_key = (np.asarray(k, dtype=np.int64) for k in JOIN_ORDERS[case])
     left = _relation("l", k=left_key, a=np.arange(len(left_key)) * 1.5)
     right = _relation("r", k=right_key, b=np.arange(len(right_key)) * -2.5)
-    conjuncts = [("l.k", "r.k")]
-    with mock.patch.object(compiled, "_match_codes", wraps=compiled._match_codes) as matched:
-        answered = _joined(left, right, conjuncts)
-    assert matched.call_count == 1
-    right_sorted = bool(np.all(np.diff(right_key) >= 0))
-    assert matched.call_args.args[2] is right_sorted
-    assert answered == _general_join(left, right, [left_key], [right_key])
+    with pytest.raises(VectorFallback):
+        equi_join(left, right, [("l.k", "r.k")])
+
+    pair = []
+    for fast in (True, False):
+        executor = Executor(Catalog(), enable_vectorized=fast)
+        executor.execute("CREATE TABLE l (k INT, a FLOAT)")
+        executor.execute("CREATE TABLE r (k INT, b FLOAT)")
+        executor.catalog.table("l").load_columnar([left_key, left.columns["a"]])
+        executor.catalog.table("r").load_columnar([right_key, right.columns["b"]])
+        pair.append(executor)
+    fast, reference = pair
+    sql = "SELECT l.k AS k, l.a AS a, r.b AS b FROM l l JOIN r r ON l.k = r.k"
+    assert fast.execute(sql).rows == reference.execute(sql).rows
+    assert fast.stats.fallback_selects == 1 and fast.stats.vectorized_selects == 0
+
+
+#: Plain ``(left, right)`` join keys of every range the row tier must carry.
+KEY_RANGES = {
+    "negative": ([-7, -3, -3, 0, 4, -7], [4, -3, -7, -7, 9]),
+    "duplicate-heavy": (np.repeat([5, 6], 40).tolist(), np.tile([6, 5, 5, 7], 15).tolist()),
+    "disjoint": (list(range(10)), list(range(20, 30))),
+    "empty-right": (list(range(4)), []),
+    "wide-range": ([0, 10**12, 5, 10**12], [10**12, 5, 1, 0, 0]),
+    "int64-extremes": (
+        [int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max), 0],
+        [0, int(np.iinfo(np.int64).max)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_RANGES))
+def test_plain_keys_of_any_range_join_on_the_row_tier(case):
+    """Negative, duplicate-heavy, disjoint, empty, wide and int64-extreme
+    keys: the vectorized executor refuses the join, and the answer it then
+    gives holds every pair of rows whose keys are equal — no more, no fewer."""
+    left_key, right_key = KEY_RANGES[case]
+    executor = Executor(Catalog(), enable_vectorized=True)
+    executor.execute("CREATE TABLE l (k INT, a FLOAT)")
+    executor.execute("CREATE TABLE r (k INT, b FLOAT)")
+    executor.catalog.table("l").load_columnar(
+        [np.array(left_key, dtype=np.int64), np.arange(len(left_key)) * 1.5]
+    )
+    executor.catalog.table("r").load_columnar(
+        [np.array(right_key, dtype=np.int64), np.arange(len(right_key)) * -2.5]
+    )
+    sql = "SELECT l.k AS k, l.a AS a, r.b AS b FROM l l JOIN r r ON l.k = r.k"
+    expected = [
+        (lk, i * 1.5, j * -2.5)
+        for i, lk in enumerate(left_key)
+        for j, rk in enumerate(right_key)
+        if lk == rk
+    ]
+    assert sorted(executor.execute(sql).rows) == sorted(expected)
+    assert executor.stats.fallback_selects == 1 and executor.stats.vectorized_selects == 0
+
+
+def test_a_two_key_join_of_plain_columns_goes_to_the_row_tier():
+    """The combine's ``(world, t)`` join over rows inserted one by one —
+    negative worlds, one side repeating and missing rows — is the row
+    interpreter's, through one fallback."""
+    rows = [(w, t, float(w * 53 + t)) for w in range(-6, 6) for t in range(5)]
+    pair = []
+    for fast in (True, False):
+        executor = Executor(Catalog(), enable_vectorized=fast)
+        for name in ("s0", "s1"):
+            executor.execute(f"CREATE TABLE {name} (world INT, t INT, value FLOAT)")
+        executor.catalog.table("s0").insert_many(rows)
+        executor.catalog.table("s1").insert_many(rows[::-2] + rows[:7])
+        pair.append(executor)
+    sql = (
+        "SELECT s0.world AS world, s0.t AS t, s0.value + s1.value AS total "
+        "FROM s0 JOIN s1 ON s0.world = s1.world AND s0.t = s1.t"
+    )
+    fast, reference = pair
+    answered = fast.execute(sql).rows
+    assert answered == reference.execute(sql).rows
+    right = rows[::-2] + rows[:7]
+    expected = [(w, t, v + v) for w, t, v in rows for rw, rt, _ in right if (w, t) == (rw, rt)]
+    assert sorted(answered) == sorted(expected)
+    assert fast.stats.vectorized_selects == 0 and fast.stats.fallback_selects == 1
 
 
 WORLDS, WEEKS = [7, 3, 11, 0], [0, 2, 5]
@@ -569,9 +543,9 @@ TILED_JOINS = {
 @pytest.mark.parametrize("on", ["w-then-t", "t-then-w", "w-only"])
 def test_the_tiled_join_is_taken_and_refused(case, on):
     """Two sides whose ``(w, t)`` keys are one cross product of unique
-    bases, tiled alike, join row by row without reading a key; every other
-    pair — and a join on ``w`` alone, which repeats — is matched. Either way
-    the answer is the general match's."""
+    bases, tiled alike, join row by row without reading a key, and the
+    answer is the nested loop's; every other pair — and a join on ``w``
+    alone, which repeats — is refused, for the row tier to answer."""
     (left_w, left_t), (right_w, right_t), taken = TILED_JOINS[case]
     left = _relation("l", w=left_w, t=left_t, a=np.arange(len(left_w)) * 1.5)
     right = _relation("r", w=right_w, t=right_t, b=np.arange(len(right_w)) * -2.5)
@@ -582,14 +556,12 @@ def test_the_tiled_join_is_taken_and_refused(case, on):
     }[on]
     if on == "w-only":
         taken = case == "one-week"  # with one week, ``w`` alone is unique
-    with mock.patch.object(compiled, "_match_codes", wraps=compiled._match_codes) as matched:
-        answered = _joined(left, right, conjuncts)
-    assert matched.call_count == (0 if taken else 1)
+    if not taken:
+        with pytest.raises(VectorFallback):
+            equi_join(left, right, conjuncts)
+        return
     keys = ("w", "t") if on != "w-only" else ("w",)
-    expected = _general_join(
-        left, right, [left.columns[f"l.{k}"] for k in keys], [right.columns[f"r.{k}"] for k in keys]
-    )
-    assert answered == expected
+    assert _as_bytes(equi_join(left, right, conjuncts)) == _nested_loop(left, right, keys)
 
 
 def test_the_aligned_join_shares_nothing_mutable_with_its_inputs():
@@ -622,6 +594,9 @@ def test_a_tiling_belongs_to_its_array_object():
     assert tiling_of(relation.mask(key > 1).columns["k"]) is None
 
 
+# -- the strided grouping -------------------------------------------------------
+
+
 @given(
     base=st.one_of(
         st.lists(st.integers(-60, 60), min_size=1, max_size=60, unique=True),
@@ -633,50 +608,57 @@ def test_a_tiling_belongs_to_its_array_object():
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_the_strided_layout_and_its_lanes_match_the_counted_build(base, repeat, tile, kinds, seed):
+def test_the_strided_layout_and_its_lanes_match_the_accumulators(base, repeat, tile, kinds, seed):
     """GROUP BY a tiled key that runs through unique values (``repeat ==
-    1``) is arithmetic: the same arrays, values and dtypes, as the counted
-    layout of the same keys as a plain array, and the kernel's ``m2`` and
-    totals over it — blocks reshaped from row ranges — are byte-equal to
-    those over the plain layout, whose blocks are gathered. A repeated
-    base, or a key that repeats each value, is counted."""
+    1``) is arithmetic: group ``g`` is the rows holding ``base[g]``, in row
+    order, and the blocked pass over it — blocks reshaped from row ranges —
+    gives each group what the accumulators give the rows holding its key.
+    A repeated base, a key that repeats each value, and the same key as a
+    plain array are refused."""
     key = tiled_column(base, repeat, tile)
     n_rows = len(key)
-    strides = repeat == 1 and len(set(base)) == len(base)
-    with mock.patch.object(compiled, "_counted_layout", wraps=compiled._counted_layout) as counted:
-        strided = group_layout([key], n_rows)
-    assert counted.call_count == (0 if strides else 1)
-    assert strided.stride == (len(base) if strides else None)
-    plain = group_layout([np.array(key)], n_rows)
-    assert plain.stride is None
-    for name in ("sorted_rows", "starts", "ends", "rep_rows"):
-        ours, theirs = getattr(strided, name), getattr(plain, name)
-        assert ours.tolist() == theirs.tolist() and ours.dtype == theirs.dtype, name
+    with pytest.raises(VectorFallback):
+        group_layout([np.array(key)], n_rows)
+    if repeat != 1 or len(set(base)) != len(base):
+        with pytest.raises(VectorFallback):
+            group_layout([key], n_rows)
+        return
+    layout = group_layout([key], n_rows)
+    assert (layout.n_groups, layout.size) == (len(base), tile)
+    members = [np.flatnonzero(key == value) for value in base]
+    assert [s.tolist() for s in layout.segments(np.arange(n_rows))] == [m.tolist() for m in members]
 
     rng = np.random.default_rng(seed)
     columns = [
         rng.normal(size=n_rows) if kind == "float" else rng.integers(-99, 99, size=n_rows)
         for kind in kinds
     ]
-    with mock.patch.object(compiled, "_LANE_BLOCK", 7):  # blocks that do not divide
-        ours, theirs = (compiled._fold_lanes(columns, layout, True) for layout in (strided, plain))
-        for mine, other in zip(ours, theirs):
-            assert np.array(mine).tobytes() == np.array(other).tobytes()
-    specs = [AggregateSpec(f"m{i}", "stdev", False, False, None) for i in range(len(columns))]
-    assert [[_bits(v) for v in lane] for lane in aggregate_lanes(specs, columns, strided)] == [
-        [_bits(v) for v in lane] for lane in aggregate_lanes(specs, columns, plain)
-    ]
+    specs, arrays = [], []
+    for index, values in enumerate(columns):
+        specs += [AggregateSpec(f"{name}{index}", name, False, False, None) for name in ("stdev", "avg", "sum")]
+        arrays += [values] * 3
+    # Blocks that do not divide, and the pass taken whatever the lane count.
+    with mock.patch.multiple(compiled, _LANE_BLOCK=7, _LOCKSTEP_MIN_LANES=0):
+        answered = aggregate_lanes(specs, arrays, layout)
+    for spec, values, lane in zip(specs, arrays, answered):
+        expected = []
+        for rows in members:
+            accumulator = make_aggregate(spec.name)
+            for value in values[rows].tolist():
+                accumulator.add(value)
+            expected.append(accumulator.result())
+        assert [_bits(v) for v in lane] == [_bits(v) for v in expected], spec.rendered
 
 
 # -- the selections on the workload they were made for --------------------------
 
 
-def test_the_figure2_combine_takes_every_order_aware_path():
+def test_the_figure2_combine_takes_the_tiled_join_and_the_strided_pass():
     """One fresh 2000-world point of the Figure-2 scenario — the shape of a
     ``fresh_fanout`` point — joins its two samples tables by their tiling,
     groups 53 weeks by stride, folds its three STDEV columns in one kernel
     pass whose blocks are row ranges reshaped in place, and reads its three
-    AVGs off that pass. No key is coded, counted or matched."""
+    AVGs off that pass. Nothing goes to the row tier."""
     from repro.core.config import EngineConfig, SamplingConfig
     from repro.core.engine import ProphetEngine
     from repro.dsl import parse_scenario
@@ -689,10 +671,7 @@ def test_the_figure2_combine_takes_every_order_aware_path():
         EngineConfig(sampling=SamplingConfig(n_worlds=2000)),
     )
     point = dict(next(iter(engine.scenario.sweep_space.grid())))
-    spied = (
-        "_tiled_alike", "_strided_layout", "_fold_lanes", "_fill_block", "_dense_codes",
-        "_counted_layout", "_sorted_layout", "_match_codes", "aggregate_segments",
-    )
+    spied = ("_tiled_alike", "_fold_lanes", "_fill_block", "aggregate_segments")
     returned: dict[str, list] = {name: [] for name in spied}
 
     def spy(name):
@@ -701,7 +680,7 @@ def test_the_figure2_combine_takes_every_order_aware_path():
         def recorded(*args, **kwargs):
             returned[name].append((args, original(*args, **kwargs)))
             if name == "_fill_block":  # the buffer is refilled: keep what it held
-                returned[name][-1] = (args, np.array(args[0][: args[4] - args[3]]))
+                returned[name][-1] = (args, np.array(args[0][: args[3] - args[2]]))
             return returned[name][-1][1]
 
         return recorded
@@ -711,25 +690,19 @@ def test_the_figure2_combine_takes_every_order_aware_path():
     assert engine.executor.stats.fallback_selects == 0
     assert {name: len(calls) for name, calls in returned.items()} == {
         "_tiled_alike": 1,
-        "_strided_layout": 1,
         "_fold_lanes": 1,
         "_fill_block": -(-2000 // compiled._LANE_BLOCK),
-        "_dense_codes": 0,
-        "_counted_layout": 0,
-        "_sorted_layout": 0,
-        "_match_codes": 0,
         "aggregate_segments": 0,  # AVG x 3 ride the kernel's pass
     }
     assert returned["_tiled_alike"][0][1] is True
-    (_, layout), = returned["_strided_layout"]
-    assert layout.stride == 53
     (kernel_args, _), = returned["_fold_lanes"]
-    columns = kernel_args[0]
-    assert len(columns) == 3 and kernel_args[2] is True  # the AVGs' totals too
+    columns, layout, with_sums = kernel_args
+    assert (layout.n_groups, layout.size) == (53, 2000)
+    assert len(columns) == 3 and with_sums is True  # the AVGs' totals too
     # The reshape, on the last block (it starts past 0 and is not full):
-    # lane (group g, column c) at step k is row k * 53 + g.
-    (out, _, source, first, last, slots), block = returned["_fill_block"][-1]
-    assert source is None and slots == 53 and last == 2000 and 0 < first < last
+    # lane (column c, group g) at step k is row k * 53 + g of column c.
+    (out, _, first, last), block = returned["_fill_block"][-1]
+    assert out.shape[1:] == (3, 53) and last == 2000 and 0 < first < last
     for index, values in enumerate(columns):
         rows = values.astype(np.float64)[first * 53 : last * 53].reshape(last - first, 53)
-        assert block[:, :, index].tobytes() == rows.tobytes()
+        assert block[:, index].tobytes() == rows.tobytes()
