@@ -23,9 +23,9 @@ answers it.
 Identity discipline: the interpreter is the reference. Where NumPy's
 defaults would diverge (pairwise float summation, NaN ordering, eager
 evaluation of CASE branches, int64 wraparound on division) the plan either
-reproduces the interpreter's exact operation order (``np.cumsum`` for
-running float sums, the accumulator's Welford recurrence for variance —
-per value, or per row position across all groups at once) or refuses and
+reproduces the interpreter's exact operation order (:func:`_ordered_sums`
+for float sums, the accumulator's Welford recurrence for variance — per
+value, or per row position across all groups at once) or refuses and
 falls back. Division and INTEGER casts are never compiled inside lazily
 evaluated positions (CASE branches, AND/OR right operands, IN list items)
 so error behavior matches row-at-a-time evaluation.
@@ -85,27 +85,27 @@ _MAX_INT_MUL = 2**31
 #: Variance-family aggregates share one blocked pass (:func:`_fold_lanes`)
 #: when ``columns * groups >= this``, i.e. when a step has about this many
 #: lanes to advance. A step is three ufunc calls whatever the lane count,
-#: plus its share of the block's two ``cumsum`` (~4 ns a lane); one value
-#: through the scalar ``_welford`` loop is ~0.1 us plus its share of
-#: ``tolist``. Swept on ``AVG(x), STDEV(x)`` pairs (the aggregate
-#: query's shape) from 6 to 159 lanes, 2-core host, the kernel's speed-up
-#: over the loop:
+#: plus its share of the block's fold (the ``m2`` terms and two ordered
+#: sums, ~2 ns a lane); one value through the scalar ``_welford`` loop is
+#: ~0.1 us plus its share of ``tolist``. The kernel's speed-up over the loop
+#: on ``AVG(x), STDEV(x)`` of three columns (the aggregate query's shape),
+#: settings interleaved in one process, 2-core host:
 #:
-#:     rows per group   18 lanes  21     24     30     39     159
-#:     64               0.84x     1.01x  1.03x  1.16x  1.39x  3.2x
-#:     400              0.82x     0.91x  1.07x  1.27x  1.53x  3.1x
-#:     2000             0.79x     0.92x  1.14x  1.20x  1.55x  3.4x
+#:     rows per group   12 lanes  15     18     24     39     159
+#:     64               0.78x     0.93x  1.07x  1.34x  1.93x  3.5x
+#:     400              0.91x     0.92x  1.06x  1.38x  2.77x  7.8x
+#:     2000             1.08x     1.33x  1.51x  1.63x  3.13x  8.1x
 #:
-#: (variance aggregates alone, with no AVG to share the pass, cross at 21-24
-#: lanes at 400 and 2000 rows, ~36 at 64). Below it — the week memo leaving
-#: a handful of groups — the loop wins: when this rule came in, the
-#: 400-world walk's refresh p50 had risen from 3.8 to 6.3 ms without it.
-_LOCKSTEP_MIN_LANES = 24
+#: (variances alone, or one column: 15-18 lanes at 64 rows, 12-15 at 400
+#: and 2000). Below it — the week memo leaving a handful of groups — the
+#: loop wins: when this rule came in, the 400-world walk's refresh p50 had
+#: risen from 3.8 to 6.3 ms without it.
+_LOCKSTEP_MIN_LANES = 18
 
 #: Steps :func:`_fold_lanes` advances the means over before it folds ``m2``
-#: and the sums of all of them at once; its buffers are O(this x lanes).
-#: On the 53-week, 3-column aggregate at 400, 2000 and 8000 rows per group
-#: (2-core host), 64 to 256 tie within noise; 32 and 512 cost 5-15% more.
+#: and the sums of all of them at once; its buffers are O(this x lanes). On
+#: the 53-week, 3-column aggregate (2-core host) it is fastest at 2000 and
+#: 8000 rows per group and within 2% at 400; 64/256 cost up to 14% more, 32/512 21%.
 _LANE_BLOCK = 128
 
 MOMENT_AGGREGATES = ("var", "varp", "stdev", "stdevp")
@@ -915,12 +915,12 @@ def aggregate_segments(
     """Per-group results of one aggregate, bit-identical to the accumulators.
 
     ``values`` is the full (filtered) argument column; None for COUNT(*).
-    Running float sums use ``np.cumsum`` (the same left-to-right addition
-    order as the accumulator), variance family uses the accumulator's own
-    Welford recurrence in a tight loop — here one group at a time; the
-    executor asks :func:`aggregate_lanes` instead, which answers all of a
-    statement's variance, SUM and AVG aggregates together and comes back
-    here when the input is too small for that to pay.
+    Float sums are :func:`_ordered_sums` of the step-major ``(size,
+    n_groups)`` reshape (the accumulator's left-to-right order, no copy);
+    the variance family runs the accumulator's own Welford recurrence one
+    group at a time. The executor asks :func:`aggregate_lanes` instead,
+    which answers all of a statement's variance, SUM and AVG aggregates
+    together and comes back here when the input is too small for that to pay.
     """
     name = spec.name
     if name == "count":
@@ -940,15 +940,14 @@ def aggregate_segments(
         return [extremum(segment).item() for segment in layout.segments(values)]
     if values.dtype.kind == "b":
         raise VectorFallback  # the accumulators reject booleans per row
+    if name == "avg" or (name == "sum" and is_float):
+        steps = values.astype(np.float64, copy=False).reshape(layout.size, layout.n_groups)
+        totals = _ordered_sums(steps).tolist()
+        # AVG's accumulator starts from 0.0: a total of -0.0 becomes 0.0.
+        return totals if name == "sum" else [(t + 0.0) / layout.size for t in totals]
     segments = layout.segments(values)
-    if name == "sum" and not is_float:
+    if name == "sum":
         return [sum(segment.tolist()) for segment in segments]  # exact Python int math
-    if name in ("sum", "avg"):
-        totals = np.cumsum(segments.astype(np.float64, copy=False), axis=1)[:, -1].tolist()
-        if name == "sum":
-            return totals
-        # The accumulator starts from 0.0: a total of -0.0 becomes 0.0.
-        return [(total + 0.0) / layout.size for total in totals]
     if name in MOMENT_AGGREGATES:
         return [_welford(segment.tolist(), name) for segment in segments]
     raise VectorFallback
@@ -1033,48 +1032,49 @@ def _fold_lanes(
 
     Each lane runs the _MomentsAggregate recurrence over its group's values
     in row order — ``delta = x - mean; mean += delta / k; m2 += delta * (x -
-    mean)`` — and the SUM accumulator's ``total += x``; only the loop nest
-    is turned inside out. Every group has ``layout.size`` rows, so every
-    lane runs every step. Steps go in blocks of ``_LANE_BLOCK``. Per step
-    only the mean advances: three array operations over all lanes. Per
-    block, ``delta * (x - mean)`` is formed for every step at once and
-    ``m2`` is one ``cumsum`` down the block from a carry row:
-    ``add.accumulate`` adds in order, so that is the accumulator's ``m2
-    +=``, sum for sum. The totals are a second ``cumsum``, of the values,
-    from a carry of ``-0.0`` (``-0.0 + x`` is ``x``: the first sum is the
-    first value). After the last block the carry row holds every lane's
-    result.
+    mean)`` — and the SUM accumulator's ``total += x``, every lane every
+    step; only the loop nest is turned inside out. Steps go in blocks of
+    ``_LANE_BLOCK``. Per step only the mean advances: three ufunc calls over
+    all lanes, on row views built once per call. Per block, ``delta * (x -
+    mean)`` is formed for every step at once under a carry row (``m2`` so
+    far) and :func:`_ordered_sums` folds it into the next carry, sum for sum
+    the accumulator's ``m2 +=``; the totals fold the values the same way.
     """
     n_groups, size = layout.n_groups, layout.size
-    width = len(columns) * n_groups
-    block = min(_LANE_BLOCK, size)
-    steps, scratch = np.empty((block, width)), np.empty((block, width))
-    means, m2 = np.zeros((block + 1, width)), np.zeros((block + 1, width))
-    totals = np.full((block + 1, width), -0.0) if with_sums else None
-    carried = (means, m2, totals) if with_sums else (means, m2)
-    divisors = np.arange(1, size + 1, dtype=np.float64).tolist()
+    width, block = len(columns) * n_groups, min(_LANE_BLOCK, size)
+    values, terms, means = np.zeros((3, block + 1, width))  # row 0: the carry
+    scratch, divisors = np.empty((2, block, width))
+    values[0] = -0.0  # ``-0.0 + x`` is ``x``: the first total is the first value
+    rows_of = list(zip(values[1:], means[:-1], means[1:], divisors))
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, size, block):
             rows = min(block, size - first)
-            _fill_block(steps.reshape(block, len(columns), n_groups), columns, first, first + rows)
-            for x, mean, following, k in zip(
-                steps[:rows], means[:rows], means[1 : rows + 1], divisors[first : first + rows]
-            ):
+            _fill_block(values[1:].reshape(block, len(columns), n_groups), columns, first, first + rows)
+            divisors[:rows] = np.arange(first + 1, first + rows + 1)[:, None]
+            for x, mean, following, k in rows_of[:rows]:
                 np.subtract(x, mean, following)
                 np.divide(following, k, following)
                 np.add(mean, following, following)
-            x, terms, folded = steps[:rows], m2[1 : rows + 1], m2[: rows + 1]
-            np.subtract(x, means[:rows], out=terms)
+            x, delta = values[1 : rows + 1], terms[1 : rows + 1]
+            np.subtract(x, means[:rows], out=delta)
             np.subtract(x, means[1 : rows + 1], out=scratch[:rows])
-            np.multiply(terms, scratch[:rows], out=terms)
-            np.cumsum(folded, axis=0, out=folded)
+            np.multiply(delta, scratch[:rows], out=delta)
+            terms[0] = _ordered_sums(terms[: rows + 1])
             if with_sums:
-                totals[1 : rows + 1] = x
-                np.cumsum(totals[: rows + 1], axis=0, out=totals[: rows + 1])
-            for buffer in carried:
-                buffer[0] = buffer[rows]
+                values[0] = _ordered_sums(values[: rows + 1])
+            means[0] = means[rows]
     shape = (len(columns), n_groups)
-    return m2[0].reshape(shape).tolist(), totals[0].reshape(shape).tolist() if with_sums else []
+    return terms[0].reshape(shape).tolist(), values[0].reshape(shape).tolist() if with_sums else []
+
+
+def _ordered_sums(block: np.ndarray) -> np.ndarray:
+    """Each lane of a C-order ``(steps, lanes)`` block summed row by row from
+    ``-0.0``, like ``total += x``: NumPy sums pairwise only along the fast
+    axis, which axis 0 is for one lane (so one lane is padded to two), and
+    starts a reduce from ``+0.0``, which loses an all-``-0.0`` sum's sign."""
+    lanes = block.shape[1]
+    block = np.ascontiguousarray(block) if lanes > 1 else np.hstack((block, block))
+    return np.add.reduce(block, axis=0, initial=-0.0)[:lanes]
 
 
 def _fill_block(out: np.ndarray, columns: Sequence[np.ndarray], first: int, last: int) -> None:

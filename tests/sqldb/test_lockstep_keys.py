@@ -2,8 +2,10 @@
 
 * The blocked lane kernel (``compiled.aggregate_lanes``): every
   variance-family aggregate of a statement folded together, the means one
-  array step per row position and ``m2`` one ``cumsum`` per block of steps,
-  with the AVG and float SUM of the same columns read off the same pass.
+  array step per row position and ``m2`` one ordered sum per block of steps
+  (``compiled._ordered_sums``, an axis-0 ``np.add.reduce`` from a carry
+  row), with the AVG and float SUM of the same columns read off the same
+  pass.
   Every layout is rectangular — ``n_groups`` groups of ``size`` rows, group
   ``g`` being every ``n_groups``-th row from row ``g`` — and the oracle is
   the row interpreter's own accumulator (``make_aggregate``) fed row by
@@ -20,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TypeMismatchError
@@ -69,8 +71,8 @@ def _accumulated(name, values, layout) -> list:
 
 
 def _lockstep_expected(n_columns, layout) -> bool:
-    """The lane rule, restated: the kernel runs with about 24 lanes a step."""
-    return n_columns * layout.n_groups >= 24
+    """The lane rule, restated: the kernel runs with about 18 lanes a step."""
+    return n_columns * layout.n_groups >= 18
 
 
 #: ``(n_groups, size)``: groups of equal size, single-row groups, and the
@@ -248,6 +250,48 @@ def test_block_boundaries_keep_the_accumulators_bits(shape, block):
     assert [_bits(v) for v in totals] == [_bits(-0.0)] * layout.n_groups
 
 
+@given(
+    width=st.sampled_from([1, 2, 3, 159, 3001]),
+    rows=st.integers(1, 300),
+    kind=st.sampled_from(["float", "negative-zero", "nan", "inf", "int"]),
+    seed=st.integers(0, 2**16),
+)
+@example(width=1, rows=129, kind="float", seed=0)  # one lane: NumPy would sum pairwise
+@example(width=2, rows=300, kind="negative-zero", seed=0)  # a +0.0 start loses the sign
+@settings(max_examples=60, deadline=None)
+def test_ordered_sums_add_each_lane_in_row_order(width, rows, kind, seed):
+    """``_ordered_sums`` over a ``(rows, width)`` block, the float SUM read
+    through it by ``aggregate_segments``, and ``_fold_lanes`` over one
+    column of ``width`` groups (blocks of 128 steps: 300 rows cross two
+    boundaries): every total bit-equal to a plain left-to-right loop, every
+    ``m2`` to ``_MomentsAggregate.add`` fed the group's rows."""
+    values = _edge_columns(rows * width, np.random.default_rng(seed))[kind]
+    layout = GroupLayout(width, rows)
+    lanes = [[float(v) for v in values[g::width].tolist()] for g in range(width)]
+    expected = []
+    for lane in lanes:
+        total = lane[0]
+        for value in lane[1:]:
+            total = total + value
+        expected.append(_bits(total))
+
+    sum_spec = AggregateSpec("s", "sum", False, False, None)
+    with np.errstate(invalid="ignore"):  # inf + -inf, as the loop does it
+        block = compiled._ordered_sums(values.astype(np.float64).reshape(rows, width))
+        summed = compiled.aggregate_segments(sum_spec, values, layout)
+    assert [_bits(v) for v in block.tolist()] == expected
+    if kind != "int":  # an integer SUM is exact Python arithmetic, not a float sum
+        assert [_bits(v) for v in summed] == expected
+    m2, totals = compiled._fold_lanes([values], layout, with_sums=True)
+    assert [_bits(v) for v in totals[0]] == expected
+    checked = range(width) if width < 1000 else range(0, width, 97)  # keep the oracle quick
+    for group in checked:
+        accumulator = make_aggregate("varp")
+        for value in lanes[group]:
+            accumulator.add(value)
+        assert _bits(m2[0][group]) == _bits(accumulator._m2), group
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (40, 30)], ids=["scalar-loop", "lockstep"])
 def test_boolean_columns_are_rejected_on_both_sides_of_the_lane_rule(shape):
     rng = np.random.default_rng(0)
@@ -319,7 +363,7 @@ def test_a_handful_of_groups_keeps_the_scalar_loop():
     sql = "SELECT t, STDEV(a) AS s, VAR(c) AS v FROM x GROUP BY t ORDER BY t"
     with mock.patch.object(compiled, "_fold_lanes", wraps=compiled._fold_lanes) as kernel:
         result = fast.execute(sql)
-    assert kernel.call_count == 0  # 2 columns x 3 groups < 24 lanes
+    assert kernel.call_count == 0  # 2 columns x 3 groups < 18 lanes
     assert fast.stats.vectorized_selects == 1
     assert result.rows == reference.execute(sql).rows
 
