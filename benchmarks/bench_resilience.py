@@ -2,13 +2,13 @@
 
 Guards the serving plane's availability contract:
 
-* **chaos parity** (always): an evaluation under a seeded transient fault
-  plan — injected exceptions, garbage payloads, crashes — returns
-  bit-identical ``AxisStatistics`` to the fault-free sequential engine,
-  with every recovery visible in the stats counters;
-* **crash recovery** (>= 2 cores only): a worker killed mid-evaluation
-  under a real process pool is healed (pool rebuild + retry) and the
-  answer stays bit-identical, within a bounded wall-clock overhead.
+* **chaos parity** (always): a fresh sweep of point tasks under a seeded
+  transient fault plan — injected exceptions, garbage payloads, crashes —
+  returns bit-identical ``AxisStatistics`` to the fault-free sequential
+  engine, with every recovery visible in the stats counters;
+* **crash recovery** (>= 2 cores only): a worker killed mid-task under a
+  real process pool is healed (pool rebuild + retry) and the answer stays
+  bit-identical, within a bounded wall-clock overhead.
 """
 
 from __future__ import annotations
@@ -27,12 +27,18 @@ from repro.serve import (
     EvaluationService,
     FaultPlan,
     FaultSpec,
-    InlineExecutor,
     ProcessExecutor,
     ResilienceConfig,
+    Scheduler,
 )
 
 POINT = {"purchase1": 8, "purchase2": 24, "feature": 12}
+#: Eight fresh points: eight point tasks for the seeded plan to fault.
+POINTS = [
+    {"purchase1": p1, "purchase2": 24, "feature": feature}
+    for p1 in (0, 8, 16, 24)
+    for feature in (12, 36)
+]
 
 
 def _spec(n_worlds: int) -> EngineSpec:
@@ -65,10 +71,11 @@ def _assert_identical(actual, expected) -> None:
 def test_v6_chaos_parity_guard(benchmark):
     """A seeded transient fault plan must never change the answer."""
     n_worlds = 64
-    reference = _sequential_engine(n_worlds).evaluate_point(POINT)
+    engine = _sequential_engine(n_worlds)
+    references = [engine.evaluate_point(p, reuse=False) for p in POINTS]
     plan = FaultPlan.seeded(
         20260807,
-        shards=32,
+        tasks=len(POINTS),
         rate=0.4,
         kinds=("raise", "garbage", "crash"),
         attempts=2,
@@ -76,30 +83,34 @@ def test_v6_chaos_parity_guard(benchmark):
     )
 
     def evaluate_under_chaos():
-        service = EvaluationService(
-            _spec(n_worlds),
-            executor=InlineExecutor(),
-            shards=4,
-            min_shard_worlds=1,
-            fault_plan=plan,
-            resilience=ResilienceConfig(retry_backoff=0.0),
-        )
-        return service.evaluate(POINT), service
+        with ProcessExecutor(2) as pool:
+            service = EvaluationService(
+                _spec(n_worlds),
+                executor=pool,
+                fault_plan=plan,
+                resilience=ResilienceConfig(retry_backoff=0.0),
+            )
+            scheduler = Scheduler(service)
+            jobs = scheduler.submit_sweep(POINTS, reuse=False)
+            scheduler.run_pending()
+            return [job.evaluation() for job in jobs], service
 
-    evaluation, service = benchmark.pedantic(
+    evaluations, service = benchmark.pedantic(
         evaluate_under_chaos, rounds=1, iterations=1
     )
-    _assert_identical(evaluation.statistics, reference.statistics)
+    for evaluation, reference in zip(evaluations, references):
+        _assert_identical(evaluation.statistics, reference.statistics)
     fired = sum(service.injector.injected.values())
     assert fired > 0, "the seeded plan injected nothing — raise the rate"
     assert service.stats.shard_retries + service.stats.inline_rescues > 0
     report(
-        "V6: chaos parity (seeded transient plan, inline executor)",
+        "V6: chaos parity (seeded transient plan, 2-worker process pool)",
         [
             f"n_worlds {n_worlds}; faults fired {fired} "
-            f"({len(plan)} planned over 32 seqs)",
-            f"shard retries {service.stats.shard_retries}; "
-            f"inline rescues {service.stats.inline_rescues}",
+            f"({len(plan)} planned over {len(POINTS)} tasks)",
+            f"task retries {service.stats.shard_retries}; "
+            f"inline rescues {service.stats.inline_rescues}; "
+            f"pool rebuilds {service.stats.pool_rebuilds}",
             "statistics bit-identical to fault-free sequential: yes (guard)",
         ],
     )
@@ -113,21 +124,19 @@ def test_v6_chaos_parity_guard(benchmark):
 def test_v6_crash_recovery_guard(benchmark):
     """A killed worker must be healed with the answer bit-identical."""
     n_worlds = 64
-    reference = _sequential_engine(n_worlds).evaluate_point(POINT)
-    plan = FaultPlan(faults=(FaultSpec(shard=0, kind="crash"),))
+    reference = _sequential_engine(n_worlds).evaluate_point(POINT, reuse=False)
+    plan = FaultPlan(faults=(FaultSpec(task=0, kind="crash"),))
 
     def evaluate_through_crash():
         with ProcessExecutor(2) as pool:
             service = EvaluationService(
                 _spec(n_worlds),
                 executor=pool,
-                shards=4,
-                min_shard_worlds=1,
                 fault_plan=plan,
                 resilience=ResilienceConfig(retry_backoff=0.0),
             )
             started = time.perf_counter()
-            evaluation = service.evaluate(POINT)
+            evaluation = service.evaluate(POINT, reuse=False)
             return evaluation, service.stats, time.perf_counter() - started
 
     evaluation, stats, seconds = benchmark.pedantic(
@@ -136,11 +145,11 @@ def test_v6_crash_recovery_guard(benchmark):
     _assert_identical(evaluation.statistics, reference.statistics)
     assert stats.pool_rebuilds >= 1, "the crash never triggered a pool heal"
     report(
-        "V6: crash recovery (worker killed mid-evaluation, 2-worker pool)",
+        "V6: crash recovery (worker killed mid-task, 2-worker pool)",
         [
             f"n_worlds {n_worlds}; recovered in {seconds * 1000:.0f} ms",
             f"pool rebuilds {stats.pool_rebuilds}; "
-            f"shard retries {stats.shard_retries}",
+            f"task retries {stats.shard_retries}",
             "statistics bit-identical to fault-free sequential: yes (guard)",
         ],
     )

@@ -1,19 +1,17 @@
-"""V1 — the serve layer: sharded parallel evaluation and the result cache.
+"""V1 — the serve layer: point-parallel evaluation and the result cache.
 
 Guards two contracts of ``repro.serve``:
 
-* **parity**: sharded evaluation — 4 shards, inline and process executors —
-  returns bit-identical ``AxisStatistics`` to the sequential engine;
+* **parity**: a fresh (``reuse=False``) sweep — inline, and as point tasks
+  on a 2-worker process pool with one task per worker in flight — returns
+  bit-identical ``AxisStatistics`` to the sequential engine;
 * **cache**: a repeated sweep against the same cache directory is served
   >= 95% from the cross-run result cache.
 
-There is no wall-clock speedup guard here. A single cold point is per-seed
-event draws plus a serial combine/aggregate share of about a quarter at any
-size (an Amdahl ceiling near 2.3x at 4 workers before dispatch), it needs
->= 4 cores to mean anything, and it is one unpaced sample; what the fan-out
-buys is measured by the perf ledger's ``fresh_fanout`` workload
-(``benchmarks/ledger/``), with repeats and a bound per metric. CHANGES.md
-(PR 16) records the retired ">= 1.8x at n_worlds=400" guard and why.
+There is no wall-clock speedup guard here: it needs >= 2 cores to mean
+anything, and it would be one unpaced sample. What the pool buys is
+measured by the perf ledger's ``fresh_fanout`` workload
+(``benchmarks/ledger/``), with repeats and a bound per metric.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from repro.serve import (
 )
 
 POINT = {"purchase1": 8, "purchase2": 24, "feature": 12}
+POINT_FAR = {"purchase1": 40, "purchase2": 0, "feature": 44}
 
 
 def _spec(n_worlds: int, purchase_step: int = 8) -> EngineSpec:
@@ -57,41 +56,46 @@ def _assert_identical(actual, expected) -> None:
         assert (
             actual.expectation(alias).tobytes()
             == expected.expectation(alias).tobytes()
-        ), f"E[{alias}] diverged between sharded and sequential evaluation"
+        ), f"E[{alias}] diverged between pooled and sequential evaluation"
         assert (
             actual.stddev(alias).tobytes() == expected.stddev(alias).tobytes()
-        ), f"SD[{alias}] diverged between sharded and sequential evaluation"
+        ), f"SD[{alias}] diverged between pooled and sequential evaluation"
+
+
+def _fresh_sweep(service: EvaluationService, points: list) -> list:
+    scheduler = Scheduler(service)
+    jobs = scheduler.submit_sweep(points, reuse=False)
+    scheduler.run_pending()
+    return [job.evaluation() for job in jobs]
 
 
 @pytest.mark.benchmark(group="V1-serve")
-def test_v1_sharded_parity_guard(benchmark):
-    """4-shard evaluation must be bit-identical to sequential, always."""
+def test_v1_point_task_parity_guard(benchmark):
+    """A pooled fresh sweep must be bit-identical to sequential, always."""
     n_worlds = 64
-    reference = _sequential_engine(n_worlds).evaluate_point(POINT)
+    points = [POINT, {**POINT, "purchase1": 16}, {**POINT, "feature": 36}, POINT_FAR]
+    engine = _sequential_engine(n_worlds)
+    references = [engine.evaluate_point(p, reuse=False) for p in points]
 
-    def evaluate_sharded():
-        inline = EvaluationService(
-            _spec(n_worlds),
-            executor=InlineExecutor(),
-            shards=4,
-            min_shard_worlds=1,
-        )
+    def evaluate_pooled():
+        inline = EvaluationService(_spec(n_worlds), executor=InlineExecutor())
         with ProcessExecutor(2) as pool:
-            process = EvaluationService(
-                _spec(n_worlds), executor=pool, shards=4, min_shard_worlds=1
-            )
-            return inline.evaluate(POINT), process.evaluate(POINT)
+            process = EvaluationService(_spec(n_worlds), executor=pool)
+            return _fresh_sweep(inline, points), _fresh_sweep(process, points), process
 
-    inline_result, process_result = benchmark.pedantic(
-        evaluate_sharded, rounds=1, iterations=1
+    inline_results, process_results, process = benchmark.pedantic(
+        evaluate_pooled, rounds=1, iterations=1
     )
-    _assert_identical(inline_result.statistics, reference.statistics)
-    _assert_identical(process_result.statistics, reference.statistics)
+    for inline, pooled, reference in zip(inline_results, process_results, references):
+        _assert_identical(inline.statistics, reference.statistics)
+        _assert_identical(pooled.statistics, reference.statistics)
+    assert process.stats.shard_tasks == len(points)
     report(
-        "V1: sharded parity (4 shards, inline + process executors)",
+        "V1: point-task parity (fresh sweep, inline + 2-worker process pool)",
         [
-            f"n_worlds {n_worlds}; aliases {', '.join(reference.statistics.aliases())}",
-            "sharded statistics bit-identical to sequential: yes (guard)",
+            f"n_worlds {n_worlds}; {len(points)} points; "
+            f"aliases {', '.join(references[0].statistics.aliases())}",
+            "pooled statistics bit-identical to sequential: yes (guard)",
         ],
     )
 
@@ -105,7 +109,7 @@ def test_v1_result_cache_hit_rate_guard(benchmark, tmp_path):
 
     def sweep(label: str):
         service = EvaluationService(
-            spec, executor=InlineExecutor(), shards=2, cache_dir=cache_dir
+            spec, executor=InlineExecutor(), cache_dir=cache_dir
         )
         scheduler = Scheduler(service)
         scheduler.submit_sweep(session=label)

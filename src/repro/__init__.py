@@ -21,12 +21,12 @@ configuration, streaming sweep handles, one stats report. Quickstart::
     view = session.refresh()
     print(view.statistics.expectation("overload"))
 
-Backends — the sharded serve pool, the cross-run result cache, the tiered
+Backends — the point-task serve pool, the cross-run result cache, the tiered
 basis store, the batched sampling plane — are pure configuration::
 
     client = (
         ProphetClient.open(FIGURE2_DSL, "demo")
-        .with_serving(workers=4, shards=4)
+        .with_serving(workers=4)
         .with_cache(".repro-cache")
     )
     for result in client.sweep():      # streams as points complete

@@ -8,7 +8,7 @@ coordinator engine and one :class:`Scheduler` over that service, both built
 the first time they are needed. Synchronous calls — ``evaluate()``, the
 interactive session's refreshes, ``optimize().run()`` — go straight to the
 service; queued work — ``sweep()`` and adaptive evaluation — goes to the
-scheduler. The configuration only sizes that backend (executor, shards,
+scheduler. The configuration only sizes that backend (executor, workers,
 result cache, resilience, transport), and one :meth:`ProphetClient.stats`
 report unifies every counter dialect.
 
@@ -17,7 +17,7 @@ Fluent configuration (before the backend is built)::
     client = (
         ProphetClient.open(FIGURE2_DSL, "demo")
         .with_sampling(n_worlds=400)
-        .with_serving(workers=4, shards=4)
+        .with_serving(workers=4)
         .with_cache(".repro-cache")
         .with_basis_store(cap=256, dir=".repro-bases")
     )
@@ -148,12 +148,12 @@ class ProphetClient:
         return self.with_config(self.config.replace_section(section, **passed))
 
     def with_serving(self, **changes: Any) -> "ProphetClient":
-        """Size the evaluation service: its executor and shard geometry.
+        """Size the evaluation service: its executor and worker count.
 
         Takes any :class:`~repro.api.ServeConfig` field (``workers``,
-        ``shards``, ``executor``, ``min_shard_worlds``). Every client
-        evaluates through the service; unsized, it runs one in-process
-        shard.
+        ``executor``; ``shards`` is accepted and ignored). Every client
+        evaluates through the service; unsized, it runs in-process. On a
+        process pool, ``reuse=False`` requests run as whole-point tasks.
         """
         return self._with_section("serve", changes)
 
@@ -201,21 +201,19 @@ class ProphetClient:
         """Tune the fault-tolerance ladder (deadlines, retries, rescue).
 
         Takes any :class:`~repro.api.ResilienceConfig` field; the service's
-        shard dispatcher applies it to every fan-out.
+        task dispatcher applies it to every point task.
         """
         return self._with_section("resilience", changes)
 
     def with_transport(self, **changes: Any) -> "ProphetClient":
-        """Choose how shard payloads travel to process-pool workers.
+        """Choose how point-task results travel back from process workers.
 
         Takes any :class:`~repro.api.TransportConfig` field.
-        ``shard_transport="shm"`` ships worlds and result buffers through
-        named shared-memory segments leased from the coordinator's arena —
-        task pickles stay O(1) in the world count and merge reads are
-        zero-copy. The default ``"pickle"`` keeps the plain
-        pickled payloads; shm falls back to it per generation (counted,
-        never an error) when segments are unavailable or a payload exceeds
-        the cap.
+        ``shard_transport="shm"`` brings each task's statistics back
+        through a shared-memory region leased from the coordinator's arena;
+        the default ``"pickle"`` keeps them in the result pickle. shm falls
+        back to pickle (counted, never an error) where segments are
+        unavailable.
         """
         return self._with_section("transport", changes)
 
@@ -276,8 +274,8 @@ class ProphetClient:
         engine_config = self.config.engine_sections()
         kind = serve.executor
         if kind == "auto" and serve.workers is None:
-            # Without an explicit worker count "auto" means one in-process
-            # shard — the inline executor (mirrors the CLI contract).
+            # Without an explicit worker count "auto" means the inline
+            # executor (mirrors the CLI contract).
             kind = "inline"
         executor = create_executor(kind, serve.workers)
         spec: Optional[EngineSpec] = None
@@ -302,9 +300,7 @@ class ProphetClient:
             spec,
             engine=engine,
             executor=executor,
-            shards=serve.shards,
             cache_dir=self.config.cache.dir,
-            min_shard_worlds=serve.min_shard_worlds,
             resilience=self.config.resilience,
             transport=self.config.transport,
         )
@@ -389,7 +385,7 @@ class ProphetClient:
     ) -> PointEvaluation:
         """Evaluate one parameter point.
 
-        Goes straight to the service (result cache + sharded engine cycle),
+        Goes straight to the service (result cache + engine cycle or point task),
         not through the scheduler's job queue — an evaluate() call mid-sweep
         must not drain jobs a streaming :class:`SweepHandle` has pending.
 

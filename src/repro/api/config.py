@@ -1,7 +1,7 @@
 """Typed, layered client configuration.
 
 One :class:`ClientConfig` composes nine frozen section dataclasses —
-sampling, reuse, basis store, serving, resilience, shard transport, result
+sampling, reuse, basis store, serving, resilience, task transport, result
 cache, adaptive sampling, observability — into one validated object. Each
 knob is declared exactly once, on its section, next to the machinery it
 configures: the three engine-facing sections live in
@@ -49,17 +49,20 @@ EXECUTOR_KINDS: tuple[str, ...] = ("auto", "process", "inline")
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """The evaluation service's worker pool and shard geometry.
+    """The evaluation service's worker pool.
 
     Every client evaluates through the service; these knobs only size it.
-    The defaults mean one in-process shard (``executor="auto"`` without
-    ``workers`` is the inline executor).
+    The defaults mean the in-process executor (``executor="auto"`` without
+    ``workers`` is the inline one). On a process pool, ``reuse=False``
+    requests run as whole-point tasks, one per worker in flight.
+
+    ``shards`` is accepted and validated but has no effect: points are no
+    longer split by world. It stays until the perf ledger stops passing it.
     """
 
     workers: Optional[int] = None
     shards: Optional[int] = None
     executor: str = field(default="auto", metadata={"choices": EXECUTOR_KINDS})
-    min_shard_worlds: int = 8
 
     def __post_init__(self) -> None:
         require(
@@ -74,10 +77,6 @@ class ServeConfig:
         require(
             self.shards is None or self.shards >= 1,
             f"shards must be >= 1 or None, got {self.shards}",
-        )
-        require(
-            self.min_shard_worlds >= 1,
-            f"min_shard_worlds must be >= 1, got {self.min_shard_worlds}",
         )
 
 
@@ -104,7 +103,7 @@ class AdaptiveConfig:
     confidence half-width is at most ``target_ci``; the budget allocator
     reassigns their unspent worlds to unresolved points. Stopping is a pure
     function of accumulated statistics — never wall-clock — so adaptive
-    runs are deterministic and shard-geometry independent.
+    runs are deterministic and independent of the executor.
 
     ``min_worlds`` / ``max_worlds`` / ``round_growth`` are the client's one
     declaration of the round ladder (first round, fixed per-point budget,
@@ -164,8 +163,8 @@ class ClientConfig:
 
     Composes the nine sections. Every client runs one backend — an
     evaluation service over its engine — and these sections configure it:
-    loop vs batched sampling, tiered store, executor and shard geometry,
-    fault-tolerance ladder, shard transport, result cache; none selects a
+    loop vs batched sampling, tiered store, executor and workers,
+    fault-tolerance ladder, task transport, result cache; none selects a
     different backend. The resilience section is defined next to the
     machinery it configures (:mod:`repro.serve.resilience`) and composed
     here like any other.

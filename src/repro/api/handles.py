@@ -14,7 +14,7 @@ themselves (:class:`~repro.core.online.OnlineSession`,
   the next point starts, and leaves the moment its confidence target resolves.
 
 Both run on the client's scheduler and resolve identically under every
-executor and shard geometry — bit-identical by the serve parity contract —
+executor and worker count — bit-identical by the serve parity contract —
 and neither owns private counters: :meth:`repro.api.ProphetClient.stats` is
 the one stats surface.
 """

@@ -179,12 +179,11 @@ class StatsReport:
             f"  result cache: {sv['cache_hits']} hits / "
             f"{sv['cache_misses']} misses ({cache_rate:.1%}), "
             f"{sv.get('cache_tmp_swept', 0)} stale tmp swept",
-            f"  shards: {sv['shard_tasks']} tasks over "
-            f"{sv['sampled_worlds']} sampled worlds "
-            f"({sv['executor_kind']} x{sv['executor_workers']})",
-            f"  shard sampling: {sv['sampled_batched']} worlds batched / "
+            f"  point tasks: {sv['shard_tasks']} "
+            f"({sv['executor_kind']} x{sv['executor_workers']}), "
+            f"{sv['sampled_batched']} worlds batched / "
             f"{sv['sampled_fallback']} worlds per-world loop",
-            f"  resilience: {sv['shard_retries']} shard retries / "
+            f"  resilience: {sv['shard_retries']} task retries / "
             f"{sv['shard_timeouts']} timeouts / "
             f"{sv['pool_rebuilds']} pool rebuilds / "
             f"{sv['inline_rescues']} inline rescues",

@@ -15,7 +15,7 @@ model set). Passing ``-`` as the file reads the built-in Figure 2 program.
 
 Every command runs through the :mod:`repro.api` client: the flags build one
 typed :class:`~repro.api.ClientConfig`, which sizes the client's one
-backend — executor and shards, result cache, tiered basis store, sampling
+backend — executor and workers, result cache, tiered basis store, sampling
 backend. ``--stats`` prints the client's unified
 :class:`~repro.api.StatsReport`.
 """
@@ -130,12 +130,8 @@ COMMON_FLAGS: tuple[ConfigFlag, ...] = (
 SERVE_FLAGS: tuple[ConfigFlag, ...] = (
     ConfigFlag(
         "--workers", "serve", "workers",
-        "evaluate world shards in a pool of this many worker "
-        "processes (default: sequential)",
-    ),
-    ConfigFlag(
-        "--shards", "serve", "shards",
-        "world shards per sampling request (default: one per worker)",
+        "run fresh (--no-reuse) points as whole-point tasks in a pool of "
+        "this many worker processes (default: sequential)",
     ),
     ConfigFlag(
         "--cache-dir", "cache", "dir",
@@ -144,25 +140,18 @@ SERVE_FLAGS: tuple[ConfigFlag, ...] = (
     ),
     ConfigFlag(
         "--executor", "serve", "executor",
-        "shard executor backend (auto: process pool when workers > 1)",
+        "point-task executor backend (auto: process pool when workers > 1)",
     ),
     ConfigFlag(
         "--shard-timeout", "resilience", "shard_timeout",
-        "per-shard result deadline; a shard that misses it is "
+        "per-task result deadline; a point task that misses it is "
         "retried and the worker pool is healed (default: wait forever)",
         {"metavar": "SECONDS"},
     ),
     ConfigFlag(
         "--shard-retries", "resilience", "shard_retries",
-        "extra submission rounds a transiently-failed shard gets "
+        "extra submissions a transiently-failed point task gets "
         "before inline rescue (default: 2)",
-    ),
-    ConfigFlag(
-        "--shard-transport", "transport", "shard_transport",
-        "how shard payloads reach process-pool workers: 'pickle' "
-        "ships them inside the task pickle (default); 'shm' leases "
-        "shared-memory segments so task pickles stay O(1) in the world "
-        "count (falls back to pickle when segments are unavailable)",
     ),
 )
 
@@ -240,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = subparsers.add_parser(
         "batch",
-        help="evaluate many points through the sharded evaluation service",
+        help="evaluate many points through the evaluation service",
     )
     add_common(batch)
     batch.add_argument(
@@ -283,7 +272,7 @@ def _client_config(args: argparse.Namespace) -> ClientConfig:
 
     A flag left at its default stays out of the mapping, so an untouched
     section equals the default section — a bare ``repro run -`` sizes the
-    service to one in-process shard and leaves adaptive sampling off.
+    service to the in-process executor and leaves adaptive sampling off.
     """
     defaults = ClientConfig()
     mapping: dict[str, dict[str, Any]] = {}

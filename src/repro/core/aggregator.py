@@ -121,6 +121,18 @@ class ResultAggregator:
             axis_values = tuple(range(columns.shape[1]))
         return AxisStatistics(axis_values=axis_values, series=series, n_worlds=n_worlds)
 
+    def columns_of(self, statistics: AxisStatistics) -> np.ndarray:
+        """``statistics`` in :meth:`statistic_columns`' layout: the inverse
+        of :meth:`from_columns`, as a new array."""
+        return np.array(
+            [
+                values
+                for alias in self.output_aliases
+                for values in (statistics.expectation(alias), statistics.stddev(alias))
+            ],
+            dtype=np.float64,
+        )
+
     def from_sample_matrices(
         self, matrices: Mapping[str, np.ndarray], axis_values: Sequence[int]
     ) -> AxisStatistics:
@@ -165,11 +177,11 @@ def _nan_if_none(value: Any) -> float:
     return float("nan") if value is None else float(value)
 
 
-# -- mergeable accumulators (repro.serve sharded evaluation) -----------------
+# -- mergeable accumulators (the round protocol's moments oracle) -------------
 #
-# Sharded evaluation splits the fixed world-seed sequence into contiguous
-# shards and evaluates them in parallel. Merging per-shard statistics must
-# not depend on the shard split, so these accumulators keep *exact*
+# A round ladder splits the fixed world-seed sequence into contiguous
+# increments. Merging per-increment statistics must not depend on the
+# split, so these accumulators keep *exact*
 # sufficient statistics: sums are held as Shewchuk partial expansions (the
 # algorithm behind ``math.fsum``) whose represented value is the exact real
 # sum regardless of insertion or merge order, and the finalization rounds
@@ -269,7 +281,7 @@ class MergeableMoments:
 
     Sums of values *and* of their squares are kept exact (squares via
     Dekker two-product error compensation), and ``mean``/``variance``
-    finalize through exact rational arithmetic — so any shard partition of
+    finalize through exact rational arithmetic — so any partition of
     the same values produces bit-identical statistics, and the only
     rounding in the result is the final one.
     """
@@ -343,9 +355,9 @@ class MergeableAxisStats:
     """Mergeable per-week statistics of every output alias.
 
     One :class:`MergeableMoments` per (alias, week): the week axis of an
-    :class:`AxisStatistics`, in a form that shards can compute independently
-    over their world slice and merge exactly. A shard's payload is
-    ``O(aliases x weeks)`` regardless of how many worlds it simulated.
+    :class:`AxisStatistics`, in a form that world slices can compute
+    independently and merge exactly, ``O(aliases x weeks)`` regardless of
+    how many worlds a slice simulated.
     """
 
     def __init__(self, aliases: Sequence[str], n_weeks: int) -> None:

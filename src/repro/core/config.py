@@ -2,7 +2,7 @@
 
 :class:`SamplingConfig`, :class:`ReuseConfig` and :class:`StoreConfig` are
 the frozen sections the evaluation cycle reads: the engine, the online and
-offline drivers, :class:`~repro.serve.worker.EngineSpec` and the shard
+offline drivers, :class:`~repro.serve.worker.EngineSpec` and the serve
 workers all hold the *same* section objects the client was configured with
 (:class:`~repro.api.ClientConfig` composes them with the serve-side
 sections and re-exports them unchanged). :class:`EngineConfig` only groups

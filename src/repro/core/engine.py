@@ -85,19 +85,6 @@ def world_ids(worlds: Sequence[int], entry_point: str) -> tuple[int, ...]:
     return ids
 
 
-#: Replacement for the fresh-sampling stage: called with the VG output and
-#: the instance batch (one parameter point, a world slice) that no reuse
-#: layer could serve; must produce the ``(len(batch), n_components)`` sample
-#: matrix that the engine's own sampling plane would have. It either
-#: returns the matrix, or — having *started* the work somewhere else —
-#: returns a zero-argument callable that waits for it and returns the
-#: matrix; the engine calls that exactly once, when the point can go no
-#: further without the samples (see :class:`PendingPoint`).
-FreshSampler = Callable[
-    [VGOutput, InstanceBatch], "np.ndarray | Callable[[], np.ndarray]"
-]
-
-
 @dataclass
 class StageTimings:
     """Wall-clock seconds attributed to each Figure-1 stage."""
@@ -139,77 +126,6 @@ class PointEvaluation:
     @property
     def any_reuse(self) -> bool:
         return any(report.source != "fresh" for report in self.reuse_reports)
-
-
-@dataclass
-class _LandedPoint:
-    """A point whose samples are all in hand and in the store."""
-
-    point: dict[str, Any]
-    batch: InstanceBatch
-    matrices: dict[str, np.ndarray]
-    #: The stored basis each matrix *is*, where it is one: its cached column
-    #: digests key the week memo.
-    bases: dict[str, BasisEntry]
-    reports: list[ReuseReport]
-    timings: StageTimings
-
-
-class PendingPoint:
-    """One point evaluation that stops wherever it would wait for samples.
-
-    The evaluation cycle is one body of code (``ProphetEngine._sample_steps``,
-    a generator) driven in three phases:
-
-    * **begin** (construction; validation is done and the stats cache had
-      no answer) — each VG output in scenario order makes its reuse
-      decisions against the Storage Manager, until an output asks the
-      ``sampler`` for fresh samples and gets back a *started* request
-      instead of a matrix. The point stops right there;
-    * :meth:`land` — waits for the started request, shape-checks and
-      stores it, and carries on through the remaining outputs (waiting for
-      whatever they start) until every sample matrix is in hand;
-    * :meth:`combine` — lands the samples in SQL, combines, aggregates.
-
-    Stopping is the only thing that differs from running straight through:
-    every Storage Manager call happens in the order, and sees the state,
-    it would have. ``combine`` never touches the Storage Manager, which is
-    what lets a caller begin the *next* point between this one's ``land``
-    and ``combine``. With no sampler, or one that returns matrices, begin
-    runs through to the last output and ``land`` has nothing to do.
-    """
-
-    def __init__(
-        self,
-        engine: "ProphetEngine",
-        key: tuple,
-        point: dict[str, Any],
-        sampler: Optional["FreshSampler"],
-    ) -> None:
-        #: ``(point key, worlds, reuse)``: what makes two requests the same.
-        self.key = key
-        self._engine = engine
-        self._steps = engine._sample_steps(key, point, sampler)
-        self._landed: Optional[_LandedPoint] = None
-        self._advance()
-
-    def _advance(self) -> None:
-        try:
-            next(self._steps)
-        except StopIteration as stop:
-            if stop.value is None:  # the body raised earlier; nothing to resume
-                raise ScenarioError("this point evaluation already failed") from None
-            self._landed = stop.value
-
-    def land(self) -> None:
-        """Wait for every started request; all stores are done on return."""
-        while self._landed is None:
-            self._advance()
-
-    def combine(self, span: Any) -> PointEvaluation:
-        """The point's statistics (``span``: the caller's "evaluate" span)."""
-        self.land()
-        return self._engine._combine_point(self.key, self._landed, span)
 
 
 class ProphetEngine:
@@ -260,8 +176,6 @@ class ProphetEngine:
         self.total_timings = StageTimings()
         self.points_evaluated = 0
         self._stats_cache: dict[tuple, PointEvaluation] = {}
-        #: The one point :meth:`begin_point` took ahead of its evaluation.
-        self._begun: Optional[PendingPoint] = None
         # Per-week statistics memo: joint-sample content -> aggregate row.
         # Implements the §3.2 claim that "only a small portion of the output
         # statistics is recomputed" — a week whose joint samples (and the
@@ -292,61 +206,29 @@ class ProphetEngine:
         *,
         worlds: Optional[Sequence[int]] = None,
         reuse: bool = True,
-        sampler: Optional["FreshSampler"] = None,
-        overlap: Optional[Callable[[], None]] = None,
     ) -> PointEvaluation:
         """Evaluate the scenario at one sweep point (axis excluded).
 
         ``worlds`` defaults to all configured Monte Carlo worlds; the online
         mode passes growing prefixes for progressive refinement.
 
-        ``sampler`` replaces the generated-SQL fresh-sampling stage (and
-        nothing else): it is called exactly where the sampling plane would
-        be, for precisely the (output, world-slice) pairs that no reuse
-        layer could serve. ``repro.serve`` passes a sampler that shards the
-        world slice across a process pool; because each world's seed is a
-        pure function of ``(base_seed, world)`` (see
-        :func:`repro.vg.seeds.world_seed`), a shard evaluated elsewhere
-        produces the same rows this engine would, and every downstream
-        stage — storage, fingerprint mapping, combine/aggregate, the week
-        memo — runs unchanged on the merged samples. Sharded evaluation is
-        therefore bit-identical to sequential by construction.
-
-        The call is :class:`PendingPoint`'s three phases back to back —
-        resuming the point :meth:`begin_point` already began, if it is this
-        one. ``overlap`` is called between ``land`` and ``combine``: the
-        Storage Manager is not touched again by this call, so the callee
-        may :meth:`begin_point` the request that comes next.
+        ``reuse=False`` is a baseline measurement: every output is sampled
+        fresh through the generated SQL, and the request neither reads nor
+        writes the Storage Manager, the stats cache or the week memo. Each
+        world's seed is a pure function of ``(base_seed, world)`` (see
+        :func:`repro.vg.seeds.world_seed`), so such a request is a pure
+        function of ``(scenario, config, point, worlds)``: any engine built
+        from the same spec answers it with the same bits, in any order —
+        what lets ``repro.serve`` run it as a whole-point task on a process
+        pool.
         """
         profiler = self.profiler
         if profiler is None:
             with self.tracer.span("evaluate") as span:
-                return self._evaluate_point(point, worlds, reuse, sampler, overlap, span)
+                return self._evaluate_point(point, worlds, reuse, span)
         with profiler:
             with self.tracer.span("evaluate") as span:
-                return self._evaluate_point(point, worlds, reuse, sampler, overlap, span)
-
-    def begin_point(
-        self,
-        point: Mapping[str, Any],
-        *,
-        worlds: Optional[Sequence[int]] = None,
-        reuse: bool = True,
-        sampler: Optional["FreshSampler"] = None,
-    ) -> None:
-        """Take a point as far as it goes without waiting for samples.
-
-        The next :meth:`evaluate_point` for the same ``(point, worlds,
-        reuse)`` resumes it. At most one point is begun at a time (while
-        one is, this is a no-op), and its place in the order of evaluations
-        is where it was begun: any other evaluation that arrives first
-        waits for the begun point's samples to land before making its own
-        reuse decisions.
-        """
-        if self._begun is None:
-            key, validated = self._request(point, worlds, reuse)
-            if self._stats_cache_hit(key) is None:
-                self._begun = PendingPoint(self, key, validated, sampler)
+                return self._evaluate_point(point, worlds, reuse, span)
 
     def _request(
         self, point: Mapping[str, Any], worlds: Optional[Sequence[int]], reuse: bool
@@ -364,46 +246,58 @@ class ProphetEngine:
             reuse,
         ), validated
 
-    def _resume(self, key: tuple) -> Optional[PendingPoint]:
-        """Take the begun point if it is this request. A begun point that is
-        some other request is landed first and stays begun — its own
-        evaluation resumes it or, had landing failed, starts over."""
-        begun = self._begun
-        if begun is None:
-            return None
-        self._begun = None
-        if begun.key == key:
-            return begun
-        try:
-            begun.land()
-            self._begun = begun
-        except Exception:  # noqa: BLE001 — the point's own evaluation reports it
-            pass
-        return None
-
     def _evaluate_point(
         self,
         point: Mapping[str, Any],
         worlds: Optional[Sequence[int]],
         reuse: bool,
-        sampler: Optional["FreshSampler"],
-        overlap: Optional[Callable[[], None]],
         span: Any,
     ) -> PointEvaluation:
         key, validated = self._request(point, worlds, reuse)
-        pending = self._resume(key)
-        cached = self._stats_cache_hit(key) if pending is None else None
-        if cached is None:
-            if pending is None:
-                pending = PendingPoint(self, key, validated, sampler)
-            pending.land()
-        if overlap is not None:
-            overlap()
-        self.points_evaluated += 1
+        cached = self._stats_cache_hit(key)
         if cached is not None:
+            self.points_evaluated += 1
             span.set(stats_cache_hit=True, n_worlds=cached.n_worlds)
             return cached
-        return pending.combine(span)
+        point_key, chosen_worlds, _ = key
+        batch = InstanceBatch.at_point(validated, chosen_worlds, self.config.sampling.base_seed)
+
+        timings = StageTimings()
+        reports: list[ReuseReport] = []
+        matrices: dict[str, np.ndarray] = {}
+        # The stored basis each matrix *is*, where it is one: its cached
+        # column digests key the week memo.
+        bases: dict[str, BasisEntry] = {}
+        for output in self.scenario.vg_outputs:
+            if reuse:
+                matrix, report, basis = self._samples_for_output(output, batch, timings)
+            else:
+                matrix, report, basis = self._fresh_output(output, batch, timings)
+            alias = output.alias.lower()
+            # Result matrices are read-only, like the stored bases they mostly are.
+            matrix.flags.writeable = False
+            matrices[alias] = matrix
+            if basis is not None:
+                bases[alias] = basis
+            reports.append(report)
+        self.points_evaluated += 1
+
+        statistics = self._combine_and_aggregate(
+            validated, batch, matrices, timings, use_week_memo=reuse, bases=bases
+        )
+        self.total_timings.add(timings)
+        span.set(stats_cache_hit=False, n_worlds=len(batch))
+        evaluation = PointEvaluation(
+            point=validated,
+            statistics=statistics,
+            samples=matrices,
+            reuse_reports=tuple(reports),
+            timings=timings,
+            n_worlds=len(batch),
+        )
+        if reuse:
+            self._stats_cache[(point_key, chosen_worlds)] = evaluation
+        return evaluation
 
     def _stats_cache_hit(self, key: tuple) -> Optional[PointEvaluation]:
         """The stats cache's answer to a request, served as a pure hit.
@@ -442,61 +336,6 @@ class ProphetEngine:
             n_worlds=cached.n_worlds,
         )
 
-    def _sample_steps(
-        self,
-        key: tuple,
-        validated: dict[str, Any],
-        sampler: Optional["FreshSampler"],
-    ):
-        """The cycle from the first reuse decision up to combine, as
-        :class:`PendingPoint`'s generator: yields wherever it would wait for
-        a started fresh request, returns the landed point."""
-        _, chosen_worlds, reuse = key
-        batch = InstanceBatch.at_point(validated, chosen_worlds, self.config.sampling.base_seed)
-
-        timings = StageTimings()
-        reports: list[ReuseReport] = []
-        matrices: dict[str, np.ndarray] = {}
-        bases: dict[str, BasisEntry] = {}
-        for output in self.scenario.vg_outputs:
-            matrix, report, basis = yield from self._samples_for_output(
-                output, batch, reuse, timings, sampler
-            )
-            alias = output.alias.lower()
-            # Result matrices are read-only, like the stored bases they mostly are.
-            matrix.flags.writeable = False
-            matrices[alias] = matrix
-            if basis is not None:
-                bases[alias] = basis
-            reports.append(report)
-        return _LandedPoint(validated, batch, matrices, bases, reports, timings)
-
-    def _combine_point(
-        self, key: tuple, landed: _LandedPoint, span: Any
-    ) -> PointEvaluation:
-        point_key, chosen_worlds, reuse = key
-        statistics = self._combine_and_aggregate(
-            landed.point,
-            landed.batch,
-            landed.matrices,
-            landed.timings,
-            use_week_memo=reuse,
-            bases=landed.bases,
-        )
-        self.total_timings.add(landed.timings)
-        span.set(stats_cache_hit=False, n_worlds=len(landed.batch))
-        evaluation = PointEvaluation(
-            point=landed.point,
-            statistics=statistics,
-            samples=landed.matrices,
-            reuse_reports=tuple(landed.reports),
-            timings=landed.timings,
-            n_worlds=len(landed.batch),
-        )
-        if reuse:
-            self._stats_cache[(point_key, chosen_worlds)] = evaluation
-        return evaluation
-
     def sample_fresh(
         self,
         alias: str,
@@ -504,17 +343,13 @@ class ProphetEngine:
         worlds: Sequence[int],
         timings: Optional[StageTimings] = None,
     ) -> np.ndarray:
-        """Fresh-sample one VG output over a world slice (shard worker entry).
+        """Fresh-sample one VG output over a world slice.
 
         Runs only the generated-SQL sampling stage — no storage, no reuse,
         no aggregation. Because each world's seed derives purely from
         ``(base_seed, world)``, the returned ``(len(worlds), n_components)``
         matrix rows are identical to what any other engine with the same
-        scenario and config would produce for those worlds, which is what
-        makes sharded sampling safe to merge.
-
-        ``timings`` lets the caller keep the stage attribution (shard
-        workers ship it back to the coordinator inside the ShardSample).
+        scenario and config would produce for those worlds.
         """
         output = self.scenario.vg_output(alias)
         validated = self.scenario.validate_sweep_point(point)
@@ -539,12 +374,9 @@ class ProphetEngine:
         self,
         output: VGOutput,
         batch: InstanceBatch,
-        reuse: bool,
         timings: StageTimings,
-        sampler: Optional["FreshSampler"] = None,
-    ):
-        """One output's ``(samples, report, basis)``, as a sub-generator of
-        :meth:`_sample_steps` (it yields where :meth:`_fresh_samples` does).
+    ) -> tuple[np.ndarray, ReuseReport, Optional[BasisEntry]]:
+        """One output's ``(samples, report, basis)`` under ``reuse=True``.
 
         ``basis`` is the stored entry whose matrix ``samples`` is — an exact
         hit over the basis's own worlds, a mapped hit, a fresh store — and
@@ -571,21 +403,16 @@ class ProphetEngine:
                 missing, missing_seeds = missing_batch.id_tuples()
                 # Extending the world set: try to map the missing worlds from
                 # another basis before falling back to fresh simulation.
-                fresh = None
-                if reuse:
-                    with tracer.stage("reuse", timings, attr="storage"):
-                        fresh, _ = self.storage.acquire(
-                            function,
-                            args,
-                            missing,
-                            missing_seeds,
-                            reuse=True,
-                            min_mapped_fraction=min_mapped_fraction,
-                        )
-                if fresh is None:
-                    fresh = yield from self._fresh_samples(
-                        output, missing_batch, timings, sampler
+                with tracer.stage("reuse", timings, attr="storage"):
+                    fresh, _ = self.storage.acquire(
+                        function,
+                        args,
+                        missing,
+                        missing_seeds,
+                        min_mapped_fraction=min_mapped_fraction,
                     )
+                if fresh is None:
+                    fresh = self.sampling.sample(output, missing_batch, timings)
                 merged_worlds = existing.worlds + missing
                 merged_seeds = existing.seeds + missing_seeds
                 merged = np.vstack([existing.samples, fresh])
@@ -602,53 +429,31 @@ class ProphetEngine:
                 args,
                 worlds,
                 seeds,
-                reuse=reuse,
                 min_mapped_fraction=min_mapped_fraction,
             )
             stage.set(source=report.source)
         if samples is not None:
             return samples, report, self.storage.basis_of(function, args, samples)
 
-        samples = yield from self._fresh_samples(output, batch, timings, sampler)
+        samples = self.sampling.sample(output, batch, timings)
         with tracer.stage("reuse", timings, attr="storage"):
             basis = self.storage.store(function, args, samples, worlds, seeds)
         return basis.samples, report, basis
 
-    def _fresh_samples(
-        self,
-        output: VGOutput,
-        batch: InstanceBatch,
-        timings: StageTimings,
-        sampler: Optional["FreshSampler"],
-    ):
-        """Fresh samples via the generated-SQL path or a caller's sampler.
-
-        A generator: it yields once, between starting and collecting, when
-        the sampler hands back a started request rather than a matrix.
-        """
-        if sampler is None:
-            return self.sampling.sample(output, batch, timings)
-
-        def stage() -> Any:
-            return self.tracer.stage(
-                "sample", timings, attr="sql", alias=output.alias,
-                worlds=len(batch), backend="sampler",
-            )
-
-        with stage():
-            samples = sampler(output, batch)
-        if callable(samples):
-            yield
-            with stage():
-                samples = samples()
-        samples = np.asarray(samples, dtype=float)
-        expected = (len(batch), self.library.get(output.vg_name).n_components)
-        if samples.shape != expected:
-            raise ScenarioError(
-                f"sampler returned shape {samples.shape} for {output.alias!r}, "
-                f"expected {expected}"
-            )
-        return samples
+    def _fresh_output(
+        self, output: VGOutput, batch: InstanceBatch, timings: StageTimings
+    ) -> tuple[np.ndarray, ReuseReport, None]:
+        """One output's ``(samples, report, None)`` under ``reuse=False``:
+        the generated-SQL sampling path, with no Storage Manager call."""
+        function = self.library.get(output.vg_name)
+        report = ReuseReport(
+            vg_name=function.name,
+            args=tuple(output.model_arg_values(batch.point_dict)),
+            source="fresh",
+            components_total=function.n_components,
+            components_recomputed=function.n_components,
+        )
+        return self.sampling.sample(output, batch, timings), report, None
 
     def _land_samples(
         self,

@@ -12,7 +12,7 @@ Stopping is a pure function of accumulated statistics, never wall-clock:
 a point *converges* once the largest normal-approximation confidence
 half-width across its output series falls to ``target_ci``. Identical
 submissions therefore make identical stopping decisions on every re-run,
-under any shard geometry and either executor — which is what makes
+under any worker count and either executor — which is what makes
 adaptive runs reproducible and testable.
 
 This module holds the whole round protocol:

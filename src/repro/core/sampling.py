@@ -1,8 +1,7 @@
 """The sampling plane: the fresh Monte Carlo stage with pluggable backends.
 
 Fresh sampling — the only stage of the Figure-1 cycle that no reuse layer
-can serve — runs here for the engine and (transitively) for every shard
-worker. :class:`SamplingPlane` is that stage behind one abstraction with two
+can serve — runs here for every engine, the serve workers' included. :class:`SamplingPlane` is that stage behind one abstraction with two
 backends:
 
 * ``batched`` (default) — one generated statement per world *slice*: the
@@ -46,7 +45,7 @@ SAMPLING_BACKENDS: tuple[str, ...] = ("batched", "loop")
 
 
 class SamplingPlane:
-    """Fresh-sampling stage shared by the engine and every shard worker.
+    """Fresh-sampling stage of one engine.
 
     One plane serves one engine's (query generator, SQL executor, VG
     library) triple. :meth:`sample` produces the fresh sample matrix of one
@@ -68,7 +67,7 @@ class SamplingPlane:
         self.library = library
         self.backend = backend
         #: Backend that served the most recent :meth:`sample` call
-        #: ("batched" or "loop"); shard workers report it upstream.
+        #: ("batched" or "loop").
         self.last_backend: str = backend
         #: Observability: the engine's :meth:`~repro.core.engine.
         #: ProphetEngine.set_tracer` replaces this shared no-op tracer.

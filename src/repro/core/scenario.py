@@ -228,7 +228,7 @@ class Scenario:
         """Canonicalize a sweep point: strip the axis, validate the rest.
 
         The single definition of point normalization — every entry point
-        (engine evaluation, shard workers, the serve layer) must agree on
+        (engine evaluation, serve workers, the serve layer) must agree on
         it or reuse keys silently diverge.
         """
         return self.sweep_space.validate_point(

@@ -81,12 +81,12 @@ class ServeError(ReproError):
 class TransientServeError(ServeError):
     """A serving fault expected to clear on retry.
 
-    The fault taxonomy of the resilient serving plane: shards are pure
+    The fault taxonomy of the resilient serving plane: point tasks are pure
     functions of their inputs, so a failure caused by the *substrate* — a
     crashed or hung worker, a broken pool, a mangled payload — says nothing
     about the answer, and re-running the work (in a healed pool, or inline
     on the coordinator) produces the bit-identical result. The
-    :class:`~repro.serve.resilience.ShardDispatcher` retries these, and the
+    :class:`~repro.serve.resilience.TaskDispatcher` retries these, and the
     :class:`~repro.serve.scheduler.Scheduler` retries jobs failed by them;
     anything *not* in this branch of the hierarchy is treated as permanent
     — a deterministic error that would simply recur — and surfaces
@@ -98,16 +98,16 @@ class WorkerCrashError(TransientServeError):
     """A worker process died (or an injected crash simulated one)."""
 
 
-class ShardTimeoutError(TransientServeError):
-    """A shard task missed its deadline; the worker may be hung."""
+class TaskTimeoutError(TransientServeError):
+    """A point task missed its deadline; the worker may be hung."""
 
 
-class ShardPayloadError(TransientServeError):
-    """A shard task returned a malformed payload (wrong type or shape)."""
+class TaskPayloadError(TransientServeError):
+    """A point task returned a malformed payload (wrong type or shape)."""
 
 
 class RetryExhaustedError(TransientServeError):
-    """Every shard retry failed and inline rescue was disabled.
+    """Every task retry failed and inline rescue was disabled.
 
     Still transient: the *job*-level retry re-dispatches the whole
     evaluation, which may succeed against a healed pool.

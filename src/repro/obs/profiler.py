@@ -9,8 +9,8 @@ job) are depth-guarded: only the outermost enter/exit toggles the
 profiler, so nested evaluation never double-enables it.
 
 Profiling is coordinator-only by design: process-pool workers run their
-own interpreters, and their time is attributed through the worker-side
-shard timing shipped back in ShardSamples (see :mod:`repro.obs.trace`),
+own interpreters, and their time is attributed through the in-task
+timing shipped back in PointResults (see :mod:`repro.obs.trace`),
 not through cProfile.
 """
 

@@ -12,9 +12,10 @@ stays a leaf package):
 
 * the engine's accumulated :class:`~repro.core.engine.StageTimings`
   buckets (querygen / sql / storage / aggregate) and point count;
-* the service's wall-clock counters (``parallel_seconds`` — coordinator
-  time spent blocked waiting for shard results; ``worker_seconds`` —
-  per-shard time measured inside workers and shipped back in ShardSamples);
+* the service's wall-clock counters (``parallel_seconds`` — the time the
+  coordinator was blocked waiting for point-task results;
+  ``worker_seconds`` — in-task time, measured inside each point task and
+  shipped back in its PointResult);
 * the tracer's per-span-name aggregate, when tracing was on.
 """
 
@@ -107,8 +108,8 @@ class TimingReport:
         if self.parallel_seconds or self.worker_seconds:
             lines.append(
                 f"  parallel: {self.parallel_seconds * 1000:.1f}ms waiting on "
-                f"shards / {self.worker_seconds * 1000:.1f}ms attributed "
-                f"to workers"
+                f"point tasks / {self.worker_seconds * 1000:.1f}ms in "
+                f"tasks"
             )
         if self.spans:
             top = sorted(

@@ -24,11 +24,11 @@ The contract that makes tracing safe to leave in the hot paths:
   counted in :attr:`Tracer.dropped`); the per-name aggregate —
   count and total seconds — is incremental and never loses totals.
 
-Worker-side time arrives as *events*: a shard's wall-clock is measured in
-the worker process, ships back inside the picklable
-:class:`~repro.serve.worker.ShardSample`, and the coordinator-side
+Worker-side time arrives as *events*: a point task's wall-clock is measured
+in the worker process, ships back inside the picklable
+:class:`~repro.serve.worker.PointResult`, and the coordinator-side
 dispatcher records it with :meth:`Tracer.event`, attributed to the right
-shard and attempt. Events render on their own Chrome-trace track
+attempt. Events render on their own Chrome-trace track
 (``tid=1``) so pool time is visible next to, not lumped into, the
 coordinator timeline.
 """
@@ -259,8 +259,8 @@ class Tracer:
         return _LiveStage(self, name, timings, attr or name, stats, attrs)
 
     def event(self, name: str, seconds: float, **attrs: Any) -> None:
-        """Record an already-measured duration (e.g. worker-side shard
-        time shipped back in a ShardSample), ending now, on the worker
+        """Record an already-measured duration (e.g. in-task time shipped
+        back in a PointResult), ending now, on the worker
         track."""
         ended = time.perf_counter() - self.epoch
         self._record_offset(

@@ -1,11 +1,11 @@
-"""``repro.serve`` — sharded parallel evaluation service.
+"""``repro.serve`` — point-parallel evaluation service.
 
 Turns the single-process :class:`~repro.core.engine.ProphetEngine` into a
-concurrent evaluation service: the fixed world-seed sequence is partitioned
-into contiguous shards evaluated in a process pool (with an in-process
-fallback executor), a job scheduler lets many logical sessions share one
-pool with in-flight deduplication, and a persistent cross-run result cache
-serves repeated questions instantly.
+concurrent evaluation service: ``reuse=False`` requests run as whole-point
+tasks in a process pool (with an in-process fallback executor), a job
+scheduler lets many logical sessions share one pool with in-flight
+deduplication, and a persistent cross-run result cache serves repeated
+questions instantly.
 
 Reuse layers, in the order they fire for one evaluation request:
 
@@ -15,22 +15,21 @@ Reuse layers, in the order they fire for one evaluation request:
    these samples or statistics in memory;
 3. **fingerprint map** — a correlated parameterization's samples are
    remapped, only unmapped components are simulated;
-4. **sharded fresh sampling** — whatever survives all reuse is sharded
-   across workers, deterministically, and merged bit-identically.
+4. **fresh sampling** — whatever survives all reuse is simulated by the
+   coordinator engine.
 
-Every shard fan-out goes through the fault-tolerance ladder in
-:mod:`repro.serve.resilience` — per-shard deadlines, bounded deterministic
-retries, pool self-healing, and inline rescue as the last rung — so a
-faulty substrate costs time, never answers; :mod:`repro.serve.faults`
-provides the deterministic chaos harness that proves it.
-
-Every shard is one call, :func:`repro.serve.worker.run_shard`, on one frozen
-:class:`~repro.serve.worker.ShardTask`; which executor runs it, and whether
-it is a first attempt or an inline rescue, changes only where its engine
-comes from. The task's bulk fields (world slice, result matrix) can
-optionally ride named shared-memory segments instead of the task pickle —
-:mod:`repro.serve.transport`, ``TransportConfig(shard_transport="shm")`` —
-with byte-identical results and O(1) task pickles in the world count.
+A ``reuse=False`` request skips layers 1-3 and touches no state the
+coordinator keeps, so on a process pool it is one point task —
+:func:`repro.serve.worker.run_point` on a frozen
+:class:`~repro.serve.worker.PointTask` — run whole by a worker's own
+engine. Every task goes through the fault-tolerance ladder in
+:mod:`repro.serve.resilience` — deadlines, bounded deterministic retries,
+pool self-healing, and inline rescue as the last rung — so a faulty
+substrate costs time, never answers; :mod:`repro.serve.faults` provides
+the deterministic chaos harness that proves it. A task's statistics can
+optionally come back through a shared-memory region instead of the result
+pickle — :mod:`repro.serve.transport`,
+``TransportConfig(shard_transport="shm")`` — with byte-identical results.
 """
 
 from repro.serve.cache import CachedResult, ResultCache, result_key, scenario_fingerprint
@@ -45,10 +44,9 @@ from repro.serve.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.serve.resilience import ResilienceConfig, ShardCall, ShardDispatcher
+from repro.serve.resilience import ResilienceConfig, TaskCall, TaskDispatcher
 from repro.serve.scheduler import Job, JobQueue, Scheduler
 from repro.serve.service import EvaluationService, ServiceStats
-from repro.serve.sharding import WorldShard, plan_shards
 from repro.serve.transport import (
     SegmentArena,
     SegmentRef,
@@ -59,7 +57,8 @@ from repro.serve.worker import (
     EngineSpec,
     LIBRARY_BUILDERS,
     SCENARIO_BUILDERS,
-    ShardSample,
+    PointResult,
+    PointTask,
 )
 
 __all__ = [
@@ -74,6 +73,8 @@ __all__ = [
     "Job",
     "JobQueue",
     "LIBRARY_BUILDERS",
+    "PointResult",
+    "PointTask",
     "ProcessExecutor",
     "ResilienceConfig",
     "ResultCache",
@@ -82,13 +83,10 @@ __all__ = [
     "SegmentArena",
     "SegmentRef",
     "ServiceStats",
-    "ShardCall",
-    "ShardDispatcher",
-    "ShardSample",
+    "TaskCall",
+    "TaskDispatcher",
     "TransportConfig",
-    "WorldShard",
     "create_executor",
-    "plan_shards",
     "result_key",
     "scenario_fingerprint",
     "shm_available",

@@ -1,13 +1,12 @@
-"""Shard executors: where shard sampling tasks actually run.
+"""Executors: where point tasks actually run.
 
 Two interchangeable backends behind one ``submit`` interface:
 
 * :class:`ProcessExecutor` — one single-worker
-  ``concurrent.futures.ProcessPoolExecutor`` per worker, a *lane*. A task
-  submitted with ``lane=i`` always runs in worker ``i mod workers``, so
-  shard *i* of every fan-out meets the same process: its engine is built
-  once (from an :class:`~repro.serve.worker.EngineSpec`) and the per-seed
-  memos it fills for its world slice are never redrawn by a neighbour.
+  ``concurrent.futures.ProcessPoolExecutor`` per worker, a *lane*. Tasks
+  take the lanes in turn; a task submitted with ``lane=i`` runs in worker
+  ``i mod workers`` — how the service has every worker build and warm its
+  engine (from an :class:`~repro.serve.worker.EngineSpec`) once, up front.
   The lanes are *recyclable*: a crashed or hung worker is healed by
   :meth:`ProcessExecutor.recycle`, which tears every lane down
   (terminating stuck processes) and builds fresh ones in place — the
@@ -93,6 +92,11 @@ class InlineExecutor:
 class ProcessExecutor:
     """Process executor: one long-lived single-worker lane per worker.
 
+    Each lane runs the point tasks it is given whole, in submission order,
+    on the engine its worker built once; the coordinator only waits for
+    the results (``ServiceStats.parallel_seconds``) while the lanes'
+    in-task time is ``ServiceStats.worker_seconds``.
+
     ``start_method`` defaults to ``fork`` where available (workers inherit
     the imported package instantly) and ``spawn`` elsewhere; either way the
     submitted task must be a module-level function with picklable arguments
@@ -112,9 +116,10 @@ class ProcessExecutor:
         self.tasks_run = 0
         #: How many times the lanes were rebuilt (self-healing observability).
         self.rebuilds = 0
-        #: Cleanup hooks (see :meth:`add_recycle_hook` / :meth:`add_teardown_hook`):
-        #: the shm transport registers its lease sweeper / arena release so
-        #: pool churn can never strand shared-memory segments.
+        #: Hooks (see :meth:`add_recycle_hook` / :meth:`add_teardown_hook`):
+        #: the service registers its lease sweeper and lane warm-up / arena
+        #: release, so pool churn can never strand shared-memory segments
+        #: or leave a lane cold.
         self._recycle_hooks: list[Callable[[], None]] = []
         self._teardown_hooks: list[Callable[[], None]] = []
 
@@ -157,7 +162,7 @@ class ProcessExecutor:
         tasks running are lost with their worker; whoever holds such a
         future sees :class:`~concurrent.futures.CancelledError` or
         ``BrokenProcessPool`` — both transient to the dispatcher, and
-        shard purity makes re-submission bit-identical.
+        task purity makes re-submission bit-identical.
         """
         self._teardown(self._lanes, timeout)
         self._lanes = self._new_lanes()

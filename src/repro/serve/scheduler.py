@@ -10,7 +10,7 @@ scheduler:
   onto it and receives the same result when it completes;
 * drives every evaluation through the shared
   :class:`~repro.serve.service.EvaluationService`, so all sessions benefit
-  from the same coordinator reuse layers, shard pool, and result cache;
+  from the same coordinator reuse layers, worker pool, and result cache;
 * runs adaptive sweeps through a CI budget allocator, every round a
   regular job.
 
@@ -18,13 +18,14 @@ A mode driver joins by taking :meth:`Scheduler.evaluate` as its
 ``evaluate=`` callable (``functools.partial(scheduler.evaluate,
 session=...)``) over the coordinator engine ``scheduler.service.engine``.
 
-Execution is synchronous and deterministic: ``run_pending`` drains the
-queue in FIFO order (the parallelism lives below, in the service's shard
-pool). That keeps scheduling decisions reproducible — the same submissions
-always produce the same evaluations in the same order. On a process pool
-one thing overlaps: while a job combines, the next queued job is *begun*
-(its reuse decisions made, its first shard generation submitted) — after
-every store of the running job, so in the order it would have happened.
+Results are handed out in FIFO order: ``run_next`` completes the oldest
+pending job, so the same submissions always produce the same evaluations
+in the same order. On a process pool ``reuse=False`` jobs are point tasks,
+and the scheduler keeps two in flight per worker (one running, one queued
+behind it): running a job first starts the tasks of the jobs queued right
+behind it. That moves no decision — a ``reuse=False`` evaluation reads and
+writes no coordinator state, so it may run in any order, anywhere — while
+``reuse=True`` jobs run on the coordinator in their turn.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.core.engine import PointEvaluation, PointEvaluator, world_ids
 from repro.core.rounds import RoundPlan
 from repro.errors import ServeError, TransientServeError
 from repro.obs.trace import NULL_TRACER
-from repro.serve.service import EvaluationService
+from repro.serve.service import EvaluationService, StartedPoint
 
 #: Job lifecycle states.
 PENDING = "pending"
@@ -155,9 +156,9 @@ class JobQueue:
         self._pending.append(job)
         self._inflight[job.key] = job
 
-    def peek(self) -> Optional[Job]:
-        """The job :meth:`pop` would return next, left in the queue."""
-        return self._pending[0] if self._pending else None
+    def ahead(self, count: int) -> list[Job]:
+        """The next ``count`` jobs :meth:`pop` would return, left queued."""
+        return list(itertools.islice(self._pending, count))
 
     def pop(self) -> Optional[Job]:
         if not self._pending:
@@ -216,9 +217,9 @@ class Scheduler:
         self.worlds_spent = 0
         self.worlds_budgeted = 0
         self._adaptive_sweeps: deque[AdaptiveSweepJob] = deque(maxlen=history_limit)
-        #: What beginning the queue's head ahead of its turn raised, if it
-        #: did (see :meth:`_begin_next`).
-        self._begin_error: Optional[BaseException] = None
+        #: Point tasks started ahead of their job's turn, by job id (see
+        #: :meth:`_start_ahead`).
+        self._started: dict[int, StartedPoint] = {}
         #: Observability: job lifecycle spans; the API client replaces this
         #: shared no-op when tracing is configured.
         self.tracer = NULL_TRACER
@@ -302,10 +303,10 @@ class Scheduler:
         worst CI half-width is at most ``target_ci``; budget retired points
         did not spend is reassigned to unresolved points. Every round is a regular scheduler
         job — it flows through the same queue, dedup, retry ladder, and
-        sharded service as a fixed-budget evaluation.
+        service as a fixed-budget evaluation.
 
         Stopping decisions are pure functions of the accumulated statistics
-        (which are bitwise identical across executors and shard geometry),
+        (which are bitwise identical across executors and worker counts),
         so identical submissions retire identical points after identical
         rounds on every run.
         """
@@ -371,10 +372,10 @@ class Scheduler:
     def _round_evaluate(self, sweep: AdaptiveSweepJob, index: int):
         """An ``evaluate_point``-compatible callable that routes one round
         of ``sweep.states[index]`` through the job queue — so dedup, job
-        retries, and the sharded service's resilience ladder apply to every
-        round unchanged — and books the job's time on the point."""
+        retries, and the service's resilience ladder apply to every round
+        unchanged — and books the job's time on the point."""
 
-        def evaluate(point, *, worlds, reuse=True, sampler=None):
+        def evaluate(point, *, worlds, reuse=True):
             job = self.submit(point, worlds=worlds, session=sweep.session, reuse=reuse)
             while job.status in (PENDING, RUNNING):
                 if self.run_next() is None:
@@ -525,26 +526,14 @@ class Scheduler:
         # The clock feeds Job.elapsed_seconds, an observability field;
         # scheduling decisions never read it.
         started = time.perf_counter()
-        # What begin-ahead of this job left for it (set by the previous
-        # job's ``_begin_next``): nothing, or the error it raised.
-        begin_error, self._begin_error = self._begin_error, None
-        # Only a process pool samples while this process combines; and only
-        # a queued job can be begun ahead (interactive refreshes and
-        # adaptive rounds find the queue empty after their pop).
-        overlap = self._begin_next if self.service.executor.kind == "process" else None
         with self.tracer.span("job", job=job.id, session=job.session) as span:
             while True:
                 try:
-                    if begin_error is not None:
-                        error, begin_error = begin_error, None
-                        raise error
-                    job.result = self.service.evaluate(
-                        job.point, worlds=job.worlds, reuse=job.reuse, overlap=overlap
-                    )
+                    job.result = self._evaluate(job)
                     job.status = DONE
                 except TransientServeError as error:
                     # The substrate failed, not the question: re-running the
-                    # whole evaluation is bit-identical by shard purity, and
+                    # whole evaluation is bit-identical by task purity, and
                     # the pool underneath was healed by the dispatcher.
                     if job.attempts < self.job_retries:
                         job.attempts += 1
@@ -572,26 +561,41 @@ class Scheduler:
         self.jobs_completed += 1
         return job
 
-    def _begin_next(self) -> None:
-        """Begin the next queued job while the running one combines.
+    def _evaluate(self, job: Job) -> PointEvaluation:
+        """One attempt at ``job``. On a process pool a ``reuse=False`` job
+        is a point task — started ahead of its turn or right here — and the
+        tasks of the jobs behind it are started before this one is waited
+        for; anything else is the service's own ``evaluate``."""
+        task = self._started.pop(job.id, None)
+        if task is None and self.service.pooled and not job.reuse:
+            task = self.service.start(job.point, worlds=job.worlds)
+        self._start_ahead()
+        if task is not None:
+            return self.service.finish(task)
+        return self.service.evaluate(job.point, worlds=job.worlds, reuse=job.reuse)
 
-        Called by the engine between the running job's ``land`` and
-        ``combine``: the next job's reuse decisions are made (after every
-        store of the running job, as they would have been) and its first
-        shard generation is submitted, so the workers sample it while this
-        process combines. An error here is the *next* job's: it is kept and
-        raised into that job's own retry ladder when it is popped.
+    def _start_ahead(self) -> None:
+        """Keep every worker busy: start the tasks of the ``reuse=False``
+        jobs among the next ``2 * workers - 1`` queued ones, so each worker
+        has a task queued behind the one it runs. With only one task per
+        worker, a worker that finished before the oldest task sat idle until
+        the coordinator collected that one.
+
+        A task that cannot be started here is left to its own job, whose
+        turn starts it again and raises any error into that job's own retry
+        ladder.
         """
-        ahead = self.queue.peek()
-        if ahead is None or self._begin_error is not None:
+        if not self.service.pooled:
             return
-        # The spans opened in here belong to the job being begun, not to
-        # the one whose "job" span is open around them.
-        with self.tracer.span("begin", job=ahead.id, session=ahead.session):
+        for ahead in self.queue.ahead(2 * self.service.executor.workers - 1):
+            if ahead.reuse or ahead.id in self._started:
+                continue
             try:
-                self.service.begin(ahead.point, worlds=ahead.worlds, reuse=ahead.reuse)
-            except Exception as error:  # noqa: BLE001 — raised into job ``ahead``
-                self._begin_error = error
+                self._started[ahead.id] = self.service.start(
+                    ahead.point, worlds=ahead.worlds
+                )
+            except Exception:  # noqa: BLE001 — raised again in the job's turn
+                return
 
     def run_pending(self) -> list[Job]:
         """Drain the queue; returns the jobs completed by this call."""

@@ -1,45 +1,39 @@
-"""Zero-copy shared-memory shard transport for the serve plane.
+"""Shared-memory result transport for point tasks.
 
-Over pickle, every multi-shard fan-out moves its payloads — world slices
-out, sample matrices back — through the ProcessPoolExecutor's pipes, so
-transport cost scales with world count, and the round protocol turns each
-point into many small fan-outs. This module moves the bulk bytes through
-named ``multiprocessing.shared_memory`` segments instead:
+Over pickle, a point task's statistics come back through the
+ProcessPoolExecutor's result pipe. With ``shard_transport="shm"`` they
+come back through a named ``multiprocessing.shared_memory`` segment
+instead:
 
-* the coordinator's :class:`SegmentArena` leases a named segment per
-  fan-out, packs the per-shard world ids into it, and pre-leases a result
-  region per shard;
-* task pickles carry only :class:`SegmentRef` descriptors
-  ``(segment, dtype, shape, offset)`` — O(1) in ``n_worlds``;
-* workers attach read-only, sample, and write the fresh matrix straight
-  into their pre-leased result region; the coordinator resolves the
-  returned descriptor back into a view and merges as usual.
+* the coordinator's :class:`SegmentArena` leases one segment per task and
+  reserves the task's result region in it;
+* the task pickle carries only the region's :class:`SegmentRef` descriptor
+  ``(segment, dtype, shape, offset)``;
+* the worker attaches, writes the statistics into the region and returns
+  the descriptor; the coordinator copies the region out and releases the
+  lease.
 
-This module is only about segments — the arena, leases, the reader and
-sizing. It defines no task: the one shard function,
-:func:`repro.serve.worker.run_shard`, resolves whichever fields of its
-:class:`~repro.serve.worker.ShardTask` are descriptors through a
-:class:`SegmentReader`, so the worker module imports this one and never
-the reverse.
+This module is only about segments — the arena, leases and the reader. It
+defines no task: :func:`repro.serve.worker.run_point` writes its result
+through a :class:`SegmentReader`, so the worker module imports this one
+and never the reverse.
 
 The transport changes *where bytes live*, never *what they are*: the shm
-path is bitwise identical to the pickle path across every executor,
-backend, and chaos combination (pinned by the parity suites). Pickle
-remains the default and the automatic fallback — platforms without
-usable shared memory, or generations whose payload would exceed
-``segment_cap_bytes``, silently fall back and are counted
-(``ServiceStats.transport_fallbacks``), never errored.
+path is bitwise identical to the pickle path (pinned by the parity
+suites). Pickle remains the default and the automatic fallback: on a
+platform without usable shared memory every task silently runs pickle,
+counted as ``ServiceStats.transport_fallbacks``, never an error.
 
 Leases are tied into the resilience ladder. A lease has exactly one owner
-— the fan-out that leased it — which releases it after merge (or on the
-error path) regardless of how its shards fared; retries re-use the same
-pre-leased result regions safely because the dispatcher heals the pool —
-terminating any stale writer — before re-submitting; inline rescues return
-plain in-memory samples and touch no segment at all. As a last-resort safety net every
-lease carries a TTL, and expired leases are swept by the cleanup hooks of
-:class:`~repro.serve.executors.ProcessExecutor`: once per recycle (every
-:class:`~repro.serve.resilience.ShardDispatcher` pool heal is one) and on
-shutdown.
+— the task that leased it — which releases it once collected (or on the
+error path) however its attempts fared; retries re-use the same result
+region safely because the dispatcher heals the pool — terminating any
+stale writer — before re-submitting; inline rescues return plain
+in-memory results and touch no segment at all. As a last-resort safety
+net every lease carries a TTL, and expired leases are swept by the cleanup
+hooks of :class:`~repro.serve.executors.ProcessExecutor`: once per recycle
+(every :class:`~repro.serve.resilience.TaskDispatcher` pool heal is one)
+and on shutdown.
 
 CPython quirk this module absorbs: since 3.8 every ``SharedMemory``
 *attach* registers the segment with the resource tracker. Forked workers
@@ -64,7 +58,8 @@ from repro.core.config import require
 from repro.errors import ServeError, TransientServeError
 
 
-#: Known shard transports, in documentation order.
+#: Known task transports, in documentation order (the name predates point
+#: tasks; it is the configuration field's).
 SHARD_TRANSPORTS: tuple[str, ...] = ("pickle", "shm")
 
 #: Segment packing alignment: every packed array starts on a 64-byte
@@ -74,32 +69,23 @@ _ALIGN = 64
 
 @dataclass(frozen=True)
 class TransportConfig:
-    """How shard payloads travel between coordinator and workers.
+    """How point-task results travel from workers to the coordinator.
 
     ``shard_transport``
-        ``"pickle"`` (default) ships payloads through the executor's
-        ordinary pickling; ``"shm"`` moves bulk arrays through shared
-        memory segments and pickles only descriptors.
-    ``segment_cap_bytes``
-        Upper bound on any single leased segment. A generation whose
-        payload would exceed it falls back to pickle (counted, not an
-        error) — the cap is a guard against exhausting ``/dev/shm``.
+        ``"pickle"`` (default) ships results through the executor's
+        ordinary pickling; ``"shm"`` writes each task's statistics into a
+        leased shared-memory region and pickles only its descriptor.
     """
 
     shard_transport: str = field(
         default="pickle", metadata={"choices": SHARD_TRANSPORTS}
     )
-    segment_cap_bytes: int = 256 * 1024 * 1024
 
     def __post_init__(self) -> None:
         require(
             self.shard_transport in SHARD_TRANSPORTS,
             f"unknown shard_transport {self.shard_transport!r} "
             f"(known: {', '.join(SHARD_TRANSPORTS)})",
-        )
-        require(
-            self.segment_cap_bytes >= 1024,
-            f"segment_cap_bytes must be >= 1024, got {self.segment_cap_bytes}",
         )
 
     @property
@@ -235,7 +221,7 @@ class SegmentArena:
     service passes its :class:`~repro.serve.service.ServiceStats` so
     leak accounting is part of the stable counter surface.
 
-    Releasing is two-phase because merged views may still reference the
+    Releasing is two-phase because copied-out views may still reference the
     mapping when the service's ``finally`` runs: the segment is
     *unlinked* immediately (its name disappears — the leak-relevant
     event, counted as reclaimed) and the local mapping is closed as soon
@@ -329,7 +315,7 @@ class SegmentArena:
             shm.close()
             return True
         except BufferError:
-            # A merged view still pins the mapping; the unlink already
+            # A view still pins the mapping; the unlink already
             # happened (no leak), closing retries on the next arena call.
             return False
 
@@ -365,7 +351,7 @@ def _attach(name: str) -> Any:
     """Attach an existing segment without adopting its ownership.
 
     An unknown name means the coordinator already reclaimed the
-    generation (a stale retry) — a transient substrate condition, so the
+    task's lease (a stale retry) — a transient substrate condition, so the
     resilience ladder handles it. See :data:`_PRIVATE_TRACKER` for the
     resource-tracker ownership rules this helper enforces.
     """
@@ -376,7 +362,7 @@ def _attach(name: str) -> Any:
         shm = shared_memory.SharedMemory(name=name)
     except FileNotFoundError as error:
         raise TransientServeError(
-            f"shard segment {name!r} is gone (generation reclaimed?)"
+            f"task segment {name!r} is gone (lease reclaimed?)"
         ) from error
     if private:
         try:
@@ -413,18 +399,6 @@ class SegmentReader:
         self._segments.clear()
 
 
-# -- coordinator-side packing helpers ----------------------------------------
-
-
-def generation_nbytes(row_counts: list[int], n_components: int) -> int:
-    """Aligned bytes one fan-out generation needs: worlds in, results out."""
-    total = 0
-    for rows in row_counts:
-        total += _aligned(rows * 8) + _ALIGN  # world ids, int64
-        total += _aligned(rows * n_components * 8) + _ALIGN  # result, float64
-    return total + _ALIGN
-
-
 __all__ = [
     "SHARD_TRANSPORTS",
     "SegmentArena",
@@ -432,6 +406,5 @@ __all__ = [
     "SegmentReader",
     "SegmentRef",
     "TransportConfig",
-    "generation_nbytes",
     "shm_available",
 ]

@@ -1,36 +1,29 @@
-"""Worker-side machinery for process-pool shard evaluation.
+"""Worker-side machinery for process-pool point evaluation.
 
 A worker process cannot receive a live :class:`ProphetEngine` (engines hold
 an open SQL catalog, numpy matrices, and closures), so it receives an
 :class:`EngineSpec` — a small picklable recipe — and builds the engine
-itself, once, caching it for every later shard task. Specs describe the
-scenario either as DSL text plus a named VG library, or as a named builder
-from :data:`SCENARIO_BUILDERS`.
+itself, once, caching it for every later task. Specs describe the scenario
+either as DSL text plus a named VG library, or as a named builder from
+:data:`SCENARIO_BUILDERS`.
 
-:func:`run_shard` is the one unit of work, and :class:`ShardTask` its one
-frozen payload: sample one VG output over one contiguous world shard. The
-task says *what* to compute — ``(spec, alias, point, worlds)`` — and each
-bulk field says *where its bytes are*: in the pickle itself, or behind a
-:mod:`repro.serve.transport` descriptor that :func:`run_shard` attaches
-and views. Who runs the task changes only where the engine comes from: a
-pool worker looks it up in this module's per-process cache keyed by
-``task.spec``; the inline executor and the coordinator's rescue hand in
-their own. Neither choice can change a bit of the answer, so one function
-serves every transport, executor and rescue.
+:func:`run_point` is the one unit of work, and :class:`PointTask` its one
+frozen payload: evaluate one ``reuse=False`` request — ``(spec, point,
+worlds)`` — from sampling through GROUP BY, and ship back a
+:class:`PointResult`: the statistics, the fresh reuse reports and the
+counters, a few KB whatever the world count. A ``reuse=False`` request
+reads and writes nothing an engine remembers between requests (see
+:meth:`ProphetEngine.evaluate_point`), so it is a pure function of its
+task: which lane runs it, after which other tasks, or whether the
+coordinator's engine re-runs it as a rescue, cannot change a bit of the
+answer. Who runs the task changes only where the engine comes from: a pool
+worker looks it up in this module's per-process cache keyed by
+``task.spec``; the coordinator's rescue hands in its own.
 
-A shard runs only the generated-SQL sampling stage
-(`ProphetEngine.sample_fresh`), a pure function of ``(scenario, config,
-point, worlds)`` — all reuse and aggregation stay on the coordinator, so
-results never depend on which worker ran which shard or on how the world
-slice was cut.
-
-The round protocol (:mod:`repro.core.rounds`) rides on this purity with no
-worker-side machinery: a round's fresh increment reaches the workers as one
-ordinary contiguous world shard (one shard generation), so deadlines,
-retries, pool self-healing, and inline rescue apply to every round exactly
-as to a one-shot evaluation — and because each task is a pure function of
-``(spec, point, worlds)``, a point evaluated in rounds merges to the same
-bits as the same point evaluated in one shot, under any executor.
+Under the shm transport the statistics travel back through a result region
+the coordinator leased (:mod:`repro.serve.transport`): the task carries its
+descriptor, :func:`run_point` writes the region, and the result carries the
+same descriptor instead of the array.
 """
 
 from __future__ import annotations
@@ -40,12 +33,13 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import EngineConfig
 from repro.core.engine import ProphetEngine, StageTimings
+from repro.core.storage import ReuseReport
 from repro.dsl import parse_scenario
 from repro.errors import ServeError
 from repro.models import (
@@ -166,38 +160,48 @@ class EngineSpec:
 
 
 @dataclass(frozen=True)
-class ShardSample:
-    """One shard's freshly sampled matrix, shipped worker -> coordinator.
+class PointTask:
+    """One ``reuse=False`` request: everything :func:`run_point` needs.
 
-    ``samples`` is the shard's sample matrix (the coordinator merges the
-    shards' matrices, in shard order, into the entry it stores).
-    ``sampled_batched``/``sampled_fallback`` count the fresh world-rows by
-    the sampling-plane backend that produced them (worker-side engines keep
-    their own :class:`~repro.sqldb.executor.ExecutionStats`, so the counts
-    ride back with the shard for the coordinator's ServiceStats).
-
-    ``elapsed_seconds``/``timing`` are worker-side wall-clock, measured in
-    the worker process and shipped back for coordinator-side observability
-    (workers never hold a tracer; the dispatcher turns these into worker
-    -track trace events). ``timing`` is a pickle-friendly tuple of
-    ``(stage_name, seconds)`` pairs.
-
-    In transit under the shm transport (:mod:`repro.serve.transport`)
-    ``samples`` is a :class:`~repro.serve.transport.SegmentRef` descriptor
-    of the pre-leased result region the worker wrote; the dispatcher
-    resolves it back into the matrix before anyone else sees the sample.
+    ``spec`` is what a worker process builds its engine from; ``result``
+    is ``None`` (the statistics ride back in the :class:`PointResult`) or
+    the pre-leased ``(2 * n_outputs, n_weeks)`` float64 region the task
+    writes them to.
     """
 
-    samples: np.ndarray
+    spec: EngineSpec
+    point_items: tuple[tuple[str, Any], ...]
+    worlds: tuple[int, ...]
+    result: Optional[SegmentRef] = None
+
+
+@dataclass(frozen=True)
+class PointResult:
+    """One point task's answer, shipped worker -> coordinator.
+
+    ``columns`` holds the statistics in
+    :meth:`~repro.core.aggregator.ResultAggregator.statistic_columns`
+    layout (one column per axis value in ``axis_values``) — or, in transit
+    under the shm transport, the :class:`SegmentRef` of the region they
+    were written to. ``sampled_batched``/``sampled_fallback`` count the
+    fresh world-rows by the sampling-plane backend that produced them, and
+    ``elapsed_seconds``/``timings`` are the task's own wall-clock: the
+    coordinator keeps them as fleet counters and worker-track trace
+    events, never in its engine's totals.
+    """
+
+    columns: np.ndarray | SegmentRef
+    axis_values: tuple[int, ...]
+    reuse_reports: tuple[ReuseReport, ...]
+    timings: StageTimings
     sampled_batched: int = 0
     sampled_fallback: int = 0
     elapsed_seconds: float = 0.0
-    timing: tuple[tuple[str, float], ...] = ()
 
 
-#: Per-process engine cache: one engine per spec, reused across shard tasks.
-#: Per-process-safe: keyed by spec content hash, so a cold worker rebuilds
-#: an identical engine — divergence from the coordinator is impossible.
+#: Per-process engine cache: one engine per spec, reused across tasks.
+#: Keyed by spec content hash, so a cold worker rebuilds an identical
+#: engine — divergence from the coordinator is impossible.
 _WORKER_ENGINES: dict[str, ProphetEngine] = {}
 
 
@@ -205,10 +209,9 @@ def _engine_for(spec: EngineSpec) -> ProphetEngine:
     key = spec.content_hash()
     engine = _WORKER_ENGINES.get(key)
     if engine is None:
-        # Worker engines never consult their own basis store (shard tasks
-        # only run sample_fresh), so drop the disk tier: indexing the
-        # coordinator's spill dir in every worker process would be pure
-        # startup I/O.
+        # Point tasks never consult the basis store (reuse=False), so drop
+        # the disk tier: indexing the coordinator's spill dir in every
+        # worker process would be pure startup I/O.
         scenario, library = spec.build_scenario()
         config = replace(
             spec.config, store=replace(spec.config.store, basis_dir=None)
@@ -218,68 +221,74 @@ def _engine_for(spec: EngineSpec) -> ProphetEngine:
     return engine
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """One shard of one fan-out: everything :func:`run_shard` needs.
-
-    Each bulk field travels either as itself or as a descriptor of where
-    its bytes live (:mod:`repro.serve.transport`): ``worlds`` is the world
-    tuple or a :class:`SegmentRef` of packed int64 ids; ``result`` is
-    ``None`` (the sample matrix rides back in the :class:`ShardSample`) or
-    the pre-leased ``(len(worlds), n_components)`` float64 region the
-    shard writes. ``spec`` is what a worker process builds its engine
-    from; it may be ``None`` only when the caller passes the engine itself.
-    """
-
-    spec: Optional[EngineSpec]
-    alias: str
-    point_items: tuple[tuple[str, Any], ...]
-    worlds: tuple[int, ...] | SegmentRef
-    result: Optional[SegmentRef] = None
+def _warm_point(engine: ProphetEngine) -> dict[str, Any]:
+    return engine.scenario.validate_sweep_point(next(iter(engine.scenario.sweep_space.grid())))
 
 
-def run_shard(task: ShardTask, engine: Optional[ProphetEngine] = None) -> ShardSample:
-    """The one shard entry point: sample ``task`` and ship its result.
+def draw_worlds(
+    spec: EngineSpec, worlds: Sequence[int]
+) -> dict[str, tuple[list[int], tuple[np.ndarray, ...]]]:
+    """Build this process's engine for ``spec``, draw the seed events of
+    ``worlds`` for every model the scenario samples, and return them by
+    model name — one lane's share of the worlds every lane must hold."""
+    engine = _engine_for(spec)
+    point = _warm_point(engine)
+    for output in engine.scenario.vg_outputs:
+        engine.sample_fresh(output.alias, point, worlds)
+    return {
+        function.name: function.events.rows() for function in engine.library if len(function.events)
+    }
+
+
+def warm_lane(spec: EngineSpec, drawn: Sequence[dict] = ()) -> None:
+    """Make this process's engine for ``spec`` ready for timed tasks: adopt
+    the seed events other lanes drew (:func:`draw_worlds`), then evaluate
+    one grid point over every world — which draws whatever is still
+    missing and caches the statement plans."""
+    engine = _engine_for(spec)
+    for events in drawn:
+        for name, (seeds, fields) in events.items():
+            engine.library.get(name).events.adopt(seeds, fields)
+    engine.evaluate_point(_warm_point(engine), reuse=False)
+
+
+def run_point(task: PointTask, engine: Optional[ProphetEngine] = None) -> PointResult:
+    """The one task entry point: evaluate ``task`` and ship its result.
 
     A process worker receives only the task and looks ``engine`` up in the
-    per-process cache keyed by ``task.spec``; the inline executor and the
-    coordinator's rescue pass their own. Either way the answer is the same
-    pure function of (spec, point, worlds).
+    per-process cache keyed by ``task.spec``; the coordinator's rescue
+    passes its own. Either way the answer is the same pure function of
+    (spec, point, worlds).
     """
+    if engine is None:
+        engine = _engine_for(task.spec)
+    counted = engine.executor.stats
+    batched, fallback = counted.sampled_batched, counted.sampled_fallback
+    started = time.perf_counter()
+    evaluation = engine.evaluate_point(
+        dict(task.point_items), worlds=task.worlds, reuse=False
+    )
+    result = PointResult(
+        columns=engine.aggregator.columns_of(evaluation.statistics),
+        axis_values=evaluation.statistics.axis_values,
+        reuse_reports=evaluation.reuse_reports,
+        timings=evaluation.timings,
+        sampled_batched=counted.sampled_batched - batched,
+        sampled_fallback=counted.sampled_fallback - fallback,
+        elapsed_seconds=time.perf_counter() - started,
+    )
+    if task.result is None:
+        return result
+    # A shape mismatch is a deterministic bug (the coordinator sized the
+    # region from the same scenario), so it is a permanent ServeError.
+    if result.columns.shape != task.result.shape:
+        raise ServeError(
+            f"point produced statistics of shape {result.columns.shape}, "
+            f"result region is {task.result.shape}"
+        )
     reader = SegmentReader()
     try:
-        if engine is None:
-            engine = _engine_for(task.spec)
-        worlds = task.worlds
-        if isinstance(worlds, SegmentRef):
-            worlds = tuple(reader.view(worlds).tolist())
-        # Worker-side observability shipped in ShardSample.elapsed_seconds
-        # and timing; never read by reuse decisions.
-        started = time.perf_counter()
-        stages = StageTimings()
-        samples = engine.sample_fresh(
-            task.alias, dict(task.point_items), worlds, timings=stages
-        )
-        # Which backend the sampling plane used rides back with the shard,
-        # so the coordinator can observe worker-side fallback.
-        batched = engine.sampling.last_backend == "batched"
-        sample = ShardSample(
-            samples=np.asarray(samples, dtype=float),
-            sampled_batched=len(worlds) if batched else 0,
-            sampled_fallback=0 if batched else len(worlds),
-            elapsed_seconds=time.perf_counter() - started,
-            timing=(("querygen", stages.querygen), ("sql", stages.sql)),
-        )
-        if task.result is None:
-            return sample
-        # A shape mismatch is a deterministic bug (the coordinator sized the
-        # region from the same plan), so it is a permanent ServeError.
-        if sample.samples.shape != task.result.shape:
-            raise ServeError(
-                f"shard produced shape {sample.samples.shape}, result region "
-                f"is {task.result.shape}"
-            )
-        reader.view(task.result)[...] = sample.samples
-        return replace(sample, samples=task.result)
+        reader.view(task.result)[...] = result.columns
     finally:
         reader.close()
+    return replace(result, columns=task.result)

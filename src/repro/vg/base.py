@@ -89,6 +89,17 @@ class SeedEventStore:
                 field[row] = value
             rows[seed] = row
 
+    def rows(self) -> tuple[list[int], tuple[np.ndarray, ...]]:
+        """Every seed held, in row order, and each field's rows for them."""
+        held = len(self._rows)
+        return list(self._rows), tuple(field[:held] for field in self._fields)
+
+    def adopt(self, seeds: Sequence[int], fields: Sequence[np.ndarray]) -> None:
+        """Hold the rows another store of the same model drew for ``seeds``
+        (:meth:`rows`): the same draws, so the same as drawing them here."""
+        position = {seed: index for index, seed in enumerate(seeds)}
+        self._draw(seeds, lambda seed: tuple(field[position[seed]] for field in fields))
+
 
 class VGFunction:
     """Base class for VG-Functions.

@@ -44,35 +44,39 @@ DEMO_SWEEP_DSL = API_DSL.replace(
 DEMO_SWEEP_STATS = {
     "in-process": (
         '{"basis": {"exact_hits": 59, "mapped_hits": 11, "misses": 2, "resident": 13, '
-        '"resident_bytes": 220480, "spilled": 0, "tier_dropped": 0, "tier_evictions": 0, '
-        '"tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
+        '"resident_bytes": 220480, "spilled": 0, "tier_dropped": 0, "tier_evictions": '
+        '0, "tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
         '{"fallback_selects": 0, "plan_cache_hits": 190, "plan_cache_misses": 8, '
-        '"rows_fallback": 0, "rows_vectorized": 49360, "statements": 198, "vectorized_selects": '
-        '66}, "sampling": {"backend": "batched", "parity_fallbacks": 0, "sampled_batched": 80, '
-        '"sampled_fallback": 0}, "scheduler": {"dedup_hits": 0, "jobs_completed": 36, '
-        '"jobs_retired_early": 0, "jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, '
-        '"service": {"bytes_shipped": 0, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": '
-        '0, "cache_tmp_swept": 0, "executor_kind": "inline", "executor_workers": 1, '
-        '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, "sampled_batched": 80, '
-        '"sampled_fallback": 0, "sampled_worlds": 80, "segments_leased": 0, "segments_reclaimed":'
-        ' 0, "shard_generations": 2, "shard_retries": 0, "shard_tasks": 2, '
-        '"shard_timeouts": 0, "shard_transport": "pickle", "transport_fallbacks": 0}, "week_memo": {"hits": 1344, "misses": 564}}'
+        '"rows_fallback": 0, "rows_vectorized": 49360, "statements": 198, '
+        '"vectorized_selects": 66}, "sampling": {"backend": "batched", '
+        '"parity_fallbacks": 0, "sampled_batched": 80, "sampled_fallback": 0}, '
+        '"scheduler": {"dedup_hits": 0, "jobs_completed": 36, "jobs_retired_early": 0, '
+        '"jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, "service": '
+        '{"bytes_shipped": 0, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0,'
+        ' "cache_tmp_swept": 0, "executor_kind": "inline", "executor_workers": 1, '
+        '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, '
+        '"sampled_batched": 0, "sampled_fallback": 0, "segments_leased": 0, '
+        '"segments_reclaimed": 0, "shard_retries": 0, "shard_tasks": 0, '
+        '"shard_timeouts": 0, "shard_transport": "pickle", "transport_fallbacks": 0}, '
+        '"week_memo": {"hits": 1344, "misses": 564}}'
     ),
     "process-pool": (
         '{"basis": {"exact_hits": 59, "mapped_hits": 11, "misses": 2, "resident": 13, '
-        '"resident_bytes": 220480, "spilled": 0, "tier_dropped": 0, "tier_evictions": 0, '
-        '"tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
-        '{"fallback_selects": 0, "plan_cache_hits": 186, "plan_cache_misses": 6, "rows_fallback":'
-        ' 0, "rows_vectorized": 45120, "statements": 192, "vectorized_selects": 64}, "sampling": '
-        '{"backend": "batched", "parity_fallbacks": 0, "sampled_batched": 0, "sampled_fallback": '
-        '0}, "scheduler": {"dedup_hits": 0, "jobs_completed": 36, "jobs_retired_early": 0, '
+        '"resident_bytes": 220480, "spilled": 0, "tier_dropped": 0, "tier_evictions": '
+        '0, "tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
+        '{"fallback_selects": 0, "plan_cache_hits": 190, "plan_cache_misses": 8, '
+        '"rows_fallback": 0, "rows_vectorized": 49360, "statements": 198, '
+        '"vectorized_selects": 66}, "sampling": {"backend": "batched", '
+        '"parity_fallbacks": 0, "sampled_batched": 80, "sampled_fallback": 0}, '
+        '"scheduler": {"dedup_hits": 0, "jobs_completed": 36, "jobs_retired_early": 0, '
         '"jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, "service": '
-        '{"bytes_shipped": 34560, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0, '
-        '"cache_tmp_swept": 0, "executor_kind": "process", "executor_workers": 2, '
-        '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, "sampled_batched": 80, '
-        '"sampled_fallback": 0, "sampled_worlds": 80, "segments_leased": 0, "segments_reclaimed":'
-        ' 0, "shard_generations": 2, "shard_retries": 0, "shard_tasks": 4, '
-        '"shard_timeouts": 0, "shard_transport": "pickle", "transport_fallbacks": 0}, "week_memo": {"hits": 1344, "misses": 564}}'
+        '{"bytes_shipped": 0, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0,'
+        ' "cache_tmp_swept": 0, "executor_kind": "process", "executor_workers": 2, '
+        '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, '
+        '"sampled_batched": 0, "sampled_fallback": 0, "segments_leased": 0, '
+        '"segments_reclaimed": 0, "shard_retries": 0, "shard_tasks": 0, '
+        '"shard_timeouts": 0, "shard_transport": "pickle", "transport_fallbacks": 0}, '
+        '"week_memo": {"hits": 1344, "misses": 564}}'
     ),
 }
 
@@ -176,10 +180,14 @@ class TestSweepParity:
         ``DEMO_SWEEP_STATS`` is ``client.stats().to_json()`` of the 36-point
         demo sweep as recorded at commit 912df2e, before the reuse plane went
         per-batch: same hits, misses, week-memo traffic, statements and
-        shard traffic, byte for byte. One change since: fresh samples are
+        shard traffic, byte for byte. Two changes since: fresh samples are
         read from the landed table in place, not by a ``SELECT ... ORDER
         BY``, so the in-process ``execution`` section runs one statement
-        (and one vectorized select) fewer per fresh sample.
+        (and one vectorized select) fewer per fresh sample; and world shards
+        gave way to point tasks, which only ``reuse=False`` requests become
+        — this ``reuse=True`` sweep starts none, so the process pool's
+        coordinator samples its two fresh points itself and both backends
+        count the same but for the executor fields.
         """
         client = ProphetClient.open(
             DEMO_SWEEP_DSL,
@@ -320,10 +328,6 @@ class TestOneSeam:
             handle = client.sweep(swept)
             assert next(handle).ok
             reference.evaluate_point(swept[0])
-            if serving["executor"] == "process":
-                # A process pool begins the next queued job while the first
-                # combines; its samples land before any later reuse decision.
-                reference.evaluate_point(swept[1])
             scheduler = client._scheduler
             queued = (len(scheduler.queue), scheduler.jobs_completed)
             assert queued == (len(swept) - 1, 1)
@@ -425,7 +429,7 @@ class TestStatsReport:
             "week memo:",
             "service stats:",
             "result cache:",
-            "shard sampling:",
+            "point tasks:",
             "scheduler:",
         ):
             assert marker in text

@@ -41,13 +41,11 @@ OUT_OF_RANGE = [
     (ServeConfig, "workers", 0),
     (ServeConfig, "shards", 0),
     (ServeConfig, "executor", "gpu"),
-    (ServeConfig, "min_shard_worlds", 0),
     (ResilienceConfig, "shard_timeout", 0.0),
     (ResilienceConfig, "shard_retries", -1),
     (ResilienceConfig, "retry_backoff", -0.1),
     (ResilienceConfig, "job_retries", -1),
     (TransportConfig, "shard_transport", "carrier-pigeon"),
-    (TransportConfig, "segment_cap_bytes", 1023),
     (CacheConfig, "dir", ""),
     (AdaptiveConfig, "target_ci", 0.0),
     (AdaptiveConfig, "min_worlds", 0),
@@ -220,9 +218,9 @@ class TestMappingRoundTrips:
         with pytest.raises(ScenarioError, match="unknown sampling backend"):
             ClientConfig.from_mapping({"sampling": {"backend": "turbo"}})
 
-    def test_the_mapping_has_28_independently_settable_values(self):
+    def test_the_mapping_has_26_independently_settable_values(self):
         mapping = ClientConfig().to_mapping()
-        assert sum(len(section) for section in mapping.values()) == 28
+        assert sum(len(section) for section in mapping.values()) == 26
 
     def test_a_retired_serve_knob_is_an_unknown_key(self):
         # Spelled in halves so a tree-wide grep for the deleted knob's name
@@ -231,8 +229,15 @@ class TestMappingRoundTrips:
         with pytest.raises(ScenarioError, match="unknown key") as raised:
             ClientConfig.from_mapping({"serve": {retired: False}})
         assert retired in str(raised.value)
-        for name in ("workers", "shards", "executor", "min_shard_worlds"):
+        for name in ("workers", "shards", "executor"):
             assert name in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "section, knob", [("serve", "min_shard_worlds"), ("transport", "segment_cap_bytes")]
+    )
+    def test_the_world_shard_knobs_are_unknown_keys(self, section, knob):
+        with pytest.raises(ScenarioError, match="unknown key"):
+            ClientConfig.from_mapping({section: {knob: 8192}})
 
 
 class TestReplaceSection:

@@ -50,6 +50,8 @@ SERVE_SURFACE_SNAPSHOT = (
     "Job",
     "JobQueue",
     "LIBRARY_BUILDERS",
+    "PointResult",
+    "PointTask",
     "ProcessExecutor",
     "ResilienceConfig",
     "ResultCache",
@@ -58,13 +60,10 @@ SERVE_SURFACE_SNAPSHOT = (
     "SegmentArena",
     "SegmentRef",
     "ServiceStats",
-    "ShardCall",
-    "ShardDispatcher",
-    "ShardSample",
+    "TaskCall",
+    "TaskDispatcher",
     "TransportConfig",
-    "WorldShard",
     "create_executor",
-    "plan_shards",
     "result_key",
     "scenario_fingerprint",
     "shm_available",

@@ -76,7 +76,10 @@ def defective_entry(defect, args):
 def _own_spill(tmp_path, defective_file):
     """The engine spills its demand basis, then the file is spoiled."""
     engine = make_engine(basis_cap=1, basis_dir=str(tmp_path / "own"))
-    engine.evaluate_point(POINT, reuse=False)
+    engine.evaluate_point(POINT)
+    # The next request for POINT must ask the Storage Manager again, not
+    # the stats cache.
+    engine._stats_cache.clear()
     spilled = basis_file_path(str(tmp_path / "own"), demand_key(engine))
     assert os.path.exists(spilled)  # demand was evicted by capacity
     shutil.copyfile(defective_file, spilled)
@@ -116,7 +119,7 @@ class TestOneTrustRule:
         record = write_basis_file(str(tmp_path / "disk"), key, entry)
         engine = SOURCES[source](tmp_path, record.path)
 
-        evaluation = engine.evaluate_point(POINT, reuse=False)
+        evaluation = engine.evaluate_point(POINT)
         held = list(engine.storage.entries())  # reads every spilled basis
 
         demand = next(r for r in evaluation.reuse_reports if r.vg_name == "DemandModel")
@@ -130,13 +133,13 @@ class TestOneTrustRule:
 
     def test_a_sound_directory_serves_every_source(self, tmp_path, fresh_statistics):
         writer = make_engine()
-        writer.evaluate_point(POINT, reuse=False)
+        writer.evaluate_point(POINT)
         assert save_bases(writer, tmp_path / "saved") == 2
         for engine in (
             make_engine(basis_dir=str(tmp_path / "saved")),
             _loaded_with(tmp_path / "saved", expect=2),
         ):
-            evaluation = engine.evaluate_point(POINT, reuse=False)
+            evaluation = engine.evaluate_point(POINT)
             assert {r.source for r in evaluation.reuse_reports} == {"exact"}
             assert engine.storage.tier.stats.failed_faults == 0
             assert statistics_bytes(evaluation) == fresh_statistics
@@ -151,7 +154,7 @@ class TestOneTrustRule:
         (tmp_path / "disk").mkdir()
         record = write_basis_file(str(tmp_path / "disk"), key, entry)
         engine = _own_spill(tmp_path, record.path)
-        evaluation = engine.evaluate_point(POINT, reuse=False)
+        evaluation = engine.evaluate_point(POINT)
         demand = next(r for r in evaluation.reuse_reports if r.vg_name == "DemandModel")
         assert demand.source == "fresh"
         assert engine.storage.tier.stats.failed_faults == 1
@@ -159,7 +162,7 @@ class TestOneTrustRule:
 
     def test_adoption_never_replaces_a_held_basis(self, tmp_path):
         engine = make_engine()
-        engine.evaluate_point(POINT, reuse=False)
+        engine.evaluate_point(POINT)
         key = demand_key(engine)
         held = engine.storage.tier.get(key)
         _, stale = defective_entry("foreign_seed", key[1])
@@ -179,7 +182,7 @@ class TestGarbledFiles:
     @pytest.fixture
     def saved(self, tmp_path):
         engine = make_engine()
-        engine.evaluate_point(POINT, reuse=False)
+        engine.evaluate_point(POINT)
         directory = tmp_path / "saved"
         assert save_bases(engine, directory) == 2
         path = basis_file_path(str(directory), demand_key(engine))
@@ -201,7 +204,7 @@ class TestGarbledFiles:
         served = load_bases(loaded, directory)
         outcomes = set()
         for engine in (loaded, make_engine(basis_dir=directory)):
-            evaluation = engine.evaluate_point(POINT, reuse=False)
+            evaluation = engine.evaluate_point(POINT)
             assert statistics_bytes(evaluation) == fresh_statistics
             demand = next(
                 r for r in evaluation.reuse_reports if r.vg_name == "DemandModel"
@@ -274,7 +277,7 @@ class TestParentFormat:
         """The original spill layout, built by hand: ``samples``,
         ``worlds``, ``seeds`` and a four-field ``header``."""
         writer = make_engine()
-        writer.evaluate_point(POINT, reuse=False)
+        writer.evaluate_point(POINT)
         key = demand_key(writer)
         entry = writer.storage.tier.get(key)
         digest = hashlib.sha256(
@@ -298,7 +301,7 @@ class TestParentFormat:
             )
 
         for engine in (make_engine(basis_dir=str(directory)), _loaded_with(directory, 1)):
-            evaluation = engine.evaluate_point(POINT, reuse=False)
+            evaluation = engine.evaluate_point(POINT)
             demand = next(
                 r for r in evaluation.reuse_reports if r.vg_name == "DemandModel"
             )

@@ -203,11 +203,13 @@ class TestEngineWithTiers:
                 assert a.stddev(alias).tobytes() == b.stddev(alias).tobytes()
 
     def test_tiny_cap_never_changes_results_with_reuse_disabled(self):
+        """``reuse=False`` never touches the store, so no cap can matter."""
         reference = self._sweep(self._engine(), reuse=False)
         capped = self._engine(basis_cap=1)
         results = self._sweep(capped, reuse=False)
         self._assert_identical(results, reference)
-        assert capped.storage.tier.stats.evictions > 0
+        assert len(capped.storage) == 0
+        assert capped.storage.tier.stats.evictions == 0
 
     def test_cap_above_working_set_is_bit_identical_with_reuse(self, tmp_path):
         reference = self._sweep(self._engine(), reuse=True)

@@ -179,10 +179,10 @@ class TestSeedEventStore:
         assert engine.storage.exact_hits == engine.storage.mapped_hits == 0
         base_seed = engine.config.sampling.base_seed
         seeds = [world_seed(base_seed, world) for world in range(5000)]
-        # Storing a basis fingerprints its arguments on the probe seeds.
-        probes = engine.config.reuse.fingerprint_spec().seeds
+        # reuse=False stores no basis, so no argument is fingerprinted on
+        # the probe seeds: only the worlds are drawn.
         for counts in drawn.values():
-            assert set(counts) == set(seeds) | set(probes)
+            assert set(counts) == set(seeds)
             # World 0 is also the parity guard's scalar probe, re-drawn on
             # purpose; every other world was drawn exactly once.
             assert all(counts[seed] == 1 for seed in seeds[1:])
@@ -214,6 +214,31 @@ class TestSeedEventStore:
             assert seeds <= set(function.events) and len(function.events) <= 35
         engine.reset_counters()
         assert all(len(function.events) == 0 for function in library)
+
+
+    def test_adopted_rows_are_the_rows_drawing_would_give(self):
+        """Two engines each draw half the worlds; each adopts the other's
+        half (``rows`` -> ``adopt``) and then samples every world with no
+        new draw, bit-identical to an engine that drew them all itself."""
+        builder, point = SCENARIOS["risk_vs_cost"]
+        halves = (range(0, 12), range(12, 24))
+        engines = [_engine(builder, "batched") for _ in halves]
+        drawn = []
+        for engine, half in zip(engines, halves):
+            for output in engine.scenario.vg_outputs:
+                engine.sample_fresh(output.alias, point, half)
+            drawn.append({f.name: f.events.rows() for f in engine.library if len(f.events)})
+        assert set(drawn[0]) == {"CapacityModel", "DemandModel"}
+        reference = _engine(builder, "batched").evaluate_point(point, reuse=False)
+        for engine, other in zip(engines, reversed(drawn)):
+            for name, (seeds, fields) in other.items():
+                engine.library.get(name).events.adopt(seeds, fields)
+            held = {name: len(engine.library.get(name).events) for name in other}
+            evaluation = engine.evaluate_point(point, reuse=False)
+            assert {name: len(engine.library.get(name).events) for name in other} == held
+            assert all(count == 24 for count in held.values())
+            for alias, matrix in reference.samples.items():
+                assert evaluation.samples[alias].tobytes() == matrix.tobytes()
 
 
 class TestEmptyWorldSlices:

@@ -14,7 +14,9 @@ Pinned: the statistics of every result (one digest over all of them), every
 ``client.stats().to_json()`` bytes and, on the grid, the engine's
 invocation and component-sample counts. The ``execution`` counters were
 re-recorded once, when fresh samples stopped being read back through a
-``SELECT ... ORDER BY`` (one statement fewer per fresh sample).
+``SELECT ... ORDER BY`` (one statement fewer per fresh sample); the
+``service`` counters once, when world shards gave way to point tasks (an
+in-process service starts no task and counts no sampled rows).
 """
 
 from __future__ import annotations
@@ -33,21 +35,21 @@ GRID = {
     "mappings": (197, "5769366ca51d2f719a482d022ab0b442cd91abfd94b0296f788d2af7605d5651"),
     "kind_totals": {"identity": 9294, "shift": 389, "affine": 0, "unmapped": 758},
     "stats": (
-        '{"basis": {"exact_hits": 977, "mapped_hits": 197, "misses": 2, "resident": 199, '
-        '"resident_bytes": 5400064, "spilled": 0, "tier_dropped": 0, "tier_evictions": 0, '
-        '"tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
-        '{"fallback_selects": 0, "plan_cache_hits": 832, "plan_cache_misses": 8, '
-        '"rows_fallback": 0, "rows_vectorized": 82432, "statements": 840, '
-        '"vectorized_selects": 280}, "sampling": {"backend": "batched", "parity_fallbacks": 0, '
-        '"sampled_batched": 128, "sampled_fallback": 0}, "scheduler": {"dedup_hits": 0, '
-        '"jobs_completed": 588, "jobs_retired_early": 0, "jobs_retried": 0, '
-        '"worlds_budgeted": 0, "worlds_spent": 0}, "service": {"bytes_shipped": 0, '
-        '"bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0, "cache_tmp_swept": 0, '
-        '"executor_kind": "inline", "executor_workers": 1, "inline_rescues": 0, '
-        '"points_evaluated": 588, "pool_rebuilds": 0, "sampled_batched": 128, '
-        '"sampled_fallback": 0, "sampled_worlds": 128, "segments_leased": 0, '
-        '"segments_reclaimed": 0, "shard_generations": 2, "shard_retries": 0, '
-        '"shard_tasks": 2, "shard_timeouts": 0, "shard_transport": "pickle", '
+        '{"basis": {"exact_hits": 977, "mapped_hits": 197, "misses": 2, "resident": '
+        '199, "resident_bytes": 5400064, "spilled": 0, "tier_dropped": 0, '
+        '"tier_evictions": 0, "tier_failed_faults": 0, "tier_faults": 0, "tier_spills":'
+        ' 0}, "execution": {"fallback_selects": 0, "plan_cache_hits": 832, '
+        '"plan_cache_misses": 8, "rows_fallback": 0, "rows_vectorized": 82432, '
+        '"statements": 840, "vectorized_selects": 280}, "sampling": {"backend": '
+        '"batched", "parity_fallbacks": 0, "sampled_batched": 128, "sampled_fallback": '
+        '0}, "scheduler": {"dedup_hits": 0, "jobs_completed": 588, '
+        '"jobs_retired_early": 0, "jobs_retried": 0, "worlds_budgeted": 0, '
+        '"worlds_spent": 0}, "service": {"bytes_shipped": 0, "bytes_zero_copy": 0, '
+        '"cache_hits": 0, "cache_misses": 0, "cache_tmp_swept": 0, "executor_kind": '
+        '"inline", "executor_workers": 1, "inline_rescues": 0, "points_evaluated": 588,'
+        ' "pool_rebuilds": 0, "sampled_batched": 0, "sampled_fallback": 0, '
+        '"segments_leased": 0, "segments_reclaimed": 0, "shard_retries": 0, '
+        '"shard_tasks": 0, "shard_timeouts": 0, "shard_transport": "pickle", '
         '"transport_fallbacks": 0}, "week_memo": {"hits": 30573, "misses": 591}}'
     ),
 }
@@ -57,21 +59,21 @@ WALK = {
     "mappings": (17, "6ea2c434392d4d1eafb63dd4a2809d1b4aa8c4962672c8488bcb809c43850f16"),
     "stats": (
         '{"basis": {"exact_hits": 33, "mapped_hits": 17, "misses": 2, "resident": 19, '
-        '"resident_bytes": 402800, "spilled": 0, "tier_dropped": 0, "tier_evictions": 0, '
-        '"tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
+        '"resident_bytes": 402800, "spilled": 0, "tier_dropped": 0, "tier_evictions": '
+        '0, "tier_failed_faults": 0, "tier_faults": 0, "tier_spills": 0}, "execution": '
         '{"fallback_selects": 0, "plan_cache_hits": 136, "plan_cache_misses": 8, '
         '"rows_fallback": 0, "rows_vectorized": 26200, "statements": 144, '
-        '"vectorized_selects": 48}, "sampling": {"backend": "batched", "parity_fallbacks": 0, '
-        '"sampled_batched": 100, "sampled_fallback": 0}, "scheduler": {"dedup_hits": 0, '
-        '"jobs_completed": 0, "jobs_retired_early": 0, "jobs_retried": 0, '
-        '"worlds_budgeted": 0, "worlds_spent": 0}, "service": {"bytes_shipped": 0, '
-        '"bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0, "cache_tmp_swept": 0, '
-        '"executor_kind": "inline", "executor_workers": 1, "inline_rescues": 0, '
-        '"points_evaluated": 40, "pool_rebuilds": 0, "sampled_batched": 100, '
-        '"sampled_fallback": 0, "sampled_worlds": 100, "segments_leased": 0, '
-        '"segments_reclaimed": 0, "shard_generations": 2, "shard_retries": 0, '
-        '"shard_tasks": 2, "shard_timeouts": 0, "shard_transport": "pickle", '
-        '"transport_fallbacks": 0}, "week_memo": {"hits": 1169, "misses": 209}}'
+        '"vectorized_selects": 48}, "sampling": {"backend": "batched", '
+        '"parity_fallbacks": 0, "sampled_batched": 100, "sampled_fallback": 0}, '
+        '"scheduler": {"dedup_hits": 0, "jobs_completed": 0, "jobs_retired_early": 0, '
+        '"jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, "service": '
+        '{"bytes_shipped": 0, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0,'
+        ' "cache_tmp_swept": 0, "executor_kind": "inline", "executor_workers": 1, '
+        '"inline_rescues": 0, "points_evaluated": 40, "pool_rebuilds": 0, '
+        '"sampled_batched": 0, "sampled_fallback": 0, "segments_leased": 0, '
+        '"segments_reclaimed": 0, "shard_retries": 0, "shard_tasks": 0, '
+        '"shard_timeouts": 0, "shard_transport": "pickle", "transport_fallbacks": 0}, '
+        '"week_memo": {"hits": 1169, "misses": 209}}'
     ),
 }
 

@@ -27,17 +27,17 @@ EXEMPT = {
     ("repro/core/offline.py", "OfflineOptimizer.run"): "OptimizationResult timing",
     ("repro/core/online.py", "OnlineSession._render"): "GraphView.elapsed_seconds",
     ("repro/serve/executors.py", "ProcessExecutor._teardown"): "hung-worker kill deadline",
-    ("repro/serve/resilience.py", "ShardDispatcher._collect_round"): "parallel_seconds",
+    ("repro/serve/resilience.py", "TaskDispatcher._collect"): "parallel_seconds",
     ("repro/serve/scheduler.py", "Scheduler.run_next"): "Job.elapsed_seconds",
     ("repro/serve/transport.py", "SegmentLease.__init__"): "leak-reclaim TTL",
     ("repro/serve/transport.py", "SegmentArena.sweep_expired"): "leak-reclaim TTL",
     ("repro/serve/transport.py", "shm_available"): "per-process shm probe",
     ("repro/serve/transport.py", "_tracker_is_private"): "per-process tracker memo",
     ("repro/serve/worker.py", "_WORKER_ENGINES"): "engines keyed by spec content hash",
-    ("repro/serve/worker.py", "run_shard"): "ShardSample.elapsed_seconds",
+    ("repro/serve/worker.py", "run_point"): "PointResult.elapsed_seconds",
 }
 
-#: The modules a shard task drags into a worker process, and the
+#: The modules a point task drags into a worker process, and the
 #: coordinator machinery (live pools, engines, tracers) they must not import.
 WORKER = ("serve/worker.py", "serve/faults.py", "serve/transport.py")
 COORDINATOR = (

@@ -95,7 +95,7 @@ CASES = {
                ("random.Random(42)", 0), ("np.random.default_rng(7)", 0),
                ("np.random.SeedSequence(entropy=5)", 0), ("rng.random()", 0)],
     "ERR": [("raise ValueError('bad')", 1), ("raise KeyError(k) from None", 1),
-            ("raise ServeError('x')", 0), ("raise repro.errors.ShardTimeoutError(1)", 0),
+            ("raise ServeError('x')", 0), ("raise repro.errors.TaskTimeoutError(1)", 0),
             ("class Planned(Exception):\n    pass\nraise Planned('x')", 0),
             ("try:\n    g()\nexcept Exception as err:\n    raise", 0), ("raise err", 0)],
     "PUR001": [("CACHE = defaultdict(list)", 1), ("SEEN: set[int] = set()", 1),

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
+
+from repro.serve import InlineExecutor
+
 #: A compact scenario (3 x 3 x 2 sweep grid) that still exercises two VG
 #: models and a derived output.
 SERVE_DSL = """
@@ -35,3 +39,31 @@ def assert_stats_identical(actual, expected) -> None:
         assert (
             actual.stddev(alias).tobytes() == expected.stddev(alias).tobytes()
         ), f"stddev of {alias!r} differs"
+
+
+class InProcessPool(InlineExecutor):
+    """Masquerades as a process pool — so the service runs ``reuse=False``
+    requests as point tasks, through the dispatcher and its fault plan —
+    while running every task in this process. An injected crash is
+    simulated (a ``WorkerCrashError``), never an ``os._exit``; there is
+    nothing to heal. ``result_bytes`` records what each task's result
+    would have cost to pickle."""
+
+    kind = "process"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.result_bytes: list[int] = []
+
+    def submit(self, fn, *args, lane=None):
+        from repro.serve.faults import run_with_fault
+
+        if fn is run_with_fault:  # (plan, seq, attempt, in_worker, fn, *task)
+            args = args[:3] + (False,) + args[4:]
+        future = super().submit(fn, *args, lane=lane)
+        if lane is None and future._error is None:
+            self.result_bytes.append(len(pickle.dumps(future.result())))
+        return future
+
+    def recycle(self, timeout: float = 1.0) -> None:
+        pass

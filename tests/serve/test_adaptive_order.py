@@ -5,7 +5,8 @@ to back); until ISSUE 28 it walked it one round at a time (round *r* of
 every point before round *r+1* of any). The old walk lives on here, as the
 reference: both must give every point the same rounds, worlds, decision and
 statistic bits, and leave every counter where the other leaves it — on the
-inline executor and on a process pool over two shards, pickle and shm.
+inline executor and on a process pool, pickle and shm (whose coordinator
+runs these ``reuse=True`` rounds itself).
 
 Why they agree: stopping reads only the point's own statistics, and storage
 offers ``best_match`` only bases that already *cover* the requested world
@@ -35,13 +36,13 @@ REALLOCATES = dict(base_seed=243, offset=9, target_ci=85.0)
 BACKENDS = [
     pytest.param({}, id="inline"),
     pytest.param(
-        dict(executor="process", workers=2, shards=2, shard_transport="pickle"),
-        id="process-2-shards-pickle",
+        dict(executor="process", workers=2, shard_transport="pickle"),
+        id="process-2-pickle",
     ),
     pytest.param(
-        dict(executor="process", workers=2, shards=2, shard_transport="shm"),
+        dict(executor="process", workers=2, shard_transport="shm"),
         marks=pytest.mark.skipif(not shm_available(), reason="no shared memory here"),
-        id="process-2-shards-shm",
+        id="process-2-shm",
     ),
 ]
 
@@ -109,4 +110,5 @@ def test_depth_first_equals_breadth_first(config, reallocates, backend):
     assert report == ref_report
     assert stats == ref_stats
     if backend:
-        assert '"shard_tasks": 0' not in stats  # the pool really sampled
+        assert '"executor_kind": "process"' in stats
+        assert '"shard_tasks": 0' in stats  # reuse=True rounds: no point task

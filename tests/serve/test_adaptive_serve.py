@@ -1,11 +1,11 @@
-"""The scheduler's CI budget allocator, over the sharded serve backend.
+"""The scheduler's CI budget allocator, over the serve backend.
 
-Round = one shard generation: each adaptive round submits one scheduled
-job whose world prefix runs through the same dispatcher and resilience
-ladder as any fixed-budget evaluation. These tests pin the serve-side
-contracts: budget conservation, early retirement accounting, chaos runs
-(deterministic fault plans) leaving adaptive answers bitwise identical to
-fault-free runs, and the ``shard_generations`` surface.
+Round = one scheduled job: a ``reuse=False`` round on a process pool is one
+point task over its world prefix, through the same dispatcher and
+resilience ladder as any fixed-budget evaluation. These tests pin the
+serve-side contracts: budget conservation, early retirement accounting,
+one task per fresh round, and chaos runs (deterministic fault plans)
+leaving adaptive answers bitwise identical to fault-free runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.serve import (
     ResilienceConfig,
     Scheduler,
 )
-from serve_testutil import POINT, assert_stats_identical
+from serve_testutil import POINT, InProcessPool, assert_stats_identical
 
 OTHER_POINT = {"purchase1": 26, "purchase2": 52, "feature": 36}
 #: The round ladder every adaptive sweep here steps: 8, then 16 worlds.
@@ -30,7 +30,7 @@ LADDER = RoundPlan(n_worlds=16, first=8)
 
 
 def _service(serve_spec, *, plan=None, **kwargs) -> EvaluationService:
-    defaults = dict(executor=InlineExecutor(), shards=2, min_shard_worlds=1)
+    defaults = dict(executor=InlineExecutor())
     defaults.update(kwargs)
     return EvaluationService(serve_spec, fault_plan=plan, **defaults)
 
@@ -116,20 +116,20 @@ class TestSubmitAdaptive:
         assert report["jobs_retired_early"] == 3
 
 
-class TestShardGenerations:
-    def test_one_generation_per_fresh_fanout(self, serve_spec):
-        service = _service(serve_spec)
+class TestPointTasksPerRound:
+    def test_one_task_per_fresh_round(self, serve_spec):
+        service = _service(serve_spec, executor=InProcessPool())
         scheduler = Scheduler(service)
-        sweep = scheduler.submit_adaptive([POINT], target_ci=1e-12, plan=LADDER)
+        sweep = scheduler.submit_adaptive(
+            [POINT], target_ci=1e-12, plan=LADDER, reuse=False
+        )
         scheduler.run_adaptive(sweep)
-        generations = service.stats.shard_generations
-        assert generations >= 1
-        assert "shard_generations" in service.stats.as_dict()
-        # A repeat of the same point is answered from the engine's caches:
-        # no further fresh fan-out, no new generations.
-        before = service.stats.shard_generations
+        rounds = len(sweep.states[0].evaluator.rounds)
+        assert rounds >= 2
+        assert service.stats.shard_tasks == rounds
+        # A reuse=True request runs on the coordinator: no task.
         service.evaluate(POINT)
-        assert service.stats.shard_generations == before
+        assert service.stats.shard_tasks == rounds
 
 
 class TestAdaptiveUnderChaos:
@@ -138,22 +138,20 @@ class TestAdaptiveUnderChaos:
     def _run(self, serve_spec, *, plan=None):
         service = EvaluationService(
             serve_spec,
-            executor=InlineExecutor(),
-            shards=4,
-            min_shard_worlds=1,
+            executor=InProcessPool(),
             fault_plan=plan,
             resilience=ResilienceConfig(retry_backoff=0.0),
         )
         scheduler = Scheduler(service)
         sweep = scheduler.submit_adaptive(
-            [POINT, OTHER_POINT], target_ci=1e-12, plan=LADDER
+            [POINT, OTHER_POINT], target_ci=1e-12, plan=LADDER, reuse=False
         )
         scheduler.run_adaptive(sweep)
         return service, sweep
 
     def test_chaos_run_bitwise_identical_to_fault_free(self, serve_spec):
         _, clean = self._run(serve_spec)
-        plan = FaultPlan.seeded(11, shards=64, rate=0.4)
+        plan = FaultPlan.seeded(1, tasks=4, rate=0.5)
         faulty_service, faulty = self._run(serve_spec, plan=plan)
         assert faulty_service.stats.shard_retries > 0  # chaos actually hit
         for clean_state, faulty_state in zip(clean.states, faulty.states):
@@ -168,28 +166,31 @@ class TestAdaptiveUnderChaos:
             )
 
     def test_chaos_does_not_change_stopping_decisions(self, serve_spec):
-        service = _service(serve_spec)
+        service = _service(serve_spec, executor=InProcessPool())
         scheduler = Scheduler(service)
-        clean = scheduler.submit_adaptive([POINT], target_ci=1e6, plan=LADDER)
+        clean = scheduler.submit_adaptive(
+            [POINT], target_ci=1e6, plan=LADDER, reuse=False
+        )
         scheduler.run_adaptive(clean)
 
         plan = FaultPlan(
             faults=(
-                FaultSpec(shard=0, kind="raise", attempts=1),
-                FaultSpec(shard=1, kind="garbage", attempts=1),
+                FaultSpec(task=0, kind="raise", attempts=1),
+                FaultSpec(task=1, kind="garbage", attempts=1),
             )
         )
         faulty_service = EvaluationService(
             serve_spec,
-            executor=InlineExecutor(),
-            shards=2,
-            min_shard_worlds=1,
+            executor=InProcessPool(),
             fault_plan=plan,
             resilience=ResilienceConfig(retry_backoff=0.0),
         )
         faulty_scheduler = Scheduler(faulty_service)
-        faulty = faulty_scheduler.submit_adaptive([POINT], target_ci=1e6, plan=LADDER)
+        faulty = faulty_scheduler.submit_adaptive(
+            [POINT], target_ci=1e6, plan=LADDER, reuse=False
+        )
         faulty_scheduler.run_adaptive(faulty)
+        assert faulty_service.stats.shard_retries == 1  # chaos actually hit
 
         assert faulty.states[0].retired_early == clean.states[0].retired_early
         assert (

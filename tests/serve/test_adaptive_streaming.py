@@ -40,7 +40,7 @@ ALL_RETIRE = dict(base_seed=42, offset=0, target_ci=150.0)
 REALLOCATES = dict(base_seed=243, offset=9, target_ci=85.0)
 
 
-def _open(base_seed, offset, target_ci, *, executor=None, **service_kwargs):
+def _open(base_seed, offset, target_ci, *, executor=None, reuse=True, **service_kwargs):
     """The scheduler and a not-yet-pumped handle over the reduced ledger sweep."""
     config = EngineConfig(sampling=SamplingConfig(n_worlds=N_WORLDS, base_seed=base_seed))
     service = EvaluationService(
@@ -52,7 +52,7 @@ def _open(base_seed, offset, target_ci, *, executor=None, **service_kwargs):
     scheduler = Scheduler(service)
     grid = [dict(p) for p in service.scenario.sweep_space.grid()]
     sweep = scheduler.submit_adaptive(
-        grid[offset::STRIDE], target_ci=target_ci, plan=PLAN
+        grid[offset::STRIDE], target_ci=target_ci, plan=PLAN, reuse=reuse
     )
     return scheduler, AdaptiveSweepHandle(scheduler, sweep)
 
@@ -133,16 +133,17 @@ class TestFailedRoundYieldsInPlace:
 class TestStreamingUnderCrashes:
     def test_seeded_crash_plan_on_a_process_pool_keeps_count_and_bits(self):
         """Killed workers cost time, never the order or the answers: the
-        ladder still hands over result *i* after the rounds of ``0..i``."""
-        _, clean = _open(**ALL_RETIRE)
+        ladder still hands over result *i* after the rounds of ``0..i``.
+        The rounds are ``reuse=False``, so each is a point task."""
+        _, clean = _open(**ALL_RETIRE, reuse=False)
         expected = clean.run()
         executor = ProcessExecutor(2)
         try:
             scheduler, handle = _open(
                 **ALL_RETIRE,
                 executor=executor,
-                shards=2,
-                fault_plan=FaultPlan.seeded(28, shards=12, rate=0.3, kinds=("crash",)),
+                reuse=False,
+                fault_plan=FaultPlan.seeded(28, tasks=12, rate=0.3, kinds=("crash",)),
             )
             results = _assert_streams_by_count(scheduler, handle)
             stats = scheduler.service.stats

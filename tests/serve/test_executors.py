@@ -1,10 +1,10 @@
-"""Shard -> worker lanes: one shard index, one worker process.
+"""Worker lanes: one lane, one worker process.
 
-``ProcessExecutor`` is N single-worker lanes; ``submit(..., lane=i)``
-always runs in worker ``i mod workers``. What that buys is that a worker
-only ever meets its own world slice — its seed-event stores are drawn once
-and never hold a neighbour's worlds — and what it must not cost is the
-bounded ``recycle``/``shutdown`` contract.
+``ProcessExecutor`` is N single-worker lanes; tasks take the lanes in turn
+and ``submit(..., lane=i)`` runs in worker ``i mod workers``. What that buys
+is that the service can have every worker build and warm its engine once,
+up front — so no point task pays a first-touch world draw — and what it
+must not cost is the bounded ``recycle``/``shutdown`` contract.
 """
 
 from __future__ import annotations
@@ -27,19 +27,36 @@ from repro.serve import (
     shm_available,
 )
 from repro.serve import worker as worker_module
-from repro.serve.sharding import plan_shards
 from repro.vg.seeds import world_seed
 from serve_testutil import assert_stats_identical
 
 
 def _seed_stores() -> dict[str, list[int]]:
     """Probe (runs in a worker): the seeds each model's event store holds,
-    over every engine this process has built for shard tasks."""
+    over every engine this process has built for point tasks."""
     held: dict[str, set[int]] = {}
     for engine in worker_module._WORKER_ENGINES.values():
         for function in engine.library:
             held.setdefault(function.name, set()).update(function.events)
     return {name: sorted(seeds) for name, seeds in held.items()}
+
+
+def _event_digests() -> dict[str, str]:
+    """Probe (runs in a worker): one digest per model of every seed's event
+    rows, in seed order — what the lane's engine would serve."""
+    import hashlib
+
+    digests = {}
+    for engine in worker_module._WORKER_ENGINES.values():
+        for function in engine.library:
+            seeds, fields = function.events.rows()
+            digest = hashlib.sha256()
+            for index in sorted(range(len(seeds)), key=seeds.__getitem__):
+                digest.update(str(seeds[index]).encode())
+                for field in fields:
+                    digest.update(field[index].tobytes())
+            digests[function.name] = digest.hexdigest()
+    return digests
 
 
 def _sleep(seconds: float) -> int:
@@ -158,20 +175,24 @@ class TestLaneLifecycle:
         assert_gone(workers)
 
 
-class TestWorkersKeepToTheirSlice:
-    def test_seed_stores_hold_exactly_the_workers_own_slice(self, serve_spec, sequential_engine):
-        """After a fresh (``reuse=False``) 6-point sweep over 2 shards, worker
-        *i* has drawn seed events for the worlds of slice *i* and for no
-        others — under one shared call queue either worker ended up holding
-        both halves. (Pinned on the per-seed memo before; the columnar event
-        store must keep the same property, though its bound is the whole
-        world universe.)"""
+class TestLanesWarmUp:
+    def test_every_lane_holds_every_world_before_the_first_task(
+        self, serve_spec, sequential_engine
+    ):
+        """Building the service warms each lane: its engine is built and
+        holds the seed events of every world — half drawn, half adopted from
+        the other lane — so the fresh sweep after it draws nothing, and
+        answers with the sequential engine's bits."""
         points = [dict(p) for p in sequential_engine.scenario.sweep_space.grid()][::3][:6]
         executor = ProcessExecutor(2)
         try:
-            service = EvaluationService(
-                serve_spec, executor=executor, shards=2, min_shard_worlds=1
-            )
+            service = EvaluationService(serve_spec, executor=executor)
+            warmed = [
+                executor.submit(_seed_stores, lane=lane).result(timeout=30) for lane in (0, 1)
+            ]
+            events = [
+                executor.submit(_event_digests, lane=lane).result(timeout=30) for lane in (0, 1)
+            ]
             scheduler = Scheduler(service)
             jobs = scheduler.submit_sweep(points, reuse=False)
             scheduler.run_pending()
@@ -181,19 +202,45 @@ class TestWorkersKeepToTheirSlice:
                     job.result.statistics,
                     sequential_engine.evaluate_point(point, reuse=False).statistics,
                 )
-            stores = [
+            swept = [
                 executor.submit(_seed_stores, lane=lane).result(timeout=30) for lane in (0, 1)
             ]
         finally:
             executor.shutdown()
         config = serve_spec.config.sampling
-        slices = plan_shards(range(config.n_worlds), 2)
+        every = sorted(world_seed(config.base_seed, world) for world in range(config.n_worlds))
         sampled = {output.vg_name for output in sequential_engine.scenario.vg_outputs}
-        for held, shard in zip(stores, slices):
-            own = sorted(world_seed(config.base_seed, world) for world in shard.worlds)
-            assert {name: held[name] for name in sampled} == dict.fromkeys(sampled, own)
+        for held in warmed:
+            assert {name: held[name] for name in sampled} == dict.fromkeys(sampled, every)
             # Models the scenario never samples drew nothing at all.
             assert all(not seeds for name, seeds in held.items() if name not in sampled)
+        assert swept == warmed
+        # Each lane drew half the worlds and adopted the other half: the
+        # rows are the ones an engine that drew every world itself holds.
+        local = serve_spec.build()
+        local.evaluate_point(points[0], reuse=False)
+        cached = dict(worker_module._WORKER_ENGINES)
+        worker_module._WORKER_ENGINES.clear()
+        worker_module._WORKER_ENGINES["local"] = local
+        try:
+            own = _event_digests()
+        finally:
+            worker_module._WORKER_ENGINES.clear()
+            worker_module._WORKER_ENGINES.update(cached)
+        assert events[0] == events[1] == own
+
+    def test_a_healed_pool_warms_its_new_lanes(self, serve_spec):
+        executor = ProcessExecutor(2)
+        try:
+            EvaluationService(serve_spec, executor=executor)
+            executor.recycle()
+            held = [
+                executor.submit(_seed_stores, lane=lane).result(timeout=30) for lane in (0, 1)
+            ]
+        finally:
+            executor.shutdown()
+        n_worlds = serve_spec.config.sampling.n_worlds
+        assert all(len(held_by_lane["DemandModel"]) == n_worlds for held_by_lane in held)
 
 
 # -- the ledger's wrappers, from outside ---------------------------------------
@@ -212,32 +259,30 @@ def _load_spans():
 @pytest.mark.skipif(not shm_available(), reason="platform has no usable shared memory")
 def test_the_ledger_submit_wrapper_still_installs_and_sizes_tasks_without_the_lane(serve_spec):
     """``spans.py`` wraps ``ProcessExecutor.submit`` from outside and pickles
-    what it is given after ``(executor, fn)``: the lane travels as a keyword,
-    so ``task_bytes_max`` is the size of the task alone."""
+    what it is given after ``(executor, fn)``: a lane travels as a keyword,
+    so ``task_bytes_max`` is the size of the point task alone."""
     spans = _load_spans()
     recorder = spans.Recorder()
     executor = ProcessExecutor(2)
     try:
         service = EvaluationService(
-            serve_spec,
-            executor=executor,
-            shards=2,
-            min_shard_worlds=1,
-            transport=TransportConfig(shard_transport="shm"),
+            serve_spec, executor=executor, transport=TransportConfig(shard_transport="shm")
         )
         sizes = []
         original = ProcessExecutor.submit
 
         def sized(self, fn, *args, **kwargs):
             sizes.append(len(pickle.dumps(args)))
-            assert set(kwargs) == {"lane"}
+            assert set(kwargs) <= {"lane"}
             return original(self, fn, *args, **kwargs)
 
         ProcessExecutor.submit = sized
         try:
             with spans.Instrumentation(recorder):
                 assert ProcessExecutor.submit is not sized  # wrapped on top
-                service.evaluate({"purchase1": 0, "purchase2": 26, "feature": 12})
+                service.evaluate(
+                    {"purchase1": 0, "purchase2": 26, "feature": 12}, reuse=False
+                )
         finally:
             ProcessExecutor.submit = original
         assert ProcessExecutor.submit is original

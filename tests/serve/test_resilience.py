@@ -2,9 +2,9 @@
 
 The contract these tests pin: a faulty substrate may cost *time*, never
 *answers*. Any plan of transient faults — injected crashes, hangs,
-exceptions, garbage payloads, under either executor — must leave the
-merged statistics bitwise-identical to the fault-free sequential run,
-with every recovery visible in the stats counters.
+exceptions, garbage payloads, in worker processes or in this one — must
+leave every point task's statistics bitwise-identical to the fault-free
+sequential run, with every recovery visible in the stats counters.
 """
 
 from __future__ import annotations
@@ -36,37 +36,46 @@ from repro.serve import (
     FaultSpec,
     InlineExecutor,
     ProcessExecutor,
+    PointResult,
     ResilienceConfig,
     Scheduler,
-    ShardCall,
-    ShardDispatcher,
+    TaskCall,
+    TaskDispatcher,
 )
+from repro.core.engine import StageTimings
 from repro.serve.faults import GARBAGE_PAYLOAD, run_with_fault
 from repro.serve.service import ServiceStats
-from repro.serve.worker import ShardSample
-from serve_testutil import POINT, SERVE_DSL, assert_stats_identical
+from serve_testutil import POINT, SERVE_DSL, InProcessPool, assert_stats_identical
 
 #: The fault-free sequential reference, computed once per test session.
 _REFERENCE_CACHE: dict[str, object] = {}
 
 
-def _reference_statistics():
-    if "stats" not in _REFERENCE_CACHE:
+def _reference_statistics(point=POINT):
+    key = repr(sorted(point.items()))
+    if key not in _REFERENCE_CACHE:
         engine = ProphetEngine(
             parse_scenario(SERVE_DSL, name="serve_scenario"),
             build_demo_library(),
             EngineConfig(sampling=SamplingConfig(n_worlds=16)),
         )
-        _REFERENCE_CACHE["stats"] = engine.evaluate_point(POINT).statistics
-    return _REFERENCE_CACHE["stats"]
+        _REFERENCE_CACHE[key] = engine.evaluate_point(point, reuse=False).statistics
+    return _REFERENCE_CACHE[key]
+
+
+#: A four-point fresh sweep: four point tasks.
+SWEEP = [
+    POINT,
+    {"purchase1": 0, "purchase2": 0, "feature": 12},
+    {"purchase1": 26, "purchase2": 26, "feature": 36},
+    {"purchase1": 52, "purchase2": 52, "feature": 12},
+]
 
 
 def _chaos_service(serve_spec, *, executor=None, plan=None, **resilience):
     return EvaluationService(
         serve_spec,
-        executor=executor if executor is not None else InlineExecutor(),
-        shards=4,
-        min_shard_worlds=1,
+        executor=executor if executor is not None else InProcessPool(),
         fault_plan=plan,
         resilience=ResilienceConfig(**resilience) if resilience else None,
     )
@@ -75,41 +84,41 @@ def _chaos_service(serve_spec, *, executor=None, plan=None, **resilience):
 class TestFaultPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ServeError, match="unknown fault kind"):
-            FaultSpec(shard=0, kind="meteor")
+            FaultSpec(task=0, kind="meteor")
 
-    def test_negative_shard_rejected(self):
-        with pytest.raises(ServeError, match="shard index"):
-            FaultSpec(shard=-1, kind="raise")
+    def test_negative_task_rejected(self):
+        with pytest.raises(ServeError, match="task index"):
+            FaultSpec(task=-1, kind="raise")
 
     def test_zero_attempts_rejected(self):
         with pytest.raises(ServeError, match="attempts"):
-            FaultSpec(shard=0, kind="raise", attempts=0)
+            FaultSpec(task=0, kind="raise", attempts=0)
 
     def test_fault_clears_after_attempts(self):
-        plan = FaultPlan(faults=(FaultSpec(shard=3, kind="raise", attempts=2),))
+        plan = FaultPlan(faults=(FaultSpec(task=3, kind="raise", attempts=2),))
         assert plan.fault_for(3, 0) == "raise"
         assert plan.fault_for(3, 1) == "raise"
         assert plan.fault_for(3, 2) is None
         assert plan.fault_for(4, 0) is None
 
     def test_seeded_is_deterministic(self):
-        a = FaultPlan.seeded(7, shards=32, rate=0.5)
-        b = FaultPlan.seeded(7, shards=32, rate=0.5)
+        a = FaultPlan.seeded(7, tasks=32, rate=0.5)
+        b = FaultPlan.seeded(7, tasks=32, rate=0.5)
         assert a == b
-        assert a != FaultPlan.seeded(8, shards=32, rate=0.5)
+        assert a != FaultPlan.seeded(8, tasks=32, rate=0.5)
 
     def test_run_with_fault_crash_inline_raises(self):
-        plan = FaultPlan(faults=(FaultSpec(shard=0, kind="crash"),))
+        plan = FaultPlan(faults=(FaultSpec(task=0, kind="crash"),))
         with pytest.raises(WorkerCrashError):
             run_with_fault(plan, 0, 0, False, lambda: 1)
 
     def test_run_with_fault_garbage_and_passthrough(self):
-        plan = FaultPlan(faults=(FaultSpec(shard=0, kind="garbage"),))
+        plan = FaultPlan(faults=(FaultSpec(task=0, kind="garbage"),))
         assert run_with_fault(plan, 0, 0, False, lambda: 1) == GARBAGE_PAYLOAD
         assert run_with_fault(plan, 1, 0, False, lambda x: x + 1, 2) == 3
 
 
-class TestChaosParityInline:
+class TestChaosParityInProcess:
     """Property: transient fault plans never change the answer."""
 
     @settings(
@@ -127,34 +136,35 @@ class TestChaosParityInline:
     ):
         plan = FaultPlan.seeded(
             seed,
-            shards=16,
+            tasks=len(SWEEP),
             rate=rate,
             kinds=("raise", "garbage", "crash"),
             attempts=attempts,
             hang_seconds=0.0,
         )
         service = _chaos_service(serve_spec, plan=plan, retry_backoff=0.0)
-        evaluation = service.evaluate(POINT)
-        assert_stats_identical(evaluation.statistics, _reference_statistics())
+        for point in SWEEP:
+            evaluation = service.evaluate(point, reuse=False)
+            assert_stats_identical(evaluation.statistics, _reference_statistics(point))
         fired = sum(service.injector.injected.values())
         if fired:
-            # Every injected fault fails its round, so it must show up as
+            # Every injected fault fails its attempt, so it must show up as
             # a retry or an inline rescue — never vanish silently.
             assert service.stats.shard_retries + service.stats.inline_rescues > 0
 
     def test_persistent_fault_forces_inline_rescue(self, serve_spec):
         plan = FaultPlan(
-            faults=(FaultSpec(shard=2, kind="raise", attempts=99),)
+            faults=(FaultSpec(task=0, kind="raise", attempts=99),)
         )
         service = _chaos_service(serve_spec, plan=plan, retry_backoff=0.0)
-        evaluation = service.evaluate(POINT)
+        evaluation = service.evaluate(POINT, reuse=False)
         assert_stats_identical(evaluation.statistics, _reference_statistics())
         assert service.stats.inline_rescues == 1
         assert service.stats.shard_retries >= 1
 
     def test_retry_exhaustion_without_rescue_raises(self, serve_spec):
         plan = FaultPlan(
-            faults=(FaultSpec(shard=1, kind="raise", attempts=99),)
+            faults=(FaultSpec(task=0, kind="raise", attempts=99),)
         )
         service = _chaos_service(
             serve_spec,
@@ -164,20 +174,20 @@ class TestChaosParityInline:
             inline_rescue=False,
         )
         with pytest.raises(RetryExhaustedError, match="still failing"):
-            service.evaluate(POINT)
+            service.evaluate(POINT, reuse=False)
 
 
 class TestChaosParityProcess:
     """The real thing: killed and hung workers under a process pool."""
 
     def test_worker_crash_heals_pool_and_stays_bit_identical(self, serve_spec):
-        plan = FaultPlan(faults=(FaultSpec(shard=0, kind="crash"),))
+        plan = FaultPlan(faults=(FaultSpec(task=0, kind="crash"),))
         executor = ProcessExecutor(2)
         try:
             service = _chaos_service(
                 serve_spec, executor=executor, plan=plan, retry_backoff=0.0
             )
-            evaluation = service.evaluate(POINT)
+            evaluation = service.evaluate(POINT, reuse=False)
             assert_stats_identical(evaluation.statistics, _reference_statistics())
             assert service.stats.pool_rebuilds >= 1
             assert executor.rebuilds >= 1
@@ -187,7 +197,7 @@ class TestChaosParityProcess:
 
     def test_hung_worker_hits_deadline_and_stays_bit_identical(self, serve_spec):
         plan = FaultPlan(
-            faults=(FaultSpec(shard=1, kind="hang"),), hang_seconds=60.0
+            faults=(FaultSpec(task=0, kind="hang"),), hang_seconds=60.0
         )
         executor = ProcessExecutor(2)
         try:
@@ -198,7 +208,7 @@ class TestChaosParityProcess:
                 retry_backoff=0.0,
                 shard_timeout=1.0,
             )
-            evaluation = service.evaluate(POINT)
+            evaluation = service.evaluate(POINT, reuse=False)
             assert_stats_identical(evaluation.statistics, _reference_statistics())
             assert service.stats.shard_timeouts >= 1
             assert service.stats.pool_rebuilds >= 1
@@ -208,14 +218,9 @@ class TestChaosParityProcess:
 
 class TestSchedulerJobRetry:
     def test_transient_job_failure_retried_to_success(self, serve_spec):
-        # The plan covers only the first output's shard sequence numbers
-        # (0..3: the dispatch that fails consumes exactly four); the
-        # retried job draws fresh numbers, so its second run is fault-free.
-        plan = FaultPlan(
-            faults=tuple(
-                FaultSpec(shard=s, kind="raise", attempts=99) for s in range(4)
-            )
-        )
+        # The plan covers only the first task's sequence number; the
+        # retried job starts a new task, so its second run is fault-free.
+        plan = FaultPlan(faults=(FaultSpec(task=0, kind="raise", attempts=99),))
         service = _chaos_service(
             serve_spec,
             plan=plan,
@@ -225,7 +230,7 @@ class TestSchedulerJobRetry:
             job_retries=1,
         )
         scheduler = Scheduler(service)
-        job = scheduler.submit(POINT)
+        job = scheduler.submit(POINT, reuse=False)
         scheduler.run_pending()
         assert job.status == "done"
         assert job.attempts == 1
@@ -235,7 +240,7 @@ class TestSchedulerJobRetry:
     def test_exhausted_transient_failure_surfaces_failed(self, serve_spec):
         plan = FaultPlan(
             faults=tuple(
-                FaultSpec(shard=s, kind="raise", attempts=99) for s in range(64)
+                FaultSpec(task=s, kind="raise", attempts=99) for s in range(64)
             )
         )
         service = _chaos_service(
@@ -247,7 +252,7 @@ class TestSchedulerJobRetry:
             job_retries=1,
         )
         scheduler = Scheduler(service)
-        job = scheduler.submit(POINT)
+        job = scheduler.submit(POINT, reuse=False)
         scheduler.run_pending()
         assert job.status == "failed"
         assert job.attempts == 1
@@ -260,25 +265,47 @@ class TestSchedulerJobRetry:
             Scheduler(service, job_retries=-1)
 
 
-def _ok_sample(rows: int = 4, components: int = 3) -> ShardSample:
-    return ShardSample(samples=np.zeros((rows, components)))
+SHAPE = (2, 3)
 
 
-def _call(fn, *, rescue=None, rows: int = 4, components: int = 3) -> ShardCall:
-    return ShardCall(
-        fn=fn,
-        args=(),
-        rescue=rescue if rescue is not None else (lambda: _ok_sample(rows, components)),
-        expected_rows=rows,
-        expected_components=components,
+def _ok_result(shape=SHAPE) -> PointResult:  # module-level: picklable
+    return PointResult(
+        columns=np.zeros(shape),
+        axis_values=tuple(range(shape[1])),
+        reuse_reports=(),
+        timings=StageTimings(),
     )
 
 
-class TestShardDispatcherUnit:
-    def _dispatcher(self, **resilience) -> tuple[ShardDispatcher, ServiceStats]:
+def _slow_result(seconds: float = 0.2) -> PointResult:
+    time.sleep(seconds)
+    return _ok_result()
+
+
+def _crash_once(marker: str) -> PointResult:
+    """Kills the first worker to run it (leaving ``marker``); the retry,
+    in a later worker, answers."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _ok_result()
+    os._exit(13)
+
+
+def _call(fn, *args, rescue=None) -> TaskCall:
+    return TaskCall(
+        fn=fn,
+        args=args,
+        rescue=rescue if rescue is not None else _ok_result,
+        expected_shape=SHAPE,
+    )
+
+
+class TestTaskDispatcherUnit:
+    def _dispatcher(self, **resilience) -> tuple[TaskDispatcher, ServiceStats]:
         stats = ServiceStats()
         config = ResilienceConfig(retry_backoff=0.0, **resilience)
-        return ShardDispatcher(InlineExecutor(), stats, config), stats
+        return TaskDispatcher(InlineExecutor(), stats, config), stats
 
     def test_permanent_error_raises_immediately(self):
         dispatcher, stats = self._dispatcher()
@@ -287,29 +314,27 @@ class TestShardDispatcherUnit:
             raise ValueError("deterministic bug")
 
         with pytest.raises(ValueError, match="deterministic bug"):
-            dispatcher.dispatch([_call(boom), _call(_ok_sample)])
+            dispatcher.dispatch(_call(boom))
         assert stats.shard_retries == 0
         assert stats.inline_rescues == 0
 
     def test_garbage_payload_is_transient_and_rescued(self):
         dispatcher, stats = self._dispatcher(shard_retries=1)
-        dispatched = dispatcher.dispatch([_call(lambda: "not a shard sample")])
-        assert dispatched[0].samples.shape == (4, 3)
+        dispatched = dispatcher.dispatch(_call(lambda: "not a point result"))
+        assert dispatched.columns.shape == SHAPE
         assert stats.inline_rescues == 1
-        assert stats.shard_retries == 1  # one retry round, still garbage
+        assert stats.shard_retries == 1  # one retry, still garbage
 
     def test_wrong_shape_payload_is_transient(self):
         dispatcher, stats = self._dispatcher(shard_retries=0)
-        bad = ShardSample(samples=np.zeros((2, 3)))
-        dispatched = dispatcher.dispatch([_call(lambda: bad)])
-        assert dispatched[0].samples.shape == (4, 3)
+        dispatched = dispatcher.dispatch(_call(lambda: _ok_result((2, 7))))
+        assert dispatched.columns.shape == SHAPE
         assert stats.inline_rescues == 1
 
-    def test_wrong_components_rejected(self):
+    def test_wrong_shape_without_rescue_exhausts_the_retries(self):
         dispatcher, stats = self._dispatcher(shard_retries=0, inline_rescue=False)
-        bad = ShardSample(samples=np.zeros((4, 7)))
-        with pytest.raises(RetryExhaustedError, match="components"):
-            dispatcher.dispatch([_call(lambda: bad)])
+        with pytest.raises(RetryExhaustedError, match="shape"):
+            dispatcher.dispatch(_call(lambda: _ok_result((4, 3))))
 
     def test_transient_error_retried_then_succeeds(self):
         attempts = {"n": 0}
@@ -318,22 +343,25 @@ class TestShardDispatcherUnit:
             attempts["n"] += 1
             if attempts["n"] == 1:
                 raise FaultInjected("one-off glitch")
-            return _ok_sample()
+            return _ok_result()
 
         dispatcher, stats = self._dispatcher(shard_retries=2)
-        dispatched = dispatcher.dispatch([_call(flaky)])
-        assert dispatched[0].samples.shape == (4, 3)
+        dispatched = dispatcher.dispatch(_call(flaky))
+        assert dispatched.columns.shape == SHAPE
         assert stats.shard_retries == 1
         assert stats.inline_rescues == 0
 
     def test_payload_problem_messages(self):
         call = _call(lambda: None)
-        assert "ShardSample" in ShardDispatcher._payload_problem(call, "junk")
-        assert ShardDispatcher._payload_problem(call, _ok_sample()) is None
-        bad_dtype = ShardSample(
-            samples=np.array([["a", "b", "c"]] * 4, dtype=object)
+        assert "PointResult" in TaskDispatcher._payload_problem(call, "junk")
+        assert TaskDispatcher._payload_problem(call, _ok_result()) is None
+        bad_dtype = PointResult(
+            columns=np.array([["a", "b", "c"]] * 2, dtype=object),
+            axis_values=(0, 1, 2),
+            reuse_reports=(),
+            timings=StageTimings(),
         )
-        assert "dtype" in ShardDispatcher._payload_problem(call, bad_dtype)
+        assert "dtype" in TaskDispatcher._payload_problem(call, bad_dtype)
 
     def test_resilience_config_validation(self):
         with pytest.raises(ScenarioError, match="shard_timeout"):
@@ -348,14 +376,14 @@ class TestShardDispatcherUnit:
 
 class TestHealWithWorkInFlight:
     """A heal replaces every lane — also under futures somebody still holds
-    (a fan-out begun ahead; this round's own shards queued behind a broken
-    lane). Those come back cancelled or broken *by the heal*: transient,
-    retried, and no reason to heal the new pool again."""
+    (tasks started ahead; a task queued behind a broken lane). Those come
+    back cancelled or broken *by the heal*: transient, retried, and no
+    reason to heal the new pool again."""
 
     def _dispatcher(self, executor, **resilience):
         stats = ServiceStats()
         config = ResilienceConfig(retry_backoff=0.0, **resilience)
-        return ShardDispatcher(executor, stats, config), stats
+        return TaskDispatcher(executor, stats, config), stats
 
     def test_a_cancelled_future_is_transient(self):
         from concurrent.futures import Future
@@ -372,79 +400,59 @@ class TestHealWithWorkInFlight:
                 return super().submit(fn, *args, lane=lane)
 
         dispatcher, stats = self._dispatcher(CancelsFirst(), shard_retries=1)
-        dispatched = dispatcher.dispatch([_call(_ok_sample), _call(_ok_sample)])
-        assert [d.samples.shape for d in dispatched] == [(4, 3), (4, 3)]
+        started = [dispatcher.start(_call(_ok_result)) for _ in range(2)]
+        assert [dispatcher.finish(s).columns.shape for s in started] == [SHAPE, SHAPE]
         assert stats.shard_retries == 1
         assert stats.pool_rebuilds == 0 and stats.inline_rescues == 0
 
-    def test_a_started_fan_out_survives_another_one_healing_the_pool(self, tmp_path):
-        """Start A, start B, crash A's worker: collecting A heals the pool
-        under B, whose futures die with the old lanes. Both finish."""
+    def test_tasks_started_ahead_survive_another_one_healing_the_pool(self, tmp_path):
+        """Start A, then ten more; A's worker crashes: collecting A heals the
+        pool under the others, whose futures die with the old lanes. All
+        finish."""
         executor = ProcessExecutor(2)
         try:
             dispatcher, stats = self._dispatcher(executor, shard_retries=2)
-
-            def calls(fn, count=4):
-                return [
-                    ShardCall(fn=fn, args=(4, 3), rescue=lambda: _zeros(4, 3),
-                              expected_rows=4, expected_components=3)
-                    for _ in range(count)
-                ]
-
-            crashing = calls(_zeros)
-            crashing[0] = ShardCall(
-                fn=_crash_once, args=(str(tmp_path / "crashed"),), rescue=lambda: _zeros(4, 3),
-                expected_rows=4, expected_components=3,
-            )
-            first = dispatcher.start(crashing)
+            first = dispatcher.start(_call(_crash_once, str(tmp_path / "crashed")))
             # Five per lane: the heal finds some running (they break with
             # their worker) and some still queued (they are cancelled).
-            second = dispatcher.start(calls(_slow_zeros, 10))
-            assert [d.samples.shape for d in dispatcher.finish(first)] == [(4, 3)] * 4
+            others = [dispatcher.start(_call(_slow_result)) for _ in range(10)]
+            assert dispatcher.finish(first).columns.shape == SHAPE
             rebuilds = stats.pool_rebuilds
             assert rebuilds >= 1
-            assert [d.samples.shape for d in dispatcher.finish(second)] == [(4, 3)] * 10
-            # B's futures died in a pool that was already replaced: retried,
-            # not healed again, never rescued.
+            assert [dispatcher.finish(s).columns.shape for s in others] == [SHAPE] * 10
+            # Their futures died in a pool that was already replaced:
+            # retried, not healed again, never rescued.
             assert stats.pool_rebuilds == rebuilds
             assert stats.inline_rescues == 0
         finally:
             executor.shutdown()
 
-    def test_submit_finding_a_broken_lane_heals_under_its_own_queued_shards(self):
-        """Lane 1's worker died idle; lane 0 is busy, so this round's first
-        shard queues there — and is cancelled when the second shard's
-        submit finds lane 1 broken and heals. At the parent commit the
-        cancelled shard failed the whole fan-out for good."""
+    def test_submit_finding_a_broken_lane_heals_under_a_queued_task(self):
+        """Lane 1's worker died idle; lane 0 is busy, so the first task
+        queues there — and is cancelled when the second task's submit finds
+        lane 1 broken and heals. The cancelled task is retried, not lost."""
         executor = ProcessExecutor(2)
         try:
             victim = executor.submit(os.getpid, lane=1).result(timeout=30)
-            blockers = [executor.submit(_slow_zeros, 4, 3, 1.0, lane=0) for _ in range(3)]
+            blockers = [executor.submit(_slow_result, 1.0, lane=0) for _ in range(3)]
             os.kill(victim, 9)
             time.sleep(0.3)  # let lane 1's pool notice
             dispatcher, stats = self._dispatcher(executor, shard_retries=2)
-            dispatched = dispatcher.dispatch(
-                [
-                    ShardCall(fn=_zeros, args=(4, 3), rescue=lambda: _zeros(4, 3),
-                              expected_rows=4, expected_components=3)
-                    for _ in range(2)
-                ]
-            )
-            assert [d.samples.shape for d in dispatched] == [(4, 3), (4, 3)]
+            started = [dispatcher.start(_call(_ok_result)) for _ in range(2)]
+            assert [dispatcher.finish(s).columns.shape for s in started] == [SHAPE, SHAPE]
             assert stats.pool_rebuilds == 1  # the one heal, at submit
             assert stats.shard_retries == 1 and stats.inline_rescues == 0
             assert all(blocker.done() for blocker in blockers)
         finally:
             executor.shutdown()
 
-    @pytest.mark.parametrize("crash_at", [0, 2, 3, 5, 8])
-    def test_crash_in_a_generation_begun_ahead_keeps_the_sweep_bit_identical(
+    @pytest.mark.parametrize("crash_at", [0, 1, 2, 4])
+    def test_a_crash_with_tasks_started_ahead_keeps_the_sweep_bit_identical(
         self, serve_spec, crash_at
     ):
-        """A seeded crash on one shard of a queued sweep over shm — for most
-        sequence numbers a shard of a generation that was begun behind the
-        previous point's combine. The sweep completes bit-identical without
-        the job ladder, leaks no segment and leaves no child."""
+        """A seeded crash on one task of a queued fresh sweep over shm, with
+        the next task in flight beside it. The sweep completes bit-identical
+        without the job ladder, leaks no segment and leaves no child."""
         import multiprocessing
 
         from repro.serve import TransportConfig, shm_available
@@ -461,9 +469,7 @@ class TestHealWithWorkInFlight:
             service = EvaluationService(
                 serve_spec,
                 executor=executor,
-                shards=4,  # two shards per lane: a heal finds work queued
-                min_shard_worlds=1,
-                fault_plan=FaultPlan(faults=(FaultSpec(shard=crash_at, kind="crash"),)),
+                fault_plan=FaultPlan(faults=(FaultSpec(task=crash_at, kind="crash"),)),
                 resilience=ResilienceConfig(retry_backoff=0.0),
                 transport=TransportConfig(
                     shard_transport="shm" if shm_available() else "pickle"
@@ -492,25 +498,6 @@ class TestHealWithWorkInFlight:
         while alive() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not alive()
-
-
-def _zeros(rows: int, components: int) -> ShardSample:  # module-level: picklable
-    return ShardSample(samples=np.zeros((rows, components)))
-
-
-def _slow_zeros(rows: int, components: int, seconds: float = 0.2) -> ShardSample:
-    time.sleep(seconds)
-    return _zeros(rows, components)
-
-
-def _crash_once(marker: str) -> ShardSample:
-    """Kills the first worker to run it (leaving ``marker``); the retry,
-    in a later worker, answers."""
-    try:
-        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
-    except FileExistsError:
-        return _zeros(4, 3)
-    os._exit(13)
 
 
 def _sleep_forever() -> None:  # module-level: picklable for process pools
@@ -548,7 +535,7 @@ class TestExecutorLifecycle:
 
 
 class TestAcceptanceChaosSweep:
-    """ISSUE acceptance: kill a worker mid-sweep under a process executor;
+    """Acceptance: kill a worker mid-sweep under a process executor;
     the sweep completes bitwise-identical to the fault-free run and the
     stats report shows the recovery."""
 
@@ -559,17 +546,12 @@ class TestAcceptanceChaosSweep:
     ]
 
     def test_sweep_survives_crash_and_persistent_fault(self, serve_spec):
-        engine = ProphetEngine(
-            parse_scenario(SERVE_DSL, name="serve_scenario"),
-            build_demo_library(),
-            EngineConfig(sampling=SamplingConfig(n_worlds=16)),
-        )
-        references = [engine.evaluate_point(p).statistics for p in self.POINTS]
+        references = [_reference_statistics(p) for p in self.POINTS]
 
         plan = FaultPlan(
             faults=(
-                FaultSpec(shard=0, kind="crash"),
-                FaultSpec(shard=3, kind="raise", attempts=99),
+                FaultSpec(task=0, kind="crash"),
+                FaultSpec(task=2, kind="raise", attempts=99),
             )
         )
         executor = ProcessExecutor(2)
@@ -578,7 +560,7 @@ class TestAcceptanceChaosSweep:
                 serve_spec, executor=executor, plan=plan, retry_backoff=0.0
             )
             scheduler = Scheduler(service)
-            jobs = scheduler.submit_sweep(self.POINTS)
+            jobs = scheduler.submit_sweep(self.POINTS, reuse=False)
             scheduler.run_pending()
             for job, reference in zip(jobs, references):
                 assert job.status == "done"

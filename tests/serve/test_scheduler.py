@@ -18,10 +18,7 @@ OTHER_POINT = {"purchase1": 26, "purchase2": 52, "feature": 36}
 
 @pytest.fixture
 def scheduler(serve_spec) -> Scheduler:
-    service = EvaluationService(
-        serve_spec, executor=InlineExecutor(), shards=2, min_shard_worlds=1
-    )
-    return Scheduler(service)
+    return Scheduler(EvaluationService(serve_spec, executor=InlineExecutor()))
 
 
 class TestDedup:
@@ -163,9 +160,7 @@ class TestOfflineOptimizerBackend:
 
 class TestHistoryBound:
     def test_completed_archive_is_bounded(self, serve_spec):
-        service = EvaluationService(
-            serve_spec, executor=InlineExecutor(), shards=1
-        )
+        service = EvaluationService(serve_spec, executor=InlineExecutor())
         scheduler = Scheduler(service, history_limit=2)
         for purchase2 in (0, 26, 52):
             scheduler.evaluate({"purchase1": 0, "purchase2": purchase2, "feature": 12},
@@ -175,51 +170,84 @@ class TestHistoryBound:
 
 
 class TestQueue:
-    def test_peek_shows_the_next_job_without_taking_it(self, scheduler):
-        assert scheduler.queue.peek() is None
+    def test_ahead_shows_the_next_jobs_without_taking_them(self, scheduler):
+        assert scheduler.queue.ahead(2) == []
         first = scheduler.submit(POINT)
         second = scheduler.submit(OTHER_POINT)
-        assert scheduler.queue.peek() is first
+        assert scheduler.queue.ahead(1) == [first]
+        assert scheduler.queue.ahead(5) == [first, second]
         assert first.status == "pending" and len(scheduler.queue) == 2
         assert scheduler.queue.pop() is first
-        assert scheduler.queue.peek() is second
+        assert scheduler.queue.ahead(2) == [second]
 
 
 THIRD_POINT = {"purchase1": 52, "purchase2": 0, "feature": 12}
 
 
-class TestBeginAhead:
-    """On a process pool ``run_next`` begins the next queued job between the
-    running job's land and combine. What happens to the job begun ahead is
-    that job's business alone."""
+class TestStartAhead:
+    """On a process pool ``run_next`` keeps two point tasks per worker in
+    flight: it starts the tasks of the ``reuse=False`` jobs queued right
+    behind the one it runs. What happens to a task started ahead is its
+    job's business alone."""
 
     @pytest.fixture
     def pooled(self, serve_spec, process_executor) -> Scheduler:
-        service = EvaluationService(
-            serve_spec, executor=process_executor, shards=2, min_shard_worlds=1
-        )
-        return Scheduler(service)
+        return Scheduler(EvaluationService(serve_spec, executor=process_executor))
 
-    def test_inline_executors_and_empty_queues_begin_nothing(self, scheduler, pooled):
+    @staticmethod
+    def _record_starts(scheduler) -> list:
+        started = []
+        start = scheduler.service.start
+
+        def recording(point, **kwargs):
+            started.append(dict(point))
+            return start(point, **kwargs)
+
+        scheduler.service.start = recording
+        return started
+
+    def test_inline_executors_and_reuse_jobs_start_nothing(self, scheduler, pooled):
         for backend in (scheduler, pooled):
-            begun = []
-            backend.service.begin = lambda *a, **k: begun.append(a)
-            backend.evaluate(POINT)  # one job: nothing queued behind it
-            assert begun == []
-        jobs = scheduler.submit_sweep([POINT, OTHER_POINT, THIRD_POINT], worlds=range(8))
+            started = self._record_starts(backend)
+            jobs = backend.submit_sweep([POINT, OTHER_POINT, THIRD_POINT], worlds=range(8))
+            backend.run_pending()
+            assert started == [] and all(job.done for job in jobs)
+        fresh = scheduler.submit_sweep([POINT, OTHER_POINT], reuse=False)
         scheduler.run_pending()
-        assert begun == [] and all(job.done for job in jobs)
+        assert started == [] and all(job.done for job in fresh)
 
-    def test_a_begin_that_raises_fails_the_next_job_only(self, pooled):
-        begin = pooled.service.begin
+    def test_two_tasks_per_worker_in_flight_results_in_order(self, pooled, sequential_engine):
+        started = self._record_starts(pooled)
+        points = [
+            POINT, OTHER_POINT, THIRD_POINT,
+            {**POINT, "feature": 36}, {**OTHER_POINT, "feature": 12}, {**THIRD_POINT, "feature": 36},
+        ]
+        jobs = pooled.submit_sweep(points, reuse=False)
+        assert pooled.run_next() is jobs[0]
+        assert started == points[:4]  # two workers: this job's task and three behind
+        assert pooled.run_next() is jobs[1]
+        assert started == points[:5]
+        assert pooled.run_pending() == jobs[2:]
+        assert started == points and pooled._started == {}
+        for job, point in zip(jobs, points):
+            assert job.result.samples == {}
+            assert_stats_identical(
+                job.result.statistics,
+                sequential_engine.evaluate_point(point, reuse=False).statistics,
+            )
+        assert pooled.service.stats.shard_tasks == len(points)
+        assert pooled.service.stats.points_evaluated == len(points)
 
-        def flaky_begin(point, **kwargs):
+    def test_a_start_that_raises_fails_its_own_job_only(self, pooled):
+        start = pooled.service.start
+
+        def flaky_start(point, **kwargs):
             if point == OTHER_POINT:
                 raise RuntimeError("no segment to lease")
-            return begin(point, **kwargs)
+            return start(point, **kwargs)
 
-        pooled.service.begin = flaky_begin
-        jobs = pooled.submit_sweep([POINT, OTHER_POINT, THIRD_POINT])
+        pooled.service.start = flaky_start
+        jobs = pooled.submit_sweep([POINT, OTHER_POINT, THIRD_POINT], reuse=False)
         assert pooled.run_next() is jobs[0]
         assert jobs[0].status == "done"  # its own evaluation never saw the error
         assert jobs[1].status == "pending"
@@ -229,48 +257,44 @@ class TestBeginAhead:
         assert "no segment" in jobs[1].error
         assert jobs[1].attempts == 0 and pooled.jobs_retried == 0  # permanent: not retried
 
-    def test_a_transient_begin_error_goes_up_the_next_jobs_retry_ladder(
+    def test_a_transient_start_error_goes_up_the_jobs_retry_ladder(
         self, pooled, sequential_engine
     ):
         from repro.errors import TransientServeError
 
-        begin = pooled.service.begin
+        start = pooled.service.start
         raised = []
 
-        def flaky_begin(point, **kwargs):
-            if point == OTHER_POINT and not raised:
-                raised.append(point)
+        def flaky_start(point, **kwargs):
+            if point == OTHER_POINT and len(raised) < 2:
+                raised.append(point)  # ahead of its turn, then in its turn
                 raise TransientServeError("pool went away")
-            return begin(point, **kwargs)
+            return start(point, **kwargs)
 
-        pooled.service.begin = flaky_begin
-        jobs = pooled.submit_sweep([POINT, OTHER_POINT])
+        pooled.service.start = flaky_start
+        jobs = pooled.submit_sweep([POINT, OTHER_POINT], reuse=False)
         pooled.run_pending()
         assert [job.status for job in jobs] == ["done", "done"]
         assert jobs[1].attempts == 1 and pooled.jobs_retried == 1
         for job, point in zip(jobs, (POINT, OTHER_POINT)):
             assert_stats_identical(
-                job.result.statistics, sequential_engine.evaluate_point(point).statistics
+                job.result.statistics,
+                sequential_engine.evaluate_point(point, reuse=False).statistics,
             )
 
-    def test_a_transient_failure_landing_the_begun_job_is_retried_by_its_ladder(
+    def test_a_task_started_ahead_that_fails_is_retried_by_its_job(
         self, serve_spec, process_executor, sequential_engine
     ):
-        """Job 2's first generation (begun behind job 1) fails every attempt
-        with rescue off: landing it raises a transient error inside job 2,
-        whose re-run begins afresh, draws new sequence numbers and succeeds."""
+        """Job 2's task (started behind job 1's, sequence number 1) fails
+        every attempt with rescue off: collecting it raises a transient error
+        inside job 2, whose re-run starts afresh, draws a new sequence number
+        and succeeds."""
         from repro.serve import FaultPlan, FaultSpec, ResilienceConfig
 
-        # Job 1 dispatches generations 0-1 (shards 0-3); job 2's first is 4-5.
-        plan = FaultPlan(
-            faults=tuple(FaultSpec(shard=s, kind="raise", attempts=99) for s in (4, 5))
-        )
         service = EvaluationService(
             serve_spec,
             executor=process_executor,
-            shards=2,
-            min_shard_worlds=1,
-            fault_plan=plan,
+            fault_plan=FaultPlan(faults=(FaultSpec(task=1, kind="raise", attempts=99),)),
             resilience=ResilienceConfig(
                 retry_backoff=0.0, shard_retries=0, inline_rescue=False, job_retries=1
             ),
@@ -278,17 +302,17 @@ class TestBeginAhead:
         pooled = Scheduler(service)
         jobs = pooled.submit_sweep([POINT, OTHER_POINT], reuse=False)
         assert pooled.run_next() is jobs[0]
-        assert jobs[0].status == "done" and service.engine._begun is not None
+        assert jobs[0].status == "done" and set(pooled._started) == {jobs[1].id}
         pooled.run_pending()
         assert jobs[1].status == "done" and jobs[1].attempts == 1
-        assert pooled.jobs_retried == 1
+        assert pooled.jobs_retried == 1 and service.stats.shard_tasks == 3
         for job, point in zip(jobs, (POINT, OTHER_POINT)):
             assert_stats_identical(
                 job.result.statistics,
                 sequential_engine.evaluate_point(point, reuse=False).statistics,
             )
 
-    def test_spans_opened_by_begin_carry_the_job_they_belong_to(self, pooled):
+    def test_tasks_started_ahead_are_dispatched_inside_the_running_job(self, pooled):
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
@@ -297,65 +321,82 @@ class TestBeginAhead:
         jobs = pooled.submit_sweep([POINT, OTHER_POINT, THIRD_POINT], reuse=False)
         pooled.run_pending()
         job_spans = [s for s in tracer.spans if s.name == "job"]
-        begin_spans = [s for s in tracer.spans if s.name == "begin"]
-        assert [s.attrs["job"] for s in job_spans] == [job.id for job in jobs]
-        assert [s.attrs["job"] for s in begin_spans] == [jobs[1].id, jobs[2].id]
-        for begin, owner in zip(begin_spans, job_spans):
-            # Opened inside the previous job's span, attributed to the next.
-            assert owner.start <= begin.start
-            assert begin.start + begin.duration <= owner.start + owner.duration
-            assert begin.attrs["job"] != owner.attrs["job"]
-        # The fan-out a begin started is the next job's too: its dispatch
-        # span sits inside the begin span.
         dispatches = [s for s in tracer.spans if s.name == "dispatch"]
-        assert any(
-            begin.start <= d.start and d.start + d.duration <= begin.start + begin.duration
-            for begin in begin_spans
-            for d in dispatches
-        )
+        assert [s.attrs["job"] for s in job_spans] == [job.id for job in jobs]
+        assert len(dispatches) == 3
+        first = job_spans[0]
+        for dispatch in dispatches:
+            assert first.start <= dispatch.start <= first.start + first.duration
 
 
 class TestAbandonedSweep:
-    def test_closing_mid_sweep_reclaims_the_begun_generation(self):
-        """Two of five results consumed, then ``close()``: the third point
-        was begun (its generation is leased and submitted) and nobody will
-        collect it — ``close()`` reclaims the segment and the workers."""
-        import multiprocessing
-        import os
-        import time
+    """Two of five results consumed, then ``close()``: the tasks started
+    ahead are never collected, and ``close()`` still returns in bounded
+    time, with every worker gone and every lease reclaimed."""
 
+    @staticmethod
+    def _client(n_worlds: int):
         from repro.api import ClientConfig, ProphetClient, SamplingConfig
         from repro.serve import shm_available
         from serve_testutil import SERVE_DSL
 
-        client = (
+        return (
             ProphetClient.open(
                 SERVE_DSL,
                 "demo",
-                config=ClientConfig(sampling=SamplingConfig(n_worlds=16)),
+                config=ClientConfig(sampling=SamplingConfig(n_worlds=n_worlds)),
             )
-            .with_serving(executor="process", workers=2, shards=2)
+            .with_serving(executor="process", workers=2)
             .with_transport(shard_transport="shm" if shm_available() else "pickle")
         )
-        points = [dict(p) for p in client.scenario.sweep_space.grid()][::4][:5]
-        handle = client.sweep(points, reuse=False)
-        consumed = [next(handle), next(handle)]
-        assert all(result.ok for result in consumed)
-        before = client.stats().to_dict()["service"]
-        if shm_available():
-            assert before["segments_leased"] == before["segments_reclaimed"] + 1
-        executor = client._service.executor
-        workers = {executor.submit(os.getpid, lane=lane).result(timeout=30) for lane in (0, 1)}
-        assert len(workers) == 2
+
+    @staticmethod
+    def _close_and_check(client, workers):
+        import multiprocessing
+        import time
 
         def alive():  # other tests' session-shared pool may have children too
             return workers & {child.pid for child in multiprocessing.active_children()}
 
-        assert alive() == workers
+        started = time.monotonic()
         client.close()
+        assert time.monotonic() - started < 10.0
         after = client.stats().to_dict()["service"]
         assert after["segments_leased"] == after["segments_reclaimed"]
         deadline = time.monotonic() + 5.0
         while alive() and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not alive()
+
+    @staticmethod
+    def _workers(client) -> set:
+        executor = client._service.executor
+        return {
+            process.pid
+            for lane in executor._lanes
+            for process in (lane._processes or {}).values()
+        }
+
+    def test_closing_mid_sweep_reclaims_the_started_tasks(self):
+        from repro.serve import shm_available
+
+        client = self._client(16)
+        points = [dict(p) for p in client.scenario.sweep_space.grid()][::4][:5]
+        handle = client.sweep(points, reuse=False)
+        consumed = [next(handle), next(handle)]
+        assert all(result.ok for result in consumed)
+        ahead = {entry.id for entry in handle._entries[2:]}
+        assert set(client._scheduler._started) == ahead
+        before = client.stats().to_dict()["service"]
+        if shm_available():
+            assert before["segments_leased"] == before["segments_reclaimed"] + len(ahead)
+        workers = self._workers(client)
+        assert len(workers) == 2
+        self._close_and_check(client, workers)
+
+    def test_closing_while_a_lane_is_still_warming_up(self):
+        client = self._client(8000)
+        client.engine  # builds the service: both lanes start warming up
+        workers = self._workers(client)
+        assert len(workers) == 2
+        self._close_and_check(client, workers)

@@ -1,24 +1,32 @@
-"""Sharded-vs-sequential parity: the serve layer's core contract.
+"""Pooled-vs-sequential parity: the serve layer's core contract.
 
-Sharded evaluation — any world pattern, shard count, executor and
-transport — must return bit-identical :class:`AxisStatistics` to the plain
-sequential ``ProphetEngine.evaluate_point``, and result-cache hits must
-serve byte-identical payloads.
+Evaluation through the service — any request sequence, worker count,
+executor, transport and fault plan — must return bit-identical
+:class:`AxisStatistics` to the plain sequential
+``ProphetEngine.evaluate_point``, and result-cache hits must serve
+byte-identical payloads. A ``reuse=False`` request is a point task on a
+process pool and runs on the coordinator otherwise; a ``reuse=True``
+request always runs on the coordinator.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.core.persistence import save_bases
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, ServeError
 from repro.serve import (
     EngineSpec,
     EvaluationService,
+    FaultPlan,
     InlineExecutor,
+    ProcessExecutor,
+    ResilienceConfig,
+    Scheduler,
     TransportConfig,
     shm_available,
 )
@@ -39,69 +47,104 @@ TRANSPORTS = [
     ),
 ]
 
+#: Fault plans over a four-point sweep's tasks: none, and transient faults
+#: on three of them that a retry clears.
+PLANS = {
+    "healthy": None,
+    "faults": FaultPlan.seeded(1, tasks=4, rate=0.5, kinds=("raise", "garbage")),
+}
 
-def _inline_service(spec, shards, **kwargs):
-    return EvaluationService(
-        spec,
-        executor=InlineExecutor(),
-        shards=shards,
-        min_shard_worlds=1,
-        **kwargs,
-    )
+SWEEP = [
+    {"purchase1": 0, "purchase2": 0, "feature": 12},
+    {"purchase1": 0, "purchase2": 26, "feature": 12},
+    {"purchase1": 26, "purchase2": 26, "feature": 12},
+    {"purchase1": 26, "purchase2": 52, "feature": 36},
+]
 
 
-class TestShardedParity:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_inline_executor(self, serve_spec, sequential_engine, shards):
-        reference = sequential_engine.evaluate_point(POINT)
-        service = _inline_service(serve_spec, shards)
-        evaluation = service.evaluate(POINT)
-        assert_stats_identical(evaluation.statistics, reference.statistics)
-        assert evaluation.n_worlds == reference.n_worlds
+@pytest.fixture(scope="module")
+def one_worker():
+    executor = ProcessExecutor(1)
+    yield executor
+    executor.shutdown()
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_process_executor(
-        self, serve_spec, sequential_engine, process_executor, shards
+
+@pytest.fixture
+def executors(process_executor, one_worker):
+    """``(kind, workers) -> executor``: the session's pools, or inline."""
+
+    def pick(kind: str, workers: int):
+        if kind == "inline":
+            return InlineExecutor()
+        return one_worker if workers == 1 else process_executor
+
+    return pick
+
+
+def _inline_service(spec, **kwargs):
+    return EvaluationService(spec, executor=InlineExecutor(), **kwargs)
+
+
+class TestPointTaskParity:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    @pytest.mark.parametrize("executor_kind", ["inline", "process"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fresh_sweep_matches_the_sequential_engine(
+        self, serve_spec, sequential_engine, executors, workers, executor_kind, plan, transport
     ):
-        reference = sequential_engine.evaluate_point(POINT)
         service = EvaluationService(
             serve_spec,
-            executor=process_executor,
-            shards=shards,
-            min_shard_worlds=1,
+            executor=executors(executor_kind, workers),
+            fault_plan=PLANS[plan],
+            resilience=ResilienceConfig(retry_backoff=0.0),
+            transport=TransportConfig(shard_transport=transport),
         )
-        evaluation = service.evaluate(POINT)
-        assert_stats_identical(evaluation.statistics, reference.statistics)
-        assert service.stats.shard_tasks >= shards  # one per output per shard
+        scheduler = Scheduler(service)
+        jobs = scheduler.submit_sweep(SWEEP, reuse=False)
+        scheduler.run_pending()
+        for job, point in zip(jobs, SWEEP):
+            reference = sequential_engine.evaluate_point(point, reuse=False)
+            assert job.status == "done"
+            assert_stats_identical(job.result.statistics, reference.statistics)
+            assert [r.source for r in job.result.reuse_reports] == ["fresh", "fresh"]
+        pooled = executor_kind == "process"
+        assert service.stats.shard_tasks == (len(SWEEP) if pooled else 0)
+        if pooled and plan == "faults":
+            assert service.stats.shard_retries > 0  # the plan actually fired
+        assert len(service.engine.storage) == 0  # reuse=False stored nothing
+        assert service._arena.live_segments() == 0
+        assert service.stats.segments_leased == service.stats.segments_reclaimed
 
-    def test_sweep_parity_with_reuse(self, serve_spec, sequential_engine):
+    @pytest.mark.parametrize("executor_kind", ["inline", "process"])
+    def test_sweep_parity_with_reuse(
+        self, serve_spec, sequential_engine, executors, executor_kind
+    ):
         """A multi-point sweep (fingerprint reuse active) stays bit-identical.
 
-        Reuse decisions are made on the coordinator — shard workers only
-        ever fresh-sample — so the mapped/exact/fresh mix of a sweep is the
-        sequential engine's, point for point.
+        Reuse decisions are made on the coordinator, so the
+        mapped/exact/fresh mix of a sweep is the sequential engine's, point
+        for point.
         """
-        points = [
-            {"purchase1": 0, "purchase2": 0, "feature": 12},
-            {"purchase1": 0, "purchase2": 26, "feature": 12},
-            {"purchase1": 26, "purchase2": 26, "feature": 12},
-            {"purchase1": 26, "purchase2": 52, "feature": 36},
-        ]
-        service = _inline_service(serve_spec, 2)
-        for point in points:
+        service = EvaluationService(serve_spec, executor=executors(executor_kind, 2))
+        for point in SWEEP:
             reference = sequential_engine.evaluate_point(point)
             evaluation = service.evaluate(point)
             assert_stats_identical(evaluation.statistics, reference.statistics)
             assert [r.source for r in evaluation.reuse_reports] == [
                 r.source for r in reference.reuse_reports
             ]
+        assert service.stats.shard_tasks == 0
 
-    def test_progressive_world_prefixes(self, serve_spec, sequential_engine):
+    @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
+    def test_progressive_world_prefixes(
+        self, serve_spec, sequential_engine, process_executor, reuse
+    ):
         """Growing world prefixes (online refinement) keep parity."""
-        service = _inline_service(serve_spec, 4)
+        service = EvaluationService(serve_spec, executor=process_executor)
         for stop in (4, 8, 16):
-            reference = sequential_engine.evaluate_point(POINT, worlds=range(stop))
-            evaluation = service.evaluate(POINT, worlds=range(stop))
+            reference = sequential_engine.evaluate_point(POINT, worlds=range(stop), reuse=reuse)
+            evaluation = service.evaluate(POINT, worlds=range(stop), reuse=reuse)
             assert_stats_identical(evaluation.statistics, reference.statistics)
 
 
@@ -109,33 +152,26 @@ class TestMixedWorldParity:
     """A over a world prefix, then B over the full slice.
 
     The coordinator holds A's basis for half of B's worlds only, so it
-    cannot map B from it; every shard of B is fresh sampling and the pair
-    answers with the sequential engine's bits whatever the shard geometry.
+    cannot map B from it; the pair answers with the sequential engine's
+    bits whatever the executor, transport or reuse mode.
     """
 
+    @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("executor_kind", ["inline", "process"])
-    @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_partial_then_full_matches_the_sequential_engine(
-        self,
-        serve_spec,
-        sequential_engine,
-        process_executor,
-        shards,
-        executor_kind,
-        transport,
+        self, serve_spec, sequential_engine, executors, executor_kind, transport, reuse
     ):
-        executor = process_executor if executor_kind == "process" else InlineExecutor()
         service = EvaluationService(
             serve_spec,
-            executor=executor,
-            shards=shards,
-            min_shard_worlds=1,
+            executor=executors(executor_kind, 2),
             transport=TransportConfig(shard_transport=transport),
         )
         for point, stop in ((POINT_A, 8), (POINT_B, 16)):
-            reference = sequential_engine.evaluate_point(point, worlds=range(stop))
-            evaluation = service.evaluate(point, worlds=range(stop))
+            reference = sequential_engine.evaluate_point(
+                point, worlds=range(stop), reuse=reuse
+            )
+            evaluation = service.evaluate(point, worlds=range(stop), reuse=reuse)
             assert_stats_identical(evaluation.statistics, reference.statistics)
         if executor_kind == "inline":  # the process pool is session-shared
             service.close()
@@ -143,7 +179,7 @@ class TestMixedWorldParity:
         assert service.stats.segments_leased == service.stats.segments_reclaimed
 
     def test_partial_then_full_is_cached_and_persisted(self, serve_spec, tmp_path):
-        service = _inline_service(serve_spec, 2, cache_dir=str(tmp_path / "results"))
+        service = _inline_service(serve_spec, cache_dir=str(tmp_path / "results"))
         service.evaluate(POINT_A, worlds=range(8))
         service.evaluate(POINT_B, worlds=range(16))
         assert len(service.cache) == 2
@@ -177,10 +213,7 @@ PIPELINE_SWEEP = [
 
 def _counters(service, scheduler=None) -> str:
     """``StatsReport.to_json()`` without its ``scheduler`` section."""
-    import json
-
     from repro.api.stats import StatsReport
-    from repro.serve import Scheduler
 
     if scheduler is None:
         scheduler = Scheduler(service)
@@ -191,36 +224,25 @@ def _counters(service, scheduler=None) -> str:
     return json.dumps(report, sort_keys=True)
 
 
-class TestPipelinedSweepParity:
-    """A queued sweep begins point *k+1* behind point *k*'s combine (on a
-    process pool) — and nothing anybody can count or hash may show it."""
+class TestQueuedSweepParity:
+    """A queued sweep on a process pool starts point *k+1*'s task before
+    point *k*'s is collected — and nothing anybody can count or hash may
+    show it."""
 
     @pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "fresh"])
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("executor_kind", ["inline", "process"])
-    @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_queued_sweep_equals_one_evaluate_at_a_time(
-        self,
-        serve_spec,
-        sequential_engine,
-        process_executor,
-        shards,
-        executor_kind,
-        transport,
-        reuse,
+        self, serve_spec, sequential_engine, executors, executor_kind, transport, reuse
     ):
-        from repro.serve import Scheduler
-
         def service():
             return EvaluationService(
                 serve_spec,
-                executor=process_executor if executor_kind == "process" else InlineExecutor(),
-                shards=shards,
-                min_shard_worlds=1,
+                executor=executors(executor_kind, 2),
                 transport=TransportConfig(shard_transport=transport),
             )
 
-        # The reference with no queue, hence nothing to begin ahead.
+        # The reference with no queue, hence nothing to start ahead.
         one_at_a_time = service()
         for point, stop in PIPELINE_SWEEP:
             one_at_a_time.evaluate(point, worlds=range(stop), reuse=reuse)
@@ -231,16 +253,9 @@ class TestPipelinedSweepParity:
             scheduler.submit(point, worlds=range(stop), reuse=reuse)
             for point, stop in PIPELINE_SWEEP
         ]
-        begun = []
-        begin = queued.begin
-        queued.begin = lambda point, **kw: begun.append(dict(point)) or begin(point, **kw)
         finished = scheduler.run_pending()
 
         assert [job.id for job in finished] == [job.id for job in jobs]  # in order
-        # Every job but the first was begun behind its predecessor — exactly
-        # when the shards run in other processes.
-        expected_begun = [point for point, _ in PIPELINE_SWEEP[1:]]
-        assert begun == (expected_begun if executor_kind == "process" else [])
         sources = []
         for job, (point, stop) in zip(jobs, PIPELINE_SWEEP):
             reference = sequential_engine.evaluate_point(
@@ -257,7 +272,7 @@ class TestPipelinedSweepParity:
         assert _counters(queued, scheduler) == _counters(one_at_a_time)
         assert queued.engine.registry.mappings == one_at_a_time.engine.registry.mappings
         assert queued.engine.registry.mappings == sequential_engine.registry.mappings
-        assert queued.engine._begun is None
+        assert scheduler._started == {}
         assert queued._arena.live_segments() == 0
         assert queued.stats.segments_leased == queued.stats.segments_reclaimed
 
@@ -276,39 +291,72 @@ class TestPipelinedSweepParity:
         assert sequential_engine.storage.exact_hits > 0
         assert sequential_engine.storage.misses > 0
 
-    def test_a_direct_evaluate_between_two_results_keeps_the_begun_point(
+    def test_a_direct_evaluate_between_two_results_leaves_the_started_task_alone(
         self, serve_spec, sequential_engine, process_executor
     ):
         """``service.evaluate`` mid-sweep (no queue) arrives while the next
-        job is begun: the begun point lands first — it keeps its place in
-        the order — and is resumed, not redone, when its job runs."""
-        from repro.serve import Scheduler
-
-        service = EvaluationService(
-            serve_spec, executor=process_executor, shards=2, min_shard_worlds=1
-        )
+        job's task is in flight: it runs on the coordinator, and the task —
+        which reads and writes no coordinator state — is collected, not
+        redone, when its job runs."""
+        service = EvaluationService(serve_spec, executor=process_executor)
         scheduler = Scheduler(service)
-        (first, _), (second, _), (third, _) = PIPELINE_SWEEP[0], PIPELINE_SWEEP[1], PIPELINE_SWEEP[3]
-        jobs = [scheduler.submit(point) for point in (first, second)]
+        (first, _), (second, _), (third, _) = (
+            PIPELINE_SWEEP[0], PIPELINE_SWEEP[1], PIPELINE_SWEEP[3]
+        )
+        jobs = [scheduler.submit(point, reuse=False) for point in (first, second)]
         assert scheduler.run_next() is jobs[0]
-        assert service.engine._begun is not None  # job 2, begun behind job 1
+        assert set(scheduler._started) == {jobs[1].id}
         interloper = service.evaluate(third)
-        assert service.engine._begun is not None  # landed, still waiting for its job
         assert scheduler.run_next() is jobs[1]
-        assert service.engine._begun is None
-        # The order that happened: first, second's samples, third, second's combine.
-        for point, evaluation in ((first, jobs[0].result), (second, jobs[1].result), (third, interloper)):
-            reference = sequential_engine.evaluate_point(point)
+        assert scheduler._started == {}
+        for point, evaluation, reuse in (
+            (first, jobs[0].result, False),
+            (second, jobs[1].result, False),
+            (third, interloper, True),
+        ):
+            reference = sequential_engine.evaluate_point(point, reuse=reuse)
             assert_stats_identical(evaluation.statistics, reference.statistics)
         # Nothing was sampled or decided twice: the counters are those of the
         # three requests evaluated one at a time in that order.
-        in_order = EvaluationService(
-            serve_spec, executor=process_executor, shards=2, min_shard_worlds=1
-        )
-        for point in (first, second, third):
-            in_order.evaluate(point)
+        in_order = EvaluationService(serve_spec, executor=process_executor)
+        for point, reuse in ((first, False), (second, False), (third, True)):
+            in_order.evaluate(point, reuse=reuse)
         assert _counters(service) == _counters(in_order)
-        assert service._arena.live_segments() == 0
+        assert service.stats.shard_tasks == 2
+
+
+class TestPooledRequestValidation:
+    """A pooled ``reuse=False`` request is checked by the engine's own rules
+    before it becomes a task: a bad one raises, counts as evaluated and
+    starts no task."""
+
+    @pytest.mark.parametrize(
+        "worlds, message",
+        [
+            ([0.5, 1.5], "world ids must be integers"),
+            (["1", "2"], "world ids must be integers"),
+            ([1, 2, 2], "EvaluationService.evaluate world id 2 repeats"),
+            ([], "needs at least one world"),
+        ],
+        ids=["floats", "strings", "repeats", "empty"],
+    )
+    def test_bad_worlds_raise_before_a_task(self, serve_spec, process_executor, worlds, message):
+        service = EvaluationService(serve_spec, executor=process_executor)
+        with pytest.raises(ScenarioError, match=message):
+            service.evaluate(POINT, worlds=worlds, reuse=False)
+        assert service.stats.points_evaluated == 1
+        assert service.stats.shard_tasks == 0
+
+    def test_an_off_grid_point_raises_before_a_task(self, serve_spec, process_executor):
+        service = EvaluationService(serve_spec, executor=process_executor)
+        with pytest.raises(ScenarioError):
+            service.evaluate({**POINT, "purchase1": 13}, reuse=False)
+        assert service.stats.shard_tasks == 0
+
+    def test_an_inline_service_starts_no_task(self, serve_spec):
+        service = EvaluationService(serve_spec, executor=InlineExecutor())
+        with pytest.raises(ServeError, match="process executor"):
+            service.start(POINT)
 
 
 class TestResultCacheParity:
@@ -316,7 +364,7 @@ class TestResultCacheParity:
         self, serve_spec, sequential_engine, tmp_path
     ):
         cache_dir = str(tmp_path / "results")
-        first = _inline_service(serve_spec, 2, cache_dir=cache_dir)
+        first = _inline_service(serve_spec, cache_dir=cache_dir)
         computed = first.evaluate(POINT)
         assert first.stats.cache_misses == 1 and first.stats.cache_hits == 0
 
@@ -325,7 +373,7 @@ class TestResultCacheParity:
 
         # A second service (fresh process, conceptually a restarted run)
         # must hit, with the identical payload bytes backing the answer.
-        second = _inline_service(serve_spec, 2, cache_dir=cache_dir)
+        second = _inline_service(serve_spec, cache_dir=cache_dir)
         served = second.evaluate(POINT)
         assert second.stats.cache_hits == 1
         assert second.cache.get(key).payload == stored_payload
@@ -342,7 +390,7 @@ class TestResultCacheParity:
         )
 
     def test_repeated_put_never_rewrites(self, serve_spec, tmp_path):
-        service = _inline_service(serve_spec, 1, cache_dir=str(tmp_path))
+        service = _inline_service(serve_spec, cache_dir=str(tmp_path))
         evaluation = service.evaluate(POINT)
         key = service._key_for(evaluation.point, tuple(range(16)))
         payload = service.cache.get(key).payload
@@ -356,9 +404,7 @@ class TestResultCacheParity:
     def test_non_integer_world_ids_are_rejected_before_the_cache(
         self, serve_spec, tmp_path, cached, worlds
     ):
-        service = _inline_service(
-            serve_spec, 1, cache_dir=str(tmp_path) if cached else None
-        )
+        service = _inline_service(serve_spec, cache_dir=str(tmp_path) if cached else None)
         service.evaluate(POINT, worlds=[1, 2, 3, 4])
         with pytest.raises(ScenarioError, match="world ids must be integers"):
             service.evaluate(POINT, worlds=worlds)
@@ -367,9 +413,7 @@ class TestResultCacheParity:
     def test_repeated_world_ids_are_rejected_before_the_cache(
         self, serve_spec, tmp_path, cached
     ):
-        service = _inline_service(
-            serve_spec, 1, cache_dir=str(tmp_path) if cached else None
-        )
+        service = _inline_service(serve_spec, cache_dir=str(tmp_path) if cached else None)
         service.evaluate(POINT, worlds=[1, 2, 3, 4])
         # A cached service checks first; an uncached one leaves it to the engine.
         entry = "EvaluationService.evaluate" if cached else "evaluate_point"
@@ -382,9 +426,7 @@ class TestResultCacheParity:
     ):
         """``points_evaluated`` counts every request the service is asked,
         one the engine rejects included, with or without a result cache."""
-        service = _inline_service(
-            serve_spec, 1, cache_dir=str(tmp_path) if cached else None
-        )
+        service = _inline_service(serve_spec, cache_dir=str(tmp_path) if cached else None)
         before = service.stats.as_dict()
         with pytest.raises(ScenarioError, match="world ids must be integers"):
             service.evaluate(POINT, worlds=[0.5, 1.5])
@@ -397,7 +439,7 @@ class TestResultCacheParity:
         }
 
     def test_numpy_world_ids_hit_the_python_int_entry(self, serve_spec, tmp_path):
-        service = _inline_service(serve_spec, 1, cache_dir=str(tmp_path))
+        service = _inline_service(serve_spec, cache_dir=str(tmp_path))
         service.evaluate(POINT, worlds=[0, 1, 2, 3])
         served = service.evaluate(POINT, worlds=np.arange(4))
         assert service.stats.cache_hits == 1

@@ -1,22 +1,19 @@
-"""The zero-copy shared-memory shard transport.
+"""The shared-memory result transport of point tasks.
 
 Three contracts pinned here:
 
 * **Parity** — the shm transport changes where bytes live, never what
-  they are: merged statistics are bitwise identical to the pickle path
-  across inline/process executors, loop/batched sampling backends,
-  adaptive on/off, and chaos plans.
-* **O(1) task pickles** — under shm the pickled fan-out task carries only
-  segment descriptors, so its size is flat in the world count (the pickle
-  baseline, recorded alongside, grows linearly).
-* **No leaks** — every leased segment is reclaimed: after merges, after
-  chaos (crashes, hangs, garbage, pool rebuilds), and at close; the
+  they are: statistics are bitwise identical to the pickle path across
+  loop/batched sampling backends, adaptive rounds, and chaos plans.
+* **Descriptor-sized results** — under shm a task's result pickle carries
+  only the region's descriptor, not its statistics.
+* **No leaks** — every leased segment is reclaimed: after collection,
+  after chaos (crashes, hangs, garbage, pool rebuilds), and at close; the
   arena's lease/reclaim counters must end equal.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 
 import numpy as np
@@ -38,7 +35,7 @@ from repro.serve import (
     ServiceStats,
     shm_available,
 )
-from serve_testutil import POINT, SERVE_DSL, assert_stats_identical
+from serve_testutil import POINT, SERVE_DSL, InProcessPool, assert_stats_identical
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="platform has no usable shared memory"
@@ -48,14 +45,7 @@ SHM = TransportConfig(shard_transport="shm")
 
 
 def _service(spec, executor, *, transport=None, **kwargs):
-    return EvaluationService(
-        spec,
-        executor=executor,
-        shards=2,
-        min_shard_worlds=1,
-        transport=transport,
-        **kwargs,
-    )
+    return EvaluationService(spec, executor=executor, transport=transport, **kwargs)
 
 
 def _assert_no_leaks(service):
@@ -67,10 +57,6 @@ class TestTransportConfig:
     def test_unknown_transport_rejected(self):
         with pytest.raises(ScenarioError, match="unknown shard_transport"):
             TransportConfig(shard_transport="carrier-pigeon")
-
-    def test_tiny_segment_cap_rejected(self):
-        with pytest.raises(ScenarioError, match="segment_cap_bytes"):
-            TransportConfig(segment_cap_bytes=512)
 
     def test_enabled_only_for_shm(self):
         assert not TransportConfig().enabled
@@ -176,39 +162,40 @@ class TestPackRoundTripProperty:
 
 
 class TestShmParity:
-    def test_inline_shm_is_bit_identical_to_pickle(self, serve_spec):
+    def test_an_inline_service_leases_nothing(self, serve_spec):
         shm = _service(serve_spec, InlineExecutor(), transport=SHM)
         plain = _service(serve_spec, InlineExecutor())
-        a = shm.evaluate(POINT)
-        b = plain.evaluate(POINT)
-        assert_stats_identical(a.statistics, b.statistics)
-        assert shm.stats.bytes_zero_copy > 0
-        assert shm.stats.transport_fallbacks == 0
-        _assert_no_leaks(shm)
+        assert_stats_identical(
+            shm.evaluate(POINT, reuse=False).statistics,
+            plain.evaluate(POINT, reuse=False).statistics,
+        )
+        assert shm.stats.segments_leased == shm.stats.bytes_zero_copy == 0
 
     def test_process_shm_is_bit_identical_to_pickle(
         self, serve_spec, process_executor
     ):
         shm = _service(serve_spec, process_executor, transport=SHM)
         plain = _service(serve_spec, process_executor)
-        a = shm.evaluate(POINT)
-        b = plain.evaluate(POINT)
+        a = shm.evaluate(POINT, reuse=False)
+        b = plain.evaluate(POINT, reuse=False)
         assert_stats_identical(a.statistics, b.statistics)
+        assert shm.stats.segments_leased == 1
         assert shm.stats.bytes_zero_copy > 0
         assert plain.stats.bytes_shipped > 0
         _assert_no_leaks(shm)
 
-    def test_loop_backend_shm_is_bit_identical(self):
+    def test_loop_backend_shm_is_bit_identical(self, process_executor):
         spec = EngineSpec.from_dsl(
             SERVE_DSL,
             config=EngineConfig(
                 sampling=SamplingConfig(n_worlds=16, backend="loop"),
             ),
         )
-        shm = _service(spec, InlineExecutor(), transport=SHM)
-        plain = _service(spec, InlineExecutor())
+        shm = _service(spec, process_executor, transport=SHM)
+        plain = _service(spec, process_executor)
         assert_stats_identical(
-            shm.evaluate(POINT).statistics, plain.evaluate(POINT).statistics
+            shm.evaluate(POINT, reuse=False).statistics,
+            plain.evaluate(POINT, reuse=False).statistics,
         )
         _assert_no_leaks(shm)
 
@@ -219,111 +206,84 @@ class TestShmParity:
         ``bytes_zero_copy``, pickle under ``bytes_shipped``."""
         shm = _service(serve_spec, process_executor, transport=SHM)
         plain = _service(serve_spec, process_executor)
-        shm.evaluate(POINT)
-        plain.evaluate(POINT)
+        shm.evaluate(POINT, reuse=False)
+        plain.evaluate(POINT, reuse=False)
         assert shm.stats.bytes_zero_copy == plain.stats.bytes_shipped
         assert shm.stats.bytes_shipped == 0
         assert plain.stats.bytes_zero_copy == 0
 
 
-class _RecordingExecutor(InlineExecutor):
-    """Masquerades as a process pool (so the service builds the picklable
-    task variants) while running tasks inline; records what each task
-    submission would have cost to pickle."""
-
-    kind = "process"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.task_bytes: list[int] = []
-
-    def submit(self, fn, *args, lane=None):
-        # The lane routes the task; it is not part of what gets pickled.
-        self.task_bytes.append(
-            len(pickle.dumps((fn, args), protocol=pickle.HIGHEST_PROTOCOL))
-        )
-        return super().submit(fn, *args, lane=lane)
-
-
-class TestTaskPayloadSize:
-    """Satellite: pickled fan-out tasks are O(1) in n_worlds under shm."""
-
-    def _max_task_bytes(self, spec, transport, n_worlds):
-        executor = _RecordingExecutor()
+class TestResultPayloadSize:
+    def _result_bytes(self, spec, transport, n_worlds):
+        executor = InProcessPool()
         service = _service(spec, executor, transport=transport)
-        service.evaluate(POINT, worlds=range(n_worlds))
+        service.evaluate(POINT, worlds=range(n_worlds), reuse=False)
         service.close()
-        assert executor.task_bytes
-        return max(executor.task_bytes)
+        assert len(executor.result_bytes) == 1
+        return executor.result_bytes[0]
 
-    def test_shm_task_pickles_stay_flat_in_world_count(self, serve_spec):
-        shm_small = self._max_task_bytes(serve_spec, SHM, 64)
-        shm_large = self._max_task_bytes(serve_spec, SHM, 512)
-        pickle_small = self._max_task_bytes(serve_spec, None, 64)
-        pickle_large = self._max_task_bytes(serve_spec, None, 512)
-        # The pickle baseline grows with the world count (recorded here so
-        # a transport regression shows up as a ratio, not a magic number)...
-        assert pickle_large - pickle_small > 500
-        # ...while shm tasks carry descriptors only: flat, and far below
-        # the baseline's growth.
-        assert abs(shm_large - shm_small) < 256
-        assert abs(shm_large - shm_small) < (pickle_large - pickle_small) / 4
+    def test_shm_results_carry_a_descriptor_not_the_statistics(self, serve_spec):
+        n_weeks = 53
+        statistics_bytes = 2 * 3 * n_weeks * 8  # (mean, stddev) x 3 outputs
+        pickled = self._result_bytes(serve_spec, None, 16)
+        shm = self._result_bytes(serve_spec, SHM, 16)
+        assert pickled - shm >= statistics_bytes - 256
+        # Neither grows with the world count: a task ships statistics back.
+        assert abs(self._result_bytes(serve_spec, None, 64) - pickled) < 64
 
 
 class TestTransportFallbacks:
-    def test_generation_over_segment_cap_falls_back_to_pickle(self, serve_spec):
-        tiny = TransportConfig(shard_transport="shm", segment_cap_bytes=1024)
-        shm = _service(serve_spec, InlineExecutor(), transport=tiny)
-        plain = _service(serve_spec, InlineExecutor())
-        a = shm.evaluate(POINT, worlds=range(64))
-        b = plain.evaluate(POINT, worlds=range(64))
-        assert_stats_identical(a.statistics, b.statistics)
-        assert shm.stats.transport_fallbacks > 0
-        assert shm.stats.bytes_zero_copy == 0
-        _assert_no_leaks(shm)
-
-    def test_unavailable_shm_falls_back_to_pickle(self, serve_spec, monkeypatch):
+    def test_unavailable_shm_falls_back_to_pickle(
+        self, serve_spec, process_executor, monkeypatch
+    ):
         import repro.serve.service as service_module
 
         monkeypatch.setattr(service_module, "shm_available", lambda: False)
-        shm = _service(serve_spec, InlineExecutor(), transport=SHM)
-        plain = _service(serve_spec, InlineExecutor())
-        a = shm.evaluate(POINT)
-        b = plain.evaluate(POINT)
+        shm = _service(serve_spec, process_executor, transport=SHM)
+        plain = _service(serve_spec, process_executor)
+        a = shm.evaluate(POINT, reuse=False)
+        b = plain.evaluate(POINT, reuse=False)
         assert_stats_identical(a.statistics, b.statistics)
-        assert shm.stats.transport_fallbacks > 0
+        assert shm.stats.transport_fallbacks == 1
         assert shm.stats.segments_leased == 0
 
 
+#: Four points whose tasks the chaos plans below fault.
+CHAOS_POINTS = [
+    POINT,
+    {"purchase1": 26, "purchase2": 52, "feature": 36},
+    {"purchase1": 52, "purchase2": 0, "feature": 12},
+    {"purchase1": 0, "purchase2": 0, "feature": 36},
+]
+
+
 class TestChaosTransport:
-    """Satellite: chaos + shm is bitwise identical to fault-free pickle,
-    and pool churn never strands a segment."""
+    """Chaos + shm is bitwise identical to fault-free pickle, and pool
+    churn never strands a segment."""
 
-    def test_seeded_chaos_is_bit_identical_and_leak_free(self, serve_spec):
-        plain = _service(serve_spec, InlineExecutor())
-        reference = plain.evaluate(POINT)
-
-        executor = ProcessExecutor(2)
+    def test_seeded_chaos_is_bit_identical_and_leak_free(
+        self, serve_spec, sequential_engine
+    ):
+        references = [
+            sequential_engine.evaluate_point(point, reuse=False) for point in CHAOS_POINTS
+        ]
+        plan = FaultPlan.seeded(
+            31, tasks=4, rate=0.5, kinds=("crash", "hang", "garbage"), hang_seconds=0.3
+        )
+        assert len(plan) > 0
         service = EvaluationService(
             serve_spec,
-            executor=executor,
-            shards=4,
-            min_shard_worlds=1,
+            executor=ProcessExecutor(2),
             transport=SHM,
-            fault_plan=FaultPlan.seeded(
-                31,
-                shards=12,
-                rate=0.5,
-                kinds=("crash", "hang", "garbage"),
-                hang_seconds=0.3,
-            ),
+            fault_plan=plan,
             resilience=ResilienceConfig(shard_timeout=5.0, retry_backoff=0.0),
         )
         try:
-            evaluation = service.evaluate(POINT)
+            evaluations = [service.evaluate(p, reuse=False) for p in CHAOS_POINTS]
         finally:
             service.close()
-        assert_stats_identical(evaluation.statistics, reference.statistics)
+        for evaluation, reference in zip(evaluations, references):
+            assert_stats_identical(evaluation.statistics, reference.statistics)
         assert service.stats.shard_retries > 0  # the plan actually fired
         _assert_no_leaks(service)
 
@@ -333,25 +293,24 @@ class TestChaosTransport:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_any_inline_chaos_plan_is_bit_identical(self, serve_spec, seed):
+    def test_any_raise_or_garbage_plan_is_bit_identical(self, serve_spec, seed):
         plan = FaultPlan.seeded(
-            seed, shards=16, rate=0.5, kinds=("raise", "garbage"), attempts=2
+            seed, tasks=4, rate=0.5, kinds=("raise", "garbage"), attempts=2
         )
         chaos = EvaluationService(
             serve_spec,
-            executor=InlineExecutor(),
-            shards=4,
-            min_shard_worlds=1,
+            executor=InProcessPool(),
             transport=SHM,
             fault_plan=plan,
             resilience=ResilienceConfig(retry_backoff=0.0),
         )
-        plain = EvaluationService(
-            serve_spec, executor=InlineExecutor(), shards=4, min_shard_worlds=1
-        )
-        assert_stats_identical(
-            chaos.evaluate(POINT).statistics, plain.evaluate(POINT).statistics
-        )
+        plain = EvaluationService(serve_spec, executor=InlineExecutor())
+        for point in CHAOS_POINTS:
+            assert_stats_identical(
+                chaos.evaluate(point, reuse=False).statistics,
+                plain.evaluate(point, reuse=False).statistics,
+            )
+        assert chaos.stats.shard_tasks == len(CHAOS_POINTS)
         _assert_no_leaks(chaos)
 
 
@@ -360,12 +319,7 @@ class TestClientTransport:
         client = (
             ProphetClient.open(SERVE_DSL, "demo", name="transport_scenario")
             .with_sampling(n_worlds=16)
-            .with_serving(
-                workers=workers,
-                executor="process" if workers else "inline",
-                shards=2,
-                min_shard_worlds=1,
-            )
+            .with_serving(workers=workers, executor="process" if workers else "inline")
         )
         if adaptive:
             client = client.with_adaptive(target_ci=1e-9, min_worlds=8)
@@ -376,8 +330,8 @@ class TestClientTransport:
     def test_client_shm_parity_and_leak_free_close(self):
         with self._client(shm=True, workers=2) as shm_client:
             with self._client(shm=False, workers=2) as plain_client:
-                a = shm_client.evaluate(POINT)
-                b = plain_client.evaluate(POINT)
+                a = shm_client.evaluate(POINT, reuse=False)
+                b = plain_client.evaluate(POINT, reuse=False)
                 assert_stats_identical(a.statistics, b.statistics)
                 report = shm_client.stats()
                 assert report.service["shard_transport"] == "shm"
@@ -387,11 +341,12 @@ class TestClientTransport:
         assert arena.live_segments() == 0  # zero live segments after close()
 
     def test_adaptive_rounds_shm_parity(self):
-        with self._client(shm=True, adaptive=True) as shm_client:
+        with self._client(shm=True, workers=2, adaptive=True) as shm_client:
             with self._client(shm=False, adaptive=True) as plain_client:
-                a = shm_client.evaluate(POINT)
-                b = plain_client.evaluate(POINT)
+                a = shm_client.evaluate(POINT, reuse=False)
+                b = plain_client.evaluate(POINT, reuse=False)
                 assert_stats_identical(a.statistics, b.statistics)
-                assert shm_client._service.stats.bytes_zero_copy > 0
+                rounds = len(shm_client._scheduler._adaptive_sweeps[-1].states[0].evaluator.rounds)
+                assert shm_client._service.stats.segments_leased == rounds > 1
             arena = shm_client._service._arena
         assert arena.live_segments() == 0

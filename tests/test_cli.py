@@ -228,7 +228,8 @@ class TestBatch:
         output = capsys.readouterr().out
         assert "service stats:" in output
         assert "result cache:" in output
-        assert "shard sampling: 16 worlds batched / 0 worlds per-world loop" in output
+        assert "sampling: 16 worlds batched / 0 worlds per-world loop" in output
+        assert "point tasks: 0 (inline x1)" in output
 
 
 class TestConfigFlagTable:
@@ -251,16 +252,19 @@ class TestConfigFlagTable:
         from repro.api.config import EXECUTOR_KINDS
         from repro.cli import COMMON_FLAGS, SERVE_FLAGS
         from repro.core.sampling import SAMPLING_BACKENDS
-        from repro.serve.transport import SHARD_TRANSPORTS
 
         choices = {
             flag.flag: flag.spec()[2] for flag in COMMON_FLAGS + SERVE_FLAGS
         }
         assert choices["--sampling-backend"] == SAMPLING_BACKENDS
         assert choices["--executor"] == EXECUTOR_KINDS
-        assert choices["--shard-transport"] == SHARD_TRANSPORTS
         with pytest.raises(SystemExit):
             build_parser().parse_args(["batch", "-", "--executor", "gpu"])
+
+    @pytest.mark.parametrize("retired", [["--shards", "2"], ["--shard-transport", "shm"]])
+    def test_the_world_shard_flags_are_gone(self, retired):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", "-", *retired])
 
     def test_default_worlds_is_the_section_default(self):
         # Was 100 on the CLI beside SamplingConfig's 200.
@@ -306,4 +310,4 @@ class TestResilienceFlags:
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "resilience: 0 shard retries / 0 timeouts" in output
+        assert "resilience: 0 task retries / 0 timeouts" in output
