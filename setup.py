@@ -5,7 +5,7 @@ setup(
     version="1.1.0",
     description=(
         "Fuzzy Prophet reproduction: probabilistic what-if exploration "
-        "with fingerprint reuse and a sharded evaluation service"
+        "with fingerprint reuse and a point-parallel evaluation service"
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),

@@ -34,7 +34,11 @@ Bases put by this process are never re-checked.
 
 Both tiers are kept per model name, so candidate selection reads one
 model's keys (:meth:`TieredBasisStore.model_keys`) without enumerating the
-others.
+others. What it reads of them is kept as one :class:`CandidateIndex` per
+model: a new key appends a row, a replacement over other worlds moves the
+key to another world set, and any other change to the model's keys or their
+order (eviction, spill, fault, adopt, clear) drops the index, which the
+next read rebuilds.
 """
 
 from __future__ import annotations
@@ -89,6 +93,100 @@ class SpillRecord:
     n_bytes: int
 
 
+def float_row(args: "ParamKey", arity: int) -> Optional[np.ndarray]:
+    """``args`` as a row of floats — when it has ``arity`` entries, each a
+    plain ``int`` or ``float`` (never a ``bool``) with a finite float value;
+    ``None`` otherwise."""
+    if len(args) != arity or set(map(type, args)) - {int, float}:
+        return None
+    try:
+        row = np.array(args, dtype=float)
+    except OverflowError:
+        return None
+    return row if np.isfinite(row).all() else None
+
+
+def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
+    """``array`` in a new buffer of ``capacity`` rows, the first ones copied."""
+    grown = np.empty((capacity, *array.shape[1:]), dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
+class CandidateIndex:
+    """One model's keys in :meth:`TieredBasisStore.model_keys` order, with
+    what candidate ranking reads of them.
+
+    Per key: the args, which distinct stored world tuple it covers (the
+    position of that tuple in :attr:`world_sets`), and its args as a row of
+    floats (:func:`float_row` at the first key's arity; ``plain`` says
+    where there is one). Rows grow in place, doubling their capacity. A
+    world tuple that :meth:`move` leaves stays numbered; :attr:`set_sizes`
+    reads 0 for it, so a search skips it.
+    """
+
+    def __init__(self) -> None:
+        self.keys: list[ParamKey] = []
+        #: Each key's position in :attr:`keys` (args compare as the tiers'
+        #: dicts compare them).
+        self.positions: dict[ParamKey, int] = {}
+        #: Every distinct stored world tuple, numbered in first-seen order.
+        self.world_sets: dict[tuple[int, ...], int] = {}
+        #: Per world tuple, in :attr:`world_sets` order, how many keys cover it.
+        self.set_sizes: list[int] = []
+        self.arity: Optional[int] = None
+        self._set_ids = np.empty(0, dtype=np.intp)
+        self._plain = np.empty(0, dtype=bool)
+        self._rows = np.empty((0, 0))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def set_ids(self) -> np.ndarray:
+        return self._set_ids[: len(self.keys)]
+
+    @property
+    def plain(self) -> np.ndarray:
+        return self._plain[: len(self.keys)]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: len(self.keys)]
+
+    def append(self, args: "ParamKey", worlds: tuple[int, ...]) -> None:
+        n = len(self.keys)
+        if self.arity is None:
+            self.arity = len(args)
+            self._rows = np.empty((0, self.arity))
+        if n == len(self._plain):
+            capacity = max(16, 2 * n)
+            self._set_ids = _grown(self._set_ids, capacity)
+            self._plain = _grown(self._plain, capacity)
+            self._rows = _grown(self._rows, capacity)
+        row = float_row(args, self.arity)
+        self._plain[n] = row is not None
+        if row is not None:
+            self._rows[n] = row
+        self._set_ids[n] = self._world_set(worlds)
+        self.positions[args] = n
+        self.keys.append(args)
+
+    def move(self, args: "ParamKey", worlds: tuple[int, ...]) -> None:
+        """Record that the key ``args`` now covers ``worlds``."""
+        position = self.positions[args]
+        self.set_sizes[self._set_ids[position]] -= 1
+        self._set_ids[position] = self._world_set(worlds)
+
+    def _world_set(self, worlds: tuple[int, ...]) -> int:
+        """The number of ``worlds``, counting one more key that covers it."""
+        number = self.world_sets.setdefault(worlds, len(self.world_sets))
+        if number == len(self.set_sizes):
+            self.set_sizes.append(0)
+        self.set_sizes[number] += 1
+        return number
+
+
 class TieredBasisStore:
     """Bounded LRU memory tier over an optional npz disk tier.
 
@@ -124,6 +222,8 @@ class TieredBasisStore:
         #: (faulted back, not modified since) — eviction skips the rewrite.
         self._clean: set[StoreKey] = set()
         self._resident_bytes = 0
+        #: Per model name, its candidate index while it is current.
+        self._index: dict[str, CandidateIndex] = {}
         self.stats = BasisTierStats()
         #: Observability: replaced by the engine's ``set_tracer``; spill
         #: writes and disk faults show up as "spill" / "fault" spans.
@@ -206,6 +306,16 @@ class TieredBasisStore:
             if args not in memory:
                 yield args, record.worlds
 
+    def candidate_index(self, vg_name: str) -> CandidateIndex:
+        """``vg_name``'s (lowercase) :class:`CandidateIndex`, in
+        :meth:`model_keys` order; built here if no current one is kept."""
+        index = self._index.get(vg_name)
+        if index is None:
+            index = self._index[vg_name] = CandidateIndex()
+            for args, worlds in self.model_keys(vg_name):
+                index.append(args, worlds)
+        return index
+
     def keys(self) -> tuple[StoreKey, ...]:
         """All known keys, model by model in :meth:`model_keys` order."""
         return tuple(
@@ -277,6 +387,7 @@ class TieredBasisStore:
         self._spilled.clear()
         self._clean.clear()
         self._resident_bytes = 0
+        self._index.clear()
         self.stats = BasisTierStats()
 
     # -- internals ---------------------------------------------------------
@@ -288,6 +399,16 @@ class TieredBasisStore:
             # In-place replacement keeps the key's enumeration position,
             # exactly like assignment into the plain dict this replaces.
             self._resident_bytes -= old.samples.nbytes
+            if key[0] in self._index and old.worlds != entry.worlds:
+                # The extend path grows a key's worlds round by round.
+                self._index[key[0]].move(key[1], entry.worlds)
+        elif key[0] in self._index:
+            if self._spilled.get(key[0]):
+                # Memory keys enumerate before spilled-only ones: the new
+                # key is not last.
+                del self._index[key[0]]
+            else:
+                self._index[key[0]].append(key[1], entry.worlds)
         memory[key[1]] = entry
         self._recency[key] = None
         self._recency.move_to_end(key)
@@ -309,6 +430,7 @@ class TieredBasisStore:
         while self._recency and self._over_caps():
             key, _ = self._recency.popitem(last=False)
             entry = self._memory[key[0]].pop(key[1])
+            self._index.pop(key[0], None)
             self._resident_bytes -= entry.samples.nbytes
             self.stats.evictions += 1
             if key in self._clean and key[1] in self._spilled.get(key[0], {}):
@@ -332,9 +454,11 @@ class TieredBasisStore:
 
     def _set_spilled(self, key: StoreKey, record: SpillRecord) -> None:
         self._spilled.setdefault(key[0], {})[key[1]] = record
+        self._index.pop(key[0], None)
 
     def _drop_spilled(self, key: StoreKey) -> None:
-        self._spilled.get(key[0], {}).pop(key[1], None)
+        if self._spilled.get(key[0], {}).pop(key[1], None) is not None:
+            self._index.pop(key[0], None)
 
     # -- disk tier ---------------------------------------------------------
 
@@ -443,8 +567,10 @@ def _fingerprint(archive: Any, header: dict[str, Any], key: StoreKey) -> Optiona
 
 __all__ = [
     "BasisTierStats",
+    "CandidateIndex",
     "SpillRecord",
     "TieredBasisStore",
     "basis_file_path",
+    "float_row",
     "write_basis_file",
 ]

@@ -183,6 +183,9 @@ class ProphetEngine:
         # reuses its statistics without touching SQL.
         self._week_stats_cache: dict[bytes, np.ndarray] = {}
         self._derived_params = self._collect_derived_params()
+        #: The world slice of a request that names none: every configured
+        #: world, in order.
+        self.default_worlds = tuple(range(self.config.sampling.n_worlds))
         self.week_stats_hits = 0
         self.week_stats_misses = 0
 
@@ -236,9 +239,11 @@ class ProphetEngine:
         """A request's identity ``(point key, worlds, reuse)`` and its
         validated point."""
         validated = self.scenario.validate_sweep_point(point)
-        chosen_worlds = world_ids(
-            worlds if worlds is not None else range(self.config.sampling.n_worlds),
-            "evaluate_point",
+        chosen_worlds = (
+            self.default_worlds
+            # The serve layer passes the default slice on, already checked.
+            if worlds is None or worlds is self.default_worlds
+            else world_ids(worlds, "evaluate_point")
         )
         return (
             self.scenario.sweep_space.point_key(validated),
@@ -395,7 +400,7 @@ class ProphetEngine:
         tracer = self.tracer
         with tracer.stage("reuse", timings, attr="storage", alias=output.alias):
             existing = self.storage.validated_entry(function, args)
-        if existing is not None:
+        if existing is not None and existing.worlds != worlds:
             held = set(existing.worlds)
             missing = [w for w in worlds if w not in held]
             if missing:
@@ -537,7 +542,7 @@ class ProphetEngine:
                 basis.digests if basis is not None else column_digests(matrices[alias])
             )
         weeks = _week_bytes(len(columns[0]))
-        return [b"".join(parts) for parts in zip(repeat(prefix.digest()), weeks, *columns)]
+        return list(map(b"".join, zip(repeat(prefix.digest()), weeks, *columns)))
 
     def _combine_and_aggregate(
         self,
@@ -563,10 +568,9 @@ class ProphetEngine:
         with tracer.stage("aggregate", timings) as memo_stage:
             if use_week_memo:
                 week_keys = self._week_keys(point, batch, matrices, bases)
-                missing = [
-                    week for week, key in enumerate(week_keys)
-                    if key not in self._week_stats_cache
-                ]
+                memo = self._week_stats_cache
+                rows = list(map(memo.get, week_keys))
+                missing = [week for week, row in enumerate(rows) if row is None]
             else:
                 missing = list(range(n_components))
             self.week_stats_hits += n_components - len(missing)
@@ -595,14 +599,15 @@ class ProphetEngine:
                     )
 
             with tracer.stage("aggregate", timings):
-                rows = np.ascontiguousarray(self.aggregator.statistic_columns(result).T)
-                rows.flags.writeable = False
-                for week, row in zip(result.column("t"), rows):
-                    self._week_stats_cache[week_keys[int(week)]] = row
+                computed = np.ascontiguousarray(self.aggregator.statistic_columns(result).T)
+                computed.flags.writeable = False
+                for week, row in zip(result.column("t"), computed):
+                    memo[week_keys[int(week)]] = rows[int(week)] = row
 
         with tracer.stage("aggregate", timings):
-            rows = np.concatenate([self._week_stats_cache[key] for key in week_keys])
-            columns = np.ascontiguousarray(rows.reshape(len(week_keys), -1).T)
+            columns = np.ascontiguousarray(
+                np.concatenate(rows).reshape(len(week_keys), -1).T
+            )
             return self.aggregator.from_columns(columns, n_worlds=len(batch))
 
 

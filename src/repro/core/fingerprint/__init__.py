@@ -3,7 +3,7 @@
 * :class:`FingerprintSpec`, :class:`Fingerprint`, :func:`compute_fingerprint`
 * :class:`CorrelationPolicy`, :func:`correlate`, :func:`correlate_many`,
   :class:`ComponentMap`
-* :func:`remap_samples`, :func:`fill_components`
+* :func:`remap_samples`
 * Markov analysis: :func:`analyze_markov`, :func:`simulate_with_shortcuts`
 * :class:`FingerprintRegistry` — the engine's index of explored points
 """
@@ -24,7 +24,6 @@ from repro.core.fingerprint.fingerprint import (
 )
 from repro.core.fingerprint.mapping import (
     RemapResult,
-    fill_components,
     remap_error,
     remap_samples,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "match_component",
     "RemapResult",
     "remap_samples",
-    "fill_components",
     "remap_error",
     "MarkovAnalysis",
     "Region",

@@ -15,6 +15,7 @@ Monte Carlo sample matrices because world seeds are fixed too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -45,8 +46,9 @@ class FingerprintSpec:
                 f"fingerprints need >= 2 probe seeds to see variation, got {self.n_seeds}"
             )
 
-    @property
+    @cached_property
     def seeds(self) -> tuple[int, ...]:
+        """The probe seeds, derived once per spec (every probe reads them)."""
         return fingerprint_seeds(self.base_seed, self.n_seeds)
 
 

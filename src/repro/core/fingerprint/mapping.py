@@ -3,8 +3,8 @@
 Once :func:`~repro.core.fingerprint.correlation.correlate` has produced
 per-component maps from a basis parameterization to a target one, this module
 re-maps the basis's Monte Carlo sample matrix (``n_worlds x n_components``)
-into an estimate of the target's — filling mapped components by transform and
-reporting which components still need real simulation.
+into an estimate of the target's — filling mapped components by transform,
+unmapped ones with the real simulation the caller ran for them.
 
 Soundness argument (paper §2): the probe seeds and the world seeds are both
 *fixed* across parameter points, and VG-Functions draw their randomness from
@@ -17,6 +17,7 @@ world seeds too. Detection error is bounded by the correlation tolerance; the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from repro.core.fingerprint.correlation import CorrelationResult, MapKind
 class RemapResult:
     """Outcome of remapping a basis sample matrix toward a target point.
 
-    ``samples`` has mapped components filled and unmapped components NaN;
-    callers overwrite the NaN columns with freshly simulated values.
+    ``samples`` has mapped components filled, and unmapped components
+    holding the re-simulated columns the caller passed — NaN without them.
     """
 
     samples: np.ndarray
@@ -41,8 +42,20 @@ class RemapResult:
         return not self.unmapped_components
 
 
-def remap_samples(basis_samples: np.ndarray, correlation: CorrelationResult) -> RemapResult:
-    """Transform ``basis_samples`` through the per-component maps."""
+def remap_samples(
+    basis_samples: np.ndarray,
+    correlation: CorrelationResult,
+    fresh_columns: Optional[np.ndarray] = None,
+) -> RemapResult:
+    """Transform ``basis_samples`` through the per-component maps.
+
+    One pass over a C-order copy of the basis: its identity columns are
+    then already in place, and only the shift, affine and unmapped columns
+    are overwritten — mapped ones elementwise exactly as
+    :meth:`ComponentMap.apply` does it per column, unmapped ones with
+    ``fresh_columns`` (``n_worlds x len(unmapped_components)``, freshly
+    simulated by the caller), or NaN when none are given.
+    """
     if basis_samples.ndim != 2:
         raise FingerprintError(
             f"sample matrix must be 2-D (worlds x components), got {basis_samples.ndim}-D"
@@ -52,40 +65,30 @@ def remap_samples(basis_samples: np.ndarray, correlation: CorrelationResult) -> 
             f"sample matrix has {basis_samples.shape[1]} components, "
             f"correlation has {correlation.n_components}"
         )
-    # One column-vectorised step per map kind, elementwise exactly as
-    # ComponentMap.apply does it per column.
-    target = np.full_like(basis_samples, np.nan, dtype=float)
-    identity = correlation.components(MapKind.IDENTITY)
-    target[:, identity] = basis_samples[:, identity]
+    unmapped = correlation.unmapped_components
+    if fresh_columns is not None and fresh_columns.shape != (
+        basis_samples.shape[0], len(unmapped)
+    ):
+        raise FingerprintError(
+            f"fresh columns shape {fresh_columns.shape} != "
+            f"({basis_samples.shape[0]}, {len(unmapped)})"
+        )
+    target = np.array(basis_samples, dtype=float, order="C")
     shift = correlation.components(MapKind.SHIFT)
-    target[:, shift] = basis_samples[:, shift] + correlation.offsets[shift]
+    if shift.size:
+        target[:, shift] = basis_samples[:, shift] + correlation.offsets[shift]
     affine = correlation.components(MapKind.AFFINE)
-    target[:, affine] = (
-        correlation.scales[affine] * basis_samples[:, affine] + correlation.offsets[affine]
-    )
+    if affine.size:
+        target[:, affine] = (
+            correlation.scales[affine] * basis_samples[:, affine] + correlation.offsets[affine]
+        )
+    if unmapped:
+        target[:, unmapped] = np.nan if fresh_columns is None else fresh_columns
     return RemapResult(
         samples=target,
         mapped_components=correlation.mapped_components,
-        unmapped_components=correlation.unmapped_components,
+        unmapped_components=unmapped,
     )
-
-
-def fill_components(
-    samples: np.ndarray, components: tuple[int, ...], fresh_columns: np.ndarray
-) -> np.ndarray:
-    """Overwrite ``components`` of ``samples`` with freshly simulated columns.
-
-    ``fresh_columns`` must be ``n_worlds x len(components)``.
-    """
-    if fresh_columns.shape != (samples.shape[0], len(components)):
-        raise FingerprintError(
-            f"fresh columns shape {fresh_columns.shape} != "
-            f"({samples.shape[0]}, {len(components)})"
-        )
-    filled = samples.copy()
-    for position, component in enumerate(components):
-        filled[:, component] = fresh_columns[:, position]
-    return filled
 
 
 def remap_error(

@@ -118,14 +118,14 @@ class ParameterSpace:
     def validate_point(self, point: Mapping[str, Any]) -> dict[str, Any]:
         """Check a full assignment; returns it with canonical (lower) keys."""
         normalized = {str(k).lstrip("@").lower(): v for k, v in point.items()}
-        missing = [p.name for p in self if p.name.lower() not in normalized]
+        missing = [p.name for key, p in self._parameters.items() if key not in normalized]
         if missing:
             raise ParameterError(f"point is missing parameters: {missing}")
         extra = [k for k in normalized if k not in self._parameters]
         if extra:
             raise ParameterError(f"point has unknown parameters: {extra}")
-        for parameter in self:
-            value = normalized[parameter.name.lower()]
+        for key, parameter in self._parameters.items():
+            value = normalized[key]
             if value not in parameter:
                 raise ParameterError(
                     f"value {value!r} not in domain of @{parameter.name} "
@@ -154,9 +154,9 @@ class ParameterSpace:
         excluded = {name.lower() for name in exclude}
         normalized = {str(k).lstrip("@").lower(): v for k, v in point.items()}
         return tuple(
-            (p.name.lower(), normalized[p.name.lower()])
-            for p in self
-            if p.name.lower() not in excluded and p.name.lower() in normalized
+            (key, normalized[key])
+            for key in self._parameters
+            if key not in excluded and key in normalized
         )
 
     def without(self, *names: str) -> "ParameterSpace":

@@ -211,9 +211,11 @@ class Scenario:
     def output_aliases(self) -> tuple[str, ...]:
         return tuple(o.alias for o in self.outputs)
 
-    @property
+    @cached_property
     def sweep_space(self) -> ParameterSpace:
-        """The parameter space excluding the graph axis."""
+        """The parameter space excluding the graph axis, built once (a
+        scenario is not changed after construction): every request reads
+        it twice, to validate its point and to key it."""
         return self.space.without(self.axis)
 
     def vg_output(self, alias: str) -> VGOutput:

@@ -39,14 +39,14 @@ import hashlib
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import FingerprintError
-from repro.core.basis_store import TieredBasisStore
-from repro.core.fingerprint.mapping import fill_components, remap_samples
+from repro.core.basis_store import TieredBasisStore, float_row
+from repro.core.fingerprint.correlation import CorrelationResult, MapKind
+from repro.core.fingerprint.mapping import remap_samples
 from repro.core.fingerprint.registry import FingerprintRegistry, ParamKey
 from repro.vg.base import VGFunction
 from repro.vg.library import VGLibrary
@@ -82,16 +82,6 @@ def _nearest_candidates(
                 total += 1.0
         return total
 
-    values = _plain_floats(target, candidates)
-    if values is not None:
-        # Every distance accumulates column by column in argument order, so
-        # it is bit-equal to ``distance``; the stable sort keeps the tie
-        # order of the heapq.nsmallest below.
-        total = np.zeros(len(candidates))
-        with np.errstate(over="ignore"):
-            for column, value in zip(values[1:].T, values[0]):
-                total += np.abs(column - value)
-        return [candidates[i] for i in np.argsort(total, kind="stable")[: max(limit, 1)]]
     # O(n log k) partial ranking: the basis store grows with every sweep,
     # but only the nearest ``limit`` candidates are ever probed.
     # heapq.nsmallest is documented to be equivalent to sorted(...)[:k]
@@ -99,22 +89,18 @@ def _nearest_candidates(
     return heapq.nsmallest(max(limit, 1), candidates, key=distance)
 
 
-def _plain_floats(
-    target: ParamKey, candidates: Sequence[ParamKey]
-) -> Optional[np.ndarray]:
-    """``target`` then every candidate as a row of floats — when every arg
-    is a finite plain ``int`` or ``float`` and every candidate has the
-    target's arity (the grid case); ``None`` otherwise."""
-    if set(map(len, candidates)) - {len(target)}:
-        return None
-    flat = [*target, *chain.from_iterable(candidates)]
-    if set(map(type, flat)) - {int, float}:
-        return None
-    try:
-        values = np.array(flat, dtype=float).reshape(len(candidates) + 1, len(target))
-    except OverflowError:
-        return None
-    return values if np.isfinite(values).all() else None
+def _nearest_rows(rows: np.ndarray, target: np.ndarray, limit: int) -> list[int]:
+    """Positions of the ``limit`` rows nearest ``target`` in L1 distance.
+
+    Every distance accumulates column by column in argument order, so it is
+    bit-equal to :func:`_nearest_candidates`' ``distance``; the stable sort
+    keeps the tie order of its ``heapq.nsmallest``.
+    """
+    total = np.zeros(len(rows))
+    with np.errstate(over="ignore"):
+        for column, value in zip(rows.T, target):
+            total += np.abs(column - value)
+    return np.argsort(total, kind="stable")[: max(limit, 1)].tolist()
 
 
 @dataclass(frozen=True)
@@ -138,14 +124,25 @@ class ReuseReport:
         return self.components_total - self.components_recomputed
 
 
-def column_digests(samples: np.ndarray) -> tuple[bytes, ...]:
+def column_digests(
+    samples: np.ndarray, known: Optional[Sequence[Optional[bytes]]] = None
+) -> tuple[bytes, ...]:
     """One 16-byte blake2b digest per column of a sample matrix.
 
     The week memo's content key: column ``t`` of an output's matrix is that
-    week's joint samples over the request's worlds, in order.
+    week's joint samples over the request's worlds, in order. ``known``
+    holds, per column, a digest already known for exactly that column's
+    bytes, or ``None``: only the ``None`` columns are hashed.
     """
-    columns = np.ascontiguousarray(samples.T)
-    return tuple(hashlib.blake2b(column, digest_size=16).digest() for column in columns)
+    if known is None:
+        columns = np.ascontiguousarray(samples.T)
+        return tuple(
+            hashlib.blake2b(column, digest_size=16).digest() for column in columns
+        )
+    hashed = iter(
+        column_digests(samples[:, [i for i, d in enumerate(known) if d is None]])
+    )
+    return tuple(next(hashed) if digest is None else digest for digest in known)
 
 
 @dataclass(frozen=True)
@@ -157,14 +154,48 @@ class BasisEntry:
     samples: np.ndarray  # (n_worlds, n_components)
     worlds: tuple[int, ...]
     seeds: tuple[int, ...]
+    #: Column digests known when the entry was made — a mapped entry's
+    #: identity columns, its source's — per column, ``None`` where unknown.
+    known_digests: Optional[tuple[Optional[bytes], ...]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.samples.flags.writeable = False
 
     @cached_property
     def digests(self) -> tuple[bytes, ...]:
-        """:func:`column_digests` of :attr:`samples`, computed on first use."""
-        return column_digests(self.samples)
+        """:func:`column_digests` of :attr:`samples`, computed on first use
+        (hashing only the columns :attr:`known_digests` leaves open)."""
+        return column_digests(self.samples, self.known_digests)
+
+    @property
+    def hashed_digests(self) -> Optional[tuple[bytes, ...]]:
+        """:attr:`digests` once computed, else ``None``; never hashes."""
+        return self.__dict__.get("digests")
+
+
+def _inherited_digests(
+    source: BasisEntry, source_samples: np.ndarray, correlation: CorrelationResult
+) -> Optional[tuple[Optional[bytes], ...]]:
+    """What a mapped entry knows of its column digests from its source.
+
+    An identity-mapped column is a copy of the source's column, so where the
+    source served its own world slice (``source_samples`` *is* its matrix)
+    and has hashed its columns, that column's digest is the source's. Any
+    other column, and every column of a mapping from a world subset or from
+    an unhashed source, stays ``None``.
+    """
+    digests = source.hashed_digests
+    if source_samples is not source.samples or digests is None:
+        return None
+    identity = correlation.components(MapKind.IDENTITY).tolist()
+    if not identity:
+        return None
+    known: list[Optional[bytes]] = [None] * len(digests)
+    for column in identity:
+        known[column] = digests[column]
+    return tuple(known)
 
 
 class StorageManager:
@@ -249,19 +280,31 @@ class StorageManager:
         """The stored parameterizations of ``vg_name`` a mapped hit may use.
 
         :func:`_nearest_candidates` over the keys covering ``worlds``, in
-        :meth:`stored_args` order. Only this model's keys are read, and
-        coverage is decided once per distinct stored world tuple.
+        :meth:`stored_args` order. It reads the model's candidate index
+        (:meth:`TieredBasisStore.candidate_index`): coverage is decided
+        once per distinct stored world tuple, and where the target and
+        every covering key are plain numbers the index's float rows are
+        ranked as they stand.
         """
-        verdicts: dict[tuple[int, ...], bool] = {}
-        candidates = []
-        for args, stored in self.tier.model_keys(vg_name.lower()):
-            # The sweep case first: comparing is cheaper than hashing.
-            covers = stored == worlds or verdicts.get(stored)
-            if covers is None:
-                covers = verdicts[stored] = self._covers_worlds(stored, worlds)
-            if covers:
-                candidates.append(args)
-        return _nearest_candidates(target, candidates, limit)
+        index = self.tier.candidate_index(vg_name.lower())
+        # A world tuple no key covers any more (one a replacement left) is
+        # not checked: it filters nothing.
+        covering = [
+            not size or self._covers_worlds(stored, worlds)
+            for stored, size in zip(index.world_sets, index.set_sizes)
+        ]
+        if all(covering):
+            keys, plain, rows = index.keys, index.plain, index.rows
+        else:
+            positions = np.flatnonzero(np.array(covering)[index.set_ids])
+            keys = [index.keys[i] for i in positions.tolist()]
+            plain, rows = index.plain[positions], index.rows[positions]
+        if not keys:
+            return []
+        row = float_row(target, index.arity)
+        if row is None or not plain.all():
+            return _nearest_candidates(target, keys, limit)
+        return [keys[i] for i in _nearest_rows(rows, row, limit)]
 
     def validated_entry(
         self, function: VGFunction, args: Sequence[Any]
@@ -378,13 +421,13 @@ class StorageManager:
             # miss below.
             if basis is not None and self._covers(basis, worlds):
                 basis_samples = self._select_worlds(basis, worlds)
-                remapped = remap_samples(basis_samples, match.correlation)
-                unmapped = remapped.unmapped_components
-                if unmapped:
-                    fresh = self._simulate_components(function, key[1], seeds, unmapped)
-                    samples = fill_components(remapped.samples, unmapped, fresh)
-                else:
-                    samples = remapped.samples
+                unmapped = match.correlation.unmapped_components
+                fresh = (
+                    self._simulate_components(function, key[1], seeds, unmapped)
+                    if unmapped
+                    else None
+                )
+                samples = remap_samples(basis_samples, match.correlation, fresh).samples
                 self.registry.record_mapping(
                     function.name, match.basis_args, key[1], match.correlation
                 )
@@ -397,6 +440,9 @@ class StorageManager:
                         samples=samples,
                         worlds=tuple(worlds),
                         seeds=tuple(seeds),
+                        known_digests=_inherited_digests(
+                            basis, basis_samples, match.correlation
+                        ),
                     ),
                 )
                 report = ReuseReport(

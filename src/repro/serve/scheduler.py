@@ -242,11 +242,10 @@ class Scheduler:
         """
         scenario = self.service.scenario
         validated = scenario.validate_sweep_point(point)
-        chosen = world_ids(
-            worlds
-            if worlds is not None
-            else range(self.service.engine.config.sampling.n_worlds),
-            "Scheduler.submit",
+        chosen = (
+            self.service.engine.default_worlds
+            if worlds is None
+            else world_ids(worlds, "Scheduler.submit")
         )
         key = (scenario.sweep_space.point_key(validated), chosen, reuse)
         job = Job(

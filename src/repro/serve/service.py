@@ -440,11 +440,10 @@ class EvaluationService:
         the engine would reject is never a cache hit, nor a task.
         """
         validated = self.scenario.validate_sweep_point(point)
-        chosen = world_ids(
-            worlds
-            if worlds is not None
-            else range(self.engine.config.sampling.n_worlds),
-            "EvaluationService.evaluate",
+        chosen = (
+            self.engine.default_worlds
+            if worlds is None
+            else world_ids(worlds, "EvaluationService.evaluate")
         )
         return validated, chosen
 

@@ -12,7 +12,6 @@ from repro.core.fingerprint import (
     MapKind,
     compute_fingerprint,
     correlate,
-    fill_components,
     match_component,
     remap_error,
     remap_samples,
@@ -222,8 +221,10 @@ class TestRemap:
         fresh = np.vstack(
             [vg.invoke_components(s, (36,), remapped.unmapped_components) for s in seeds]
         )
-        filled = fill_components(remapped.samples, remapped.unmapped_components, fresh)
+        filled = remap_samples(basis, correlation, fresh).samples
         assert filled == pytest.approx(exact, abs=1e-6)
+        # The mapped columns are the remap's, bit for bit.
+        assert filled[:, mapped].tobytes() == remapped.samples[:, mapped].tobytes()
         assert remap_error(exact, filled, tuple(range(53))) < 1e-6
 
     def test_remap_shape_validation(self):
@@ -238,9 +239,18 @@ class TestRemap:
         with pytest.raises(FingerprintError):
             remap_samples(np.zeros(53), correlation)  # 1-D
 
-    def test_fill_components_shape_validation(self):
+    def test_remap_fresh_columns_shape_validation(self):
+        vg = DemandModel()
+        correlation = correlate(
+            compute_fingerprint(vg, (12,), SPEC),
+            compute_fingerprint(vg, (36,), SPEC),
+            POLICY,
+        )
+        unmapped = len(correlation.unmapped_components)
         with pytest.raises(FingerprintError):
-            fill_components(np.zeros((4, 5)), (0, 1), np.zeros((4, 3)))
+            remap_samples(np.zeros((4, 53)), correlation, np.zeros((4, unmapped + 1)))
+        with pytest.raises(FingerprintError):
+            remap_samples(np.zeros((4, 53)), correlation, np.zeros((3, unmapped)))
 
     def test_remap_error_empty_components(self):
         assert remap_error(np.zeros((2, 3)), np.ones((2, 3)), ()) == 0.0

@@ -1,18 +1,19 @@
 """Mapped-hit candidates come from one model's keys, exactly like a store scan.
 
-``StorageManager.nearest_candidates`` reads only the requested model's keys
-(``TieredBasisStore.model_keys``) and decides coverage once per distinct
-world tuple. The oracle is the scan it replaced: every stored key of the
-model in ``keys()`` order, filtered by world coverage read through
-``peek_worlds`` key by key, ranked by the parent's scalar ranking (kept
-here verbatim as ``_scalar_ranking``). Seeded random
-churn — memory and byte caps, spills, faults, failed faults (a refused seed,
-a deleted file), directory adoption, in-place puts, ``clear`` — runs
-against one store; after every step both must return the same list, in the
-same order, for int, float, bool and wrong-arity targets. The per-model
-order itself is pinned against the flat store's rules separately, and
-``_nearest_candidates``' vectorized path against the scalar ranking on
-generated argument lists.
+``StorageManager.nearest_candidates`` reads the requested model's candidate
+index (``TieredBasisStore.candidate_index``, kept in ``model_keys`` order)
+and decides coverage once per distinct world tuple. The oracle is the scan
+it replaced: every stored key of the model in ``keys()`` order, filtered by
+world coverage read through ``peek_worlds`` key by key, ranked by the
+scalar ranking (kept here verbatim as ``_scalar_ranking``). Seeded random
+churn — new keys, replacements over the same or other worlds, memory and
+byte caps, spills, faults, failed faults (a refused seed, a deleted file),
+directory adoption, ``clear`` — runs against one store; after every step
+both must return the same list, in the same order, for int, float, bool,
+string, non-finite, overflowing and wrong-arity args and targets. The
+per-model order itself is pinned against the flat store's rules
+separately, and ``_nearest_rows`` (the index's ranking of float rows)
+against the scalar ranking on generated argument lists.
 """
 
 from __future__ import annotations
@@ -25,23 +26,28 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core.basis_store import write_basis_file
+from repro.core.basis_store import float_row, write_basis_file
 from repro.core.fingerprint import CorrelationPolicy, FingerprintSpec
 from repro.core.fingerprint.registry import FingerprintRegistry
-from repro.core.storage import BasisEntry, StorageManager, _nearest_candidates
+from repro.core.storage import BasisEntry, StorageManager, _nearest_rows
 from repro.models import CapacityModel, DemandModel
 from repro.vg.library import VGLibrary
 from repro.vg.seeds import world_seed
 
 BASE_SEED = 42
 N_WEEKS = 53
-#: Capacity keys stay numeric; demand keys mix bools and arities.
-NUMERIC_ARGS = [(a, b) for a in (0, 4, 8, 12.5, -3) for b in (24, 24.0, 7.25)]
-MIXED_ARGS = [(12,), (36.0,), (True,), (False,), (1,), (0.0,), (12, 1), (True, 2.5), ()]
+#: Capacity keys stay plain numbers (their ranking reads the index's float
+#: rows); demand keys mix bools, arities, strings, non-finite values and an
+#: int beyond float range (their ranking falls back to the scalar one).
+NUMERIC_ARGS = [(a, b) for a in (0, 4, 8, 12.5, -3, 2**53 + 1) for b in (24, 24.0, 7.25)]
+MIXED_ARGS = [
+    (12,), (36.0,), (True,), (False,), (1,), (0.0,), (12, 1), (True, 2.5), (),
+    ("a",), (float("inf"),), (10**400,), (float("nan"),),
+]
 WORLD_SETS = [tuple(range(4)), tuple(range(6)), (3, 1, 2, 0), (1, 2), tuple(range(8))]
 TARGETS = [
     (8, 24), (8.0, 24.0), (12.5, 7.25), (-3, 0), (True, 24), (8,), (8, 24, 1),
-    (12,), (1.0,), (True,), (False,), (0,), (12, 1), (),
+    (12,), (1.0,), (True,), (False,), (0,), (12, 1), (), ("a",), (float("inf"),),
 ]
 
 
@@ -109,17 +115,26 @@ def _scan(storage, vg_name, target, worlds, limit=8):
     return _scalar_ranking(target, candidates, limit)
 
 
+def _outcome(rank, *args):
+    """What a ranking returns — each key as the very object, with its arg
+    types (equal keys of different types, 1 and True, must come back as the
+    objects the tiers hold) — or the error it raises (the scalar ranking
+    cannot take an int beyond float range against a number)."""
+    try:
+        ranked = rank(*args)
+    except OverflowError:
+        return "OverflowError"
+    return [(id(args), args, tuple(map(type, args))) for args in ranked]
+
+
 def _check(storage):
     for vg_name in ("CapacityModel", "demandmodel"):
         for target in TARGETS:
             for worlds in (WORLD_SETS[0], WORLD_SETS[2], WORLD_SETS[3], [0, 1]):
-                expected = _scan(storage, vg_name, target, worlds)
-                ranked = storage.nearest_candidates(vg_name, target, worlds)
-                # Equal keys of different types (1 and True) must come back
-                # as the very objects the tiers hold.
-                assert [(args, tuple(map(type, args))) for args in ranked] == [
-                    (args, tuple(map(type, args))) for args in expected
-                ], (vg_name, target, worlds)
+                request = (vg_name, target, worlds)
+                assert _outcome(storage.nearest_candidates, *request) == _outcome(
+                    _scan, storage, *request
+                ), request
 
 
 def _churn(storage, rng, steps, adopt_dir=None):
@@ -130,8 +145,8 @@ def _churn(storage, rng, steps, adopt_dir=None):
         roll = rng.random()
         key = rng.choice(keys)
         if roll < 0.5:
-            # A put: new or in place, now and then with another world set or
-            # an untrusted seed that will fail its fault.
+            # A put: a new key or a replacement, now and then over another
+            # world set or with an untrusted seed that will fail its fault.
             entry = _entry(
                 key[0], key[1], rng.choice(WORLD_SETS), np.random.default_rng(rng.randrange(2**32)),
                 trusted=rng.random() > 0.1,
@@ -255,11 +270,14 @@ ARG_POOL = [
 
 @pytest.mark.parametrize("seed", range(4))
 def test_vectorized_ranking_equals_the_scalar_one(seed):
-    """Same objects, same order — including ties, overflowing distances,
-    ints beyond 2**53, and args that must fall back (non-finite, huge,
-    bool, numpy scalars, strings, mismatched arity)."""
+    """``_nearest_rows`` over the candidates' float rows ranks as the scalar
+    ranking does — same objects, same order, ties and overflowing distances
+    included — wherever the target and every candidate have a ``float_row``
+    (ints beyond 2**53 do; non-finite, huge, bool, numpy scalars, strings
+    and mismatched arity do not, and keep the scalar ranking)."""
     rng = random.Random(seed)
     plain = ARG_POOL[:13]
+    checked = 0
     for _ in range(2000):
         arity = rng.randrange(4)
         pool = plain if rng.random() < 0.8 else ARG_POOL
@@ -269,12 +287,13 @@ def test_vectorized_ranking_equals_the_scalar_one(seed):
             for _ in range(rng.randrange(30))
         ]
         limit = rng.choice([0, 1, 3, 8, 50])
-        try:
-            expected = _scalar_ranking(target, candidates, limit)
-        except OverflowError:  # an int beyond float range meets a number
-            with pytest.raises(OverflowError):
-                _nearest_candidates(target, candidates, limit)
+        rows = [float_row(args, arity) for args in (target, *candidates)]
+        if any(row is None for row in rows):
             continue
-        ranked = _nearest_candidates(target, candidates, limit)
+        rows = np.array(rows).reshape(len(rows), arity)
+        expected = _scalar_ranking(target, candidates, limit)
+        ranked = [candidates[i] for i in _nearest_rows(rows[1:], rows[0], limit)]
         assert len(ranked) == len(expected)
         assert all(a is b for a, b in zip(ranked, expected)), (target, candidates, limit)
+        checked += 1
+    assert checked > 500
