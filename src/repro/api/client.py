@@ -198,7 +198,7 @@ class ProphetClient:
         return self._with_section("adaptive", changes)
 
     def with_resilience(self, **changes: Any) -> "ProphetClient":
-        """Tune the fault-tolerance ladder (deadlines, retries, rescue).
+        """Tune the fault-tolerance ladder (deadline, retries, backoff).
 
         Takes any :class:`~repro.api.ResilienceConfig` field; the service's
         task dispatcher applies it to every point task.

@@ -145,7 +145,7 @@ class SweepHandle(_StreamingSweep):
     def _result(self, index: int, job: Job) -> SweepResult:
         return SweepResult(
             index=index,
-            point=dict(job.point),
+            point=dict(job.request.point),
             statistics=job.result.statistics if job.result is not None else None,
             evaluation=job.result,
             deduplicated=job.coalesced_with is not None,

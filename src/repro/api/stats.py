@@ -103,7 +103,6 @@ class StatsReport:
             },
             scheduler={
                 "jobs_completed": scheduler.jobs_completed,
-                "jobs_retried": scheduler.jobs_retried,
                 "dedup_hits": scheduler.dedup_hits,
                 "jobs_retired_early": scheduler.jobs_retired_early,
                 "worlds_spent": scheduler.worlds_spent,
@@ -194,7 +193,6 @@ class StatsReport:
             f"{sv.get('segments_reclaimed', 0)} reclaimed, "
             f"{sv.get('transport_fallbacks', 0)} fallbacks",
             f"  scheduler: {sc['jobs_completed']} jobs, "
-            f"{sc['jobs_retried']} retried, "
             f"{sc['dedup_hits']} deduplicated",
         ]
         if sc.get("worlds_budgeted", 0):

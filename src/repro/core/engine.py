@@ -60,29 +60,42 @@ def _week_bytes(n_weeks: int) -> tuple[bytes, ...]:
     return tuple(week.to_bytes(8, "little") for week in range(n_weeks))
 
 
-def world_ids(worlds: Sequence[int], entry_point: str) -> tuple[int, ...]:
-    """Shared world-slice guard of every evaluation entry point.
-
-    ``evaluate_point``, ``sample_fresh``, ``EvaluationService.evaluate`` and
-    ``Scheduler.submit`` must agree on this behavior: an empty world slice
-    is a caller error, never a silently-empty result; world ids are Python
-    ints — ``3`` and ``np.int64(3)`` are one world, one seed, one cache key;
-    and a world appears once, since a repeated id would interleave its
-    copies' rows in the samples tables.
+def world_ids(worlds: Sequence[int]) -> tuple[int, ...]:
+    """The world-slice rule of :meth:`ProphetEngine.request`: an empty world
+    slice is a caller error, never a silently-empty result; world ids are
+    Python ints — ``3`` and ``np.int64(3)`` are one world, one seed, one
+    cache key; and a world appears once, since a repeated id would
+    interleave its copies' rows in the samples tables.
     """
     try:
         ids = tuple(map(operator.index, worlds))
     except TypeError:
         bad = next((w for w in worlds if not hasattr(w, "__index__")), None)
         raise ScenarioError(
-            f"{entry_point} world ids must be integers, got {bad!r}"
+            f"ProphetEngine.request world ids must be integers, got {bad!r}"
         ) from None
     if not ids:
-        raise ScenarioError(f"{entry_point} needs at least one world")
+        raise ScenarioError("ProphetEngine.request needs at least one world")
     if len(set(ids)) != len(ids):
         repeated = next(w for i, w in enumerate(ids) if w in ids[:i])
-        raise ScenarioError(f"{entry_point} world id {repeated} repeats")
+        raise ScenarioError(f"ProphetEngine.request world id {repeated} repeats")
     return ids
+
+
+@dataclass(frozen=True)
+class Request:
+    """One evaluation request as :meth:`ProphetEngine.request` normalised it.
+
+    ``point`` is the validated sweep point, ``worlds`` the world ids and
+    ``key`` the request's identity ``(point key, worlds, reuse)``: requests
+    with equal keys have one answer. Every layer above the engine passes a
+    request on as it stands.
+    """
+
+    point: dict[str, Any]
+    worlds: tuple[int, ...]
+    reuse: bool
+    key: tuple
 
 
 @dataclass
@@ -203,17 +216,41 @@ class ProphetEngine:
 
     # -- public API ----------------------------------------------------------
 
+    def request(
+        self,
+        point: Mapping[str, Any] | Request,
+        worlds: Optional[Sequence[int]] = None,
+        reuse: bool = True,
+    ) -> Request:
+        """Normalise one evaluation request: the one place a point is
+        validated, the world-id rule applied and the identity key built.
+
+        ``worlds`` defaults to every configured world, in order. A
+        :class:`Request` is returned as it stands: it carries its own
+        worlds and reuse.
+        """
+        if isinstance(point, Request):
+            if worlds is not None:
+                raise ScenarioError("a Request carries its own worlds")
+            return point
+        validated = self.scenario.validate_sweep_point(point)
+        chosen = self.default_worlds if worlds is None else world_ids(worlds)
+        key = (self.scenario.sweep_space.point_key(validated), chosen, reuse)
+        return Request(validated, chosen, reuse, key)
+
     def evaluate_point(
         self,
-        point: Mapping[str, Any],
+        point: Mapping[str, Any] | Request,
         *,
         worlds: Optional[Sequence[int]] = None,
         reuse: bool = True,
     ) -> PointEvaluation:
         """Evaluate the scenario at one sweep point (axis excluded).
 
-        ``worlds`` defaults to all configured Monte Carlo worlds; the online
-        mode passes growing prefixes for progressive refinement.
+        ``point`` is a mapping, normalised with ``worlds`` and ``reuse`` by
+        :meth:`request`, or a :class:`Request`. ``worlds`` defaults to all
+        configured Monte Carlo worlds; the online mode passes growing
+        prefixes for progressive refinement.
 
         ``reuse=False`` is a baseline measurement: every output is sampled
         fresh through the generated SQL, and the request neither reads nor
@@ -228,44 +265,21 @@ class ProphetEngine:
         profiler = self.profiler
         if profiler is None:
             with self.tracer.span("evaluate") as span:
-                return self._evaluate_point(point, worlds, reuse, span)
+                return self._evaluate_point(self.request(point, worlds, reuse), span)
         with profiler:
             with self.tracer.span("evaluate") as span:
-                return self._evaluate_point(point, worlds, reuse, span)
+                return self._evaluate_point(self.request(point, worlds, reuse), span)
 
-    def _request(
-        self, point: Mapping[str, Any], worlds: Optional[Sequence[int]], reuse: bool
-    ) -> tuple[tuple, dict[str, Any]]:
-        """A request's identity ``(point key, worlds, reuse)`` and its
-        validated point."""
-        validated = self.scenario.validate_sweep_point(point)
-        chosen_worlds = (
-            self.default_worlds
-            # The serve layer passes the default slice on, already checked.
-            if worlds is None or worlds is self.default_worlds
-            else world_ids(worlds, "evaluate_point")
-        )
-        return (
-            self.scenario.sweep_space.point_key(validated),
-            chosen_worlds,
-            reuse,
-        ), validated
-
-    def _evaluate_point(
-        self,
-        point: Mapping[str, Any],
-        worlds: Optional[Sequence[int]],
-        reuse: bool,
-        span: Any,
-    ) -> PointEvaluation:
-        key, validated = self._request(point, worlds, reuse)
-        cached = self._stats_cache_hit(key)
+    def _evaluate_point(self, request: Request, span: Any) -> PointEvaluation:
+        cached = self._stats_cache_hit(request)
         if cached is not None:
             self.points_evaluated += 1
             span.set(stats_cache_hit=True, n_worlds=cached.n_worlds)
             return cached
-        point_key, chosen_worlds, _ = key
-        batch = InstanceBatch.at_point(validated, chosen_worlds, self.config.sampling.base_seed)
+        reuse = request.reuse
+        batch = InstanceBatch.at_point(
+            request.point, request.worlds, self.config.sampling.base_seed
+        )
 
         timings = StageTimings()
         reports: list[ReuseReport] = []
@@ -288,12 +302,12 @@ class ProphetEngine:
         self.points_evaluated += 1
 
         statistics = self._combine_and_aggregate(
-            validated, batch, matrices, timings, use_week_memo=reuse, bases=bases
+            request.point, batch, matrices, timings, use_week_memo=reuse, bases=bases
         )
         self.total_timings.add(timings)
         span.set(stats_cache_hit=False, n_worlds=len(batch))
         evaluation = PointEvaluation(
-            point=validated,
+            point=request.point,
             statistics=statistics,
             samples=matrices,
             reuse_reports=tuple(reports),
@@ -301,20 +315,19 @@ class ProphetEngine:
             n_worlds=len(batch),
         )
         if reuse:
-            self._stats_cache[(point_key, chosen_worlds)] = evaluation
+            self._stats_cache[request.key] = evaluation
         return evaluation
 
-    def _stats_cache_hit(self, key: tuple) -> Optional[PointEvaluation]:
+    def _stats_cache_hit(self, request: Request) -> Optional[PointEvaluation]:
         """The stats cache's answer to a request, served as a pure hit.
 
         The stats cache holds finished point statistics: a re-visited point
         (same worlds) skips the combine/aggregate queries entirely. A
         ``reuse=False`` request (a baseline measurement) bypasses it.
         """
-        point_key, chosen_worlds, reuse = key
-        if not reuse:
+        if not request.reuse:
             return None
-        cached = self._stats_cache.get((point_key, chosen_worlds))
+        cached = self._stats_cache.get(request.key)
         if cached is None:
             return None
         # Re-label the reuse reports: this serving is a pure cache hit,
@@ -357,9 +370,9 @@ class ProphetEngine:
         scenario and config would produce for those worlds.
         """
         output = self.scenario.vg_output(alias)
-        validated = self.scenario.validate_sweep_point(point)
+        request = self.request(point, worlds)
         batch = InstanceBatch.at_point(
-            validated, world_ids(worlds, "sample_fresh"), self.config.sampling.base_seed
+            request.point, request.worlds, self.config.sampling.base_seed
         )
         return self.sampling.sample(output, batch, timings)
 

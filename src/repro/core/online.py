@@ -15,7 +15,7 @@ The seam: a session drives one :class:`ProphetEngine` through one
 ``evaluate`` callable with :meth:`ProphetEngine.evaluate_point`'s signature
 (the default). Handing it a serve scheduler's ``evaluate`` instead routes
 every refresh and proactive point through the shared job queue — dedup,
-job-level retries, the worker pool and the cross-run cache — with
+the worker pool's retry ladder and the cross-run cache — with
 bit-identical statistics; the session itself never knows which it got.
 """
 

@@ -64,7 +64,8 @@ def _nearest_candidates(
     ``1.0`` at distance zero (``bool`` is an ``int`` subclass, and Python's
     stable ordering would otherwise rank a wrong-typed basis first). Bases
     with mismatched types or differently-shaped args sort last within the
-    limit.
+    limit, and so does a number pair one side of which is an int beyond
+    float range (distance ``inf``).
     """
 
     def distance(args: ParamKey) -> float:
@@ -75,7 +76,10 @@ def _nearest_candidates(
             a_bool = isinstance(a, bool)
             b_bool = isinstance(b, bool)
             if not a_bool and not b_bool and isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                total += abs(float(a) - float(b))
+                try:
+                    total += abs(float(a) - float(b))
+                except OverflowError:
+                    total += float("inf")
             elif a_bool != b_bool:
                 total += 1.0  # bool vs number: a type mismatch, never equal
             elif a != b:

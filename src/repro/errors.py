@@ -86,11 +86,10 @@ class TransientServeError(ServeError):
     crashed or hung worker, a broken pool, a mangled payload — says nothing
     about the answer, and re-running the work (in a healed pool, or inline
     on the coordinator) produces the bit-identical result. The
-    :class:`~repro.serve.resilience.TaskDispatcher` retries these, and the
-    :class:`~repro.serve.scheduler.Scheduler` retries jobs failed by them;
-    anything *not* in this branch of the hierarchy is treated as permanent
-    — a deterministic error that would simply recur — and surfaces
-    immediately.
+    :class:`~repro.serve.resilience.TaskDispatcher` retries these (and
+    rescues the task inline once retries run out); anything *not* in this
+    branch of the hierarchy is treated as permanent — a deterministic error
+    that would simply recur — and surfaces immediately.
     """
 
 
@@ -104,11 +103,3 @@ class TaskTimeoutError(TransientServeError):
 
 class TaskPayloadError(TransientServeError):
     """A point task returned a malformed payload (wrong type or shape)."""
-
-
-class RetryExhaustedError(TransientServeError):
-    """Every task retry failed and inline rescue was disabled.
-
-    Still transient: the *job*-level retry re-dispatches the whole
-    evaluation, which may succeed against a healed pool.
-    """

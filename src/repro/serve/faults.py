@@ -54,8 +54,7 @@ class FaultSpec:
     ``attempts`` is how many consecutive attempts of the task fail before
     the fault clears: 1 (the default) models a one-off transient glitch —
     the first retry succeeds; a value above the dispatcher's retry budget
-    models a stuck fault that forces inline rescue (or, with rescue off,
-    retry exhaustion).
+    models a stuck fault that forces inline rescue.
     """
 
     task: int

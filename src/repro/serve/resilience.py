@@ -18,8 +18,11 @@ to every task:
    workers) before the retry, so one bad worker cannot poison every later
    submission;
 4. **inline rescue** — when retries are exhausted, the task is re-run
-   synchronously on the coordinator (``inline_rescue``): sequential speed
-   for that point, never a wrong or missing answer.
+   synchronously on the coordinator: sequential speed for that point,
+   never a wrong or missing answer.
+
+This is the serving plane's only retry ladder: the scheduler runs each
+job once, and a failure that reaches it is final.
 
 Permanent errors — anything not in the :class:`~repro.errors.
 TransientServeError` branch, a broken pool, or a timeout — are *not*
@@ -42,12 +45,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.core.config import require
-from repro.errors import (
-    RetryExhaustedError,
-    TaskPayloadError,
-    TaskTimeoutError,
-    TransientServeError,
-)
+from repro.errors import TaskPayloadError, TaskTimeoutError, TransientServeError
 from repro.obs.trace import NULL_TRACER
 from repro.serve.faults import FaultInjector
 from repro.serve.worker import PointResult
@@ -74,21 +72,11 @@ class ResilienceConfig:
     ``retry_backoff``
         Base seconds slept between attempts, doubling each attempt —
         deterministic (no jitter), so chaos runs are reproducible.
-    ``inline_rescue``
-        Re-run a still-failing task synchronously on the coordinator after
-        retries are exhausted. Bit-identical by task purity; turning it
-        off surfaces :class:`~repro.errors.RetryExhaustedError` instead.
-    ``job_retries``
-        How many times the :class:`~repro.serve.scheduler.Scheduler`
-        re-runs a whole job that failed with a *transient* error
-        (permanent failures surface as ``FAILED`` immediately).
     """
 
     shard_timeout: Optional[float] = None
     shard_retries: int = 2
     retry_backoff: float = 0.05
-    inline_rescue: bool = True
-    job_retries: int = 1
 
     def __post_init__(self) -> None:
         require(
@@ -102,10 +90,6 @@ class ResilienceConfig:
         require(
             self.retry_backoff >= 0,
             f"retry_backoff must be >= 0, got {self.retry_backoff}",
-        )
-        require(
-            self.job_retries >= 0,
-            f"job_retries must be >= 0, got {self.job_retries}",
         )
 
 
@@ -201,7 +185,7 @@ class TaskDispatcher:
             if reason is None:
                 return payload
             if attempt >= self.config.shard_retries:
-                return self._rescue(call, reason)
+                return self._rescue(call)
             self.stats.shard_retries += 1
             self._backoff(attempt)
             attempt += 1
@@ -303,12 +287,7 @@ class TaskDispatcher:
         if self.config.retry_backoff > 0:
             time.sleep(self.config.retry_backoff * (2**attempt))
 
-    def _rescue(self, call: TaskCall, reason: BaseException) -> PointResult:
-        if not self.config.inline_rescue:
-            raise RetryExhaustedError(
-                f"point task still failing after {self.config.shard_retries + 1} "
-                f"attempt(s) and inline rescue is disabled (last failure: {reason})"
-            )
+    def _rescue(self, call: TaskCall) -> PointResult:
         # The rescue closure re-runs the pure task on the coordinator,
         # outside the fault injector and the executor — bit-identical by
         # construction, sequential by necessity.

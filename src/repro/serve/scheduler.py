@@ -5,9 +5,10 @@ Sessions — interactive :class:`~repro.core.online.OnlineSession` users,
 submit point-evaluation and sweep jobs to one :class:`Scheduler`. The
 scheduler:
 
-* **deduplicates identical in-flight points**: a job whose canonical
-  (point, worlds, reuse) key matches a queued or running job coalesces
-  onto it and receives the same result when it completes;
+* **deduplicates identical in-flight points**: a job whose request key
+  (:meth:`~repro.core.engine.ProphetEngine.request`: point, worlds, reuse)
+  matches a queued or running job coalesces onto it and receives the same
+  result when it completes;
 * drives every evaluation through the shared
   :class:`~repro.serve.service.EvaluationService`, so all sessions benefit
   from the same coordinator reuse layers, worker pool, and result cache;
@@ -36,9 +37,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from repro.core.engine import PointEvaluation, PointEvaluator, world_ids
+from repro.core.engine import PointEvaluation, PointEvaluator, Request
 from repro.core.rounds import RoundPlan
-from repro.errors import ServeError, TransientServeError
+from repro.errors import ServeError
 from repro.obs.trace import NULL_TRACER
 from repro.serve.service import EvaluationService, StartedPoint
 
@@ -55,10 +56,7 @@ class Job:
 
     id: int
     session: str
-    point: dict[str, Any]
-    worlds: tuple[int, ...]
-    reuse: bool
-    key: tuple
+    request: Request
     status: str = PENDING
     result: Optional[PointEvaluation] = None
     error: Optional[str] = None
@@ -67,10 +65,6 @@ class Job:
     #: id of the identical in-flight job this one coalesced onto, if any.
     coalesced_with: Optional[int] = None
     elapsed_seconds: float = 0.0
-    #: How many times this job was re-run after a transient serve failure
-    #: (the error taxonomy in :mod:`repro.errors`; permanent failures are
-    #: never retried).
-    attempts: int = 0
 
     @property
     def done(self) -> bool:
@@ -154,7 +148,7 @@ class JobQueue:
 
     def push(self, job: Job) -> None:
         self._pending.append(job)
-        self._inflight[job.key] = job
+        self._inflight[job.request.key] = job
 
     def ahead(self, count: int) -> list[Job]:
         """The next ``count`` jobs :meth:`pop` would return, left queued."""
@@ -168,8 +162,8 @@ class JobQueue:
         return job
 
     def finish(self, job: Job) -> None:
-        if self._inflight.get(job.key) is job:
-            del self._inflight[job.key]
+        if self._inflight.get(job.request.key) is job:
+            del self._inflight[job.request.key]
 
 
 class Scheduler:
@@ -181,21 +175,12 @@ class Scheduler:
     scheduler serving interactive sessions does not grow without bound.
     ``jobs_completed`` and the adaptive world counters count them all.
 
-    ``job_retries`` is the job-level rung of the fault-tolerance ladder:
-    an evaluation that failed with a *transient* error (the
-    :class:`~repro.errors.TransientServeError` taxonomy — crashed pool,
-    deadline expiry, retry exhaustion with rescue off) is re-run up to
-    this many times before the job is marked ``FAILED``; permanent errors
-    surface as ``FAILED`` immediately, first time. Defaults to the
-    service's :class:`~repro.serve.resilience.ResilienceConfig`.
+    A job runs once: the service's task dispatcher already retries, heals
+    and rescues its point task, so a failure that reaches a job is marked
+    ``FAILED``.
     """
 
-    def __init__(
-        self,
-        service: EvaluationService,
-        history_limit: int = 256,
-        job_retries: Optional[int] = None,
-    ) -> None:
+    def __init__(self, service: EvaluationService, history_limit: int = 256) -> None:
         self.service = service
         self.queue = JobQueue()
         self._ids = itertools.count(1)
@@ -203,13 +188,6 @@ class Scheduler:
         self.completed: deque[Job] = deque(maxlen=history_limit)
         self.jobs_completed = 0
         self.dedup_hits = 0
-        self.job_retries = (
-            service.resilience.job_retries if job_retries is None else job_retries
-        )
-        if self.job_retries < 0:
-            raise ServeError(f"job_retries must be >= 0, got {self.job_retries}")
-        #: Total transient re-runs across all jobs (fleet observability).
-        self.jobs_retried = 0
         #: Adaptive sampling counters: points retired before their fixed
         #: budget, worlds actually evaluated vs worlds the fixed budget
         #: would have spent. All deterministic (no wall-clock involved).
@@ -236,27 +214,13 @@ class Scheduler:
     ) -> Job:
         """Queue one point evaluation; identical in-flight points coalesce.
 
-        The point and worlds are normalised by the engine's own rules first,
-        so a request the engine would reject raises here and never
-        coalesces onto a job it only resembles.
+        The engine normalises the request here, once (a request it would
+        reject raises and never coalesces onto a job it only resembles);
+        the job carries it to the service as it stands.
         """
-        scenario = self.service.scenario
-        validated = scenario.validate_sweep_point(point)
-        chosen = (
-            self.service.engine.default_worlds
-            if worlds is None
-            else world_ids(worlds, "Scheduler.submit")
-        )
-        key = (scenario.sweep_space.point_key(validated), chosen, reuse)
-        job = Job(
-            id=next(self._ids),
-            session=session,
-            point=validated,
-            worlds=chosen,
-            reuse=reuse,
-            key=key,
-        )
-        primary = self.queue.find_inflight(key)
+        request = self.service.engine.request(point, worlds, reuse)
+        job = Job(id=next(self._ids), session=session, request=request)
+        primary = self.queue.find_inflight(request.key)
         if primary is not None:
             self.dedup_hits += 1
             job.coalesced_with = primary.id
@@ -301,8 +265,8 @@ class Scheduler:
         :meth:`RoundPlan.over` the engine's worlds) and retires once its
         worst CI half-width is at most ``target_ci``; budget retired points
         did not spend is reassigned to unresolved points. Every round is a regular scheduler
-        job — it flows through the same queue, dedup, retry ladder, and
-        service as a fixed-budget evaluation.
+        job — it flows through the same queue, dedup and service as a
+        fixed-budget evaluation.
 
         Stopping decisions are pure functions of the accumulated statistics
         (which are bitwise identical across executors and worker counts),
@@ -326,7 +290,7 @@ class Scheduler:
             reuse=reuse,
         )
         for index, point in enumerate(points):
-            validated = scenario.validate_sweep_point(point)
+            validated = self.service.engine.request(point).point
             evaluator = PointEvaluator(
                 self.service.engine,
                 validated,
@@ -370,9 +334,9 @@ class Scheduler:
 
     def _round_evaluate(self, sweep: AdaptiveSweepJob, index: int):
         """An ``evaluate_point``-compatible callable that routes one round
-        of ``sweep.states[index]`` through the job queue — so dedup, job
-        retries, and the service's resilience ladder apply to every round
-        unchanged — and books the job's time on the point."""
+        of ``sweep.states[index]`` through the job queue — so dedup and the
+        service's resilience ladder apply to every round unchanged — and
+        books the job's time on the point."""
 
         def evaluate(point, *, worlds, reuse=True):
             job = self.submit(point, worlds=worlds, session=sweep.session, reuse=reuse)
@@ -526,29 +490,16 @@ class Scheduler:
         # scheduling decisions never read it.
         started = time.perf_counter()
         with self.tracer.span("job", job=job.id, session=job.session) as span:
-            while True:
-                try:
-                    job.result = self._evaluate(job)
-                    job.status = DONE
-                except TransientServeError as error:
-                    # The substrate failed, not the question: re-running the
-                    # whole evaluation is bit-identical by task purity, and
-                    # the pool underneath was healed by the dispatcher.
-                    if job.attempts < self.job_retries:
-                        job.attempts += 1
-                        self.jobs_retried += 1
-                        continue
-                    job.status = FAILED
-                    job.error = str(error)
-                    job.exception = error
-                except Exception as error:
-                    # Permanent (deterministic) failures surface immediately:
-                    # retrying would only repeat them.
-                    job.status = FAILED
-                    job.error = str(error)
-                    job.exception = error
-                break
-            span.set(status=job.status, attempts=job.attempts)
+            try:
+                job.result = self._evaluate(job)
+                job.status = DONE
+            except Exception as error:  # noqa: BLE001 — recorded on the job
+                # The service's dispatcher already retried, healed and
+                # rescued the job's task: what reaches here is final.
+                job.status = FAILED
+                job.error = str(error)
+                job.exception = error
+            span.set(status=job.status)
         job.elapsed_seconds = time.perf_counter() - started
         self.queue.finish(job)
         for follower in self._followers.pop(job.id, ()):
@@ -561,17 +512,17 @@ class Scheduler:
         return job
 
     def _evaluate(self, job: Job) -> PointEvaluation:
-        """One attempt at ``job``. On a process pool a ``reuse=False`` job
-        is a point task — started ahead of its turn or right here — and the
-        tasks of the jobs behind it are started before this one is waited
-        for; anything else is the service's own ``evaluate``."""
+        """Run ``job``. On a process pool a ``reuse=False`` job is a point
+        task — started ahead of its turn or right here — and the tasks of
+        the jobs behind it are started before this one is waited for;
+        anything else is the service's own ``evaluate``."""
         task = self._started.pop(job.id, None)
-        if task is None and self.service.pooled and not job.reuse:
-            task = self.service.start(job.point, worlds=job.worlds)
+        if task is None and self.service.pooled and not job.request.reuse:
+            task = self.service.start(job.request)
         self._start_ahead()
         if task is not None:
             return self.service.finish(task)
-        return self.service.evaluate(job.point, worlds=job.worlds, reuse=job.reuse)
+        return self.service.evaluate(job.request)
 
     def _start_ahead(self) -> None:
         """Keep every worker busy: start the tasks of the ``reuse=False``
@@ -581,18 +532,15 @@ class Scheduler:
         the coordinator collected that one.
 
         A task that cannot be started here is left to its own job, whose
-        turn starts it again and raises any error into that job's own retry
-        ladder.
+        turn starts it again and records any error on that job.
         """
         if not self.service.pooled:
             return
         for ahead in self.queue.ahead(2 * self.service.executor.workers - 1):
-            if ahead.reuse or ahead.id in self._started:
+            if ahead.request.reuse or ahead.id in self._started:
                 continue
             try:
-                self._started[ahead.id] = self.service.start(
-                    ahead.point, worlds=ahead.worlds
-                )
+                self._started[ahead.id] = self.service.start(ahead.request)
             except Exception:  # noqa: BLE001 — raised again in the job's turn
                 return
 

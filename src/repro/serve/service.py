@@ -40,7 +40,7 @@ from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import PointEvaluation, ProphetEngine, StageTimings, world_ids
+from repro.core.engine import PointEvaluation, ProphetEngine, Request, StageTimings
 from repro.core.storage import ReuseReport
 from repro.errors import ServeError
 from repro.obs.trace import NULL_TRACER
@@ -142,8 +142,7 @@ class ServiceStats:
 class StartedPoint:
     """A ``reuse=False`` request whose point task is in flight."""
 
-    point: dict[str, Any]
-    worlds: tuple[int, ...]
+    request: Request
     task: StartedTask
     lease: Optional[SegmentLease]
 
@@ -245,7 +244,7 @@ class EvaluationService:
 
     def evaluate(
         self,
-        point: Mapping[str, Any],
+        point: Mapping[str, Any] | Request,
         *,
         worlds: Optional[Sequence[int]] = None,
         reuse: bool = True,
@@ -253,25 +252,25 @@ class EvaluationService:
         """Evaluate one point: the result cache, then the engine cycle —
         on the coordinator, or as a point task on a process pool.
 
-        ``points_evaluated`` counts every request, one the engine then
-        rejects included. The request is validated here only to build a
-        result-cache key or a task; otherwise the engine's own validation
-        is the one.
+        ``point`` is a :class:`~repro.core.engine.Request` or a mapping the
+        engine normalises here (:meth:`ProphetEngine.request`).
+        ``points_evaluated`` counts every request, one the engine rejects
+        included.
         """
         self.stats.points_evaluated += 1
-        if not reuse and self.pooled:
-            return self._collect(self.start(point, worlds=worlds))
+        request = self.engine.request(point, worlds, reuse)
+        if not request.reuse and self.pooled:
+            return self._collect(self.start(request))
         key = None
-        if self.cache is not None and reuse:
-            point, worlds = self._request(point, worlds)
-            key = self._key_for(point, worlds)
+        if self.cache is not None and request.reuse:
+            key = self._key_for(request.point, request.worlds)
             cached = self.cache.get(key)
             if cached is not None:
                 self.stats.cache_hits += 1
-                return self._evaluation_from_cache(point, worlds, cached.statistics)
+                return self._evaluation_from_cache(request, cached.statistics)
             self.stats.cache_misses += 1
 
-        evaluation = self.engine.evaluate_point(point, worlds=worlds, reuse=reuse)
+        evaluation = self.engine.evaluate_point(request)
         if key is not None:
             self.cache.put(
                 key,
@@ -279,22 +278,27 @@ class EvaluationService:
                 meta={
                     "scenario": self._scenario_hash,
                     "scenario_name": self.scenario.name,
-                    "point": {k: repr(v) for k, v in sorted(point.items())},
-                    "n_worlds": len(worlds),
+                    "point": {k: repr(v) for k, v in sorted(request.point.items())},
+                    "n_worlds": len(request.worlds),
                     "base_seed": self.engine.config.sampling.base_seed,
                 },
             )
         return evaluation
 
     def start(
-        self, point: Mapping[str, Any], *, worlds: Optional[Sequence[int]] = None
+        self,
+        point: Mapping[str, Any] | Request,
+        *,
+        worlds: Optional[Sequence[int]] = None,
     ) -> StartedPoint:
         """Submit a ``reuse=False`` request as a point task (process pools
         only) and return without waiting; :meth:`finish` collects it."""
         if not self.pooled:
             raise ServeError("point tasks need a process executor")
-        validated, chosen = self._request(point, worlds)
-        task = PointTask(self.spec, tuple(sorted(validated.items())), chosen)
+        request = self.engine.request(point, worlds, reuse=False)
+        if request.reuse:
+            raise ServeError("only a reuse=False request runs as a point task")
+        task = PointTask(self.spec, request)
         lease = self._lease() if self.transport.enabled else None
         try:
             shipped = task
@@ -315,7 +319,7 @@ class EvaluationService:
                 expected_shape=self._columns_shape,
                 resolve=self._resolver(lease) if lease is not None else None,
             )
-            with self.tracer.span("dispatch", worlds=len(chosen)):
+            with self.tracer.span("dispatch", worlds=len(request.worlds)):
                 started = self._dispatcher.start(call)
         except BaseException:
             # Until the task is started the lease is this frame's; from here
@@ -325,7 +329,7 @@ class EvaluationService:
                 self._arena.release(lease)
             raise
         self.stats.shard_tasks += 1
-        return StartedPoint(validated, chosen, started, lease)
+        return StartedPoint(request, started, lease)
 
     def finish(self, started: StartedPoint) -> PointEvaluation:
         """Collect a request :meth:`start` submitted: its evaluation, with
@@ -405,8 +409,9 @@ class EvaluationService:
     def _collect(self, started: StartedPoint) -> PointEvaluation:
         """Wait for a started task (the dispatcher walks the resilience
         ladder) and turn its result into the request's evaluation."""
+        request = started.request
         try:
-            with self.tracer.span("collect", worlds=len(started.worlds)):
+            with self.tracer.span("collect", worlds=len(request.worlds)):
                 result = self._dispatcher.finish(started.task)
         finally:
             # A started task's lease has this one owner: collected or
@@ -420,32 +425,15 @@ class EvaluationService:
         self.stats.sampled_fallback += result.sampled_fallback
         self.stats.worker_seconds += result.elapsed_seconds
         return PointEvaluation(
-            point=started.point,
+            point=request.point,
             statistics=self.engine.aggregator.from_columns(
-                columns, len(started.worlds), result.axis_values
+                columns, len(request.worlds), result.axis_values
             ),
             samples={},
             reuse_reports=result.reuse_reports,
             timings=result.timings,
-            n_worlds=len(started.worlds),
+            n_worlds=len(request.worlds),
         )
-
-    def _request(
-        self, point: Mapping[str, Any], worlds: Optional[Sequence[int]]
-    ) -> tuple[dict[str, Any], tuple[int, ...]]:
-        """The request as the engine normalises it — for a result-cache key
-        or a point task.
-
-        The engine's own point and world-id rules, applied first: a request
-        the engine would reject is never a cache hit, nor a task.
-        """
-        validated = self.scenario.validate_sweep_point(point)
-        chosen = (
-            self.engine.default_worlds
-            if worlds is None
-            else world_ids(worlds, "EvaluationService.evaluate")
-        )
-        return validated, chosen
 
     def _key_for(self, validated: Mapping[str, Any], worlds: Sequence[int]) -> str:
         config = self.engine.config
@@ -460,18 +448,14 @@ class EvaluationService:
             min_mapped_fraction=config.reuse.min_mapped_fraction,
         )
 
-    def _evaluation_from_cache(
-        self,
-        validated: dict[str, Any],
-        worlds: tuple[int, ...],
-        statistics,
-    ) -> PointEvaluation:
+    def _evaluation_from_cache(self, request: Request, statistics) -> PointEvaluation:
         """A :class:`PointEvaluation` served entirely from the result cache.
 
         No sample matrices travel through the cache — ``samples`` is empty
         and every VG output reports a full ``exact`` reuse, tagged with the
         ``result_cache`` kind so observers can tell the layers apart.
         """
+        validated = request.point
         reports = tuple(
             ReuseReport(
                 vg_name=output.vg_name,
@@ -495,5 +479,5 @@ class EvaluationService:
             samples={},
             reuse_reports=reports,
             timings=StageTimings(),
-            n_worlds=len(worlds),
+            n_worlds=len(request.worlds),
         )

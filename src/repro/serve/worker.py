@@ -38,7 +38,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.engine import ProphetEngine, StageTimings
+from repro.core.engine import ProphetEngine, Request, StageTimings
 from repro.core.storage import ReuseReport
 from repro.dsl import parse_scenario
 from repro.errors import ServeError
@@ -163,15 +163,15 @@ class EngineSpec:
 class PointTask:
     """One ``reuse=False`` request: everything :func:`run_point` needs.
 
-    ``spec`` is what a worker process builds its engine from; ``result``
-    is ``None`` (the statistics ride back in the :class:`PointResult`) or
-    the pre-leased ``(2 * n_outputs, n_weeks)`` float64 region the task
-    writes them to.
+    ``spec`` is what a worker process builds its engine from; ``request``
+    is the coordinator engine's normalised request, evaluated as it stands;
+    ``result`` is ``None`` (the statistics ride back in the
+    :class:`PointResult`) or the pre-leased ``(2 * n_outputs, n_weeks)``
+    float64 region the task writes them to.
     """
 
     spec: EngineSpec
-    point_items: tuple[tuple[str, Any], ...]
-    worlds: tuple[int, ...]
+    request: Request
     result: Optional[SegmentRef] = None
 
 
@@ -222,7 +222,8 @@ def _engine_for(spec: EngineSpec) -> ProphetEngine:
 
 
 def _warm_point(engine: ProphetEngine) -> dict[str, Any]:
-    return engine.scenario.validate_sweep_point(next(iter(engine.scenario.sweep_space.grid())))
+    """The first grid point, as it stands (the engine normalises it)."""
+    return next(iter(engine.scenario.sweep_space.grid()))
 
 
 def draw_worlds(
@@ -265,9 +266,7 @@ def run_point(task: PointTask, engine: Optional[ProphetEngine] = None) -> PointR
     counted = engine.executor.stats
     batched, fallback = counted.sampled_batched, counted.sampled_fallback
     started = time.perf_counter()
-    evaluation = engine.evaluate_point(
-        dict(task.point_items), worlds=task.worlds, reuse=False
-    )
+    evaluation = engine.evaluate_point(task.request)
     result = PointResult(
         columns=engine.aggregator.columns_of(evaluation.statistics),
         axis_values=evaluation.statistics.axis_values,

@@ -51,7 +51,7 @@ DEMO_SWEEP_STATS = {
         '"vectorized_selects": 66}, "sampling": {"backend": "batched", '
         '"parity_fallbacks": 0, "sampled_batched": 80, "sampled_fallback": 0}, '
         '"scheduler": {"dedup_hits": 0, "jobs_completed": 36, "jobs_retired_early": 0, '
-        '"jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, "service": '
+        '"worlds_budgeted": 0, "worlds_spent": 0}, "service": '
         '{"bytes_shipped": 0, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0,'
         ' "cache_tmp_swept": 0, "executor_kind": "inline", "executor_workers": 1, '
         '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, '
@@ -69,7 +69,7 @@ DEMO_SWEEP_STATS = {
         '"vectorized_selects": 66}, "sampling": {"backend": "batched", '
         '"parity_fallbacks": 0, "sampled_batched": 80, "sampled_fallback": 0}, '
         '"scheduler": {"dedup_hits": 0, "jobs_completed": 36, "jobs_retired_early": 0, '
-        '"jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, "service": '
+        '"worlds_budgeted": 0, "worlds_spent": 0}, "service": '
         '{"bytes_shipped": 0, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0,'
         ' "cache_tmp_swept": 0, "executor_kind": "process", "executor_workers": 2, '
         '"inline_rescues": 0, "points_evaluated": 36, "pool_rebuilds": 0, '

@@ -44,7 +44,6 @@ OUT_OF_RANGE = [
     (ResilienceConfig, "shard_timeout", 0.0),
     (ResilienceConfig, "shard_retries", -1),
     (ResilienceConfig, "retry_backoff", -0.1),
-    (ResilienceConfig, "job_retries", -1),
     (TransportConfig, "shard_transport", "carrier-pigeon"),
     (CacheConfig, "dir", ""),
     (AdaptiveConfig, "target_ci", 0.0),
@@ -218,9 +217,9 @@ class TestMappingRoundTrips:
         with pytest.raises(ScenarioError, match="unknown sampling backend"):
             ClientConfig.from_mapping({"sampling": {"backend": "turbo"}})
 
-    def test_the_mapping_has_26_independently_settable_values(self):
+    def test_the_mapping_has_24_independently_settable_values(self):
         mapping = ClientConfig().to_mapping()
-        assert sum(len(section) for section in mapping.values()) == 26
+        assert sum(len(section) for section in mapping.values()) == 24
 
     def test_a_retired_serve_knob_is_an_unknown_key(self):
         # Spelled in halves so a tree-wide grep for the deleted knob's name
@@ -262,8 +261,6 @@ class TestResilienceSection:
                 shard_timeout=2.5,
                 shard_retries=4,
                 retry_backoff=0.0,
-                inline_rescue=False,
-                job_retries=3,
             )
         )
         payload = json.dumps(config.to_mapping(portable=True))

@@ -72,9 +72,9 @@ class TestWorldIds:
 
     def test_repeated_id_is_a_scenario_error(self, engine):
         """A repeated world would interleave its copies' sample rows."""
-        with pytest.raises(ScenarioError, match="evaluate_point world id 2 repeats"):
+        with pytest.raises(ScenarioError, match="ProphetEngine.request world id 2 repeats"):
             engine.evaluate_point(POINT, worlds=[1, 2, 2, 2])
-        with pytest.raises(ScenarioError, match="sample_fresh world id 2 repeats"):
+        with pytest.raises(ScenarioError, match="ProphetEngine.request world id 2 repeats"):
             engine.sample_fresh("demand", POINT, [2, np.int64(2)])
 
 

@@ -76,7 +76,8 @@ def _entry(vg_name, args, worlds, rng, trusted=True) -> BasisEntry:
 
 
 def _scalar_ranking(target, candidates, limit):
-    """The ranking before its vectorized path, verbatim."""
+    """The ranking before its vectorized path, verbatim, but for an int
+    beyond float range: that pair is at distance ``inf``."""
 
     def distance(args):
         if len(args) != len(target):
@@ -86,7 +87,10 @@ def _scalar_ranking(target, candidates, limit):
             a_bool = isinstance(a, bool)
             b_bool = isinstance(b, bool)
             if not a_bool and not b_bool and isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                total += abs(float(a) - float(b))
+                try:
+                    total += abs(float(a) - float(b))
+                except OverflowError:
+                    total += float("inf")
             elif a_bool != b_bool:
                 total += 1.0  # bool vs number: a type mismatch, never equal
             elif a != b:
@@ -116,15 +120,10 @@ def _scan(storage, vg_name, target, worlds, limit=8):
 
 
 def _outcome(rank, *args):
-    """What a ranking returns — each key as the very object, with its arg
+    """What a ranking returns: each key as the very object, with its arg
     types (equal keys of different types, 1 and True, must come back as the
-    objects the tiers hold) — or the error it raises (the scalar ranking
-    cannot take an int beyond float range against a number)."""
-    try:
-        ranked = rank(*args)
-    except OverflowError:
-        return "OverflowError"
-    return [(id(args), args, tuple(map(type, args))) for args in ranked]
+    objects the tiers hold)."""
+    return [(id(args), args, tuple(map(type, args))) for args in rank(*args)]
 
 
 def _check(storage):
@@ -205,6 +204,28 @@ def test_a_store_adopted_at_startup_is_ranked(tmp_path, adopt_dir):
     assert len(storage) > 0
     _check(storage)
     _churn(storage, random.Random(9), steps=40)
+
+
+def test_a_key_beyond_float_range_ranks_last_and_acquire_still_answers(tmp_path):
+    """An int arg beyond float range is at distance ``inf`` from a number:
+    the key ranks after every finite one — here past the 8 candidates
+    ``acquire`` probes — so ``acquire`` answers from the others instead of
+    raising ``OverflowError``."""
+    storage = _storage(tmp_path, "spill", spill=False)
+    vg = storage.library.get("DemandModel")
+    worlds = tuple(range(4))
+    seeds = tuple(world_seed(BASE_SEED, w) for w in worlds)
+    huge = (10**400,)
+    storage.tier.put(("demandmodel", huge), _entry("DemandModel", huge, worlds, np.random.default_rng(0)))
+    for feature in range(8):
+        storage.store(
+            vg, (feature,), np.vstack([vg.invoke(s, (feature,)) for s in seeds]), worlds, seeds
+        )
+    ranked = storage.nearest_candidates("DemandModel", (13,), worlds, limit=9)
+    assert ranked == [(feature,) for feature in range(7, -1, -1)] + [huge]
+    samples, report = storage.acquire(vg, (13,), worlds, seeds)
+    assert (report.source, report.basis_args) == ("mapped", (7,))
+    assert samples.shape == (4, N_WEEKS)
 
 
 def test_acquire_reads_one_model_not_every_key(tmp_path):

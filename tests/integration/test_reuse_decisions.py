@@ -43,7 +43,7 @@ GRID = {
         '"statements": 840, "vectorized_selects": 280}, "sampling": {"backend": '
         '"batched", "parity_fallbacks": 0, "sampled_batched": 128, "sampled_fallback": '
         '0}, "scheduler": {"dedup_hits": 0, "jobs_completed": 588, '
-        '"jobs_retired_early": 0, "jobs_retried": 0, "worlds_budgeted": 0, '
+        '"jobs_retired_early": 0, "worlds_budgeted": 0, '
         '"worlds_spent": 0}, "service": {"bytes_shipped": 0, "bytes_zero_copy": 0, '
         '"cache_hits": 0, "cache_misses": 0, "cache_tmp_swept": 0, "executor_kind": '
         '"inline", "executor_workers": 1, "inline_rescues": 0, "points_evaluated": 588,'
@@ -66,7 +66,7 @@ WALK = {
         '"vectorized_selects": 48}, "sampling": {"backend": "batched", '
         '"parity_fallbacks": 0, "sampled_batched": 100, "sampled_fallback": 0}, '
         '"scheduler": {"dedup_hits": 0, "jobs_completed": 0, "jobs_retired_early": 0, '
-        '"jobs_retried": 0, "worlds_budgeted": 0, "worlds_spent": 0}, "service": '
+        '"worlds_budgeted": 0, "worlds_spent": 0}, "service": '
         '{"bytes_shipped": 0, "bytes_zero_copy": 0, "cache_hits": 0, "cache_misses": 0,'
         ' "cache_tmp_swept": 0, "executor_kind": "inline", "executor_workers": 1, '
         '"inline_rescues": 0, "points_evaluated": 40, "pool_rebuilds": 0, '

@@ -59,6 +59,8 @@ MUTABLE_CALLS = frozenset(
     {"dict", "list", "set", "bytearray", "defaultdict", "deque", "Counter", "OrderedDict"}
 )
 TIMING = frozenset({"seconds", "elapsed", "timing", "wall", "duration", "perf"})
+#: What normalises an evaluation request; ``ProphetEngine.request`` calls them.
+NORMALISERS = frozenset({"validate_sweep_point", "world_ids", "point_key"})
 
 
 def modules(*names: str) -> list[Path]:
@@ -116,6 +118,16 @@ def unseeded_random(source: str) -> list[tuple[int, str]]:
         (call.lineno, scope) for call, parts, scope in _calls(source)
         if parts[-2:-1] == ["random"]
         and (parts[-1] not in SEEDABLE or not (call.args or call.keywords))
+    ]
+
+
+def request_normalisers(source: str) -> list[tuple[int, str]]:
+    """REQ: a call of a request normaliser. The engine normalises a request
+    once (``ProphetEngine.request``) and the layers above pass the
+    ``Request`` on; a second copy of the rules drifts from the first."""
+    return [
+        (call.lineno, scope) for call, parts, scope in _calls(source)
+        if parts[-1:] and parts[-1] in NORMALISERS
     ]
 
 

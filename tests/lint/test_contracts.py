@@ -6,6 +6,9 @@ scheduling are pure functions of the seed and the statistics. Taxonomy
 (ERR): ``repro.serve`` raises only ``repro.errors`` classes, which the
 retry ladder routes on. Worker purity (PUR001/002): worker-shipped
 modules hold no mutable module state and ship only frozen dataclasses.
+One request normaliser (REQ): nothing in ``repro.serve`` or ``repro.api``
+validates a point, checks world ids or builds a request key — the engine's
+``request`` does, once, and the layers above pass its ``Request`` on.
 A site may break a check only through a key in ``contracts.EXEMPT``,
 and a key that matches no site fails as stale.
 """
@@ -25,6 +28,7 @@ TREE = {
     "ERR": (c.untyped_raises, ("serve",), ()),
     "PUR001": (c.module_state, c.WORKER, ()),
     "PUR002": (c.unfrozen_dataclasses, c.WORKER, ()),
+    "REQ": (c.request_normalisers, ("serve", "api"), ()),
 }
 
 
@@ -67,6 +71,7 @@ PLANTED = {
     "ERR": (c.untyped_raises, "def f():\n    raise RuntimeError('boom')\n"),
     "PUR001": (c.module_state, "CACHE = {}\n"),
     "PUR002": (c.unfrozen_dataclasses, "@dataclass\nclass Task:\n    x: int\n"),
+    "REQ": (c.request_normalisers, "def f(engine, p):\n    return engine.scenario.validate_sweep_point(p)\n"),
     "PUR003": (
         lambda source: c.forbidden_imports(source, c.COORDINATOR),
         "def f():\n    from repro.serve.scheduler import Scheduler\n",
@@ -112,6 +117,10 @@ CASES = {
                ("from repro import api", 1), ("from repro.serve import scheduler", 1),
                ("import repro.obs.trace as trace", 1), ("from repro.serve import transport", 0),
                ("from repro.core.engine import ProphetEngine", 0), ("from . import faults", 0)],
+    "REQ": [("world_ids(worlds)", 1), ("key = space.point_key(p)", 1),
+            ("self.scenario.validate_sweep_point(p)", 1), ("engine.request(p, worlds)", 0),
+            ("validated = request.point", 0), ("check = scenario.validate_sweep_point", 0),
+            ("handlers[0](p)", 0)],
     "CFG frozen": [({"tight": Tight}, 0), ({"tight": Tight, "loose": Loose}, 1)],
     "SRF drift": [(["A", "B"], 0), (["B", "A"], 2), (["A", "A", "B"], 2), (["A"], 1),
                   (["A", "B", "C"], 1)],

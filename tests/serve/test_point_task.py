@@ -11,6 +11,7 @@ hid in the seams of the transport.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -45,8 +46,15 @@ needs_shm = pytest.mark.skipif(
 )
 
 
+@functools.cache
+def _normaliser(spec):
+    """An engine built from ``spec`` that only normalises requests."""
+    return spec.build()
+
+
 def _task(spec, point=POINT_A, worlds=tuple(range(16)), result=None) -> PointTask:
-    return PointTask(spec, tuple(sorted(point.items())), tuple(worlds), result)
+    request = _normaliser(spec).request(point, worlds, reuse=False)
+    return PointTask(spec, request, result)
 
 
 def _observable(result, lease=None):

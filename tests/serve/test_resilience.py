@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,12 +23,7 @@ from repro.api.stats import StatsReport
 from repro.core.config import EngineConfig, SamplingConfig
 from repro.core.engine import ProphetEngine
 from repro.dsl import parse_scenario
-from repro.errors import (
-    RetryExhaustedError,
-    ScenarioError,
-    ServeError,
-    WorkerCrashError,
-)
+from repro.errors import ScenarioError, ServeError, WorkerCrashError
 from repro.models import build_demo_library
 from repro.serve import (
     EvaluationService,
@@ -162,20 +158,6 @@ class TestChaosParityInProcess:
         assert service.stats.inline_rescues == 1
         assert service.stats.shard_retries >= 1
 
-    def test_retry_exhaustion_without_rescue_raises(self, serve_spec):
-        plan = FaultPlan(
-            faults=(FaultSpec(task=0, kind="raise", attempts=99),)
-        )
-        service = _chaos_service(
-            serve_spec,
-            plan=plan,
-            retry_backoff=0.0,
-            shard_retries=1,
-            inline_rescue=False,
-        )
-        with pytest.raises(RetryExhaustedError, match="still failing"):
-            service.evaluate(POINT, reuse=False)
-
 
 class TestChaosParityProcess:
     """The real thing: killed and hung workers under a process pool."""
@@ -216,53 +198,29 @@ class TestChaosParityProcess:
             executor.shutdown()
 
 
-class TestSchedulerJobRetry:
-    def test_transient_job_failure_retried_to_success(self, serve_spec):
-        # The plan covers only the first task's sequence number; the
-        # retried job starts a new task, so its second run is fault-free.
+class TestSchedulerRunsEachJobOnce:
+    def test_a_stuck_task_is_rescued_under_its_job(self, serve_spec):
+        """The dispatcher's ladder is the only one: a task that fails every
+        attempt is rescued inline, so its job completes on its one run."""
         plan = FaultPlan(faults=(FaultSpec(task=0, kind="raise", attempts=99),))
-        service = _chaos_service(
-            serve_spec,
-            plan=plan,
-            retry_backoff=0.0,
-            shard_retries=0,
-            inline_rescue=False,
-            job_retries=1,
-        )
+        service = _chaos_service(serve_spec, plan=plan, retry_backoff=0.0, shard_retries=1)
         scheduler = Scheduler(service)
         job = scheduler.submit(POINT, reuse=False)
-        scheduler.run_pending()
+        assert scheduler.run_pending() == [job]
         assert job.status == "done"
-        assert job.attempts == 1
-        assert scheduler.jobs_retried == 1
+        assert service.stats.inline_rescues == 1 and service.stats.shard_retries == 1
         assert_stats_identical(job.result.statistics, _reference_statistics())
 
-    def test_exhausted_transient_failure_surfaces_failed(self, serve_spec):
-        plan = FaultPlan(
-            faults=tuple(
-                FaultSpec(task=s, kind="raise", attempts=99) for s in range(64)
-            )
-        )
-        service = _chaos_service(
-            serve_spec,
-            plan=plan,
-            retry_backoff=0.0,
-            shard_retries=0,
-            inline_rescue=False,
-            job_retries=1,
-        )
-        scheduler = Scheduler(service)
-        job = scheduler.submit(POINT, reuse=False)
-        scheduler.run_pending()
-        assert job.status == "failed"
-        assert job.attempts == 1
-        assert isinstance(job.exception, RetryExhaustedError)
-        assert scheduler.jobs_retried == 1
-
-    def test_negative_job_retries_rejected(self, serve_spec):
+    def test_a_permanent_failure_marks_the_job_failed(self, serve_spec):
         service = _chaos_service(serve_spec)
-        with pytest.raises(ServeError, match="job_retries"):
-            Scheduler(service, job_retries=-1)
+        scheduler = Scheduler(service)
+        job = scheduler.submit(POINT, worlds=range(4))
+        with mock.patch.object(
+            ProphetEngine, "evaluate_point", side_effect=ValueError("deterministic bug")
+        ):
+            scheduler.run_pending()
+        assert job.status == "failed" and isinstance(job.exception, ValueError)
+        assert scheduler.jobs_completed == 1
 
 
 SHAPE = (2, 3)
@@ -331,11 +289,6 @@ class TestTaskDispatcherUnit:
         assert dispatched.columns.shape == SHAPE
         assert stats.inline_rescues == 1
 
-    def test_wrong_shape_without_rescue_exhausts_the_retries(self):
-        dispatcher, stats = self._dispatcher(shard_retries=0, inline_rescue=False)
-        with pytest.raises(RetryExhaustedError, match="shape"):
-            dispatcher.dispatch(_call(lambda: _ok_result((4, 3))))
-
     def test_transient_error_retried_then_succeeds(self):
         attempts = {"n": 0}
 
@@ -370,8 +323,6 @@ class TestTaskDispatcherUnit:
             ResilienceConfig(shard_retries=-1)
         with pytest.raises(ScenarioError, match="retry_backoff"):
             ResilienceConfig(retry_backoff=-0.1)
-        with pytest.raises(ScenarioError, match="job_retries"):
-            ResilienceConfig(job_retries=-2)
 
 
 class TestHealWithWorkInFlight:
@@ -481,7 +432,6 @@ class TestHealWithWorkInFlight:
             for job, reference in zip(jobs, references):
                 assert job.status == "done"
                 assert_stats_identical(job.result.statistics, reference)
-            assert scheduler.jobs_retried == 0
             assert service.stats.pool_rebuilds >= 1
             assert service.stats.shard_retries >= 1
             assert service.stats.segments_leased == service.stats.segments_reclaimed
@@ -574,6 +524,6 @@ class TestAcceptanceChaosSweep:
             assert report["service"]["pool_rebuilds"] >= 1
             assert report["service"]["inline_rescues"] >= 1
             assert report["service"]["shard_retries"] >= 1
-            assert report["scheduler"]["jobs_retried"] == 0
+            assert report["scheduler"]["jobs_completed"] == len(self.POINTS)
         finally:
             executor.shutdown()

@@ -40,7 +40,7 @@ class TestDedup:
         first = scheduler.submit(POINT, worlds=range(8))
         second = scheduler.submit(POINT, worlds=range(16))
         assert second.coalesced_with is None
-        assert first.key != second.key
+        assert first.request.key != second.request.key
 
     @pytest.mark.parametrize("queued_first", [False, True], ids=["alone", "behind"])
     def test_request_the_engine_rejects_never_coalesces(self, scheduler, queued_first):
@@ -57,7 +57,7 @@ class TestDedup:
             assert twin.done
 
     def test_repeated_world_ids_are_rejected(self, scheduler):
-        with pytest.raises(ScenarioError, match="Scheduler.submit world id 2 repeats"):
+        with pytest.raises(ScenarioError, match="ProphetEngine.request world id 2 repeats"):
             scheduler.submit(POINT, worlds=[1, 2, 2, 2])
         assert len(scheduler.queue) == 0
 
@@ -199,9 +199,9 @@ class TestStartAhead:
         started = []
         start = scheduler.service.start
 
-        def recording(point, **kwargs):
-            started.append(dict(point))
-            return start(point, **kwargs)
+        def recording(request, **kwargs):
+            started.append(dict(request.point))
+            return start(request, **kwargs)
 
         scheduler.service.start = recording
         return started
@@ -241,10 +241,10 @@ class TestStartAhead:
     def test_a_start_that_raises_fails_its_own_job_only(self, pooled):
         start = pooled.service.start
 
-        def flaky_start(point, **kwargs):
-            if point == OTHER_POINT:
+        def flaky_start(request, **kwargs):
+            if request.point == OTHER_POINT:
                 raise RuntimeError("no segment to lease")
-            return start(point, **kwargs)
+            return start(request, **kwargs)
 
         pooled.service.start = flaky_start
         jobs = pooled.submit_sweep([POINT, OTHER_POINT, THIRD_POINT], reuse=False)
@@ -255,57 +255,28 @@ class TestStartAhead:
         assert [job.status for job in jobs] == ["done", "failed", "done"]
         assert isinstance(jobs[1].exception, RuntimeError)
         assert "no segment" in jobs[1].error
-        assert jobs[1].attempts == 0 and pooled.jobs_retried == 0  # permanent: not retried
 
-    def test_a_transient_start_error_goes_up_the_jobs_retry_ladder(
-        self, pooled, sequential_engine
-    ):
-        from repro.errors import TransientServeError
-
-        start = pooled.service.start
-        raised = []
-
-        def flaky_start(point, **kwargs):
-            if point == OTHER_POINT and len(raised) < 2:
-                raised.append(point)  # ahead of its turn, then in its turn
-                raise TransientServeError("pool went away")
-            return start(point, **kwargs)
-
-        pooled.service.start = flaky_start
-        jobs = pooled.submit_sweep([POINT, OTHER_POINT], reuse=False)
-        pooled.run_pending()
-        assert [job.status for job in jobs] == ["done", "done"]
-        assert jobs[1].attempts == 1 and pooled.jobs_retried == 1
-        for job, point in zip(jobs, (POINT, OTHER_POINT)):
-            assert_stats_identical(
-                job.result.statistics,
-                sequential_engine.evaluate_point(point, reuse=False).statistics,
-            )
-
-    def test_a_task_started_ahead_that_fails_is_retried_by_its_job(
+    def test_a_task_started_ahead_that_fails_is_rescued_in_its_job(
         self, serve_spec, process_executor, sequential_engine
     ):
         """Job 2's task (started behind job 1's, sequence number 1) fails
-        every attempt with rescue off: collecting it raises a transient error
-        inside job 2, whose re-run starts afresh, draws a new sequence number
-        and succeeds."""
+        every attempt: collecting it in job 2's turn walks the dispatcher's
+        ladder to the inline rescue, and job 2 completes on its one run."""
         from repro.serve import FaultPlan, FaultSpec, ResilienceConfig
 
         service = EvaluationService(
             serve_spec,
             executor=process_executor,
             fault_plan=FaultPlan(faults=(FaultSpec(task=1, kind="raise", attempts=99),)),
-            resilience=ResilienceConfig(
-                retry_backoff=0.0, shard_retries=0, inline_rescue=False, job_retries=1
-            ),
+            resilience=ResilienceConfig(retry_backoff=0.0, shard_retries=0),
         )
         pooled = Scheduler(service)
         jobs = pooled.submit_sweep([POINT, OTHER_POINT], reuse=False)
         assert pooled.run_next() is jobs[0]
         assert jobs[0].status == "done" and set(pooled._started) == {jobs[1].id}
         pooled.run_pending()
-        assert jobs[1].status == "done" and jobs[1].attempts == 1
-        assert pooled.jobs_retried == 1 and service.stats.shard_tasks == 3
+        assert jobs[1].status == "done" and service.stats.inline_rescues == 1
+        assert service.stats.shard_tasks == 2
         for job, point in zip(jobs, (POINT, OTHER_POINT)):
             assert_stats_identical(
                 job.result.statistics,

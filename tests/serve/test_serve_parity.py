@@ -335,7 +335,7 @@ class TestPooledRequestValidation:
         [
             ([0.5, 1.5], "world ids must be integers"),
             (["1", "2"], "world ids must be integers"),
-            ([1, 2, 2], "EvaluationService.evaluate world id 2 repeats"),
+            ([1, 2, 2], "ProphetEngine.request world id 2 repeats"),
             ([], "needs at least one world"),
         ],
         ids=["floats", "strings", "repeats", "empty"],
@@ -415,9 +415,7 @@ class TestResultCacheParity:
     ):
         service = _inline_service(serve_spec, cache_dir=str(tmp_path) if cached else None)
         service.evaluate(POINT, worlds=[1, 2, 3, 4])
-        # A cached service checks first; an uncached one leaves it to the engine.
-        entry = "EvaluationService.evaluate" if cached else "evaluate_point"
-        with pytest.raises(ScenarioError, match=f"{entry} world id 2 repeats"):
+        with pytest.raises(ScenarioError, match="ProphetEngine.request world id 2 repeats"):
             service.evaluate(POINT, worlds=[1, 2, 2, 2])
 
     @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
