@@ -93,6 +93,13 @@ class ResultAggregator:
         (the STDEV of one sample) becomes NaN.
         """
         columns = np.empty((2 * len(self.output_aliases), len(result)))
+        if result.column_data is not None:
+            # A columnar result holds no NULL: its arrays are the columns.
+            data, position = result.column_data, result.schema.position_of
+            for row, alias in enumerate(self.output_aliases):
+                columns[2 * row] = data[position(f"e_{alias}")]
+                columns[2 * row + 1] = data[position(f"sd_{alias}")]
+            return columns
         for row, alias in enumerate(self.output_aliases):
             columns[2 * row] = [_nan_if_none(v) for v in result.column(f"e_{alias}")]
             columns[2 * row + 1] = [_nan_if_none(v) for v in result.column(f"sd_{alias}")]

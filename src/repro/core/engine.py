@@ -97,6 +97,14 @@ class Request:
     reuse: bool
     key: tuple
 
+    def over_prefix(self, n_worlds: int) -> "Request":
+        """This request over the world prefix ``[0, n_worlds)``, ``n_worlds
+        >= 1`` (an adaptive round): a prefix keeps the world-id rule by
+        construction, and the point was validated once, so nothing is
+        re-checked."""
+        worlds = tuple(range(n_worlds))
+        return Request(self.point, worlds, self.reuse, (self.key[0], worlds, self.reuse))
+
 
 @dataclass
 class StageTimings:
@@ -428,6 +436,7 @@ class ProphetEngine:
                         missing,
                         missing_seeds,
                         min_mapped_fraction=min_mapped_fraction,
+                        keep=False,
                     )
                 if fresh is None:
                     fresh = self.sampling.sample(output, missing_batch, timings)
@@ -662,9 +671,12 @@ class PointEvaluator:
     ``target_ci``, the evaluator is converged and the remaining budget is
     never spent. ``target_ci=None`` (default) runs the full ladder.
 
-    ``evaluate`` substitutes the engine's :meth:`ProphetEngine.evaluate_point`
-    with any callable of the same signature — the serve scheduler passes one
-    that routes each round through its job queue, so the dispatcher and
+    ``point`` is normalised once, by :meth:`ProphetEngine.request` (a
+    :class:`Request` passes as it stands and brings its own ``reuse``);
+    each round asks for :meth:`Request.over_prefix` of it. ``evaluate``
+    substitutes the engine's :meth:`ProphetEngine.evaluate_point` with any
+    callable taking that round :class:`Request` — the serve scheduler passes
+    one that routes each round through its job queue, so the dispatcher and
     resilience ladder apply unchanged per round.
 
     Stopping decisions and results read each round's (exact, SQL-produced)
@@ -680,23 +692,24 @@ class PointEvaluator:
     def __init__(
         self,
         engine: "ProphetEngine",
-        point: Mapping[str, Any],
+        point: Mapping[str, Any] | Request,
         *,
         plan: Optional[RoundPlan] = None,
         target_ci: Optional[float] = None,
         z: float = 1.96,
         reuse: bool = True,
-        evaluate: Optional[Callable[..., PointEvaluation]] = None,
+        evaluate: Optional[Callable[[Request], PointEvaluation]] = None,
         tracer: Any = None,
     ) -> None:
         self.engine = engine
-        self.point = dict(point)
+        self.request = engine.request(point, reuse=reuse)
+        self.point = self.request.point
         self.plan = plan if plan is not None else RoundPlan.over(
             engine.config.sampling.n_worlds
         )
         self.target_ci = target_ci
         self.z = z
-        self.reuse = reuse
+        self.reuse = self.request.reuse
         self._evaluate = evaluate if evaluate is not None else engine.evaluate_point
         self.tracer = tracer if tracer is not None else engine.tracer
         self.rounds: list[RoundResult] = []
@@ -760,9 +773,7 @@ class PointEvaluator:
             worlds_total=prefix,
             worlds_added=prefix - previous,
         ) as span:
-            evaluation = self._evaluate(
-                self.point, worlds=range(prefix), reuse=self.reuse
-            )
+            evaluation = self._evaluate(self.request.over_prefix(prefix))
             ci = max_ci_halfwidth(evaluation.statistics, self.z)
             converged = self.target_ci is not None and ci <= self.target_ci
             span.set(max_ci=ci, converged=converged)

@@ -246,8 +246,9 @@ def correlate_many(
 
     # max(std(x), std(y), abs_floor) with Python's max semantics: a later
     # value replaces the running one only when strictly greater (NaN never).
-    reference = np.std(x, axis=1)
-    y_std = np.std(y, axis=1)
+    # Each fingerprint's row std is its own (``Fingerprint.row_std``).
+    reference = np.concatenate([basis.row_std for basis in bases])
+    y_std = np.tile(target.row_std, k)
     reference = np.where(y_std > reference, y_std, reference)
     reference = np.where(policy.abs_floor > reference, policy.abs_floor, reference)
     threshold = policy.tolerance * reference

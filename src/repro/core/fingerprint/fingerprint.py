@@ -79,6 +79,16 @@ class Fingerprint:
             self, "columns", np.ascontiguousarray(self.matrix.T, dtype=float)
         )
 
+    @cached_property
+    def row_std(self) -> np.ndarray:
+        """``np.std(columns, axis=1)``, read-only: each component's spread
+        over the probe seeds, which every correlation against this
+        fingerprint reads. A row reduces alone along the contiguous axis, so
+        these are the bits the same rows give stacked beside others."""
+        std = np.std(self.columns, axis=1)
+        std.flags.writeable = False
+        return std
+
     @property
     def n_components(self) -> int:
         return int(self.matrix.shape[1])

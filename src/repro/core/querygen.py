@@ -15,6 +15,7 @@ standard relational server would. Three query families:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -222,8 +223,13 @@ class QueryGenerator:
         Only the axis parameter is substituted (it becomes the ``t``
         column); every other ``@parameter`` stays in the text and is bound
         from the point at execute time, keeping the statement text constant
-        per scenario for the executor's plan cache.
+        per scenario for the executor's plan cache. The scenario alone fixes
+        the text, so it is built once.
         """
+        return self._combine_template
+
+    @cached_property
+    def _combine_template(self) -> str:
         bindings: dict[str, Expression] = {self.scenario.axis: ColumnRef("t")}
         return self._combine_sql(bindings)
 
@@ -264,7 +270,12 @@ class QueryGenerator:
     # -- aggregate queries ------------------------------------------------------
 
     def aggregate_sql(self) -> str:
-        """Per-axis-value statistics of every output over worlds."""
+        """Per-axis-value statistics of every output over worlds (the text
+        is the scenario's alone, built once)."""
+        return self._aggregate_sql
+
+    @cached_property
+    def _aggregate_sql(self) -> str:
         pieces = ["SELECT t"]
         selects = []
         for alias in self.scenario.output_aliases:

@@ -377,11 +377,15 @@ class StorageManager:
         *,
         reuse: bool = True,
         min_mapped_fraction: float = 0.05,
+        keep: bool = True,
     ) -> tuple[Optional[np.ndarray], ReuseReport]:
         """Try to produce the sample matrix for ``args`` from stored bases.
 
         Returns ``(samples, report)``; ``samples`` is ``None`` on a miss
-        (the caller must evaluate freshly and call :meth:`store`).
+        (the caller must evaluate freshly and call :meth:`store`). A mapped
+        answer is stored as the basis for ``args`` unless ``keep`` is false
+        — the engine's extend path, which stores the merged matrix the
+        answer becomes a part of.
         """
         key = (function.name.lower(), tuple(args))
         n_components = function.n_components
@@ -436,19 +440,20 @@ class StorageManager:
                     function.name, match.basis_args, key[1], match.correlation
                 )
                 self.mapped_hits += 1
-                self.tier.put(
-                    key,
-                    BasisEntry(
-                        vg_name=function.name,
-                        args=key[1],
-                        samples=samples,
-                        worlds=tuple(worlds),
-                        seeds=tuple(seeds),
-                        known_digests=_inherited_digests(
-                            basis, basis_samples, match.correlation
+                if keep:
+                    self.tier.put(
+                        key,
+                        BasisEntry(
+                            vg_name=function.name,
+                            args=key[1],
+                            samples=samples,
+                            worlds=tuple(worlds),
+                            seeds=tuple(seeds),
+                            known_digests=_inherited_digests(
+                                basis, basis_samples, match.correlation
+                            ),
                         ),
-                    ),
-                )
+                    )
                 report = ReuseReport(
                     vg_name=function.name,
                     args=key[1],
@@ -504,14 +509,20 @@ class StorageManager:
     ) -> bool:
         if stored_worlds is None:
             return False
-        # The sweep case: every basis holds exactly the requested batch.
-        if isinstance(worlds, tuple) and stored_worlds == worlds:
+        # The sweep case: every basis holds exactly the requested batch; an
+        # adaptive round asks for a prefix of what a basis holds.
+        if isinstance(worlds, tuple) and stored_worlds[: len(worlds)] == worlds:
             return True
         return set(stored_worlds).issuperset(worlds)
 
     def _select_worlds(self, entry: BasisEntry, worlds: Sequence[int]) -> np.ndarray:
+        """The rows of ``entry`` for ``worlds`` (which it covers), in order."""
         if entry.worlds == worlds:  # the sweep case: the (read-only) matrix itself
             return entry.samples
+        n = len(worlds)
+        if entry.worlds[:n] == tuple(worlds):
+            # A world prefix (an adaptive round): a read-only view.
+            return entry.samples[:n]
         positions = {world: index for index, world in enumerate(entry.worlds)}
         rows = [positions[world] for world in worlds]
         return entry.samples[rows, :]

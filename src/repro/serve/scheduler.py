@@ -206,7 +206,7 @@ class Scheduler:
 
     def submit(
         self,
-        point: Mapping[str, Any],
+        point: Mapping[str, Any] | Request,
         *,
         worlds: Optional[Sequence[int]] = None,
         session: str = "default",
@@ -290,19 +290,17 @@ class Scheduler:
             reuse=reuse,
         )
         for index, point in enumerate(points):
-            validated = self.service.engine.request(point).point
             evaluator = PointEvaluator(
                 self.service.engine,
-                validated,
+                self.service.engine.request(point, reuse=reuse),
                 plan=chosen_plan,
                 target_ci=target_ci,
                 z=z,
-                reuse=reuse,
                 evaluate=self._round_evaluate(sweep, index),
                 tracer=self.tracer,
             )
             sweep.states.append(
-                AdaptivePointState(index=index, point=validated, evaluator=evaluator)
+                AdaptivePointState(index=index, point=evaluator.point, evaluator=evaluator)
             )
         if not sweep.states:
             raise ServeError("sweep has no points")
@@ -333,13 +331,13 @@ class Scheduler:
         return sweep
 
     def _round_evaluate(self, sweep: AdaptiveSweepJob, index: int):
-        """An ``evaluate_point``-compatible callable that routes one round
-        of ``sweep.states[index]`` through the job queue — so dedup and the
-        service's resilience ladder apply to every round unchanged — and
-        books the job's time on the point."""
+        """A :class:`PointEvaluator` ``evaluate`` callable that routes one
+        round :class:`Request` of ``sweep.states[index]`` through the job
+        queue — so dedup and the service's resilience ladder apply to every
+        round unchanged — and books the job's time on the point."""
 
-        def evaluate(point, *, worlds, reuse=True):
-            job = self.submit(point, worlds=worlds, session=sweep.session, reuse=reuse)
+        def evaluate(request: Request) -> PointEvaluation:
+            job = self.submit(request, session=sweep.session)
             while job.status in (PENDING, RUNNING):
                 if self.run_next() is None:
                     raise ServeError(

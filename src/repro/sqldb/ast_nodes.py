@@ -8,6 +8,7 @@ SQL boundary).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -21,9 +22,29 @@ class Expression:
 
 @dataclass(frozen=True)
 class Literal(Expression):
-    """A constant: number, string, boolean, or NULL."""
+    """A constant: number, string, boolean, or NULL.
+
+    Two literals are equal only when their values have one type and one
+    sign: Python's ``7 == 7.0``, ``True == 1`` and ``0.0 == -0.0`` would let
+    an equal-by-value AST (a cache key) stand for a statement with another
+    answer (``7 / 2`` is ``3``, ``7.0 / 2`` is ``3.5``).
+    """
 
     value: Any
+
+    def _identity(self) -> tuple:
+        value = self.value
+        if isinstance(value, float):
+            return (float, value, math.copysign(1.0, value))
+        return (type(value), value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._identity())
 
     def render(self) -> str:
         if self.value is None:

@@ -15,7 +15,9 @@ row-at-a-time interpreter. Supported shapes:
 * aggregates over one group or GROUP BY one strided tiled key
   (COUNT/SUM/AVG/MIN/MAX/VAR*/STDEV*, :func:`group_layout`), with HAVING
   and per-group projection delegated to the interpreter's finalization so
-  group-level semantics cannot drift.
+  group-level semantics cannot drift — except the plain shape whose
+  finalization would only lay the answers out, which the executor answers
+  in columns.
 
 Every other join and grouping raises :class:`VectorFallback`: the row tier
 answers it.
@@ -34,7 +36,6 @@ so error behavior matches row-at-a-time evaluation.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -581,39 +582,24 @@ class VectorSelectPlan:
     aggregates: tuple[AggregateSpec, ...]
 
 
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Select, Optional[VectorSelectPlan]]"
-_PLAN_CACHE = weakref.WeakKeyDictionary()
-_INELIGIBLE = None
-
-
 def plan_select(select: Select) -> Optional[VectorSelectPlan]:
-    """Return the cached vector plan for ``select`` (None when ineligible)."""
-    try:
-        if select in _PLAN_CACHE:
-            return _PLAN_CACHE[select]
-    except TypeError:
-        return _build_plan(select)
-    plan = _build_plan(select)
-    _PLAN_CACHE[select] = plan
-    return plan
-
-
-def _build_plan(select: Select) -> Optional[VectorSelectPlan]:
+    """The vector plan for ``select`` (None when ineligible). The executor
+    asks once per cached statement and keeps the answer with it."""
     if not isinstance(select.source, TableSource):
-        return _INELIGIBLE
+        return None
     joins: list[JoinSpec] = []
     for join in select.joins:
         spec = _plan_join(join)
         if spec is None:
-            return _INELIGIBLE
+            return None
         joins.append(spec)
     if any(item.star for item in select.items):
-        return _INELIGIBLE
+        return None
     where = None
     if select.where is not None:
         where = compile_vector(select.where)
         if where is None:
-            return _INELIGIBLE
+            return None
 
     grouped = bool(select.group_by) or any(
         item.expression is not None and has_aggregate(item.expression)
@@ -634,21 +620,21 @@ def _build_plan(select: Select) -> Optional[VectorSelectPlan]:
         for rendered, node in aggregate_nodes.items():
             name = AGGREGATE_ALIASES.get(node.name.lower(), node.name).lower()
             if not is_aggregate_name(name):
-                return _INELIGIBLE
+                return None
             if node.star:
                 if name != "count":
-                    return _INELIGIBLE  # the row path raises the proper error
+                    return None  # the row path raises the proper error
                 specs.append(AggregateSpec(rendered, name, True, node.distinct, None))
                 continue
             if len(node.args) != 1 or (node.distinct and name != "count"):
-                return _INELIGIBLE
+                return None
             arg = compile_vector(node.args[0])
             if arg is None:
-                return _INELIGIBLE
+                return None
             specs.append(AggregateSpec(rendered, name, False, node.distinct, arg))
         group_by = [compile_vector(expression) for expression in select.group_by]  # type: ignore[misc]
         if any(fn is None for fn in group_by):
-            return _INELIGIBLE
+            return None
         return VectorSelectPlan(
             grouped=True,
             source_table=select.source.name,
@@ -662,19 +648,19 @@ def _build_plan(select: Select) -> Optional[VectorSelectPlan]:
         )
 
     if select.distinct:
-        return _INELIGIBLE
+        return None
     items: list[tuple[VectorFn, Optional[str]]] = []
     for item in select.items:
         assert item.expression is not None
         fn = compile_vector(item.expression)
         if fn is None:
-            return _INELIGIBLE
+            return None
         items.append((fn, item.alias.lower() if item.alias else None))
     order: list[tuple[VectorFn, bool]] = []
     for order_item in select.order_by:
         fn = compile_vector(order_item.expression)
         if fn is None:
-            return _INELIGIBLE
+            return None
         order.append((fn, order_item.descending))
     return VectorSelectPlan(
         grouped=False,
@@ -936,6 +922,10 @@ def aggregate_segments(
     if name in ("min", "max"):
         if is_float and np.any(np.isnan(values)):
             raise VectorFallback  # NumPy NaN-poisons; the accumulator does not
+        if is_float and np.any(np.signbit(values[values == 0.0])):
+            # The accumulator keeps the first of equal values, 0.0 or -0.0;
+            # NumPy may return either.
+            raise VectorFallback
         extremum = np.min if name == "min" else np.max
         return [extremum(segment).item() for segment in layout.segments(values)]
     if values.dtype.kind == "b":

@@ -2,15 +2,20 @@
 
 The executor layers two fast paths over a row-at-a-time path:
 
-1. **Plan cache** — ``execute`` keys parsed statement ASTs by SQL text
-   (LRU), so parameterized statements re-executed with fresh ``@variable``
-   bindings parse exactly once.
+1. **Plan cache** — ``execute`` keys parsed statements by SQL text (LRU),
+   so parameterized statements re-executed with fresh ``@variable``
+   bindings parse exactly once. An entry (:class:`Prepared`) also keeps
+   what each of its SELECTs derives from the AST alone — the vector plan
+   and the grouped-finalize program — so those are built once per
+   statement, not once per execution. Derived data is keyed by the
+   statement object it came from, never by AST equality.
 2. **Vectorized columnar execution** — SELECTs whose plans are
    filter/project/group-by (plus hash equi-joins) over table sources run
    over NumPy column arrays (:mod:`repro.sqldb.compiled`); anything the
    columnar path cannot reproduce bit-identically falls back to the row
    path below (``enable_vectorized=False`` forces it, which is how the
-   parity tests build their reference).
+   parity tests build their reference). A plain ``GROUP BY`` over a tiled
+   key answers in columns (:meth:`Executor._columnar_groups`).
 
 The row path resolves FROM sources to bound row dictionaries, applies
 joins, filters, groups/aggregates, projects, sorts, and materializes a
@@ -24,6 +29,7 @@ Generator lands Monte Carlo samples in the database.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
@@ -108,6 +114,23 @@ class ExecutionStats:
     sampled_fallback: int = 0
 
 
+class Prepared:
+    """A parsed statement as the plan cache keeps it, with what its
+    executions derive from it once: a :class:`_SelectProgram` per SELECT in
+    it, keyed by the SELECT's identity (the statement keeps each alive)."""
+
+    __slots__ = ("statement", "programs")
+
+    def __init__(self, statement: Statement) -> None:
+        self.statement = statement
+        self.programs: dict[int, _SelectProgram] = {}
+
+
+#: The per-SELECT programs an execution reads and fills: a cached
+#: statement's :attr:`Prepared.programs`, or one execution's own.
+Programs = dict[int, "_SelectProgram"]
+
+
 class Executor:
     """Executes parsed statements (or SQL text) against one catalog."""
 
@@ -131,29 +154,40 @@ class Executor:
         Non-query statements return an empty result with a ``rowcount``
         column so callers can observe effects uniformly.
         """
-        statement = self._cached_plan("statement", sql, parse_statement)
-        return self.execute_statement(statement, variables)
+        prepared = self._cached_plan("statement", sql, parse_statement)
+        return self._execute(
+            prepared.statement, _normalize_variables(variables), prepared.programs
+        )
 
     def execute_script(
         self, sql: str, variables: Optional[Mapping[str, Any]] = None
     ) -> list[ResultSet]:
         """Execute a ``;``-separated script; returns one result per statement."""
-        script = self._cached_plan("script", sql, parse_script)
-        return [self.execute_statement(stmt, variables) for stmt in script.statements]
+        prepared = self._cached_plan("script", sql, parse_script)
+        bound = _normalize_variables(variables)
+        return [
+            self._execute(stmt, bound, prepared.programs)
+            for stmt in prepared.statement.statements
+        ]
 
     def execute_statement(
         self, statement: Statement, variables: Optional[Mapping[str, Any]] = None
     ) -> ResultSet:
-        bound = _normalize_variables(variables)
+        """Execute one parsed statement; what it derives is not kept."""
+        return self._execute(statement, _normalize_variables(variables), {})
+
+    def _execute(
+        self, statement: Statement, bound: dict[str, Any], programs: Programs
+    ) -> ResultSet:
         self.stats.statements += 1
         if isinstance(statement, Select):
-            return self._execute_select(statement, bound)
+            return self._execute_select(statement, bound, programs)
         if isinstance(statement, CreateTable):
             return self._execute_create(statement)
         if isinstance(statement, InsertValues):
             return self._execute_insert_values(statement, bound)
         if isinstance(statement, InsertSelect):
-            return self._execute_insert_select(statement, bound)
+            return self._execute_insert_select(statement, bound, programs)
         if isinstance(statement, DropTable):
             return self._execute_drop(statement)
         if isinstance(statement, Delete):
@@ -161,39 +195,47 @@ class Executor:
         if isinstance(statement, Update):
             return self._execute_update(statement, bound)
         if isinstance(statement, Script):
-            results = [self.execute_statement(s, variables) for s in statement.statements]
+            results = [self._execute(s, bound, programs) for s in statement.statements]
             return results[-1] if results else _rowcount_result(0)
         raise ExecutionError(f"cannot execute statement {type(statement).__name__}")
 
     # -- plan caching --------------------------------------------------------
 
-    def _cached_plan(self, kind: str, sql: str, parse: Callable[[str], Any]) -> Any:
+    def _cached_plan(
+        self, kind: str, sql: str, parse: Callable[[str], Statement]
+    ) -> Prepared:
         plan = self.plan_cache.get((kind, sql))
         if plan is not None:
             self.stats.plan_cache_hits += 1
-            return plan
+            return plan  # type: ignore[return-value]
         self.stats.plan_cache_misses += 1
-        plan = parse(sql)
-        self.plan_cache.put((kind, sql), plan)
-        return plan
+        prepared = Prepared(parse(sql))
+        self.plan_cache.put((kind, sql), prepared)
+        return prepared
 
     # -- SELECT ---------------------------------------------------------------
 
-    def _execute_select(self, select: Select, variables: Mapping[str, Any]) -> ResultSet:
+    def _execute_select(
+        self, select: Select, variables: Mapping[str, Any], programs: Programs
+    ) -> ResultSet:
+        program = programs.get(id(select))
+        if program is None or program.select is not select:
+            program = programs[id(select)] = _SelectProgram(select)
         if self.enable_vectorized:
-            plan = plan_select(select)
+            plan = program.vector_plan
             if plan is not None:
                 try:
-                    return self._execute_select_vectorized(select, plan, variables)
+                    return self._execute_select_vectorized(program, plan, variables)
                 except VectorFallback:
                     pass
-        return self._execute_select_interpreted(select, variables)
+        return self._execute_select_interpreted(program, variables, programs)
 
     # -- SELECT: vectorized columnar path -------------------------------------
 
     def _execute_select_vectorized(
-        self, select: Select, plan: VectorSelectPlan, variables: Mapping[str, Any]
+        self, program: "_SelectProgram", plan: VectorSelectPlan, variables: Mapping[str, Any]
     ) -> ResultSet:
+        select = program.select
         relation, scanned = self._bind_vector_sources(plan)
         input_rows = relation.n_rows
 
@@ -210,11 +252,13 @@ class Executor:
                 raise VectorFallback  # non-boolean WHERE: row semantics decide
 
         if plan.grouped:
-            rows, schema, order_keys = self._vectorized_groups(select, plan, relation, variables)
+            answer = self._vectorized_groups(program, plan, relation, variables)
             self.stats.rows_scanned += scanned
             self.stats.vectorized_selects += 1
             self.stats.rows_vectorized += input_rows
-            return self._finish_select(select, rows, schema, order_keys)
+            if isinstance(answer, ResultSet):
+                return answer  # answered in columns: nothing left to finish
+            return self._finish_select(select, *answer)
 
         result = self._vectorized_projection(select, plan, relation, variables)
         self.stats.rows_scanned += scanned
@@ -237,7 +281,7 @@ class Executor:
     def _vectorized_projection(
         self, select, plan: VectorSelectPlan, relation, variables: Mapping[str, Any]
     ) -> ResultSet:
-        names = self._output_names(select, TableSchema(()))
+        names = _output_names(select, TableSchema(()))
         n_rows = relation.n_rows
         if n_rows == 0:
             arrays = [np.empty(0, dtype=np.float64) for _ in names]
@@ -291,12 +335,20 @@ class Executor:
         return ResultSet(schema=schema, column_data=arrays)
 
     def _vectorized_groups(
-        self, select, plan: VectorSelectPlan, relation, variables: Mapping[str, Any]
+        self,
+        program: "_SelectProgram",
+        plan: VectorSelectPlan,
+        relation,
+        variables: Mapping[str, Any],
     ):
+        """The grouped answer: a :class:`ResultSet` where
+        :meth:`_columnar_groups` can give one, else the row finalize's
+        ``(rows, schema, order_keys)``."""
+        select, groups = program.select, program.groups
         n_rows = relation.n_rows
         if n_rows == 0:
             if select.group_by:
-                return self._finalize_groups(select, [], [], variables)
+                return self._finalize_groups(groups, [], [], variables)
             # One synthetic group over zero input rows, like the row path.
             results = {
                 spec.rendered: make_aggregate(
@@ -304,12 +356,11 @@ class Executor:
                 ).result()
                 for spec in plan.aggregates
             }
-            return self._finalize_groups(select, [results], [{}], variables)
+            return self._finalize_groups(groups, [results], [{}], variables)
 
         context = relation.context(variables)
         key_arrays = [broadcast(fn(context), n_rows) for fn in plan.group_by]
         layout = group_layout(key_arrays, n_rows)
-        group_results: list[dict[str, Any]] = [{} for _ in range(layout.n_groups)]
 
         def column(spec):
             return broadcast(spec.arg(context), n_rows) if spec.arg is not None else None
@@ -320,19 +371,65 @@ class Executor:
         others = [spec for spec in plan.aggregates if spec.name not in LANE_AGGREGATES]
         answers = [aggregate_segments(spec, column(spec), layout) for spec in others]
         answers += aggregate_lanes(lanes, [column(spec) for spec in lanes], layout)
-        for spec, values in zip(others + lanes, answers):
+        by_aggregate = {spec.rendered: values for spec, values in zip(others + lanes, answers)}
+        if groups.columnar is not None:
+            result = self._columnar_groups(select, groups, key_arrays[0], layout, by_aggregate)
+            if result is not None:
+                return result
+        group_results: list[dict[str, Any]] = [{} for _ in range(layout.n_groups)]
+        for rendered, values in by_aggregate.items():
             for group, value in enumerate(values):
-                group_results[group][spec.rendered] = value
+                group_results[group][rendered] = value
         # Group g's first row is row g.
         representatives = relation.bound_rows(np.arange(layout.n_groups))
-        return self._finalize_groups(select, group_results, representatives, variables)
+        return self._finalize_groups(groups, group_results, representatives, variables)
+
+    def _columnar_groups(
+        self,
+        select: Select,
+        groups: "_GroupProgram",
+        key: np.ndarray,
+        layout,
+        answers: Mapping[str, list[Any]],
+    ) -> Optional[ResultSet]:
+        """A plain grouped SELECT's result as columns, or None.
+
+        ``groups.columnar`` says the SELECT lists only its grouping column
+        and bare aggregates and orders by that column alone. Group ``g`` is
+        key row ``g`` (:class:`~repro.sqldb.compiled.GroupLayout`), so when
+        the key's groups ascend, the row finalize would output the groups
+        in layout order, each row the key followed by its aggregates'
+        answers: those lists are the columns (:func:`_answer_column`).
+        """
+        n_groups = layout.n_groups
+        groups_key = key[:n_groups]
+        if n_groups > 1 and not bool(np.all(groups_key[1:] > groups_key[:-1])):
+            return None  # ORDER BY would move a group
+        arrays: list[np.ndarray] = []
+        for source in groups.columnar:  # type: ignore[union-attr]
+            array = groups_key if source is None else _answer_column(answers[source])
+            if array is None:
+                return None
+            arrays.append(array)
+        schema = TableSchema(
+            tuple(
+                Column(name, sql_type_for(array), nullable=True)
+                for name, array in zip(groups.names, arrays)
+            )
+        )
+        if select.offset is not None:
+            arrays = [array[select.offset :] for array in arrays]
+        if select.limit is not None:
+            arrays = [array[: select.limit] for array in arrays]
+        return ResultSet(schema=schema, column_data=arrays)
 
     # -- SELECT: interpreted row path ------------------------------------------
 
     def _execute_select_interpreted(
-        self, select: Select, variables: Mapping[str, Any]
+        self, program: "_SelectProgram", variables: Mapping[str, Any], programs: Programs
     ) -> ResultSet:
-        rows, source_schema = self._resolve_from(select, variables)
+        select = program.select
+        rows, source_schema = self._resolve_from(select, variables, programs)
         self.stats.fallback_selects += 1
         self.stats.rows_fallback += len(rows)
 
@@ -354,7 +451,7 @@ class Executor:
         needs_grouping = bool(select.group_by) or self._any_aggregates(select)
         if needs_grouping:
             result_rows, schema, order_keys = self._grouped_projection(
-                select, rows, variables
+                program, rows, variables
             )
         else:
             result_rows, schema, order_keys = self._plain_projection(
@@ -399,19 +496,19 @@ class Executor:
         return result
 
     def _resolve_from(
-        self, select: Select, variables: Mapping[str, Any]
+        self, select: Select, variables: Mapping[str, Any], programs: Programs
     ) -> tuple[list[dict[str, Any]], TableSchema]:
         """Produce bound rows (name -> value dicts) for the FROM clause."""
         if select.source is None:
             # SELECT without FROM: one empty row.
             return [dict()], TableSchema(())
-        rows, schema = self._bind_source(select.source, variables)
+        rows, schema = self._bind_source(select.source, variables, programs)
         for join in select.joins:
-            rows, schema = self._apply_join(rows, schema, join, variables)
+            rows, schema = self._apply_join(rows, schema, join, variables, programs)
         return rows, schema
 
     def _bind_source(
-        self, source: FromSource, variables: Mapping[str, Any]
+        self, source: FromSource, variables: Mapping[str, Any], programs: Programs
     ) -> tuple[list[dict[str, Any]], TableSchema]:
         if isinstance(source, TableSource):
             table = self.catalog.table(source.name)
@@ -431,7 +528,7 @@ class Executor:
             self.stats.rows_scanned += len(bound)
             return bound, result.schema
         if isinstance(source, SubquerySource):
-            result = self._execute_select(source.query, variables)
+            result = self._execute_select(source.query, variables, programs)
             label = source.alias.lower()
             bound = [_bind_row(result.schema.names, row, label) for row in result.rows]
             return bound, result.schema
@@ -443,8 +540,9 @@ class Executor:
         left_schema: TableSchema,
         join: Join,
         variables: Mapping[str, Any],
+        programs: Programs,
     ) -> tuple[list[dict[str, Any]], TableSchema]:
-        right_rows, right_schema = self._bind_source(join.source, variables)
+        right_rows, right_schema = self._bind_source(join.source, variables, programs)
         merged_schema = _merge_schemas(left_schema, right_schema)
         context = self._context(variables)
         output: list[dict[str, Any]] = []
@@ -497,7 +595,7 @@ class Executor:
         source_schema: TableSchema,
         variables: Mapping[str, Any],
     ) -> tuple[list[tuple[Any, ...]], TableSchema]:
-        names = self._output_names(select, source_schema)
+        names = _output_names(select, source_schema)
         output: list[tuple[Any, ...]] = []
         order_keys: list[tuple] = []
         item_fns = [
@@ -539,23 +637,16 @@ class Executor:
 
     def _grouped_projection(
         self,
-        select: Select,
+        program: "_SelectProgram",
         rows: list[dict[str, Any]],
         variables: Mapping[str, Any],
     ) -> tuple[list[tuple[Any, ...]], TableSchema, Optional[list[tuple]]]:
+        select = program.select
         if any(item.star for item in select.items):
             raise ExecutionError("SELECT * cannot be combined with aggregation")
 
-        # Collect every distinct aggregate call across SELECT, HAVING, ORDER BY.
-        aggregate_nodes: dict[str, FunctionCall] = {}
-        for item in select.items:
-            assert item.expression is not None
-            collect_aggregates(item.expression, aggregate_nodes)
-        if select.having is not None:
-            collect_aggregates(select.having, aggregate_nodes)
-        for order in select.order_by:
-            collect_aggregates(order.expression, aggregate_nodes)
-
+        groups = program.groups
+        aggregate_nodes = groups.aggregates
         group_fns = [compile_expression(expr) for expr in select.group_by]
         aggregate_fns: dict[str, Optional[CompiledExpression]] = {}
         for rendered, node in aggregate_nodes.items():
@@ -613,41 +704,26 @@ class Executor:
             for key in group_order
         ]
         representatives = [group_sample_row[key] for key in group_order]
-        return self._finalize_groups(select, group_results, representatives, variables)
+        return self._finalize_groups(groups, group_results, representatives, variables)
 
     def _finalize_groups(
         self,
-        select: Select,
+        groups: "_GroupProgram",
         group_results: list[dict[str, Any]],
         representatives: list[dict[str, Any]],
         variables: Mapping[str, Any],
     ) -> tuple[list[tuple[Any, ...]], TableSchema, Optional[list[tuple]]]:
-        """Per-group HAVING / projection / order keys (shared by both paths).
-
-        The group-level expressions are compiled once per call: each
-        aggregate call becomes a reference to a reserved binding (no
-        identifier can spell it) that every group fills with its own result.
-        """
+        """Per-group HAVING / projection / order keys (shared by both paths),
+        by the statement's :class:`_GroupProgram`."""
         context = self._context(variables)
-        names = self._output_names(select, TableSchema(()))
-        slots = {
-            rendered: ColumnRef(f"<aggregate {index}>")
-            for index, rendered in enumerate(group_results[0] if group_results else ())
-        }
-
-        def group_fn(expression: Optional[Expression]) -> CompiledExpression:
-            assert expression is not None  # ``*`` never reaches a grouped SELECT
-            return compile_expression(rewrite_aggregates(expression, slots))
-
-        having = None if select.having is None else group_fn(select.having)
-        item_fns = [group_fn(item.expression) for item in select.items]
-        order_fns = [group_fn(order.expression) for order in select.order_by]
+        names, slots, having = groups.names, groups.slots, groups.having
+        item_fns, order_fns = groups.items, groups.order
         output: list[tuple[Any, ...]] = []
         order_keys: list[tuple] = []
         for results, representative in zip(group_results, representatives):
             env = dict(representative)
             for rendered, slot in slots.items():
-                env[slot.name] = results[rendered]
+                env[slot] = results[rendered]
             group_context = self._row_context(context, env)
             if having is not None and not is_true(having(group_context)):
                 continue
@@ -658,26 +734,8 @@ class Executor:
                 # grouping columns; expose all three.
                 env.update((name.lower(), value) for name, value in zip(names, values))
                 order_keys.append(tuple(fn(group_context) for fn in order_fns))
-        schema = _infer_schema(names, output)
-        return output, schema, (order_keys if select.order_by else None)
-
-    def _output_names(self, select: Select, source_schema: TableSchema) -> list[str]:
-        names: list[str] = []
-        used: set[str] = set()
-        for index, item in enumerate(select.items):
-            if item.star:
-                for column in source_schema.names:
-                    names.append(_dedupe_name(column, used))
-                continue
-            assert item.expression is not None
-            if item.alias:
-                name = item.alias
-            elif isinstance(item.expression, ColumnRef):
-                name = item.expression.name
-            else:
-                name = f"column{index + 1}"
-            names.append(_dedupe_name(name, used))
-        return names
+        schema = _infer_schema(list(names), output)
+        return output, schema, (order_keys if order_fns else None)
 
     def _any_aggregates(self, select: Select) -> bool:
         for item in select.items:
@@ -727,7 +785,7 @@ class Executor:
         return _rowcount_result(inserted)
 
     def _execute_insert_select(
-        self, statement: InsertSelect, variables: Mapping[str, Any]
+        self, statement: InsertSelect, variables: Mapping[str, Any], programs: Programs
     ) -> ResultSet:
         table = self.catalog.table(statement.table)
         positions = self._insert_positions(table.schema, statement.columns)
@@ -735,7 +793,7 @@ class Executor:
             bulk = self._insert_select_columnar(statement, table, positions, variables)
             if bulk is not None:
                 return bulk
-        result = self._execute_select(statement.query, variables)
+        result = self._execute_select(statement.query, variables, programs)
         if len(result.schema) != len(positions):
             raise ExecutionError(
                 f"INSERT SELECT arity mismatch: {len(positions)} columns vs "
@@ -911,7 +969,150 @@ class Executor:
         return EvalContext(columns=row, variables=base.variables, functions=base.functions)
 
 
+# -- per-statement programs ----------------------------------------------------
+
+
+class _SelectProgram:
+    """What every execution of one SELECT derives from its AST alone, each
+    part built on first use."""
+
+    def __init__(self, select: Select) -> None:
+        self.select = select
+
+    @cached_property
+    def vector_plan(self) -> Optional[VectorSelectPlan]:
+        """:func:`~repro.sqldb.compiled.plan_select` of the SELECT."""
+        return plan_select(self.select)
+
+    @cached_property
+    def groups(self) -> "_GroupProgram":
+        """A grouped SELECT's :class:`_GroupProgram`."""
+        return _GroupProgram.of(self.select)
+
+
+@dataclass(frozen=True)
+class _GroupProgram:
+    """A grouped SELECT's finalize: its output names, its distinct aggregate
+    calls across SELECT, HAVING and ORDER BY (by rendered text), a reserved
+    binding per call (no identifier can spell it; every group binds its own
+    answer there) and the HAVING / item / ORDER BY closures over them.
+
+    ``columnar`` is set when the result can be columns
+    (:meth:`Executor._columnar_groups`): one GROUP BY key, an unqualified
+    column, that is also the one ascending ORDER BY key; no HAVING,
+    DISTINCT or INTO; every item that column (``None``) or a bare
+    aggregate (its rendered call), and no other item named like the key,
+    which ORDER BY would read instead.
+    """
+
+    names: tuple[str, ...]
+    aggregates: Mapping[str, FunctionCall]
+    slots: Mapping[str, str]
+    having: Optional[CompiledExpression]
+    items: tuple[CompiledExpression, ...]
+    order: tuple[CompiledExpression, ...]
+    columnar: Optional[tuple[Optional[str], ...]]
+
+    @classmethod
+    def of(cls, select: Select) -> "_GroupProgram":
+        aggregate_nodes: dict[str, FunctionCall] = {}
+        for item in select.items:
+            assert item.expression is not None  # ``*`` never reaches a grouped SELECT
+            collect_aggregates(item.expression, aggregate_nodes)
+        if select.having is not None:
+            collect_aggregates(select.having, aggregate_nodes)
+        for order in select.order_by:
+            collect_aggregates(order.expression, aggregate_nodes)
+        refs = {
+            rendered: ColumnRef(f"<aggregate {index}>")
+            for index, rendered in enumerate(aggregate_nodes)
+        }
+
+        def group_fn(expression: Expression) -> CompiledExpression:
+            return compile_expression(rewrite_aggregates(expression, refs))
+
+        names = tuple(_output_names(select, TableSchema(())))
+        return cls(
+            names=names,
+            aggregates=aggregate_nodes,
+            slots={rendered: ref.name for rendered, ref in refs.items()},
+            having=None if select.having is None else group_fn(select.having),
+            items=tuple(group_fn(item.expression) for item in select.items),  # type: ignore[arg-type]
+            order=tuple(group_fn(order.expression) for order in select.order_by),
+            columnar=_columnar_sources(select, names, aggregate_nodes),
+        )
+
+
+def _columnar_sources(
+    select: Select, names: tuple[str, ...], aggregates: Mapping[str, FunctionCall]
+) -> Optional[tuple[Optional[str], ...]]:
+    """:attr:`_GroupProgram.columnar` of ``select``."""
+    if select.having is not None or select.distinct or select.into is not None:
+        return None
+    if len(select.group_by) != 1 or len(select.order_by) != 1:
+        return None
+    key, order = select.group_by[0], select.order_by[0]
+    if not isinstance(key, ColumnRef) or key.qualifier is not None:
+        return None
+    if order.descending or order.expression != key:
+        return None
+    sources: list[Optional[str]] = []
+    for item, name in zip(select.items, names):
+        expression = item.expression
+        if expression == key:
+            sources.append(None)
+        elif (
+            isinstance(expression, FunctionCall)
+            and expression.render() in aggregates
+            and name.lower() != key.name.lower()
+        ):
+            sources.append(expression.render())
+        else:
+            return None
+    return tuple(sources)
+
+
+#: The array type that holds each Python answer type exactly.
+_ANSWER_DTYPES = {float: np.float64, int: np.int64, bool: np.bool_}
+
+
+def _answer_column(values: list[Any]) -> Optional[np.ndarray]:
+    """One aggregate's per-group answers as the array that holds exactly
+    those values, or None: a NULL answer (the STDEV of one row) or an
+    integer past int64 leaves the statement to the row finalize, which
+    types a column by its first non-NULL value. An aggregate answers one
+    Python type in every group (its argument column's kind decides it), so
+    the first answer sets the dtype; NumPy left to infer it would hold ints
+    straddling int64 as float64."""
+    dtype = _ANSWER_DTYPES.get(type(values[0]))
+    if dtype is None or None in values:
+        return None
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        return None
+
+
 # -- helpers ---------------------------------------------------------------
+
+
+def _output_names(select: Select, source_schema: TableSchema) -> list[str]:
+    names: list[str] = []
+    used: set[str] = set()
+    for index, item in enumerate(select.items):
+        if item.star:
+            for column in source_schema.names:
+                names.append(_dedupe_name(column, used))
+            continue
+        assert item.expression is not None
+        if item.alias:
+            name = item.alias
+        elif isinstance(item.expression, ColumnRef):
+            name = item.expression.name
+        else:
+            name = f"column{index + 1}"
+        names.append(_dedupe_name(name, used))
+    return names
 
 
 def _columnar_insert_compatible(array: np.ndarray, declared: SqlType) -> bool:

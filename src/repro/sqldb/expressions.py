@@ -183,7 +183,9 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
 
 #: Compiled closures, keyed weakly by the (frozen, hashable) AST node. Plan
 #: caching keeps hot statements alive, so their closures persist across
-#: executions; equal-by-value expressions share one compilation.
+#: executions; equal-by-value expressions share one compilation, which is
+#: sound because equal ASTs evaluate alike (``Literal`` equality is type-
+#: and sign-aware: ``7`` and ``7.0`` are different keys).
 _COMPILED_CACHE: "weakref.WeakKeyDictionary[Expression, Callable[[EvalContext], Any]]"
 _COMPILED_CACHE = weakref.WeakKeyDictionary()
 

@@ -4,9 +4,9 @@
 builds the identity key; the scheduler, the service, the engine's own
 evaluation and a point task all take the resulting ``Request`` as it stands.
 Counted here on the ledger's two queued sweeps: a fixed sweep validates
-each point once, and an adaptive sweep validates each point once when it is
-submitted and once per round (each round names its world prefix, which is
-checked once).
+each point once, and so does an adaptive sweep — when the point is
+submitted; each round is that request over a world prefix, which keeps the
+world-id rule by construction and is not re-checked.
 """
 
 from __future__ import annotations
@@ -66,4 +66,6 @@ def test_an_adaptive_sweep_validates_each_point_and_round_once(calls):
         rounds = client.stats().scheduler["jobs_completed"]
     assert len(results) == 74 and all(result.ok for result in results)
     assert rounds == 153
-    assert calls == {"validate_sweep_point": 74 + rounds, "world_ids": rounds}
+    # Each point is normalised when it is submitted; its rounds are that
+    # request over a world prefix (``Request.over_prefix``), checked by none.
+    assert calls == {"validate_sweep_point": 74, "world_ids": 0}

@@ -375,10 +375,8 @@ class TestPointEvaluator:
     def test_moments_incomplete_when_samples_missing(self, rounds_engine):
         from dataclasses import replace
 
-        def stripping_evaluate(point, *, worlds, reuse=True, sampler=None):
-            evaluation = rounds_engine.evaluate_point(
-                point, worlds=worlds, reuse=reuse
-            )
+        def stripping_evaluate(request):
+            evaluation = rounds_engine.evaluate_point(request)
             return replace(evaluation, samples={})
 
         evaluator = PointEvaluator(
@@ -460,9 +458,9 @@ class TestPointEvaluator:
 
         calls = []
 
-        def strip_second_round(point, *, worlds, reuse=True, sampler=None):
-            evaluation = rounds_engine.evaluate_point(point, worlds=worlds, reuse=reuse)
-            calls.append(len(worlds))
+        def strip_second_round(request):
+            evaluation = rounds_engine.evaluate_point(request)
+            calls.append(len(request.worlds))
             return replace(evaluation, samples={}) if len(calls) == 2 else evaluation
 
         evaluator = PointEvaluator(
