@@ -404,13 +404,10 @@ class ProphetClient:
                 session="evaluate",
                 reuse=reuse,
             )
-            scheduler.run_adaptive(sweep)
-            state = sweep.states[0]
-            if state.failed:
-                if state.exception is not None:
-                    raise state.exception
-                raise ServeError(f"adaptive evaluation failed: {state.error}")
-            return state.evaluator.result
+            evaluator = scheduler.run_adaptive(sweep).evaluators[0]
+            if evaluator.exception is not None:
+                raise evaluator.exception
+            return evaluator.result
         return service.evaluate(point, worlds=worlds, reuse=reuse)
 
     def backend_description(self) -> str:

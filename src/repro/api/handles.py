@@ -25,16 +25,9 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 from repro.core.aggregator import AxisStatistics
-from repro.core.engine import PointEvaluation
+from repro.core.engine import PointEvaluation, PointEvaluator
 from repro.errors import ServeError
-from repro.serve.scheduler import (
-    DONE,
-    FAILED,
-    AdaptivePointState,
-    AdaptiveSweepJob,
-    Job,
-    Scheduler,
-)
+from repro.serve.scheduler import DONE, FAILED, AdaptiveSweepJob, Job, Scheduler
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ class _StreamingSweep:
     """What both sweep handles share: iterate to run, one result per entry.
 
     ``entries`` are the scheduler-side records (jobs or adaptive point
-    states), one per submitted point, each with an ``exception`` field. A
+    evaluators), one per submitted point, each with an ``exception`` field. A
     subclass says how to advance the scheduler until entry *i* is final
     (:meth:`_settle`) and how to read its :class:`SweepResult`
     (:meth:`_result`).
@@ -175,28 +168,32 @@ class AdaptiveSweepHandle(_StreamingSweep):
     """
 
     def __init__(self, scheduler: Scheduler, sweep: AdaptiveSweepJob) -> None:
-        super().__init__(scheduler, sweep.states)
-        self.sweep = sweep  #: escape hatch: budget, per-point state
+        super().__init__(scheduler, sweep.evaluators)
+        self.sweep = sweep  #: escape hatch: budget, per-point evaluators
 
-    def _settle(self, state: AdaptivePointState) -> None:
-        # Final = no later round can change it: converged, failed, or the
-        # allocator is done (advance_adaptive returns False).
-        while not (state.finalized and (state.evaluator.converged or state.failed)):
+    def _settle(self, evaluator: PointEvaluator) -> None:
+        # Final = no later round can change it: failed, converged on the
+        # ladder, or the allocator is done (advance_adaptive returns False).
+        plan = self.sweep.plan
+        while not (
+            evaluator.failed
+            or (evaluator.converged and evaluator.worlds_spent <= plan.n_worlds)
+        ):
             if not self._scheduler.advance_adaptive(self.sweep):
                 break
 
-    def _result(self, index: int, state: AdaptivePointState) -> SweepResult:
-        evaluation = state.evaluator.result
+    def _result(self, index: int, evaluator: PointEvaluator) -> SweepResult:
+        evaluation = evaluator.result
         return SweepResult(
             index=index,
-            point=dict(state.point),
+            point=dict(evaluator.point),
             statistics=evaluation.statistics if evaluation is not None else None,
             evaluation=evaluation,
             deduplicated=False,
-            error=state.error,
-            elapsed_seconds=state.elapsed_seconds,
-            worlds_spent=state.evaluator.worlds_spent,
-            rounds=len(state.evaluator.rounds),
-            max_ci=state.evaluator.max_ci,
-            retired_early=state.retired_early,
+            error=None if evaluator.exception is None else str(evaluator.exception),
+            elapsed_seconds=evaluator.elapsed_seconds,
+            worlds_spent=evaluator.worlds_spent,
+            rounds=len(evaluator.rounds),
+            max_ci=evaluator.max_ci,
+            retired_early=evaluator.retired_early,
         )

@@ -23,7 +23,6 @@ from repro.core.instance import InstanceBatch, WorldInstance
 from repro.core.rounds import (
     ConvergenceTracker,
     RoundPlan,
-    ci_converged,
     max_ci_halfwidth,
 )
 from repro.core.offline import (
@@ -71,7 +70,6 @@ __all__ = [
     "GridGuide",
     "PriorityGuide",
     "RoundPlan",
-    "ci_converged",
     "max_ci_halfwidth",
     "QueryGenerator",
     "substitute",

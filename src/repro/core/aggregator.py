@@ -34,7 +34,7 @@ class SeriesStats:
         With one world (or none) no variance estimate exists — the ddof=1
         stddev is NaN — so the half-width is ``inf`` everywhere: an
         undetermined estimate must never look converged to the round
-        protocol's stopping rule (:func:`repro.core.rounds.ci_converged`).
+        protocol's stopping rule (:func:`repro.core.rounds.max_ci_halfwidth`).
         """
         if self.n_worlds <= 1:
             return np.full_like(self.expectation, np.inf)

@@ -33,11 +33,7 @@ import numpy as np
 
 from repro.errors import ScenarioError
 from repro.obs.trace import NULL_TRACER
-from repro.core.aggregator import (
-    AxisStatistics,
-    MergeableAxisStats,
-    ResultAggregator,
-)
+from repro.core.aggregator import AxisStatistics, ResultAggregator
 from repro.core.config import EngineConfig
 from repro.core.fingerprint.registry import FingerprintRegistry
 from repro.core.instance import InstanceBatch
@@ -665,11 +661,11 @@ class PointEvaluator:
     cover, a round ladder costs the same fresh sampling as one-shot
     evaluation, and the final full-prefix round is bitwise identical to it.
 
-    Stopping is the round protocol's pure CI rule
-    (:func:`repro.core.rounds.ci_converged` applied to each round's
-    statistics): once every output series' half-width is at most
-    ``target_ci``, the evaluator is converged and the remaining budget is
-    never spent. ``target_ci=None`` (default) runs the full ladder.
+    Stopping is the round protocol's pure CI rule: once every output
+    series' half-width (:func:`repro.core.rounds.max_ci_halfwidth` of the
+    round's statistics) is at most ``target_ci``, the evaluator is converged
+    and the remaining budget is never spent. ``target_ci=None`` (default)
+    runs the full ladder.
 
     ``point`` is normalised once, by :meth:`ProphetEngine.request` (a
     :class:`Request` passes as it stands and brings its own ``reuse``);
@@ -679,14 +675,11 @@ class PointEvaluator:
     one that routes each round through its job queue, so the dispatcher and
     resilience ladder apply unchanged per round.
 
-    Stopping decisions and results read each round's (exact, SQL-produced)
-    statistics only. :attr:`moments` is an on-demand roll-up beside them:
-    reading it merges each retained round's sample *increment* — an exact
-    Shewchuk-partial merge, not a rounding Chan merge — into
-    :class:`~repro.core.aggregator.MergeableAxisStats`, the bit-exact
-    mergeable moments that let tests pin the round decomposition against
-    one-shot evaluation. :meth:`step` never computes them, so a round a
-    result waits for does not pay for the oracle.
+    The evaluator is the whole record of an adaptive point: its rounds, the
+    worlds spent, whether it converged, a failed round's ``exception`` and
+    the time its round jobs took (``elapsed_seconds``, booked by the
+    scheduler). Stopping decisions and results read each round's (exact,
+    SQL-produced) statistics only.
     """
 
     def __init__(
@@ -715,10 +708,10 @@ class PointEvaluator:
         self.rounds: list[RoundResult] = []
         self.worlds_spent = 0
         self.converged = False
-        # Lazily folded exact moments of rounds[:_rounds_folded].
-        self._moments: Optional[MergeableAxisStats] = None
-        self._moments_complete = True
-        self._rounds_folded = 0
+        #: The exception a round's evaluation raised (the point then failed).
+        self.exception: Optional[BaseException] = None
+        #: Summed time of the point's round jobs (observability only).
+        self.elapsed_seconds = 0.0
 
     # -- protocol -----------------------------------------------------------
 
@@ -726,6 +719,15 @@ class PointEvaluator:
     def finished(self) -> bool:
         """Converged, or the plan's fixed world budget is exhausted."""
         return self.converged or self.worlds_spent >= self.plan.n_worlds
+
+    @property
+    def failed(self) -> bool:
+        return self.exception is not None
+
+    @property
+    def retired_early(self) -> bool:
+        """Converged before the plan's world budget was spent."""
+        return self.converged and self.worlds_spent < self.plan.n_worlds
 
     @property
     def result(self) -> Optional[PointEvaluation]:
@@ -773,7 +775,11 @@ class PointEvaluator:
             worlds_total=prefix,
             worlds_added=prefix - previous,
         ) as span:
-            evaluation = self._evaluate(self.request.over_prefix(prefix))
+            try:
+                evaluation = self._evaluate(self.request.over_prefix(prefix))
+            except Exception as error:
+                self.exception = error
+                raise
             ci = max_ci_halfwidth(evaluation.statistics, self.z)
             converged = self.target_ci is not None and ci <= self.target_ci
             span.set(max_ci=ci, converged=converged)
@@ -795,44 +801,3 @@ class PointEvaluator:
         while not self.finished:
             self.step()
         return self.rounds[-1].evaluation
-
-    # -- mergeable moments --------------------------------------------------
-
-    @property
-    def moments(self) -> Optional[MergeableAxisStats]:
-        """Exact moments of every round's sample increment, folded on read."""
-        self._fold_moments()
-        return self._moments
-
-    @property
-    def moments_complete(self) -> bool:
-        """``False`` once a round could not contribute: ``moments`` is partial."""
-        self._fold_moments()
-        return self._moments_complete
-
-    def _fold_moments(self) -> None:
-        """Merge the increments of the rounds :meth:`step` added since a read.
-
-        Result-cache hits ship statistics without sample matrices; such a
-        round cannot contribute its increment ``[previous, prefix)``, so the
-        moments are marked incomplete (only the rounds' statistics are
-        authoritative then) rather than silently wrong.
-        """
-        for completed in self.rounds[self._rounds_folded:]:
-            prefix = completed.worlds_total
-            previous = prefix - completed.worlds_added
-            increment = {
-                alias: np.asarray(matrix)[previous:prefix]
-                for alias, matrix in completed.evaluation.samples.items()
-            }
-            if not increment or any(
-                matrix.shape[0] != prefix - previous for matrix in increment.values()
-            ):
-                self._moments_complete = False
-                continue
-            stats = MergeableAxisStats.from_matrices(increment)
-            if self._moments is None:
-                self._moments = stats
-            else:
-                self._moments.merge(stats)
-        self._rounds_folded = len(self.rounds)

@@ -41,9 +41,6 @@ class GridGuide:
         for point in self.space.grid(exclude=[self.axis]):
             yield InstanceBatch.at_point(point, worlds, self.base_seed)
 
-    def total_points(self) -> int:
-        return self.space.grid_size(exclude=[self.axis])
-
 
 class PriorityGuide:
     """Target point first, then its neighbors along each parameter axis.
@@ -67,10 +64,6 @@ class PriorityGuide:
         self.plan = plan
         self.base_seed = base_seed
         self.neighbor_depth = neighbor_depth
-
-    def target_batch(self, point: Mapping[str, Any]) -> InstanceBatch:
-        validated = self._validated(point)
-        return InstanceBatch.at_point(validated, range(self.plan.n_worlds), self.base_seed)
 
     def proactive_points(self, point: Mapping[str, Any]) -> list[dict[str, Any]]:
         """Points to explore speculatively around ``point``.

@@ -21,7 +21,6 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.errors import ScenarioError
-from repro.core.instance import InstanceBatch
 from repro.core.scenario import Scenario, VGOutput
 from repro.sqldb.ast_nodes import (
     Between,
@@ -121,22 +120,8 @@ class QueryGenerator:
     def drop_samples_table_sql(self, alias: str) -> str:
         return f"DROP TABLE IF EXISTS {self.samples_table(alias)}"
 
-    def insert_world_sql(
-        self, output: VGOutput, world: int, seed: int, point: Mapping[str, Any]
-    ) -> str:
-        """One world of one VG model: INSERT ... SELECT FROM the table form."""
-        arg_values = output.model_arg_values(point)
-        rendered_args = ", ".join(
-            [Literal(seed).render()] + [Literal(v).render() for v in arg_values]
-        )
-        return (
-            f"INSERT INTO {self.samples_table(output.alias)} (world, t, value) "
-            f"SELECT {Literal(world).render()}, t, value "
-            f"FROM {output.vg_name}{TABLE_FORM_SUFFIX}({rendered_args})"
-        )
-
     def insert_world_template(self, output: VGOutput) -> str:
-        """Parameterized form of :meth:`insert_world_sql`.
+        """One world of one VG model: INSERT ... SELECT FROM the table form.
 
         World identity arrives through the reserved ``@_world``/``@_seed``
         variables and model arguments stay as their ``@parameter``
@@ -193,19 +178,6 @@ class QueryGenerator:
         variables["_worlds"] = worlds
         variables["_seeds"] = seeds
         return variables
-
-    def sampling_script(self, output: VGOutput, batch: InstanceBatch) -> list[str]:
-        """The full sampling program for one model over one batch."""
-        statements = [
-            self.drop_samples_table_sql(output.alias),
-            self.create_samples_table_sql(output.alias),
-        ]
-        point = batch.point_dict
-        for instance in batch:
-            statements.append(
-                self.insert_world_sql(output, instance.world, instance.seed, point)
-            )
-        return statements
 
     # -- combine query -----------------------------------------------------------
 

@@ -20,9 +20,10 @@ This module holds the whole round protocol:
 * :class:`RoundPlan` — the round ladder.
 * :class:`ConvergenceTracker` — the delta-based convergence heuristic the
   online mode uses between refinement passes.
-* :func:`max_ci_halfwidth` / :func:`ci_converged` — the CI stopping rule
-  shared by :class:`~repro.core.engine.PointEvaluator` and the serve
-  scheduler's budget allocator.
+* :func:`max_ci_halfwidth` — the scalar of the CI stopping rule that
+  :meth:`repro.core.engine.PointEvaluator.step` applies (converged once it
+  is at most ``target_ci``); the serve scheduler's budget allocator reads
+  the evaluator's decision.
 """
 
 from __future__ import annotations
@@ -136,19 +137,6 @@ def max_ci_halfwidth(statistics: AxisStatistics, z: float = 1.96) -> float:
     return worst
 
 
-def ci_converged(
-    statistics: AxisStatistics, target_ci: Optional[float], z: float = 1.96
-) -> bool:
-    """The round protocol's stopping rule (pure function of statistics).
-
-    ``target_ci=None`` means adaptive stopping is off: never converged, the
-    plan runs to its fixed budget.
-    """
-    if target_ci is None:
-        return False
-    return max_ci_halfwidth(statistics, z) <= target_ci
-
-
 @dataclass
 class ConvergenceTracker:
     """Detects when progressive refinement has stabilized (delta heuristic).
@@ -161,8 +149,9 @@ class ConvergenceTracker:
     paper's time-to-first-accurate-guess claim (C5).
 
     This is the *heuristic* stopping rule (cheap, but depends on the round
-    ladder); the adaptive budget allocator stops on :func:`ci_converged`
-    instead, which is a pure function of the accumulated statistics.
+    ladder); the adaptive budget allocator stops on the CI rule of
+    :class:`~repro.core.engine.PointEvaluator` instead, which is a pure
+    function of the accumulated statistics.
     """
 
     tolerance: float = 0.01

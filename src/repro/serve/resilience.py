@@ -160,10 +160,6 @@ class TaskDispatcher:
 
     # -- public entrypoints -------------------------------------------------
 
-    def dispatch(self, call: TaskCall) -> PointResult:
-        """Run ``call`` to completion."""
-        return self.finish(self.start(call))
-
     def start(self, call: TaskCall) -> StartedTask:
         """Submit the first attempt and return without waiting.
 

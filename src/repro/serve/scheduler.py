@@ -79,35 +79,12 @@ class Job:
 
 
 @dataclass
-class AdaptivePointState:
-    """One sweep point's progress through the adaptive budget allocator."""
-
-    index: int
-    point: dict[str, Any]
-    evaluator: PointEvaluator
-    error: Optional[str] = None
-    exception: Optional[BaseException] = field(default=None, repr=False)
-    retired_early: bool = False
-    finalized: bool = False
-    #: Sum of this point's round jobs' ``Job.elapsed_seconds`` (observability).
-    elapsed_seconds: float = 0.0
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-    @property
-    def result(self) -> Optional[PointEvaluation]:
-        return self.evaluator.result
-
-
-@dataclass
 class AdaptiveSweepJob:
-    """An adaptive sweep: per-point round evaluators plus the shared budget.
+    """An adaptive sweep: one round evaluator per point plus the shared budget.
 
-    ``worlds_freed`` is the budget retired points handed back (their plan
-    budget minus what they actually spent); phase 2 of the allocator spends
-    it extending unresolved points.
+    Each :class:`~repro.core.engine.PointEvaluator` is its point's whole
+    record — rounds, worlds spent, convergence, failure, job time; ``done``
+    turns true once the allocator has nothing left to run.
     """
 
     id: int
@@ -116,21 +93,17 @@ class AdaptiveSweepJob:
     target_ci: float
     z: float
     reuse: bool
-    states: list[AdaptivePointState] = field(default_factory=list)
-    worlds_freed: int = 0
+    evaluators: list[PointEvaluator] = field(default_factory=list)
+    done: bool = False
     _driver: Optional[Any] = field(default=None, repr=False)
 
     @property
-    def done(self) -> bool:
-        return all(state.finalized for state in self.states)
-
-    @property
     def worlds_budgeted(self) -> int:
-        return self.plan.n_worlds * len(self.states)
+        return self.plan.n_worlds * len(self.evaluators)
 
     @property
     def worlds_spent(self) -> int:
-        return sum(state.evaluator.worlds_spent for state in self.states)
+        return sum(evaluator.worlds_spent for evaluator in self.evaluators)
 
 
 class JobQueue:
@@ -290,19 +263,18 @@ class Scheduler:
             reuse=reuse,
         )
         for index, point in enumerate(points):
-            evaluator = PointEvaluator(
-                self.service.engine,
-                self.service.engine.request(point, reuse=reuse),
-                plan=chosen_plan,
-                target_ci=target_ci,
-                z=z,
-                evaluate=self._round_evaluate(sweep, index),
-                tracer=self.tracer,
+            sweep.evaluators.append(
+                PointEvaluator(
+                    self.service.engine,
+                    self.service.engine.request(point, reuse=reuse),
+                    plan=chosen_plan,
+                    target_ci=target_ci,
+                    z=z,
+                    evaluate=self._round_evaluate(sweep, index),
+                    tracer=self.tracer,
+                )
             )
-            sweep.states.append(
-                AdaptivePointState(index=index, point=evaluator.point, evaluator=evaluator)
-            )
-        if not sweep.states:
+        if not sweep.evaluators:
             raise ServeError("sweep has no points")
         self.worlds_budgeted += sweep.worlds_budgeted
         sweep._driver = self._drive_adaptive(sweep)
@@ -322,6 +294,7 @@ class Scheduler:
             next(sweep._driver)
             return True
         except StopIteration:
+            sweep.done = True
             return False
 
     def run_adaptive(self, sweep: AdaptiveSweepJob) -> AdaptiveSweepJob:
@@ -332,7 +305,7 @@ class Scheduler:
 
     def _round_evaluate(self, sweep: AdaptiveSweepJob, index: int):
         """A :class:`PointEvaluator` ``evaluate`` callable that routes one
-        round :class:`Request` of ``sweep.states[index]`` through the job
+        round :class:`Request` of ``sweep.evaluators[index]`` through the job
         queue — so dedup and the service's resilience ladder apply to every
         round unchanged — and books the job's time on the point."""
 
@@ -343,7 +316,7 @@ class Scheduler:
                     raise ServeError(
                         f"queue drained with round job {job.id} unresolved"
                     )
-            sweep.states[index].elapsed_seconds += job.elapsed_seconds
+            sweep.evaluators[index].elapsed_seconds += job.elapsed_seconds
             if job.status == FAILED:
                 if job.exception is not None:
                     raise job.exception
@@ -367,78 +340,52 @@ class Scheduler:
         point resolves. A point whose round evaluation fails (permanently)
         is marked failed and frees nothing; the sweep continues.
 
+        The scheduler's ``worlds_spent`` books a point's ladder spend once
+        it leaves the ladder unfailed, and every reallocation round's
+        increment (a point failing there keeps its ladder spend).
+
         The order of rounds decides no outcome: stopping reads a point's own
         statistics, and a basis is reused only if it covers the world prefix.
         """
-        for state in sweep.states:
-            while not state.finalized:
-                if self._step_state(sweep, state) and state.evaluator.finished:
-                    self._finalize_state(sweep, state)
-                yield state
-        pool = sweep.worlds_freed
-        while pool > 0:
-            unresolved = [
-                s
-                for s in sweep.states
-                if not s.failed and not s.evaluator.converged
-            ]
-            if not unresolved:
-                break
+        plan = sweep.plan
+        for evaluator in sweep.evaluators:
+            while not (evaluator.finished or evaluator.failed):
+                if self._step(evaluator) and evaluator.finished:
+                    self.worlds_spent += evaluator.worlds_spent
+                    self.jobs_retired_early += evaluator.retired_early
+                yield evaluator
+        pool = sum(
+            plan.n_worlds - evaluator.worlds_spent
+            for evaluator in sweep.evaluators
+            if evaluator.retired_early
+        )
+        progressed = True
+        while pool > 0 and progressed:
             progressed = False
-            for state in unresolved:
+            unresolved = [
+                evaluator
+                for evaluator in sweep.evaluators
+                if not (evaluator.failed or evaluator.converged)
+            ]
+            for evaluator in unresolved:
                 if pool <= 0:
                     break
-                spent = state.evaluator.worlds_spent
-                target = min(sweep.plan.next_boundary(spent), spent + pool)
-                if target <= spent:
-                    continue
-                state.finalized = False
-                stepped = self._step_state(sweep, state, prefix=target)
-                if stepped:
-                    added = state.evaluator.worlds_spent - spent
+                spent = evaluator.worlds_spent
+                if self._step(evaluator, min(plan.next_boundary(spent), spent + pool)):
+                    added = evaluator.worlds_spent - spent
                     pool -= added
                     self.worlds_spent += added
                     progressed = True
-                    yield state
-                self._finalize_state(sweep, state, count_spend=False)
-            if not progressed:
-                break
+                    yield evaluator
 
-    def _step_state(
-        self,
-        sweep: AdaptiveSweepJob,
-        state: AdaptivePointState,
-        prefix: Optional[int] = None,
-    ) -> bool:
-        """One round for one point; failures mark the state, never raise."""
+    @staticmethod
+    def _step(evaluator: PointEvaluator, prefix: Optional[int] = None) -> bool:
+        """One round for one point; a failure stays on the evaluator."""
         try:
-            state.evaluator.step(prefix=prefix)
+            evaluator.step(prefix=prefix)
             return True
-        except Exception as error:  # noqa: BLE001 — recorded per point
-            state.error = str(error)
-            state.exception = error
-            self._finalize_state(sweep, state)
+        except Exception:  # noqa: BLE001 — recorded per point
             return False
-
-    def _finalize_state(
-        self,
-        sweep: AdaptiveSweepJob,
-        state: AdaptivePointState,
-        count_spend: bool = True,
-    ) -> None:
-        """Book a point's spend and, on early convergence, free its budget."""
-        if state.finalized:
-            return
-        state.finalized = True
-        if state.failed:
-            return
-        spent = state.evaluator.worlds_spent
-        if count_spend:
-            self.worlds_spent += spent
-        if state.evaluator.converged and spent < sweep.plan.n_worlds:
-            state.retired_early = True
-            sweep.worlds_freed += sweep.plan.n_worlds - spent
-            self.jobs_retired_early += 1
 
     def adaptive_report(self) -> Optional[dict[str, Any]]:
         """Per-point adaptive outcomes, or ``None`` if never used.
@@ -450,16 +397,16 @@ class Scheduler:
             return None
         points: list[dict[str, Any]] = []
         for sweep in self._adaptive_sweeps:
-            for state in sweep.states:
+            for evaluator in sweep.evaluators:
                 points.append(
                     {
-                        "point": dict(state.point),
-                        "worlds_spent": state.evaluator.worlds_spent,
-                        "rounds": len(state.evaluator.rounds),
-                        "max_ci": state.evaluator.max_ci,
-                        "converged": state.evaluator.converged,
-                        "retired_early": state.retired_early,
-                        "failed": state.failed,
+                        "point": dict(evaluator.point),
+                        "worlds_spent": evaluator.worlds_spent,
+                        "rounds": len(evaluator.rounds),
+                        "max_ci": evaluator.max_ci,
+                        "converged": evaluator.converged,
+                        "retired_early": evaluator.retired_early,
+                        "failed": evaluator.failed,
                     }
                 )
         return {

@@ -128,8 +128,30 @@ class MaxAggregate(Aggregate):
         return self._best
 
 
+def moments_result(name: str, count: int, m2: float) -> Any:
+    """The variance-family result (``var``, ``varp``, ``stdev``, ``stdevp``)
+    of a Welford accumulation of ``count`` values with sum of squared
+    deviations ``m2``.
+
+    Every ``m2`` term is >= 0, so a negative ``m2`` (-inf) only comes from a
+    running mean that overflowed the float range: that is an error, not a
+    variance.
+    """
+    if count < (2 if name in ("var", "stdev") else 1):
+        return None
+    if m2 < 0.0:
+        raise ExecutionError(
+            f"{name.upper()} overflowed: the running mean left the float range"
+        )
+    variance = m2 / (count - 1) if name in ("var", "stdev") else m2 / count
+    return math.sqrt(variance) if name in ("stdev", "stdevp") else variance
+
+
 class _MomentsAggregate(Aggregate):
-    """Shared Welford accumulator for variance/stddev aggregates."""
+    """Shared Welford accumulator for variance/stddev aggregates; ``name``
+    picks the result (:func:`moments_result`)."""
+
+    name = ""
 
     def __init__(self) -> None:
         self._count = 0
@@ -146,45 +168,32 @@ class _MomentsAggregate(Aggregate):
         self._mean += delta / self._count
         self._m2 += delta * (float(value) - self._mean)
 
-    def _sample_variance(self) -> Any:
-        if self._count < 2:
-            return None
-        return self._m2 / (self._count - 1)
-
-    def _population_variance(self) -> Any:
-        if self._count < 1:
-            return None
-        return self._m2 / self._count
+    def result(self) -> Any:
+        return moments_result(self.name, self._count, self._m2)
 
 
 class VarAggregate(_MomentsAggregate):
     """Sample variance (TSQL ``VAR``)."""
 
-    def result(self) -> Any:
-        return self._sample_variance()
+    name = "var"
 
 
 class VarpAggregate(_MomentsAggregate):
     """Population variance (TSQL ``VARP``)."""
 
-    def result(self) -> Any:
-        return self._population_variance()
+    name = "varp"
 
 
 class StdevAggregate(_MomentsAggregate):
     """Sample standard deviation (TSQL ``STDEV``)."""
 
-    def result(self) -> Any:
-        variance = self._sample_variance()
-        return None if variance is None else math.sqrt(variance)
+    name = "stdev"
 
 
 class StdevpAggregate(_MomentsAggregate):
     """Population standard deviation (TSQL ``STDEVP``)."""
 
-    def result(self) -> Any:
-        variance = self._population_variance()
-        return None if variance is None else math.sqrt(variance)
+    name = "stdevp"
 
 
 #: Factory registry: lowercase name -> zero-arg constructor.

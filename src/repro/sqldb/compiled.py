@@ -47,6 +47,7 @@ from repro.sqldb.aggregates import (
     collect_aggregates,
     has_aggregate,
     is_aggregate_name,
+    moments_result,
 )
 from repro.sqldb.ast_nodes import (
     Between,
@@ -953,20 +954,7 @@ def _welford(values: list[Any], name: str) -> Any:
         delta = value - mean
         mean += delta / count
         m2 += delta * (value - mean)
-    return _moments_result(name, count, m2)
-
-
-def _moments_result(name: str, count: int, m2: float) -> Any:
-    """The variance-family result an accumulator reports for ``(count, m2)``."""
-    if name in ("var", "stdev"):
-        if count < 2:
-            return None
-        variance = m2 / (count - 1)
-    else:
-        if count < 1:
-            return None
-        variance = m2 / count
-    return math.sqrt(variance) if name in ("stdev", "stdevp") else variance
+    return moments_result(name, count, m2)
 
 
 def aggregate_lanes(
@@ -1006,7 +994,7 @@ def aggregate_lanes(
         if lane is None:
             answers.append(aggregate_segments(spec, values, layout))
         elif spec.name in MOMENT_AGGREGATES:
-            answers.append([_moments_result(spec.name, size, v) for v in m2[lane]])
+            answers.append([moments_result(spec.name, size, v) for v in m2[lane]])
         elif spec.name == "avg":  # starts from 0.0: a total of -0.0 becomes 0.0
             answers.append([(t + 0.0) / size for t in totals[lane]])
         else:

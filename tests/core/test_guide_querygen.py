@@ -1,5 +1,7 @@
 """Unit tests for the Guide and the Query Generator."""
 
+import re
+
 import pytest
 
 from repro.errors import ScenarioError
@@ -42,7 +44,8 @@ class TestGridGuide:
         plan = RoundPlan(n_worlds=3, first=3)
         guide = GridGuide(scenario.space, scenario.axis, plan, base_seed=1)
         batches = list(guide.batches())
-        assert len(batches) == guide.total_points() == 4 * 4 * 3
+        grid_size = scenario.space.grid_size(exclude=[scenario.axis])
+        assert len(batches) == grid_size == 4 * 4 * 3
         assert all(len(batch) == 3 for batch in batches)
         points = {tuple(sorted(b.point_dict.items())) for b in batches}
         assert len(points) == len(batches)  # all distinct
@@ -59,11 +62,12 @@ class TestPriorityGuide:
         plan = RoundPlan(n_worlds=4, first=2)
         return PriorityGuide(scenario.space, scenario.axis, plan, 1, neighbor_depth=depth)
 
-    def test_target_batch(self, scenario):
+    def test_proactive_batches_cover_the_first_round(self, scenario):
         guide = self.make(scenario)
-        batch = guide.target_batch({"purchase1": 16, "purchase2": 32, "feature": 12})
-        assert batch.point_dict == {"purchase1": 16, "purchase2": 32, "feature": 12}
-        assert len(batch) == 4
+        center = {"purchase1": 16, "purchase2": 32, "feature": 12}
+        batches = list(guide.proactive_batches(center))
+        assert [b.point_dict for b in batches] == guide.proactive_points(center)
+        assert all(len(batch) == 2 for batch in batches)  # plan.first worlds
 
     def test_proactive_points_are_neighbors(self, scenario):
         guide = self.make(scenario)
@@ -131,27 +135,27 @@ class TestSubstitute:
 
 
 class TestQueryGenerator:
-    def test_sampling_script_is_parseable_sql(self, scenario):
-        from repro.core.instance import InstanceBatch
-
+    def test_sampling_program_is_parseable_sql(self, scenario):
         generator = QueryGenerator(scenario)
-        batch = InstanceBatch.at_point(
-            {"purchase1": 16, "purchase2": 32, "feature": 12}, range(3), 1
-        )
-        statements = generator.sampling_script(scenario.vg_outputs[0], batch)
-        assert len(statements) == 2 + 3  # drop, create, one insert per world
-        for statement in statements:
+        output = scenario.vg_outputs[0]
+        for statement in (
+            generator.drop_samples_table_sql(output.alias),
+            generator.create_samples_table_sql(output.alias),
+            generator.insert_world_template(output),
+            generator.insert_batch_template(output),
+        ):
             parse_statement(statement)  # must be pure, valid SQL
 
-    def test_insert_world_contains_literals_only(self, scenario):
+    def test_insert_world_template_binds_world_seed_and_point(self, scenario):
         generator = QueryGenerator(scenario)
-        sql = generator.insert_world_sql(
-            scenario.vg_outputs[1], world=5, seed=777,
-            point={"purchase1": 16, "purchase2": 32, "feature": 12},
-        )
-        assert "@" not in sql  # pure SQL: no unresolved variables
-        assert "777" in sql and "16" in sql and "32" in sql
+        sql = generator.insert_world_template(scenario.vg_outputs[1])
         assert "CapacityModelT" in sql
+        point = {"purchase1": 16, "purchase2": 32, "feature": 12}
+        variables = generator.world_variables(5, 777, point)
+        assert variables == {**point, "_world": 5, "_seed": 777}
+        # Every variable the statement reads is bound by world_variables.
+        used = {name.lower() for name in re.findall(r"@(\w+)", sql)}
+        assert "_world" in used and "_seed" in used and used <= set(variables)
 
     def test_combine_sql_joins_on_world_and_t(self, scenario):
         generator = QueryGenerator(scenario)

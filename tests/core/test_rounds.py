@@ -1,9 +1,10 @@
 """The round protocol: RoundPlan ladder, CI stopping rule, PointEvaluator.
 
-Pins the PR 8 contracts: world-prefix rounds are exact (the final round is
-bitwise identical to one-shot evaluation), the stopping rule is a pure
-function of statistics, and the ci_halfwidth
-guard agrees with the exact mergeable moments under any merge order.
+Pins the round contracts: world-prefix rounds are exact (the final round is
+bitwise identical to one-shot evaluation, and the rounds' sample increments
+fold exactly into the whole prefix's mergeable moments), the stopping rule
+is a pure function of statistics, and the ci_halfwidth guard agrees with
+the exact mergeable moments under any merge order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.core.engine import PointEvaluator, ProphetEngine
 from repro.core.rounds import (
     ConvergenceTracker,
     RoundPlan,
-    ci_converged,
     max_ci_halfwidth,
 )
 from repro.errors import ScenarioError
@@ -178,10 +178,9 @@ class TestStoppingRule:
         stats = _stats({"a": np.array([0.0, 0.0])}, n_worlds=1)
         assert max_ci_halfwidth(stats) == math.inf
 
-    def test_ci_converged_none_target_never_converges(self):
+    def test_zero_spread_is_a_zero_halfwidth(self):
         stats = _stats({"a": np.array([0.0])}, n_worlds=16)
-        assert not ci_converged(stats, None)
-        assert ci_converged(stats, 0.1)
+        assert max_ci_halfwidth(stats) == 0.0
 
 
 class TestCiHalfwidthGuard:
@@ -346,68 +345,40 @@ class TestPointEvaluator:
         assert evaluator.worlds_spent == 20
         assert evaluator.max_ci > 1e-12
 
-    def test_moments_accumulate_increments_exactly(self, rounds_engine):
+    def test_no_target_never_converges(self, rounds_engine):
         evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
-        final = evaluator.run()
-        assert evaluator.moments_complete
-        assert evaluator.moments is not None
-        merged = evaluator.moments.to_axis_statistics(
-            final.statistics.axis_values
-        )
-        assert merged.n_worlds == 20
-        # Sample matrices exist for the VG-sampled outputs (derived
-        # expressions have none); the exactly merged increments must agree with
-        # the SQL-produced statistics for every sampled alias.
-        assert set(evaluator.moments.aliases) == set(final.samples)
-        for alias in evaluator.moments.aliases:
-            np.testing.assert_allclose(
-                merged.expectation(alias),
-                final.statistics.expectation(alias),
-                rtol=1e-12,
-            )
-            np.testing.assert_allclose(
-                merged.stddev(alias),
-                final.statistics.stddev(alias),
-                rtol=1e-9,
-                atol=1e-12,
-            )
-
-    def test_moments_incomplete_when_samples_missing(self, rounds_engine):
-        from dataclasses import replace
-
-        def stripping_evaluate(request):
-            evaluation = rounds_engine.evaluate_point(request)
-            return replace(evaluation, samples={})
-
-        evaluator = PointEvaluator(
-            rounds_engine, self.POINT, plan=PLAN, evaluate=stripping_evaluate
-        )
         evaluator.run()
-        assert not evaluator.moments_complete
-        assert evaluator.result is not None
+        assert not evaluator.converged and not evaluator.retired_early
+        assert evaluator.worlds_spent == 20
+        assert math.isfinite(evaluator.max_ci)
 
-    def test_merge_order_independence_of_increments(self, rounds_engine):
-        """Exactly merging per-round increments equals one whole-prefix batch."""
-        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
-        final = evaluator.run()
-        whole = MergeableAxisStats.from_matrices(
-            {
-                alias: np.asarray(matrix)
-                for alias, matrix in final.samples.items()
-            }
-        )
-        assert evaluator.moments is not None
-        for alias in whole.aliases:
-            for week in range(whole.n_weeks):
-                a = whole.moments(alias, week)
-                b = evaluator.moments.moments(alias, week)
-                assert a.count == b.count
-                assert a.mean == b.mean  # exact sums: bitwise equality
-                assert a.variance() == b.variance()
+    def test_retired_early_is_convergence_inside_the_plan(self, rounds_engine):
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN, target_ci=1e12)
+        evaluator.run()
+        assert evaluator.converged and evaluator.retired_early
+        beyond = PointEvaluator(rounds_engine, self.POINT, plan=PLAN, target_ci=1e-12)
+        beyond.run()
+        beyond.target_ci = 1e12  # the next round, past the plan, converges
+        beyond.step(prefix=24)
+        assert beyond.converged and not beyond.retired_early
+
+    def test_failed_round_is_kept_on_the_evaluator(self, rounds_engine):
+        def failing(request):
+            if len(request.worlds) > 5:
+                raise ValueError("round two cannot run")
+            return rounds_engine.evaluate_point(request)
+
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN, evaluate=failing)
+        assert not evaluator.failed
+        evaluator.step()
+        with pytest.raises(ValueError, match="round two"):
+            evaluator.step()
+        assert evaluator.failed and "round two" in str(evaluator.exception)
+        assert evaluator.worlds_spent == 5 and len(evaluator.rounds) == 1
 
     @staticmethod
-    def _eager_fold(rounds) -> MergeableAxisStats:
-        """The reference: merge each round's increment as soon as it exists."""
+    def _fold(rounds) -> MergeableAxisStats:
+        """Merge each round's sample increment ``[previous, worlds_total)``."""
         folded = None
         for completed in rounds:
             previous = completed.worlds_total - completed.worlds_added
@@ -431,29 +402,54 @@ class TestPointEvaluator:
             for week in range(expected.n_weeks):
                 a, b = actual.moments(alias, week), expected.moments(alias, week)
                 assert a.count == b.count
-                assert a.mean == b.mean
+                assert a.mean == b.mean  # exact sums: bitwise equality
                 assert a.variance() == b.variance()
                 assert (a.minimum, a.maximum) == (b.minimum, b.maximum)
 
-    def test_lazy_moments_equal_eager_fold_and_follow_new_rounds(self, rounds_engine):
+    def test_moments_accumulate_increments_exactly(self, rounds_engine):
         evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
-        assert evaluator.moments is None  # nothing to fold before round 0
-        assert evaluator.moments_complete
+        final = evaluator.run()
+        folded = self._fold(evaluator.rounds)
+        merged = folded.to_axis_statistics(final.statistics.axis_values)
+        assert merged.n_worlds == 20
+        # Sample matrices exist for the VG-sampled outputs (derived
+        # expressions have none); the exactly merged increments must agree with
+        # the SQL-produced statistics for every sampled alias.
+        assert set(folded.aliases) == set(final.samples)
+        for alias in folded.aliases:
+            np.testing.assert_allclose(
+                merged.expectation(alias),
+                final.statistics.expectation(alias),
+                rtol=1e-12,
+            )
+            np.testing.assert_allclose(
+                merged.stddev(alias),
+                final.statistics.stddev(alias),
+                rtol=1e-9,
+                atol=1e-12,
+            )
+
+    def test_merge_order_independence_of_increments(self, rounds_engine):
+        """Exactly merging per-round increments equals one whole-prefix batch,
+        off-ladder prefixes included."""
+        evaluator = PointEvaluator(rounds_engine, self.POINT, plan=PLAN)
         evaluator.step()
         evaluator.step(prefix=12)  # explicit prefix, off-ladder
-        first_read = evaluator.moments
-        assert first_read.moments("demand", 0).count == 12
-        self._assert_moments_bitwise(first_read, self._eager_fold(evaluator.rounds))
-        assert evaluator.moments is first_read  # memoised between steps
-        evaluator.step()
-        evaluator.step()
-        assert evaluator.moments.moments("demand", 0).count == 20
+        partial = self._fold(evaluator.rounds)
+        assert partial.moments("demand", 0).count == 12
         self._assert_moments_bitwise(
-            evaluator.moments, self._eager_fold(evaluator.rounds)
+            partial, MergeableAxisStats.from_matrices(evaluator.result.samples)
         )
-        assert evaluator.moments_complete
+        final = evaluator.run()
+        whole = MergeableAxisStats.from_matrices(
+            {alias: np.asarray(matrix) for alias, matrix in final.samples.items()}
+        )
+        assert whole.moments("demand", 0).count == 20
+        self._assert_moments_bitwise(self._fold(evaluator.rounds), whole)
 
-    def test_middle_round_without_samples_leaves_partial_moments(self, rounds_engine):
+    def test_rounds_without_samples_decide_from_statistics(self, rounds_engine):
+        """A result-cache hit ships statistics without sample matrices: the
+        round still counts, because stepping reads statistics only."""
         from dataclasses import replace
 
         calls = []
@@ -468,12 +464,6 @@ class TestPointEvaluator:
         )
         evaluator.run()
         assert calls == [5, 15, 20]
-        assert evaluator.moments_complete is False
-        # Rounds 0 and 2 contributed their increments; round 1's ten worlds
-        # are missing from the (partial) moments.
-        contributing = [r for r in evaluator.rounds if r.evaluation.samples]
-        assert [r.index for r in contributing] == [0, 2]
-        assert evaluator.moments.moments("demand", 0).count == 10
-        self._assert_moments_bitwise(
-            evaluator.moments, self._eager_fold(contributing)
-        )
+        assert [r.worlds_total for r in evaluator.rounds] == [5, 15, 20]
+        assert not evaluator.rounds[1].evaluation.samples
+        assert evaluator.result is not None and evaluator.worlds_spent == 20

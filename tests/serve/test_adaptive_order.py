@@ -1,7 +1,7 @@
 """The order the round ladder is walked in decides no outcome.
 
 The scheduler walks the ladder one point at a time (a point's rounds back
-to back); until ISSUE 28 it walked it one round at a time (round *r* of
+to back); it used to walk it one round at a time (round *r* of
 every point before round *r+1* of any). The old walk lives on here, as the
 reference: both must give every point the same rounds, worlds, decision and
 statistic bits, and leave every counter where the other leaves it — on the
@@ -48,22 +48,22 @@ BACKENDS = [
 
 
 def drive_breadth_first(scheduler, sweep):
-    """The ladder as it was walked before ISSUE 28 (test-only reference)."""
-    active = list(sweep.states)
+    """The ladder walked one round at a time (test-only reference).
+
+    Round *r* of every point runs before round *r+1* of any. A point that
+    leaves the ladder books its spend and retirement on the scheduler here,
+    as the allocator's own ladder does; then the allocator's driver, finding
+    every point decided, runs only its reallocation phase.
+    """
+    active = list(sweep.evaluators)
     while active:
-        still_active = []
-        for state in active:
-            if scheduler._step_state(sweep, state):
-                yield state
-            if state.finalized:
-                continue
-            if state.evaluator.finished:
-                scheduler._finalize_state(sweep, state)
-            else:
-                still_active.append(state)
-        active = still_active
-    # Every point is finalized, so the scheduler's own driver has only the
-    # reallocation phase left to run.
+        for evaluator in active:
+            evaluator.step()  # no round fails here: every result is ok
+            if evaluator.finished:
+                scheduler.worlds_spent += evaluator.worlds_spent
+                scheduler.jobs_retired_early += evaluator.retired_early
+            yield evaluator
+        active = [evaluator for evaluator in active if not evaluator.finished]
     yield from scheduler._drive_adaptive(sweep)
 
 
@@ -83,7 +83,7 @@ def _run(base_seed, offset, target_ci, backend, *, breadth_first):
         if breadth_first:
             handle.sweep._driver = drive_breadth_first(handle._scheduler, handle.sweep)
         results = handle.run()
-        converged = [s.evaluator.converged for s in handle.sweep.states]
+        converged = [e.converged for e in handle.sweep.evaluators]
         report = handle._scheduler.adaptive_report()
         return results, converged, report, client.stats().to_json()
 

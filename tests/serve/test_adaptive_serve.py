@@ -50,10 +50,10 @@ class TestSubmitAdaptive:
         # Nothing converges, so reallocation spends the whole budget.
         assert sweep.worlds_spent == sweep.worlds_budgeted
         assert scheduler.jobs_retired_early == 0
-        for state in sweep.states:
-            assert not state.failed
-            assert not state.evaluator.converged
-            assert state.retired_early is False
+        for evaluator in sweep.evaluators:
+            assert not evaluator.failed
+            assert not evaluator.converged
+            assert evaluator.retired_early is False
 
     def test_early_retirement_frees_budget(self, scheduler):
         sweep = scheduler.submit_adaptive(
@@ -63,14 +63,14 @@ class TestSubmitAdaptive:
         assert sweep.done
         assert scheduler.jobs_retired_early == 2
         assert sweep.worlds_spent < sweep.worlds_budgeted
-        for state in sweep.states:
-            assert state.evaluator.converged
-            assert state.retired_early
+        for evaluator in sweep.evaluators:
+            assert evaluator.converged
+            assert evaluator.retired_early
 
     def test_rounds_flow_through_job_queue(self, scheduler):
         sweep = scheduler.submit_adaptive([POINT], target_ci=1e-12, plan=LADDER)
         scheduler.run_adaptive(sweep)
-        rounds = len(sweep.states[0].evaluator.rounds)
+        rounds = len(sweep.evaluators[0].rounds)
         assert rounds >= 2  # the ladder actually ran in rounds
         assert scheduler.jobs_completed >= rounds  # one queued job per round
 
@@ -124,7 +124,7 @@ class TestPointTasksPerRound:
             [POINT], target_ci=1e-12, plan=LADDER, reuse=False
         )
         scheduler.run_adaptive(sweep)
-        rounds = len(sweep.states[0].evaluator.rounds)
+        rounds = len(sweep.evaluators[0].rounds)
         assert rounds >= 2
         assert service.stats.shard_tasks == rounds
         # A reuse=True request runs on the coordinator: no task.
@@ -154,15 +154,11 @@ class TestAdaptiveUnderChaos:
         plan = FaultPlan.seeded(1, tasks=4, rate=0.5)
         faulty_service, faulty = self._run(serve_spec, plan=plan)
         assert faulty_service.stats.shard_retries > 0  # chaos actually hit
-        for clean_state, faulty_state in zip(clean.states, faulty.states):
-            assert not faulty_state.failed
-            assert (
-                faulty_state.evaluator.worlds_spent
-                == clean_state.evaluator.worlds_spent
-            )
+        for clean_point, faulty_point in zip(clean.evaluators, faulty.evaluators):
+            assert not faulty_point.failed
+            assert faulty_point.worlds_spent == clean_point.worlds_spent
             assert_stats_identical(
-                faulty_state.evaluator.result.statistics,
-                clean_state.evaluator.result.statistics,
+                faulty_point.result.statistics, clean_point.result.statistics
             )
 
     def test_chaos_does_not_change_stopping_decisions(self, serve_spec):
@@ -192,12 +188,6 @@ class TestAdaptiveUnderChaos:
         faulty_scheduler.run_adaptive(faulty)
         assert faulty_service.stats.shard_retries == 1  # chaos actually hit
 
-        assert faulty.states[0].retired_early == clean.states[0].retired_early
-        assert (
-            faulty.states[0].evaluator.worlds_spent
-            == clean.states[0].evaluator.worlds_spent
-        )
-        assert (
-            len(faulty.states[0].evaluator.rounds)
-            == len(clean.states[0].evaluator.rounds)
-        )
+        assert faulty.evaluators[0].retired_early == clean.evaluators[0].retired_early
+        assert faulty.evaluators[0].worlds_spent == clean.evaluators[0].worlds_spent
+        assert len(faulty.evaluators[0].rounds) == len(clean.evaluators[0].rounds)

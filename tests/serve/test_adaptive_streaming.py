@@ -74,7 +74,7 @@ class TestLadderStreamsByCount:
         assert first.rounds == 3 and first.retired_early
         assert scheduler.jobs_completed == first.rounds
         # Nobody else has started: the sweep is one point in.
-        assert [len(s.evaluator.rounds) for s in handle.sweep.states[1:]] == [0] * (
+        assert [len(e.rounds) for e in handle.sweep.evaluators[1:]] == [0] * (
             len(handle) - 1
         )
 
@@ -116,7 +116,7 @@ class TestUnconvergedPointWaitsForReallocation:
 class TestFailedRoundYieldsInPlace:
     def test_error_leaves_at_once_and_successors_are_not_stalled(self):
         scheduler, handle = _open(**ALL_RETIRE)
-        bad = handle.sweep.states[2].point
+        bad = handle.sweep.evaluators[2].point
         evaluate = scheduler.service.evaluate
 
         def failing(request, **kwargs):

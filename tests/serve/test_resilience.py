@@ -272,20 +272,20 @@ class TestTaskDispatcherUnit:
             raise ValueError("deterministic bug")
 
         with pytest.raises(ValueError, match="deterministic bug"):
-            dispatcher.dispatch(_call(boom))
+            dispatcher.finish(dispatcher.start(_call(boom)))
         assert stats.shard_retries == 0
         assert stats.inline_rescues == 0
 
     def test_garbage_payload_is_transient_and_rescued(self):
         dispatcher, stats = self._dispatcher(shard_retries=1)
-        dispatched = dispatcher.dispatch(_call(lambda: "not a point result"))
+        dispatched = dispatcher.finish(dispatcher.start(_call(lambda: "not a point result")))
         assert dispatched.columns.shape == SHAPE
         assert stats.inline_rescues == 1
         assert stats.shard_retries == 1  # one retry, still garbage
 
     def test_wrong_shape_payload_is_transient(self):
         dispatcher, stats = self._dispatcher(shard_retries=0)
-        dispatched = dispatcher.dispatch(_call(lambda: _ok_result((2, 7))))
+        dispatched = dispatcher.finish(dispatcher.start(_call(lambda: _ok_result((2, 7)))))
         assert dispatched.columns.shape == SHAPE
         assert stats.inline_rescues == 1
 
@@ -299,7 +299,7 @@ class TestTaskDispatcherUnit:
             return _ok_result()
 
         dispatcher, stats = self._dispatcher(shard_retries=2)
-        dispatched = dispatcher.dispatch(_call(flaky))
+        dispatched = dispatcher.finish(dispatcher.start(_call(flaky)))
         assert dispatched.columns.shape == SHAPE
         assert stats.shard_retries == 1
         assert stats.inline_rescues == 0

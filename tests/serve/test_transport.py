@@ -346,7 +346,7 @@ class TestClientTransport:
                 a = shm_client.evaluate(POINT, reuse=False)
                 b = plain_client.evaluate(POINT, reuse=False)
                 assert_stats_identical(a.statistics, b.statistics)
-                rounds = len(shm_client._scheduler._adaptive_sweeps[-1].states[0].evaluator.rounds)
+                rounds = len(shm_client._scheduler._adaptive_sweeps[-1].evaluators[0].rounds)
                 assert shm_client._service.stats.segments_leased == rounds > 1
             arena = shm_client._service._arena
         assert arena.live_segments() == 0

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.errors import TypeMismatchError
 from repro.sqldb import Catalog, Executor
 from repro.sqldb import compiled
-from repro.sqldb.aggregates import make_aggregate
+from repro.sqldb.aggregates import make_aggregate, moments_result
 from repro.sqldb.compiled import (
     AggregateSpec,
     ColumnarRelation,
@@ -114,7 +114,7 @@ def test_moments_match_the_accumulators_bit_for_bit(shape, columns, seed):
     m2, _ = compiled._fold_lanes(arrays, layout, with_sums=False)
     assert len(m2) == len(arrays) and all(len(lane) == layout.n_groups for lane in m2)
     folded = [
-        [_bits(compiled._moments_result(spec.name, layout.size, value)) for value in lane]
+        [_bits(moments_result(spec.name, layout.size, value)) for value in lane]
         for spec, lane in zip(specs, m2)
     ]
     assert folded == expected

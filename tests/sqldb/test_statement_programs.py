@@ -24,8 +24,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sqldb import Catalog, Executor
+from repro.errors import ExecutionError
+from repro.sqldb import Catalog, Executor, compiled
 from repro.sqldb import executor as executor_module
+from repro.sqldb.aggregates import moments_result
 from repro.sqldb.ast_nodes import BinaryOp, Literal
 from repro.sqldb.table import tiled_column
 
@@ -202,7 +204,8 @@ def test_columnar_groups_equal_the_row_tier(n_worlds, weeks, data):
     )
     result = _both_tiers(catalog, sql)
     if isinstance(result, type):
-        return  # a STDEV past float range: math.sqrt of -inf, on either tier
+        assert result is ExecutionError  # a variance whose running mean overflowed
+        return
     sums = [sum(n[week :: len(weeks)].tolist()) for week in range(len(weeks))]
     fits = all(-(2**63) <= total < 2**63 for total in sums)
     # MIN of a NaN or a -0.0 is answered by the row tier for the statement.
@@ -212,6 +215,20 @@ def test_columnar_groups_equal_the_row_tier(n_worlds, weeks, data):
     if fits:  # exact Python ints, past 2**53 included
         by_week = dict(zip(weeks, sums))
         assert [row[8] for row in result.rows] == [by_week[w] for w in sorted(weeks)]
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "rows"])
+@pytest.mark.parametrize("aggregate", ["VAR", "VARP", "STDEV", "STDEVP"])
+def test_a_variance_whose_running_mean_overflows_raises(aggregate, vectorized):
+    # Group 2 holds -1e308 and 1e308: the running mean overflows to inf, and
+    # Welford's m2 (a sum of terms >= 0) turns -inf.
+    v = np.array([0.0, 0.0, -1e308, 0.0, 0.0, 0.0, 1e308, 0.0])
+    executor = Executor(_weekly(2, range(4), {"v": v}), enable_vectorized=vectorized)
+    sql = f"SELECT t, {aggregate}(v) AS x FROM r GROUP BY t ORDER BY t"
+    with mock.patch.object(compiled, "moments_result", wraps=moments_result) as kernel:
+        with pytest.raises(ExecutionError, match=f"^{aggregate} overflowed"):
+            executor.execute(sql)
+    assert kernel.called == vectorized  # the vectorized tier raised it itself
 
 
 def test_an_integer_sum_past_int64_stays_an_exact_int():
