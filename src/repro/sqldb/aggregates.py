@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Mapping
 
+import numpy as np
+
 from repro.errors import ExecutionError, TypeMismatchError
 from repro.sqldb.ast_nodes import (
     Between,
@@ -128,48 +130,71 @@ class MaxAggregate(Aggregate):
         return self._best
 
 
+def ordered_sums(steps: np.ndarray) -> np.ndarray:
+    """Each lane of a C-order step-major ``(rows, lanes)`` block summed row
+    by row from ``-0.0``, like ``total += x``: NumPy sums pairwise only along
+    the fast axis, which axis 0 is for one lane (so one lane is padded to
+    two), and starts a reduce from ``+0.0``, which loses an all-``-0.0``
+    sum's sign."""
+    lanes = steps.shape[1]
+    steps = np.ascontiguousarray(steps) if lanes > 1 else np.hstack((steps, steps))
+    return np.add.reduce(steps, axis=0, initial=-0.0)[:lanes]
+
+
+def ordered_moments(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's ``total`` and sum of squared deviations ``m2`` over a
+    C-order step-major ``(rows, lanes)`` float64 block, in two ordered
+    passes over its rows: ``total`` is :func:`ordered_sums` (SUM's and AVG's
+    bits), ``mean = total / rows``, and ``m2`` the ordered sum of ``(x -
+    mean) ** 2``. Both tiers' variance family is this function: the row
+    tier passes one group as one lane, the vectorized tier every group of a
+    column at once.
+
+    ``m2`` is never negative. A lane of finite values whose ``total`` or
+    ``m2`` leaves the float range raises :class:`ExecutionError`; a lane
+    holding NaN or an infinity gives NaN or inf, as IEEE arithmetic does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = ordered_sums(steps)
+        deviations = steps - total / len(steps)
+        np.multiply(deviations, deviations, out=deviations)
+        m2 = ordered_sums(deviations)
+        spilled = ~np.isfinite(m2)  # a non-finite total makes m2 non-finite too
+        if spilled.any() and np.isfinite(steps[:, spilled]).all(axis=0).any():
+            raise ExecutionError("variance overflowed: finite values left the float range")
+    return total, m2
+
+
 def moments_result(name: str, count: int, m2: float) -> Any:
     """The variance-family result (``var``, ``varp``, ``stdev``, ``stdevp``)
-    of a Welford accumulation of ``count`` values with sum of squared
-    deviations ``m2``.
-
-    Every ``m2`` term is >= 0, so a negative ``m2`` (-inf) only comes from a
-    running mean that overflowed the float range: that is an error, not a
-    variance.
-    """
+    of ``count`` values with sum of squared deviations ``m2``
+    (:func:`ordered_moments`)."""
     if count < (2 if name in ("var", "stdev") else 1):
         return None
-    if m2 < 0.0:
-        raise ExecutionError(
-            f"{name.upper()} overflowed: the running mean left the float range"
-        )
     variance = m2 / (count - 1) if name in ("var", "stdev") else m2 / count
     return math.sqrt(variance) if name in ("stdev", "stdevp") else variance
 
 
 class _MomentsAggregate(Aggregate):
-    """Shared Welford accumulator for variance/stddev aggregates; ``name``
-    picks the result (:func:`moments_result`)."""
+    """Shared accumulator for variance/stddev aggregates: it keeps the
+    group's values as floats and answers through :func:`ordered_moments`;
+    ``name`` picks the result (:func:`moments_result`)."""
 
     name = ""
 
     def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
+        self._values: list[float] = []
 
     def add(self, value: Any) -> None:
         if value is None:
             return
         if not is_numeric(value):
             raise TypeMismatchError(f"{type(self).__name__} requires numbers, got {value!r}")
-        self._count += 1
-        delta = float(value) - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (float(value) - self._mean)
+        self._values.append(float(value))
 
     def result(self) -> Any:
-        return moments_result(self.name, self._count, self._m2)
+        _, m2 = ordered_moments(np.array(self._values)[:, None])
+        return moments_result(self.name, len(self._values), m2.item())
 
 
 class VarAggregate(_MomentsAggregate):

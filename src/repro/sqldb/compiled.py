@@ -25,12 +25,12 @@ answers it.
 Identity discipline: the interpreter is the reference. Where NumPy's
 defaults would diverge (pairwise float summation, NaN ordering, eager
 evaluation of CASE branches, int64 wraparound on division) the plan either
-reproduces the interpreter's exact operation order (:func:`_ordered_sums`
-for float sums, the accumulator's Welford recurrence for variance — per
-value, or per row position across all groups at once) or refuses and
-falls back. Division and INTEGER casts are never compiled inside lazily
-evaluated positions (CASE branches, AND/OR right operands, IN list items)
-so error behavior matches row-at-a-time evaluation.
+reproduces the interpreter's exact operation order (row-order float sums,
+and the variance family's two ordered passes through the function the
+accumulators call, :func:`~repro.sqldb.aggregates.ordered_moments`) or
+refuses and falls back. Division and INTEGER casts are never compiled
+inside lazily evaluated positions (CASE branches, AND/OR right operands, IN
+list items) so error behavior matches row-at-a-time evaluation.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from repro.sqldb.aggregates import (
     has_aggregate,
     is_aggregate_name,
     moments_result,
+    ordered_moments,
+    ordered_sums,
 )
 from repro.sqldb.ast_nodes import (
     Between,
@@ -84,34 +86,7 @@ _MAX_EXACT_FLOAT_INT = 2**53
 _MAX_INT_ADD = 2**62
 _MAX_INT_MUL = 2**31
 
-#: Variance-family aggregates share one blocked pass (:func:`_fold_lanes`)
-#: when ``columns * groups >= this``, i.e. when a step has about this many
-#: lanes to advance. A step is three ufunc calls whatever the lane count,
-#: plus its share of the block's fold (the ``m2`` terms and two ordered
-#: sums, ~2 ns a lane); one value through the scalar ``_welford`` loop is
-#: ~0.1 us plus its share of ``tolist``. The kernel's speed-up over the loop
-#: on ``AVG(x), STDEV(x)`` of three columns (the aggregate query's shape),
-#: settings interleaved in one process, 2-core host:
-#:
-#:     rows per group   12 lanes  15     18     24     39     159
-#:     64               0.78x     0.93x  1.07x  1.34x  1.93x  3.5x
-#:     400              0.91x     0.92x  1.06x  1.38x  2.77x  7.8x
-#:     2000             1.08x     1.33x  1.51x  1.63x  3.13x  8.1x
-#:
-#: (variances alone, or one column: 15-18 lanes at 64 rows, 12-15 at 400
-#: and 2000). Below it — the week memo leaving a handful of groups — the
-#: loop wins: when this rule came in, the 400-world walk's refresh p50 had
-#: risen from 3.8 to 6.3 ms without it.
-_LOCKSTEP_MIN_LANES = 18
-
-#: Steps :func:`_fold_lanes` advances the means over before it folds ``m2``
-#: and the sums of all of them at once; its buffers are O(this x lanes). On
-#: the 53-week, 3-column aggregate (2-core host) it is fastest at 2000 and
-#: 8000 rows per group and within 2% at 400; 64/256 cost up to 14% more, 32/512 21%.
-_LANE_BLOCK = 128
-
 MOMENT_AGGREGATES = ("var", "varp", "stdev", "stdevp")
-LANE_AGGREGATES = MOMENT_AGGREGATES + ("sum", "avg")
 
 
 def _int_bounded(value: Any, limit: int) -> bool:
@@ -896,19 +871,57 @@ def group_layout(key_arrays: Sequence[np.ndarray], n_rows: int) -> GroupLayout:
     return GroupLayout(len(tiling.base), tiling.tile)
 
 
-def aggregate_segments(
+def aggregate_columns(
+    specs: Sequence[AggregateSpec], columns: Sequence[Optional[np.ndarray]], layout: GroupLayout
+) -> list[list[Any]]:
+    """Per-group results of every aggregate of one statement, bit-identical
+    to the accumulators; ``columns[i]`` is the full (filtered) argument of
+    ``specs[i]``, None for COUNT(*).
+
+    AVG, float SUM and the variance family take one pass per argument
+    array: its step-major ``(size, n_groups)`` reshape (group ``g`` is
+    column ``g``, no copy) gives every group's total through
+    :func:`ordered_sums`, or total and ``m2`` through
+    :func:`ordered_moments` when a variance reads the array, so ``AVG(x),
+    STDEV(x)`` share ``x``'s total. The rest go segment by segment
+    (:func:`_segment_results`).
+    """
+    if any(
+        values is not None and values.dtype.kind == "b" and spec.name not in ("count", "min", "max")
+        for spec, values in zip(specs, columns)
+    ):
+        raise VectorFallback  # the accumulators reject booleans per row
+    variances = {id(values) for spec, values in zip(specs, columns) if spec.name in MOMENT_AGGREGATES}
+    passes: dict[int, tuple[list[float], list[float]]] = {}
+    answers = []
+    for spec, values in zip(specs, columns):
+        name = spec.name
+        if values is None or name in ("count", "min", "max") or (
+            name == "sum" and values.dtype.kind != "f"
+        ):
+            answers.append(_segment_results(spec, values, layout))
+            continue
+        if id(values) not in passes:
+            steps = values.astype(np.float64, copy=False).reshape(layout.size, layout.n_groups)
+            if id(values) in variances:
+                total, m2 = ordered_moments(steps)
+                passes[id(values)] = total.tolist(), m2.tolist()
+            else:
+                passes[id(values)] = ordered_sums(steps).tolist(), []
+        totals, m2 = passes[id(values)]
+        if name == "sum":
+            answers.append(totals)
+        elif name == "avg":  # starts from 0.0: a total of -0.0 becomes 0.0
+            answers.append([(t + 0.0) / layout.size for t in totals])
+        else:
+            answers.append([moments_result(name, layout.size, v) for v in m2])
+    return answers
+
+
+def _segment_results(
     spec: AggregateSpec, values: Optional[np.ndarray], layout: GroupLayout
 ) -> list[Any]:
-    """Per-group results of one aggregate, bit-identical to the accumulators.
-
-    ``values`` is the full (filtered) argument column; None for COUNT(*).
-    Float sums are :func:`_ordered_sums` of the step-major ``(size,
-    n_groups)`` reshape (the accumulator's left-to-right order, no copy);
-    the variance family runs the accumulator's own Welford recurrence one
-    group at a time. The executor asks :func:`aggregate_lanes` instead,
-    which answers all of a statement's variance, SUM and AVG aggregates
-    together and comes back here when the input is too small for that to pay.
-    """
+    """Per-group COUNT, MIN, MAX or integer SUM, one group at a time."""
     name = spec.name
     if name == "count":
         if spec.star or not spec.distinct:
@@ -919,151 +932,17 @@ def aggregate_segments(
             raise VectorFallback  # NaN set-identity differs from fresh floats
         return [len(set(segment.tolist())) for segment in layout.segments(values)]
     assert values is not None
-    is_float = values.dtype.kind == "f"
-    if name in ("min", "max"):
-        if is_float and np.any(np.isnan(values)):
-            raise VectorFallback  # NumPy NaN-poisons; the accumulator does not
-        if is_float and np.any(np.signbit(values[values == 0.0])):
-            # The accumulator keeps the first of equal values, 0.0 or -0.0;
-            # NumPy may return either.
-            raise VectorFallback
-        extremum = np.min if name == "min" else np.max
-        return [extremum(segment).item() for segment in layout.segments(values)]
-    if values.dtype.kind == "b":
-        raise VectorFallback  # the accumulators reject booleans per row
-    if name == "avg" or (name == "sum" and is_float):
-        steps = values.astype(np.float64, copy=False).reshape(layout.size, layout.n_groups)
-        totals = _ordered_sums(steps).tolist()
-        # AVG's accumulator starts from 0.0: a total of -0.0 becomes 0.0.
-        return totals if name == "sum" else [(t + 0.0) / layout.size for t in totals]
-    segments = layout.segments(values)
     if name == "sum":
-        return [sum(segment.tolist()) for segment in segments]  # exact Python int math
-    if name in MOMENT_AGGREGATES:
-        return [_welford(segment.tolist(), name) for segment in segments]
-    raise VectorFallback
-
-
-def _welford(values: list[Any], name: str) -> Any:
-    """The _MomentsAggregate recurrence, verbatim, over one segment."""
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    for value in values:  # Python floats or ints: ``int - float`` rounds like float()
-        count += 1
-        delta = value - mean
-        mean += delta / count
-        m2 += delta * (value - mean)
-    return moments_result(name, count, m2)
-
-
-def aggregate_lanes(
-    specs: Sequence[AggregateSpec], columns: Sequence[np.ndarray], layout: GroupLayout
-) -> list[list[Any]]:
-    """Per-group results of all variance-family, SUM and AVG aggregates of
-    one statement: ``[aggregate_segments(spec, column, layout) ...]`` bit
-    for bit, ``columns[i]`` being the full (filtered) argument of
-    ``specs[i]``. When the variances offer enough lanes
-    (``_LOCKSTEP_MIN_LANES``), their columns are folded in one
-    :func:`_fold_lanes` pass, and each AVG and float SUM of one of those
-    same arrays (``AVG(x), STDEV(x)`` pairs) is read off it. The rest takes
-    :func:`aggregate_segments`.
-    """
-    moments = [values for spec, values in zip(specs, columns) if spec.name in MOMENT_AGGREGATES]
-    if any(values.dtype.kind == "b" for values in moments):
-        raise VectorFallback  # the accumulators reject booleans per row
-    folded: list[np.ndarray] = []
-    if len(moments) * layout.n_groups >= _LOCKSTEP_MIN_LANES:
-        folded = [a for i, a in enumerate(moments) if all(a is not b for b in moments[:i])]
-    # Each aggregate's lane: its column's place in the pass, if folded; an
-    # integer SUM never takes one (it is exact Python arithmetic).
-    lanes = [
-        next((i for i, seen in enumerate(folded) if seen is values), None)
-        if spec.name != "sum" or values.dtype.kind == "f"
-        else None
-        for spec, values in zip(specs, columns)
-    ]
-    with_sums = any(
-        lane is not None and spec.name not in MOMENT_AGGREGATES
-        for spec, lane in zip(specs, lanes)
-    )
-    m2, totals = _fold_lanes(folded, layout, with_sums) if folded else ([], [])
-    size = layout.size
-    answers = []
-    for spec, values, lane in zip(specs, columns, lanes):
-        if lane is None:
-            answers.append(aggregate_segments(spec, values, layout))
-        elif spec.name in MOMENT_AGGREGATES:
-            answers.append([moments_result(spec.name, size, v) for v in m2[lane]])
-        elif spec.name == "avg":  # starts from 0.0: a total of -0.0 becomes 0.0
-            answers.append([(t + 0.0) / size for t in totals[lane]])
-        else:
-            answers.append(totals[lane])
-    return answers
-
-
-def _fold_lanes(
-    columns: Sequence[np.ndarray], layout: GroupLayout, with_sums: bool
-) -> tuple[list[list[float]], list[list[float]]]:
-    """``m2`` and (``with_sums``) the running total of every (column, group)
-    lane, each as ``[column][group]`` in the layout's group order.
-
-    Each lane runs the _MomentsAggregate recurrence over its group's values
-    in row order — ``delta = x - mean; mean += delta / k; m2 += delta * (x -
-    mean)`` — and the SUM accumulator's ``total += x``, every lane every
-    step; only the loop nest is turned inside out. Steps go in blocks of
-    ``_LANE_BLOCK``. Per step only the mean advances: three ufunc calls over
-    all lanes, on row views built once per call. Per block, ``delta * (x -
-    mean)`` is formed for every step at once under a carry row (``m2`` so
-    far) and :func:`_ordered_sums` folds it into the next carry, sum for sum
-    the accumulator's ``m2 +=``; the totals fold the values the same way.
-    """
-    n_groups, size = layout.n_groups, layout.size
-    width, block = len(columns) * n_groups, min(_LANE_BLOCK, size)
-    values, terms, means = np.zeros((3, block + 1, width))  # row 0: the carry
-    scratch, divisors = np.empty((2, block, width))
-    values[0] = -0.0  # ``-0.0 + x`` is ``x``: the first total is the first value
-    rows_of = list(zip(values[1:], means[:-1], means[1:], divisors))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, size, block):
-            rows = min(block, size - first)
-            _fill_block(values[1:].reshape(block, len(columns), n_groups), columns, first, first + rows)
-            divisors[:rows] = np.arange(first + 1, first + rows + 1)[:, None]
-            for x, mean, following, k in rows_of[:rows]:
-                np.subtract(x, mean, following)
-                np.divide(following, k, following)
-                np.add(mean, following, following)
-            x, delta = values[1 : rows + 1], terms[1 : rows + 1]
-            np.subtract(x, means[:rows], out=delta)
-            np.subtract(x, means[1 : rows + 1], out=scratch[:rows])
-            np.multiply(delta, scratch[:rows], out=delta)
-            terms[0] = _ordered_sums(terms[: rows + 1])
-            if with_sums:
-                values[0] = _ordered_sums(values[: rows + 1])
-            means[0] = means[rows]
-    shape = (len(columns), n_groups)
-    return terms[0].reshape(shape).tolist(), values[0].reshape(shape).tolist() if with_sums else []
-
-
-def _ordered_sums(block: np.ndarray) -> np.ndarray:
-    """Each lane of a C-order ``(steps, lanes)`` block summed row by row from
-    ``-0.0``, like ``total += x``: NumPy sums pairwise only along the fast
-    axis, which axis 0 is for one lane (so one lane is padded to two), and
-    starts a reduce from ``+0.0``, which loses an all-``-0.0`` sum's sign."""
-    lanes = block.shape[1]
-    block = np.ascontiguousarray(block) if lanes > 1 else np.hstack((block, block))
-    return np.add.reduce(block, axis=0, initial=-0.0)[:lanes]
-
-
-def _fill_block(out: np.ndarray, columns: Sequence[np.ndarray], first: int, last: int) -> None:
-    """Steps ``first:last`` of every lane into ``out``, a ``(block, column,
-    group)`` buffer. The table's row order is step-major — row ``k *
-    n_groups + g`` is step ``k`` of group ``g`` — so a column's row range
-    reshapes into place."""
-    n_groups = out.shape[2]
-    for index, values in enumerate(columns):
-        rows = values[first * n_groups : last * n_groups]
-        out[: last - first, index] = rows.reshape(last - first, n_groups)
+        return [sum(segment.tolist()) for segment in layout.segments(values)]  # exact Python int math
+    is_float = values.dtype.kind == "f"
+    if is_float and np.any(np.isnan(values)):
+        raise VectorFallback  # NumPy NaN-poisons; the accumulator does not
+    if is_float and np.any(np.signbit(values[values == 0.0])):
+        # The accumulator keeps the first of equal values, 0.0 or -0.0;
+        # NumPy may return either.
+        raise VectorFallback
+    extremum = np.min if name == "min" else np.max
+    return [extremum(segment).item() for segment in layout.segments(values)]
 
 
 # -- output schema -----------------------------------------------------------

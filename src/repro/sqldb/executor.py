@@ -65,11 +65,9 @@ from repro.sqldb.ast_nodes import (
 )
 from repro.sqldb.catalog import Catalog
 from repro.sqldb.compiled import (
-    LANE_AGGREGATES,
     VectorFallback,
     VectorSelectPlan,
-    aggregate_lanes,
-    aggregate_segments,
+    aggregate_columns,
     bind_table,
     broadcast,
     equi_join,
@@ -362,16 +360,12 @@ class Executor:
         key_arrays = [broadcast(fn(context), n_rows) for fn in plan.group_by]
         layout = group_layout(key_arrays, n_rows)
 
-        def column(spec):
-            return broadcast(spec.arg(context), n_rows) if spec.arg is not None else None
-
-        # The variance family and the running sums are answered for the
-        # whole statement at once: one pass folds both where it pays.
-        lanes = [spec for spec in plan.aggregates if spec.name in LANE_AGGREGATES]
-        others = [spec for spec in plan.aggregates if spec.name not in LANE_AGGREGATES]
-        answers = [aggregate_segments(spec, column(spec), layout) for spec in others]
-        answers += aggregate_lanes(lanes, [column(spec) for spec in lanes], layout)
-        by_aggregate = {spec.rendered: values for spec, values in zip(others + lanes, answers)}
+        columns = [
+            broadcast(spec.arg(context), n_rows) if spec.arg is not None else None
+            for spec in plan.aggregates
+        ]
+        answers = aggregate_columns(plan.aggregates, columns, layout)
+        by_aggregate = {spec.rendered: values for spec, values in zip(plan.aggregates, answers)}
         if groups.columnar is not None:
             result = self._columnar_groups(select, groups, key_arrays[0], layout, by_aggregate)
             if result is not None:

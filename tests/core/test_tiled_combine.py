@@ -2,8 +2,8 @@
 
 ``ProphetEngine._land_samples`` loads every samples table's ``world`` and
 ``t`` as tiled key columns (``repro.sqldb.table.tiled_column``): the
-combine's join, the aggregate's GROUP BY t and its lockstep lanes then read
-the tiling instead of the keys. The reference is the same engine landing
+combine's join, the aggregate's GROUP BY t and its per-column passes then
+read the tiling instead of the keys. The reference is the same engine landing
 plain ``np.array`` copies of those columns — patch ``tiled_column`` in the
 engine module, nothing else changes — which the vectorized tier refuses,
 so the row tier answers the combine and the aggregate from the values. Drawn: 1 to 300 worlds (a prefix, a permutation,

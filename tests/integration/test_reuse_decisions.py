@@ -9,10 +9,12 @@ one stacked pass and fingerprints were probed through ``invoke_batch``:
   ledger workload at seed 0);
 * a 40-move slider walk at 50 worlds.
 
-Pinned: the statistics of every result (one digest over all of them), every
-``registry.mappings`` record with its ``kind_counts``, the
-``client.stats().to_json()`` bytes and, on the grid, the engine's
-invocation and component-sample counts. The ``execution`` counters were
+Pinned: the statistics of every result (one digest over all the
+expectations, one over all the stddevs), every ``registry.mappings`` record
+with its ``kind_counts``, the ``client.stats().to_json()`` bytes and, on
+the grid, the engine's invocation and component-sample counts. The stddev
+digests were re-recorded once, when VAR/STDEV became two ordered passes
+over world order; the expectation digests kept their bytes. The ``execution`` counters were
 re-recorded once, when fresh samples stopped being read back through a
 ``SELECT ... ORDER BY`` (one statement fewer per fresh sample); the
 ``service`` counters once, when world shards gave way to point tasks (an
@@ -31,7 +33,8 @@ from repro.api import ClientConfig, ProphetClient, SamplingConfig
 from repro.models.scenario_library import FIGURE2_DSL
 
 GRID = {
-    "results": "48cda18c52512f7b73c9bf3354c16518c8a410d0c9b69ee782ffaf0bfa439451",
+    "expectations": "ed067f1fbcd803abd1610a7b2d5e281b82a41ee5af1050427db1aec164fecf66",
+    "stddevs": "7904d1a56e23471892e5c76f924dd4e381279decc6d8e56ecd625d23962d0610",
     "mappings": (197, "5769366ca51d2f719a482d022ab0b442cd91abfd94b0296f788d2af7605d5651"),
     "kind_totals": {"identity": 9294, "shift": 389, "affine": 0, "unmapped": 758},
     "stats": (
@@ -55,7 +58,8 @@ GRID = {
 }
 
 WALK = {
-    "results": "926ec5cb0f59cc4ff1a45fd03ae0dc368791873c5be5f28b73d274004ba1957f",
+    "expectations": "3f32d02bba3838f35e16cf47b7e681f517ab5e0277622e88686c8208b72be9d5",
+    "stddevs": "e6c80ba4e90a809b1410ed09b72244d08a8af97e29cbb813867fd63481ff01c8",
     "mappings": (17, "6ea2c434392d4d1eafb63dd4a2809d1b4aa8c4962672c8488bcb809c43850f16"),
     "stats": (
         '{"basis": {"exact_hits": 33, "mapped_hits": 17, "misses": 2, "resident": 19, '
@@ -83,15 +87,16 @@ def _client(n_worlds: int) -> ProphetClient:
     return ProphetClient.open(FIGURE2_DSL, "demo", config=ClientConfig(sampling=sampling))
 
 
-def _results_digest(results) -> str:
-    """One hash over every result's expectation and stddev bytes, in order."""
-    digest = hashlib.sha256()
+def _results_digests(results) -> dict[str, str]:
+    """One hash over every result's expectation bytes and one over its
+    stddev bytes, in order."""
+    digests = {"expectations": hashlib.sha256(), "stddevs": hashlib.sha256()}
     for statistics in results:
         for alias in sorted(statistics.aliases()):
-            digest.update(alias.encode())
-            digest.update(statistics.expectation(alias).tobytes())
-            digest.update(statistics.stddev(alias).tobytes())
-    return digest.hexdigest()
+            for name, read in (("expectations", statistics.expectation), ("stddevs", statistics.stddev)):
+                digests[name].update(alias.encode())
+                digests[name].update(read(alias).tobytes())
+    return {name: digest.hexdigest() for name, digest in digests.items()}
 
 
 def _mappings_digest(registry) -> tuple[int, str]:
@@ -127,7 +132,7 @@ def grid_run():
 def test_grid_sweep_results_and_counters(grid_run):
     client, results = grid_run
     assert len(results) == 588
-    assert _results_digest(results) == GRID["results"]
+    assert _results_digests(results) == {k: GRID[k] for k in ("expectations", "stddevs")}
     assert client.stats().to_json() == GRID["stats"]
     assert client.engine.invocation_count() == 14328
     assert client.engine.component_sample_count() == 139672
@@ -153,7 +158,7 @@ def test_slider_walk_results_mappings_and_counters():
         for sliders in _walk_moves(values):
             session.set_sliders(sliders)
             results.append(session.refresh().statistics)
-        assert _results_digest(results) == WALK["results"]
+        assert _results_digests(results) == {k: WALK[k] for k in ("expectations", "stddevs")}
         assert _mappings_digest(client.engine.registry) == WALK["mappings"]
         assert client.stats().to_json() == WALK["stats"]
     finally:

@@ -1,11 +1,13 @@
 """Unit tests for scalar functions and aggregate accumulators."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.errors import ExecutionError, TypeMismatchError
-from repro.sqldb.aggregates import is_aggregate_name, make_aggregate
+from repro.sqldb.aggregates import is_aggregate_name, make_aggregate, ordered_moments
 from repro.sqldb.functions import builtin_scalar_functions
 
 FUNCS = builtin_scalar_functions()
@@ -150,3 +152,52 @@ class TestAggregates:
     def test_distinct_only_for_count(self):
         with pytest.raises(ExecutionError):
             make_aggregate("sum", distinct=True)
+
+
+def _recurrence_m2(values):
+    """Welford's recurrence, the variance family's definition before the two
+    ordered passes: kept here as the accuracy bar they must meet."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for value in values:
+        count += 1
+        delta = value - mean
+        mean += delta / count
+        m2 += delta * (value - mean)
+    return m2
+
+
+def _exact_m2(values):
+    """The sum of squared deviations from the mean, as an exact ``Fraction``:
+    every float is an integer over a power of two, so over their largest
+    denominator ``n * m2 = n * sum(x * x) - sum(x) ** 2`` is integer math."""
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(denominator for _, denominator in ratios)
+    scaled = [numerator * (scale // denominator) for numerator, denominator in ratios]
+    total = sum(scaled)
+    n = len(scaled)
+    return Fraction(n * sum(x * x for x in scaled) - total * total, n * scale * scale)
+
+
+def _accuracy_corpus(seed, cases):
+    """Normal samples at offsets 0 to 1e9, spreads 1e-3 to 1e3 and sizes 2 to
+    2000, all log-uniform (one offset in ten is exactly 0)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        offset = 0.0 if rng.random() < 0.1 else 10 ** rng.uniform(0, 9)
+        spread = 10 ** rng.uniform(-3, 3)
+        size = int(round(10 ** rng.uniform(math.log10(2), math.log10(2000))))
+        yield (offset + spread * rng.standard_normal(size)).tolist()
+
+
+def test_two_ordered_passes_are_at_least_as_accurate_as_the_recurrence():
+    """Over 300 seeded samples, the worst relative error of ``m2`` against
+    the exact rational is no larger than the recurrence's (when this test
+    came in: 1.9e-10 against 4.6e-6, medians 1.9e-16 against 7.8e-14)."""
+    worst = {"passes": 0.0, "recurrence": 0.0}
+    for values in _accuracy_corpus(seed=2011, cases=300):
+        exact = _exact_m2(values)
+        _, m2 = ordered_moments(np.array(values)[:, None])
+        for name, answer in (("passes", m2.item()), ("recurrence", _recurrence_m2(values))):
+            error = abs(Fraction(answer) - exact) / exact
+            worst[name] = max(worst[name], float(error))
+    assert worst["passes"] <= worst["recurrence"], worst

@@ -1,15 +1,18 @@
-"""Bitwise parity of the vectorized tier's join, grouping and blocked pass.
+"""Bitwise parity of the vectorized tier's join, grouping and ordered pass.
 
-* The blocked lane kernel (``compiled.aggregate_lanes``): every
-  variance-family aggregate of a statement folded together, the means one
-  array step per row position and ``m2`` one ordered sum per block of steps
-  (``compiled._ordered_sums``, an axis-0 ``np.add.reduce`` from a carry
-  row), with the AVG and float SUM of the same columns read off the same
-  pass.
-  Every layout is rectangular — ``n_groups`` groups of ``size`` rows, group
-  ``g`` being every ``n_groups``-th row from row ``g`` — and the oracle is
-  the row interpreter's own accumulator (``make_aggregate``) fed row by
-  row, at block sizes that do and do not divide the steps.
+* The grouped aggregates (``compiled.aggregate_columns``): every AVG, float
+  SUM and variance of a statement reads one pass per argument array, its
+  step-major ``(size, n_groups)`` reshape — ``aggregates.ordered_sums``
+  (an axis-0 ``np.add.reduce`` from ``-0.0``) for the totals, and
+  ``aggregates.ordered_moments`` (a second ordered sum, of squared
+  deviations from the mean) for ``m2`` when a variance reads the array.
+  The row tier's accumulators call the same function on one group at a
+  time, so the two tiers agree bit for bit by construction; the properties
+  below check that they do, over every rectangular layout — ``n_groups``
+  groups of ``size`` rows, group ``g`` being every ``n_groups``-th row from
+  row ``g`` — with one group, one row, ``-0.0``, NaN, infinities and
+  integers. The oracle is the row interpreter (``make_aggregate``, or an
+  executor with ``enable_vectorized=False``) fed row by row.
 * Tiled key columns (``table.tiled_column``): the tiled join and the
   strided group layout answer from the tiling alone; every other key is
   refused (``VectorFallback``) and the row tier answers the statement.
@@ -28,19 +31,20 @@ from hypothesis import strategies as st
 from repro.errors import TypeMismatchError
 from repro.sqldb import Catalog, Executor
 from repro.sqldb import compiled
-from repro.sqldb.aggregates import make_aggregate, moments_result
+from repro.sqldb.aggregates import make_aggregate
 from repro.sqldb.compiled import (
     AggregateSpec,
     ColumnarRelation,
     GroupLayout,
     VectorFallback,
-    aggregate_lanes,
+    aggregate_columns,
     equi_join,
     group_layout,
 )
 from repro.sqldb.table import tiled_column, tiling_of
 
 MOMENTS = ("var", "varp", "stdev", "stdevp")
+SUMMED = ("avg", "sum") + MOMENTS
 
 
 def _bits(value):
@@ -48,15 +52,30 @@ def _bits(value):
     return None if value is None else struct.pack("<d", value)
 
 
+def _value_bits(value):
+    return _bits(value) if isinstance(value, float) else value
+
+
 def _column(kind, n_rows, rng) -> np.ndarray:
+    """One argument column: floats, NaN-bearing floats, ``-0.0``, floats
+    with infinities, integers past 2**53, or booleans."""
     if kind == "int":
-        return rng.integers(-(2**62), 2**62, size=n_rows, dtype=np.int64)  # past 2**53
+        return rng.integers(-(2**62), 2**62, size=n_rows, dtype=np.int64)
     if kind == "bool":
         return rng.integers(0, 2, size=n_rows).astype(np.bool_)
+    if kind == "negative-zero":
+        return np.full(n_rows, -0.0)
+    if kind == "inf":
+        values = rng.normal(0.0, 1e150, size=n_rows)
+        values[1::7], values[3::11] = np.inf, -np.inf
+        return values
     values = rng.normal(1e3, 250.0, size=n_rows)
     if kind == "nan" and n_rows:
         values[rng.integers(0, n_rows, size=max(1, n_rows // 7))] = np.nan
     return values
+
+
+KINDS = ("float", "nan", "negative-zero", "inf", "int")
 
 
 def _accumulated(name, values, layout) -> list:
@@ -68,11 +87,6 @@ def _accumulated(name, values, layout) -> list:
             accumulator.add(value)
         results.append(accumulator.result())
     return results
-
-
-def _lockstep_expected(n_columns, layout) -> bool:
-    """The lane rule, restated: the kernel runs with about 18 lanes a step."""
-    return n_columns * layout.n_groups >= 18
 
 
 #: ``(n_groups, size)``: groups of equal size, single-row groups, and the
@@ -87,9 +101,7 @@ group_shapes = st.one_of(
 @given(
     shape=group_shapes,
     columns=st.lists(
-        st.tuples(st.sampled_from(MOMENTS), st.sampled_from(["float", "int", "nan"])),
-        min_size=1,
-        max_size=4,
+        st.tuples(st.sampled_from(SUMMED), st.sampled_from(KINDS)), min_size=1, max_size=4
     ),
     seed=st.integers(0, 2**16),
 )
@@ -100,24 +112,66 @@ def test_moments_match_the_accumulators_bit_for_bit(shape, columns, seed):
     n_rows = layout.n_groups * layout.size
     specs = [AggregateSpec(f"a{i}", name, False, False, None) for i, (name, _) in enumerate(columns)]
     arrays = [_column(kind, n_rows, rng) for _, kind in columns]
-    expected = [
-        [_bits(v) for v in _accumulated(spec.name, values, layout)]
-        for spec, values in zip(specs, arrays)
-    ]
+    with np.errstate(invalid="ignore"):  # inf + -inf, as the accumulators do it
+        answered = aggregate_columns(specs, arrays, layout)
+    for spec, values, lane in zip(specs, arrays, answered):
+        expected = _accumulated(spec.name, values, layout)
+        assert [_value_bits(v) for v in lane] == [_value_bits(v) for v in expected], spec.rendered
 
-    with mock.patch.object(compiled, "_fold_lanes", wraps=compiled._fold_lanes) as kernel:
-        answered = aggregate_lanes(specs, arrays, layout)
-    assert [[_bits(v) for v in lane] for lane in answered] == expected
-    assert kernel.call_count == int(_lockstep_expected(len(columns), layout))
 
-    # The kernel itself, whatever the rule would have decided for this shape.
-    m2, _ = compiled._fold_lanes(arrays, layout, with_sums=False)
-    assert len(m2) == len(arrays) and all(len(lane) == layout.n_groups for lane in m2)
-    folded = [
-        [_bits(moments_result(spec.name, layout.size, value)) for value in lane]
-        for spec, lane in zip(specs, m2)
+def _executors(n_weeks, n_worlds, tiled=True, columns=None):
+    """A (vectorized, row-tier) executor pair over one table ``x`` laid out
+    like the aggregate query's input: ``t`` runs through ``n_weeks`` weeks
+    once per world — a tiled key column, or (``tiled=False``) the same
+    values as a plain one — beside ``columns`` (default: two float columns
+    ``a``, ``b`` and an integer ``c``)."""
+    rng = np.random.default_rng(n_weeks * n_worlds)
+    n_rows = n_weeks * n_worlds
+    if columns is None:
+        columns = {
+            "a": rng.normal(size=n_rows),
+            "b": rng.normal(50.0, 9.0, size=n_rows),
+            "c": rng.integers(-99, 99, size=n_rows),
+        }
+    declared = ", ".join(
+        f"{name} {'INT' if values.dtype.kind == 'i' else 'FLOAT'}" for name, values in columns.items()
+    )
+    pair = []
+    for fast in (True, False):
+        t = tiled_column(range(n_weeks), 1, n_worlds)
+        executor = Executor(Catalog(), enable_vectorized=fast)
+        executor.execute(f"CREATE TABLE x (t INT, {declared})")
+        executor.catalog.table("x").load_columnar([t if tiled else np.array(t), *columns.values()])
+        pair.append(executor)
+    return pair
+
+
+@given(
+    shape=group_shapes,
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+@example(shape=(1, 1), kinds=["negative-zero"], seed=0)  # one group of one row
+@example(shape=(53, 2000), kinds=["float", "float", "int"], seed=0)  # a fresh point's shape
+@settings(max_examples=60, deadline=None)
+def test_the_two_tiers_agree_bit_for_bit(shape, kinds, seed):
+    """Every summed aggregate of every column, grouped by a tiled week key,
+    through both executors: the same rows, bit for bit, and the vectorized
+    executor answers the statement itself."""
+    n_weeks, n_worlds = shape
+    rng = np.random.default_rng(seed)
+    columns = {f"v{i}": _column(kind, n_weeks * n_worlds, rng) for i, kind in enumerate(kinds)}
+    fast, reference = _executors(n_weeks, n_worlds, columns=columns)
+    sql = "SELECT t, " + ", ".join(
+        f"{name.upper()}({column}) AS {name}_{column}" for column in columns for name in SUMMED
+    ) + " FROM x GROUP BY t ORDER BY t"
+    with np.errstate(invalid="ignore"):
+        answered = fast.execute(sql).rows
+    expected = reference.execute(sql).rows
+    assert [[_value_bits(v) for v in row] for row in answered] == [
+        [_value_bits(v) for v in row] for row in expected
     ]
-    assert folded == expected
+    assert fast.stats.vectorized_selects == 1 and fast.stats.fallback_selects == 0
 
 
 SUM_SHAPES = {
@@ -130,17 +184,15 @@ SUM_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(SUM_SHAPES))
 @pytest.mark.parametrize("values", ["float", "int", "nan", "negative-zero"])
 def test_sums_and_moments_off_one_layout_match_the_accumulators(shape, values):
-    """AVG/SUM/VAR/STDEV of the same columns, bit for bit, on both sides of
-    the selection: read off the variances' pass when the lane rule takes
-    it, and segment by segment when it does not or when no variance
-    aggregate is there to share it with."""
+    """AVG/SUM/VAR/STDEV of the same two columns, bit for bit: one
+    ``ordered_moments`` pass per column, whose totals the AVG and SUM read;
+    without a variance to share with, one ``ordered_sums`` pass per column.
+    A SUM of -0.0 keeps its sign."""
     rng = np.random.default_rng(len(shape))
     layout = SUM_SHAPES[shape]
     n_rows = layout.n_groups * layout.size
-    if values == "negative-zero":
-        arrays = [np.full(n_rows, -0.0), np.full(n_rows, -0.0)]
-    else:
-        arrays = [_column(values, n_rows, rng), _column("float", n_rows, rng)]
+    second = "negative-zero" if values == "negative-zero" else "float"
+    arrays = [_column(values, n_rows, rng), _column(second, n_rows, rng)]
     # Integer SUM is exact Python arithmetic and never reads the layout.
     sum_names = ("avg", "avg") if values == "int" else ("avg", "sum")
     sums = [AggregateSpec(f"s{i}", name, False, False, None) for i, name in enumerate(sum_names)]
@@ -153,202 +205,119 @@ def test_sums_and_moments_off_one_layout_match_the_accumulators(shape, values):
         ]
 
     with mock.patch.object(
-        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
-    ) as segments, mock.patch.object(
-        compiled, "_fold_lanes", wraps=compiled._fold_lanes
-    ) as kernel:
-        answered = aggregate_lanes(moments + sums, arrays + arrays, layout)
-    folded = _lockstep_expected(2, layout)
-    assert kernel.call_count == int(folded)
-    # All four ride one pass, or none of them does.
-    assert segments.call_count == (0 if folded else len(moments) + len(sums))
+        compiled, "ordered_moments", wraps=compiled.ordered_moments
+    ) as kernel, mock.patch.object(compiled, "ordered_sums", wraps=compiled.ordered_sums) as totals:
+        answered = aggregate_columns(moments + sums, arrays + arrays, layout)
+    assert (kernel.call_count, totals.call_count) == (2, 0)
     assert [[_bits(v) for v in lane] for lane in answered[:2]] == expected(moments)
     assert [[_bits(v) for v in lane] for lane in answered[2:]] == expected(sums)
+    if values == "negative-zero":
+        assert [_bits(v) for v in answered[3]] == [_bits(-0.0)] * layout.n_groups
 
-    with mock.patch.object(
-        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
-    ) as segments:
-        alone = aggregate_lanes(sums, arrays, layout)
-    assert segments.call_count == len(sums)  # no variance pass to share
+    with mock.patch.object(compiled, "ordered_sums", wraps=compiled.ordered_sums) as totals:
+        alone = aggregate_columns(sums, arrays, layout)
+    assert totals.call_count == len(sums)  # no variance pass to share
     assert [[_bits(v) for v in lane] for lane in alone] == expected(sums)
 
 
-def test_sums_over_other_columns_than_the_variances_go_by_segment():
+def test_sums_over_other_columns_than_the_variances_take_their_own_pass():
     rng = np.random.default_rng(11)
     layout = GroupLayout(30, 20)
     a, b = _column("float", 600, rng), _column("float", 600, rng)
     stdev = AggregateSpec("m", "stdev", False, False, None)
     avg = AggregateSpec("s", "avg", False, False, None)
     with mock.patch.object(
-        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
-    ) as segments, mock.patch.object(
-        compiled, "_fold_lanes", wraps=compiled._fold_lanes
-    ) as kernel:
-        answered = aggregate_lanes([stdev, stdev, avg, avg], [a, a, a, b], layout)
-    # One pass over ``a`` (folded once), AVG(a) read off it, AVG(b) alone.
-    assert [len(call.args[0]) for call in kernel.call_args_list] == [1]
-    assert [call.args[1] is b for call in segments.call_args_list] == [True]
+        compiled, "ordered_moments", wraps=compiled.ordered_moments
+    ) as kernel, mock.patch.object(compiled, "ordered_sums", wraps=compiled.ordered_sums) as totals:
+        answered = aggregate_columns([stdev, stdev, avg, avg], [a, a, a, b], layout)
+    # One pass over ``a`` (once, for both STDEVs), AVG(a) read off it, AVG(b) alone.
+    assert kernel.call_count == 1 and totals.call_count == 1
+    assert np.shares_memory(kernel.call_args.args[0], a)  # a view, not a copy
+    assert np.shares_memory(totals.call_args.args[0], b)
     for spec, values, lane in zip([stdev, stdev, avg, avg], [a, a, a, b], answered):
         expected = _accumulated(spec.name, values, layout)
         assert [_bits(v) for v in lane] == [_bits(v) for v in expected]
 
 
-def _edge_columns(n_rows, rng) -> dict:
-    """One column of each kind the block folds must carry through exactly."""
-    with_nan, with_inf = rng.normal(1e3, 250.0, n_rows), rng.normal(0.0, 1e150, n_rows)
-    with_nan[:: 5] = np.nan
-    with_inf[1 :: 7], with_inf[3 :: 11] = np.inf, -np.inf
-    return {
-        "float": rng.normal(1e3, 250.0, n_rows),
-        "negative-zero": np.full(n_rows, -0.0),
-        "nan": with_nan,
-        "inf": with_inf,
-        "int": rng.integers(-(2**62), 2**62, size=n_rows, dtype=np.int64),  # past 2**53
-    }
-
-
-BLOCK_LAYOUTS = {
-    "strided": GroupLayout(40, 9),
-    "single-row-groups": GroupLayout(41, 1),
-    "one-group": GroupLayout(1, 17),
-    "8000-rows-per-group": GroupLayout(3, 8000),
-}
-
-
-@pytest.mark.parametrize("block", [1, 3, 5])
-@pytest.mark.parametrize("shape", sorted(BLOCK_LAYOUTS))
-def test_block_boundaries_keep_the_accumulators_bits(shape, block):
-    """MOMENTS, AVG and float SUM through the kernel at block sizes of one
-    step, of three, and of five (which divides none of these layouts' step
-    counts but one, so the last block is short), against the accumulators.
-    The lane rule is opened so that every layout takes the kernel; a SUM of
-    -0.0 keeps its sign."""
-    rng = np.random.default_rng(block)
-    layout = BLOCK_LAYOUTS[shape]
-    columns = _edge_columns(layout.n_groups * layout.size, rng)
-    if shape == "8000-rows-per-group":
-        columns = {kind: columns[kind] for kind in ("float", "negative-zero")}
-    specs, arrays = [], []
-    for kind, values in columns.items():
-        names = MOMENTS + (("avg",) if kind == "int" else ("avg", "sum"))
-        specs += [AggregateSpec(f"{name}_{kind}", name, False, False, None) for name in names]
-        arrays += [values] * len(names)
-    with mock.patch.multiple(
-        compiled, _LANE_BLOCK=block, _LOCKSTEP_MIN_LANES=0
-    ), mock.patch.object(
-        compiled, "_fold_lanes", wraps=compiled._fold_lanes
-    ) as kernel, mock.patch.object(
-        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
-    ) as segments:
-        answered = aggregate_lanes(specs, arrays, layout)
-    assert [len(call.args[0]) for call in kernel.call_args_list] == [len(columns)]
-    assert segments.call_count == 0
-    for spec, values, lane in zip(specs, arrays, answered):
-        expected = [_bits(v) for v in _accumulated(spec.name, values, layout)]
-        assert [_bits(v) for v in lane] == expected, spec.rendered
-    totals = answered[specs.index(next(s for s in specs if s.rendered == "sum_negative-zero"))]
-    assert [_bits(v) for v in totals] == [_bits(-0.0)] * layout.n_groups
-
-
 @given(
     width=st.sampled_from([1, 2, 3, 159, 3001]),
     rows=st.integers(1, 300),
-    kind=st.sampled_from(["float", "negative-zero", "nan", "inf", "int"]),
+    kind=st.sampled_from(KINDS),
     seed=st.integers(0, 2**16),
 )
 @example(width=1, rows=129, kind="float", seed=0)  # one lane: NumPy would sum pairwise
 @example(width=2, rows=300, kind="negative-zero", seed=0)  # a +0.0 start loses the sign
 @settings(max_examples=60, deadline=None)
 def test_ordered_sums_add_each_lane_in_row_order(width, rows, kind, seed):
-    """``_ordered_sums`` over a ``(rows, width)`` block, the float SUM read
-    through it by ``aggregate_segments``, and ``_fold_lanes`` over one
-    column of ``width`` groups (blocks of 128 steps: 300 rows cross two
-    boundaries): every total bit-equal to a plain left-to-right loop, every
-    ``m2`` to ``_MomentsAggregate.add`` fed the group's rows."""
-    values = _edge_columns(rows * width, np.random.default_rng(seed))[kind]
+    """``ordered_sums`` over a ``(rows, width)`` block, the float SUM read
+    through it by ``aggregate_columns``, and ``ordered_moments`` over the
+    same block: every total bit-equal to a plain left-to-right loop, and
+    every ``m2`` to the same loop over the squared deviations from
+    ``total / rows``."""
+    values = _column(kind, rows * width, np.random.default_rng(seed))
     layout = GroupLayout(width, rows)
     lanes = [[float(v) for v in values[g::width].tolist()] for g in range(width)]
-    expected = []
-    for lane in lanes:
-        total = lane[0]
-        for value in lane[1:]:
-            total = total + value
-        expected.append(_bits(total))
 
+    def loop(terms):
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+
+    expected = [loop(lane) for lane in lanes]
     sum_spec = AggregateSpec("s", "sum", False, False, None)
+    steps = values.astype(np.float64).reshape(rows, width)
     with np.errstate(invalid="ignore"):  # inf + -inf, as the loop does it
-        block = compiled._ordered_sums(values.astype(np.float64).reshape(rows, width))
-        summed = compiled.aggregate_segments(sum_spec, values, layout)
-    assert [_bits(v) for v in block.tolist()] == expected
+        block = compiled.ordered_sums(steps)
+        summed = aggregate_columns([sum_spec], [values], layout)[0]
+        totals, m2 = compiled.ordered_moments(steps)
+    assert [_bits(v) for v in block.tolist()] == [_bits(v) for v in expected]
+    assert [_bits(v) for v in totals.tolist()] == [_bits(v) for v in expected]
     if kind != "int":  # an integer SUM is exact Python arithmetic, not a float sum
-        assert [_bits(v) for v in summed] == expected
-    m2, totals = compiled._fold_lanes([values], layout, with_sums=True)
-    assert [_bits(v) for v in totals[0]] == expected
+        assert [_bits(v) for v in summed] == [_bits(v) for v in expected]
     checked = range(width) if width < 1000 else range(0, width, 97)  # keep the oracle quick
     for group in checked:
-        accumulator = make_aggregate("varp")
-        for value in lanes[group]:
-            accumulator.add(value)
-        assert _bits(m2[0][group]) == _bits(accumulator._m2), group
+        mean = expected[group] / rows
+        squares = [(value - mean) * (value - mean) for value in lanes[group]]
+        assert _bits(m2[group]) == _bits(loop(squares)), group
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (40, 30)], ids=["scalar-loop", "lockstep"])
-def test_boolean_columns_are_rejected_on_both_sides_of_the_lane_rule(shape):
+@pytest.mark.parametrize("shape", [(2, 3), (40, 30)])
+@pytest.mark.parametrize("name", ["stdev", "avg", "sum"])
+def test_boolean_columns_are_rejected_before_any_pass(shape, name):
     rng = np.random.default_rng(0)
     layout = GroupLayout(*shape)
     flags = _column("bool", shape[0] * shape[1], rng)
-    spec = AggregateSpec("a", "stdev", False, False, None)
-    assert _lockstep_expected(1, layout) == (layout.n_groups == 40)
-    with pytest.raises(VectorFallback):
-        aggregate_lanes([spec], [flags], layout)
+    floats = _column("float", shape[0] * shape[1], rng)
+    spec = AggregateSpec("a", name, False, False, None)
+    first = AggregateSpec("f", "var", False, False, None)
+    with mock.patch.object(compiled, "ordered_moments") as kernel, pytest.raises(VectorFallback):
+        aggregate_columns([first, spec], [floats, flags], layout)
+    assert not kernel.called
     with pytest.raises(TypeMismatchError):  # what the fallback then reports
-        _accumulated("stdev", flags, layout)
-
-
-def _executors(n_weeks, n_worlds, tiled=True):
-    """A (vectorized, row-tier) executor pair over one table ``x`` laid out
-    like the aggregate query's input: ``t`` runs through ``n_weeks`` weeks
-    once per world — a tiled key column, or (``tiled=False``) the same
-    values as a plain one."""
-    rng = np.random.default_rng(n_weeks * n_worlds)
-    n_rows = n_weeks * n_worlds
-    values = [
-        rng.normal(size=n_rows),
-        rng.normal(50.0, 9.0, size=n_rows),
-        rng.integers(-99, 99, size=n_rows),
-    ]
-    pair = []
-    for fast in (True, False):
-        t = tiled_column(range(n_weeks), 1, n_worlds)
-        executor = Executor(Catalog(), enable_vectorized=fast)
-        executor.execute("CREATE TABLE x (t INT, a FLOAT, b FLOAT, c INT)")
-        executor.catalog.table("x").load_columnar([t if tiled else np.array(t), *values])
-        pair.append(executor)
-    return pair
+        _accumulated(name, flags, layout)
 
 
 def _float_bits(rows):
     return [[_bits(float(v)) for v in row] for row in rows]
 
 
-def test_three_moment_aggregates_take_one_lockstep_pass():
+def test_three_moment_columns_take_one_pass_each():
     """Three variance columns and an AVG over one of them, grouped by a
-    tiled week key: one kernel pass folds the three, and the AVG rides it.
-    The same keys as a plain column go to the row tier, with the same
-    answer."""
+    tiled week key: one ``ordered_moments`` pass per column, and the AVG
+    reads its column's total. The same keys as a plain column go to the row
+    tier, with the same answer."""
     sql = (
         "SELECT t, AVG(a) AS e, STDEV(a) AS s, VAR(b) AS v, STDEVP(c) AS p, COUNT(*) AS n "
         "FROM x GROUP BY t ORDER BY t"
     )
     fast, reference = _executors(40, 30)
     with mock.patch.object(
-        compiled, "_fold_lanes", wraps=compiled._fold_lanes
-    ) as kernel, mock.patch.object(
-        compiled, "aggregate_segments", wraps=compiled.aggregate_segments
-    ) as segments:
+        compiled, "ordered_moments", wraps=compiled.ordered_moments
+    ) as kernel, mock.patch.object(compiled, "ordered_sums", wraps=compiled.ordered_sums) as totals:
         result = fast.execute(sql)
-    assert [len(call.args[0]) for call in kernel.call_args_list] == [3]
-    assert segments.call_count == 0  # AVG(a) rides the pass (COUNT(*) is the executor's)
+    assert [call.args[0].shape for call in kernel.call_args_list] == [(30, 40)] * 3
+    assert totals.call_count == 0  # AVG(a) shares STDEV(a)'s pass
     assert fast.stats.vectorized_selects == 1 and fast.stats.fallback_selects == 0
     expected = _float_bits(reference.execute(sql).rows)
     assert _float_bits(result.rows) == expected
@@ -358,22 +327,8 @@ def test_three_moment_aggregates_take_one_lockstep_pass():
     assert plain.stats.vectorized_selects == 0 and plain.stats.fallback_selects == 1
 
 
-def test_a_handful_of_groups_keeps_the_scalar_loop():
-    fast, reference = _executors(3, 200)
-    sql = "SELECT t, STDEV(a) AS s, VAR(c) AS v FROM x GROUP BY t ORDER BY t"
-    with mock.patch.object(compiled, "_fold_lanes", wraps=compiled._fold_lanes) as kernel:
-        result = fast.execute(sql)
-    assert kernel.call_count == 0  # 2 columns x 3 groups < 18 lanes
-    assert fast.stats.vectorized_selects == 1
-    assert result.rows == reference.execute(sql).rows
-
-
 #: Group sizes no rectangular layout holds, keys in first-appearance order.
 RAGGED_SIZES = [7, 1, 12, 3, 9, 12, 2, 5, 11, 8, 4, 10]
-
-
-def _value_bits(value):
-    return _bits(value) if isinstance(value, float) else value
 
 
 @pytest.mark.parametrize("values", ["float", "int", "nan", "negative-zero"])
@@ -655,10 +610,10 @@ def test_a_tiling_belongs_to_its_array_object():
 def test_the_strided_layout_and_its_lanes_match_the_accumulators(base, repeat, tile, kinds, seed):
     """GROUP BY a tiled key that runs through unique values (``repeat ==
     1``) is arithmetic: group ``g`` is the rows holding ``base[g]``, in row
-    order, and the blocked pass over it — blocks reshaped from row ranges —
-    gives each group what the accumulators give the rows holding its key.
-    A repeated base, a key that repeats each value, and the same key as a
-    plain array are refused."""
+    order, and the one pass per column over it — the column reshaped to
+    ``(tile, n_groups)`` — gives each group what the accumulators give the
+    rows holding its key. A repeated base, a key that repeats each value,
+    and the same key as a plain array are refused."""
     key = tiled_column(base, repeat, tile)
     n_rows = len(key)
     with pytest.raises(VectorFallback):
@@ -681,9 +636,7 @@ def test_the_strided_layout_and_its_lanes_match_the_accumulators(base, repeat, t
     for index, values in enumerate(columns):
         specs += [AggregateSpec(f"{name}{index}", name, False, False, None) for name in ("stdev", "avg", "sum")]
         arrays += [values] * 3
-    # Blocks that do not divide, and the pass taken whatever the lane count.
-    with mock.patch.multiple(compiled, _LANE_BLOCK=7, _LOCKSTEP_MIN_LANES=0):
-        answered = aggregate_lanes(specs, arrays, layout)
+    answered = aggregate_columns(specs, arrays, layout)
     for spec, values, lane in zip(specs, arrays, answered):
         expected = []
         for rows in members:
@@ -700,9 +653,10 @@ def test_the_strided_layout_and_its_lanes_match_the_accumulators(base, repeat, t
 def test_the_figure2_combine_takes_the_tiled_join_and_the_strided_pass():
     """One fresh 2000-world point of the Figure-2 scenario — the shape of a
     ``fresh_fanout`` point — joins its two samples tables by their tiling,
-    groups 53 weeks by stride, folds its three STDEV columns in one kernel
-    pass whose blocks are row ranges reshaped in place, and reads its three
-    AVGs off that pass. Nothing goes to the row tier."""
+    groups 53 weeks by stride, and answers each of its three AVG/STDEV
+    pairs with one ``ordered_moments`` pass over the results column's
+    ``(2000, 53)`` reshape, a view of a float column, not a copy. Nothing
+    goes to the row tier."""
     from repro.core.config import EngineConfig, SamplingConfig
     from repro.core.engine import ProphetEngine
     from repro.dsl import parse_scenario
@@ -715,38 +669,33 @@ def test_the_figure2_combine_takes_the_tiled_join_and_the_strided_pass():
         EngineConfig(sampling=SamplingConfig(n_worlds=2000)),
     )
     point = dict(next(iter(engine.scenario.sweep_space.grid())))
-    spied = ("_tiled_alike", "_fold_lanes", "_fill_block", "aggregate_segments")
-    returned: dict[str, list] = {name: [] for name in spied}
+    spied = ("_tiled_alike", "ordered_moments", "ordered_sums", "_segment_results")
+    calls: dict[str, list] = {name: [] for name in spied}
 
     def spy(name):
         original = getattr(compiled, name)
 
         def recorded(*args, **kwargs):
-            returned[name].append((args, original(*args, **kwargs)))
-            if name == "_fill_block":  # the buffer is refilled: keep what it held
-                returned[name][-1] = (args, np.array(args[0][: args[3] - args[2]]))
-            return returned[name][-1][1]
+            answer = original(*args, **kwargs)
+            calls[name].append((args, answer))
+            return answer
 
         return recorded
 
     with mock.patch.multiple(compiled, **{name: spy(name) for name in spied}):
         engine.evaluate_point(point, reuse=False)
     assert engine.executor.stats.fallback_selects == 0
-    assert {name: len(calls) for name, calls in returned.items()} == {
+    assert {name: len(made) for name, made in calls.items()} == {
         "_tiled_alike": 1,
-        "_fold_lanes": 1,
-        "_fill_block": -(-2000 // compiled._LANE_BLOCK),
-        "aggregate_segments": 0,  # AVG x 3 ride the kernel's pass
+        "ordered_moments": 3,
+        "ordered_sums": 0,  # the AVGs read the STDEVs' totals
+        "_segment_results": 0,
     }
-    assert returned["_tiled_alike"][0][1] is True
-    (kernel_args, _), = returned["_fold_lanes"]
-    columns, layout, with_sums = kernel_args
-    assert (layout.n_groups, layout.size) == (53, 2000)
-    assert len(columns) == 3 and with_sums is True  # the AVGs' totals too
-    # The reshape, on the last block (it starts past 0 and is not full):
-    # lane (column c, group g) at step k is row k * 53 + g of column c.
-    (out, _, first, last), block = returned["_fill_block"][-1]
-    assert out.shape[1:] == (3, 53) and last == 2000 and 0 < first < last
-    for index, values in enumerate(columns):
-        rows = values.astype(np.float64)[first * 53 : last * 53].reshape(last - first, 53)
-        assert block[:, index].tobytes() == rows.tobytes()
+    assert calls["_tiled_alike"][0][1] is True
+    results = engine.catalog.table(engine.scenario.results_table).columnar_view().arrays
+    assert [steps.shape for (steps,), _ in calls["ordered_moments"]] == [(2000, 53)] * 3
+    # demand and capacity are read in place; the INT overload flag is converted once.
+    assert [
+        any(np.shares_memory(steps, column) for column in results.values())
+        for (steps,), _ in calls["ordered_moments"]
+    ] == [True, True, False]

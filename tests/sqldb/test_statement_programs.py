@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.errors import ExecutionError
 from repro.sqldb import Catalog, Executor, compiled
 from repro.sqldb import executor as executor_module
-from repro.sqldb.aggregates import moments_result
+from repro.sqldb.aggregates import ordered_moments
 from repro.sqldb.ast_nodes import BinaryOp, Literal
 from repro.sqldb.table import tiled_column
 
@@ -217,18 +217,28 @@ def test_columnar_groups_equal_the_row_tier(n_worlds, weeks, data):
         assert [row[8] for row in result.rows] == [by_week[w] for w in sorted(weeks)]
 
 
+#: Group 2's two values: finite, yet ``m2`` (the squared deviations) or
+#: the total leaves the float range.
+OVERFLOWING = {"m2-1e308": (-1e308, 1e308), "m2-1e200": (-1e200, 1e200), "total": (1e308, 1e308)}
+
+
 @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "rows"])
 @pytest.mark.parametrize("aggregate", ["VAR", "VARP", "STDEV", "STDEVP"])
-def test_a_variance_whose_running_mean_overflows_raises(aggregate, vectorized):
-    # Group 2 holds -1e308 and 1e308: the running mean overflows to inf, and
-    # Welford's m2 (a sum of terms >= 0) turns -inf.
-    v = np.array([0.0, 0.0, -1e308, 0.0, 0.0, 0.0, 1e308, 0.0])
+@pytest.mark.parametrize("group", sorted(OVERFLOWING))
+def test_a_variance_whose_running_mean_overflows_raises(group, aggregate, vectorized):
+    low, high = OVERFLOWING[group]
+    v = np.array([0.0, 0.0, low, 0.0, 0.0, 0.0, high, 0.0])
     executor = Executor(_weekly(2, range(4), {"v": v}), enable_vectorized=vectorized)
     sql = f"SELECT t, {aggregate}(v) AS x FROM r GROUP BY t ORDER BY t"
-    with mock.patch.object(compiled, "moments_result", wraps=moments_result) as kernel:
-        with pytest.raises(ExecutionError, match=f"^{aggregate} overflowed"):
+    with mock.patch.object(compiled, "ordered_moments", wraps=ordered_moments) as kernel:
+        with pytest.raises(ExecutionError, match="^variance overflowed"):
             executor.execute(sql)
     assert kernel.called == vectorized  # the vectorized tier raised it itself
+
+    # A non-finite input is no overflow: its group's variance is NaN.
+    v[6] = np.inf
+    answered = Executor(_weekly(2, range(4), {"v": v}), enable_vectorized=vectorized).execute(sql).rows
+    assert math.isnan(answered[2][1]) and answered[0][1] == 0.0
 
 
 def test_an_integer_sum_past_int64_stays_an_exact_int():
